@@ -41,7 +41,10 @@
 use scidl_bench::{csv, finish_trace, fnum, markdown_table, trace_from_args};
 use scidl_cluster::faults::FaultPlan;
 use scidl_cluster::knl::LayerCost;
-use scidl_serve::fleet::{simulate_fleet, DispatchPolicy, FleetSimConfig, SimAutoscaler, SimCanary};
+use scidl_serve::fleet::{
+    simulate_fleet, CanaryGate, DispatchPolicy, FleetSimConfig, ScalingBand, SimAutoscaler,
+    SimCanary,
+};
 use scidl_serve::queue::BatchPolicy;
 use scidl_serve::registry::argmax_disagreement;
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig, SimOutcome};
@@ -644,19 +647,20 @@ fn fleet_frontier(model: &ServiceModel, n: usize) {
     let mut cfg = FleetSimConfig::new(1, fleet_base(), DispatchPolicy::LeastLoaded);
     cfg.seed = SEED;
     cfg.autoscaler = Some(SimAutoscaler {
-        min_replicas: 1,
-        max_replicas: 6,
+        band: ScalingBand {
+            min_replicas: 1,
+            max_replicas: 6,
+            scale_down_backlog: 4,
+            ..Default::default()
+        },
         tick_secs: 0.2,
         startup_secs: 0.02,
-        scale_down_backlog: 4,
-        ..SimAutoscaler::default()
     });
     cfg.canary = Some(SimCanary {
+        gate: CanaryGate { fraction: 0.2, regression_tol: 0.25 },
         start_secs: burst_end * 0.1,
         decide_secs: burst_end * 0.9,
-        fraction: 0.2,
         service_factor: 1.0,
-        regression_tol: 0.25,
         candidate_iteration: 9000,
     });
     let out = simulate_fleet(model, &arrivals, &cfg);

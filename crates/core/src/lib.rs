@@ -54,7 +54,6 @@ pub mod checkpoint;
 pub mod experiments;
 pub mod faults;
 pub mod metrics;
-pub mod model_parallel;
 pub mod sim_engine;
 pub mod task;
 pub mod thread_engine;

@@ -31,125 +31,30 @@
 //!   sibling instead of losing it (budgeted by
 //!   [`FleetConfig::reroute_budget`]).
 //!
-//! Every semantic is mirrored bit-deterministically in the virtual-time
-//! simulator ([`simulate_fleet`] / [`FleetSimConfig`]), which the fleet
-//! frontier benchmark and the differential integration tests drive from
-//! the same seed and fault plan as the threaded router.
+//! This file holds both drivers of the fleet tier. Every decision above
+//! — dispatch pick, priority admission, autoscaler sizing and victim,
+//! canary verdict, breaker charge, crash-recovery disposition — is
+//! taken by [`crate::policy`]; the threaded [`Router`] feeds it
+//! wall-clock observations, the virtual-time [`simulate_fleet`] feeds it
+//! the event calendar over a `Vec` of the one [`crate::sim`] replica.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+pub use crate::policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};
+use crate::policy::{
+    canary_draw, effective_watermark, priority_draw, retry_after, scale_down_victim, Breaker,
+    Recovery, ScaleStep,
+};
 use crate::registry::{ModelRegistry, ServingModel, SwapError};
 use crate::server::{Client, InferResult, ServeError, Server, ServerConfig, ServerReport};
-use crate::sim::{ServiceModel, SimConfig};
+use crate::sim::{Replica, ServiceModel, SimConfig, SimCore, SimOutcome};
 use scidl_cluster::faults::FaultPlan;
 use scidl_core::metrics::LatencyRecorder;
 use scidl_tensor::stats::percentile;
 use scidl_tensor::Tensor;
 use scidl_trace::{EventKind, TraceHandle};
-
-// ---------------------------------------------------------------------------
-// Seeded routing randomness (shared by the threaded router and the sim).
-// ---------------------------------------------------------------------------
-
-const SALT_PRIORITY: u64 = 0x9E37_79B9_7F4A_7C15;
-const SALT_CANARY: u64 = 0xD1B5_4A32_D192_ED03;
-const SALT_P2C_A: u64 = 0xA076_1D64_78BD_642F;
-const SALT_P2C_B: u64 = 0xE703_7ED1_A0B4_28DB;
-
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
-}
-
-/// Deterministic uniform draw in `[0, 1)` from `(seed, salt, ordinal)`.
-/// Both the threaded router and the simulator route request `ordinal`
-/// through this, so a shared seed yields identical routing decisions.
-fn rand01(seed: u64, salt: u64, ordinal: u64) -> f64 {
-    let mut x = seed
-        .wrapping_mul(0x2545_F491_4F6C_DD1D)
-        ^ salt
-        ^ ordinal.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    if x == 0 {
-        x = salt | 1;
-    }
-    x = xorshift64(xorshift64(xorshift64(x)));
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
-
-// ---------------------------------------------------------------------------
-// Policy / configuration types.
-// ---------------------------------------------------------------------------
-
-/// How the router picks a replica for an admitted request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Cycle through live replicas in order, ignoring load.
-    RoundRobin,
-    /// Scan every live replica and pick the shallowest queue
-    /// (ties break toward the lowest replica id).
-    LeastLoaded,
-    /// Sample two replicas with the seeded RNG and pick the shallower —
-    /// near-least-loaded balance at O(1) probe cost.
-    PowerOfTwoChoices,
-}
-
-impl DispatchPolicy {
-    /// Stable name used in traces and benchmark CSV rows.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DispatchPolicy::RoundRobin => "round-robin",
-            DispatchPolicy::LeastLoaded => "least-loaded",
-            DispatchPolicy::PowerOfTwoChoices => "p2c",
-        }
-    }
-}
-
-/// Fleet-level request priority class. Lower classes shed earlier under
-/// overload (see [`PriorityAdmission`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Priority {
-    /// User-facing traffic: sheds only when the whole fleet is full.
-    Interactive,
-    /// Default class.
-    Standard,
-    /// Offline / bulk traffic: first to shed.
-    Batch,
-}
-
-impl Priority {
-    /// Index into per-class arrays (`Interactive = 0 … Batch = 2`).
-    pub fn index(self) -> usize {
-        match self {
-            Priority::Interactive => 0,
-            Priority::Standard => 1,
-            Priority::Batch => 2,
-        }
-    }
-}
-
-/// Fleet-wide admission thresholds by priority class.
-///
-/// A class-`p` request is shed when the aggregate fleet backlog has
-/// reached `shed_frac[p]` of the fleet's total shed headroom
-/// (`live_replicas × per-replica watermark`). `shed_frac[0] = 1.0`
-/// means interactive traffic only sheds when every replica is at its
-/// own watermark.
-#[derive(Clone, Copy, Debug)]
-pub struct PriorityAdmission {
-    /// Backlog fraction, per [`Priority::index`], at which the class
-    /// sheds. Each entry must be in `(0, 1]`.
-    pub shed_frac: [f64; 3],
-}
-
-impl Default for PriorityAdmission {
-    fn default() -> Self {
-        Self { shed_frac: [1.0, 0.7, 0.45] }
-    }
-}
 
 /// SLO-driven fleet sizing for the threaded [`Router`].
 ///
@@ -158,49 +63,32 @@ impl Default for PriorityAdmission {
 /// [`ServiceModel::saturated_rate`] × workers per replica).
 #[derive(Clone, Copy, Debug)]
 pub struct AutoscalerConfig {
-    /// Lower bound on live replicas.
-    pub min_replicas: usize,
-    /// Upper bound on live replicas.
-    pub max_replicas: usize,
-    /// Target utilisation of the per-replica sustainable rate; desired
-    /// size is `ceil(rate / (replica_rate × target_util))`.
-    pub target_util: f64,
+    /// The sizing policy shared with the simulator.
+    pub band: ScalingBand,
     /// Windowed p99 above this forces at least one scale-up step.
     pub slo_p99_secs: f64,
-    /// Scale-down only when the fleet backlog is at most this many
-    /// requests per live replica (don't shrink into a backlog).
-    pub scale_down_backlog: usize,
     /// Requests/s one replica sustains, from the calibrated cost model.
     pub replica_rate: f64,
 }
 
 impl Default for AutoscalerConfig {
     fn default() -> Self {
-        Self {
-            min_replicas: 1,
-            max_replicas: 8,
-            target_util: 0.7,
-            slo_p99_secs: 0.2,
-            scale_down_backlog: 2,
-            replica_rate: 100.0,
-        }
+        Self { band: ScalingBand::default(), slo_p99_secs: 0.2, replica_rate: 100.0 }
     }
 }
 
-/// Canary rollout tuning.
+/// Canary rollout tuning for the threaded [`Router`].
 #[derive(Clone, Copy, Debug)]
 pub struct CanaryConfig {
-    /// Fraction of admitted traffic routed to the canary replica.
-    pub fraction: f64,
-    /// Promote iff `canary_p99 ≤ base_p99 × (1 + regression_tol)`.
-    pub regression_tol: f64,
+    /// The traffic split and promotion bar shared with the simulator.
+    pub gate: CanaryGate,
     /// Minimum completed samples on *both* arms before a decision.
     pub min_samples: usize,
 }
 
 impl Default for CanaryConfig {
     fn default() -> Self {
-        Self { fraction: 0.2, regression_tol: 0.25, min_samples: 20 }
+        Self { gate: CanaryGate::default(), min_samples: 20 }
     }
 }
 
@@ -430,14 +318,6 @@ impl Router {
             .sum()
     }
 
-    fn per_replica_watermark(&self) -> usize {
-        self.cfg
-            .replica
-            .shed_watermark
-            .unwrap_or(self.cfg.replica.queue_capacity)
-            .min(self.cfg.replica.queue_capacity)
-    }
-
     /// [`Router::infer_with_priority`] at [`Priority::Standard`] with no
     /// deadline.
     pub fn infer(&self, input: Tensor) -> Result<InferResult, ServeError> {
@@ -463,25 +343,18 @@ impl Router {
         let p = priority.index();
         let backlog = self.fleet_depth();
         let live = self.live_replicas().max(1);
-        let headroom = (live * self.per_replica_watermark()) as f64;
-        if backlog as f64 >= self.cfg.admission.shed_frac[p] * headroom {
+        let replica = &self.cfg.replica;
+        let watermark = effective_watermark(replica.shed_watermark, replica.queue_capacity);
+        if self.cfg.admission.sheds(p, backlog, live, watermark) {
             self.fleet_shed[p].fetch_add(1, Ordering::Relaxed);
-            let bpd = self.cfg.replica.policy.max_batch.max(1);
-            let hint = self
-                .cfg
-                .replica
-                .policy
-                .max_delay
-                .max(Duration::from_millis(1))
-                .saturating_mul((backlog / bpd) as u32 + 1);
-            return Err(ServeError::Shed { depth: backlog, retry_after: hint });
+            let retry_after = retry_after(&replica.policy, backlog);
+            return Err(ServeError::Shed { depth: backlog, retry_after });
         }
         // Seeded canary traffic split.
         let canary_slot = {
             let c = self.canary.lock().unwrap();
             c.as_ref().and_then(|st| {
-                (rand01(self.cfg.seed, SALT_CANARY, ordinal) < st.cfg.fraction)
-                    .then_some(st.slot_id)
+                canary_draw(self.cfg.seed, ordinal, st.cfg.gate.fraction).then_some(st.slot_id)
             })
         };
         let start = Instant::now();
@@ -531,7 +404,12 @@ impl Router {
                         // future request routes there.
                         self.retire_slot(rid, true);
                     }
-                    if attempt >= self.cfg.reroute_budget {
+                    // The replica already spent the request's re-queue
+                    // budget (that is what these errors mean): only the
+                    // reroute half of the disposition is left to take.
+                    if Recovery::after_crash(1, 0, attempt, self.cfg.reroute_budget)
+                        == Recovery::Lost
+                    {
                         return Err(e);
                     }
                     attempt += 1;
@@ -558,38 +436,24 @@ impl Router {
                 return Some((s.id, s.server.queue_depth(), s.client.clone(), true));
             }
         }
-        let live: Vec<&Slot> = slots
-            .iter()
-            .filter(|s| !s.canary && Some(s.id) != avoid)
-            .collect();
-        let live = if live.is_empty() {
+        let live_but = |skip: Option<usize>| -> Vec<&Slot> {
+            slots.iter().filter(|s| !s.canary && Some(s.id) != skip).collect()
+        };
+        let mut live = live_but(avoid);
+        if live.is_empty() {
             // Only the avoided replica remains: better to retry it than
             // to fail outright.
-            slots.iter().filter(|s| !s.canary).collect::<Vec<_>>()
-        } else {
-            live
-        };
+            live = live_but(None);
+        }
         if live.is_empty() {
             return None;
         }
-        let n = live.len();
-        let s = match self.cfg.dispatch {
-            DispatchPolicy::RoundRobin => live[self.rr.fetch_add(1, Ordering::Relaxed) % n],
-            DispatchPolicy::LeastLoaded => live
-                .iter()
-                .map(|s| (s.server.queue_depth(), s.id, *s))
-                .min_by_key(|(d, id, _)| (*d, *id))
-                .map(|(_, _, s)| s)
-                .unwrap(),
-            DispatchPolicy::PowerOfTwoChoices => {
-                let i = ((rand01(self.cfg.seed, SALT_P2C_A, ordinal) * n as f64) as usize)
-                    .min(n - 1);
-                let j = ((rand01(self.cfg.seed, SALT_P2C_B, ordinal) * n as f64) as usize)
-                    .min(n - 1);
-                let (a, b) = (live[i], live[j]);
-                if b.server.queue_depth() < a.server.queue_depth() { b } else { a }
-            }
-        };
+        // Slots are appended with ascending ids and only ever removed,
+        // so `live` is in the id order `DispatchPolicy::pick` expects.
+        let turn = self.rr.fetch_add(1, Ordering::Relaxed);
+        let s = live[self.cfg.dispatch.pick(self.cfg.seed, ordinal, turn, live.len(), |i| {
+            live[i].server.queue_depth()
+        })];
         Some((s.id, s.server.queue_depth(), s.client.clone(), false))
     }
 
@@ -647,7 +511,7 @@ impl Router {
             self.tr.instant(id as u64, EventKind::Canary {
                 action: "begin",
                 replica: id as u64,
-                fraction: cfg.fraction,
+                fraction: cfg.gate.fraction,
             });
         }
         *guard = Some(CanaryState {
@@ -667,22 +531,16 @@ impl Router {
     /// [`CanaryDecision::Pending`] while either arm lacks
     /// [`CanaryConfig::min_samples`].
     pub fn resolve_canary(&self) -> CanaryDecision {
-        let state = {
+        let (state, pass) = {
             let mut guard = self.canary.lock().unwrap();
-            match guard.as_ref() {
+            let verdict = guard.as_ref().and_then(|st| {
+                st.cfg.gate.verdict(&st.base_lat, &st.canary_lat, st.cfg.min_samples)
+            });
+            match verdict {
                 None => return CanaryDecision::Pending,
-                Some(st)
-                    if st.base_lat.len() < st.cfg.min_samples
-                        || st.canary_lat.len() < st.cfg.min_samples =>
-                {
-                    return CanaryDecision::Pending;
-                }
-                Some(_) => guard.take().unwrap(),
+                Some(pass) => (guard.take().expect("a verdict needs a canary"), pass),
             }
         };
-        let p99_base = percentile(&state.base_lat, 0.99);
-        let p99_canary = percentile(&state.canary_lat, 0.99);
-        let pass = p99_canary <= p99_base * (1.0 + state.cfg.regression_tol);
         self.retire_slot(state.slot_id, false);
         let decision = if pass && self.registry.breaker_open() {
             CanaryDecision::BreakerOpen
@@ -703,7 +561,7 @@ impl Router {
                     _ => "rollback",
                 },
                 replica: state.slot_id as u64,
-                fraction: state.cfg.fraction,
+                fraction: state.cfg.gate.fraction,
             });
         }
         decision
@@ -727,14 +585,10 @@ impl Router {
             (rate, p99)
         };
         let live = self.live_replicas();
-        let mut desired =
-            ((rate / (a.replica_rate * a.target_util)).ceil() as usize).max(1);
-        if p99 > a.slo_p99_secs {
-            desired = desired.max(live + 1);
-        }
-        let desired = desired.clamp(a.min_replicas, a.max_replicas);
+        let desired = a.band.desired_replicas(rate, a.replica_rate, p99 > a.slo_p99_secs, live);
         let backlog = self.fleet_depth();
-        if desired > live {
+        let step = a.band.step(desired, live, backlog);
+        if step == ScaleStep::Up {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
             let wpr = self.cfg.replica.workers;
             let slot = spawn_slot(
@@ -752,19 +606,11 @@ impl Router {
                     backlog: backlog as u64,
                 });
             }
-        } else if desired < live && live > a.min_replicas && backlog <= a.scale_down_backlog * live
-        {
-            // Victim: the shallowest non-canary queue, ties toward the
-            // youngest replica.
-            let victim = {
-                let slots = self.slots.read().unwrap();
-                slots
-                    .iter()
-                    .filter(|s| !s.canary)
-                    .map(|s| (s.server.queue_depth(), std::cmp::Reverse(s.id), s.id))
-                    .min()
-                    .map(|(_, _, id)| id)
-            };
+        } else if step == ScaleStep::Down {
+            let victim = scale_down_victim(
+                (self.slots.read().unwrap().iter().filter(|s| !s.canary))
+                    .map(|s| (s.server.queue_depth(), s.id)),
+            );
             if let Some(id) = victim {
                 self.retire_slot(id, false);
                 self.scale_downs.fetch_add(1, Ordering::Relaxed);
@@ -803,7 +649,7 @@ impl Router {
             scale_downs: self.scale_downs.load(Ordering::Relaxed),
             canary_promoted: flags.canary_promoted,
             canary_rolled_back: flags.canary_rolled_back,
-            final_replicas: self.slots.read().unwrap().iter().filter(|s| !s.canary).count(),
+            final_replicas: self.live_replicas(),
             servers,
         }
     }
@@ -811,21 +657,13 @@ impl Router {
     /// Drains and shuts down every replica; returns the merged latency
     /// recorder and the final fleet report.
     pub fn shutdown_with_report(self) -> (LatencyRecorder, FleetReport) {
-        let mut report = self.report();
-        report.final_replicas = self.live_replicas();
-        let slots: Vec<Slot> = self.slots.write().unwrap().drain(..).collect();
-        let mut retired = self.retired.into_inner().unwrap();
-        for s in slots {
-            let (rec, rep) = s.server.shutdown_with_report();
-            retired.recorder.merge(&rec);
-            retired.reports.push(rep);
+        let final_replicas = self.live_replicas();
+        let ids: Vec<usize> = self.slots.read().unwrap().iter().map(|s| s.id).collect();
+        for id in ids {
+            self.retire_slot(id, false);
         }
-        let mut servers = ServerReport::default();
-        for r in &retired.reports {
-            merge_reports(&mut servers, r);
-        }
-        report.servers = servers;
-        (retired.recorder, report)
+        let report = FleetReport { final_replicas, ..self.report() };
+        (self.retired.into_inner().unwrap().recorder, report)
     }
 }
 
@@ -834,50 +672,40 @@ impl Router {
 // ---------------------------------------------------------------------------
 
 /// Autoscaler knobs for the fleet simulator, evaluated at fixed
-/// virtual-time ticks.
+/// virtual-time ticks against the cost model's per-replica saturated
+/// rate. The simulator keeps no latency window, so the SLO-breach rule
+/// of [`AutoscalerConfig::slo_p99_secs`] has no counterpart here.
 #[derive(Clone, Copy, Debug)]
 pub struct SimAutoscaler {
-    /// Lower bound on routable replicas.
-    pub min_replicas: usize,
-    /// Upper bound on routable replicas.
-    pub max_replicas: usize,
-    /// Target utilisation of the per-replica saturated rate.
-    pub target_util: f64,
+    /// The sizing policy shared with the threaded router.
+    pub band: ScalingBand,
     /// Interval between autoscaler evaluations (virtual seconds).
     pub tick_secs: f64,
     /// Delay before a scaled-up replica's workers accept batches.
     pub startup_secs: f64,
-    /// Scale-down only when fleet backlog ≤ this per live replica.
-    pub scale_down_backlog: usize,
 }
 
 impl Default for SimAutoscaler {
     fn default() -> Self {
-        Self {
-            min_replicas: 1,
-            max_replicas: 8,
-            target_util: 0.7,
-            tick_secs: 0.25,
-            startup_secs: 0.05,
-            scale_down_backlog: 2,
-        }
+        Self { band: ScalingBand::default(), tick_secs: 0.25, startup_secs: 0.05 }
     }
 }
 
-/// Canary rollout knobs for the fleet simulator.
+/// Canary rollout knobs for the fleet simulator. The decision instant
+/// is scheduled, so one sample per arm suffices (the router's
+/// [`CanaryConfig::min_samples`] is 1 here) and an empty arm rolls back.
 #[derive(Clone, Copy, Debug)]
 pub struct SimCanary {
+    /// The traffic split and promotion bar shared with the threaded
+    /// router.
+    pub gate: CanaryGate,
     /// Virtual time the canary replica starts taking traffic.
     pub start_secs: f64,
     /// Virtual time the promote/rollback decision is taken.
     pub decide_secs: f64,
-    /// Fraction of admitted traffic routed to the canary.
-    pub fraction: f64,
     /// Service-time multiplier of the candidate model (1.0 = identical
     /// cost to the live model; larger = an injected SLO regression).
     pub service_factor: f64,
-    /// Promote iff `canary_p99 ≤ base_p99 × (1 + regression_tol)`.
-    pub regression_tol: f64,
     /// Iteration stamp of the candidate model (the outcome's
     /// `final_iteration` proves which model ended up serving).
     pub candidate_iteration: u64,
@@ -893,10 +721,9 @@ pub struct SimCanary {
 /// * `base.faults` worker indices are **global**: replica `r` owns
 ///   workers `[r·w, (r+1)·w)` for `w = base.workers`, exactly like the
 ///   threaded [`FleetConfig::faults`] plan.
-/// * `base.swap_schedule` / `base.breaker_resets` are **ignored** —
-///   fleet rollouts happen through the [`SimCanary`] machinery, whose
-///   rollbacks charge the same breaker model
-///   (`base.breaker_threshold`).
+/// * `base.swap_schedule` is **ignored** — fleet rollouts happen
+///   through the [`SimCanary`] machinery, whose rollbacks charge the
+///   same breaker (`base.breaker_threshold`).
 #[derive(Clone, Debug)]
 pub struct FleetSimConfig {
     /// Per-replica serving semantics (see the type-level docs for the
@@ -939,383 +766,81 @@ impl FleetSimConfig {
     }
 }
 
-/// Everything the fleet simulation observed.
-pub struct FleetSimOutcome {
-    /// Queue-wait / compute split of every served request.
-    pub recorder: LatencyRecorder,
-    /// Requests served to completion (any replica).
-    pub completed: usize,
-    /// Requests shed at a replica's watermark (after routing).
-    pub rejected: usize,
-    /// Requests shed by fleet-level priority admission, per class.
-    pub fleet_shed: [usize; 3],
-    /// Requests shed in a queue when their deadline lapsed.
-    pub expired: usize,
-    /// Requests lost to crashes after exhausting both the re-queue and
-    /// the reroute budgets.
-    pub lost: usize,
-    /// Cross-replica reroutes of crash-orphaned requests.
-    pub rerouted: usize,
-    /// Same-replica re-queues of crash-recovered requests.
-    pub requeued: usize,
-    /// Worker crashes that fired.
-    pub crashes: usize,
-    /// Autoscaler scale-up steps.
-    pub scale_ups: usize,
-    /// Autoscaler scale-down steps.
-    pub scale_downs: usize,
-    /// Σ over replicas of (retirement − birth) virtual seconds — the
-    /// fleet's cost denominator.
-    pub replica_seconds: f64,
-    /// Routable replicas when the simulation ended.
-    pub final_replicas: usize,
-    /// Whether the canary was promoted.
-    pub canary_promoted: bool,
-    /// Whether the canary was rolled back.
-    pub canary_rolled_back: bool,
-    /// Requests the canary replica served.
-    pub canary_served: usize,
-    /// Whether rollout failures opened the breaker.
-    pub breaker_opened: bool,
-    /// Iteration of the model serving at the end (the candidate's after
-    /// a promotion, the original's otherwise).
-    pub final_iteration: u64,
-    /// Ids of served requests, in dispatch order.
-    pub served_ids: Vec<usize>,
-    /// Ids of requests shed at admission (fleet or watermark), in
-    /// arrival order.
-    pub rejected_ids: Vec<usize>,
-    /// Ids of deadline-expired requests, in expiry order.
-    pub expired_ids: Vec<usize>,
-    /// Ids of crash-lost requests, in loss order.
-    pub lost_ids: Vec<usize>,
-    /// Size of every dispatched batch, in dispatch order.
-    pub batch_sizes: Vec<usize>,
-    /// Virtual time at which the fleet went fully idle.
-    pub makespan: f64,
+/// Everything the fleet simulation observed: the one virtual-time
+/// accounting type.
+pub type FleetSimOutcome = SimOutcome;
+
+/// Whether the router may send new (non-canary) traffic to `r`.
+fn routable(r: &Replica) -> bool {
+    !r.canary && r.in_service()
 }
 
-impl FleetSimOutcome {
-    /// Sustained goodput: served requests per virtual second.
-    pub fn throughput(&self) -> f64 {
-        if self.makespan > 0.0 { self.completed as f64 / self.makespan } else { 0.0 }
-    }
-
-    /// Total requests offered across every terminal category.
-    pub fn offered(&self) -> usize {
-        self.completed
-            + self.rejected
-            + self.fleet_shed.iter().sum::<usize>()
-            + self.expired
-            + self.lost
-    }
-
-    /// Fraction of offered requests that did not get an answer.
-    pub fn shed_rate(&self) -> f64 {
-        let offered = self.offered();
-        if offered == 0 {
-            0.0
-        } else {
-            (offered - self.completed) as f64 / offered as f64
-        }
-    }
-
-    /// p99 of served total latency (0 when nothing was served).
-    pub fn p99(&self) -> f64 {
-        self.recorder.total_summary().map(|s| s.p99).unwrap_or(0.0)
-    }
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum FleetEvent {
+    AutoscaleTick,
+    CanaryStart,
+    CanaryDecide,
 }
 
-#[derive(Clone, Copy)]
-struct FQ {
-    id: usize,
-    arrived: f64,
-    deadline: Option<f64>,
-    attempts: u32,
-    reroutes: u32,
-}
-
-struct Rep {
-    id: usize,
-    canary: bool,
-    /// Service-time multiplier (canary candidates may be slower).
-    factor: f64,
-    born: f64,
-    draining: Option<f64>,
-    retired: Option<f64>,
-    queue: Vec<FQ>,
-    worker_free: Vec<f64>,
-    slot_batches: Vec<u64>,
-}
-
-impl Rep {
-    fn new(id: usize, workers: usize, born: f64, ready: f64, canary: bool, factor: f64) -> Self {
-        Self {
-            id,
-            canary,
-            factor,
-            born,
-            draining: None,
-            retired: None,
-            queue: Vec::new(),
-            worker_free: vec![ready; workers],
-            slot_batches: vec![0; workers],
-        }
-    }
-
-    /// Whether the router may send new traffic here.
-    fn routable(&self) -> bool {
-        !self.canary && self.draining.is_none() && self.retired.is_none()
-    }
-
-    /// Whether the canary split may send traffic here.
-    fn canary_routable(&self) -> bool {
-        self.canary && self.draining.is_none() && self.retired.is_none()
-    }
-}
-
+/// The fleet-level half of the simulation: routing, reroute placement
+/// and the autoscale/canary events. Replicas are never removed from
+/// `reps`, so a replica's id is its index.
 struct FleetSim<'a> {
-    model: &'a ServiceModel,
+    core: SimCore<'a>,
     cfg: &'a FleetSimConfig,
-    wpr: usize,
-    watermark: usize,
-    max_delay: f64,
-    reps: Vec<Rep>,
-    next_rep_id: usize,
-    crash_fired: Vec<bool>,
+    reps: Vec<Replica>,
+    /// Scratch: indices of the routable replicas at the current arrival.
+    routable: Vec<usize>,
     rr: usize,
     arrivals_since_tick: u64,
-    canary_active: bool,
-    base_lat: Vec<f64>,
-    canary_lat: Vec<f64>,
-    rollout_failures: u32,
-    current_iteration: u64,
-    tr: TraceHandle,
-    out: FleetSimOutcome,
+    breaker: Breaker,
 }
 
 impl FleetSim<'_> {
-    fn backlog(&self) -> usize {
-        self.reps.iter().filter(|r| r.routable()).map(|r| r.queue.len()).sum()
+    fn spawn(&mut self, born: f64, ready: f64, canary: bool, factor: f64) -> usize {
+        let id = self.reps.len();
+        self.reps.push(Replica::new(id, self.cfg.base.workers, born, ready, canary, factor));
+        id
     }
 
-    fn live(&self) -> usize {
-        self.reps.iter().filter(|r| r.routable()).count()
-    }
-
-    /// Sheds deadline-lapsed requests from one replica's queue.
-    fn expire_rep(&mut self, ri: usize, cut: f64) -> usize {
-        if self.cfg.base.deadline_secs.is_none() {
-            return 0;
-        }
-        let rep = &mut self.reps[ri];
-        let before = rep.queue.len();
-        let mut kept = Vec::with_capacity(before);
-        for q in rep.queue.drain(..) {
-            if q.deadline.is_some_and(|d| d <= cut) {
-                self.out.expired += 1;
-                self.out.expired_ids.push(q.id);
-            } else {
-                kept.push(q);
-            }
-        }
-        rep.queue = kept;
-        before - self.reps[ri].queue.len()
-    }
-
-    /// Drains one replica's batches up to `t_limit`, pushing
-    /// crash-orphaned requests that exhausted their re-queue budget (but
-    /// still hold reroute budget) into `reroutes`. Mirrors the
-    /// single-replica `SimState::drain_until` semantics exactly, with
-    /// crash/straggler plans indexed by *global* worker id.
-    fn drain_rep(&mut self, ri: usize, t_limit: f64, reroutes: &mut Vec<(FQ, usize)>) {
-        loop {
-            if self.reps[ri].queue.is_empty() {
-                break;
-            }
-            let max_batch = self.cfg.base.policy.max_batch;
-            let rep = &self.reps[ri];
-            let trigger = if rep.queue.len() >= max_batch {
-                rep.queue[max_batch - 1].arrived
-            } else {
-                rep.queue[0].arrived + self.max_delay
-            };
-            let free = rep.worker_free.iter().cloned().fold(f64::INFINITY, f64::min);
-            let start = trigger.max(free).max(rep.queue[0].arrived);
-            if self.expire_rep(ri, start.min(t_limit)) > 0 {
-                continue;
-            }
-            if start > t_limit {
-                break;
-            }
-            let rep = &self.reps[ri];
-            let eligible = rep.queue.iter().take_while(|q| q.arrived <= start).count();
-            let b = eligible.min(max_batch);
-            let slot = rep
-                .worker_free
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                .map(|(i, _)| i)
-                .unwrap();
-            let global = rep.id * self.wpr + slot;
-            let svc = self.model.batch_secs(b)
-                * self.cfg.base.faults.slow_worker_factor(global, rep.slot_batches[slot])
-                * rep.factor;
-            let crash = self.cfg.base.faults.worker_crashes.iter().enumerate().find(
-                |(ci, c)| {
-                    c.worker == global
-                        && rep.slot_batches[slot] >= c.after_batches
-                        && !self.crash_fired[*ci]
-                },
-            );
-            if let Some((ci, c)) = crash {
-                let t_crash = start + 0.5 * svc;
-                let respawn = c.respawn_secs;
-                self.crash_fired[ci] = true;
-                self.out.crashes += 1;
-                let max_requeues = self.cfg.base.max_requeues;
-                let budget = self.cfg.reroute_budget;
-                let rep = &mut self.reps[ri];
-                rep.worker_free[slot] = t_crash + respawn;
-                self.out.makespan = self.out.makespan.max(rep.worker_free[slot]);
-                let mut recovered = Vec::with_capacity(b);
-                for mut q in rep.queue.drain(..b) {
-                    q.attempts += 1;
-                    if q.attempts > max_requeues {
-                        if q.reroutes < budget {
-                            q.reroutes += 1;
-                            q.attempts = 0;
-                            q.arrived = t_crash;
-                            reroutes.push((q, ri));
-                        } else {
-                            self.out.lost += 1;
-                            self.out.lost_ids.push(q.id);
-                        }
-                    } else {
-                        q.arrived = t_crash;
-                        self.out.requeued += 1;
-                        recovered.push(q);
-                    }
-                }
-                let n = recovered.len() as u64;
-                rep.queue.splice(0..0, recovered);
-                if self.tr.enabled() {
-                    self.tr.event_at(
-                        global as u64,
-                        t_crash,
-                        respawn,
-                        EventKind::WorkerRespawn {
-                            worker: global as u64,
-                            incarnation: self.out.crashes as u64,
-                            backoff_s: respawn,
-                            requeued: n,
-                        },
-                    );
-                }
-                continue;
-            }
-            let rep = &self.reps[ri];
-            if self.tr.enabled() {
-                let queue_s = start - rep.queue[0].arrived;
-                self.tr.event_at(global as u64, start, svc, EventKind::BatchDispatch {
-                    worker: global as u64,
-                    batch: b as u64,
-                    queue_s,
-                    compute_s: svc,
-                });
-            }
-            let is_canary = rep.canary;
-            let canary_window = self.canary_active;
-            for q in &rep.queue[..b] {
-                let wait = start - q.arrived;
-                self.out.recorder.push(wait, svc);
-                self.out.served_ids.push(q.id);
-                if canary_window {
-                    if is_canary {
-                        self.canary_lat.push(wait + svc);
-                    } else {
-                        self.base_lat.push(wait + svc);
-                    }
-                }
-            }
-            if is_canary {
-                self.out.canary_served += b;
-            }
-            self.out.batch_sizes.push(b);
-            self.out.completed += b;
-            let end = start + svc;
-            self.out.makespan = self.out.makespan.max(end);
-            let rep = &mut self.reps[ri];
-            rep.worker_free[slot] = end;
-            rep.slot_batches[slot] += 1;
-            rep.queue.drain(..b);
-        }
-        // A draining replica retires once its queue is empty: record the
-        // instant its last worker goes idle.
-        let rep = &mut self.reps[ri];
-        if rep.queue.is_empty() && rep.retired.is_none() {
-            if let Some(since) = rep.draining {
-                let idle = rep.worker_free.iter().cloned().fold(since, f64::max);
-                rep.retired = Some(idle);
-                self.out.makespan = self.out.makespan.max(idle);
-            }
-        }
+    /// `(live replicas, their aggregate backlog)`.
+    fn load(&self) -> (usize, usize) {
+        (self.reps.iter().filter(|r| routable(r)))
+            .fold((0, 0), |(live, backlog), r| (live + 1, backlog + r.queue.len()))
     }
 
     /// Drains every replica up to `t`, rerouting crash-orphaned work to
     /// sibling replicas until no reroutes remain.
     fn drain_all(&mut self, t: f64) {
+        let mut orphans = Vec::new();
         loop {
-            let mut buf: Vec<(FQ, usize)> = Vec::new();
-            for ri in 0..self.reps.len() {
-                self.drain_rep(ri, t, &mut buf);
+            for r in &mut self.reps {
+                r.drain(&mut self.core, t, &mut orphans);
             }
-            if buf.is_empty() {
+            if orphans.is_empty() {
                 return;
             }
-            for (q, src) in buf {
+            for (q, src) in orphans.drain(..) {
                 // Least-loaded placement, excluding the dead replica —
                 // unless it is the only one left.
-                let target = self
-                    .reps
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, r)| r.routable() && *i != src)
-                    .min_by_key(|(_, r)| (r.queue.len(), r.id))
-                    .map(|(i, _)| i)
-                    .or_else(|| {
-                        self.reps
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, r)| r.routable())
-                            .min_by_key(|(_, r)| (r.queue.len(), r.id))
-                            .map(|(i, _)| i)
-                    });
-                match target {
-                    Some(ti) => {
-                        self.out.rerouted += 1;
-                        if self.tr.enabled() {
-                            self.tr.event_at(
-                                self.reps[ti].id as u64,
-                                q.arrived,
-                                0.0,
-                                EventKind::Route {
-                                    replica: self.reps[ti].id as u64,
-                                    depth: self.reps[ti].queue.len() as u64,
-                                    policy: "reroute",
-                                },
-                            );
-                        }
-                        let rep = &mut self.reps[ti];
-                        let pos = rep.queue.partition_point(|x| x.arrived <= q.arrived);
-                        rep.queue.insert(pos, q);
-                    }
-                    None => {
-                        self.out.lost += 1;
-                        self.out.lost_ids.push(q.id);
-                    }
-                }
+                let place = |skip: Option<usize>| {
+                    (self.reps.iter().enumerate())
+                        .filter(|(i, r)| routable(r) && Some(*i) != skip)
+                        .min_by_key(|(_, r)| r.queue.len())
+                        .map(|(i, _)| i)
+                };
+                let Some(ti) = place(Some(src)).or_else(|| place(None)) else {
+                    self.core.out.lost += 1;
+                    self.core.out.lost_ids.push(q.id);
+                    continue;
+                };
+                self.core.out.rerouted += 1;
+                self.core.tr.event_at(ti as u64, q.arrived, 0.0, EventKind::Route {
+                    replica: ti as u64,
+                    depth: self.reps[ti].queue.len() as u64,
+                    policy: "reroute",
+                });
+                self.reps[ti].adopt(q);
             }
         }
     }
@@ -1323,30 +848,23 @@ impl FleetSim<'_> {
     /// Routes one arrival: priority draw, fleet admission, canary
     /// split, dispatch policy, replica watermark.
     fn arrival(&mut self, id: usize, t: f64) {
+        let (cfg, ordinal) = (self.cfg, id as u64);
         self.arrivals_since_tick += 1;
-        let mix = self.cfg.priority_mix;
-        let total: f64 = mix.iter().sum();
-        let draw = rand01(self.cfg.seed, SALT_PRIORITY, id as u64) * total;
-        let p = if draw < mix[0] {
-            0
-        } else if draw < mix[0] + mix[1] {
-            1
-        } else {
-            2
-        };
-        let live = self.live();
+        let class = priority_draw(cfg.seed, ordinal, cfg.priority_mix);
+        self.routable.clear();
+        self.routable.extend((0..self.reps.len()).filter(|&i| routable(&self.reps[i])));
+        let live = self.routable.len();
         if live == 0 {
-            self.out.rejected += 1;
-            self.out.rejected_ids.push(id);
+            self.core.out.rejected += 1;
+            self.core.out.rejected_ids.push(id);
             return;
         }
-        let backlog = self.backlog();
-        let headroom = (live * self.watermark) as f64;
-        if backlog as f64 >= self.cfg.admission.shed_frac[p] * headroom {
-            self.out.fleet_shed[p] += 1;
-            self.out.rejected_ids.push(id);
-            if self.tr.enabled() {
-                self.tr.event_at(u64::MAX, t, 0.0, EventKind::Shed {
+        let backlog: usize = self.routable.iter().map(|&i| self.reps[i].queue.len()).sum();
+        if cfg.admission.sheds(class, backlog, live, self.core.watermark) {
+            self.core.out.fleet_shed[class] += 1;
+            self.core.out.rejected_ids.push(id);
+            if self.core.tr.enabled() {
+                self.core.tr.event_at(u64::MAX, t, 0.0, EventKind::Shed {
                     worker: u64::MAX,
                     count: 1,
                     depth: backlog as u64,
@@ -1355,191 +873,107 @@ impl FleetSim<'_> {
             }
             return;
         }
-        // Canary split.
-        if self.canary_active {
-            let fraction = self.cfg.canary.map(|c| c.fraction).unwrap_or(0.0);
-            if rand01(self.cfg.seed, SALT_CANARY, id as u64) < fraction {
-                if let Some(ci) = self.reps.iter().position(|r| r.canary_routable()) {
-                    self.admit(ci, id, t, "canary");
-                    return;
-                }
-            }
-        }
-        let candidates: Vec<usize> = self
-            .reps
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.routable())
-            .map(|(i, _)| i)
-            .collect();
-        let n = candidates.len();
-        let chosen = match self.cfg.dispatch {
-            DispatchPolicy::RoundRobin => {
-                let i = candidates[self.rr % n];
+        let canary = (cfg.canary.filter(|_| self.core.canary_window))
+            .filter(|c| canary_draw(cfg.seed, ordinal, c.gate.fraction))
+            .and_then(|_| self.reps.iter().position(|r| r.canary && r.in_service()));
+        let (ri, policy) = match canary {
+            Some(ci) => (ci, "canary"),
+            None => {
+                let k = cfg.dispatch.pick(cfg.seed, ordinal, self.rr, live, |k| {
+                    self.reps[self.routable[k]].queue.len()
+                });
                 self.rr += 1;
-                i
-            }
-            DispatchPolicy::LeastLoaded => *candidates
-                .iter()
-                .min_by_key(|&&i| (self.reps[i].queue.len(), self.reps[i].id))
-                .unwrap(),
-            DispatchPolicy::PowerOfTwoChoices => {
-                let a = ((rand01(self.cfg.seed, SALT_P2C_A, id as u64) * n as f64) as usize)
-                    .min(n - 1);
-                let b = ((rand01(self.cfg.seed, SALT_P2C_B, id as u64) * n as f64) as usize)
-                    .min(n - 1);
-                let (ca, cb) = (candidates[a], candidates[b]);
-                if self.reps[cb].queue.len() < self.reps[ca].queue.len() { cb } else { ca }
+                (self.routable[k], cfg.dispatch.name())
             }
         };
-        self.admit(chosen, id, t, self.cfg.dispatch.name());
+        let depth = self.reps[ri].queue.len() as u64;
+        if self.reps[ri].admit(&mut self.core, id, t) && self.core.tr.enabled() {
+            let replica = ri as u64;
+            self.core.tr.event_at(replica, t, 0.0, EventKind::Route { replica, depth, policy });
+        }
     }
 
-    /// Admits one request onto replica `ri`, or sheds it at the
-    /// replica's watermark.
-    fn admit(&mut self, ri: usize, id: usize, t: f64, policy: &'static str) {
-        let depth = self.reps[ri].queue.len();
-        if depth >= self.watermark {
-            self.out.rejected += 1;
-            self.out.rejected_ids.push(id);
-            if self.tr.enabled() {
-                self.tr.event_at(self.reps[ri].id as u64, t, 0.0, EventKind::Shed {
-                    worker: u64::MAX,
-                    count: 1,
-                    depth: depth as u64,
-                    reason: "watermark",
+    fn handle_event(&mut self, et: f64, event: FleetEvent) {
+        match event {
+            FleetEvent::AutoscaleTick => self.autoscale(et),
+            FleetEvent::CanaryStart => {
+                let c = self.cfg.canary.expect("canary event without config");
+                let id = self.spawn(et, et, true, c.service_factor) as u64;
+                self.core.canary_window = true;
+                self.core.tr.event_at(id, et, 0.0, EventKind::Canary {
+                    action: "begin",
+                    replica: id,
+                    fraction: c.gate.fraction,
                 });
             }
-            return;
-        }
-        if self.tr.enabled() {
-            self.tr.event_at(self.reps[ri].id as u64, t, 0.0, EventKind::Route {
-                replica: self.reps[ri].id as u64,
-                depth: depth as u64,
-                policy,
-            });
-        }
-        let deadline = self.cfg.base.deadline_secs.map(|d| t + d);
-        self.reps[ri].queue.push(FQ { id, arrived: t, deadline, attempts: 0, reroutes: 0 });
-    }
-
-    /// Handles a scheduled event (0 = autoscaler tick, 1 = canary
-    /// start, 2 = canary decision) at virtual time `et`.
-    fn handle_event(&mut self, et: f64, kind: u8) {
-        match kind {
-            0 => self.autoscale(et),
-            1 => {
-                let c = self.cfg.canary.expect("canary event without config");
-                let id = self.next_rep_id;
-                self.next_rep_id += 1;
-                self.reps.push(Rep::new(id, self.wpr, et, et, true, c.service_factor));
-                self.canary_active = true;
-                if self.tr.enabled() {
-                    self.tr.event_at(id as u64, et, 0.0, EventKind::Canary {
-                        action: "begin",
-                        replica: id as u64,
-                        fraction: c.fraction,
-                    });
-                }
-            }
-            2 => self.decide_canary(et),
-            _ => unreachable!(),
+            FleetEvent::CanaryDecide => self.decide_canary(et),
         }
     }
 
     fn autoscale(&mut self, et: f64) {
         let a = self.cfg.autoscaler.expect("autoscale tick without config");
+        let base = &self.cfg.base;
         let rate = self.arrivals_since_tick as f64 / a.tick_secs;
         self.arrivals_since_tick = 0;
-        let per_rep = self.wpr as f64
-            * self.model.saturated_rate(self.cfg.base.policy.max_batch);
-        let desired = (((rate / (per_rep * a.target_util)).ceil() as usize).max(1))
-            .clamp(a.min_replicas, a.max_replicas);
-        let live = self.live();
-        let backlog = self.backlog();
-        if desired > live {
-            let id = self.next_rep_id;
-            self.next_rep_id += 1;
-            self.reps
-                .push(Rep::new(id, self.wpr, et, et + a.startup_secs, false, 1.0));
-            self.out.scale_ups += 1;
-            if self.tr.enabled() {
-                self.tr.event_at(id as u64, et, a.startup_secs, EventKind::ScaleUp {
+        let per_rep = base.workers as f64 * self.core.model.saturated_rate(base.policy.max_batch);
+        let (live, backlog) = self.load();
+        // No latency window in virtual time: the SLO never reads as breached.
+        let desired = a.band.desired_replicas(rate, per_rep, false, live);
+        match a.band.step(desired, live, backlog) {
+            ScaleStep::Up => {
+                let id = self.spawn(et, et + a.startup_secs, false, 1.0);
+                self.core.out.scale_ups += 1;
+                self.core.tr.event_at(id as u64, et, a.startup_secs, EventKind::ScaleUp {
                     replicas: (live + 1) as u64,
                     backlog: backlog as u64,
                 });
             }
-        } else if desired < live
-            && live > a.min_replicas
-            && backlog <= a.scale_down_backlog * live
-        {
-            let victim = self
-                .reps
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.routable())
-                .min_by_key(|(_, r)| (r.queue.len(), std::cmp::Reverse(r.id)))
-                .map(|(i, _)| i);
-            if let Some(vi) = victim {
-                self.reps[vi].draining = Some(et);
-                self.out.scale_downs += 1;
-                if self.tr.enabled() {
-                    self.tr.event_at(
-                        self.reps[vi].id as u64,
-                        et,
-                        0.0,
-                        EventKind::ScaleDown {
-                            replicas: (live - 1) as u64,
-                            backlog: backlog as u64,
-                        },
-                    );
-                }
+            ScaleStep::Down => {
+                let candidates = self.reps.iter().filter(|r| routable(r));
+                let victim = scale_down_victim(candidates.map(|r| (r.queue.len(), r.id)))
+                    .expect("a live replica above the floor");
+                self.reps[victim].draining = Some(et);
+                self.core.out.scale_downs += 1;
+                self.core.tr.event_at(victim as u64, et, 0.0, EventKind::ScaleDown {
+                    replicas: (live - 1) as u64,
+                    backlog: backlog as u64,
+                });
             }
+            ScaleStep::Hold => {}
         }
     }
 
     fn decide_canary(&mut self, et: f64) {
         let c = self.cfg.canary.expect("canary decision without config");
-        self.canary_active = false;
-        let ci = match self.reps.iter().position(|r| r.canary) {
-            Some(i) => i,
-            None => return,
-        };
-        let pass = !self.canary_lat.is_empty()
-            && !self.base_lat.is_empty()
-            && percentile(&self.canary_lat, 0.99)
-                <= percentile(&self.base_lat, 0.99) * (1.0 + c.regression_tol);
+        self.core.canary_window = false;
+        let Some(ci) = self.reps.iter().position(|r| r.canary) else { return };
+        let pass = c.gate.verdict(&self.core.base_lat, &self.core.canary_lat, 1).unwrap_or(false);
         if pass {
             // Promote: the candidate serves everywhere from here on.
-            self.current_iteration = c.candidate_iteration;
+            self.core.out.final_iteration = c.candidate_iteration;
             for r in &mut self.reps {
                 r.factor = c.service_factor;
             }
             self.reps[ci].canary = false;
-            self.out.canary_promoted = true;
+            self.core.out.canary_promoted = true;
         } else {
             // Rollback: drain the canary replica; the regression is a
             // rollout failure charged to the breaker.
             self.reps[ci].draining = Some(et);
-            self.out.canary_rolled_back = true;
-            self.rollout_failures += 1;
-            if self.rollout_failures >= self.cfg.base.breaker_threshold {
-                self.out.breaker_opened = true;
-                if self.tr.enabled() {
-                    self.tr.event_at(u64::MAX, et, 0.0, EventKind::Breaker {
-                        open: true,
-                        failures: self.rollout_failures as u64,
-                    });
-                }
+            self.core.out.canary_rolled_back = true;
+            if self.breaker.fail(self.cfg.base.breaker_threshold) {
+                self.core.out.breaker_opened = true;
+                self.core.tr.event_at(u64::MAX, et, 0.0, EventKind::Breaker {
+                    open: true,
+                    failures: self.breaker.failures as u64,
+                });
             }
         }
-        if self.tr.enabled() {
-            self.tr.event_at(self.reps[ci].id as u64, et, 0.0, EventKind::Canary {
-                action: if pass { "promote" } else { "rollback" },
-                replica: self.reps[ci].id as u64,
-                fraction: c.fraction,
-            });
-        }
+        self.core.tr.event_at(ci as u64, et, 0.0, EventKind::Canary {
+            action: if pass { "promote" } else { "rollback" },
+            replica: ci as u64,
+            fraction: c.gate.fraction,
+        });
     }
 }
 
@@ -1553,115 +987,56 @@ pub fn simulate_fleet(
     cfg: &FleetSimConfig,
 ) -> FleetSimOutcome {
     assert!(cfg.replicas >= 1, "fleet needs at least one replica");
-    assert!(cfg.base.workers >= 1 && cfg.base.queue_capacity >= 1);
-    assert!(
-        arrivals.windows(2).all(|w| w[1] >= w[0]),
-        "arrival schedule must be sorted"
-    );
-    assert!(
-        cfg.priority_mix.iter().sum::<f64>() > 0.0,
-        "priority mix must have positive mass"
-    );
-    let watermark = cfg
-        .base
-        .shed_watermark
-        .unwrap_or(cfg.base.queue_capacity)
-        .min(cfg.base.queue_capacity);
-    assert!(watermark >= 1, "shed watermark must be at least 1");
+    assert!(cfg.priority_mix.iter().sum::<f64>() > 0.0, "priority mix must have positive mass");
 
     // Scheduled events: autoscaler ticks while arrivals flow, plus the
     // canary start/decide pair. Ties process in (tick, start, decide)
     // order.
-    let mut events: Vec<(f64, u8)> = Vec::new();
+    let mut events: Vec<(f64, FleetEvent)> = Vec::new();
     if let Some(a) = &cfg.autoscaler {
         assert!(a.tick_secs > 0.0, "autoscaler tick must be positive");
         let last = arrivals.last().copied().unwrap_or(0.0);
-        let mut k = 1u64;
-        while k as f64 * a.tick_secs <= last {
-            events.push((k as f64 * a.tick_secs, 0));
-            k += 1;
-        }
+        let ticks = (1u64..).map(|k| k as f64 * a.tick_secs).take_while(|&t| t <= last);
+        events.extend(ticks.map(|t| (t, FleetEvent::AutoscaleTick)));
     }
     if let Some(c) = &cfg.canary {
         assert!(c.decide_secs > c.start_secs, "canary must decide after it starts");
-        events.push((c.start_secs, 1));
-        events.push((c.decide_secs, 2));
+        events.push((c.start_secs, FleetEvent::CanaryStart));
+        events.push((c.decide_secs, FleetEvent::CanaryDecide));
     }
     events.sort_by(|a, b| f64::total_cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
 
     let mut st = FleetSim {
-        model,
+        core: SimCore::new(model, arrivals, &cfg.base, cfg.reroute_budget, "fleet-sim"),
         cfg,
-        wpr: cfg.base.workers,
-        watermark,
-        max_delay: cfg.base.policy.max_delay.as_secs_f64(),
-        reps: (0..cfg.replicas)
-            .map(|id| Rep::new(id, cfg.base.workers, 0.0, 0.0, false, 1.0))
-            .collect(),
-        next_rep_id: cfg.replicas,
-        crash_fired: vec![false; cfg.base.faults.worker_crashes.len()],
+        reps: Vec::new(),
+        routable: Vec::new(),
         rr: 0,
         arrivals_since_tick: 0,
-        canary_active: false,
-        base_lat: Vec::new(),
-        canary_lat: Vec::new(),
-        rollout_failures: 0,
-        current_iteration: 0,
-        tr: TraceHandle::begin("fleet-sim"),
-        out: FleetSimOutcome {
-            recorder: LatencyRecorder::new(),
-            completed: 0,
-            rejected: 0,
-            fleet_shed: [0; 3],
-            expired: 0,
-            lost: 0,
-            rerouted: 0,
-            requeued: 0,
-            crashes: 0,
-            scale_ups: 0,
-            scale_downs: 0,
-            replica_seconds: 0.0,
-            final_replicas: 0,
-            canary_promoted: false,
-            canary_rolled_back: false,
-            canary_served: 0,
-            breaker_opened: false,
-            final_iteration: 0,
-            served_ids: Vec::new(),
-            rejected_ids: Vec::new(),
-            expired_ids: Vec::new(),
-            lost_ids: Vec::new(),
-            batch_sizes: Vec::new(),
-            makespan: 0.0,
-        },
+        breaker: Breaker::default(),
     };
-    let mut ev = 0usize;
+    for _ in 0..cfg.replicas {
+        st.spawn(0.0, 0.0, false, 1.0);
+    }
+    let mut events = events.into_iter().peekable();
     for (id, &t) in arrivals.iter().enumerate() {
-        while ev < events.len() && events[ev].0 <= t {
-            let (et, kind) = events[ev];
-            ev += 1;
+        while let Some((et, event)) = events.next_if(|e| e.0 <= t) {
             st.drain_all(et);
-            st.handle_event(et, kind);
+            st.handle_event(et, event);
         }
         st.drain_all(t);
         st.arrival(id, t);
     }
-    while ev < events.len() {
-        let (et, kind) = events[ev];
-        ev += 1;
+    for (et, event) in events {
         st.drain_all(et);
-        st.handle_event(et, kind);
+        st.handle_event(et, event);
     }
     st.drain_all(f64::INFINITY);
-    let makespan = st.out.makespan;
-    st.out.replica_seconds = st
-        .reps
-        .iter()
-        .map(|r| (r.retired.unwrap_or(makespan).max(r.born)) - r.born)
-        .sum();
-    st.out.final_replicas = st.reps.iter().filter(|r| r.routable()).count();
-    st.out.final_iteration = st.current_iteration;
-    st.out
+    let mut out = st.core.out;
+    out.replica_seconds =
+        st.reps.iter().map(|r| r.retired.unwrap_or(out.makespan).max(r.born) - r.born).sum();
+    out.final_replicas = st.reps.iter().filter(|r| routable(r)).count();
+    out
 }
 
 #[cfg(test)]
@@ -1748,17 +1123,19 @@ mod tests {
         }
         let mut cfg = FleetSimConfig::new(1, base, DispatchPolicy::LeastLoaded);
         cfg.autoscaler = Some(SimAutoscaler {
-            min_replicas: 1,
-            max_replicas: 6,
-            target_util: 0.7,
+            band: ScalingBand {
+                min_replicas: 1,
+                max_replicas: 6,
+                target_util: 0.7,
+                scale_down_backlog: 4,
+            },
             tick_secs: 0.2,
             startup_secs: 0.02,
-            scale_down_backlog: 4,
         });
         let out = simulate_fleet(&m, &arrivals, &cfg);
         assert!(out.scale_ups >= 2, "burst must trigger scale-ups, got {}", out.scale_ups);
         assert!(out.scale_downs >= 1, "quiet tail must shrink, got {}", out.scale_downs);
-        let a = cfg.autoscaler.unwrap();
+        let a = cfg.autoscaler.unwrap().band;
         assert!(
             (a.min_replicas..=a.max_replicas).contains(&out.final_replicas),
             "final replica count {} outside [{}, {}]",
@@ -1779,9 +1156,8 @@ mod tests {
             cfg.canary = Some(SimCanary {
                 start_secs: 0.1,
                 decide_secs: *arrivals.last().unwrap() * 0.9,
-                fraction: 0.25,
+                gate: CanaryGate { fraction: 0.25, regression_tol: 0.25 },
                 service_factor: factor,
-                regression_tol: 0.25,
                 candidate_iteration: 9000,
             });
             simulate_fleet(&m, &arrivals, &cfg)
@@ -1859,7 +1235,10 @@ mod tests {
         let router = Router::start(Arc::clone(&reg), cfg);
         let mut rng = TensorRng::new(52);
         let candidate = ServingModel::new(hep_small(&mut rng), 777, 52);
-        let ccfg = CanaryConfig { fraction: 0.5, regression_tol: 10.0, min_samples: 5 };
+        let ccfg = CanaryConfig {
+            gate: CanaryGate { fraction: 0.5, regression_tol: 10.0 },
+            min_samples: 5,
+        };
         router.begin_canary(candidate, ccfg, FaultPlan::none()).expect("canary must start");
         let mut decision = CanaryDecision::Pending;
         for i in 0..200 {

@@ -23,6 +23,9 @@
 //!
 //! Modules:
 //!
+//! * [`policy`] — the policy core: every serving decision (dispatch,
+//!   admission, retry hint, crash recovery, breaker, autoscaler sizing,
+//!   canary verdict) as a pure function, called by both drivers below,
 //! * [`queue`] — bounded MPMC request queue + deadline batch former with
 //!   watermark shedding and expiry ([`BatchPolicy`], [`BatchQueue`]),
 //! * [`registry`] — checkpoint loading with the bit-identical round-trip
@@ -32,29 +35,31 @@
 //!   `scidl_nn::Network::infer_with` ([`Server`], [`Client`]),
 //! * [`loadgen`] — seeded open-loop Poisson arrivals and HEP request
 //!   inputs ([`PoissonArrivals`]),
-//! * [`sim`] — deterministic virtual-time replay of the same semantics
-//!   (including chaos) against the calibrated KNL cost model
+//! * [`sim`] — the virtual-time driver: one replica (queue, worker
+//!   pool, chaos) replayed against the calibrated KNL cost model
 //!   ([`simulate`]), which is what `scidl-bench serving` sweeps,
 //! * [`fleet`] — the fleet tier: a replicated [`Router`] with pluggable
 //!   dispatch, fleet-level priority admission, an SLO autoscaler and
-//!   canary rollouts, mirrored bit-deterministically by
-//!   [`simulate_fleet`] (what `scidl-bench serving --fleet` sweeps).
+//!   canary rollouts (threaded driver), and [`simulate_fleet`], the
+//!   same routing over a `Vec` of `sim` replicas in virtual time (what
+//!   `scidl-bench serving --fleet` sweeps).
 
 #![warn(missing_docs)]
 
 pub mod fleet;
 pub mod loadgen;
+pub mod policy;
 pub mod queue;
 pub mod registry;
 pub mod server;
 pub mod sim;
 
 pub use fleet::{
-    simulate_fleet, AutoscalerConfig, CanaryConfig, CanaryDecision, DispatchPolicy, FleetConfig,
-    FleetReport, FleetSimConfig, FleetSimOutcome, Priority, PriorityAdmission, Router,
-    SimAutoscaler, SimCanary,
+    simulate_fleet, AutoscalerConfig, CanaryConfig, CanaryDecision, FleetConfig, FleetReport,
+    FleetSimConfig, FleetSimOutcome, Router, SimAutoscaler, SimCanary,
 };
 pub use loadgen::{HepRequestSource, PoissonArrivals};
+pub use policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};
 pub use queue::{BatchPolicy, BatchQueue, Popped, SubmitError};
 pub use registry::{check_roundtrip, ModelRegistry, ServingModel, SwapError};
 pub use server::{
@@ -62,3 +67,32 @@ pub use server::{
     ServerReport, SupervisorConfig,
 };
 pub use sim::{simulate, ServiceModel, SimConfig, SimOutcome};
+
+/// The trace record of one dispatched batch — a `batch_dispatch` span
+/// and a `serve` iteration row — built in one place so the threaded
+/// worker and the virtual-time replica emit the same shape.
+fn batch_trace(
+    worker: u64,
+    iter: u64,
+    start_s: f64,
+    queue_s: f64,
+    compute_s: f64,
+    batch: u64,
+) -> (scidl_trace::EventKind, scidl_trace::IterRow) {
+    let span = scidl_trace::EventKind::BatchDispatch { worker, batch, queue_s, compute_s };
+    let row = scidl_trace::IterRow {
+        run: 0,
+        kind: "serve",
+        track: worker,
+        iter,
+        start_s,
+        compute_s,
+        comm_s: 0.0,
+        ps_s: 0.0,
+        queue_s,
+        staleness: 0,
+        loss: 0.0,
+        batch,
+    };
+    (span, row)
+}

@@ -29,6 +29,7 @@
 //! through repeated load/verify cycles. Every rejection and breaker
 //! transition is emitted as a `scidl-trace` event.
 
+use crate::policy::Breaker;
 use scidl_cluster::faults::FaultPlan;
 use scidl_core::checkpoint::Checkpoint;
 use scidl_nn::network::Model;
@@ -223,12 +224,6 @@ impl std::fmt::Display for SwapError {
 
 impl std::error::Error for SwapError {}
 
-#[derive(Default)]
-struct Breaker {
-    consecutive_failures: u32,
-    open: bool,
-}
-
 /// The registry serving workers read the active model from.
 pub struct ModelRegistry {
     active: RwLock<Arc<ServingModel>>,
@@ -289,41 +284,30 @@ impl ModelRegistry {
 
     /// Charges one rollout failure (e.g. a canary auto-rollback) against
     /// the swap circuit breaker: the counter advances and the breaker
-    /// opens at the threshold, exactly as a rejected guarded swap would.
+    /// opens at the threshold. Rejected guarded swaps charge it through
+    /// this same path.
     /// Returns `true` when the breaker is open after the charge. A
     /// rollout failure consumes no swap-attempt ordinal — nothing was
     /// loaded.
     pub fn record_rollout_failure(&self, reason: &'static str) -> bool {
         let mut b = self.breaker.lock().unwrap();
-        b.consecutive_failures += 1;
-        let failures = b.consecutive_failures;
-        let opened = !b.open && failures >= self.breaker_threshold;
-        if opened {
-            b.open = true;
-        }
-        let open = b.open;
+        let opened = b.fail(self.breaker_threshold);
+        let after = *b;
         drop(b);
         let tr = scidl_trace::TraceHandle::current();
-        if tr.enabled() {
-            tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject {
-                reason,
-                failures: failures as u64,
-            });
-            if opened {
-                tr.instant(u64::MAX, scidl_trace::EventKind::Breaker {
-                    open: true,
-                    failures: failures as u64,
-                });
-            }
+        let failures = after.failures as u64;
+        tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject { reason, failures });
+        if opened {
+            tr.instant(u64::MAX, scidl_trace::EventKind::Breaker { open: true, failures });
         }
-        open
+        after.open
     }
 
     /// Records a healthy rollout (e.g. a promoted canary): fully clears
     /// the consecutive-failure count, mirroring a successful guarded
     /// swap.
     pub fn record_rollout_success(&self) {
-        self.breaker.lock().unwrap().consecutive_failures = 0;
+        self.breaker.lock().unwrap().succeed();
     }
 
     /// Loads a checkpoint and hot-swaps it in. When `verify` is given as
@@ -401,19 +385,13 @@ impl ModelRegistry {
         quant_threshold: Option<f64>,
     ) -> Result<Arc<ServingModel>, SwapError> {
         let tr = scidl_trace::TraceHandle::current();
-        {
-            let b = self.breaker.lock().unwrap();
-            if b.open {
-                let failures = b.consecutive_failures;
-                drop(b);
-                if tr.enabled() {
-                    tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject {
-                        reason: "breaker_open",
-                        failures: failures as u64,
-                    });
-                }
-                return Err(SwapError::BreakerOpen { failures });
-            }
+        let b = *self.breaker.lock().unwrap();
+        if b.open {
+            tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject {
+                reason: "breaker_open",
+                failures: b.failures as u64,
+            });
+            return Err(SwapError::BreakerOpen { failures: b.failures });
         }
         let attempt = self.swap_attempts.fetch_add(1, Ordering::SeqCst);
         let candidate = if self.faults.swap_is_corrupt(attempt) {
@@ -457,7 +435,7 @@ impl ModelRegistry {
         });
         match result {
             Ok(model) => {
-                self.breaker.lock().unwrap().consecutive_failures = 0;
+                self.breaker.lock().unwrap().succeed();
                 Ok(self.swap(model))
             }
             Err(e) => {
@@ -468,26 +446,7 @@ impl ModelRegistry {
                     SwapError::QuantizedAccuracy { .. } => "quant_accuracy",
                     SwapError::BreakerOpen { .. } => "breaker_open",
                 };
-                let mut b = self.breaker.lock().unwrap();
-                b.consecutive_failures += 1;
-                let failures = b.consecutive_failures;
-                let opened = !b.open && failures >= self.breaker_threshold;
-                if opened {
-                    b.open = true;
-                }
-                drop(b);
-                if tr.enabled() {
-                    tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject {
-                        reason,
-                        failures: failures as u64,
-                    });
-                    if opened {
-                        tr.instant(u64::MAX, scidl_trace::EventKind::Breaker {
-                            open: true,
-                            failures: failures as u64,
-                        });
-                    }
-                }
+                self.record_rollout_failure(reason);
                 Err(e)
             }
         }
@@ -500,7 +459,7 @@ impl ModelRegistry {
 
     /// Consecutive guarded-swap failures since the last success/reset.
     pub fn consecutive_failures(&self) -> u32 {
-        self.breaker.lock().unwrap().consecutive_failures
+        self.breaker.lock().unwrap().failures
     }
 
     /// Guarded swap attempts made so far (the ordinal chaos plans index
@@ -512,14 +471,9 @@ impl ModelRegistry {
     /// Closes the breaker and zeroes the failure counter: the operator
     /// asserts the checkpoint source is healthy again.
     pub fn reset_breaker(&self) {
-        let mut b = self.breaker.lock().unwrap();
-        b.open = false;
-        b.consecutive_failures = 0;
-        drop(b);
+        self.breaker.lock().unwrap().reset();
         let tr = scidl_trace::TraceHandle::current();
-        if tr.enabled() {
-            tr.instant(u64::MAX, scidl_trace::EventKind::Breaker { open: false, failures: 0 });
-        }
+        tr.instant(u64::MAX, scidl_trace::EventKind::Breaker { open: false, failures: 0 });
     }
 }
 

@@ -14,9 +14,11 @@
 //!   poison request cannot crash-loop the pool forever), and the slot is
 //!   respawned with exponential backoff.
 //! * **Hangs are detected.** Workers stamp a heartbeat per batch; a
-//!   worker silent past [`SupervisorConfig::heartbeat_timeout`] while
-//!   requests are waiting gets a replacement spawned beside it (the
-//!   stuck thread cannot be killed, but the pool regains capacity).
+//!   worker that has held its batch past
+//!   [`SupervisorConfig::heartbeat_timeout`] while requests are waiting
+//!   gets a replacement spawned beside it (the stuck thread cannot be
+//!   killed, but the pool regains capacity). An idle worker holds no
+//!   batch and is never replaced.
 //! * **Every request gets exactly one terminal outcome.** A reply
 //!   (`Ok`), a typed shed ([`ServeError::DeadlineExceeded`] for
 //!   requests that expire in the queue, [`ServeError::Shed`] at
@@ -34,6 +36,7 @@
 //! paths real failures take — an injected crash is a real `panic!` mid-
 //! batch, recovered by the real supervisor.
 
+use crate::policy::{effective_watermark, exp_backoff, retry_after, xorshift64, Recovery};
 use crate::queue::{BatchPolicy, BatchQueue, SubmitError};
 use crate::registry::ModelRegistry;
 use scidl_cluster::faults::FaultPlan;
@@ -135,8 +138,8 @@ impl std::error::Error for ServeError {}
 pub struct SupervisorConfig {
     /// How often the supervisor wakes to check worker heartbeats.
     pub heartbeat_interval: Duration,
-    /// A worker silent this long while requests wait is presumed hung;
-    /// a replacement is spawned beside it.
+    /// A worker holding one batch this long while requests wait is
+    /// presumed hung; a replacement is spawned beside it.
     pub heartbeat_timeout: Duration,
     /// First respawn backoff; doubles per consecutive respawn of a slot.
     pub backoff_base: Duration,
@@ -332,11 +335,7 @@ impl RetryPolicy {
     /// saturates, and the result is never zero.
     pub fn backoff(&self, attempt: u32, jitter: &mut u64, prev: Duration) -> Duration {
         debug_assert!(attempt >= 1);
-        let exp = self
-            .base
-            .saturating_mul(1 << (attempt - 1).min(16))
-            .min(self.cap)
-            .max(Duration::from_nanos(2));
+        let exp = exp_backoff(self.base, self.cap, attempt - 1).max(Duration::from_nanos(2));
         let half = exp / 2; // ≥ 1ns by the floor above
         *jitter = xorshift64(*jitter);
         let spread = *jitter % u64::try_from(half.as_nanos()).unwrap_or(u64::MAX);
@@ -454,7 +453,8 @@ impl Client {
                         reason: "watermark",
                     });
                 }
-                Err(ServeError::Shed { depth, retry_after: self.retry_after_hint(depth) })
+                let retry_after = retry_after(&self.shared.policy, depth);
+                Err(ServeError::Shed { depth, retry_after })
             }
             Err(SubmitError::Closed(_)) => Err(ServeError::Closed),
         }
@@ -548,22 +548,6 @@ impl Client {
     pub fn retry_budget(&self) -> &RetryBudget {
         &self.budget
     }
-
-    /// Heuristic retry-after: the time the current backlog needs to
-    /// drain through the batch former, assuming full batches at the
-    /// configured deadline cadence.
-    fn retry_after_hint(&self, depth: usize) -> Duration {
-        let p = &self.shared.policy;
-        let batches = depth.div_ceil(p.max_batch).max(1) as u32;
-        (p.max_delay.max(Duration::from_millis(1))).saturating_mul(batches)
-    }
-}
-
-fn xorshift64(mut x: u64) -> u64 {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    x
 }
 
 /// A running supervised worker pool bound to a [`ModelRegistry`].
@@ -581,7 +565,7 @@ impl Server {
     pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         install_quiet_panic_hook();
-        let watermark = cfg.shed_watermark.unwrap_or(cfg.queue_capacity).min(cfg.queue_capacity);
+        let watermark = effective_watermark(cfg.shed_watermark, cfg.queue_capacity);
         let crash_fired =
             cfg.faults.worker_crashes.iter().map(|_| AtomicBool::new(false)).collect();
         let shared = Arc::new(Shared {
@@ -688,13 +672,18 @@ fn supervisor_loop(
                 let mut requeue = Vec::new();
                 for mut req in body {
                     req.attempts += 1;
-                    if req.attempts > cfg.max_requeues {
-                        shared.counters.worker_lost.fetch_add(1, Ordering::Relaxed);
-                        // Dropping `req` drops its reply SyncSender.
-                    } else {
-                        shared.counters.requeued.fetch_add(1, Ordering::Relaxed);
-                        let deadline = req.deadline;
-                        requeue.push((req, deadline));
+                    // A pool has no sibling to reroute to (the router
+                    // does that, a level up): reroute budget 0.
+                    match Recovery::after_crash(req.attempts, cfg.max_requeues, 0, 0) {
+                        Recovery::Requeue => {
+                            shared.counters.requeued.fetch_add(1, Ordering::Relaxed);
+                            let deadline = req.deadline;
+                            requeue.push((req, deadline));
+                        }
+                        _ => {
+                            // Dropping `req` drops its reply SyncSender.
+                            shared.counters.worker_lost.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 }
                 let recovered = requeue.len() as u64;
@@ -702,10 +691,7 @@ fn supervisor_loop(
 
                 let n = respawns_per_slot.entry(slot).or_insert(0);
                 if *n < cfg.max_respawns {
-                    let backoff = cfg
-                        .backoff_base
-                        .saturating_mul(1u32 << (*n).min(16))
-                        .min(cfg.backoff_cap);
+                    let backoff = exp_backoff(cfg.backoff_base, cfg.backoff_cap, *n);
                     *n += 1;
                     std::thread::sleep(backoff);
                     let incarnation = next_incarnation;
@@ -736,20 +722,26 @@ fn supervisor_loop(
                 }
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                // Heartbeat sweep: a worker silent past the timeout
-                // while work is waiting is presumed hung — spawn one
-                // replacement beside it (threads cannot be killed; the
-                // pool regains capacity and the straggler is absorbed
-                // when it eventually finishes).
+                // Heartbeat sweep: a worker that has held a batch past
+                // the timeout while work is waiting is presumed hung —
+                // spawn one replacement beside it (threads cannot be
+                // killed; the pool regains capacity and the straggler
+                // is absorbed when it eventually finishes). A worker
+                // parked in the batch former holds no batch and is
+                // healthy however old its last heartbeat is.
                 if shared.queue.is_empty() {
                     continue;
                 }
                 let now = Instant::now();
                 let stale: Vec<(u64, usize)> = {
                     let hb = shared.heartbeats.lock().unwrap();
+                    let inflight = shared.inflight.lock().unwrap();
                     live.iter()
                         .filter(|(inc, _)| {
-                            hb.get(inc).is_some_and(|t| now.duration_since(*t) > cfg.heartbeat_timeout)
+                            inflight.contains_key(inc)
+                                && hb.get(inc).is_some_and(|t| {
+                                    now.duration_since(*t) > cfg.heartbeat_timeout
+                                })
                         })
                         .map(|(inc, (slot, _))| (*inc, *slot))
                         .collect()
@@ -882,27 +874,11 @@ fn worker_loop(shared: &Shared, slot: usize, incarnation: u64) {
             // The head request waited longest; report its wait as the
             // batch's queue component.
             let queue_s = waits.iter().map(|w| w.as_secs_f64()).fold(0.0f64, f64::max);
-            let wu = slot as u64;
-            tr.span(wu, span_t, scidl_trace::EventKind::BatchDispatch {
-                worker: wu,
-                batch: b as u64,
-                queue_s,
-                compute_s: compute.as_secs_f64(),
-            });
-            tr.row(scidl_trace::IterRow {
-                run: 0,
-                kind: "serve",
-                track: wu,
-                iter: batch_idx,
-                start_s: span_t,
-                compute_s: compute.as_secs_f64(),
-                comm_s: 0.0,
-                ps_s: 0.0,
-                queue_s,
-                staleness: 0,
-                loss: 0.0,
-                batch: b as u64,
-            });
+            let (wu, compute_s) = (slot as u64, compute.as_secs_f64());
+            let (span, row) =
+                crate::batch_trace(wu, batch_idx, span_t, queue_s, compute_s, b as u64);
+            tr.span(wu, span_t, span);
+            tr.row(row);
         }
         batch_idx += 1;
         shared.counters.served.fetch_add(b as u64, Ordering::Relaxed);
@@ -1258,6 +1234,76 @@ mod tests {
             fast.compute
         );
         server.shutdown();
+    }
+
+    /// Regression: the sweep used to compare every live worker's last
+    /// heartbeat with the timeout whenever the queue was non-empty, but
+    /// a worker only heartbeats when the batch former hands it a batch —
+    /// so after an idle spell the first request, waiting out `max_delay`
+    /// in the queue, got its healthy parked worker "replaced".
+    #[test]
+    fn idle_worker_is_not_replaced_when_traffic_resumes() {
+        let reg = registry(47, 0);
+        let cfg = ServerConfig {
+            workers: 1,
+            // The head waits 40 ms in the queue: four sweeps see a
+            // non-empty queue behind a worker silent for 4× the timeout.
+            policy: BatchPolicy::dynamic(8, Duration::from_millis(40)),
+            supervisor: SupervisorConfig {
+                heartbeat_interval: Duration::from_millis(10),
+                heartbeat_timeout: Duration::from_millis(50),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let server = Server::start(reg, cfg);
+        let client = server.client();
+        std::thread::sleep(Duration::from_millis(200));
+        let rxs: Vec<_> = (0..4).map(|i| client.submit(probe(500 + i)).unwrap()).collect();
+        for rx in rxs {
+            rx.recv().unwrap().unwrap();
+        }
+        let report = server.report();
+        assert_eq!(report.replacements, 0, "an idle worker is healthy: {report:?}");
+        assert_eq!(server.shutdown_with_report().1.served, 4);
+    }
+
+    #[test]
+    fn stuck_batch_with_work_waiting_gets_exactly_one_replacement() {
+        let reg = registry(48, 0);
+        let cfg = ServerConfig {
+            workers: 1,
+            policy: BatchPolicy::dynamic(8, Duration::from_millis(5)),
+            // The slot's second batch is stretched far past the timeout
+            // (the straggler sleeps (factor − 1)× its own compute time).
+            // Batch ordinals restart per incarnation, so the
+            // replacement's first batch is healthy.
+            faults: FaultPlan::none().with_slow_worker(0, 1, 2, 3000.0),
+            supervisor: SupervisorConfig {
+                heartbeat_interval: Duration::from_millis(10),
+                heartbeat_timeout: Duration::from_millis(50),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let server = Server::start(reg, cfg);
+        let client = server.client();
+        client.infer(probe(599)).unwrap();
+        let stuck = client.submit(probe(600)).unwrap();
+        // Once the worker holds the stuck batch, queue work behind it:
+        // only a replacement can serve these before the batch ends.
+        while server.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let waiting: Vec<_> = (0..3).map(|i| client.submit(probe(601 + i)).unwrap()).collect();
+        for rx in waiting {
+            rx.recv().unwrap().unwrap();
+        }
+        assert!(stuck.try_recv().is_err(), "the stuck batch must outlast the work behind it");
+        assert_eq!(server.report().replacements, 1, "one hung incarnation, one replacement");
+        stuck.recv().unwrap().unwrap();
+        let (rec, report) = server.shutdown_with_report();
+        assert_eq!((rec.len(), report.served, report.replacements), (5, 5, 1));
     }
 
     proptest::proptest! {

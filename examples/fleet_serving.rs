@@ -17,7 +17,8 @@
 
 use scidl_cluster::faults::FaultPlan;
 use scidl_serve::fleet::{
-    AutoscalerConfig, CanaryConfig, CanaryDecision, DispatchPolicy, FleetConfig, Router,
+    AutoscalerConfig, CanaryConfig, CanaryDecision, CanaryGate, DispatchPolicy, FleetConfig,
+    Router, ScalingBand,
 };
 use scidl_serve::{BatchPolicy, ModelRegistry, ServingModel, SupervisorConfig};
 use scidl_tensor::{Shape4, TensorRng};
@@ -46,8 +47,7 @@ fn main() {
     cfg.seed = 4242;
     cfg.reroute_budget = 2;
     cfg.autoscaler = AutoscalerConfig {
-        min_replicas: 1,
-        max_replicas: 4,
+        band: ScalingBand { min_replicas: 1, max_replicas: 4, ..Default::default() },
         replica_rate: 1.0, // tiny: any burst demands the ceiling
         ..Default::default()
     };
@@ -79,7 +79,10 @@ fn main() {
     // --- canary rollout: candidate rides 40% of traffic ----------------
     let mut rng2 = TensorRng::new(43);
     let candidate = ServingModel::new(scidl_nn::arch::hep_small(&mut rng2), 2000, 43);
-    let ccfg = CanaryConfig { fraction: 0.4, regression_tol: 1.0, min_samples: 8 };
+    let ccfg = CanaryConfig {
+        gate: CanaryGate { fraction: 0.4, regression_tol: 1.0 },
+        min_samples: 8,
+    };
     router
         .begin_canary(candidate, ccfg, FaultPlan::none())
         .expect("breaker closed: canary may start");

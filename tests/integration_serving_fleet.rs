@@ -9,15 +9,19 @@
 //!   model serving (and charges the registry's circuit breaker),
 //! * the autoscaler converges the replica count within its configured
 //!   band,
-//! * a seeded fleet simulation replays bit-identically.
+//! * a seeded fleet simulation replays bit-identically,
+//! * a one-replica fleet simulation and `simulate` are the same replica
+//!   (field-for-field equal outcomes), and both reproduce the outcome
+//!   digests captured before the two replica implementations were
+//!   merged.
 
 use scidl_cluster::faults::FaultPlan;
 use scidl_serve::fleet::{
-    simulate_fleet, AutoscalerConfig, CanaryConfig, CanaryDecision, DispatchPolicy, FleetConfig,
-    FleetSimConfig, SimAutoscaler, SimCanary,
+    simulate_fleet, AutoscalerConfig, CanaryConfig, CanaryDecision, CanaryGate, DispatchPolicy,
+    FleetConfig, FleetSimConfig, PriorityAdmission, ScalingBand, SimAutoscaler, SimCanary,
 };
 use scidl_serve::queue::BatchPolicy;
-use scidl_serve::sim::{ServiceModel, SimConfig};
+use scidl_serve::sim::{simulate, ServiceModel, SimConfig, SimOutcome};
 use scidl_serve::{
     ModelRegistry, PoissonArrivals, ServeError, ServerConfig, ServingModel, SupervisorConfig,
 };
@@ -188,7 +192,10 @@ fn threaded_canary_rolls_back_slo_regression_and_old_model_keeps_serving() {
 
     let mut rng = TensorRng::new(33);
     let candidate = ServingModel::new(scidl_nn::arch::hep_small(&mut rng), 777, 33);
-    let ccfg = CanaryConfig { fraction: 0.5, regression_tol: 0.5, min_samples: 5 };
+    let ccfg = CanaryConfig {
+        gate: CanaryGate { fraction: 0.5, regression_tol: 0.5 },
+        min_samples: 5,
+    };
     let slow = FaultPlan::none().with_slow_worker(0, 0, u64::MAX, 30.0);
     router.begin_canary(candidate, ccfg, slow).expect("canary must start");
 
@@ -234,11 +241,13 @@ fn threaded_autoscaler_converges_within_band() {
     let mut cfg = FleetConfig::new(1, template, DispatchPolicy::LeastLoaded);
     cfg.seed = SEED;
     cfg.autoscaler = AutoscalerConfig {
-        min_replicas: 1,
-        max_replicas: 3,
-        target_util: 0.7,
+        band: ScalingBand {
+            min_replicas: 1,
+            max_replicas: 3,
+            target_util: 0.7,
+            scale_down_backlog: 4,
+        },
         slo_p99_secs: 10.0,
-        scale_down_backlog: 4,
         // Tiny sustainable rate: any real burst demands the max size.
         replica_rate: 1.0,
     };
@@ -286,18 +295,15 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     cfg.seed = SEED;
     cfg.base.breaker_threshold = 1;
     cfg.autoscaler = Some(SimAutoscaler {
-        min_replicas: 1,
-        max_replicas: 4,
+        band: ScalingBand { min_replicas: 1, max_replicas: 4, ..Default::default() },
         tick_secs: 0.1,
         startup_secs: 0.02,
-        ..SimAutoscaler::default()
     });
     cfg.canary = Some(SimCanary {
+        gate: CanaryGate { fraction: 0.25, regression_tol: 0.25 },
         start_secs: end * 0.2,
         decide_secs: end * 0.8,
-        fraction: 0.25,
         service_factor: 8.0, // the injected SLO regression
-        regression_tol: 0.25,
         candidate_iteration: 777,
     });
 
@@ -307,7 +313,7 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     assert_eq!(out.final_iteration, 0, "the old model must still be serving");
     assert!(out.breaker_opened, "threshold 1: the rollout failure opens the breaker");
     assert!(out.scale_ups >= 1, "the overload must grow the fleet");
-    let a = cfg.autoscaler.unwrap();
+    let a = cfg.autoscaler.unwrap().band;
     assert!(
         (a.min_replicas..=a.max_replicas).contains(&out.final_replicas),
         "final replica count {} outside the [{}, {}] band",
@@ -323,4 +329,175 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     assert_eq!(out.canary_served, again.canary_served);
     assert_eq!(out.scale_ups, again.scale_ups);
     assert_eq!(out.scale_downs, again.scale_downs);
+}
+
+/// `simulate` against a one-replica `simulate_fleet` whose fleet layer
+/// is inert (every class sheds only at the full watermark, no reroute,
+/// no autoscaler, no canary): the outcomes must agree field for field,
+/// the fleet merely booking watermark sheds as fleet sheds.
+fn assert_single_matches_one_replica_fleet(base: SimConfig, arrivals: &[f64]) {
+    let model = ServiceModel::hep();
+    let single = simulate(&model, arrivals, &base);
+    let mut cfg = FleetSimConfig::new(1, base, DispatchPolicy::RoundRobin);
+    cfg.admission = PriorityAdmission { shed_frac: [1.0; 3] };
+    cfg.reroute_budget = 0;
+    let fleet = simulate_fleet(&model, arrivals, &cfg);
+    assert_eq!(format!("{:?}", single.recorder), format!("{:?}", fleet.recorder));
+    assert_eq!(single.served_ids, fleet.served_ids);
+    assert_eq!(single.rejected_ids, fleet.rejected_ids);
+    assert_eq!(single.expired_ids, fleet.expired_ids);
+    assert_eq!(single.lost_ids, fleet.lost_ids);
+    assert_eq!(single.batch_sizes, fleet.batch_sizes);
+    assert_eq!(single.completed, fleet.completed);
+    assert_eq!(single.rejected, fleet.rejected + fleet.fleet_shed.iter().sum::<usize>());
+    assert_eq!(single.expired, fleet.expired);
+    assert_eq!(single.lost, fleet.lost);
+    assert_eq!(single.requeued, fleet.requeued);
+    assert_eq!(single.crashes, fleet.crashes);
+    assert_eq!(single.makespan.to_bits(), fleet.makespan.to_bits());
+    assert_eq!(fleet.rerouted, 0);
+    assert!(single.completed > 0 && single.requeued > 0, "the config must exercise a crash");
+}
+
+#[test]
+fn one_replica_fleet_sim_and_single_sim_agree_field_for_field() {
+    let model = ServiceModel::hep();
+    let mut base = SimConfig::new(2, 256, BatchPolicy::dynamic(8, Duration::from_millis(5)));
+    base.faults = scidl_core::faults::serving_chaos();
+    let arrivals: Vec<f64> =
+        PoissonArrivals::new(SEED, 1.5 * model.saturated_rate(8), 600).collect();
+    assert_single_matches_one_replica_fleet(base, &arrivals);
+
+    // Deadlines and a watermark both biting (181 expiries, 406 sheds).
+    let mut base = SimConfig::new(2, 64, BatchPolicy::dynamic(8, Duration::from_millis(5)));
+    base.deadline_secs = Some(0.03);
+    base.shed_watermark = Some(40);
+    base.faults = FaultPlan::none().with_worker_crash(1, 4, 0.02);
+    let arrivals: Vec<f64> =
+        PoissonArrivals::new(SEED + 1, 8.0 * model.saturated_rate(8), 800).collect();
+    assert_single_matches_one_replica_fleet(base, &arrivals);
+}
+
+/// FNV-1a over every field of a virtual-time outcome, by bit pattern.
+fn digest(o: &SimOutcome) -> u64 {
+    let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = format!("{:?}", o.recorder).bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(h, b as u64));
+    for ids in [&o.served_ids, &o.rejected_ids, &o.expired_ids, &o.lost_ids, &o.batch_sizes] {
+        h = ids.iter().fold(fnv(h, ids.len() as u64), |h, &i| fnv(h, i as u64));
+    }
+    for x in [
+        o.completed,
+        o.rejected,
+        o.fleet_shed[0],
+        o.fleet_shed[1],
+        o.fleet_shed[2],
+        o.expired,
+        o.lost,
+        o.rerouted,
+        o.requeued,
+        o.crashes,
+        o.swap_attempts,
+        o.swap_rejects,
+        o.swap_published,
+        o.scale_ups,
+        o.scale_downs,
+        o.final_replicas,
+        o.canary_served,
+        o.canary_promoted as usize,
+        o.canary_rolled_back as usize,
+        o.breaker_opened as usize,
+        o.final_iteration as usize,
+    ] {
+        h = fnv(h, x as u64);
+    }
+    fnv(fnv(h, o.replica_seconds.to_bits()), o.makespan.to_bits())
+}
+
+/// Golden digests captured at the commit before `simulate` and
+/// `simulate_fleet` shared one replica (PR 12's parent), on the
+/// committed `results/serving_chaos` storm cell, the `results/
+/// serving_fleet` autoscaler + canary demo, and a fleet run that
+/// crosses every recovery path (crash, reroute, expiry, both sheds,
+/// canary rollback, breaker).
+#[test]
+fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
+    let model = ServiceModel::hep();
+
+    // `serving -- --faults`, storm level at 1.5x the batch-1 rate.
+    let arrivals: Vec<f64> =
+        PoissonArrivals::new(SEED, 1.5 * model.saturated_rate(1), 2000).collect();
+    let mut cfg = SimConfig::new(2, 128, BatchPolicy::dynamic(32, Duration::from_millis(10)));
+    cfg.deadline_secs = Some(0.25);
+    cfg.faults = FaultPlan::none()
+        .with_worker_crash(0, 2, 0.1)
+        .with_worker_crash(1, 4, 0.1)
+        .with_worker_crash(0, 8, 0.2)
+        .with_slow_worker(0, 3, 12, 4.0)
+        .with_slow_worker(1, 6, 18, 3.0)
+        .with_corrupt_swap(0)
+        .with_corrupt_swap(1)
+        .with_corrupt_swap(2);
+    cfg.swap_schedule = vec![0.05, 0.1, 0.15, 0.2, 0.25];
+    let storm = simulate(&model, &arrivals, &cfg);
+    assert_eq!((storm.completed, storm.requeued, storm.swap_rejects), (2000, 9, 5));
+    assert_eq!(digest(&storm), 0x38e5_cd08_7daf_fe06, "storm cell drifted");
+
+    // `serving -- --fleet`, the autoscaler + canary demo.
+    let base = SimConfig::new(2, 512, BatchPolicy::dynamic(8, Duration::from_millis(5)));
+    let per_rep = base.workers as f64 * model.saturated_rate(base.policy.max_batch);
+    let mut arrivals: Vec<f64> = PoissonArrivals::new(SEED, 3.0 * per_rep, 2000).collect();
+    let burst_end = *arrivals.last().unwrap();
+    arrivals.extend((0..40).map(|i| burst_end + 0.5 + i as f64 * 0.5));
+    let mut cfg = FleetSimConfig::new(1, base, DispatchPolicy::LeastLoaded);
+    cfg.seed = SEED;
+    cfg.autoscaler = Some(SimAutoscaler {
+        band: ScalingBand {
+            min_replicas: 1,
+            max_replicas: 6,
+            scale_down_backlog: 4,
+            ..Default::default()
+        },
+        tick_secs: 0.2,
+        startup_secs: 0.02,
+    });
+    cfg.canary = Some(SimCanary {
+        gate: CanaryGate { fraction: 0.2, regression_tol: 0.25 },
+        start_secs: burst_end * 0.1,
+        decide_secs: burst_end * 0.9,
+        service_factor: 1.0,
+        candidate_iteration: 9000,
+    });
+    let demo = simulate_fleet(&model, &arrivals, &cfg);
+    assert_eq!((demo.scale_ups, demo.scale_downs, demo.canary_served), (3, 4, 318));
+    assert_eq!(digest(&demo), 0x84e7_b493_c694_10bb, "fleet demo drifted");
+
+    // Three replicas losing one to crashes, with deadlines, p2c and a
+    // rolled-back canary.
+    let mut base = SimConfig::new(2, 64, BatchPolicy::dynamic(8, Duration::from_millis(5)));
+    base.max_requeues = 0;
+    base.deadline_secs = Some(0.2);
+    base.breaker_threshold = 1;
+    base.faults = FaultPlan::none()
+        .with_worker_crash(0, 1, 1e6)
+        .with_worker_crash(1, 1, 1e6)
+        .with_worker_crash(3, 5, 0.05)
+        .with_slow_worker(2, 2, 30, 3.0);
+    let arrivals: Vec<f64> =
+        PoissonArrivals::new(SEED, 2.6 * 2.0 * model.saturated_rate(8), 1500).collect();
+    let end = *arrivals.last().unwrap();
+    let mut cfg = FleetSimConfig::new(3, base, DispatchPolicy::PowerOfTwoChoices);
+    cfg.seed = SEED;
+    cfg.reroute_budget = 2;
+    cfg.canary = Some(SimCanary {
+        gate: CanaryGate { fraction: 0.25, regression_tol: 0.25 },
+        start_secs: end * 0.2,
+        decide_secs: end * 0.7,
+        service_factor: 8.0,
+        candidate_iteration: 777,
+    });
+    let chaos = simulate_fleet(&model, &arrivals, &cfg);
+    assert_eq!((chaos.crashes, chaos.rerouted, chaos.expired, chaos.rejected), (3, 23, 214, 52));
+    assert_eq!(chaos.fleet_shed, [0, 8, 178]);
+    assert!(chaos.canary_rolled_back && chaos.breaker_opened);
+    assert_eq!(digest(&chaos), 0xec62_7789_6756_f0c2, "chaos fleet drifted");
 }

@@ -129,6 +129,31 @@ fn serving_sim_emits_batch_dispatch_rows_with_queue_compute_split() {
     assert!(jsons[0].contains("\"batch_dispatch\""));
 }
 
+/// Trace parity: the fleet simulator runs the same replica, so it emits
+/// one `serve` row per dispatched batch too, on global-worker lanes.
+#[test]
+fn fleet_sim_emits_one_serve_row_per_dispatched_batch() {
+    use scidl_serve::fleet::{simulate_fleet, DispatchPolicy, FleetSimConfig};
+    let _g = trace_lock();
+    let model = ServiceModel::hep();
+    let arrivals: Vec<f64> =
+        PoissonArrivals::new(7, 4.0 * model.saturated_rate(8), 200).collect();
+    let base = SimConfig::new(2, 256, BatchPolicy::dynamic(8, Duration::from_millis(2)));
+    let cfg = FleetSimConfig::new(2, base, DispatchPolicy::RoundRobin);
+
+    let sink = fresh_sink();
+    let out = simulate_fleet(&model, &arrivals, &cfg);
+    scidl_trace::uninstall();
+    let rows = sink.rows();
+    assert_eq!(rows.len(), out.batch_sizes.len());
+    assert!(rows.iter().all(|r| r.kind == "serve" && r.compute_s > 0.0));
+    assert!(
+        rows.iter().zip(&out.batch_sizes).all(|(r, &b)| r.batch == b as u64),
+        "rows follow dispatch order"
+    );
+    assert!(rows.iter().any(|r| r.track >= 2), "replica 1 owns global workers 2 and 3");
+}
+
 #[test]
 fn poisoned_gradient_is_caught_and_attributed_to_layer() {
     let _g = trace_lock();
