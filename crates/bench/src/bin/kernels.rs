@@ -10,13 +10,16 @@
 //! (and the packed-vs-seed speedup) are the tracked quantity.
 //!
 //! Each GEMM shape is timed once per *detected ISA* (baseline SSE2
-//! always; AVX2 where the host reports it) through the runtime-dispatch
-//! layer, plus an int8 `gemm_i8` row per ISA on the serving-relevant
-//! shapes. The bench asserts the AVX2 aggregate is faster-or-equal to
-//! SSE2 — the dispatch must never pick a slower kernel.
+//! always; AVX2 and AVX-512 where the host reports them) through the
+//! runtime-dispatch layer, plus an int8 `gemm_i8` row per ISA on the
+//! serving-relevant shapes and `im2col`/`col2im` GB/s rows at the HEP
+//! conv2 and climate stride-2 geometries. The bench asserts each wider
+//! arm's aggregate is faster-or-equal to the next narrower one — the
+//! widest-wins dispatch must never pick a slower kernel.
 //!
 //! Emits a markdown table on stdout and writes
-//! `results/kernels.{csv,txt}`.
+//! `results/kernels.{csv,txt}`. Every number is `host-measured` on the
+//! machine named in the header, never the KNL model's.
 //!
 //! ```text
 //! cargo run --release -p scidl-bench --bin kernels [--fast]
@@ -27,7 +30,10 @@
 
 use scidl_bench::{csv, fnum, markdown_table};
 use scidl_nn::{Conv2d, Layer};
-use scidl_tensor::{gemm_i8_with_isa, gemm_unpacked, gemm_with_isa, Isa, Shape4, TensorRng, Transpose};
+use scidl_tensor::{
+    col2im, gemm_i8_with_isa, gemm_unpacked, gemm_with_isa, im2col, ConvGeometry, Isa, Shape4,
+    TensorRng, Transpose,
+};
 use std::time::Instant;
 
 /// `(label, ta, tb, m, n, k)` — conv-lowered GEMM shapes (see the
@@ -50,6 +56,16 @@ const CONV_LAYERS: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
     ("climate_enc_16to64_k5s2", 16, 64, 64, 5, 2, 4),
 ];
 
+/// `(label, geometry)` — the lowering the two training workloads of
+/// `benchmarks/` spend their non-GEMM conv time in: HEP conv2 (stride 1,
+/// row copies) and `ClimateNet::small` enc2 (stride 2, strided gather).
+fn lowering_geometries() -> [(&'static str, ConvGeometry); 2] {
+    [
+        ("hep_conv2_128c_32px_k3s1", ConvGeometry::new(128, 128, 32, 32, 3, 1, 1)),
+        ("climate_enc2_8c_32px_k5s2", ConvGeometry::new(8, 16, 32, 32, 5, 2, 2)),
+    ]
+}
+
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm-up: populates the pack workspace pool
     let mut best = f64::MAX;
@@ -68,9 +84,9 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
 
-    // Aggregate per-ISA f32 rates for the dispatch acceptance assert.
-    let mut sse2_total = 0.0f64;
-    let mut avx2_total = 0.0f64;
+    // Aggregate f32 rate per detected ISA (same order as
+    // `Isa::detected()`), for the dispatch acceptance assert.
+    let mut totals = vec![0.0f64; Isa::detected().len()];
 
     for &(label, ta, tb, m, n, k) in GEMM_SHAPES {
         if fast && m * n * k > 80_000_000 {
@@ -85,14 +101,11 @@ fn main() {
             gemm_unpacked(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut out);
         }) / 1e9;
         let dims = format!("{m}x{n}x{k}");
-        for &isa in Isa::detected() {
+        for (&isa, total) in Isa::detected().iter().zip(&mut totals) {
             let packed = flops / best_secs(reps, || {
                 gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut out);
             }) / 1e9;
-            match isa {
-                Isa::Sse2 => sse2_total += packed,
-                Isa::Avx2 => avx2_total += packed,
-            }
+            *total += packed;
             let name = format!("gemm/{label}@{}", isa.name());
             rows.push(vec![
                 name.clone(),
@@ -156,6 +169,30 @@ fn main() {
         }
     }
 
+    // Conv lowering: bytes read + written per call over best time.
+    for (label, geo) in lowering_geometries() {
+        let mut rng = TensorRng::new(12);
+        let image: Vec<f32> =
+            (0..geo.cin * geo.h * geo.w).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let mut col = vec![0.0f32; geo.col_rows() * geo.col_cols()];
+        let mut back = vec![0.0f32; image.len()];
+        let bytes = 4.0 * (image.len() + col.len()) as f64;
+        let dims = format!("{}x{}", geo.col_rows(), geo.col_cols());
+        let lower = bytes / best_secs(reps * 3, || im2col(&geo, &image, &mut col)) / 1e9;
+        let raise = bytes / best_secs(reps * 3, || col2im(&geo, &col, &mut back)) / 1e9;
+        for (dir, rate) in [("im2col", lower), ("col2im", raise)] {
+            let name = format!("{dir}/{label}");
+            rows.push(vec![
+                name.clone(),
+                dims.clone(),
+                format!("{} GB/s", fnum(rate, 2)),
+                String::from("-"),
+                String::from("-"),
+            ]);
+            csv_rows.push(vec![name, dims.clone(), fnum(rate, 3), String::new(), String::new()]);
+        }
+    }
+
     for &(label, cin, cout, hw, k, stride, batch) in CONV_LAYERS {
         let mut rng = TensorRng::new(13);
         let mut conv = Conv2d::new("c", cin, cout, k, stride, k / 2, &mut rng);
@@ -180,34 +217,44 @@ fn main() {
 
     let headers = ["kernel", "shape", "packed", "seed", "speedup"];
     let table = markdown_table(&headers, &rows);
-    println!("{table}");
+    let isa_names: Vec<&str> = Isa::detected().iter().map(|i| i.name()).collect();
+    let host = format!(
+        "host-measured; nproc {}; detected ISAs: {} (active: {})",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+        isa_names.join(", "),
+        Isa::active().name()
+    );
+    println!("{host}\n\n{table}");
     println!(
         "(packed = register-tiled packed GEMM through the runtime ISA dispatch; \
          seed = pre-packing axpy baseline; gemm_i8 rows use the scalar int8 kernel \
-         as their seed; conv rows time layer fwd+bwd through the packed kernel \
-         at the active ISA)"
-    );
-    println!(
-        "detected ISAs: {}",
-        Isa::detected().iter().map(|i| i.name()).collect::<Vec<_>>().join(", ")
+         as their seed; im2col/col2im rows are bytes read + written per second; \
+         conv rows time layer fwd+bwd through the packed kernel at the active ISA)"
     );
 
-    // --- acceptance: the dispatch never picks a slower kernel ----------
-    if Isa::Avx2.is_available() {
+    // --- acceptance: widest-wins never picks a slower kernel -----------
+    for (pair, names) in totals.windows(2).zip(isa_names.windows(2)) {
+        let (narrow, wide) = (pair[0], pair[1]);
         println!(
-            "f32 aggregate: sse2 {} GF/s, avx2 {} GF/s ({}x)",
-            fnum(sse2_total, 2),
-            fnum(avx2_total, 2),
-            fnum(avx2_total / sse2_total, 2)
+            "f32 aggregate: {} {} GF/s, {} {} GF/s ({}x)",
+            names[0],
+            fnum(narrow, 2),
+            names[1],
+            fnum(wide, 2),
+            fnum(wide / narrow, 2)
         );
         assert!(
-            avx2_total >= sse2_total,
-            "acceptance: AVX2 aggregate ({avx2_total:.2} GF/s) must be faster-or-equal \
-             to SSE2 ({sse2_total:.2} GF/s)"
+            wide >= narrow,
+            "acceptance: {} aggregate ({wide:.2} GF/s) must be faster-or-equal to {} ({narrow:.2} GF/s)",
+            names[1],
+            names[0]
         );
-        println!("acceptance: avx2 faster-or-equal to sse2 — PASS");
-    } else {
-        println!("(avx2 not detected on this host; dispatch acceptance skipped)");
+        println!("acceptance: {} faster-or-equal to {} — PASS", names[1], names[0]);
+    }
+    for isa in ["avx2", "avx512"] {
+        if !isa_names.contains(&isa) {
+            println!("({isa} not detected on this host; its dispatch acceptance skipped)");
+        }
     }
 
     std::fs::create_dir_all("results").ok();
@@ -217,7 +264,7 @@ fn main() {
         Err(e) => println!("(could not write results/kernels.csv: {e})"),
     }
     let txt = format!(
-        "Kernel throughput (one container core; paper's KNL nodes: ~2 TFLOP/s/node)\n\n{table}"
+        "Kernel throughput (one container core; paper's KNL nodes: ~2 TFLOP/s/node)\n{host}\n\n{table}"
     );
     match std::fs::write("results/kernels.txt", &txt) {
         Ok(()) => println!("written to results/kernels.txt"),

@@ -2,7 +2,7 @@
 
 use crate::layer::{InferScratch, Layer, ParamBlock};
 use scidl_tensor::{
-    col2im, gemm, gemm_bias, im2col, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, Workspace,
+    col2im, gemm, im2col, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, Workspace,
 };
 
 /// Forward-pass algorithm selection for [`Conv2d`] — the fast-convolution
@@ -165,6 +165,11 @@ impl Layer for Conv2d {
         let mut out = Tensor::zeros(oshape);
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
 
+        // The weights are the left operand of every item's GEMM: pack
+        // them once per call, not once per image.
+        let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
+        let bias = self.bias.value.data();
+
         // For small-to-medium col matrices, parallelise over batch items
         // (mirroring the per-node OpenMP parallelism of the paper's
         // kernels); huge cols (climate first layers) stay sequential with
@@ -174,9 +179,6 @@ impl Layer for Conv2d {
         if par_batch {
             use rayon::prelude::*;
             let item_out = oshape.item_len();
-            let weight = self.weight.value.data();
-            let bias = self.bias.value.data();
-            let cout = self.cout;
             out.data_mut()
                 .par_chunks_mut(item_out)
                 .enumerate()
@@ -189,7 +191,7 @@ impl Layer for Conv2d {
                     im2col(&geo, input.item(n), &mut col);
                     // Bias broadcast fused into the GEMM epilogue: the
                     // output plane is written once.
-                    gemm_bias(Transpose::No, Transpose::No, cout, cols, rows, weight, &col, bias, item);
+                    weight.gemm_bias(Transpose::No, cols, &col, bias, item);
                 });
         } else {
             let mut col = Workspace::take(rows * cols);
@@ -197,17 +199,7 @@ impl Layer for Conv2d {
                 im2col(&geo, input.item(n), &mut col);
                 // out_plane = bias ⊕ W (cout x rows) * col (rows x cols),
                 // bias broadcast fused into the epilogue sweep.
-                gemm_bias(
-                    Transpose::No,
-                    Transpose::No,
-                    self.cout,
-                    cols,
-                    rows,
-                    self.weight.value.data(),
-                    &col,
-                    self.bias.value.data(),
-                    out.item_mut(n),
-                );
+                weight.gemm_bias(Transpose::No, cols, &col, bias, out.item_mut(n));
             }
         }
         self.cached_input = Some(input.clone());
@@ -240,22 +232,13 @@ impl Layer for Conv2d {
         // forward paths (the parallel path partitions over items without
         // changing any reduction order), so outputs are bit-identical.
         scratch.col.resize(rows * cols, 0.0);
+        let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
         for n in 0..ishape.n {
             im2col(&geo, input.item(n), &mut scratch.col);
             // Same fused-bias GEMM as forward — required for the
             // bit-identity guarantee (fusing changes which sweep writes
             // the bias, so both paths must fuse identically).
-            gemm_bias(
-                Transpose::No,
-                Transpose::No,
-                self.cout,
-                cols,
-                rows,
-                self.weight.value.data(),
-                &scratch.col,
-                self.bias.value.data(),
-                out.item_mut(n),
-            );
+            weight.gemm_bias(Transpose::No, cols, &scratch.col, self.bias.value.data(), out.item_mut(n));
         }
         out
     }
@@ -277,6 +260,8 @@ impl Layer for Conv2d {
         let mut col = Workspace::take(rows * cols);
         let mut dcol = Workspace::take(rows * cols);
         let mut grad_in = Tensor::zeros(ishape);
+        // Wᵀ is the left operand of every item's data-gradient GEMM.
+        let weight_t = PackedA::new(Transpose::Yes, rows, self.cout, self.weight.value.data());
 
         for n in 0..ishape.n {
             let dy = grad_out.item(n); // (cout x cols)
@@ -303,18 +288,7 @@ impl Layer for Conv2d {
             }
 
             // Data gradient: dcol = W^T * dY, then scatter back.
-            gemm(
-                Transpose::Yes,
-                Transpose::No,
-                rows,
-                cols,
-                self.cout,
-                1.0,
-                self.weight.value.data(),
-                dy,
-                0.0,
-                &mut dcol,
-            );
+            weight_t.gemm(Transpose::No, cols, 1.0, dy, 0.0, &mut dcol);
             col2im(&geo, &dcol, grad_in.item_mut(n));
         }
         grad_in

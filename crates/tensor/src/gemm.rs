@@ -6,19 +6,23 @@
 //! arXiv:1602.06709 describe the recipe). This module implements that
 //! recipe in Rust:
 //!
-//! * **Packing absorbs transposition.** A panels (`MR x KC`) and B panels
-//!   (`KC x NR`) are copied into contiguous, cache-resident scratch from
+//! * **Packing absorbs transposition.** A panels (`mr x KC`) and B panels
+//!   (`KC x nr`) are copied into contiguous, cache-resident scratch from
 //!   the thread-local [`Workspace`] pool. All four transpose combinations
 //!   differ *only* in the pack copy loops — `TN`/`TT` are no longer
 //!   strided-read slow paths, because the microkernel always streams the
 //!   same packed layout.
-//! * **Register-tiled microkernel.** An unrolled `MR x NR` (4×16)
-//!   accumulator block held in registers, updated with `KC` fused
-//!   multiply-adds per lane; the compiler auto-vectorises the fixed-size
-//!   inner loops (the 4×16 shape empirically maximises SSE2 throughput —
-//!   four rows of four 128-bit accumulator vectors).
-//! * **Cache-blocked loop nest.** `KC`-deep slices of the k dimension are
-//!   packed once and reused across the whole `C` sweep; `C` is tiled into
+//! * **Register-tiled microkernel, one tile shape per ISA.** `mr x nr` is
+//!   not a crate constant: [`crate::microkernel`] hands out a per-ISA
+//!   kernel descriptor (4×16 for SSE2 and AVX2, 8×32 for AVX-512) and
+//!   the pack routines and the tile loop here read the shape from it.
+//!   The kernel holds the accumulator tile in registers and updates it
+//!   with `KC` multiplies and `KC` adds per lane — two roundings, never
+//!   a fused one; that module states the contract once.
+//! * **Cache-blocked loop nest.** `op(A)` is packed once per product —
+//!   or once per *layer call* through [`PackedA`], which the conv layers
+//!   use to reuse one packed weight matrix across a batch — and each
+//!   `KC`-deep slab of `op(B)` once per product; `C` is tiled into
 //!   `MC x NC` blocks and the tile grid is partitioned 2-D (M × N) across
 //!   rayon workers, so parallelism survives both short-`m` (backward-data)
 //!   and short-`n` (weight-gradient) shapes.
@@ -29,7 +33,7 @@
 //! No value-dependent skips anywhere: `0 · NaN` must stay `NaN` (PR 3's
 //! no-laundering rule), so zeros in either operand are multiplied like any
 //! other value. Pack padding (rows/cols beyond `m`/`n` rounded up to
-//! `MR`/`NR`) only feeds accumulator lanes that are never written back.
+//! `mr`/`nr`) only feeds accumulator lanes that are never written back.
 //!
 //! The pre-packing axpy kernel is retained as [`gemm_unpacked`]: it is
 //! the differential-testing baseline and the "seed" side of the
@@ -40,8 +44,8 @@
 //! every ISA variant is bit-identical by construction (see that module's
 //! docs), so dispatch never changes results — only throughput.
 
-use crate::microkernel::{dot_i8, CPtr, Isa, MR, NR};
-use crate::workspace::Workspace;
+use crate::microkernel::{dot_i8, CPtr, Isa, Kernel};
+use crate::workspace::{Workspace, WsBuf};
 use rayon::prelude::*;
 
 /// Whether an operand is used as stored or transposed.
@@ -53,14 +57,15 @@ pub enum Transpose {
     Yes,
 }
 
-/// k-dimension cache block: one packed A panel is `MR x KC` (4 KiB),
-/// resident in L1 across the whole B sweep.
+/// k-dimension cache block: one packed A panel is `mr x KC` (4–8 KiB),
+/// resident in L1 across the whole B sweep. Part of the numerics: every
+/// C element rounds once per `KC` block, so changing it changes results.
 const KC: usize = 256;
-/// m-dimension cache block (multiple of `MR`): one packed A block is
-/// `MC x KC` (64 KiB), resident in L2.
+/// m-dimension cache block (multiple of every ISA's `mr`): one packed A
+/// block is `MC x KC` (64 KiB), resident in L2.
 const MC: usize = 64;
-/// n-dimension cache block (multiple of `NR`): bounds the per-tile sweep
-/// so a `KC x NC` B slab (512 KiB) stays cache-resident.
+/// n-dimension cache block (multiple of every ISA's `nr`): bounds the
+/// per-tile sweep so a `KC x NC` B slab (512 KiB) stays cache-resident.
 const NC: usize = 512;
 /// Work (m*n*k FLOPs/2) above which the tile grid is partitioned across
 /// rayon workers.
@@ -206,13 +211,68 @@ fn gemm_init(
     c: &mut [f32],
 ) {
     apply_init(init, n, c);
-    if k == 0 {
-        return;
-    }
     if m * n * k < SMALL_WORK {
         accumulate_unpacked(ta, tb, 0, m, m, n, k, alpha, a, b, c);
     } else {
-        packed_accumulate(isa, ta, tb, m, n, k, alpha, a, b, c);
+        packed_accumulate(&PackedA::with_isa(isa, ta, m, k, a), tb, n, alpha, b, c);
+    }
+}
+
+/// `op(A)` packed once into the active ISA's register-tile panels, for
+/// callers that multiply one left operand by many right operands — a conv
+/// layer's weights against every image of a batch. Every product is
+/// bit-identical to handing the same `a` to [`gemm`] / [`gemm_bias`].
+pub struct PackedA<'a> {
+    kernel: Kernel,
+    ta: Transpose,
+    /// The operand as given: products below `SMALL_WORK` take the
+    /// unpacked path [`gemm`] takes for them, so they round the same.
+    a: &'a [f32],
+    m: usize,
+    k: usize,
+    /// All of `op(A)`, `KC` block by `KC` block; layout in [`pack_a`].
+    panels: WsBuf,
+}
+
+impl<'a> PackedA<'a> {
+    /// Packs `op(A)` (`m x k`; stored `k x m` when `ta` is
+    /// [`Transpose::Yes`]). Panics if `a` is shorter than `m * k`.
+    pub fn new(ta: Transpose, m: usize, k: usize, a: &'a [f32]) -> Self {
+        Self::with_isa(Isa::active(), ta, m, k, a)
+    }
+
+    fn with_isa(isa: Isa, ta: Transpose, m: usize, k: usize, a: &'a [f32]) -> Self {
+        assert!(a.len() >= m * k, "A buffer too small: {} < {}", a.len(), m * k);
+        let kernel = isa.kernel();
+        let mut panels = Workspace::take(m.div_ceil(kernel.mr) * kernel.mr * k);
+        pack_a(ta, a, m, k, kernel.mr, &mut panels);
+        Self { kernel, ta, a, m, k, panels }
+    }
+
+    /// `C = alpha * op(A) * op(B) + beta * C` with `C` `m x n`; see [`gemm`].
+    pub fn gemm(&self, tb: Transpose, n: usize, alpha: f32, b: &[f32], beta: f32, c: &mut [f32]) {
+        self.product(tb, n, alpha, b, Init::Beta(beta), c);
+    }
+
+    /// `C[i, :] = bias[i] + op(A) * op(B)`; see [`gemm_bias`].
+    pub fn gemm_bias(&self, tb: Transpose, n: usize, b: &[f32], bias: &[f32], c: &mut [f32]) {
+        assert_eq!(bias.len(), self.m, "bias length must equal m");
+        self.product(tb, n, 1.0, b, Init::RowBias(bias), c);
+    }
+
+    fn product(&self, tb: Transpose, n: usize, alpha: f32, b: &[f32], init: Init<'_>, c: &mut [f32]) {
+        let (m, k) = (self.m, self.k);
+        check_dims(m, n, k, self.a, b, c);
+        if m == 0 || n == 0 {
+            return;
+        }
+        let c = &mut c[..m * n];
+        apply_init(init, n, c);
+        if m * n * k < SMALL_WORK {
+            accumulate_unpacked(self.ta, tb, 0, m, m, n, k, alpha, self.a, b, c);
+        } else {
+            packed_accumulate(self, tb, n, alpha, b, c);
+        }
     }
 }
 
@@ -262,33 +322,26 @@ fn apply_init(init: Init<'_>, n: usize, c: &mut [f32]) {
 /// applied). Deterministic regardless of worker count: every C element
 /// accumulates its `KC` blocks in the same (sequential) order, and tiles
 /// never share elements.
-#[allow(clippy::too_many_arguments)]
-fn packed_accumulate(
-    isa: Isa,
-    ta: Transpose,
-    tb: Transpose,
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
-    let n_panels = n.div_ceil(NR);
+fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &[f32], c: &mut [f32]) {
+    let Kernel { mr, nr, run } = pa.kernel;
+    // Cache tiles start on panel boundaries.
+    debug_assert!(MC.is_multiple_of(mr) && NC.is_multiple_of(nr));
+    let (m, k) = (pa.m, pa.k);
+    let m_pad = m.div_ceil(mr) * mr;
+    let n_panels = n.div_ceil(nr);
     let mt = m.div_ceil(MC);
     let nt = n.div_ceil(NC);
     let parallel = m * n * k >= PAR_WORK && mt * nt > 1;
     let cp = CPtr(c.as_mut_ptr());
-    let microkernel = isa.microkernel();
 
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
         // Pack the full-width B slab for this k block once; every tile
-        // reads from it. Panel pj holds columns [pj*NR, pj*NR + NR).
-        let mut bpack = Workspace::take(n_panels * NR * kc);
-        pack_b(tb, b, n, k, p0, kc, &mut bpack);
+        // reads from it. Panel pj holds columns [pj*nr, pj*nr + nr).
+        let mut bpack = Workspace::take(n_panels * nr * kc);
+        pack_b(tb, b, n, k, p0, kc, nr, &mut bpack);
         let bpack = &*bpack;
+        let apack = &pa.panels[m_pad * p0..][..m_pad * kc];
 
         let tile = |t: usize| {
             let (ti, tj) = (t / nt, t % nt);
@@ -296,20 +349,15 @@ fn packed_accumulate(
             let mc = MC.min(m - i0);
             let j0 = tj * NC;
             let nc = NC.min(n - j0);
-            let a_panels = mc.div_ceil(MR);
-            // Thread-local A block: packed once per (tile, k-block),
-            // streamed a_panels x (nc/NR) times.
-            let mut apack = Workspace::take(a_panels * MR * kc);
-            pack_a(ta, a, m, k, i0, mc, p0, kc, &mut apack);
-            for pj in (j0 / NR)..(j0 + nc).div_ceil(NR) {
-                let col0 = pj * NR;
-                let nr_eff = NR.min(n - col0);
-                let bp = &bpack[pj * NR * kc..][..NR * kc];
-                for pi in 0..a_panels {
-                    let row0 = i0 + pi * MR;
-                    let mr_eff = MR.min(m - row0);
-                    let ap = &apack[pi * MR * kc..][..MR * kc];
-                    microkernel(kc, ap, bp, alpha, cp, n, row0, col0, mr_eff, nr_eff);
+            for pj in (j0 / nr)..(j0 + nc).div_ceil(nr) {
+                let col0 = pj * nr;
+                let nr_eff = nr.min(n - col0);
+                let bp = &bpack[pj * nr * kc..][..nr * kc];
+                for pi in (i0 / mr)..(i0 + mc).div_ceil(mr) {
+                    let row0 = pi * mr;
+                    let mr_eff = mr.min(m - row0);
+                    let ap = &apack[pi * mr * kc..][..mr * kc];
+                    run(kc, ap, bp, alpha, cp, n, row0, col0, mr_eff, nr_eff);
                 }
             }
         };
@@ -322,71 +370,61 @@ fn packed_accumulate(
     }
 }
 
-/// Packs `op(A)[i0..i0+mc, p0..p0+kc]` into `MR`-row panels: panel `pi`,
-/// depth `p`, row `r` lands at `apack[pi*MR*kc + p*MR + r]`. Rows past
-/// `mc` are zero (their accumulator lanes are never written back).
-#[allow(clippy::too_many_arguments)]
-fn pack_a(
-    ta: Transpose,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    i0: usize,
-    mc: usize,
-    p0: usize,
-    kc: usize,
-    apack: &mut [f32],
-) {
-    let panels = mc.div_ceil(MR);
-    for pi in 0..panels {
-        let dst = &mut apack[pi * MR * kc..][..MR * kc];
-        let rbase = i0 + pi * MR;
-        let rows = MR.min(mc - pi * MR);
-        match ta {
-            Transpose::No => {
-                // A row-major m x k: op(A)[i, p] = a[i*k + p]; each
-                // source row is contiguous, scattered to stride MR.
-                for r in 0..MR {
-                    if r < rows {
-                        let src = &a[(rbase + r) * k + p0..][..kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            dst[p * MR + r] = v;
+/// Packs all of `op(A)` into `mr`-row panels, `KC` block by `KC` block:
+/// block `p0` (depth `kc`) starts at `m_pad * p0`, and inside it panel
+/// `pi`, depth `p`, row `r` lands at `pi*mr*kc + p*mr + r`. Rows past
+/// `m` are zero (their accumulator lanes are never written back).
+fn pack_a(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, apack: &mut [f32]) {
+    let m_pad = m.div_ceil(mr) * mr;
+    for p0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - p0);
+        let block = &mut apack[m_pad * p0..][..m_pad * kc];
+        for (pi, dst) in block.chunks_exact_mut(mr * kc).enumerate() {
+            let rbase = pi * mr;
+            let rows = mr.min(m - rbase);
+            match ta {
+                Transpose::No => {
+                    // A row-major m x k: op(A)[i, p] = a[i*k + p]; each
+                    // source row is contiguous, scattered to stride mr.
+                    for r in 0..mr {
+                        if r < rows {
+                            let src = &a[(rbase + r) * k + p0..][..kc];
+                            for (p, &v) in src.iter().enumerate() {
+                                dst[p * mr + r] = v;
+                            }
+                        } else {
+                            dst.iter_mut().skip(r).step_by(mr).for_each(|v| *v = 0.0);
                         }
-                    } else {
-                        dst.iter_mut().skip(r).step_by(MR).for_each(|v| *v = 0.0);
                     }
                 }
-            }
-            Transpose::Yes => {
-                // A stored k x m: op(A)[i, p] = a[p*m + i]; rows of a
-                // panel slice are contiguous in the source — the former
-                // TN slow path becomes a straight memcpy per depth.
-                for p in 0..kc {
-                    let src = &a[(p0 + p) * m + rbase..][..rows];
-                    let d = &mut dst[p * MR..(p + 1) * MR];
-                    d[..rows].copy_from_slice(src);
-                    d[rows..].fill(0.0);
+                Transpose::Yes => {
+                    // A stored k x m: op(A)[i, p] = a[p*m + i]; rows of a
+                    // panel slice are contiguous in the source — the former
+                    // TN slow path becomes a straight memcpy per depth.
+                    for (p, d) in dst.chunks_exact_mut(mr).enumerate() {
+                        let src = &a[(p0 + p) * m + rbase..][..rows];
+                        d[..rows].copy_from_slice(src);
+                        d[rows..].fill(0.0);
+                    }
                 }
             }
         }
     }
 }
 
-/// Packs `op(B)[p0..p0+kc, :]` into `NR`-column panels: panel `pj`,
-/// depth `p`, column `c` lands at `bpack[pj*NR*kc + p*NR + c]`. Columns
+/// Packs `op(B)[p0..p0+kc, :]` into `nr`-column panels: panel `pj`,
+/// depth `p`, column `c` lands at `bpack[pj*nr*kc + p*nr + c]`. Columns
 /// past `n` are zero.
-fn pack_b(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, bpack: &mut [f32]) {
-    let panels = n.div_ceil(NR);
-    for pj in 0..panels {
-        let jbase = pj * NR;
-        let cols = NR.min(n - jbase);
-        let dst = &mut bpack[pj * NR * kc..][..NR * kc];
+#[allow(clippy::too_many_arguments)]
+fn pack_b(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, nr: usize, bpack: &mut [f32]) {
+    for (pj, dst) in bpack.chunks_exact_mut(nr * kc).enumerate() {
+        let jbase = pj * nr;
+        let cols = nr.min(n - jbase);
         match tb {
             Transpose::No => {
                 // B stored k x n: contiguous in j — memcpy per depth.
-                for p in 0..kc {
+                for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
                     let src = &b[(p0 + p) * n + jbase..][..cols];
-                    let d = &mut dst[p * NR..(p + 1) * NR];
                     d[..cols].copy_from_slice(src);
                     d[cols..].fill(0.0);
                 }
@@ -395,15 +433,19 @@ fn pack_b(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, bp
                 // B stored n x k: op(B)[p, j] = b[j*k + p]; each column
                 // is contiguous in the source — the former NT/TT strided
                 // inner loops collapse into this pack copy.
-                for cidx in 0..NR {
-                    if cidx < cols {
-                        let src = &b[(jbase + cidx) * k + p0..][..kc];
+                // Transposed 16 depths at a time: each source cache line
+                // is read once while its 16 destination rows stay in L1.
+                for pb in (0..kc).step_by(16) {
+                    let pl = 16.min(kc - pb);
+                    for cidx in 0..cols {
+                        let src = &b[(jbase + cidx) * k + p0 + pb..][..pl];
                         for (p, &v) in src.iter().enumerate() {
-                            dst[p * NR + cidx] = v;
+                            dst[(pb + p) * nr + cidx] = v;
                         }
-                    } else {
-                        dst.iter_mut().skip(cidx).step_by(NR).for_each(|v| *v = 0.0);
                     }
+                }
+                for cidx in cols..nr {
+                    dst.iter_mut().skip(cidx).step_by(nr).for_each(|v| *v = 0.0);
                 }
             }
         }
@@ -479,11 +521,6 @@ pub fn gemm_unpacked(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
-        apply_init(Init::Beta(beta), n, &mut c[..m * n]);
-        return;
-    }
-
     if m * n * k < PAR_WORK {
         apply_init(Init::Beta(beta), n, &mut c[..m * n]);
         accumulate_unpacked(ta, tb, 0, m, m, n, k, alpha, a, b, &mut c[..m * n]);
@@ -518,6 +555,9 @@ fn accumulate_unpacked(
     b: &[f32],
     c_blk: &mut [f32],
 ) {
+    if k == 0 {
+        return;
+    }
     match (ta, tb) {
         (Transpose::No, Transpose::No) => {
             // C[i,j] += alpha * sum_p A[i,p] * B[p,j]; axpy over rows of B.
@@ -684,8 +724,8 @@ mod tests {
 
     #[test]
     fn ragged_register_tiles_all_transposes() {
-        // m, n deliberately not multiples of MR (4) / NR (16), k not a multiple
-        // of KC, exercising every pack-padding branch; alpha/beta mixed.
+        // m, n deliberately not multiples of any ISA's register tile, k not a
+        // multiple of KC, exercising every pack-padding branch; alpha/beta mixed.
         for ta in [Transpose::No, Transpose::Yes] {
             for tb in [Transpose::No, Transpose::Yes] {
                 check(ta, tb, 9, 13, 17, 1.0, 0.0);
@@ -883,6 +923,12 @@ mod tests {
         check_nonfinite(Transpose::No, Transpose::No, m, n, k, &a, &b);
     }
 
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        for (idx, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} c[{idx}]: {x} vs {y}");
+        }
+    }
+
     #[test]
     fn every_detected_isa_is_bit_identical() {
         // The dispatch contract: ISA selection must never change results,
@@ -900,15 +946,109 @@ mod tests {
                     for &isa in Isa::detected() {
                         let mut c = init.clone();
                         gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.5, &mut c);
-                        for (idx, (x, y)) in c.iter().zip(&base).enumerate() {
-                            assert_eq!(
-                                x.to_bits(),
-                                y.to_bits(),
-                                "{ta:?}{tb:?} m={m} n={n} k={k} isa={} c[{idx}]: {x} vs {y}",
-                                isa.name()
-                            );
+                        let what = format!("{ta:?}{tb:?} m={m} n={n} k={k} isa={}", isa.name());
+                        assert_same_bits(&c, &base, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ragged_tile_and_block_edges_are_bit_identical_across_isas() {
+        // One below, on and one above every register-tile edge (4, 8 rows;
+        // 16, 32 columns) and cache-block edge (MC 64, NC 512, KC 256), for
+        // every transpose pair and the three beta classes (overwrite,
+        // accumulate, scale). PackedA must round like the free functions.
+        let betas = [0.0f32, 1.0, 0.5];
+        for m in [1usize, 7, 8, 9, 63, 65] {
+            for n in [1usize, 31, 32, 33, 511, 513] {
+                for k in [1usize, 255, 256, 257] {
+                    let a = fill(m * k, 51);
+                    let b = fill(k * n, 52);
+                    let init = fill(m * n, 53);
+                    for (t, (ta, tb)) in [
+                        (Transpose::No, Transpose::No),
+                        (Transpose::No, Transpose::Yes),
+                        (Transpose::Yes, Transpose::No),
+                        (Transpose::Yes, Transpose::Yes),
+                    ]
+                    .into_iter()
+                    .enumerate()
+                    {
+                        for beta in betas {
+                            let what = format!("{ta:?}{tb:?} m={m} n={n} k={k} beta={beta}");
+                            let mut base = init.clone();
+                            gemm_with_isa(Isa::Sse2, ta, tb, m, n, k, -1.5, &a, &b, beta, &mut base);
+                            for &isa in Isa::detected() {
+                                let mut c = init.clone();
+                                gemm_with_isa(isa, ta, tb, m, n, k, -1.5, &a, &b, beta, &mut c);
+                                assert_same_bits(&c, &base, &format!("{what} isa={}", isa.name()));
+                            }
+                            let mut c = init.clone();
+                            PackedA::new(ta, m, k, &a).gemm(tb, n, -1.5, &b, beta, &mut c);
+                            assert_same_bits(&c, &base, &format!("{what} PackedA"));
+                        }
+                        if t == 0 {
+                            let bias = fill(m, 54);
+                            let mut want = vec![0.0f32; m * n];
+                            gemm_bias(ta, tb, m, n, k, &a, &b, &bias, &mut want);
+                            let mut c = vec![0.0f32; m * n];
+                            PackedA::new(ta, m, k, &a).gemm_bias(tb, n, &b, &bias, &mut c);
+                            assert_same_bits(&c, &want, &format!("m={m} n={n} k={k} PackedA bias"));
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nonfinite_in_last_partial_panel_is_neither_laundered_nor_leaked() {
+        // Shapes whose last A panel holds one valid row and whose last B
+        // panel one valid column for every tile shape, with the IEEE
+        // palette exactly there. Launder: padding next to a NaN must not
+        // turn it into a number. Leak: padding is stale pool memory until
+        // the pack zeroes it, so park NaN-filled buffers in the pool first
+        // and demand every reference-finite element stays finite.
+        let palette = [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0, -2.0];
+        let (m, n, k) = (65, 33, 257);
+        for ta in [Transpose::No, Transpose::Yes] {
+            for tb in [Transpose::No, Transpose::Yes] {
+                let mut a = fill(m * k, 61);
+                let mut b = fill(k * n, 62);
+                for p in 0..k {
+                    let ai = if ta == Transpose::No { (m - 1) * k + p } else { p * m + m - 1 };
+                    let bi = if tb == Transpose::No { p * n + n - 1 } else { (n - 1) * k + p };
+                    a[ai] = palette[p % palette.len()];
+                    b[bi] = palette[(p / 3) % palette.len()];
+                }
+                let mut want = vec![0.0f32; m * n];
+                gemm_ref(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut want);
+                let mut base = vec![0.0f32; m * n];
+                gemm_with_isa(Isa::Sse2, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut base);
+                for &isa in Isa::detected() {
+                    let poison: Vec<_> = (0..4)
+                        .map(|i| {
+                            let mut buf = Workspace::take(((m + 8) * k) << i);
+                            buf.fill(f32::NAN);
+                            buf
+                        })
+                        .collect();
+                    drop(poison);
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+                    for (idx, (&x, &y)) in c.iter().zip(&want).enumerate() {
+                        let what = format!("{ta:?}{tb:?} isa={} c[{idx}]", isa.name());
+                        if y.is_nan() {
+                            assert!(x.is_nan(), "{what}: NaN laundered to {x}");
+                        } else if y.is_infinite() {
+                            assert_eq!(x, y, "{what}");
+                        } else {
+                            assert!((x - y).abs() < 1e-2, "{what}: {x} vs {y}");
+                        }
+                    }
+                    assert_same_bits(&c, &base, &format!("{ta:?}{tb:?} isa={}", isa.name()));
                 }
             }
         }

@@ -96,43 +96,52 @@ impl ConvGeometry {
     }
 }
 
+/// Output columns `lo..hi` of one col-matrix row whose tap `kx` lands
+/// inside the image row (`0 <= ox*stride + kx - pad < w`); the columns on
+/// either side read padding. Depends on `kx` only, not on the output row.
+fn valid_cols(geo: &ConvGeometry, kx: usize, ow: usize) -> (usize, usize) {
+    let lo = geo.pad.saturating_sub(kx).div_ceil(geo.stride).min(ow);
+    let hi = (geo.w + geo.pad).saturating_sub(kx).div_ceil(geo.stride).clamp(lo, ow);
+    (lo, hi)
+}
+
 /// Unrolls one image (`cin * h * w`, NCHW item) into the col matrix
 /// (`col_rows() x col_cols()`, row-major). `col` must be exactly that size.
 /// Out-of-bounds (padding) taps are written as zero.
+///
+/// Each output row of each tap is `zeros | a run of one image row |
+/// zeros`: at stride 1 the run is contiguous and moves as one slice copy,
+/// otherwise it is a strided gather — either way with no per-element
+/// bounds test.
 pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (h, w) = (geo.h as isize, geo.w as isize);
-    let pad = geo.pad as isize;
-    let stride = geo.stride as isize;
+    let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
 
-    let mut row = 0usize;
+    let mut rows = col.chunks_exact_mut(ow);
     for c in 0..geo.cin {
-        let plane = &image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
-        for ky in 0..geo.kh as isize {
-            for kx in 0..geo.kw as isize {
-                let out_row = &mut col[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh as isize {
-                    let iy = oy * stride + ky - pad;
-                    if iy < 0 || iy >= h {
-                        out_row[idx..idx + ow].iter_mut().for_each(|v| *v = 0.0);
-                        idx += ow;
+        let plane = &image[c * geo.h * w..][..geo.h * w];
+        for ky in 0..geo.kh {
+            for kx in 0..geo.kw {
+                let (lo, hi) = valid_cols(geo, kx, ow);
+                for (oy, dst) in rows.by_ref().take(oh).enumerate() {
+                    let iy = (oy * stride + ky).wrapping_sub(pad);
+                    if iy >= geo.h || lo == hi {
+                        dst.fill(0.0);
                         continue;
                     }
-                    let base = (iy as usize) * geo.w;
-                    for ox in 0..ow as isize {
-                        let ix = ox * stride + kx - pad;
-                        out_row[idx] = if ix < 0 || ix >= w {
-                            0.0
-                        } else {
-                            plane[base + ix as usize]
-                        };
-                        idx += 1;
+                    let src = &plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
+                    dst[..lo].fill(0.0);
+                    if stride == 1 {
+                        dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+                    } else {
+                        for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
+                        }
                     }
+                    dst[hi..].fill(0.0);
                 }
-                row += 1;
             }
         }
     }
@@ -141,37 +150,38 @@ pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
 /// Adjoint of [`im2col`]: scatter-adds a col matrix back into an image
 /// buffer (`cin * h * w`). The image buffer is *accumulated into*, not
 /// overwritten — callers zero it first when appropriate.
+///
+/// Rows are visited in the order [`im2col`] writes them, so every image
+/// element receives its contributions in one fixed order; at stride 1
+/// each row is a contiguous slice add.
 pub fn col2im(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (h, w) = (geo.h as isize, geo.w as isize);
-    let pad = geo.pad as isize;
-    let stride = geo.stride as isize;
+    let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
 
-    let mut row = 0usize;
+    let mut rows = col.chunks_exact(ow);
     for c in 0..geo.cin {
-        let plane = &mut image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
-        for ky in 0..geo.kh as isize {
-            for kx in 0..geo.kw as isize {
-                let in_row = &col[row * oh * ow..(row + 1) * oh * ow];
-                let mut idx = 0usize;
-                for oy in 0..oh as isize {
-                    let iy = oy * stride + ky - pad;
-                    if iy < 0 || iy >= h {
-                        idx += ow;
+        let plane = &mut image[c * geo.h * w..][..geo.h * w];
+        for ky in 0..geo.kh {
+            for kx in 0..geo.kw {
+                let (lo, hi) = valid_cols(geo, kx, ow);
+                for (oy, src) in rows.by_ref().take(oh).enumerate() {
+                    let iy = (oy * stride + ky).wrapping_sub(pad);
+                    if iy >= geo.h || lo == hi {
                         continue;
                     }
-                    let base = (iy as usize) * geo.w;
-                    for ox in 0..ow as isize {
-                        let ix = ox * stride + kx - pad;
-                        if ix >= 0 && ix < w {
-                            plane[base + ix as usize] += in_row[idx];
+                    let dst = &mut plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
+                    if stride == 1 {
+                        for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
+                            *d += v;
                         }
-                        idx += 1;
+                    } else {
+                        for (d, &v) in dst.iter_mut().step_by(stride).zip(&src[lo..hi]) {
+                            *d += v;
+                        }
                     }
                 }
-                row += 1;
             }
         }
     }
@@ -180,6 +190,120 @@ pub fn col2im(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The element-at-a-time lowering the row copies replaced, kept as
+    /// the reference they must match bit for bit: one bounds test per tap.
+    fn im2col_ref(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
+        let (oh, ow) = (geo.out_h(), geo.out_w());
+        let (h, w) = (geo.h as isize, geo.w as isize);
+        let pad = geo.pad as isize;
+        let stride = geo.stride as isize;
+
+        let mut row = 0usize;
+        for c in 0..geo.cin {
+            let plane = &image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
+            for ky in 0..geo.kh as isize {
+                for kx in 0..geo.kw as isize {
+                    let out_row = &mut col[row * oh * ow..(row + 1) * oh * ow];
+                    let mut idx = 0usize;
+                    for oy in 0..oh as isize {
+                        let iy = oy * stride + ky - pad;
+                        for ox in 0..ow as isize {
+                            let ix = ox * stride + kx - pad;
+                            out_row[idx] = if iy < 0 || iy >= h || ix < 0 || ix >= w {
+                                0.0
+                            } else {
+                                plane[iy as usize * geo.w + ix as usize]
+                            };
+                            idx += 1;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+
+    /// Reference for [`col2im`], same tap order as [`im2col_ref`].
+    fn col2im_ref(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
+        let (oh, ow) = (geo.out_h(), geo.out_w());
+        let (h, w) = (geo.h as isize, geo.w as isize);
+        let pad = geo.pad as isize;
+        let stride = geo.stride as isize;
+
+        let mut row = 0usize;
+        for c in 0..geo.cin {
+            let plane = &mut image[c * geo.h * geo.w..(c + 1) * geo.h * geo.w];
+            for ky in 0..geo.kh as isize {
+                for kx in 0..geo.kw as isize {
+                    let in_row = &col[row * oh * ow..(row + 1) * oh * ow];
+                    let mut idx = 0usize;
+                    for oy in 0..oh as isize {
+                        let iy = oy * stride + ky - pad;
+                        for ox in 0..ow as isize {
+                            let ix = ox * stride + kx - pad;
+                            if iy >= 0 && iy < h && ix >= 0 && ix < w {
+                                plane[iy as usize * geo.w + ix as usize] += in_row[idx];
+                            }
+                            idx += 1;
+                        }
+                    }
+                    row += 1;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn row_copies_match_elementwise_reference(
+            cin in 1usize..3,
+            h in 1usize..9,
+            w in 1usize..9,
+            k_sel in 0usize..3,
+            stride in 1usize..3,
+            pad_sel in 0usize..5,
+            seed in any::<u64>(),
+        ) {
+            // pad ranges over 0..k, so small images see pad >= w (rows
+            // that are padding end to end) and 1x1 images are included.
+            let k = [1usize, 3, 5][k_sel];
+            let pad = pad_sel % k;
+            prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let geo = ConvGeometry::new(cin, 1, h, w, k, stride, pad);
+            let ilen = cin * h * w;
+            let clen = geo.col_rows() * geo.col_cols();
+            let mut rng = crate::TensorRng::new(seed);
+            let x: Vec<f32> = (0..ilen).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+            let y: Vec<f32> = (0..clen).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+
+            // Stale contents must be fully overwritten.
+            let (mut cx, mut cx_ref) = (vec![f32::NAN; clen], vec![f32::NAN; clen]);
+            im2col(&geo, &x, &mut cx);
+            im2col_ref(&geo, &x, &mut cx_ref);
+            for (i, (a, b)) in cx.iter().zip(&cx_ref).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "{geo:?} col[{i}]: {a} vs {b}");
+            }
+
+            // Accumulated into, in the reference's order per element.
+            let (mut xy, mut xy_ref) = (x.clone(), x.clone());
+            col2im(&geo, &y, &mut xy);
+            col2im_ref(&geo, &y, &mut xy_ref);
+            for (i, (a, b)) in xy.iter().zip(&xy_ref).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "{geo:?} image[{i}]: {a} vs {b}");
+            }
+
+            // <im2col(x), y> = <x, col2im(y)> with col2im into zeros.
+            let mut adj = vec![0.0f32; ilen];
+            col2im(&geo, &y, &mut adj);
+            let lhs: f64 = cx.iter().zip(&y).map(|(a, b)| *a as f64 * *b as f64).sum();
+            let rhs: f64 = x.iter().zip(&adj).map(|(a, b)| *a as f64 * *b as f64).sum();
+            prop_assert!((lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()), "{geo:?}: {lhs} vs {rhs}");
+        }
+    }
 
     #[test]
     fn output_dims() {

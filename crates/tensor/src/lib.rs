@@ -10,10 +10,11 @@
 //! * a packed, register-tiled, cache-blocked parallel SGEMM ([`gemm`])
 //!   tuned for the tall-skinny shapes produced by `im2col` convolution
 //!   lowering, with fused bias epilogues ([`gemm_bias`],
-//!   [`gemm_bias_cols`]) and the pre-packing kernel retained as a
-//!   baseline ([`gemm_unpacked`]); the microkernel is selected once per
-//!   process by runtime CPU-feature detection ([`Isa`]) with every ISA
-//!   arm bit-identical by construction,
+//!   [`gemm_bias_cols`]), a pack-once left operand for batched callers
+//!   ([`PackedA`]) and the pre-packing kernel retained as a baseline
+//!   ([`gemm_unpacked`]); the microkernel and its register-tile shape
+//!   are selected once per process by runtime CPU-feature detection
+//!   ([`Isa`]) with every ISA arm bit-identical by construction,
 //! * an exact i32-accumulate int8 GEMM ([`gemm_i8`]) backing the
 //!   quantized inference path,
 //! * a thread-local scratch-buffer pool ([`Workspace`]) that keeps the
@@ -50,7 +51,7 @@ pub mod workspace;
 
 pub use gemm::{
     gemm, gemm_bias, gemm_bias_cols, gemm_i8, gemm_i8_with_isa, gemm_unpacked, gemm_with_isa,
-    Transpose,
+    PackedA, Transpose,
 };
 pub use microkernel::Isa;
 pub use workspace::{Workspace, WsBuf};

@@ -1,43 +1,55 @@
 //! Runtime-dispatched SIMD microkernels for the packed GEMM family.
 //!
 //! The paper's per-node numbers come from kernels specialised to the
-//! widest SIMD unit the chip offers (512-bit FMAs on KNL, Sec. VIII-A);
+//! widest SIMD unit the chip offers (512-bit vectors on KNL, Sec. VIII-A);
 //! Das et al. (arXiv:1602.06709) make the same point for lower-precision
 //! multiply-accumulate. This module is the Rust analogue: one CPU-feature
-//! probe per process ([`Isa::active`]) selects among
+//! probe per process ([`Isa::active`]) selects a [`Kernel`] descriptor —
+//! the register-tile shape `mr × nr` the pack routines in
+//! [`crate::gemm`] lay panels out for, plus the function that consumes
+//! them:
 //!
-//! * [`Isa::Sse2`] — the tuned portable 4×16 register-tile microkernel
-//!   (fixed-size inner loops the compiler auto-vectorises; on x86-64 that
-//!   is SSE2, the baseline every x86-64 target guarantees, and on other
-//!   architectures whatever the portable codegen yields), and
-//! * [`Isa::Avx2`] — an explicit `std::arch` 4×16 variant holding the
-//!   accumulator tile in eight 256-bit registers, selected when the CPU
-//!   reports both `avx2` and `fma`.
+//! * [`Isa::Sse2`] — the portable 4×16 tile (fixed-size inner loops the
+//!   compiler auto-vectorises; on x86-64 that is SSE2, the baseline every
+//!   x86-64 target guarantees, and on other architectures whatever the
+//!   portable codegen yields). An 8-row portable tile measured ≈ 15 GF/s
+//!   against ≈ 18, so the narrow arms keep 4×16.
+//! * [`Isa::Avx2`] — explicit `std::arch`, the same 4×16 tile in eight
+//!   256-bit registers, selected when the CPU reports `avx2` and `fma`.
+//! * [`Isa::Avx512`] — explicit `std::arch`, an 8×32 tile shaped for the
+//!   32 zmm registers (16 accumulators, 2 `b` loads and 8 broadcasts per
+//!   depth step), selected when the CPU also reports `avx512f`.
 //!
 //! **Bit-identity contract.** Every ISA variant performs *exactly* the
 //! same f32 operations in the same order per output element: broadcast
-//! `a`, multiply by the packed `b` lane, add into the accumulator. The
-//! AVX2 kernel deliberately uses separate `_mm256_mul_ps` +
-//! `_mm256_add_ps` instead of `_mm256_fmadd_ps`: a fused
-//! multiply-add rounds once where mul+add rounds twice, which would make
-//! results differ between dispatch arms — and serving replay, checkpoint
-//! round-trip checks and the differential harness all pin bit-identical
-//! logits across machines. The ~2× win from AVX2 here comes from the
-//! doubled vector width and the register-resident accumulator tile, not
-//! from fusing.
+//! `a`, multiply by the packed `b` lane, add into the accumulator, one
+//! rounding each, `p` ascending; then the one shared scalar write-back.
+//! The tile shape only decides *which* elements share a call, never the
+//! order within an element. No arm uses a fused multiply-add (CI greps
+//! this file for it): fusing rounds once where mul+add rounds twice,
+//! which would make results differ between dispatch arms — and serving
+//! replay, checkpoint round-trip checks and the differential harness all
+//! pin bit-identical logits across machines. The wins here come from
+//! vector width and the register-resident accumulator tile, not from
+//! fusing; EXPERIMENTS.md records what that costs (mul+add caps one core
+//! at about half its FMA rate).
 //!
 //! The int8 kernels ([`dot_i8`]) follow the same shape: the AVX2 arm
-//! widens `i8 → i16` (`_mm256_cvtepi8_epi16`) and uses
-//! `_mm256_madd_epi16` pairwise multiply-add into i32 lanes. Integer
-//! accumulation is exact, so cross-ISA bit-identity is trivial there;
-//! overflow cannot occur because `|a·b| ≤ 127² = 16129` fits i16 and the
-//! deepest supported reduction (k ≤ 2³¹/2¹⁵) is far beyond any layer in
-//! the stack.
+//! (which `Avx512` reuses — VNNI is not wired up) widens `i8 → i16`
+//! (`_mm256_cvtepi8_epi16`) and uses `_mm256_madd_epi16` pairwise
+//! multiply-add into i32 lanes. Integer accumulation is exact, so
+//! cross-ISA bit-identity is trivial there; overflow cannot occur because
+//! `|a·b| ≤ 127² = 16129` fits i16 and the deepest supported reduction
+//! (k ≤ 2³¹/2¹⁵) is far beyond any layer in the stack.
 
-/// Microkernel register-tile rows (shared by every ISA variant).
-pub(crate) const MR: usize = 4;
-/// Microkernel register-tile columns (shared by every ISA variant).
-pub(crate) const NR: usize = 16;
+/// Register tile of the 128- and 256-bit arms.
+const MR: usize = 4;
+const NR: usize = 16;
+/// Register tile of the 512-bit arm: 8 rows × 2 zmm.
+#[cfg(target_arch = "x86_64")]
+const MR512: usize = 8;
+#[cfg(target_arch = "x86_64")]
+const NR512: usize = 32;
 
 /// Raw pointer to `C` shared across tile tasks. Tiles partition `C` into
 /// disjoint row/column blocks, so no element is written by two tasks.
@@ -58,6 +70,21 @@ pub enum Isa {
     /// 256-bit generation shipped — the kernel itself avoids fused ops,
     /// see the module docs).
     Avx2,
+    /// Explicit 512-bit `std::arch` kernel on an 8×32 tile; requires
+    /// `avx512f` on top of everything [`Isa::Avx2`] requires.
+    Avx512,
+}
+
+/// What the pack routines and the tile loop need to know about one ISA's
+/// f32 microkernel: its register-tile shape and its entry point.
+#[derive(Clone, Copy)]
+pub(crate) struct Kernel {
+    /// Rows of the register tile (A panels are packed `mr` wide).
+    pub(crate) mr: usize,
+    /// Columns of the register tile (B panels are packed `nr` wide).
+    pub(crate) nr: usize,
+    /// The microkernel itself.
+    pub(crate) run: MicrokernelFn,
 }
 
 impl Isa {
@@ -66,41 +93,45 @@ impl Isa {
         match self {
             Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
         }
     }
 
-    /// Every ISA the running CPU supports, baseline first. Benchmarks
-    /// and the differential battery iterate this; machines without AVX2
-    /// simply get a one-element list (skip, not fail).
+    /// Every ISA the running CPU supports, baseline first, widest last.
+    /// Benchmarks and the differential battery iterate this; machines
+    /// without a wide arm simply get a shorter list (skip, not fail).
     pub fn detected() -> &'static [Isa] {
+        const ALL: [Isa; 3] = [Isa::Sse2, Isa::Avx2, Isa::Avx512];
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return &[Isa::Sse2, Isa::Avx2];
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") && has!("fma") {
+                return &ALL[..if has!("avx512f") { 3 } else { 2 }];
             }
         }
-        &[Isa::Sse2]
+        &ALL[..1]
     }
 
     /// The ISA the process-wide dispatch selected: the widest detected
-    /// variant, overridable with `SCIDL_GEMM_ISA=sse2|avx2` (an override
-    /// naming an undetected ISA is ignored). Probed once per process.
+    /// variant, overridable with `SCIDL_GEMM_ISA=sse2|avx2|avx512`. An
+    /// override naming an unknown or undetected ISA falls back to the
+    /// widest and says so once on stderr. Probed once per process.
     pub fn active() -> Isa {
         use std::sync::OnceLock;
         static ACTIVE: OnceLock<Isa> = OnceLock::new();
         *ACTIVE.get_or_init(|| {
             let detected = Isa::detected();
             let best = *detected.last().expect("baseline ISA always present");
-            match std::env::var("SCIDL_GEMM_ISA").ok().as_deref() {
-                Some(name) => detected
-                    .iter()
-                    .copied()
-                    .find(|isa| isa.name() == name)
-                    .unwrap_or(best),
-                None => best,
-            }
+            let Ok(name) = std::env::var("SCIDL_GEMM_ISA") else {
+                return best;
+            };
+            detected.iter().copied().find(|isa| isa.name() == name).unwrap_or_else(|| {
+                eprintln!(
+                    "scidl-tensor: SCIDL_GEMM_ISA={name} is not an ISA this CPU reports; using {}",
+                    best.name()
+                );
+                best
+            })
         })
     }
 
@@ -109,31 +140,35 @@ impl Isa {
         Isa::detected().contains(&self)
     }
 
-    /// The f32 microkernel for this ISA. Panics if the ISA is not
+    /// The f32 kernel descriptor for this ISA. Panics if the ISA is not
     /// available on the running CPU (the dispatch table never hands out
     /// an unavailable variant; only explicit test/bench forcing can).
-    pub(crate) fn microkernel(self) -> MicrokernelFn {
+    pub(crate) fn kernel(self) -> Kernel {
         assert!(self.is_available(), "ISA {} not available on this CPU", self.name());
         match self {
-            Isa::Sse2 => microkernel_sse2,
+            Isa::Sse2 => Kernel { mr: MR, nr: NR, run: microkernel_sse2 },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => microkernel_avx2,
+            Isa::Avx2 => Kernel { mr: MR, nr: NR, run: microkernel_avx2 },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => Kernel { mr: MR512, nr: NR512, run: microkernel_avx512 },
             #[cfg(not(target_arch = "x86_64"))]
-            Isa::Avx2 => unreachable!("Avx2 is never detected off x86-64"),
+            Isa::Avx2 | Isa::Avx512 => unreachable!("only detected on x86-64"),
         }
     }
 }
 
 /// Signature shared by every f32 microkernel variant: accumulate
 /// `alpha * sum_p ap[p, :] ⊗ bp[p, :]` into the `mr_eff × nr_eff` block
-/// of `C` whose top-left corner is `(row0, col0)`.
+/// of `C` whose top-left corner is `(row0, col0)`. `ap` and `bp` are
+/// `kc`-deep panels packed to the variant's own [`Kernel`] tile.
 pub(crate) type MicrokernelFn =
     fn(kc: usize, ap: &[f32], bp: &[f32], alpha: f32, c: CPtr, ldc: usize, row0: usize, col0: usize, mr_eff: usize, nr_eff: usize);
 
 /// The portable `MR x NR` register-tile microkernel: an unrolled 4×16
 /// accumulator block held in registers, updated with `kc` broadcast
-/// multiply-adds per lane; fixed-size views let the compiler vectorise
-/// the NR lane without bounds checks (SSE2 on the x86-64 baseline).
+/// multiplies and adds per lane; fixed-size views let the compiler
+/// vectorise the NR lane without bounds checks (SSE2 on the x86-64
+/// baseline).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn microkernel_sse2(
@@ -164,11 +199,12 @@ pub(crate) fn microkernel_sse2(
 
 /// Adds `alpha * acc` into the valid `mr_eff × nr_eff` region of `C`.
 /// Shared by all ISA variants so the epilogue arithmetic (and therefore
-/// rounding) is identical regardless of dispatch.
+/// rounding) is identical regardless of dispatch; lanes past the valid
+/// region (pack padding) are never read back.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn writeback(
-    acc: &[[f32; NR]; MR],
+fn writeback<const R: usize, const N: usize>(
+    acc: &[[f32; N]; R],
     alpha: f32,
     c: CPtr,
     ldc: usize,
@@ -190,7 +226,7 @@ fn writeback(
 }
 
 /// AVX2 front-end with the safe [`MicrokernelFn`] signature; only ever
-/// reachable through [`Isa::microkernel`], which checks availability.
+/// reachable through [`Isa::kernel`], which checks availability.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn microkernel_avx2(
@@ -205,7 +241,7 @@ fn microkernel_avx2(
     mr_eff: usize,
     nr_eff: usize,
 ) {
-    // SAFETY: `Isa::microkernel` only returns this variant after
+    // SAFETY: `Isa::kernel` only returns this variant after
     // `is_x86_feature_detected!("avx2") && ...("fma")` reported support.
     unsafe { microkernel_avx2_impl(kc, ap, bp, alpha, c, ldc, row0, col0, mr_eff, nr_eff) }
 }
@@ -213,8 +249,7 @@ fn microkernel_avx2(
 /// The 256-bit microkernel: the 4×16 accumulator tile lives in eight
 /// `__m256` registers (4 rows × 2 vectors), fed by one broadcast of `a`
 /// and two aligned-stride loads of the packed `b` panel per depth step.
-/// Mul and add are kept separate — see the module docs for why FMA
-/// contraction is deliberately not used.
+/// Mul and add are kept separate — see the module docs.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -257,6 +292,75 @@ unsafe fn microkernel_avx2_impl(
     }
 }
 
+/// AVX-512 front-end with the safe [`MicrokernelFn`] signature; only
+/// ever reachable through [`Isa::kernel`], which checks availability.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn microkernel_avx512(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    c: CPtr,
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    // SAFETY: `Isa::kernel` only returns this variant after
+    // `is_x86_feature_detected!("avx512f")` reported support.
+    unsafe { microkernel_avx512_impl(kc, ap, bp, alpha, c, ldc, row0, col0, mr_eff, nr_eff) }
+}
+
+/// The 512-bit microkernel: the 8×32 accumulator tile lives in sixteen
+/// `__m512` registers (8 rows × 2 vectors), fed by eight broadcasts of
+/// `a` and two loads of the packed `b` panel per depth step — 32
+/// arithmetic ops per 10 loads, which leaves the two vector ports, not
+/// the load ports, as the limit. Mul and add are kept separate, exactly
+/// as in the narrower arms.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn microkernel_avx512_impl(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    c: CPtr,
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    use std::arch::x86_64::*;
+    assert!(ap.len() >= kc * MR512 && bp.len() >= kc * NR512);
+    // SAFETY: the assert above bounds every `apf`/`bpf` offset below
+    // (`p < kc`, `r < MR512`, lanes `< NR512`); the stores write a local
+    // tile of exactly `MR512 × NR512`.
+    unsafe {
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR512];
+        let apf = ap.as_ptr();
+        let bpf = bp.as_ptr();
+        for p in 0..kc {
+            let b0 = _mm512_loadu_ps(bpf.add(p * NR512));
+            let b1 = _mm512_loadu_ps(bpf.add(p * NR512 + 16));
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let a = _mm512_set1_ps(*apf.add(p * MR512 + r));
+                accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(a, b0));
+                accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(a, b1));
+            }
+        }
+        let mut tile = [[0.0f32; NR512]; MR512];
+        for (r, accr) in acc.iter().enumerate() {
+            _mm512_storeu_ps(tile[r].as_mut_ptr(), accr[0]);
+            _mm512_storeu_ps(tile[r].as_mut_ptr().add(16), accr[1]);
+        }
+        writeback(&tile, alpha, c, ldc, row0, col0, mr_eff, nr_eff);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // int8 dot kernels (the VNNI-style low-precision path)
 // ---------------------------------------------------------------------------
@@ -270,10 +374,11 @@ pub(crate) fn dot_i8(isa: Isa, a: &[i8], b: &[i8]) -> i32 {
     match isa {
         Isa::Sse2 => dot_i8_scalar(a, b),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: only reachable when detection reported avx2+fma.
-        Isa::Avx2 => unsafe { dot_i8_avx2(a, b) },
+        // SAFETY: both are only detected when the CPU reported avx2+fma
+        // (`Isa::detected` lists Avx512 only on top of Avx2).
+        Isa::Avx2 | Isa::Avx512 => unsafe { dot_i8_avx2(a, b) },
         #[cfg(not(target_arch = "x86_64"))]
-        Isa::Avx2 => dot_i8_scalar(a, b),
+        Isa::Avx2 | Isa::Avx512 => dot_i8_scalar(a, b),
     }
 }
 

@@ -125,8 +125,8 @@ proptest! {
         ta_flag in any::<bool>(),
         tb_flag in any::<bool>(),
     ) {
-        // m, n are rarely multiples of the 8×8 register tile and k
-        // straddles the KC=256 cache block, so every pack-padding branch
+        // m, n are rarely multiples of a register tile (4×16 or 8×32) and
+        // k straddles the KC=256 cache block, so every pack-padding branch
         // and the multi-slab accumulation of the packed path are
         // exercised (m*n*k ≥ 9·9·200 is far above the small-problem
         // fallback threshold).
@@ -220,13 +220,14 @@ proptest! {
     #[test]
     fn every_isa_survives_nonfinite_battery_on_every_transpose(
         m in 9usize..24,
-        n in 9usize..24,
+        n in 9usize..70,
         k in 60usize..90,
         seed in any::<u64>(),
     ) {
         // Runtime-dispatch battery: for EVERY ISA the host CPU reports
-        // (baseline SSE2 always; AVX2 only where detected, so machines
-        // without it skip that leg rather than fail), run the full
+        // (baseline SSE2 always; AVX2 and AVX-512 only where detected, so
+        // machines without them skip those legs rather than fail; m and n
+        // reach past one 8×32 tile into a partial second one), run the full
         // transpose matrix over the IEEE-754 palette and demand
         // (a) agreement with the f64 reference on NaN/Inf placement and
         // finite values, and (b) bit-identity with the retained unpacked
@@ -280,27 +281,31 @@ proptest! {
 
     #[test]
     fn every_isa_is_bit_identical_to_baseline_on_finite_input(
-        m in 9usize..32,
-        n in 9usize..32,
-        k in 40usize..90,
+        m in 1usize..40,
+        n in 9usize..80,
+        k in 40usize..300,
+        beta_sel in 0usize..3,
         seed in any::<u64>(),
         ta_flag in any::<bool>(),
         tb_flag in any::<bool>(),
     ) {
-        // The AVX2 microkernel deliberately uses mul+add (not FMA) so each
-        // lane rounds exactly like the SSE2 baseline; this property pins
-        // that contract across the shape/transpose space with to_bits
-        // equality, not a tolerance.
+        // The SIMD microkernels deliberately use mul+add (not FMA) so each
+        // lane rounds exactly like the SSE2 baseline, whatever the tile
+        // shape (4×16 or 8×32: m, n straddle both, k straddles KC); this
+        // property pins that contract across the shape/transpose space
+        // with to_bits equality, not a tolerance.
         let ta = if ta_flag { Transpose::Yes } else { Transpose::No };
         let tb = if tb_flag { Transpose::Yes } else { Transpose::No };
+        let beta = [0.0f32, 1.0, 0.5][beta_sel];
         let mut rng = scidl_tensor::TensorRng::new(seed);
         let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_range(-2.0, 2.0) as f32).collect();
         let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_range(-2.0, 2.0) as f32).collect();
-        let mut base = vec![0.0f32; m * n];
-        gemm_with_isa(Isa::Sse2, ta, tb, m, n, k, 0.5, &a, &b, 0.0, &mut base);
+        let init: Vec<f32> = (0..m * n).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let mut base = init.clone();
+        gemm_with_isa(Isa::Sse2, ta, tb, m, n, k, 0.5, &a, &b, beta, &mut base);
         for &isa in Isa::detected() {
-            let mut c = vec![0.0f32; m * n];
-            gemm_with_isa(isa, ta, tb, m, n, k, 0.5, &a, &b, 0.0, &mut c);
+            let mut c = init.clone();
+            gemm_with_isa(isa, ta, tb, m, n, k, 0.5, &a, &b, beta, &mut c);
             for (i, (x, y)) in c.iter().zip(&base).enumerate() {
                 prop_assert!(
                     x.to_bits() == y.to_bits(),
