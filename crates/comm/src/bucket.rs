@@ -196,6 +196,9 @@ impl OverlapContext {
         let handle = std::thread::Builder::new()
             .name(format!("overlap-comm-{rank}"))
             .spawn(move || {
+                // The proxy overlaps with its rank's backward pass and
+                // must not take that rank's helpers' CPUs.
+                scidl_tensor::par::set_width(1);
                 let (send_next, recv_prev) = endpoint;
                 let mut scratch = RingScratch::new();
                 let mut efs: Vec<ErrorFeedback> = Vec::new();

@@ -82,6 +82,9 @@ impl PsServer {
         let track = if shard == u32::MAX { 0 } else { shard as u64 };
         let (tx, rx): (Sender<PsRequest>, Receiver<PsRequest>) = unbounded();
         let handle = std::thread::spawn(move || {
+            // A shard serialises small solver steps; the CPUs belong to
+            // the ranks.
+            scidl_tensor::par::set_width(1);
             let mut params = params;
             let mut version: u64 = initial_version;
             // Reusable decompression buffer for compressed updates.

@@ -272,6 +272,9 @@ impl ThreadEngine {
         // Overlap mode: one bucket plan shared by all ranks (readiness
         // order over the blocks), one gradient ring per group.
         let plan = Arc::new(BucketPlan::new(&block_sizes, cfg.bucket_bytes));
+        // The ranks are the compute threads and split the CPUs this call
+        // may use between them; nothing else the engine spawns fans out.
+        let threads_per_rank = scidl_tensor::par::budget(cfg.groups * cfg.nodes_per_group);
         let t0 = Instant::now();
 
         std::thread::scope(|scope| {
@@ -298,6 +301,7 @@ impl ThreadEngine {
                     let build = &build;
                     let grad = &grad;
                     scope.spawn(move || {
+                        scidl_tensor::par::set_width(threads_per_rank);
                         worker(
                             g,
                             r,

@@ -4,7 +4,7 @@
 //! free function pair used by the loss.
 
 use crate::layer::{InferScratch, Layer};
-use scidl_tensor::{Shape4, Tensor};
+use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
 /// Rectified linear unit, `y = max(0, x)`.
 pub struct Relu {
@@ -32,26 +32,26 @@ impl Layer for Relu {
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
         self.in_shape = input.shape();
-        self.mask.clear();
-        self.mask.extend(input.data().iter().map(|&x| x > 0.0));
-        let data = input.data().iter().map(|&x| x.max(0.0)).collect();
-        Tensor::from_vec(input.shape(), data)
+        let x = input.data();
+        self.mask.resize(x.len(), false);
+        par::for_each_chunk_mut(&mut self.mask, PAR_CHUNK, |i, mask| {
+            for (m, &x) in mask.iter_mut().zip(&x[i * PAR_CHUNK..]) {
+                *m = x > 0.0;
+            }
+        });
+        rectify(input)
     }
 
     fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
-        let data = input.data().iter().map(|&x| x.max(0.0)).collect();
-        Tensor::from_vec(input.shape(), data)
+        rectify(input)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert_eq!(grad_out.len(), self.mask.len(), "{}: backward before forward", self.name);
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(&self.mask)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(self.in_shape, data)
+        let (g, mask) = (grad_out.data(), &self.mask);
+        Tensor::from_chunks(self.in_shape, |r| {
+            g[r.clone()].iter().zip(&mask[r]).map(|(&g, &m)| if m { g } else { 0.0 })
+        })
     }
 
     fn forward_flops_per_image(&self, input: Shape4) -> u64 {
@@ -61,6 +61,12 @@ impl Layer for Relu {
     fn backward_flops_per_image(&self, input: Shape4) -> u64 {
         input.item_len() as u64
     }
+}
+
+/// `max(0, x)` elementwise, split across the calling thread's width.
+fn rectify(input: &Tensor) -> Tensor {
+    let x = input.data();
+    Tensor::from_chunks(input.shape(), |r| x[r].iter().map(|&x| x.max(0.0)))
 }
 
 /// Elementwise logistic sigmoid.

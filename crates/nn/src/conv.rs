@@ -2,7 +2,8 @@
 
 use crate::layer::{InferScratch, Layer, ParamBlock};
 use scidl_tensor::{
-    col2im, gemm, im2col, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, Workspace,
+    col2im, gemm, im2col, par, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, Workspace,
+    PAR_CHUNK, PAR_WORK,
 };
 
 /// Forward-pass algorithm selection for [`Conv2d`] — the fast-convolution
@@ -172,36 +173,29 @@ impl Layer for Conv2d {
 
         // For small-to-medium col matrices, parallelise over batch items
         // (mirroring the per-node OpenMP parallelism of the paper's
-        // kernels); huge cols (climate first layers) stay sequential with
-        // a shared scratch buffer so the GEMM parallelises internally and
-        // memory stays bounded.
-        let par_batch = ishape.n > 1 && rows * cols <= (1 << 22);
-        if par_batch {
-            use rayon::prelude::*;
-            let item_out = oshape.item_len();
-            out.data_mut()
-                .par_chunks_mut(item_out)
-                .enumerate()
-                .for_each(|(n, item)| {
-                    // Pooled per-worker scratch: the first item on each
-                    // worker allocates, every later item (and iteration)
-                    // reuses that worker's parked buffer. im2col writes
-                    // every element, so stale contents are fine.
-                    let mut col = Workspace::take(rows * cols);
-                    im2col(&geo, input.item(n), &mut col);
-                    // Bias broadcast fused into the GEMM epilogue: the
-                    // output plane is written once.
-                    weight.gemm_bias(Transpose::No, cols, &col, bias, item);
-                });
-        } else {
+        // kernels; the per-item im2col and GEMM then run inline on
+        // whichever thread took the item); huge cols (climate first
+        // layers) and single items go one at a time with a shared scratch
+        // buffer so the GEMM parallelises internally and memory stays
+        // bounded. Either way each item's arithmetic is the same.
+        let par_batch = rows * cols <= (1 << 22)
+            && ishape.n * self.cout * rows * cols >= PAR_WORK;
+        let per_unit = if par_batch { 1 } else { ishape.n.max(1) };
+        let item_out = oshape.item_len().max(1);
+        par::for_each_chunk_mut(out.data_mut(), per_unit * item_out, |unit, items| {
+            // Pooled per-thread scratch: the first item on each thread
+            // allocates, every later item (and iteration) reuses that
+            // thread's parked buffer. im2col writes every element, so
+            // stale contents are fine.
             let mut col = Workspace::take(rows * cols);
-            for n in 0..ishape.n {
-                im2col(&geo, input.item(n), &mut col);
+            for (n, item) in items.chunks_mut(item_out).enumerate() {
+                im2col(&geo, input.item(unit * per_unit + n), &mut col);
                 // out_plane = bias ⊕ W (cout x rows) * col (rows x cols),
-                // bias broadcast fused into the epilogue sweep.
-                weight.gemm_bias(Transpose::No, cols, &col, bias, out.item_mut(n));
+                // bias broadcast fused into the epilogue sweep: the
+                // output plane is written once.
+                weight.gemm_bias(Transpose::No, cols, &col, bias, item);
             }
-        }
+        });
         self.cached_input = Some(input.clone());
         out
     }
@@ -282,10 +276,7 @@ impl Layer for Conv2d {
             );
 
             // Bias gradient: per-channel sum of dY.
-            for c in 0..self.cout {
-                let s: f32 = dy[c * cols..(c + 1) * cols].iter().sum();
-                self.bias.grad.data_mut()[c] += s;
-            }
+            add_row_sums(dy, cols, self.bias.grad.data_mut());
 
             // Data gradient: dcol = W^T * dY, then scatter back.
             weight_t.gemm(Transpose::No, cols, 1.0, dy, 0.0, &mut dcol);
@@ -320,6 +311,38 @@ impl Layer for Conv2d {
     fn forward_flops_per_image(&self, input: Shape4) -> u64 {
         2 * self.geometry(input.h, input.w).macs_per_image()
     }
+}
+
+/// `acc[c] += sum(rows[c*cols..(c+1)*cols])`, every row summed left to
+/// right in `f32` exactly as `iter().sum()` does. One such sum is a chain
+/// of dependent adds, one add latency per element; eight rows' chains run
+/// side by side to fill the pipeline, and blocks of rows are split across
+/// threads. Neither changes any row's own order, so neither changes a bit.
+fn add_row_sums(rows: &[f32], cols: usize, acc: &mut [f32]) {
+    const LANES: usize = 8;
+    let block = LANES * PAR_CHUNK.div_ceil(LANES * cols);
+    par::for_each_chunk_mut(acc, block, |b, acc| {
+        let rows = &rows[b * block * cols..][..acc.len() * cols];
+        for (acc, rows) in acc.chunks_mut(LANES).zip(rows.chunks(LANES * cols)) {
+            // `-0.0` is the additive identity `f32`'s `Sum` starts from.
+            let mut sums = [-0.0f32; LANES];
+            if acc.len() == LANES {
+                let lanes: [&[f32]; LANES] = std::array::from_fn(|l| &rows[l * cols..][..cols]);
+                for j in 0..cols {
+                    for (s, lane) in sums.iter_mut().zip(&lanes) {
+                        *s += lane[j];
+                    }
+                }
+            } else {
+                for (s, row) in sums.iter_mut().zip(rows.chunks(cols)) {
+                    *s = row.iter().sum();
+                }
+            }
+            for (a, s) in acc.iter_mut().zip(sums) {
+                *a += s;
+            }
+        }
+    });
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! keeps the model small enough to all-reduce cheaply at scale.
 
 use crate::layer::{InferScratch, Layer};
-use scidl_tensor::{Shape4, Tensor};
+use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
 /// Max pooling with square kernel and uniform stride (no padding).
 pub struct MaxPool2d {
@@ -49,21 +49,25 @@ impl Layer for MaxPool2d {
         self.argmax.resize(os.len(), 0);
         self.in_shape = is;
 
+        // Every (item, channel) plane pools on its own; planes are split
+        // across threads a few at a time.
         let data = input.data();
-        let odata = out.data_mut();
-        let mut oi = 0usize;
-        for n in 0..is.n {
-            for c in 0..is.c {
-                let base = (n * is.c + c) * is.plane_len();
+        let (k, stride) = (self.k, self.stride);
+        let (iplane, oplane) = (is.plane_len(), os.plane_len());
+        let group = PAR_CHUNK.div_ceil(iplane);
+        par::for_each_chunk_pair_mut(out.data_mut(), &mut self.argmax, group * oplane, |g, odata, argmax| {
+            let mut oi = 0usize;
+            for plane in g * group..g * group + odata.len() / oplane {
+                let base = plane * iplane;
                 for oy in 0..os.h {
                     for ox in 0..os.w {
-                        let y0 = oy * self.stride;
-                        let x0 = ox * self.stride;
+                        let y0 = oy * stride;
+                        let x0 = ox * stride;
                         let mut best = f32::NEG_INFINITY;
                         let mut best_idx = base + y0 * is.w + x0;
-                        for ky in 0..self.k {
+                        for ky in 0..k {
                             let row = base + (y0 + ky) * is.w + x0;
-                            for kx in 0..self.k {
+                            for kx in 0..k {
                                 let v = data[row + kx];
                                 if v > best {
                                     best = v;
@@ -72,12 +76,12 @@ impl Layer for MaxPool2d {
                             }
                         }
                         odata[oi] = best;
-                        self.argmax[oi] = best_idx;
+                        argmax[oi] = best_idx;
                         oi += 1;
                     }
                 }
             }
-        }
+        });
         out
     }
 
@@ -87,19 +91,21 @@ impl Layer for MaxPool2d {
         let mut out = Tensor::zeros(os);
 
         let data = input.data();
-        let odata = out.data_mut();
-        let mut oi = 0usize;
-        for n in 0..is.n {
-            for c in 0..is.c {
-                let base = (n * is.c + c) * is.plane_len();
+        let (k, stride) = (self.k, self.stride);
+        let (iplane, oplane) = (is.plane_len(), os.plane_len());
+        let group = PAR_CHUNK.div_ceil(iplane);
+        par::for_each_chunk_mut(out.data_mut(), group * oplane, |g, odata| {
+            let mut oi = 0usize;
+            for plane in g * group..g * group + odata.len() / oplane {
+                let base = plane * iplane;
                 for oy in 0..os.h {
                     for ox in 0..os.w {
-                        let y0 = oy * self.stride;
-                        let x0 = ox * self.stride;
+                        let y0 = oy * stride;
+                        let x0 = ox * stride;
                         let mut best = f32::NEG_INFINITY;
-                        for ky in 0..self.k {
+                        for ky in 0..k {
                             let row = base + (y0 + ky) * is.w + x0;
-                            for kx in 0..self.k {
+                            for kx in 0..k {
                                 let v = data[row + kx];
                                 if v > best {
                                     best = v;
@@ -111,17 +117,31 @@ impl Layer for MaxPool2d {
                     }
                 }
             }
-        }
+        });
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert_eq!(grad_out.len(), self.argmax.len(), "{}: backward before forward", self.name);
         let mut grad_in = Tensor::zeros(self.in_shape);
-        let gi = grad_in.data_mut();
-        for (g, &idx) in grad_out.data().iter().zip(&self.argmax) {
-            gi[idx] += g;
-        }
+        // A plane's outputs scatter into that plane only, in output
+        // order, so planes are split across threads like forward. Each
+        // unit writes its zeros before it adds: adding reads first, and a
+        // read of untouched `calloc` memory maps the shared zero page, so
+        // every first write would then be a copy-on-write fault with a
+        // TLB shootdown to the other threads' CPUs (3× slower at width 2).
+        let (g, argmax) = (grad_out.data(), &self.argmax);
+        let iplane = self.in_shape.plane_len();
+        let oplane = grad_out.shape().plane_len();
+        let group = PAR_CHUNK.div_ceil(iplane);
+        par::for_each_chunk_mut(grad_in.data_mut(), group * iplane, |b, gi| {
+            let (first, planes) = (b * group, gi.len() / iplane);
+            let outputs = first * oplane..(first + planes) * oplane;
+            gi.fill(0.0);
+            for (g, &idx) in g[outputs.clone()].iter().zip(&argmax[outputs]) {
+                gi[idx - first * iplane] += g;
+            }
+        });
         grad_in
     }
 

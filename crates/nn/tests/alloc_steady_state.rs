@@ -5,7 +5,10 @@
 //! bare packed GEMM performs **zero** allocations, and a full conv
 //! forward+backward iteration allocates only its unavoidable outputs
 //! (the output tensor, the cached-input clone, the input-gradient
-//! tensor) — never gemm pack panels or im2col scratch.
+//! tensor) — never gemm pack panels or im2col scratch. The same holds
+//! for a layer large enough to be split across the thread pool: regions
+//! are posted from the caller's stack, and a helper's scratch comes from
+//! its own warmed pool.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -105,4 +108,43 @@ fn second_iteration_allocates_nothing_on_the_gemm_path() {
         "warm conv iteration performed {conv_allocs} heap allocations (expected ≤ 3: \
          output, cached input, input gradient)"
     );
+
+    // --- Part 3: the same with a helper thread taking part. ---
+    // Width 2 whatever the machine has; a layer above the fan-out
+    // thresholds (image-parallel forward; parallel im2col, bias gradient
+    // and col2im in backward).
+    scidl_tensor::par::set_width(2);
+    let mut conv = Conv2d::new("c", 16, 32, 3, 1, 1, &mut rng);
+    let x = rng.uniform_tensor(Shape4::new(8, 16, 24, 24), -1.0, 1.0);
+    assert!(8 * conv.geometry(24, 24).macs_per_image() as usize >= scidl_tensor::PAR_WORK);
+    let dy = Tensor::filled(conv.out_shape(x.shape()), 1.0);
+    for _ in 0..2 {
+        conv.forward(&x);
+        conv.backward(&dy);
+    }
+    // Which thread takes which image is the scheduler's business, so the
+    // helper may have sat the warm-up out. Two units that wait for each
+    // other put one on the helper for certain; it parks the two scratch
+    // buffers (col, B slab) an image-parallel unit holds at once.
+    let arrived = AtomicUsize::new(0);
+    scidl_tensor::par::for_each_index(2, |_| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        while arrived.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        let scratch = (Workspace::take(1 << 18), Workspace::take(1 << 18));
+        drop(scratch);
+    });
+    for round in 0..3 {
+        let (pooled_allocs, _) = count_allocs(|| {
+            let y = conv.forward(&x);
+            let dx = conv.backward(&dy);
+            (y, dx)
+        });
+        assert!(
+            pooled_allocs <= 3,
+            "round {round}: warm conv iteration with a helper performed {pooled_allocs} heap \
+             allocations (expected ≤ 3: output, cached input, input gradient)"
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Workspace reuse guarantees at the layer level: same-shape forwards
 //! reuse their pooled col/pack scratch (pool size is stable, buffers are
-//! pointer-stable), concurrent rayon workers never share a live buffer,
-//! and pooled reuse never changes numerical results.
+//! pointer-stable), the threads of an image-parallel forward never share
+//! a live buffer, and pooled reuse never changes numerical results.
 
 use scidl_nn::{Conv2d, Deconv2d, Layer, Lstm};
 use scidl_tensor::{Shape4, Tensor, TensorRng, Workspace};
@@ -45,22 +45,29 @@ fn pooled_scratch_is_pointer_stable_across_same_size_takes() {
 #[test]
 fn rayon_parallel_forward_never_aliases_live_buffers() {
     // The par_batch conv path takes one Workspace buffer per in-flight
-    // item. Correctness under any rayon schedule requires live buffers
-    // to be distinct; we verify through the result: the parallel batch
-    // forward must equal per-item forwards exactly.
+    // item, on whichever thread (the caller or one of its helpers) took
+    // the item. Correctness under any schedule requires live buffers to
+    // be distinct; we verify through the result: the parallel batch
+    // forward must equal per-item forwards exactly. Width 3 on purpose
+    // (more threads than a 2-CPU box has), and a layer large enough to
+    // be split at all.
+    scidl_tensor::par::set_width(3);
     let mut rng = TensorRng::new(11);
-    let mut conv = Conv2d::new("c", 2, 4, 3, 1, 1, &mut rng);
-    let x = rng.uniform_tensor(Shape4::new(8, 2, 10, 10), -1.0, 1.0);
+    let mut conv = Conv2d::new("c", 16, 32, 3, 1, 1, &mut rng);
+    let x = rng.uniform_tensor(Shape4::new(8, 16, 24, 24), -1.0, 1.0);
+    assert!(8 * conv.geometry(24, 24).macs_per_image() as usize >= scidl_tensor::PAR_WORK);
     Workspace::clear();
-    let batch = conv.forward(&x); // batch > 1 and small cols → par_batch path
-    for i in 0..8 {
-        let single = x.batch_slice(i, 1);
-        let one = conv.forward(&single);
-        assert_eq!(
-            batch.item(i),
-            one.item(0),
-            "item {i}: parallel batch path diverged from sequential"
-        );
+    for round in 0..4 {
+        let batch = conv.forward(&x); // batch > 1 and small cols → par_batch path
+        for i in 0..8 {
+            let single = x.batch_slice(i, 1);
+            let one = conv.forward(&single);
+            assert_eq!(
+                batch.item(i),
+                one.item(0),
+                "round {round} item {i}: parallel batch path diverged from sequential"
+            );
+        }
     }
 }
 

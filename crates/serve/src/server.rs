@@ -263,6 +263,9 @@ struct Shared {
     inflight: Mutex<HashMap<u64, Vec<ServeRequest>>>,
     /// Last sign of life per live incarnation.
     heartbeats: Mutex<HashMap<u64, Instant>>,
+    /// Thread budget of each worker (first spawn or respawn): the CPUs
+    /// [`Server::start`] was allowed, split between the configured workers.
+    threads_per_worker: usize,
     /// Latency account of everything served. Shared (rather than
     /// per-worker, merged at exit) so a panicking worker cannot lose the
     /// samples of batches it already answered.
@@ -576,6 +579,7 @@ impl Server {
             crash_fired,
             inflight: Mutex::new(HashMap::new()),
             heartbeats: Mutex::new(HashMap::new()),
+            threads_per_worker: scidl_tensor::par::budget(cfg.workers),
             recorder: Mutex::new(LatencyRecorder::new()),
             counters: Counters::default(),
         });
@@ -591,7 +595,10 @@ impl Server {
         let next_incarnation = cfg.workers as u64;
         let supervisor = std::thread::Builder::new()
             .name("scidl-serve-supervisor".into())
-            .spawn(move || supervisor_loop(sup_shared, sup_cfg, rx, tx, live, next_incarnation))
+            .spawn(move || {
+                scidl_tensor::par::set_width(1);
+                supervisor_loop(sup_shared, sup_cfg, rx, tx, live, next_incarnation)
+            })
             .expect("spawn supervisor");
         Self { shared, budget: Arc::new(RetryBudget::default()), supervisor: Some(supervisor) }
     }
@@ -785,6 +792,7 @@ fn spawn_worker(
     std::thread::Builder::new()
         .name(format!("scidl-serve-worker-{slot}-{incarnation}"))
         .spawn(move || {
+            scidl_tensor::par::set_width(shared.threads_per_worker);
             QUIET_PANIC.with(|q| q.set(true));
             shared.heartbeats.lock().unwrap().insert(incarnation, Instant::now());
             let result =

@@ -24,8 +24,9 @@
 //!   use to reuse one packed weight matrix across a batch — and each
 //!   `KC`-deep slab of `op(B)` once per product; `C` is tiled into
 //!   `MC x NC` blocks and the tile grid is partitioned 2-D (M × N) across
-//!   rayon workers, so parallelism survives both short-`m` (backward-data)
-//!   and short-`n` (weight-gradient) shapes.
+//!   the calling thread's helpers (`vendor/rayon`), so parallelism
+//!   survives both short-`m` (backward-data) and short-`n`
+//!   (weight-gradient) shapes.
 //! * **Fused bias epilogue.** [`gemm_bias`] / [`gemm_bias_cols`] write the
 //!   broadcast bias as the accumulator initialisation, so `C` is swept
 //!   once instead of a second full pass after the product.
@@ -46,7 +47,7 @@
 
 use crate::microkernel::{dot_i8, CPtr, Isa, Kernel};
 use crate::workspace::{Workspace, WsBuf};
-use rayon::prelude::*;
+use crate::{par, PAR_CHUNK, PAR_WORK};
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,9 +68,6 @@ const MC: usize = 64;
 /// n-dimension cache block (multiple of every ISA's `nr`): bounds the
 /// per-tile sweep so a `KC x NC` B slab (512 KiB) stays cache-resident.
 const NC: usize = 512;
-/// Work (m*n*k FLOPs/2) above which the tile grid is partitioned across
-/// rayon workers.
-const PAR_WORK: usize = 1 << 16;
 /// Work below which packing overhead loses to plain nested loops; tiny
 /// products (e.g. the 128→2 HEP head) stay on the unpacked path.
 const SMALL_WORK: usize = 1 << 12;
@@ -276,46 +274,33 @@ impl<'a> PackedA<'a> {
     }
 }
 
-/// One sweep over C writing the accumulator initial value.
+/// One sweep over C writing the accumulator initial value, split by rows
+/// (several at a time when rows are short).
 fn apply_init(init: Init<'_>, n: usize, c: &mut [f32]) {
-    let par = c.len() >= PAR_WORK;
-    match init {
+    if matches!(init, Init::Beta(beta) if beta == 1.0) {
+        return;
+    }
+    let rows = PAR_CHUNK.div_ceil(n);
+    par::for_each_chunk_mut(c, rows * n, |blk, c| match init {
         Init::Beta(beta) => {
             if beta == 0.0 {
-                if par {
-                    c.par_iter_mut().for_each(|x| *x = 0.0);
-                } else {
-                    c.fill(0.0);
-                }
-            } else if beta != 1.0 {
-                if par {
-                    c.par_iter_mut().for_each(|x| *x *= beta);
-                } else {
-                    c.iter_mut().for_each(|x| *x *= beta);
-                }
+                // Overwrite, not `0 * C`: a stale NaN in C must not survive.
+                c.fill(0.0);
+            } else {
+                c.iter_mut().for_each(|x| *x *= beta);
             }
         }
         Init::RowBias(bias) => {
-            if par {
-                c.par_chunks_mut(n)
-                    .enumerate()
-                    .for_each(|(i, row)| row.fill(bias[i]));
-            } else {
-                for (row, &b) in c.chunks_mut(n).zip(bias) {
-                    row.fill(b);
-                }
+            for (row, &b) in c.chunks_mut(n).zip(&bias[blk * rows..]) {
+                row.fill(b);
             }
         }
         Init::ColBias(bias) => {
-            if par {
-                c.par_chunks_mut(n).for_each(|row| row.copy_from_slice(bias));
-            } else {
-                for row in c.chunks_mut(n) {
-                    row.copy_from_slice(bias);
-                }
+            for row in c.chunks_mut(n) {
+                row.copy_from_slice(bias);
             }
         }
-    }
+    });
 }
 
 /// The packed path: `C += alpha * op(A) * op(B)` (initialisation already
@@ -339,7 +324,11 @@ fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &
         // Pack the full-width B slab for this k block once; every tile
         // reads from it. Panel pj holds columns [pj*nr, pj*nr + nr).
         let mut bpack = Workspace::take(n_panels * nr * kc);
-        pack_b(tb, b, n, k, p0, kc, nr, &mut bpack);
+        // Packed by the threads that will read it: split only when the
+        // tile grid is, else the lone multiplying thread would fetch half
+        // of its B slab from another core's cache.
+        let units = if parallel { PAR_CHUNK.div_ceil(nr * kc) } else { n_panels };
+        pack_b(tb, b, n, k, p0, kc, nr, units, &mut bpack);
         let bpack = &*bpack;
         let apack = &pa.panels[m_pad * p0..][..m_pad * kc];
 
@@ -363,7 +352,7 @@ fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &
         };
 
         if parallel {
-            (0..mt * nt).into_par_iter().for_each(tile);
+            par::for_each_index(mt * nt, tile);
         } else {
             (0..mt * nt).for_each(tile);
         }
@@ -374,39 +363,55 @@ fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &
 /// block `p0` (depth `kc`) starts at `m_pad * p0`, and inside it panel
 /// `pi`, depth `p`, row `r` lands at `pi*mr*kc + p*mr + r`. Rows past
 /// `m` are zero (their accumulator lanes are never written back).
+/// Panels are independent copies: `KC` blocks are split across threads,
+/// and a lone block (`k <= KC`) by groups of panels.
 fn pack_a(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, apack: &mut [f32]) {
+    if apack.is_empty() {
+        return;
+    }
     let m_pad = m.div_ceil(mr) * mr;
-    for p0 in (0..k).step_by(KC) {
-        let kc = KC.min(k - p0);
-        let block = &mut apack[m_pad * p0..][..m_pad * kc];
-        for (pi, dst) in block.chunks_exact_mut(mr * kc).enumerate() {
-            let rbase = pi * mr;
-            let rows = mr.min(m - rbase);
-            match ta {
-                Transpose::No => {
-                    // A row-major m x k: op(A)[i, p] = a[i*k + p]; each
-                    // source row is contiguous, scattered to stride mr.
-                    for r in 0..mr {
-                        if r < rows {
-                            let src = &a[(rbase + r) * k + p0..][..kc];
-                            for (p, &v) in src.iter().enumerate() {
-                                dst[p * mr + r] = v;
-                            }
-                        } else {
-                            dst.iter_mut().skip(r).step_by(mr).for_each(|v| *v = 0.0);
-                        }
-                    }
+    let blocks = PAR_CHUNK.div_ceil(m_pad * KC);
+    par::for_each_chunk_mut(apack, blocks * m_pad * KC, |u, slab| {
+        for (b, block) in slab.chunks_mut(m_pad * KC).enumerate() {
+            let (p0, kc) = ((u * blocks + b) * KC, block.len() / m_pad);
+            let group = PAR_CHUNK.div_ceil(mr * kc);
+            par::for_each_chunk_mut(block, group * mr * kc, |g, panels| {
+                for (pi, dst) in panels.chunks_exact_mut(mr * kc).enumerate() {
+                    pack_a_panel(ta, a, m, k, mr, p0, kc, g * group + pi, dst);
                 }
-                Transpose::Yes => {
-                    // A stored k x m: op(A)[i, p] = a[p*m + i]; rows of a
-                    // panel slice are contiguous in the source — the former
-                    // TN slow path becomes a straight memcpy per depth.
-                    for (p, d) in dst.chunks_exact_mut(mr).enumerate() {
-                        let src = &a[(p0 + p) * m + rbase..][..rows];
-                        d[..rows].copy_from_slice(src);
-                        d[rows..].fill(0.0);
+            });
+        }
+    });
+}
+
+/// Panel `pi` (rows `pi*mr..`) of the `KC` block at depth `p0`.
+#[allow(clippy::too_many_arguments)]
+fn pack_a_panel(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, p0: usize, kc: usize, pi: usize, dst: &mut [f32]) {
+    let rbase = pi * mr;
+    let rows = mr.min(m - rbase);
+    match ta {
+        Transpose::No => {
+            // A row-major m x k: op(A)[i, p] = a[i*k + p]; each
+            // source row is contiguous, scattered to stride mr.
+            for r in 0..mr {
+                if r < rows {
+                    let src = &a[(rbase + r) * k + p0..][..kc];
+                    for (p, &v) in src.iter().enumerate() {
+                        dst[p * mr + r] = v;
                     }
+                } else {
+                    dst.iter_mut().skip(r).step_by(mr).for_each(|v| *v = 0.0);
                 }
+            }
+        }
+        Transpose::Yes => {
+            // A stored k x m: op(A)[i, p] = a[p*m + i]; rows of a
+            // panel slice are contiguous in the source — the former
+            // TN slow path becomes a straight memcpy per depth.
+            for (p, d) in dst.chunks_exact_mut(mr).enumerate() {
+                let src = &a[(p0 + p) * m + rbase..][..rows];
+                d[..rows].copy_from_slice(src);
+                d[rows..].fill(0.0);
             }
         }
     }
@@ -414,39 +419,47 @@ fn pack_a(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, apack: &mut [
 
 /// Packs `op(B)[p0..p0+kc, :]` into `nr`-column panels: panel `pj`,
 /// depth `p`, column `c` lands at `bpack[pj*nr*kc + p*nr + c]`. Columns
-/// past `n` are zero.
+/// past `n` are zero. Split across threads `group` panels at a time.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, nr: usize, bpack: &mut [f32]) {
-    for (pj, dst) in bpack.chunks_exact_mut(nr * kc).enumerate() {
-        let jbase = pj * nr;
-        let cols = nr.min(n - jbase);
-        match tb {
-            Transpose::No => {
-                // B stored k x n: contiguous in j — memcpy per depth.
-                for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
-                    let src = &b[(p0 + p) * n + jbase..][..cols];
-                    d[..cols].copy_from_slice(src);
-                    d[cols..].fill(0.0);
-                }
+fn pack_b(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, nr: usize, group: usize, bpack: &mut [f32]) {
+    par::for_each_chunk_mut(bpack, group * nr * kc, |g, panels| {
+        for (pj, dst) in panels.chunks_exact_mut(nr * kc).enumerate() {
+            pack_b_panel(tb, b, n, k, p0, kc, nr, g * group + pj, dst);
+        }
+    });
+}
+
+/// Panel `pj` (columns `pj*nr..`) of [`pack_b`].
+#[allow(clippy::too_many_arguments)]
+fn pack_b_panel(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, nr: usize, pj: usize, dst: &mut [f32]) {
+    let jbase = pj * nr;
+    let cols = nr.min(n - jbase);
+    match tb {
+        Transpose::No => {
+            // B stored k x n: contiguous in j — memcpy per depth.
+            for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
+                let src = &b[(p0 + p) * n + jbase..][..cols];
+                d[..cols].copy_from_slice(src);
+                d[cols..].fill(0.0);
             }
-            Transpose::Yes => {
-                // B stored n x k: op(B)[p, j] = b[j*k + p]; each column
-                // is contiguous in the source — the former NT/TT strided
-                // inner loops collapse into this pack copy.
-                // Transposed 16 depths at a time: each source cache line
-                // is read once while its 16 destination rows stay in L1.
-                for pb in (0..kc).step_by(16) {
-                    let pl = 16.min(kc - pb);
-                    for cidx in 0..cols {
-                        let src = &b[(jbase + cidx) * k + p0 + pb..][..pl];
-                        for (p, &v) in src.iter().enumerate() {
-                            dst[(pb + p) * nr + cidx] = v;
-                        }
+        }
+        Transpose::Yes => {
+            // B stored n x k: op(B)[p, j] = b[j*k + p]; each column
+            // is contiguous in the source — the former NT/TT strided
+            // inner loops collapse into this pack copy.
+            // Transposed 16 depths at a time: each source cache line
+            // is read once while its 16 destination rows stay in L1.
+            for pb in (0..kc).step_by(16) {
+                let pl = 16.min(kc - pb);
+                for cidx in 0..cols {
+                    let src = &b[(jbase + cidx) * k + p0 + pb..][..pl];
+                    for (p, &v) in src.iter().enumerate() {
+                        dst[(pb + p) * nr + cidx] = v;
                     }
                 }
-                for cidx in cols..nr {
-                    dst.iter_mut().skip(cidx).step_by(nr).for_each(|v| *v = 0.0);
-                }
+            }
+            for cidx in cols..nr {
+                dst.iter_mut().skip(cidx).step_by(nr).for_each(|v| *v = 0.0);
             }
         }
     }
@@ -491,9 +504,7 @@ pub fn gemm_i8_with_isa(isa: Isa, m: usize, n: usize, k: usize, a: &[i8], b_t: &
         }
     };
     if m * n * k >= PAR_WORK && m > 1 {
-        c.par_chunks_mut(n)
-            .zip(a[..m * k].par_chunks(k))
-            .for_each(|(crow, arow)| row(crow, arow));
+        par::for_each_chunk_mut(c, n, |i, crow| row(crow, &a[i * k..][..k]));
     } else {
         for (crow, arow) in c.chunks_mut(n).zip(a[..m * k].chunks(k)) {
             row(crow, arow);
@@ -527,15 +538,12 @@ pub fn gemm_unpacked(
         return;
     }
 
-    c[..m * n]
-        .par_chunks_mut(SEED_MC * n)
-        .enumerate()
-        .for_each(|(blk, c_blk)| {
-            let i0 = blk * SEED_MC;
-            let rows = c_blk.len() / n;
-            apply_init(Init::Beta(beta), n, c_blk);
-            accumulate_unpacked(ta, tb, i0, rows, m, n, k, alpha, a, b, c_blk);
-        });
+    par::for_each_chunk_mut(&mut c[..m * n], SEED_MC * n, |blk, c_blk| {
+        let i0 = blk * SEED_MC;
+        let rows = c_blk.len() / n;
+        apply_init(Init::Beta(beta), n, c_blk);
+        accumulate_unpacked(ta, tb, i0, rows, m, n, k, alpha, a, b, c_blk);
+    });
 }
 
 /// Accumulates `alpha * op(A)[i0..i0+rows, :] * op(B)` into the row block
@@ -791,6 +799,9 @@ mod tests {
     fn m_zero_is_noop() {
         let mut c: Vec<f32> = vec![];
         gemm(Transpose::No, Transpose::No, 0, 0, 5, 1.0, &[], &[], 0.0, &mut c);
+        // An empty left operand packs to nothing and multiplies to nothing.
+        PackedA::new(Transpose::No, 0, 5, &[]).gemm(Transpose::No, 3, 1.0, &[0.0; 15], 0.0, &mut c);
+        PackedA::new(Transpose::Yes, 4, 0, &[]).gemm(Transpose::No, 0, 1.0, &[], 0.0, &mut c);
     }
 
     #[test]
@@ -1083,7 +1094,7 @@ mod tests {
 
     #[test]
     fn gemm_i8_matches_reference_every_isa() {
-        // Shapes cover the sequential path, the rayon row split, ragged
+        // Shapes cover the sequential path, the parallel row split, ragged
         // k (AVX2 tail lanes) and the deep hep_fwd reduction depth.
         for (m, n, k) in [(1, 1, 1), (3, 5, 7), (8, 10, 33), (16, 32, 1152), (128, 64, 100)] {
             let a = fill_i8(m * k, 41);

@@ -7,6 +7,7 @@
 //! (Sec. III-C), by the *forward* pass of deconvolution layers.
 
 use crate::shape::Shape4;
+use crate::{par, PAR_CHUNK};
 
 /// Geometry of a 2-D convolution: input plane, kernel, stride and padding.
 ///
@@ -112,39 +113,44 @@ fn valid_cols(geo: &ConvGeometry, kx: usize, ow: usize) -> (usize, usize) {
 /// Each output row of each tap is `zeros | a run of one image row |
 /// zeros`: at stride 1 the run is contiguous and moves as one slice copy,
 /// otherwise it is a strided gather — either way with no per-element
-/// bounds test.
+/// bounds test. A channel's `kh * kw` col rows depend on that channel's
+/// plane alone, so channels are split across threads.
 pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
     let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
+    let (plane_len, per_channel) = (geo.h * w, geo.kh * geo.kw * oh * ow);
 
-    let mut rows = col.chunks_exact_mut(ow);
-    for c in 0..geo.cin {
-        let plane = &image[c * geo.h * w..][..geo.h * w];
-        for ky in 0..geo.kh {
-            for kx in 0..geo.kw {
-                let (lo, hi) = valid_cols(geo, kx, ow);
-                for (oy, dst) in rows.by_ref().take(oh).enumerate() {
-                    let iy = (oy * stride + ky).wrapping_sub(pad);
-                    if iy >= geo.h || lo == hi {
-                        dst.fill(0.0);
-                        continue;
-                    }
-                    let src = &plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
-                    dst[..lo].fill(0.0);
-                    if stride == 1 {
-                        dst[lo..hi].copy_from_slice(&src[..hi - lo]);
-                    } else {
-                        for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(stride)) {
-                            *d = v;
+    let group = PAR_CHUNK.div_ceil(per_channel);
+    par::for_each_chunk_mut(col, group * per_channel, |g, col| {
+        let mut rows = col.chunks_exact_mut(ow);
+        for c in g * group..geo.cin.min((g + 1) * group) {
+            let plane = &image[c * plane_len..][..plane_len];
+            for ky in 0..geo.kh {
+                for kx in 0..geo.kw {
+                    let (lo, hi) = valid_cols(geo, kx, ow);
+                    for (oy, dst) in rows.by_ref().take(oh).enumerate() {
+                        let iy = (oy * stride + ky).wrapping_sub(pad);
+                        if iy >= geo.h || lo == hi {
+                            dst.fill(0.0);
+                            continue;
                         }
+                        let src = &plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
+                        dst[..lo].fill(0.0);
+                        if stride == 1 {
+                            dst[lo..hi].copy_from_slice(&src[..hi - lo]);
+                        } else {
+                            for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(stride)) {
+                                *d = v;
+                            }
+                        }
+                        dst[hi..].fill(0.0);
                     }
-                    dst[hi..].fill(0.0);
                 }
             }
         }
-    }
+    });
 }
 
 /// Adjoint of [`im2col`]: scatter-adds a col matrix back into an image
@@ -153,38 +159,46 @@ pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
 ///
 /// Rows are visited in the order [`im2col`] writes them, so every image
 /// element receives its contributions in one fixed order; at stride 1
-/// each row is a contiguous slice add.
+/// each row is a contiguous slice add. A channel's plane only receives
+/// that channel's col rows, so channels are split across threads without
+/// touching that order.
 pub fn col2im(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
     let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
+    let (plane_len, per_channel) = (geo.h * w, geo.kh * geo.kw * oh * ow);
+    if image.is_empty() {
+        return;
+    }
 
-    let mut rows = col.chunks_exact(ow);
-    for c in 0..geo.cin {
-        let plane = &mut image[c * geo.h * w..][..geo.h * w];
-        for ky in 0..geo.kh {
-            for kx in 0..geo.kw {
-                let (lo, hi) = valid_cols(geo, kx, ow);
-                for (oy, src) in rows.by_ref().take(oh).enumerate() {
-                    let iy = (oy * stride + ky).wrapping_sub(pad);
-                    if iy >= geo.h || lo == hi {
-                        continue;
-                    }
-                    let dst = &mut plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
-                    if stride == 1 {
-                        for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
-                            *d += v;
+    let group = PAR_CHUNK.div_ceil(per_channel);
+    par::for_each_chunk_mut(image, group * plane_len, |g, image| {
+        let mut rows = col[g * group * per_channel..].chunks_exact(ow);
+        for plane in image.chunks_exact_mut(plane_len) {
+            for ky in 0..geo.kh {
+                for kx in 0..geo.kw {
+                    let (lo, hi) = valid_cols(geo, kx, ow);
+                    for (oy, src) in rows.by_ref().take(oh).enumerate() {
+                        let iy = (oy * stride + ky).wrapping_sub(pad);
+                        if iy >= geo.h || lo == hi {
+                            continue;
                         }
-                    } else {
-                        for (d, &v) in dst.iter_mut().step_by(stride).zip(&src[lo..hi]) {
-                            *d += v;
+                        let dst = &mut plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
+                        if stride == 1 {
+                            for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
+                                *d += v;
+                            }
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(stride).zip(&src[lo..hi]) {
+                                *d += v;
+                            }
                         }
                     }
                 }
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]

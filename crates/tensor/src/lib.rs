@@ -6,7 +6,8 @@
 //! paper's IntelCaffe + MKL 2017 combination provided on Xeon Phi:
 //!
 //! * a contiguous, `f32`, NCHW [`Tensor`] type with shape/stride machinery,
-//! * rayon-parallel elementwise and reduction kernels,
+//! * elementwise and reduction kernels split across the calling thread's
+//!   width ([`par`], the in-tree deterministic thread pool),
 //! * a packed, register-tiled, cache-blocked parallel SGEMM ([`gemm`])
 //!   tuned for the tall-skinny shapes produced by `im2col` convolution
 //!   lowering, with fused bias epilogues ([`gemm_bias`],
@@ -60,7 +61,20 @@ pub use rng::TensorRng;
 pub use shape::Shape4;
 pub use tensor::Tensor;
 
-/// Threshold (in elements) above which elementwise kernels switch from a
-/// plain sequential loop to a rayon-parallel one. Small tensors are not
-/// worth the fork-join overhead.
-pub(crate) const PAR_THRESHOLD: usize = 1 << 14;
+/// The deterministic in-tree thread pool (`vendor/rayon`): crates that
+/// only hand thread budgets to the threads they spawn reach it here and
+/// need no dependency of their own.
+pub use rayon as par;
+
+/// Elements per work unit of the memory-bound passes (elementwise ops,
+/// accumulator initialisation, panel packing, im2col/col2im, the layers'
+/// activation and pooling sweeps): a pass of at most one unit never
+/// leaves the calling thread, a longer one is split across the thread's
+/// width ([`par::width`]). Sized by measurement against the cost of a
+/// fan-out; EXPERIMENTS.md A9 has the rows.
+pub const PAR_CHUNK: usize = 1 << 15;
+
+/// Multiply-accumulates (`m * n * k`) from which a product's tile grid —
+/// or a conv layer's batch of per-image products — is split across
+/// threads. Sized like [`PAR_CHUNK`].
+pub const PAR_WORK: usize = 1 << 22;

@@ -2,8 +2,6 @@
 //! argmax, one-hot encoding and slice-level vector helpers used by the
 //! solvers and communication buffers.
 
-use rayon::prelude::*;
-
 /// Numerically stable softmax over a contiguous row, in place.
 pub fn softmax_inplace(row: &mut [f32]) {
     if row.is_empty() {
@@ -47,20 +45,12 @@ pub fn one_hot(label: usize, classes: usize, out: &mut [f32]) {
 /// `dst += src` over raw slices (gradient accumulation in comm buffers).
 pub fn slice_add(dst: &mut [f32], src: &[f32]) {
     assert_eq!(dst.len(), src.len(), "slice_add length mismatch");
-    if dst.len() >= crate::PAR_THRESHOLD {
-        dst.par_iter_mut().zip(src.par_iter()).for_each(|(a, &b)| *a += b);
-    } else {
-        dst.iter_mut().zip(src.iter()).for_each(|(a, &b)| *a += b);
-    }
+    crate::tensor::binary_inplace(dst, src, |a, b| a + b);
 }
 
 /// `dst *= s` over a raw slice.
 pub fn slice_scale(dst: &mut [f32], s: f32) {
-    if dst.len() >= crate::PAR_THRESHOLD {
-        dst.par_iter_mut().for_each(|a| *a *= s);
-    } else {
-        dst.iter_mut().for_each(|a| *a *= s);
-    }
+    crate::tensor::unary_inplace(dst, |a| a * s);
 }
 
 /// Dot product with f64 accumulation.

@@ -1,8 +1,7 @@
 //! The contiguous NCHW `f32` tensor type.
 
 use crate::shape::Shape4;
-use crate::PAR_THRESHOLD;
-use rayon::prelude::*;
+use crate::{par, PAR_CHUNK};
 use std::fmt;
 
 /// A dense, contiguous, row-major NCHW tensor of `f32` values.
@@ -39,6 +38,33 @@ impl Tensor {
             "buffer length {} does not match shape {shape:?}",
             data.len()
         );
+        Self { shape, data }
+    }
+
+    /// The parallel `collect()`: elements `r` of the new tensor are the
+    /// values of `values(r)`, asked for one [`PAR_CHUNK`]-long index range
+    /// at a time and split across the calling thread's width. Each element
+    /// is written once, into fresh memory — no zero fill first, which is
+    /// what an elementwise layer at width 1 would otherwise pay over
+    /// `iter().map().collect()`. Panics if an iterator ends early.
+    pub fn from_chunks<I: Iterator<Item = f32>>(
+        shape: Shape4,
+        values: impl Fn(std::ops::Range<usize>) -> I + Sync,
+    ) -> Self {
+        let len = shape.len();
+        let mut data: Vec<f32> = Vec::with_capacity(len);
+        par::for_each_chunk_mut(&mut data.spare_capacity_mut()[..len], PAR_CHUNK, |i, out| {
+            let range = i * PAR_CHUNK..i * PAR_CHUNK + out.len();
+            let written = out.iter_mut().zip(values(range)).fold(0, |n, (o, v)| {
+                o.write(v);
+                n + 1
+            });
+            assert_eq!(written, out.len(), "chunk iterator ended early");
+        });
+        // SAFETY: the capacity is `len`, and every chunk of the first `len`
+        // elements was written in full above — a chunk that was not
+        // panics, and the panic leaves the region before this line.
+        unsafe { data.set_len(len) };
         Self { shape, data }
     }
 
@@ -156,11 +182,8 @@ impl Tensor {
     /// Sum of all elements (pairwise within chunks for accuracy, parallel
     /// across chunks for speed).
     pub fn sum(&self) -> f32 {
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_chunks(4096)
-                .map(|c| c.iter().sum::<f32>() as f64)
-                .sum::<f64>() as f32
+        if self.data.len() >= CHUNKED_REDUCE_FROM {
+            chunk_partials(&self.data, |c| c.iter().sum::<f32>() as f64) as f32
         } else {
             self.data.iter().map(|&x| x as f64).sum::<f64>() as f32
         }
@@ -187,11 +210,8 @@ impl Tensor {
 
     /// Squared L2 norm, accumulated in f64 for stability.
     pub fn norm_sq(&self) -> f64 {
-        if self.data.len() >= PAR_THRESHOLD {
-            self.data
-                .par_chunks(4096)
-                .map(|c| c.iter().map(|&x| x as f64 * x as f64).sum::<f64>())
-                .sum()
+        if self.data.len() >= CHUNKED_REDUCE_FROM {
+            chunk_partials(&self.data, |c| c.iter().map(|&x| x as f64 * x as f64).sum::<f64>())
         } else {
             self.data.iter().map(|&x| x as f64 * x as f64).sum()
         }
@@ -224,25 +244,40 @@ impl Tensor {
     }
 }
 
-/// In-place unary elementwise op, parallel above [`PAR_THRESHOLD`].
-fn unary_inplace(data: &mut [f32], f: impl Fn(f32) -> f32 + Sync + Send) {
-    if data.len() >= PAR_THRESHOLD {
-        data.par_iter_mut().for_each(|x| *x = f(*x));
-    } else {
-        data.iter_mut().for_each(|x| *x = f(*x));
-    }
+/// Length from which [`Tensor::sum`] and [`Tensor::norm_sq`] fold
+/// per-chunk partials instead of one running total. Part of the numerics
+/// (it decides the association order), not a tuning knob.
+const CHUNKED_REDUCE_FROM: usize = 1 << 14;
+
+/// Sum of `part` over consecutive 4096-element chunks of `data`. The
+/// partials are computed in parallel and folded in chunk order, so the
+/// result does not depend on the thread count.
+fn chunk_partials(data: &[f32], part: impl Fn(&[f32]) -> f64 + Sync) -> f64 {
+    const CHUNK: usize = 4096;
+    let mut partials = vec![0.0f64; data.len().div_ceil(CHUNK)];
+    let group = PAR_CHUNK / CHUNK;
+    par::for_each_chunk_mut(&mut partials, group, |g, out| {
+        let chunks = data[g * group * CHUNK..].chunks(CHUNK);
+        for (o, c) in out.iter_mut().zip(chunks) {
+            *o = part(c);
+        }
+    });
+    partials.iter().sum()
 }
 
-/// In-place binary elementwise op, parallel above [`PAR_THRESHOLD`].
-fn binary_inplace(dst: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32 + Sync + Send) {
+/// In-place unary elementwise op, split across threads [`PAR_CHUNK`]
+/// elements at a time.
+pub(crate) fn unary_inplace(data: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
+    par::for_each_chunk_mut(data, PAR_CHUNK, |_, d| d.iter_mut().for_each(|x| *x = f(*x)));
+}
+
+/// In-place binary elementwise op, split like [`unary_inplace`].
+pub(crate) fn binary_inplace(dst: &mut [f32], src: &[f32], f: impl Fn(f32, f32) -> f32 + Sync) {
     debug_assert_eq!(dst.len(), src.len());
-    if dst.len() >= PAR_THRESHOLD {
-        dst.par_iter_mut()
-            .zip(src.par_iter())
-            .for_each(|(a, &b)| *a = f(*a, b));
-    } else {
-        dst.iter_mut().zip(src.iter()).for_each(|(a, &b)| *a = f(*a, b));
-    }
+    par::for_each_chunk_mut(dst, PAR_CHUNK, |i, d| {
+        let s = &src[i * PAR_CHUNK..][..d.len()];
+        d.iter_mut().zip(s).for_each(|(a, &b)| *a = f(*a, b));
+    });
 }
 
 impl fmt::Debug for Tensor {
@@ -305,8 +340,24 @@ mod tests {
     }
 
     #[test]
+    fn from_chunks_collects_every_range_in_place() {
+        // Spans several chunks with a ragged tail; empty is fine too.
+        for len in [0usize, 5, PAR_CHUNK, 3 * PAR_CHUNK + 17] {
+            let t = Tensor::from_chunks(Shape4::flat(len), |r| r.map(|i| i as f32 * 0.5));
+            assert_eq!(t.len(), len);
+            assert!(t.data().iter().enumerate().all(|(i, &v)| v == i as f32 * 0.5), "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk iterator ended early")]
+    fn from_chunks_rejects_a_short_iterator() {
+        Tensor::from_chunks(Shape4::flat(10), |r| r.skip(1).map(|i| i as f32));
+    }
+
+    #[test]
     fn large_parallel_sum_matches_sequential() {
-        let n = PAR_THRESHOLD * 2 + 17;
+        let n = CHUNKED_REDUCE_FROM * 2 + 17;
         let vals: Vec<f32> = (0..n).map(|i| (i % 7) as f32 * 0.25).collect();
         let seq: f64 = vals.iter().map(|&x| x as f64).sum();
         let a = Tensor::from_flat(vals);

@@ -10,11 +10,11 @@
 //! inference iteration performs **zero heap allocations** for gemm/col
 //! scratch (asserted by a counting-allocator test in `scidl-nn`).
 //!
-//! The pool is `thread_local!`, so it is trivially safe under rayon: each
-//! worker thread owns its own free list, there is no locking on the hot
-//! path, and buffers never migrate between threads (a buffer dropped on a
-//! worker parks in *that worker's* pool, where the same worker's next
-//! tile finds it).
+//! The pool is `thread_local!`, so it is trivially safe under the thread
+//! pool (`crate::par`): the caller and each of its helpers own their own
+//! free list, there is no locking on the hot path, and buffers never
+//! migrate between threads (a buffer dropped on a helper parks in *that
+//! helper's* pool, where the same helper's next unit finds it).
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};

@@ -53,6 +53,49 @@ fn thread_and_sim_engines_agree_on_synchronous_sgd() {
     assert!(max_err < 1e-5, "engines disagree by {max_err}");
 }
 
+/// Thread-count identity, end to end: six Adam iterations of the paper's
+/// HEP network through the thread engine must end on the same parameter
+/// bits and the same loss curve whatever thread budget the rank computes
+/// with — 1 (plain loops), 2, 3, 4 or 7 (more than this box has CPUs).
+/// The engine derives the budget itself, so the test overrides it from
+/// the model-building closure, which runs on the rank thread.
+#[test]
+fn thread_engine_run_is_bit_identical_at_every_rank_width() {
+    use scidl_core::task::HepGradTask;
+
+    let image_size = 64;
+    let cfg_ds = HepConfig { image_size, ..HepConfig::small() };
+    let ds = Arc::new(HepDataset::generate(cfg_ds, 32, 77));
+    let mut cfg = ThreadEngineConfig::new(1, 1, 4);
+    cfg.iterations = 6;
+    cfg.lr = 1e-3;
+    cfg.adam = true;
+    cfg.seed = 5;
+
+    let run_at = |width: usize| {
+        let run = ThreadEngine::run_with(
+            &cfg,
+            ds.len(),
+            move |seed| {
+                scidl_tensor::par::set_width(width);
+                scidl_nn::arch::hep_network(&mut TensorRng::new(seed))
+            },
+            HepGradTask::new(Arc::clone(&ds)),
+        );
+        let params: Vec<u32> = run.final_params.iter().map(|p| p.to_bits()).collect();
+        let losses: Vec<u32> = run.curve.points.iter().map(|&(_, l)| l.to_bits()).collect();
+        assert_eq!(losses.len(), cfg.iterations);
+        (params, losses)
+    };
+    let want = run_at(1);
+    for width in [2, 3, 4, 7] {
+        let got = run_at(width);
+        assert!(got.1 == want.1, "loss curve differs at width {width}: {:?} vs {:?}", got.1, want.1);
+        let first = got.0.iter().zip(&want.0).position(|(a, b)| a != b);
+        assert_eq!(first, None, "parameters differ at width {width}, first at index {first:?}");
+    }
+}
+
 /// The tentpole differential check, end to end: a 4-rank overlapped run
 /// (`overlap_comm`, gradients bucketed and ring-reduced on comm threads
 /// while backward continues) must be **bit-identical** to a hand-rolled
