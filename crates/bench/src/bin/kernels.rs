@@ -13,9 +13,12 @@
 //! always; AVX2 and AVX-512 where the host reports them) through the
 //! runtime-dispatch layer, plus an int8 `gemm_i8` row per ISA on the
 //! serving-relevant shapes and `im2col`/`col2im` GB/s rows at the HEP
-//! conv2 and climate stride-2 geometries. The bench asserts each wider
-//! arm's aggregate is faster-or-equal to the next narrower one — the
-//! widest-wins dispatch must never pick a slower kernel.
+//! conv2 and climate stride-2 geometries. The table opens with the
+//! ceiling the GEMM rows are judged against: register-only ymm FMA, zmm
+//! FMA and zmm add loops, what one core issues with no memory traffic.
+//! The bench asserts each wider arm's aggregate is faster-or-equal to
+//! the next narrower one — the widest-wins dispatch must never pick a
+//! slower kernel.
 //!
 //! Emits a markdown table on stdout and writes
 //! `results/kernels.{csv,txt}`. Every number is `host-measured` on the
@@ -66,6 +69,65 @@ fn lowering_geometries() -> [(&'static str, ConvGeometry); 2] {
     ]
 }
 
+/// Register-only loops: independent accumulator chains — enough to cover
+/// the instruction's latency on both vector ports — fed by operands that
+/// never leave their registers.
+#[cfg(target_arch = "x86_64")]
+mod ceiling {
+    use std::arch::x86_64::*;
+    use std::hint::black_box;
+
+    macro_rules! register_loop {
+        ($name:ident, $feature:literal, $chains:expr, $set1:ident, |$a:ident, $b:ident, $acc:ident| $step:expr) => {
+            #[target_feature(enable = $feature)]
+            pub fn $name(iters: usize) {
+                let ($a, $b) = ($set1(black_box(1.000_000_1)), $set1(black_box(0.999_999_9)));
+                let mut chains = [$set1(0.0); $chains];
+                for _ in 0..iters {
+                    for $acc in chains.iter_mut() {
+                        *$acc = $step;
+                    }
+                }
+                black_box(chains);
+            }
+        };
+    }
+
+    /// 12 ymm chains and two operands fill the 16 registers AVX2 has.
+    pub const YMM_CHAINS: usize = 12;
+    pub const ZMM_CHAINS: usize = 16;
+    register_loop!(ymm_fma, "avx2,fma", YMM_CHAINS, _mm256_set1_ps, |a, b, acc| _mm256_fmadd_ps(a, b, *acc));
+    register_loop!(zmm_fma, "avx512f", ZMM_CHAINS, _mm512_set1_ps, |a, b, acc| _mm512_fmadd_ps(a, b, *acc));
+    register_loop!(zmm_add, "avx512f", ZMM_CHAINS, _mm512_set1_ps, |a, _b, acc| _mm512_add_ps(*acc, a));
+}
+
+/// `(label, unit, rate)` of every register-only loop this CPU can run:
+/// a fused multiply-add counts 2 FLOP per lane, an add 1 op.
+#[cfg(target_arch = "x86_64")]
+fn ceilings(reps: usize) -> Vec<(&'static str, &'static str, f64)> {
+    const ITERS: usize = 2_000_000;
+    let mut rows = Vec::new();
+    let mut time = |label, unit, ops_per_iter: usize, f: &dyn Fn()| {
+        rows.push((label, unit, (ITERS * ops_per_iter) as f64 / best_secs(reps, f) / 1e9));
+    };
+    if Isa::Avx2.is_available() {
+        // SAFETY: `Isa::Avx2` is only available when the CPU reports avx2 and fma.
+        time("ymm_fma", "GF/s", ceiling::YMM_CHAINS * 8 * 2, &|| unsafe { ceiling::ymm_fma(ITERS) });
+    }
+    if Isa::Avx512.is_available() {
+        // SAFETY: `Isa::Avx512` is only available when the CPU reports avx512f.
+        time("zmm_fma", "GF/s", ceiling::ZMM_CHAINS * 16 * 2, &|| unsafe { ceiling::zmm_fma(ITERS) });
+        // SAFETY: as above.
+        time("zmm_add", "GOP/s", ceiling::ZMM_CHAINS * 16, &|| unsafe { ceiling::zmm_add(ITERS) });
+    }
+    rows
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn ceilings(_reps: usize) -> Vec<(&'static str, &'static str, f64)> {
+    Vec::new()
+}
+
 fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     f(); // warm-up: populates the pack workspace pool
     let mut best = f64::MAX;
@@ -87,6 +149,18 @@ fn main() {
     // Aggregate f32 rate per detected ISA (same order as
     // `Isa::detected()`), for the dispatch acceptance assert.
     let mut totals = vec![0.0f64; Isa::detected().len()];
+
+    for (label, unit, rate) in ceilings(reps) {
+        let name = format!("ceiling/{label}");
+        rows.push(vec![
+            name.clone(),
+            String::from("registers only"),
+            format!("{} {unit}", fnum(rate, 2)),
+            String::from("-"),
+            String::from("-"),
+        ]);
+        csv_rows.push(vec![name, String::from("registers only"), fnum(rate, 3), String::new(), String::new()]);
+    }
 
     for &(label, ta, tb, m, n, k) in GEMM_SHAPES {
         if fast && m * n * k > 80_000_000 {
@@ -228,7 +302,8 @@ fn main() {
     println!(
         "(packed = register-tiled packed GEMM through the runtime ISA dispatch; \
          seed = pre-packing axpy baseline; gemm_i8 rows use the scalar int8 kernel \
-         as their seed; im2col/col2im rows are bytes read + written per second; \
+         as their seed; ceiling rows are register-only loops, one fused multiply-add \
+         = 2 FLOP, one add = 1 op; im2col/col2im rows are bytes read + written per second; \
          conv rows time layer fwd+bwd through the packed kernel at the active ISA)"
     );
 

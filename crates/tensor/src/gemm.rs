@@ -14,11 +14,11 @@
 //!   same packed layout.
 //! * **Register-tiled microkernel, one tile shape per ISA.** `mr x nr` is
 //!   not a crate constant: [`crate::microkernel`] hands out a per-ISA
-//!   kernel descriptor (4×16 for SSE2 and AVX2, 8×32 for AVX-512) and
-//!   the pack routines and the tile loop here read the shape from it.
-//!   The kernel holds the accumulator tile in registers and updates it
-//!   with `KC` multiplies and `KC` adds per lane — two roundings, never
-//!   a fused one; that module states the contract once.
+//!   kernel descriptor (4×16 portable, 6×16 for AVX2, 8×32 for
+//!   AVX-512) and the pack routines and the tile loop here read the
+//!   shape from it. The kernel holds the accumulator tile in registers
+//!   and updates it with `KC` fused multiply-adds per lane — one
+//!   rounding each, on every arm; that module states the contract once.
 //! * **Cache-blocked loop nest.** `op(A)` is packed once per product —
 //!   or once per *layer call* through [`PackedA`], which the conv layers
 //!   use to reuse one packed weight matrix across a batch — and each
@@ -62,8 +62,9 @@ pub enum Transpose {
 /// resident in L1 across the whole B sweep. Part of the numerics: every
 /// C element rounds once per `KC` block, so changing it changes results.
 const KC: usize = 256;
-/// m-dimension cache block (multiple of every ISA's `mr`): one packed A
-/// block is `MC x KC` (64 KiB), resident in L2.
+/// m-dimension cache block, rounded down to a whole number of the
+/// ISA's `mr`-row panels (64, or 60 for the 6-row tile): one packed A
+/// block is at most `MC x KC` (64 KiB), resident in L2.
 const MC: usize = 64;
 /// n-dimension cache block (multiple of every ISA's `nr`): bounds the
 /// per-tile sweep so a `KC x NC` B slab (512 KiB) stays cache-resident.
@@ -310,11 +311,12 @@ fn apply_init(init: Init<'_>, n: usize, c: &mut [f32]) {
 fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &[f32], c: &mut [f32]) {
     let Kernel { mr, nr, run } = pa.kernel;
     // Cache tiles start on panel boundaries.
-    debug_assert!(MC.is_multiple_of(mr) && NC.is_multiple_of(nr));
+    let mc_rows = MC / mr * mr;
+    debug_assert!(NC.is_multiple_of(nr));
     let (m, k) = (pa.m, pa.k);
     let m_pad = m.div_ceil(mr) * mr;
     let n_panels = n.div_ceil(nr);
-    let mt = m.div_ceil(MC);
+    let mt = m.div_ceil(mc_rows);
     let nt = n.div_ceil(NC);
     let parallel = m * n * k >= PAR_WORK && mt * nt > 1;
     let cp = CPtr(c.as_mut_ptr());
@@ -334,8 +336,8 @@ fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &
 
         let tile = |t: usize| {
             let (ti, tj) = (t / nt, t % nt);
-            let i0 = ti * MC;
-            let mc = MC.min(m - i0);
+            let i0 = ti * mc_rows;
+            let mc = mc_rows.min(m - i0);
             let j0 = tj * NC;
             let nc = NC.min(n - j0);
             for pj in (j0 / nr)..(j0 + nc).div_ceil(nr) {
@@ -1014,6 +1016,146 @@ mod tests {
         }
     }
 
+    /// Parks NaN-filled buffers of `len`, `2·len`, `4·len` and `8·len`
+    /// floats in this thread's scratch pool, so that pack padding which
+    /// is not zeroed shows up as NaN in the product.
+    fn poison_pool(len: usize) {
+        let poison: Vec<_> = (0..4)
+            .map(|i| {
+                let mut buf = Workspace::take(len << i);
+                buf.fill(f32::NAN);
+                buf
+            })
+            .collect();
+        drop(poison);
+    }
+
+    /// The packed path's numerics contract as scalar code: per `KC`
+    /// block one `mul_add` chain from `+0.0`, `p` ascending — one
+    /// rounding per multiply-add. Returns the chains' results block by
+    /// block (`k.div_ceil(KC)` slabs of `m * n`).
+    fn contract_blocks(ta: Transpose, tb: Transpose, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+        let mut blocks = Vec::with_capacity(k.div_ceil(KC) * m * n);
+        for p0 in (0..k).step_by(KC) {
+            for i in 0..m {
+                for j in 0..n {
+                    let mut acc = 0.0f32;
+                    for p in p0..(p0 + KC).min(k) {
+                        let av = if ta == Transpose::No { a[i * k + p] } else { a[p * m + i] };
+                        let bv = if tb == Transpose::No { b[p * n + j] } else { b[j * k + p] };
+                        acc = av.mul_add(bv, acc);
+                    }
+                    blocks.push(acc);
+                }
+            }
+        }
+        blocks
+    }
+
+    /// The rest of the contract: the `beta` prologue, then `C += alpha *
+    /// acc` once per `KC` block, multiply and add rounded separately.
+    fn contract_apply(blocks: &[f32], alpha: f32, beta: f32, c: &mut [f32]) {
+        if beta == 0.0 {
+            c.fill(0.0);
+        } else if beta != 1.0 {
+            c.iter_mut().for_each(|x| *x *= beta);
+        }
+        for block in blocks.chunks(c.len()) {
+            for (cv, &acc) in c.iter_mut().zip(block) {
+                *cv += alpha * acc;
+            }
+        }
+    }
+
+    #[test]
+    fn every_arm_and_packed_a_equal_the_scalar_fused_reference() {
+        // The contract test: every detected arm and `PackedA` produce the
+        // bits of the scalar reference above on the ragged battery, plus
+        // the 6-row tile's own edges (5, 6 and its 60-row block). Below
+        // `SMALL_WORK` the contract is the unpacked kernel's arithmetic.
+        for m in [1usize, 5, 6, 7, 8, 9, 60, 63, 65] {
+            for n in [1usize, 31, 32, 33, 511, 513] {
+                for k in [1usize, 255, 256, 257] {
+                    let a = fill(m * k, 71);
+                    let b = fill(k * n, 72);
+                    let init = fill(m * n, 73);
+                    for ta in [Transpose::No, Transpose::Yes] {
+                        for tb in [Transpose::No, Transpose::Yes] {
+                            let blocks = contract_blocks(ta, tb, m, n, k, &a, &b);
+                            for beta in [0.0f32, 1.0, 0.5] {
+                                let what = format!("{ta:?}{tb:?} m={m} n={n} k={k} beta={beta}");
+                                let mut want = init.clone();
+                                if m * n * k < SMALL_WORK {
+                                    gemm_unpacked(ta, tb, m, n, k, -1.5, &a, &b, beta, &mut want);
+                                } else {
+                                    contract_apply(&blocks, -1.5, beta, &mut want);
+                                }
+                                for &isa in Isa::detected() {
+                                    let mut c = init.clone();
+                                    gemm_with_isa(isa, ta, tb, m, n, k, -1.5, &a, &b, beta, &mut c);
+                                    assert_same_bits(&c, &want, &format!("{what} isa={}", isa.name()));
+                                }
+                                let mut c = init.clone();
+                                PackedA::new(ta, m, k, &a).gemm(tb, n, -1.5, &b, beta, &mut c);
+                                assert_same_bits(&c, &want, &format!("{what} PackedA"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_nonfinite_cases_in_last_partial_panel() {
+        // What a fused multiply-add does with the IEEE specials, in the
+        // last partial panels (row 64 of 65 = 8·8 + 1 = 6·10 + 5, columns
+        // 32..36 of 36 = 32 + 4) over NaN-poisoned pool memory. Row 64 of
+        // op(A) is negative with a zero at depths 3, 100 and 256 (the
+        // one-deep last `KC` block); columns 33..36 of op(B) put a NaN,
+        // +inf and −inf there — `fma(0, NaN, acc)` and `fma(±0, ±inf,
+        // acc)` are NaN — and column 32 is +0.0 throughout: `fma(−x, 0,
+        // +0.0)` is `+0.0`, the −0 product must not flip the accumulator.
+        let (m, n, k) = (65, 36, 257);
+        for ta in [Transpose::No, Transpose::Yes] {
+            for tb in [Transpose::No, Transpose::Yes] {
+                let at = |i: usize, p: usize| if ta == Transpose::No { i * k + p } else { p * m + i };
+                let bt = |p: usize, j: usize| if tb == Transpose::No { p * n + j } else { j * k + p };
+                let mut a = fill(m * k, 81);
+                let mut b = fill(k * n, 82);
+                for p in 0..k {
+                    a[at(m - 1, p)] = -1.0 - (p % 5) as f32;
+                    b[bt(p, 32)] = 0.0;
+                }
+                a[at(m - 1, 3)] = 0.0;
+                a[at(m - 1, 100)] = 0.0;
+                a[at(m - 1, 256)] = -0.0;
+                b[bt(3, 33)] = f32::NAN;
+                b[bt(100, 34)] = f32::INFINITY;
+                b[bt(256, 35)] = f32::NEG_INFINITY;
+                let mut want = vec![0.0f32; m * n];
+                contract_apply(&contract_blocks(ta, tb, m, n, k, &a, &b), 1.0, 0.0, &mut want);
+                for &isa in Isa::detected() {
+                    poison_pool((m + 8) * k);
+                    let mut c = vec![0.0f32; m * n];
+                    gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+                    let what = format!("{ta:?}{tb:?} isa={}", isa.name());
+                    for (i, row) in c.chunks(n).enumerate() {
+                        assert!(row[..32].iter().all(|x| x.is_finite()), "{what}: poison leaked into row {i}");
+                        assert_eq!(row[32].to_bits(), 0, "{what}: fma(x, +0, +0.0) in row {i} is {}", row[32]);
+                    }
+                    let last = &c[(m - 1) * n..];
+                    assert!(last[33].is_nan(), "{what}: fma(0, NaN, acc) = {}", last[33]);
+                    assert!(last[34].is_nan(), "{what}: fma(0, +inf, acc) = {}", last[34]);
+                    assert!(last[35].is_nan(), "{what}: fma(-0, -inf, acc) = {}", last[35]);
+                    for (idx, (x, y)) in c.iter().zip(&want).enumerate() {
+                        assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "{what} c[{idx}]: {x} vs {y}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn nonfinite_in_last_partial_panel_is_neither_laundered_nor_leaked() {
         // Shapes whose last A panel holds one valid row and whose last B
@@ -1039,14 +1181,7 @@ mod tests {
                 let mut base = vec![0.0f32; m * n];
                 gemm_with_isa(Isa::Sse2, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut base);
                 for &isa in Isa::detected() {
-                    let poison: Vec<_> = (0..4)
-                        .map(|i| {
-                            let mut buf = Workspace::take(((m + 8) * k) << i);
-                            buf.fill(f32::NAN);
-                            buf
-                        })
-                        .collect();
-                    drop(poison);
+                    poison_pool((m + 8) * k);
                     let mut c = vec![0.0f32; m * n];
                     gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c);
                     for (idx, (&x, &y)) in c.iter().zip(&want).enumerate() {

@@ -9,30 +9,43 @@
 //! [`crate::gemm`] lay panels out for, plus the function that consumes
 //! them:
 //!
-//! * [`Isa::Sse2`] — the portable 4×16 tile (fixed-size inner loops the
-//!   compiler auto-vectorises; on x86-64 that is SSE2, the baseline every
-//!   x86-64 target guarantees, and on other architectures whatever the
-//!   portable codegen yields). An 8-row portable tile measured ≈ 15 GF/s
-//!   against ≈ 18, so the narrow arms keep 4×16.
-//! * [`Isa::Avx2`] — explicit `std::arch`, the same 4×16 tile in eight
-//!   256-bit registers, selected when the CPU reports `avx2` and `fma`.
+//! * [`Isa::Sse2`] — the portable 4×16 tile: fixed-size inner loops over
+//!   `f32::mul_add` that the compiler vectorises. One body, compiled
+//!   twice on x86-64: under `target_feature = "fma"` (picked when the CPU
+//!   reports it — nearly every x86-64 since 2013) and for the build's
+//!   baseline, where `mul_add` is a call to the software `fmaf`. Other
+//!   architectures get their native instruction from the plain copy.
+//! * [`Isa::Avx2`] — explicit `std::arch`, a 6×16 tile in twelve 256-bit
+//!   registers, selected when the CPU reports `avx2` and `fma`.
 //! * [`Isa::Avx512`] — explicit `std::arch`, an 8×32 tile shaped for the
 //!   32 zmm registers (16 accumulators, 2 `b` loads and 8 broadcasts per
 //!   depth step), selected when the CPU also reports `avx512f`.
 //!
-//! **Bit-identity contract.** Every ISA variant performs *exactly* the
-//! same f32 operations in the same order per output element: broadcast
-//! `a`, multiply by the packed `b` lane, add into the accumulator, one
-//! rounding each, `p` ascending; then the one shared scalar write-back.
-//! The tile shape only decides *which* elements share a call, never the
-//! order within an element. No arm uses a fused multiply-add (CI greps
-//! this file for it): fusing rounds once where mul+add rounds twice,
-//! which would make results differ between dispatch arms — and serving
-//! replay, checkpoint round-trip checks and the differential harness all
-//! pin bit-identical logits across machines. The wins here come from
-//! vector width and the register-resident accumulator tile, not from
-//! fusing; EXPERIMENTS.md records what that costs (mul+add caps one core
-//! at about half its FMA rate).
+//! **Bit-identity contract.** Every arm performs *exactly* the same f32
+//! operations in the same order per output element: per `KC` block the
+//! accumulator starts at `+0.0` and takes one **fused multiply-add** per
+//! depth step, `acc = fma(a, b, acc)` — one rounding, `p` ascending —
+//! then the one shared scalar write-back `C += alpha * acc` (multiply
+//! and add rounded separately). The tile shape, the cache blocks `MC` /
+//! `NC` and the loop order only decide *which* elements share a call;
+//! `KC` decides where an element's chain restarts and is part of the
+//! numerics. The contract is executable: `gemm`'s tests hold every
+//! detected arm and [`crate::PackedA`] to a scalar `mul_add` reference
+//! bit for bit.
+//!
+//! Fused, because that is what the silicon's peak is quoted in: multiply
+//! and add issue on the same two vector ports, so rounding them apart
+//! caps a core at half its rate (EXPERIMENTS.md A9). All three arms moved
+//! to it together, because an arm that still rounded twice would differ
+//! from the others in the last bit — and serving replay, checkpoint
+//! round-trip checks and the differential harness all pin bit-identical
+//! logits across machines. So nothing depends on ISA or thread width, as
+//! before; what did change, once, is every bit pattern computed before
+//! the switch. The price is paid by an x86-64 CPU without FMA (pre-2013,
+//! or a hypervisor masking the flag): the software `fmaf` is correctly
+//! rounded, hence bit-identical, and about a hundred times slower (one
+//! libm call per lane: ≈ 0.5 GF/s where the compiled-in instruction
+//! reaches ≈ 60); the dispatch says so once on stderr.
 //!
 //! The int8 kernels ([`dot_i8`]) follow the same shape: the AVX2 arm
 //! (which `Avx512` reuses — VNNI is not wired up) widens `i8 → i16`
@@ -42,9 +55,13 @@
 //! `|a·b| ≤ 127² = 16129` fits i16 and the deepest supported reduction
 //! (k ≤ 2³¹/2¹⁵) is far beyond any layer in the stack.
 
-/// Register tile of the 128- and 256-bit arms.
+/// Register tile of the portable arm, and the column count of the
+/// 256-bit one.
 const MR: usize = 4;
 const NR: usize = 16;
+/// Rows of the 256-bit arm's tile: 6 rows × 2 ymm.
+#[cfg(target_arch = "x86_64")]
+const MR256: usize = 6;
 /// Register tile of the 512-bit arm: 8 rows × 2 zmm.
 #[cfg(target_arch = "x86_64")]
 const MR512: usize = 8;
@@ -61,14 +78,13 @@ unsafe impl Sync for CPtr {}
 /// An instruction-set architecture the packed GEMM can dispatch to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Isa {
-    /// The portable 4×16 register-tile kernel — auto-vectorised by the
-    /// compiler for the baseline target (SSE2 on x86-64). Always
-    /// available.
+    /// The portable 4×16 register-tile kernel, auto-vectorised by the
+    /// compiler; named for the x86-64 baseline, which is all it requires.
+    /// Always available.
     Sse2,
     /// Explicit 256-bit `std::arch` kernel; requires the CPU to report
     /// `avx2` *and* `fma` (dispatched as one unit, matching how the
-    /// 256-bit generation shipped — the kernel itself avoids fused ops,
-    /// see the module docs).
+    /// 256-bit generation shipped).
     Avx2,
     /// Explicit 512-bit `std::arch` kernel on an 8×32 tile; requires
     /// `avx512f` on top of everything [`Isa::Avx2`] requires.
@@ -146,9 +162,9 @@ impl Isa {
     pub(crate) fn kernel(self) -> Kernel {
         assert!(self.is_available(), "ISA {} not available on this CPU", self.name());
         match self {
-            Isa::Sse2 => Kernel { mr: MR, nr: NR, run: microkernel_sse2 },
+            Isa::Sse2 => Kernel { mr: MR, nr: NR, run: portable_kernel() },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => Kernel { mr: MR, nr: NR, run: microkernel_avx2 },
+            Isa::Avx2 => Kernel { mr: MR256, nr: NR, run: microkernel_avx2 },
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512 => Kernel { mr: MR512, nr: NR512, run: microkernel_avx512 },
             #[cfg(not(target_arch = "x86_64"))]
@@ -166,12 +182,20 @@ pub(crate) type MicrokernelFn =
 
 /// The portable `MR x NR` register-tile microkernel: an unrolled 4×16
 /// accumulator block held in registers, updated with `kc` broadcast
-/// multiplies and adds per lane; fixed-size views let the compiler
-/// vectorise the NR lane without bounds checks (SSE2 on the x86-64
-/// baseline).
+/// fused multiply-adds per lane; fixed-size views let the compiler
+/// vectorise the NR lane without bounds checks.
+///
+/// As a function pointer this is the copy compiled for the build's
+/// baseline target: `mul_add` is the native instruction wherever the
+/// baseline has one (every non-x86 target; x86-64 built with `+fma`)
+/// and a call to the correctly-rounded software `fmaf` otherwise — same
+/// bits, far slower, dispatched only on an x86-64 CPU without FMA.
+/// `#[inline(always)]` so that [`microkernel_portable_fma`] compiles a
+/// second copy under its own target feature: what `mul_add` lowers to is
+/// the only difference between the two.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-pub(crate) fn microkernel_sse2(
+#[inline(always)]
+fn microkernel_portable(
     kc: usize,
     ap: &[f32],
     bp: &[f32],
@@ -190,11 +214,71 @@ pub(crate) fn microkernel_sse2(
         let bv: &[f32; NR] = bp[p * NR..(p + 1) * NR].try_into().unwrap();
         for (accr, &ai) in acc.iter_mut().zip(av) {
             for (accv, &bj) in accr.iter_mut().zip(bv) {
-                *accv += ai * bj;
+                *accv = ai.mul_add(bj, *accv);
             }
         }
     }
     writeback(&acc, alpha, c, ldc, row0, col0, mr_eff, nr_eff);
+}
+
+/// [`microkernel_portable`] compiled with the hardware FMA: the `sse2`
+/// arm of every x86-64 CPU that reports `fma` (the compiler may widen
+/// the lane loop to 256-bit VEX; lane width never changes an element's
+/// bits).
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn microkernel_portable_fma(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    c: CPtr,
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+) {
+    #[target_feature(enable = "fma")]
+    #[allow(clippy::too_many_arguments)]
+    fn with_fma(
+        kc: usize,
+        ap: &[f32],
+        bp: &[f32],
+        alpha: f32,
+        c: CPtr,
+        ldc: usize,
+        row0: usize,
+        col0: usize,
+        mr_eff: usize,
+        nr_eff: usize,
+    ) {
+        microkernel_portable(kc, ap, bp, alpha, c, ldc, row0, col0, mr_eff, nr_eff);
+    }
+    // SAFETY: `portable_kernel` only returns this variant after
+    // `is_x86_feature_detected!("fma")` reported support.
+    unsafe { with_fma(kc, ap, bp, alpha, c, ldc, row0, col0, mr_eff, nr_eff) }
+}
+
+/// The portable arm's instantiation for the running CPU, chosen once per
+/// process; says so once on stderr when it is the software one.
+fn portable_kernel() -> MicrokernelFn {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::OnceLock;
+        static RUN: OnceLock<MicrokernelFn> = OnceLock::new();
+        *RUN.get_or_init(|| {
+            if std::arch::is_x86_feature_detected!("fma") {
+                return microkernel_portable_fma;
+            }
+            eprintln!(
+                "scidl-tensor: this CPU reports no FMA; GEMM uses software fused multiply-add (same results, much slower)"
+            );
+            microkernel_portable
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    microkernel_portable
 }
 
 /// Adds `alpha * acc` into the valid `mr_eff × nr_eff` region of `C`.
@@ -246,10 +330,12 @@ fn microkernel_avx2(
     unsafe { microkernel_avx2_impl(kc, ap, bp, alpha, c, ldc, row0, col0, mr_eff, nr_eff) }
 }
 
-/// The 256-bit microkernel: the 4×16 accumulator tile lives in eight
-/// `__m256` registers (4 rows × 2 vectors), fed by one broadcast of `a`
-/// and two aligned-stride loads of the packed `b` panel per depth step.
-/// Mul and add are kept separate — see the module docs.
+/// The 256-bit microkernel: the 6×16 accumulator tile lives in twelve
+/// `__m256` registers (6 rows × 2 vectors) of the sixteen, fed by two
+/// loads of the packed `b` panel and six broadcasts of `a` per depth
+/// step. Twelve independent FMA chains cover the instruction's latency
+/// on both ports; the eight of a 4×16 tile measured ≈ 70 GF/s against
+/// ≈ 85 in registers, where the ymm ceiling is ≈ 89.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -266,24 +352,27 @@ unsafe fn microkernel_avx2_impl(
     nr_eff: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    assert!(ap.len() >= kc * MR256 && bp.len() >= kc * NR);
+    // SAFETY: the assert above bounds every `apf`/`bpf` offset below
+    // (`p < kc`, `r < MR256`, lanes `< NR`); the stores write a local
+    // tile of exactly `MR256 × NR`.
     unsafe {
-        let mut acc = [[_mm256_setzero_ps(); 2]; MR];
+        let mut acc = [[_mm256_setzero_ps(); 2]; MR256];
         let apf = ap.as_ptr();
         let bpf = bp.as_ptr();
         for p in 0..kc {
             let b0 = _mm256_loadu_ps(bpf.add(p * NR));
             let b1 = _mm256_loadu_ps(bpf.add(p * NR + 8));
             for (r, accr) in acc.iter_mut().enumerate() {
-                let a = _mm256_set1_ps(*apf.add(p * MR + r));
-                accr[0] = _mm256_add_ps(accr[0], _mm256_mul_ps(a, b0));
-                accr[1] = _mm256_add_ps(accr[1], _mm256_mul_ps(a, b1));
+                let a = _mm256_set1_ps(*apf.add(p * MR256 + r));
+                accr[0] = _mm256_fmadd_ps(a, b0, accr[0]);
+                accr[1] = _mm256_fmadd_ps(a, b1, accr[1]);
             }
         }
         // Spill the vector tile to a scalar tile and reuse the shared
         // write-back, so ragged edges and the alpha epilogue round
         // exactly like the portable kernel.
-        let mut tile = [[0.0f32; NR]; MR];
+        let mut tile = [[0.0f32; NR]; MR256];
         for (r, accr) in acc.iter().enumerate() {
             _mm256_storeu_ps(tile[r].as_mut_ptr(), accr[0]);
             _mm256_storeu_ps(tile[r].as_mut_ptr().add(8), accr[1]);
@@ -315,10 +404,10 @@ fn microkernel_avx512(
 
 /// The 512-bit microkernel: the 8×32 accumulator tile lives in sixteen
 /// `__m512` registers (8 rows × 2 vectors), fed by eight broadcasts of
-/// `a` and two loads of the packed `b` panel per depth step — 32
-/// arithmetic ops per 10 loads, which leaves the two vector ports, not
-/// the load ports, as the limit. Mul and add are kept separate, exactly
-/// as in the narrower arms.
+/// `a` and two loads of the packed `b` panel per depth step — 16
+/// FMAs per 10 loads, which leaves the two vector ports, not the load
+/// ports, as the limit: on cache-resident panels the loop runs at the
+/// register-only FMA rate.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 #[allow(clippy::too_many_arguments)]
@@ -348,8 +437,8 @@ unsafe fn microkernel_avx512_impl(
             let b1 = _mm512_loadu_ps(bpf.add(p * NR512 + 16));
             for (r, accr) in acc.iter_mut().enumerate() {
                 let a = _mm512_set1_ps(*apf.add(p * MR512 + r));
-                accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(a, b0));
-                accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(a, b1));
+                accr[0] = _mm512_fmadd_ps(a, b0, accr[0]);
+                accr[1] = _mm512_fmadd_ps(a, b1, accr[1]);
             }
         }
         let mut tile = [[0.0f32; NR512]; MR512];
@@ -431,6 +520,39 @@ mod tests {
         assert_eq!(d.first(), Some(&Isa::Sse2));
         assert!(Isa::Sse2.is_available());
         assert!(d.contains(&Isa::active()));
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_tile_rounds_the_same_with_hardware_and_software_fma() {
+        // The portable arm dispatches one of two compilations of one
+        // body; a host with FMA never runs the other through `gemm`, so
+        // call both directly. Full and ragged tiles, a one-deep and a
+        // full-depth panel, C accumulated into (not overwritten).
+        if !std::arch::is_x86_feature_detected!("fma") {
+            return;
+        }
+        let mut s = 0x9E37_79B9u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            ((s % 2000) as f32 - 1000.0) / 500.0
+        };
+        for kc in [1usize, 7, 256] {
+            let ap: Vec<f32> = (0..kc * MR).map(|_| next()).collect();
+            let bp: Vec<f32> = (0..kc * NR).map(|_| next()).collect();
+            let init: Vec<f32> = (0..MR * NR).map(|_| next()).collect();
+            for (mr_eff, nr_eff) in [(MR, NR), (1, NR), (MR, 1), (3, 9)] {
+                let (mut soft, mut hard) = (init.clone(), init.clone());
+                microkernel_portable(kc, &ap, &bp, -1.5, CPtr(soft.as_mut_ptr()), NR, 0, 0, mr_eff, nr_eff);
+                microkernel_portable_fma(kc, &ap, &bp, -1.5, CPtr(hard.as_mut_ptr()), NR, 0, 0, mr_eff, nr_eff);
+                for (idx, (x, y)) in soft.iter().zip(&hard).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "kc={kc} {mr_eff}x{nr_eff} c[{idx}]: {x} vs {y}");
+                }
+                assert!(soft != init, "kc={kc} {mr_eff}x{nr_eff}: nothing written");
+            }
+        }
     }
 
     #[test]
