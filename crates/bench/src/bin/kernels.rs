@@ -39,8 +39,7 @@ use scidl_tensor::{
 };
 use std::time::Instant;
 
-/// `(label, ta, tb, m, n, k)` — conv-lowered GEMM shapes (see the
-/// criterion bench for the same list with the faster-or-equal assert).
+/// `(label, ta, tb, m, n, k)` — conv-lowered GEMM shapes.
 const GEMM_SHAPES: &[(&str, Transpose, Transpose, usize, usize, usize)] = &[
     ("hep_fwd_nn", Transpose::No, Transpose::No, 128, 196, 1152),
     ("hep_fwd_wide_nn", Transpose::No, Transpose::No, 128, 784, 1152),

@@ -22,9 +22,6 @@
 //! | `serving` | dynamic-batching latency/throughput frontier (`scidl-serve`) |
 //! | `kernels` | per-node kernel GFLOP/s (packed GEMM vs seed baseline) |
 //!
-//! Criterion benches (`cargo bench -p scidl-bench`) measure the real Rust
-//! kernels (GEMM/conv/all-reduce) and the simulator itself.
-//!
 //! This library crate holds the small table/CSV formatting helpers the
 //! binaries share.
 

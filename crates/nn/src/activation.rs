@@ -3,7 +3,7 @@
 //! uses an elementwise sigmoid on its confidence map, provided here as a
 //! free function pair used by the loss.
 
-use crate::layer::{InferScratch, Layer};
+use crate::layer::Layer;
 use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
 /// Rectified linear unit, `y = max(0, x)`.
@@ -39,11 +39,12 @@ impl Layer for Relu {
                 *m = x > 0.0;
             }
         });
-        rectify(input)
+        self.infer(input)
     }
 
-    fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
-        rectify(input)
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let x = input.data();
+        Tensor::from_chunks(input.shape(), |r| x[r].iter().map(|&x| rectify(x)))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -63,10 +64,15 @@ impl Layer for Relu {
     }
 }
 
-/// `max(0, x)` elementwise, split across the calling thread's width.
-fn rectify(input: &Tensor) -> Tensor {
-    let x = input.data();
-    Tensor::from_chunks(input.shape(), |r| x[r].iter().map(|&x| x.max(0.0)))
+/// `max(0, x)`, except that NaN stays NaN: `f32::max` returns its
+/// non-NaN operand and would launder a poisoned activation into `0.0`.
+#[inline]
+fn rectify(x: f32) -> f32 {
+    if x.is_nan() {
+        x
+    } else {
+        x.max(0.0)
+    }
 }
 
 /// Elementwise logistic sigmoid.

@@ -1,37 +1,17 @@
 //! 2-D convolution layer (im2col + GEMM lowering).
 
-use crate::layer::{InferScratch, Layer, ParamBlock};
+use crate::layer::{Layer, ParamBlock};
 use scidl_tensor::{
     col2im, gemm, im2col, par, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, Workspace,
     PAR_CHUNK, PAR_WORK,
 };
 
-/// Forward-pass algorithm selection for [`Conv2d`] — the fast-convolution
-/// families the paper names as future work (Sec. VIII-A) are first-class
-/// options. Backward always uses the im2col/GEMM path (the fast
-/// algorithms here implement forward only), which is valid because all
-/// algorithms compute the same function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ConvAlgorithm {
-    /// im2col lowering + blocked GEMM (the MKL-2017-style default).
-    #[default]
-    Im2colGemm,
-    /// Winograd F(2x2, 3x3) — requires `k == 3`, `stride == 1`,
-    /// `pad == 1` and even spatial dims; falls back to im2col otherwise.
-    Winograd,
-    /// FFT convolution — requires `stride == 1` and `pad < k`; falls
-    /// back to im2col otherwise.
-    Fft,
-}
-
 /// A 2-D convolution with square kernel, symmetric padding and uniform
 /// stride, matching the layers of both paper networks (3x3/s1 for HEP,
 /// 5x5 with strides 1–2 for the climate encoder, 3x3 scoring heads).
 ///
-/// Weights are stored `(cout, cin, k, k)`; the default forward lowers
-/// each batch item through [`im2col`] and a
-/// `(cout) x (cin*k*k) x (oh*ow)` GEMM; Winograd/FFT forwards are
-/// selectable via [`Conv2d::with_algorithm`].
+/// Weights are stored `(cout, cin, k, k)`; each batch item is lowered
+/// through [`im2col`] and a `(cout) x (cin*k*k) x (oh*ow)` GEMM.
 pub struct Conv2d {
     name: String,
     cin: usize,
@@ -39,7 +19,6 @@ pub struct Conv2d {
     k: usize,
     stride: usize,
     pad: usize,
-    algorithm: ConvAlgorithm,
     weight: ParamBlock,
     bias: ParamBlock,
     /// Cached input from the last forward (needed for weight gradients).
@@ -71,39 +50,9 @@ impl Conv2d {
             k,
             stride,
             pad,
-            algorithm: ConvAlgorithm::default(),
             weight,
             bias,
             cached_input: None,
-        }
-    }
-
-    /// Selects the forward algorithm (builder style). Incompatible
-    /// geometries silently fall back to im2col at forward time.
-    pub fn with_algorithm(mut self, algorithm: ConvAlgorithm) -> Self {
-        self.algorithm = algorithm;
-        self
-    }
-
-    /// The algorithm the next forward will attempt.
-    pub fn algorithm(&self) -> ConvAlgorithm {
-        self.algorithm
-    }
-
-    /// Whether the configured fast algorithm applies to this input.
-    fn fast_path(&self, ishape: Shape4) -> ConvAlgorithm {
-        match self.algorithm {
-            ConvAlgorithm::Winograd
-                if self.k == 3
-                    && self.stride == 1
-                    && self.pad == 1
-                    && ishape.h.is_multiple_of(2)
-                    && ishape.w.is_multiple_of(2) =>
-            {
-                ConvAlgorithm::Winograd
-            }
-            ConvAlgorithm::Fft if self.stride == 1 && self.pad < self.k => ConvAlgorithm::Fft,
-            _ => ConvAlgorithm::Im2colGemm,
         }
     }
 
@@ -139,28 +88,13 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.cached_input = Some(input.clone());
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         let ishape = input.shape();
-
-        // Fast-algorithm dispatch (Sec. VIII-A's Winograd/FFT kernels).
-        match self.fast_path(ishape) {
-            ConvAlgorithm::Winograd => {
-                let out = crate::winograd::winograd_conv3x3(
-                    input,
-                    &self.weight.value,
-                    self.bias.value.data(),
-                );
-                self.cached_input = Some(input.clone());
-                return out;
-            }
-            ConvAlgorithm::Fft => {
-                let out =
-                    crate::fftconv::fft_conv(input, &self.weight.value, self.bias.value.data(), self.pad);
-                self.cached_input = Some(input.clone());
-                return out;
-            }
-            ConvAlgorithm::Im2colGemm => {}
-        }
-
         let geo = self.geometry(ishape.h, ishape.w);
         let oshape = geo.out_shape(ishape.n);
         let mut out = Tensor::zeros(oshape);
@@ -196,44 +130,6 @@ impl Layer for Conv2d {
                 weight.gemm_bias(Transpose::No, cols, &col, bias, item);
             }
         });
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        let ishape = input.shape();
-
-        match self.fast_path(ishape) {
-            ConvAlgorithm::Winograd => {
-                return crate::winograd::winograd_conv3x3(
-                    input,
-                    &self.weight.value,
-                    self.bias.value.data(),
-                );
-            }
-            ConvAlgorithm::Fft => {
-                return crate::fftconv::fft_conv(input, &self.weight.value, self.bias.value.data(), self.pad);
-            }
-            ConvAlgorithm::Im2colGemm => {}
-        }
-
-        let geo = self.geometry(ishape.h, ishape.w);
-        let oshape = geo.out_shape(ishape.n);
-        let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols());
-
-        // Sequential per-item loop: the same per-item arithmetic as both
-        // forward paths (the parallel path partitions over items without
-        // changing any reduction order), so outputs are bit-identical.
-        scratch.col.resize(rows * cols, 0.0);
-        let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
-        for n in 0..ishape.n {
-            im2col(&geo, input.item(n), &mut scratch.col);
-            // Same fused-bias GEMM as forward — required for the
-            // bit-identity guarantee (fusing changes which sweep writes
-            // the bias, so both paths must fuse identically).
-            weight.gemm_bias(Transpose::No, cols, &scratch.col, self.bias.value.data(), out.item_mut(n));
-        }
         out
     }
 
@@ -286,9 +182,6 @@ impl Layer for Conv2d {
     }
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
-        // Always the im2col/GEMM lowering: the fast f32 algorithms have
-        // no exact int8 analogue, and quantized serving is approximate
-        // anyway — the guarded swap's probe threshold is the arbiter.
         Some(crate::quant::QuantLayer::Conv2d(crate::quant::QuantConv2d::new(
             self.cin,
             self.cout,
@@ -503,44 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_and_train_identically() {
-        let mut xr = TensorRng::new(5150);
-        let x = xr.uniform_tensor(Shape4::new(2, 3, 8, 8), -1.0, 1.0);
-        let mut r = rng();
-        let mut reference = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r);
-        let flat: Vec<f32> = reference.weight.value.data().to_vec();
-        let want = reference.forward(&x);
-        let dref = reference.backward(&Tensor::filled(want.shape(), 1.0));
-        let wgrad_ref = reference.weight.grad.clone();
-
-        for alg in [ConvAlgorithm::Winograd, ConvAlgorithm::Fft] {
-            let mut r2 = rng();
-            let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r2).with_algorithm(alg);
-            assert_eq!(conv.weight.value.data(), flat.as_slice(), "same init");
-            let got = conv.forward(&x);
-            assert!(got.max_abs_diff(&want) < 2e-3, "{alg:?} forward mismatch");
-            // Backward (always im2col) produces the same gradients.
-            let dgot = conv.backward(&Tensor::filled(want.shape(), 1.0));
-            assert!(dgot.max_abs_diff(&dref) < 1e-4, "{alg:?} data-grad mismatch");
-            assert!(conv.weight.grad.max_abs_diff(&wgrad_ref) < 1e-3, "{alg:?} weight-grad mismatch");
-        }
-    }
-
-    #[test]
-    fn incompatible_geometry_falls_back_to_im2col() {
-        let mut xr = TensorRng::new(5151);
-        let x = xr.uniform_tensor(Shape4::new(1, 2, 8, 8), -1.0, 1.0);
-        // Stride 2 cannot use Winograd: must silently fall back.
-        let mut r = rng();
-        let mut conv = Conv2d::new("c", 2, 4, 3, 2, 1, &mut r).with_algorithm(ConvAlgorithm::Winograd);
-        let y = conv.forward(&x);
-        let mut r2 = rng();
-        let mut plain = Conv2d::new("c", 2, 4, 3, 2, 1, &mut r2);
-        let y_ref = plain.forward(&x);
-        assert!(y.max_abs_diff(&y_ref) < 1e-5);
-    }
-
-    #[test]
     fn batch_parallel_path_matches_sequential_path() {
         // Force both paths on identical data: a big batch of small images
         // (parallel path) against per-item forwards (sequential path,
@@ -564,18 +419,13 @@ mod tests {
     }
 
     #[test]
-    fn infer_matches_forward_for_all_algorithms() {
-        use crate::layer::InferScratch;
+    fn infer_matches_forward_bit_identically() {
         let mut xr = TensorRng::new(6161);
         let x = xr.uniform_tensor(Shape4::new(3, 3, 8, 8), -1.0, 1.0);
-        for alg in [ConvAlgorithm::Im2colGemm, ConvAlgorithm::Winograd, ConvAlgorithm::Fft] {
-            let mut r = rng();
-            let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r).with_algorithm(alg);
-            let want = conv.forward(&x);
-            let mut scratch = InferScratch::new();
-            let got = conv.infer(&x, &mut scratch);
-            assert_eq!(want.data(), got.data(), "{alg:?}: infer must be bit-identical");
-        }
+        let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut rng());
+        let want = conv.forward(&x);
+        let got = conv.infer(&x);
+        assert_eq!(want.data(), got.data(), "infer must be bit-identical");
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! 2017 did not provide; Sec. III-C describes the trick used: *the
 //! backward-data pass of a convolution computes the forward pass of the
 //! matching deconvolution, and vice versa*. We implement exactly that —
-//! [`Deconv2d::forward`] is `col2im(W^T · x)` (a conv backward-data) and
+//! [`Deconv2d::infer`] is `col2im(W^T · x)` (a conv backward-data) and
 //! [`Deconv2d::backward`]'s data path is `W · im2col(dy)` (a conv
 //! forward), so the two layers share all their kernels.
 
-use crate::layer::{InferScratch, Layer, ParamBlock};
+use crate::layer::{Layer, ParamBlock};
 use scidl_tensor::{
     col2im, gemm, im2col, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, Workspace,
 };
@@ -89,6 +89,12 @@ impl Layer for Deconv2d {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.cached_input = Some(input.clone());
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         let ishape = input.shape();
         let geo = self.mirror_geometry(ishape.h, ishape.w);
         let oshape = self.out_shape(ishape);
@@ -115,43 +121,6 @@ impl Layer for Deconv2d {
             // Scatter into the (zeroed) output plane.
             col2im(&geo, &col, out.item_mut(n));
             // Bias per output channel.
-            let plane = oshape.plane_len();
-            let item = out.item_mut(n);
-            for c in 0..self.cout {
-                let b = self.bias.value.data()[c];
-                if b != 0.0 {
-                    for v in &mut item[c * plane..(c + 1) * plane] {
-                        *v += b;
-                    }
-                }
-            }
-        }
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        let ishape = input.shape();
-        let geo = self.mirror_geometry(ishape.h, ishape.w);
-        let oshape = self.out_shape(ishape);
-        let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols());
-        scratch.col.resize(rows * cols, 0.0);
-
-        for n in 0..ishape.n {
-            gemm(
-                Transpose::Yes,
-                Transpose::No,
-                rows,
-                cols,
-                self.cin,
-                1.0,
-                self.weight.value.data(),
-                input.item(n),
-                0.0,
-                &mut scratch.col,
-            );
-            col2im(&geo, &scratch.col, out.item_mut(n));
             let plane = oshape.plane_len();
             let item = out.item_mut(n);
             for c in 0..self.cout {
@@ -378,12 +347,11 @@ mod tests {
 
     #[test]
     fn infer_matches_forward_bit_identically() {
-        use crate::layer::InferScratch;
         let mut r = rng();
         let mut d = Deconv2d::new("d", 3, 2, 4, 2, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(2, 3, 5, 5), -1.0, 1.0);
         let want = d.forward(&x);
-        let got = d.infer(&x, &mut InferScratch::new());
+        let got = d.infer(&x);
         assert_eq!(want.data(), got.data());
     }
 

@@ -5,7 +5,7 @@
 //! layers ("to not use layers with large dense weights", Sec. I) so that
 //! the model stays cheap to all-reduce at scale.
 
-use crate::layer::{InferScratch, Layer, ParamBlock};
+use crate::layer::{Layer, ParamBlock};
 use scidl_tensor::{gemm, gemm_bias_cols, Shape4, Tensor, TensorRng, Transpose};
 
 /// Dense layer `y = W x + b`, flattening each batch item.
@@ -52,31 +52,17 @@ impl Layer for Dense {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
+        let out = self.infer(input);
+        self.cached_input = Some(input.clone());
+        out
+    }
+
+    fn infer(&self, input: &Tensor) -> Tensor {
         let os = self.out_shape(input.shape());
         let n = input.shape().n;
         let mut out = Tensor::zeros(os);
         // Y (n x out) = b ⊕ X (n x in) * W^T (in x out); the per-column
         // bias broadcast is fused into the GEMM epilogue (one C sweep).
-        gemm_bias_cols(
-            Transpose::No,
-            Transpose::Yes,
-            n,
-            self.output_len,
-            self.input_len,
-            input.data(),
-            self.weight.value.data(),
-            self.bias.value.data(),
-            out.data_mut(),
-        );
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
-        let os = self.out_shape(input.shape());
-        let n = input.shape().n;
-        let mut out = Tensor::zeros(os);
-        // Same fused path as forward, keeping infer bit-identical.
         gemm_bias_cols(
             Transpose::No,
             Transpose::Yes,

@@ -45,20 +45,18 @@ impl ParamBlock {
     }
 }
 
-/// Caller-owned scratch buffers for the inference-only forward path
-/// ([`Layer::infer`]). Serving workers keep one instance each: layers
-/// borrow what they need (the im2col lowering buffer) instead of
-/// allocating per call or mutating layer-owned caches, so a shared
-/// `&Network` can run concurrent inference.
+/// Caller-owned integer scratch for the int8 serving path
+/// ([`crate::quant::QuantLayer::infer`]); serving workers keep one
+/// instance each. Every `f32` scratch buffer — the im2col lowering, GEMM
+/// pack panels — comes from the thread-local
+/// [`scidl_tensor::Workspace`] instead, on the training and the serving
+/// path alike.
 #[derive(Debug, Default)]
 pub struct InferScratch {
-    /// im2col/col2im lowering buffer shared by the convolution-family
-    /// layers; grown on demand, reused across layers and requests.
-    pub col: Vec<f32>,
-    /// Quantized operand buffer for the int8 serving path (activations
-    /// for dense, the transposed im2col matrix for conv).
+    /// Quantized operand buffer (activations for dense, the transposed
+    /// im2col matrix for conv).
     pub qcol: Vec<i8>,
-    /// i32 accumulator buffer for the int8 serving path.
+    /// i32 accumulator buffer.
     pub qacc: Vec<i32>,
 }
 
@@ -69,12 +67,13 @@ impl InferScratch {
     }
 }
 
-/// A stateful neural-network layer (Caffe execution model).
+/// A neural-network layer (Caffe execution model).
 ///
-/// `forward` caches whatever activations `backward` will need; `backward`
-/// consumes the cached state, accumulates parameter gradients into its
-/// [`ParamBlock`]s and returns the gradient with respect to the input.
-/// [`Layer::infer`] is the stateless counterpart used at serving time.
+/// [`Layer::infer`] is the one place a layer's function is written;
+/// `forward` is `infer` plus remembering whatever `backward` will need;
+/// `backward` consumes that state, accumulates parameter gradients into
+/// its [`ParamBlock`]s and returns the gradient with respect to the
+/// input.
 pub trait Layer: Send + Sync {
     /// Layer instance name (unique within a network), e.g. `"conv3"`.
     fn name(&self) -> &str;
@@ -83,19 +82,19 @@ pub trait Layer: Send + Sync {
     /// incompatible with the layer configuration.
     fn out_shape(&self, input: Shape4) -> Shape4;
 
-    /// Forward pass.
+    /// Training forward pass: [`Layer::infer`]'s output, with what
+    /// `backward` needs remembered in the layer.
     fn forward(&mut self, input: &Tensor) -> Tensor;
 
     /// Backward pass: gradient w.r.t. output in, gradient w.r.t. input
     /// out. Must be called after `forward` with a matching shape.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// Inference-only forward pass: computes *exactly* the same function
-    /// as [`Layer::forward`] — bit-identical output — without caching
-    /// activations or touching any mutable layer state. Takes `&self` so
-    /// one model can be shared read-only across serving workers; per-call
-    /// buffers come from the caller's [`InferScratch`].
-    fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor;
+    /// The layer's function, stateless: no activation is cached and no
+    /// layer state touched, so one model can be shared read-only across
+    /// serving workers. Scratch comes from the calling thread's
+    /// [`scidl_tensor::Workspace`].
+    fn infer(&self, input: &Tensor) -> Tensor;
 
     /// The int8 serving form of this layer, if it has one. Layers whose
     /// compute is GEMM-shaped (dense, convolution) return a

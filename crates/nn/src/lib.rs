@@ -49,11 +49,9 @@ pub mod arch;
 pub mod conv;
 pub mod deconv;
 pub mod dense;
-pub mod fftconv;
 pub mod flops;
 pub mod layer;
 pub mod loss;
-pub mod lstm;
 pub mod network;
 pub mod pool;
 pub mod profile;
@@ -61,7 +59,6 @@ pub mod quant;
 pub mod residual;
 pub mod schedule;
 pub mod solver;
-pub mod winograd;
 
 pub use activation::Relu;
 pub use conv::Conv2d;
@@ -69,7 +66,6 @@ pub use deconv::Deconv2d;
 pub use dense::Dense;
 pub use layer::{InferScratch, Layer, ParamBlock};
 pub use loss::{DetectionLoss, DetectionTargets, SoftmaxCrossEntropy};
-pub use lstm::Lstm;
 pub use network::Network;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use quant::{QuantLayer, QuantizedNetwork};

@@ -124,31 +124,20 @@ impl Network {
 
     /// Full forward pass.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut x = input.clone();
-        for l in &mut self.layers {
-            x = l.forward(&x);
-        }
-        x
+        let mut layers = self.layers.iter_mut();
+        let Some(first) = layers.next() else { return input.clone() };
+        layers.fold(first.forward(input), |x, l| l.forward(&x))
     }
 
-    /// Inference-only forward pass: same function as [`Network::forward`]
-    /// bit-for-bit, but `&self` — no activation caching, no layer-state
-    /// mutation — so one network instance can serve many readers.
-    /// Allocates its own scratch; serving hot paths should hold an
-    /// [`InferScratch`] per worker and call [`Network::infer_with`].
+    /// Inference-only forward pass: the same function as
+    /// [`Network::forward`] bit for bit (each layer's `forward` *is* its
+    /// `infer` plus caching), but `&self` — no activation caching, no
+    /// layer-state mutation — so one network instance can serve many
+    /// readers.
     pub fn infer(&self, input: &Tensor) -> Tensor {
-        let mut scratch = InferScratch::new();
-        self.infer_with(input, &mut scratch)
-    }
-
-    /// Inference forward reusing caller-provided scratch buffers (one per
-    /// serving worker keeps steady-state allocation bounded).
-    pub fn infer_with(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        let mut x = input.clone();
-        for l in &self.layers {
-            x = l.infer(&x, scratch);
-        }
-        x
+        let mut layers = self.layers.iter();
+        let Some(first) = layers.next() else { return input.clone() };
+        layers.fold(first.infer(input), |x, l| l.infer(&x))
     }
 
     /// Builds the int8 sidecar for this network: every GEMM-shaped layer
@@ -171,7 +160,7 @@ impl Network {
     /// the exact i32-accumulate [`scidl_tensor::gemm_i8`] kernel with
     /// dynamic per-tensor activation scales; the rest run their f32
     /// [`Layer::infer`]. Output is *approximate* (unlike
-    /// [`Network::infer_with`], which is bit-identical to training
+    /// [`Network::infer`], which is bit-identical to training
     /// forward) — callers gate deployment on probe accuracy, not on
     /// equality. Non-finite inputs still poison the output: the
     /// quantizers emit NaN scales, never finite garbage.
@@ -190,7 +179,7 @@ impl Network {
         for (l, ql) in self.layers.iter().zip(&q.layers) {
             x = match ql {
                 Some(ql) => ql.infer(&x, scratch),
-                None => l.infer(&x, scratch),
+                None => l.infer(&x),
             };
         }
         x
@@ -441,8 +430,8 @@ mod tests {
 
     #[test]
     fn infer_is_bit_identical_to_forward() {
-        // Batch 6 exercises Conv2d's batch-parallel forward path against
-        // infer's sequential loop; equality must be exact, not approximate.
+        // Batch 6 takes Conv2d's batch-parallel path; equality must be
+        // exact, not approximate.
         let mut rng = TensorRng::new(42);
         let mut net = tiny_net(&mut rng);
         let x = rng.uniform_tensor(Shape4::new(6, 1, 8, 8), -1.0, 1.0);
@@ -458,11 +447,10 @@ mod tests {
         let mut net = crate::residual::resnet_small(1, 2, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(3, 1, 16, 16), -1.0, 1.0);
         let y_train = net.forward(&x);
-        let mut scratch = InferScratch::new();
-        let y_infer = net.infer_with(&x, &mut scratch);
+        let y_infer = net.infer(&x);
         assert_eq!(y_train.data(), y_infer.data());
         // Scratch reuse across calls must not change results.
-        let again = net.infer_with(&x, &mut scratch);
+        let again = net.infer(&x);
         assert_eq!(y_infer.data(), again.data());
     }
 

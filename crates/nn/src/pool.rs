@@ -5,7 +5,7 @@
 //! a deliberate design choice of the paper (no large dense layers) that
 //! keeps the model small enough to all-reduce cheaply at scale.
 
-use crate::layer::{InferScratch, Layer};
+use crate::layer::Layer;
 use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
 /// Max pooling with square kernel and uniform stride (no padding).
@@ -48,75 +48,21 @@ impl Layer for MaxPool2d {
         let mut out = Tensor::zeros(os);
         self.argmax.resize(os.len(), 0);
         self.in_shape = is;
-
-        // Every (item, channel) plane pools on its own; planes are split
-        // across threads a few at a time.
-        let data = input.data();
         let (k, stride) = (self.k, self.stride);
-        let (iplane, oplane) = (is.plane_len(), os.plane_len());
-        let group = PAR_CHUNK.div_ceil(iplane);
-        par::for_each_chunk_pair_mut(out.data_mut(), &mut self.argmax, group * oplane, |g, odata, argmax| {
-            let mut oi = 0usize;
-            for plane in g * group..g * group + odata.len() / oplane {
-                let base = plane * iplane;
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let y0 = oy * stride;
-                        let x0 = ox * stride;
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = base + y0 * is.w + x0;
-                        for ky in 0..k {
-                            let row = base + (y0 + ky) * is.w + x0;
-                            for kx in 0..k {
-                                let v = data[row + kx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = row + kx;
-                                }
-                            }
-                        }
-                        odata[oi] = best;
-                        argmax[oi] = best_idx;
-                        oi += 1;
-                    }
-                }
-            }
+        let unit = planes_per_unit(is);
+        par::for_each_chunk_pair_mut(out.data_mut(), &mut self.argmax, unit * os.plane_len(), |g, odata, argmax| {
+            pool_planes(k, stride, input, os, g * unit, odata, |oi, idx| argmax[oi] = idx);
         });
         out
     }
 
-    fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
+    fn infer(&self, input: &Tensor) -> Tensor {
         let is = input.shape();
         let os = self.out_shape(is);
         let mut out = Tensor::zeros(os);
-
-        let data = input.data();
-        let (k, stride) = (self.k, self.stride);
-        let (iplane, oplane) = (is.plane_len(), os.plane_len());
-        let group = PAR_CHUNK.div_ceil(iplane);
-        par::for_each_chunk_mut(out.data_mut(), group * oplane, |g, odata| {
-            let mut oi = 0usize;
-            for plane in g * group..g * group + odata.len() / oplane {
-                let base = plane * iplane;
-                for oy in 0..os.h {
-                    for ox in 0..os.w {
-                        let y0 = oy * stride;
-                        let x0 = ox * stride;
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..k {
-                            let row = base + (y0 + ky) * is.w + x0;
-                            for kx in 0..k {
-                                let v = data[row + kx];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                        }
-                        odata[oi] = best;
-                        oi += 1;
-                    }
-                }
-            }
+        let unit = planes_per_unit(is);
+        par::for_each_chunk_mut(out.data_mut(), unit * os.plane_len(), |g, odata| {
+            pool_planes(self.k, self.stride, input, os, g * unit, odata, |_, _| {});
         });
         out
     }
@@ -156,6 +102,67 @@ impl Layer for MaxPool2d {
     }
 }
 
+/// Every (item, channel) plane pools on its own; planes are split across
+/// threads this many at a time.
+fn planes_per_unit(input: Shape4) -> usize {
+    PAR_CHUNK.div_ceil(input.plane_len())
+}
+
+/// Max-pools consecutive planes of `input`, from plane `first`, into
+/// `odata` (whole planes of an output shaped `os`), handing each output's
+/// position in `odata` and the flat input index of its maximum to
+/// `argmax` — the one window scan behind `forward` (which records the
+/// index) and `infer` (which drops it, and the compiler with it).
+fn pool_planes(
+    k: usize,
+    stride: usize,
+    input: &Tensor,
+    os: Shape4,
+    first: usize,
+    odata: &mut [f32],
+    mut argmax: impl FnMut(usize, usize),
+) {
+    let (is, data) = (input.shape(), input.data());
+    let mut oi = 0usize;
+    for plane in first..first + odata.len() / os.plane_len() {
+        let base = plane * is.plane_len();
+        for oy in 0..os.h {
+            for ox in 0..os.w {
+                let corner = base + oy * stride * is.w + ox * stride;
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = corner;
+                let mut sum = 0.0f32;
+                for ky in 0..k {
+                    let row = corner + ky * is.w;
+                    for kx in 0..k {
+                        let v = data[row + kx];
+                        sum += v;
+                        if v > best {
+                            best = v;
+                            best_idx = row + kx;
+                        }
+                    }
+                }
+                // `v > best` is false for NaN, which would launder a
+                // poisoned window into its largest finite value, or
+                // `-inf`: a NaN wins the window and owns the index. The
+                // running sum finds one for an add a tap (a test a tap
+                // takes the scan half as long again); it is also NaN
+                // when `+inf` meets `-inf`, and then the maximum stands.
+                if sum.is_nan() {
+                    let mut taps = (0..k * k).map(|t| corner + t / k * is.w + t % k);
+                    if let Some(i) = taps.find(|&i| data[i].is_nan()) {
+                        (best, best_idx) = (data[i], i);
+                    }
+                }
+                odata[oi] = best;
+                argmax(oi, best_idx);
+                oi += 1;
+            }
+        }
+    }
+}
+
 /// Global average pooling: `(n, c, h, w) → (n, c, 1, 1)`.
 pub struct GlobalAvgPool {
     name: String,
@@ -179,22 +186,11 @@ impl Layer for GlobalAvgPool {
     }
 
     fn forward(&mut self, input: &Tensor) -> Tensor {
-        let is = input.shape();
-        self.in_shape = is;
-        let mut out = Tensor::zeros(self.out_shape(is));
-        let plane = is.plane_len();
-        let inv = 1.0 / plane as f32;
-        for n in 0..is.n {
-            for c in 0..is.c {
-                let base = (n * is.c + c) * plane;
-                let s: f32 = input.data()[base..base + plane].iter().sum();
-                out.data_mut()[n * is.c + c] = s * inv;
-            }
-        }
-        out
+        self.in_shape = input.shape();
+        self.infer(input)
     }
 
-    fn infer(&self, input: &Tensor, _scratch: &mut InferScratch) -> Tensor {
+    fn infer(&self, input: &Tensor) -> Tensor {
         let is = input.shape();
         let mut out = Tensor::zeros(self.out_shape(is));
         let plane = is.plane_len();

@@ -23,7 +23,7 @@
 //! surfaces as NaN output — it never silently becomes a finite value.
 
 use crate::layer::InferScratch;
-use scidl_tensor::{gemm_i8, im2col, ConvGeometry, Shape4, Tensor, TensorRng};
+use scidl_tensor::{gemm_i8, im2col, ConvGeometry, Shape4, Tensor, TensorRng, Workspace};
 
 /// Rounds an `f32` to bfloat16 precision (round-to-nearest-even on the
 /// top 7 mantissa bits), returned as `f32`. Non-finite inputs pass
@@ -207,9 +207,8 @@ impl QuantDense {
 
 /// The int8 serving form of a convolution: quantized `(cout, cin*k*k)`
 /// weights fed to [`gemm_i8`] against a quantized-and-transposed im2col
-/// buffer. Always uses the im2col lowering (the Winograd/FFT transforms
-/// are f32 algorithms; their transform-space arithmetic has no exact
-/// int8 analogue here).
+/// buffer — the lowering [`crate::Conv2d`] uses, taken from the same
+/// [`Workspace`] pool.
 pub struct QuantConv2d {
     cin: usize,
     cout: usize,
@@ -239,23 +238,23 @@ impl QuantConv2d {
         let oshape = geo.out_shape(ishape.n);
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let mut out = Tensor::zeros(oshape);
-        scratch.col.resize(rows * cols, 0.0);
+        let mut col = Workspace::take(rows * cols);
         scratch.qcol.resize(rows * cols, 0);
         scratch.qacc.resize(self.cout * cols, 0);
         for item in 0..ishape.n {
-            im2col(&geo, input.item(item), &mut scratch.col);
+            im2col(&geo, input.item(item), &mut col);
             // Dynamic per-item activation scale; quantize the (rows x
             // cols) col matrix *transposed* into (cols x rows) so each
             // gemm_i8 dot product streams a contiguous k-run.
-            let x_scale = if let Some((first, count, value)) = scidl_trace::scan_nonfinite(&scratch.col) {
+            let x_scale = if let Some((first, count, value)) = scidl_trace::scan_nonfinite(&col) {
                 scidl_trace::nonfinite_hook("quant.conv.act", first, count, value);
                 scratch.qcol.fill(0);
                 f32::NAN
             } else {
-                let max = scratch.col.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+                let max = col.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
                 let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
                 let inv = 1.0 / scale; // one divide per item, not per element
-                for (r, crow) in scratch.col.chunks(cols).enumerate() {
+                for (r, crow) in col.chunks(cols).enumerate() {
                     for (c, &x) in crow.iter().enumerate() {
                         scratch.qcol[c * rows + r] = (x * inv).round().clamp(-127.0, 127.0) as i8;
                     }
@@ -553,9 +552,8 @@ mod tests {
         let d = crate::Dense::new("fc", 32, 8, &mut rng);
         let q = d.quantize().expect("dense has a quantized form");
         let x = rng.uniform_tensor(Shape4::new(4, 32, 1, 1), -1.0, 1.0);
-        let mut scratch = InferScratch::new();
-        let want = d.infer(&x, &mut scratch);
-        let got = q.infer(&x, &mut scratch);
+        let want = d.infer(&x);
+        let got = q.infer(&x, &mut InferScratch::new());
         assert_eq!(want.shape(), got.shape());
         // Two int8 roundings (weights + activations) bound the error by
         // roughly (|x|max/127)·‖w‖ per output; generous envelope here.
@@ -572,9 +570,8 @@ mod tests {
         let c = crate::Conv2d::new("conv", 3, 8, 3, 1, 1, &mut rng);
         let q = c.quantize().expect("conv has a quantized form");
         let x = rng.uniform_tensor(Shape4::new(2, 3, 8, 8), -1.0, 1.0);
-        let mut scratch = InferScratch::new();
-        let want = c.infer(&x, &mut scratch);
-        let got = q.infer(&x, &mut scratch);
+        let want = c.infer(&x);
+        let got = q.infer(&x, &mut InferScratch::new());
         assert_eq!(want.shape(), got.shape());
         let max_abs = want.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1.0);
         for (a, b) in want.data().iter().zip(got.data()) {

@@ -9,7 +9,7 @@
 //! it exposes the standard [`Layer`] interface.
 
 use crate::conv::Conv2d;
-use crate::layer::{InferScratch, Layer, ParamBlock};
+use crate::layer::{Layer, ParamBlock};
 use crate::network::{Model, Network};
 use scidl_tensor::{Shape4, Tensor, TensorRng};
 
@@ -77,10 +77,10 @@ impl Layer for Residual {
         y
     }
 
-    fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
-        let mut y = self.inner.infer_with(input, scratch);
+    fn infer(&self, input: &Tensor) -> Tensor {
+        let mut y = self.inner.infer(input);
         match &self.projection {
-            Some(p) => y.add_assign(&p.infer(input, scratch)),
+            Some(p) => y.add_assign(&p.infer(input)),
             None => y.add_assign(input),
         }
         y

@@ -8,7 +8,8 @@
 //! tensor) — never gemm pack panels or im2col scratch. The same holds
 //! for a layer large enough to be split across the thread pool: regions
 //! are posted from the caller's stack, and a helper's scratch comes from
-//! its own warmed pool.
+//! its own warmed pool. And it holds for serving: a warm
+//! `Network::infer` allocates its layers' outputs and nothing else.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -147,4 +148,25 @@ fn second_iteration_allocates_nothing_on_the_gemm_path() {
              allocations (expected ≤ 3: output, cached input, input gradient)"
         );
     }
+
+    // --- Part 4: a warm `Network::infer` allocates one buffer per layer. ---
+    // No batch clone, no per-call scratch: the lowering and the pack
+    // panels come from the same pool training warmed.
+    use scidl_nn::{Dense, MaxPool2d, Network, Relu};
+    let net = Network::new("served")
+        .push(Conv2d::new("conv", 3, 8, 3, 1, 1, &mut rng))
+        .push(Relu::new("relu"))
+        .push(MaxPool2d::new("pool", 2, 2))
+        .push(Dense::new("fc", 8 * 6 * 6, 4, &mut rng));
+    let x = rng.uniform_tensor(Shape4::new(2, 3, 12, 12), -1.0, 1.0);
+    for _ in 0..2 {
+        net.infer(&x);
+    }
+    let (infer_allocs, _) = count_allocs(|| net.infer(&x));
+    assert!(
+        infer_allocs <= net.layers().len(),
+        "warm Network::infer performed {infer_allocs} heap allocations (expected ≤ {}: one \
+         output per layer)",
+        net.layers().len()
+    );
 }

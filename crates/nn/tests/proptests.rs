@@ -139,42 +139,6 @@ proptest! {
         prop_assert_eq!(net.flat_params(), before);
     }
 
-    /// Winograd F(2x2,3x3) matches the im2col path for arbitrary shapes.
-    #[test]
-    fn winograd_matches_im2col(
-        cin in 1usize..4,
-        cout in 1usize..5,
-        hw_half in 2usize..7,
-        seed in any::<u64>(),
-    ) {
-        use scidl_nn::winograd::winograd_conv3x3;
-        let hw = hw_half * 2;
-        let mut rng = TensorRng::new(seed);
-        let mut conv = Conv2d::new("c", cin, cout, 3, 1, 1, &mut rng);
-        let x = rng.uniform_tensor(Shape4::new(1, cin, hw, hw), -1.0, 1.0);
-        let want = conv.forward(&x);
-        let got = winograd_conv3x3(&x, &conv.params()[0].value, conv.params()[1].value.data());
-        prop_assert!(got.max_abs_diff(&want) < 1e-3);
-    }
-
-    /// FFT convolution matches the im2col path for arbitrary same-padded
-    /// 3x3 shapes.
-    #[test]
-    fn fftconv_matches_im2col(
-        cin in 1usize..4,
-        cout in 1usize..4,
-        hw in 4usize..10,
-        seed in any::<u64>(),
-    ) {
-        use scidl_nn::fftconv::fft_conv;
-        let mut rng = TensorRng::new(seed ^ 0xFF7);
-        let mut conv = Conv2d::new("c", cin, cout, 3, 1, 1, &mut rng);
-        let x = rng.uniform_tensor(Shape4::new(1, cin, hw, hw), -1.0, 1.0);
-        let want = conv.forward(&x);
-        let got = fft_conv(&x, &conv.params()[0].value, conv.params()[1].value.data(), 1);
-        prop_assert!(got.max_abs_diff(&want) < 2e-3);
-    }
-
     /// Stochastic rounding is unbiased for arbitrary values and steps.
     #[test]
     fn stochastic_rounding_unbiased(value in -10.0f32..10.0, step_q in 1u32..20, seed in any::<u64>()) {

@@ -32,7 +32,7 @@
 //!   guarantee, atomic hot-swap, and the swap circuit breaker
 //!   ([`ModelRegistry`]),
 //! * [`server`] — the supervised worker pool over
-//!   `scidl_nn::Network::infer_with` ([`Server`], [`Client`]),
+//!   `scidl_nn::Network::infer` ([`Server`], [`Client`]),
 //! * [`loadgen`] — seeded open-loop Poisson arrivals and HEP request
 //!   inputs ([`PoissonArrivals`]),
 //! * [`sim`] — the virtual-time driver: one replica (queue, worker

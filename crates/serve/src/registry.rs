@@ -91,11 +91,12 @@ impl ServingModel {
     /// The serving forward: the quantized path when the int8 sidecar is
     /// present, the bit-deterministic f32 path otherwise. Workers call
     /// this instead of touching `network` directly so a hot-swap to or
-    /// from int8 needs no worker-side changes.
+    /// from int8 needs no worker-side changes; `scratch` holds the int8
+    /// path's integer buffers, the f32 path does not touch it.
     pub fn infer_with(&self, input: &Tensor, scratch: &mut scidl_nn::InferScratch) -> Tensor {
         match &self.quant {
             Some(q) => self.network.infer_quantized_with(q, input, scratch),
-            None => self.network.infer_with(input, scratch),
+            None => self.network.infer(input),
         }
     }
 
@@ -638,33 +639,36 @@ mod tests {
 
     #[test]
     fn guarded_swap_rejects_nonfinite_weights() {
-        let mut rng = TensorRng::new(58);
-        let mut diverged = hep_small(&mut rng);
-        let mut p = diverged.flat_params();
-        // Poison the tail (final-layer weights + biases): NaNs in early
-        // layers can be absorbed by ReLU's max, but the output layer
-        // feeds logits directly.
-        let n = p.len();
-        for v in p.iter_mut().skip(n - 64) {
-            *v = f32::NAN;
+        // Poison either end of the network: the output layer feeds the
+        // logits directly; the whole first block (`conv1.weight`) has two
+        // ReLUs and two max-pools between it and them, none of which may
+        // launder the NaN into a finite activation.
+        for poisoned in ["fc.weight", "conv1.weight"] {
+            let mut rng = TensorRng::new(58);
+            let mut diverged = hep_small(&mut rng);
+            for b in diverged.param_blocks_mut() {
+                if b.name == poisoned {
+                    b.value.data_mut().fill(f32::NAN);
+                }
+            }
+            let path = tmp(&format!("guarded_nan_{poisoned}"));
+            Checkpoint::capture(&diverged, 9, 1).save(&path).unwrap();
+
+            let mut rngr = TensorRng::new(59);
+            let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0));
+            let mut xr = TensorRng::new(60);
+            let probe = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
+
+            // No round-trip source: the checkpoint is internally consistent
+            // (it really holds NaN weights), so only the probe catches it.
+            let mut rng2 = TensorRng::new(61);
+            let err =
+                reg.load_and_swap_guarded(&path, hep_small(&mut rng2), &probe, None).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert!(matches!(err, SwapError::NonFinite(_)), "{poisoned}: {err}");
+            assert_eq!(reg.current().iteration, 7);
+            assert_eq!(reg.consecutive_failures(), 1, "{poisoned}: the refusal charges the breaker");
         }
-        diverged.set_flat_params(&p);
-        let path = tmp("guarded_nan");
-        Checkpoint::capture(&diverged, 9, 1).save(&path).unwrap();
-
-        let mut rngr = TensorRng::new(59);
-        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0));
-        let mut xr = TensorRng::new(60);
-        let probe = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
-
-        // No round-trip source: the checkpoint is internally consistent
-        // (it really holds NaN weights), so only the probe catches it.
-        let mut rng2 = TensorRng::new(61);
-        let err =
-            reg.load_and_swap_guarded(&path, hep_small(&mut rng2), &probe, None).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(err, SwapError::NonFinite(_)), "{err}");
-        assert_eq!(reg.current().iteration, 7);
     }
 
     #[test]

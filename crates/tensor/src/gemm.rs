@@ -37,8 +37,8 @@
 //! `mr`/`nr`) only feeds accumulator lanes that are never written back.
 //!
 //! The pre-packing axpy kernel is retained as [`gemm_unpacked`]: it is
-//! the differential-testing baseline and the "seed" side of the
-//! faster-or-equal assertion in the criterion kernel bench.
+//! the differential-testing baseline and the "seed" column of
+//! `scidl-bench --bin kernels`.
 //!
 //! The microkernel itself lives in [`crate::microkernel`] and is selected
 //! once per process by runtime CPU-feature detection ([`Isa::active`]);
@@ -85,7 +85,7 @@ enum Init<'a> {
     Beta(f32),
     /// `C[i, :] = bias[i]` — per-row bias, conv-style (`bias.len() == m`).
     RowBias(&'a [f32]),
-    /// `C[i, j] = bias[j]` — per-column bias, dense/LSTM-style
+    /// `C[i, j] = bias[j]` — per-column bias, dense-style
     /// (`bias.len() == n`).
     ColBias(&'a [f32]),
 }
@@ -165,7 +165,7 @@ pub fn gemm_bias(
 }
 
 /// `C = op(A) * op(B)` with a per-column bias fused into the epilogue:
-/// `C[i, j] = bias[j] + sum_p ...`. Used by dense and LSTM layers, where
+/// `C[i, j] = bias[j] + sum_p ...`. Used by dense layers, where
 /// rows are batch items and columns are output features.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_bias_cols(
@@ -515,8 +515,8 @@ pub fn gemm_i8_with_isa(isa: Isa, m: usize, n: usize, k: usize, a: &[i8], b_t: &
 }
 
 /// The pre-packing kernel (axpy inner loops, strided `TN`/`TT` reads),
-/// kept as the differential-testing baseline and the "seed" side of the
-/// packed-vs-seed criterion assertion. Semantics identical to [`gemm`].
+/// kept as the differential-testing baseline and the "seed" column of
+/// `scidl-bench --bin kernels`. Semantics identical to [`gemm`].
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_unpacked(
     ta: Transpose,

@@ -39,7 +39,6 @@
 //! assert_eq!(c.data()[0], 5.0);
 //! ```
 
-pub mod fft;
 pub mod gemm;
 pub mod im2col;
 pub mod microkernel;

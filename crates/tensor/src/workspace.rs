@@ -2,7 +2,7 @@
 //!
 //! The packed GEMM, the im2col lowering and the layer backward passes all
 //! need large `f32` scratch buffers whose sizes repeat every iteration
-//! (pack panels, col matrices, gate pre-activations). Allocating them per
+//! (pack panels, col matrices). Allocating them per
 //! call puts the heap allocator on the steady-state training path — the
 //! exact overhead MKL-class kernels avoid with persistent workspaces.
 //! [`Workspace`] keeps a small per-thread pool of reusable buffers

@@ -236,63 +236,6 @@ fn hybrid_engine_trains_resnet() {
     assert!(tail < head * 1.1, "resnet loss should not blow up: {head} -> {tail}");
 }
 
-/// Sec. IX claims the hybrid results extend to LSTMs: the generic engine
-/// trains a recurrent model through `run_with`, with sequences derived
-/// deterministically from sample indices.
-#[test]
-fn hybrid_engine_trains_lstm() {
-    use scidl_nn::Lstm;
-    use scidl_tensor::{Shape4, Tensor};
-
-    let mut rng = TensorRng::new(51);
-    let mut lstm = Lstm::new("l", 1, 6, &mut rng);
-    let mut cfg = SimEngineConfig::fig8(4, 2, 8, hep_workload());
-    cfg.iterations = 12;
-    cfg.lr = 5e-3;
-    cfg.solver = SolverKind::Sgd { momentum: 0.5 };
-
-    let t_steps = 5;
-    let run = SimEngine::run_with(&cfg, &mut lstm, 64, |lstm, indices| {
-        // Deterministic toy sequences from indices: predict the sign of
-        // the sequence sum on hidden unit 0.
-        let n = indices.len();
-        let mut xs: Vec<Tensor> = Vec::with_capacity(t_steps);
-        let mut sums = vec![0.0f32; n];
-        let mut cols: Vec<Vec<f32>> = vec![vec![0.0; n]; t_steps];
-        for (bi, &idx) in indices.iter().enumerate() {
-            let mut srng = TensorRng::new(idx as u64 + 1000);
-            for col in cols.iter_mut().take(t_steps) {
-                let v: f32 = if srng.bernoulli(0.5) { 1.0 } else { -1.0 };
-                col[bi] = v;
-                sums[bi] += v;
-            }
-        }
-        for col in cols {
-            xs.push(Tensor::from_vec(Shape4::new(n, 1, 1, 1), col));
-        }
-        lstm.zero_grads();
-        let hs = lstm.forward(&xs);
-        let last = &hs[t_steps - 1];
-        let mut loss = 0.0f32;
-        let mut dh = Tensor::zeros(last.shape());
-        for (bi, &s) in sums.iter().enumerate().take(n) {
-            let target = if s > 0.0 { 0.5 } else { -0.5 };
-            let pred = last.data()[bi * 6];
-            let d = pred - target;
-            loss += d * d / n as f32;
-            dh.data_mut()[bi * 6] = 2.0 * d / n as f32;
-        }
-        let mut dhs: Vec<Tensor> = hs.iter().map(|h| Tensor::zeros(h.shape())).collect();
-        dhs[t_steps - 1] = dh;
-        lstm.backward(&dhs);
-        (loss, lstm.flat_grads())
-    });
-
-    assert_eq!(run.updates, 24);
-    assert!(run.mean_staleness > 0.0, "groups must interleave");
-    assert!(run.final_params.iter().all(|p| p.is_finite()));
-}
-
 /// Gradient staleness grows with group count in the simulated engine.
 #[test]
 fn staleness_scales_with_group_count() {
