@@ -25,7 +25,7 @@ pub struct GroupCrash {
 /// A single rank (node) of a compute group dying at a given iteration,
 /// leaving the rest of its group running into dead ring channels. Only
 /// meaningful for engines whose collectives can *detect* a missing peer
-/// — the thread engine's bucketed-overlap ring surfaces it as a
+/// — the thread engine's bucketed ring surfaces it as a
 /// `CommError` on every surviving rank of the group (Sec. VIII-A's
 /// "synchronous run dies with its first node", observed rather than
 /// assumed).

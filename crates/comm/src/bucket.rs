@@ -147,9 +147,37 @@ pub trait BucketSink {
 
 /// Message to the comm thread: one staged bucket to ring-reduce.
 type BucketMsg = (usize, Vec<f32>);
-/// Reply from the comm thread: the reduced bucket (or the first error)
-/// plus the wire bytes this rank's compressed contribution occupied.
-type BucketReply = (usize, CommResult<Vec<f32>>, usize);
+/// Reply from the comm thread: the reduced bucket plus the wire bytes
+/// this rank's compressed contribution occupied, or the first error.
+type BucketReply = (usize, CommResult<(Vec<f32>, usize)>);
+
+/// The one place a bucket meets the ring — the comm thread and the
+/// sequential baselines all come through here, so their bit-identity is
+/// structural. One error-feedback round on bucket `k` (accumulators in
+/// `efs`, grown lazily under `policy`), then its ring all-reduce; returns
+/// the wire bytes of this rank's contribution. A single rank has no wire:
+/// values untouched, zero bytes.
+#[allow(clippy::too_many_arguments)]
+fn reduce_bucket(
+    k: usize,
+    data: &mut [f32],
+    rank: usize,
+    n: usize,
+    policy: Compression,
+    efs: &mut Vec<ErrorFeedback>,
+    scratch: &mut RingScratch,
+    (send_next, recv_prev): (&Sender<Vec<f32>>, &Receiver<Vec<f32>>),
+) -> CommResult<usize> {
+    if n <= 1 {
+        return Ok(0);
+    }
+    while efs.len() <= k {
+        efs.push(ErrorFeedback::new(policy));
+    }
+    let bytes = efs[k].apply(data);
+    ring_allreduce_mean_scratch(rank, n, data, scratch, send_next, recv_prev)?;
+    Ok(bytes)
+}
 
 /// A dedicated per-rank communication thread owning this rank's ring
 /// endpoint and scratch. Mirrors MLSL's endpoint proxy threads
@@ -170,27 +198,17 @@ pub struct OverlapContext {
 
 impl OverlapContext {
     /// Spawns the comm thread for `rank` of `n`, taking ownership of the
-    /// rank's ring endpoint. Uncompressed ([`Compression::None`]).
-    pub fn spawn(rank: usize, n: usize, endpoint: RingEndpoint) -> Self {
-        Self::spawn_compressed(rank, n, endpoint, Compression::None)
-    }
-
-    /// Spawns the comm thread for `rank` of `n` with a gradient
-    /// compression policy. The comm thread owns one [`ErrorFeedback`]
-    /// accumulator **per bucket** (grown lazily, reused across steps):
-    /// each bucket covers a fixed flat range, so its residual stream is
-    /// consistent from step to step, and because residuals never cross
-    /// buckets the overlapped schedule stays bit-identical to the
-    /// sequential compressed baseline
-    /// [`bucketed_allreduce_mean_compressed`]. With a single rank there
-    /// is no wire, so compression is skipped entirely (zero bytes,
-    /// untouched values).
-    pub fn spawn_compressed(
-        rank: usize,
-        n: usize,
-        endpoint: RingEndpoint,
-        policy: Compression,
-    ) -> Self {
+    /// rank's ring endpoint, with a gradient compression policy
+    /// ([`Compression::None`] = uncompressed). The comm thread owns one
+    /// [`ErrorFeedback`] accumulator **per bucket** (grown lazily, reused
+    /// across steps): each bucket covers a fixed flat range, so its
+    /// residual stream is consistent from step to step, and because
+    /// residuals never cross buckets — and both sides run the same
+    /// `reduce_bucket` — the overlapped schedule stays bit-identical to
+    /// the sequential baseline [`bucketed_allreduce_mean_compressed`].
+    /// With a single rank there is no wire, so compression is skipped
+    /// entirely (zero bytes, untouched values).
+    pub fn spawn(rank: usize, n: usize, endpoint: RingEndpoint, policy: Compression) -> Self {
         let (to_comm, work_rx) = unbounded::<BucketMsg>();
         let (reply_tx, from_comm) = unbounded::<BucketReply>();
         let handle = std::thread::Builder::new()
@@ -200,37 +218,17 @@ impl OverlapContext {
                 // must not take that rank's helpers' CPUs.
                 scidl_tensor::par::set_width(1);
                 let (send_next, recv_prev) = endpoint;
-                let mut scratch = RingScratch::new();
-                let mut efs: Vec<ErrorFeedback> = Vec::new();
+                let (mut efs, mut scratch) = (Vec::new(), RingScratch::new());
                 let mut poisoned = false;
                 while let Ok((idx, mut data)) = work_rx.recv() {
                     let res = if poisoned {
                         Err(CommError::ChannelClosed { context: "ring neighbour" })
                     } else {
-                        Ok(())
+                        let ring = (&send_next, &recv_prev);
+                        reduce_bucket(idx, &mut data, rank, n, policy, &mut efs, &mut scratch, ring)
                     };
-                    let mut bytes = 0usize;
-                    let res = res.and_then(|()| {
-                        if n > 1 {
-                            while efs.len() <= idx {
-                                efs.push(ErrorFeedback::new(policy));
-                            }
-                            bytes = efs[idx].apply(&mut data);
-                            ring_allreduce_mean_scratch(
-                                rank, n, &mut data, &mut scratch, &send_next, &recv_prev,
-                            )
-                        } else {
-                            Ok(())
-                        }
-                    });
-                    let reply = match res {
-                        Ok(()) => (idx, Ok(data), bytes),
-                        Err(e) => {
-                            poisoned = true;
-                            (idx, Err(e), bytes)
-                        }
-                    };
-                    if reply_tx.send(reply).is_err() {
+                    poisoned |= res.is_err();
+                    if reply_tx.send((idx, res.map(|bytes| (data, bytes)))).is_err() {
                         break; // training thread is gone
                     }
                 }
@@ -248,7 +246,6 @@ impl OverlapContext {
             plan,
             staging: (0..buckets).map(|_| Vec::new()).collect(),
             filled: vec![0; buckets],
-            shipped: vec![false; buckets],
             next_to_ship: 0,
             t_first_ship: None,
         }
@@ -277,7 +274,6 @@ pub struct BucketStream<'a> {
     staging: Vec<Vec<f32>>,
     /// Elements staged so far per bucket.
     filled: Vec<usize>,
-    shipped: Vec<bool>,
     /// Buckets must ship in plan order so per-bucket rings pair up
     /// across ranks; complete-but-early buckets wait here.
     next_to_ship: usize,
@@ -301,7 +297,6 @@ impl BucketStream<'_> {
             // A send failure means the comm thread died; the error will
             // surface from finish() when the replies come up short.
             let _ = self.ctx.to_comm.send((k, data));
-            self.shipped[k] = true;
             self.next_to_ship += 1;
         }
     }
@@ -328,12 +323,12 @@ impl BucketStream<'_> {
         let mut wire_bytes = 0usize;
         for _ in 0..buckets {
             match self.ctx.from_comm.recv() {
-                Ok((k, Ok(data), bytes)) => {
+                Ok((k, Ok((data, bytes)))) => {
                     let (lo, hi) = self.plan.bucket_range(k);
                     out[lo..hi].copy_from_slice(&data);
                     wire_bytes += bytes;
                 }
-                Ok((_, Err(e), _)) => {
+                Ok((_, Err(e))) => {
                     first_err = first_err.or(Some(e));
                 }
                 Err(_) => {
@@ -381,12 +376,12 @@ impl BucketSink for BucketStream<'_> {
     }
 }
 
-/// Sequential baseline: bucketed ring all-reduce with **no** overlap —
-/// the buckets of `plan` are reduced one after another on the calling
-/// thread. Because the overlapped path ships buckets in exactly this
-/// order and each bucket's ring arithmetic is deterministic, an
-/// overlapped step is bit-identical to this function applied to the
-/// same flat gradient. The differential tests pin that equivalence.
+/// Sequential baseline: bucketed ring all-reduce with **no** overlap
+/// and no compression — the buckets of `plan` are reduced one after
+/// another on the calling thread. Because the overlapped path ships
+/// buckets in exactly this order through the same per-bucket reduce, an
+/// overlapped step is bit-identical to this function applied to the same
+/// flat gradient. The differential tests pin that equivalence.
 pub fn bucketed_allreduce_mean(
     plan: &BucketPlan,
     rank: usize,
@@ -396,25 +391,20 @@ pub fn bucketed_allreduce_mean(
     send_next: &Sender<Vec<f32>>,
     recv_prev: &Receiver<Vec<f32>>,
 ) -> CommResult<()> {
-    assert_eq!(data.len(), plan.total_len(), "flat gradient length mismatch");
-    for k in 0..plan.num_buckets() {
-        let (lo, hi) = plan.bucket_range(k);
-        ring_allreduce_mean_scratch(rank, n, &mut data[lo..hi], scratch, send_next, recv_prev)?;
-    }
-    Ok(())
+    let (policy, mut efs) = (Compression::None, Vec::new());
+    bucketed_allreduce_mean_compressed(
+        plan, rank, n, data, policy, &mut efs, scratch, send_next, recv_prev,
+    )
+    .map(|_| ())
 }
 
-/// Sequential compressed baseline: like [`bucketed_allreduce_mean`] but
-/// with one error-feedback round per bucket before its ring, using the
-/// caller-owned per-bucket accumulators in `efs` (grown lazily with
-/// `policy`, so a fresh empty `Vec` is a valid start). Returns the total
-/// wire bytes this rank's compressed contributions occupied. Matches the
-/// single-rank semantics of the overlapped path: with `n <= 1` there is
-/// no wire, so compression is skipped and zero bytes reported.
-///
-/// Because residuals never cross buckets, a compressed overlapped step
-/// ([`OverlapContext::spawn_compressed`]) is bit-identical to this
-/// function applied step-by-step to the same flat gradients.
+/// Sequential compressed baseline: one error-feedback round per bucket
+/// before its ring, using the caller-owned per-bucket accumulators in
+/// `efs` (grown lazily with `policy`, so a fresh empty `Vec` is a valid
+/// start). Returns the total wire bytes this rank's compressed
+/// contributions occupied; with `n <= 1` there is no wire, so compression
+/// is skipped and zero bytes reported — the overlapped path's semantics,
+/// because it is the overlapped path's per-bucket reduce.
 #[allow(clippy::too_many_arguments)]
 pub fn bucketed_allreduce_mean_compressed(
     plan: &BucketPlan,
@@ -428,19 +418,13 @@ pub fn bucketed_allreduce_mean_compressed(
     recv_prev: &Receiver<Vec<f32>>,
 ) -> CommResult<usize> {
     assert_eq!(data.len(), plan.total_len(), "flat gradient length mismatch");
-    if n <= 1 {
-        return Ok(0);
-    }
-    let mut wire_bytes = 0usize;
-    for k in 0..plan.num_buckets() {
-        let (lo, hi) = plan.bucket_range(k);
-        while efs.len() <= k {
-            efs.push(ErrorFeedback::new(policy));
-        }
-        wire_bytes += efs[k].apply(&mut data[lo..hi]);
-        ring_allreduce_mean_scratch(rank, n, &mut data[lo..hi], scratch, send_next, recv_prev)?;
-    }
-    Ok(wire_bytes)
+    let ring = (send_next, recv_prev);
+    (0..plan.num_buckets())
+        .map(|k| {
+            let (lo, hi) = plan.bucket_range(k);
+            reduce_bucket(k, &mut data[lo..hi], rank, n, policy, efs, scratch, ring)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -533,7 +517,7 @@ mod tests {
                 let plan = plan.clone();
                 let sizes: Vec<usize> = block_sizes.to_vec();
                 thread::spawn(move || {
-                    let mut ctx = OverlapContext::spawn(rank, n, ep);
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, Compression::None);
                     let flat = rank_grad(rank, total, 42);
                     let mut stream = ctx.stream(&plan);
                     for b in (0..sizes.len()).rev() {
@@ -600,7 +584,7 @@ mod tests {
                 .map(|(rank, ep)| {
                     let plan = plan.clone();
                     thread::spawn(move || {
-                        let mut ctx = OverlapContext::spawn(rank, n, ep);
+                        let mut ctx = OverlapContext::spawn(rank, n, ep, Compression::None);
                         let flat = rank_grad(rank, total, 7);
                         let mut stream = ctx.stream(&plan);
                         if use_flat {
@@ -637,7 +621,7 @@ mod tests {
             .map(|(rank, ep)| {
                 let plan = plan.clone();
                 thread::spawn(move || {
-                    let mut ctx = OverlapContext::spawn(rank, n, ep);
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, Compression::None);
                     let mut outs = Vec::new();
                     for _ in 0..3 {
                         let flat = rank_grad(rank, total, 99);
@@ -677,7 +661,7 @@ mod tests {
             .map(|(rank, ep)| {
                 let plan = plan.clone();
                 thread::spawn(move || {
-                    let mut ctx = OverlapContext::spawn_compressed(rank, n, ep, policy);
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, policy);
                     let mut outs = Vec::new();
                     for step in 0..steps {
                         let flat = rank_grad(rank, total, 1000 + step as u64);
@@ -755,7 +739,7 @@ mod tests {
         let flat = rank_grad(0, total, 21);
 
         let ep = RingFabric::new(1).into_endpoints().pop().unwrap();
-        let mut ctx = OverlapContext::spawn_compressed(0, 1, ep, Compression::Int8);
+        let mut ctx = OverlapContext::spawn(0, 1, ep, Compression::Int8);
         let mut stream = ctx.stream(&plan);
         stream.push_flat(&flat);
         let mut out = vec![0.0f32; total];
@@ -801,7 +785,7 @@ mod tests {
             .map(|(rank, ep)| {
                 let plan = plan.clone();
                 thread::spawn(move || {
-                    let mut ctx = OverlapContext::spawn_compressed(rank, n, ep, Compression::Int8);
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, Compression::Int8);
                     let flat = rank_grad(rank, total, 77);
                     let mut stream = ctx.stream(&plan);
                     stream.push_flat(&flat);
@@ -840,7 +824,7 @@ mod tests {
             drop((tx, rx));
         });
 
-        let mut ctx = OverlapContext::spawn(0, n, ep0);
+        let mut ctx = OverlapContext::spawn(0, n, ep0, Compression::None);
         let flat = rank_grad(0, total, 5);
         let mut stream = ctx.stream(&plan);
         for b in (0..plan.num_blocks()).rev() {
@@ -884,7 +868,7 @@ mod tests {
             drop((tx, rx));
         });
 
-        let mut ctx = OverlapContext::spawn_compressed(0, n, ep0, policy);
+        let mut ctx = OverlapContext::spawn(0, n, ep0, policy);
         let flat = rank_grad(0, total, 5);
         let mut stream = ctx.stream(&plan);
         for b in (0..plan.num_blocks()).rev() {

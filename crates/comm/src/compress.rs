@@ -54,8 +54,6 @@
 //! numeric-health sentinel is notified via `nonfinite_hook` — matching
 //! the PR 8 codec semantics.
 
-use crate::world::Communicator;
-
 /// Gradient compression policy, applied per rank with error feedback.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Compression {
@@ -139,20 +137,7 @@ impl Compression {
     /// [`Compression::wire_bytes`] over `u64` element counts (the cluster
     /// simulator's byte domain).
     pub fn wire_bytes_u64(&self, elems: u64) -> u64 {
-        match self {
-            Compression::None => 4 * elems,
-            Compression::TopK { density } => {
-                let keep = (((*density as f64) * elems as f64).round() as u64).clamp(1, elems.max(1));
-                4 + 8 * if elems == 0 { 0 } else { keep }
-            }
-            Compression::Int8 => 4 + elems,
-            Compression::Int16 => 4 + 2 * elems,
-        }
-    }
-
-    /// True for the identity policy.
-    pub fn is_none(&self) -> bool {
-        matches!(self, Compression::None)
+        self.wire_bytes(elems as usize) as u64
     }
 }
 
@@ -272,11 +257,6 @@ impl ErrorFeedback {
     /// Fresh (zero-residual) state for `policy`.
     pub fn new(policy: Compression) -> Self {
         Self { policy, residual: Vec::new(), sel: Vec::new() }
-    }
-
-    /// The policy this state compresses with.
-    pub fn policy(&self) -> Compression {
-        self.policy
     }
 
     /// Current residual (empty before the first round).
@@ -459,58 +439,24 @@ impl ErrorFeedback {
     }
 }
 
-/// Per-rank state for the compressed data-parallel all-reduce: an
-/// [`ErrorFeedback`] round in front of the exact shared-memory
-/// collective. Kept as the entry point of the Sec. VIII-B ablation; the
-/// engines wire the same [`ErrorFeedback`] into the bucketed overlap and
-/// PS paths directly.
-pub struct CompressedAllReduce {
-    ef: ErrorFeedback,
-}
-
-impl Default for CompressedAllReduce {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CompressedAllReduce {
-    /// Fresh (zero-residual) 8-bit state — the historical default.
-    pub fn new() -> Self {
-        Self::with_policy(Compression::Int8)
-    }
-
-    /// Fresh state compressing with `policy`.
-    pub fn with_policy(policy: Compression) -> Self {
-        Self { ef: ErrorFeedback::new(policy) }
-    }
-
-    /// Compressed mean all-reduce: one error-feedback round, then the
-    /// exact collective over the decompressed sent values (on a real
-    /// network only the compressed payload would travel). Returns the
-    /// wire bytes this rank's contribution would occupy.
-    ///
-    /// A non-finite gradient **poisons** the round: the exchanged values
-    /// are all-NaN (so the mean is too) and the numeric-health sentinel
-    /// fires — corrupted state is surfaced, never laundered into
-    /// plausible compressed values.
-    pub fn allreduce_mean(&mut self, comm: &Communicator, data: &mut [f32]) -> usize {
-        let bytes = self.ef.apply(data);
-        comm.allreduce_mean(data);
-        bytes
-    }
-
-    /// Current residual magnitude (L2), for diagnostics.
-    pub fn residual_norm(&self) -> f64 {
-        self.ef.residual_norm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::CommWorld;
+    use crate::world::{CommWorld, Communicator};
     use std::thread;
+
+    /// A compressed mean all-reduce is these two lines wherever it runs:
+    /// one error-feedback round, then the exact collective over the
+    /// decompressed sent values.
+    fn compressed_allreduce_mean(
+        ef: &mut ErrorFeedback,
+        comm: &Communicator,
+        data: &mut [f32],
+    ) -> usize {
+        let bytes = ef.apply(data);
+        comm.allreduce_mean(data);
+        bytes
+    }
 
     #[test]
     fn parse_round_trips() {
@@ -685,9 +631,9 @@ mod tests {
         scidl_trace::install(std::sync::Arc::clone(&sink));
         let comms = CommWorld::new(1);
         for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-            let mut state = CompressedAllReduce::new();
+            let mut state = ErrorFeedback::new(Compression::Int8);
             let mut data = vec![1.0, bad, 2.0];
-            state.allreduce_mean(&comms[0], &mut data);
+            compressed_allreduce_mean(&mut state, &comms[0], &mut data);
             assert!(
                 data.iter().all(|x| x.is_nan()),
                 "{bad}: output must be poisoned, got {data:?}"
@@ -711,7 +657,7 @@ mod tests {
             .enumerate()
             .map(|(rank, comm)| {
                 thread::spawn(move || {
-                    let mut state = CompressedAllReduce::new();
+                    let mut state = ErrorFeedback::new(Compression::Int8);
                     let mut data: Vec<f32> =
                         (0..len).map(|i| ((rank * len + i) % 13) as f32 * 0.1 - 0.6).collect();
                     let exact: Vec<f32> = (0..len)
@@ -720,7 +666,7 @@ mod tests {
                                 / n as f32
                         })
                         .collect();
-                    let bytes = state.allreduce_mean(&comm, &mut data);
+                    let bytes = compressed_allreduce_mean(&mut state, &comm, &mut data);
                     (data, exact, bytes)
                 })
             })
@@ -745,14 +691,14 @@ mod tests {
         let comms = CommWorld::new(1);
         let comm = &comms[0];
         for policy in [Compression::Int8, Compression::TopK { density: 0.5 }] {
-            let mut state = CompressedAllReduce::with_policy(policy);
+            let mut state = ErrorFeedback::new(policy);
             let tiny = 0.004f32;
             let big = 1.0f32;
             let mut acc = 0.0f64;
             let rounds = 500;
             for _ in 0..rounds {
                 let mut data = vec![tiny, big];
-                state.allreduce_mean(comm, &mut data);
+                compressed_allreduce_mean(&mut state, comm, &mut data);
                 acc += data[0] as f64;
             }
             let want = tiny as f64 * rounds as f64;
@@ -776,19 +722,19 @@ mod tests {
     #[test]
     fn residual_norm_reports_state() {
         let comms = CommWorld::new(1);
-        let mut state = CompressedAllReduce::new();
+        let mut state = ErrorFeedback::new(Compression::Int8);
         assert_eq!(state.residual_norm(), 0.0);
         let mut data = vec![0.004, 1.0];
-        state.allreduce_mean(&comms[0], &mut data);
+        compressed_allreduce_mean(&mut state, &comms[0], &mut data);
         assert!(state.residual_norm() > 0.0);
     }
 
     #[test]
     fn wire_bytes_quarter_of_f32() {
         let comms = CommWorld::new(1);
-        let mut state = CompressedAllReduce::new();
+        let mut state = ErrorFeedback::new(Compression::Int8);
         let mut data = vec![1.0f32; 1000];
-        let bytes = state.allreduce_mean(&comms[0], &mut data);
+        let bytes = compressed_allreduce_mean(&mut state, &comms[0], &mut data);
         assert_eq!(bytes, 1004);
         assert!(bytes * 3 < 1000 * 4);
     }

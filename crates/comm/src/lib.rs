@@ -12,35 +12,37 @@
 //!   shared-memory "fabric", with `split` into disjoint communication
 //!   groups (our analogue of the MLSL extension the paper wrote to place
 //!   nodes into disjoint groups, Sec. III-E(b)).
-//! * [`allreduce`] — two all-reduce algorithms: a shared-accumulator tree
-//!   and a true ring reduce-scatter/all-gather over per-rank mailboxes
-//!   (what MLSL runs on the Aries network); both produce the exact mean
-//!   of the contributions.
+//! * [`allreduce`] — the ring reduce-scatter/all-gather over per-rank
+//!   mailboxes (what MLSL runs on the Aries network); [`world`]'s
+//!   shared-accumulator tree carries the small collectives (loss scalar,
+//!   status word, model broadcast). Both produce the exact mean of the
+//!   contributions.
 //! * [`bucket`] — bucketed, backward-overlapped gradient all-reduce
 //!   (Sec. V / Das et al. 1602.06709): a [`BucketPlan`] coalesces
 //!   parameter blocks into buckets in backward-readiness order and an
-//!   [`OverlapContext`] ring-reduces each bucket on a dedicated comm
-//!   thread while shallower layers still backprop — bit-identical to the
-//!   sequential [`bucketed_allreduce_mean`] baseline.
+//!   [`OverlapContext`] — this crate's MLSL endpoint proxy thread —
+//!   ring-reduces each bucket on a dedicated comm thread while shallower
+//!   layers still backprop, bit-identical to the sequential
+//!   [`bucketed_allreduce_mean`] baseline. It is the one gradient
+//!   reduction the engines run, overlapped or not.
 //! * [`ps`] — per-layer parameter servers (Sec. III-E(c)): each trainable
 //!   block gets a dedicated server thread owning that shard of the model,
 //!   applying updates in arrival order and returning the fresh shard;
-//!   versions are tracked so staleness is measurable.
-//! * [`endpoint`] — asynchronous send handles mirroring MLSL's endpoint
-//!   proxy threads: a root node posts its PS exchange and overlaps it
-//!   with the next iteration's compute.
-
+//!   versions are tracked so staleness is measurable. One update message
+//!   ([`PsUpdate`]) carries dense and compressed gradients alike.
 //! * [`compress`] — the Sec. VIII-B optimisation: top-k sparsification
 //!   and int8/int16 gradient quantisation with per-rank error feedback
 //!   ("communicating high-order bits of weight updates"), wired into
-//!   both the bucketed overlap path and the PS exchange; a
-//!   [`Compression`] policy makes bytes-on-wire a first-class knob.
+//!   both the bucketed ring and the PS exchange; a [`Compression`]
+//!   policy makes bytes-on-wire a first-class knob.
 //! * [`error`] — [`CommError`]/[`CommResult`]: every cross-thread
 //!   operation returns a result instead of panicking, so peer failures
 //!   are recoverable events (Sec. VIII-A).
-//! * [`supervisor`] — PS failover: snapshots each shard, detects dead or
-//!   hung servers and respawns them from the last snapshot with bounded
-//!   retry + exponential backoff.
+//! * [`supervisor`] — the PS bank: one supervised shard per block,
+//!   exchanged fork-join as in Fig. 4 (post to every shard, then
+//!   collect); snapshots each shard, detects dead or hung servers and
+//!   respawns them from the last snapshot with bounded retry +
+//!   exponential backoff, per shard.
 //!
 //! ## Example
 //!
@@ -65,7 +67,6 @@
 pub mod allreduce;
 pub mod bucket;
 pub mod compress;
-pub mod endpoint;
 pub mod error;
 pub mod ps;
 pub mod supervisor;
@@ -78,9 +79,8 @@ pub use bucket::{
     bucketed_allreduce_mean, bucketed_allreduce_mean_compressed, BucketPlan, BucketSink,
     BucketStream, OverlapContext,
 };
-pub use compress::{CompressedAllReduce, CompressedGrad, Compression, ErrorFeedback};
-pub use endpoint::PendingExchange;
+pub use compress::{CompressedGrad, Compression, ErrorFeedback};
 pub use error::{CommError, CommResult};
-pub use ps::{PsBank, PsReply, PsServer};
+pub use ps::{PsReply, PsServer, PsUpdate};
 pub use supervisor::{SupervisedPs, SupervisedPsBank, SupervisorConfig, UpdateFactory};
 pub use world::{CommWorld, Communicator};

@@ -6,6 +6,12 @@
 //! and replies with the fresh shard plus a version counter, making
 //! staleness directly measurable (`version_at_apply − version_sent_with`).
 //!
+//! There is one update message, [`PsUpdate`]: a shared
+//! [`CompressedGrad`]. A dense gradient is the `Dense` variant and is
+//! applied straight from the message; any other variant is decompressed
+//! server-side into a reusable buffer first. The bank of servers — the
+//! fork-join of Fig. 4 — lives in [`crate::supervisor`].
+//!
 //! The update rule is injected as a boxed closure so the same server
 //! runs SGD-with-momentum, ADAM, or anything else the engines configure —
 //! the server does not depend on `scidl-nn`.
@@ -20,6 +26,7 @@
 use crate::compress::CompressedGrad;
 use crate::error::{CommError, CommResult};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Update rule applied by a PS: `(params, grad)` in, params mutated.
@@ -34,12 +41,30 @@ pub struct PsReply {
     pub version: u64,
 }
 
+/// The one update message a shard accepts: an encoded gradient behind an
+/// `Arc`, so the client's failover retry resends the identical message
+/// (never re-encoded, never copied) and the worker's error-feedback
+/// residual — which is *not* part of the message — stays consistent
+/// across a respawn. Built without copying from an owned dense gradient
+/// or an [`ErrorFeedback::encode`](crate::compress::ErrorFeedback::encode)
+/// result; cloning one shares the payload.
+#[derive(Clone, Debug)]
+pub struct PsUpdate(pub(crate) Arc<CompressedGrad>);
+
+impl From<CompressedGrad> for PsUpdate {
+    fn from(msg: CompressedGrad) -> Self {
+        Self(Arc::new(msg))
+    }
+}
+
+impl From<Vec<f32>> for PsUpdate {
+    fn from(grad: Vec<f32>) -> Self {
+        CompressedGrad::Dense(grad).into()
+    }
+}
+
 enum PsRequest {
-    Update { grad: Vec<f32>, reply: Sender<PsReply> },
-    /// Compressed update: decompressed server-side into a reusable
-    /// buffer, then applied exactly like a dense update. The worker's
-    /// error-feedback residual never travels — it is worker-local state.
-    UpdateCompressed { msg: CompressedGrad, reply: Sender<PsReply> },
+    Update { msg: PsUpdate, reply: Sender<PsReply> },
     Fetch { reply: Sender<PsReply> },
     /// Fault injection: the server thread exits abruptly — no drain, no
     /// reply, pending requests lost (models a killed PS node).
@@ -87,12 +112,12 @@ impl PsServer {
             scidl_tensor::par::set_width(1);
             let mut params = params;
             let mut version: u64 = initial_version;
-            // Reusable decompression buffer for compressed updates.
+            // Reusable decompression buffer for non-dense updates.
             let mut decode: Vec<f32> = Vec::new();
             while let Ok(req) = rx.recv() {
                 match req {
-                    PsRequest::Update { grad, reply } => {
-                        if grad.len() != params.len() {
+                    PsRequest::Update { msg, reply } => {
+                        if msg.0.len() != params.len() {
                             // Defensive: the client validates before
                             // sending, so this only triggers on a raw
                             // misuse. Drop the reply sender — the client
@@ -101,7 +126,15 @@ impl PsServer {
                         }
                         let tr = scidl_trace::TraceHandle::current();
                         let t0 = tr.now();
-                        update(&mut params, &grad);
+                        let grad: &[f32] = match &*msg.0 {
+                            CompressedGrad::Dense(g) => g,
+                            encoded => {
+                                decode.resize(params.len(), 0.0);
+                                encoded.decompress_into(&mut decode);
+                                &decode
+                            }
+                        };
+                        update(&mut params, grad);
                         version += 1;
                         tr.span(
                             track,
@@ -110,23 +143,6 @@ impl PsServer {
                         );
                         // The requester may have gone away; ignore send
                         // failures (a dead group, Sec. VIII-A).
-                        let _ = reply.send(PsReply { params: params.clone(), version });
-                    }
-                    PsRequest::UpdateCompressed { msg, reply } => {
-                        if msg.len() != params.len() {
-                            continue; // same defensive contract as Update
-                        }
-                        let tr = scidl_trace::TraceHandle::current();
-                        let t0 = tr.now();
-                        decode.resize(params.len(), 0.0);
-                        msg.decompress_into(&mut decode);
-                        update(&mut params, &decode);
-                        version += 1;
-                        tr.span(
-                            track,
-                            t0,
-                            scidl_trace::EventKind::PsService { shard: shard as u64, version },
-                        );
                         let _ = reply.send(PsReply { params: params.clone(), version });
                     }
                     PsRequest::Fetch { reply } => {
@@ -146,57 +162,29 @@ impl PsServer {
         self.param_len
     }
 
-    fn check_len(&self, grad: &[f32]) -> CommResult<()> {
-        if grad.len() != self.param_len {
-            return Err(CommError::SizeMismatch {
-                context: "PS update",
-                expected: self.param_len,
-                got: grad.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Sends a gradient and blocks for the fresh parameters.
-    pub fn update(&self, grad: Vec<f32>) -> CommResult<PsReply> {
+    /// Sends a gradient (dense or encoded) and blocks for the fresh
+    /// parameters.
+    pub fn update(&self, grad: impl Into<PsUpdate>) -> CommResult<PsReply> {
         let rrx = self.update_async(grad)?;
         rrx.recv()
             .map_err(|_| CommError::ChannelClosed { context: "PS update reply" })
     }
 
-    /// Sends a gradient without blocking; the reply arrives on the
-    /// returned receiver (used by the endpoint overlap path).
-    pub fn update_async(&self, grad: Vec<f32>) -> CommResult<Receiver<PsReply>> {
-        self.check_len(&grad)?;
-        let (rtx, rrx) = bounded(1);
-        self.tx
-            .send(PsRequest::Update { grad, reply: rtx })
-            .map_err(|_| CommError::ChannelClosed { context: "PS update" })?;
-        Ok(rrx)
-    }
-
-    /// Sends a compressed gradient and blocks for the fresh parameters.
-    /// The server decompresses into a reusable buffer and applies the
-    /// same update rule as a dense [`PsServer::update`].
-    pub fn update_compressed(&self, msg: CompressedGrad) -> CommResult<PsReply> {
-        let rrx = self.update_compressed_async(msg)?;
-        rrx.recv()
-            .map_err(|_| CommError::ChannelClosed { context: "PS update reply" })
-    }
-
-    /// Posts a compressed gradient without blocking; the reply arrives
-    /// on the returned receiver.
-    pub fn update_compressed_async(&self, msg: CompressedGrad) -> CommResult<Receiver<PsReply>> {
-        if msg.len() != self.param_len {
+    /// Posts a gradient without blocking; the reply arrives on the
+    /// returned receiver (how the supervised bank forks over its shards
+    /// and waits with a timeout).
+    pub fn update_async(&self, grad: impl Into<PsUpdate>) -> CommResult<Receiver<PsReply>> {
+        let msg = grad.into();
+        if msg.0.len() != self.param_len {
             return Err(CommError::SizeMismatch {
                 context: "PS update",
                 expected: self.param_len,
-                got: msg.len(),
+                got: msg.0.len(),
             });
         }
         let (rtx, rrx) = bounded(1);
         self.tx
-            .send(PsRequest::UpdateCompressed { msg, reply: rtx })
+            .send(PsRequest::Update { msg, reply: rtx })
             .map_err(|_| CommError::ChannelClosed { context: "PS update" })?;
         Ok(rrx)
     }
@@ -249,101 +237,6 @@ impl Drop for PsServer {
             let _ = self.tx.send(PsRequest::Shutdown);
             let _ = handle.join();
         }
-    }
-}
-
-/// A bank of per-block parameter servers — one per trainable layer block,
-/// the paper's design for avoiding PS saturation (Fig. 4).
-pub struct PsBank {
-    servers: Vec<PsServer>,
-}
-
-impl PsBank {
-    /// Spawns one server per `(initial params, update rule)` pair.
-    pub fn spawn(blocks: Vec<(Vec<f32>, UpdateFn)>) -> Self {
-        Self {
-            servers: blocks
-                .into_iter()
-                .map(|(p, u)| PsServer::spawn(p, u))
-                .collect(),
-        }
-    }
-
-    /// Number of servers (= parameter blocks).
-    pub fn len(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// True when the bank is empty.
-    pub fn is_empty(&self) -> bool {
-        self.servers.is_empty()
-    }
-
-    /// Access to an individual server.
-    pub fn server(&self, idx: usize) -> &PsServer {
-        &self.servers[idx]
-    }
-
-    /// Synchronous update of every block; returns per-block replies.
-    pub fn update_all(&self, grads: Vec<Vec<f32>>) -> CommResult<Vec<PsReply>> {
-        if grads.len() != self.servers.len() {
-            return Err(CommError::SizeMismatch {
-                context: "PS bank update",
-                expected: self.servers.len(),
-                got: grads.len(),
-            });
-        }
-        // Post everything first (the per-layer parallelism of Fig. 4),
-        // then collect.
-        let pending: Vec<_> = self
-            .servers
-            .iter()
-            .zip(grads)
-            .map(|(s, g)| s.update_async(g))
-            .collect::<CommResult<_>>()?;
-        pending
-            .into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| CommError::ChannelClosed { context: "PS bank update reply" })
-            })
-            .collect()
-    }
-
-    /// Synchronous compressed update of every block (post-all-then-
-    /// collect, like [`PsBank::update_all`]); each server decompresses
-    /// its message before applying.
-    pub fn update_all_compressed(&self, msgs: Vec<CompressedGrad>) -> CommResult<Vec<PsReply>> {
-        if msgs.len() != self.servers.len() {
-            return Err(CommError::SizeMismatch {
-                context: "PS bank update",
-                expected: self.servers.len(),
-                got: msgs.len(),
-            });
-        }
-        let pending: Vec<_> = self
-            .servers
-            .iter()
-            .zip(msgs)
-            .map(|(s, m)| s.update_compressed_async(m))
-            .collect::<CommResult<_>>()?;
-        pending
-            .into_iter()
-            .map(|rx| {
-                rx.recv()
-                    .map_err(|_| CommError::ChannelClosed { context: "PS bank update reply" })
-            })
-            .collect()
-    }
-
-    /// Fetches every block's current parameters.
-    pub fn fetch_all(&self) -> CommResult<Vec<PsReply>> {
-        self.servers.iter().map(|s| s.fetch()).collect()
-    }
-
-    /// Shuts every server down, returning per-server update counts.
-    pub fn shutdown(self) -> CommResult<Vec<u64>> {
-        self.servers.into_iter().map(|s| s.shutdown()).collect()
     }
 }
 
@@ -419,14 +312,22 @@ mod tests {
         assert_eq!(staleness, 3);
     }
 
+    fn sgd_factory(lr: f32) -> crate::supervisor::UpdateFactory {
+        Box::new(move || sgd(lr))
+    }
+
+    fn two_block_bank() -> crate::supervisor::SupervisedPsBank {
+        crate::supervisor::SupervisedPsBank::spawn(
+            vec![(vec![1.0], sgd_factory(1.0)), (vec![10.0, 20.0], sgd_factory(0.1))],
+            Default::default(),
+        )
+    }
+
     #[test]
     fn bank_updates_blocks_independently() {
-        let bank = PsBank::spawn(vec![
-            (vec![1.0], sgd(1.0)),
-            (vec![10.0, 20.0], sgd(0.1)),
-        ]);
+        let bank = two_block_bank();
         assert_eq!(bank.len(), 2);
-        let replies = bank.update_all(vec![vec![1.0], vec![10.0, 10.0]]).unwrap();
+        let replies = bank.update_all(&[vec![1.0], vec![10.0, 10.0]]).unwrap();
         assert_eq!(replies[0].params, vec![0.0]);
         assert_eq!(replies[1].params, vec![9.0, 19.0]);
         let counts = bank.shutdown().unwrap();
@@ -484,7 +385,7 @@ mod tests {
         let msg = ef.encode(&mut sent); // `sent` now holds the sent values
         let ps_c = PsServer::spawn(vec![1.0; 4], sgd(0.5));
         let ps_d = PsServer::spawn(vec![1.0; 4], sgd(0.5));
-        let rc = ps_c.update_compressed(msg).unwrap();
+        let rc = ps_c.update(msg).unwrap();
         let rd = ps_d.update(sent).unwrap();
         assert_eq!(rc.params, rd.params);
         assert_eq!(rc.version, rd.version);
@@ -496,7 +397,7 @@ mod tests {
         let grad = vec![0.1f32, -0.2, 0.3];
         let ps_c = PsServer::spawn(vec![0.0; 3], sgd(1.0));
         let ps_d = PsServer::spawn(vec![0.0; 3], sgd(1.0));
-        let rc = ps_c.update_compressed(CompressedGrad::Dense(grad.clone())).unwrap();
+        let rc = ps_c.update(CompressedGrad::Dense(grad.clone())).unwrap();
         let rd = ps_d.update(grad).unwrap();
         assert_eq!(rc.params, rd.params);
     }
@@ -505,7 +406,7 @@ mod tests {
     fn compressed_rejects_wrong_length() {
         use crate::compress::CompressedGrad;
         let ps = PsServer::spawn(vec![0.0, 0.0], sgd(1.0));
-        let err = ps.update_compressed(CompressedGrad::Dense(vec![1.0])).unwrap_err();
+        let err = ps.update(CompressedGrad::Dense(vec![1.0])).unwrap_err();
         assert!(matches!(err, CommError::SizeMismatch { .. }));
         // Server still alive.
         assert_eq!(ps.update(vec![1.0, 1.0]).unwrap().version, 1);
@@ -514,13 +415,12 @@ mod tests {
     #[test]
     fn bank_compressed_updates_blocks_independently() {
         use crate::compress::CompressedGrad;
-        let bank = PsBank::spawn(vec![(vec![1.0], sgd(1.0)), (vec![10.0, 20.0], sgd(0.1))]);
-        let replies = bank
-            .update_all_compressed(vec![
-                CompressedGrad::Dense(vec![1.0]),
-                CompressedGrad::Dense(vec![10.0, 10.0]),
-            ])
-            .unwrap();
+        let bank = two_block_bank();
+        let msgs: [PsUpdate; 2] = [
+            CompressedGrad::Dense(vec![1.0]).into(),
+            CompressedGrad::TopK { len: 2, indices: vec![0, 1], values: vec![10.0, 10.0] }.into(),
+        ];
+        let replies = bank.update_all(&msgs).unwrap();
         assert_eq!(replies[0].params, vec![0.0]);
         assert_eq!(replies[1].params, vec![9.0, 19.0]);
     }

@@ -9,6 +9,13 @@
 //! respawns the shard from the snapshot and retries the operation with
 //! exponential backoff.
 //!
+//! [`SupervisedPsBank`] is the only PS bank: one supervised shard per
+//! parameter block, exchanged fork-join as in Fig. 4 — an `update_all` or
+//! `fetch_all` posts to every shard first and then collects, and a shard
+//! that fails drops into its own respawn-and-retry loop without holding
+//! up the others. That is the shape both simulators charge for
+//! (`resume = max over shards`).
+//!
 //! Recovery semantics:
 //! - **Parameters** are restored from the last snapshot. Snapshots ride
 //!   on successful replies (every reply already carries the full shard),
@@ -23,34 +30,29 @@
 //!   restarts fresh on the respawned shard; the update-rule factory
 //!   recreates it. This matches restarting a PS process from a checkpoint.
 
-use crate::compress::CompressedGrad;
 use crate::error::{CommError, CommResult};
-use crate::ps::{PsReply, PsServer, UpdateFn};
+use crate::ps::{PsReply, PsServer, PsUpdate, UpdateFn};
+use crossbeam::channel::{Receiver, RecvTimeoutError};
 use parking_lot::Mutex;
 use std::time::Duration;
 
 /// One client-facing PS operation, unified so the retry/failover loop
-/// is written once. Compressed updates borrow the encoded message and
-/// clone it per attempt — the worker's error-feedback residual is *not*
-/// part of the message, so a retried attempt resends exactly the same
-/// sent values (a lost in-flight update is re-applied once, never
-/// re-encoded, so failover neither drops nor double-applies residuals).
-enum PsOp<'a> {
+/// is written once. An update owns the shared encoded message, so a
+/// retried attempt resends exactly the same sent values: a lost
+/// in-flight update is re-applied once, never re-encoded — the worker's
+/// error-feedback residual is *not* part of the message, so failover
+/// neither drops nor double-applies residuals.
+enum PsOp {
     Fetch,
-    Update(&'a [f32]),
-    Compressed(&'a CompressedGrad),
+    Update(PsUpdate),
 }
 
-impl PsOp<'_> {
-    /// Gradient length this op carries (`None` for a fetch).
-    fn grad_len(&self) -> Option<usize> {
-        match self {
-            PsOp::Fetch => None,
-            PsOp::Update(g) => Some(g.len()),
-            PsOp::Compressed(m) => Some(m.len()),
-        }
-    }
-}
+/// A posted attempt: the reply channel (or why posting failed) plus the
+/// generation of the server it was posted to.
+type Posted = (CommResult<Receiver<PsReply>>, u64);
+
+const UPDATE: &str = "supervised PS update";
+const FETCH: &str = "supervised PS fetch";
 
 /// Recreates the update rule for a respawned server. The plain
 /// [`UpdateFn`] is consumed by the server thread, so the supervisor
@@ -108,6 +110,7 @@ pub struct SupervisedPs {
     /// Trace label: which shard of the bank this is (`u32::MAX` =
     /// unlabelled); respawn events and service spans land on this lane.
     shard: u32,
+    param_len: usize,
     inner: Mutex<Inner>,
 }
 
@@ -129,6 +132,7 @@ impl SupervisedPs {
             cfg,
             make_update,
             shard,
+            param_len: params.len(),
             inner: Mutex::new(Inner {
                 server,
                 snapshot: params,
@@ -153,13 +157,11 @@ impl SupervisedPs {
     }
 
     /// Records a successful reply: refresh the snapshot (respecting the
-    /// cadence) and fire scheduled crash injection.
-    fn on_success(inner: &mut Inner, cfg: &SupervisorConfig, generation: u64, reply: &PsReply) {
+    /// cadence; a late reply from an older incarnation never rolls it
+    /// back) and fire scheduled crash injection.
+    fn on_success(inner: &mut Inner, cfg: &SupervisorConfig, reply: &PsReply) {
         inner.successes += 1;
-        // A reply from an older incarnation must not roll the snapshot
-        // back past the respawn point.
-        if generation == inner.generation
-            && reply.version >= inner.snapshot_version
+        if reply.version >= inner.snapshot_version
             && inner.successes.is_multiple_of(cfg.snapshot_every)
         {
             inner.snapshot = reply.params.clone();
@@ -196,60 +198,67 @@ impl SupervisedPs {
             .instant(track, scidl_trace::EventKind::PsRespawn { shard: self.shard as u64 });
     }
 
-    /// One attempt: post under the lock (capturing the generation), wait
-    /// outside it so concurrent clients and the supervisor stay live.
-    fn attempt(&self, op: &PsOp<'_>) -> Result<PsReply, (CommError, u64)> {
-        let (rx, generation) = {
-            let inner = self.inner.lock();
-            let gen = inner.generation;
-            let rx = match op {
-                PsOp::Update(g) => inner.server.update_async(g.to_vec()),
-                PsOp::Compressed(m) => inner.server.update_compressed_async((*m).clone()),
-                PsOp::Fetch => inner.server.fetch_async(),
-            };
-            (rx.map_err(|e| (e, gen))?, gen)
-        };
-        match rx.recv_timeout(self.cfg.reply_timeout) {
-            Ok(reply) => Ok(reply),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => Err((
-                CommError::Timeout {
-                    context: "supervised PS reply",
-                    waited: self.cfg.reply_timeout,
-                },
-                generation,
-            )),
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err((
-                CommError::ChannelClosed { context: "supervised PS reply" },
-                generation,
-            )),
+    /// Validates an op's gradient length, so a size mismatch is a
+    /// client error, not a reason to respawn a healthy server.
+    fn check(&self, context: &'static str, op: &PsOp) -> CommResult<()> {
+        match op {
+            PsOp::Update(msg) if msg.0.len() != self.param_len => Err(CommError::SizeMismatch {
+                context,
+                expected: self.param_len,
+                got: msg.0.len(),
+            }),
+            _ => Ok(()),
         }
     }
 
-    fn run(&self, context: &'static str, op: PsOp<'_>) -> CommResult<PsReply> {
-        // Validate once up front so a size mismatch is a client error,
-        // not a reason to respawn a healthy server.
-        if let Some(got) = op.grad_len() {
-            let expected = self.inner.lock().server.param_len();
-            if got != expected {
-                return Err(CommError::SizeMismatch { context, expected, got });
-            }
-        }
+    /// First half of an attempt: post under the lock, capturing the
+    /// generation. Never blocks on the server, so a bank can post to
+    /// every shard before waiting on any.
+    fn post(&self, op: &PsOp) -> Posted {
+        let inner = self.inner.lock();
+        let rx = match op {
+            PsOp::Update(msg) => inner.server.update_async(msg.clone()),
+            PsOp::Fetch => inner.server.fetch_async(),
+        };
+        (rx, inner.generation)
+    }
+
+    /// Second half: wait outside the lock so concurrent clients and the
+    /// supervisor stay live.
+    fn collect(&self, posted: Posted) -> Result<PsReply, (CommError, u64)> {
+        let (rx, generation) = posted;
+        let rx = rx.map_err(|e| (e, generation))?;
+        rx.recv_timeout(self.cfg.reply_timeout).map_err(|e| {
+            let err = match e {
+                RecvTimeoutError::Timeout => CommError::Timeout {
+                    context: "supervised PS reply",
+                    waited: self.cfg.reply_timeout,
+                },
+                RecvTimeoutError::Disconnected => {
+                    CommError::ChannelClosed { context: "supervised PS reply" }
+                }
+            };
+            (err, generation)
+        })
+    }
+
+    /// Collects a posted first attempt; if it failed, respawns the shard
+    /// and retries with exponential backoff, reposting the same `op`.
+    fn finish(&self, context: &'static str, op: &PsOp, first: Posted) -> CommResult<PsReply> {
+        let mut posted = first;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            match self.attempt(&op) {
+            match self.collect(posted) {
                 Ok(reply) => {
-                    let mut inner = self.inner.lock();
-                    // Generation at reply time may have advanced; the
-                    // snapshot guard in on_success handles that.
-                    let gen = inner.generation;
-                    Self::on_success(&mut inner, &self.cfg, gen, &reply);
+                    Self::on_success(&mut self.inner.lock(), &self.cfg, &reply);
                     return Ok(reply);
                 }
                 Err((_err, generation)) if attempts < self.cfg.max_retries => {
                     self.respawn(generation);
                     let backoff = self.cfg.backoff_base * 2u32.saturating_pow(attempts - 1);
                     std::thread::sleep(backoff);
+                    posted = self.post(op);
                 }
                 Err(..) => {
                     return Err(CommError::RetriesExhausted { context, attempts });
@@ -258,23 +267,22 @@ impl SupervisedPs {
         }
     }
 
-    /// Sends a gradient and blocks for the fresh parameters, failing
-    /// over and retrying if the server is dead or hung.
-    pub fn update(&self, grad: &[f32]) -> CommResult<PsReply> {
-        self.run("supervised PS update", PsOp::Update(grad))
+    fn run(&self, context: &'static str, op: PsOp) -> CommResult<PsReply> {
+        self.check(context, &op)?;
+        self.finish(context, &op, self.post(&op))
     }
 
-    /// Sends a compressed gradient with the same failover guarantees.
-    /// Retried attempts resend the identical encoded message, so the
-    /// worker-local error-feedback residual stays consistent across a
-    /// failover (nothing is dropped or double-applied).
-    pub fn update_compressed(&self, msg: &CompressedGrad) -> CommResult<PsReply> {
-        self.run("supervised PS update", PsOp::Compressed(msg))
+    /// Sends a gradient (dense or encoded) and blocks for the fresh
+    /// parameters, failing over and retrying if the server is dead or
+    /// hung. Retried attempts resend the identical message, so a worker's
+    /// error-feedback residual stays consistent across a failover.
+    pub fn update(&self, grad: impl Into<PsUpdate>) -> CommResult<PsReply> {
+        self.run(UPDATE, PsOp::Update(grad.into()))
     }
 
     /// Fetches the current parameters with the same failover guarantees.
     pub fn fetch(&self) -> CommResult<PsReply> {
-        self.run("supervised PS fetch", PsOp::Fetch)
+        self.run(FETCH, PsOp::Fetch)
     }
 
     /// Stops the server, returning its final update count.
@@ -284,8 +292,10 @@ impl SupervisedPs {
     }
 }
 
-/// A bank of supervised servers — drop-in for [`crate::ps::PsBank`]
-/// when failover is wanted.
+/// The bank of per-layer servers — one shard per trainable block, the
+/// paper's design for avoiding PS saturation — and the fork-join of
+/// Fig. 4: an exchange posts to every shard before it waits on any, so
+/// its latency is the slowest shard's, not the sum.
 pub struct SupervisedPsBank {
     servers: Vec<SupervisedPs>,
 }
@@ -293,13 +303,7 @@ pub struct SupervisedPsBank {
 impl SupervisedPsBank {
     /// Spawns one supervised server per `(params, update factory)` pair.
     pub fn spawn(blocks: Vec<(Vec<f32>, UpdateFactory)>, cfg: SupervisorConfig) -> Self {
-        Self {
-            servers: blocks
-                .into_iter()
-                .enumerate()
-                .map(|(i, (p, f))| SupervisedPs::spawn_shard(p, f, cfg.clone(), i as u32))
-                .collect(),
-        }
+        Self::spawn_with(blocks.into_iter().map(|(p, f)| (p, f, cfg.clone())).collect())
     }
 
     /// Spawns a bank where each shard gets its own supervisor config —
@@ -329,8 +333,28 @@ impl SupervisedPsBank {
         &self.servers[idx]
     }
 
-    /// Updates every shard, failing over dead ones as needed.
-    pub fn update_all(&self, grads: &[Vec<f32>]) -> CommResult<Vec<PsReply>> {
+    /// Posts one op per shard, then collects. A shard whose first
+    /// attempt fails drops into the respawn + backoff retry loop on its
+    /// own; the others are unaffected. Every shard is settled before the
+    /// first error (if any) is returned.
+    fn fork_join(&self, context: &'static str, ops: Vec<PsOp>) -> CommResult<Vec<PsReply>> {
+        let shards = || self.servers.iter().zip(&ops);
+        shards().try_for_each(|(s, op)| s.check(context, op))?;
+        let posted: Vec<Posted> = shards().map(|(s, op)| s.post(op)).collect();
+        let settled: Vec<CommResult<PsReply>> = shards()
+            .zip(posted)
+            .map(|((s, op), first)| s.finish(context, op, first))
+            .collect();
+        settled.into_iter().collect()
+    }
+
+    /// Updates every shard with its gradient — dense `Vec<f32>`s (copied
+    /// once into the message) or already-built [`PsUpdate`]s (shared, not
+    /// copied) — failing over dead shards as needed.
+    pub fn update_all<M>(&self, grads: &[M]) -> CommResult<Vec<PsReply>>
+    where
+        M: Clone + Into<PsUpdate>,
+    {
         if grads.len() != self.servers.len() {
             return Err(CommError::SizeMismatch {
                 context: "supervised PS bank update",
@@ -338,33 +362,12 @@ impl SupervisedPsBank {
                 got: grads.len(),
             });
         }
-        self.servers
-            .iter()
-            .zip(grads)
-            .map(|(s, g)| s.update(g))
-            .collect()
-    }
-
-    /// Compressed update of every shard, failing over dead ones as
-    /// needed; each shard's server decompresses its message on arrival.
-    pub fn update_all_compressed(&self, msgs: &[CompressedGrad]) -> CommResult<Vec<PsReply>> {
-        if msgs.len() != self.servers.len() {
-            return Err(CommError::SizeMismatch {
-                context: "supervised PS bank update",
-                expected: self.servers.len(),
-                got: msgs.len(),
-            });
-        }
-        self.servers
-            .iter()
-            .zip(msgs)
-            .map(|(s, m)| s.update_compressed(m))
-            .collect()
+        self.fork_join(UPDATE, grads.iter().map(|g| PsOp::Update(g.clone().into())).collect())
     }
 
     /// Fetches every shard.
     pub fn fetch_all(&self) -> CommResult<Vec<PsReply>> {
-        self.servers.iter().map(|s| s.fetch()).collect()
+        self.fork_join(FETCH, self.servers.iter().map(|_| PsOp::Fetch).collect())
     }
 
     /// Total failovers across all shards.
@@ -398,7 +401,7 @@ mod tests {
         let cfg = SupervisorConfig { inject_crash_after: Some(5), ..Default::default() };
         let ps = SupervisedPs::spawn(vec![0.0], sgd_factory(1.0), cfg);
         for _ in 0..20 {
-            ps.update(&[-1.0]).unwrap();
+            ps.update(vec![-1.0]).unwrap();
         }
         assert!(ps.respawns() >= 1, "crash injection never fired a failover");
         let f = ps.fetch().unwrap();
@@ -410,10 +413,10 @@ mod tests {
     #[test]
     fn explicit_crash_recovers_from_snapshot() {
         let ps = SupervisedPs::spawn(vec![10.0], sgd_factory(1.0), SupervisorConfig::default());
-        ps.update(&[1.0]).unwrap(); // 9.0, snapshot taken
+        ps.update(vec![1.0]).unwrap(); // 9.0, snapshot taken
         ps.crash();
         // Next op detects the death and fails over from the snapshot.
-        let r = ps.update(&[1.0]).unwrap();
+        let r = ps.update(vec![1.0]).unwrap();
         assert_eq!(r.params, vec![8.0]);
         assert_eq!(r.version, 2, "versions must stay monotonic across failover");
         assert_eq!(ps.respawns(), 1);
@@ -430,7 +433,7 @@ mod tests {
             if i % 7 == 3 {
                 ps.crash();
             }
-            ps.update(&[-1.0]).unwrap();
+            ps.update(vec![-1.0]).unwrap();
         }
         let f = ps.fetch().unwrap();
         assert!(ps.respawns() >= 3);
@@ -455,7 +458,7 @@ mod tests {
                         if c == 0 && i == 10 {
                             ps.crash();
                         }
-                        ps.update(&[-1.0]).unwrap();
+                        ps.update(vec![-1.0]).unwrap();
                     }
                 })
             })
@@ -499,7 +502,7 @@ mod tests {
         };
         let mut saw_exhaustion = false;
         for _ in 0..200 {
-            if let Err(CommError::RetriesExhausted { attempts, .. }) = ps.update(&[1.0]) {
+            if let Err(CommError::RetriesExhausted { attempts, .. }) = ps.update(vec![1.0]) {
                 assert_eq!(attempts, 2);
                 saw_exhaustion = true;
                 break;
@@ -528,7 +531,7 @@ mod tests {
                     .map(|i| ((step * 16 + i) % 13) as f32 * 0.05 - 0.3)
                     .collect();
                 let msg = ef.encode(&mut grad);
-                ps.update_compressed(&msg).unwrap();
+                ps.update(msg).unwrap();
             }
             let f = ps.fetch().unwrap();
             let crashes = ps.respawns();
@@ -559,5 +562,100 @@ mod tests {
         assert_eq!(bank.total_respawns(), 1);
         let counts = bank.shutdown().unwrap();
         assert_eq!(counts[0], 2);
+    }
+
+    #[test]
+    fn bank_rejects_wrong_block_count_and_wrong_block_length() {
+        let bank = SupervisedPsBank::spawn(
+            vec![(vec![0.0], sgd_factory(1.0)), (vec![0.0, 0.0], sgd_factory(1.0))],
+            SupervisorConfig::default(),
+        );
+        let err = bank.update_all(&[vec![1.0]]).unwrap_err();
+        assert!(matches!(err, CommError::SizeMismatch { expected: 2, got: 1, .. }));
+        // A bad length on the *last* shard is caught before anything is
+        // posted: no shard applies a partial exchange, none is respawned.
+        let err = bank.update_all(&[vec![1.0], vec![1.0]]).unwrap_err();
+        assert!(matches!(err, CommError::SizeMismatch { expected: 2, got: 1, .. }));
+        assert_eq!(bank.total_respawns(), 0);
+        assert!(bank.fetch_all().unwrap().iter().all(|r| r.version == 0));
+    }
+
+    #[test]
+    fn bank_exchange_is_a_fork_join_not_a_walk() {
+        // Fig. 4: every shard is posted before any is awaited, so two
+        // shards that each take 40 ms cost one 40 ms, not 80.
+        let slow: fn() -> UpdateFactory = || {
+            Box::new(|| {
+                Box::new(|p: &mut [f32], g: &[f32]| {
+                    std::thread::sleep(Duration::from_millis(40));
+                    p[0] -= g[0];
+                })
+            })
+        };
+        let bank = SupervisedPsBank::spawn(
+            vec![(vec![0.0], slow()), (vec![0.0], slow())],
+            SupervisorConfig::default(),
+        );
+        let t = std::time::Instant::now();
+        let replies = bank.update_all(&[vec![-1.0], vec![-2.0]]).unwrap();
+        let took = t.elapsed();
+        assert_eq!((replies[0].params[0], replies[1].params[0]), (1.0, 2.0));
+        assert!(took < Duration::from_millis(70), "shards were walked one by one: {took:?}");
+    }
+
+    #[test]
+    fn bank_failover_under_concurrent_clients_answers_every_exchange() {
+        // 3 clients × 20 rounds against 4 shards, shard 2 killed after 7
+        // successes. The guarantees of the shard-by-shard walk carry
+        // over: every exchange returns one reply per shard, untouched
+        // shards apply every update exactly once, the dead shard is
+        // respawned, and nothing deadlocks (a watchdog, not a hang, fails
+        // the test).
+        let (clients, rounds, shards) = (3u64, 20u64, 4usize);
+        let bank = Arc::new(SupervisedPsBank::spawn_with(
+            (0..shards)
+                .map(|i| {
+                    let cfg = SupervisorConfig {
+                        inject_crash_after: (i == 2).then_some(7),
+                        ..SupervisorConfig::default()
+                    };
+                    (vec![0.0], sgd_factory(1.0), cfg)
+                })
+                .collect(),
+        ));
+        let (done_tx, done_rx) = crossbeam::channel::unbounded();
+        let handles: Vec<_> = (0..clients)
+            .map(|_| {
+                let bank = Arc::clone(&bank);
+                let done = done_tx.clone();
+                std::thread::spawn(move || {
+                    let ok = (0..rounds)
+                        .filter(|_| {
+                            let grads = vec![vec![-1.0]; shards];
+                            matches!(bank.update_all(&grads), Ok(r) if r.len() == shards)
+                        })
+                        .count() as u64;
+                    let _ = done.send(ok);
+                })
+            })
+            .collect();
+        for _ in 0..clients {
+            let ok = done_rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("watchdog: a client never finished its exchanges");
+            assert_eq!(ok, rounds, "an exchange failed or came back short");
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert!(bank.total_respawns() >= 1, "crash injection never fired a failover");
+        let finals = bank.fetch_all().unwrap();
+        for i in [0, 1, 3] {
+            assert_eq!(finals[i].version, clients * rounds, "shard {i} lost or repeated an update");
+            assert_eq!(finals[i].params, vec![(clients * rounds) as f32]);
+        }
+        // The crashed shard keeps its bounded-loss contract: updates in
+        // flight at the crash may be gone, never more than one per client.
+        assert!(finals[2].version + clients >= clients * rounds);
     }
 }

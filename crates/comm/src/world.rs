@@ -129,9 +129,7 @@ impl Communicator {
     }
 
     /// Broadcast from `root`: after return every rank's `data` equals the
-    /// root's. Piggybacks on the reduction machinery (contributions from
-    /// non-roots are zeros, then scaled by `n`), which keeps a single
-    /// code path exercised by every collective.
+    /// root's (root publishes, barrier, the others copy, barrier).
     pub fn broadcast(&self, root: usize, data: &mut [f32]) {
         let sh = &*self.shared;
         if sh.n == 1 {

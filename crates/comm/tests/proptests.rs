@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use scidl_comm::ps::UpdateFn;
 use scidl_comm::{
     bucketed_allreduce_mean, bucketed_allreduce_mean_compressed, ring_allreduce_mean, BucketPlan,
-    BucketSink, CommWorld, CompressedGrad, Compression, ErrorFeedback, OverlapContext, PsBank,
+    BucketSink, CommWorld, CompressedGrad, Compression, ErrorFeedback, OverlapContext, PsServer,
     RingFabric, RingScratch,
 };
 use std::thread;
@@ -106,17 +106,17 @@ proptest! {
     /// version equals `k`.
     #[test]
     fn ps_applies_every_update(threads in 1usize..6, per in 1usize..20) {
-        let bank = PsBank::spawn(vec![(
+        let ps = PsServer::spawn(
             vec![0.0f32],
             Box::new(|p: &mut [f32], g: &[f32]| p[0] -= g[0]) as UpdateFn,
-        )]);
-        let bank = std::sync::Arc::new(bank);
+        );
+        let ps = std::sync::Arc::new(ps);
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                let bank = std::sync::Arc::clone(&bank);
+                let ps = std::sync::Arc::clone(&ps);
                 thread::spawn(move || {
                     for _ in 0..per {
-                        bank.server(0).update(vec![-1.0]).unwrap();
+                        ps.update(vec![-1.0]).unwrap();
                     }
                 })
             })
@@ -124,7 +124,7 @@ proptest! {
         for h in handles {
             h.join().unwrap();
         }
-        let f = bank.server(0).fetch().unwrap();
+        let f = ps.fetch().unwrap();
         prop_assert_eq!(f.version, (threads * per) as u64);
         prop_assert_eq!(f.params[0], (threads * per) as f32);
     }
@@ -150,7 +150,7 @@ proptest! {
         let ps = SupervisedPs::spawn(vec![0.0f32], make, cfg);
         let mut last = 0.0f32;
         for _ in 0..total {
-            last = ps.update(&[-1.0]).unwrap().params[0];
+            last = ps.update(vec![-1.0]).unwrap().params[0];
         }
         prop_assert_eq!(last, total as f32);
         let f = ps.fetch().unwrap();
@@ -194,7 +194,7 @@ proptest! {
                 let plan = plan.clone();
                 let flat = grad(rank);
                 thread::spawn(move || {
-                    let mut ctx = OverlapContext::spawn(rank, n, ep);
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, Compression::None);
                     let mut stream = ctx.stream(&plan);
                     for b in (0..plan.num_blocks()).rev() {
                         let (lo, hi) = plan.block_flat_range(b);
@@ -424,7 +424,7 @@ proptest! {
                 let plan = plan.clone();
                 let flat = grad(rank);
                 thread::spawn(move || {
-                    let mut ctx = OverlapContext::spawn_compressed(rank, n, ep, policy);
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, policy);
                     let mut stream = ctx.stream(&plan);
                     for b in (0..plan.num_blocks()).rev() {
                         let (lo, hi) = plan.block_flat_range(b);

@@ -215,96 +215,6 @@ pub fn resilience(workload: &Workload, nodes: usize, groups: usize, seed: u64) -
     }
 }
 
-/// Result of the gradient-compression ablation (Sec. VIII-B).
-#[derive(Clone, Debug)]
-pub struct CompressionResult {
-    /// Final smoothed loss with full-precision all-reduce.
-    pub loss_f32: f32,
-    /// Final smoothed loss with 8-bit error-feedback all-reduce.
-    pub loss_q8: f32,
-    /// Bytes a rank sent per iteration at full precision.
-    pub bytes_f32: usize,
-    /// Bytes a rank sent per iteration compressed.
-    pub bytes_q8: usize,
-}
-
-/// Trains the scaled-down HEP classifier data-parallel over `ranks`
-/// threads twice — once averaging gradients in f32, once through the
-/// 8-bit error-feedback compressed all-reduce — and compares convergence
-/// and traffic. This is the experiment Sec. VIII-B says is "poorly
-/// understood … for scientific datasets".
-pub fn compression_ablation(
-    ranks: usize,
-    iterations: usize,
-    batch_per_rank: usize,
-    events: usize,
-    seed: u64,
-) -> CompressionResult {
-    use scidl_comm::{CommWorld, CompressedAllReduce};
-    use scidl_nn::network::Model;
-    use scidl_nn::Solver;
-    use std::sync::Arc;
-
-    let ds = Arc::new(HepDataset::generate(HepConfig::small(), events, seed));
-
-    let run = |compressed: bool| -> (f32, usize) {
-        let comms = CommWorld::new(ranks);
-        let handles: Vec<_> = comms
-            .into_iter()
-            .enumerate()
-            .map(|(rank, comm)| {
-                let ds = Arc::clone(&ds);
-                std::thread::spawn(move || {
-                    let mut mrng = TensorRng::new(seed ^ 0xC0);
-                    let mut model = scidl_nn::arch::hep_small(&mut mrng);
-                    let mut sampler = scidl_data::BatchSampler::for_node(
-                        ds.len(),
-                        batch_per_rank,
-                        seed,
-                        rank,
-                        ranks,
-                    );
-                    let mut solver = scidl_nn::Sgd::new(4e-3, 0.8);
-                    let sizes: Vec<usize> =
-                        model.param_blocks().iter().map(|b| b.len()).collect();
-                    let mut flat = model.flat_params();
-                    let mut state = CompressedAllReduce::new();
-                    let mut losses = Vec::new();
-                    let mut bytes = 0usize;
-                    for _ in 0..iterations {
-                        model.set_flat_params(&flat);
-                        let idx = sampler.next_batch();
-                        let (loss, mut grads) =
-                            crate::task::hep_gradient(&mut model, &ds, &idx);
-                        if compressed {
-                            bytes = state.allreduce_mean(&comm, &mut grads);
-                        } else {
-                            comm.allreduce_mean(&mut grads);
-                            bytes = grads.len() * 4;
-                        }
-                        losses.push(loss);
-                        let mut off = 0;
-                        for (i, &len) in sizes.iter().enumerate() {
-                            solver.step_block(i, &mut flat[off..off + len], &grads[off..off + len]);
-                            off += len;
-                        }
-                    }
-                    let tail = losses.len().saturating_sub(6);
-                    let final_loss =
-                        losses[tail..].iter().sum::<f32>() / (losses.len() - tail) as f32;
-                    (final_loss, bytes)
-                })
-            })
-            .collect();
-        let results: Vec<(f32, usize)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        results[0]
-    };
-
-    let (loss_f32, bytes_f32) = run(false);
-    let (loss_q8, bytes_q8) = run(true);
-    CompressionResult { loss_f32, loss_q8, bytes_f32, bytes_q8 }
-}
-
 /// One row of the topology-placement ablation (Fig. 3).
 #[derive(Clone, Debug)]
 pub struct PlacementRow {
@@ -399,20 +309,6 @@ mod tests {
             "dense head should cost real throughput: {} vs {}",
             dense.images_per_sec_1024,
             paper.images_per_sec_1024
-        );
-    }
-
-    #[test]
-    fn compressed_training_converges_with_quarter_traffic() {
-        let r = compression_ablation(2, 25, 8, 128, 7);
-        assert!(r.bytes_q8 * 3 < r.bytes_f32, "compression should shrink traffic ~4x");
-        assert!(r.loss_q8.is_finite() && r.loss_f32.is_finite());
-        // Error feedback keeps convergence close to full precision.
-        assert!(
-            r.loss_q8 < r.loss_f32 + 0.15,
-            "compressed loss {} should track f32 loss {}",
-            r.loss_q8,
-            r.loss_f32
         );
     }
 

@@ -8,8 +8,7 @@ pub mod scaling;
 pub mod science;
 
 pub use ablations::{
-    arch_ablation, compression_ablation, momentum_ablation, placement_ablation, ps_ablation,
-    resilience,
+    arch_ablation, momentum_ablation, placement_ablation, ps_ablation, resilience,
 };
 pub use convergence::{fig8, fig8_compress, Fig8CompressResult, Fig8Result};
 pub use scaling::{

@@ -32,8 +32,8 @@ pub fn kill_and_recover_group(
 }
 
 /// A plan that kills rank `rank` of `group` at `iteration` and never
-/// repairs it. In the thread engine's bucketed-overlap mode the group's
-/// survivors hit the dead ring neighbour mid-bucket and abort with a
+/// repairs it. In the thread engine the group's survivors hit the dead
+/// ring neighbour mid-bucket (overlapped or not) and abort with a
 /// `CommError` (Sec. VIII-A: a synchronous group dies with its first
 /// node).
 pub fn kill_node(group: usize, rank: usize, iteration: usize) -> FaultPlan {

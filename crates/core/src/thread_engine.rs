@@ -4,9 +4,13 @@
 //! scale: groups of worker threads run data-parallel SGD with a real
 //! all-reduce (`scidl-comm`), group roots exchange per-layer updates
 //! with a real parameter-server bank, and staleness arises from genuine
-//! thread interleaving. With one group the result is bit-identical to
-//! sequential minibatch SGD — the correctness anchor the simulated-time
-//! backend builds on.
+//! thread interleaving. A step has one gradient path whatever the
+//! configuration: backward feeds a bucketed ring all-reduce on the rank's
+//! comm thread, the root encodes each block through its error-feedback
+//! accumulator (the identity for `Compression::None`) and fork-joins the
+//! messages over the supervised PS bank (Fig. 4). With one group the
+//! result is bit-identical to sequential minibatch SGD — the correctness
+//! anchor the simulated-time backend builds on.
 //!
 //! The engine is generic over the model and task
 //! ([`ThreadEngine::run_with`]); [`ThreadEngine::run`] is the HEP
@@ -39,12 +43,11 @@ use crate::checkpoint::Checkpoint;
 use crate::faults::FaultPlan;
 use crate::metrics::LossCurve;
 use crate::task::{GradTask, HepGradTask};
-use parking_lot::Mutex;
-use scidl_comm::bucket::{BucketPlan, OverlapContext};
+use scidl_comm::bucket::{BucketPlan, BucketSink, OverlapContext};
 use scidl_comm::compress::{Compression, ErrorFeedback};
-use scidl_comm::ps::UpdateFn;
+use scidl_comm::ps::{PsUpdate, UpdateFn};
 use scidl_comm::supervisor::{SupervisedPsBank, SupervisorConfig, UpdateFactory};
-use scidl_comm::{CommWorld, RingEndpoint, RingFabric};
+use scidl_comm::{CommWorld, Communicator, RingEndpoint, RingFabric};
 use scidl_data::{BatchSampler, HepDataset};
 use scidl_nn::network::Model;
 use scidl_nn::Solver;
@@ -75,30 +78,29 @@ pub struct ThreadEngineConfig {
     /// Run ADAM at the parameter servers instead of momentum-SGD (the
     /// paper's HEP configuration, Sec. III-A).
     pub adam: bool,
-    /// Overlap gradient communication with backward compute (Sec. V):
-    /// each group's gradients are bucketed ([`bucket_bytes`](Self::bucket_bytes))
-    /// and ring-reduced on a dedicated per-rank comm thread while
-    /// shallower layers still backpropagate. Updates are bit-identical
-    /// to the sequential bucketed schedule; only the timing changes.
+    /// Overlap gradient communication with backward compute (Sec. V).
+    /// Every group's gradients are bucketed ([`bucket_bytes`](Self::bucket_bytes))
+    /// and ring-reduced on a dedicated per-rank comm thread either way;
+    /// with the flag on, the task's layered backward ships each bucket
+    /// while shallower layers still backpropagate, with it off the
+    /// finished flat gradient is shipped. Updates are bit-identical; only
+    /// the timing changes.
     pub overlap_comm: bool,
-    /// Target gradient bucket size in bytes for overlap mode (blocks are
-    /// coalesced in backward-readiness order up to roughly this size;
-    /// `0` = one bucket per parameter block).
+    /// Target gradient bucket size in bytes (blocks are coalesced in
+    /// backward-readiness order up to roughly this size; `0` = one bucket
+    /// per parameter block).
     pub bucket_bytes: usize,
     /// Gradient compression policy with per-rank error feedback
-    /// (Sec. VIII-B): applied to the intra-group gradient all-reduce (per
-    /// bucket in overlap mode, whole-gradient otherwise) and to the
-    /// root's PS update leg (encoded per block, decompressed server-side;
-    /// the residual stays on the worker and survives PS failover). With a
-    /// single rank per group the collective has no wire, so only the PS
-    /// leg compresses. [`Compression::None`] is the bit-identical
-    /// uncompressed path.
+    /// (Sec. VIII-B): applied per bucket to the intra-group gradient
+    /// all-reduce and per block to the root's PS update leg (decompressed
+    /// server-side; the residual stays on the worker and survives PS
+    /// failover). With a single rank per group the collective has no
+    /// wire, so only the PS leg compresses. [`Compression::None`] is the
+    /// identity codec on the same path, not a different one.
     pub compression: Compression,
     /// Fault-injection scenario (Sec. VIII-A): group crashes (with or
-    /// without recovery), PS crashes, stragglers and message delays.
-    /// Single-rank `node_crashes` require `overlap_comm` (only the ring
-    /// collectives can *detect* a missing peer). `FaultPlan::none()`
-    /// trains fault-free.
+    /// without recovery), single-rank crashes, PS crashes, stragglers and
+    /// message delays. `FaultPlan::none()` trains fault-free.
     pub faults: FaultPlan,
     /// Write a crash-safe checkpoint every N group-0 iterations
     /// (0 = off; requires `checkpoint_path`).
@@ -159,14 +161,51 @@ pub struct ThreadRunSummary {
     pub wire_bytes: u64,
 }
 
-/// Shared run-wide accumulators.
-struct Shared {
-    losses: Mutex<Vec<(f64, f32)>>,
-    staleness: Mutex<(f64, u64, Vec<u64>)>,
-    /// `(recovered updates, checkpoints written)`.
-    fault_stats: Mutex<(u64, u64)>,
+/// What one worker observed. Each worker owns its log, hands it back
+/// through its join handle, and the logs are merged once the run is over;
+/// only group roots record anything but `wire_bytes`.
+#[derive(Default)]
+struct WorkerLog {
+    /// `(seconds since start, group loss)`, one per applied update.
+    losses: Vec<(f64, f32)>,
+    staleness_sum: u64,
+    staleness_histogram: [u64; STALENESS_BUCKETS],
+    recovered_updates: u64,
+    checkpoints_written: u64,
     /// Gradient bytes-on-wire (all-reduce + PS legs).
-    wire_bytes: std::sync::atomic::AtomicU64,
+    wire_bytes: u64,
+}
+
+impl WorkerLog {
+    fn merge(&mut self, other: WorkerLog) {
+        self.losses.extend(other.losses);
+        self.staleness_sum += other.staleness_sum;
+        for (a, b) in self.staleness_histogram.iter_mut().zip(other.staleness_histogram) {
+            *a += b;
+        }
+        self.recovered_updates += other.recovered_updates;
+        self.checkpoints_written += other.checkpoints_written;
+        self.wire_bytes += other.wire_bytes;
+    }
+}
+
+/// Everything the workers of one run read and never write.
+struct Run<'a, B, G> {
+    cfg: &'a ThreadEngineConfig,
+    dataset_len: usize,
+    build: &'a B,
+    grad: &'a G,
+    bank: &'a SupervisedPsBank,
+    /// One bucket plan shared by all ranks (readiness order over the
+    /// blocks).
+    plan: &'a BucketPlan,
+    block_sizes: &'a [usize],
+    /// Block names feed the health sentinel's first-offender layer
+    /// attribution.
+    block_names: &'a [String],
+    /// A no-op when no sink is installed.
+    tr: &'a scidl_trace::TraceHandle,
+    t0: Instant,
 }
 
 /// The thread-backed hybrid engine.
@@ -210,20 +249,12 @@ impl ThreadEngine {
             cfg.batch_per_group >= cfg.nodes_per_group,
             "each node needs at least one image"
         );
-        assert!(
-            cfg.faults.node_crashes.is_empty() || cfg.overlap_comm,
-            "single-rank node crashes require overlap_comm: only the ring \
-             collectives detect a missing peer (the tree all-reduce would hang)"
-        );
 
         // Template model defines the block structure and initial params.
         let template = build(cfg.seed);
         let block_sizes: Vec<usize> = template.param_blocks().iter().map(|b| b.len()).collect();
-        // Block names feed the health sentinel's first-offender layer
-        // attribution; the trace handle is a no-op when no sink is
-        // installed.
-        let block_names: Arc<Vec<String>> =
-            Arc::new(template.param_blocks().iter().map(|b| b.name.clone()).collect());
+        let block_names: Vec<String> =
+            template.param_blocks().iter().map(|b| b.name.clone()).collect();
         let tr = scidl_trace::TraceHandle::begin("thread-engine");
 
         // Supervised per-layer PS bank: each shard has its own solver
@@ -262,76 +293,51 @@ impl ThreadEngine {
                 })
                 .collect(),
         );
-        let bank = Arc::new(bank);
-        let shared = Arc::new(Shared {
-            losses: Mutex::new(Vec::new()),
-            staleness: Mutex::new((0.0, 0, vec![0u64; STALENESS_BUCKETS])),
-            fault_stats: Mutex::new((0, 0)),
-            wire_bytes: std::sync::atomic::AtomicU64::new(0),
-        });
-        // Overlap mode: one bucket plan shared by all ranks (readiness
-        // order over the blocks), one gradient ring per group.
-        let plan = Arc::new(BucketPlan::new(&block_sizes, cfg.bucket_bytes));
+        let plan = BucketPlan::new(&block_sizes, cfg.bucket_bytes);
+        let run = Run {
+            cfg,
+            dataset_len,
+            build: &build,
+            grad: &grad,
+            bank: &bank,
+            plan: &plan,
+            block_sizes: &block_sizes,
+            block_names: &block_names,
+            tr: &tr,
+            t0: Instant::now(),
+        };
         // The ranks are the compute threads and split the CPUs this call
         // may use between them; nothing else the engine spawns fans out.
         let threads_per_rank = scidl_tensor::par::budget(cfg.groups * cfg.nodes_per_group);
-        let t0 = Instant::now();
 
+        // One tree communicator (loss scalar, status word, model
+        // broadcast) and one gradient ring per group.
+        let mut log = WorkerLog::default();
         std::thread::scope(|scope| {
+            let mut workers = Vec::new();
             for g in 0..cfg.groups {
                 let comms = CommWorld::new(cfg.nodes_per_group);
-                let mut endpoints: Vec<Option<RingEndpoint>> = if cfg.overlap_comm {
-                    RingFabric::new(cfg.nodes_per_group)
-                        .into_endpoints()
-                        .into_iter()
-                        .map(Some)
-                        .collect()
-                } else {
-                    (0..cfg.nodes_per_group).map(|_| None).collect()
-                };
-                for (r, comm) in comms.into_iter().enumerate() {
-                    let cfg = cfg.clone();
-                    let bank = Arc::clone(&bank);
-                    let shared = Arc::clone(&shared);
-                    let block_sizes = block_sizes.clone();
-                    let block_names = Arc::clone(&block_names);
-                    let plan = Arc::clone(&plan);
-                    let endpoint = endpoints[r].take();
-                    let tr = tr.clone();
-                    let build = &build;
-                    let grad = &grad;
-                    scope.spawn(move || {
+                let endpoints = RingFabric::new(cfg.nodes_per_group).into_endpoints();
+                for (r, (comm, endpoint)) in comms.into_iter().zip(endpoints).enumerate() {
+                    let run = &run;
+                    workers.push(scope.spawn(move || {
                         scidl_tensor::par::set_width(threads_per_rank);
-                        worker(
-                            g,
-                            r,
-                            comm,
-                            endpoint,
-                            plan,
-                            cfg,
-                            dataset_len,
-                            bank,
-                            shared,
-                            block_sizes,
-                            block_names,
-                            tr,
-                            t0,
-                            build,
-                            grad,
-                        )
-                    });
+                        worker(run, g, r, comm, endpoint)
+                    }));
                 }
+            }
+            for w in workers {
+                log.merge(w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
         });
 
+        let updates = log.losses.len() as u64;
         let mut curve = LossCurve::new();
-        let mut pts = shared.losses.lock().clone();
-        pts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (t, l) in pts {
+        log.losses.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        for (t, l) in log.losses {
             curve.push(t, l);
         }
 
-        let bank = Arc::try_unwrap(bank).ok().expect("bank still shared");
         let ps_respawns = bank.total_respawns();
         let final_params: Vec<f32> = bank
             .fetch_all()
@@ -339,56 +345,40 @@ impl ThreadEngine {
             .into_iter()
             .flat_map(|r| r.params)
             .collect();
-        let (ssum, supdates, hist) = shared.staleness.lock().clone();
-        let (recovered_updates, checkpoints_written) = *shared.fault_stats.lock();
         ThreadRunSummary {
             curve,
             final_params,
-            mean_staleness: if supdates > 0 { ssum / supdates as f64 } else { 0.0 },
-            staleness_histogram: hist,
-            updates: supdates,
-            recovered_updates,
+            mean_staleness: if updates > 0 { log.staleness_sum as f64 / updates as f64 } else { 0.0 },
+            staleness_histogram: log.staleness_histogram.to_vec(),
+            updates,
+            recovered_updates: log.recovered_updates,
             ps_respawns,
-            checkpoints_written,
-            wire_bytes: shared.wire_bytes.load(std::sync::atomic::Ordering::Relaxed),
+            checkpoints_written: log.checkpoints_written,
+            wire_bytes: log.wire_bytes,
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn worker<M, B, G>(
+    run: &Run<'_, B, G>,
     group: usize,
     rank: usize,
-    comm: scidl_comm::Communicator,
-    endpoint: Option<RingEndpoint>,
-    plan: Arc<BucketPlan>,
-    cfg: ThreadEngineConfig,
-    dataset_len: usize,
-    bank: Arc<SupervisedPsBank>,
-    shared: Arc<Shared>,
-    block_sizes: Vec<usize>,
-    block_names: Arc<Vec<String>>,
-    tr: scidl_trace::TraceHandle,
-    t0: Instant,
-    build: &B,
-    grad: &G,
-) where
+    comm: Communicator,
+    endpoint: RingEndpoint,
+) -> WorkerLog
+where
     M: Model,
     B: Fn(u64) -> M + Send + Sync,
     G: GradTask<M>,
 {
+    let &Run { cfg, bank, plan, block_sizes, tr, .. } = run;
+    let mut log = WorkerLog::default();
     // Every worker builds the identical initial model.
-    let mut model = build(cfg.seed);
-    // Overlap mode: a dedicated comm thread owns this rank's ring
-    // endpoint for the whole run (MLSL's endpoint proxy threads); it also
-    // owns the per-bucket error-feedback accumulators when compression
-    // is on.
-    let mut overlap: Option<OverlapContext> = endpoint
-        .map(|ep| OverlapContext::spawn_compressed(rank, cfg.nodes_per_group, ep, cfg.compression));
-    // Non-overlap path: one error-feedback accumulator over the whole
-    // flat gradient (only used with more than one rank — a single rank
-    // has no wire to compress).
-    let mut ef_ar = ErrorFeedback::new(cfg.compression);
+    let mut model = (run.build)(cfg.seed);
+    // A dedicated comm thread owns this rank's ring endpoint for the
+    // whole run (MLSL's endpoint proxy threads), and with it the
+    // per-bucket error-feedback accumulators.
+    let mut overlap = OverlapContext::spawn(rank, cfg.nodes_per_group, endpoint, cfg.compression);
     // Root's PS leg: one accumulator per parameter block, worker-local
     // so residuals survive PS failover/rejoin.
     let mut ef_ps: Vec<ErrorFeedback> =
@@ -398,7 +388,8 @@ fn worker<M, B, G>(
     let node_id = group * cfg.nodes_per_group + rank;
     let total_nodes = cfg.groups * cfg.nodes_per_group;
     let per_node = cfg.batch_per_group / cfg.nodes_per_group;
-    let mut sampler = BatchSampler::for_node(dataset_len, per_node, cfg.seed, node_id, total_nodes);
+    let mut sampler =
+        BatchSampler::for_node(run.dataset_len, per_node, cfg.seed, node_id, total_nodes);
 
     let mut last_version: u64 = 0;
     let mut flat = model.flat_params();
@@ -410,17 +401,17 @@ fn worker<M, B, G>(
     for iter in 0..cfg.iterations {
         if node_crash_iter.is_some_and(|k| iter >= k) {
             // This rank alone dies (Sec. VIII-A): returning drops the
-            // overlap comm thread and with it this rank's ring channels,
-            // so the group's survivors hit the dead neighbour mid-bucket
-            // and abort with a CommError instead of hanging.
-            return;
+            // comm thread and with it this rank's ring channels, so the
+            // group's survivors hit the dead neighbour mid-bucket and
+            // abort with a CommError instead of hanging.
+            return log;
         }
         if !recovered && cfg.faults.group_crash_at(group) == Some(iter) {
             // The whole group observes the same condition and stops
             // together — a node failure taking its group down
             // (Sec. VIII-A). Other groups keep going via the PS bank.
             match cfg.faults.recovery {
-                None => return, // permanent loss: the paper's baseline
+                None => return log, // permanent loss: the paper's baseline
                 Some(rec) => {
                     // Sit out the repair time, then rejoin from the
                     // *current* model at the PS bank — everything the
@@ -445,7 +436,7 @@ fn worker<M, B, G>(
                                 // to stop together below.
                                 let mut status = [0.0f32];
                                 comm.broadcast(0, &mut status);
-                                return;
+                                return log;
                             }
                         }
                         let mut status = [1.0f32];
@@ -454,7 +445,7 @@ fn worker<M, B, G>(
                         let mut status = [0.0f32];
                         comm.broadcast(0, &mut status);
                         if status[0] < 0.5 {
-                            return;
+                            return log;
                         }
                     }
                     comm.broadcast(0, &mut flat);
@@ -467,33 +458,16 @@ fn worker<M, B, G>(
         let iter_t = tr.now();
         model.set_flat_params(&flat);
         let indices = sampler.next_batch();
-        // Overlap mode: backward streams gradient buckets to the comm
-        // thread as layers complete; `finish` drains the reduced buckets,
-        // so `grads` is already the group mean.
-        let mut already_reduced = false;
-        let mut ar_bytes = 0u64;
-        let (loss, mut grads) = match overlap.as_mut() {
-            Some(ctx) => {
-                let mut stream = ctx.stream(&plan);
-                let loss = grad.grad_overlapped(&mut model, &indices, &mut stream);
-                let mut reduced = vec![0.0f32; plan.total_len()];
-                match stream.finish(&mut reduced) {
-                    Ok(bytes) => {
-                        already_reduced = true;
-                        ar_bytes = bytes as u64;
-                        (loss, reduced)
-                    }
-                    Err(_) => {
-                        // A ring neighbour died mid-bucket: fatal for the
-                        // whole synchronous group (Sec. VIII-A). Return
-                        // before any tree collective so the group's
-                        // survivors stop together instead of deadlocking
-                        // on a rank that will never arrive.
-                        return;
-                    }
-                }
-            }
-            None => grad.grad(&mut model, &indices),
+        // Backward hands its gradient to the bucket stream — layer by
+        // layer as each becomes final, or whole once it is done — and the
+        // comm thread ring-reduces every bucket as it fills.
+        let mut stream = overlap.stream(plan);
+        let loss = if cfg.overlap_comm {
+            run.grad.grad_overlapped(&mut model, &indices, &mut stream)
+        } else {
+            let (loss, local) = run.grad.grad(&mut model, &indices);
+            stream.push_flat(&local);
+            loss
         };
         let compute_s = tr.now() - iter_t;
         if rank == 0 {
@@ -521,31 +495,30 @@ fn worker<M, B, G>(
             }
         }
 
-        // Intra-group synchronous step: average gradients and loss (the
-        // gradient mean already happened on the ring in overlap mode).
+        // Intra-group synchronous step: drain the reduced buckets — what
+        // is still on the ring now is the exposed communication — and
+        // average the loss.
         let ar_t = tr.now();
-        if !already_reduced {
-            if cfg.nodes_per_group > 1 {
-                // Error-feedback round before the collective: the exact
-                // tree reduce carries the decompressed sent values, the
-                // wire accounting charges the compressed size. A single
-                // rank has no wire, so it skips both (bit-identity).
-                ar_bytes = ef_ar.apply(&mut grads) as u64;
-            }
-            comm.allreduce_mean(&mut grads);
-        }
+        let mut grads = vec![0.0f32; plan.total_len()];
+        let Ok(ar_bytes) = stream.finish(&mut grads) else {
+            // A ring neighbour died mid-bucket: fatal for the whole
+            // synchronous group (Sec. VIII-A). Return before any tree
+            // collective so the group's survivors stop together instead
+            // of deadlocking on a rank that will never arrive.
+            return log;
+        };
         let mut lbuf = [loss];
         comm.allreduce_mean(&mut lbuf);
         let group_loss = lbuf[0];
         let mut comm_s = tr.now() - ar_t;
-        shared.wire_bytes.fetch_add(ar_bytes, std::sync::atomic::Ordering::Relaxed);
+        log.wire_bytes += ar_bytes as u64;
         if rank == 0 {
             tr.span(
                 group as u64,
                 ar_t,
                 scidl_trace::EventKind::Allreduce {
                     elems: grads.len() as u64 + 1,
-                    bytes: ar_bytes,
+                    bytes: ar_bytes as u64,
                 },
             );
             // Numeric-health sentinel: a non-finite loss or gradient
@@ -565,8 +538,8 @@ fn worker<M, B, G>(
                 if let Some(alert) = scidl_trace::scan_blocks(
                     "gradient",
                     &grads,
-                    &block_sizes,
-                    &block_names,
+                    block_sizes,
+                    run.block_names,
                     Some(iter as u64),
                 ) {
                     tr.health(alert);
@@ -589,36 +562,27 @@ fn worker<M, B, G>(
             if delay > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(delay));
             }
-            // Root: per-layer PS exchange (asynchronous across groups).
-            // The supervisor behind `update_all` retries and respawns
-            // dead shards; an error here means retries are exhausted.
-            // With compression on, each block is encoded through its
-            // worker-local error-feedback accumulator and the server
-            // decompresses on arrival; the dense path is untouched.
+            // Root: per-layer PS exchange (asynchronous across groups),
+            // forked over every shard and joined. Each block goes through
+            // its worker-local error-feedback accumulator — which leaves
+            // a dense message untouched — and the server decodes on
+            // arrival. The supervisor behind `update_all` retries and
+            // respawns dead shards; an error here means retries are
+            // exhausted.
             let mut ps_wire = 0u64;
-            let ps_result = if cfg.compression.is_none() {
-                let mut blocks = Vec::with_capacity(block_sizes.len());
-                let mut off = 0;
-                for &len in &block_sizes {
-                    blocks.push(grads[off..off + len].to_vec());
+            let mut off = 0;
+            let msgs: Vec<PsUpdate> = block_sizes
+                .iter()
+                .zip(&mut ef_ps)
+                .map(|(&len, ef)| {
+                    let msg = ef.encode(&mut grads[off..off + len]);
                     off += len;
-                }
-                ps_wire = grads.len() as u64 * 4;
-                bank.update_all(&blocks)
-            } else {
-                let mut msgs = Vec::with_capacity(block_sizes.len());
-                let mut off = 0;
-                for (b, &len) in block_sizes.iter().enumerate() {
-                    let mut block = grads[off..off + len].to_vec();
-                    let msg = ef_ps[b].encode(&mut block);
                     ps_wire += msg.wire_bytes() as u64;
-                    msgs.push(msg);
-                    off += len;
-                }
-                bank.update_all_compressed(&msgs)
-            };
-            shared.wire_bytes.fetch_add(ps_wire, std::sync::atomic::Ordering::Relaxed);
-            match ps_result {
+                    msg.into()
+                })
+                .collect();
+            log.wire_bytes += ps_wire;
+            match bank.update_all(&msgs) {
                 Ok(replies) => {
                     // Staleness from the first block's version stream.
                     let v = replies[0].version;
@@ -635,24 +599,14 @@ fn worker<M, B, G>(
                             bytes: ps_wire,
                         },
                     );
-                    {
-                        let mut s = shared.staleness.lock();
-                        s.0 += stale as f64;
-                        s.1 += 1;
-                        let bucket = (stale as usize).min(STALENESS_BUCKETS - 1);
-                        s.2[bucket] += 1;
-                    }
-                    if recovered {
-                        shared.fault_stats.lock().0 += 1;
-                    }
+                    log.staleness_sum += stale;
+                    log.staleness_histogram[(stale as usize).min(STALENESS_BUCKETS - 1)] += 1;
+                    log.recovered_updates += u64::from(recovered);
                     flat.clear();
                     for r in &replies {
                         flat.extend_from_slice(&r.params);
                     }
-                    shared
-                        .losses
-                        .lock()
-                        .push((t0.elapsed().as_secs_f64(), group_loss));
+                    log.losses.push((run.t0.elapsed().as_secs_f64(), group_loss));
 
                     // Periodic crash-safe checkpoint from group 0's root.
                     if group == 0
@@ -666,9 +620,7 @@ fn worker<M, B, G>(
                                 seed: cfg.seed,
                                 params: flat.clone(),
                             };
-                            if ck.save(path).is_ok() {
-                                shared.fault_stats.lock().1 += 1;
-                            }
+                            log.checkpoints_written += u64::from(ck.save(path).is_ok());
                             tr.span(
                                 group as u64,
                                 ck_t,
@@ -690,7 +642,7 @@ fn worker<M, B, G>(
         let bc_t = tr.now();
         comm.broadcast(0, &mut status);
         if status[0] < 0.5 {
-            return;
+            return log;
         }
         // Root broadcasts the fresh model to its group.
         comm.broadcast(0, &mut flat);
@@ -718,6 +670,7 @@ fn worker<M, B, G>(
             });
         }
     }
+    log
 }
 
 #[cfg(test)]
@@ -788,28 +741,21 @@ mod tests {
     }
 
     #[test]
-    fn overlap_group_agrees_with_tree_path_numerically() {
-        // Across ranks the ring and tree all-reduce sum in different
-        // orders, so bit-identity is not expected against the *tree*
-        // baseline (the sequential bucketed-ring reference in the
-        // integration tests pins bit-identity); numerically the runs
-        // must agree tightly.
+    fn overlap_group_is_bit_identical_to_flat_push_group() {
+        // Across ranks both settings reduce through the same bucket plan
+        // on the same ring — only *when* a bucket ships differs — so a
+        // 4-rank run is bit-identical with the flag on or off.
         let ds = dataset();
         let mut cfg = ThreadEngineConfig::new(1, 4, 8);
         cfg.iterations = 6;
         cfg.momentum = 0.5;
+        cfg.bucket_bytes = 2048;
         let base = ThreadEngine::run(&cfg, Arc::clone(&ds));
         cfg.overlap_comm = true;
-        cfg.bucket_bytes = 2048;
         let over = ThreadEngine::run(&cfg, Arc::clone(&ds));
         assert_eq!(over.updates, base.updates);
-        let max_err = base
-            .final_params
-            .iter()
-            .zip(&over.final_params)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        assert!(max_err < 1e-4, "overlap run diverged from tree run by {max_err}");
+        assert_eq!(over.final_params, base.final_params);
+        assert_eq!(over.wire_bytes, base.wire_bytes);
     }
 
     #[test]
@@ -830,12 +776,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "node crashes require overlap_comm")]
-    fn node_crash_without_overlap_is_rejected() {
+    fn node_crash_without_overlap_stops_the_group_not_the_run() {
+        // Every rank reduces on the ring, overlapped or not, so a dead
+        // rank is detected (CommError, not a hang) with the flag off too:
+        // group 0 stops after its 2 pre-crash updates, group 1 finishes.
         let ds = dataset();
-        let mut cfg = ThreadEngineConfig::new(1, 2, 4);
-        cfg.faults = faults::kill_node(0, 1, 1);
-        let _ = ThreadEngine::run(&cfg, ds);
+        let mut cfg = ThreadEngineConfig::new(2, 3, 6);
+        cfg.iterations = 8;
+        cfg.faults = faults::kill_node(0, 1, 2);
+        let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
+        assert_eq!(run.updates, 8 + 2);
+        assert!(run.final_params.iter().all(|p| p.is_finite()));
     }
 
     #[test]

@@ -187,11 +187,7 @@ impl Network {
 
     /// Full backward pass; returns the gradient w.r.t. the network input.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        g
+        self.backward_layered(grad_out, |_, _| {})
     }
 
     /// Backward pass that reports each layer as its gradients become
@@ -199,9 +195,8 @@ impl Network {
     /// visits them. `on_ready(i, layer)` fires right after layer `i`'s
     /// `backward` completes, so its parameter gradients are final and a
     /// caller can start communicating them while shallower layers are
-    /// still backpropagating (the MLSL-style overlap of Sec. V). The
-    /// arithmetic is exactly [`Network::backward`]'s: gradients are
-    /// bit-identical whether or not a callback is attached.
+    /// still backpropagating (the MLSL-style overlap of Sec. V).
+    /// [`Network::backward`] is this loop with a no-op callback.
     pub fn backward_layered<F>(&mut self, grad_out: &Tensor, mut on_ready: F) -> Tensor
     where
         F: FnMut(usize, &dyn Layer),

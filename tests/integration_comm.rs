@@ -4,7 +4,8 @@
 
 use scidl_comm::ps::UpdateFn;
 use scidl_comm::{
-    ring_allreduce_mean, CommWorld, CompressedGrad, Compression, ErrorFeedback, PsBank, RingFabric,
+    ring_allreduce_mean, CommWorld, Compression, ErrorFeedback, PsUpdate, RingFabric,
+    SupervisedPsBank, SupervisorConfig, UpdateFactory,
 };
 use scidl_core::sim_engine::{SimEngine, SimEngineConfig, SolverKind};
 use scidl_core::thread_engine::{ThreadEngine, ThreadEngineConfig};
@@ -70,6 +71,25 @@ fn ring_and_tree_allreduce_agree_on_real_gradients() {
     }
 }
 
+/// One supervised shard per parameter block of `model`, each running
+/// plain SGD at `lr`.
+fn sgd_bank(model: &dyn Model, lr: f32) -> SupervisedPsBank {
+    SupervisedPsBank::spawn(
+        model
+            .param_blocks()
+            .iter()
+            .map(|b| {
+                let factory: UpdateFactory = Box::new(move || {
+                    let mut solver = Sgd::new(lr, 0.0);
+                    Box::new(move |p: &mut [f32], g: &[f32]| solver.step_block(0, p, g)) as UpdateFn
+                });
+                (b.value.data().to_vec(), factory)
+            })
+            .collect(),
+        SupervisorConfig::default(),
+    )
+}
+
 /// A per-layer PS bank can drive a real network block-by-block and
 /// produces the same update as a local solver step.
 #[test]
@@ -95,24 +115,14 @@ fn ps_bank_matches_local_solver_on_real_model() {
     }
 
     // PS bank update.
-    let bank = PsBank::spawn(
-        model
-            .param_blocks()
-            .iter()
-            .map(|b| {
-                let mut solver = Sgd::new(lr, 0.0);
-                let u: UpdateFn = Box::new(move |p: &mut [f32], g: &[f32]| solver.step_block(0, p, g));
-                (b.value.data().to_vec(), u)
-            })
-            .collect(),
-    );
+    let bank = sgd_bank(&model, lr);
     let mut blocks = Vec::new();
     let mut off = 0;
     for &len in &block_sizes {
         blocks.push(grads[off..off + len].to_vec());
         off += len;
     }
-    let replies = bank.update_all(blocks).unwrap();
+    let replies = bank.update_all(&blocks).unwrap();
     let remote: Vec<f32> = replies.into_iter().flat_map(|r| r.params).collect();
 
     assert_eq!(local.len(), remote.len());
@@ -134,18 +144,7 @@ fn compressed_ps_exchange_identity_exact_lossy_convergent() {
         let ds = HepDataset::generate(HepConfig::small(), 32, 55);
         let lr = 0.01f32;
         let block_sizes: Vec<usize> = model.param_blocks().iter().map(|b| b.len()).collect();
-        let bank = PsBank::spawn(
-            model
-                .param_blocks()
-                .iter()
-                .map(|b| {
-                    let mut solver = Sgd::new(lr, 0.0);
-                    let u: UpdateFn =
-                        Box::new(move |p: &mut [f32], g: &[f32]| solver.step_block(0, p, g));
-                    (b.value.data().to_vec(), u)
-                })
-                .collect(),
-        );
+        let bank = sgd_bank(&model, lr);
         let mut efs: Vec<ErrorFeedback> = block_sizes
             .iter()
             .map(|_| ErrorFeedback::new(policy.unwrap_or(Compression::None)))
@@ -162,17 +161,17 @@ fn compressed_ps_exchange_identity_exact_lossy_convergent() {
                         blocks.push(grads[off..off + len].to_vec());
                         off += len;
                     }
-                    bank.update_all(blocks).unwrap()
+                    bank.update_all(&blocks).unwrap()
                 }
                 Some(_) => {
-                    let mut msgs: Vec<CompressedGrad> = Vec::new();
+                    let mut msgs: Vec<PsUpdate> = Vec::new();
                     let mut off = 0;
                     for (b, &len) in block_sizes.iter().enumerate() {
                         let mut block = grads[off..off + len].to_vec();
-                        msgs.push(efs[b].encode(&mut block));
+                        msgs.push(efs[b].encode(&mut block).into());
                         off += len;
                     }
-                    bank.update_all_compressed(msgs).unwrap()
+                    bank.update_all(&msgs).unwrap()
                 }
             };
             let fresh: Vec<f32> = replies.into_iter().flat_map(|r| r.params).collect();

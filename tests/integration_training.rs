@@ -96,15 +96,22 @@ fn thread_engine_run_is_bit_identical_at_every_rank_width() {
     }
 }
 
-/// The tentpole differential check, end to end: a 4-rank overlapped run
-/// (`overlap_comm`, gradients bucketed and ring-reduced on comm threads
-/// while backward continues) must be **bit-identical** to a hand-rolled
-/// sequential reference that uses the same bucket plan and the same
-/// bucketed ring reduction — same per-rank sampling streams, same
-/// per-block solvers. The `scidl-comm` proptests prove overlapped ==
-/// sequential per bucket; this pins the whole training loop on top.
+/// The tentpole differential check, end to end: a 4-rank run — gradients
+/// bucketed and ring-reduced on comm threads, shipped while backward
+/// continues (`overlap_comm`) or once it is done — must be
+/// **bit-identical** to a hand-rolled sequential reference that uses the
+/// same bucket plan and the same bucketed ring reduction — same per-rank
+/// sampling streams, same per-block solvers. The `scidl-comm` proptests
+/// prove overlapped == sequential per bucket; this pins the whole
+/// training loop on top, for both settings of the flag.
 #[test]
 fn overlapped_training_is_bit_identical_to_sequential_bucketed_reference() {
+    for overlap in [false, true] {
+        training_is_bit_identical_to_sequential_bucketed_reference(overlap);
+    }
+}
+
+fn training_is_bit_identical_to_sequential_bucketed_reference(overlap: bool) {
     use scidl_comm::{bucketed_allreduce_mean, BucketPlan, RingFabric, RingScratch};
     use scidl_core::task::hep_gradient;
     use scidl_data::BatchSampler;
@@ -115,7 +122,7 @@ fn overlapped_training_is_bit_identical_to_sequential_bucketed_reference() {
     let mut cfg = ThreadEngineConfig::new(1, nodes, batch);
     cfg.iterations = iterations;
     cfg.momentum = 0.9;
-    cfg.overlap_comm = true;
+    cfg.overlap_comm = overlap;
     cfg.bucket_bytes = 1024; // force several buckets per step
     let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
 
@@ -171,7 +178,7 @@ fn overlapped_training_is_bit_identical_to_sequential_bucketed_reference() {
     assert_eq!(run.final_params.len(), flat.len());
     assert_eq!(
         run.final_params, flat,
-        "overlapped engine must be bit-identical to the sequential bucketed reference"
+        "engine (overlap_comm = {overlap}) must be bit-identical to the sequential bucketed reference"
     );
 }
 
