@@ -5,12 +5,12 @@
 //! dense head on the same convolutional stack: what every all-reduce and
 //! PS exchange would have to move, and what that does to weak scaling.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::arch_ablation;
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let iters = if fast { 6 } else { 12 };
+pub fn run(args: &Args) {
+    let iters = if args.fast { 6 } else { 12 };
 
     println!("Architecture-rule ablation: HEP conv stack with two heads\n");
     let rows = arch_ablation(iters, 0xA2C);

@@ -5,13 +5,13 @@
 //! more implicit momentum → lower optimal explicit momentum, and high
 //! explicit momentum actively destabilises highly asynchronous runs.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::momentum_ablation;
 use scidl_nn::solver::asynchrony_adjusted_momentum;
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let (groups, updates): (&[usize], usize) = if fast { (&[1, 8], 80) } else { (&[1, 2, 4, 8], 150) };
+pub fn run(args: &Args) {
+    let (groups, updates): (&[usize], usize) = if args.fast { (&[1, 8], 80) } else { (&[1, 2, 4, 8], 150) };
     let momenta = [0.0f32, 0.7, 0.9, 0.95];
     let (batch, events) = (64, 1024);
 

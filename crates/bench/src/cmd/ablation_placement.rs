@@ -4,10 +4,11 @@
 //! machine, paying optical-hop latency and shared-global-link contention
 //! on every all-reduce.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::placement_ablation;
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Placement ablation (Fig. 3): 1024-node compute group on a 9688-node dragonfly\n");
     for (name, bytes) in [("HEP (2.3 MiB model)", 2_411_724u64), ("Climate (306 MiB model)", 321_120_352u64)] {
         let rows = placement_ablation(1024, 9688, bytes, 0xF163);

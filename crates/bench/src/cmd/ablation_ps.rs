@@ -3,14 +3,14 @@
 //! saturates as asynchrony grows; dedicating a PS per trainable layer
 //! shards both bandwidth and solver work.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::ps_ablation;
 use scidl_core::workloads::{climate_workload, hep_workload};
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let groups: &[usize] = if fast { &[2, 8, 32] } else { &[2, 4, 8, 16, 32, 64] };
-    let iters = if fast { 8 } else { 15 };
+pub fn run(args: &Args) {
+    let groups: &[usize] = if args.fast { &[2, 8, 32] } else { &[2, 4, 8, 16, 32, 64] };
+    let iters = if args.fast { 8 } else { 15 };
 
     for (name, w, nodes, batch) in [
         ("HEP", hep_workload(), 1024usize, 1024usize),

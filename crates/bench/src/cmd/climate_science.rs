@@ -4,12 +4,12 @@
 //! (`+`) bounding boxes, plus detection metrics the paper says they were
 //! still developing.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::science::{climate_science, ClimateScienceScale};
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let scale = if fast {
+pub fn run(args: &Args) {
+    let scale = if args.fast {
         ClimateScienceScale {
             train_frames: 48,
             test_frames: 12,

@@ -8,7 +8,8 @@
 //!   for a scaled-down HEP network (224px full profile is expensive on a
 //!   laptop; pass `--full` with `--real` to profile the full network).
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_cluster::sim::single_node_profile;
 use scidl_cluster::KnlModel;
 use scidl_core::workloads::{climate_workload, hep_workload};
@@ -47,26 +48,22 @@ fn print_profile(name: &str, w: &scidl_cluster::sim::Workload, batch: usize) {
     );
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let real = args.iter().any(|a| a == "--real");
-    let full = args.iter().any(|a| a == "--full");
-
+pub fn run(args: &Args) {
     print_profile("HEP", &hep_workload(), 8);
     println!("paper: HEP overall 1.90 TF/s; conv layers 1.25-3.5 TF/s; solver ~12.5%; I/O ~2%\n");
     print_profile("Climate", &climate_workload(), 8);
     println!("paper: Climate overall 2.09 TF/s; solver <2%; I/O ~13%\n");
 
-    if real {
+    if args.real {
         let mut rng = TensorRng::new(7);
-        let (mut net, input) = if full {
+        let (mut net, input) = if args.full {
             (scidl_nn::arch::hep_network(&mut rng), Shape4::new(8, 3, 224, 224))
         } else {
             (scidl_nn::arch::hep_small(&mut rng), Shape4::new(8, 3, 32, 32))
         };
         println!(
             "-- real Rust kernels on this host ({}, batch 8) --\n",
-            if full { "full 224px HEP network" } else { "scaled 32px HEP network" }
+            if args.full { "full 224px HEP network" } else { "scaled 32px HEP network" }
         );
         let prof = scidl_nn::profile::profile_network(&mut net, input, 1, 3);
         let rows: Vec<Vec<String>> = prof

@@ -13,49 +13,34 @@
 //! and writes the convergence-vs-bytes frontier to
 //! `results/fig8_compress.{csv,txt}`.
 
-use scidl_bench::{ascii_chart, csv, finish_trace, fnum, markdown_table, trace_from_args};
+use crate::report::{ascii_chart, csv, fnum, markdown_table, write_result};
+use crate::Args;
 use scidl_comm::Compression;
 use scidl_core::experiments::convergence::{fig8, fig8_compress, Fig8Scale};
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let trace_path = trace_from_args();
-    let fast = args.iter().any(|a| a == "--fast");
-    let overlap = args.iter().any(|a| a == "--overlap");
-    let compression = match args.iter().position(|a| a == "--compress") {
-        Some(i) => {
-            let spec = args.get(i + 1).map(String::as_str).unwrap_or("");
-            match Compression::parse(spec) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("--compress: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-        None => Compression::None,
-    };
-    let mut scale = if fast {
-        Fig8Scale {
-            nodes: 256,
-            total_batch: 256,
-            sync_iterations: 48,
-            dataset_events: 1024,
-            smooth_window: 6,
-            overlap_comm: false,
-            compression: Compression::None,
-        }
-    } else {
-        Fig8Scale::default()
-    };
-    scale.overlap_comm = overlap;
-    scale.compression = compression;
+/// The reduced `--fast` scale (also what `paper` condenses Fig. 8 to).
+pub fn fast_scale() -> Fig8Scale {
+    Fig8Scale {
+        nodes: 256,
+        total_batch: 256,
+        sync_iterations: 48,
+        dataset_events: 1024,
+        smooth_window: 6,
+        overlap_comm: false,
+        compression: Compression::None,
+    }
+}
+
+pub fn run(args: &Args) {
+    let mut scale = if args.fast { fast_scale() } else { Fig8Scale::default() };
+    scale.overlap_comm = args.overlap;
+    scale.compression = args.compress;
 
     println!(
         "Fig. 8: loss vs simulated wall-clock ({} virtual nodes, total batch {}, comm overlap {}, compression {})\n",
         scale.nodes,
         scale.total_batch,
-        if overlap { "on" } else { "off" },
+        if args.overlap { "on" } else { "off" },
         scale.compression.label()
     );
     let result = fig8(&scale, 0xF168);
@@ -111,8 +96,7 @@ fn main() {
     // Convergence-vs-bytes frontier: the standard policy sweep on the
     // hybrid configuration, written to results/ for the README.
     let frontier = fig8_compress(&scale, 0xF168);
-    let headers =
-        ["policy", "wire bytes", "bytes ratio", "best loss", "sim time (s)"];
+    let headers = ["policy", "wire bytes", "bytes ratio", "best loss", "sim time (s)"];
     let frows: Vec<Vec<String>> = frontier
         .runs
         .iter()
@@ -131,16 +115,13 @@ fn main() {
         "compression frontier (hybrid-{} groups, error feedback on):\n{table}",
         frontier.groups
     );
-    let _ = std::fs::create_dir_all("results");
     let txt = format!(
         "Fig. 8 compression frontier: convergence vs bytes on the wire\n\
          (hybrid-{} groups, {} virtual nodes, total batch {}; per-group\n\
          error feedback keeps lossy policies near the dense loss)\n\n{table}",
         frontier.groups, scale.nodes, scale.total_batch
     );
-    if std::fs::write("results/fig8_compress.txt", txt).is_ok() {
-        println!("wrote results/fig8_compress.txt");
-    }
+    write_result("fig8_compress.txt", &txt, "wrote");
     let csv_rows: Vec<Vec<String>> = frontier
         .runs
         .iter()
@@ -155,11 +136,5 @@ fn main() {
         })
         .collect();
     let csv_headers = ["policy", "wire_bytes", "bytes_ratio", "best_loss", "sim_time_s"];
-    if std::fs::write("results/fig8_compress.csv", csv(&csv_headers, &csv_rows)).is_ok() {
-        println!("wrote results/fig8_compress.csv");
-    }
-
-    if let Some(path) = trace_path {
-        finish_trace(&path);
-    }
+    write_result("fig8_compress.csv", &csv(&csv_headers, &csv_rows), "wrote");
 }

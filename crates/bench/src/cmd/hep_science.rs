@@ -7,22 +7,17 @@
 //! resolvable with thousands of events); the CNN-vs-cuts comparison at
 //! equal budget is the preserved quantity.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::science::{hep_science, HepScienceScale};
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let scale = if fast {
-        HepScienceScale {
-            train_events: 1200,
-            test_events: 1200,
-            iterations: 150,
-            batch: 32,
-            fpr_budget: 0.02,
-        }
-    } else {
-        HepScienceScale::default()
-    };
+/// The reduced `--fast` scale (also what `paper` condenses Sec. VII-A to).
+pub fn fast_scale() -> HepScienceScale {
+    HepScienceScale { train_events: 1200, test_events: 1200, iterations: 150, batch: 32, fpr_budget: 0.02 }
+}
+
+pub fn run(args: &Args) {
+    let scale = if args.fast { fast_scale() } else { HepScienceScale::default() };
 
     println!(
         "Sec. VII-A: HEP classification at FPR budget {}% ({} train / {} test events)\n",

@@ -25,13 +25,14 @@
 //! machine named in the header, never the KNL model's.
 //!
 //! ```text
-//! cargo run --release -p scidl-bench --bin kernels [--fast]
+//! cargo run --release -p scidl-bench -- kernels [--fast]
 //! ```
 //!
 //! `--fast` (the CI smoke) runs one rep per shape instead of best-of-5
 //! and skips the largest climate shape.
 
-use scidl_bench::{csv, fnum, markdown_table};
+use crate::report::{csv, fnum, markdown_table, write_result};
+use crate::Args;
 use scidl_nn::{Conv2d, Layer};
 use scidl_tensor::{
     col2im, gemm_i8_with_isa, gemm_unpacked, gemm_with_isa, im2col, ConvGeometry, Isa, Shape4,
@@ -138,9 +139,8 @@ fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let reps = if fast { 1 } else { 5 };
+pub fn run(args: &Args) {
+    let reps = if args.fast { 1 } else { 5 };
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
@@ -162,7 +162,7 @@ fn main() {
     }
 
     for &(label, ta, tb, m, n, k) in GEMM_SHAPES {
-        if fast && m * n * k > 80_000_000 {
+        if args.fast && m * n * k > 80_000_000 {
             continue;
         }
         let mut rng = TensorRng::new(11);
@@ -331,17 +331,10 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all("results").ok();
     let csv_text = csv(&["kernel", "shape", "packed_gflops", "seed_gflops", "speedup"], &csv_rows);
-    match std::fs::write("results/kernels.csv", &csv_text) {
-        Ok(()) => println!("written to results/kernels.csv"),
-        Err(e) => println!("(could not write results/kernels.csv: {e})"),
-    }
+    write_result("kernels.csv", &csv_text, "written to");
     let txt = format!(
         "Kernel throughput (one container core; paper's KNL nodes: ~2 TFLOP/s/node)\n{host}\n\n{table}"
     );
-    match std::fs::write("results/kernels.txt", &txt) {
-        Ok(()) => println!("written to results/kernels.txt"),
-        Err(e) => println!("(could not write results/kernels.txt: {e})"),
-    }
+    write_result("kernels.txt", &txt, "written to");
 }

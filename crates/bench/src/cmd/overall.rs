@@ -14,13 +14,13 @@
 //! while iteration times and efficiencies are comparable (see
 //! EXPERIMENTS.md).
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_core::experiments::full_system;
 use scidl_core::workloads::{climate_workload, hep_workload};
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let iters = if fast { 12 } else { 40 };
+pub fn run(args: &Args) {
+    let iters = if args.fast { 12 } else { 40 };
 
     let hep = full_system(&hep_workload(), 9594, 9, 1066, iters, 0, 0x0A11);
     let climate = full_system(&climate_workload(), 9608, 8, 9608, iters.min(20), 10, 0x0A11);

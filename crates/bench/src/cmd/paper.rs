@@ -1,12 +1,13 @@
 //! One-command condensed reproduction: runs every experiment at reduced
 //! (`--fast`-equivalent) scale in-process and prints a summary table of
 //! paper-vs-measured values. For the full-scale versions run the
-//! individual binaries (see `scidl-bench`'s crate docs).
+//! individual subcommands (`scidl-bench --help`).
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_cluster::KnlModel;
-use scidl_core::experiments::convergence::{fig8, Fig8Scale};
-use scidl_core::experiments::science::{hep_science, HepScienceScale};
+use scidl_core::experiments::convergence::fig8;
+use scidl_core::experiments::science::hep_science;
 use scidl_core::experiments::{
     architecture_shootout, full_system_with, strong_scaling, weak_scaling, ScalingOptions,
 };
@@ -15,7 +16,7 @@ use scidl_nn::arch::{self, ClimateNet};
 use scidl_nn::network::Model;
 use scidl_tensor::TensorRng;
 
-fn main() {
+pub fn run(_: &Args) {
     println!("scidl condensed reproduction (reduced scale; see EXPERIMENTS.md for full runs)\n");
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut row = |exp: &str, paper: &str, ours: String| {
@@ -85,16 +86,7 @@ fn main() {
     );
 
     // Fig. 8 condensed.
-    let scale = Fig8Scale {
-        nodes: 256,
-        total_batch: 256,
-        sync_iterations: 48,
-        dataset_events: 1024,
-        smooth_window: 6,
-        overlap_comm: false,
-        compression: scidl_comm::Compression::None,
-    };
-    let f8 = fig8(&scale, 0xF168);
+    let f8 = fig8(&super::fig8::fast_scale(), 0xF168);
     row(
         "Fig. 8: best hybrid vs best sync",
         "~1.66x",
@@ -124,16 +116,7 @@ fn main() {
     );
 
     // Sec. VII-A condensed.
-    let hs = hep_science(
-        &HepScienceScale {
-            train_events: 1200,
-            test_events: 1200,
-            iterations: 150,
-            batch: 32,
-            fpr_budget: 0.02,
-        },
-        0x5C1,
-    );
+    let hs = hep_science(&super::hep_science::fast_scale(), 0x5C1);
     row(
         "Sec. VII-A: CNN vs cuts",
         "1.7x (72% vs 42% TPR)",

@@ -3,11 +3,12 @@
 //! hybrid runs are much more resilient since only one of the compute
 //! groups gets affected."
 
-use scidl_bench::markdown_table;
+use crate::report::markdown_table;
+use crate::Args;
 use scidl_core::experiments::resilience;
 use scidl_core::workloads::hep_workload;
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Sec. VIII-A: failure resilience under an aggressive failure rate\n");
     let mut table = Vec::new();
     for (nodes, groups) in [(256usize, 4usize), (1024, 8)] {

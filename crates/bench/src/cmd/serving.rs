@@ -16,29 +16,26 @@
 //! efficiency cliff of Sec. II-A, exploited instead of suffered), with
 //! p99 latency reported for both policies.
 //!
-//! With `--faults` the bench instead sweeps offered load × fault
-//! severity (clean → light → heavy → storm) on a two-worker pool and
-//! reports goodput, p99 and shed rate per cell — the degradation
-//! frontier — written to `results/serving_chaos.csv`. Acceptance there:
-//! every cell resolves all of its requests (exactly-once accounting),
-//! goodput stays positive under every fault level, and the storm cell
-//! replays bit-identically.
+//! `serving_chaos` sweeps offered load × fault severity (clean → light →
+//! heavy → storm) on a two-worker pool instead and reports goodput, p99
+//! and shed rate per cell — the degradation frontier — written to
+//! `results/serving_chaos.csv`. Acceptance there: every cell resolves
+//! all of its requests (exactly-once accounting), goodput stays positive
+//! under every fault level, and the storm cell replays bit-identically.
 //!
-//! With `--fleet` the bench sweeps the *fleet tier* instead: offered
-//! load × replica count × dispatch policy through the virtual-time
-//! fleet simulator (`scidl-serve::fleet`), under a skewed-load plan
-//! (every worker of replica 0 is a 4× straggler). Each cell reports
-//! throughput, p99, shed rate and replica-seconds cost, written to
-//! `results/serving_fleet.csv`. Acceptance there: at the saturating
-//! load factor, power-of-two-choices p99 must not exceed round-robin
-//! p99 for every fleet size — the depth probes must steer around the
-//! hot replica.
+//! `serving_fleet` sweeps the *fleet tier*: offered load × replica count
+//! × dispatch policy through the virtual-time fleet simulator
+//! (`scidl-serve::fleet`), under a skewed-load plan (every worker of
+//! replica 0 is a 4× straggler). Each cell reports throughput, p99, shed
+//! rate and replica-seconds cost, written to `results/serving_fleet.csv`.
+//! Acceptance there: at the saturating load factor, power-of-two-choices
+//! p99 must not exceed round-robin p99 for every fleet size — the depth
+//! probes must steer around the hot replica.
 //!
-//! ```text
-//! cargo run --release -p scidl-bench --bin serving [--smoke|--fast] [--faults] [--fleet]
-//! ```
+//! `--fast` runs 400 requests per point or cell instead of 2,000.
 
-use scidl_bench::{csv, finish_trace, fnum, markdown_table, trace_from_args};
+use crate::report::{csv, fnum, markdown_table, write_result};
+use crate::Args;
 use scidl_cluster::faults::FaultPlan;
 use scidl_cluster::knl::LayerCost;
 use scidl_serve::fleet::{
@@ -167,7 +164,14 @@ fn int8_model(model: &ServiceModel, speedup: f64) -> ServiceModel {
     }
 }
 
-fn frontier(model: &ServiceModel, n: usize) {
+/// The HEP classifier's cost model and the requests per point or cell.
+fn setup(args: &Args) -> (ServiceModel, usize) {
+    (ServiceModel::hep(), if args.fast { 400 } else { 2000 })
+}
+
+pub fn frontier(args: &Args) {
+    let (model, n) = setup(args);
+    let model = &model;
     let r1 = model.saturated_rate(1);
     let r32 = model.saturated_rate(32);
     println!("serving frontier: HEP classifier on one KNL node (seed {SEED}, {n} requests/point)\n");
@@ -302,11 +306,7 @@ fn frontier(model: &ServiceModel, n: usize) {
         ],
         &csv_rows,
     );
-    std::fs::create_dir_all("results").ok();
-    match std::fs::write("results/serving.csv", &csv_text) {
-        Ok(()) => println!("frontier written to results/serving.csv"),
-        Err(e) => println!("(could not write results/serving.csv: {e})"),
-    }
+    write_result("serving.csv", &csv_text, "frontier written to");
 
     // --- acceptance: dynamic ≥2× batch-1 at saturating offered load ----
     let saturating = *load_factors.last().unwrap() * r1;
@@ -382,7 +382,9 @@ fn chaos_cell(model: &ServiceModel, offered: f64, level: &'static str, n: usize)
     simulate(model, &arrivals, &cfg)
 }
 
-fn degradation_frontier(model: &ServiceModel, n: usize) {
+pub fn chaos(args: &Args) {
+    let (model, n) = setup(args);
+    let model = &model;
     let r1 = model.saturated_rate(1);
     println!(
         "serving degradation frontier: offered load x fault severity, 2 workers, \
@@ -465,11 +467,7 @@ fn degradation_frontier(model: &ServiceModel, n: usize) {
         ],
         &csv_rows,
     );
-    std::fs::create_dir_all("results").ok();
-    match std::fs::write("results/serving_chaos.csv", &csv_text) {
-        Ok(()) => println!("degradation frontier written to results/serving_chaos.csv"),
-        Err(e) => println!("(could not write results/serving_chaos.csv: {e})"),
-    }
+    write_result("serving_chaos.csv", &csv_text, "degradation frontier written to");
 
     // --- acceptance: chaos is deterministic and never zeroes goodput ---
     let a = chaos_cell(model, 1.5 * r1, "storm", n);
@@ -513,7 +511,9 @@ fn fleet_cell(
     simulate_fleet(model, &arrivals, &cfg)
 }
 
-fn fleet_frontier(model: &ServiceModel, n: usize) {
+pub fn fleet(args: &Args) {
+    let (model, n) = setup(args);
+    let model = &model;
     let base = fleet_base();
     let per_rep = base.workers as f64 * model.saturated_rate(base.policy.max_batch);
     println!(
@@ -604,11 +604,7 @@ fn fleet_frontier(model: &ServiceModel, n: usize) {
         ],
         &csv_rows,
     );
-    std::fs::create_dir_all("results").ok();
-    match std::fs::write("results/serving_fleet.csv", &csv_text) {
-        Ok(()) => println!("fleet frontier written to results/serving_fleet.csv"),
-        Err(e) => println!("(could not write results/serving_fleet.csv: {e})"),
-    }
+    write_result("serving_fleet.csv", &csv_text, "fleet frontier written to");
 
     // --- acceptance: p2c p99 ≤ round-robin p99 under skewed load -------
     println!("\nat the saturating load factor ({SATURATING} of nominal):");
@@ -675,25 +671,4 @@ fn fleet_frontier(model: &ServiceModel, n: usize) {
         out.final_iteration,
         out.canary_served
     );
-}
-
-fn main() {
-    let trace_path = trace_from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke" || a == "--fast");
-    let faults = std::env::args().any(|a| a == "--faults");
-    let fleet = std::env::args().any(|a| a == "--fleet");
-    let n = if smoke { 400 } else { 2000 };
-
-    let model = ServiceModel::hep();
-    if fleet {
-        fleet_frontier(&model, n);
-    } else if faults {
-        degradation_frontier(&model, n);
-    } else {
-        frontier(&model, n);
-    }
-
-    if let Some(path) = trace_path {
-        finish_trace(&path);
-    }
 }

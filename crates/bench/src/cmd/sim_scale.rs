@@ -8,11 +8,11 @@
 //! Writes `results/sim_scale.{csv,txt}` and asserts both the wall-clock
 //! ceiling at 9,688 × 1,000 and an events/second floor.
 
-use std::time::Instant;
-
-use scidl_bench::{csv, fnum, markdown_table};
+use crate::report::{csv, fnum, markdown_table, write_result};
+use crate::Args;
 use scidl_cluster::{ClusterSim, CollectiveKind, SimConfig, TopologyConfig};
 use scidl_core::workloads::hep_workload;
+use std::time::Instant;
 
 /// Wall-clock ceiling for the headline 9,688-node × 1,000-iteration
 /// configuration (single-threaded).
@@ -54,9 +54,8 @@ fn run_point(nodes: usize, groups: usize, iterations: usize) -> Row {
     }
 }
 
-fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let grid: &[(usize, usize, usize)] = if fast {
+pub fn run(args: &Args) {
+    let grid: &[(usize, usize, usize)] = if args.fast {
         &[(1024, 4, 200), (4096, 8, 500), (9688, 8, 1000)]
     } else {
         &[
@@ -126,7 +125,6 @@ fn main() {
     }
     println!("acceptance: all points above {EVENTS_PER_SEC_FLOOR:.0} events/s — PASS");
 
-    std::fs::create_dir_all("results").ok();
     let csv_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -146,20 +144,14 @@ fn main() {
         &["nodes", "groups", "iterations", "wall_secs", "events", "events_per_sec", "group_iters_per_sec", "sim_secs"],
         &csv_rows,
     );
-    match std::fs::write("results/sim_scale.csv", &csv_text) {
-        Ok(()) => println!("written to results/sim_scale.csv"),
-        Err(e) => println!("(could not write results/sim_scale.csv: {e})"),
-    }
+    write_result("sim_scale.csv", &csv_text, "written to");
     let txt = format!(
         "Simulator scaling (HEP workload, batch 8/node, hierarchical collective)\n\
          mode: {}\n\n{md}\n\
          acceptance: 9688 x 1000 wall {} s <= {HEADLINE_WALL_CEILING_SECS} s; \
          all points >= {EVENTS_PER_SEC_FLOOR:.0} events/s\n",
-        if fast { "--fast" } else { "full" },
+        if args.fast { "--fast" } else { "full" },
         fnum(headline.wall_secs, 3),
     );
-    match std::fs::write("results/sim_scale.txt", &txt) {
-        Ok(()) => println!("written to results/sim_scale.txt"),
-        Err(e) => println!("(could not write results/sim_scale.txt: {e})"),
-    }
+    write_result("sim_scale.txt", &txt, "written to");
 }

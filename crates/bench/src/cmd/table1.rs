@@ -2,10 +2,11 @@
 //! synthetic generator configurations, and validates a generated sample
 //! against them.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_data::{climate_stats, hep_stats, ClimateConfig, ClimateDataset, HepConfig, HepDataset};
 
-fn main() {
+pub fn run(_: &Args) {
     println!("Table I: characteristics of datasets used\n");
     let rows: Vec<Vec<String>> = [hep_stats(), climate_stats()]
         .iter()

@@ -1,12 +1,13 @@
 //! Regenerates **Table II** — specification of the DNN architectures —
 //! directly from the real networks.
 
-use scidl_bench::{fnum, markdown_table};
+use crate::report::{fnum, markdown_table};
+use crate::Args;
 use scidl_nn::arch::{self, ClimateNet};
 use scidl_nn::network::Model;
 use scidl_tensor::TensorRng;
 
-fn main() {
+pub fn run(_: &Args) {
     let mut rng = TensorRng::new(1);
     let hep = arch::hep_network(&mut rng);
     let climate = ClimateNet::full(&mut rng);

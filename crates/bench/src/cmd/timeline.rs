@@ -4,6 +4,7 @@
 //! freely and slide past each other (the asynchrony that removes the
 //! batch-size limit and the straggler barrier, Sec. II-B2).
 
+use crate::Args;
 use scidl_cluster::sim::{ClusterSim, SimConfig};
 use scidl_core::workloads::hep_workload;
 
@@ -31,7 +32,7 @@ fn gantt(timeline: &[(usize, f64, f64)], groups: usize, total: f64) -> String {
     out
 }
 
-fn main() {
+pub fn run(_: &Args) {
     let w = hep_workload();
     for (label, groups) in [("synchronous (1 group)", 1usize), ("hybrid (4 groups)", 4)] {
         let mut cfg = SimConfig::new(w.clone(), 64, groups, 512);

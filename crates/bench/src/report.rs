@@ -1,75 +1,8 @@
-#![warn(missing_docs)]
-//! # scidl-bench
-//!
-//! The harness that regenerates every table and figure of the paper's
-//! evaluation section. Each binary corresponds to one artifact (see
-//! DESIGN.md's per-experiment index):
-//!
-//! | binary | artifact |
-//! |---|---|
-//! | `table1` | Table I — dataset characteristics |
-//! | `table2` | Table II — architecture specifications |
-//! | `fig5` | Fig. 5 — single-node per-layer time & FLOP rate |
-//! | `fig6` | Fig. 6 — strong scaling |
-//! | `fig7` | Fig. 7 — weak scaling |
-//! | `fig8` | Fig. 8 — loss vs wall-clock, sync vs hybrid |
-//! | `overall` | Sec. VI-B3 — full-system peak/sustained PFLOP/s |
-//! | `hep_science` | Sec. VII-A — TPR at fixed FPR vs the cut baseline |
-//! | `climate_science` | Sec. VII-B / Fig. 9 — detections + rendering |
-//! | `ablation_ps` | per-layer PS vs single PS |
-//! | `ablation_momentum` | momentum × asynchrony grid |
-//! | `resilience` | Sec. VIII-A — failure behaviour |
-//! | `serving` | dynamic-batching latency/throughput frontier (`scidl-serve`) |
-//! | `kernels` | per-node kernel GFLOP/s (packed GEMM vs seed baseline) |
-//!
-//! This library crate holds the small table/CSV formatting helpers the
-//! binaries share.
+//! The output helpers every subcommand shares: markdown/CSV tables,
+//! number formatting, an ASCII chart, the `results/` writer, and the two
+//! tables `fig6` and `fig7` both print.
 
-/// Parses `--trace <out.json>` from `std::env::args()`. When the flag is
-/// present, installs a fresh global [`scidl_trace::TraceSink`] — so every
-/// instrumented layer (engines, comm, serving) starts recording — and
-/// returns the output path for [`finish_trace`].
-pub fn trace_from_args() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            let path = args.next().expect("--trace requires an output path, e.g. --trace out.json");
-            scidl_trace::install(std::sync::Arc::new(scidl_trace::TraceSink::new()));
-            return Some(path.into());
-        }
-    }
-    None
-}
-
-/// Uninstalls the global trace sink and writes what it collected: Chrome
-/// `trace_event` JSON at `path` (load it at `chrome://tracing` or
-/// <https://ui.perfetto.dev>) plus the per-iteration CSV next to it
-/// (same stem, `.csv` extension). Health alerts, if any, go to stderr.
-pub fn finish_trace(path: &std::path::Path) {
-    let Some(sink) = scidl_trace::uninstall() else { return };
-    match sink.write_chrome_json(path) {
-        Ok(()) => println!("trace: {} events -> {}", sink.events().len(), path.display()),
-        Err(e) => println!("(could not write {}: {e})", path.display()),
-    }
-    let csv_path = path.with_extension("csv");
-    match sink.write_iteration_csv(&csv_path) {
-        Ok(()) => println!("trace: {} iteration rows -> {}", sink.rows().len(), csv_path.display()),
-        Err(e) => println!("(could not write {}: {e})", csv_path.display()),
-    }
-    if sink.dropped() > 0 {
-        eprintln!("trace: {} events dropped (sink at capacity)", sink.dropped());
-    }
-    for a in sink.health_alerts() {
-        eprintln!(
-            "trace: numeric-health alert: {}{}: {} non-finite value(s), first at [{}] = {}",
-            a.source,
-            a.layer.as_deref().map(|l| format!(" / layer {l}")).unwrap_or_default(),
-            a.count,
-            a.first_index,
-            a.value
-        );
-    }
-}
+use scidl_core::experiments::ScalingRow;
 
 /// Renders rows as a GitHub-flavoured markdown table.
 pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -131,7 +64,7 @@ pub fn fnum(v: f64, prec: usize) -> String {
 }
 
 /// An ASCII scatter chart for quick terminal visualisation of series
-/// (used by `fig8` to sketch loss curves).
+/// (`fig8` sketches its loss curves with it).
 pub fn ascii_chart(series: &[(&str, &[(f64, f32)])], width: usize, height: usize) -> String {
     let mut xmax = f64::MIN;
     let mut ymin = f32::MAX;
@@ -175,6 +108,65 @@ pub fn ascii_chart(series: &[(&str, &[(f64, f32)])], width: usize, height: usize
         out.push_str(&format!("  [{}] {}\n", marks[si % marks.len()], name));
     }
     out
+}
+
+/// Writes `contents` to `results/<name>` and reports it on stdout as
+/// `<done> results/<name>` — committed captures hold those lines, so each
+/// caller passes its own wording.
+pub fn write_result(name: &str, contents: &str, done: &str) {
+    let path = format!("results/{name}");
+    std::fs::create_dir_all("results").ok();
+    match std::fs::write(&path, contents) {
+        Ok(()) => println!("{done} {path}"),
+        Err(e) => println!("(could not write {path}: {e})"),
+    }
+}
+
+/// Prints scaling `rows` pivoted to one line per node count and one
+/// speedup column per group count (`sync` for one group, `-` where a
+/// point is missing).
+pub fn print_speedups(rows: &[ScalingRow], nodes: &[usize], groups: &[usize]) {
+    let mut headers = vec![String::from("nodes")];
+    headers.extend(groups.iter().map(|&g| if g == 1 { "sync".into() } else { format!("hybrid-{g}") }));
+    let table: Vec<Vec<String>> = nodes
+        .iter()
+        .map(|&n| {
+            let mut row = vec![n.to_string()];
+            row.extend(groups.iter().map(|&g| {
+                rows.iter()
+                    .find(|r| r.nodes == n && r.groups == g)
+                    .map_or_else(|| "-".into(), |r| fnum(r.speedup, 0))
+            }));
+            row
+        })
+        .collect();
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    println!("{}", markdown_table(&headers, &table));
+}
+
+/// Prints the flat-placed ring vs hierarchical collective table from
+/// `(nodes, flat img/s, hierarchical img/s)` points and asserts its
+/// acceptance: both collectives deliver, and hierarchical never loses at
+/// 2,048 nodes or more.
+pub fn print_collectives(points: &[(usize, f64, f64)]) {
+    let table: Vec<Vec<String>> = points
+        .iter()
+        .map(|&(n, flat, hier)| vec![n.to_string(), fnum(flat, 0), fnum(hier, 0), fnum(hier / flat, 3)])
+        .collect();
+    println!(
+        "{}",
+        markdown_table(&["nodes", "flat ring (img/s)", "hierarchical (img/s)", "gain"], &table)
+    );
+    for &(n, flat, hier) in points {
+        assert!(hier > 0.0 && flat > 0.0, "both collectives must produce throughput at {n} nodes");
+        assert!(
+            n < 2048 || hier >= flat,
+            "acceptance: hierarchical ({hier}) must beat the flat ring ({flat}) at {n} nodes"
+        );
+    }
+    if points.iter().any(|p| p.0 >= 2048) {
+        println!("\nacceptance: hierarchical >= flat ring at every point >= 2048 nodes — PASS");
+    }
 }
 
 #[cfg(test)]

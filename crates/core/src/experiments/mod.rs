@@ -1,5 +1,5 @@
 //! One driver per table/figure of the paper (see DESIGN.md's
-//! per-experiment index). The `scidl-bench` binaries are thin wrappers
+//! per-experiment index). The `scidl-bench` subcommands are thin wrappers
 //! that print these results as the paper's rows/series.
 
 pub mod ablations;

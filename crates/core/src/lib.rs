@@ -26,7 +26,7 @@
 //!   virtual nodes are needed.
 //!
 //! [`experiments`] contains one driver per table/figure of the paper;
-//! the `scidl-bench` binaries are thin wrappers around them.
+//! the `scidl-bench` subcommands are thin wrappers around them.
 //!
 //! ## Example
 //!

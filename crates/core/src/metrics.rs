@@ -1,5 +1,5 @@
-//! Training-run metrics: loss curves over (simulated or real) time, the
-//! time-to-loss readout of Fig. 8, and speedup tables — plus the
+//! Training-run metrics: loss curves over (simulated or real) time and
+//! the time-to-loss readout of Fig. 8 — plus the
 //! per-request latency accounting used by the `scidl-serve` inference
 //! subsystem (queue wait vs compute split, p50/p95/p99).
 //!
@@ -159,19 +159,6 @@ impl LossCurve {
     }
 }
 
-/// Speedup of `fast` over `slow` in time-to-target terms; `None` when
-/// either never reaches the target.
-pub fn time_to_loss_speedup(
-    slow: &LossCurve,
-    fast: &LossCurve,
-    target: f32,
-    window: usize,
-) -> Option<f64> {
-    let ts = slow.time_to_loss(target, window)?;
-    let tf = fast.time_to_loss(target, window)?;
-    (tf > 0.0).then(|| ts / tf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,20 +184,6 @@ mod tests {
         let c = curve(&[(0.0, 1.0), (1.0, 0.01), (2.0, 1.0), (3.0, 0.04), (4.0, 0.04), (5.0, 0.04)]);
         assert_eq!(c.time_to_loss(0.05, 3), Some(5.0));
         assert_eq!(c.time_to_loss(0.05, 1), Some(1.0));
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let slow = curve(&[(0.0, 1.0), (10.0, 0.04)]);
-        let fast = curve(&[(0.0, 1.0), (5.0, 0.04)]);
-        assert_eq!(time_to_loss_speedup(&slow, &fast, 0.05, 1), Some(2.0));
-    }
-
-    #[test]
-    fn speedup_none_when_target_unreached() {
-        let slow = curve(&[(0.0, 1.0), (10.0, 0.5)]);
-        let fast = curve(&[(0.0, 1.0), (5.0, 0.04)]);
-        assert_eq!(time_to_loss_speedup(&slow, &fast, 0.05, 1), None);
     }
 
     #[test]

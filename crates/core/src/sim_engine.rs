@@ -230,11 +230,8 @@ impl SimEngine {
         dataset_len: usize,
         mut grad_fn: impl FnMut(&mut M, &[usize]) -> (f32, Vec<f32>),
     ) -> SimRunSummary {
-        assert!(cfg.groups >= 1 && cfg.nodes >= cfg.groups, "invalid group/node config");
         let groups = cfg.groups;
-        let nodes_per_group = cfg.nodes / groups;
         let hybrid = groups > 1;
-        let mut rng = TensorRng::new(cfg.seed ^ 0x51E6);
 
         // Central model (the PS bank's contents, flattened) + block map.
         let block_sizes: Vec<usize> = model.param_blocks().iter().map(|b| b.len()).collect();
@@ -252,22 +249,12 @@ impl SimEngine {
         let mut samplers: Vec<BatchSampler> = (0..groups)
             .map(|g| BatchSampler::for_node(dataset_len, cfg.batch_per_group, cfg.seed, g, groups))
             .collect();
-        let mut jrngs: Vec<TensorRng> = (0..groups).map(|g| rng.fork(g as u64 + 31)).collect();
         // Per-group error-feedback state: the compressed *sent* values are
         // what reach the central model; the residual never leaves the
         // group (mirrors the worker-local residuals of the thread engine).
         let mut efs: Vec<ErrorFeedback> =
             (0..groups).map(|_| ErrorFeedback::new(cfg.compression)).collect();
         let mut wire_bytes_total: u64 = 0;
-
-        // PS service bank timing (per-layer PS of Fig. 4) with
-        // remainder-aware per-shard byte/param sizes, plus the
-        // placement-aware all-reduce cost — both fixed per config, so
-        // they are computed once outside the loop.
-        let num_ps = block_sizes.len().clamp(1, 16);
-        let mut ps_free = vec![0.0f64; num_ps];
-        let shards = cfg.ps_shards(num_ps);
-        let allreduce_raw = cfg.collective_secs(nodes_per_group, cfg.wire_bytes());
 
         let mut updates_applied: u64 = 0;
         let mut group_seen = vec![0u64; groups];
@@ -276,20 +263,8 @@ impl SimEngine {
         let mut curve = LossCurve::new();
         let mut per_group: Vec<LossCurve> = vec![LossCurve::new(); groups];
 
-        let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
-        // One outstanding iteration per group; its timing breakdown is
-        // kept so the span can be emitted when the event fires.
-        let mut pending: Vec<IterTiming> = Vec::with_capacity(groups);
-        for (g, jrng) in jrngs.iter_mut().enumerate() {
-            let t = Self::group_duration(
-                cfg, nodes_per_group, hybrid, allreduce_raw, &shards, &mut ps_free, 0.0, jrng,
-            );
-            queue.schedule(t.total, (g, 0));
-            pending.push(t);
-        }
-
         let mut updates = 0usize;
-        while let Some((now, (g, iter))) = queue.pop() {
+        let total_time = Self::schedule(cfg, block_sizes.len(), cfg.iterations, |now, g, iter, t| {
             // Real gradient against the group's snapshot.
             model.set_flat_params(&group_params[g]);
             let indices = samplers[g].next_batch();
@@ -318,7 +293,6 @@ impl SimEngine {
             updates += 1;
 
             if tr.enabled() {
-                let t = pending[g];
                 let start = now - t.total;
                 let (gu, iu) = (g as u64, iter as u64);
                 tr.event_at(gu, start, t.total, scidl_trace::EventKind::Iteration {
@@ -398,29 +372,76 @@ impl SimEngine {
             curve.push(now, loss);
             per_group[g].push(now, loss);
 
-            // The group re-reads the fresh central model and schedules its
-            // next iteration.
+            // The group re-reads the fresh central model before the
+            // scheduler starts its next iteration.
             group_params[g].copy_from_slice(&central);
-            if iter + 1 < cfg.iterations {
-                let t = Self::group_duration(
-                    cfg, nodes_per_group, hybrid, allreduce_raw, &shards, &mut ps_free, now,
-                    &mut jrngs[g],
-                );
-                queue.schedule(now + t.total, (g, iter + 1));
-                pending[g] = t;
-            }
-        }
+        });
 
         model.set_flat_params(&central);
         SimRunSummary {
             curve,
             per_group,
             mean_staleness: if updates > 0 { staleness_sum / updates as f64 } else { 0.0 },
-            total_time: queue.now(),
+            total_time,
             updates,
             final_params: central,
             wire_bytes: wire_bytes_total,
         }
+    }
+
+    /// The event loop both drivers share. Seeds one iteration per group,
+    /// then pops completions in simulated-time order, hands each
+    /// `(now, group, iter, timing)` to `on_done`, and schedules that
+    /// group's next iteration until it has run `iterations`. Jitter draws
+    /// and PS queueing happen here alone, so [`SimEngine::run_with`] and
+    /// [`SimEngine::mean_iteration_secs`] see the same clock by
+    /// construction. `num_blocks` sizes the PS bank; returns the final
+    /// simulated time.
+    fn schedule(
+        cfg: &SimEngineConfig,
+        num_blocks: usize,
+        iterations: usize,
+        mut on_done: impl FnMut(f64, usize, usize, IterTiming),
+    ) -> f64 {
+        assert!(cfg.groups >= 1 && cfg.nodes >= cfg.groups, "invalid group/node config");
+        let nodes_per_group = cfg.nodes / cfg.groups;
+        let hybrid = cfg.groups > 1;
+        let mut rng = TensorRng::new(cfg.seed ^ 0x51E6);
+        let mut jrngs: Vec<TensorRng> =
+            (0..cfg.groups).map(|g| rng.fork(g as u64 + 31)).collect();
+
+        // PS service bank timing (per-layer PS of Fig. 4) with
+        // remainder-aware per-shard byte/param sizes, plus the
+        // placement-aware all-reduce cost — both fixed per config, so
+        // they are computed once outside the loop.
+        let num_ps = num_blocks.clamp(1, 16);
+        let mut ps_free = vec![0.0f64; num_ps];
+        let shards = cfg.ps_shards(num_ps);
+        let allreduce_raw = cfg.collective_secs(nodes_per_group, cfg.wire_bytes());
+        let mut duration = |now: f64, jrng: &mut TensorRng| {
+            Self::group_duration(
+                cfg, nodes_per_group, hybrid, allreduce_raw, &shards, &mut ps_free, now, jrng,
+            )
+        };
+
+        let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
+        // One outstanding iteration per group; its timing breakdown is
+        // kept so `on_done` can attribute the time when the event fires.
+        let mut pending: Vec<IterTiming> = Vec::with_capacity(cfg.groups);
+        for (g, jrng) in jrngs.iter_mut().enumerate() {
+            let t = duration(0.0, jrng);
+            queue.schedule(t.total, (g, 0));
+            pending.push(t);
+        }
+        while let Some((now, (g, iter))) = queue.pop() {
+            on_done(now, g, iter, pending[g]);
+            if iter + 1 < iterations {
+                let t = duration(now, &mut jrngs[g]);
+                queue.schedule(now + t.total, (g, iter + 1));
+                pending[g] = t;
+            }
+        }
+        queue.now()
     }
 
     /// Simulated duration of one group iteration starting at `now`:
@@ -493,34 +514,8 @@ impl SimEngine {
     /// the fig8 bench uses for its per-iteration wall-clock columns, so
     /// overlap on/off can be compared without retraining.
     pub fn mean_iteration_secs(cfg: &SimEngineConfig, num_blocks: usize, samples: usize) -> f64 {
-        assert!(cfg.groups >= 1 && cfg.nodes >= cfg.groups, "invalid group/node config");
         assert!(samples > 0, "need at least one sampled iteration");
-        let groups = cfg.groups;
-        let nodes_per_group = cfg.nodes / groups;
-        let hybrid = groups > 1;
-        let mut rng = TensorRng::new(cfg.seed ^ 0x51E6);
-        let num_ps = num_blocks.clamp(1, 16);
-        let mut ps_free = vec![0.0f64; num_ps];
-        let shards = cfg.ps_shards(num_ps);
-        let allreduce_raw = cfg.collective_secs(nodes_per_group, cfg.wire_bytes());
-        let mut jrngs: Vec<TensorRng> = (0..groups).map(|g| rng.fork(g as u64 + 31)).collect();
-        let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
-        for (g, jrng) in jrngs.iter_mut().enumerate() {
-            let t = Self::group_duration(
-                cfg, nodes_per_group, hybrid, allreduce_raw, &shards, &mut ps_free, 0.0, jrng,
-            );
-            queue.schedule(t.total, (g, 0));
-        }
-        while let Some((now, (g, iter))) = queue.pop() {
-            if iter + 1 < samples {
-                let t = Self::group_duration(
-                    cfg, nodes_per_group, hybrid, allreduce_raw, &shards, &mut ps_free, now,
-                    &mut jrngs[g],
-                );
-                queue.schedule(now + t.total, (g, iter + 1));
-            }
-        }
-        queue.now() / samples as f64
+        Self::schedule(cfg, num_blocks, samples, |_, _, _, _| {}) / samples as f64
     }
 }
 

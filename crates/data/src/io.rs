@@ -5,10 +5,9 @@
 //! single Xeon Phi core is relatively slow" and "the current HDF5
 //! library is not multi-threaded". This module provides the substrate
 //! that pipeline needs: a simple self-describing container for image
-//! batches with per-image random access, a single-threaded reader (the
-//! HDF5 analogue) and a sharded parallel reader (the fix the paper left
-//! to future work), plus a throughput probe used to justify the
-//! simulator's `io_bw` parameters.
+//! batches with per-image random access and a single-threaded reader
+//! (the HDF5 analogue). The performance ledger's read-throughput row is
+//! measured through [`write_dataset`] and [`DatasetReader`].
 //!
 //! Format (little-endian): magic `b"SDAT"`, version u32, image count
 //! u64, channels u32, height u32, width u32, then `count` records of
@@ -151,163 +150,6 @@ impl DatasetReader {
     }
 }
 
-/// Reads a batch with one thread per shard — the multi-threaded reader
-/// the paper names as future work. Opens `threads` independent handles.
-pub fn read_batch_parallel(
-    path: &Path,
-    indices: &[u64],
-    threads: usize,
-) -> io::Result<(Tensor, Vec<usize>)> {
-    assert!(threads >= 1);
-    let header = DatasetReader::open(path)?.header();
-    let mut out = Tensor::zeros(Shape4::new(
-        indices.len(),
-        header.channels as usize,
-        header.height as usize,
-        header.width as usize,
-    ));
-    let mut labels = vec![0usize; indices.len()];
-
-    let chunk = indices.len().div_ceil(threads);
-    type ShardResult = Vec<(usize, Vec<f32>, usize)>;
-    let results: Vec<io::Result<ShardResult>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, idx_chunk) in indices.chunks(chunk).enumerate() {
-            let path = path.to_path_buf();
-            handles.push(scope.spawn(move || {
-                let mut reader = DatasetReader::open(&path)?;
-                let mut local = Vec::with_capacity(idx_chunk.len());
-                for (j, &i) in idx_chunk.iter().enumerate() {
-                    let (pixels, label) = reader.read_image(i)?;
-                    local.push((t * chunk + j, pixels, label));
-                }
-                Ok(local)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("reader thread panicked")).collect()
-    });
-    for r in results {
-        for (slot, pixels, label) in r? {
-            out.item_mut(slot).copy_from_slice(&pixels);
-            labels[slot] = label;
-        }
-    }
-    Ok((out, labels))
-}
-
-// ---------------------------------------------------------------------------
-// Climate container: frames with bounding boxes and the labelled flag.
-// ---------------------------------------------------------------------------
-
-const CLIMATE_MAGIC: &[u8; 4] = b"SCLM";
-
-/// Writes a climate dataset (frames + ground-truth boxes + labelled
-/// flags) to `path`. Format: magic `b"SCLM"`, version u32, frame count
-/// u64, channels u32, size u32, then per frame: labelled u8, box count
-/// u32, boxes as `(class u32, cx, cy, w, h f32)`, then `C*S*S` f32
-/// pixels.
-pub fn write_climate_dataset(path: &Path, ds: &crate::ClimateDataset) -> io::Result<()> {
-    let mut w = BufWriter::new(File::create(path)?);
-    w.write_all(CLIMATE_MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&(ds.len() as u64).to_le_bytes())?;
-    let shape = ds.samples.first().map(|s| s.image.shape());
-    let (c, s) = shape.map(|sh| (sh.c, sh.h)).unwrap_or((0, 0));
-    w.write_all(&(c as u32).to_le_bytes())?;
-    w.write_all(&(s as u32).to_le_bytes())?;
-    for frame in &ds.samples {
-        assert_eq!(frame.image.shape().c, c, "inconsistent channel count");
-        w.write_all(&[frame.labelled as u8])?;
-        w.write_all(&(frame.boxes.len() as u32).to_le_bytes())?;
-        for b in &frame.boxes {
-            w.write_all(&(b.class as u32).to_le_bytes())?;
-            for v in [b.cx, b.cy, b.w, b.h] {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        for &px in frame.image.data() {
-            w.write_all(&px.to_le_bytes())?;
-        }
-    }
-    w.flush()
-}
-
-/// Reads a climate dataset written by [`write_climate_dataset`].
-pub fn read_climate_dataset(path: &Path, config: crate::ClimateConfig) -> io::Result<crate::ClimateDataset> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    let mut f = BufReader::new(File::open(path)?);
-    let mut magic = [0u8; 4];
-    f.read_exact(&mut magic)?;
-    if &magic != CLIMATE_MAGIC {
-        return Err(bad("not a scidl climate dataset"));
-    }
-    let mut u32b = [0u8; 4];
-    f.read_exact(&mut u32b)?;
-    if u32::from_le_bytes(u32b) != VERSION {
-        return Err(bad("unsupported climate dataset version"));
-    }
-    let mut u64b = [0u8; 8];
-    f.read_exact(&mut u64b)?;
-    let count = u64::from_le_bytes(u64b) as usize;
-    f.read_exact(&mut u32b)?;
-    let c = u32::from_le_bytes(u32b) as usize;
-    f.read_exact(&mut u32b)?;
-    let s = u32::from_le_bytes(u32b) as usize;
-
-    let mut samples = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mut flag = [0u8; 1];
-        f.read_exact(&mut flag)?;
-        f.read_exact(&mut u32b)?;
-        let nboxes = u32::from_le_bytes(u32b) as usize;
-        if nboxes > 1024 {
-            return Err(bad("implausible box count"));
-        }
-        let mut boxes = Vec::with_capacity(nboxes);
-        for _ in 0..nboxes {
-            f.read_exact(&mut u32b)?;
-            let class = u32::from_le_bytes(u32b) as usize;
-            let mut vals = [0.0f32; 4];
-            for v in vals.iter_mut() {
-                f.read_exact(&mut u32b)?;
-                *v = f32::from_le_bytes(u32b);
-            }
-            boxes.push(crate::GtBox { class, cx: vals[0], cy: vals[1], w: vals[2], h: vals[3] });
-        }
-        let mut raw = vec![0u8; c * s * s * 4];
-        f.read_exact(&mut raw)?;
-        let pixels: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        samples.push(crate::ClimateSample {
-            image: Tensor::from_vec(Shape4::new(1, c, s, s), pixels),
-            boxes,
-            labelled: flag[0] != 0,
-        });
-    }
-    // Trailing garbage means a corrupt file.
-    let mut extra = [0u8; 1];
-    if f.read(&mut extra)? != 0 {
-        return Err(bad("trailing bytes in climate dataset"));
-    }
-    Ok(crate::ClimateDataset { config, samples })
-}
-
-/// Measures sequential read throughput (bytes/second) over the whole
-/// file — the probe behind the simulator's `io_bw` settings.
-pub fn measure_read_bandwidth(path: &Path) -> io::Result<f64> {
-    let t0 = std::time::Instant::now();
-    let mut reader = DatasetReader::open(path)?;
-    let count = reader.header().count;
-    let mut total = 0u64;
-    for i in 0..count {
-        let (pixels, _) = reader.read_image(i)?;
-        total += pixels.len() as u64 * 4 + 4;
-    }
-    Ok(total as f64 / t0.elapsed().as_secs_f64().max(1e-9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,20 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reader_matches_sequential() {
-        let ds = sample();
-        let path = tmp("parallel");
-        write_dataset(&path, &ds.images, &ds.labels).unwrap();
-        let indices: Vec<u64> = vec![0, 3, 6, 9, 1, 4];
-        let mut reader = DatasetReader::open(&path).unwrap();
-        let (seq, seq_labels) = reader.read_batch(&indices).unwrap();
-        let (par, par_labels) = read_batch_parallel(&path, &indices, 3).unwrap();
-        assert_eq!(seq.data(), par.data());
-        assert_eq!(seq_labels, par_labels);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn corrupt_magic_rejected() {
         let path = tmp("magic");
         std::fs::write(&path, b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK").unwrap();
@@ -384,60 +212,6 @@ mod tests {
         std::fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
         let err = DatasetReader::open(&path).unwrap_err();
         assert!(err.to_string().contains("length mismatch"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn climate_roundtrip_preserves_frames_boxes_and_flags() {
-        use crate::climate::{ClimateConfig, ClimateDataset};
-        let cfg = ClimateConfig { events_per_frame: 2.5, ..ClimateConfig::small() };
-        let ds = ClimateDataset::generate(cfg, 5, 21);
-        let path = tmp("climate_rt");
-        write_climate_dataset(&path, &ds).unwrap();
-        let back = read_climate_dataset(&path, cfg).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back.len(), ds.len());
-        for (a, b) in ds.samples.iter().zip(&back.samples) {
-            assert_eq!(a.image.data(), b.image.data());
-            assert_eq!(a.boxes, b.boxes);
-            assert_eq!(a.labelled, b.labelled);
-        }
-    }
-
-    #[test]
-    fn climate_reader_rejects_wrong_magic() {
-        use crate::climate::ClimateConfig;
-        let ds = sample();
-        let path = tmp("climate_magic");
-        // A HEP dataset file is not a climate file.
-        write_dataset(&path, &ds.images, &ds.labels).unwrap();
-        let err = read_climate_dataset(&path, ClimateConfig::small()).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.to_string().contains("not a scidl climate dataset"));
-    }
-
-    #[test]
-    fn climate_reader_rejects_trailing_bytes() {
-        use crate::climate::{ClimateConfig, ClimateDataset};
-        let cfg = ClimateConfig::small();
-        let ds = ClimateDataset::generate(cfg, 2, 23);
-        let path = tmp("climate_trail");
-        write_climate_dataset(&path, &ds).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.push(0xFF);
-        std::fs::write(&path, &bytes).unwrap();
-        let err = read_climate_dataset(&path, cfg).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert!(err.to_string().contains("trailing bytes"));
-    }
-
-    #[test]
-    fn bandwidth_probe_reports_positive() {
-        let ds = sample();
-        let path = tmp("bw");
-        write_dataset(&path, &ds.images, &ds.labels).unwrap();
-        let bw = measure_read_bandwidth(&path).unwrap();
-        assert!(bw > 0.0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -57,7 +57,6 @@ pub mod pool;
 pub mod profile;
 pub mod quant;
 pub mod residual;
-pub mod schedule;
 pub mod solver;
 
 pub use activation::Relu;

@@ -9,8 +9,8 @@
 //! * **Dispatch** — [`DispatchPolicy`]: round-robin, least-loaded, or
 //!   power-of-two-choices over queue depth. Under skewed load (one slow
 //!   replica) p2c avoids the hot replica with two cheap depth probes,
-//!   beating round-robin's p99 — the property the `scidl-bench serving
-//!   --fleet` acceptance check pins.
+//!   beating round-robin's p99 — the property the `scidl-bench
+//!   serving_fleet` acceptance check pins.
 //! * **Admission** — [`PriorityAdmission`] layers fleet-wide priority
 //!   classes on top of each replica's shed watermark: lower-priority
 //!   classes shed at a smaller fraction of aggregate fleet headroom, so

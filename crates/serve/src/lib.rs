@@ -42,7 +42,7 @@
 //!   dispatch, fleet-level priority admission, an SLO autoscaler and
 //!   canary rollouts (threaded driver), and [`simulate_fleet`], the
 //!   same routing over a `Vec` of `sim` replicas in virtual time (what
-//!   `scidl-bench serving --fleet` sweeps).
+//!   `scidl-bench serving_fleet` sweeps).
 
 #![warn(missing_docs)]
 

@@ -311,27 +311,6 @@ impl ModelRegistry {
         self.breaker.lock().unwrap().succeed();
     }
 
-    /// Loads a checkpoint and hot-swaps it in. When `verify` is given as
-    /// `(source, probe)`, the round-trip guarantee is checked *before*
-    /// publication and the swap refused on any drift.
-    ///
-    /// This is the *unguarded* path: it skips the finite-output probe
-    /// and does not touch the circuit breaker. Production swaps should
-    /// go through [`ModelRegistry::load_and_swap_guarded`].
-    pub fn load_and_swap(
-        &self,
-        path: &Path,
-        arch: Network,
-        verify: Option<(&Network, &Tensor)>,
-    ) -> io::Result<Arc<ServingModel>> {
-        let model = ServingModel::load(path, arch)?;
-        if let Some((source, probe)) = verify {
-            check_roundtrip(source, &model.network, probe)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        }
-        Ok(self.swap(model))
-    }
-
     /// Validate-before-publish hot-swap under the circuit breaker.
     ///
     /// The candidate at `path` must pass, in order: the checkpoint
@@ -573,14 +552,14 @@ mod tests {
         let other = hep_small(&mut rng3);
         let mut rng4 = TensorRng::new(20);
         let err = reg
-            .load_and_swap(&path, hep_small(&mut rng4), Some((&other, &probe)))
+            .load_and_swap_guarded(&path, hep_small(&mut rng4), &probe, Some(&other))
             .unwrap_err();
         assert!(err.to_string().contains("drift"), "{err}");
         assert_eq!(reg.current().iteration, 0, "failed verify must not publish");
 
         // Against the true source it succeeds.
         let mut rng5 = TensorRng::new(21);
-        reg.load_and_swap(&path, hep_small(&mut rng5), Some((&source, &probe))).unwrap();
+        reg.load_and_swap_guarded(&path, hep_small(&mut rng5), &probe, Some(&source)).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(reg.current().iteration, 3);
     }

@@ -9,7 +9,8 @@
 //! (`scidl-cluster::knl`). Every quantity is pure f64 arithmetic over the
 //! seeded schedule, so a given `(seed, rate, policy, plan)` produces
 //! bit-identical latency frontiers on every run — the property the
-//! `scidl-bench serving` acceptance check relies on.
+//! `scidl-bench serving`, `serving_chaos` and `serving_fleet` acceptance
+//! checks rely on.
 //!
 //! There is one virtual-time replica, [`Replica`]: a queue, a worker
 //! pool and the batch former's drain/expire/crash-recovery loop.

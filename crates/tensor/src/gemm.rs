@@ -38,7 +38,7 @@
 //!
 //! The pre-packing axpy kernel is retained as [`gemm_unpacked`]: it is
 //! the differential-testing baseline and the "seed" column of
-//! `scidl-bench --bin kernels`.
+//! `scidl-bench kernels`.
 //!
 //! The microkernel itself lives in [`crate::microkernel`] and is selected
 //! once per process by runtime CPU-feature detection ([`Isa::active`]);
@@ -516,7 +516,7 @@ pub fn gemm_i8_with_isa(isa: Isa, m: usize, n: usize, k: usize, a: &[i8], b_t: &
 
 /// The pre-packing kernel (axpy inner loops, strided `TN`/`TT` reads),
 /// kept as the differential-testing baseline and the "seed" column of
-/// `scidl-bench --bin kernels`. Semantics identical to [`gemm`].
+/// `scidl-bench kernels`. Semantics identical to [`gemm`].
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_unpacked(
     ta: Transpose,

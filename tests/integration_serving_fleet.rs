@@ -423,7 +423,7 @@ fn digest(o: &SimOutcome) -> u64 {
 fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     let model = ServiceModel::hep();
 
-    // `serving -- --faults`, storm level at 1.5x the batch-1 rate.
+    // `scidl-bench serving_chaos`, storm level at 1.5x the batch-1 rate.
     let arrivals: Vec<f64> =
         PoissonArrivals::new(SEED, 1.5 * model.saturated_rate(1), 2000).collect();
     let mut cfg = SimConfig::new(2, 128, BatchPolicy::dynamic(32, Duration::from_millis(10)));
@@ -442,7 +442,7 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     assert_eq!((storm.completed, storm.requeued, storm.swap_rejects), (2000, 9, 5));
     assert_eq!(digest(&storm), 0x38e5_cd08_7daf_fe06, "storm cell drifted");
 
-    // `serving -- --fleet`, the autoscaler + canary demo.
+    // `scidl-bench serving_fleet`, the autoscaler + canary demo.
     let base = SimConfig::new(2, 512, BatchPolicy::dynamic(8, Duration::from_millis(5)));
     let per_rep = base.workers as f64 * model.saturated_rate(base.policy.max_batch);
     let mut arrivals: Vec<f64> = PoissonArrivals::new(SEED, 3.0 * per_rep, 2000).collect();
