@@ -6,8 +6,9 @@
 //! into a first-class input: it describes *scheduled* group crashes, PS
 //! crashes, stragglers and message delays, plus an optional recovery
 //! policy, and both the thread engine (`scidl-core::thread_engine`) and
-//! the discrete-event simulator ([`crate::sim`]) accept one and inject
-//! the same scenario at their own timescales.
+//! the discrete-event simulator ([`crate::sim`], and so the real-gradient
+//! `SimEngine` that trains on its clock) accept one and inject the same
+//! scenario at their own timescales.
 //!
 //! Quantities come in engine-appropriate units: crash points and MTTR
 //! are given both in iterations (thread engine) and seconds (simulator);

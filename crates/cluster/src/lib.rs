@@ -17,16 +17,17 @@
 //!   heavy straggler tails and node-failure injection (Sec. VIII-A
 //!   reports up to 30% runtime variability and non-zero failure
 //!   probability at full scale),
-//! * [`event`] — a generic binary-heap event calendar used both by the
-//!   throughput simulations here and by the simulated-time training
-//!   backend in `scidl-core`,
+//! * [`event`] — a generic binary-heap event calendar (the one
+//!   [`sim`] loop runs on),
 //! * [`faults`] — declarative fault-injection scenarios ([`FaultPlan`]):
 //!   scheduled group/PS crashes, stragglers, message delays and a
 //!   recovery policy, consumed by both [`sim`] and the thread engine in
 //!   `scidl-core` (Sec. VIII-A),
 //! * [`sim`] — iteration-level cluster simulations of synchronous and
 //!   hybrid training that regenerate the scaling studies of
-//!   Figs. 6–7 and the full-system throughput numbers of Sec. VI-B3.
+//!   Figs. 6–7 and the full-system throughput numbers of Sec. VI-B3; its
+//!   event loop is also the clock `scidl-core`'s simulated-time trainer
+//!   runs real gradients on (Fig. 8), through an [`Observer`].
 //!
 //! ## Example
 //!
@@ -55,7 +56,8 @@ pub use faults::{FaultPlan, GroupCrash, MessageDelay, PsCrash, Recovery, Straggl
 pub use jitter::JitterModel;
 pub use knl::{KnlModel, LayerCost, McdramMode, RateClass};
 pub use sim::{
-    split_even, ClusterSim, CollectiveKind, PlacementPolicy, SimConfig, SimResult, TopologyConfig,
+    split_even, ClusterSim, CollectiveKind, IterBreakdown, Observer, PlacementPolicy, SimConfig,
+    SimResult, TopologyConfig,
 };
 pub use topology::{
     allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement,

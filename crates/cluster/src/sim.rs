@@ -15,6 +15,13 @@
 //! FIFO queue — saturation of a single PS under many groups is exactly
 //! what Sec. III-E(c)'s per-layer PS design avoids, and what the
 //! `ablation_ps` bench demonstrates.
+//!
+//! This event loop is the repo's one training clock. [`ClusterSim::run`]
+//! drives it alone; [`ClusterSim::run_with`] hands every group-iteration
+//! start and completion (with its staleness and an [`IterBreakdown`]) to
+//! an [`Observer`] — the simulated-time trainer in `scidl-core` snapshots
+//! the central model at the start and applies a real gradient at the
+//! completion, so Fig. 8's machine is Figs. 6–7's machine.
 
 use crate::aries::AriesModel;
 use crate::event::EventQueue;
@@ -194,6 +201,11 @@ impl TopologyConfig {
 pub struct SimConfig {
     /// The workload.
     pub workload: Workload,
+    /// Bytes one gradient exchange puts on the wire: charged on the
+    /// all-reduce leg and the PS up-leg (the PS down-leg and the model
+    /// broadcast move the dense `model_bytes`). [`SimConfig::new`] sets
+    /// the dense size; a gradient-compression policy sets its own.
+    pub wire_bytes: u64,
     /// Total compute nodes (parameter servers are extra).
     pub nodes: usize,
     /// Number of compute groups; 1 = fully synchronous.
@@ -240,6 +252,7 @@ impl SimConfig {
     /// nodes in `groups` groups.
     pub fn new(workload: Workload, nodes: usize, groups: usize, batch_per_group: usize) -> Self {
         Self {
+            wire_bytes: workload.model_bytes,
             workload,
             nodes,
             groups,
@@ -346,6 +359,41 @@ impl SimResult {
     }
 }
 
+/// Where one group iteration's simulated time went, as handed to
+/// [`Observer::done`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IterBreakdown {
+    /// Simulated time the iteration started.
+    pub start: f64,
+    /// Compute × barrier multiplier + straggler delay.
+    pub compute: f64,
+    /// All-reduce seconds left exposed after the overlap window.
+    pub allreduce: f64,
+    /// All-reduce seconds hidden behind the backward pass (non-zero only
+    /// with [`SimConfig::overlap_comm`]).
+    pub hidden: f64,
+    /// From the end of the all-reduce to the fresh model on every node:
+    /// injected delay, PS fork-join with queueing and broadcast (or the
+    /// gossip swap); 0 when synchronous.
+    pub ps: f64,
+}
+
+/// Callbacks from [`ClusterSim::run_with`]'s event loop. Both default to
+/// no-ops, so `()` observes nothing.
+pub trait Observer {
+    /// `group` launches iteration `iter`, starting at `start`. Called while
+    /// the loop handles the event that launches it (the previous
+    /// completion, the kick-off or a recovery), so the observer sees the
+    /// system as of that moment — when a group takes its model snapshot.
+    fn start(&mut self, _start: f64, _group: usize, _iter: usize) {}
+    /// `group` completed `iter` at `now` (checkpoint stall included), its
+    /// update `stale` updates behind the central model; `t` says where
+    /// the iteration's time went.
+    fn done(&mut self, _now: f64, _group: usize, _iter: usize, _stale: u64, _t: &IterBreakdown) {}
+}
+
+impl Observer for () {}
+
 enum Ev {
     /// Group finished compute + intra-group all-reduce.
     GroupLocalDone { group: usize, iter: usize, start: f64 },
@@ -374,6 +422,14 @@ impl ClusterSim {
 
     /// Runs the simulation to completion.
     pub fn run(&self) -> SimResult {
+        self.run_with(&mut ())
+    }
+
+    /// Runs the simulation to completion, reporting every group
+    /// iteration's start and completion to `obs`. The observer cannot
+    /// move the clock: any observer yields the [`SimResult`] of
+    /// [`ClusterSim::run`].
+    pub fn run_with<O: Observer>(&self, obs: &mut O) -> SimResult {
         let cfg = &self.cfg;
         let mut rng = TensorRng::new(cfg.seed ^ 0x5157);
         let groups = cfg.groups;
@@ -404,16 +460,13 @@ impl ClusterSim {
             match (&cfg.topology, &placements) {
                 (Some(t), Some(ps)) => match t.collective {
                     CollectiveKind::FlatRing => {
-                        allreduce_time_placed(&cfg.net, &t.fly, &ps[g], cfg.workload.model_bytes)
+                        allreduce_time_placed(&cfg.net, &t.fly, &ps[g], cfg.wire_bytes)
                     }
-                    CollectiveKind::Hierarchical => hierarchical_allreduce_time(
-                        &cfg.net,
-                        &t.fly,
-                        &ps[g],
-                        cfg.workload.model_bytes,
-                    ),
+                    CollectiveKind::Hierarchical => {
+                        hierarchical_allreduce_time(&cfg.net, &t.fly, &ps[g], cfg.wire_bytes)
+                    }
                 },
-                _ => cfg.net.allreduce_time(group_nodes[g], cfg.workload.model_bytes),
+                _ => cfg.net.allreduce_time(group_nodes[g], cfg.wire_bytes),
             }
         };
 
@@ -439,14 +492,16 @@ impl ClusterSim {
                     recovered: false,
                     done: 0,
                     version: 0,
+                    pending: IterBreakdown::default(),
                 }
             })
             .collect();
 
-        // PS bank: next-free times, model shards (remainder-aware so the
-        // charged bytes sum exactly to the model size), delay-spike
+        // PS bank: next-free times, model and wire shards (remainder-aware
+        // so the charged bytes sum exactly to their totals), delay-spike
         // stream.
         let ps_bytes = split_even(cfg.workload.model_bytes, num_ps);
+        let ps_wire = split_even(cfg.wire_bytes, num_ps);
         let ps_params = split_even(cfg.workload.params, num_ps);
         let mut ps_free = vec![0.0f64; num_ps];
 
@@ -472,7 +527,9 @@ impl ClusterSim {
                 // shard before its broadcast.
                 let worst_service = (0..num_ps)
                     .map(|s| {
-                        2.0 * cfg.net.p2p_time(ps_bytes[s]) + cfg.workload.solver_secs(ps_params[s])
+                        cfg.net.p2p_time(ps_wire[s])
+                            + cfg.net.p2p_time(ps_bytes[s])
+                            + cfg.workload.solver_secs(ps_params[s])
                     })
                     .fold(0.0, f64::max);
                 est += worst_service * groups as f64
@@ -538,6 +595,7 @@ impl ClusterSim {
                 }
                 continue;
             }
+            obs.start(0.0, g, 0);
             let dur = self.group_local_time(state, g, 0);
             queue.schedule(dur, Ev::GroupLocalDone { group: g, iter: 0, start: 0.0 });
         }
@@ -574,6 +632,7 @@ impl ClusterSim {
                     let refetch = cfg.net.p2p_time(cfg.workload.model_bytes)
                         + cfg.net.broadcast_time(states[group].nodes, cfg.workload.model_bytes);
                     let start = now + refetch;
+                    obs.start(start, group, iter);
                     let dur = self.group_local_time(&mut states[group], group, iter);
                     queue.schedule(start + dur, Ev::GroupLocalDone { group, iter, start });
                 }
@@ -581,20 +640,19 @@ impl ClusterSim {
                     if !states[group].alive {
                         continue;
                     }
-                    if gossip {
+                    let resume = if gossip {
                         // Decentralized averaging: the group root swaps
                         // models with a rotating partner group's root
                         // (full-duplex p2p across the global links) and
                         // broadcasts the average internally — no PS, no
                         // global barrier (Jin et al.).
                         let arrive = now + cfg.faults.message_delay_secs(group, iter);
-                        let resume = arrive
+                        arrive
                             + cfg.net.p2p_time(cfg.workload.model_bytes)
                             + gossip_hop
                             + cfg
                                 .net
-                                .broadcast_time(states[group].nodes, cfg.workload.model_bytes);
-                        queue.schedule(resume, Ev::GroupIterDone { group, iter, start });
+                                .broadcast_time(states[group].nodes, cfg.workload.model_bytes)
                     } else if hybrid {
                         // Injected latency in front of this exchange, if
                         // the plan has one (congested link).
@@ -603,7 +661,7 @@ impl ClusterSim {
                         let mut resume = arrive;
                         for (shard, free) in ps_free.iter_mut().enumerate() {
                             let begin = free.max(arrive);
-                            let service = cfg.net.p2p_time(ps_bytes[shard]) // gradient up
+                            let service = cfg.net.p2p_time(ps_wire[shard]) // gradient up
                                 + cfg.workload.solver_secs(ps_params[shard]) // PS applies update
                                 + cfg.net.p2p_time(ps_bytes[shard]) // model down
                                 + cfg.jitter.ps_request_delay(&mut ps_rng);
@@ -625,12 +683,12 @@ impl ClusterSim {
                             resume = resume.max(*free);
                         }
                         // Root broadcasts the fresh model to its group.
-                        resume +=
-                            cfg.net.broadcast_time(states[group].nodes, cfg.workload.model_bytes);
-                        queue.schedule(resume, Ev::GroupIterDone { group, iter, start });
+                        resume + cfg.net.broadcast_time(states[group].nodes, cfg.workload.model_bytes)
                     } else {
-                        queue.schedule(now, Ev::GroupIterDone { group, iter, start });
-                    }
+                        now
+                    };
+                    states[group].pending.ps = resume - now;
+                    queue.schedule(resume, Ev::GroupIterDone { group, iter, start });
                 }
                 Ev::GroupIterDone { group, iter, start } => {
                     if !states[group].alive {
@@ -659,6 +717,8 @@ impl ClusterSim {
                     if states[group].recovered {
                         recovered_iterations += 1;
                     }
+                    let t = IterBreakdown { start, ..states[group].pending };
+                    obs.done(end, group, iter, staleness, &t);
 
                     if iter + 1 < cfg.iterations {
                         if cfg.faults.group_crash_at(group) == Some(iter + 1)
@@ -676,6 +736,7 @@ impl ClusterSim {
                                 );
                             }
                         } else {
+                            obs.start(end, group, iter + 1);
                             let dur = self.group_local_time(&mut states[group], group, iter + 1);
                             queue.schedule(
                                 end + dur,
@@ -714,10 +775,11 @@ impl ClusterSim {
         }
     }
 
-    /// Compute + intra-group all-reduce time for one group iteration.
-    /// O(1): the workload walk and the placement-aware collective cost
-    /// were folded into the group's precomputed bases, and the barrier
-    /// max is one inverse-transform draw.
+    /// Compute + intra-group all-reduce time for one group iteration; the
+    /// parts are left in `gs.pending` for the observer. O(1): the
+    /// workload walk and the placement-aware collective cost were folded
+    /// into the group's precomputed bases, and the barrier max is one
+    /// inverse-transform draw.
     fn group_local_time(&self, gs: &mut GroupState, group: usize, iter: usize) -> f64 {
         let cfg = &self.cfg;
         // Scheduled straggler window: the whole group crawls at the pace
@@ -726,13 +788,18 @@ impl ClusterSim {
         let barrier = cfg.jitter.barrier_multiplier(&mut gs.rng, gs.nodes);
         let delay = cfg.jitter.barrier_delay(&mut gs.rng, gs.nodes);
         let mut allreduce = gs.allreduce_base * cfg.jitter.compute_multiplier(&mut gs.rng);
+        let mut hidden = 0.0;
         if cfg.overlap_comm {
             // Layer-wise all-reduce overlaps with the backward pass
             // (≈ half of the compute); only the excess is exposed.
             let window = 0.5 * compute * barrier;
+            hidden = allreduce.min(window);
             allreduce = (allreduce - window).max(0.0);
         }
-        compute * barrier + delay + allreduce
+        gs.pending.compute = compute * barrier + delay;
+        gs.pending.allreduce = allreduce;
+        gs.pending.hidden = hidden;
+        gs.pending.compute + allreduce
     }
 }
 
@@ -756,6 +823,9 @@ struct GroupState {
     done: usize,
     /// Last-seen global update counter (staleness accounting).
     version: u64,
+    /// Breakdown of the iteration in flight (its `start` travels in the
+    /// event).
+    pending: IterBreakdown,
 }
 
 /// Computes (peak, sustained) system FLOP rates from iteration records:
@@ -1079,6 +1149,68 @@ mod tests {
             let (min, max) = (shards.iter().min().unwrap(), shards.iter().max().unwrap());
             assert!(max - min <= 1, "shards must be balanced: {shards:?}");
         }
+    }
+
+    #[test]
+    fn ps_shards_conserve_model_bytes_wire_and_params() {
+        // The wire-bytes case: a compressed gradient's wire size, split
+        // over the bank like the dense model bytes and the parameters,
+        // conserves its total at every bank size.
+        let mut cfg = SimConfig::new(toy_workload(), 16, 4, 64).ideal();
+        assert_eq!(cfg.wire_bytes, cfg.workload.model_bytes, "dense by default");
+        cfg.wire_bytes = 480_017;
+        for num_ps in [1usize, 6, 14, 16] {
+            for total in [cfg.workload.model_bytes, cfg.wire_bytes, cfg.workload.params] {
+                assert_eq!(split_even(total, num_ps).iter().sum::<u64>(), total, "{num_ps}");
+            }
+        }
+        // Setting the dense size explicitly is the default run bit for
+        // bit; fewer wire bytes shorten the all-reduce and the PS up-leg.
+        let dense = ClusterSim::new(SimConfig::new(toy_workload(), 16, 4, 64)).run();
+        let mut same = SimConfig::new(toy_workload(), 16, 4, 64);
+        same.wire_bytes = same.workload.model_bytes;
+        let mut small = same.clone();
+        small.wire_bytes /= 10;
+        assert_eq!(ClusterSim::new(same).run().timeline, dense.timeline);
+        assert!(ClusterSim::new(small).run().total_time < dense.total_time);
+    }
+
+    #[test]
+    fn observer_sees_every_iteration_and_cannot_move_the_clock() {
+        #[derive(Default)]
+        struct Log {
+            starts: Vec<(usize, usize, f64)>,
+            dones: Vec<(usize, usize, f64, u64, IterBreakdown)>,
+        }
+        impl Observer for Log {
+            fn start(&mut self, start: f64, group: usize, iter: usize) {
+                self.starts.push((group, iter, start));
+            }
+            fn done(&mut self, now: f64, g: usize, iter: usize, stale: u64, t: &IterBreakdown) {
+                self.dones.push((g, iter, now, stale, *t));
+            }
+        }
+        let mut cfg = SimConfig::new(toy_workload(), 16, 4, 64);
+        cfg.iterations = 10;
+        cfg.overlap_comm = true;
+        let plain = ClusterSim::new(cfg.clone()).run();
+        let mut log = Log::default();
+        let seen = ClusterSim::new(cfg).run_with(&mut log);
+        assert_eq!(seen.timeline, plain.timeline);
+        assert_eq!(seen.total_time, plain.total_time);
+        assert_eq!(log.starts.len(), 40);
+        assert_eq!(log.dones.len(), 40);
+        let mut stale_sum = 0;
+        for ((g, iter, now, stale, t), &(tg, start, end)) in log.dones.iter().zip(&plain.timeline) {
+            assert_eq!((*g, *now, t.start), (tg, end, start));
+            assert!(log.starts.contains(&(*g, *iter, start)), "every completed iteration was started");
+            // The parts tile the iteration (no checkpoint stall here).
+            let parts = t.compute + t.allreduce + t.ps;
+            assert!((parts - (end - start)).abs() < 1e-9 * end.max(1.0), "{parts} vs {}", end - start);
+            assert!(t.hidden >= 0.0 && t.ps > 0.0);
+            stale_sum += stale;
+        }
+        assert_eq!(stale_sum as f64 / 40.0, plain.mean_staleness);
     }
 
     #[test]

@@ -299,11 +299,7 @@ mod tests {
             fresh.set_flat_params(&flat);
             let idx = sampler.next_batch();
             let (_, grad) = crate::task::hep_gradient(&mut fresh, &ds, &idx);
-            let mut off = 0;
-            for (i, &len) in sizes.iter().enumerate() {
-                solver.step_block(i, &mut flat[off..off + len], &grad[off..off + len]);
-                off += len;
-            }
+            solver.step_flat(&mut flat, &grad, &sizes);
         }
         fresh.set_flat_params(&flat);
 

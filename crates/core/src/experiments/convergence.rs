@@ -3,7 +3,8 @@
 //! runs with 2, 4 and 8 groups, with momentum tuned per asynchrony level.
 //!
 //! Real gradients on a scaled-down HEP problem; simulated wall-clock from
-//! the calibrated Cori models (see `SimEngine`). The paper's readout:
+//! the calibrated Cori models on the cluster simulator's clock (see
+//! `SimEngine`), so these runs share Figs. 6–7's machine. The paper's readout:
 //! the best hybrid reaches the target loss ≈1.66× faster than the best
 //! synchronous run; the worst synchronous run is many times slower.
 
@@ -63,7 +64,7 @@ pub struct Fig8Scale {
     /// Smoothing window for the time-to-target readout.
     pub smooth_window: usize,
     /// Train with the bucketed backward-overlapped all-reduce cost model
-    /// (`SimEngineConfig::overlap_comm`). Gradients are
+    /// (`SimConfig::overlap_comm`). Gradients are
     /// timing-independent for the synchronous runs, so this moves the
     /// loss-vs-wall-clock curves left without changing their shape; the
     /// per-iteration columns ([`Fig8Run::iter_secs`] /
@@ -113,12 +114,7 @@ pub fn fig8(scale: &Fig8Scale, seed: u64) -> Fig8Result {
 
     // Per-iteration wall-clock, reported with the all-reduce exposed and
     // with the bucketed backward overlap charged — the overlap column of
-    // the results table. Timing-only replay, so it is cheap to do both.
-    let num_blocks = {
-        use scidl_nn::network::Model;
-        let mut rng = TensorRng::new(seed ^ 0xA11);
-        scidl_nn::arch::hep_small(&mut rng).param_blocks().len()
-    };
+    // the results table. Timing-only clock runs, so it is cheap to do both.
     let iter_secs_pair = |cfg: &SimEngineConfig| {
         let samples = cfg.iterations.clamp(1, 32);
         let mut seq = cfg.clone();
@@ -126,8 +122,8 @@ pub fn fig8(scale: &Fig8Scale, seed: u64) -> Fig8Result {
         let mut ovl = cfg.clone();
         ovl.overlap_comm = true;
         (
-            SimEngine::mean_iteration_secs(&seq, num_blocks, samples),
-            SimEngine::mean_iteration_secs(&ovl, num_blocks, samples),
+            SimEngine::mean_iteration_secs(&seq, samples),
+            SimEngine::mean_iteration_secs(&ovl, samples),
         )
     };
 

@@ -78,11 +78,7 @@ pub fn hep_science(scale: &HepScienceScale, seed: u64) -> HepScienceResult {
         let idx = sampler.next_batch();
         let (loss, grads) = hep_gradient(&mut model, &train, &idx);
         final_loss = loss;
-        let mut off = 0;
-        for (i, &len) in block_sizes.iter().enumerate() {
-            solver.step_block(i, &mut flat[off..off + len], &grads[off..off + len]);
-            off += len;
-        }
+        solver.step_flat(&mut flat, &grads, &block_sizes);
     }
     model.set_flat_params(&flat);
 

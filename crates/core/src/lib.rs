@@ -20,8 +20,9 @@
 //!   staleness is real).
 //! * [`SimEngine`](sim_engine::SimEngine) — deterministic simulated-time
 //!   execution: gradients are computed for real (so loss trajectories
-//!   and staleness effects are genuine), while iteration *durations*
-//!   come from the calibrated Cori models in `scidl-cluster`. Used for
+//!   and staleness effects are genuine), while *when* each update lands
+//!   comes from `scidl-cluster`'s `ClusterSim` event loop — the same
+//!   clock and calibrated Cori models as the scaling studies. Used for
 //!   the wall-clock convergence results (Fig. 8) where thousands of
 //!   virtual nodes are needed.
 //!

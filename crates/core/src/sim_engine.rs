@@ -1,189 +1,87 @@
-//! Deterministic simulated-time hybrid training.
+//! Deterministic simulated-time hybrid training: the paper's
+//! *convergence* experiments (Fig. 8) at laptop scale. Losses come from
+//! real gradients on a scaled-down problem; *when* each update lands comes
+//! from the one training clock, [`ClusterSim`] — the event loop, cost
+//! models, jitter, PS bank and [`FaultPlan`](scidl_cluster::FaultPlan)
+//! that regenerate Figs. 6–7. The engine holds no clock; it observes the
+//! loop with the hybrid architecture's semantics:
 //!
-//! This backend reproduces the paper's *convergence* experiments
-//! (Fig. 8) at laptop scale: gradients and loss trajectories are computed
-//! for real on a scaled-down HEP problem, while iteration *durations*
-//! come from the calibrated Cori cost models — so a "1024-node" run takes
-//! seconds of host time but reports simulated wall-clock in the paper's
-//! regime, with genuine gradient staleness produced by the simulated
-//! event ordering.
-//!
-//! Semantics match the hybrid architecture exactly:
-//!
-//! * each group snapshots the central model when it *starts* an
-//!   iteration,
-//! * it computes a real gradient on its own shard/minibatch against that
-//!   snapshot,
-//! * the per-layer PS bank applies updates in simulated-arrival order —
-//!   by the time a group's update lands, other groups may have advanced
-//!   the model (staleness),
-//! * with `groups == 1` this degenerates to exact synchronous SGD.
+//! * a group snapshots the central model when it *starts* an iteration
+//!   (a recovered group, at its restart),
+//! * when the iteration is *done*, its real gradient against that
+//!   snapshot is applied by the per-layer PS bank — other groups may have
+//!   advanced the model meanwhile (staleness),
+//! * with `groups == 1` this is exact synchronous SGD; a synchronous run
+//!   that loses its group stops there. Gossip is not modelled here.
 
 use crate::metrics::LossCurve;
 use crate::task::hep_gradient;
-use scidl_cluster::event::EventQueue;
-use scidl_cluster::sim::{split_even, Workload};
-use scidl_cluster::topology::{allreduce_time_placed, hierarchical_allreduce_time, Placement};
-use scidl_cluster::{
-    AriesModel, CollectiveKind, JitterModel, KnlModel, PlacementPolicy, TopologyConfig,
-};
+use scidl_cluster::sim::{ClusterSim, IterBreakdown, Observer, SimConfig, Workload};
 use scidl_comm::compress::{Compression, ErrorFeedback};
 use scidl_data::{BatchSampler, HepDataset};
 use scidl_nn::network::{Model, Network};
-use scidl_nn::solver::asynchrony_adjusted_momentum;
-use scidl_nn::{Adam, Sgd, Solver};
-use scidl_tensor::TensorRng;
+pub use scidl_nn::solver::SolverKind;
+use scidl_nn::Solver;
+use scidl_trace::{EventKind, IterRow, TraceHandle};
+use std::ops::{Deref, DerefMut};
 
-/// Which solver the parameter servers run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SolverKind {
-    /// SGD with the given momentum.
-    Sgd {
-        /// Explicit momentum coefficient.
-        momentum: f32,
-    },
-    /// ADAM (the paper's HEP solver).
-    Adam,
-}
-
-/// Configuration of one simulated-time training run.
+/// Configuration of one simulated-time training run: the clock's
+/// [`SimConfig`] (its fields read through `Deref`) plus what the clock
+/// does not read.
 #[derive(Clone, Debug)]
 pub struct SimEngineConfig {
-    /// Total virtual compute nodes.
-    pub nodes: usize,
-    /// Compute groups (1 = synchronous).
-    pub groups: usize,
-    /// Minibatch per group per update. Fig. 8 fixes the *total* batch, so
-    /// callers set `batch_per_group = total / groups`.
-    pub batch_per_group: usize,
-    /// Iterations per group.
-    pub iterations: usize,
+    /// The simulated machine and run; `gossip` must stay off.
+    pub sim: SimConfig,
     /// Learning rate.
     pub lr: f32,
     /// Solver kind.
     pub solver: SolverKind,
-    /// When true, SGD momentum is reduced according to the implicit
-    /// asynchrony momentum of Mitliagkas et al. [31].
+    /// Reduce SGD momentum by the implicit momentum of asynchrony
+    /// (Mitliagkas et al. [31], [`SolverKind::for_groups`]).
     pub auto_momentum: bool,
-    /// Seed for data sampling and jitter.
-    pub seed: u64,
-    /// Timing workload (typically [`crate::workloads::hep_workload`] so
-    /// the simulated clock lives in the paper's regime).
-    pub timing: Workload,
-    /// Node model.
-    pub knl: KnlModel,
-    /// Interconnect model.
-    pub net: AriesModel,
-    /// Variability model.
-    pub jitter: JitterModel,
-    /// Charge the bucketed backward-overlapped all-reduce cost model
-    /// (Sec. III-D / MLSL): up to half of the compute window hides
-    /// communication, so only the excess all-reduce time is exposed.
-    /// This is the same window `scidl_cluster::SimConfig::overlap_comm`
-    /// charges, and mirrors the thread engine's
-    /// `ThreadEngineConfig::overlap_comm`. Gradient values are
-    /// timing-independent, so flipping this never changes the math —
-    /// only simulated wall-clock.
-    pub overlap_comm: bool,
-    /// Gradient compression policy with per-group error feedback
-    /// (Sec. VIII-B): each group's update is compressed before it is
-    /// applied to the central model (the sent values are what land; the
-    /// residual stays with the group), and the cost model charges the
-    /// reduced wire sizes on the all-reduce and PS-update legs.
-    /// [`Compression::None`] reproduces the uncompressed run (values
-    /// and simulated clock) exactly.
+    /// Gradient compression with per-group error feedback (Sec. VIII-B):
+    /// the sent values land on the central model, the residual stays with
+    /// the group, and the clock charges the policy's wire size as
+    /// `sim.wire_bytes`. [`Compression::None`] is the dense run exactly.
     pub compression: Compression,
-    /// Topology-aware collective model for the all-reduce leg (`None` =
-    /// legacy plain [`AriesModel`] ring). The same knob
-    /// `scidl_cluster::SimConfig::topology` exposes on the throughput
-    /// simulator; gradient values are timing-independent, so setting it
-    /// only moves the simulated clock.
-    pub topology: Option<TopologyConfig>,
 }
 
 impl SimEngineConfig {
     /// A Fig. 8-style configuration: `nodes` virtual nodes in `groups`
-    /// groups sharing a fixed total batch.
+    /// groups sharing a fixed total batch (`batch_per_group = total /
+    /// groups`), 60 iterations per group, ADAM.
     pub fn fig8(nodes: usize, groups: usize, total_batch: usize, timing: Workload) -> Self {
         assert!(groups >= 1 && total_batch >= groups);
-        Self {
-            nodes,
-            groups,
-            batch_per_group: total_batch / groups,
-            iterations: 60,
-            lr: 1e-3,
-            solver: SolverKind::Adam,
-            auto_momentum: false,
-            seed: 0xF18,
-            timing,
-            knl: KnlModel::default(),
-            net: AriesModel::default(),
-            jitter: JitterModel::default(),
-            overlap_comm: false,
-            compression: Compression::None,
-            topology: None,
-        }
+        let mut sim = SimConfig::new(timing, nodes, groups, total_batch / groups);
+        sim.iterations = 60;
+        sim.seed = 0xF18;
+        let compression = Compression::None;
+        Self { sim, lr: 1e-3, solver: SolverKind::Adam, auto_momentum: false, compression }
     }
 
-    /// Bytes one compressed gradient exchange would carry on the wire
-    /// under this config's policy (the dense `model_bytes` when
-    /// uncompressed, so timing is bit-compatible with older runs).
-    fn wire_bytes(&self) -> u64 {
-        match self.compression {
-            Compression::None => self.timing.model_bytes,
-            policy => policy.wire_bytes_u64(self.timing.params),
+    /// The clock of this run over `iterations` per group: `sim` with the
+    /// compression policy's wire size.
+    fn clock(&self, iterations: usize) -> ClusterSim {
+        assert!(!self.gossip, "gossip averaging is not modelled with real gradients");
+        let mut sim = self.sim.clone();
+        sim.iterations = iterations;
+        if self.compression != Compression::None {
+            sim.wire_bytes = self.compression.wire_bytes_u64(sim.workload.params);
         }
+        ClusterSim::new(sim)
     }
+}
 
-    /// Placement-aware all-reduce seconds for one group of `nodes` ranks
-    /// moving `wire` bytes: plain Aries ring when no topology is set,
-    /// otherwise the configured placement + collective cost model.
-    fn collective_secs(&self, nodes: usize, wire: u64) -> f64 {
-        match &self.topology {
-            None => self.net.allreduce_time(nodes, wire),
-            Some(t) => {
-                let placement = match t.placement {
-                    PlacementPolicy::Packed => Placement::balanced(nodes, &t.fly),
-                    PlacementPolicy::Scattered { machine_nodes } => {
-                        Placement::scattered(nodes, machine_nodes, &t.fly, self.seed)
-                    }
-                };
-                match t.collective {
-                    CollectiveKind::FlatRing => {
-                        allreduce_time_placed(&self.net, &t.fly, &placement, wire)
-                    }
-                    CollectiveKind::Hierarchical => {
-                        hierarchical_allreduce_time(&self.net, &t.fly, &placement, wire)
-                    }
-                }
-            }
-        }
+impl Deref for SimEngineConfig {
+    type Target = SimConfig;
+    fn deref(&self) -> &SimConfig {
+        &self.sim
     }
+}
 
-    /// Remainder-aware PS shard sizes: per-shard dense model bytes, wire
-    /// (possibly compressed) bytes and parameter counts, each summing
-    /// exactly to its total — truncating division dropped up to
-    /// `num_ps − 1` units from every exchange.
-    fn ps_shards(&self, num_ps: usize) -> PsShards {
-        PsShards {
-            bytes: split_even(self.timing.model_bytes, num_ps),
-            wire: split_even(self.wire_bytes(), num_ps),
-            params: split_even(self.timing.params, num_ps),
-        }
-    }
-
-    fn build_solver(&self) -> Box<dyn Solver> {
-        match self.solver {
-            SolverKind::Sgd { momentum } => {
-                let mu = if self.auto_momentum {
-                    asynchrony_adjusted_momentum(momentum, self.groups)
-                } else {
-                    momentum
-                };
-                Box::new(Sgd::new(self.lr, mu))
-            }
-            SolverKind::Adam => Box::new(Adam::new(self.lr)),
-        }
+impl DerefMut for SimEngineConfig {
+    fn deref_mut(&mut self) -> &mut SimConfig {
+        &mut self.sim
     }
 }
 
@@ -194,7 +92,7 @@ pub struct SimRunSummary {
     pub curve: LossCurve,
     /// Per-group curves.
     pub per_group: Vec<LossCurve>,
-    /// Mean gradient staleness in group-updates.
+    /// Mean gradient staleness in group-updates (the clock's counter).
     pub mean_staleness: f64,
     /// Total simulated seconds.
     pub total_time: f64,
@@ -202,9 +100,8 @@ pub struct SimRunSummary {
     pub updates: usize,
     /// The trained flat parameter vector.
     pub final_params: Vec<f32>,
-    /// Total bytes the gradient exchanges would have put on the wire
-    /// under the configured [`Compression`] policy (all-reduce leg, plus
-    /// the PS up-leg when hybrid).
+    /// Bytes the gradient exchanges put on the wire under the
+    /// [`Compression`] policy (all-reduce leg, plus PS up-leg when hybrid).
     pub wire_bytes: u64,
 }
 
@@ -228,324 +125,138 @@ impl SimEngine {
         cfg: &SimEngineConfig,
         model: &mut M,
         dataset_len: usize,
-        mut grad_fn: impl FnMut(&mut M, &[usize]) -> (f32, Vec<f32>),
+        grad_fn: impl FnMut(&mut M, &[usize]) -> (f32, Vec<f32>),
     ) -> SimRunSummary {
         let groups = cfg.groups;
-        let hybrid = groups > 1;
-
-        // Central model (the PS bank's contents, flattened) + block map.
-        let block_sizes: Vec<usize> = model.param_blocks().iter().map(|b| b.len()).collect();
-        // Tracing: spans carry *simulated* timestamps, so a seeded run
-        // emits a bit-identical trace; block names feed the health
-        // sentinel's layer attribution.
-        let tr = scidl_trace::TraceHandle::begin("sim-engine");
-        let block_names: Vec<String> =
-            model.param_blocks().iter().map(|b| b.name.clone()).collect();
-        let mut central = model.flat_params();
-        let mut solver = cfg.build_solver();
-
-        // Per-group state.
-        let mut group_params: Vec<Vec<f32>> = (0..groups).map(|_| central.clone()).collect();
-        let mut samplers: Vec<BatchSampler> = (0..groups)
-            .map(|g| BatchSampler::for_node(dataset_len, cfg.batch_per_group, cfg.seed, g, groups))
-            .collect();
-        // Per-group error-feedback state: the compressed *sent* values are
-        // what reach the central model; the residual never leaves the
-        // group (mirrors the worker-local residuals of the thread engine).
-        let mut efs: Vec<ErrorFeedback> =
-            (0..groups).map(|_| ErrorFeedback::new(cfg.compression)).collect();
-        let mut wire_bytes_total: u64 = 0;
-
-        let mut updates_applied: u64 = 0;
-        let mut group_seen = vec![0u64; groups];
-        let mut staleness_sum = 0.0f64;
-
-        let mut curve = LossCurve::new();
-        let mut per_group: Vec<LossCurve> = vec![LossCurve::new(); groups];
-
-        let mut updates = 0usize;
-        let total_time = Self::schedule(cfg, block_sizes.len(), cfg.iterations, |now, g, iter, t| {
-            // Real gradient against the group's snapshot.
-            model.set_flat_params(&group_params[g]);
-            let indices = samplers[g].next_batch();
-            let (loss, mut grad) = grad_fn(model, &indices);
-
-            // Error-feedback compression round: `grad` is left holding the
-            // decompressed sent values (what the wire carried), the dropped
-            // mass stays in the group's residual for the next iteration.
-            let wire = efs[g].apply(&mut grad) as u64;
-            wire_bytes_total += wire;
-            if hybrid {
-                // The same compressed message rides the PS up-leg.
-                wire_bytes_total += wire;
-            }
-
-            // PS applies the (possibly stale) update to the central model.
-            let mut off = 0;
-            for (idx, &len) in block_sizes.iter().enumerate() {
-                solver.step_block(idx, &mut central[off..off + len], &grad[off..off + len]);
-                off += len;
-            }
-            let stale = updates_applied - group_seen[g];
-            staleness_sum += stale as f64;
-            updates_applied += 1;
-            group_seen[g] = updates_applied;
-            updates += 1;
-
-            if tr.enabled() {
-                let start = now - t.total;
-                let (gu, iu) = (g as u64, iter as u64);
-                tr.event_at(gu, start, t.total, scidl_trace::EventKind::Iteration {
-                    group: gu,
-                    iter: iu,
-                });
-                tr.event_at(gu, start, t.compute, scidl_trace::EventKind::Compute {
-                    group: gu,
-                    iter: iu,
-                });
-                tr.event_at(
-                    gu,
-                    start + t.compute,
-                    t.allreduce,
-                    scidl_trace::EventKind::Allreduce { elems: cfg.timing.params, bytes: wire },
-                );
-                if t.hidden > 0.0 {
-                    // One simulated bucket per parameter block: the span
-                    // covers the backward tail where comm was hidden.
-                    tr.event_at(
-                        gu,
-                        start + t.compute - t.hidden,
-                        t.hidden,
-                        scidl_trace::EventKind::Overlap {
-                            buckets: block_sizes.len() as u64,
-                            hidden_s: t.hidden,
-                        },
-                    );
-                }
-                if t.ps > 0.0 {
-                    tr.event_at(
-                        gu,
-                        start + t.compute + t.allreduce,
-                        t.ps,
-                        scidl_trace::EventKind::PsExchange {
-                            group: gu,
-                            staleness: stale,
-                            bytes: wire,
-                        },
-                    );
-                }
-                if !loss.is_finite() {
-                    tr.health(scidl_trace::HealthAlert {
-                        source: "loss",
-                        layer: None,
-                        first_index: 0,
-                        count: 1,
-                        value: loss,
-                        iter: Some(iu),
-                    });
-                }
-                if let Some(alert) = scidl_trace::scan_blocks(
-                    "gradient",
-                    &grad,
-                    &block_sizes,
-                    &block_names,
-                    Some(iu),
-                ) {
-                    tr.health(alert);
-                }
-                tr.row(scidl_trace::IterRow {
-                    run: 0, // filled in by the handle
-                    kind: "train",
-                    track: gu,
-                    iter: iu,
-                    start_s: start,
-                    compute_s: t.compute,
-                    comm_s: t.allreduce,
-                    ps_s: t.ps,
-                    queue_s: 0.0,
-                    staleness: stale,
-                    loss: loss as f64,
-                    batch: cfg.batch_per_group as u64,
-                });
-            }
-
-            curve.push(now, loss);
-            per_group[g].push(now, loss);
-
-            // The group re-reads the fresh central model before the
-            // scheduler starts its next iteration.
-            group_params[g].copy_from_slice(&central);
-        });
-
-        model.set_flat_params(&central);
-        SimRunSummary {
-            curve,
-            per_group,
-            mean_staleness: if updates > 0 { staleness_sum / updates as f64 } else { 0.0 },
-            total_time,
-            updates,
-            final_params: central,
-            wire_bytes: wire_bytes_total,
-        }
-    }
-
-    /// The event loop both drivers share. Seeds one iteration per group,
-    /// then pops completions in simulated-time order, hands each
-    /// `(now, group, iter, timing)` to `on_done`, and schedules that
-    /// group's next iteration until it has run `iterations`. Jitter draws
-    /// and PS queueing happen here alone, so [`SimEngine::run_with`] and
-    /// [`SimEngine::mean_iteration_secs`] see the same clock by
-    /// construction. `num_blocks` sizes the PS bank; returns the final
-    /// simulated time.
-    fn schedule(
-        cfg: &SimEngineConfig,
-        num_blocks: usize,
-        iterations: usize,
-        mut on_done: impl FnMut(f64, usize, usize, IterTiming),
-    ) -> f64 {
-        assert!(cfg.groups >= 1 && cfg.nodes >= cfg.groups, "invalid group/node config");
-        let nodes_per_group = cfg.nodes / cfg.groups;
-        let hybrid = cfg.groups > 1;
-        let mut rng = TensorRng::new(cfg.seed ^ 0x51E6);
-        let mut jrngs: Vec<TensorRng> =
-            (0..cfg.groups).map(|g| rng.fork(g as u64 + 31)).collect();
-
-        // PS service bank timing (per-layer PS of Fig. 4) with
-        // remainder-aware per-shard byte/param sizes, plus the
-        // placement-aware all-reduce cost — both fixed per config, so
-        // they are computed once outside the loop.
-        let num_ps = num_blocks.clamp(1, 16);
-        let mut ps_free = vec![0.0f64; num_ps];
-        let shards = cfg.ps_shards(num_ps);
-        let allreduce_raw = cfg.collective_secs(nodes_per_group, cfg.wire_bytes());
-        let mut duration = |now: f64, jrng: &mut TensorRng| {
-            Self::group_duration(
-                cfg, nodes_per_group, hybrid, allreduce_raw, &shards, &mut ps_free, now, jrng,
-            )
+        let kind = if cfg.auto_momentum { cfg.solver.for_groups(groups) } else { cfg.solver };
+        let blocks = model.param_blocks();
+        let block_sizes = blocks.iter().map(|b| b.len()).collect();
+        // Block names feed the health sentinel's layer attribution.
+        let block_names = blocks.iter().map(|b| b.name.clone()).collect();
+        let central = model.flat_params();
+        let mut trainer = Trainer {
+            cfg,
+            snapshots: vec![central.clone(); groups],
+            central,
+            model,
+            grad_fn,
+            solver: kind.build(cfg.lr),
+            samplers: (0..groups)
+                .map(|g| BatchSampler::for_node(dataset_len, cfg.batch_per_group, cfg.seed, g, groups))
+                .collect(),
+            efs: (0..groups).map(|_| ErrorFeedback::new(cfg.compression)).collect(),
+            block_sizes,
+            block_names,
+            // Virtual timestamps: a seeded run traces bit-identically.
+            tr: TraceHandle::begin("sim-engine"),
+            curve: LossCurve::new(),
+            per_group: vec![LossCurve::new(); groups],
+            wire_bytes: 0,
         };
-
-        let mut queue: EventQueue<(usize, usize)> = EventQueue::new();
-        // One outstanding iteration per group; its timing breakdown is
-        // kept so `on_done` can attribute the time when the event fires.
-        let mut pending: Vec<IterTiming> = Vec::with_capacity(cfg.groups);
-        for (g, jrng) in jrngs.iter_mut().enumerate() {
-            let t = duration(0.0, jrng);
-            queue.schedule(t.total, (g, 0));
-            pending.push(t);
-        }
-        while let Some((now, (g, iter))) = queue.pop() {
-            on_done(now, g, iter, pending[g]);
-            if iter + 1 < iterations {
-                let t = duration(now, &mut jrngs[g]);
-                queue.schedule(now + t.total, (g, iter + 1));
-                pending[g] = t;
-            }
-        }
-        queue.now()
-    }
-
-    /// Simulated duration of one group iteration starting at `now`:
-    /// compute (with barrier jitter) + intra-group all-reduce
-    /// (+ PS fork-join with queueing when hybrid). `allreduce_raw` is the
-    /// precomputed placement-aware collective cost and `shards` the
-    /// remainder-aware PS shard sizes. Returned as a breakdown so the
-    /// trace can attribute the time.
-    #[allow(clippy::too_many_arguments)]
-    fn group_duration(
-        cfg: &SimEngineConfig,
-        nodes_per_group: usize,
-        hybrid: bool,
-        allreduce_raw: f64,
-        shards: &PsShards,
-        ps_free: &mut [f64],
-        now: f64,
-        rng: &mut TensorRng,
-    ) -> IterTiming {
-        let b = (cfg.batch_per_group / nodes_per_group).max(1);
-        let mut compute = cfg.timing.node_iteration_time(&cfg.knl, b);
-        if hybrid {
-            compute -= cfg.timing.solver_secs(cfg.timing.params);
-        }
-        let barrier = cfg.jitter.barrier_multiplier(rng, nodes_per_group);
-        let delay = cfg.jitter.barrier_delay(rng, nodes_per_group);
-        let mut allreduce = allreduce_raw;
-        let mut hidden = 0.0;
-        if cfg.overlap_comm {
-            // Bucketed layer-wise all-reduce overlaps with the backward
-            // pass (≈ half of the compute); only the excess is exposed —
-            // the same window `SimConfig::overlap_comm` charges in the
-            // cluster simulator.
-            let window = 0.5 * compute * barrier;
-            hidden = allreduce.min(window);
-            allreduce = (allreduce - window).max(0.0);
-        }
-        let compute_part = compute * barrier + delay;
-        let mut dur = compute_part + allreduce;
-        if hybrid {
-            let arrive = now + dur;
-            let mut resume = arrive;
-            for (shard, free) in ps_free.iter_mut().enumerate() {
-                let begin = free.max(arrive);
-                // Up-leg carries the compressed update; the down-leg
-                // (fresh shard) is always dense.
-                let service = cfg.net.p2p_time(shards.wire[shard])
-                    + cfg.net.p2p_time(shards.bytes[shard])
-                    + cfg.timing.solver_secs(shards.params[shard])
-                    + cfg.jitter.ps_request_delay(rng);
-                *free = begin + service;
-                resume = resume.max(*free);
-            }
-            resume += cfg.net.broadcast_time(nodes_per_group, cfg.timing.model_bytes);
-            dur = resume - now;
-        }
-        IterTiming {
-            compute: compute_part,
-            allreduce,
-            hidden,
-            ps: dur - compute_part - allreduce,
-            total: dur,
+        let clock = cfg.clock(cfg.iterations).run_with(&mut trainer);
+        trainer.model.set_flat_params(&trainer.central);
+        SimRunSummary {
+            updates: trainer.curve.len(),
+            curve: trainer.curve,
+            per_group: trainer.per_group,
+            mean_staleness: clock.mean_staleness,
+            total_time: clock.total_time,
+            final_params: trainer.central,
+            wire_bytes: trainer.wire_bytes,
         }
     }
 
-    /// Mean simulated seconds per group iteration under `cfg`, replaying
-    /// the timing model alone (no gradients computed). `num_blocks` sizes
-    /// the PS bank exactly as a real run with that many parameter blocks
-    /// would; `samples` iterations per group are simulated. This is what
-    /// the fig8 bench uses for its per-iteration wall-clock columns, so
-    /// overlap on/off can be compared without retraining.
-    pub fn mean_iteration_secs(cfg: &SimEngineConfig, num_blocks: usize, samples: usize) -> f64 {
+    /// Mean simulated seconds per group iteration under `cfg`: the clock
+    /// alone over `samples` iterations per group (fig8's timing columns).
+    pub fn mean_iteration_secs(cfg: &SimEngineConfig, samples: usize) -> f64 {
         assert!(samples > 0, "need at least one sampled iteration");
-        Self::schedule(cfg, num_blocks, samples, |_, _, _, _| {}) / samples as f64
+        cfg.clock(samples).run().total_time / samples as f64
     }
 }
 
-/// Remainder-aware PS shard sizes (each vector sums exactly to its
-/// total — see [`split_even`]).
-struct PsShards {
-    bytes: Vec<u64>,
-    wire: Vec<u64>,
-    params: Vec<u64>,
+/// The observer that trains on the clock: snapshot at start; gradient,
+/// PS update, curve point and trace at done.
+struct Trainer<'a, M, F> {
+    cfg: &'a SimEngineConfig,
+    /// The PS bank's contents, flattened.
+    central: Vec<f32>,
+    /// Each group's model as of its current iteration's start.
+    snapshots: Vec<Vec<f32>>,
+    model: &'a mut M,
+    grad_fn: F,
+    solver: Box<dyn Solver>,
+    samplers: Vec<BatchSampler>,
+    /// Per-group error feedback (the residual never leaves the group).
+    efs: Vec<ErrorFeedback>,
+    block_sizes: Vec<usize>,
+    block_names: Vec<String>,
+    tr: TraceHandle,
+    curve: LossCurve,
+    per_group: Vec<LossCurve>,
+    wire_bytes: u64,
 }
 
-/// Component breakdown of one simulated group iteration. `ps` covers the
-/// PS fork-join (queueing included) plus the model broadcast; 0 when
-/// synchronous.
-#[derive(Clone, Copy, Debug)]
-struct IterTiming {
-    compute: f64,
-    allreduce: f64,
-    /// All-reduce seconds hidden behind the backward pass; non-zero only
-    /// with [`SimEngineConfig::overlap_comm`].
-    hidden: f64,
-    ps: f64,
-    total: f64,
+impl<M: Model, F: FnMut(&mut M, &[usize]) -> (f32, Vec<f32>)> Observer for Trainer<'_, M, F> {
+    fn start(&mut self, _: f64, g: usize, _: usize) {
+        self.snapshots[g].copy_from_slice(&self.central);
+    }
+
+    fn done(&mut self, now: f64, g: usize, iter: usize, stale: u64, t: &IterBreakdown) {
+        self.model.set_flat_params(&self.snapshots[g]);
+        let indices = self.samplers[g].next_batch();
+        let (loss, mut grad) = (self.grad_fn)(self.model, &indices);
+        // `grad` now holds the sent values; they ride the PS up-leg too.
+        let wire = self.efs[g].apply(&mut grad) as u64;
+        self.wire_bytes += if self.cfg.groups > 1 { 2 * wire } else { wire };
+        self.solver.step_flat(&mut self.central, &grad, &self.block_sizes);
+        self.curve.push(now, loss);
+        self.per_group[g].push(now, loss);
+        if !self.tr.enabled() {
+            return;
+        }
+        let (gu, iu, t0) = (g as u64, iter as u64, t.start);
+        let tr = &self.tr;
+        tr.event_at(gu, t0, now - t0, EventKind::Iteration { group: gu, iter: iu });
+        tr.event_at(gu, t0, t.compute, EventKind::Compute { group: gu, iter: iu });
+        let elems = self.cfg.workload.params;
+        tr.event_at(gu, t0 + t.compute, t.allreduce, EventKind::Allreduce { elems, bytes: wire });
+        if t.hidden > 0.0 {
+            // One bucket per parameter block, over the hidden backward tail.
+            let buckets = self.block_sizes.len() as u64;
+            let kind = EventKind::Overlap { buckets, hidden_s: t.hidden };
+            tr.event_at(gu, t0 + t.compute - t.hidden, t.hidden, kind);
+        }
+        if t.ps > 0.0 {
+            let kind = EventKind::PsExchange { group: gu, staleness: stale, bytes: wire };
+            tr.event_at(gu, t0 + t.compute + t.allreduce, t.ps, kind);
+        }
+        tr.check_step(iu, loss, &grad, &self.block_sizes, &self.block_names);
+        tr.row(IterRow {
+            run: 0, // filled in by the handle
+            kind: "train",
+            track: gu,
+            iter: iu,
+            start_s: t0,
+            compute_s: t.compute,
+            comm_s: t.allreduce,
+            ps_s: t.ps,
+            queue_s: 0.0,
+            staleness: stale,
+            loss: loss as f64,
+            batch: self.cfg.batch_per_group as u64,
+        });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads::hep_workload;
+    use scidl_cluster::{CollectiveKind, FaultPlan, JitterModel, TopologyConfig};
     use scidl_data::HepConfig;
+    use scidl_nn::solver::asynchrony_adjusted_momentum;
+    use scidl_nn::Sgd;
+    use scidl_tensor::TensorRng;
 
     fn tiny_dataset() -> HepDataset {
         HepDataset::generate(HepConfig::small(), 96, 42)
@@ -558,16 +269,17 @@ mod tests {
         cfg
     }
 
+    fn run_seeded(cfg: &SimEngineConfig, ds: &HepDataset, seed: u64) -> SimRunSummary {
+        let mut m = scidl_nn::arch::hep_small(&mut TensorRng::new(seed));
+        SimEngine::run(cfg, &mut m, ds)
+    }
+
     #[test]
     fn sync_run_is_deterministic() {
         let ds = tiny_dataset();
         let cfg = base_cfg(1);
-        let mut rng = TensorRng::new(9);
-        let mut m1 = scidl_nn::arch::hep_small(&mut rng);
-        let mut rng2 = TensorRng::new(9);
-        let mut m2 = scidl_nn::arch::hep_small(&mut rng2);
-        let a = SimEngine::run(&cfg, &mut m1, &ds);
-        let b = SimEngine::run(&cfg, &mut m2, &ds);
+        let a = run_seeded(&cfg, &ds, 9);
+        let b = run_seeded(&cfg, &ds, 9);
         assert_eq!(a.final_params, b.final_params);
         assert_eq!(a.curve.points, b.curve.points);
     }
@@ -575,14 +287,9 @@ mod tests {
     #[test]
     fn sync_has_zero_staleness_hybrid_nonzero() {
         let ds = tiny_dataset();
-        let mut rng = TensorRng::new(9);
-        let mut m = scidl_nn::arch::hep_small(&mut rng);
-        let sync = SimEngine::run(&base_cfg(1), &mut m, &ds);
+        let sync = run_seeded(&base_cfg(1), &ds, 9);
         assert_eq!(sync.mean_staleness, 0.0);
-
-        let mut rng = TensorRng::new(9);
-        let mut m = scidl_nn::arch::hep_small(&mut rng);
-        let hyb = SimEngine::run(&base_cfg(4), &mut m, &ds);
+        let hyb = run_seeded(&base_cfg(4), &ds, 9);
         assert!(hyb.mean_staleness > 0.5, "staleness {}", hyb.mean_staleness);
     }
 
@@ -591,9 +298,7 @@ mod tests {
         let ds = tiny_dataset();
         let mut cfg = base_cfg(1);
         cfg.iterations = 40;
-        let mut rng = TensorRng::new(10);
-        let mut m = scidl_nn::arch::hep_small(&mut rng);
-        let r = SimEngine::run(&cfg, &mut m, &ds);
+        let r = run_seeded(&cfg, &ds, 10);
         let first: f32 = r.curve.points[..5].iter().map(|p| p.1).sum::<f32>() / 5.0;
         let last: f32 = r.curve.points[r.curve.len() - 5..].iter().map(|p| p.1).sum::<f32>() / 5.0;
         assert!(last < first, "loss should fall: {first} → {last}");
@@ -608,26 +313,18 @@ mod tests {
         cfg.jitter = JitterModel::none();
         cfg.solver = SolverKind::Sgd { momentum: 0.9 };
         cfg.iterations = 6;
-
-        let mut rng = TensorRng::new(11);
-        let mut m = scidl_nn::arch::hep_small(&mut rng);
-        let engine_run = SimEngine::run(&cfg, &mut m, &ds);
+        let engine_run = run_seeded(&cfg, &ds, 11);
 
         // Reference: same sampler stream, same solver, sequential.
-        let mut rng = TensorRng::new(11);
-        let mut mref = scidl_nn::arch::hep_small(&mut rng);
+        let mut mref = scidl_nn::arch::hep_small(&mut TensorRng::new(11));
         let mut sampler = BatchSampler::for_node(ds.len(), cfg.batch_per_group, cfg.seed, 0, 1);
         let mut solver = Sgd::new(cfg.lr, 0.9);
+        let sizes: Vec<usize> = mref.param_blocks().iter().map(|b| b.len()).collect();
         for _ in 0..cfg.iterations {
             let idx = sampler.next_batch();
             let (_, grad) = crate::task::hep_gradient(&mut mref, &ds, &idx);
-            let sizes: Vec<usize> = mref.param_blocks().iter().map(|b| b.len()).collect();
             let mut flat = mref.flat_params();
-            let mut off = 0;
-            for (i, &len) in sizes.iter().enumerate() {
-                solver.step_block(i, &mut flat[off..off + len], &grad[off..off + len]);
-                off += len;
-            }
+            solver.step_flat(&mut flat, &grad, &sizes);
             mref.set_flat_params(&flat);
         }
         let want = mref.flat_params();
@@ -645,9 +342,7 @@ mod tests {
     fn hybrid_events_interleave_groups() {
         let ds = tiny_dataset();
         let cfg = base_cfg(2);
-        let mut rng = TensorRng::new(12);
-        let mut m = scidl_nn::arch::hep_small(&mut rng);
-        let r = SimEngine::run(&cfg, &mut m, &ds);
+        let r = run_seeded(&cfg, &ds, 12);
         assert_eq!(r.updates, 2 * cfg.iterations);
         // Both groups contribute points spread over the run.
         assert!(r.per_group.iter().all(|c| c.len() == cfg.iterations));
@@ -660,9 +355,7 @@ mod tests {
         let run = |overlap: bool| {
             let mut cfg = base_cfg(1);
             cfg.overlap_comm = overlap;
-            let mut rng = TensorRng::new(21);
-            let mut m = scidl_nn::arch::hep_small(&mut rng);
-            SimEngine::run(&cfg, &mut m, &ds)
+            run_seeded(&cfg, &ds, 21)
         };
         let plain = run(false);
         let overlapped = run(true);
@@ -685,9 +378,9 @@ mod tests {
     fn mean_iteration_secs_tracks_overlap_savings() {
         let mut cfg = base_cfg(1);
         cfg.jitter = JitterModel::none();
-        let plain = SimEngine::mean_iteration_secs(&cfg, 8, 16);
+        let plain = SimEngine::mean_iteration_secs(&cfg, 16);
         cfg.overlap_comm = true;
-        let overlapped = SimEngine::mean_iteration_secs(&cfg, 8, 16);
+        let overlapped = SimEngine::mean_iteration_secs(&cfg, 16);
         assert!(plain > 0.0 && overlapped > 0.0);
         assert!(
             overlapped < plain,
@@ -695,9 +388,9 @@ mod tests {
         );
         // Without jitter the saving is exactly min(allreduce, window).
         let nodes = cfg.nodes / cfg.groups;
-        let allreduce = cfg.net.allreduce_time(nodes, cfg.timing.model_bytes);
+        let allreduce = cfg.net.allreduce_time(nodes, cfg.workload.model_bytes);
         let b = (cfg.batch_per_group / nodes).max(1);
-        let window = 0.5 * cfg.timing.node_iteration_time(&cfg.knl, b);
+        let window = 0.5 * cfg.workload.node_iteration_time(&cfg.knl, b);
         let saved = plain - overlapped;
         let want = allreduce.min(window);
         assert!(
@@ -715,9 +408,7 @@ mod tests {
         let run = |policy: Compression| {
             let mut cfg = base_cfg(1);
             cfg.compression = policy;
-            let mut rng = TensorRng::new(33);
-            let mut m = scidl_nn::arch::hep_small(&mut rng);
-            SimEngine::run(&cfg, &mut m, &ds)
+            run_seeded(&cfg, &ds, 33)
         };
         let dense = run(Compression::None);
         let identity = run(Compression::TopK { density: 1.0 });
@@ -734,9 +425,7 @@ mod tests {
         let run = |policy: Compression| {
             let mut cfg = base_cfg(2);
             cfg.compression = policy;
-            let mut rng = TensorRng::new(34);
-            let mut m = scidl_nn::arch::hep_small(&mut rng);
-            SimEngine::run(&cfg, &mut m, &ds)
+            run_seeded(&cfg, &ds, 34)
         };
         let dense = run(Compression::None);
         let sparse = run(Compression::TopK { density: 0.1 });
@@ -761,23 +450,10 @@ mod tests {
         let mut cfg = base_cfg(1);
         cfg.iterations = 40;
         cfg.compression = Compression::Int8;
-        let mut rng = TensorRng::new(35);
-        let mut m = scidl_nn::arch::hep_small(&mut rng);
-        let r = SimEngine::run(&cfg, &mut m, &ds);
+        let r = run_seeded(&cfg, &ds, 35);
         let first: f32 = r.curve.points[..5].iter().map(|p| p.1).sum::<f32>() / 5.0;
         let last: f32 = r.curve.points[r.curve.len() - 5..].iter().map(|p| p.1).sum::<f32>() / 5.0;
         assert!(last < first, "int8+EF should still learn: {first} → {last}");
-    }
-
-    #[test]
-    fn ps_shards_conserve_model_bytes_wire_and_params() {
-        let cfg = base_cfg(4);
-        for num_ps in [1usize, 6, 14, 16] {
-            let s = cfg.ps_shards(num_ps);
-            assert_eq!(s.bytes.iter().sum::<u64>(), cfg.timing.model_bytes);
-            assert_eq!(s.wire.iter().sum::<u64>(), cfg.wire_bytes());
-            assert_eq!(s.params.iter().sum::<u64>(), cfg.timing.params);
-        }
     }
 
     #[test]
@@ -788,9 +464,7 @@ mod tests {
             cfg.nodes = 1024;
             cfg.iterations = 6;
             cfg.topology = topology;
-            let mut rng = TensorRng::new(51);
-            let mut m = scidl_nn::arch::hep_small(&mut rng);
-            SimEngine::run(&cfg, &mut m, &ds)
+            run_seeded(&cfg, &ds, 51)
         };
         let plain = run(None);
         let flat = run(Some(TopologyConfig::packed(CollectiveKind::FlatRing)));
@@ -806,13 +480,121 @@ mod tests {
 
     #[test]
     fn auto_momentum_reduces_explicit_momentum_for_groups() {
-        let mut cfg = base_cfg(4);
-        cfg.solver = SolverKind::Sgd { momentum: 0.9 };
-        cfg.auto_momentum = true;
-        // Just verify the plumbing: build_solver should not panic and the
-        // adjusted momentum is below the target.
+        // `auto_momentum` is exactly SGD at the asynchrony-adjusted
+        // momentum: same parameters and loss curve, bit for bit.
+        let ds = tiny_dataset();
+        let run = |momentum: f32, auto_momentum: bool| {
+            let mut cfg = base_cfg(4);
+            cfg.solver = SolverKind::Sgd { momentum };
+            cfg.auto_momentum = auto_momentum;
+            run_seeded(&cfg, &ds, 36)
+        };
         let adjusted = asynchrony_adjusted_momentum(0.9, 4);
         assert!(adjusted < 0.9);
-        let _ = cfg.build_solver();
+        let auto = run(0.9, true);
+        let explicit = run(adjusted, false);
+        assert_eq!(auto.final_params, explicit.final_params);
+        assert_eq!(auto.curve.points, explicit.curve.points);
+        assert_ne!(auto.final_params, run(0.9, false).final_params, "the adjustment must bite");
+    }
+
+    /// The engine keeps no clock of its own: every simulated second of a
+    /// real-gradient run — jitter on the all-reduce, the node remainder
+    /// spread over groups, the PS bank and its one delay stream, the
+    /// compressed wire bytes — is `ClusterSim`'s.
+    #[test]
+    fn engine_clock_is_the_cluster_clock() {
+        let ds = tiny_dataset();
+        for groups in [1usize, 4] {
+            let mut cfg = base_cfg(groups);
+            cfg.nodes = 30; // 8 + 8 + 7 + 7 at four groups
+            cfg.overlap_comm = true;
+            cfg.topology = Some(TopologyConfig::packed(CollectiveKind::Hierarchical));
+            cfg.compression = Compression::TopK { density: 0.1 };
+            let run = run_seeded(&cfg, &ds, 37);
+
+            let mut sim = cfg.sim.clone();
+            sim.wire_bytes = cfg.compression.wire_bytes_u64(sim.workload.params);
+            let clock = ClusterSim::new(sim).run();
+            assert_eq!(run.total_time.to_bits(), clock.total_time.to_bits(), "groups {groups}");
+            assert_eq!(run.mean_staleness.to_bits(), clock.mean_staleness.to_bits());
+            assert_eq!(run.updates, clock.timeline.len());
+            let ends: Vec<f64> = clock.timeline.iter().map(|e| e.2).collect();
+            let times: Vec<f64> = run.curve.points.iter().map(|p| p.0).collect();
+            assert_eq!(times, ends, "groups {groups}: the curve is stamped by the clock");
+            for (g, curve) in run.per_group.iter().enumerate() {
+                let ends: Vec<f64> =
+                    clock.timeline.iter().filter(|e| e.0 == g).map(|e| e.2).collect();
+                let times: Vec<f64> = curve.points.iter().map(|p| p.0).collect();
+                assert_eq!(times, ends, "groups {groups}, group {g}");
+            }
+        }
+    }
+
+    /// A counting model for fault tests: parameters start at zero, every
+    /// gradient is all ones and plain SGD at lr 1 subtracts exactly 1 per
+    /// applied update, so the loss a group reports (`-params[0]`) is the
+    /// number of updates in the central model its snapshot was taken from.
+    fn counting_run(cfg: &SimEngineConfig) -> SimRunSummary {
+        let mut cfg = cfg.clone();
+        (cfg.lr, cfg.solver) = (1.0, SolverKind::Sgd { momentum: 0.0 });
+        let mut m = scidl_nn::arch::hep_small(&mut TensorRng::new(38));
+        m.set_flat_params(&vec![0.0; m.num_params()]);
+        SimEngine::run_with(&cfg, &mut m, 96, |m, _| {
+            let p = m.flat_params();
+            (-p[0], vec![1.0; p.len()])
+        })
+    }
+
+    /// Sec. VIII-A with real gradients: a crashed group of a hybrid run
+    /// comes back and takes its first gradient against the central model
+    /// as of its restart; every update the clock completed is applied.
+    #[test]
+    fn recovered_group_resumes_from_the_model_at_its_restart() {
+        let mut cfg = base_cfg(4);
+        let mttr = 0.05;
+        cfg.faults = FaultPlan::none().with_group_crash(2, 5).with_recovery(1, mttr);
+        let run = counting_run(&cfg);
+        let clock = ClusterSim::new(cfg.sim.clone()).run();
+        assert_eq!(clock.recovered_iterations, 7);
+        assert_eq!(run.updates, clock.timeline.len());
+        assert_eq!(run.updates, 4 * cfg.iterations, "the crashed group finishes its budget");
+
+        // Group 2 dies at the end of its 5th iteration and rejoins MTTR
+        // seconds later, holding the model as of that moment.
+        let crashed_at = clock.timeline.iter().filter(|e| e.0 == 2).nth(4).unwrap().2;
+        let restart = crashed_at + mttr;
+        let applied = clock.timeline.iter().filter(|e| e.2 <= restart).count();
+        assert!(applied > 5 * 4 - 4, "other groups kept updating while group 2 was down");
+        assert_eq!(run.per_group[2].points[5].1, applied as f32);
+        assert!(run.final_params.iter().all(|p| p.is_finite()));
+        assert_eq!(run.final_params[0], -(run.updates as f32));
+    }
+
+    #[test]
+    fn ps_crash_stalls_real_gradient_runs_but_every_update_lands() {
+        let ds = tiny_dataset();
+        let mut cfg = base_cfg(4);
+        let healthy = run_seeded(&cfg, &ds, 39);
+        cfg.faults = FaultPlan::none().with_ps_crash(0, 8, 5.0);
+        let crashed = run_seeded(&cfg, &ds, 39);
+        let clock = ClusterSim::new(cfg.sim.clone()).run();
+        assert_eq!(clock.ps_respawns, 1);
+        assert_eq!(crashed.updates, 4 * cfg.iterations);
+        assert_eq!(crashed.updates, clock.timeline.len());
+        assert_eq!(crashed.total_time, clock.total_time);
+        assert!(crashed.total_time > healthy.total_time + 4.0, "the repair is visible");
+        assert!(crashed.curve.points.iter().all(|p| p.1.is_finite()));
+        assert!(crashed.final_params.iter().all(|p| p.is_finite()));
+    }
+
+    #[test]
+    fn synchronous_run_stops_with_its_group() {
+        let ds = tiny_dataset();
+        let mut cfg = base_cfg(1);
+        cfg.faults = FaultPlan::none().with_group_crash(0, 3).with_recovery(1, 0.05);
+        let r = run_seeded(&cfg, &ds, 40);
+        assert_eq!(r.updates, 3, "no surviving state to rejoin (Sec. VIII-A)");
+        assert!(r.final_params.iter().all(|p| p.is_finite()));
     }
 }

@@ -524,27 +524,7 @@ where
             // Numeric-health sentinel: a non-finite loss or gradient
             // (from any node — the mean propagates it) is caught here
             // and the first offender attributed to its parameter block.
-            if tr.enabled() {
-                if !group_loss.is_finite() {
-                    tr.health(scidl_trace::HealthAlert {
-                        source: "loss",
-                        layer: None,
-                        first_index: 0,
-                        count: 1,
-                        value: group_loss,
-                        iter: Some(iter as u64),
-                    });
-                }
-                if let Some(alert) = scidl_trace::scan_blocks(
-                    "gradient",
-                    &grads,
-                    block_sizes,
-                    run.block_names,
-                    Some(iter as u64),
-                ) {
-                    tr.health(alert);
-                }
-            }
+            tr.check_step(iter as u64, group_loss, &grads, block_sizes, run.block_names);
         }
 
         // One status word per iteration keeps the group's fate shared:

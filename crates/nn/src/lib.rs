@@ -69,4 +69,4 @@ pub use network::Network;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use quant::{QuantLayer, QuantizedNetwork};
 pub use residual::Residual;
-pub use solver::{Adam, Sgd, Solver};
+pub use solver::{Adam, Sgd, Solver, SolverKind};

@@ -30,6 +30,16 @@ pub trait Solver: Send {
     /// report the arithmetic part).
     fn flops_per_param(&self) -> u64;
 
+    /// Steps every block of a flattened model in order: block `i` is the
+    /// next `sizes[i]` elements of `flat` and `grad`.
+    fn step_flat(&mut self, flat: &mut [f32], grad: &[f32], sizes: &[usize]) {
+        let mut off = 0;
+        for (idx, &len) in sizes.iter().enumerate() {
+            self.step_block(idx, &mut flat[off..off + len], &grad[off..off + len]);
+            off += len;
+        }
+    }
+
     /// Convenience: steps every block of a model in order.
     fn step_model(&mut self, model: &mut dyn Model) {
         for (idx, block) in model.param_blocks_mut().into_iter().enumerate() {
@@ -162,6 +172,40 @@ impl Solver for Adam {
     fn flops_per_param(&self) -> u64 {
         // Two EMAs (6), bias corrections (2), sqrt+div+update (4).
         12
+    }
+}
+
+/// Which solver a parameter server runs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SolverKind {
+    /// SGD with the given momentum.
+    Sgd {
+        /// Explicit momentum coefficient.
+        momentum: f32,
+    },
+    /// ADAM (the paper's HEP solver).
+    Adam,
+}
+
+impl SolverKind {
+    /// This kind with SGD's explicit momentum reduced for `groups`
+    /// asynchronous groups ([`asynchrony_adjusted_momentum`]); ADAM is
+    /// unchanged.
+    pub fn for_groups(self, groups: usize) -> Self {
+        match self {
+            SolverKind::Sgd { momentum } => {
+                SolverKind::Sgd { momentum: asynchrony_adjusted_momentum(momentum, groups) }
+            }
+            SolverKind::Adam => SolverKind::Adam,
+        }
+    }
+
+    /// A fresh solver of this kind at learning rate `lr`.
+    pub fn build(self, lr: f32) -> Box<dyn Solver> {
+        match self {
+            SolverKind::Sgd { momentum } => Box::new(Sgd::new(lr, momentum)),
+            SolverKind::Adam => Box::new(Adam::new(lr)),
+        }
     }
 }
 

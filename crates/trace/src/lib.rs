@@ -871,6 +871,29 @@ impl TraceHandle {
             s.health(alert);
         }
     }
+
+    /// The training-step sentinel both engines run: a non-finite `loss`
+    /// raises a `"loss"` alert, and the first non-finite element of the
+    /// flat gradient a `"gradient"` alert attributed to its block (see
+    /// [`scan_blocks`]).
+    pub fn check_step(&self, iter: u64, loss: f32, grad: &[f32], sizes: &[usize], names: &[String]) {
+        if !self.enabled() {
+            return;
+        }
+        if !loss.is_finite() {
+            self.health(HealthAlert {
+                source: "loss",
+                layer: None,
+                first_index: 0,
+                count: 1,
+                value: loss,
+                iter: Some(iter),
+            });
+        }
+        if let Some(alert) = scan_blocks("gradient", grad, sizes, names, Some(iter)) {
+            self.health(alert);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,6 +1157,23 @@ mod tests {
             value: f32::NAN,
             iter: None,
         });
+    }
+
+    #[test]
+    fn check_step_flags_loss_and_attributes_gradient() {
+        with_global_lock(|| {
+            let sink = Arc::new(TraceSink::new());
+            install(sink.clone());
+            let h = TraceHandle::begin("step");
+            let names = vec!["a".to_string(), "b".to_string()];
+            h.check_step(3, 0.5, &[0.0, 1.0, 2.0], &[1, 2], &names);
+            h.check_step(4, f32::NAN, &[0.0, f32::INFINITY, 2.0], &[1, 2], &names);
+            uninstall();
+            let alerts = sink.health_alerts();
+            assert_eq!(alerts.len(), 2, "a healthy step raises nothing");
+            assert_eq!((alerts[0].source, alerts[0].iter), ("loss", Some(4)));
+            assert_eq!((alerts[1].source, alerts[1].layer.as_deref()), ("gradient", Some("b")));
+        })
     }
 
     #[test]
