@@ -1,17 +1,27 @@
-//! 2-D convolution layer (im2col + GEMM lowering).
+//! 2-D convolution layer: a GEMM against the image's col matrix, which is
+//! never written out.
+//!
+//! Each image is the right operand of a `(cout) x (cin*k*k) x (oh*ow)`
+//! product through [`BSource::Im2col`]: the GEMM's B packing gathers its
+//! panels straight from the NCHW image, in the forward layout for the
+//! output and in the transposed layout for the weight gradient.
+//! Backward-data is [`PackedA::gemm_col2im`], which computes the
+//! col-space gradient one channel group at a time and scatters each group
+//! before the next. Every bit is what lowering through a written-out col
+//! matrix gives; the scratch is pack panels and one slab, not two
+//! `cin·k² x oh·ow` matrices per thread.
 
 use crate::layer::{Layer, ParamBlock};
 use scidl_tensor::{
-    col2im, gemm, im2col, par, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, Workspace,
-    PAR_CHUNK, PAR_WORK,
+    par, BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
 };
 
 /// A 2-D convolution with square kernel, symmetric padding and uniform
 /// stride, matching the layers of both paper networks (3x3/s1 for HEP,
 /// 5x5 with strides 1–2 for the climate encoder, 3x3 scoring heads).
 ///
-/// Weights are stored `(cout, cin, k, k)`; each batch item is lowered
-/// through [`im2col`] and a `(cout) x (cin*k*k) x (oh*ow)` GEMM.
+/// Weights are stored `(cout, cin, k, k)`; each batch item is a
+/// `(cout) x (cin*k*k) x (oh*ow)` GEMM against its col matrix.
 pub struct Conv2d {
     name: String,
     cin: usize,
@@ -107,27 +117,23 @@ impl Layer for Conv2d {
 
         // For small-to-medium col matrices, parallelise over batch items
         // (mirroring the per-node OpenMP parallelism of the paper's
-        // kernels; the per-item im2col and GEMM then run inline on
-        // whichever thread took the item); huge cols (climate first
-        // layers) and single items go one at a time with a shared scratch
-        // buffer so the GEMM parallelises internally and memory stays
-        // bounded. Either way each item's arithmetic is the same.
+        // kernels; each item's GEMM, packing included, then runs inline
+        // on whichever thread took the item); huge ones (climate first
+        // layers) and single items go one at a time, so the GEMM
+        // parallelises internally and one B slab — `KC` rows of the col
+        // matrix — is packed for all threads instead of one per thread.
+        // Either way each item's arithmetic is the same.
         let par_batch = rows * cols <= (1 << 22)
             && ishape.n * self.cout * rows * cols >= PAR_WORK;
         let per_unit = if par_batch { 1 } else { ishape.n.max(1) };
         let item_out = oshape.item_len().max(1);
         par::for_each_chunk_mut(out.data_mut(), per_unit * item_out, |unit, items| {
-            // Pooled per-thread scratch: the first item on each thread
-            // allocates, every later item (and iteration) reuses that
-            // thread's parked buffer. im2col writes every element, so
-            // stale contents are fine.
-            let mut col = Workspace::take(rows * cols);
             for (n, item) in items.chunks_mut(item_out).enumerate() {
-                im2col(&geo, input.item(unit * per_unit + n), &mut col);
+                let image = BSource::Im2col(Transpose::No, &geo, input.item(unit * per_unit + n));
                 // out_plane = bias ⊕ W (cout x rows) * col (rows x cols),
                 // bias broadcast fused into the epilogue sweep: the
                 // output plane is written once.
-                weight.gemm_bias(Transpose::No, cols, &col, bias, item);
+                weight.gemm_bias(image, cols, bias, item);
             }
         });
         out
@@ -144,11 +150,6 @@ impl Layer for Conv2d {
         assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
 
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
-        // Pooled scratch for both the re-lowered input and the col-space
-        // gradient: zero steady-state allocations (im2col overwrites col
-        // fully; dcol is fully written by the beta=0 GEMM below).
-        let mut col = Workspace::take(rows * cols);
-        let mut dcol = Workspace::take(rows * cols);
         let mut grad_in = Tensor::zeros(ishape);
         // Wᵀ is the left operand of every item's data-gradient GEMM.
         let weight_t = PackedA::new(Transpose::Yes, rows, self.cout, self.weight.value.data());
@@ -156,27 +157,15 @@ impl Layer for Conv2d {
         for n in 0..ishape.n {
             let dy = grad_out.item(n); // (cout x cols)
 
-            // Weight gradient: dW += dY * col^T.
-            im2col(&geo, input.item(n), &mut col);
-            gemm(
-                Transpose::No,
-                Transpose::Yes,
-                self.cout,
-                rows,
-                cols,
-                1.0,
-                dy,
-                &col,
-                1.0,
-                self.weight.grad.data_mut(),
-            );
+            // Weight gradient: dW += dY * colᵀ.
+            let col_t = BSource::Im2col(Transpose::Yes, &geo, input.item(n));
+            PackedA::new(Transpose::No, self.cout, cols, dy).gemm(col_t, rows, 1.0, 1.0, self.weight.grad.data_mut());
 
             // Bias gradient: per-channel sum of dY.
             add_row_sums(dy, cols, self.bias.grad.data_mut());
 
-            // Data gradient: dcol = W^T * dY, then scatter back.
-            weight_t.gemm(Transpose::No, cols, 1.0, dy, 0.0, &mut dcol);
-            col2im(&geo, &dcol, grad_in.item_mut(n));
+            // Data gradient: the scatter of dcol = Wᵀ * dY.
+            weight_t.gemm_col2im(&geo, dy, grad_in.item_mut(n));
         }
         grad_in
     }

@@ -4,14 +4,14 @@
 //! 2017 did not provide; Sec. III-C describes the trick used: *the
 //! backward-data pass of a convolution computes the forward pass of the
 //! matching deconvolution, and vice versa*. We implement exactly that —
-//! [`Deconv2d::infer`] is `col2im(W^T · x)` (a conv backward-data) and
-//! [`Deconv2d::backward`]'s data path is `W · im2col(dy)` (a conv
-//! forward), so the two layers share all their kernels.
+//! [`Deconv2d::infer`] is the scatter of `Wᵀ · x` into the output planes
+//! (a conv backward-data, [`PackedA::gemm_col2im`]) and
+//! [`Deconv2d::backward`]'s data path is `W` times the col matrix of `dy`
+//! (a conv forward, [`BSource::Im2col`]), so the two layers share all
+//! their kernels — and, like the conv, never write a col matrix out.
 
 use crate::layer::{Layer, ParamBlock};
-use scidl_tensor::{
-    col2im, gemm, im2col, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, Workspace,
-};
+use scidl_tensor::{BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose};
 
 /// A 2-D transposed convolution with square kernel and uniform stride.
 ///
@@ -99,27 +99,12 @@ impl Layer for Deconv2d {
         let geo = self.mirror_geometry(ishape.h, ishape.w);
         let oshape = self.out_shape(ishape);
         let mut out = Tensor::zeros(oshape);
-        let (rows, cols) = (geo.col_rows(), geo.col_cols()); // rows = cout*k*k, cols = h*w
-        // Pooled scratch: the beta=0 GEMM overwrites every element, so the
-        // stale pooled contents never leak into the output.
-        let mut col = Workspace::take(rows * cols);
+        // Wᵀ (cout*k*k x cin) is the left operand of every item's product.
+        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.cin, self.weight.value.data());
 
         for n in 0..ishape.n {
-            // col = W^T (cout*k*k x cin) * x (cin x h*w)
-            gemm(
-                Transpose::Yes,
-                Transpose::No,
-                rows,
-                cols,
-                self.cin,
-                1.0,
-                self.weight.value.data(),
-                input.item(n),
-                0.0,
-                &mut col,
-            );
-            // Scatter into the (zeroed) output plane.
-            col2im(&geo, &col, out.item_mut(n));
+            // Scatter Wᵀ * x (cin x h*w) into the (zeroed) output plane.
+            weight_t.gemm_col2im(&geo, input.item(n), out.item_mut(n));
             // Bias per output channel.
             let plane = oshape.plane_len();
             let item = out.item_mut(n);
@@ -146,39 +131,18 @@ impl Layer for Deconv2d {
         assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
 
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
-        // im2col overwrites the whole pooled buffer each item.
-        let mut col = Workspace::take(rows * cols);
         let mut grad_in = Tensor::zeros(ishape);
+        // W (cin x cout*k*k) is the left operand of every item's dX.
+        let weight = PackedA::new(Transpose::No, self.cin, rows, self.weight.value.data());
 
         for n in 0..ishape.n {
-            // The backward-data of a deconv is a plain convolution of dY.
-            im2col(&geo, grad_out.item(n), &mut col);
-            // dX = W (cin x cout*k*k) * col (cout*k*k x h*w)
-            gemm(
-                Transpose::No,
-                Transpose::No,
-                self.cin,
-                cols,
-                rows,
-                1.0,
-                self.weight.value.data(),
-                &col,
-                0.0,
-                grad_in.item_mut(n),
-            );
-            // dW += x (cin x h*w) * col^T (h*w x cout*k*k)
-            gemm(
-                Transpose::No,
-                Transpose::Yes,
-                self.cin,
-                rows,
-                cols,
-                1.0,
-                input.item(n),
-                &col,
-                1.0,
-                self.weight.grad.data_mut(),
-            );
+            // The backward-data of a deconv is a plain convolution of dY:
+            // dX = W * col (cout*k*k x h*w).
+            let col = BSource::Im2col(Transpose::No, &geo, grad_out.item(n));
+            weight.gemm(col, cols, 1.0, 0.0, grad_in.item_mut(n));
+            // dW += x (cin x h*w) * colᵀ (h*w x cout*k*k)
+            let col_t = BSource::Im2col(Transpose::Yes, &geo, grad_out.item(n));
+            PackedA::new(Transpose::No, self.cin, cols, input.item(n)).gemm(col_t, rows, 1.0, 1.0, self.weight.grad.data_mut());
             // Bias gradient: per-output-channel sum of dY.
             let plane = oshape.plane_len();
             let dy = grad_out.item(n);

@@ -13,9 +13,10 @@ pub struct MaxPool2d {
     name: String,
     k: usize,
     stride: usize,
-    /// Flat input index of the argmax for every output element, recorded
-    /// during forward for the backward scatter.
-    argmax: Vec<usize>,
+    /// Index of the argmax within its input plane for every output
+    /// element, recorded during forward for the backward scatter — a
+    /// `u32`, half the bytes of a flat `usize`.
+    argmax: Vec<u32>,
     in_shape: Shape4,
 }
 
@@ -46,12 +47,13 @@ impl Layer for MaxPool2d {
         let is = input.shape();
         let os = self.out_shape(is);
         let mut out = Tensor::zeros(os);
+        assert!(u32::try_from(is.plane_len()).is_ok(), "{}: an input plane of {is:?} overflows a u32 argmax", self.name);
         self.argmax.resize(os.len(), 0);
         self.in_shape = is;
         let (k, stride) = (self.k, self.stride);
         let unit = planes_per_unit(is);
         par::for_each_chunk_pair_mut(out.data_mut(), &mut self.argmax, unit * os.plane_len(), |g, odata, argmax| {
-            pool_planes(k, stride, input, os, g * unit, odata, |oi, idx| argmax[oi] = idx);
+            pool_planes(k, stride, input, os, g * unit, odata, |oi, idx| argmax[oi] = idx as u32);
         });
         out
     }
@@ -81,11 +83,13 @@ impl Layer for MaxPool2d {
         let oplane = grad_out.shape().plane_len();
         let group = PAR_CHUNK.div_ceil(iplane);
         par::for_each_chunk_mut(grad_in.data_mut(), group * iplane, |b, gi| {
-            let (first, planes) = (b * group, gi.len() / iplane);
-            let outputs = first * oplane..(first + planes) * oplane;
+            let outputs = b * group * oplane..;
             gi.fill(0.0);
-            for (g, &idx) in g[outputs.clone()].iter().zip(&argmax[outputs]) {
-                gi[idx - first * iplane] += g;
+            let planes = g[outputs.clone()].chunks(oplane).zip(argmax[outputs].chunks(oplane));
+            for (gi, (g, argmax)) in gi.chunks_exact_mut(iplane).zip(planes) {
+                for (g, &idx) in g.iter().zip(argmax) {
+                    gi[idx as usize] += g;
+                }
             }
         });
         grad_in
@@ -110,9 +114,10 @@ fn planes_per_unit(input: Shape4) -> usize {
 
 /// Max-pools consecutive planes of `input`, from plane `first`, into
 /// `odata` (whole planes of an output shaped `os`), handing each output's
-/// position in `odata` and the flat input index of its maximum to
-/// `argmax` — the one window scan behind `forward` (which records the
-/// index) and `infer` (which drops it, and the compiler with it).
+/// position in `odata` and the index of its maximum within its input
+/// plane to `argmax` — the one window scan behind `forward` (which
+/// records the index) and `infer` (which drops it, and the compiler with
+/// it).
 fn pool_planes(
     k: usize,
     stride: usize,
@@ -122,13 +127,13 @@ fn pool_planes(
     odata: &mut [f32],
     mut argmax: impl FnMut(usize, usize),
 ) {
-    let (is, data) = (input.shape(), input.data());
+    let is = input.shape();
     let mut oi = 0usize;
     for plane in first..first + odata.len() / os.plane_len() {
-        let base = plane * is.plane_len();
+        let data = &input.data()[plane * is.plane_len()..][..is.plane_len()];
         for oy in 0..os.h {
             for ox in 0..os.w {
-                let corner = base + oy * stride * is.w + ox * stride;
+                let corner = oy * stride * is.w + ox * stride;
                 let mut best = f32::NEG_INFINITY;
                 let mut best_idx = corner;
                 let mut sum = 0.0f32;

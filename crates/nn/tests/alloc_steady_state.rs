@@ -1,15 +1,19 @@
-//! Steady-state allocation audit for the gemm/col hot path.
+//! Steady-state allocation audit for the gemm/conv hot path.
 //!
 //! A counting `#[global_allocator]` proves the Workspace pool keeps the
 //! heap allocator off the training loop: after a warm-up iteration, a
 //! bare packed GEMM performs **zero** allocations, and a full conv
 //! forward+backward iteration allocates only its unavoidable outputs
 //! (the output tensor, the cached-input clone, the input-gradient
-//! tensor) — never gemm pack panels or im2col scratch. The same holds
-//! for a layer large enough to be split across the thread pool: regions
-//! are posted from the caller's stack, and a helper's scratch comes from
-//! its own warmed pool. And it holds for serving: a warm
-//! `Network::infer` allocates its layers' outputs and nothing else.
+//! tensor) — its pack panels and backward-data slab come from the pool.
+//! The same holds for a layer large enough to be split across the thread
+//! pool: regions are posted from the caller's stack, and a helper's
+//! scratch comes from its own warmed pool. And it holds for serving: a
+//! warm `Network::infer` allocates its layers' outputs and nothing else.
+//!
+//! The allocator also keeps a high-water mark of live bytes, which bounds
+//! what that pool holds: a warm conv step at HEP's conv2 shape keeps less
+//! scratch, parked buffers included, than one col matrix of its input.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -22,16 +26,29 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// Heap bytes live now, and the most live at once since the last reset.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -41,7 +58,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
         if ARMED.load(Ordering::Relaxed) {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let ptr = unsafe { System.realloc(ptr, layout, new_size) };
+        if !ptr.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grew(more),
+                None => _ = LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed),
+            }
+        }
+        ptr
     }
 }
 
@@ -56,6 +80,19 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let r = f();
     ARMED.store(false, Ordering::SeqCst);
     (ALLOCS.load(Ordering::SeqCst), r)
+}
+
+/// Runs `f` on two threads of the pool at once — the caller and, for
+/// certain, a helper — whichever thread the scheduler would pick.
+fn on_caller_and_helper(f: impl Fn() + Sync) {
+    let arrived = AtomicUsize::new(0);
+    scidl_tensor::par::for_each_index(2, |_| {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        while arrived.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        f();
+    });
 }
 
 #[test]
@@ -124,17 +161,12 @@ fn second_iteration_allocates_nothing_on_the_gemm_path() {
         conv.backward(&dy);
     }
     // Which thread takes which image is the scheduler's business, so the
-    // helper may have sat the warm-up out. Two units that wait for each
-    // other put one on the helper for certain; it parks the two scratch
-    // buffers (col, B slab) an image-parallel unit holds at once.
-    let arrived = AtomicUsize::new(0);
-    scidl_tensor::par::for_each_index(2, |_| {
-        arrived.fetch_add(1, Ordering::SeqCst);
-        while arrived.load(Ordering::SeqCst) < 2 {
-            std::thread::yield_now();
-        }
-        let scratch = (Workspace::take(1 << 18), Workspace::take(1 << 18));
-        drop(scratch);
+    // helper may have sat the warm-up out. Give it what an image-parallel
+    // unit's first run sets up: its width (read once per thread) and the
+    // one scratch buffer, a B slab, the unit holds.
+    on_caller_and_helper(|| {
+        scidl_tensor::par::width();
+        drop(Workspace::take(1 << 18));
     });
     for round in 0..3 {
         let (pooled_allocs, _) = count_allocs(|| {
@@ -168,5 +200,33 @@ fn second_iteration_allocates_nothing_on_the_gemm_path() {
         "warm Network::infer performed {infer_allocs} heap allocations (expected ≤ {}: one \
          output per layer)",
         net.layers().len()
+    );
+
+    // --- Part 5: a warm conv step holds less than one col matrix. ---
+    // HEP's conv2 (128→128, 3x3, 32x32, batch 2), on the caller and a
+    // helper with their pools emptied first: every byte live at the
+    // step's peak beyond the pools' start is scratch — parked pack panels
+    // and slabs included — except the output, the cached input and the
+    // input gradient. Lowering through a col matrix held two per thread.
+    let mut conv = Conv2d::new("conv2", 128, 128, 3, 1, 1, &mut rng);
+    let x = rng.uniform_tensor(Shape4::new(2, 128, 32, 32), -1.0, 1.0);
+    let dy = Tensor::filled(conv.out_shape(x.shape()), 1.0);
+    let geo = conv.geometry(32, 32);
+    let col_bytes = geo.col_rows() * geo.col_cols() * std::mem::size_of::<f32>();
+    let tensor_bytes = (dy.len() + 2 * x.len()) * std::mem::size_of::<f32>();
+    on_caller_and_helper(Workspace::clear);
+    let base = LIVE.load(Ordering::SeqCst);
+    for _ in 0..2 {
+        conv.forward(&x);
+        conv.backward(&dy);
+    }
+    PEAK.store(LIVE.load(Ordering::SeqCst), Ordering::SeqCst);
+    let step = (conv.forward(&x), conv.backward(&dy));
+    let scratch = PEAK.load(Ordering::SeqCst) - base - tensor_bytes;
+    drop(step);
+    assert!(
+        scratch < col_bytes,
+        "a warm HEP conv2 step holds {scratch} B of scratch beyond its tensors, not less than one \
+         {col_bytes} B col matrix"
     );
 }

@@ -3,10 +3,14 @@
 //! bias gradient), ReLU, max pooling and one full `hep_network` gradient
 //! must give the same bits at widths 2, 3, 4 and 7 as at width 1 (the
 //! sequential loops). Shapes sit above the kernels' fan-out thresholds;
-//! below them every width runs the same inline code.
+//! below them every width runs the same inline code. Conv and deconv
+//! forward and backward must also give, at widths 1 and 2, the bits of
+//! lowering through a written-out col matrix.
 
-use scidl_nn::{arch, Conv2d, Layer, MaxPool2d, Relu, SoftmaxCrossEntropy};
-use scidl_tensor::{par, Shape4, Tensor, TensorRng, PAR_CHUNK, PAR_WORK};
+use scidl_nn::{arch, Conv2d, Deconv2d, Layer, MaxPool2d, Relu, SoftmaxCrossEntropy};
+use scidl_tensor::{
+    col2im, gemm, gemm_bias, im2col, par, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
+};
 
 const WIDER: [usize; 4] = [2, 3, 4, 7];
 
@@ -32,6 +36,19 @@ fn same_at_every_width(what: &str, mut f: impl FnMut() -> Vec<Vec<f32>>) {
     }
 }
 
+/// One forward and backward of `layer` from zeroed gradients: output,
+/// input gradient, then every parameter gradient.
+fn step(layer: &mut dyn Layer, x: &Tensor, dy: &Tensor) -> Vec<Vec<f32>> {
+    for p in layer.params_mut() {
+        p.grad.zero_();
+    }
+    let y = layer.forward(x);
+    let dx = layer.backward(dy);
+    let mut out = vec![y.data().to_vec(), dx.data().to_vec()];
+    out.extend(layer.params().iter().map(|p| p.grad.data().to_vec()));
+    out
+}
+
 #[test]
 fn conv_forward_and_backward() {
     // (cin, cout, hw, k, stride, pad, batch): a 3x3 layer whose per-image
@@ -46,15 +63,95 @@ fn conv_forward_and_backward() {
         let dy = rng.uniform_tensor(conv.out_shape(x.shape()), -1.0, 1.0);
         assert!(batch * conv.geometry(hw, hw).macs_per_image() as usize >= PAR_WORK);
         same_at_every_width(&format!("conv {cin}->{cout} {hw}px k{k} s{stride} n{batch}"), || {
-            for p in conv.params_mut() {
-                p.grad.zero_();
-            }
-            let y = conv.forward(&x);
-            let dx = conv.backward(&dy);
-            let mut out = vec![y.data().to_vec(), dx.data().to_vec()];
-            out.extend(conv.params().iter().map(|p| p.grad.data().to_vec()));
-            out
+            step(&mut conv, &x, &dy)
         });
+    }
+}
+
+/// The conv step as `im2col` + GEMM, with backward-data the whole
+/// `dcol = Wᵀ · dY` scattered by one `col2im`.
+fn conv_by_col_matrix(geo: &ConvGeometry, w: &[f32], b: &[f32], x: &Tensor, dy: &Tensor) -> Vec<Vec<f32>> {
+    let (rows, cols, cout) = (geo.col_rows(), geo.col_cols(), geo.cout);
+    let (mut col, mut dcol) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
+    let (mut y, mut dx) = (Tensor::zeros(dy.shape()), Tensor::zeros(x.shape()));
+    let (mut dw, mut db) = (vec![0.0; w.len()], vec![0.0f32; cout]);
+    for n in 0..x.shape().n {
+        let g = dy.item(n);
+        im2col(geo, x.item(n), &mut col);
+        gemm_bias(Transpose::No, Transpose::No, cout, cols, rows, w, &col, b, y.item_mut(n));
+        gemm(Transpose::No, Transpose::Yes, cout, rows, cols, 1.0, g, &col, 1.0, &mut dw);
+        for (db, g) in db.iter_mut().zip(g.chunks(cols)) {
+            *db += g.iter().sum::<f32>();
+        }
+        gemm(Transpose::Yes, Transpose::No, rows, cols, cout, 1.0, w, g, 0.0, &mut dcol);
+        col2im(geo, &dcol, dx.item_mut(n));
+    }
+    vec![y.data().to_vec(), dx.data().to_vec(), dw, db]
+}
+
+/// The deconv step the same way: forward the whole `Wᵀ · x` scattered by
+/// `col2im` (then the bias), backward-data and weight gradient against
+/// `im2col(dY)` of the mirror conv `geo`.
+fn deconv_by_col_matrix(geo: &ConvGeometry, w: &[f32], b: &[f32], x: &Tensor, dy: &Tensor) -> Vec<Vec<f32>> {
+    let (rows, cols, cin) = (geo.col_rows(), geo.col_cols(), geo.cout);
+    let mut col = vec![0.0; rows * cols];
+    let (mut y, mut dx) = (Tensor::zeros(dy.shape()), Tensor::zeros(x.shape()));
+    let (mut dw, mut db) = (vec![0.0; w.len()], vec![0.0f32; geo.cin]);
+    let plane = geo.h * geo.w;
+    for n in 0..x.shape().n {
+        gemm(Transpose::Yes, Transpose::No, rows, cols, cin, 1.0, w, x.item(n), 0.0, &mut col);
+        col2im(geo, &col, y.item_mut(n));
+        for (out, &b) in y.item_mut(n).chunks_mut(plane).zip(b).filter(|(_, &b)| b != 0.0) {
+            out.iter_mut().for_each(|v| *v += b);
+        }
+        let g = dy.item(n);
+        im2col(geo, g, &mut col);
+        gemm(Transpose::No, Transpose::No, cin, cols, rows, 1.0, w, &col, 0.0, dx.item_mut(n));
+        gemm(Transpose::No, Transpose::Yes, cin, rows, cols, 1.0, x.item(n), &col, 1.0, &mut dw);
+        for (db, g) in db.iter_mut().zip(g.chunks(plane)) {
+            *db += g.iter().sum::<f32>();
+        }
+    }
+    vec![y.data().to_vec(), dx.data().to_vec(), dw, db]
+}
+
+#[test]
+fn conv_and_deconv_match_the_col_matrix_lowering() {
+    // (cin, cout, hw, k, stride, pad, batch). Conv: HEP's 3x3 with its
+    // groups and B slabs split across threads, a ragged last channel
+    // group (29·9 = 261 col rows), the climate encoder's strided 5x5,
+    // one 3-channel first layer; deconv: the climate decoder's 4x4/s2, a
+    // 3x3/s1 and a 5x5/s2. Non-zero biases, so every bias path runs.
+    let convs = [(64, 64, 24, 3, 1, 1, 2), (29, 16, 17, 3, 1, 1, 2), (8, 24, 48, 5, 2, 2, 2), (3, 32, 40, 3, 1, 1, 2)];
+    let deconvs = [(64, 32, 12, 4, 2, 1, 2), (8, 29, 9, 3, 1, 1, 3), (24, 12, 10, 5, 2, 2, 2)];
+    for width in [1, 2] {
+        par::set_width(width);
+        for (cin, cout, hw, k, stride, pad, batch) in convs {
+            let mut rng = TensorRng::new(17);
+            let mut conv = Conv2d::new("c", cin, cout, k, stride, pad, &mut rng);
+            conv.params_mut()[1].value = rng.uniform_tensor(Shape4::flat(cout), -1.0, 1.0);
+            let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
+            let dy = rng.uniform_tensor(conv.out_shape(x.shape()), -1.0, 1.0);
+            let (w, b) = (conv.params()[0].value.clone(), conv.params()[1].value.clone());
+            let want = conv_by_col_matrix(&conv.geometry(hw, hw), w.data(), b.data(), &x, &dy);
+            for (i, (g, w)) in step(&mut conv, &x, &dy).iter().zip(&want).enumerate() {
+                assert_same_bits(g, w, &format!("conv {cin}->{cout} {hw}px k{k} s{stride}, width {width}, buffer {i}"));
+            }
+        }
+        for (cin, cout, hw, k, stride, pad, batch) in deconvs {
+            let mut rng = TensorRng::new(19);
+            let mut deconv = Deconv2d::new("d", cin, cout, k, stride, pad, &mut rng);
+            deconv.params_mut()[1].value = rng.uniform_tensor(Shape4::flat(cout), -1.0, 1.0);
+            let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
+            let dy = rng.uniform_tensor(deconv.out_shape(x.shape()), -1.0, 1.0);
+            let (oh, ow) = deconv.out_hw(hw, hw);
+            let geo = ConvGeometry::new(cout, cin, oh, ow, k, stride, pad);
+            let (w, b) = (deconv.params()[0].value.clone(), deconv.params()[1].value.clone());
+            let want = deconv_by_col_matrix(&geo, w.data(), b.data(), &x, &dy);
+            for (i, (g, w)) in step(&mut deconv, &x, &dy).iter().zip(&want).enumerate() {
+                assert_same_bits(g, w, &format!("deconv {cin}->{cout} {hw}px k{k} s{stride}, width {width}, buffer {i}"));
+            }
+        }
     }
 }
 

@@ -12,6 +12,16 @@
 //!   differ *only* in the pack copy loops — `TN`/`TT` are no longer
 //!   strided-read slow paths, because the microkernel always streams the
 //!   same packed layout.
+//! * **Packing absorbs lowering.** B has a second source besides a dense
+//!   buffer, [`BSource::Im2col`]: a conv's geometry and an NCHW image,
+//!   from which each B panel is gathered straight out of the image, in
+//!   the forward (`col`) and weight-gradient (`colᵀ`) layouts alike. The
+//!   panels hold exactly what packing the written-out col matrix would
+//!   put there, so the arithmetic — and every bit — is the same, without
+//!   the `cin·k² x oh·ow` matrix. The adjoint, backward-data's
+//!   `col2im(op(A) · B)`, is [`PackedA::gemm_col2im`]: one whole-channel
+//!   group of col rows at a time into a slab of one `MC` row block, each
+//!   group scattered before the next is computed.
 //! * **Register-tiled microkernel, one tile shape per ISA.** `mr x nr` is
 //!   not a crate constant: [`crate::microkernel`] hands out a per-ISA
 //!   kernel descriptor (4×16 portable, 6×16 for AVX2, 8×32 for
@@ -45,9 +55,11 @@
 //! every ISA variant is bit-identical by construction (see that module's
 //! docs), so dispatch never changes results — only throughput.
 
+use crate::im2col::{col2im, im2col, ColView, ConvGeometry};
 use crate::microkernel::{dot_i8, CPtr, Isa, Kernel};
 use crate::workspace::{Workspace, WsBuf};
 use crate::{par, PAR_CHUNK, PAR_WORK};
+use std::ops::Range;
 
 /// Whether an operand is used as stored or transposed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -56,6 +68,35 @@ pub enum Transpose {
     No,
     /// Use the transpose of the stored matrix.
     Yes,
+}
+
+/// Where the right operand of a [`PackedA`] product comes from.
+#[derive(Clone, Copy)]
+pub enum BSource<'a> {
+    /// A dense row-major buffer: `op(B)` is the buffer as stored (`k x n`)
+    /// or, with [`Transpose::Yes`], its transpose (stored `n x k`).
+    Dense(Transpose, &'a [f32]),
+    /// `Dense` over the col matrix `im2col(geo, image)` (`col_rows x
+    /// col_cols`) — a conv forward's operand with [`Transpose::No`], a
+    /// weight gradient's with [`Transpose::Yes`] — with the matrix never
+    /// written: each B panel is gathered from the NCHW `image`, the same
+    /// values in the same order, so the product keeps every bit.
+    Im2col(Transpose, &'a ConvGeometry, &'a [f32]),
+}
+
+impl BSource<'_> {
+    /// Panics unless `op(B)` can be read as `k x n`.
+    fn check(&self, k: usize, n: usize) {
+        match *self {
+            BSource::Dense(_, b) => assert!(b.len() >= k * n, "B buffer too small: {} < {}", b.len(), k * n),
+            BSource::Im2col(tb, geo, image) => {
+                assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
+                let (rows, cols) = (geo.col_rows(), geo.col_cols());
+                let (bk, bn) = if tb == Transpose::No { (rows, cols) } else { (cols, rows) };
+                assert!((bk, bn) == (k, n), "op(B) of {geo:?} is {bk}x{bn}, not {k}x{n}");
+            }
+        }
+    }
 }
 
 /// k-dimension cache block: one packed A panel is `mr x KC` (4–8 KiB),
@@ -213,7 +254,7 @@ fn gemm_init(
     if m * n * k < SMALL_WORK {
         accumulate_unpacked(ta, tb, 0, m, m, n, k, alpha, a, b, c);
     } else {
-        packed_accumulate(&PackedA::with_isa(isa, ta, m, k, a), tb, n, alpha, b, c);
+        packed_accumulate(&PackedA::with_isa(isa, ta, m, k, a), BSource::Dense(tb, b), n, alpha, c);
     }
 }
 
@@ -249,28 +290,107 @@ impl<'a> PackedA<'a> {
     }
 
     /// `C = alpha * op(A) * op(B) + beta * C` with `C` `m x n`; see [`gemm`].
-    pub fn gemm(&self, tb: Transpose, n: usize, alpha: f32, b: &[f32], beta: f32, c: &mut [f32]) {
-        self.product(tb, n, alpha, b, Init::Beta(beta), c);
+    pub fn gemm(&self, b: BSource<'_>, n: usize, alpha: f32, beta: f32, c: &mut [f32]) {
+        self.product(b, n, alpha, Init::Beta(beta), c);
     }
 
     /// `C[i, :] = bias[i] + op(A) * op(B)`; see [`gemm_bias`].
-    pub fn gemm_bias(&self, tb: Transpose, n: usize, b: &[f32], bias: &[f32], c: &mut [f32]) {
+    pub fn gemm_bias(&self, b: BSource<'_>, n: usize, bias: &[f32], c: &mut [f32]) {
         assert_eq!(bias.len(), self.m, "bias length must equal m");
-        self.product(tb, n, 1.0, b, Init::RowBias(bias), c);
+        self.product(b, n, 1.0, Init::RowBias(bias), c);
     }
 
-    fn product(&self, tb: Transpose, n: usize, alpha: f32, b: &[f32], init: Init<'_>, c: &mut [f32]) {
+    /// `image += col2im(geo, op(A) * b)`: backward-data of a conv with
+    /// geometry `geo` (`op(A)` its transposed weights, `b` the output
+    /// gradient) or the forward pass of the mirror deconvolution. `op(A)`
+    /// is `col_rows x k`, `b` a dense `k x col_cols`.
+    ///
+    /// The col-space product is never whole: it is computed one group of
+    /// whole input channels at a time into a slab of one `MC` row block
+    /// (whole `mr`-row panels, so more only when `lcm(kh·kw, mr)`
+    /// exceeds `MC`), and each group is scattered into its planes before
+    /// the next is computed. With enough groups each thread takes whole
+    /// groups, in a slab of its own; otherwise the threads share each
+    /// group's tiles and scatter in turn. The packed-or-unpacked choice is
+    /// made once, on the whole product, so every element takes the
+    /// multiply-adds [`gemm`] would give it, and every image element the
+    /// adds of [`col2im`] over the whole matrix, in the same order.
+    pub fn gemm_col2im(&self, geo: &ConvGeometry, b: &[f32], image: &mut [f32]) {
+        let (m, n, k) = (self.m, geo.col_cols(), self.k);
+        assert_eq!(m, geo.col_rows(), "op(A) rows must equal the col rows of {geo:?}");
+        assert!(b.len() >= k * n, "B buffer too small: {} < {}", b.len(), k * n);
+        assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
+        if m == 0 || n == 0 || image.is_empty() {
+            return;
+        }
+        let Kernel { mr, nr, .. } = self.kernel;
+        let (taps, plane) = (geo.kh * geo.kw, geo.h * geo.w);
+        // The fewest channels whose rows fill whole panels, so every group
+        // starts on a panel boundary; then as many of those as fit in MC.
+        let unit = (1..=mr).find(|u| (u * taps).is_multiple_of(mr)).expect("mr channels fill mr panels");
+        let chans = unit * (MC / (unit * taps)).max(1);
+        let split = m * n * k >= PAR_WORK;
+        let per_thread = if split && geo.cin.div_ceil(chans) >= 2 * par::width() { chans } else { geo.cin };
+        let b = BSource::Dense(Transpose::No, b);
+
+        // B is packed once, all its KC blocks, and read by every group.
+        let n_pad = n.div_ceil(nr) * nr;
+        let bpack = (m * n * k >= SMALL_WORK).then(|| {
+            let mut bpack = Workspace::take(n_pad * k);
+            for (p0, slab) in (0..k).step_by(KC).zip(bpack.chunks_mut(n_pad * KC)) {
+                pack_b(b, n, k, p0, KC.min(k - p0), nr, split, slab);
+            }
+            bpack
+        });
+        par::for_each_chunk_mut(image, per_thread * plane, |u, planes| {
+            let mut slab = Workspace::take(chans.min(geo.cin) * taps * n);
+            for (g, planes) in planes.chunks_mut(chans * plane).enumerate() {
+                let c0 = u * per_thread + g * chans;
+                let rows = c0 * taps..(c0 + planes.len() / plane) * taps;
+                let dcol = &mut slab[..rows.len() * n];
+                apply_init(Init::Beta(0.0), n, dcol);
+                match &bpack {
+                    None => accumulate_small(self, b, rows, n, 1.0, dcol),
+                    Some(bpack) => {
+                        for p0 in (0..k).step_by(KC) {
+                            let bslab = &bpack[n_pad * p0..][..n_pad * KC.min(k - p0)];
+                            multiply_slab(self, rows.clone(), p0, bslab, n, 1.0, dcol);
+                        }
+                    }
+                }
+                col2im(&ConvGeometry { cin: planes.len() / plane, ..*geo }, dcol, planes);
+            }
+        });
+    }
+
+    fn product(&self, b: BSource<'_>, n: usize, alpha: f32, init: Init<'_>, c: &mut [f32]) {
         let (m, k) = (self.m, self.k);
-        check_dims(m, n, k, self.a, b, c);
+        b.check(k, n);
+        assert!(c.len() >= m * n, "C buffer too small: {} < {}", c.len(), m * n);
         if m == 0 || n == 0 {
             return;
         }
         let c = &mut c[..m * n];
         apply_init(init, n, c);
         if m * n * k < SMALL_WORK {
-            accumulate_unpacked(self.ta, tb, 0, m, m, n, k, alpha, self.a, b, c);
+            accumulate_small(self, b, 0..m, n, alpha, c);
         } else {
-            packed_accumulate(self, tb, n, alpha, b, c);
+            packed_accumulate(self, b, n, alpha, c);
+        }
+    }
+}
+
+/// [`accumulate_unpacked`] over rows `rows` of `op(A) * op(B)` (`c` holds
+/// those rows). A col matrix source is written out for it: below
+/// `SMALL_WORK` the whole matrix is under `SMALL_WORK` floats.
+fn accumulate_small(pa: &PackedA<'_>, b: BSource<'_>, rows: Range<usize>, n: usize, alpha: f32, c: &mut [f32]) {
+    let (m, k) = (pa.m, pa.k);
+    match b {
+        BSource::Dense(tb, b) => accumulate_unpacked(pa.ta, tb, rows.start, rows.len(), m, n, k, alpha, pa.a, b, c),
+        BSource::Im2col(tb, geo, image) => {
+            let mut col = Workspace::take(k * n);
+            im2col(geo, image, &mut col);
+            accumulate_small(pa, BSource::Dense(tb, &col), rows, n, alpha, c);
         }
     }
 }
@@ -308,56 +428,65 @@ fn apply_init(init: Init<'_>, n: usize, c: &mut [f32]) {
 /// applied). Deterministic regardless of worker count: every C element
 /// accumulates its `KC` blocks in the same (sequential) order, and tiles
 /// never share elements.
-fn packed_accumulate(pa: &PackedA<'_>, tb: Transpose, n: usize, alpha: f32, b: &[f32], c: &mut [f32]) {
-    let Kernel { mr, nr, run } = pa.kernel;
-    // Cache tiles start on panel boundaries.
-    let mc_rows = MC / mr * mr;
-    debug_assert!(NC.is_multiple_of(nr));
-    let (m, k) = (pa.m, pa.k);
-    let m_pad = m.div_ceil(mr) * mr;
-    let n_panels = n.div_ceil(nr);
-    let mt = m.div_ceil(mc_rows);
-    let nt = n.div_ceil(NC);
-    let parallel = m * n * k >= PAR_WORK && mt * nt > 1;
-    let cp = CPtr(c.as_mut_ptr());
-
+fn packed_accumulate(pa: &PackedA<'_>, b: BSource<'_>, n: usize, alpha: f32, c: &mut [f32]) {
+    let (m, k, nr) = (pa.m, pa.k, pa.kernel.nr);
+    let split = tiles_in_parallel(m, n, k, pa.kernel.mr);
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
         // Pack the full-width B slab for this k block once; every tile
-        // reads from it. Panel pj holds columns [pj*nr, pj*nr + nr).
-        let mut bpack = Workspace::take(n_panels * nr * kc);
-        // Packed by the threads that will read it: split only when the
-        // tile grid is, else the lone multiplying thread would fetch half
-        // of its B slab from another core's cache.
-        let units = if parallel { PAR_CHUNK.div_ceil(nr * kc) } else { n_panels };
-        pack_b(tb, b, n, k, p0, kc, nr, units, &mut bpack);
-        let bpack = &*bpack;
-        let apack = &pa.panels[m_pad * p0..][..m_pad * kc];
+        // reads from it.
+        let mut bpack = Workspace::take(n.div_ceil(nr) * nr * kc);
+        pack_b(b, n, k, p0, kc, nr, split, &mut bpack);
+        multiply_slab(pa, 0..m, p0, &bpack, n, alpha, c);
+    }
+}
 
-        let tile = |t: usize| {
-            let (ti, tj) = (t / nt, t % nt);
-            let i0 = ti * mc_rows;
-            let mc = mc_rows.min(m - i0);
-            let j0 = tj * NC;
-            let nc = NC.min(n - j0);
-            for pj in (j0 / nr)..(j0 + nc).div_ceil(nr) {
-                let col0 = pj * nr;
-                let nr_eff = nr.min(n - col0);
-                let bp = &bpack[pj * nr * kc..][..nr * kc];
-                for pi in (i0 / mr)..(i0 + mc).div_ceil(mr) {
-                    let row0 = pi * mr;
-                    let mr_eff = mr.min(m - row0);
-                    let ap = &apack[pi * mr * kc..][..mr * kc];
-                    run(kc, ap, bp, alpha, cp, n, row0, col0, mr_eff, nr_eff);
-                }
+/// Whether a product's `MC x NC` tile grid is split across threads.
+fn tiles_in_parallel(m: usize, n: usize, k: usize, mr: usize) -> bool {
+    m * n * k >= PAR_WORK && m.div_ceil(MC / mr * mr) * n.div_ceil(NC) > 1
+}
+
+/// `C += alpha * op(A)[rows, p0..p0 + kc] * op(B)[p0..p0 + kc, :]` from
+/// the packed B slab of the `KC` block at depth `p0`. `c` holds rows
+/// `rows` of the product; `rows.start` is on a panel boundary.
+fn multiply_slab(pa: &PackedA<'_>, rows: Range<usize>, p0: usize, bpack: &[f32], n: usize, alpha: f32, c: &mut [f32]) {
+    let Kernel { mr, nr, run } = pa.kernel;
+    assert!(rows.start.is_multiple_of(mr) && rows.end <= pa.m, "rows {rows:?} are not whole panels of op(A)");
+    let m = rows.len();
+    // The microkernel writes through a raw pointer.
+    assert!(c.len() >= m * n, "C buffer too small: {} < {}", c.len(), m * n);
+    // Cache tiles start on panel boundaries.
+    let mc_rows = MC / mr * mr;
+    debug_assert!(NC.is_multiple_of(nr));
+    let kc = KC.min(pa.k - p0);
+    // Panel `pi` of the block holds rows `pi*mr..`; start at `rows.start`'s.
+    let apack = &pa.panels[pa.m.div_ceil(mr) * mr * p0 + rows.start * kc..];
+    let (mt, nt) = (m.div_ceil(mc_rows), n.div_ceil(NC));
+    let cp = CPtr(c.as_mut_ptr());
+
+    let tile = |t: usize| {
+        let (ti, tj) = (t / nt, t % nt);
+        let i0 = ti * mc_rows;
+        let mc = mc_rows.min(m - i0);
+        let j0 = tj * NC;
+        let nc = NC.min(n - j0);
+        for pj in (j0 / nr)..(j0 + nc).div_ceil(nr) {
+            let col0 = pj * nr;
+            let nr_eff = nr.min(n - col0);
+            let bp = &bpack[pj * nr * kc..][..nr * kc];
+            for pi in (i0 / mr)..(i0 + mc).div_ceil(mr) {
+                let row0 = pi * mr;
+                let mr_eff = mr.min(m - row0);
+                let ap = &apack[pi * mr * kc..][..mr * kc];
+                run(kc, ap, bp, alpha, cp, n, row0, col0, mr_eff, nr_eff);
             }
-        };
-
-        if parallel {
-            par::for_each_index(mt * nt, tile);
-        } else {
-            (0..mt * nt).for_each(tile);
         }
+    };
+
+    if tiles_in_parallel(m, n, pa.k, mr) {
+        par::for_each_index(mt * nt, tile);
+    } else {
+        (0..mt * nt).for_each(tile);
     }
 }
 
@@ -421,47 +550,77 @@ fn pack_a_panel(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, p0: usi
 
 /// Packs `op(B)[p0..p0+kc, :]` into `nr`-column panels: panel `pj`,
 /// depth `p`, column `c` lands at `bpack[pj*nr*kc + p*nr + c]`. Columns
-/// past `n` are zero. Split across threads `group` panels at a time.
+/// past `n` are zero. Packed by the threads that will read it: split
+/// only when the tile grid is (`split`), else the lone multiplying thread
+/// would fetch half of its B slab from another core's cache.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, nr: usize, group: usize, bpack: &mut [f32]) {
+fn pack_b(b: BSource<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, split: bool, bpack: &mut [f32]) {
+    let group = if split { PAR_CHUNK.div_ceil(nr * kc) } else { n.div_ceil(nr) };
     par::for_each_chunk_mut(bpack, group * nr * kc, |g, panels| {
         for (pj, dst) in panels.chunks_exact_mut(nr * kc).enumerate() {
-            pack_b_panel(tb, b, n, k, p0, kc, nr, g * group + pj, dst);
+            pack_b_panel(b, n, k, p0, kc, nr, g * group + pj, dst);
         }
     });
 }
 
 /// Panel `pj` (columns `pj*nr..`) of [`pack_b`].
 #[allow(clippy::too_many_arguments)]
-fn pack_b_panel(tb: Transpose, b: &[f32], n: usize, k: usize, p0: usize, kc: usize, nr: usize, pj: usize, dst: &mut [f32]) {
+fn pack_b_panel(b: BSource<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, pj: usize, dst: &mut [f32]) {
     let jbase = pj * nr;
     let cols = nr.min(n - jbase);
-    match tb {
-        Transpose::No => {
+    match b {
+        BSource::Dense(Transpose::No, b) => {
             // B stored k x n: contiguous in j — memcpy per depth.
             for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
-                let src = &b[(p0 + p) * n + jbase..][..cols];
-                d[..cols].copy_from_slice(src);
-                d[cols..].fill(0.0);
+                d[..cols].copy_from_slice(&b[(p0 + p) * n + jbase..][..cols]);
             }
         }
-        Transpose::Yes => {
+        BSource::Dense(Transpose::Yes, b) => {
             // B stored n x k: op(B)[p, j] = b[j*k + p]; each column
             // is contiguous in the source — the former NT/TT strided
             // inner loops collapse into this pack copy.
-            // Transposed 16 depths at a time: each source cache line
-            // is read once while its 16 destination rows stay in L1.
-            for pb in (0..kc).step_by(16) {
-                let pl = 16.min(kc - pb);
-                for cidx in 0..cols {
-                    let src = &b[(jbase + cidx) * k + p0 + pb..][..pl];
-                    for (p, &v) in src.iter().enumerate() {
-                        dst[(pb + p) * nr + cidx] = v;
-                    }
-                }
+            transpose_into_panel(&b[jbase * k + p0..], k, cols, kc, nr, dst);
+        }
+        BSource::Im2col(Transpose::No, geo, image) => {
+            // op(B) = col: depth p is col row p0 + p, one tap; the
+            // panel's columns are consecutive output pixels, one gathered
+            // run per depth.
+            let col = ColView::new(geo, image);
+            let pixel = col.pixel(jbase);
+            for (d, tap) in dst.chunks_exact_mut(nr).zip(col.taps(p0)) {
+                col.gather(tap, pixel, &mut d[..cols]);
             }
-            for cidx in cols..nr {
-                dst.iter_mut().skip(cidx).step_by(nr).for_each(|v| *v = 0.0);
+        }
+        BSource::Im2col(Transpose::Yes, geo, image) => {
+            // op(B) = colᵀ: depth p is output pixel p0 + p, column c the
+            // tap of col row jbase + c. Each column is one gathered run of
+            // kc pixels — the panel's share of one col row — transposed
+            // into the panel as a dense B's columns are.
+            let col = ColView::new(geo, image);
+            let pixel = col.pixel(p0);
+            let mut runs = Workspace::take(cols * kc);
+            for (run, tap) in runs.chunks_exact_mut(kc).zip(col.taps(jbase)) {
+                col.gather(tap, pixel, run);
+            }
+            transpose_into_panel(&runs, kc, cols, kc, nr, dst);
+        }
+    }
+    if cols < nr {
+        for d in dst.chunks_exact_mut(nr) {
+            d[cols..].fill(0.0);
+        }
+    }
+}
+
+/// `dst[p*nr + c] = src[c*ld + p]` for columns `c < cols` and depths
+/// `p < kc`: 16 depths at a time, so each source cache line is read once
+/// while its 16 destination rows stay in L1.
+fn transpose_into_panel(src: &[f32], ld: usize, cols: usize, kc: usize, nr: usize, dst: &mut [f32]) {
+    for pb in (0..kc).step_by(16) {
+        let pl = 16.min(kc - pb);
+        for cidx in 0..cols {
+            for (p, &v) in src[cidx * ld + pb..][..pl].iter().enumerate() {
+                dst[(pb + p) * nr + cidx] = v;
             }
         }
     }
@@ -802,8 +961,8 @@ mod tests {
         let mut c: Vec<f32> = vec![];
         gemm(Transpose::No, Transpose::No, 0, 0, 5, 1.0, &[], &[], 0.0, &mut c);
         // An empty left operand packs to nothing and multiplies to nothing.
-        PackedA::new(Transpose::No, 0, 5, &[]).gemm(Transpose::No, 3, 1.0, &[0.0; 15], 0.0, &mut c);
-        PackedA::new(Transpose::Yes, 4, 0, &[]).gemm(Transpose::No, 0, 1.0, &[], 0.0, &mut c);
+        PackedA::new(Transpose::No, 0, 5, &[]).gemm(BSource::Dense(Transpose::No, &[0.0; 15]), 3, 1.0, 0.0, &mut c);
+        PackedA::new(Transpose::Yes, 4, 0, &[]).gemm(BSource::Dense(Transpose::No, &[]), 0, 1.0, 0.0, &mut c);
     }
 
     #[test]
@@ -999,7 +1158,7 @@ mod tests {
                                 assert_same_bits(&c, &base, &format!("{what} isa={}", isa.name()));
                             }
                             let mut c = init.clone();
-                            PackedA::new(ta, m, k, &a).gemm(tb, n, -1.5, &b, beta, &mut c);
+                            PackedA::new(ta, m, k, &a).gemm(BSource::Dense(tb, &b), n, -1.5, beta, &mut c);
                             assert_same_bits(&c, &base, &format!("{what} PackedA"));
                         }
                         if t == 0 {
@@ -1007,7 +1166,7 @@ mod tests {
                             let mut want = vec![0.0f32; m * n];
                             gemm_bias(ta, tb, m, n, k, &a, &b, &bias, &mut want);
                             let mut c = vec![0.0f32; m * n];
-                            PackedA::new(ta, m, k, &a).gemm_bias(tb, n, &b, &bias, &mut c);
+                            PackedA::new(ta, m, k, &a).gemm_bias(BSource::Dense(tb, &b), n, &bias, &mut c);
                             assert_same_bits(&c, &want, &format!("m={m} n={n} k={k} PackedA bias"));
                         }
                     }
@@ -1096,7 +1255,7 @@ mod tests {
                                     assert_same_bits(&c, &want, &format!("{what} isa={}", isa.name()));
                                 }
                                 let mut c = init.clone();
-                                PackedA::new(ta, m, k, &a).gemm(tb, n, -1.5, &b, beta, &mut c);
+                                PackedA::new(ta, m, k, &a).gemm(BSource::Dense(tb, &b), n, -1.5, beta, &mut c);
                                 assert_same_bits(&c, &want, &format!("{what} PackedA"));
                             }
                         }
@@ -1195,6 +1354,152 @@ mod tests {
                         }
                     }
                     assert_same_bits(&c, &base, &format!("{ta:?}{tb:?} isa={}", isa.name()));
+                }
+            }
+        }
+    }
+
+    /// All of `op(B)`, `KC` slab by `KC` slab, as `pack_b` lays it out
+    /// for tile width `nr` — over NaN, so an element the pack leaves
+    /// unwritten shows.
+    fn pack_all(b: BSource<'_>, n: usize, k: usize, nr: usize, split: bool) -> Vec<f32> {
+        let n_pad = n.div_ceil(nr) * nr;
+        let mut bpack = vec![f32::NAN; n_pad * k];
+        for (p0, slab) in (0..k).step_by(KC).zip(bpack.chunks_mut(n_pad * KC)) {
+            pack_b(b, n, k, p0, KC.min(k - p0), nr, split, slab);
+        }
+        bpack
+    }
+
+    /// The im2col source against the written-out col matrix, in both
+    /// layouts and at every detected ISA's tile width: the packed panels
+    /// bit for bit, then a product over each (the lazy one over a
+    /// NaN-poisoned pool) bit for bit. Returns the lazy products.
+    fn assert_im2col_source_matches_col(geo: &ConvGeometry, image: &[f32]) -> Vec<f32> {
+        let (rows, cols) = (geo.col_rows(), geo.col_cols());
+        let mut col = vec![f32::NAN; rows * cols];
+        im2col(geo, image, &mut col);
+        let mut products = Vec::new();
+        for tb in [Transpose::No, Transpose::Yes] {
+            let (k, n) = if tb == Transpose::No { (rows, cols) } else { (cols, rows) };
+            let (lazy, dense) = (BSource::Im2col(tb, geo, image), BSource::Dense(tb, &col));
+            let a = fill(7 * k, 91);
+            for &isa in Isa::detected() {
+                let what = format!("{geo:?} {tb:?} isa={}", isa.name());
+                let nr = isa.kernel().nr;
+                for split in [false, true] {
+                    let want = pack_all(dense, n, k, nr, split);
+                    assert_same_bits(&pack_all(lazy, n, k, nr, split), &want, &format!("{what} split={split} panels"));
+                }
+                let pa = PackedA::with_isa(isa, Transpose::No, 7, k, &a);
+                let mut want = vec![0.0f32; 7 * n];
+                pa.gemm(dense, n, 1.0, 0.0, &mut want);
+                poison_pool(7 * rows * cols);
+                let mut got = vec![0.0f32; 7 * n];
+                pa.gemm(lazy, n, 1.0, 0.0, &mut got);
+                assert_same_bits(&got, &want, &format!("{what} product"));
+                products.extend(got);
+            }
+        }
+        products
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn im2col_panels_match_packing_the_col_matrix(
+            cin in 1usize..4,
+            h in 1usize..9,
+            w in 1usize..9,
+            k_sel in 0usize..3,
+            stride in 1usize..3,
+            pad_sel in 0usize..5,
+            seed in 0u64..1 << 32,
+        ) {
+            // pad ranges over 0..k, so small images see pad >= w (rows
+            // that are padding end to end) and 1x1 images are included.
+            let k = [1usize, 3, 5][k_sel];
+            let pad = pad_sel % k;
+            proptest::prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+            let geo = ConvGeometry::new(cin, 1, h, w, k, stride, pad);
+            assert_im2col_source_matches_col(&geo, &fill(cin * h * w, seed));
+        }
+    }
+
+    #[test]
+    fn im2col_panels_straddle_every_tile_width_and_kc() {
+        // Output rows one below, on and one above 16 and 32 columns (every
+        // ISA's nr), at stride 1 and 2; col rows (cin·k²) one below, on
+        // and one above KC = 256, and 5x5's 250 / 275.
+        for ow in [15usize, 16, 17, 31, 32, 33] {
+            for (cin, k, stride) in [(2, 3, 1), (3, 3, 2), (255, 1, 1), (256, 1, 2), (257, 1, 1), (10, 5, 1), (11, 5, 2)] {
+                let pad = k / 2;
+                let w = (ow - 1) * stride + k - 2 * pad;
+                let geo = ConvGeometry::new(cin, 1, 3, w, k, stride, pad);
+                assert_eq!(geo.out_w(), ow);
+                assert_im2col_source_matches_col(&geo, &fill(cin * 3 * w, (cin * ow) as u64));
+            }
+        }
+    }
+
+    #[test]
+    fn nonfinite_pixels_beside_padding_propagate() {
+        // NaN, ±inf and −0.0 in the image corners, where the same taps'
+        // neighbours read padding: the gathered panels carry them, and the
+        // padding next to them, as the col matrix does (+0.0, never −0.0
+        // or a pool's stale NaN).
+        for stride in [1, 2] {
+            let (cin, h, w) = (3, 9, 10);
+            let geo = ConvGeometry::new(cin, 1, h, w, 3, stride, 1);
+            let mut image = fill(cin * h * w, 97);
+            for c in 0..cin {
+                let plane = &mut image[c * h * w..][..h * w];
+                plane[0] = f32::NAN;
+                plane[w - 1] = f32::INFINITY;
+                plane[(h - 1) * w] = f32::NEG_INFINITY;
+                plane[h * w - 1] = -0.0;
+            }
+            let products = assert_im2col_source_matches_col(&geo, &image);
+            assert!(products.iter().any(|v| v.is_nan()), "stride {stride}: no NaN reached a product");
+            assert!(products.iter().any(|v| v.is_finite()), "stride {stride}: padding poisoned every product");
+        }
+    }
+
+    #[test]
+    fn gemm_col2im_groups_match_the_whole_dcol_and_col2im() {
+        // Backward-data by channel group against the whole dcol = Wᵀ·dY
+        // and one col2im, into a non-zero image: below SMALL_WORK, a ragged
+        // last group (29·9 = 261 rows), B deeper than KC (cout 300), 5x5
+        // stride 2, the deconv's 4x4 stride 2, 1x1 over 300 channels, and
+        // two above PAR_WORK: eight groups (taken whole by the threads
+        // from width 2) and one (its tiles shared). Widths 1 to 3.
+        for (cin, cout, hw, k, stride, pad) in [
+            (2, 3, 5, 3, 1, 1),
+            (29, 16, 9, 3, 1, 1),
+            (40, 300, 6, 3, 2, 1),
+            (11, 8, 12, 5, 2, 2),
+            (17, 24, 7, 4, 2, 1),
+            (300, 4, 3, 1, 1, 0),
+            (64, 32, 24, 3, 1, 1),
+            (3, 64, 64, 3, 1, 1),
+        ] {
+            let geo = ConvGeometry::new(cin, cout, hw, hw, k, stride, pad);
+            let (rows, cols) = (geo.col_rows(), geo.col_cols());
+            let weight = fill(cout * rows, 93);
+            let dy = fill(cout * cols, 94);
+            let image = fill(cin * hw * hw, 95);
+            for &isa in Isa::detected() {
+                let mut dcol = vec![f32::NAN; rows * cols];
+                gemm_with_isa(isa, Transpose::Yes, Transpose::No, rows, cols, cout, 1.0, &weight, &dy, 0.0, &mut dcol);
+                let mut want = image.clone();
+                col2im(&geo, &dcol, &mut want);
+                for width in 1..=3 {
+                    par::set_width(width);
+                    poison_pool(rows * cols);
+                    let mut got = image.clone();
+                    PackedA::with_isa(isa, Transpose::Yes, rows, cout, &weight).gemm_col2im(&geo, &dy, &mut got);
+                    assert_same_bits(&got, &want, &format!("{geo:?} isa={} width {width}", isa.name()));
                 }
             }
         }

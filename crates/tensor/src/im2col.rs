@@ -1,10 +1,18 @@
-//! im2col / col2im lowering for convolution and deconvolution.
+//! The col matrix of a convolution, and its adjoint scatter.
 //!
-//! A convolution over an NCHW image is lowered to a GEMM by unrolling every
-//! receptive field into a column: the `(C*KH*KW) x (OH*OW)` "col" matrix,
-//! multiplied by the `(COUT) x (C*KH*KW)` filter matrix. `col2im` is the
-//! adjoint scatter-add used by backward-data — and, per the paper's trick
-//! (Sec. III-C), by the *forward* pass of deconvolution layers.
+//! A convolution over an NCHW image is a GEMM against the image's
+//! receptive fields unrolled into columns: the `(C*KH*KW) x (OH*OW)`
+//! "col" matrix, multiplied by the `(COUT) x (C*KH*KW)` filter matrix.
+//! The layers never write that matrix out: `ColView` reads any run of
+//! one of its rows straight from the image, and the GEMM's B packing
+//! ([`crate::BSource::Im2col`]) gathers its panels through it. [`col2im`]
+//! is the adjoint scatter-add behind backward-data — and, per the paper's
+//! trick (Sec. III-C), behind the *forward* pass of deconvolution layers —
+//! which [`crate::PackedA::gemm_col2im`] runs one channel group at a time.
+//!
+//! [`im2col`] writes the whole matrix. It is the reference the panel
+//! gather is tested against bit for bit, and what the int8 conv and the
+//! lowering rows of `scidl-bench kernels` still call.
 
 use crate::shape::Shape4;
 use crate::{par, PAR_CHUNK};
@@ -104,6 +112,83 @@ fn valid_cols(geo: &ConvGeometry, kx: usize, ow: usize) -> (usize, usize) {
     let lo = geo.pad.saturating_sub(kx).div_ceil(geo.stride).min(ow);
     let hi = (geo.w + geo.pad).saturating_sub(kx).div_ceil(geo.stride).clamp(lo, ow);
     (lo, hi)
+}
+
+/// The col matrix of one image read in place: row `r` is the tap `(c, ky,
+/// kx)` (`r = (c * kh + ky) * kw + kx`), column `q` the output pixel `(oy,
+/// ox)` (`q = oy * out_w + ox`), and every element is the image value
+/// [`im2col`] would write there, or `+0.0` for a padding tap.
+#[derive(Clone, Copy)]
+pub(crate) struct ColView<'a> {
+    geo: &'a ConvGeometry,
+    image: &'a [f32],
+    ow: usize,
+}
+
+impl<'a> ColView<'a> {
+    pub(crate) fn new(geo: &'a ConvGeometry, image: &'a [f32]) -> Self {
+        assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
+        Self { geo, image, ow: geo.out_w() }
+    }
+
+    /// The output pixel `(oy, ox)` of col column `q`.
+    pub(crate) fn pixel(&self, q: usize) -> (usize, usize) {
+        (q / self.ow, q % self.ow)
+    }
+
+    /// The taps of col rows `r0, r0 + 1, ...` in order, one increment per
+    /// row instead of a division.
+    pub(crate) fn taps(&self, r0: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let (kh, kw) = (self.geo.kh, self.geo.kw);
+        let (mut c, mut ky, mut kx) = (r0 / (kh * kw), r0 % (kh * kw) / kw, r0 % kw);
+        std::iter::from_fn(move || {
+            let tap = (c, ky, kx);
+            kx += 1;
+            if kx == kw {
+                (kx, ky) = (0, ky + 1);
+                if ky == kh {
+                    (ky, c) = (0, c + 1);
+                }
+            }
+            Some(tap)
+        })
+    }
+
+    /// Writes `out[i] = col[tap][pixel + i]`, running on across output
+    /// rows. Each output row's share is `zeros | a run of one image row |
+    /// zeros`, as in [`im2col`]: a slice copy at stride 1, otherwise a
+    /// gather that reads `+0.0` outside the image row.
+    pub(crate) fn gather(&self, (c, ky, kx): (usize, usize, usize), (mut oy, mut ox): (usize, usize), mut out: &mut [f32]) {
+        let ConvGeometry { h, w, stride, pad, .. } = *self.geo;
+        let plane = &self.image[c * h * w..][..h * w];
+        while !out.is_empty() {
+            let len = (self.ow - ox).min(out.len());
+            let (run, rest) = std::mem::take(&mut out).split_at_mut(len);
+            let iy = (oy * stride + ky).wrapping_sub(pad);
+            if iy >= h {
+                run.fill(0.0);
+            } else {
+                let row = &plane[iy * w..][..w];
+                // `run[i]` reads image column `x0 + i * stride - pad`.
+                let x0 = ox * stride + kx;
+                if stride == 1 {
+                    let lo = pad.saturating_sub(x0).min(run.len());
+                    let hi = (w + pad).saturating_sub(x0).clamp(lo, run.len());
+                    run[..lo].fill(0.0);
+                    if lo < hi {
+                        run[lo..hi].copy_from_slice(&row[x0 + lo - pad..][..hi - lo]);
+                    }
+                    run[hi..].fill(0.0);
+                } else {
+                    for (i, d) in run.iter_mut().enumerate() {
+                        let ix = (x0 + i * stride).wrapping_sub(pad);
+                        *d = if ix < w { row[ix] } else { 0.0 };
+                    }
+                }
+            }
+            (out, oy, ox) = (rest, oy + 1, 0);
+        }
+    }
 }
 
 /// Unrolls one image (`cin * h * w`, NCHW item) into the col matrix

@@ -9,10 +9,13 @@
 //! * elementwise and reduction kernels split across the calling thread's
 //!   width ([`par`], the in-tree deterministic thread pool),
 //! * a packed, register-tiled, cache-blocked parallel SGEMM ([`gemm`])
-//!   tuned for the tall-skinny shapes produced by `im2col` convolution
-//!   lowering, with fused bias epilogues ([`gemm_bias`],
-//!   [`gemm_bias_cols`]), a pack-once left operand for batched callers
-//!   ([`PackedA`]) and the pre-packing kernel retained as a baseline
+//!   tuned for the tall-skinny shapes of convolution, with fused bias
+//!   epilogues ([`gemm_bias`], [`gemm_bias_cols`]), a pack-once left
+//!   operand for batched callers ([`PackedA`]) whose right operand may be
+//!   a conv's col matrix gathered panel by panel from the image
+//!   ([`BSource::Im2col`]) and whose backward-data product scatters one
+//!   channel group at a time ([`PackedA::gemm_col2im`]) — so no layer
+//!   writes a col matrix — and the pre-packing kernel retained as a baseline
 //!   ([`gemm_unpacked`]); the microkernel and its register-tile shape
 //!   are selected once per process by runtime CPU-feature detection
 //!   ([`Isa`]) with every ISA arm bit-identical by construction,
@@ -20,8 +23,8 @@
 //!   quantized inference path,
 //! * a thread-local scratch-buffer pool ([`Workspace`]) that keeps the
 //!   heap allocator off the steady-state training path,
-//! * [`im2col`]/[`col2im`] lowering used by the convolution and
-//!   deconvolution layers in `scidl-nn`.
+//! * the conv geometry ([`ConvGeometry`]) and [`im2col`]/[`col2im`], the
+//!   written-out lowering the panel gather is tested against.
 //!
 //! The crate is deliberately free of `unsafe` except for a few
 //! bounds-check-free inner loops in the GEMM micro-kernel; every such use
@@ -51,7 +54,7 @@ pub mod workspace;
 
 pub use gemm::{
     gemm, gemm_bias, gemm_bias_cols, gemm_i8, gemm_i8_with_isa, gemm_unpacked, gemm_with_isa,
-    PackedA, Transpose,
+    BSource, PackedA, Transpose,
 };
 pub use microkernel::Isa;
 pub use workspace::{Workspace, WsBuf};

@@ -1,14 +1,18 @@
 //! Thread-local scratch-buffer pool (the kernel *workspace*).
 //!
-//! The packed GEMM, the im2col lowering and the layer backward passes all
-//! need large `f32` scratch buffers whose sizes repeat every iteration
-//! (pack panels, col matrices). Allocating them per
-//! call puts the heap allocator on the steady-state training path — the
-//! exact overhead MKL-class kernels avoid with persistent workspaces.
-//! [`Workspace`] keeps a small per-thread pool of reusable buffers
-//! instead: after a one-iteration warm-up, every later training or
-//! inference iteration performs **zero heap allocations** for gemm/col
-//! scratch (asserted by a counting-allocator test in `scidl-nn`).
+//! The packed GEMM and the conv layers built on it need `f32` scratch
+//! buffers whose sizes repeat every iteration: A and B pack panels, and
+//! backward-data's one-channel-group slab of the col-space gradient. No
+//! col matrix is among them — B panels are gathered straight from the
+//! image — so what a thread parks is a few panels' worth, not a
+//! `cin·k² x oh·ow` matrix. Allocating them per call puts the heap
+//! allocator on the steady-state training path — the exact overhead
+//! MKL-class kernels avoid with persistent workspaces. [`Workspace`]
+//! keeps a small per-thread pool of reusable buffers instead: after a
+//! one-iteration warm-up, every later training or inference iteration
+//! performs **zero heap allocations** for GEMM scratch (asserted, with a
+//! bound on the bytes parked, by a counting-allocator test in
+//! `scidl-nn`).
 //!
 //! The pool is `thread_local!`, so it is trivially safe under the thread
 //! pool (`crate::par`): the caller and each of its helpers own their own

@@ -9,8 +9,8 @@
 //! that PR 13's battery walks at one width.
 
 use scidl_tensor::{
-    col2im, gemm, gemm_bias, gemm_bias_cols, gemm_i8, im2col, par, ConvGeometry, PackedA, Tensor, TensorRng,
-    Transpose, PAR_CHUNK, PAR_WORK,
+    col2im, gemm, gemm_bias, gemm_bias_cols, gemm_i8, im2col, par, BSource, ConvGeometry, PackedA, Tensor,
+    TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
 };
 
 const WIDER: [usize; 4] = [2, 3, 4, 7];
@@ -73,10 +73,10 @@ fn ragged_gemm_battery_and_packed_a() {
             same_at_every_width(&format!("PackedA {ta:?}{tb:?} {m}x{n}x{k}"), || {
                 let mut c = init.clone();
                 let pa = PackedA::new(ta, m, k, &a);
-                pa.gemm(tb, n, 1.0, &b, 0.5, &mut c);
+                pa.gemm(BSource::Dense(tb, &b), n, 1.0, 0.5, &mut c);
                 // A second right operand against the same packed panels.
                 let mut c2 = init.clone();
-                pa.gemm(tb, n, 0.25, &b, 0.0, &mut c2);
+                pa.gemm(BSource::Dense(tb, &b), n, 0.25, 0.0, &mut c2);
                 c.extend(c2);
                 c
             });
@@ -88,7 +88,7 @@ fn ragged_gemm_battery_and_packed_a() {
             let mut c2 = vec![f32::NAN; m * n];
             gemm_bias_cols(Transpose::No, Transpose::Yes, m, n, k, &a, &b, &col_bias, &mut c2);
             let mut c3 = vec![f32::NAN; m * n];
-            PackedA::new(Transpose::No, m, k, &a).gemm_bias(Transpose::No, n, &b, &row_bias, &mut c3);
+            PackedA::new(Transpose::No, m, k, &a).gemm_bias(BSource::Dense(Transpose::No, &b), n, &row_bias, &mut c3);
             c.extend(c2);
             c.extend(c3);
             c
