@@ -273,8 +273,8 @@ pub fn run(args: &Args) {
         // forward + backward ≈ 3× the forward MACs (fwd, wgrad, bwd-data).
         let flops = 3.0 * batch as f64 * conv.forward_flops_per_image(x.shape().with_n(1)) as f64;
         let secs = best_secs(reps, || {
-            let y = conv.forward(&x);
-            let _ = conv.backward(&y);
+            let y = conv.forward(x.clone());
+            let _ = conv.backward(y);
         });
         let rate = flops / secs / 1e9;
         let dims = format!("{batch}x{cin}x{hw}x{hw}->k{k}s{stride}x{cout}");

@@ -83,7 +83,7 @@ pub fn hep_science(scale: &HepScienceScale, seed: u64) -> HepScienceResult {
     model.set_flat_params(&flat);
 
     let idx: Vec<usize> = (0..test.len()).collect();
-    let scores = hep_scores(&mut model, &test, &idx);
+    let scores = hep_scores(&model, &test, &idx);
     let cnn_tpr = tpr_at_fpr(&scores, &test.labels, scale.fpr_budget);
 
     HepScienceResult {

@@ -117,10 +117,11 @@ pub fn hep_gradient(model: &mut Network, ds: &HepDataset, indices: &[usize]) -> 
     (loss, model.flat_grads())
 }
 
-/// Classification accuracy of `model` over the given indices.
-pub fn hep_accuracy(model: &mut Network, ds: &HepDataset, indices: &[usize]) -> f64 {
+/// Classification accuracy of `model` over the given indices, through the
+/// serving forward: evaluation leaves no activation cached.
+pub fn hep_accuracy(model: &Network, ds: &HepDataset, indices: &[usize]) -> f64 {
     let (batch, labels) = ds.gather(indices);
-    let logits = model.forward(&batch);
+    let logits = model.infer(&batch);
     let probs = SoftmaxCrossEntropy::probabilities(&logits);
     let mut correct = 0usize;
     for (i, &label) in labels.iter().enumerate() {
@@ -131,13 +132,14 @@ pub fn hep_accuracy(model: &mut Network, ds: &HepDataset, indices: &[usize]) -> 
     correct as f64 / labels.len().max(1) as f64
 }
 
-/// Signal-class probabilities (scores) for ROC evaluation.
-pub fn hep_scores(model: &mut Network, ds: &HepDataset, indices: &[usize]) -> Vec<f32> {
+/// Signal-class probabilities (scores) for ROC evaluation, through the
+/// serving forward like [`hep_accuracy`].
+pub fn hep_scores(model: &Network, ds: &HepDataset, indices: &[usize]) -> Vec<f32> {
     // Evaluate in chunks to bound memory.
     let mut scores = Vec::with_capacity(indices.len());
     for chunk in indices.chunks(64) {
         let (batch, _) = ds.gather(chunk);
-        let logits = model.forward(&batch);
+        let logits = model.infer(&batch);
         let probs = SoftmaxCrossEntropy::probabilities(&logits);
         for i in 0..chunk.len() {
             scores.push(probs.item(i)[1]);
@@ -208,9 +210,9 @@ mod tests {
     fn scores_are_probabilities() {
         let ds = HepDataset::generate(HepConfig::small(), 8, 2);
         let mut rng = TensorRng::new(6);
-        let mut model = scidl_nn::arch::hep_small(&mut rng);
+        let model = scidl_nn::arch::hep_small(&mut rng);
         let idx: Vec<usize> = (0..8).collect();
-        let s = hep_scores(&mut model, &ds, &idx);
+        let s = hep_scores(&model, &ds, &idx);
         assert_eq!(s.len(), 8);
         assert!(s.iter().all(|&p| (0.0..=1.0).contains(&p)));
     }
@@ -219,9 +221,9 @@ mod tests {
     fn accuracy_bounded() {
         let ds = HepDataset::generate(HepConfig::small(), 16, 3);
         let mut rng = TensorRng::new(7);
-        let mut model = scidl_nn::arch::hep_small(&mut rng);
+        let model = scidl_nn::arch::hep_small(&mut rng);
         let idx: Vec<usize> = (0..16).collect();
-        let a = hep_accuracy(&mut model, &ds, &idx);
+        let a = hep_accuracy(&model, &ds, &idx);
         assert!((0.0..=1.0).contains(&a));
     }
 }

@@ -2,22 +2,34 @@
 //! (Sec. III-A); the detection head of the climate network additionally
 //! uses an elementwise sigmoid on its confidence map, provided here as a
 //! free function pair used by the loss.
+//!
+//! [`Relu`] trains in place, as Caffe's does on its input blob: `forward`
+//! rectifies the buffer it is handed and remembers one bit per element,
+//! set where the input was positive; `backward` clears the gradient it is
+//! handed wherever that bit is clear. A training step so holds one
+//! buffer per ReLU, not an input and an output, and a mask 1/32 the size
+//! of the activation.
 
 use crate::layer::Layer;
 use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
+/// Elements behind one word of a [`Relu`] mask.
+const WORD: usize = u64::BITS as usize;
+
 /// Rectified linear unit, `y = max(0, x)`.
 pub struct Relu {
     name: String,
-    /// Mask of active (positive) inputs from the last forward.
-    mask: Vec<bool>,
-    in_shape: Shape4,
+    /// Bit `i % 64` of word `i / 64` is set iff element `i` of the last
+    /// forward's input was `> 0.0`: where the gradient passes.
+    mask: Vec<u64>,
+    /// Elements of the last forward's input.
+    len: usize,
 }
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), mask: Vec::new(), in_shape: Shape4::new(0, 0, 0, 0) }
+        Self { name: name.into(), mask: Vec::new(), len: 0 }
     }
 }
 
@@ -30,16 +42,11 @@ impl Layer for Relu {
         input
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.in_shape = input.shape();
-        let x = input.data();
-        self.mask.resize(x.len(), false);
-        par::for_each_chunk_mut(&mut self.mask, PAR_CHUNK, |i, mask| {
-            for (m, &x) in mask.iter_mut().zip(&x[i * PAR_CHUNK..]) {
-                *m = x > 0.0;
-            }
-        });
-        self.infer(input)
+    fn forward(&mut self, mut input: Tensor) -> Tensor {
+        self.len = input.len();
+        self.mask.resize(self.len.div_ceil(WORD), 0);
+        by_word(input.data_mut(), &mut self.mask, |x, bits| *bits = rectify_word(x));
+        input
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
@@ -47,12 +54,10 @@ impl Layer for Relu {
         Tensor::from_chunks(input.shape(), |r| x[r].iter().map(|&x| rectify(x)))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.mask.len(), "{}: backward before forward", self.name);
-        let (g, mask) = (grad_out.data(), &self.mask);
-        Tensor::from_chunks(self.in_shape, |r| {
-            g[r.clone()].iter().zip(&mask[r]).map(|(&g, &m)| if m { g } else { 0.0 })
-        })
+    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        assert_eq!(grad_out.len(), self.len, "{}: backward before forward", self.name);
+        by_word(grad_out.data_mut(), &mut self.mask, |g, bits| pass_word(g, *bits));
+        grad_out
     }
 
     fn forward_flops_per_image(&self, input: Shape4) -> u64 {
@@ -64,14 +69,66 @@ impl Layer for Relu {
     }
 }
 
+/// Runs `f` on every [`WORD`] elements of `data` (the last run may be
+/// shorter) beside their word of `mask`, split across threads
+/// [`PAR_CHUNK`] elements at a time.
+fn by_word(data: &mut [f32], mask: &mut [u64], f: impl Fn(&mut [f32], &mut u64) + Sync) {
+    let (words, tail) = data.as_chunks_mut::<WORD>();
+    let (mask, tail_mask) = mask.split_at_mut(words.len());
+    par::for_each_chunk_pair_mut(words, mask, PAR_CHUNK / WORD, |_, words, mask| {
+        for (x, bits) in words.iter_mut().zip(mask) {
+            f(x, bits);
+        }
+    });
+    if let Some(bits) = tail_mask.first_mut() {
+        f(tail, bits);
+    }
+}
+
+/// Rectifies up to [`WORD`] values in place and returns which were
+/// positive, element `j` as bit `j`. Eight lanes are compared at a time
+/// into bytes, so the compare vectorizes, and one multiply packs them:
+/// byte `j`'s low bit lands on bit `56 + j`, and no two products meet.
+#[inline]
+fn rectify_word(x: &mut [f32]) -> u64 {
+    let mut bits = 0;
+    for (i, x) in x.chunks_mut(8).enumerate() {
+        let mut lanes = [0u8; 8];
+        for (lane, x) in lanes.iter_mut().zip(x) {
+            *lane = u8::from(*x > 0.0);
+            *x = rectify(*x);
+        }
+        bits |= (u64::from_le_bytes(lanes).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * i);
+    }
+    bits
+}
+
+/// Keeps `g[j]`'s bits where bit `j` of `bits` is set and writes `+0.0`
+/// where it is clear — `if x > 0.0 { g } else { 0.0 }` as an AND, so a
+/// NaN or infinite gradient is cleared like any other. One 32-bit half
+/// at a time, so the bit test vectorizes.
+#[inline]
+fn pass_word(g: &mut [f32], bits: u64) {
+    for (h, g) in g.chunks_mut(32).enumerate() {
+        let bits = (bits >> (32 * h)) as u32;
+        for (j, g) in g.iter_mut().enumerate() {
+            let keep = if bits & (1 << j) != 0 { u32::MAX } else { 0 };
+            *g = f32::from_bits(g.to_bits() & keep);
+        }
+    }
+}
+
 /// `max(0, x)`, except that NaN stays NaN: `f32::max` returns its
 /// non-NaN operand and would launder a poisoned activation into `0.0`.
+/// Written as a select rather than `f32::max`, whose zero for `x = -0.0`
+/// is whichever operand the generated code happens to return: here it is
+/// `+0.0` in every loop shape, so the in-place forward and `infer` agree.
 #[inline]
 fn rectify(x: f32) -> f32 {
-    if x.is_nan() {
+    if x > 0.0 || x.is_nan() {
         x
     } else {
-        x.max(0.0)
+        0.0
     }
 }
 
@@ -95,7 +152,7 @@ mod tests {
     fn relu_forward_clamps_negatives() {
         let mut r = Relu::new("r");
         let x = Tensor::from_flat(vec![-2.0, -0.5, 0.0, 0.5, 2.0]);
-        let y = r.forward(&x);
+        let y = r.forward(x);
         assert_eq!(y.data(), &[0.0, 0.0, 0.0, 0.5, 2.0]);
     }
 
@@ -103,9 +160,9 @@ mod tests {
     fn relu_backward_masks_gradient() {
         let mut r = Relu::new("r");
         let x = Tensor::from_flat(vec![-1.0, 1.0, -3.0, 2.0]);
-        r.forward(&x);
+        r.forward(x);
         let g = Tensor::from_flat(vec![10.0, 20.0, 30.0, 40.0]);
-        let gx = r.backward(&g);
+        let gx = r.backward(g);
         assert_eq!(gx.data(), &[0.0, 20.0, 0.0, 40.0]);
     }
 
@@ -114,8 +171,8 @@ mod tests {
         // The subgradient at exactly zero is taken as 0 (x > 0 test).
         let mut r = Relu::new("r");
         let x = Tensor::from_flat(vec![0.0]);
-        r.forward(&x);
-        let gx = r.backward(&Tensor::from_flat(vec![5.0]));
+        r.forward(x);
+        let gx = r.backward(Tensor::from_flat(vec![5.0]));
         assert_eq!(gx.data(), &[0.0]);
     }
 

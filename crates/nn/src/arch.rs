@@ -136,8 +136,6 @@ pub struct ClimateNet {
     pub lambda_recon: f32,
     /// The supervised detection objective.
     pub det_loss: DetectionLoss,
-    cached_input: Option<Tensor>,
-    cached_features: Option<Tensor>,
 }
 
 impl ClimateNet {
@@ -187,8 +185,6 @@ impl ClimateNet {
             bbox_head: Conv2d::new("head_bbox", feat_c, 4, 3, 1, 1, rng),
             lambda_recon: 1.0,
             det_loss: DetectionLoss::default(),
-            cached_input: None,
-            cached_features: None,
         }
     }
 
@@ -203,15 +199,15 @@ impl ClimateNet {
         Shape4::new(input.n, 1, f.h, f.w)
     }
 
-    /// Forward pass through encoder, heads and decoder.
+    /// Forward pass through encoder, decoder and heads. Each consumer of
+    /// the features caches its own copy of them; the last takes the
+    /// original.
     pub fn forward(&mut self, input: &Tensor) -> ClimateOutput {
         let features = self.encoder.forward(input);
-        let conf = self.conf_head.forward(&features);
-        let class = self.class_head.forward(&features);
-        let bbox = self.bbox_head.forward(&features);
         let recon = self.decoder.forward(&features);
-        self.cached_input = Some(input.clone());
-        self.cached_features = Some(features);
+        let conf = self.conf_head.forward(features.clone());
+        let class = self.class_head.forward(features.clone());
+        let bbox = self.bbox_head.forward(features);
         ClimateOutput { conf, class, bbox, recon }
     }
 
@@ -228,7 +224,6 @@ impl ClimateNet {
         targets: Option<&DetectionTargets>,
     ) -> (DetectionLossParts, f32) {
         let out = self.forward(input);
-        let features = self.cached_features.take().expect("forward just ran");
 
         let (recon_loss, mut drecon) = mse_loss(&out.recon, input);
         drecon.scale(self.lambda_recon);
@@ -236,24 +231,20 @@ impl ClimateNet {
 
         let parts = if let Some(t) = targets {
             let (parts, dconf, dclass, dbbox) = self.det_loss.forward(&out.conf, &out.class, &out.bbox, t);
-            dfeat.add_assign(&self.conf_head.backward(&dconf));
-            dfeat.add_assign(&self.class_head.backward(&dclass));
-            dfeat.add_assign(&self.bbox_head.backward(&dbbox));
+            dfeat.add_assign(&self.conf_head.backward(dconf));
+            dfeat.add_assign(&self.class_head.backward(dclass));
+            dfeat.add_assign(&self.bbox_head.backward(dbbox));
             parts
         } else {
             // Unlabelled batch: heads still cached a forward; drop state
             // by running a zero backward so gradient accumulation stays
             // well-defined without contributing to head gradients.
-            let zero_c = Tensor::zeros(out.conf.shape());
-            let zero_k = Tensor::zeros(out.class.shape());
-            let zero_b = Tensor::zeros(out.bbox.shape());
-            self.conf_head.backward(&zero_c);
-            self.class_head.backward(&zero_k);
-            self.bbox_head.backward(&zero_b);
+            self.conf_head.backward(Tensor::zeros(out.conf.shape()));
+            self.class_head.backward(Tensor::zeros(out.class.shape()));
+            self.bbox_head.backward(Tensor::zeros(out.bbox.shape()));
             DetectionLossParts::default()
         };
 
-        let _ = features; // features were cloned into layer caches already
         self.encoder.backward(&dfeat);
         (parts, recon_loss * self.lambda_recon)
     }

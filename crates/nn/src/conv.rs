@@ -97,9 +97,9 @@ impl Layer for Conv2d {
         self.geometry(input.h, input.w).out_shape(input.n)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = self.infer(input);
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: Tensor) -> Tensor {
+        let out = self.infer(&input);
+        self.cached_input = Some(input);
         out
     }
 
@@ -139,7 +139,7 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let input = self
             .cached_input
             .take()
@@ -282,7 +282,7 @@ mod tests {
         {
             let mut conv = Conv2d::new("c", cin, cout, k, s, p, &mut r);
             let x = r.uniform_tensor(Shape4::new(2, cin, h, w), -1.0, 1.0);
-            let y = conv.forward(&x);
+            let y = conv.forward(x.clone());
             let yref = conv_ref(&x, &conv.weight.value, conv.bias.value.data(), k, s, p);
             assert!(
                 y.max_abs_diff(&yref) < 1e-4,
@@ -297,7 +297,7 @@ mod tests {
         let mut conv = Conv2d::new("c", 3, 8, 3, 2, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(1, 3, 9, 9), -1.0, 1.0);
         let expect = conv.out_shape(x.shape());
-        let y = conv.forward(&x);
+        let y = conv.forward(x.clone());
         assert_eq!(y.shape(), expect);
         assert_eq!(expect, Shape4::new(1, 8, 5, 5));
     }
@@ -310,9 +310,9 @@ mod tests {
         let x = r.uniform_tensor(Shape4::new(1, 2, 4, 4), -1.0, 1.0);
 
         // Loss = sum(forward(x)); dL/dy = ones.
-        let y = conv.forward(&x);
+        let y = conv.forward(x.clone());
         let ones = Tensor::filled(y.shape(), 1.0);
-        let dx = conv.backward(&ones);
+        let dx = conv.backward(ones);
 
         let eps = 1e-3f32;
 
@@ -322,9 +322,9 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let lp = conv.forward(&xp).sum();
+            let lp = conv.forward(xp).sum();
             conv.cached_input = None;
-            let lm = conv.forward(&xm).sum();
+            let lm = conv.forward(xm).sum();
             conv.cached_input = None;
             let num = (lp - lm) / (2.0 * eps);
             assert!(
@@ -339,10 +339,10 @@ mod tests {
             let analytic = conv.weight.grad.data()[idx];
             let orig = conv.weight.value.data()[idx];
             conv.weight.value.data_mut()[idx] = orig + eps;
-            let lp = conv.forward(&x).sum();
+            let lp = conv.forward(x.clone()).sum();
             conv.cached_input = None;
             conv.weight.value.data_mut()[idx] = orig - eps;
-            let lm = conv.forward(&x).sum();
+            let lm = conv.forward(x.clone()).sum();
             conv.cached_input = None;
             conv.weight.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
@@ -364,12 +364,12 @@ mod tests {
         let mut r = rng();
         let mut conv = Conv2d::new("c", 1, 1, 3, 1, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(1, 1, 4, 4), -1.0, 1.0);
-        let y = conv.forward(&x);
+        let y = conv.forward(x.clone());
         let g = Tensor::filled(y.shape(), 1.0);
-        conv.backward(&g);
+        conv.backward(g.clone());
         let after_one = conv.weight.grad.clone();
-        conv.forward(&x);
-        conv.backward(&g);
+        conv.forward(x.clone());
+        conv.backward(g.clone());
         let mut expected = after_one.clone();
         expected.scale(2.0);
         assert!(conv.weight.grad.max_abs_diff(&expected) < 1e-4);
@@ -392,10 +392,10 @@ mod tests {
         let mut r = rng();
         let mut conv_par = Conv2d::new("c", 3, 8, 3, 1, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(6, 3, 12, 12), -1.0, 1.0);
-        let y_par = conv_par.forward(&x);
+        let y_par = conv_par.forward(x.clone());
         for n in 0..6 {
             let single = x.batch_slice(n, 1);
-            let y_one = conv_par.forward(&single);
+            let y_one = conv_par.forward(single);
             let got = y_par.item(n);
             let want = y_one.item(0);
             let err = got
@@ -412,7 +412,7 @@ mod tests {
         let mut xr = TensorRng::new(6161);
         let x = xr.uniform_tensor(Shape4::new(3, 3, 8, 8), -1.0, 1.0);
         let mut conv = Conv2d::new("c", 3, 8, 3, 1, 1, &mut rng());
-        let want = conv.forward(&x);
+        let want = conv.forward(x.clone());
         let got = conv.infer(&x);
         assert_eq!(want.data(), got.data(), "infer must be bit-identical");
     }

@@ -88,9 +88,9 @@ impl Layer for Deconv2d {
         Shape4::new(input.n, self.cout, oh, ow)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = self.infer(input);
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: Tensor) -> Tensor {
+        let out = self.infer(&input);
+        self.cached_input = Some(input);
         out
     }
 
@@ -120,7 +120,7 @@ impl Layer for Deconv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let input = self
             .cached_input
             .take()
@@ -222,7 +222,7 @@ mod tests {
         {
             let mut d = Deconv2d::new("d", cin, cout, k, s, p, &mut r);
             let x = r.uniform_tensor(Shape4::new(2, cin, h, w), -1.0, 1.0);
-            let y = d.forward(&x);
+            let y = d.forward(x.clone());
             let yref = deconv_ref(&x, &d.weight.value, d.bias.value.data(), k, s, p);
             assert_eq!(y.shape(), yref.shape());
             assert!(
@@ -244,9 +244,9 @@ mod tests {
         let mut r = rng();
         let mut d = Deconv2d::new("d", 2, 2, 3, 2, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(1, 2, 3, 3), -1.0, 1.0);
-        let y = d.forward(&x);
+        let y = d.forward(x.clone());
         let ones = Tensor::filled(y.shape(), 1.0);
-        let dx = d.backward(&ones);
+        let dx = d.backward(ones);
         let eps = 1e-3f32;
 
         for &idx in &[0usize, 4, 9, 17] {
@@ -254,9 +254,9 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let lp = d.forward(&xp).sum();
+            let lp = d.forward(xp).sum();
             d.cached_input = None;
-            let lm = d.forward(&xm).sum();
+            let lm = d.forward(xm).sum();
             d.cached_input = None;
             let num = (lp - lm) / (2.0 * eps);
             assert!(
@@ -270,10 +270,10 @@ mod tests {
             let analytic = d.weight.grad.data()[idx];
             let orig = d.weight.value.data()[idx];
             d.weight.value.data_mut()[idx] = orig + eps;
-            let lp = d.forward(&x).sum();
+            let lp = d.forward(x.clone()).sum();
             d.cached_input = None;
             d.weight.value.data_mut()[idx] = orig - eps;
-            let lm = d.forward(&x).sum();
+            let lm = d.forward(x.clone()).sum();
             d.cached_input = None;
             d.weight.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
@@ -300,9 +300,9 @@ mod tests {
         dec.weight.value = Tensor::from_vec(dec.weight.value.shape(), conv.params()[0].value.data().to_vec());
 
         let x = r.uniform_tensor(Shape4::new(1, cin, 7, 7), -1.0, 1.0);
-        let cx = conv.forward(&x);
+        let cx = conv.forward(x.clone());
         let y = r.uniform_tensor(cx.shape(), -1.0, 1.0);
-        let dy = dec.forward(&y);
+        let dy = dec.forward(y.clone());
 
         let lhs: f64 = cx.data().iter().zip(y.data()).map(|(a, b)| *a as f64 * *b as f64).sum();
         let rhs: f64 = x.data().iter().zip(dy.data()).map(|(a, b)| *a as f64 * *b as f64).sum();
@@ -314,7 +314,7 @@ mod tests {
         let mut r = rng();
         let mut d = Deconv2d::new("d", 3, 2, 4, 2, 1, &mut r);
         let x = r.uniform_tensor(Shape4::new(2, 3, 5, 5), -1.0, 1.0);
-        let want = d.forward(&x);
+        let want = d.forward(x.clone());
         let got = d.infer(&x);
         assert_eq!(want.data(), got.data());
     }

@@ -51,9 +51,9 @@ impl Layer for Dense {
         Shape4::new(input.n, self.output_len, 1, 1)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let out = self.infer(input);
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: Tensor) -> Tensor {
+        let out = self.infer(&input);
+        self.cached_input = Some(input);
         out
     }
 
@@ -77,7 +77,7 @@ impl Layer for Dense {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let input = self
             .cached_input
             .take()
@@ -159,7 +159,7 @@ mod tests {
         );
         d.bias.value = Tensor::from_flat(vec![0.5, -0.5]);
         let x = Tensor::from_vec(Shape4::new(2, 3, 1, 1), vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
-        let y = d.forward(&x);
+        let y = d.forward(x.clone());
         // item0: [1-3+0.5, 2+2+1.5-0.5] = [-1.5, 5.0]
         // item1: [-1-1+0.5, -2+0.5-0.5] = [-1.5, -2.0]
         assert_eq!(y.data(), &[-1.5, 5.0, -1.5, -2.0]);
@@ -170,9 +170,9 @@ mod tests {
         let mut rng = TensorRng::new(8);
         let mut d = Dense::new("fc", 4, 3, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(2, 4, 1, 1), -1.0, 1.0);
-        let y = d.forward(&x);
+        let y = d.forward(x.clone());
         let ones = Tensor::filled(y.shape(), 1.0);
-        let dx = d.backward(&ones);
+        let dx = d.backward(ones);
         let eps = 1e-3f32;
 
         for idx in 0..x.len() {
@@ -180,9 +180,9 @@ mod tests {
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let lp = d.forward(&xp).sum();
+            let lp = d.forward(xp).sum();
             d.cached_input = None;
-            let lm = d.forward(&xm).sum();
+            let lm = d.forward(xm).sum();
             d.cached_input = None;
             let num = (lp - lm) / (2.0 * eps);
             assert!((dx.data()[idx] - num).abs() < 1e-2, "input grad {idx}");
@@ -191,10 +191,10 @@ mod tests {
             let analytic = d.weight.grad.data()[idx];
             let orig = d.weight.value.data()[idx];
             d.weight.value.data_mut()[idx] = orig + eps;
-            let lp = d.forward(&x).sum();
+            let lp = d.forward(x.clone()).sum();
             d.cached_input = None;
             d.weight.value.data_mut()[idx] = orig - eps;
-            let lm = d.forward(&x).sum();
+            let lm = d.forward(x.clone()).sum();
             d.cached_input = None;
             d.weight.value.data_mut()[idx] = orig;
             let num = (lp - lm) / (2.0 * eps);
@@ -209,7 +209,7 @@ mod tests {
         let mut rng = TensorRng::new(2);
         let mut d = Dense::new("fc", 12, 5, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(3, 3, 2, 2), -1.0, 1.0);
-        let y = d.forward(&x);
+        let y = d.forward(x.clone());
         assert_eq!(y.shape(), Shape4::new(3, 5, 1, 1));
     }
 

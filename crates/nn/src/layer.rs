@@ -74,6 +74,12 @@ impl InferScratch {
 /// `backward` consumes that state, accumulates parameter gradients into
 /// its [`ParamBlock`]s and returns the gradient with respect to the
 /// input.
+///
+/// Training owns its activations: `forward` and `backward` take their
+/// tensor by value and may keep it (a convolution caches its input) or
+/// reuse its buffer for the result (ReLU rectifies in place), so no
+/// layer copies an activation. `infer` borrows, because serving shares
+/// its inputs, and never writes to them.
 pub trait Layer: Send + Sync {
     /// Layer instance name (unique within a network), e.g. `"conv3"`.
     fn name(&self) -> &str;
@@ -83,17 +89,19 @@ pub trait Layer: Send + Sync {
     fn out_shape(&self, input: Shape4) -> Shape4;
 
     /// Training forward pass: [`Layer::infer`]'s output, with what
-    /// `backward` needs remembered in the layer.
-    fn forward(&mut self, input: &Tensor) -> Tensor;
+    /// `backward` needs remembered in the layer. May keep `input`, or
+    /// overwrite it and return its buffer.
+    fn forward(&mut self, input: Tensor) -> Tensor;
 
     /// Backward pass: gradient w.r.t. output in, gradient w.r.t. input
-    /// out. Must be called after `forward` with a matching shape.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// out. Must be called after `forward` with a matching shape. May
+    /// overwrite `grad_out` and return its buffer.
+    fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
-    /// The layer's function, stateless: no activation is cached and no
-    /// layer state touched, so one model can be shared read-only across
-    /// serving workers. Scratch comes from the calling thread's
-    /// [`scidl_tensor::Workspace`].
+    /// The layer's function, stateless: no activation is cached, no
+    /// layer state touched and `input` left as it is, so one model can be
+    /// shared read-only across serving workers. Scratch comes from the
+    /// calling thread's [`scidl_tensor::Workspace`].
     fn infer(&self, input: &Tensor) -> Tensor;
 
     /// The int8 serving form of this layer, if it has one. Layers whose

@@ -21,7 +21,8 @@
 //!   the real Rust kernels.
 //!
 //! Gradient flow follows the classic Caffe model: layers are stateful,
-//! `forward` caches what `backward` needs, and parameter gradients
+//! `forward` caches what `backward` needs, each layer owns the activation
+//! it is handed (ReLU rectifies it in place), and parameter gradients
 //! accumulate into [`ParamBlock`]s that the distributed engines in
 //! `scidl-core` flatten into communication buffers.
 //!

@@ -122,11 +122,10 @@ impl Network {
         self.layers.iter().fold(input, |s, l| l.out_shape(s))
     }
 
-    /// Full forward pass.
+    /// Full forward pass. The input is copied once, for the first layer
+    /// to own; each layer's output is then handed to the next.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter_mut();
-        let Some(first) = layers.next() else { return input.clone() };
-        layers.fold(first.forward(input), |x, l| l.forward(&x))
+        self.layers.iter_mut().fold(input.clone(), |x, l| l.forward(x))
     }
 
     /// Inference-only forward pass: the same function as
@@ -196,14 +195,16 @@ impl Network {
     /// `backward` completes, so its parameter gradients are final and a
     /// caller can start communicating them while shallower layers are
     /// still backpropagating (the MLSL-style overlap of Sec. V).
-    /// [`Network::backward`] is this loop with a no-op callback.
+    /// [`Network::backward`] is this loop with a no-op callback. Like
+    /// `forward`, it copies `grad_out` once and hands each layer's result
+    /// to the next.
     pub fn backward_layered<F>(&mut self, grad_out: &Tensor, mut on_ready: F) -> Tensor
     where
         F: FnMut(usize, &dyn Layer),
     {
         let mut g = grad_out.clone();
         for (i, l) in self.layers.iter_mut().enumerate().rev() {
-            g = l.backward(&g);
+            g = l.backward(g);
             on_ready(i, &**l);
         }
         g

@@ -43,7 +43,7 @@ impl Layer for MaxPool2d {
         )
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: Tensor) -> Tensor {
         let is = input.shape();
         let os = self.out_shape(is);
         let mut out = Tensor::zeros(os);
@@ -53,7 +53,7 @@ impl Layer for MaxPool2d {
         let (k, stride) = (self.k, self.stride);
         let unit = planes_per_unit(is);
         par::for_each_chunk_pair_mut(out.data_mut(), &mut self.argmax, unit * os.plane_len(), |g, odata, argmax| {
-            pool_planes(k, stride, input, os, g * unit, odata, |oi, idx| argmax[oi] = idx as u32);
+            pool_planes(k, stride, &input, os, g * unit, odata, |oi, idx| argmax[oi] = idx as u32);
         });
         out
     }
@@ -69,7 +69,7 @@ impl Layer for MaxPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         assert_eq!(grad_out.len(), self.argmax.len(), "{}: backward before forward", self.name);
         let mut grad_in = Tensor::zeros(self.in_shape);
         // A plane's outputs scatter into that plane only, in output
@@ -190,9 +190,9 @@ impl Layer for GlobalAvgPool {
         Shape4::new(input.n, input.c, 1, 1)
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
+    fn forward(&mut self, input: Tensor) -> Tensor {
         self.in_shape = input.shape();
-        self.infer(input)
+        self.infer(&input)
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
@@ -210,7 +210,7 @@ impl Layer for GlobalAvgPool {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let is = self.in_shape;
         assert_eq!(grad_out.shape(), self.out_shape(is), "{}: grad shape mismatch", self.name);
         let mut grad_in = Tensor::zeros(is);
@@ -254,7 +254,7 @@ mod tests {
                 -3.0, -4.0, 0.25, 0.75,
             ],
         );
-        let y = p.forward(&x);
+        let y = p.forward(x);
         assert_eq!(y.shape(), Shape4::new(1, 1, 2, 2));
         assert_eq!(y.data(), &[4.0, 8.0, -1.0, 0.75]);
     }
@@ -266,9 +266,9 @@ mod tests {
             Shape4::new(1, 1, 2, 2),
             vec![1.0, 9.0, 3.0, 4.0],
         );
-        p.forward(&x);
+        p.forward(x);
         let g = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![5.0]);
-        let gx = p.backward(&g);
+        let gx = p.backward(g);
         assert_eq!(gx.data(), &[0.0, 5.0, 0.0, 0.0]);
     }
 
@@ -277,9 +277,9 @@ mod tests {
         let mut rng = TensorRng::new(7);
         let mut p = MaxPool2d::new("p", 2, 2);
         let x = rng.uniform_tensor(Shape4::new(2, 3, 6, 6), -1.0, 1.0);
-        let y = p.forward(&x);
+        let y = p.forward(x);
         let ones = Tensor::filled(y.shape(), 1.0);
-        let gx = p.backward(&ones);
+        let gx = p.backward(ones);
         // Sum of input grads equals number of output elements (each output
         // routes exactly one unit of gradient).
         assert!((gx.sum() - y.len() as f32).abs() < 1e-3);
@@ -298,7 +298,7 @@ mod tests {
             Shape4::new(1, 2, 2, 2),
             vec![1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0],
         );
-        let y = g.forward(&x);
+        let y = g.forward(x.clone());
         assert_eq!(y.shape(), Shape4::new(1, 2, 1, 1));
         assert_eq!(y.data(), &[2.5, 25.0]);
     }
@@ -307,9 +307,9 @@ mod tests {
     fn gap_backward_spreads_uniformly() {
         let mut g = GlobalAvgPool::new("gap");
         let x = Tensor::filled(Shape4::new(1, 1, 2, 2), 3.0);
-        g.forward(&x);
+        g.forward(x.clone());
         let dy = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![8.0]);
-        let dx = g.backward(&dy);
+        let dx = g.backward(dy);
         assert_eq!(dx.data(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
@@ -318,17 +318,17 @@ mod tests {
         let mut rng = TensorRng::new(3);
         let mut g = GlobalAvgPool::new("gap");
         let x = rng.uniform_tensor(Shape4::new(1, 2, 3, 3), -1.0, 1.0);
-        let y = g.forward(&x);
+        let y = g.forward(x.clone());
         let ones = Tensor::filled(y.shape(), 1.0);
-        let dx = g.backward(&ones);
+        let dx = g.backward(ones);
         let eps = 1e-3f32;
         for idx in [0usize, 8, 17] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let lp = g.forward(&xp).sum();
-            let lm = g.forward(&xm).sum();
+            let lp = g.forward(xp).sum();
+            let lm = g.forward(xm).sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!((dx.data()[idx] - num).abs() < 1e-2);
         }

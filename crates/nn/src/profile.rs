@@ -76,7 +76,7 @@ pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: us
         let mut act = x.clone();
         for (i, l) in net.layers_mut().iter_mut().enumerate() {
             let t0 = Instant::now();
-            act = l.forward(&act);
+            act = l.forward(act);
             if timed {
                 fwd[i].push(t0.elapsed().as_secs_f64());
             }
@@ -85,7 +85,7 @@ pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: us
         let mut g = Tensor::filled(out_shape, 1.0);
         for (i, l) in net.layers_mut().iter_mut().enumerate().rev() {
             let t0 = Instant::now();
-            g = l.backward(&g);
+            g = l.backward(g);
             if timed {
                 bwd[i].push(t0.elapsed().as_secs_f64());
             }

@@ -68,11 +68,11 @@ impl Layer for Residual {
         inner
     }
 
-    fn forward(&mut self, input: &Tensor) -> Tensor {
-        let mut y = self.inner.forward(input);
+    fn forward(&mut self, input: Tensor) -> Tensor {
+        let mut y = self.inner.forward(&input);
         match &mut self.projection {
             Some(p) => y.add_assign(&p.forward(input)),
-            None => y.add_assign(input),
+            None => y.add_assign(&input),
         }
         y
     }
@@ -86,11 +86,11 @@ impl Layer for Residual {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut dx = self.inner.backward(grad_out);
+    fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        let mut dx = self.inner.backward(&grad_out);
         match &mut self.projection {
             Some(p) => dx.add_assign(&p.backward(grad_out)),
-            None => dx.add_assign(grad_out),
+            None => dx.add_assign(&grad_out),
         }
         dx
     }
@@ -165,7 +165,7 @@ mod tests {
         inner.add(Box::new(conv));
         let mut res = Residual::identity("r", inner);
         let x = rng.uniform_tensor(Shape4::new(1, 2, 4, 4), -1.0, 1.0);
-        let y = res.forward(&x);
+        let y = res.forward(x.clone());
         assert!(y.max_abs_diff(&x) < 1e-6);
     }
 
@@ -177,9 +177,9 @@ mod tests {
             .push(Relu::new("r"));
         let mut res = Residual::identity("r", inner);
         let x = rng.uniform_tensor(Shape4::new(1, 2, 4, 4), -1.0, 1.0);
-        let _ = res.forward(&x);
+        let _ = res.forward(x.clone());
         let g = Tensor::filled(Shape4::new(1, 2, 4, 4), 1.0);
-        let dx = res.backward(&g);
+        let dx = res.backward(g);
         // The skip contributes at least the incoming gradient everywhere.
         // ReLU can only add non-negative conv-path gradient on top when
         // conv weights are positive, so check the skip floor via a zeroed
@@ -194,16 +194,16 @@ mod tests {
         let inner = Network::new("inner").push(Conv2d::new("c", 1, 1, 3, 1, 1, &mut rng));
         let mut res = Residual::identity("r", inner);
         let x = rng.uniform_tensor(Shape4::new(1, 1, 4, 4), -1.0, 1.0);
-        let y = res.forward(&x);
-        let dx = res.backward(&Tensor::filled(y.shape(), 1.0));
+        let y = res.forward(x.clone());
+        let dx = res.backward(Tensor::filled(y.shape(), 1.0));
         let eps = 1e-3f32;
         for idx in [0usize, 7, 15] {
             let mut xp = x.clone();
             xp.data_mut()[idx] += eps;
             let mut xm = x.clone();
             xm.data_mut()[idx] -= eps;
-            let lp = res.forward(&xp).sum();
-            let lm = res.forward(&xm).sum();
+            let lp = res.forward(xp).sum();
+            let lm = res.forward(xm).sum();
             let num = (lp - lm) / (2.0 * eps);
             assert!((dx.data()[idx] - num).abs() < 2e-2, "grad {idx}");
         }
@@ -216,9 +216,9 @@ mod tests {
         let mut res = Residual::projected("r", inner, 4, 8, 2, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(2, 4, 8, 8), -1.0, 1.0);
         assert_eq!(res.out_shape(x.shape()), Shape4::new(2, 8, 4, 4));
-        let y = res.forward(&x);
+        let y = res.forward(x.clone());
         assert_eq!(y.shape(), Shape4::new(2, 8, 4, 4));
-        let dx = res.backward(&Tensor::filled(y.shape(), 1.0));
+        let dx = res.backward(Tensor::filled(y.shape(), 1.0));
         assert_eq!(dx.shape(), x.shape());
     }
 

@@ -41,7 +41,7 @@ fn nonfinite_in_means_nonfinite_out_for_every_layer() {
             }
             let x = poisoned(&x, poison);
             let served = layer.infer(&x);
-            let trained = layer.forward(&x);
+            let trained = layer.forward(x);
             assert!(!served.all_finite(), "{name}: infer laundered {poison}");
             assert!(!trained.all_finite(), "{name}: forward laundered {poison}");
             // Item 1 is clean: poison must not leak across batch items.
@@ -55,7 +55,7 @@ fn relu_and_maxpool_pass_nan_through_exactly() {
     let x = Tensor::from_flat(vec![1.0, f32::NAN, -3.0, -0.0, 0.0, 2.0]);
     let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let mut relu = Relu::new("r");
-    let y = relu.forward(&x);
+    let y = relu.forward(x.clone());
     assert_eq!(bits(&relu.infer(&x)), bits(&y));
     for (i, (&x, &y)) in x.data().iter().zip(y.data()).enumerate() {
         if x.is_nan() {
@@ -77,10 +77,10 @@ fn relu_and_maxpool_pass_nan_through_exactly() {
         ],
     );
     let mut pool = MaxPool2d::new("p", 2, 2);
-    let y = pool.forward(&x);
+    let y = pool.forward(x.clone());
     assert!(y.data().iter().all(|v| v.is_nan()), "{:?}", y.data());
     assert!(pool.infer(&x).data().iter().all(|v| v.is_nan()));
-    let gx = pool.backward(&Tensor::from_vec(y.shape(), vec![5.0, 7.0]));
+    let gx = pool.backward(Tensor::from_vec(y.shape(), vec![5.0, 7.0]));
     assert_eq!([gx.data()[0], gx.data()[1], gx.data()[4], gx.data()[5]], [0.0, 5.0, 0.0, 0.0]);
     assert_eq!([2, 3, 6, 7].map(|i| gx.data()[i]).iter().sum::<f32>(), 7.0);
 }

@@ -30,8 +30,8 @@ proptest! {
         let x = rng.uniform_tensor(Shape4::new(1, cin, hw, hw), -1.0, 1.0);
         let dir = rng.uniform_tensor(x.shape(), -1.0, 1.0);
 
-        let y = conv.forward(&x);
-        let dx = conv.backward(&Tensor::filled(y.shape(), 1.0));
+        let y = conv.forward(x.clone());
+        let dx = conv.backward(Tensor::filled(y.shape(), 1.0));
         let analytic: f64 = dx.data().iter().zip(dir.data()).map(|(a, b)| *a as f64 * *b as f64).sum();
 
         let eps = 1e-3f32;
@@ -39,8 +39,8 @@ proptest! {
         xp.axpy(eps, &dir);
         let mut xm = x.clone();
         xm.axpy(-eps, &dir);
-        let lp = conv.forward(&xp).sum() as f64;
-        let lm = conv.forward(&xm).sum() as f64;
+        let lp = conv.forward(xp).sum() as f64;
+        let lm = conv.forward(xm).sum() as f64;
         let numeric = (lp - lm) / (2.0 * eps as f64);
         prop_assert!(
             (analytic - numeric).abs() < 0.05 * (1.0 + analytic.abs()),
@@ -63,8 +63,8 @@ proptest! {
         let mut conv = Conv2d::new("c", c1, c2, 5, 2, 2, &mut rng);
         let mut dec = Deconv2d::new("d", c2, c1, 4, 2, 1, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(1, c1, hw, hw), -1.0, 1.0);
-        let y = conv.forward(&x);
-        let z = dec.forward(&y);
+        let y = conv.forward(x.clone());
+        let z = dec.forward(y);
         prop_assert_eq!(z.shape(), x.shape());
     }
 
@@ -163,9 +163,9 @@ proptest! {
         let mut rng = TensorRng::new(seed);
         let mut p = MaxPool2d::new("p", 2, 2);
         let x = rng.uniform_tensor(Shape4::new(1, c, hw, hw), -1.0, 1.0);
-        let y = p.forward(&x);
+        let y = p.forward(x);
         let g = rng.uniform_tensor(y.shape(), 0.0, 1.0);
-        let gx = p.backward(&g);
+        let gx = p.backward(g.clone());
         prop_assert!((gx.sum() - g.sum()).abs() < 1e-3);
     }
 }

@@ -5,7 +5,9 @@
 //! sequential loops). Shapes sit above the kernels' fan-out thresholds;
 //! below them every width runs the same inline code. Conv and deconv
 //! forward and backward must also give, at widths 1 and 2, the bits of
-//! lowering through a written-out col matrix.
+//! lowering through a written-out col matrix, and the in-place ReLU the
+//! bits of `infer` and of the masked gradient on non-finite, zero and
+//! subnormal values.
 
 use scidl_nn::{arch, Conv2d, Deconv2d, Layer, MaxPool2d, Relu, SoftmaxCrossEntropy};
 use scidl_tensor::{
@@ -42,8 +44,8 @@ fn step(layer: &mut dyn Layer, x: &Tensor, dy: &Tensor) -> Vec<Vec<f32>> {
     for p in layer.params_mut() {
         p.grad.zero_();
     }
-    let y = layer.forward(x);
-    let dx = layer.backward(dy);
+    let y = layer.forward(x.clone());
+    let dx = layer.backward(dy.clone());
     let mut out = vec![y.data().to_vec(), dx.data().to_vec()];
     out.extend(layer.params().iter().map(|p| p.grad.data().to_vec()));
     out
@@ -167,12 +169,57 @@ fn relu_and_max_pool() {
         let mut pool = MaxPool2d::new("p", k, stride);
         let dy = rng.uniform_tensor(pool.out_shape(x.shape()), -1.0, 1.0);
         same_at_every_width(&format!("relu + pool {k}/{stride}"), || {
-            let a = relu.forward(&x);
-            let y = pool.forward(&a);
-            let da = pool.backward(&dy);
-            let dx = relu.backward(&da);
+            let a = relu.forward(x.clone());
+            let y = pool.forward(a.clone());
+            let da = pool.backward(dy.clone());
+            let dx = relu.backward(da.clone());
             vec![a.data().to_vec(), y.data().to_vec(), da.data().to_vec(), dx.data().to_vec()]
         });
+    }
+}
+
+/// What the in-place ReLU must treat exactly as `infer` and the masked
+/// gradient do: NaN, both infinities and zeros, subnormals of both signs,
+/// and ordinary values.
+const PALETTE: [f32; 10] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, 0.75, -2.5];
+
+#[test]
+fn relu_in_place_matches_infer_and_the_masked_gradient() {
+    // Lengths around one mask word and one thread unit, and a ragged
+    // multiple of both. One layer throughout, so a forward also runs on
+    // a longer one's mask.
+    let lengths = [1, 63, 64, 65, PAR_CHUNK - 1, PAR_CHUNK, PAR_CHUNK + 1, 3 * PAR_CHUNK + 17];
+    let mut relu = Relu::new("r");
+    for width in [1, 2] {
+        par::set_width(width);
+        for len in lengths {
+            // Every (input, gradient) pair of the palette in the first
+            // 100 elements, then palette values among random ones.
+            let mut rng = TensorRng::new(len as u64);
+            let mut value = |i: usize, pick: usize| {
+                if i < 100 || i.is_multiple_of(7) {
+                    PALETTE[pick % PALETTE.len()]
+                } else {
+                    rng.uniform_range(-1.0, 1.0) as f32
+                }
+            };
+            let x = Tensor::from_flat((0..len).map(|i| value(i, i)).collect());
+            let g = Tensor::from_flat((0..len).map(|i| value(i, i / 10)).collect());
+            let what = format!("relu, {len} elements, width {width}");
+
+            let y = relu.forward(x.clone());
+            assert_same_bits(y.data(), relu.infer(&x).data(), &format!("{what}: forward vs infer"));
+            let dx = relu.backward(g.clone());
+            let masked: Vec<f32> = x.data().iter().zip(g.data()).map(|(&x, &g)| if x > 0.0 { g } else { 0.0 }).collect();
+            assert_same_bits(dx.data(), &masked, &format!("{what}: backward vs the masked gradient"));
+            // Spelled out: a NaN or infinite gradient where the input was
+            // not positive comes out as +0.0.
+            for (i, (&x, (&g, &d))) in x.data().iter().zip(g.data().iter().zip(dx.data())).enumerate() {
+                if (x.is_nan() || x <= 0.0) && !g.is_finite() {
+                    assert_eq!(d.to_bits(), 0, "{what} [{i}]: x {x}, g {g} gave {d}");
+                }
+            }
+        }
     }
 }
 

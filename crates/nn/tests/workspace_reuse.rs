@@ -13,17 +13,17 @@ fn same_shape_forwards_keep_the_pool_stable() {
     let x = rng.uniform_tensor(Shape4::new(1, 3, 12, 12), -1.0, 1.0);
 
     Workspace::clear();
-    conv.forward(&x); // warm-up populates the pool
+    conv.forward(x.clone()); // warm-up populates the pool
     let warm = Workspace::pooled();
     assert!(warm >= 1, "forward should park its col/pack scratch");
 
-    conv.forward(&x);
+    conv.forward(x.clone());
     assert_eq!(
         Workspace::pooled(),
         warm,
         "a same-shape forward must reuse pooled buffers, not grow the pool"
     );
-    conv.forward(&x);
+    conv.forward(x.clone());
     assert_eq!(Workspace::pooled(), warm);
 }
 
@@ -58,10 +58,10 @@ fn rayon_parallel_forward_never_aliases_live_buffers() {
     assert!(8 * conv.geometry(24, 24).macs_per_image() as usize >= scidl_tensor::PAR_WORK);
     Workspace::clear();
     for round in 0..4 {
-        let batch = conv.forward(&x); // batch > 1 and small cols → par_batch path
+        let batch = conv.forward(x.clone()); // batch > 1 and small cols → par_batch path
         for i in 0..8 {
             let single = x.batch_slice(i, 1);
-            let one = conv.forward(&single);
+            let one = conv.forward(single);
             assert_eq!(
                 batch.item(i),
                 one.item(0),
@@ -83,14 +83,14 @@ fn reuse_never_changes_results_across_layers() {
     let x = rng.uniform_tensor(Shape4::new(2, 3, 8, 8), -1.0, 1.0);
 
     Workspace::clear();
-    let y1 = conv.forward(&x);
-    let d1 = dec.forward(&y1);
+    let y1 = conv.forward(x.clone());
+    let d1 = dec.forward(y1.clone());
 
     // Dirty the pool with unrelated sizes, then repeat.
     drop(Workspace::take(17));
     drop(Workspace::take(4099));
-    let y2 = conv.forward(&x);
-    let d2 = dec.forward(&y1);
+    let y2 = conv.forward(x.clone());
+    let d2 = dec.forward(y1.clone());
 
     assert_eq!(y1.data(), y2.data(), "conv output changed on pooled reuse");
     assert_eq!(d1.data(), d2.data(), "deconv output changed on pooled reuse");

@@ -50,6 +50,6 @@ fn main() {
     scidl_nn::network::Model::set_flat_params(&mut model, &run.final_params);
     let test = HepDataset::generate(HepConfig::small(), 256, 43);
     let idx: Vec<usize> = (0..test.len()).collect();
-    let acc = scidl_core::task::hep_accuracy(&mut model, &test, &idx);
+    let acc = scidl_core::task::hep_accuracy(&model, &test, &idx);
     println!("held-out accuracy: {:.1}%", acc * 100.0);
 }

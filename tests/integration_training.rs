@@ -215,7 +215,7 @@ fn flat_params_transfer_between_training_and_evaluation() {
 
     let test = HepDataset::generate(HepConfig::small(), 128, 10);
     let idx: Vec<usize> = (0..test.len()).collect();
-    let acc = scidl_core::task::hep_accuracy(&mut model, &test, &idx);
+    let acc = scidl_core::task::hep_accuracy(&model, &test, &idx);
     assert!((0.0..=1.0).contains(&acc));
     // A trained model should beat coin-flip on this separable synthetic
     // task most of the time; we assert weakly to avoid flakes.
