@@ -301,16 +301,20 @@ impl BucketStream<'_> {
         }
     }
 
-    /// Waits for every bucket's reduced result and scatters them into
-    /// `out` (length [`BucketPlan::total_len`]). Returns the total wire
-    /// bytes this rank's compressed contributions occupied, or the first
+    /// Waits for every bucket's reduced result and scatters each into the
+    /// blocks of `out` its flat range covers. `out` is the flat gradient
+    /// cut into consecutive blocks of any sizes summing to
+    /// [`BucketPlan::total_len`] — a model's own gradient blocks, or one
+    /// flat buffer as a one-block slice. Returns the total wire bytes this
+    /// rank's compressed contributions occupied, or the first
     /// communication error, e.g. a ring neighbour that died mid-bucket —
-    /// in which case no bytes of the failed bucket were applied to `out`
+    /// in which case no element of the failed bucket was written to `out`
     /// (only fully reduced buckets are ever scattered).
     /// Emits an [`scidl_trace::EventKind::Overlap`] span covering first
     /// ship → drain, with the backward-concurrent time as `hidden_s`.
-    pub fn finish(self, out: &mut [f32]) -> CommResult<usize> {
-        assert_eq!(out.len(), self.plan.total_len(), "finish buffer length mismatch");
+    pub fn finish(self, out: &mut [&mut [f32]]) -> CommResult<usize> {
+        let out_len: usize = out.iter().map(|b| b.len()).sum();
+        assert_eq!(out_len, self.plan.total_len(), "finish buffer length mismatch");
         let buckets = self.plan.num_buckets();
         assert_eq!(
             self.next_to_ship, buckets,
@@ -324,8 +328,7 @@ impl BucketStream<'_> {
         for _ in 0..buckets {
             match self.ctx.from_comm.recv() {
                 Ok((k, Ok((data, bytes)))) => {
-                    let (lo, hi) = self.plan.bucket_range(k);
-                    out[lo..hi].copy_from_slice(&data);
+                    scatter(out, self.plan.bucket_range(k).0, &data);
                     wire_bytes += bytes;
                 }
                 Ok((_, Err(e))) => {
@@ -349,6 +352,24 @@ impl BucketStream<'_> {
             None => Ok(wire_bytes),
             Some(e) => Err(e),
         }
+    }
+}
+
+/// Copies `src` into the concatenation of `blocks`, starting at flat
+/// offset `at`.
+fn scatter(blocks: &mut [&mut [f32]], mut at: usize, mut src: &[f32]) {
+    for block in blocks.iter_mut() {
+        if src.is_empty() {
+            return;
+        }
+        if at >= block.len() {
+            at -= block.len();
+            continue;
+        }
+        let n = (block.len() - at).min(src.len());
+        block[at..at + n].copy_from_slice(&src[..n]);
+        src = &src[n..];
+        at = 0;
     }
 }
 
@@ -525,7 +546,7 @@ mod tests {
                         stream.push_block(b, &flat[lo..hi]);
                     }
                     let mut out = vec![0.0f32; total];
-                    stream.finish(&mut out).unwrap();
+                    stream.finish(&mut [&mut out]).unwrap();
                     out
                 })
             })
@@ -596,7 +617,7 @@ mod tests {
                             }
                         }
                         let mut out = vec![0.0f32; total];
-                        stream.finish(&mut out).unwrap();
+                        stream.finish(&mut [&mut out]).unwrap();
                         out
                     })
                 })
@@ -604,6 +625,87 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Cuts `flat` into consecutive blocks of the given sizes.
+    fn split<'a>(mut flat: &'a mut [f32], sizes: &[usize]) -> Vec<&'a mut [f32]> {
+        let mut blocks = Vec::with_capacity(sizes.len());
+        for &n in sizes {
+            let (block, rest) = std::mem::take(&mut flat).split_at_mut(n);
+            blocks.push(block);
+            flat = rest;
+        }
+        assert!(flat.is_empty(), "sizes must cover the buffer");
+        blocks
+    }
+
+    /// The same step finished into one flat buffer, into the plan's own
+    /// blocks, and into a partition that cuts across bucket boundaries:
+    /// every destination holds the same bits on every rank.
+    fn check_finish_into_blocks_matches_flat(n: usize, block_sizes: &[usize], target_bytes: usize) {
+        let plan = BucketPlan::new(block_sizes, target_bytes);
+        plan_invariants(&plan, block_sizes);
+        let total = plan.total_len();
+        // Uneven cuts (7, 1, 13, 2, 7, 1, …) unrelated to the plan.
+        let mut ragged = Vec::new();
+        let mut left = total;
+        for cut in [7usize, 1, 13, 2].iter().cycle() {
+            let c = (*cut).min(left);
+            ragged.push(c);
+            left -= c;
+            if left == 0 {
+                break;
+            }
+        }
+        let endpoints = RingFabric::new(n).into_endpoints();
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(rank, ep)| {
+                let plan = plan.clone();
+                let (sizes, ragged) = (block_sizes.to_vec(), ragged.clone());
+                thread::spawn(move || {
+                    let mut ctx = OverlapContext::spawn(rank, n, ep, Compression::None);
+                    let flat = rank_grad(rank, total, 314);
+                    let mut outs = Vec::new();
+                    for cuts in [vec![total], sizes, ragged] {
+                        let mut stream = ctx.stream(&plan);
+                        stream.push_flat(&flat);
+                        let mut out = vec![f32::NAN; total];
+                        stream.finish(&mut split(&mut out, &cuts)).unwrap();
+                        outs.push(out);
+                    }
+                    outs
+                })
+            })
+            .collect();
+        let per_rank: Vec<Vec<Vec<f32>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        for (rank, outs) in per_rank.iter().enumerate() {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(outs[0].iter().all(|x| x.is_finite()), "flat finish left a gap");
+            for out in &outs[1..] {
+                assert_eq!(
+                    bits(out),
+                    bits(&outs[0]),
+                    "rank {rank}: blocks ≠ flat (n={n}, sizes={block_sizes:?}, target={target_bytes})"
+                );
+            }
+            assert_eq!(bits(&outs[0]), bits(&per_rank[0][0]), "ranks disagree");
+        }
+    }
+
+    #[test]
+    fn finish_into_blocks_is_bit_equal_to_flat() {
+        // 64 B = 16 f32: blocks 100 and 30 are larger than a bucket and
+        // get their own, 4 + 8 + 2 share one.
+        let sizes = [100usize, 4, 8, 2, 30, 3];
+        for n in [1, 2, 3] {
+            check_finish_into_blocks_matches_flat(n, &sizes, 64);
+        }
+        // 1 KiB = 256 f32: 700 and 260 exceed it; 3 + 9 + 1 + 5 coalesce
+        // and the bucket holding 41 + 33 + 17 + 97 is uneven.
+        check_finish_into_blocks_matches_flat(2, &[5, 700, 3, 9, 1, 260, 41, 33, 17, 97], 1024);
+        check_finish_into_blocks_matches_flat(3, &[1, 1, 1, 64], 0);
     }
 
     #[test]
@@ -628,7 +730,7 @@ mod tests {
                         let mut stream = ctx.stream(&plan);
                         stream.push_flat(&flat);
                         let mut out = vec![0.0f32; total];
-                        stream.finish(&mut out).unwrap();
+                        stream.finish(&mut [&mut out]).unwrap();
                         outs.push(out);
                     }
                     outs
@@ -668,7 +770,7 @@ mod tests {
                         let mut stream = ctx.stream(&plan);
                         stream.push_flat(&flat);
                         let mut out = vec![0.0f32; total];
-                        let bytes = stream.finish(&mut out).unwrap();
+                        let bytes = stream.finish(&mut [&mut out]).unwrap();
                         outs.push((out, bytes));
                     }
                     outs
@@ -743,7 +845,7 @@ mod tests {
         let mut stream = ctx.stream(&plan);
         stream.push_flat(&flat);
         let mut out = vec![0.0f32; total];
-        assert_eq!(stream.finish(&mut out).unwrap(), 0);
+        assert_eq!(stream.finish(&mut [&mut out]).unwrap(), 0);
         assert_eq!(out, flat);
 
         let (tx, rx) = RingFabric::new(1).into_endpoints().pop().unwrap();
@@ -790,7 +892,7 @@ mod tests {
                     let mut stream = ctx.stream(&plan);
                     stream.push_flat(&flat);
                     let mut out = vec![0.0f32; total];
-                    stream.finish(&mut out).unwrap()
+                    stream.finish(&mut [&mut out]).unwrap()
                 })
             })
             .collect();
@@ -831,12 +933,25 @@ mod tests {
             let (lo, hi) = plan.block_flat_range(b);
             stream.push_block(b, &flat[lo..hi]);
         }
-        let mut out = vec![0.0f32; total];
-        let err = stream.finish(&mut out).unwrap_err();
+        // Finished into the plan's own blocks, as a model's gradient.
+        const SENTINEL: f32 = -777.25;
+        let mut out = vec![SENTINEL; total];
+        let err = stream.finish(&mut split(&mut out, &sizes)).unwrap_err();
         assert!(
             matches!(err, CommError::ChannelClosed { .. }),
             "expected ChannelClosed, got {err:?}"
         );
+        // Block 2 is bucket 0, which completed; the failed buckets'
+        // blocks 0 and 1 are untouched.
+        let (lo2, hi2) = plan.block_flat_range(2);
+        assert!(out[lo2..hi2].iter().all(|&x| x != SENTINEL), "block 2 should be applied");
+        for b in 0..2 {
+            let (lo, hi) = plan.block_flat_range(b);
+            assert!(
+                out[lo..hi].iter().all(|&x| x == SENTINEL),
+                "block {b} was written after its bucket failed"
+            );
+        }
         victim.join().unwrap();
     }
 
@@ -877,13 +992,15 @@ mod tests {
         }
         const SENTINEL: f32 = -12345.5;
         let mut out = vec![SENTINEL; total];
-        let err = stream.finish(&mut out).unwrap_err();
+        // Destination blocks that straddle the buckets: 4 | 5 | 9.
+        let err = stream.finish(&mut split(&mut out, &[4, 5, 9])).unwrap_err();
         assert!(
             matches!(err, CommError::ChannelClosed { .. }),
             "expected ChannelClosed, got {err:?}"
         );
         // Bucket 0 (the trailing block) completed; buckets 1 and 2 must
-        // be untouched sentinels.
+        // be untouched sentinels, in whichever destination block they
+        // land (block 2 holds the tail of bucket 1 and all of bucket 0).
         let (lo0, hi0) = plan.bucket_range(0);
         assert!(out[lo0..hi0].iter().all(|&x| x != SENTINEL), "bucket 0 should be applied");
         for k in 1..plan.num_buckets() {

@@ -201,7 +201,7 @@ proptest! {
                         stream.push_block(b, &flat[lo..hi]);
                     }
                     let mut out = vec![0.0f32; total];
-                    stream.finish(&mut out).unwrap();
+                    stream.finish(&mut [&mut out]).unwrap();
                     out
                 })
             })
@@ -431,7 +431,7 @@ proptest! {
                         stream.push_block(b, &flat[lo..hi]);
                     }
                     let mut out = vec![0.0f32; total];
-                    let bytes = stream.finish(&mut out).unwrap();
+                    let bytes = stream.finish(&mut [&mut out]).unwrap();
                     (out, bytes)
                 })
             })

@@ -230,7 +230,15 @@ impl<M: Model, F: FnMut(&mut M, &[usize]) -> (f32, Vec<f32>)> Observer for Train
             let kind = EventKind::PsExchange { group: gu, staleness: stale, bytes: wire };
             tr.event_at(gu, t0 + t.compute + t.allreduce, t.ps, kind);
         }
-        tr.check_step(iu, loss, &grad, &self.block_sizes, &self.block_names);
+        let mut rest = &grad[..];
+        let blocks: Vec<&[f32]> = (self.block_sizes.iter())
+            .map(|&n| {
+                let (block, tail) = rest.split_at(n);
+                rest = tail;
+                block
+            })
+            .collect();
+        tr.check_step(iu, loss, &blocks, &self.block_names);
         tr.row(IterRow {
             run: 0, // filled in by the handle
             kind: "train",

@@ -19,6 +19,12 @@ use std::sync::Arc;
 /// parameter block into a [`BucketSink`] the moment its gradients are
 /// final, so bucketed all-reduces run while shallower layers still
 /// backpropagate (the paper's MLSL overlap, Sec. V).
+///
+/// The engine reduces into the model's own gradient blocks: after a step
+/// they hold the *group-reduced* gradient, not this rank's. A task must
+/// therefore zero the gradients before its backward (as [`hep_gradient`],
+/// [`HepGradTask`] and the climate tasks do) rather than accumulate onto
+/// what the previous step left there.
 pub trait GradTask<M: Model>: Send + Sync {
     /// One forward/backward over the minibatch: `(mean loss, flat gradient)`.
     fn grad(&self, model: &mut M, indices: &[usize]) -> (f32, Vec<f32>);

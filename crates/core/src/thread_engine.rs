@@ -45,7 +45,7 @@ use crate::metrics::LossCurve;
 use crate::task::{GradTask, HepGradTask};
 use scidl_comm::bucket::{BucketPlan, BucketSink, OverlapContext};
 use scidl_comm::compress::{Compression, ErrorFeedback};
-use scidl_comm::ps::{PsUpdate, UpdateFn};
+use scidl_comm::ps::{PsReply, PsUpdate, UpdateFn};
 use scidl_comm::supervisor::{SupervisedPsBank, SupervisorConfig, UpdateFactory};
 use scidl_comm::{CommWorld, Communicator, RingEndpoint, RingFabric};
 use scidl_data::{BatchSampler, HepDataset};
@@ -199,7 +199,6 @@ struct Run<'a, B, G> {
     /// One bucket plan shared by all ranks (readiness order over the
     /// blocks).
     plan: &'a BucketPlan,
-    block_sizes: &'a [usize],
     /// Block names feed the health sentinel's first-offender layer
     /// attribution.
     block_names: &'a [String],
@@ -250,7 +249,9 @@ impl ThreadEngine {
             "each node needs at least one image"
         );
 
-        // Template model defines the block structure and initial params.
+        // A template model defines the block structure and the PS bank's
+        // initial params; it is dropped once the bank holds them, so the
+        // run keeps no copy of the model beyond the ranks' own.
         let template = build(cfg.seed);
         let block_sizes: Vec<usize> = template.param_blocks().iter().map(|b| b.len()).collect();
         let block_names: Vec<String> =
@@ -293,6 +294,7 @@ impl ThreadEngine {
                 })
                 .collect(),
         );
+        drop(template);
         let plan = BucketPlan::new(&block_sizes, cfg.bucket_bytes);
         let run = Run {
             cfg,
@@ -301,7 +303,6 @@ impl ThreadEngine {
             grad: &grad,
             bank: &bank,
             plan: &plan,
-            block_sizes: &block_sizes,
             block_names: &block_names,
             tr: &tr,
             t0: Instant::now(),
@@ -371,9 +372,12 @@ where
     B: Fn(u64) -> M + Send + Sync,
     G: GradTask<M>,
 {
-    let &Run { cfg, bank, plan, block_sizes, tr, .. } = run;
+    let &Run { cfg, bank, plan, tr, .. } = run;
     let mut log = WorkerLog::default();
-    // Every worker builds the identical initial model.
+    // Every worker builds the identical initial model. It is the rank's
+    // only copy of the parameters and their gradient: PS replies and the
+    // group broadcast land in its value blocks, the reduced gradient in
+    // its grad blocks.
     let mut model = (run.build)(cfg.seed);
     // A dedicated comm thread owns this rank's ring endpoint for the
     // whole run (MLSL's endpoint proxy threads), and with it the
@@ -382,7 +386,7 @@ where
     // Root's PS leg: one accumulator per parameter block, worker-local
     // so residuals survive PS failover/rejoin.
     let mut ef_ps: Vec<ErrorFeedback> =
-        block_sizes.iter().map(|_| ErrorFeedback::new(cfg.compression)).collect();
+        (0..plan.num_blocks()).map(|_| ErrorFeedback::new(cfg.compression)).collect();
     let node_crash_iter = cfg.faults.node_crash_at(group, rank);
 
     let node_id = group * cfg.nodes_per_group + rank;
@@ -392,7 +396,6 @@ where
         BatchSampler::for_node(run.dataset_len, per_node, cfg.seed, node_id, total_nodes);
 
     let mut last_version: u64 = 0;
-    let mut flat = model.flat_params();
     // MTTR is expressed in iterations; convert with the group's own
     // measured pace (fallback before the first iteration completes).
     let mut last_iter_secs = 1e-3f64;
@@ -423,10 +426,7 @@ where
                     if rank == 0 {
                         match bank.fetch_all() {
                             Ok(replies) => {
-                                flat.clear();
-                                for r in &replies {
-                                    flat.extend_from_slice(&r.params);
-                                }
+                                load_params(&mut model, &replies);
                                 // Resync the staleness cursor to "now".
                                 last_version = replies[0].version;
                             }
@@ -448,7 +448,7 @@ where
                             return log;
                         }
                     }
-                    comm.broadcast(0, &mut flat);
+                    broadcast_params(&comm, &mut model);
                 }
             }
         }
@@ -456,7 +456,6 @@ where
         // All spans land on lane `group`, emitted by the group root only
         // so the timeline has one lane per group.
         let iter_t = tr.now();
-        model.set_flat_params(&flat);
         let indices = sampler.next_batch();
         // Backward hands its gradient to the bucket stream — layer by
         // layer as each becomes final, or whole once it is done — and the
@@ -495,11 +494,12 @@ where
             }
         }
 
-        // Intra-group synchronous step: drain the reduced buckets — what
-        // is still on the ring now is the exposed communication — and
-        // average the loss.
+        // Intra-group synchronous step: drain the reduced buckets into the
+        // model's grad blocks — what is still on the ring now is the
+        // exposed communication — and average the loss.
         let ar_t = tr.now();
-        let mut grads = vec![0.0f32; plan.total_len()];
+        let mut grads: Vec<&mut [f32]> =
+            model.param_blocks_mut().into_iter().map(|b| b.grad.data_mut()).collect();
         let Ok(ar_bytes) = stream.finish(&mut grads) else {
             // A ring neighbour died mid-bucket: fatal for the whole
             // synchronous group (Sec. VIII-A). Return before any tree
@@ -517,14 +517,15 @@ where
                 group as u64,
                 ar_t,
                 scidl_trace::EventKind::Allreduce {
-                    elems: grads.len() as u64 + 1,
+                    elems: plan.total_len() as u64 + 1,
                     bytes: ar_bytes as u64,
                 },
             );
             // Numeric-health sentinel: a non-finite loss or gradient
             // (from any node — the mean propagates it) is caught here
             // and the first offender attributed to its parameter block.
-            tr.check_step(iter as u64, group_loss, &grads, block_sizes, run.block_names);
+            let blocks: Vec<&[f32]> = grads.iter().map(|g| &**g).collect();
+            tr.check_step(iter as u64, group_loss, &blocks, run.block_names);
         }
 
         // One status word per iteration keeps the group's fate shared:
@@ -550,19 +551,19 @@ where
             // respawns dead shards; an error here means retries are
             // exhausted.
             let mut ps_wire = 0u64;
-            let mut off = 0;
-            let msgs: Vec<PsUpdate> = block_sizes
-                .iter()
-                .zip(&mut ef_ps)
-                .map(|(&len, ef)| {
-                    let msg = ef.encode(&mut grads[off..off + len]);
-                    off += len;
+            let msgs: Vec<PsUpdate> = (grads.iter_mut().zip(&mut ef_ps))
+                .map(|(g, ef)| {
+                    let msg = ef.encode(g);
                     ps_wire += msg.wire_bytes() as u64;
                     msg.into()
                 })
                 .collect();
             log.wire_bytes += ps_wire;
-            match bank.update_all(&msgs) {
+            let exchange = bank.update_all(&msgs);
+            // The messages and the replies are the step's transient model
+            // copies: both go before a checkpoint adds its own.
+            drop(msgs);
+            match exchange {
                 Ok(replies) => {
                     // Staleness from the first block's version stream.
                     let v = replies[0].version;
@@ -582,10 +583,8 @@ where
                     log.staleness_sum += stale;
                     log.staleness_histogram[(stale as usize).min(STALENESS_BUCKETS - 1)] += 1;
                     log.recovered_updates += u64::from(recovered);
-                    flat.clear();
-                    for r in &replies {
-                        flat.extend_from_slice(&r.params);
-                    }
+                    load_params(&mut model, &replies);
+                    drop(replies);
                     log.losses.push((run.t0.elapsed().as_secs_f64(), group_loss));
 
                     // Periodic crash-safe checkpoint from group 0's root.
@@ -598,7 +597,7 @@ where
                             let ck = Checkpoint {
                                 iteration: (iter + 1) as u64,
                                 seed: cfg.seed,
-                                params: flat.clone(),
+                                params: model.flat_params(),
                             };
                             log.checkpoints_written += u64::from(ck.save(path).is_ok());
                             tr.span(
@@ -606,7 +605,7 @@ where
                                 ck_t,
                                 scidl_trace::EventKind::Checkpoint {
                                     iter: (iter + 1) as u64,
-                                    bytes: (flat.len() * 4) as u64,
+                                    bytes: (ck.params.len() * 4) as u64,
                                 },
                             );
                         }
@@ -625,7 +624,7 @@ where
             return log;
         }
         // Root broadcasts the fresh model to its group.
-        comm.broadcast(0, &mut flat);
+        broadcast_params(&comm, &mut model);
         comm_s += tr.now() - bc_t;
         last_iter_secs = iter_start.elapsed().as_secs_f64().max(1e-6);
         if rank == 0 {
@@ -653,6 +652,22 @@ where
     log
 }
 
+/// Copies a bank exchange's replies (one per shard, in block order) into
+/// the model's parameter blocks.
+fn load_params<M: Model>(model: &mut M, replies: &[PsReply]) {
+    for (b, r) in model.param_blocks_mut().into_iter().zip(replies) {
+        b.value.data_mut().copy_from_slice(&r.params);
+    }
+}
+
+/// The group root's parameters to every rank of its group, block by
+/// block, so the communicator stages one block at a time, not the model.
+fn broadcast_params<M: Model>(comm: &Communicator, model: &mut M) {
+    for b in model.param_blocks_mut() {
+        comm.broadcast(0, b.value.data_mut());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,20 +691,20 @@ mod tests {
         // Sequential reference with identical sampling and solver.
         let mut mrng = TensorRng::new(cfg.seed);
         let mut model = scidl_nn::arch::hep_small(&mut mrng);
-        let block_sizes: Vec<usize> = model.param_blocks().iter().map(|b| b.len()).collect();
         let mut sampler = BatchSampler::for_node(ds.len(), 8, cfg.seed, 0, 1);
-        let mut solvers: Vec<Sgd> = block_sizes.iter().map(|_| Sgd::new(cfg.lr, 0.9)).collect();
-        let mut flat = model.flat_params();
+        let mut solvers: Vec<Sgd> =
+            model.param_blocks().iter().map(|_| Sgd::new(cfg.lr, 0.9)).collect();
         for _ in 0..cfg.iterations {
-            model.set_flat_params(&flat);
             let idx = sampler.next_batch();
             let (_, grads) = hep_gradient(&mut model, &ds, &idx);
             let mut off = 0;
-            for (i, &len) in block_sizes.iter().enumerate() {
-                solvers[i].step_block(0, &mut flat[off..off + len], &grads[off..off + len]);
+            for (solver, b) in solvers.iter_mut().zip(model.param_blocks_mut()) {
+                let len = b.len();
+                solver.step_block(0, b.value.data_mut(), &grads[off..off + len]);
                 off += len;
             }
         }
+        let flat = model.flat_params();
         assert_eq!(run.final_params.len(), flat.len());
         let max_err = run
             .final_params

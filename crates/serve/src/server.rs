@@ -703,9 +703,12 @@ fn supervisor_loop(
                     std::thread::sleep(backoff);
                     let incarnation = next_incarnation;
                     next_incarnation += 1;
+                    // Counted before the spawn: the new incarnation may
+                    // serve work before this thread runs again, and a
+                    // report must never show that work without it.
+                    shared.counters.respawns.fetch_add(1, Ordering::Relaxed);
                     let handle = spawn_worker(&shared, slot, incarnation, tx.clone());
                     live.insert(incarnation, (slot, handle));
-                    shared.counters.respawns.fetch_add(1, Ordering::Relaxed);
                     if tr.enabled() {
                         tr.instant(slot as u64, scidl_trace::EventKind::WorkerRespawn {
                             worker: slot as u64,
@@ -759,9 +762,9 @@ fn supervisor_loop(
                     }
                     let incarnation = next_incarnation;
                     next_incarnation += 1;
+                    shared.counters.replacements.fetch_add(1, Ordering::Relaxed);
                     let handle = spawn_worker(&shared, slot, incarnation, tx.clone());
                     live.insert(incarnation, (slot, handle));
-                    shared.counters.replacements.fetch_add(1, Ordering::Relaxed);
                     if tr.enabled() {
                         tr.instant(slot as u64, scidl_trace::EventKind::WorkerRespawn {
                             worker: slot as u64,

@@ -874,9 +874,9 @@ impl TraceHandle {
 
     /// The training-step sentinel both engines run: a non-finite `loss`
     /// raises a `"loss"` alert, and the first non-finite element of the
-    /// flat gradient a `"gradient"` alert attributed to its block (see
-    /// [`scan_blocks`]).
-    pub fn check_step(&self, iter: u64, loss: f32, grad: &[f32], sizes: &[usize], names: &[String]) {
+    /// gradient — one slice per parameter block, named by `names` — a
+    /// `"gradient"` alert attributed to its block (see [`scan_blocks`]).
+    pub fn check_step(&self, iter: u64, loss: f32, grad: &[&[f32]], names: &[String]) {
         if !self.enabled() {
             return;
         }
@@ -890,7 +890,7 @@ impl TraceHandle {
                 iter: Some(iter),
             });
         }
-        if let Some(alert) = scan_blocks("gradient", grad, sizes, names, Some(iter)) {
+        if let Some(alert) = scan_blocks("gradient", grad, names, Some(iter)) {
             self.health(alert);
         }
     }
@@ -916,27 +916,28 @@ pub fn scan_nonfinite(data: &[f32]) -> Option<(usize, u64, f32)> {
     first.map(|(i, v)| (i, count, v))
 }
 
-/// Scans a flat vector laid out as consecutive named blocks (the
-/// engines' flattened parameter/gradient layout) and attributes the
-/// first non-finite element to its owning block. `sizes[i]` is the
-/// element count of block `names[i]`.
+/// Scans named parameter blocks (`blocks[i]` is block `names[i]`, in
+/// the engines' flat order) and attributes the first non-finite element
+/// to its owning block. `first_index` is that element's offset in the
+/// blocks' concatenation; `count` totals every block.
 pub fn scan_blocks(
     source: &'static str,
-    flat: &[f32],
-    sizes: &[usize],
+    blocks: &[&[f32]],
     names: &[String],
     iter: Option<u64>,
 ) -> Option<HealthAlert> {
-    let (first_index, count, value) = scan_nonfinite(flat)?;
-    let mut layer = None;
-    let mut offset = 0usize;
-    for (sz, name) in sizes.iter().zip(names) {
-        if first_index < offset + sz {
-            layer = Some(name.clone());
-            break;
+    let mut first: Option<(usize, f32, Option<String>)> = None;
+    let (mut count, mut offset) = (0u64, 0usize);
+    for (i, block) in blocks.iter().enumerate() {
+        if let Some((at, n, value)) = scan_nonfinite(block) {
+            count += n;
+            if first.is_none() {
+                first = Some((offset + at, value, names.get(i).cloned()));
+            }
         }
-        offset += sz;
+        offset += block.len();
     }
+    let (first_index, value, layer) = first?;
     Some(HealthAlert { source, layer, first_index, count, value, iter })
 }
 
@@ -1103,18 +1104,26 @@ mod tests {
 
     #[test]
     fn scan_blocks_attributes_first_offender() {
-        let mut flat = vec![0.0f32; 10];
+        let mut flat = [0.0f32; 10];
         flat[4] = f32::NAN;
         flat[9] = f32::INFINITY;
-        let sizes = vec![3, 4, 3];
+        let (a, rest) = flat.split_at(3);
+        let (b, c) = rest.split_at(4);
         let names = vec!["conv1.weight".to_string(), "fc1.weight".to_string(), "fc1.bias".to_string()];
-        let alert = scan_blocks("gradient", &flat, &sizes, &names, Some(7)).unwrap();
+        let alert = scan_blocks("gradient", &[a, b, c], &names, Some(7)).unwrap();
         assert_eq!(alert.layer.as_deref(), Some("fc1.weight"));
         assert_eq!(alert.first_index, 4);
         assert_eq!(alert.count, 2);
         assert!(alert.value.is_nan());
         assert_eq!(alert.iter, Some(7));
-        assert!(scan_blocks("gradient", &[1.0, 2.0], &[2], &names, None).is_none());
+        assert!(scan_blocks("gradient", &[&[1.0, 2.0]], &names, None).is_none());
+        // Empty blocks before the offender shift nothing; an offender in
+        // the last block names it with its flat offset.
+        let alert = scan_blocks("gradient", &[&[], a, &[], &c[..2], &[f32::NEG_INFINITY]], &[], None);
+        let alert = alert.unwrap();
+        assert_eq!((alert.layer, alert.first_index, alert.count), (None, 5, 1));
+        let alert = scan_blocks("gradient", &[a, &b[2..], &[1.0, f32::NAN]], &names, None).unwrap();
+        assert_eq!((alert.layer.as_deref(), alert.first_index, alert.count), (Some("fc1.bias"), 6, 1));
     }
 
     #[test]
@@ -1166,8 +1175,8 @@ mod tests {
             install(sink.clone());
             let h = TraceHandle::begin("step");
             let names = vec!["a".to_string(), "b".to_string()];
-            h.check_step(3, 0.5, &[0.0, 1.0, 2.0], &[1, 2], &names);
-            h.check_step(4, f32::NAN, &[0.0, f32::INFINITY, 2.0], &[1, 2], &names);
+            h.check_step(3, 0.5, &[&[0.0], &[1.0, 2.0]], &names);
+            h.check_step(4, f32::NAN, &[&[0.0], &[f32::INFINITY, 2.0]], &names);
             uninstall();
             let alerts = sink.health_alerts();
             assert_eq!(alerts.len(), 2, "a healthy step raises nothing");

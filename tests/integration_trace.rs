@@ -196,6 +196,9 @@ fn poisoned_gradient_is_caught_and_attributed_to_layer() {
         Some(target_name.as_str()),
         "alert must name the poisoned layer"
     );
+    // The engine scans the model's grad blocks; the alert's index is the
+    // offset in their concatenation, the flat gradient's.
+    assert_eq!(grad_alert.first_index, poison_at);
     assert!(grad_alert.value.is_nan());
     assert!(grad_alert.iter.is_some());
     // The alert is also visible in the exported timeline.

@@ -183,6 +183,14 @@ fn training_is_bit_identical_to_sequential_bucketed_reference(overlap: bool) {
 }
 
 /// Training through the full stack reduces the loss on a separable task.
+///
+/// The loss is measured on the whole training set, before training and
+/// with the run's final parameters, not read off the curve: each curve
+/// point is one 16-image batch's loss, which spreads by about ±0.05
+/// around ln 2 while the first 40 updates lower the loss by about 0.013,
+/// and which batches land first and last depends on how the two groups
+/// interleave. The whole-set loss falls by 0.0126–0.0129 under every
+/// interleaving seen, loaded or idle; the assertion asks for half that.
 #[test]
 fn end_to_end_training_learns() {
     let ds = Arc::new(HepDataset::generate(HepConfig::small(), 256, 5));
@@ -192,10 +200,13 @@ fn end_to_end_training_learns() {
     cfg.momentum = 0.7;
     let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
 
-    let pts = &run.curve.points;
-    let first: f32 = pts[..5].iter().map(|p| p.1).sum::<f32>() / 5.0;
-    let last: f32 = pts[pts.len() - 5..].iter().map(|p| p.1).sum::<f32>() / 5.0;
-    assert!(last < first, "loss should fall: {first} -> {last}");
+    assert_eq!(run.updates, 40, "every group iteration must reach the PS once");
+    let all: Vec<usize> = (0..ds.len()).collect();
+    let mut model = scidl_nn::arch::hep_small(&mut TensorRng::new(cfg.seed));
+    let (first, _) = scidl_core::task::hep_gradient(&mut model, &ds, &all);
+    model.set_flat_params(&run.final_params);
+    let (last, _) = scidl_core::task::hep_gradient(&mut model, &ds, &all);
+    assert!(last < first - 0.006, "loss should fall: {first} -> {last}");
     assert!(run.mean_staleness > 0.0, "two groups must interleave");
 }
 
