@@ -3,12 +3,13 @@
 //! Sec. VIII-A of the paper studies what failures do to each
 //! configuration: a synchronous run dies with its first node, a hybrid
 //! run only loses the affected group. A [`FaultPlan`] turns that study
-//! into a first-class input: it describes *scheduled* group crashes, PS
-//! crashes, stragglers and message delays, plus an optional recovery
-//! policy, and both the thread engine (`scidl-core::thread_engine`) and
+//! into a first-class input: it describes *scheduled* group and node
+//! crashes, PS crashes, stragglers and message delays, plus an optional
+//! recovery policy, and both the thread engine (`scidl-core::thread_engine`) and
 //! the discrete-event simulator ([`crate::sim`], and so the real-gradient
 //! `SimEngine` that trains on its clock) accept one and inject the same
-//! scenario at their own timescales.
+//! scenario at their own timescales; what a crash means for a group is
+//! decided once, by [`crate::lifecycle::GroupLifecycle`].
 //!
 //! Quantities come in engine-appropriate units: crash points and MTTR
 //! are given both in iterations (thread engine) and seconds (simulator);
@@ -23,13 +24,12 @@ pub struct GroupCrash {
     pub iteration: usize,
 }
 
-/// A single rank (node) of a compute group dying at a given iteration,
-/// leaving the rest of its group running into dead ring channels. Only
-/// meaningful for engines whose collectives can *detect* a missing peer
-/// — the thread engine's bucketed ring surfaces it as a
-/// `CommError` on every surviving rank of the group (Sec. VIII-A's
-/// "synchronous run dies with its first node", observed rather than
-/// assumed).
+/// A single rank (node) of a compute group dying at a given iteration;
+/// its group is lost for good, recovery or not (Sec. VIII-A's
+/// "synchronous run dies with its first node"). The thread engine
+/// observes it rather than assuming it: the rest of the group runs into
+/// dead ring channels and stops on a `CommError`. The simulator's clock
+/// stops the group at that iteration.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeCrash {
     /// Which group loses a node.
@@ -259,16 +259,6 @@ impl FaultPlan {
             .min()
     }
 
-    /// Iteration at which rank `rank` of `group` is scheduled to die,
-    /// if any (earliest wins).
-    pub fn node_crash_at(&self, group: usize, rank: usize) -> Option<usize> {
-        self.node_crashes
-            .iter()
-            .filter(|c| c.group == group && c.rank == rank)
-            .map(|c| c.iteration)
-            .min()
-    }
-
     /// Combined slow-down multiplier for `group` at `iteration`
     /// (overlapping windows multiply; `1.0` = healthy).
     pub fn straggler_factor(&self, group: usize, iteration: usize) -> f64 {
@@ -393,15 +383,21 @@ mod tests {
 
     #[test]
     fn node_crashes_are_per_rank_and_earliest_wins() {
+        use crate::lifecycle::{GroupLifecycle, Step};
         let p = FaultPlan::none()
             .with_node_crash(0, 2, 7)
             .with_node_crash(0, 2, 4)
             .with_node_crash(1, 0, 9);
         assert!(!p.is_empty());
-        assert_eq!(p.node_crash_at(0, 2), Some(4));
-        assert_eq!(p.node_crash_at(0, 0), None, "other ranks unaffected");
-        assert_eq!(p.node_crash_at(1, 0), Some(9));
-        assert_eq!(p.node_crash_at(2, 2), None, "other groups unaffected");
+        // The first iteration a single rank's lifecycle stops at.
+        let lost_at = |g: usize, r: usize| {
+            let life = GroupLifecycle::new(&p, g, r..r + 1, true);
+            (0..20).find(|&k| life.before(k) == Step::Stop)
+        };
+        assert_eq!(lost_at(0, 2), Some(4));
+        assert_eq!(lost_at(0, 0), None, "other ranks unaffected");
+        assert_eq!(lost_at(1, 0), Some(9));
+        assert_eq!(lost_at(2, 2), None, "other groups unaffected");
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //!   scheduled group/PS crashes, stragglers, message delays and a
 //!   recovery policy, consumed by both [`sim`] and the thread engine in
 //!   `scidl-core` (Sec. VIII-A),
+//! * [`lifecycle`] — the one [`GroupLifecycle`] both training drivers
+//!   ask before every iteration (run, stop or repair) and after every
+//!   update (its staleness),
 //! * [`sim`] — iteration-level cluster simulations of synchronous and
 //!   hybrid training that regenerate the scaling studies of
 //!   Figs. 6–7 and the full-system throughput numbers of Sec. VI-B3; its
@@ -47,6 +50,7 @@ pub mod event;
 pub mod faults;
 pub mod jitter;
 pub mod knl;
+pub mod lifecycle;
 pub mod sim;
 pub mod topology;
 
@@ -55,6 +59,7 @@ pub use event::{EventQueue, SimTime};
 pub use faults::{FaultPlan, GroupCrash, MessageDelay, PsCrash, Recovery, Straggler};
 pub use jitter::JitterModel;
 pub use knl::{KnlModel, LayerCost, McdramMode, RateClass};
+pub use lifecycle::{GroupLifecycle, Step};
 pub use sim::{
     split_even, ClusterSim, CollectiveKind, IterBreakdown, Observer, PlacementPolicy, SimConfig,
     SimResult, TopologyConfig,

@@ -22,12 +22,17 @@
 //! an [`Observer`] — the simulated-time trainer in `scidl-core` snapshots
 //! the central model at the start and applies a real gradient at the
 //! completion, so Fig. 8's machine is Figs. 6–7's machine.
+//!
+//! Whether a group runs, stops or is repaired before an iteration, and
+//! how stale its update is, the loop asks each group's [`GroupLifecycle`]
+//! (as the thread engine does) and turns the answer into events.
 
 use crate::aries::AriesModel;
 use crate::event::EventQueue;
 use crate::faults::FaultPlan;
 use crate::jitter::JitterModel;
 use crate::knl::{KnlModel, LayerCost};
+use crate::lifecycle::{GroupLifecycle, Step};
 use crate::topology::{
     allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement,
 };
@@ -294,15 +299,6 @@ impl SimConfig {
     }
 }
 
-/// A completed group iteration.
-#[derive(Clone, Copy, Debug)]
-struct IterationRecord {
-    start: f64,
-    end: f64,
-    flops: f64,
-    staleness: u64,
-}
-
 /// Result of a cluster simulation.
 #[derive(Clone, Debug)]
 pub struct SimResult {
@@ -489,9 +485,11 @@ impl ClusterSim {
                     allreduce_base: allreduce_base(g),
                     rng: TensorRng::new(0), // re-seeded below, in seed order
                     alive: true,
-                    recovered: false,
+                    // Only a multi-group run has surviving state (the PS bank
+                    // or a peer group) to rejoin from (Sec. VIII-A).
+                    life: GroupLifecycle::new(&cfg.faults, g, 0..nodes, hybrid),
+                    failed_at: None,
                     done: 0,
-                    version: 0,
                     pending: IterBreakdown::default(),
                 }
             })
@@ -550,17 +548,16 @@ impl ClusterSim {
         let mut ps_rng = rng.fork(0x505);
 
         // Global PS update counter for staleness accounting (per-group
-        // last-seen versions live in the group states).
+        // last-seen versions live in the lifecycles).
         let mut global_updates: u64 = 0;
 
         // Flat, capacity-reserved result buffers: at most
-        // `groups × iterations` records exist, so the hot loop never
-        // grows a Vec.
-        let max_records = groups * cfg.iterations;
+        // `groups × iterations` iterations complete, so the hot loop
+        // never grows a Vec.
         let mut iter_times: Vec<Vec<f64>> =
             (0..groups).map(|_| Vec::with_capacity(cfg.iterations)).collect();
-        let mut records: Vec<IterationRecord> = Vec::with_capacity(max_records);
-        let mut timeline: Vec<(usize, f64, f64)> = Vec::with_capacity(max_records);
+        let mut timeline: Vec<(usize, f64, f64)> = Vec::with_capacity(groups * cfg.iterations);
+        let mut staleness_sum = 0u64;
         for (g, gs) in states.iter_mut().enumerate() {
             gs.rng = rng.fork(g as u64 + 101);
         }
@@ -572,32 +569,15 @@ impl ClusterSim {
         let mut events_processed = 0u64;
         let mut ps_served = vec![0u64; num_ps];
         let mut ps_crashed = vec![false; num_ps];
-        // Recovery is a property of the multi-group designs: a dead group
-        // can re-fetch the current model from the PS bank (hybrid) or a
-        // peer group (gossip). A synchronous run has no surviving state
-        // to rejoin (Sec. VIII-A), so its death stays permanent.
-        let recovery = if hybrid { cfg.faults.recovery } else { None };
 
         let iter_flops_per_group =
             cfg.workload.flops_per_image() * cfg.batch_per_group as f64
                 + (cfg.workload.params * cfg.workload.solver_flops_per_param) as f64;
 
-        let mut failure_at: Option<f64> = None;
-
         // Kick off: every group starts its first iteration at t=0
         // (unless the plan kills it before it does anything).
         for (g, state) in states.iter_mut().enumerate() {
-            if cfg.faults.group_crash_at(g) == Some(0) {
-                state.alive = false;
-                failure_at.get_or_insert(0.0);
-                if let Some(rec) = recovery {
-                    queue.schedule(rec.mttr_secs, Ev::GroupRecover { group: g, iter: 0 });
-                }
-                continue;
-            }
-            obs.start(0.0, g, 0);
-            let dur = self.group_local_time(state, g, 0);
-            queue.schedule(dur, Ev::GroupLocalDone { group: g, iter: 0, start: 0.0 });
+            self.launch(state, g, 0, 0.0, &mut queue, obs);
         }
 
         while let Some((now, ev)) = queue.pop() {
@@ -607,46 +587,36 @@ impl ClusterSim {
                     // A failure only matters for a group still working
                     // through its iterations; one that popped after the
                     // group finished (or died) is a no-op.
-                    let target = if hybrid { group } else { 0 };
-                    if states[target].alive && states[target].done < cfg.iterations {
-                        states[target].alive = false;
-                        failure_at.get_or_insert(now);
-                        if let Some(rec) = recovery {
-                            queue.schedule(
-                                now + rec.mttr_secs,
-                                Ev::GroupRecover { group, iter: states[group].done },
-                            );
-                        }
+                    let gs = &mut states[group];
+                    if gs.alive && gs.done < cfg.iterations {
+                        gs.halt(gs.life.crash(), group, gs.done, now, &mut queue);
                     }
                 }
                 Ev::GroupRecover { group, iter } => {
-                    if states[group].alive || iter >= cfg.iterations {
-                        continue;
-                    }
-                    // The repaired group re-fetches the *current* model
-                    // from the PS bank (or a peer group, under gossip)
-                    // and broadcasts it internally, then resumes at the
-                    // iteration it lost.
-                    states[group].alive = true;
-                    states[group].recovered = true;
+                    // The repaired group (one repair at most is pending)
+                    // re-fetches the *current* model from the PS bank (or a
+                    // peer group, under gossip), broadcasts it internally
+                    // and resumes at the iteration it lost.
+                    let gs = &mut states[group];
+                    gs.alive = true;
+                    gs.life.rejoin(global_updates);
                     let refetch = cfg.net.p2p_time(cfg.workload.model_bytes)
-                        + cfg.net.broadcast_time(states[group].nodes, cfg.workload.model_bytes);
-                    let start = now + refetch;
-                    obs.start(start, group, iter);
-                    let dur = self.group_local_time(&mut states[group], group, iter);
-                    queue.schedule(start + dur, Ev::GroupLocalDone { group, iter, start });
+                        + cfg.net.broadcast_time(gs.nodes, cfg.workload.model_bytes);
+                    self.launch(gs, group, iter, now + refetch, &mut queue, obs);
                 }
                 Ev::GroupLocalDone { group, iter, start } => {
                     if !states[group].alive {
                         continue;
                     }
+                    // Injected latency in front of this exchange, if the
+                    // plan has one (congested link).
+                    let arrive = now + cfg.faults.message_delay_secs(group, iter);
                     let resume = if gossip {
                         // Decentralized averaging: the group root swaps
                         // models with a rotating partner group's root
                         // (full-duplex p2p across the global links) and
                         // broadcasts the average internally — no PS, no
                         // global barrier (Jin et al.).
-                        let arrive = now + cfg.faults.message_delay_secs(group, iter);
                         arrive
                             + cfg.net.p2p_time(cfg.workload.model_bytes)
                             + gossip_hop
@@ -654,9 +624,6 @@ impl ClusterSim {
                                 .net
                                 .broadcast_time(states[group].nodes, cfg.workload.model_bytes)
                     } else if hybrid {
-                        // Injected latency in front of this exchange, if
-                        // the plan has one (congested link).
-                        let arrive = now + cfg.faults.message_delay_secs(group, iter);
                         // Fork-join over the per-layer PS bank (FIFO).
                         let mut resume = arrive;
                         for (shard, free) in ps_free.iter_mut().enumerate() {
@@ -696,9 +663,8 @@ impl ClusterSim {
                     }
                     // Staleness: updates applied system-wide since this
                     // group last synchronised.
-                    let staleness = global_updates - states[group].version;
                     global_updates += 1;
-                    states[group].version = global_updates;
+                    let staleness = states[group].life.applied(global_updates);
 
                     let mut end = now;
                     if cfg.checkpoint_every > 0 && (iter + 1) % cfg.checkpoint_every == 0 {
@@ -707,71 +673,59 @@ impl ClusterSim {
 
                     iter_times[group].push(end - start);
                     timeline.push((group, start, end));
-                    records.push(IterationRecord {
-                        start,
-                        end,
-                        flops: iter_flops_per_group,
-                        staleness,
-                    });
+                    staleness_sum += staleness;
                     states[group].done = iter + 1;
-                    if states[group].recovered {
-                        recovered_iterations += 1;
-                    }
+                    recovered_iterations += usize::from(states[group].life.recovered());
                     let t = IterBreakdown { start, ..states[group].pending };
                     obs.done(end, group, iter, staleness, &t);
 
                     if iter + 1 < cfg.iterations {
-                        if cfg.faults.group_crash_at(group) == Some(iter + 1)
-                            && !states[group].recovered
-                        {
-                            // The plan kills this group before its next
-                            // iteration. A group that already came back
-                            // once is not re-killed by the same entry.
-                            states[group].alive = false;
-                            failure_at.get_or_insert(end);
-                            if let Some(rec) = recovery {
-                                queue.schedule(
-                                    end + rec.mttr_secs,
-                                    Ev::GroupRecover { group, iter: iter + 1 },
-                                );
-                            }
-                        } else {
-                            obs.start(end, group, iter + 1);
-                            let dur = self.group_local_time(&mut states[group], group, iter + 1);
-                            queue.schedule(
-                                end + dur,
-                                Ev::GroupLocalDone { group, iter: iter + 1, start: end },
-                            );
-                        }
+                        self.launch(&mut states[group], group, iter + 1, end, &mut queue, obs);
                     }
                 }
             }
         }
 
-        let total_time = records.iter().map(|r| r.end).fold(0.0, f64::max);
-        let total_flops: f64 = records.iter().map(|r| r.flops).sum();
-        let images = records.len() as u64 * cfg.batch_per_group as u64;
-        let (peak, sustained) = rate_windows(&records);
-        let mean_staleness = if records.is_empty() {
-            0.0
-        } else {
-            records.iter().map(|r| r.staleness as f64).sum::<f64>() / records.len() as f64
-        };
+        let n = timeline.len();
+        let total_time = timeline.iter().map(|r| r.2).fold(0.0, f64::max);
+        let total_flops: f64 = (0..n).map(|_| iter_flops_per_group).sum();
+        let (peak, sustained) = rate_windows(&timeline, iter_flops_per_group);
+        let mean_staleness = if n == 0 { 0.0 } else { staleness_sum as f64 / n as f64 };
 
         SimResult {
             iter_times,
             timeline,
             total_time,
             total_flops,
-            images,
+            images: n as u64 * cfg.batch_per_group as u64,
             peak_rate: peak,
             sustained_rate: sustained,
             mean_staleness,
-            failure_at,
+            failure_at: states.iter().filter_map(|s| s.failed_at).reduce(f64::min),
             live_groups: states.iter().filter(|s| s.alive).count(),
             recovered_iterations,
             ps_respawns,
             events_processed,
+        }
+    }
+
+    /// Group `g` reaches `iter` at `at`: it starts it or, if told so, halts.
+    fn launch<O: Observer>(
+        &self,
+        gs: &mut GroupState,
+        g: usize,
+        iter: usize,
+        at: f64,
+        queue: &mut EventQueue<Ev>,
+        obs: &mut O,
+    ) {
+        match gs.life.before(iter) {
+            Step::Run => {
+                obs.start(at, g, iter);
+                let dur = self.group_local_time(gs, g, iter);
+                queue.schedule(at + dur, Ev::GroupLocalDone { group: g, iter, start: at });
+            }
+            step => gs.halt(step, g, iter, at, queue),
         }
     }
 
@@ -817,40 +771,51 @@ struct GroupState {
     /// This group's private jitter stream.
     rng: TensorRng,
     alive: bool,
-    /// Came back from a crash at least once.
-    recovered: bool,
+    /// Crash, rejoin and staleness decisions.
+    life: GroupLifecycle,
+    /// When the group first halted.
+    failed_at: Option<f64>,
     /// Iterations completed.
     done: usize,
-    /// Last-seen global update counter (staleness accounting).
-    version: u64,
     /// Breakdown of the iteration in flight (its `start` travels in the
     /// event).
     pending: IterBreakdown,
 }
 
-/// Computes (peak, sustained) system FLOP rates from iteration records:
-/// FLOPs are spread uniformly over each record's interval, binned at the
+impl GroupState {
+    /// Stops the group before `iter` at `at`; a repair returns it there.
+    fn halt(&mut self, step: Step, g: usize, iter: usize, at: f64, queue: &mut EventQueue<Ev>) {
+        self.alive = false;
+        self.failed_at.get_or_insert(at);
+        if let Step::Repair(rec) = step {
+            queue.schedule(at + rec.mttr_secs, Ev::GroupRecover { group: g, iter });
+        }
+    }
+}
+
+/// Computes (peak, sustained) system FLOP rates from the timeline: each
+/// iteration's `flops` are spread uniformly over its interval, binned at the
 /// mean iteration duration; peak is the best bin, sustained the best
 /// 10-bin contiguous window (mirroring the paper's best-iteration /
 /// best-100-iteration-window definitions in Sec. V).
-fn rate_windows(records: &[IterationRecord]) -> (f64, f64) {
-    if records.is_empty() {
+fn rate_windows(timeline: &[(usize, f64, f64)], flops: f64) -> (f64, f64) {
+    if timeline.is_empty() {
         return (0.0, 0.0);
     }
-    let t_end = records.iter().map(|r| r.end).fold(0.0, f64::max);
-    let mean_dur = records.iter().map(|r| r.end - r.start).sum::<f64>() / records.len() as f64;
+    let t_end = timeline.iter().map(|r| r.2).fold(0.0, f64::max);
+    let mean_dur = timeline.iter().map(|r| r.2 - r.1).sum::<f64>() / timeline.len() as f64;
     let bin = mean_dur.max(t_end / 1000.0).max(1e-9);
     let nbins = (t_end / bin).ceil() as usize + 1;
     let mut bins = vec![0.0f64; nbins];
-    for r in records {
-        let dur = (r.end - r.start).max(1e-12);
-        let rate = r.flops / dur;
-        let first = (r.start / bin) as usize;
-        let last = ((r.end / bin) as usize).min(nbins - 1);
+    for &(_, start, end) in timeline {
+        let dur = (end - start).max(1e-12);
+        let rate = flops / dur;
+        let first = (start / bin) as usize;
+        let last = ((end / bin) as usize).min(nbins - 1);
         for (off, slot) in bins[first..=last].iter_mut().enumerate() {
             let b = first + off;
-            let lo = (b as f64 * bin).max(r.start);
-            let hi = ((b + 1) as f64 * bin).min(r.end);
+            let lo = (b as f64 * bin).max(start);
+            let hi = ((b + 1) as f64 * bin).min(end);
             if hi > lo {
                 *slot += rate * (hi - lo);
             }
@@ -1084,6 +1049,57 @@ mod tests {
         assert_eq!(r.live_groups, 0, "sync has no surviving state to rejoin");
         assert_eq!(r.recovered_iterations, 0);
         assert_eq!(r.iter_times[0].len(), 3);
+    }
+
+    #[test]
+    fn node_crash_stops_its_group_for_good_even_with_recovery() {
+        // As in the thread engine: a lost node takes its group down
+        // before iteration k, and no recovery policy brings it back.
+        let mut cfg = SimConfig::new(toy_workload(), 16, 4, 64).ideal();
+        cfg.iterations = 20;
+        cfg.faults = crate::faults::FaultPlan::none()
+            .with_node_crash(1, 2, 6)
+            .with_recovery(2, 0.5);
+        let r = ClusterSim::new(cfg).run();
+        assert_eq!(r.iter_times[1].len(), 6, "group 1 completes exactly 6 iterations");
+        assert_eq!(r.live_groups, 3);
+        assert_eq!(r.recovered_iterations, 0, "a lost node is not repaired");
+        assert!(r.failure_at.is_some());
+        for g in [0, 2, 3] {
+            assert_eq!(r.iter_times[g].len(), 20, "group {g} runs to completion");
+        }
+    }
+
+    #[test]
+    fn recovered_group_staleness_counts_from_its_restart() {
+        // Every update's staleness is the number of updates applied since
+        // its group last took the model: at its previous update, or at its
+        // restart after a crash — the thread engine's rule.
+        struct Log {
+            applied: u64,
+            synced: Vec<u64>,
+            recovered_updates: usize,
+        }
+        impl Observer for Log {
+            fn start(&mut self, _: f64, g: usize, _: usize) {
+                self.synced[g] = self.applied;
+            }
+            fn done(&mut self, _: f64, g: usize, iter: usize, stale: u64, _: &IterBreakdown) {
+                assert_eq!(stale, self.applied - self.synced[g], "group {g} iteration {iter}");
+                self.applied += 1;
+                self.recovered_updates += usize::from(g == 2 && iter >= 5);
+            }
+        }
+        let mut cfg = SimConfig::new(toy_workload(), 16, 4, 64).ideal();
+        cfg.iterations = 20;
+        cfg.faults = crate::faults::FaultPlan::none()
+            .with_group_crash(2, 5)
+            .with_recovery(2, 0.5);
+        let mut log = Log { applied: 0, synced: vec![0; 4], recovered_updates: 0 };
+        let r = ClusterSim::new(cfg).run_with(&mut log);
+        assert_eq!(log.applied, 80);
+        assert_eq!(log.recovered_updates, 15);
+        assert_eq!(r.recovered_iterations, 15);
     }
 
     #[test]

@@ -18,31 +18,24 @@
 //!
 //! ## Fault injection and recovery (Sec. VIII-A)
 //!
-//! [`ThreadEngineConfig::faults`] takes a [`FaultPlan`] describing
-//! scheduled group crashes, PS crashes, stragglers and message delays:
-//!
-//! * A **group crash** stops all of the group's workers together. Without
-//!   a recovery policy the group stays dead and the others keep training
-//!   through the shared PS bank — the paper's observation. With
-//!   [`FaultPlan::with_recovery`], the group sits out its MTTR
-//!   (`mttr_iters` × its own measured iteration time), re-fetches the
-//!   *current* model from the PS bank and rejoins; its post-recovery
-//!   updates are reported in [`ThreadRunSummary::recovered_updates`].
-//! * A **PS crash** kills a parameter-server thread mid-run. The engine
-//!   talks to the bank through `scidl-comm`'s supervisor, which detects
-//!   the dead shard and respawns it from its last snapshot — the run
-//!   completes instead of aborting ([`ThreadRunSummary::ps_respawns`]).
-//! * **Stragglers** and **message delays** stretch compute and PS
-//!   exchanges with real sleeps, producing genuine extra staleness.
-//!
-//! Independently, [`ThreadEngineConfig::checkpoint_every`] makes the
-//! root of group 0 write crash-safe model checkpoints
-//! ([`crate::checkpoint::Checkpoint`]) while training runs.
+//! [`ThreadEngineConfig::faults`] takes a [`FaultPlan`]. Whether a group
+//! runs, stops or is repaired before an iteration, and how stale its
+//! update is, each rank asks its [`GroupLifecycle`] — the one
+//! `ClusterSim`'s clock asks. A stopped group's workers return together;
+//! a lost rank returns alone and its ring neighbours stop on the
+//! `CommError`. A repaired group sleeps its MTTR (`mttr_iters` × its own
+//! measured iteration time), re-fetches the *current* model from the PS
+//! bank and rejoins ([`ThreadRunSummary::recovered_updates`]). A crashed
+//! PS shard is respawned from its last snapshot by `scidl-comm`'s
+//! supervisor ([`ThreadRunSummary::ps_respawns`]); stragglers and message
+//! delays are real sleeps. Independently, the root of group 0 writes
+//! crash-safe checkpoints ([`ThreadEngineConfig::checkpoint_every`]).
 
 use crate::checkpoint::Checkpoint;
 use crate::faults::FaultPlan;
 use crate::metrics::LossCurve;
 use crate::task::{GradTask, HepGradTask};
+use scidl_cluster::lifecycle::{GroupLifecycle, Step};
 use scidl_comm::bucket::{BucketPlan, BucketSink, OverlapContext};
 use scidl_comm::compress::{Compression, ErrorFeedback};
 use scidl_comm::ps::{PsReply, PsUpdate, UpdateFn};
@@ -50,8 +43,9 @@ use scidl_comm::supervisor::{SupervisedPsBank, SupervisorConfig, UpdateFactory};
 use scidl_comm::{CommWorld, Communicator, RingEndpoint, RingFabric};
 use scidl_data::{BatchSampler, HepDataset};
 use scidl_nn::network::Model;
-use scidl_nn::Solver;
+use scidl_nn::solver::SolverKind;
 use scidl_tensor::TensorRng;
+use scidl_trace::EventKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -138,6 +132,8 @@ impl ThreadEngineConfig {
 pub struct ThreadRunSummary {
     /// Group-update losses over real elapsed seconds.
     pub curve: LossCurve,
+    /// Per-group curves.
+    pub per_group: Vec<LossCurve>,
     /// Final flat model parameters (from the PS bank).
     pub final_params: Vec<f32>,
     /// Mean staleness observed at the PS (in updates).
@@ -263,7 +259,8 @@ impl ThreadEngine {
         // rebuilds the update rule for a respawned shard (its solver
         // state restarts fresh, like a PS process restarting from a
         // checkpoint).
-        let (adam, lr, momentum) = (cfg.adam, cfg.lr, cfg.momentum);
+        let sgd = SolverKind::Sgd { momentum: cfg.momentum };
+        let (kind, lr) = (if cfg.adam { SolverKind::Adam } else { sgd }, cfg.lr);
         let bank = SupervisedPsBank::spawn_with(
             template
                 .param_blocks()
@@ -271,17 +268,9 @@ impl ThreadEngine {
                 .enumerate()
                 .map(|(shard, b)| {
                     let factory: UpdateFactory = Box::new(move || {
-                        if adam {
-                            let mut solver = scidl_nn::Adam::new(lr);
-                            Box::new(move |p: &mut [f32], g: &[f32]| {
-                                solver.step_block(0, p, g);
-                            }) as UpdateFn
-                        } else {
-                            let mut solver = scidl_nn::Sgd::new(lr, momentum);
-                            Box::new(move |p: &mut [f32], g: &[f32]| {
-                                solver.step_block(0, p, g);
-                            }) as UpdateFn
-                        }
+                        let mut solver = kind.build(lr);
+                        Box::new(move |p: &mut [f32], g: &[f32]| solver.step_block(0, p, g))
+                            as UpdateFn
                     });
                     let sup = SupervisorConfig {
                         inject_crash_after: cfg
@@ -314,6 +303,7 @@ impl ThreadEngine {
         // One tree communicator (loss scalar, status word, model
         // broadcast) and one gradient ring per group.
         let mut log = WorkerLog::default();
+        let mut per_group = vec![LossCurve::new(); cfg.groups];
         std::thread::scope(|scope| {
             let mut workers = Vec::new();
             for g in 0..cfg.groups {
@@ -321,14 +311,17 @@ impl ThreadEngine {
                 let endpoints = RingFabric::new(cfg.nodes_per_group).into_endpoints();
                 for (r, (comm, endpoint)) in comms.into_iter().zip(endpoints).enumerate() {
                     let run = &run;
-                    workers.push(scope.spawn(move || {
+                    workers.push((g, scope.spawn(move || {
                         scidl_tensor::par::set_width(threads_per_rank);
                         worker(run, g, r, comm, endpoint)
-                    }));
+                    })));
                 }
             }
-            for w in workers {
-                log.merge(w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+            for (g, w) in workers {
+                let l = w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                // Only the group root records losses, in update order.
+                l.losses.iter().for_each(|&(t, loss)| per_group[g].push(t, loss));
+                log.merge(l);
             }
         });
 
@@ -348,6 +341,7 @@ impl ThreadEngine {
             .collect();
         ThreadRunSummary {
             curve,
+            per_group,
             final_params,
             mean_staleness: if updates > 0 { log.staleness_sum as f64 / updates as f64 } else { 0.0 },
             staleness_histogram: log.staleness_histogram.to_vec(),
@@ -387,7 +381,18 @@ where
     // so residuals survive PS failover/rejoin.
     let mut ef_ps: Vec<ErrorFeedback> =
         (0..plan.num_blocks()).map(|_| ErrorFeedback::new(cfg.compression)).collect();
-    let node_crash_iter = cfg.faults.node_crash_at(group, rank);
+    // A dead peer reaches this rank as a ring error, so it watches only
+    // its own node; the PS bank outlives every group, so a crashed group
+    // may always rejoin.
+    let mut life = GroupLifecycle::new(&cfg.faults, group, rank..rank + 1, true);
+    // All spans land on lane `group`, emitted by the group root only so
+    // the timeline has one lane per group.
+    let gu = group as u64;
+    let span = |t: f64, kind: EventKind| {
+        if rank == 0 {
+            tr.span(gu, t, kind);
+        }
+    };
 
     let node_id = group * cfg.nodes_per_group + rank;
     let total_nodes = cfg.groups * cfg.nodes_per_group;
@@ -395,66 +400,38 @@ where
     let mut sampler =
         BatchSampler::for_node(run.dataset_len, per_node, cfg.seed, node_id, total_nodes);
 
-    let mut last_version: u64 = 0;
     // MTTR is expressed in iterations; convert with the group's own
     // measured pace (fallback before the first iteration completes).
     let mut last_iter_secs = 1e-3f64;
-    let mut recovered = false;
 
     for iter in 0..cfg.iterations {
-        if node_crash_iter.is_some_and(|k| iter >= k) {
-            // This rank alone dies (Sec. VIII-A): returning drops the
-            // comm thread and with it this rank's ring channels, so the
-            // group's survivors hit the dead neighbour mid-bucket and
-            // abort with a CommError instead of hanging.
-            return log;
-        }
-        if !recovered && cfg.faults.group_crash_at(group) == Some(iter) {
-            // The whole group observes the same condition and stops
-            // together — a node failure taking its group down
-            // (Sec. VIII-A). Other groups keep going via the PS bank.
-            match cfg.faults.recovery {
-                None => return log, // permanent loss: the paper's baseline
-                Some(rec) => {
-                    // Sit out the repair time, then rejoin from the
-                    // *current* model at the PS bank — everything the
-                    // other groups learned meanwhile is picked up.
-                    std::thread::sleep(Duration::from_secs_f64(
-                        rec.mttr_iters as f64 * last_iter_secs,
-                    ));
-                    recovered = true;
-                    if rank == 0 {
-                        match bank.fetch_all() {
-                            Ok(replies) => {
-                                load_params(&mut model, &replies);
-                                // Resync the staleness cursor to "now".
-                                last_version = replies[0].version;
-                            }
-                            Err(_) => {
-                                // The bank itself is unreachable: the
-                                // group cannot rejoin. Signal the group
-                                // to stop together below.
-                                let mut status = [0.0f32];
-                                comm.broadcast(0, &mut status);
-                                return log;
-                            }
-                        }
-                        let mut status = [1.0f32];
-                        comm.broadcast(0, &mut status);
-                    } else {
-                        let mut status = [0.0f32];
-                        comm.broadcast(0, &mut status);
-                        if status[0] < 0.5 {
-                            return log;
-                        }
-                    }
-                    broadcast_params(&comm, &mut model);
+        match life.before(iter) {
+            Step::Run => {}
+            // The whole group stops together, or this rank alone dies
+            // (Sec. VIII-A): returning drops its comm thread and ring
+            // channels, so the group's survivors hit the dead neighbour
+            // mid-bucket and abort with a CommError instead of hanging.
+            // Other groups keep going via the PS bank.
+            Step::Stop => return log,
+            Step::Repair(rec) => {
+                // Sit out the repair time, then rejoin from the *current*
+                // model at the PS bank — everything the other groups
+                // learned meanwhile is picked up. If the bank itself is
+                // unreachable, the status word stops the group together.
+                std::thread::sleep(Duration::from_secs_f64(rec.mttr_iters as f64 * last_iter_secs));
+                let fetched = if rank == 0 { bank.fetch_all().ok() } else { None };
+                if let Some(replies) = &fetched {
+                    load_params(&mut model, replies);
                 }
+                if !group_agrees(&comm, fetched.is_some()) {
+                    return log;
+                }
+                // Only the root applies updates, so only its cursor is read.
+                life.rejoin(fetched.map_or(0, |replies| replies[0].version));
+                broadcast_params(&comm, &mut model);
             }
         }
         let iter_start = Instant::now();
-        // All spans land on lane `group`, emitted by the group root only
-        // so the timeline has one lane per group.
         let iter_t = tr.now();
         let indices = sampler.next_batch();
         // Backward hands its gradient to the bucket stream — layer by
@@ -469,13 +446,7 @@ where
             loss
         };
         let compute_s = tr.now() - iter_t;
-        if rank == 0 {
-            tr.span(
-                group as u64,
-                iter_t,
-                scidl_trace::EventKind::Compute { group: group as u64, iter: iter as u64 },
-            );
-        }
+        span(iter_t, EventKind::Compute { group: gu, iter: iter as u64 });
 
         // Scheduled straggler: stretch this group's compute phase by the
         // plan's factor (the all-reduce barrier spreads the slowdown to
@@ -485,13 +456,7 @@ where
             let straggle_t = tr.now();
             let spent = iter_start.elapsed();
             std::thread::sleep(spent.mul_f64(factor - 1.0));
-            if rank == 0 {
-                tr.span(
-                    group as u64,
-                    straggle_t,
-                    scidl_trace::EventKind::Straggler { group: group as u64, factor },
-                );
-            }
+            span(straggle_t, EventKind::Straggler { group: gu, factor });
         }
 
         // Intra-group synchronous step: drain the reduced buckets into the
@@ -512,15 +477,9 @@ where
         let group_loss = lbuf[0];
         let mut comm_s = tr.now() - ar_t;
         log.wire_bytes += ar_bytes as u64;
+        let elems = plan.total_len() as u64 + 1;
+        span(ar_t, EventKind::Allreduce { elems, bytes: ar_bytes as u64 });
         if rank == 0 {
-            tr.span(
-                group as u64,
-                ar_t,
-                scidl_trace::EventKind::Allreduce {
-                    elems: plan.total_len() as u64 + 1,
-                    bytes: ar_bytes as u64,
-                },
-            );
             // Numeric-health sentinel: a non-finite loss or gradient
             // (from any node — the mean propagates it) is caught here
             // and the first offender attributed to its parameter block.
@@ -528,10 +487,9 @@ where
             tr.check_step(iter as u64, group_loss, &blocks, run.block_names);
         }
 
-        // One status word per iteration keeps the group's fate shared:
-        // if the root's PS exchange fails terminally, every worker of the
+        // If the root's PS exchange fails terminally, every worker of the
         // group returns together instead of deadlocking in a broadcast.
-        let mut status = [1.0f32];
+        let mut exchanged = true;
         let mut ps_s = 0.0f64;
         let mut row_stale = 0u64;
         if rank == 0 {
@@ -566,23 +524,13 @@ where
             match exchange {
                 Ok(replies) => {
                     // Staleness from the first block's version stream.
-                    let v = replies[0].version;
-                    let stale = v.saturating_sub(last_version + 1);
-                    last_version = v;
+                    let staleness = life.applied(replies[0].version);
                     ps_s = tr.now() - ps_t;
-                    row_stale = stale;
-                    tr.span(
-                        group as u64,
-                        ps_t,
-                        scidl_trace::EventKind::PsExchange {
-                            group: group as u64,
-                            staleness: stale,
-                            bytes: ps_wire,
-                        },
-                    );
-                    log.staleness_sum += stale;
-                    log.staleness_histogram[(stale as usize).min(STALENESS_BUCKETS - 1)] += 1;
-                    log.recovered_updates += u64::from(recovered);
+                    row_stale = staleness;
+                    span(ps_t, EventKind::PsExchange { group: gu, staleness, bytes: ps_wire });
+                    log.staleness_sum += staleness;
+                    log.staleness_histogram[(staleness as usize).min(STALENESS_BUCKETS - 1)] += 1;
+                    log.recovered_updates += u64::from(life.recovered());
                     load_params(&mut model, &replies);
                     drop(replies);
                     log.losses.push((run.t0.elapsed().as_secs_f64(), group_loss));
@@ -600,43 +548,30 @@ where
                                 params: model.flat_params(),
                             };
                             log.checkpoints_written += u64::from(ck.save(path).is_ok());
-                            tr.span(
-                                group as u64,
-                                ck_t,
-                                scidl_trace::EventKind::Checkpoint {
-                                    iter: (iter + 1) as u64,
-                                    bytes: (ck.params.len() * 4) as u64,
-                                },
-                            );
+                            let bytes = (ck.params.len() * 4) as u64;
+                            span(ck_t, EventKind::Checkpoint { iter: ck.iteration, bytes });
                         }
                     }
                 }
-                Err(_) => {
-                    // The PS bank is terminally unreachable for this
-                    // group: it dies, the others keep going.
-                    status[0] = 0.0;
-                }
+                // The PS bank is terminally unreachable for this group:
+                // it dies, the others keep going.
+                Err(_) => exchanged = false,
             }
         }
         let bc_t = tr.now();
-        comm.broadcast(0, &mut status);
-        if status[0] < 0.5 {
+        if !group_agrees(&comm, exchanged) {
             return log;
         }
         // Root broadcasts the fresh model to its group.
         broadcast_params(&comm, &mut model);
         comm_s += tr.now() - bc_t;
         last_iter_secs = iter_start.elapsed().as_secs_f64().max(1e-6);
+        span(iter_t, EventKind::Iteration { group: gu, iter: iter as u64 });
         if rank == 0 {
-            tr.span(
-                group as u64,
-                iter_t,
-                scidl_trace::EventKind::Iteration { group: group as u64, iter: iter as u64 },
-            );
             tr.row(scidl_trace::IterRow {
                 run: 0, // filled in by the handle
                 kind: "train",
-                track: group as u64,
+                track: gu,
                 iter: iter as u64,
                 start_s: iter_t,
                 compute_s,
@@ -660,6 +595,14 @@ fn load_params<M: Model>(model: &mut M, replies: &[PsReply]) {
     }
 }
 
+/// One status word: the group root's verdict `ok` to every rank of its
+/// group (the others' `ok` is ignored), so the group's fate is shared.
+fn group_agrees(comm: &Communicator, ok: bool) -> bool {
+    let mut status = [if ok { 1.0f32 } else { 0.0 }];
+    comm.broadcast(0, &mut status);
+    status[0] > 0.5
+}
+
 /// The group root's parameters to every rank of its group, block by
 /// block, so the communicator stages one block at a time, not the model.
 fn broadcast_params<M: Model>(comm: &Communicator, model: &mut M) {
@@ -671,10 +614,9 @@ fn broadcast_params<M: Model>(comm: &Communicator, model: &mut M) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults;
     use crate::task::hep_gradient;
     use scidl_data::HepConfig;
-    use scidl_nn::Sgd;
+    use scidl_nn::{Sgd, Solver};
 
     fn dataset() -> Arc<HepDataset> {
         Arc::new(HepDataset::generate(HepConfig::small(), 64, 77))
@@ -763,7 +705,7 @@ mod tests {
         cfg.iterations = 8;
         cfg.overlap_comm = true;
         cfg.bucket_bytes = 1024;
-        cfg.faults = faults::kill_node(0, 1, 2);
+        cfg.faults = FaultPlan::none().with_node_crash(0, 1, 2);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         // Group 0 contributes its 2 pre-crash updates; group 1 all 8.
         assert_eq!(run.updates, 8 + 2);
@@ -778,7 +720,7 @@ mod tests {
         let ds = dataset();
         let mut cfg = ThreadEngineConfig::new(2, 3, 6);
         cfg.iterations = 8;
-        cfg.faults = faults::kill_node(0, 1, 2);
+        cfg.faults = FaultPlan::none().with_node_crash(0, 1, 2);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         assert_eq!(run.updates, 8 + 2);
         assert!(run.final_params.iter().all(|p| p.is_finite()));
@@ -837,7 +779,7 @@ mod tests {
         let ds = dataset();
         let mut cfg = ThreadEngineConfig::new(3, 2, 6);
         cfg.iterations = 10;
-        cfg.faults = faults::kill_group(1, 3); // group 1 dies at iteration 3
+        cfg.faults = FaultPlan::none().with_group_crash(1, 3); // group 1 dies at iteration 3
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         // Two healthy groups × 10 + the failed group's 3 updates.
         assert_eq!(run.updates, 2 * 10 + 3);
@@ -850,7 +792,7 @@ mod tests {
         let ds = dataset();
         let mut cfg = ThreadEngineConfig::new(3, 2, 6);
         cfg.iterations = 10;
-        cfg.faults = faults::kill_and_recover_group(1, 3, 2, 0.0);
+        cfg.faults = FaultPlan::none().with_group_crash(1, 3).with_recovery(2, 0.0);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         // Every group completes all its iterations: the crashed group
         // contributes its 3 pre-crash updates plus 7 recovered ones.
@@ -869,7 +811,7 @@ mod tests {
         cfg.iterations = 12;
         // Shard 0 dies after 5 served requests; the supervisor respawns
         // it from its snapshot and the run completes fully.
-        cfg.faults = faults::kill_ps_shard(0, 5, 0.0);
+        cfg.faults = FaultPlan::none().with_ps_crash(0, 5, 0.0);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         assert_eq!(run.updates, 2 * 12, "no iteration may be lost to the PS crash");
         assert!(run.ps_respawns >= 1, "the supervisor must have failed over");
@@ -997,7 +939,7 @@ mod tests {
         let mut cfg = ThreadEngineConfig::new(2, 1, 4);
         cfg.iterations = 12;
         cfg.compression = Compression::Int8;
-        cfg.faults = faults::kill_ps_shard(0, 5, 0.0);
+        cfg.faults = FaultPlan::none().with_ps_crash(0, 5, 0.0);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         assert_eq!(run.updates, 2 * 12, "no compressed update may be lost to the PS crash");
         assert!(run.ps_respawns >= 1, "the supervisor must have failed over");
@@ -1015,7 +957,7 @@ mod tests {
         cfg.overlap_comm = true;
         cfg.bucket_bytes = 1024;
         cfg.compression = Compression::Int16;
-        cfg.faults = faults::kill_node(0, 1, 2);
+        cfg.faults = FaultPlan::none().with_node_crash(0, 1, 2);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         assert_eq!(run.updates, 8 + 2);
         assert!(run.final_params.iter().all(|p| p.is_finite()));

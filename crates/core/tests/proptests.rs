@@ -47,7 +47,7 @@ proptest! {
         recover in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        use scidl_core::faults;
+        use scidl_core::faults::FaultPlan;
         use scidl_core::thread_engine::{ThreadEngine, ThreadEngineConfig};
         let iters = 5usize;
         let ds = std::sync::Arc::new(HepDataset::generate(HepConfig::small(), 48, seed));
@@ -55,9 +55,9 @@ proptest! {
         cfg.iterations = iters;
         cfg.seed = seed;
         cfg.faults = if recover {
-            faults::kill_and_recover_group(0, crash_iter, 1, 0.0)
+            FaultPlan::none().with_group_crash(0, crash_iter).with_recovery(1, 0.0)
         } else {
-            faults::kill_group(0, crash_iter)
+            FaultPlan::none().with_group_crash(0, crash_iter)
         };
         let run = ThreadEngine::run(&cfg, ds);
         let expected = if recover {

@@ -10,8 +10,9 @@
 //! * bfloat16 emulation (truncate / round-to-nearest of the f32
 //!   mantissa) — the numeric format later HPC systems adopted,
 //! * stochastic rounding to an arbitrary fixed-point grid,
-//! * linear 8-bit quantise/dequantise with per-buffer scale, used by the
-//!   compressed all-reduce in `scidl-comm`,
+//! * linear 8-bit quantise/dequantise with per-buffer scale
+//!   ([`QuantizedBuffer`], over the same `scidl_tensor::ops::quantize_i8`
+//!   codec the compressed exchange in `scidl-comm` calls directly),
 //! * the **int8 serving path** ([`QuantLayer`], [`QuantizedNetwork`]):
 //!   per-layer symmetric int8 weight quantization plus dynamic per-tensor
 //!   activation quantization, executed through the exact i32-accumulate
@@ -64,13 +65,6 @@ pub fn stochastic_round(x: f32, step: f32, rng: &mut TensorRng) -> f32 {
     let frac = scaled - floor;
     let up = rng.uniform() < frac as f64;
     (floor + if up { 1.0 } else { 0.0 }) * step
-}
-
-/// Stochastically rounds a buffer in place.
-pub fn stochastic_round_slice(data: &mut [f32], step: f32, rng: &mut TensorRng) {
-    for v in data.iter_mut() {
-        *v = stochastic_round(*v, step, rng);
-    }
 }
 
 /// An 8-bit linearly quantised buffer with a per-buffer scale.

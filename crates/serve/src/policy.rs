@@ -12,6 +12,7 @@
 
 use crate::queue::BatchPolicy;
 use scidl_tensor::stats::percentile;
+use std::ops::Add;
 use std::time::Duration;
 
 const SALT_PRIORITY: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -170,6 +171,29 @@ pub(crate) fn effective_watermark(shed_watermark: Option<usize>, capacity: usize
 pub(crate) fn retry_after(policy: &BatchPolicy, depth: usize) -> Duration {
     let batches = depth.div_ceil(policy.max_batch.max(1)).max(1) as u32;
     policy.max_delay.max(Duration::from_millis(1)).saturating_mul(batches)
+}
+
+/// The batch former's trigger, for either clock: a queue of `len ≥ 1`
+/// requests whose `i`-th (oldest first) arrived at `arrived(i)` forms a
+/// batch once `max_batch` are waiting — at the `max_batch`-th arrival —
+/// or once the head has waited `max_delay`, whichever comes first.
+pub(crate) fn batch_trigger<T: Add<D, Output = T>, D>(
+    len: usize,
+    max_batch: usize,
+    max_delay: D,
+    arrived: impl Fn(usize) -> T,
+) -> T {
+    if len >= max_batch {
+        arrived(max_batch - 1)
+    } else {
+        arrived(0) + max_delay
+    }
+}
+
+/// The batch former's expiry rule, for either clock: a queued request
+/// with a `deadline` has lapsed at `now` once the deadline is not after it.
+pub(crate) fn lapsed<T: PartialOrd>(deadline: Option<T>, now: T) -> bool {
+    deadline.is_some_and(|d| d <= now)
 }
 
 /// `base` doubled `doublings` times, capped at `cap`: the backoff of
@@ -417,6 +441,18 @@ mod tests {
             assert_eq!(retry_after(&p, depth), Duration::from_millis(ms), "depth {depth}");
         }
         assert_eq!(retry_after(&BatchPolicy::batch1(), 3), Duration::from_millis(3));
+    }
+
+    #[test]
+    fn batch_former_table() {
+        let arrived = [0.0, 1.0, 2.0, 3.0];
+        let at = |i: usize| arrived[i];
+        assert_eq!(batch_trigger(4, 3, 10.0, at), 2.0, "full: the max_batch-th arrival");
+        assert_eq!(batch_trigger(2, 3, 10.0, at), 10.0, "partial: head + max_delay");
+        assert_eq!(batch_trigger(1, 1, 10.0, at), 0.0, "max_batch 1 never waits");
+        assert!(lapsed(Some(5.0), 5.0), "a deadline at now has lapsed");
+        assert!(!lapsed(Some(5.0), 4.9));
+        assert!(!lapsed(None, f64::INFINITY), "no deadline never lapses");
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! Built directly on `std::sync::{Mutex, Condvar}` because the batch
 //! former needs `wait_timeout` for the deadline path.
 
+use crate::policy::{batch_trigger, lapsed};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -258,6 +259,9 @@ impl<T> BatchQueue<T> {
     /// [`Popped::expired`] (possibly with an empty batch) so the caller
     /// answers them before any compute.
     pub fn pop_expiring(&self, policy: &BatchPolicy) -> Option<Popped<T>> {
+        let trigger = |g: &Inner<T>| {
+            batch_trigger(g.items.len(), policy.max_batch, policy.max_delay, |i| g.items[i].arrived)
+        };
         let mut g = self.inner.lock().unwrap();
         loop {
             // One timestamp per former pass: expiry, batch readiness,
@@ -267,10 +271,7 @@ impl<T> BatchQueue<T> {
             // double-counted) within one tick.
             let now = Instant::now();
             let expired = Self::extract_expired(&mut g, now);
-            let batch_ready = !g.items.is_empty()
-                && (g.items.len() >= policy.max_batch
-                    || g.closed
-                    || now >= g.items[0].arrived + policy.max_delay);
+            let batch_ready = !g.items.is_empty() && (g.closed || now >= trigger(&g));
             if batch_ready {
                 return Some(Popped { batch: Self::drain(&mut g, policy.max_batch, now), expired });
             }
@@ -286,9 +287,9 @@ impl<T> BatchQueue<T> {
                 g = self.notify.wait(g).unwrap();
                 continue;
             }
-            // Park until whichever fires first: the head's batch
-            // deadline or the earliest request deadline in the queue.
-            let mut wake = g.items[0].arrived + policy.max_delay;
+            // Park until whichever fires first: the batch trigger or the
+            // earliest request deadline in the queue.
+            let mut wake = trigger(&g);
             for p in &g.items {
                 if let Some(d) = p.deadline {
                     wake = wake.min(d);
@@ -318,15 +319,16 @@ impl<T> BatchQueue<T> {
     }
 
     fn extract_expired(g: &mut Inner<T>, now: Instant) -> Vec<T> {
-        if g.items.iter().all(|p| p.deadline.is_none_or(|d| now < d)) {
+        if !g.items.iter().any(|p| lapsed(p.deadline, now)) {
             return Vec::new();
         }
         let mut expired = Vec::new();
         let mut keep = VecDeque::with_capacity(g.items.len());
         for p in g.items.drain(..) {
-            match p.deadline {
-                Some(d) if now >= d => expired.push(p.item),
-                _ => keep.push_back(p),
+            if lapsed(p.deadline, now) {
+                expired.push(p.item);
+            } else {
+                keep.push_back(p);
             }
         }
         g.items = keep;

@@ -48,7 +48,7 @@
 //!   rejected, consecutive rejections open the breaker, and an open
 //!   breaker fails attempts fast.
 
-use crate::policy::{effective_watermark, Breaker, Recovery};
+use crate::policy::{batch_trigger, effective_watermark, lapsed, Breaker, Recovery};
 use crate::queue::BatchPolicy;
 use scidl_cluster::faults::FaultPlan;
 use scidl_cluster::knl::{KnlModel, LayerCost, RateClass};
@@ -451,12 +451,12 @@ impl Replica {
         let before = self.queue.len();
         let out = &mut core.out;
         self.queue.retain(|q| {
-            let lapsed = q.deadline.is_some_and(|d| d <= cut);
-            if lapsed {
+            let gone = lapsed(q.deadline, cut);
+            if gone {
                 out.expired += 1;
                 out.expired_ids.push(q.id);
             }
-            !lapsed
+            !gone
         });
         let n = before - self.queue.len();
         if n > 0 && core.tr.enabled() {
@@ -483,14 +483,9 @@ impl Replica {
         while !self.queue.is_empty() {
             let cfg = core.cfg;
             let max_batch = cfg.policy.max_batch;
-            // When is the batch former triggered? Either the queue
-            // already holds a full batch (triggered the moment the
-            // `max_batch`-th request arrived) or the head's deadline.
-            let trigger = if self.queue.len() >= max_batch {
-                self.queue[max_batch - 1].arrived
-            } else {
-                self.queue[0].arrived + core.max_delay
-            };
+            let trigger = batch_trigger(self.queue.len(), max_batch, core.max_delay, |i| {
+                self.queue[i].arrived
+            });
             // The batch actually starts when a worker is also free.
             let free = self.worker_free.iter().copied().fold(f64::INFINITY, f64::min);
             let start = trigger.max(free).max(self.queue[0].arrived);

@@ -90,12 +90,6 @@ impl ConvGeometry {
         self.out_h() * self.out_w()
     }
 
-    /// Number of filter weights: `cout * cin * kh * kw`.
-    #[inline]
-    pub fn weight_len(&self) -> usize {
-        self.cout * self.col_rows()
-    }
-
     /// Multiply-accumulate count of the convolution forward pass for a
     /// single image. FLOPs are conventionally `2 *` this (mul + add), which
     /// is what the paper's SDE-based counting reports for these kernels.

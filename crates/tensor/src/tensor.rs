@@ -104,11 +104,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor by 4-D coordinates (bounds-checked).
     #[inline]
     pub fn at(&self, n: usize, c: usize, h: usize, w: usize) -> f32 {

@@ -19,7 +19,7 @@
 //! ```
 
 use scidl_core::checkpoint::Checkpoint;
-use scidl_core::faults;
+use scidl_core::faults::FaultPlan;
 use scidl_core::thread_engine::{ThreadEngine, ThreadEngineConfig};
 use scidl_data::{HepConfig, HepDataset};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn main() {
     // --- 1. group crash, no recovery: the paper's baseline -------------
     println!("hybrid run: 4 groups x 2 nodes; group 2 dies at iteration 5\n");
     let mut cfg = base.clone();
-    cfg.faults = faults::kill_group(2, 5);
+    cfg.faults = FaultPlan::none().with_group_crash(2, 5);
     let baseline = ThreadEngine::run(&cfg, Arc::clone(&ds));
     println!(
         "[no recovery]   updates: {:2} (3 healthy groups x 25 + 5 from the dead group)",
@@ -50,7 +50,7 @@ fn main() {
     let mut ckpt = std::env::temp_dir();
     ckpt.push("scidl_fault_tolerance_demo.ckpt");
     let mut cfg = base.clone();
-    cfg.faults = faults::kill_and_recover_group(2, 5, 3, 0.0);
+    cfg.faults = FaultPlan::none().with_group_crash(2, 5).with_recovery(3, 0.0);
     cfg.checkpoint_every = 5;
     cfg.checkpoint_path = Some(ckpt.clone());
     let recovered = ThreadEngine::run(&cfg, Arc::clone(&ds));
@@ -84,7 +84,7 @@ fn main() {
 
     // --- 3. parameter-server crash: supervisor failover -----------------
     let mut cfg = base;
-    cfg.faults = faults::kill_ps_shard(0, 12, 0.0);
+    cfg.faults = FaultPlan::none().with_ps_crash(0, 12, 0.0);
     let ps_run = ThreadEngine::run(&cfg, ds);
     println!(
         "[PS crash]      updates: {:2} with {} PS failover(s) — no iteration lost",

@@ -10,7 +10,7 @@
 //!   detected communication error that stops the group — not a panic and
 //!   not a hang.
 
-use scidl_core::faults;
+use scidl_core::faults::FaultPlan;
 use scidl_core::sim_engine::{SimEngine, SimEngineConfig, SolverKind};
 use scidl_core::thread_engine::{ThreadEngine, ThreadEngineConfig};
 use scidl_core::workloads::hep_workload;
@@ -108,7 +108,7 @@ fn dead_ring_neighbour_mid_bucket_stops_the_group_via_comm_error() {
     cfg.iterations = 10;
     cfg.overlap_comm = true;
     cfg.bucket_bytes = 512; // many buckets: the death lands mid-schedule
-    cfg.faults = faults::kill_node(1, 2, 3);
+    cfg.faults = FaultPlan::none().with_node_crash(1, 2, 3);
     let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
     // Group 1 contributes only its 3 pre-crash updates; group 0 all 10.
     assert_eq!(run.updates, 10 + 3);
@@ -126,7 +126,7 @@ fn group_recovery_composes_with_overlap_mode() {
     cfg.iterations = 8;
     cfg.overlap_comm = true;
     cfg.bucket_bytes = 1024;
-    cfg.faults = faults::kill_and_recover_group(0, 3, 1, 0.0);
+    cfg.faults = FaultPlan::none().with_group_crash(0, 3).with_recovery(1, 0.0);
     let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
     assert_eq!(run.updates, 2 * 8, "the crashed group must rejoin and finish");
     assert_eq!(run.recovered_updates, 5);
