@@ -6,7 +6,9 @@
 //!   Xeon Phi 7250),
 //! * `--real`: additionally times our actual Rust kernels on the host
 //!   for a scaled-down HEP network (224px full profile is expensive on a
-//!   laptop; pass `--full` with `--real` to profile the full network).
+//!   laptop; pass `--full` with `--real` to profile the full network),
+//!   one row per step the network runs: a `Conv2d → Relu → MaxPool2d`
+//!   triple is one pass, so one row (`conv1+relu1+pool1`).
 
 use crate::report::{fnum, markdown_table};
 use crate::Args;
@@ -65,7 +67,7 @@ pub fn run(args: &Args) {
             "-- real Rust kernels on this host ({}, batch 8) --\n",
             if args.full { "full 224px HEP network" } else { "scaled 32px HEP network" }
         );
-        let prof = scidl_nn::profile::profile_network(&mut net, input, 1, 3);
+        let prof = scidl_nn::profile::profile_steps(&mut net, input, 1, 3);
         let rows: Vec<Vec<String>> = prof
             .iter()
             .map(|p| {

@@ -8,9 +8,12 @@
 //! set where the input was positive; `backward` clears the gradient it is
 //! handed wherever that bit is clear. A training step so holds one
 //! buffer per ReLU, not an input and an output, and a mask 1/32 the size
-//! of the activation.
+//! of the activation. Between a `Conv2d` and a `MaxPool2d`,
+//! [`crate::Network`] rectifies inside the fused pass instead and this
+//! layer keeps nothing: the pool's tap records carry the mask bits that
+//! backward reads.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Part};
 use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
 /// Elements behind one word of a [`Relu`] mask.
@@ -58,6 +61,14 @@ impl Layer for Relu {
         assert_eq!(grad_out.len(), self.len, "{}: backward before forward", self.name);
         by_word(grad_out.data_mut(), &mut self.mask, |g, bits| pass_word(g, *bits));
         grad_out
+    }
+
+    fn part(&self) -> Option<Part<&crate::Conv2d, &Relu, &crate::MaxPool2d>> {
+        Some(Part::Relu(self))
+    }
+
+    fn part_mut(&mut self) -> Option<Part<&mut crate::Conv2d, &mut Relu, &mut crate::MaxPool2d>> {
+        Some(Part::Relu(self))
     }
 
     fn forward_flops_per_image(&self, input: Shape4) -> u64 {
@@ -124,7 +135,7 @@ fn pass_word(g: &mut [f32], bits: u64) {
 /// is whichever operand the generated code happens to return: here it is
 /// `+0.0` in every loop shape, so the in-place forward and `infer` agree.
 #[inline]
-fn rectify(x: f32) -> f32 {
+pub(crate) fn rectify(x: f32) -> f32 {
     if x > 0.0 || x.is_nan() {
         x
     } else {

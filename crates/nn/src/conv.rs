@@ -10,11 +10,22 @@
 //! before the next. Every bit is what lowering through a written-out col
 //! matrix gives; the scratch is pack panels and one slab, not two
 //! `cin·k² x oh·ow` matrices per thread.
+//!
+//! Followed by a ReLU and a max pool, the convolution runs the three as
+//! one pass per item (`Conv2d::forward_pooled`, which [`crate::Network`]
+//! calls): the item's GEMM writes an item-sized
+//! scratch, which is rectified and pooled straight into the item's pooled
+//! output, so no full-batch conv output or ReLU mask ever exists. Its
+//! backward expands each item's pooled gradient into an item-sized `dY`
+//! and runs that item's usual three GEMM steps on it. Every bit is the
+//! three layers' one at a time.
 
-use crate::layer::{Layer, ParamBlock};
+use crate::layer::{Layer, ParamBlock, Part};
+use crate::pool::{MaxPool2d, Window};
 use scidl_tensor::{
     par, BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
 };
+use std::sync::{Mutex, PoisonError};
 
 /// A 2-D convolution with square kernel, symmetric padding and uniform
 /// stride, matching the layers of both paper networks (3x3/s1 for HEP,
@@ -85,6 +96,107 @@ impl Conv2d {
     pub fn cin(&self) -> usize {
         self.cin
     }
+
+    /// Whether a batch of `n` items of geometry `geo` goes item-parallel.
+    /// For small-to-medium col matrices, parallelise over batch items
+    /// (mirroring the per-node OpenMP parallelism of the paper's kernels;
+    /// each item's GEMM, packing included, then runs inline on whichever
+    /// thread took the item); huge ones (climate first layers) and single
+    /// items go one at a time, so the GEMM parallelises internally and one
+    /// B slab — `KC` rows of the col matrix — is packed for all threads
+    /// instead of one per thread. Either way each item's arithmetic is the
+    /// same.
+    fn item_parallel(&self, n: usize, geo: &ConvGeometry) -> bool {
+        let (rows, cols) = (geo.col_rows(), geo.col_cols());
+        rows * cols <= (1 << 22) && n * self.cout * rows * cols >= PAR_WORK
+    }
+
+    /// Training forward of this convolution, a ReLU and `pool` as one pass
+    /// per item: [`Conv2d::infer_pooled`]'s output, with the input cached
+    /// and `pool`'s tap records written for [`Conv2d::backward_pooled`].
+    pub(crate) fn forward_pooled(&mut self, input: Tensor, pool: &mut MaxPool2d) -> Tensor {
+        let window = pool.window();
+        let out = self.pooled(&input, window, Some(pool.record(self.out_shape(input.shape()))));
+        self.cached_input = Some(input);
+        out
+    }
+
+    /// This convolution, a ReLU and `pool`, one item at a time: each
+    /// item's GEMM writes an item-sized scratch, which the pool's window
+    /// scan rectifies and pools into the item's output. Bit for bit the
+    /// three layers' `infer` one after another.
+    pub(crate) fn infer_pooled(&self, input: &Tensor, pool: &MaxPool2d) -> Tensor {
+        self.pooled(input, pool.window(), None)
+    }
+
+    /// Backward of [`Conv2d::forward_pooled`]: each item's pooled gradient
+    /// is expanded through `pool`'s tap records into an item-sized `dY`
+    /// (the three layers' `backward` one after another, for that item),
+    /// and the item's weight gradient, bias gradient and data gradient are
+    /// taken from it as [`Layer::backward`] takes them from `grad_out`.
+    pub(crate) fn backward_pooled(&mut self, grad_out: Tensor, pool: &MaxPool2d) -> Tensor {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Conv2d::backward called before forward");
+        let ishape = input.shape();
+        let geo = self.geometry(ishape.h, ishape.w);
+        let oshape = pool.out_shape(geo.out_shape(ishape.n));
+        assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
+        let taps = pool.recorded(grad_out.shape());
+        let (window, hw) = (pool.window(), (geo.out_h(), geo.out_w()));
+
+        let mut grad_in = Tensor::zeros(ishape);
+        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.cout, self.weight.value.data());
+        let mut dy = vec![0.0f32; self.cout * geo.col_cols()];
+        let pooled = grad_out.shape().item_len();
+        for n in 0..ishape.n {
+            window.unpool(grad_out.item(n), &taps[n * pooled..][..pooled], hw, &mut dy);
+            let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+            backward_item(&geo, &weight_t, input.item(n), &dy, grads, grad_in.item_mut(n));
+        }
+        grad_in
+    }
+
+    /// The fused pass behind [`Conv2d::forward_pooled`] and
+    /// [`Conv2d::infer_pooled`], writing tap records into `taps` if given.
+    /// Items are split across threads as [`Layer::infer`] splits them.
+    /// Each thread at work holds one item's conv output: a unit takes a
+    /// scratch from `spare` (or makes one) and hands it back, and all are
+    /// freed when the call returns.
+    fn pooled(&self, input: &Tensor, window: Window, taps: Option<&mut [u8]>) -> Tensor {
+        let ishape = input.shape();
+        let geo = self.geometry(ishape.h, ishape.w);
+        let mut out = Tensor::zeros(window.out_shape(geo.out_shape(ishape.n)));
+        let (rows, cols) = (geo.col_rows(), geo.col_cols());
+        let hw = (geo.out_h(), geo.out_w());
+        let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
+        let bias = self.bias.value.data();
+
+        let per_unit = if self.item_parallel(ishape.n, &geo) { 1 } else { ishape.n.max(1) };
+        let item = out.shape().item_len().max(1);
+        // A push or a pop leaves the list whole, so a unit that panicked
+        // holding the lock left nothing to repair.
+        let spare = Mutex::new(Vec::new());
+        let unit = |u: usize, out: &mut [f32], mut taps: Option<&mut [u8]>| {
+            let popped = spare.lock().unwrap_or_else(PoisonError::into_inner).pop();
+            let mut y = popped.unwrap_or_else(|| vec![0.0f32; self.cout * cols]);
+            for (i, out) in out.chunks_mut(item).enumerate() {
+                let image = BSource::Im2col(Transpose::No, &geo, input.item(u * per_unit + i));
+                weight.gemm_bias(image, cols, bias, &mut y);
+                let taps = taps.as_deref_mut().map(|t| &mut t[i * item..][..item]);
+                window.pool::<true>(&y, hw, out, taps);
+            }
+            spare.lock().unwrap_or_else(PoisonError::into_inner).push(y);
+        };
+        match taps {
+            Some(taps) => {
+                par::for_each_chunk_pair_mut(out.data_mut(), taps, per_unit * item, |u, out, taps| unit(u, out, Some(taps)))
+            }
+            None => par::for_each_chunk_mut(out.data_mut(), per_unit * item, |u, out| unit(u, out, None)),
+        }
+        out
+    }
 }
 
 impl Layer for Conv2d {
@@ -115,17 +227,7 @@ impl Layer for Conv2d {
         let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
         let bias = self.bias.value.data();
 
-        // For small-to-medium col matrices, parallelise over batch items
-        // (mirroring the per-node OpenMP parallelism of the paper's
-        // kernels; each item's GEMM, packing included, then runs inline
-        // on whichever thread took the item); huge ones (climate first
-        // layers) and single items go one at a time, so the GEMM
-        // parallelises internally and one B slab — `KC` rows of the col
-        // matrix — is packed for all threads instead of one per thread.
-        // Either way each item's arithmetic is the same.
-        let par_batch = rows * cols <= (1 << 22)
-            && ishape.n * self.cout * rows * cols >= PAR_WORK;
-        let per_unit = if par_batch { 1 } else { ishape.n.max(1) };
+        let per_unit = if self.item_parallel(ishape.n, &geo) { 1 } else { ishape.n.max(1) };
         let item_out = oshape.item_len().max(1);
         par::for_each_chunk_mut(out.data_mut(), per_unit * item_out, |unit, items| {
             for (n, item) in items.chunks_mut(item_out).enumerate() {
@@ -149,25 +251,22 @@ impl Layer for Conv2d {
         let oshape = geo.out_shape(ishape.n);
         assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
 
-        let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let mut grad_in = Tensor::zeros(ishape);
         // Wᵀ is the left operand of every item's data-gradient GEMM.
-        let weight_t = PackedA::new(Transpose::Yes, rows, self.cout, self.weight.value.data());
-
+        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.cout, self.weight.value.data());
         for n in 0..ishape.n {
-            let dy = grad_out.item(n); // (cout x cols)
-
-            // Weight gradient: dW += dY * colᵀ.
-            let col_t = BSource::Im2col(Transpose::Yes, &geo, input.item(n));
-            PackedA::new(Transpose::No, self.cout, cols, dy).gemm(col_t, rows, 1.0, 1.0, self.weight.grad.data_mut());
-
-            // Bias gradient: per-channel sum of dY.
-            add_row_sums(dy, cols, self.bias.grad.data_mut());
-
-            // Data gradient: the scatter of dcol = Wᵀ * dY.
-            weight_t.gemm_col2im(&geo, dy, grad_in.item_mut(n));
+            let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+            backward_item(&geo, &weight_t, input.item(n), grad_out.item(n), grads, grad_in.item_mut(n));
         }
         grad_in
+    }
+
+    fn part(&self) -> Option<Part<&Conv2d, &crate::Relu, &MaxPool2d>> {
+        Some(Part::Conv(self))
+    }
+
+    fn part_mut(&mut self) -> Option<Part<&mut Conv2d, &mut crate::Relu, &mut MaxPool2d>> {
+        Some(Part::Conv(self))
     }
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
@@ -193,6 +292,24 @@ impl Layer for Conv2d {
     fn forward_flops_per_image(&self, input: Shape4) -> u64 {
         2 * self.geometry(input.h, input.w).macs_per_image()
     }
+}
+
+/// One item's backward from its output gradient `dy` (`cout x cols`):
+/// `dW += dY · colᵀ`, the bias gradient's per-channel sums of `dY`, and
+/// `dx`, the scatter of `dcol = Wᵀ · dY` (`weight_t` is `Wᵀ` packed).
+fn backward_item(
+    geo: &ConvGeometry,
+    weight_t: &PackedA,
+    x: &[f32],
+    dy: &[f32],
+    (dw, db): (&mut [f32], &mut [f32]),
+    dx: &mut [f32],
+) {
+    let (rows, cols) = (geo.col_rows(), geo.col_cols());
+    let col_t = BSource::Im2col(Transpose::Yes, geo, x);
+    PackedA::new(Transpose::No, geo.cout, cols, dy).gemm(col_t, rows, 1.0, 1.0, dw);
+    add_row_sums(dy, cols, db);
+    weight_t.gemm_col2im(geo, dy, dx);
 }
 
 /// `acc[c] += sum(rows[c*cols..(c+1)*cols])`, every row summed left to

@@ -1,5 +1,6 @@
 //! The `Layer` trait and trainable-parameter blocks.
 
+use crate::{Conv2d, MaxPool2d, Relu};
 use scidl_tensor::{Shape4, Tensor};
 
 /// A named block of trainable parameters together with its accumulated
@@ -67,6 +68,20 @@ impl InferScratch {
     }
 }
 
+/// A layer's kind, for the three kinds [`crate::Network`] runs together:
+/// a `Conv2d → Relu → MaxPool2d` triple is one pass per batch item. The
+/// hook [`Layer::part`] hands it out behind a shared borrow
+/// (`Part<&Conv2d, &Relu, &MaxPool2d>`), [`Layer::part_mut`] behind an
+/// exclusive one.
+pub enum Part<C, R, P> {
+    /// A convolution.
+    Conv(C),
+    /// A ReLU.
+    Relu(R),
+    /// A max pool.
+    Pool(P),
+}
+
 /// A neural-network layer (Caffe execution model).
 ///
 /// [`Layer::infer`] is the one place a layer's function is written;
@@ -110,6 +125,17 @@ pub trait Layer: Send + Sync {
     /// weights; stateless/cheap layers return `None` and keep running
     /// their f32 [`Layer::infer`] inside a quantized network.
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
+        None
+    }
+
+    /// This layer as a part of a fusable triple, if it is one of the
+    /// three kinds; every other layer keeps the default `None`.
+    fn part(&self) -> Option<Part<&Conv2d, &Relu, &MaxPool2d>> {
+        None
+    }
+
+    /// [`Layer::part`], borrowed exclusively.
+    fn part_mut(&mut self) -> Option<Part<&mut Conv2d, &mut Relu, &mut MaxPool2d>> {
         None
     }
 

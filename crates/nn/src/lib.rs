@@ -24,7 +24,10 @@
 //! `forward` caches what `backward` needs, each layer owns the activation
 //! it is handed (ReLU rectifies it in place), and parameter gradients
 //! accumulate into [`ParamBlock`]s that the distributed engines in
-//! `scidl-core` flatten into communication buffers.
+//! `scidl-core` flatten into communication buffers. [`Network`] runs each
+//! `Conv2d → Relu → MaxPool2d` triple as one pass per batch item, in
+//! both directions, so no full-batch conv output is ever held (see
+//! [`network`]).
 //!
 //! ## Example
 //!

@@ -1,8 +1,17 @@
 //! Sequential network container and the `Model` abstraction used by the
 //! distributed engines.
+//!
+//! A network walks its layers in *steps*. One fusion planner (`plan`)
+//! cuts them: every `Conv2d → Relu → MaxPool2d` triple is one step, run
+//! as one pass per batch item (`Conv2d::forward_pooled`), and every
+//! other layer a step of its own. `forward`, `infer` and
+//! `backward_layered` all ask it, so the three always agree; nothing
+//! turns it off, and [`Network::layers`] still lists every layer.
 
-use crate::layer::{InferScratch, Layer, ParamBlock};
+use crate::layer::{InferScratch, Layer, ParamBlock, Part};
+use crate::{Conv2d, MaxPool2d};
 use scidl_tensor::{Shape4, Tensor};
+use std::ops::Range;
 
 /// Anything with trainable parameters that the distributed engines in
 /// `scidl-core` can train: a plain [`Network`] or a composite like the
@@ -122,21 +131,37 @@ impl Network {
         self.layers.iter().fold(input, |s, l| l.out_shape(s))
     }
 
-    /// Full forward pass. The input is copied once, for the first layer
-    /// to own; each layer's output is then handed to the next.
+    /// Full forward pass. The input is copied once, for the first step
+    /// to own; each step's output is then handed to the next.
     pub fn forward(&mut self, input: &Tensor) -> Tensor {
-        self.layers.iter_mut().fold(input.clone(), |x, l| l.forward(x))
+        let mut x = input.clone();
+        let mut at = 0;
+        while at < self.layers.len() {
+            let step = plan(&self.layers, at, Walk::Forward);
+            at = step.end;
+            x = forward_step(&mut self.layers[step], x);
+        }
+        x
     }
 
     /// Inference-only forward pass: the same function as
-    /// [`Network::forward`] bit for bit (each layer's `forward` *is* its
+    /// [`Network::forward`] bit for bit (each step's `forward` *is* its
     /// `infer` plus caching), but `&self` — no activation caching, no
     /// layer-state mutation — so one network instance can serve many
     /// readers.
     pub fn infer(&self, input: &Tensor) -> Tensor {
-        let mut layers = self.layers.iter();
-        let Some(first) = layers.next() else { return input.clone() };
-        layers.fold(first.infer(input), |x, l| l.infer(&x))
+        let mut x: Option<Tensor> = None;
+        let mut at = 0;
+        while at < self.layers.len() {
+            let step = plan(&self.layers, at, Walk::Forward);
+            at = step.end;
+            let input = x.as_ref().unwrap_or(input);
+            x = Some(match fused(&self.layers[step.clone()]) {
+                Some((conv, pool)) => conv.infer_pooled(input, pool),
+                None => self.layers[step.start].infer(input),
+            });
+        }
+        x.unwrap_or_else(|| input.clone())
     }
 
     /// Builds the int8 sidecar for this network: every GEMM-shaped layer
@@ -191,21 +216,27 @@ impl Network {
 
     /// Backward pass that reports each layer as its gradients become
     /// ready — deepest (output-side) layer first, the order backward
-    /// visits them. `on_ready(i, layer)` fires right after layer `i`'s
-    /// `backward` completes, so its parameter gradients are final and a
-    /// caller can start communicating them while shallower layers are
-    /// still backpropagating (the MLSL-style overlap of Sec. V).
-    /// [`Network::backward`] is this loop with a no-op callback. Like
-    /// `forward`, it copies `grad_out` once and hands each layer's result
-    /// to the next.
+    /// visits them. `on_ready(i, layer)` fires once per layer, right after
+    /// the step holding layer `i` completes its backward, so its
+    /// parameter gradients are final and a caller can start communicating
+    /// them while shallower layers are still backpropagating (the
+    /// MLSL-style overlap of Sec. V); a fused triple reports its pool,
+    /// ReLU and conv in that order. [`Network::backward`] is this loop
+    /// with a no-op callback. Like `forward`, it copies `grad_out` once
+    /// and hands each step's result to the next.
     pub fn backward_layered<F>(&mut self, grad_out: &Tensor, mut on_ready: F) -> Tensor
     where
         F: FnMut(usize, &dyn Layer),
     {
         let mut g = grad_out.clone();
-        for (i, l) in self.layers.iter_mut().enumerate().rev() {
-            g = l.backward(g);
-            on_ready(i, &**l);
+        let mut at = self.layers.len();
+        while at > 0 {
+            let step = plan(&self.layers, at, Walk::Backward);
+            at = step.start;
+            g = backward_step(&mut self.layers[step.clone()], g);
+            for i in step.rev() {
+                on_ready(i, &*self.layers[i]);
+            }
         }
         g
     }
@@ -268,6 +299,66 @@ impl Network {
             self.training_flops_per_image(input) as f64 / 1e9
         ));
         out
+    }
+}
+
+/// Which way a walk over a network's layers goes.
+#[derive(Clone, Copy)]
+pub(crate) enum Walk {
+    /// Input to output: the step starts at the position asked about.
+    Forward,
+    /// Output to input: the step ends just before it.
+    Backward,
+}
+
+/// The fusion planner, the one place a walk decides what runs together:
+/// the layers of the step that starts at `at` (or, walking backward, ends
+/// just before it) — a `Conv2d → Relu → MaxPool2d` triple whole, any
+/// other layer alone. A triple is three distinct kinds in a fixed order,
+/// so two can never overlap, and both directions cut the same steps.
+pub(crate) fn plan(layers: &[Box<dyn Layer>], at: usize, walk: Walk) -> Range<usize> {
+    let (triple, single) = match walk {
+        Walk::Forward => (at..at + 3, at..at + 1),
+        Walk::Backward => (at.saturating_sub(3)..at, at - 1..at),
+    };
+    match layers.get(triple.clone()).and_then(fused) {
+        Some(_) => triple,
+        None => single,
+    }
+}
+
+/// The conv and pool of `step` if it is a `Conv2d → Relu → MaxPool2d`
+/// triple.
+fn fused(step: &[Box<dyn Layer>]) -> Option<(&Conv2d, &MaxPool2d)> {
+    let [conv, relu, pool] = step else { return None };
+    match (conv.part(), relu.part(), pool.part()) {
+        (Some(Part::Conv(conv)), Some(Part::Relu(_)), Some(Part::Pool(pool))) => Some((conv, pool)),
+        _ => None,
+    }
+}
+
+/// [`fused`], borrowed exclusively.
+fn fused_mut(step: &mut [Box<dyn Layer>]) -> Option<(&mut Conv2d, &mut MaxPool2d)> {
+    let [conv, relu, pool] = step else { return None };
+    match (conv.part_mut(), relu.part(), pool.part_mut()) {
+        (Some(Part::Conv(conv)), Some(Part::Relu(_)), Some(Part::Pool(pool))) => Some((conv, pool)),
+        _ => None,
+    }
+}
+
+/// Training forward of one step [`plan`] cut.
+pub(crate) fn forward_step(step: &mut [Box<dyn Layer>], x: Tensor) -> Tensor {
+    match fused_mut(step) {
+        Some((conv, pool)) => conv.forward_pooled(x, pool),
+        None => step[0].forward(x),
+    }
+}
+
+/// Backward of one step [`plan`] cut.
+pub(crate) fn backward_step(step: &mut [Box<dyn Layer>], g: Tensor) -> Tensor {
+    match fused_mut(step) {
+        Some((conv, pool)) => conv.backward_pooled(g, pool),
+        None => step[0].backward(g),
     }
 }
 
@@ -381,47 +472,59 @@ mod tests {
 
     #[test]
     fn backward_layered_is_bit_identical_and_deepest_first() {
+        // `tiny_net` has one fused triple, `hep_small` two; each must still
+        // report every layer once, in strict reverse order.
         let mut rng = TensorRng::new(21);
-        let mut net = tiny_net(&mut rng);
-        let x = rng.uniform_tensor(Shape4::new(2, 1, 8, 8), -1.0, 1.0);
+        let nets = [
+            (tiny_net(&mut rng), Shape4::new(2, 1, 8, 8)),
+            (crate::arch::hep_small(&mut rng), Shape4::new(2, 3, 32, 32)),
+        ];
+        for (mut net, shape) in nets {
+            let x = rng.uniform_tensor(shape, -1.0, 1.0);
 
-        // Reference: plain backward.
-        let y = net.forward(&x);
-        let dy = Tensor::filled(y.shape(), 0.5);
-        let gin_ref = net.backward(&dy);
-        let grads_ref = net.flat_grads();
+            // Reference: plain backward.
+            let y = net.forward(&x);
+            let dy = Tensor::filled(y.shape(), 0.5);
+            let gin_ref = net.backward(&dy);
+            let grads_ref = net.flat_grads();
 
-        // Layered backward must produce bit-identical gradients, visit
-        // every layer exactly once in reverse order, and expose each
-        // layer's *final* parameter gradients at callback time.
-        net.zero_grads();
-        let _ = net.forward(&x);
-        let mut order = Vec::new();
-        let mut seen_grads: Vec<(String, Vec<f32>)> = Vec::new();
-        let gin = net.backward_layered(&dy, |i, layer| {
-            order.push(i);
-            for b in layer.params() {
-                seen_grads.push((b.name.clone(), b.grad.data().to_vec()));
+            // Layered backward must produce bit-identical gradients, visit
+            // every layer exactly once in reverse order, and expose each
+            // layer's *final* parameter gradients at callback time.
+            net.zero_grads();
+            let _ = net.forward(&x);
+            let mut order = Vec::new();
+            let mut seen_grads: Vec<(String, Vec<f32>)> = Vec::new();
+            let gin = net.backward_layered(&dy, |i, layer| {
+                order.push(i);
+                for b in layer.params() {
+                    seen_grads.push((b.name.clone(), b.grad.data().to_vec()));
+                }
+            });
+            let name = net.name().to_string();
+            assert_eq!(gin.data(), gin_ref.data(), "{name}");
+            assert_eq!(net.flat_grads(), grads_ref, "{name}");
+            let want_order: Vec<usize> = (0..net.layers().len()).rev().collect();
+            assert_eq!(order, want_order, "{name}: layers must be reported deepest first");
+            // Callback-time gradients equal the post-backward ones (they
+            // were final when reported); blocks arrive in reverse layer
+            // order.
+            let final_blocks: Vec<(String, Vec<f32>)> = net
+                .param_blocks()
+                .iter()
+                .map(|b| (b.name.clone(), b.grad.data().to_vec()))
+                .collect();
+            for (block, g) in &seen_grads {
+                let f = final_blocks.iter().find(|(n, _)| n == block).unwrap();
+                assert_eq!(g, &f.1, "{name}: block {block} changed after its ready callback");
             }
-        });
-        assert_eq!(gin.data(), gin_ref.data());
-        assert_eq!(net.flat_grads(), grads_ref);
-        let want_order: Vec<usize> = (0..net.layers().len()).rev().collect();
-        assert_eq!(order, want_order, "layers must be reported deepest first");
-        // Callback-time gradients equal the post-backward ones (they were
-        // final when reported); blocks arrive in reverse layer order.
-        let final_blocks: Vec<(String, Vec<f32>)> = net
-            .param_blocks()
-            .iter()
-            .map(|b| (b.name.clone(), b.grad.data().to_vec()))
-            .collect();
-        for (name, g) in &seen_grads {
-            let f = final_blocks.iter().find(|(n, _)| n == name).unwrap();
-            assert_eq!(g, &f.1, "block {name} changed after its ready callback");
+            let want_blocks: Vec<String> =
+                net.layers().iter().rev().flat_map(|l| l.params().into_iter().map(|b| b.name.clone())).collect();
+            let seen_blocks: Vec<String> = seen_grads.iter().map(|(n, _)| n.clone()).collect();
+            assert_eq!(seen_blocks, want_blocks, "{name}");
+            assert_eq!(seen_grads.first().unwrap().0, "fc.weight");
+            assert_eq!(seen_grads.last().unwrap().0, "conv1.bias");
         }
-        assert_eq!(seen_grads.len(), final_blocks.len());
-        assert_eq!(seen_grads.first().unwrap().0, "fc.weight");
-        assert_eq!(seen_grads.last().unwrap().0, "conv1.bias");
     }
 
     #[test]

@@ -5,18 +5,28 @@
 //! a deliberate design choice of the paper (no large dense layers) that
 //! keeps the model small enough to all-reduce cheaply at scale.
 
-use crate::layer::Layer;
+use crate::activation::rectify;
+use crate::layer::{Layer, Part};
 use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
+/// Bit 7 of a tap record: the output's gradient passes to its tap.
+const PASS: u8 = 0x80;
+/// Taps a window may have: the tap numbers bits 0–6 of a record hold.
+const MAX_TAPS: usize = 128;
+
 /// Max pooling with square kernel and uniform stride (no padding).
+///
+/// Forward records one byte per output for backward: the tap `ky·k + kx`
+/// its maximum came from, and in bit 7 whether the gradient passes.
+/// Standalone it always does. When [`crate::Network`] runs a `Conv2d →
+/// Relu → MaxPool2d` triple as one pass, the bit is the ReLU's: set iff
+/// the pooled value is `> 0.0`, which is the ReLU mask bit of the tap it
+/// came from (NaN and `±0` fail, `+inf` passes).
 pub struct MaxPool2d {
     name: String,
-    k: usize,
-    stride: usize,
-    /// Index of the argmax within its input plane for every output
-    /// element, recorded during forward for the backward scatter — a
-    /// `u32`, half the bytes of a flat `usize`.
-    argmax: Vec<u32>,
+    window: Window,
+    /// The last forward's tap record per output.
+    taps: Vec<u8>,
     in_shape: Shape4,
 }
 
@@ -24,7 +34,29 @@ impl MaxPool2d {
     /// Creates a max-pool layer; the paper uses `k = stride = 2`.
     pub fn new(name: impl Into<String>, k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0);
-        Self { name: name.into(), k, stride, argmax: Vec::new(), in_shape: Shape4::new(0, 0, 0, 0) }
+        assert!(k * k <= MAX_TAPS, "a {k}x{k} window has more taps than a tap record holds");
+        Self { name: name.into(), window: Window { k, stride }, taps: Vec::new(), in_shape: Shape4::new(0, 0, 0, 0) }
+    }
+
+    /// The pooling window.
+    pub(crate) fn window(&self) -> Window {
+        self.window
+    }
+
+    /// Starts a forward over an input of shape `input`: the tap records
+    /// to fill, one per output.
+    pub(crate) fn record(&mut self, input: Shape4) -> &mut [u8] {
+        let len = self.out_shape(input).len();
+        self.in_shape = input;
+        self.taps.resize(len, 0);
+        &mut self.taps
+    }
+
+    /// The last forward's tap records, for a backward handed an output
+    /// gradient of shape `grad_out`.
+    pub(crate) fn recorded(&self, grad_out: Shape4) -> &[u8] {
+        assert_eq!(grad_out.len(), self.taps.len(), "{}: backward before forward", self.name);
+        &self.taps
     }
 }
 
@@ -34,71 +66,46 @@ impl Layer for MaxPool2d {
     }
 
     fn out_shape(&self, input: Shape4) -> Shape4 {
-        assert!(input.h >= self.k && input.w >= self.k, "{}: input smaller than kernel", self.name);
-        Shape4::new(
-            input.n,
-            input.c,
-            (input.h - self.k) / self.stride + 1,
-            (input.w - self.k) / self.stride + 1,
-        )
+        let Window { k, .. } = self.window;
+        assert!(input.h >= k && input.w >= k, "{}: input smaller than kernel", self.name);
+        self.window.out_shape(input)
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
         let is = input.shape();
-        let os = self.out_shape(is);
-        let mut out = Tensor::zeros(os);
-        assert!(u32::try_from(is.plane_len()).is_ok(), "{}: an input plane of {is:?} overflows a u32 argmax", self.name);
-        self.argmax.resize(os.len(), 0);
-        self.in_shape = is;
-        let (k, stride) = (self.k, self.stride);
-        let unit = planes_per_unit(is);
-        par::for_each_chunk_pair_mut(out.data_mut(), &mut self.argmax, unit * os.plane_len(), |g, odata, argmax| {
-            pool_planes(k, stride, &input, os, g * unit, odata, |oi, idx| argmax[oi] = idx as u32);
-        });
+        let mut out = Tensor::zeros(self.out_shape(is));
+        let window = self.window;
+        window.pool::<false>(input.data(), (is.h, is.w), out.data_mut(), Some(self.record(is)));
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let is = input.shape();
-        let os = self.out_shape(is);
-        let mut out = Tensor::zeros(os);
-        let unit = planes_per_unit(is);
-        par::for_each_chunk_mut(out.data_mut(), unit * os.plane_len(), |g, odata| {
-            pool_planes(self.k, self.stride, input, os, g * unit, odata, |_, _| {});
-        });
+        let mut out = Tensor::zeros(self.out_shape(is));
+        self.window.pool::<false>(input.data(), (is.h, is.w), out.data_mut(), None);
         out
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.argmax.len(), "{}: backward before forward", self.name);
-        let mut grad_in = Tensor::zeros(self.in_shape);
-        // A plane's outputs scatter into that plane only, in output
-        // order, so planes are split across threads like forward. Each
-        // unit writes its zeros before it adds: adding reads first, and a
-        // read of untouched `calloc` memory maps the shared zero page, so
-        // every first write would then be a copy-on-write fault with a
-        // TLB shootdown to the other threads' CPUs (3× slower at width 2).
-        let (g, argmax) = (grad_out.data(), &self.argmax);
-        let iplane = self.in_shape.plane_len();
-        let oplane = grad_out.shape().plane_len();
-        let group = PAR_CHUNK.div_ceil(iplane);
-        par::for_each_chunk_mut(grad_in.data_mut(), group * iplane, |b, gi| {
-            let outputs = b * group * oplane..;
-            gi.fill(0.0);
-            let planes = g[outputs.clone()].chunks(oplane).zip(argmax[outputs].chunks(oplane));
-            for (gi, (g, argmax)) in gi.chunks_exact_mut(iplane).zip(planes) {
-                for (g, &idx) in g.iter().zip(argmax) {
-                    gi[idx as usize] += g;
-                }
-            }
-        });
+        let is = self.in_shape;
+        let mut grad_in = Tensor::zeros(is);
+        self.window.unpool(grad_out.data(), self.recorded(grad_out.shape()), (is.h, is.w), grad_in.data_mut());
         grad_in
+    }
+
+    fn part(&self) -> Option<Part<&crate::Conv2d, &crate::Relu, &MaxPool2d>> {
+        Some(Part::Pool(self))
+    }
+
+    fn part_mut(&mut self) -> Option<Part<&mut crate::Conv2d, &mut crate::Relu, &mut MaxPool2d>> {
+        Some(Part::Pool(self))
     }
 
     fn forward_flops_per_image(&self, input: Shape4) -> u64 {
         // One compare per kernel tap per output element.
         let os = self.out_shape(input.with_n(1));
-        (os.len() * self.k * self.k) as u64
+        let Window { k, .. } = self.window;
+        (os.len() * k * k) as u64
     }
 
     fn backward_flops_per_image(&self, input: Shape4) -> u64 {
@@ -106,65 +113,139 @@ impl Layer for MaxPool2d {
     }
 }
 
-/// Every (item, channel) plane pools on its own; planes are split across
-/// threads this many at a time.
-fn planes_per_unit(input: Shape4) -> usize {
-    PAR_CHUNK.div_ceil(input.plane_len())
-}
-
-/// Max-pools consecutive planes of `input`, from plane `first`, into
-/// `odata` (whole planes of an output shaped `os`), handing each output's
-/// position in `odata` and the index of its maximum within its input
-/// plane to `argmax` — the one window scan behind `forward` (which
-/// records the index) and `infer` (which drops it, and the compiler with
-/// it).
-fn pool_planes(
+/// A `k x k` max-pool window every `stride` pixels, without padding: the
+/// one window scan and the one scatter behind [`MaxPool2d`] and the fused
+/// `Conv2d → Relu → MaxPool2d` pass.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Window {
     k: usize,
     stride: usize,
-    input: &Tensor,
-    os: Shape4,
-    first: usize,
-    odata: &mut [f32],
-    mut argmax: impl FnMut(usize, usize),
-) {
-    let is = input.shape();
-    let mut oi = 0usize;
-    for plane in first..first + odata.len() / os.plane_len() {
-        let data = &input.data()[plane * is.plane_len()..][..is.plane_len()];
-        for oy in 0..os.h {
-            for ox in 0..os.w {
-                let corner = oy * stride * is.w + ox * stride;
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = corner;
-                let mut sum = 0.0f32;
-                for ky in 0..k {
-                    let row = corner + ky * is.w;
-                    for kx in 0..k {
-                        let v = data[row + kx];
-                        sum += v;
-                        if v > best {
-                            best = v;
-                            best_idx = row + kx;
+}
+
+impl Window {
+    /// Output height and width for an `h x w` input plane.
+    fn out_hw(self, h: usize, w: usize) -> (usize, usize) {
+        assert!(h >= self.k && w >= self.k, "a {h}x{w} plane is smaller than a {k}x{k} window", k = self.k);
+        ((h - self.k) / self.stride + 1, (w - self.k) / self.stride + 1)
+    }
+
+    /// Output shape for an input of shape `input`.
+    pub(crate) fn out_shape(self, input: Shape4) -> Shape4 {
+        let (h, w) = self.out_hw(input.h, input.w);
+        Shape4::new(input.n, input.c, h, w)
+    }
+
+    /// Max-pools whole `h x w` planes of `input` into `out`, rectifying
+    /// every tap first when `RELU`, and writes each output's tap record
+    /// into `taps` if given. Planes are split across threads
+    /// [`PAR_CHUNK`] input elements at a time.
+    pub(crate) fn pool<const RELU: bool>(
+        self,
+        input: &[f32],
+        (h, w): (usize, usize),
+        out: &mut [f32],
+        taps: Option<&mut [u8]>,
+    ) {
+        let (oh, ow) = self.out_hw(h, w);
+        let planes = PAR_CHUNK.div_ceil(h * w);
+        let unit = planes * oh * ow;
+        let input = |g: usize| &input[g * planes * h * w..];
+        match taps {
+            Some(taps) => par::for_each_chunk_pair_mut(out, taps, unit, |g, out, taps| {
+                self.scan::<RELU>(input(g), (h, w), out, |o, tap| taps[o] = tap);
+            }),
+            None => par::for_each_chunk_mut(out, unit, |g, out| self.scan::<RELU>(input(g), (h, w), out, |_, _| {})),
+        }
+    }
+
+    /// The window scan: pools consecutive planes of `planes` into `out`
+    /// (whole output planes), handing each output's position in `out` and
+    /// its tap record to `record` — which `infer` drops, and the compiler
+    /// with it.
+    fn scan<const RELU: bool>(
+        self,
+        planes: &[f32],
+        (h, w): (usize, usize),
+        out: &mut [f32],
+        mut record: impl FnMut(usize, u8),
+    ) {
+        let Window { k, stride } = self;
+        let (oh, ow) = self.out_hw(h, w);
+        let mut o = 0usize;
+        for data in planes.chunks(h * w).take(out.len() / (oh * ow)) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let corner = oy * stride * w + ox * stride;
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_tap = 0;
+                    let mut sum = 0.0f32;
+                    for ky in 0..k {
+                        for (kx, &v) in data[corner + ky * w..][..k].iter().enumerate() {
+                            let v = if RELU { rectify(v) } else { v };
+                            sum += v;
+                            if v > best {
+                                best = v;
+                                best_tap = ky * k + kx;
+                            }
                         }
                     }
-                }
-                // `v > best` is false for NaN, which would launder a
-                // poisoned window into its largest finite value, or
-                // `-inf`: a NaN wins the window and owns the index. The
-                // running sum finds one for an add a tap (a test a tap
-                // takes the scan half as long again); it is also NaN
-                // when `+inf` meets `-inf`, and then the maximum stands.
-                if sum.is_nan() {
-                    let mut taps = (0..k * k).map(|t| corner + t / k * is.w + t % k);
-                    if let Some(i) = taps.find(|&i| data[i].is_nan()) {
-                        (best, best_idx) = (data[i], i);
+                    // `v > best` is false for NaN, which would launder a
+                    // poisoned window into its largest finite value, or
+                    // `-inf`: a NaN wins the window and owns the tap. The
+                    // running sum finds one for an add a tap (a test a tap
+                    // takes the scan half as long again); it is also NaN
+                    // when `+inf` meets `-inf`, and then the maximum
+                    // stands. `rectify` keeps a NaN's bits, so the raw tap
+                    // is the rectified one.
+                    if sum.is_nan() {
+                        if let Some(t) = (0..k * k).find(|t| data[corner + t / k * w + t % k].is_nan()) {
+                            (best, best_tap) = (data[corner + t / k * w + t % k], t);
+                        }
                     }
+                    out[o] = best;
+                    let pass = if RELU { best > 0.0 } else { true };
+                    record(o, best_tap as u8 | if pass { PASS } else { 0 });
+                    o += 1;
                 }
-                odata[oi] = best;
-                argmax(oi, best_idx);
-                oi += 1;
             }
         }
+    }
+
+    /// The scatter: `grad_in`, whole `h x w` planes, gets `+0.0`, then
+    /// each output's gradient from `g` added at its tap wherever its
+    /// record passes, in output order. A plane's outputs scatter into that
+    /// plane only, so planes are split across threads like [`Window::pool`].
+    /// Each unit writes its zeros before it adds: adding reads first, and
+    /// a read of untouched `calloc` memory maps the shared zero page, so
+    /// every first write would then be a copy-on-write fault with a TLB
+    /// shootdown to the other threads' CPUs (3× slower at width 2).
+    pub(crate) fn unpool(self, g: &[f32], taps: &[u8], (h, w): (usize, usize), grad_in: &mut [f32]) {
+        let Window { k, stride } = self;
+        let (oh, ow) = self.out_hw(h, w);
+        let (iplane, oplane) = (h * w, oh * ow);
+        // Offset of each tap from its window's corner.
+        let mut offset = [0; MAX_TAPS];
+        for (t, offset) in offset.iter_mut().enumerate().take(k * k) {
+            *offset = t / k * w + t % k;
+        }
+        let group = PAR_CHUNK.div_ceil(iplane);
+        par::for_each_chunk_mut(grad_in, group * iplane, |b, gi| {
+            let outputs = b * group * oplane..;
+            gi.fill(0.0);
+            let planes = g[outputs.clone()].chunks(oplane).zip(taps[outputs].chunks(oplane));
+            for (gi, (g, taps)) in gi.chunks_exact_mut(iplane).zip(planes) {
+                let mut o = 0;
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let tap = taps[o];
+                        if tap & PASS != 0 {
+                            gi[oy * stride * w + ox * stride + offset[usize::from(tap & !PASS)]] += g[o];
+                        }
+                        o += 1;
+                    }
+                }
+            }
+        });
     }
 }
 
@@ -283,6 +364,23 @@ mod tests {
         // Sum of input grads equals number of output elements (each output
         // routes exactly one unit of gradient).
         assert!((gx.sum() - y.len() as f32).abs() < 1e-3);
+    }
+
+    #[test]
+    fn maxpool_records_every_tap_of_an_11x11_window() {
+        // 121 taps, the widest square window a 7-bit tap number holds;
+        // the maximum sits on the last tap.
+        let mut p = MaxPool2d::new("p", 11, 11);
+        let x = Tensor::from_vec(Shape4::new(1, 1, 11, 11), (0..121).map(|i| i as f32).collect());
+        assert_eq!(p.forward(x).data(), &[120.0]);
+        let gx = p.backward(Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![2.0]));
+        assert_eq!((gx.data()[120], gx.sum()), (2.0, 2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "more taps than a tap record holds")]
+    fn maxpool_rejects_a_window_wider_than_a_tap_record() {
+        MaxPool2d::new("p", 12, 2);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! `scidl-cluster` (the two are printed side by side by the Fig. 5
 //! harness).
 
-use crate::network::Network;
+use crate::layer::Layer;
+use crate::network::{backward_step, forward_step, plan, Network, Walk};
 use scidl_tensor::stats::Summary;
 use scidl_tensor::{Shape4, Tensor, TensorRng};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Timing and FLOP-rate entry for one layer.
@@ -49,18 +51,49 @@ impl LayerProfile {
     }
 }
 
-/// Profiles every layer of `net` over `reps` training iterations at the
-/// given input shape (batch included in `input.n`), after `warmup`
-/// untimed iterations. Input data is random.
+/// Profiles every layer of `net` on its own over `reps` training
+/// iterations at the given input shape (batch included in `input.n`),
+/// after `warmup` untimed iterations. Input data is random. Each layer
+/// runs its own `forward` and `backward`, so a `Conv2d → Relu →
+/// MaxPool2d` triple is timed as three layers, not as the one pass
+/// [`Network`] runs it in; [`profile_steps`] times that.
 pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: usize) -> Vec<LayerProfile> {
+    let steps = (0..net.layers().len()).map(|i| i..i + 1).collect();
+    profile(net, steps, input, warmup, reps)
+}
+
+/// Profiles `net` step by step as [`Network::forward`] and
+/// [`Network::backward`] run it: a fused `Conv2d → Relu → MaxPool2d`
+/// triple is one entry, named `conv1+relu1+pool1` and carrying the three
+/// layers' FLOPs; every other layer is its own. Arguments as
+/// [`profile_network`].
+pub fn profile_steps(net: &mut Network, input: Shape4, warmup: usize, reps: usize) -> Vec<LayerProfile> {
+    let mut steps = Vec::new();
+    let mut at = 0;
+    while at < net.layers().len() {
+        let step = plan(net.layers(), at, Walk::Forward);
+        at = step.end;
+        steps.push(step);
+    }
+    profile(net, steps, input, warmup, reps)
+}
+
+/// Times each of `steps` (consecutive ranges covering `net`'s layers),
+/// run through the network's step functions.
+fn profile(
+    net: &mut Network,
+    steps: Vec<Range<usize>>,
+    input: Shape4,
+    warmup: usize,
+    reps: usize,
+) -> Vec<LayerProfile> {
     assert!(reps > 0, "need at least one timed repetition");
     let mut rng = TensorRng::new(0xF165);
     let x = rng.uniform_tensor(input, -1.0, 1.0);
 
-    let layer_count = net.layers().len();
-    let mut fwd: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); layer_count];
-    let mut bwd: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); layer_count];
-    let mut shapes = Vec::with_capacity(layer_count);
+    let mut fwd: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); steps.len()];
+    let mut bwd: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); steps.len()];
+    let mut shapes = Vec::with_capacity(net.layers().len());
     {
         let mut s = input;
         for l in net.layers() {
@@ -72,20 +105,20 @@ pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: us
 
     for it in 0..warmup + reps {
         let timed = it >= warmup;
-        // Forward, timing each layer.
+        // Forward, timing each step.
         let mut act = x.clone();
-        for (i, l) in net.layers_mut().iter_mut().enumerate() {
+        for (i, step) in steps.iter().enumerate() {
             let t0 = Instant::now();
-            act = l.forward(act);
+            act = forward_step(&mut net.layers_mut()[step.clone()], act);
             if timed {
                 fwd[i].push(t0.elapsed().as_secs_f64());
             }
         }
         // Backward with a unit gradient.
         let mut g = Tensor::filled(out_shape, 1.0);
-        for (i, l) in net.layers_mut().iter_mut().enumerate().rev() {
+        for (i, step) in steps.iter().enumerate().rev() {
             let t0 = Instant::now();
-            g = l.backward(g);
+            g = backward_step(&mut net.layers_mut()[step.clone()], g);
             if timed {
                 bwd[i].push(t0.elapsed().as_secs_f64());
             }
@@ -96,18 +129,22 @@ pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: us
     }
 
     let batch = input.n as u64;
-    net.layers()
+    let layers = net.layers();
+    steps
         .iter()
         .enumerate()
-        .map(|(i, l)| {
+        .map(|(i, step)| {
             let forward_stats = Summary::from_samples(&fwd[i]);
             let backward_stats = Summary::from_samples(&bwd[i]);
+            let flops = |f: fn(&dyn Layer, Shape4) -> u64| {
+                batch * step.clone().map(|l| f(&*layers[l], shapes[l])).sum::<u64>()
+            };
             LayerProfile {
-                name: l.name().to_string(),
+                name: layers[step.clone()].iter().map(|l| l.name()).collect::<Vec<_>>().join("+"),
                 forward_secs: forward_stats.mean,
                 backward_secs: backward_stats.mean,
-                forward_flops: batch * l.forward_flops_per_image(shapes[i]),
-                backward_flops: batch * l.backward_flops_per_image(shapes[i]),
+                forward_flops: flops(|l, s| l.forward_flops_per_image(s)),
+                backward_flops: flops(|l, s| l.backward_flops_per_image(s)),
                 forward_stats,
                 backward_stats,
             }
@@ -163,6 +200,22 @@ mod tests {
         assert!(conv.flop_rate() > 0.0);
         assert!(conv.flop_rate().is_finite());
         assert!(aggregate_flop_rate(&p) > 0.0);
+    }
+
+    #[test]
+    fn steps_time_a_fused_triple_as_one_entry() {
+        let mut net = small_net();
+        let input = Shape4::new(2, 1, 16, 16);
+        let layers = profile_network(&mut net, input, 0, 1);
+        let steps = profile_steps(&mut net, input, 1, 2);
+        let names: Vec<_> = steps.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["conv1+relu1+pool1", "conv2"]);
+        let sum = |p: &[LayerProfile]| -> u64 { p.iter().map(|p| p.forward_flops).sum() };
+        assert_eq!(steps[0].forward_flops, sum(&layers[..3]));
+        assert_eq!(steps[0].backward_flops, layers[..3].iter().map(|p| p.backward_flops).sum::<u64>());
+        assert_eq!(sum(&steps), sum(&layers));
+        assert_eq!(steps[1].forward_flops, layers[3].forward_flops);
+        assert_eq!(steps[0].forward_stats.count, 2);
     }
 
     #[test]

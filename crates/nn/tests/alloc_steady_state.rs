@@ -15,7 +15,10 @@
 //!
 //! The allocator also keeps a high-water mark of live bytes, which bounds
 //! what that pool holds: a warm conv step at HEP's conv2 shape keeps less
-//! scratch, parked buffers included, than one col matrix of its input.
+//! scratch, parked buffers included, than one col matrix of its input;
+//! and a warm `Conv2d → Relu → MaxPool2d` triple at HEP's first shape,
+//! which `Network` runs as one pass per item, never holds one full-batch
+//! conv output.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -281,5 +284,34 @@ fn second_iteration_allocates_nothing_on_the_gemm_path() {
         fwd_bytes < out_bytes + in_bytes,
         "a warm HEP conv2 forward allocated {fwd_bytes} B, not less than its {out_bytes} B output \
          plus one {in_bytes} B input: it copied its input"
+    );
+
+    // --- Part 8: a warm fused triple holds less than one conv output. ---
+    // HEP's conv1 → relu1 → pool1 (3→128, 64x64, batch 8) through
+    // `Network`, which runs it as one pass per item, at width 2: every
+    // byte its forward and backward add at their peak — the pooled
+    // output, the input gradient, `Network`'s copies of the input and of
+    // the output gradient, the per-item scratch — stays short of the one
+    // full-batch conv output the three layers one at a time would write.
+    let mut net = Network::new("triple")
+        .push(Conv2d::new("conv1", 3, 128, 3, 1, 1, &mut rng))
+        .push(Relu::new("relu1"))
+        .push(MaxPool2d::new("pool1", 2, 2));
+    let x = rng.uniform_tensor(Shape4::new(8, 3, 64, 64), -1.0, 1.0);
+    let conv_out_bytes = net.layers()[0].out_shape(x.shape()).len() * std::mem::size_of::<f32>();
+    let g = Tensor::filled(net.out_shape(x.shape()), 1.0);
+    for _ in 0..2 {
+        net.forward(&x);
+        net.backward(&g);
+    }
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let step = (net.forward(&x), net.backward(&g));
+    let held = PEAK.load(Ordering::SeqCst) - base;
+    drop(step);
+    assert!(
+        held < conv_out_bytes,
+        "a warm fused conv1+relu1+pool1 step held {held} B at its peak, not less than one {conv_out_bytes} B \
+         full-batch conv output"
     );
 }

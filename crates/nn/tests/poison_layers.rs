@@ -2,10 +2,13 @@
 //! reaches the output of every layer in the zoo as a non-finite value,
 //! through `infer` and `forward` alike — so a NaN weight or activation
 //! always arrives at the loss/gradient health sentinel in training and at
-//! the registry's finite-probe gate in serving.
+//! the registry's finite-probe gate in serving. The `Conv2d → Relu →
+//! MaxPool2d` pass `Network` fuses treats NaN, infinities, signed zeros
+//! and ties exactly as its three layers do one at a time.
 
+use scidl_nn::network::Model;
 use scidl_nn::{Conv2d, Deconv2d, Dense, GlobalAvgPool, Layer, MaxPool2d, Network, Relu, Residual};
-use scidl_tensor::{Shape4, Tensor, TensorRng};
+use scidl_tensor::{par, Shape4, Tensor, TensorRng};
 
 /// `x` with element 21 (mid-plane, off every window corner) replaced.
 fn poisoned(x: &Tensor, poison: f32) -> Tensor {
@@ -83,4 +86,84 @@ fn relu_and_maxpool_pass_nan_through_exactly() {
     let gx = pool.backward(Tensor::from_vec(y.shape(), vec![5.0, 7.0]));
     assert_eq!([gx.data()[0], gx.data()[1], gx.data()[4], gx.data()[5]], [0.0, 5.0, 0.0, 0.0]);
     assert_eq!([2, 3, 6, 7].map(|i| gx.data()[i]).iter().sum::<f32>(), 7.0);
+}
+
+/// A 1x1 convolution that copies its one channel exactly (weight `1`,
+/// bias `-0.0`, so even `-0.0` comes through), then a ReLU and a 2x2/2
+/// max pool: the fused pass sees the values it is handed.
+fn copy_relu_pool() -> Network {
+    let mut conv = Conv2d::new("copy", 1, 1, 1, 1, 0, &mut TensorRng::new(1));
+    conv.params_mut()[0].value = Tensor::filled(Shape4::new(1, 1, 1, 1), 1.0);
+    conv.params_mut()[1].value = Tensor::filled(Shape4::flat(1), -0.0);
+    Network::new("copy-relu-pool").push(conv).push(Relu::new("relu")).push(MaxPool2d::new("pool", 2, 2))
+}
+
+#[test]
+fn fused_triple_treats_poison_zeros_and_ties_as_its_layers_do() {
+    const NAN: f32 = f32::NAN;
+    const INF: f32 = f32::INFINITY;
+    // One 5x5 plane per item: four 2x2 windows, and a last row and
+    // column no window reads (large, so a gradient landing there shows).
+    // Windows, by tap (row-major within the window):
+    //   (0,0) NaN among finite values  (0,1) +inf among finite values
+    //   (1,0) all negative             (1,1) an exact tie, taps 1 and 2
+    // Item 1: -0.0 and +0.0 only; -inf, NaN and +inf together; a
+    // subnormal; and every tap equal.
+    #[rustfmt::skip]
+    let x = Tensor::from_vec(Shape4::new(2, 1, 5, 5), vec![
+        1.0,  NAN,  0.5,  INF,  9.0,
+        2.0,  3.0,  0.25, 4.0,  9.0,
+        -1.0, -2.0, 1.0,  7.0,  9.0,
+        -3.0, -0.5, 7.0,  2.0,  9.0,
+        9.0,  9.0,  9.0,  9.0,  9.0,
+
+        -0.0, 0.0,  -INF, NAN,  9.0,
+        -0.0, -0.0, INF,  1.0,  9.0,
+        1e-40, -1e-40, 6.0, 6.0, 9.0,
+        -2.0, -1e-40, 6.0, 6.0,  9.0,
+        9.0,  9.0,  9.0,  9.0,  9.0,
+    ]);
+    // Non-finite gradients on windows that pass nothing must vanish.
+    let g = Tensor::from_vec(Shape4::new(2, 1, 2, 2), vec![NAN, 5.0, INF, 3.0, -INF, NAN, 2.0, 0.75]);
+
+    let mut net = copy_relu_pool();
+    for width in [1, 2] {
+        par::set_width(width);
+        net.zero_grads();
+        let by_layers_infer = net.layers().iter().fold(x.clone(), |x, l| l.infer(&x));
+        let by_layers_y = net.layers_mut().iter_mut().fold(x.clone(), |x, l| l.forward(x));
+        let by_layers_dx = net.layers_mut().iter_mut().rev().fold(g.clone(), |g, l| l.backward(g));
+        let by_layers_grads = net.flat_grads();
+        assert_eq!(bits(&net.layers()[0].infer(&x)), bits(&x), "the 1x1 conv must copy its input exactly");
+
+        net.zero_grads();
+        let inferred = net.infer(&x);
+        let y = net.forward(&x);
+        let dx = net.backward(&g);
+        let what = format!("width {width}");
+        assert_eq!(bits(&y), bits(&by_layers_y), "{what}: forward");
+        assert_eq!(bits(&inferred), bits(&by_layers_infer), "{what}: infer");
+        assert_eq!(bits(&dx), bits(&by_layers_dx), "{what}: input gradient");
+        let grad_bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(grad_bits(&net.flat_grads()), grad_bits(&by_layers_grads), "{what}: weight and bias gradients");
+
+        // Spelled out. A NaN wins its window and passes no gradient; +inf
+        // passes; an all-negative or all-zero window pools to +0.0 and
+        // passes nothing; a tie goes to the first tap; the row and column
+        // no window reads get +0.0.
+        let y = y.data();
+        assert!(y[0].is_nan() && y[5].is_nan(), "{what}: {y:?}");
+        assert_eq!([y[1], y[2], y[3]].map(f32::to_bits), [INF, 0.0, 7.0].map(f32::to_bits), "{what}");
+        assert_eq!([y[4], y[6], y[7]].map(f32::to_bits), [0.0, 1e-40, 6.0].map(f32::to_bits), "{what}");
+        let mut want = [0.0f32; 50];
+        want[3] = 5.0; // +inf, item 0
+        want[13] = 3.0; // first of the tied 7.0s, item 0
+        want[35] = 2.0; // the subnormal, item 1
+        want[37] = 0.75; // first of four 6.0s, item 1
+        assert_eq!(bits(&dx), want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), "{what}: input gradient");
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
 }

@@ -7,9 +7,12 @@
 //! forward and backward must also give, at widths 1 and 2, the bits of
 //! lowering through a written-out col matrix, and the in-place ReLU the
 //! bits of `infer` and of the masked gradient on non-finite, zero and
-//! subnormal values.
+//! subnormal values. A `Conv2d → Relu → MaxPool2d` triple, which
+//! `Network` runs as one pass per item, must give at widths 1 and 2 the
+//! bits of its three layers run one at a time.
 
-use scidl_nn::{arch, Conv2d, Deconv2d, Layer, MaxPool2d, Relu, SoftmaxCrossEntropy};
+use scidl_nn::network::Model;
+use scidl_nn::{arch, Conv2d, Deconv2d, Layer, MaxPool2d, Network, Relu, SoftmaxCrossEntropy};
 use scidl_tensor::{
     col2im, gemm, gemm_bias, im2col, par, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
 };
@@ -175,6 +178,69 @@ fn relu_and_max_pool() {
             let dx = relu.backward(da.clone());
             vec![a.data().to_vec(), y.data().to_vec(), da.data().to_vec(), dx.data().to_vec()]
         });
+    }
+}
+
+/// The triple's buffers as its three layers give them one at a time:
+/// forward output, `infer` output, input gradient, then the conv's weight
+/// and bias gradients.
+fn triple_by_layers(net: &mut Network, x: &Tensor, g: &Tensor) -> Vec<Vec<f32>> {
+    net.zero_grads();
+    let inferred = net.layers().iter().fold(x.clone(), |x, l| l.infer(&x));
+    let y = net.layers_mut().iter_mut().fold(x.clone(), |x, l| l.forward(x));
+    let dx = net.layers_mut().iter_mut().rev().fold(g.clone(), |g, l| l.backward(g));
+    triple_buffers(net, [y, inferred, dx])
+}
+
+/// The same buffers from `Network`'s walks, which fuse the triple.
+fn triple_fused(net: &mut Network, x: &Tensor, g: &Tensor) -> Vec<Vec<f32>> {
+    net.zero_grads();
+    let inferred = net.infer(x);
+    let y = net.forward(x);
+    let dx = net.backward(g);
+    triple_buffers(net, [y, inferred, dx])
+}
+
+fn triple_buffers(net: &Network, tensors: [Tensor; 3]) -> Vec<Vec<f32>> {
+    let grads = net.param_blocks().into_iter().map(|b| b.grad.data().to_vec());
+    tensors.iter().map(|t| t.data().to_vec()).chain(grads).collect()
+}
+
+#[test]
+fn fused_conv_relu_pool_matches_its_three_layers() {
+    // (cin, cout, hw, pool k, pool stride, batch): HEP's conv1 and conv2
+    // at batch 1 (one item, the GEMM split inside it) and 8 (items split
+    // across threads); an odd 5x5 input, whose last row and column no
+    // window reads; overlapping 3x3/2 windows, where one conv output
+    // takes two windows' gradients; items of 245 and 486 elements, not
+    // whole ReLU mask words. Random non-zero biases.
+    let cases = [
+        (3, 128, 64, 2, 2, 1),
+        (3, 128, 64, 2, 2, 8),
+        (128, 128, 32, 2, 2, 1),
+        (128, 128, 32, 2, 2, 8),
+        (2, 3, 5, 2, 2, 3),
+        (4, 6, 9, 3, 2, 4),
+        (3, 5, 7, 2, 2, 2),
+    ];
+    for (cin, cout, hw, k, stride, batch) in cases {
+        let mut rng = TensorRng::new(23);
+        let mut conv = Conv2d::new("conv", cin, cout, 3, 1, 1, &mut rng);
+        conv.params_mut()[1].value = rng.uniform_tensor(Shape4::flat(cout), -0.5, 0.5);
+        let mut net = Network::new("triple").push(conv).push(Relu::new("relu")).push(MaxPool2d::new("pool", k, stride));
+        let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
+        let g = rng.uniform_tensor(net.out_shape(x.shape()), -1.0, 1.0);
+        for width in [1, 2] {
+            par::set_width(width);
+            let want = triple_by_layers(&mut net, &x, &g);
+            let got = triple_fused(&mut net, &x, &g);
+            assert_eq!(got.len(), 5);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let what = ["forward", "infer", "input gradient", "weight gradient", "bias gradient"][i];
+                let case = format!("{cin}->{cout} {hw}px pool {k}/{stride} n{batch}, width {width}");
+                assert_same_bits(g, w, &format!("{case}: {what}"));
+            }
+        }
     }
 }
 
