@@ -80,17 +80,21 @@ pub struct MessageDelay {
     pub secs: f64,
 }
 
-/// A serving worker dying after it has dispatched some batches. The
-/// threaded server's supervisor catches the panic, re-queues the
-/// worker's in-flight requests and respawns the slot with exponential
-/// backoff; the virtual-time serving simulator charges `respawn_secs`
-/// before the slot takes batches again.
+/// A serving worker dying mid-batch: whichever slot dispatches the
+/// scheduled batch of its replica — counted alike by the threaded server
+/// and the serving simulator, in any schedule — so the slot is an output
+/// (the `worker_respawn` span names it). The threaded server's
+/// supervisor catches the panic, re-queues the worker's in-flight
+/// requests and respawns the slot with exponential backoff; the
+/// virtual-time serving simulator charges `respawn_secs` before the slot
+/// takes batches again.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkerCrash {
-    /// Which serving worker slot dies.
+    /// A worker slot of the replica the crash strikes (fleet plans index
+    /// workers globally: replica `r` of `w` slots owns `[r·w, (r+1)·w)`).
     pub worker: usize,
-    /// The worker dies mid-batch while dispatching its
-    /// `after_batches`-th batch (0 = its very first).
+    /// Batches the replica dispatches, crashed ones included, before the
+    /// one this crash strikes (or a later one, if another crash took it).
     pub after_batches: u64,
     /// Simulator: virtual seconds before the slot serves again. The
     /// threaded supervisor respawns on its own backoff schedule, so it
@@ -278,16 +282,6 @@ impl FaultPlan {
             .sum()
     }
 
-    /// The scheduled crash for serving worker slot `worker`, if any
-    /// (the one with the earliest `after_batches` wins).
-    pub fn worker_crash_for(&self, worker: usize) -> Option<WorkerCrash> {
-        self.worker_crashes
-            .iter()
-            .filter(|c| c.worker == worker)
-            .min_by_key(|c| c.after_batches)
-            .copied()
-    }
-
     /// Combined compute slow-down for worker `worker`'s `batch`-th batch
     /// (overlapping windows multiply; `1.0` = healthy).
     pub fn slow_worker_factor(&self, worker: usize, batch: u64) -> f64 {
@@ -423,8 +417,7 @@ mod tests {
             .with_corrupt_swap(2);
         assert!(!p.is_empty());
         assert!(p.has_serving_faults());
-        assert_eq!(p.worker_crash_for(1).unwrap().after_batches, 3, "earliest wins");
-        assert!(p.worker_crash_for(0).is_none());
+        assert_eq!(p.worker_crashes.iter().map(|c| c.after_batches).collect::<Vec<_>>(), [5, 3]);
         assert_eq!(p.slow_worker_factor(0, 1), 1.0);
         assert_eq!(p.slow_worker_factor(0, 5), 4.5, "overlap multiplies");
         assert_eq!(p.slow_worker_factor(0, 6), 1.5, "to_batch is exclusive");

@@ -18,10 +18,10 @@
 //!
 //! This event loop is the repo's one training clock. [`ClusterSim::run`]
 //! drives it alone; [`ClusterSim::run_with`] hands every group-iteration
-//! start and completion (with its staleness and an [`IterBreakdown`]) to
-//! an [`Observer`] — the simulated-time trainer in `scidl-core` snapshots
-//! the central model at the start and applies a real gradient at the
-//! completion, so Fig. 8's machine is Figs. 6–7's machine.
+//! start and completion (an [`IterBreakdown`], the record both training
+//! drivers fill) to an [`Observer`] — the simulated-time trainer in
+//! `scidl-core` snapshots the central model at the start and applies a
+//! real gradient at the completion, so Fig. 8's machine is Figs. 6–7's.
 //!
 //! Whether a group runs, stops or is repaired before an iteration, and
 //! how stale its update is, the loop asks each group's [`GroupLifecycle`]
@@ -355,23 +355,36 @@ impl SimResult {
     }
 }
 
-/// Where one group iteration's simulated time went, as handed to
-/// [`Observer::done`].
+/// One group iteration: the record both training drivers fill, in
+/// seconds of the clock that runs them (simulated here, the trace clock
+/// in the thread engine). The parts tile it: `compute + straggler +
+/// allreduce + ps + checkpoint = end − start`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IterBreakdown {
-    /// Simulated time the iteration started.
+    /// Compute group.
+    pub group: usize,
+    /// Iteration of the group.
+    pub iter: usize,
+    /// When the iteration started.
     pub start: f64,
-    /// Compute × barrier multiplier + straggler delay.
+    /// When it completed, checkpoint stall included.
+    pub end: f64,
+    /// Nominal forward + backward compute.
     pub compute: f64,
+    /// Wait for the slowest node (straggler window; here also jitter).
+    pub straggler: f64,
     /// All-reduce seconds left exposed after the overlap window.
     pub allreduce: f64,
-    /// All-reduce seconds hidden behind the backward pass (non-zero only
-    /// with [`SimConfig::overlap_comm`]).
+    /// All-reduce seconds hidden behind backward, within the compute.
     pub hidden: f64,
-    /// From the end of the all-reduce to the fresh model on every node:
-    /// injected delay, PS fork-join with queueing and broadcast (or the
-    /// gossip swap); 0 when synchronous.
+    /// From the end of the all-reduce until every node holds the fresh
+    /// model: injected delay, PS fork-join with queueing and broadcast
+    /// (or the gossip swap); 0 when synchronous here.
     pub ps: f64,
+    /// Checkpoint stall.
+    pub checkpoint: f64,
+    /// Updates applied since the group last took the model.
+    pub staleness: u64,
 }
 
 /// Callbacks from [`ClusterSim::run_with`]'s event loop. Both default to
@@ -382,10 +395,8 @@ pub trait Observer {
     /// completion, the kick-off or a recovery), so the observer sees the
     /// system as of that moment — when a group takes its model snapshot.
     fn start(&mut self, _start: f64, _group: usize, _iter: usize) {}
-    /// `group` completed `iter` at `now` (checkpoint stall included), its
-    /// update `stale` updates behind the central model; `t` says where
-    /// the iteration's time went.
-    fn done(&mut self, _now: f64, _group: usize, _iter: usize, _stale: u64, _t: &IterBreakdown) {}
+    /// A group iteration completed at `t.end`.
+    fn done(&mut self, _t: &IterBreakdown) {}
 }
 
 impl Observer for () {}
@@ -666,21 +677,22 @@ impl ClusterSim {
                     global_updates += 1;
                     let staleness = states[group].life.applied(global_updates);
 
-                    let mut end = now;
+                    let mut t =
+                        IterBreakdown { group, iter, start, end: now, staleness, ..states[group].pending };
                     if cfg.checkpoint_every > 0 && (iter + 1) % cfg.checkpoint_every == 0 {
-                        end += cfg.workload.model_bytes as f64 / cfg.fs_bw;
+                        t.checkpoint = cfg.workload.model_bytes as f64 / cfg.fs_bw;
+                        t.end += t.checkpoint;
                     }
 
-                    iter_times[group].push(end - start);
-                    timeline.push((group, start, end));
+                    iter_times[group].push(t.end - start);
+                    timeline.push((group, start, t.end));
                     staleness_sum += staleness;
                     states[group].done = iter + 1;
                     recovered_iterations += usize::from(states[group].life.recovered());
-                    let t = IterBreakdown { start, ..states[group].pending };
-                    obs.done(end, group, iter, staleness, &t);
+                    obs.done(&t);
 
                     if iter + 1 < cfg.iterations {
-                        self.launch(&mut states[group], group, iter + 1, end, &mut queue, obs);
+                        self.launch(&mut states[group], group, iter + 1, t.end, &mut queue, obs);
                     }
                 }
             }
@@ -750,10 +762,13 @@ impl ClusterSim {
             hidden = allreduce.min(window);
             allreduce = (allreduce - window).max(0.0);
         }
-        gs.pending.compute = compute * barrier + delay;
+        // The record splits the stretched compute; the clock adds it whole.
+        let stretched = compute * barrier + delay;
+        gs.pending.compute = gs.compute_base;
+        gs.pending.straggler = stretched - gs.compute_base;
         gs.pending.allreduce = allreduce;
         gs.pending.hidden = hidden;
-        gs.pending.compute + allreduce
+        stretched + allreduce
     }
 }
 
@@ -1084,8 +1099,9 @@ mod tests {
             fn start(&mut self, _: f64, g: usize, _: usize) {
                 self.synced[g] = self.applied;
             }
-            fn done(&mut self, _: f64, g: usize, iter: usize, stale: u64, _: &IterBreakdown) {
-                assert_eq!(stale, self.applied - self.synced[g], "group {g} iteration {iter}");
+            fn done(&mut self, t: &IterBreakdown) {
+                let (g, iter) = (t.group, t.iter);
+                assert_eq!(t.staleness, self.applied - self.synced[g], "group {g} iteration {iter}");
                 self.applied += 1;
                 self.recovered_updates += usize::from(g == 2 && iter >= 5);
             }
@@ -1196,37 +1212,50 @@ mod tests {
         #[derive(Default)]
         struct Log {
             starts: Vec<(usize, usize, f64)>,
-            dones: Vec<(usize, usize, f64, u64, IterBreakdown)>,
+            dones: Vec<IterBreakdown>,
         }
         impl Observer for Log {
             fn start(&mut self, start: f64, group: usize, iter: usize) {
                 self.starts.push((group, iter, start));
             }
-            fn done(&mut self, now: f64, g: usize, iter: usize, stale: u64, t: &IterBreakdown) {
-                self.dones.push((g, iter, now, stale, *t));
+            fn done(&mut self, t: &IterBreakdown) {
+                self.dones.push(*t);
             }
         }
         let mut cfg = SimConfig::new(toy_workload(), 16, 4, 64);
         cfg.iterations = 10;
         cfg.overlap_comm = true;
-        let plain = ClusterSim::new(cfg.clone()).run();
-        let mut log = Log::default();
-        let seen = ClusterSim::new(cfg).run_with(&mut log);
-        assert_eq!(seen.timeline, plain.timeline);
-        assert_eq!(seen.total_time, plain.total_time);
-        assert_eq!(log.starts.len(), 40);
-        assert_eq!(log.dones.len(), 40);
-        let mut stale_sum = 0;
-        for ((g, iter, now, stale, t), &(tg, start, end)) in log.dones.iter().zip(&plain.timeline) {
-            assert_eq!((*g, *now, t.start), (tg, end, start));
-            assert!(log.starts.contains(&(*g, *iter, start)), "every completed iteration was started");
-            // The parts tile the iteration (no checkpoint stall here).
-            let parts = t.compute + t.allreduce + t.ps;
-            assert!((parts - (end - start)).abs() < 1e-9 * end.max(1.0), "{parts} vs {}", end - start);
-            assert!(t.hidden >= 0.0 && t.ps > 0.0);
-            stale_sum += stale;
+        cfg.checkpoint_every = 3;
+        cfg.faults = FaultPlan::none().with_straggler(1, 2, 5, 3.0).with_message_delay(2, 4, 0.05);
+        let window = |t: &IterBreakdown| t.group == 1 && (2..5).contains(&t.iter);
+        for cfg in [cfg.clone(), cfg.ideal()] {
+            let ideal = cfg.jitter.sigma == 0.0;
+            let plain = ClusterSim::new(cfg.clone()).run();
+            let mut log = Log::default();
+            let seen = ClusterSim::new(cfg).run_with(&mut log);
+            assert_eq!(seen.timeline, plain.timeline);
+            assert_eq!(seen.total_time, plain.total_time);
+            assert_eq!(log.starts.len(), 40);
+            assert_eq!(log.dones.len(), 40);
+            let mut stale_sum = 0;
+            for (t, &(tg, start, end)) in log.dones.iter().zip(&plain.timeline) {
+                assert_eq!((t.group, t.start, t.end), (tg, start, end));
+                assert!(log.starts.contains(&(t.group, t.iter, start)), "every completed iteration was started");
+                // The parts tile the iteration, checkpoint stall included.
+                let parts = t.compute + t.straggler + t.allreduce + t.ps + t.checkpoint;
+                assert!((parts - (end - start)).abs() < 1e-9 * end.max(1.0), "{parts} vs {}", end - start);
+                assert!(t.hidden >= 0.0 && t.ps > 0.0 && t.straggler >= 0.0);
+                assert_eq!(t.checkpoint > 0.0, (t.iter + 1) % 3 == 0);
+                if ideal {
+                    assert_eq!(t.straggler > 0.0, window(t), "group {} iter {}", t.group, t.iter);
+                }
+                stale_sum += t.staleness;
+            }
+            assert_eq!(stale_sum as f64 / 40.0, plain.mean_staleness);
+            // The delay lands in the PS leg of the iteration it precedes.
+            let delayed = log.dones.iter().find(|t| (t.group, t.iter) == (2, 4)).unwrap();
+            assert!(delayed.ps >= 0.05, "the delay is booked under ps: {delayed:?}");
         }
-        assert_eq!(stale_sum as f64 / 40.0, plain.mean_staleness);
     }
 
     #[test]

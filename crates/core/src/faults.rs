@@ -13,9 +13,9 @@ pub use scidl_cluster::faults::{
 };
 
 /// The canonical serving-chaos scenario the acceptance criterion and the
-/// chaos smoke run: one worker crash, one straggling worker and one
-/// corrupt hot-swap, all in a single plan that drives the threaded
-/// server and the virtual-time serving simulator identically.
+/// chaos smoke run: a crash on the fourth dispatched batch, one straggling
+/// worker and one corrupt hot-swap, all in a single plan that drives the
+/// threaded server and the virtual-time serving simulator identically.
 pub fn serving_chaos() -> FaultPlan {
     FaultPlan::none()
         .with_worker_crash(0, 3, 0.05)
@@ -31,7 +31,7 @@ mod tests {
     fn serving_helpers_build_the_expected_plans() {
         let p = serving_chaos();
         assert!(p.has_serving_faults());
-        assert!(p.worker_crash_for(0).is_some());
+        assert_eq!(p.worker_crashes.len(), 1);
         assert!(p.slow_worker_factor(1, 3) > 1.0);
         assert!(p.swap_is_corrupt(0) && !p.swap_is_corrupt(1));
     }

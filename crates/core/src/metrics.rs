@@ -1,12 +1,16 @@
 //! Training-run metrics: loss curves over (simulated or real) time and
 //! the time-to-loss readout of Fig. 8 — plus the
 //! per-request latency accounting used by the `scidl-serve` inference
-//! subsystem (queue wait vs compute split, p50/p95/p99).
+//! subsystem (queue wait vs compute split, p50/p95/p99), and the one
+//! emitter of a training iteration's trace.
 //!
 //! Percentile/summary-stat math is shared workspace-wide through
 //! [`scidl_tensor::stats`]; this module re-exports it so metrics
 //! consumers have a single import point.
 
+use scidl_cluster::IterBreakdown;
+use scidl_nn::network::Model;
+use scidl_trace::{EventKind, IterRow, TraceHandle};
 pub use scidl_tensor::stats::{median, percentile, percentile_sorted, Summary};
 
 /// Per-request serving latency accounting: each completed request
@@ -156,6 +160,65 @@ impl LossCurve {
             .windows(w)
             .map(|win| win.iter().sum::<f32>() / w as f32)
             .fold(None, |acc: Option<f32>, v| Some(acc.map_or(v, |a| a.min(v))))
+    }
+}
+
+/// A training run's trace, shared by both training drivers: the handle,
+/// the block names the health sentinel attributes to, the elements one
+/// all-reduce reduces and a group's minibatch.
+pub(crate) struct TrainTrace {
+    pub(crate) tr: TraceHandle,
+    pub(crate) names: Vec<String>,
+    elems: u64,
+    batch: u64,
+}
+
+impl TrainTrace {
+    /// Begins trace run `label` (a no-op trace when no sink is installed).
+    pub(crate) fn begin(label: &'static str, model: &impl Model, elems: u64, batch: usize) -> Self {
+        let names = model.param_blocks().iter().map(|b| b.name.clone()).collect();
+        Self { tr: TraceHandle::begin(label), names, elems, batch: batch as u64 }
+    }
+
+    /// One training iteration's trace, whichever driver ran it: its
+    /// `Iteration` span, a span per non-zero part of `t` laid end to end
+    /// on lane `t.group` (`Overlap`, one bucket per block, ends where the
+    /// compute does), and its `train` row. `wire` is what the all-reduce
+    /// and PS legs carried.
+    pub(crate) fn iteration(&self, t: &IterBreakdown, loss: f32, wire: [u64; 2]) {
+        if !self.tr.enabled() {
+            return;
+        }
+        let (group, iter, staleness, hidden_s) = (t.group as u64, t.iter as u64, t.staleness, t.hidden);
+        let computed = t.start + (t.compute + t.straggler);
+        let factor = (t.compute + t.straggler) / t.compute;
+        let (elems, buckets) = (self.elems, self.names.len() as u64);
+        for (at, secs, kind) in [
+            (t.start, t.end - t.start, EventKind::Iteration { group, iter }),
+            (t.start, t.compute, EventKind::Compute { group, iter }),
+            (t.start + t.compute, t.straggler, EventKind::Straggler { group, factor }),
+            (computed, t.allreduce, EventKind::Allreduce { elems, bytes: wire[0] }),
+            (computed - t.hidden, t.hidden, EventKind::Overlap { buckets, hidden_s }),
+            (computed + t.allreduce, t.ps, EventKind::PsExchange { group, staleness, bytes: wire[1] }),
+            (t.end - t.checkpoint, t.checkpoint, EventKind::Checkpoint { iter: iter + 1, bytes: 4 * elems }),
+        ] {
+            if secs > 0.0 {
+                self.tr.event_at(group, at, secs, kind);
+            }
+        }
+        self.tr.row(IterRow {
+            kind: "train",
+            track: group,
+            iter,
+            start_s: t.start,
+            compute_s: t.compute + t.straggler,
+            comm_s: t.allreduce,
+            ps_s: t.ps,
+            staleness,
+            loss: loss as f64,
+            batch: self.batch,
+            ..IterRow::default() // `run` is filled in by the handle
+        });
     }
 }
 

@@ -14,7 +14,7 @@
 //! * with `groups == 1` this is exact synchronous SGD; a synchronous run
 //!   that loses its group stops there. Gossip is not modelled here.
 
-use crate::metrics::LossCurve;
+use crate::metrics::{LossCurve, TrainTrace};
 use crate::task::hep_gradient;
 use scidl_cluster::sim::{ClusterSim, IterBreakdown, Observer, SimConfig, Workload};
 use scidl_comm::compress::{Compression, ErrorFeedback};
@@ -22,7 +22,6 @@ use scidl_data::{BatchSampler, HepDataset};
 use scidl_nn::network::{Model, Network};
 pub use scidl_nn::solver::SolverKind;
 use scidl_nn::Solver;
-use scidl_trace::{EventKind, IterRow, TraceHandle};
 use std::ops::{Deref, DerefMut};
 
 /// Configuration of one simulated-time training run: the clock's
@@ -129,13 +128,12 @@ impl SimEngine {
     ) -> SimRunSummary {
         let groups = cfg.groups;
         let kind = if cfg.auto_momentum { cfg.solver.for_groups(groups) } else { cfg.solver };
-        let blocks = model.param_blocks();
-        let block_sizes = blocks.iter().map(|b| b.len()).collect();
-        // Block names feed the health sentinel's layer attribution.
-        let block_names = blocks.iter().map(|b| b.name.clone()).collect();
+        let block_sizes = model.param_blocks().iter().map(|b| b.len()).collect();
         let central = model.flat_params();
         let mut trainer = Trainer {
             cfg,
+            // Virtual timestamps: a seeded run traces bit-identically.
+            trace: TrainTrace::begin("sim-engine", model, cfg.workload.params, cfg.batch_per_group),
             snapshots: vec![central.clone(); groups],
             central,
             model,
@@ -146,9 +144,6 @@ impl SimEngine {
                 .collect(),
             efs: (0..groups).map(|_| ErrorFeedback::new(cfg.compression)).collect(),
             block_sizes,
-            block_names,
-            // Virtual timestamps: a seeded run traces bit-identically.
-            tr: TraceHandle::begin("sim-engine"),
             curve: LossCurve::new(),
             per_group: vec![LossCurve::new(); groups],
             wire_bytes: 0,
@@ -189,8 +184,7 @@ struct Trainer<'a, M, F> {
     /// Per-group error feedback (the residual never leaves the group).
     efs: Vec<ErrorFeedback>,
     block_sizes: Vec<usize>,
-    block_names: Vec<String>,
-    tr: TraceHandle,
+    trace: TrainTrace,
     curve: LossCurve,
     per_group: Vec<LossCurve>,
     wire_bytes: u64,
@@ -201,7 +195,8 @@ impl<M: Model, F: FnMut(&mut M, &[usize]) -> (f32, Vec<f32>)> Observer for Train
         self.snapshots[g].copy_from_slice(&self.central);
     }
 
-    fn done(&mut self, now: f64, g: usize, iter: usize, stale: u64, t: &IterBreakdown) {
+    fn done(&mut self, t: &IterBreakdown) {
+        let g = t.group;
         self.model.set_flat_params(&self.snapshots[g]);
         let indices = self.samplers[g].next_batch();
         let (loss, mut grad) = (self.grad_fn)(self.model, &indices);
@@ -209,50 +204,20 @@ impl<M: Model, F: FnMut(&mut M, &[usize]) -> (f32, Vec<f32>)> Observer for Train
         let wire = self.efs[g].apply(&mut grad) as u64;
         self.wire_bytes += if self.cfg.groups > 1 { 2 * wire } else { wire };
         self.solver.step_flat(&mut self.central, &grad, &self.block_sizes);
-        self.curve.push(now, loss);
-        self.per_group[g].push(now, loss);
-        if !self.tr.enabled() {
+        self.curve.push(t.end, loss);
+        self.per_group[g].push(t.end, loss);
+        if !self.trace.tr.enabled() {
             return;
         }
-        let (gu, iu, t0) = (g as u64, iter as u64, t.start);
-        let tr = &self.tr;
-        tr.event_at(gu, t0, now - t0, EventKind::Iteration { group: gu, iter: iu });
-        tr.event_at(gu, t0, t.compute, EventKind::Compute { group: gu, iter: iu });
-        let elems = self.cfg.workload.params;
-        tr.event_at(gu, t0 + t.compute, t.allreduce, EventKind::Allreduce { elems, bytes: wire });
-        if t.hidden > 0.0 {
-            // One bucket per parameter block, over the hidden backward tail.
-            let buckets = self.block_sizes.len() as u64;
-            let kind = EventKind::Overlap { buckets, hidden_s: t.hidden };
-            tr.event_at(gu, t0 + t.compute - t.hidden, t.hidden, kind);
-        }
-        if t.ps > 0.0 {
-            let kind = EventKind::PsExchange { group: gu, staleness: stale, bytes: wire };
-            tr.event_at(gu, t0 + t.compute + t.allreduce, t.ps, kind);
-        }
-        let mut rest = &grad[..];
         let blocks: Vec<&[f32]> = (self.block_sizes.iter())
-            .map(|&n| {
+            .scan(&grad[..], |rest, &n| {
                 let (block, tail) = rest.split_at(n);
-                rest = tail;
-                block
+                *rest = tail;
+                Some(block)
             })
             .collect();
-        tr.check_step(iu, loss, &blocks, &self.block_names);
-        tr.row(IterRow {
-            run: 0, // filled in by the handle
-            kind: "train",
-            track: gu,
-            iter: iu,
-            start_s: t0,
-            compute_s: t.compute,
-            comm_s: t.allreduce,
-            ps_s: t.ps,
-            queue_s: 0.0,
-            staleness: stale,
-            loss: loss as f64,
-            batch: self.cfg.batch_per_group as u64,
-        });
+        self.trace.tr.check_step(t.iter as u64, loss, &blocks, &self.trace.names);
+        self.trace.iteration(t, loss, [wire, wire]);
     }
 }
 

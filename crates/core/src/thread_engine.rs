@@ -33,9 +33,10 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::faults::FaultPlan;
-use crate::metrics::LossCurve;
+use crate::metrics::{LossCurve, TrainTrace};
 use crate::task::{GradTask, HepGradTask};
 use scidl_cluster::lifecycle::{GroupLifecycle, Step};
+use scidl_cluster::IterBreakdown;
 use scidl_comm::bucket::{BucketPlan, BucketSink, OverlapContext};
 use scidl_comm::compress::{Compression, ErrorFeedback};
 use scidl_comm::ps::{PsReply, PsUpdate, UpdateFn};
@@ -45,7 +46,6 @@ use scidl_data::{BatchSampler, HepDataset};
 use scidl_nn::network::Model;
 use scidl_nn::solver::SolverKind;
 use scidl_tensor::TensorRng;
-use scidl_trace::EventKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -162,11 +162,9 @@ pub struct ThreadRunSummary {
 /// only group roots record anything but `wire_bytes`.
 #[derive(Default)]
 struct WorkerLog {
-    /// `(seconds since start, group loss)`, one per applied update.
-    losses: Vec<(f64, f32)>,
-    staleness_sum: u64,
-    staleness_histogram: [u64; STALENESS_BUCKETS],
-    recovered_updates: u64,
+    /// `(seconds since start, group loss, staleness, after a recovery)`,
+    /// one per applied update.
+    updates: Vec<(f64, f32, u64, bool)>,
     checkpoints_written: u64,
     /// Gradient bytes-on-wire (all-reduce + PS legs).
     wire_bytes: u64,
@@ -174,12 +172,7 @@ struct WorkerLog {
 
 impl WorkerLog {
     fn merge(&mut self, other: WorkerLog) {
-        self.losses.extend(other.losses);
-        self.staleness_sum += other.staleness_sum;
-        for (a, b) in self.staleness_histogram.iter_mut().zip(other.staleness_histogram) {
-            *a += b;
-        }
-        self.recovered_updates += other.recovered_updates;
+        self.updates.extend(other.updates);
         self.checkpoints_written += other.checkpoints_written;
         self.wire_bytes += other.wire_bytes;
     }
@@ -195,11 +188,8 @@ struct Run<'a, B, G> {
     /// One bucket plan shared by all ranks (readiness order over the
     /// blocks).
     plan: &'a BucketPlan,
-    /// Block names feed the health sentinel's first-offender layer
-    /// attribution.
-    block_names: &'a [String],
     /// A no-op when no sink is installed.
-    tr: &'a scidl_trace::TraceHandle,
+    trace: &'a TrainTrace,
     t0: Instant,
 }
 
@@ -250,9 +240,9 @@ impl ThreadEngine {
         // run keeps no copy of the model beyond the ranks' own.
         let template = build(cfg.seed);
         let block_sizes: Vec<usize> = template.param_blocks().iter().map(|b| b.len()).collect();
-        let block_names: Vec<String> =
-            template.param_blocks().iter().map(|b| b.name.clone()).collect();
-        let tr = scidl_trace::TraceHandle::begin("thread-engine");
+        let plan = BucketPlan::new(&block_sizes, cfg.bucket_bytes);
+        let trace =
+            TrainTrace::begin("thread-engine", &template, plan.total_len() as u64, cfg.batch_per_group);
 
         // Supervised per-layer PS bank: each shard has its own solver
         // state and is respawned from a snapshot if it dies. The factory
@@ -284,7 +274,6 @@ impl ThreadEngine {
                 .collect(),
         );
         drop(template);
-        let plan = BucketPlan::new(&block_sizes, cfg.bucket_bytes);
         let run = Run {
             cfg,
             dataset_len,
@@ -292,8 +281,7 @@ impl ThreadEngine {
             grad: &grad,
             bank: &bank,
             plan: &plan,
-            block_names: &block_names,
-            tr: &tr,
+            trace: &trace,
             t0: Instant::now(),
         };
         // The ranks are the compute threads and split the CPUs this call
@@ -319,17 +307,17 @@ impl ThreadEngine {
             }
             for (g, w) in workers {
                 let l = w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-                // Only the group root records losses, in update order.
-                l.losses.iter().for_each(|&(t, loss)| per_group[g].push(t, loss));
+                // Only the group root records updates, in update order.
+                l.updates.iter().for_each(|&(t, loss, ..)| per_group[g].push(t, loss));
                 log.merge(l);
             }
         });
 
-        let updates = log.losses.len() as u64;
-        let mut curve = LossCurve::new();
-        log.losses.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for (t, l) in log.losses {
-            curve.push(t, l);
+        log.updates.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let updates = log.updates.len() as u64;
+        let mut staleness_histogram = vec![0; STALENESS_BUCKETS];
+        for &(.., staleness, _) in &log.updates {
+            staleness_histogram[(staleness as usize).min(STALENESS_BUCKETS - 1)] += 1;
         }
 
         let ps_respawns = bank.total_respawns();
@@ -340,13 +328,13 @@ impl ThreadEngine {
             .flat_map(|r| r.params)
             .collect();
         ThreadRunSummary {
-            curve,
+            curve: LossCurve { points: log.updates.iter().map(|&(t, loss, ..)| (t, loss)).collect() },
             per_group,
             final_params,
-            mean_staleness: if updates > 0 { log.staleness_sum as f64 / updates as f64 } else { 0.0 },
-            staleness_histogram: log.staleness_histogram.to_vec(),
+            mean_staleness: log.updates.iter().map(|&(.., s, _)| s as f64).sum::<f64>() / updates.max(1) as f64,
+            staleness_histogram,
             updates,
-            recovered_updates: log.recovered_updates,
+            recovered_updates: log.updates.iter().filter(|&&(.., recovered)| recovered).count() as u64,
             ps_respawns,
             checkpoints_written: log.checkpoints_written,
             wire_bytes: log.wire_bytes,
@@ -366,7 +354,8 @@ where
     B: Fn(u64) -> M + Send + Sync,
     G: GradTask<M>,
 {
-    let &Run { cfg, bank, plan, tr, .. } = run;
+    let &Run { cfg, bank, plan, trace, .. } = run;
+    let tr = &trace.tr;
     let mut log = WorkerLog::default();
     // Every worker builds the identical initial model. It is the rank's
     // only copy of the parameters and their gradient: PS replies and the
@@ -385,15 +374,6 @@ where
     // its own node; the PS bank outlives every group, so a crashed group
     // may always rejoin.
     let mut life = GroupLifecycle::new(&cfg.faults, group, rank..rank + 1, true);
-    // All spans land on lane `group`, emitted by the group root only so
-    // the timeline has one lane per group.
-    let gu = group as u64;
-    let span = |t: f64, kind: EventKind| {
-        if rank == 0 {
-            tr.span(gu, t, kind);
-        }
-    };
-
     let node_id = group * cfg.nodes_per_group + rank;
     let total_nodes = cfg.groups * cfg.nodes_per_group;
     let per_node = cfg.batch_per_group / cfg.nodes_per_group;
@@ -432,7 +412,14 @@ where
             }
         }
         let iter_start = Instant::now();
-        let iter_t = tr.now();
+        // The iteration's record on the trace clock: each part is the lap
+        // since the previous boundary, so the parts tile the iteration.
+        let mut rec = IterBreakdown { group, iter, start: tr.now(), ..Default::default() };
+        let mut mark = rec.start;
+        let mut lap = || {
+            let now = tr.now();
+            now - std::mem::replace(&mut mark, now)
+        };
         let indices = sampler.next_batch();
         // Backward hands its gradient to the bucket stream — layer by
         // layer as each becomes final, or whole once it is done — and the
@@ -445,24 +432,20 @@ where
             stream.push_flat(&local);
             loss
         };
-        let compute_s = tr.now() - iter_t;
-        span(iter_t, EventKind::Compute { group: gu, iter: iter as u64 });
+        rec.compute = lap();
 
         // Scheduled straggler: stretch this group's compute phase by the
         // plan's factor (the all-reduce barrier spreads the slowdown to
         // the whole group, as a slow node does).
         let factor = cfg.faults.straggler_factor(group, iter);
         if factor > 1.0 {
-            let straggle_t = tr.now();
-            let spent = iter_start.elapsed();
-            std::thread::sleep(spent.mul_f64(factor - 1.0));
-            span(straggle_t, EventKind::Straggler { group: gu, factor });
+            std::thread::sleep(iter_start.elapsed().mul_f64(factor - 1.0));
+            rec.straggler = lap();
         }
 
         // Intra-group synchronous step: drain the reduced buckets into the
         // model's grad blocks — what is still on the ring now is the
         // exposed communication — and average the loss.
-        let ar_t = tr.now();
         let mut grads: Vec<&mut [f32]> =
             model.param_blocks_mut().into_iter().map(|b| b.grad.data_mut()).collect();
         let Ok(ar_bytes) = stream.finish(&mut grads) else {
@@ -475,28 +458,23 @@ where
         let mut lbuf = [loss];
         comm.allreduce_mean(&mut lbuf);
         let group_loss = lbuf[0];
-        let mut comm_s = tr.now() - ar_t;
+        rec.allreduce = lap();
         log.wire_bytes += ar_bytes as u64;
-        let elems = plan.total_len() as u64 + 1;
-        span(ar_t, EventKind::Allreduce { elems, bytes: ar_bytes as u64 });
         if rank == 0 {
             // Numeric-health sentinel: a non-finite loss or gradient
             // (from any node — the mean propagates it) is caught here
             // and the first offender attributed to its parameter block.
             let blocks: Vec<&[f32]> = grads.iter().map(|g| &**g).collect();
-            tr.check_step(iter as u64, group_loss, &blocks, run.block_names);
+            tr.check_step(iter as u64, group_loss, &blocks, &trace.names);
         }
 
         // If the root's PS exchange fails terminally, every worker of the
         // group returns together instead of deadlocking in a broadcast.
         let mut exchanged = true;
-        let mut ps_s = 0.0f64;
-        let mut row_stale = 0u64;
+        let mut ps_wire = 0u64;
         if rank == 0 {
-            // PS-exchange span includes the injected network delay: both
-            // model the time the root spends away from compute.
-            let ps_t = tr.now();
-            // Scheduled network delay in front of the exchange.
+            // Scheduled network delay in front of the exchange: part of
+            // the PS leg, as on the clock.
             let delay = cfg.faults.message_delay_secs(group, iter);
             if delay > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(delay));
@@ -508,7 +486,6 @@ where
             // arrival. The supervisor behind `update_all` retries and
             // respawns dead shards; an error here means retries are
             // exhausted.
-            let mut ps_wire = 0u64;
             let msgs: Vec<PsUpdate> = (grads.iter_mut().zip(&mut ef_ps))
                 .map(|(g, ef)| {
                     let msg = ef.encode(g);
@@ -524,16 +501,12 @@ where
             match exchange {
                 Ok(replies) => {
                     // Staleness from the first block's version stream.
-                    let staleness = life.applied(replies[0].version);
-                    ps_s = tr.now() - ps_t;
-                    row_stale = staleness;
-                    span(ps_t, EventKind::PsExchange { group: gu, staleness, bytes: ps_wire });
-                    log.staleness_sum += staleness;
-                    log.staleness_histogram[(staleness as usize).min(STALENESS_BUCKETS - 1)] += 1;
-                    log.recovered_updates += u64::from(life.recovered());
+                    rec.staleness = life.applied(replies[0].version);
                     load_params(&mut model, &replies);
                     drop(replies);
-                    log.losses.push((run.t0.elapsed().as_secs_f64(), group_loss));
+                    let secs = run.t0.elapsed().as_secs_f64();
+                    log.updates.push((secs, group_loss, rec.staleness, life.recovered()));
+                    rec.ps = lap();
 
                     // Periodic crash-safe checkpoint from group 0's root.
                     if group == 0
@@ -541,15 +514,13 @@ where
                         && (iter + 1) % cfg.checkpoint_every == 0
                     {
                         if let Some(path) = &cfg.checkpoint_path {
-                            let ck_t = tr.now();
                             let ck = Checkpoint {
                                 iteration: (iter + 1) as u64,
                                 seed: cfg.seed,
                                 params: model.flat_params(),
                             };
                             log.checkpoints_written += u64::from(ck.save(path).is_ok());
-                            let bytes = (ck.params.len() * 4) as u64;
-                            span(ck_t, EventKind::Checkpoint { iter: ck.iteration, bytes });
+                            rec.checkpoint = lap();
                         }
                     }
                 }
@@ -558,30 +529,17 @@ where
                 Err(_) => exchanged = false,
             }
         }
-        let bc_t = tr.now();
         if !group_agrees(&comm, exchanged) {
             return log;
         }
         // Root broadcasts the fresh model to its group.
         broadcast_params(&comm, &mut model);
-        comm_s += tr.now() - bc_t;
+        rec.ps += lap();
+        rec.end = mark;
         last_iter_secs = iter_start.elapsed().as_secs_f64().max(1e-6);
-        span(iter_t, EventKind::Iteration { group: gu, iter: iter as u64 });
         if rank == 0 {
-            tr.row(scidl_trace::IterRow {
-                run: 0, // filled in by the handle
-                kind: "train",
-                track: gu,
-                iter: iter as u64,
-                start_s: iter_t,
-                compute_s,
-                comm_s,
-                ps_s,
-                queue_s: 0.0,
-                staleness: row_stale,
-                loss: group_loss as f64,
-                batch: cfg.batch_per_group as u64,
-            });
+            // One lane per group: only the root traces.
+            trace.iteration(&rec, group_loss, [ar_bytes as u64, ps_wire]);
         }
     }
     log

@@ -81,18 +81,14 @@ fn batch_trace(
 ) -> (scidl_trace::EventKind, scidl_trace::IterRow) {
     let span = scidl_trace::EventKind::BatchDispatch { worker, batch, queue_s, compute_s };
     let row = scidl_trace::IterRow {
-        run: 0,
         kind: "serve",
         track: worker,
         iter,
         start_s,
         compute_s,
-        comm_s: 0.0,
-        ps_s: 0.0,
         queue_s,
-        staleness: 0,
-        loss: 0.0,
         batch,
+        ..Default::default()
     };
     (span, row)
 }

@@ -253,10 +253,12 @@ struct Shared {
     registry: Arc<ModelRegistry>,
     policy: BatchPolicy,
     faults: FaultPlan,
-    /// One flag per `faults.worker_crashes` entry: each injected crash
-    /// fires exactly once (a respawned slot must not re-crash on the
-    /// same event forever).
-    crash_fired: Vec<AtomicBool>,
+    /// The plan's crashes on this server: the dispatch ordinal each
+    /// strikes, and a flag so it fires exactly once (a respawned slot
+    /// must not re-crash on the same event forever).
+    crashes: Vec<(u64, AtomicBool)>,
+    /// Batches dispatched by any slot, crashed ones included.
+    dispatched: AtomicU64,
     /// In-flight batches by worker incarnation: a worker parks its
     /// batch here before compute and takes it back to reply, so the
     /// supervisor can recover the requests from a dead incarnation.
@@ -569,14 +571,17 @@ impl Server {
         assert!(cfg.workers >= 1, "need at least one worker");
         install_quiet_panic_hook();
         let watermark = effective_watermark(cfg.shed_watermark, cfg.queue_capacity);
-        let crash_fired =
-            cfg.faults.worker_crashes.iter().map(|_| AtomicBool::new(false)).collect();
+        let crashes = (cfg.faults.worker_crashes.iter())
+            .filter(|c| c.worker < cfg.workers)
+            .map(|c| (c.after_batches, AtomicBool::new(false)))
+            .collect();
         let shared = Arc::new(Shared {
             queue: BatchQueue::with_watermark(cfg.queue_capacity, watermark),
             registry,
             policy: cfg.policy,
             faults: cfg.faults.clone(),
-            crash_fired,
+            crashes,
+            dispatched: AtomicU64::new(0),
             inflight: Mutex::new(HashMap::new()),
             heartbeats: Mutex::new(HashMap::new()),
             threads_per_worker: scidl_tensor::par::budget(cfg.workers),
@@ -856,13 +861,9 @@ fn worker_loop(shared: &Shared, slot: usize, incarnation: u64) {
         // injected-crash check: a chaos crash is a real panic mid-batch,
         // recovered through the same path a genuine bug would take.
         shared.inflight.lock().unwrap().insert(incarnation, reqs);
-        for (ci, c) in shared.faults.worker_crashes.iter().enumerate() {
-            if c.worker == slot
-                && batch_idx >= c.after_batches
-                && !shared.crash_fired[ci].swap(true, Ordering::SeqCst)
-            {
-                panic!("injected worker crash: slot {slot} batch {batch_idx}");
-            }
+        let ordinal = shared.dispatched.fetch_add(1, Ordering::Relaxed);
+        if (shared.crashes.iter()).any(|(at, fired)| ordinal >= *at && !fired.swap(true, Ordering::SeqCst)) {
+            panic!("injected worker crash: slot {slot} batch {ordinal}");
         }
         let span_t = tr.now();
         let t0 = Instant::now();

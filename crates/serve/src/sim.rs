@@ -34,8 +34,8 @@
 //! consumes (worker indices are global: replica `r` owns workers
 //! `[r·w, (r+1)·w)`):
 //!
-//! * a [`WorkerCrash`](scidl_cluster::faults::WorkerCrash) kills its
-//!   slot mid-batch (halfway through the service time); each of the
+//! * a [`WorkerCrash`](scidl_cluster::faults::WorkerCrash) kills the slot
+//!   dispatching the scheduled batch, halfway through it; each of the
 //!   batch's requests is re-queued at the head of the line, handed to
 //!   the caller for rerouting, or counted *lost*, as
 //!   `policy::Recovery` decides, and the slot returns `respawn_secs`
@@ -380,9 +380,11 @@ pub(crate) struct Replica {
     pub(crate) retired: Option<f64>,
     pub(crate) queue: Vec<Queued>,
     worker_free: Vec<f64>,
-    /// Successful batches dispatched per slot (the ordinal crash plans
-    /// index with `after_batches`, matching the threaded worker).
+    /// Successful batches dispatched per slot (the ordinal slow-worker
+    /// windows index, matching the threaded worker).
     slot_batches: Vec<u64>,
+    /// Batches dispatched by any slot, crashed ones included.
+    dispatched: u64,
 }
 
 impl Replica {
@@ -406,6 +408,7 @@ impl Replica {
             queue: Vec::new(),
             worker_free: vec![ready; workers],
             slot_batches: vec![0; workers],
+            dispatched: 0,
         }
     }
 
@@ -512,13 +515,13 @@ impl Replica {
                 * cfg.faults.slow_worker_factor(worker, self.slot_batches[slot])
                 * self.factor;
 
-            // Chaos crash: the slot dies halfway through the batch and
-            // returns after its respawn time; the recovery policy
-            // disposes of each request it held.
+            // Chaos crash: the slot dispatching the replica's scheduled
+            // batch dies halfway through it and returns after its respawn
+            // time; the recovery policy disposes of each request it held.
+            let ordinal = self.dispatched;
+            self.dispatched += 1;
             let crash = cfg.faults.worker_crashes.iter().enumerate().find(|(ci, c)| {
-                c.worker == worker
-                    && self.slot_batches[slot] >= c.after_batches
-                    && !core.crash_fired[*ci]
+                c.worker / cfg.workers == self.id && ordinal >= c.after_batches && !core.crash_fired[*ci]
             });
             if let Some((ci, c)) = crash {
                 let (t_crash, respawn) = (start + 0.5 * svc, c.respawn_secs);

@@ -99,11 +99,12 @@ pub enum EventKind {
         /// Shard index.
         shard: u64,
     },
-    /// An injected straggler window stretching this group's iteration.
+    /// Waiting on the slowest node after a group's compute: a scheduled
+    /// straggler window and, in simulated time, the barrier's jitter.
     Straggler {
         /// Compute-group id.
         group: u64,
-        /// Slowdown factor applied to the compute phase.
+        /// Stretched over nominal compute time.
         factor: f64,
     },
     /// A checkpoint write.
@@ -406,9 +407,10 @@ pub struct HealthAlert {
 
 /// One row of the per-iteration CSV: where each iteration's time went,
 /// plus the staleness/loss it observed. Training rows have
-/// `kind == "train"` (track = group); serving rows have
-/// `kind == "serve"` (track = worker, `iter` = batch sequence number).
-#[derive(Debug, Clone, PartialEq)]
+/// `kind == "train"` (track = group), the same on both training drivers;
+/// serving rows have `kind == "serve"` (track = worker, `iter` = batch
+/// sequence number).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IterRow {
     /// Run id from [`TraceSink::begin_run`].
     pub run: u32,
@@ -420,17 +422,19 @@ pub struct IterRow {
     pub iter: u64,
     /// Start time in seconds (same clock as the run's events).
     pub start_s: f64,
-    /// Gradient / inference compute time (s).
+    /// Train: forward + backward compute, straggler wait included.
+    /// Serve: the batch's model compute (s).
     pub compute_s: f64,
-    /// Collective communication time: all-reduce + broadcast (s).
+    /// Train: all-reduce time left exposed by the overlap. 0 for serving (s).
     pub comm_s: f64,
-    /// Parameter-server exchange time (s); 0 for sync/serving.
+    /// Train: all-reduce end to the fresh model on every node (delay, PS
+    /// exchange, broadcast; no checkpoint). 0 for serving (s).
     pub ps_s: f64,
     /// Queue wait (s); serving only, 0 for training.
     pub queue_s: f64,
     /// Gradient staleness observed (updates); 0 when synchronous.
     pub staleness: u64,
-    /// Loss observed this iteration (NaN for serving rows).
+    /// Train: the group's loss this iteration. 0 for serving.
     pub loss: f64,
     /// Batch size processed.
     pub batch: u64,

@@ -44,8 +44,9 @@ fn probe(seed: u64) -> Tensor {
 }
 
 /// The acceptance run: `scidl_core::faults::serving_chaos()` — crash
-/// worker 0 mid-batch, 3× straggler window on worker 1, corrupt swap
-/// attempt 0 — against real threads, then the virtual-time sim.
+/// the slot dispatching the fourth batch mid-batch, 3× straggler window
+/// on worker 1, corrupt swap attempt 0 — against real threads, then the
+/// virtual-time sim.
 #[test]
 fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     let _g = trace_lock();
@@ -77,7 +78,8 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     );
 
     // Concurrent producers with deadlines, enough traffic for the
-    // injected crash (worker 0, after 3 batches) to fire mid-run.
+    // injected crash (the server's fourth dispatched batch) to fire
+    // mid-run.
     let mut producers = Vec::new();
     for p in 0..4u64 {
         let client = server.client();
@@ -185,6 +187,40 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     let p99 = out.recorder.total_summary().expect("sim served requests").p99;
     let bound = 0.5 + 3.0 * model.batch_secs(8) + 1e-9;
     assert!(p99 <= bound, "sim p99 {p99}s must stay under deadline+straggler bound {bound}s");
+}
+
+/// The schedule that once skipped the acceptance run's crash: worker 0
+/// dispatches at most one batch (a 30× straggler window on its first
+/// keeps it asleep while worker 1 serves the rest). The crash is keyed
+/// on the server's dispatch count, not on worker 0's, so it still fires.
+#[test]
+fn serving_chaos_crash_fires_when_worker_0_serves_one_batch() {
+    let plan = serving_chaos().with_slow_worker(0, 0, 1, 30.0);
+    let mut rng = TensorRng::new(75);
+    let registry =
+        Arc::new(ModelRegistry::new(ServingModel::new(scidl_nn::arch::hep_small(&mut rng), 1, 0)));
+    let server = Server::start(
+        registry,
+        ServerConfig {
+            workers: 2,
+            queue_capacity: 64,
+            policy: BatchPolicy::dynamic(4, Duration::from_millis(2)),
+            faults: plan,
+            ..Default::default()
+        },
+    );
+    let producers: Vec<_> = (0..4u64)
+        .map(|p| {
+            let client = server.client();
+            std::thread::spawn(move || {
+                (0..6u64).filter(|i| client.infer(probe(500 + p * 8 + i)).is_ok()).count()
+            })
+        })
+        .collect();
+    let ok: usize = producers.into_iter().map(|h| h.join().expect("producer panicked")).sum();
+    let (_, report) = server.shutdown_with_report();
+    assert_eq!(ok, 24, "every request is served: {report:?}");
+    assert!(report.panics >= 1, "the injected crash must fire: {report:?}");
 }
 
 proptest! {

@@ -2,11 +2,13 @@
 //! thread-engine run, a simulated-time run and a serving-simulator run
 //! must each land spans and per-iteration rows in an installed
 //! [`scidl_trace::TraceSink`]; a poisoned gradient must be caught by the
-//! numeric-health sentinel and attributed to the offending layer.
+//! numeric-health sentinel and attributed to the offending layer; and
+//! both training drivers must trace one fault plan alike.
 //!
 //! The sink is process-global, so every test takes `trace_lock()` before
 //! installing one.
 
+use scidl_core::faults::FaultPlan;
 use scidl_core::sim_engine::{SimEngine, SimEngineConfig, SolverKind};
 use scidl_core::thread_engine::{ThreadEngine, ThreadEngineConfig};
 use scidl_core::workloads::hep_workload;
@@ -15,6 +17,7 @@ use scidl_serve::queue::BatchPolicy;
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig};
 use scidl_serve::PoissonArrivals;
 use scidl_tensor::TensorRng;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
@@ -97,6 +100,103 @@ fn sim_engine_trace_is_deterministic_and_attributes_time() {
     assert!(rows.iter().all(|r| r.compute_s > 0.0 && r.comm_s > 0.0 && r.ps_s > 0.0));
     assert!(rows.iter().any(|r| r.staleness > 0));
     assert!(artifacts[0].0.contains("\"ps_exchange\""));
+}
+
+/// Per `(group, iter)`: the names of the iteration's spans, and the
+/// durations of its exposed all-reduce and PS exchange. A span belongs
+/// to the iteration on its lane whose `[start, end)` holds its start;
+/// the comm layer's own spans (per-bucket ring all-reduces and overlap
+/// windows on rank lanes, PS service) are not the iteration's, and a
+/// ring bucket is told from the whole-gradient all-reduce by its length.
+type Parts = BTreeMap<(u64, u64), (BTreeSet<&'static str>, f64, f64)>;
+
+fn iteration_parts(sink: &scidl_trace::TraceSink, params: u64) -> Parts {
+    use scidl_trace::EventKind;
+    let events = sink.events();
+    let mut parts = Parts::new();
+    let mut spans = Vec::new();
+    for e in &events {
+        if let EventKind::Iteration { group, iter } = e.kind {
+            parts.insert((group, iter), (BTreeSet::from(["iteration"]), 0.0, 0.0));
+            spans.push((e.track, e.ts_s, e.ts_s + e.dur_s, (group, iter)));
+        }
+    }
+    for e in &events {
+        let owned = match e.kind {
+            EventKind::Allreduce { elems, .. } => elems == params,
+            EventKind::Compute { .. }
+            | EventKind::Straggler { .. }
+            | EventKind::PsExchange { .. }
+            | EventKind::Checkpoint { .. } => true,
+            _ => false,
+        };
+        if !owned {
+            continue;
+        }
+        let &(.., key) = spans
+            .iter()
+            .find(|s| s.0 == e.track && s.1 <= e.ts_s && e.ts_s < s.2)
+            .unwrap_or_else(|| panic!("{e:?} lies outside every iteration of its lane"));
+        let part = parts.get_mut(&key).unwrap();
+        part.0.insert(e.kind.name());
+        match e.kind {
+            EventKind::Allreduce { .. } => part.1 = e.dur_s,
+            EventKind::PsExchange { .. } => part.2 = e.dur_s,
+            _ => {}
+        }
+    }
+    parts
+}
+
+/// One fault plan — a straggler window on group 1 and a message delay on
+/// group 0 — through both training drivers, two groups of two nodes
+/// each: every group-iteration carries the same spans on both, straggler
+/// spans appear exactly in the planned window, and the rows' columns
+/// mean the same thing (`comm_s` the exposed all-reduce, `ps_s` the PS
+/// leg with the delay and the broadcast).
+#[test]
+fn thread_and_sim_engines_trace_one_fault_plan_alike() {
+    let _g = trace_lock();
+    let (groups, iterations, delay) = (2usize, 4usize, 0.02);
+    let plan = FaultPlan::none().with_straggler(1, 1, 3, 2.0).with_message_delay(0, 2, delay);
+    let in_window = |&(g, i): &(u64, u64)| g == 1 && (1..3).contains(&i);
+    let ds = Arc::new(HepDataset::generate(HepConfig::small(), 64, 5));
+
+    let thread_sink = fresh_sink();
+    let mut tcfg = ThreadEngineConfig::new(groups, 2, 8);
+    (tcfg.iterations, tcfg.faults, tcfg.bucket_bytes) = (iterations, plan.clone(), 4096);
+    ThreadEngine::run(&tcfg, Arc::clone(&ds));
+    scidl_trace::uninstall();
+
+    let sim_sink = fresh_sink();
+    let mut scfg = SimEngineConfig::fig8(2 * groups, groups, 8, hep_workload());
+    scfg.sim = scfg.sim.clone().ideal();
+    (scfg.iterations, scfg.faults) = (iterations, plan);
+    SimEngine::run(&scfg, &mut scidl_nn::arch::hep_small(&mut TensorRng::new(1)), &ds);
+    scidl_trace::uninstall();
+
+    use scidl_nn::network::Model;
+    let params = scidl_nn::arch::hep_small(&mut TensorRng::new(0)).num_params() as u64;
+    let threads = iteration_parts(&thread_sink, params);
+    let sim = iteration_parts(&sim_sink, scfg.workload.params);
+    assert_eq!(threads.len(), groups * iterations);
+    let names = |p: &Parts| p.iter().map(|(k, v)| (*k, v.0.clone())).collect::<Vec<_>>();
+    assert_eq!(names(&threads), names(&sim), "the same spans per group-iteration");
+    for (key, (names, ..)) in &sim {
+        assert_eq!(names.contains("straggler"), in_window(key), "{key:?}: {names:?}");
+    }
+    for (sink, parts) in [(&thread_sink, &threads), (&sim_sink, &sim)] {
+        let rows = sink.rows();
+        assert_eq!(rows.len(), groups * iterations);
+        for r in &rows {
+            let (_, allreduce, ps) = parts[&(r.track, r.iter)];
+            assert_eq!(r.comm_s, allreduce, "comm_s is the exposed all-reduce");
+            assert_eq!(r.ps_s, ps, "ps_s is the PS leg");
+            if (r.track, r.iter) == (0, 2) {
+                assert!(r.ps_s >= delay, "the message delay is booked under ps_s: {r:?}");
+            }
+        }
+    }
 }
 
 #[test]
