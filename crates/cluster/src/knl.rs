@@ -12,9 +12,11 @@
 //!   paper highlights (Sec. II-A): we use a saturating `b/(b+b_half)`
 //!   factor,
 //! * activation layers (ReLU, pooling) are memory-bandwidth bound,
-//! * the solver update is a slow, copy-dominated serial phase (12.5% of
-//!   HEP runtime at batch 8, Sec. VI-A),
 //! * per-layer framework dispatch overhead (IntelCaffe layer launch).
+//!
+//! The solver update — a slow, copy-dominated serial phase (12.5% of HEP
+//! runtime at batch 8, Sec. VI-A) — is a property of the workload, not
+//! the node: [`crate::sim::Workload::solver_secs`] models it.
 
 /// How a layer's execution rate is modelled.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,30 +49,6 @@ pub struct LayerCost {
     pub class: RateClass,
 }
 
-/// MCDRAM configuration of the node (Sec. IV): the 16 GiB on-package
-/// memory can act as a cache on DDR4 (the mode the paper uses — "in this
-/// publication we only consider quad mode" with MCDRAM as cache) or be
-/// addressed directly as a flat NUMA node, which removes the cache-miss
-/// overheads for bandwidth-bound layers at the cost of manual placement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum McdramMode {
-    /// MCDRAM as a 16 GiB L3-like cache on DDR4 (quad-cache; default).
-    Cache,
-    /// MCDRAM as an explicitly-addressed NUMA node.
-    Flat,
-}
-
-impl McdramMode {
-    /// Effective bandwidth for the mode (B/s): flat mode avoids the
-    /// cache tag/miss machinery and sustains closer to the stream peak.
-    pub fn bandwidth(self) -> f64 {
-        match self {
-            McdramMode::Cache => 3.6e11,
-            McdramMode::Flat => 4.4e11,
-        }
-    }
-}
-
 /// Calibrated KNL node model.
 #[derive(Clone, Debug)]
 pub struct KnlModel {
@@ -87,11 +65,6 @@ pub struct KnlModel {
     pub mem_bw: f64,
     /// Fixed dispatch overhead per layer per iteration (seconds).
     pub layer_overhead: f64,
-    /// Bytes touched per parameter by one solver update (weights,
-    /// gradient, history copies).
-    pub solver_bytes_per_param: f64,
-    /// Effective bandwidth of the (poorly threaded) solver phase (B/s).
-    pub solver_bw: f64,
 }
 
 impl Default for KnlModel {
@@ -103,19 +76,11 @@ impl Default for KnlModel {
             batch_half: 4.0,
             mem_bw: 3.6e11,
             layer_overhead: 1.5e-4,
-            solver_bytes_per_param: 24.0,
-            solver_bw: 1.6e9,
         }
     }
 }
 
 impl KnlModel {
-    /// Reconfigures the memory-bandwidth model for an MCDRAM mode.
-    pub fn with_mcdram(mut self, mode: McdramMode) -> Self {
-        self.mem_bw = mode.bandwidth();
-        self
-    }
-
     /// Saturating small-batch efficiency factor in `(0, 1]`.
     #[inline]
     pub fn batch_factor(&self, batch: usize) -> f64 {
@@ -151,11 +116,6 @@ impl KnlModel {
     /// Compute time of one training iteration (all layers, no solver/IO).
     pub fn compute_time(&self, layers: &[LayerCost], batch: usize) -> f64 {
         layers.iter().map(|l| self.layer_time(l, batch)).sum()
-    }
-
-    /// Solver-update time per iteration (batch independent).
-    pub fn solver_time(&self, params: u64) -> f64 {
-        params as f64 * self.solver_bytes_per_param / self.solver_bw
     }
 
     /// Training FLOPs of one iteration over `layers` (excluding solver).
@@ -237,34 +197,6 @@ mod tests {
         };
         let t = m.layer_time(&l, 1) - m.layer_overhead;
         assert!((t - 1e8 / m.mem_bw).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solver_time_matches_bandwidth_model() {
-        let m = KnlModel::default();
-        let t = m.solver_time(594_178);
-        // HEP solver: ~594k params × 24 B / 1.6 GB/s ≈ 8.9 ms — the order
-        // of the paper's 12.5%-of-66ms ≈ 8.3 ms.
-        assert!((0.005..0.012).contains(&t), "solver time {t}");
-    }
-
-    #[test]
-    fn mcdram_flat_mode_speeds_bandwidth_bound_layers() {
-        let cache = KnlModel::default().with_mcdram(McdramMode::Cache);
-        let flat = KnlModel::default().with_mcdram(McdramMode::Flat);
-        let relu = LayerCost {
-            name: "relu".into(),
-            train_flops_per_image: 1_000,
-            class: RateClass::MemoryBound { bytes_per_image: 200_000_000 },
-        };
-        assert!(flat.layer_time(&relu, 8) < cache.layer_time(&relu, 8));
-        // Conv layers are compute-bound: unchanged.
-        let conv_l = LayerCost {
-            name: "c".into(),
-            train_flops_per_image: 1_000_000_000,
-            class: RateClass::Conv { cin: 128 },
-        };
-        assert_eq!(flat.layer_time(&conv_l, 8), cache.layer_time(&conv_l, 8));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use aries::AriesModel;
 pub use event::{EventQueue, SimTime};
 pub use faults::{FaultPlan, GroupCrash, MessageDelay, PsCrash, Recovery, Straggler};
 pub use jitter::JitterModel;
-pub use knl::{KnlModel, LayerCost, McdramMode, RateClass};
+pub use knl::{KnlModel, LayerCost, RateClass};
 pub use lifecycle::{GroupLifecycle, Step};
 pub use sim::{
     split_even, ClusterSim, CollectiveKind, IterBreakdown, Observer, PlacementPolicy, SimConfig,

@@ -825,27 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_engine_trains_resnet_on_threads() {
-        let ds = dataset();
-        let mut cfg = ThreadEngineConfig::new(2, 1, 8);
-        cfg.iterations = 4;
-        let data = Arc::clone(&ds);
-        let run = ThreadEngine::run_with(
-            &cfg,
-            ds.len(),
-            |seed| {
-                let mut rng = TensorRng::new(seed);
-                scidl_nn::residual::resnet_small(3, 2, &mut rng)
-            },
-            move |model: &mut scidl_nn::network::Network, indices: &[usize]| {
-                hep_gradient(model, &data, indices)
-            },
-        );
-        assert_eq!(run.updates, 8);
-        assert!(run.final_params.iter().all(|p| p.is_finite()));
-    }
-
-    #[test]
     fn identity_compression_is_bit_identical_to_uncompressed() {
         // topk:1.0 keeps every element: the sent values are bitwise the
         // original gradients on both the all-reduce and PS legs, so the

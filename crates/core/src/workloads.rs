@@ -171,6 +171,15 @@ mod tests {
     }
 
     #[test]
+    fn solver_time_matches_bandwidth_model() {
+        let w = hep_workload();
+        let t = w.solver_secs(w.params);
+        // HEP solver: ~594k params × 24 B / 1.6 GB/s ≈ 8.9 ms — the order
+        // of the paper's 12.5%-of-66ms ≈ 8.3 ms.
+        assert!((0.005..0.012).contains(&t), "solver time {t}");
+    }
+
+    #[test]
     fn climate_io_share_near_paper() {
         // Sec. VI-A: ~13% of climate runtime is input I/O; HEP ~2%.
         let knl = KnlModel::default();

@@ -126,47 +126,6 @@ impl HepDataset {
         self.labels.is_empty()
     }
 
-    /// Augments the dataset with φ-rotated copies of each event.
-    ///
-    /// The detector is a cylinder: rotating every particle by a common
-    /// azimuthal angle is an exact physical symmetry, so rolling the
-    /// image along the φ axis produces a genuinely valid new training
-    /// view (unlike generic image augmentations). Appends `copies`
-    /// rotated versions of every event, each by a random roll.
-    pub fn augment_phi_rotations(&mut self, copies: usize, seed: u64) {
-        let mut rng = TensorRng::new(seed ^ 0xA06);
-        let s = self.config.image_size;
-        let plane = s * s;
-        let n0 = self.len();
-        let mut new_items: Vec<Vec<f32>> = Vec::with_capacity(n0 * copies);
-        for _ in 0..copies {
-            for i in 0..n0 {
-                let roll = rng.below(s);
-                let src = self.images.item(i);
-                let mut dst = vec![0.0f32; src.len()];
-                // φ is the image row axis: roll rows within each channel.
-                for c in 0..3 {
-                    for y in 0..s {
-                        let ny = (y + roll) % s;
-                        dst[c * plane + ny * s..c * plane + ny * s + s]
-                            .copy_from_slice(&src[c * plane + y * s..c * plane + y * s + s]);
-                    }
-                }
-                new_items.push(dst);
-                self.labels.push(self.labels[i]);
-                self.features.push(self.features[i]);
-            }
-        }
-        let mut data = self.images.data().to_vec();
-        for item in &new_items {
-            data.extend_from_slice(item);
-        }
-        self.images = Tensor::from_vec(
-            Shape4::new(n0 + new_items.len(), 3, s, s),
-            data,
-        );
-    }
-
     /// Copies a batch of events by index into a fresh tensor + label vec.
     pub fn gather(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
         let s = self.images.shape();
@@ -440,61 +399,6 @@ pub fn tpr_at_fpr(scores: &[f32], labels: &[usize], fpr_budget: f64) -> f64 {
     best_tpr
 }
 
-/// Area under the ROC curve via the Mann–Whitney U statistic (exact,
-/// including tie handling) — the summary metric used alongside the
-/// paper's fixed-FPR working point.
-pub fn auc(scores: &[f32], labels: &[usize]) -> f64 {
-    assert_eq!(scores.len(), labels.len());
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).unwrap_or(std::cmp::Ordering::Equal));
-    // Assign average ranks to ties.
-    let mut ranks = vec![0.0f64; scores.len()];
-    let mut i = 0;
-    while i < order.len() {
-        let mut j = i;
-        while j + 1 < order.len() && scores[order[j + 1]] == scores[order[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            ranks[idx] = avg;
-        }
-        i = j + 1;
-    }
-    let pos = labels.iter().filter(|&&l| l == 1).count();
-    let neg = labels.len() - pos;
-    if pos == 0 || neg == 0 {
-        return 0.5;
-    }
-    let rank_sum: f64 = labels
-        .iter()
-        .zip(&ranks)
-        .filter(|(&l, _)| l == 1)
-        .map(|(_, &r)| r)
-        .sum();
-    (rank_sum - pos as f64 * (pos as f64 + 1.0) / 2.0) / (pos as f64 * neg as f64)
-}
-
-/// Full ROC curve as (FPR, TPR) points, sorted by descending threshold.
-pub fn roc_curve(scores: &[f32], labels: &[usize]) -> Vec<(f64, f64)> {
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = labels.iter().filter(|&&l| l == 1).count().max(1) as f64;
-    let neg = labels.iter().filter(|&&l| l == 0).count().max(1) as f64;
-    let mut tp = 0.0;
-    let mut fp = 0.0;
-    let mut out = Vec::with_capacity(order.len());
-    for &i in &order {
-        if labels[i] == 1 {
-            tp += 1.0;
-        } else {
-            fp += 1.0;
-        }
-        out.push((fp / neg, tp / pos));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,44 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn phi_augmentation_preserves_energy_and_labels() {
-        let mut ds = small_ds(6, 31);
-        let base_energy: Vec<f32> = (0..6).map(|i| ds.images.item(i).iter().sum()).collect();
-        ds.augment_phi_rotations(2, 7);
-        assert_eq!(ds.len(), 18);
-        // Rotations are exact rolls: per-event total energy preserved.
-        for copy in 0..2 {
-            for (i, &base) in base_energy.iter().enumerate() {
-                let j = 6 + copy * 6 + i;
-                let e: f32 = ds.images.item(j).iter().sum();
-                assert!((e - base).abs() < 1e-3, "event {j}");
-                assert_eq!(ds.labels[j], ds.labels[i]);
-                assert_eq!(ds.features[j].ht, ds.features[i].ht);
-            }
-        }
-    }
-
-    #[test]
-    fn phi_augmentation_actually_rotates() {
-        let mut ds = small_ds(2, 33);
-        let orig = ds.images.item(0).to_vec();
-        ds.augment_phi_rotations(1, 9);
-        // The copy differs from the original (non-zero roll with
-        // overwhelming probability for this seed) but has the same sorted
-        // pixel multiset per channel.
-        let copy = ds.images.item(2);
-        assert_ne!(&orig, copy);
-        let s = ds.config.image_size;
-        for c in 0..3 {
-            let mut a: Vec<f32> = orig[c * s * s..(c + 1) * s * s].to_vec();
-            let mut b: Vec<f32> = copy[c * s * s..(c + 1) * s * s].to_vec();
-            a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            assert_eq!(a, b, "channel {c} pixel multiset changed");
-        }
-    }
-
-    #[test]
     fn gather_copies_requested_items() {
         let ds = small_ds(10, 17);
         let (batch, labels) = ds.gather(&[3, 7]);
@@ -648,22 +514,6 @@ mod tests {
         assert_eq!(tpr_at_fpr(&scores, &labels, 0.5), 1.0);
     }
 
-    #[test]
-    fn roc_curve_monotone() {
-        let ds = small_ds(300, 29);
-        // Score by HT as a weak classifier.
-        let scores: Vec<f32> = ds.features.iter().map(|f| f.ht).collect();
-        let roc = roc_curve(&scores, &ds.labels);
-        for w in roc.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 >= w[0].1);
-        }
-        let last = roc.last().unwrap();
-        assert!((last.0 - 1.0).abs() < 1e-9 && (last.1 - 1.0).abs() < 1e-9);
-    }
-
-    /// HT spectrum falls: within the preselection window, low-HT bins
-    /// must hold more background events than high-HT bins (steeply
-    /// falling QCD spectrum).
     #[test]
     fn background_ht_spectrum_falls() {
         let ds = HepDataset::generate(
@@ -751,20 +601,6 @@ mod tests {
                 "quadrant {q} energy {e:.1} deviates from mean {mean:.1}"
             );
         }
-    }
-
-    #[test]
-    fn auc_perfect_random_and_inverted() {
-        let labels = vec![1, 1, 0, 0];
-        assert_eq!(auc(&[0.9, 0.8, 0.2, 0.1], &labels), 1.0);
-        assert_eq!(auc(&[0.1, 0.2, 0.8, 0.9], &labels), 0.0);
-        // All-equal scores: AUC 0.5 by tie handling.
-        assert_eq!(auc(&[0.5, 0.5, 0.5, 0.5], &labels), 0.5);
-    }
-
-    #[test]
-    fn auc_degenerate_single_class() {
-        assert_eq!(auc(&[0.1, 0.9], &[1, 1]), 0.5);
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   and the semi-supervised detection loss (confidence + class + bounding
 //!   box + autoencoder reconstruction) for the climate network,
 //! * solvers — [`Sgd`] with momentum and [`Adam`] (Sec. III-A/III-B),
-//! * analytic per-layer FLOP accounting ([`flops`]) standing in for the
-//!   Intel SDE instrumentation of Sec. V,
+//! * analytic per-layer FLOP accounting
+//!   ([`Layer::forward_flops_per_image`], [`Layer::backward_flops_per_image`])
+//!   standing in for the Intel SDE instrumentation of Sec. V,
 //! * the two reference architectures of Table II ([`arch::hep_network`],
 //!   [`arch::climate_network`]) with parameter footprints matching the
 //!   paper (≈2.3 MiB and ≈302 MiB),
@@ -53,14 +54,12 @@ pub mod arch;
 pub mod conv;
 pub mod deconv;
 pub mod dense;
-pub mod flops;
 pub mod layer;
 pub mod loss;
 pub mod network;
 pub mod pool;
 pub mod profile;
 pub mod quant;
-pub mod residual;
 pub mod solver;
 
 pub use activation::Relu;
@@ -72,5 +71,4 @@ pub use loss::{DetectionLoss, DetectionTargets, SoftmaxCrossEntropy};
 pub use network::Network;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use quant::{QuantLayer, QuantizedNetwork};
-pub use residual::Residual;
 pub use solver::{Adam, Sgd, Solver, SolverKind};

@@ -1,10 +1,11 @@
 //! Fleet-scale serving: a replicated router in front of N per-replica
-//! [`Server`]s, with pluggable dispatch, fleet-level priority admission,
-//! an SLO-driven autoscaler and zero-downtime canary rollouts.
+//! [`Server`]s with pluggable dispatch and fleet-level priority
+//! admission, and the virtual-time fleet simulator that adds an SLO
+//! autoscaler and canary rollouts.
 //!
-//! PR 6 built the single-replica resilience primitives (supervised
-//! worker pool, deadline admission, guarded hot-swap, chaos injection).
-//! This module composes N of those replicas behind a [`Router`]:
+//! The threaded [`Router`] composes N supervised replicas (each a
+//! [`Server`] with its own worker pool, deadline admission and chaos
+//! injection):
 //!
 //! * **Dispatch** — [`DispatchPolicy`]: round-robin, least-loaded, or
 //!   power-of-two-choices over queue depth. Under skewed load (one slow
@@ -15,28 +16,29 @@
 //!   classes on top of each replica's shed watermark: lower-priority
 //!   classes shed at a smaller fraction of aggregate fleet headroom, so
 //!   interactive traffic survives overload that drops batch traffic.
-//! * **Autoscaling** — [`AutoscalerConfig`] sizes the fleet from the
-//!   observed arrival rate and windowed p99 against the calibrated KNL
-//!   cost model's per-replica sustainable rate, stepping ±1 replica per
-//!   [`Router::autoscale_tick`]. Scale-down drains the victim replica
-//!   (its in-flight work completes) — zero downtime.
-//! * **Canary** — [`Router::begin_canary`] routes a seeded fraction of
-//!   traffic to a candidate model on a dedicated replica, then
-//!   [`Router::resolve_canary`] auto-promotes (p99 within tolerance of
-//!   the live model) or auto-rolls-back. Rollbacks charge the model
-//!   registry's circuit breaker; an open breaker refuses new canaries.
 //! * **Fault routing** — a [`FaultPlan`] with *global* worker indices is
 //!   sliced per replica ([`FaultPlan::for_replica`]); when a replica
 //!   loses its whole pool the router reroutes in-flight work to a
 //!   sibling instead of losing it (budgeted by
 //!   [`FleetConfig::reroute_budget`]).
 //!
-//! This file holds both drivers of the fleet tier. Every decision above
-//! — dispatch pick, priority admission, autoscaler sizing and victim,
-//! canary verdict, breaker charge, crash-recovery disposition — is
-//! taken by [`crate::policy`]; the threaded [`Router`] feeds it
-//! wall-clock observations, the virtual-time [`simulate_fleet`] feeds it
-//! the event calendar over a `Vec` of the one [`crate::sim`] replica.
+//! [`simulate_fleet`] runs the same dispatch, admission and rerouting
+//! over a `Vec` of the one [`crate::sim`] replica in virtual time, and
+//! adds the fleet's sizing and rollout decisions:
+//!
+//! * **Autoscaling** — [`SimAutoscaler`] sizes the fleet from the
+//!   arrival rate against the calibrated KNL cost model's per-replica
+//!   sustainable rate, stepping ±1 replica per tick. Scale-down drains
+//!   the victim replica (its in-flight work completes) — zero downtime.
+//! * **Canary** — [`SimCanary`] routes a seeded fraction of traffic to a
+//!   candidate model on a dedicated replica, then promotes it (p99
+//!   within tolerance of the live model) or rolls it back. Rollbacks
+//!   charge the circuit breaker.
+//!
+//! Every decision above — dispatch pick, priority admission, autoscaler
+//! sizing and victim, canary verdict, breaker charge, crash-recovery
+//! disposition — is taken by [`crate::policy`]; the [`Router`] feeds it
+//! wall-clock observations, [`simulate_fleet`] the event calendar.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -47,68 +49,16 @@ use crate::policy::{
     canary_draw, effective_watermark, priority_draw, retry_after, scale_down_victim, Breaker,
     Recovery, ScaleStep,
 };
-use crate::registry::{ModelRegistry, ServingModel, SwapError};
+use crate::registry::ModelRegistry;
 use crate::server::{Client, InferResult, ServeError, Server, ServerConfig, ServerReport};
 use crate::sim::{Replica, ServiceModel, SimConfig, SimCore, SimOutcome};
 use scidl_cluster::faults::FaultPlan;
 use scidl_core::metrics::LatencyRecorder;
-use scidl_tensor::stats::percentile;
 use scidl_tensor::Tensor;
 use scidl_trace::{EventKind, TraceHandle};
 
-/// SLO-driven fleet sizing for the threaded [`Router`].
-///
-/// The router cannot see virtual time, so the calibrated per-replica
-/// sustainable rate is supplied explicitly (from
-/// [`ServiceModel::saturated_rate`] × workers per replica).
-#[derive(Clone, Copy, Debug)]
-pub struct AutoscalerConfig {
-    /// The sizing policy shared with the simulator.
-    pub band: ScalingBand,
-    /// Windowed p99 above this forces at least one scale-up step.
-    pub slo_p99_secs: f64,
-    /// Requests/s one replica sustains, from the calibrated cost model.
-    pub replica_rate: f64,
-}
-
-impl Default for AutoscalerConfig {
-    fn default() -> Self {
-        Self { band: ScalingBand::default(), slo_p99_secs: 0.2, replica_rate: 100.0 }
-    }
-}
-
-/// Canary rollout tuning for the threaded [`Router`].
-#[derive(Clone, Copy, Debug)]
-pub struct CanaryConfig {
-    /// The traffic split and promotion bar shared with the simulator.
-    pub gate: CanaryGate,
-    /// Minimum completed samples on *both* arms before a decision.
-    pub min_samples: usize,
-}
-
-impl Default for CanaryConfig {
-    fn default() -> Self {
-        Self { gate: CanaryGate::default(), min_samples: 20 }
-    }
-}
-
-/// Outcome of [`Router::resolve_canary`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CanaryDecision {
-    /// The candidate met the SLO bar and was published fleet-wide.
-    Promoted,
-    /// The candidate regressed p99; it was retired and the failure was
-    /// charged to the registry's circuit breaker.
-    RolledBack,
-    /// Not enough samples yet (or no canary in flight); keep serving.
-    Pending,
-    /// The candidate passed, but the breaker opened during the rollout;
-    /// the canary was retired without publishing.
-    BreakerOpen,
-}
-
 /// Fleet configuration: a per-replica [`ServerConfig`] template plus
-/// fleet-level routing, admission, scaling and chaos knobs.
+/// fleet-level routing, admission and chaos knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Initial replica count.
@@ -119,24 +69,21 @@ pub struct FleetConfig {
     pub replica: ServerConfig,
     /// Dispatch policy.
     pub dispatch: DispatchPolicy,
-    /// Seed for the routing RNG (p2c probes, canary traffic split).
+    /// Seed for the routing RNG (p2c probes).
     pub seed: u64,
     /// Fleet-level priority admission thresholds.
     pub admission: PriorityAdmission,
     /// How many times a request that lost its replica (pool death) is
     /// rerouted to a sibling before the error surfaces to the caller.
     pub reroute_budget: u32,
-    /// Autoscaler tuning, applied on explicit [`Router::autoscale_tick`]
-    /// calls.
-    pub autoscaler: AutoscalerConfig,
     /// Chaos plan with *global* worker indices: replica `r` owns workers
     /// `[r·w, (r+1)·w)` where `w` is the template worker count.
     pub faults: FaultPlan,
 }
 
 impl FleetConfig {
-    /// A fleet of `replicas` copies of `replica` with default admission,
-    /// autoscaling and no chaos.
+    /// A fleet of `replicas` copies of `replica` with default admission
+    /// and no chaos.
     pub fn new(replicas: usize, replica: ServerConfig, dispatch: DispatchPolicy) -> Self {
         Self {
             replicas,
@@ -145,7 +92,6 @@ impl FleetConfig {
             seed: 0,
             admission: PriorityAdmission::default(),
             reroute_budget: 1,
-            autoscaler: AutoscalerConfig::default(),
             faults: FaultPlan::none(),
         }
     }
@@ -162,15 +108,7 @@ pub struct FleetReport {
     pub rerouted: u64,
     /// Replicas retired after losing their pool.
     pub replicas_lost: u64,
-    /// Autoscaler scale-up steps.
-    pub scale_ups: u64,
-    /// Autoscaler scale-down steps.
-    pub scale_downs: u64,
-    /// Whether a canary was promoted.
-    pub canary_promoted: bool,
-    /// Whether a canary was rolled back.
-    pub canary_rolled_back: bool,
-    /// Live (non-canary) replicas at shutdown.
+    /// Live replicas at shutdown.
     pub final_replicas: usize,
     /// Aggregated per-replica resilience counters (live + retired).
     pub servers: ServerReport,
@@ -195,21 +133,6 @@ struct Slot {
     id: usize,
     server: Server,
     client: Client,
-    canary: bool,
-}
-
-struct CanaryState {
-    registry: Arc<ModelRegistry>,
-    cfg: CanaryConfig,
-    slot_id: usize,
-    base_lat: Vec<f64>,
-    canary_lat: Vec<f64>,
-}
-
-struct Window {
-    arrivals: u64,
-    since: Instant,
-    samples: Vec<f64>,
 }
 
 #[derive(Default)]
@@ -218,48 +141,21 @@ struct Retired {
     reports: Vec<ServerReport>,
 }
 
-#[derive(Default)]
-struct Flags {
-    canary_promoted: bool,
-    canary_rolled_back: bool,
-}
-
 /// Replicated serving front end: owns N replica [`Server`]s and routes
-/// every request through fleet admission, the canary split and the
-/// configured dispatch policy. All methods take `&self`; the router is
-/// shared across client threads behind an `Arc`.
+/// every request through fleet admission and the configured dispatch
+/// policy. All methods take `&self`; the router is shared across client
+/// threads behind an `Arc`.
 pub struct Router {
-    registry: Arc<ModelRegistry>,
     cfg: FleetConfig,
     slots: RwLock<Vec<Slot>>,
-    next_id: AtomicUsize,
     rr: AtomicUsize,
     ordinal: AtomicU64,
     routed: AtomicU64,
     fleet_shed: [AtomicU64; 3],
     rerouted: AtomicU64,
     replicas_lost: AtomicU64,
-    scale_ups: AtomicU64,
-    scale_downs: AtomicU64,
-    flags: Mutex<Flags>,
-    window: Mutex<Window>,
-    canary: Mutex<Option<CanaryState>>,
     retired: Mutex<Retired>,
     tr: TraceHandle,
-}
-
-fn spawn_slot(
-    registry: &Arc<ModelRegistry>,
-    template: &ServerConfig,
-    id: usize,
-    faults: FaultPlan,
-    canary: bool,
-) -> Slot {
-    let mut cfg = template.clone();
-    cfg.faults = faults;
-    let server = Server::start(Arc::clone(registry), cfg);
-    let client = server.client();
-    Slot { id, server, client, canary }
 }
 
 impl Router {
@@ -271,15 +167,15 @@ impl Router {
             cfg.admission.shed_frac.iter().all(|&f| f > 0.0 && f <= 1.0),
             "admission shed fractions must be in (0, 1]"
         );
-        let wpr = cfg.replica.workers;
         let slots: Vec<Slot> = (0..cfg.replicas)
             .map(|id| {
-                spawn_slot(&registry, &cfg.replica, id, cfg.faults.for_replica(id, wpr), false)
+                let mut rc = cfg.replica.clone();
+                rc.faults = cfg.faults.for_replica(id, cfg.replica.workers);
+                let server = Server::start(Arc::clone(&registry), rc);
+                Slot { id, client: server.client(), server }
             })
             .collect();
         Self {
-            registry,
-            next_id: AtomicUsize::new(cfg.replicas),
             cfg,
             slots: RwLock::new(slots),
             rr: AtomicUsize::new(0),
@@ -288,34 +184,19 @@ impl Router {
             fleet_shed: Default::default(),
             rerouted: AtomicU64::new(0),
             replicas_lost: AtomicU64::new(0),
-            scale_ups: AtomicU64::new(0),
-            scale_downs: AtomicU64::new(0),
-            flags: Mutex::new(Flags::default()),
-            window: Mutex::new(Window {
-                arrivals: 0,
-                since: Instant::now(),
-                samples: Vec::new(),
-            }),
-            canary: Mutex::new(None),
             retired: Mutex::new(Retired::default()),
             tr: TraceHandle::begin("fleet"),
         }
     }
 
-    /// Live non-canary replicas.
+    /// Live replicas.
     pub fn live_replicas(&self) -> usize {
-        self.slots.read().unwrap().iter().filter(|s| !s.canary).count()
+        self.slots.read().unwrap().len()
     }
 
-    /// Aggregate queued requests across live non-canary replicas.
+    /// Aggregate queued requests across live replicas.
     pub fn fleet_depth(&self) -> usize {
-        self.slots
-            .read()
-            .unwrap()
-            .iter()
-            .filter(|s| !s.canary)
-            .map(|s| s.server.queue_depth())
-            .sum()
+        self.slots.read().unwrap().iter().map(|s| s.server.queue_depth()).sum()
     }
 
     /// [`Router::infer_with_priority`] at [`Priority::Standard`] with no
@@ -324,10 +205,9 @@ impl Router {
         self.infer_with_priority(input, Priority::Standard, None)
     }
 
-    /// Routes one request through fleet admission, the canary split and
-    /// the dispatch policy; a replica that dies holding the request is
-    /// retired and the request rerouted within
-    /// [`FleetConfig::reroute_budget`].
+    /// Routes one request through fleet admission and the dispatch
+    /// policy; a replica that dies holding the request is retired and
+    /// the request rerouted within [`FleetConfig::reroute_budget`].
     pub fn infer_with_priority(
         &self,
         input: Tensor,
@@ -335,10 +215,6 @@ impl Router {
         deadline: Option<Duration>,
     ) -> Result<InferResult, ServeError> {
         let ordinal = self.ordinal.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut w = self.window.lock().unwrap();
-            w.arrivals += 1;
-        }
         // Fleet-level priority admission against aggregate headroom.
         let p = priority.index();
         let backlog = self.fleet_depth();
@@ -350,13 +226,6 @@ impl Router {
             let retry_after = retry_after(&replica.policy, backlog);
             return Err(ServeError::Shed { depth: backlog, retry_after });
         }
-        // Seeded canary traffic split.
-        let canary_slot = {
-            let c = self.canary.lock().unwrap();
-            c.as_ref().and_then(|st| {
-                canary_draw(self.cfg.seed, ordinal, st.cfg.gate.fraction).then_some(st.slot_id)
-            })
-        };
         let start = Instant::now();
         let mut avoid: Option<usize> = None;
         let mut attempt: u32 = 0;
@@ -371,31 +240,19 @@ impl Router {
                 }
                 None => None,
             };
-            let picked = self.pick(ordinal, canary_slot.filter(|_| attempt == 0), avoid);
-            let (rid, depth, client, is_canary) = match picked {
-                Some(t) => t,
-                None => return Err(ServeError::Closed),
+            let Some((rid, depth, client)) = self.pick(ordinal, avoid) else {
+                return Err(ServeError::Closed);
             };
             if self.tr.enabled() {
                 self.tr.instant(rid as u64, EventKind::Route {
                     replica: rid as u64,
                     depth: depth as u64,
-                    policy: if is_canary { "canary" } else { self.cfg.dispatch.name() },
+                    policy: self.cfg.dispatch.name(),
                 });
             }
             match client.infer_with_deadline(input.clone(), remaining) {
                 Ok(r) => {
                     self.routed.fetch_add(1, Ordering::Relaxed);
-                    let lat = r.queue_wait.as_secs_f64() + r.compute.as_secs_f64();
-                    self.window.lock().unwrap().samples.push(lat);
-                    let mut c = self.canary.lock().unwrap();
-                    if let Some(st) = c.as_mut() {
-                        if is_canary {
-                            st.canary_lat.push(lat);
-                        } else {
-                            st.base_lat.push(lat);
-                        }
-                    }
                     return Ok(r);
                 }
                 Err(e @ (ServeError::WorkerLost | ServeError::Closed)) => {
@@ -421,23 +278,13 @@ impl Router {
         }
     }
 
-    /// Picks `(replica id, depth, client, is_canary)` under the read
-    /// lock, then drops the lock so the blocking infer call cannot
-    /// deadlock scale operations.
-    fn pick(
-        &self,
-        ordinal: u64,
-        canary_slot: Option<usize>,
-        avoid: Option<usize>,
-    ) -> Option<(usize, usize, Client, bool)> {
+    /// Picks `(replica id, depth, client)` under the read lock, then
+    /// drops the lock so the blocking infer call cannot deadlock a
+    /// replica's retirement.
+    fn pick(&self, ordinal: u64, avoid: Option<usize>) -> Option<(usize, usize, Client)> {
         let slots = self.slots.read().unwrap();
-        if let Some(cid) = canary_slot {
-            if let Some(s) = slots.iter().find(|s| s.id == cid && s.canary) {
-                return Some((s.id, s.server.queue_depth(), s.client.clone(), true));
-            }
-        }
         let live_but = |skip: Option<usize>| -> Vec<&Slot> {
-            slots.iter().filter(|s| !s.canary && Some(s.id) != skip).collect()
+            slots.iter().filter(|s| Some(s.id) != skip).collect()
         };
         let mut live = live_but(avoid);
         if live.is_empty() {
@@ -448,13 +295,13 @@ impl Router {
         if live.is_empty() {
             return None;
         }
-        // Slots are appended with ascending ids and only ever removed,
+        // Slots are created with ascending ids and only ever removed,
         // so `live` is in the id order `DispatchPolicy::pick` expects.
         let turn = self.rr.fetch_add(1, Ordering::Relaxed);
         let s = live[self.cfg.dispatch.pick(self.cfg.seed, ordinal, turn, live.len(), |i| {
             live[i].server.queue_depth()
         })];
-        Some((s.id, s.server.queue_depth(), s.client.clone(), false))
+        Some((s.id, s.server.queue_depth(), s.client.clone()))
     }
 
     /// Removes slot `id` (if still present), drains it and merges its
@@ -482,149 +329,6 @@ impl Router {
         retired.reports.push(rep);
     }
 
-    /// Starts a canary rollout: spawns a dedicated replica serving
-    /// `candidate` (behind its own registry) and routes
-    /// `cfg.fraction` of admitted traffic to it. Refused with
-    /// [`SwapError::BreakerOpen`] while the live registry's breaker is
-    /// open.
-    ///
-    /// # Panics
-    /// If a canary is already in flight.
-    pub fn begin_canary(
-        &self,
-        candidate: ServingModel,
-        cfg: CanaryConfig,
-        canary_faults: FaultPlan,
-    ) -> Result<usize, SwapError> {
-        if self.registry.breaker_open() {
-            return Err(SwapError::BreakerOpen {
-                failures: self.registry.consecutive_failures(),
-            });
-        }
-        let mut guard = self.canary.lock().unwrap();
-        assert!(guard.is_none(), "a canary rollout is already in flight");
-        let registry = Arc::new(ModelRegistry::new(candidate));
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot = spawn_slot(&registry, &self.cfg.replica, id, canary_faults, true);
-        self.slots.write().unwrap().push(slot);
-        if self.tr.enabled() {
-            self.tr.instant(id as u64, EventKind::Canary {
-                action: "begin",
-                replica: id as u64,
-                fraction: cfg.gate.fraction,
-            });
-        }
-        *guard = Some(CanaryState {
-            registry,
-            cfg,
-            slot_id: id,
-            base_lat: Vec::new(),
-            canary_lat: Vec::new(),
-        });
-        Ok(id)
-    }
-
-    /// Decides the in-flight canary: promotes the candidate fleet-wide
-    /// (publishing its model through the shared registry and clearing
-    /// the breaker streak) when its p99 is within tolerance of the base
-    /// arms', rolls it back (charging the breaker) otherwise. Returns
-    /// [`CanaryDecision::Pending`] while either arm lacks
-    /// [`CanaryConfig::min_samples`].
-    pub fn resolve_canary(&self) -> CanaryDecision {
-        let (state, pass) = {
-            let mut guard = self.canary.lock().unwrap();
-            let verdict = guard.as_ref().and_then(|st| {
-                st.cfg.gate.verdict(&st.base_lat, &st.canary_lat, st.cfg.min_samples)
-            });
-            match verdict {
-                None => return CanaryDecision::Pending,
-                Some(pass) => (guard.take().expect("a verdict needs a canary"), pass),
-            }
-        };
-        self.retire_slot(state.slot_id, false);
-        let decision = if pass && self.registry.breaker_open() {
-            CanaryDecision::BreakerOpen
-        } else if pass {
-            self.registry.publish(state.registry.current());
-            self.registry.record_rollout_success();
-            self.flags.lock().unwrap().canary_promoted = true;
-            CanaryDecision::Promoted
-        } else {
-            self.registry.record_rollout_failure("canary_slo");
-            self.flags.lock().unwrap().canary_rolled_back = true;
-            CanaryDecision::RolledBack
-        };
-        if self.tr.enabled() {
-            self.tr.instant(state.slot_id as u64, EventKind::Canary {
-                action: match decision {
-                    CanaryDecision::Promoted => "promote",
-                    _ => "rollback",
-                },
-                replica: state.slot_id as u64,
-                fraction: state.cfg.gate.fraction,
-            });
-        }
-        decision
-    }
-
-    /// One autoscaler step: consumes the observation window (arrival
-    /// rate, p99) accumulated since the previous tick, computes the
-    /// desired size against [`AutoscalerConfig`], and grows or shrinks
-    /// the fleet by at most one replica. Returns the live replica count
-    /// after the step.
-    pub fn autoscale_tick(&self) -> usize {
-        let a = self.cfg.autoscaler;
-        let (rate, p99) = {
-            let mut w = self.window.lock().unwrap();
-            let secs = w.since.elapsed().as_secs_f64().max(1e-9);
-            let rate = w.arrivals as f64 / secs;
-            let p99 = if w.samples.is_empty() { 0.0 } else { percentile(&w.samples, 0.99) };
-            w.arrivals = 0;
-            w.samples.clear();
-            w.since = Instant::now();
-            (rate, p99)
-        };
-        let live = self.live_replicas();
-        let desired = a.band.desired_replicas(rate, a.replica_rate, p99 > a.slo_p99_secs, live);
-        let backlog = self.fleet_depth();
-        let step = a.band.step(desired, live, backlog);
-        if step == ScaleStep::Up {
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            let wpr = self.cfg.replica.workers;
-            let slot = spawn_slot(
-                &self.registry,
-                &self.cfg.replica,
-                id,
-                self.cfg.faults.for_replica(id, wpr),
-                false,
-            );
-            self.slots.write().unwrap().push(slot);
-            self.scale_ups.fetch_add(1, Ordering::Relaxed);
-            if self.tr.enabled() {
-                self.tr.instant(id as u64, EventKind::ScaleUp {
-                    replicas: (live + 1) as u64,
-                    backlog: backlog as u64,
-                });
-            }
-        } else if step == ScaleStep::Down {
-            let victim = scale_down_victim(
-                (self.slots.read().unwrap().iter().filter(|s| !s.canary))
-                    .map(|s| (s.server.queue_depth(), s.id)),
-            );
-            if let Some(id) = victim {
-                self.retire_slot(id, false);
-                self.scale_downs.fetch_add(1, Ordering::Relaxed);
-                if self.tr.enabled() {
-                    self.tr.instant(id as u64, EventKind::ScaleDown {
-                        replicas: (live - 1) as u64,
-                        backlog: backlog as u64,
-                    });
-                }
-            }
-        }
-        self.live_replicas()
-    }
-
     /// Snapshot of the fleet counters plus aggregated per-replica
     /// reports (live and retired).
     pub fn report(&self) -> FleetReport {
@@ -635,7 +339,6 @@ impl Router {
         for r in &self.retired.lock().unwrap().reports {
             merge_reports(&mut servers, r);
         }
-        let flags = self.flags.lock().unwrap();
         FleetReport {
             routed: self.routed.load(Ordering::Relaxed),
             fleet_shed: [
@@ -645,10 +348,6 @@ impl Router {
             ],
             rerouted: self.rerouted.load(Ordering::Relaxed),
             replicas_lost: self.replicas_lost.load(Ordering::Relaxed),
-            scale_ups: self.scale_ups.load(Ordering::Relaxed),
-            scale_downs: self.scale_downs.load(Ordering::Relaxed),
-            canary_promoted: flags.canary_promoted,
-            canary_rolled_back: flags.canary_rolled_back,
             final_replicas: self.live_replicas(),
             servers,
         }
@@ -673,11 +372,11 @@ impl Router {
 
 /// Autoscaler knobs for the fleet simulator, evaluated at fixed
 /// virtual-time ticks against the cost model's per-replica saturated
-/// rate. The simulator keeps no latency window, so the SLO-breach rule
-/// of [`AutoscalerConfig::slo_p99_secs`] has no counterpart here.
+/// rate. The simulator keeps no latency window, so the SLO never reads
+/// as breached.
 #[derive(Clone, Copy, Debug)]
 pub struct SimAutoscaler {
-    /// The sizing policy shared with the threaded router.
+    /// The sizing policy.
     pub band: ScalingBand,
     /// Interval between autoscaler evaluations (virtual seconds).
     pub tick_secs: f64,
@@ -692,12 +391,11 @@ impl Default for SimAutoscaler {
 }
 
 /// Canary rollout knobs for the fleet simulator. The decision instant
-/// is scheduled, so one sample per arm suffices (the router's
-/// [`CanaryConfig::min_samples`] is 1 here) and an empty arm rolls back.
+/// is scheduled, so one sample per arm suffices and an empty arm rolls
+/// back.
 #[derive(Clone, Copy, Debug)]
 pub struct SimCanary {
-    /// The traffic split and promotion bar shared with the threaded
-    /// router.
+    /// The traffic split and promotion bar.
     pub gate: CanaryGate,
     /// Virtual time the canary replica starts taking traffic.
     pub start_secs: f64,
@@ -1044,6 +742,7 @@ mod tests {
     use super::*;
     use crate::loadgen::PoissonArrivals;
     use crate::queue::BatchPolicy;
+    use crate::registry::ServingModel;
     use scidl_nn::arch::hep_small;
     use scidl_tensor::{Shape4, TensorRng};
 
@@ -1224,33 +923,5 @@ mod tests {
         assert_eq!(report.servers.served, 8);
         assert_eq!(rec.len(), 8);
         assert_eq!(report.final_replicas, 2);
-    }
-
-    #[test]
-    fn threaded_canary_promote_publishes_candidate() {
-        let reg = registry(51, 1);
-        let rc = ServerConfig { workers: 1, queue_capacity: 64, ..Default::default() };
-        let mut cfg = FleetConfig::new(2, rc, DispatchPolicy::LeastLoaded);
-        cfg.seed = 17;
-        let router = Router::start(Arc::clone(&reg), cfg);
-        let mut rng = TensorRng::new(52);
-        let candidate = ServingModel::new(hep_small(&mut rng), 777, 52);
-        let ccfg = CanaryConfig {
-            gate: CanaryGate { fraction: 0.5, regression_tol: 10.0 },
-            min_samples: 5,
-        };
-        router.begin_canary(candidate, ccfg, FaultPlan::none()).expect("canary must start");
-        let mut decision = CanaryDecision::Pending;
-        for i in 0..200 {
-            router.infer(probe(100 + i)).expect("infer must succeed");
-            decision = router.resolve_canary();
-            if decision != CanaryDecision::Pending {
-                break;
-            }
-        }
-        assert_eq!(decision, CanaryDecision::Promoted);
-        assert_eq!(reg.current().iteration, 777, "promotion must publish the candidate");
-        let (_, report) = router.shutdown_with_report();
-        assert!(report.canary_promoted);
     }
 }

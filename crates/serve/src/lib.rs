@@ -25,7 +25,7 @@
 //!
 //! * [`policy`] — the policy core: every serving decision (dispatch,
 //!   admission, retry hint, crash recovery, breaker, autoscaler sizing,
-//!   canary verdict) as a pure function, called by both drivers below,
+//!   canary verdict) as a pure function, called by the drivers below,
 //! * [`queue`] — bounded MPMC request queue + deadline batch former with
 //!   watermark shedding and expiry ([`BatchPolicy`], [`BatchQueue`]),
 //! * [`registry`] — checkpoint loading with the bit-identical round-trip
@@ -39,10 +39,11 @@
 //!   pool, chaos) replayed against the calibrated KNL cost model
 //!   ([`simulate`]), which is what `scidl-bench serving` sweeps,
 //! * [`fleet`] — the fleet tier: a replicated [`Router`] with pluggable
-//!   dispatch, fleet-level priority admission, an SLO autoscaler and
-//!   canary rollouts (threaded driver), and [`simulate_fleet`], the
-//!   same routing over a `Vec` of `sim` replicas in virtual time (what
-//!   `scidl-bench serving_fleet` sweeps).
+//!   dispatch, fleet-level priority admission and replica-loss
+//!   rerouting (threaded driver), and [`simulate_fleet`], the same
+//!   routing over a `Vec` of `sim` replicas in virtual time plus an SLO
+//!   autoscaler and canary rollouts (what `scidl-bench serving_fleet`
+//!   sweeps).
 
 #![warn(missing_docs)]
 
@@ -55,8 +56,8 @@ pub mod server;
 pub mod sim;
 
 pub use fleet::{
-    simulate_fleet, AutoscalerConfig, CanaryConfig, CanaryDecision, FleetConfig, FleetReport,
-    FleetSimConfig, FleetSimOutcome, Router, SimAutoscaler, SimCanary,
+    simulate_fleet, FleetConfig, FleetReport, FleetSimConfig, FleetSimOutcome, Router,
+    SimAutoscaler, SimCanary,
 };
 pub use loadgen::{HepRequestSource, PoissonArrivals};
 pub use policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};

@@ -265,9 +265,9 @@ impl Breaker {
     }
 }
 
-/// Fleet-sizing policy shared by the threaded and the virtual-time
-/// autoscaler: a replica band, a utilisation target and the backlog
-/// guard on shrinking.
+/// Fleet-sizing policy of the virtual-time autoscaler
+/// ([`crate::fleet::SimAutoscaler`]): a replica band, a utilisation
+/// target and the backlog guard on shrinking.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalingBand {
     /// Lower bound on live replicas.
@@ -339,7 +339,8 @@ pub(crate) fn scale_down_victim(replicas: impl Iterator<Item = (usize, usize)>) 
     replicas.min_by_key(|&(depth, id)| (depth, std::cmp::Reverse(id))).map(|(_, id)| id)
 }
 
-/// Canary rollout policy shared by both drivers.
+/// Canary rollout policy of the virtual-time fleet
+/// ([`crate::fleet::SimCanary`]).
 #[derive(Clone, Copy, Debug)]
 pub struct CanaryGate {
     /// Fraction of admitted traffic routed to the canary replica.

@@ -274,19 +274,9 @@ impl ModelRegistry {
         std::mem::replace(&mut *self.active.write().unwrap(), Arc::new(model))
     }
 
-    /// Atomically publishes an already-shared snapshot, returning the
-    /// previous one. This is the canary-promotion path: the candidate has
-    /// been serving live traffic on a canary replica (so it is already
-    /// behind an `Arc`), and promotion moves that exact snapshot to the
-    /// whole fleet without reloading or copying the network.
-    pub fn publish(&self, model: Arc<ServingModel>) -> Arc<ServingModel> {
-        std::mem::replace(&mut *self.active.write().unwrap(), model)
-    }
-
-    /// Charges one rollout failure (e.g. a canary auto-rollback) against
-    /// the swap circuit breaker: the counter advances and the breaker
-    /// opens at the threshold. Rejected guarded swaps charge it through
-    /// this same path.
+    /// Charges one rollout failure against the swap circuit breaker: the
+    /// counter advances and the breaker opens at the threshold. Rejected
+    /// guarded swaps charge it through this path.
     /// Returns `true` when the breaker is open after the charge. A
     /// rollout failure consumes no swap-attempt ordinal — nothing was
     /// loaded.
@@ -302,13 +292,6 @@ impl ModelRegistry {
             tr.instant(u64::MAX, scidl_trace::EventKind::Breaker { open: true, failures });
         }
         after.open
-    }
-
-    /// Records a healthy rollout (e.g. a promoted canary): fully clears
-    /// the consecutive-failure count, mirroring a successful guarded
-    /// swap.
-    pub fn record_rollout_success(&self) {
-        self.breaker.lock().unwrap().succeed();
     }
 
     /// Validate-before-publish hot-swap under the circuit breaker.
@@ -891,25 +874,15 @@ mod tests {
         assert_eq!(argmax_disagreement(&a, &b), 0.5);
     }
 
-    /// Fleet hooks: `publish` moves a shared snapshot in atomically, and
-    /// rollout failures charge the same breaker as rejected swaps.
+    /// Rollout failures charge the same breaker as rejected swaps.
     #[test]
     fn publish_and_rollout_hooks_drive_the_breaker() {
         let mut rng = TensorRng::new(82);
         let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rng), 1, 0))
             .with_breaker_threshold(2);
-        let mut rng2 = TensorRng::new(83);
-        let candidate = Arc::new(ServingModel::new(hep_small(&mut rng2), 5, 0));
-
-        let old = reg.publish(Arc::clone(&candidate));
-        assert_eq!(old.iteration, 1);
-        assert!(Arc::ptr_eq(&reg.current(), &candidate), "the exact snapshot is published");
 
         assert!(!reg.record_rollout_failure("canary_slo"), "first failure stays closed");
         assert_eq!(reg.consecutive_failures(), 1);
-        reg.record_rollout_success();
-        assert_eq!(reg.consecutive_failures(), 0, "rollout success clears the streak");
-        assert!(!reg.record_rollout_failure("canary_slo"));
         assert!(reg.record_rollout_failure("canary_slo"), "threshold reached: opens");
         assert!(reg.breaker_open());
         reg.reset_breaker();

@@ -1,6 +1,6 @@
 //! Free-standing numerical kernels shared across the stack: stable softmax,
-//! argmax, one-hot encoding and slice-level vector helpers used by the
-//! solvers and communication buffers.
+//! argmax and slice-level vector helpers used by the solvers and
+//! communication buffers.
 
 /// Numerically stable softmax over a contiguous row, in place.
 pub fn softmax_inplace(row: &mut [f32]) {
@@ -32,14 +32,6 @@ pub fn argmax(row: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Writes a one-hot row of length `classes` for label `label` into `out`.
-pub fn one_hot(label: usize, classes: usize, out: &mut [f32]) {
-    assert!(label < classes, "label {label} out of range {classes}");
-    assert_eq!(out.len(), classes);
-    out.iter_mut().for_each(|v| *v = 0.0);
-    out[label] = 1.0;
 }
 
 /// `dst += src` over raw slices (gradient accumulation in comm buffers).
@@ -174,20 +166,6 @@ mod tests {
     fn argmax_ties_to_first() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[5.0]), 0);
-    }
-
-    #[test]
-    fn one_hot_sets_single_bit() {
-        let mut out = vec![9.0; 4];
-        one_hot(2, 4, &mut out);
-        assert_eq!(out, vec![0.0, 0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn one_hot_rejects_bad_label() {
-        let mut out = vec![0.0; 2];
-        one_hot(2, 2, &mut out);
     }
 
     #[test]

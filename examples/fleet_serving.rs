@@ -1,15 +1,17 @@
-//! Fleet-scale serving: a replicated router, a canary rollout, and an
-//! SLO autoscaler — the serving tier one level up from
-//! `inference_serving`.
+//! Fleet-scale serving: a replicated router with replica-loss rerouting,
+//! then an SLO autoscaler and a canary rollout in virtual time — the
+//! serving tier one level up from `inference_serving`.
 //!
 //! Three replicas serve a HEP classifier behind a `Router` with
 //! power-of-two-choices dispatch while a `FaultPlan` (global worker
 //! indices) kills replica 0's only worker mid-batch: the router retires
 //! the dead replica and reroutes its in-flight work to a sibling, so
-//! every request still resolves. A candidate model then rides a canary
-//! replica for a seeded fraction of traffic and is promoted fleet-wide
-//! once its p99 holds up; finally the autoscaler grows the fleet under
-//! a burst and shrinks it back when the traffic stops.
+//! every request still resolves. The fleet's sizing and rollout
+//! decisions are then replayed by `simulate_fleet` on the calibrated KNL
+//! cost model (the path behind `results/serving_fleet.*`): the
+//! autoscaler grows the fleet under a burst and shrinks it when traffic
+//! stops, a healthy candidate model is promoted from its canary replica,
+//! and a regressed one is rolled back while the old model keeps serving.
 //!
 //! ```text
 //! cargo run --release --example fleet_serving
@@ -17,10 +19,13 @@
 
 use scidl_cluster::faults::FaultPlan;
 use scidl_serve::fleet::{
-    AutoscalerConfig, CanaryConfig, CanaryDecision, CanaryGate, DispatchPolicy, FleetConfig,
-    Router, ScalingBand,
+    simulate_fleet, CanaryGate, DispatchPolicy, FleetConfig, FleetSimConfig, Router, ScalingBand,
+    SimAutoscaler, SimCanary,
 };
-use scidl_serve::{BatchPolicy, ModelRegistry, ServingModel, SupervisorConfig};
+use scidl_serve::{
+    BatchPolicy, ModelRegistry, PoissonArrivals, ServiceModel, ServingModel, SimConfig,
+    SupervisorConfig,
+};
 use scidl_tensor::{Shape4, TensorRng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,7 +38,7 @@ fn main() {
         42,
     )));
 
-    // --- a three-replica fleet with a replica-loss chaos plan ----------
+    // --- threads: a three-replica fleet with a replica-loss chaos plan --
     let template = scidl_serve::ServerConfig {
         workers: 1,
         queue_capacity: 64,
@@ -46,14 +51,9 @@ fn main() {
     let mut cfg = FleetConfig::new(3, template, DispatchPolicy::PowerOfTwoChoices);
     cfg.seed = 4242;
     cfg.reroute_budget = 2;
-    cfg.autoscaler = AutoscalerConfig {
-        band: ScalingBand { min_replicas: 1, max_replicas: 4, ..Default::default() },
-        replica_rate: 1.0, // tiny: any burst demands the ceiling
-        ..Default::default()
-    };
     // Global worker indices: worker 0 IS replica 0 (one worker each).
     cfg.faults = FaultPlan::none().with_worker_crash(0, 1, 1e6);
-    let router = Router::start(Arc::clone(&registry), cfg);
+    let router = Router::start(registry, cfg);
 
     let mut xr = TensorRng::new(3);
     let mut probe = move || xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
@@ -75,48 +75,60 @@ fn main() {
         "served {served}/48 requests across {} surviving replicas (replica 0 was killed mid-run)",
         router.live_replicas()
     );
-
-    // --- canary rollout: candidate rides 40% of traffic ----------------
-    let mut rng2 = TensorRng::new(43);
-    let candidate = ServingModel::new(scidl_nn::arch::hep_small(&mut rng2), 2000, 43);
-    let ccfg = CanaryConfig {
-        gate: CanaryGate { fraction: 0.4, regression_tol: 1.0 },
-        min_samples: 8,
-    };
-    router
-        .begin_canary(candidate, ccfg, FaultPlan::none())
-        .expect("breaker closed: canary may start");
-    let mut decision = CanaryDecision::Pending;
-    for _ in 0..300 {
-        router.infer(probe()).expect("fleet keeps serving during the rollout");
-        decision = router.resolve_canary();
-        if decision != CanaryDecision::Pending {
-            break;
-        }
-    }
-    assert_eq!(decision, CanaryDecision::Promoted, "a healthy candidate promotes");
-    assert_eq!(registry.current().iteration, 2000);
-    println!("canary promoted: fleet now serves iteration 2000 (zero downtime)");
-
-    // --- autoscaler: burst grows the fleet, quiet shrinks it -----------
-    for _ in 0..2 {
-        for _ in 0..20 {
-            router.infer(probe()).expect("burst traffic");
-        }
-        println!("burst tick: fleet sized to {} replicas", router.autoscale_tick());
-    }
-    for _ in 0..4 {
-        router.autoscale_tick();
-    }
-    println!("quiet ticks: fleet converged to {} replica(s)", router.live_replicas());
-
     let (recorder, report) = router.shutdown_with_report();
     println!(
-        "fleet report: {} routed, {} rerouted, {} replica(s) lost, {} scale-ups, {} scale-downs",
-        report.routed, report.rerouted, report.replicas_lost, report.scale_ups, report.scale_downs
+        "fleet report: {} routed, {} rerouted, {} replica(s) lost",
+        report.routed, report.rerouted, report.replicas_lost
     );
     let p99 = recorder.total_summary().expect("requests served").p99;
     println!("fleet p99: {:.2} ms over {} served requests", p99 * 1e3, recorder.len());
-    assert!(report.canary_promoted);
     assert!(report.servers.panics >= 1, "the injected replica loss fired");
+
+    // --- virtual time: autoscaler and canary on the KNL cost model ------
+    let model = ServiceModel::hep();
+    let base = SimConfig::new(2, 512, BatchPolicy::dynamic(8, Duration::from_millis(5)));
+    let per_rep = base.workers as f64 * model.saturated_rate(base.policy.max_batch);
+    // A burst at three replicas' worth of load, then a quiet tail.
+    let mut arrivals: Vec<f64> = PoissonArrivals::new(7, 3.0 * per_rep, 2000).collect();
+    let burst_end = *arrivals.last().unwrap();
+    arrivals.extend((0..40).map(|i| burst_end + 0.5 + i as f64 * 0.5));
+    let band = ScalingBand { min_replicas: 1, max_replicas: 6, scale_down_backlog: 4, ..Default::default() };
+    let run = |service_factor: f64| {
+        let mut cfg = FleetSimConfig::new(1, base.clone(), DispatchPolicy::LeastLoaded);
+        cfg.seed = 4242;
+        cfg.base.breaker_threshold = 1;
+        cfg.autoscaler = Some(SimAutoscaler { band, tick_secs: 0.2, startup_secs: 0.02 });
+        cfg.canary = Some(SimCanary {
+            gate: CanaryGate { fraction: 0.2, regression_tol: 0.25 },
+            start_secs: burst_end * 0.1,
+            decide_secs: burst_end * 0.9,
+            service_factor,
+            candidate_iteration: 2000,
+        });
+        simulate_fleet(&model, &arrivals, &cfg)
+    };
+
+    let good = run(1.0);
+    println!(
+        "autoscaler: {} scale-ups under the burst, {} scale-downs in the quiet, final {} replica(s)",
+        good.scale_ups, good.scale_downs, good.final_replicas
+    );
+    assert!(good.scale_ups >= 1, "the burst grows the fleet");
+    assert!(good.scale_downs >= 1, "the quiet tail shrinks it");
+    assert!((band.min_replicas..=band.max_replicas).contains(&good.final_replicas));
+    assert!(good.canary_promoted && good.canary_served > 0);
+    assert_eq!(good.final_iteration, 2000, "promotion publishes the candidate");
+    println!(
+        "canary: healthy candidate served {} requests, promoted; fleet serves iteration {}",
+        good.canary_served, good.final_iteration
+    );
+
+    let bad = run(8.0);
+    assert!(bad.canary_rolled_back && !bad.canary_promoted);
+    assert!(bad.breaker_opened, "the rollback charges the breaker");
+    assert_eq!(bad.final_iteration, 0, "the old model keeps serving");
+    println!(
+        "canary: 8x-slower candidate rolled back after {} requests; breaker open, old model serving",
+        bad.canary_served
+    );
 }

@@ -5,10 +5,9 @@
 //! * exactly-once terminal outcomes fleet-wide under replica-crash
 //!   chaos — a replica that loses its pool is retired and its work
 //!   rerouted to a sibling, never dropped or answered twice,
-//! * a canary rollback on an injected SLO regression leaves the old
-//!   model serving (and charges the registry's circuit breaker),
-//! * the autoscaler converges the replica count within its configured
-//!   band,
+//! * a simulated canary rollback on an injected SLO regression leaves
+//!   the old model serving (and charges the circuit breaker) while the
+//!   autoscaler keeps the replica count within its configured band,
 //! * a seeded fleet simulation replays bit-identically,
 //! * a one-replica fleet simulation and `simulate` are the same replica
 //!   (field-for-field equal outcomes), and both reproduce the outcome
@@ -17,8 +16,8 @@
 
 use scidl_cluster::faults::FaultPlan;
 use scidl_serve::fleet::{
-    simulate_fleet, AutoscalerConfig, CanaryConfig, CanaryDecision, CanaryGate, DispatchPolicy,
-    FleetConfig, FleetSimConfig, PriorityAdmission, ScalingBand, SimAutoscaler, SimCanary,
+    simulate_fleet, CanaryGate, DispatchPolicy, FleetConfig, FleetSimConfig, PriorityAdmission,
+    ScalingBand, SimAutoscaler, SimCanary,
 };
 use scidl_serve::queue::BatchPolicy;
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig, SimOutcome};
@@ -174,115 +173,9 @@ fn fleet_sim_same_plan_reroutes_and_replays_bit_identically() {
     assert_eq!(out.replica_seconds.to_bits(), again.replica_seconds.to_bits());
 }
 
-/// Threaded canary rollback: the candidate replica carries a 30×
-/// straggler plan (the injected SLO regression); the decision must be a
-/// rollback that leaves the old model serving and charges the breaker.
-#[test]
-fn threaded_canary_rolls_back_slo_regression_and_old_model_keeps_serving() {
-    let reg = registry(32, 1);
-    let template = ServerConfig {
-        workers: 1,
-        queue_capacity: 64,
-        policy: BatchPolicy::dynamic(4, Duration::from_millis(1)),
-        ..Default::default()
-    };
-    let mut cfg = FleetConfig::new(2, template, DispatchPolicy::LeastLoaded);
-    cfg.seed = SEED;
-    let router = scidl_serve::Router::start(Arc::clone(&reg), cfg);
-
-    let mut rng = TensorRng::new(33);
-    let candidate = ServingModel::new(scidl_nn::arch::hep_small(&mut rng), 777, 33);
-    let ccfg = CanaryConfig {
-        gate: CanaryGate { fraction: 0.5, regression_tol: 0.5 },
-        min_samples: 5,
-    };
-    let slow = FaultPlan::none().with_slow_worker(0, 0, u64::MAX, 30.0);
-    router.begin_canary(candidate, ccfg, slow).expect("canary must start");
-
-    let mut decision = CanaryDecision::Pending;
-    for i in 0..300u64 {
-        router.infer(probe(400 + i)).expect("infer must succeed");
-        decision = router.resolve_canary();
-        if decision != CanaryDecision::Pending {
-            break;
-        }
-    }
-    assert_eq!(decision, CanaryDecision::RolledBack, "the regression must roll back");
-    assert_eq!(
-        reg.current().iteration,
-        1,
-        "rollback must leave the old model serving"
-    );
-    assert_eq!(
-        reg.consecutive_failures(),
-        1,
-        "the rollout failure must charge the breaker streak"
-    );
-    // The fleet keeps answering with the old model after the rollback.
-    let r = router.infer(probe(900)).expect("fleet must keep serving");
-    assert_eq!(r.model_iteration, 1);
-    let (_, report) = router.shutdown_with_report();
-    assert!(report.canary_rolled_back);
-    assert!(!report.canary_promoted);
-}
-
-/// Threaded autoscaler: a burst forces scale-up ticks, a quiet spell
-/// shrinks back; the live count stays within the configured band
-/// throughout and converges to `min_replicas` when idle.
-#[test]
-fn threaded_autoscaler_converges_within_band() {
-    let reg = registry(34, 1);
-    let template = ServerConfig {
-        workers: 1,
-        queue_capacity: 64,
-        policy: BatchPolicy::dynamic(8, Duration::from_millis(1)),
-        ..Default::default()
-    };
-    let mut cfg = FleetConfig::new(1, template, DispatchPolicy::LeastLoaded);
-    cfg.seed = SEED;
-    cfg.autoscaler = AutoscalerConfig {
-        band: ScalingBand {
-            min_replicas: 1,
-            max_replicas: 3,
-            target_util: 0.7,
-            scale_down_backlog: 4,
-        },
-        slo_p99_secs: 10.0,
-        // Tiny sustainable rate: any real burst demands the max size.
-        replica_rate: 1.0,
-    };
-    let router = scidl_serve::Router::start(reg, cfg);
-
-    // Burst ticks: each sees a high observed rate and grows by one.
-    for tick in 0..3 {
-        for i in 0..20u64 {
-            router.infer(probe(1000 + tick * 32 + i)).expect("infer must succeed");
-        }
-        let live = router.autoscale_tick();
-        assert!(
-            (1..=3).contains(&live),
-            "live replicas {live} left the [1, 3] band during the burst"
-        );
-    }
-    assert_eq!(router.live_replicas(), 3, "the burst must reach the band's ceiling");
-
-    // Quiet ticks: zero observed rate shrinks one step at a time back
-    // to the floor, never below it.
-    for _ in 0..5 {
-        let live = router.autoscale_tick();
-        assert!((1..=3).contains(&live), "scale-down must stay within the band");
-    }
-    assert_eq!(router.live_replicas(), 1, "idle fleet must converge to min_replicas");
-
-    let (_, report) = router.shutdown_with_report();
-    assert!(report.scale_ups >= 2, "burst must scale up: {report:?}");
-    assert!(report.scale_downs >= 2, "quiet spell must scale down: {report:?}");
-    assert_eq!(report.final_replicas, 1);
-}
-
-/// Virtual-time mirror of the rollback + autoscaler semantics, with the
-/// canary and autoscaler active in the same seeded run — and the whole
-/// composite still replays bit-identically.
+/// Canary rollback and autoscaler band in virtual time, both active in
+/// the same seeded run — and the whole composite replays
+/// bit-identically.
 #[test]
 fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     let model = ServiceModel::hep();

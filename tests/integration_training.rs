@@ -233,27 +233,6 @@ fn flat_params_transfer_between_training_and_evaluation() {
     assert!(acc > 0.35, "accuracy suspiciously low: {acc}");
 }
 
-/// Sec. IX claims the hybrid results extend to ResNets: the generic
-/// engine trains a residual network end to end.
-#[test]
-fn hybrid_engine_trains_resnet() {
-    use scidl_nn::residual::resnet_small;
-    let ds = HepDataset::generate(HepConfig::small(), 96, 41);
-    let mut cfg = SimEngineConfig::fig8(8, 2, 16, hep_workload());
-    cfg.iterations = 10;
-    cfg.lr = 2e-3;
-    let mut rng = TensorRng::new(41);
-    let mut model = resnet_small(3, 2, &mut rng);
-    let run = SimEngine::run(&cfg, &mut model, &ds);
-    assert_eq!(run.updates, 20);
-    assert!(run.mean_staleness > 0.0);
-    assert!(run.final_params.iter().all(|p| p.is_finite()));
-    let pts = &run.curve.points;
-    let head: f32 = pts[..4].iter().map(|p| p.1).sum::<f32>() / 4.0;
-    let tail: f32 = pts[pts.len() - 4..].iter().map(|p| p.1).sum::<f32>() / 4.0;
-    assert!(tail < head * 1.1, "resnet loss should not blow up: {head} -> {tail}");
-}
-
 /// Gradient staleness grows with group count in the simulated engine.
 #[test]
 fn staleness_scales_with_group_count() {
