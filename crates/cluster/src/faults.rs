@@ -81,10 +81,10 @@ pub struct MessageDelay {
 }
 
 /// A serving worker dying mid-batch: whichever slot dispatches the
-/// scheduled batch of its replica — counted alike by the threaded server
-/// and the serving simulator, in any schedule — so the slot is an output
-/// (the `worker_respawn` span names it). The threaded server's
-/// supervisor catches the panic, re-queues the worker's in-flight
+/// scheduled batch of its replica — counted by one per-replica schedule
+/// both the threaded server and the serving simulator consult — so the
+/// slot is an output (the `worker_respawn` span names it). The threaded
+/// server's supervisor catches the panic, re-queues the worker's in-flight
 /// requests and respawns the slot with exponential backoff; the
 /// virtual-time serving simulator charges `respawn_secs` before the slot
 /// takes batches again.
@@ -104,12 +104,14 @@ pub struct WorkerCrash {
 
 /// A serving worker running slow for a window of its batches (thermal
 /// throttling, a noisy neighbour): the serving analogue of
-/// [`Straggler`].
+/// [`Straggler`]. The window counts the batches the slot has served,
+/// across respawns and heartbeat replacements; a dispatch that crashed
+/// served nothing and does not count.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SlowWorker {
     /// Which serving worker slot is slow.
     pub worker: usize,
-    /// First affected batch of that worker (inclusive).
+    /// First affected served batch of that slot (inclusive).
     pub from_batch: u64,
     /// Last affected batch (exclusive).
     pub to_batch: u64,

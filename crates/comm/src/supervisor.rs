@@ -18,9 +18,9 @@
 //!
 //! Recovery semantics:
 //! - **Parameters** are restored from the last snapshot. Snapshots ride
-//!   on successful replies (every reply already carries the full shard),
-//!   so with `snapshot_every = 1` the snapshot is at most one update old
-//!   per client and snapshotting adds zero extra traffic.
+//!   on every successful reply (every reply already carries the full
+//!   shard), so the snapshot is at most one update old per client and
+//!   snapshotting adds zero extra traffic.
 //! - **Versions** stay monotonic: the respawned server continues from the
 //!   snapshot's version, so staleness accounting survives a failover.
 //! - **Updates that were in flight when the server died are lost** —
@@ -59,18 +59,17 @@ const FETCH: &str = "supervised PS fetch";
 /// needs a factory to build a fresh one after a crash.
 pub type UpdateFactory = Box<dyn Fn() -> UpdateFn + Send + Sync>;
 
+/// How long to wait for a reply before declaring the server hung.
+const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+/// Backoff before retry k is `BACKOFF_BASE * 2^(k-1)`.
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+
 /// Tuning knobs for a [`SupervisedPs`].
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Refresh the snapshot every N successful operations (1 = always).
-    pub snapshot_every: u64,
-    /// How long to wait for a reply before declaring the server hung.
-    pub reply_timeout: Duration,
     /// Total attempts per operation (first try + retries, each retry
     /// preceded by a respawn when the server is dead).
     pub max_retries: u32,
-    /// Backoff before retry k is `backoff_base * 2^(k-1)`.
-    pub backoff_base: Duration,
     /// Fault injection: crash the server after this many successful
     /// operations (once). `None` disables injection.
     pub inject_crash_after: Option<u64>,
@@ -79,10 +78,7 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         Self {
-            snapshot_every: 1,
-            reply_timeout: Duration::from_secs(5),
             max_retries: 3,
-            backoff_base: Duration::from_millis(1),
             inject_crash_after: None,
         }
     }
@@ -93,8 +89,7 @@ struct Inner {
     /// Last shard state seen in a reply (the failover image).
     snapshot: Vec<f32>,
     snapshot_version: u64,
-    /// Successful operations since spawn (drives snapshot cadence and
-    /// crash injection).
+    /// Successful operations since spawn (drives crash injection).
     successes: u64,
     /// Bumped on every respawn; lets a client that observed a failure
     /// tell whether someone else already replaced the server.
@@ -156,14 +151,12 @@ impl SupervisedPs {
         self.inner.lock().server.crash();
     }
 
-    /// Records a successful reply: refresh the snapshot in place
-    /// (respecting the cadence; a late reply from an older incarnation
-    /// never rolls it back) and fire scheduled crash injection.
+    /// Records a successful reply: refresh the snapshot in place (a
+    /// late reply from an older incarnation never rolls it back) and
+    /// fire scheduled crash injection.
     fn on_success(inner: &mut Inner, cfg: &SupervisorConfig, reply: &PsReply) {
         inner.successes += 1;
-        if reply.version >= inner.snapshot_version
-            && inner.successes.is_multiple_of(cfg.snapshot_every)
-        {
+        if reply.version >= inner.snapshot_version {
             inner.snapshot.copy_from_slice(&reply.params);
             inner.snapshot_version = reply.version;
         }
@@ -228,11 +221,11 @@ impl SupervisedPs {
     fn collect(&self, posted: Posted) -> Result<PsReply, (CommError, u64)> {
         let (rx, generation) = posted;
         let rx = rx.map_err(|e| (e, generation))?;
-        rx.recv_timeout(self.cfg.reply_timeout).map_err(|e| {
+        rx.recv_timeout(REPLY_TIMEOUT).map_err(|e| {
             let err = match e {
                 RecvTimeoutError::Timeout => CommError::Timeout {
                     context: "supervised PS reply",
-                    waited: self.cfg.reply_timeout,
+                    waited: REPLY_TIMEOUT,
                 },
                 RecvTimeoutError::Disconnected => {
                     CommError::ChannelClosed { context: "supervised PS reply" }
@@ -256,7 +249,7 @@ impl SupervisedPs {
                 }
                 Err((_err, generation)) if attempts < self.cfg.max_retries => {
                     self.respawn(generation);
-                    let backoff = self.cfg.backoff_base * 2u32.saturating_pow(attempts - 1);
+                    let backoff = BACKOFF_BASE * 2u32.saturating_pow(attempts - 1);
                     std::thread::sleep(backoff);
                     posted = self.post(op);
                 }
@@ -405,8 +398,8 @@ mod tests {
         }
         assert!(ps.respawns() >= 1, "crash injection never fired a failover");
         let f = ps.fetch().unwrap();
-        // At most one in-flight update may be lost per crash; with
-        // snapshot_every=1 and a single client nothing is lost here.
+        // At most one in-flight update may be lost per crash; with a
+        // snapshot on every reply and a single client nothing is lost here.
         assert!(f.params[0] >= 19.0, "lost more than one update: {}", f.params[0]);
     }
 
@@ -482,11 +475,7 @@ mod tests {
         // exits before it can answer, every respawn dies the same way,
         // and each update runs out of retries — whatever the scheduler
         // does, since nothing races the update.
-        let cfg = SupervisorConfig {
-            max_retries: 2,
-            backoff_base: Duration::from_micros(100),
-            ..Default::default()
-        };
+        let cfg = SupervisorConfig { max_retries: 2, ..Default::default() };
         let dying: UpdateFactory =
             Box::new(|| Box::new(|_: &mut [f32], _: &[f32]| panic!("server dies on update")));
         let ps = SupervisedPs::spawn(vec![0.0], dying, cfg);

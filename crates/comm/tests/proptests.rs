@@ -139,11 +139,9 @@ proptest! {
         crash_after in 1u64..20,
     ) {
         use scidl_comm::{SupervisedPs, SupervisorConfig, UpdateFactory};
-        use std::time::Duration;
         let make: UpdateFactory =
             Box::new(|| Box::new(|p: &mut [f32], g: &[f32]| p[0] -= g[0]) as UpdateFn);
         let cfg = SupervisorConfig {
-            reply_timeout: Duration::from_secs(5),
             inject_crash_after: Some(crash_after),
             ..SupervisorConfig::default()
         };

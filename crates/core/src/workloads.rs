@@ -8,13 +8,18 @@ use scidl_nn::arch::{self, ClimateNet};
 use scidl_nn::network::{Model, Network};
 use scidl_tensor::{Shape4, TensorRng};
 
-/// Builds a per-layer cost table from a network at the given input shape.
-fn layer_costs(net: &Network, input: Shape4) -> Vec<LayerCost> {
+/// Builds a per-layer cost table from a network at the given input
+/// shape — the one name-based rate classification of both training
+/// (`backward`: forward plus backward FLOPs, two passes of activation
+/// traffic) and serving (forward-only FLOPs, one pass).
+pub fn layer_costs(net: &Network, input: Shape4, backward: bool) -> Vec<LayerCost> {
+    let passes = if backward { 2 } else { 1 };
     let mut s = input.with_n(1);
     let mut out = Vec::with_capacity(net.layers().len());
     for l in net.layers() {
         let name = l.name().to_string();
-        let train = l.forward_flops_per_image(s) + l.backward_flops_per_image(s);
+        let bwd = if backward { l.backward_flops_per_image(s) } else { 0 };
+        let flops = l.forward_flops_per_image(s) + bwd;
         let os = l.out_shape(s);
         // Classify by name/behaviour: convolutions and deconvolutions are
         // GEMM-bound; dense layers here are tiny; everything else
@@ -26,7 +31,7 @@ fn layer_costs(net: &Network, input: Shape4) -> Vec<LayerCost> {
             // *output* channels.
             RateClass::Conv { cin: os.c }
         } else if name.starts_with("fc") {
-            if train > 100_000_000 {
+            if flops > 100_000_000 {
                 // A large dense layer is GEMM-bound like a deep conv
                 // (only counterfactual architectures hit this arm).
                 RateClass::Conv { cin: 256 }
@@ -34,11 +39,11 @@ fn layer_costs(net: &Network, input: Shape4) -> Vec<LayerCost> {
                 RateClass::DenseSmall
             }
         } else {
-            // Forward touches in+out activations, backward the same again.
-            let bytes = 4 * (s.item_len() + os.item_len()) * 2;
+            // Each pass touches in+out activations once.
+            let bytes = 4 * (s.item_len() + os.item_len()) * passes;
             RateClass::MemoryBound { bytes_per_image: bytes as u64 }
         };
-        out.push(LayerCost { name, train_flops_per_image: train, class });
+        out.push(LayerCost { name, train_flops_per_image: flops, class });
         s = os;
     }
     out
@@ -58,7 +63,7 @@ pub fn workload_for_network(
     let params = net.num_params() as u64;
     Workload {
         name: name.into(),
-        layers: layer_costs(net, input),
+        layers: layer_costs(net, input, true),
         params,
         model_bytes: 4 * params,
         image_bytes: (input.item_len() * 4) as u64,
@@ -79,7 +84,7 @@ pub fn hep_workload() -> Workload {
     let params = net.num_params() as u64;
     Workload {
         name: "hep".into(),
-        layers: layer_costs(&net, input),
+        layers: layer_costs(&net, input, true),
         params,
         model_bytes: 4 * params,
         image_bytes: (input.item_len() * 4) as u64,
@@ -101,7 +106,7 @@ pub fn climate_workload() -> Workload {
     let input = arch::CLIMATE_INPUT;
     let feat = net.encoder.out_shape(input.with_n(1));
 
-    let mut layers = layer_costs(&net.encoder, input);
+    let mut layers = layer_costs(&net.encoder, input, true);
     // Scoring heads (small convs on the 24x24 feature grid).
     for (name, cout) in [("head_conf", 1usize), ("head_class", arch::CLIMATE_CLASSES), ("head_bbox", 4)] {
         let macs = (cout * feat.c * 9 * feat.h * feat.w) as u64;
@@ -111,7 +116,7 @@ pub fn climate_workload() -> Workload {
             class: RateClass::Conv { cin: feat.c },
         });
     }
-    layers.extend(layer_costs(&net.decoder, feat));
+    layers.extend(layer_costs(&net.decoder, feat, true));
 
     let params = net.num_params() as u64;
     Workload {

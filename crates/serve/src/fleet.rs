@@ -497,7 +497,7 @@ struct FleetSim<'a> {
 impl FleetSim<'_> {
     fn spawn(&mut self, born: f64, ready: f64, canary: bool, factor: f64) -> usize {
         let id = self.reps.len();
-        self.reps.push(Replica::new(id, self.cfg.base.workers, born, ready, canary, factor));
+        self.reps.push(Replica::new(&self.core, id, born, ready, canary, factor));
         id
     }
 
@@ -615,8 +615,7 @@ impl FleetSim<'_> {
         self.arrivals_since_tick = 0;
         let per_rep = base.workers as f64 * self.core.model.saturated_rate(base.policy.max_batch);
         let (live, backlog) = self.load();
-        // No latency window in virtual time: the SLO never reads as breached.
-        let desired = a.band.desired_replicas(rate, per_rep, false, live);
+        let desired = a.band.desired_replicas(rate, per_rep);
         match a.band.step(desired, live, backlog) {
             ScaleStep::Up => {
                 let id = self.spawn(et, et + a.startup_secs, false, 1.0);
@@ -645,7 +644,7 @@ impl FleetSim<'_> {
         let c = self.cfg.canary.expect("canary decision without config");
         self.core.canary_window = false;
         let Some(ci) = self.reps.iter().position(|r| r.canary) else { return };
-        let pass = c.gate.verdict(&self.core.base_lat, &self.core.canary_lat, 1).unwrap_or(false);
+        let pass = c.gate.verdict(&self.core.base_lat, &self.core.canary_lat);
         if pass {
             // Promote: the candidate serves everywhere from here on.
             self.core.out.final_iteration = c.candidate_iteration;

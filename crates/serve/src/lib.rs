@@ -16,16 +16,20 @@
 //! errors. The crate therefore layers a resilience stack over the
 //! batcher — supervised workers (panic containment, heartbeat-based hang
 //! detection, backoff respawn, in-flight re-queue), deadline-aware
-//! admission control with typed sheds and budgeted client retry, and a
-//! validate-before-publish hot-swap guarded by a circuit breaker — all
+//! admission control with typed sheds that carry a retry-after hint, and
+//! a validate-before-publish hot-swap guarded by a circuit breaker — all
 //! drivable by the same declarative [`FaultPlan`](scidl_cluster::faults::FaultPlan)
-//! chaos schedule in both the threaded server and the virtual-time sim.
+//! chaos schedule in both the threaded server and the virtual-time sim,
+//! which take every crash and straggler decision from one per-replica
+//! dispatch schedule in [`policy`].
 //!
 //! Modules:
 //!
 //! * [`policy`] — the policy core: every serving decision (dispatch,
-//!   admission, retry hint, crash recovery, breaker, autoscaler sizing,
-//!   canary verdict) as a pure function, called by the drivers below,
+//!   admission, retry hint, which dispatch crashes and which batch
+//!   straggles, crash recovery, breaker, autoscaler sizing, canary
+//!   verdict) as a pure function or a clock-free state machine, called
+//!   by the drivers below,
 //! * [`queue`] — bounded MPMC request queue + deadline batch former with
 //!   watermark shedding and expiry ([`BatchPolicy`], [`BatchQueue`]),
 //! * [`registry`] — checkpoint loading with the bit-identical round-trip
@@ -64,8 +68,8 @@ pub use policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, Scalin
 pub use queue::{BatchPolicy, BatchQueue, Popped, SubmitError};
 pub use registry::{check_roundtrip, ModelRegistry, ServingModel, SwapError};
 pub use server::{
-    Client, InferResult, ReplyReceiver, RetryBudget, RetryPolicy, ServeError, Server, ServerConfig,
-    ServerReport, SupervisorConfig,
+    Client, InferResult, ReplyReceiver, ServeError, Server, ServerConfig, ServerReport,
+    SupervisorConfig,
 };
 pub use sim::{simulate, ServiceModel, SimConfig, SimOutcome};
 

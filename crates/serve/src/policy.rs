@@ -11,6 +11,7 @@
 //! drivers, and the table tests below pin the arithmetic once.
 
 use crate::queue::BatchPolicy;
+use scidl_cluster::faults::FaultPlan;
 use scidl_tensor::stats::percentile;
 use std::ops::Add;
 use std::time::Duration;
@@ -196,10 +197,76 @@ pub(crate) fn lapsed<T: PartialOrd>(deadline: Option<T>, now: T) -> bool {
     deadline.is_some_and(|d| d <= now)
 }
 
-/// `base` doubled `doublings` times, capped at `cap`: the backoff of
-/// both client retries and worker respawns.
+/// `base` doubled `doublings` times, capped at `cap`: the backoff of a
+/// worker slot's respawns.
 pub(crate) fn exp_backoff(base: Duration, cap: Duration, doublings: u32) -> Duration {
     base.saturating_mul(1 << doublings.min(16)).min(cap)
+}
+
+/// What one batch dispatch meets under its replica's chaos plan.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Dispatch {
+    /// The dispatching slot's served-batch ordinal: the index its slow
+    /// windows are read at.
+    pub(crate) batch: u64,
+    /// Compute-time multiplier of the batch (`1.0` = healthy).
+    pub(crate) slow: f64,
+    /// `Some(respawn_secs)` when the slot dies holding the batch.
+    pub(crate) crash: Option<f64>,
+}
+
+/// One replica's crash-and-straggler schedule, for either clock: the
+/// replica's dispatch ordinal (which a [`WorkerCrash`] counts), each
+/// crash's fired flag (a respawned slot must not re-crash on the same
+/// event forever) and each slot's count of served batches (which a
+/// [`SlowWorker`] window counts, across respawns and replacements).
+/// `sim::Replica` owns one; a `Server`'s workers share one behind a
+/// mutex.
+///
+/// [`WorkerCrash`]: scidl_cluster::faults::WorkerCrash
+/// [`SlowWorker`]: scidl_cluster::faults::SlowWorker
+#[derive(Debug, PartialEq)]
+pub(crate) struct DispatchSchedule {
+    /// The replica-local plan: its worker indices are slots.
+    plan: FaultPlan,
+    /// Batches dispatched by any slot, crashed ones included.
+    dispatched: u64,
+    /// One flag per crash of `plan`.
+    fired: Vec<bool>,
+    /// Batches each slot served; a crashed dispatch does not count.
+    served: Vec<u64>,
+}
+
+impl DispatchSchedule {
+    /// The schedule of replica `replica` of `workers` slots under `plan`,
+    /// whose worker indices are global (replica `r` owns
+    /// `[r·workers, (r+1)·workers)`; a lone server is replica 0).
+    pub(crate) fn new(plan: &FaultPlan, replica: usize, workers: usize) -> Self {
+        let plan = plan.for_replica(replica, workers);
+        let fired = vec![false; plan.worker_crashes.len()];
+        Self { plan, dispatched: 0, fired, served: vec![0; workers] }
+    }
+
+    /// Decides the replica's next dispatch, by `slot`: the slow factor of
+    /// the slot's next batch and whether the first unfired crash due by
+    /// this ordinal strikes it. Only a dispatch that does not crash
+    /// moves the slot's count.
+    pub(crate) fn dispatch(&mut self, slot: usize) -> Dispatch {
+        let batch = self.served[slot];
+        let slow = self.plan.slow_worker_factor(slot, batch);
+        let ordinal = self.dispatched;
+        self.dispatched += 1;
+        let crash = (self.plan.worker_crashes.iter().zip(&mut self.fired))
+            .find(|(c, fired)| ordinal >= c.after_batches && !**fired)
+            .map(|(c, fired)| {
+                *fired = true;
+                c.respawn_secs
+            });
+        if crash.is_none() {
+            self.served[slot] += 1;
+        }
+        Dispatch { batch, slow, crash }
+    }
 }
 
 /// What happens to a request whose worker died holding it.
@@ -301,19 +368,9 @@ pub(crate) enum ScaleStep {
 
 impl ScalingBand {
     /// Band-clamped fleet size for arrival `rate` (req/s) against
-    /// `replica_rate` (req/s one replica sustains). `slo_breached`
-    /// forces at least one step up from `live`.
-    pub(crate) fn desired_replicas(
-        &self,
-        rate: f64,
-        replica_rate: f64,
-        slo_breached: bool,
-        live: usize,
-    ) -> usize {
-        let mut desired = ((rate / (replica_rate * self.target_util)).ceil() as usize).max(1);
-        if slo_breached {
-            desired = desired.max(live + 1);
-        }
+    /// `replica_rate` (req/s one replica sustains).
+    pub(crate) fn desired_replicas(&self, rate: f64, replica_rate: f64) -> usize {
+        let desired = ((rate / (replica_rate * self.target_util)).ceil() as usize).max(1);
         desired.clamp(self.min_replicas, self.max_replicas)
     }
 
@@ -356,14 +413,12 @@ impl Default for CanaryGate {
 }
 
 impl CanaryGate {
-    /// The promote (`Some(true)`) / roll back (`Some(false)`) verdict
-    /// from the two arms' served latencies, or `None` while either arm
-    /// has fewer than `min_samples ≥ 1`.
-    pub(crate) fn verdict(&self, base: &[f64], canary: &[f64], min_samples: usize) -> Option<bool> {
-        if base.len().min(canary.len()) < min_samples.max(1) {
-            return None;
-        }
-        Some(percentile(canary, 0.99) <= percentile(base, 0.99) * (1.0 + self.regression_tol))
+    /// Whether to promote, from the two arms' served latencies: an arm
+    /// that served nothing rolls the canary back.
+    pub(crate) fn verdict(&self, base: &[f64], canary: &[f64]) -> bool {
+        !base.is_empty()
+            && !canary.is_empty()
+            && percentile(canary, 0.99) <= percentile(base, 0.99) * (1.0 + self.regression_tol)
     }
 }
 
@@ -477,6 +532,56 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_schedule_table() {
+        let d = |batch, slow, crash| Dispatch { batch, slow, crash };
+        let run = |mut s: DispatchSchedule, slots: &[usize]| {
+            slots.iter().map(|&slot| s.dispatch(slot)).collect::<Vec<_>>()
+        };
+        // Crash at replica ordinal 2, slot 0 slow over its served batches
+        // [2, 3): the crashed dispatch does not count, so the respawned
+        // slot's first batch is still slot batch 2, the 3rd served.
+        let plan = FaultPlan::none().with_worker_crash(0, 2, 0.5).with_slow_worker(0, 2, 3, 40.0);
+        assert_eq!(run(DispatchSchedule::new(&plan, 0, 1), &[0; 5]), [
+            d(0, 1.0, None),
+            d(1, 1.0, None),
+            d(2, 40.0, Some(0.5)),
+            d(2, 40.0, None),
+            d(3, 1.0, None),
+        ]);
+        // A heartbeat replacement dispatches on the stuck batch's slot and
+        // continues its count: the stuck batch is slot batch 1, the
+        // replacement's first is slot batch 2 and healthy.
+        let plan = FaultPlan::none().with_slow_worker(0, 1, 2, 3000.0);
+        assert_eq!(run(DispatchSchedule::new(&plan, 0, 1), &[0; 3]), [
+            d(0, 1.0, None),
+            d(1, 3000.0, None),
+            d(2, 1.0, None),
+        ]);
+        // Two crashes due at ordinal 0 fire on consecutive dispatches, in
+        // plan order, each once.
+        let plan = FaultPlan::none().with_worker_crash(0, 0, 0.1).with_worker_crash(0, 0, 0.2);
+        assert_eq!(run(DispatchSchedule::new(&plan, 0, 1), &[0; 3]), [
+            d(0, 1.0, Some(0.1)),
+            d(0, 1.0, Some(0.2)),
+            d(0, 1.0, None),
+        ]);
+        // Global worker indices: replica 1 of 2 slots owns workers 2 and 3;
+        // the crash counts the replica's dispatches, the slow window the
+        // slot's, and worker 0's window belongs to replica 0.
+        let plan = FaultPlan::none()
+            .with_worker_crash(3, 1, 0.0)
+            .with_slow_worker(2, 0, 2, 3.0)
+            .with_slow_worker(0, 0, 9, 7.0);
+        assert_eq!(run(DispatchSchedule::new(&plan, 1, 2), &[0, 1, 0, 1, 0]), [
+            d(0, 3.0, None),
+            d(0, 1.0, Some(0.0)),
+            d(1, 3.0, None),
+            d(0, 1.0, None),
+            d(2, 1.0, None),
+        ]);
+    }
+
+    #[test]
     fn breaker_threshold_reset_and_success() {
         let mut b = Breaker::default();
         assert!(!b.fail(3) && !b.fail(3) && !b.open);
@@ -502,20 +607,11 @@ mod tests {
     fn autoscaler_table() {
         let band = ScalingBand { min_replicas: 1, max_replicas: 4, target_util: 0.5, scale_down_backlog: 2 };
         // replica_rate 100 at 50 % target: 50 req/s per replica.
-        for (rate, breached, live, want) in [
-            (0.0, false, 2, 1),
-            (50.0, false, 1, 1),
-            (50.1, false, 1, 2),
-            (149.0, false, 1, 3),
-            (1e6, false, 1, 4),
-            (0.0, true, 2, 3),
-            (0.0, true, 4, 4),
-            (120.0, true, 1, 3),
-        ] {
-            assert_eq!(band.desired_replicas(rate, 100.0, breached, live), want, "rate {rate}");
+        for (rate, want) in [(0.0, 1), (50.0, 1), (50.1, 2), (149.0, 3), (1e6, 4)] {
+            assert_eq!(band.desired_replicas(rate, 100.0), want, "rate {rate}");
         }
         let floor = ScalingBand { min_replicas: 2, ..band };
-        assert_eq!(floor.desired_replicas(0.0, 100.0, false, 3), 2);
+        assert_eq!(floor.desired_replicas(0.0, 100.0), 2);
         for (desired, live, backlog, want) in [
             (3, 2, 0, ScaleStep::Up),
             (2, 2, 0, ScaleStep::Hold),
@@ -535,12 +631,10 @@ mod tests {
     fn canary_verdict_table() {
         let gate = CanaryGate { fraction: 0.2, regression_tol: 0.25 };
         let base = [1.0; 10];
-        assert_eq!(gate.verdict(&base, &[1.25; 10], 5), Some(true));
-        assert_eq!(gate.verdict(&base, &[1.26; 10], 5), Some(false));
-        assert_eq!(gate.verdict(&base, &[1.0; 4], 5), None, "canary arm short");
-        assert_eq!(gate.verdict(&base[..4], &[1.0; 10], 5), None, "base arm short");
-        assert_eq!(gate.verdict(&base, &[], 1), None);
-        assert_eq!(gate.verdict(&[], &[], 0), None, "an empty arm never decides");
-        assert_eq!(gate.verdict(&base[..1], &[9.0], 1), Some(false));
+        assert!(gate.verdict(&base, &[1.25; 10]));
+        assert!(!gate.verdict(&base, &[1.26; 10]));
+        assert!(!gate.verdict(&base, &[]), "an empty arm rolls back");
+        assert!(!gate.verdict(&[], &[1.0]), "an empty arm rolls back");
+        assert!(!gate.verdict(&base[..1], &[9.0]));
     }
 }

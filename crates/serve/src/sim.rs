@@ -32,7 +32,9 @@
 //! And the resilience semantics, driven by the *same*
 //! [`FaultPlan`](scidl_cluster::faults::FaultPlan) the threaded server
 //! consumes (worker indices are global: replica `r` owns workers
-//! `[r·w, (r+1)·w)`):
+//! `[r·w, (r+1)·w)`), through the same per-replica
+//! `policy::DispatchSchedule` that decides the threaded server's crashes
+//! and stragglers:
 //!
 //! * a [`WorkerCrash`](scidl_cluster::faults::WorkerCrash) kills the slot
 //!   dispatching the scheduled batch, halfway through it; each of the
@@ -41,18 +43,22 @@
 //!   `policy::Recovery` decides, and the slot returns `respawn_secs`
 //!   later,
 //! * a [`SlowWorker`](scidl_cluster::faults::SlowWorker) stretches the
-//!   slot's service times by its factor over its batch window,
+//!   slot's service times by its factor over its window of the slot's
+//!   served batches,
 //! * scheduled hot-swap attempts ([`SimConfig::swap_schedule`]) replay
 //!   the registry's validate-before-publish circuit breaker
 //!   (`policy::Breaker`): attempts the plan marks corrupt are
 //!   rejected, consecutive rejections open the breaker, and an open
 //!   breaker fails attempts fast.
 
-use crate::policy::{batch_trigger, effective_watermark, lapsed, Breaker, Recovery};
+use crate::policy::{
+    batch_trigger, effective_watermark, lapsed, Breaker, DispatchSchedule, Recovery,
+};
 use crate::queue::BatchPolicy;
 use scidl_cluster::faults::FaultPlan;
-use scidl_cluster::knl::{KnlModel, LayerCost, RateClass};
+use scidl_cluster::knl::{KnlModel, LayerCost};
 use scidl_core::metrics::LatencyRecorder;
+use scidl_core::workloads::layer_costs;
 use scidl_nn::arch;
 use scidl_nn::network::Network;
 use scidl_tensor::{Shape4, TensorRng};
@@ -71,34 +77,11 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Builds the forward-only cost table for `net` at `input`, using the
-    /// same name-based rate classification as `scidl-core::workloads` but
-    /// with forward FLOPs and forward-only activation traffic.
+    /// Builds the forward-only cost table for `net` at `input` with
+    /// `scidl_core::workloads::layer_costs`, the rate classification the
+    /// training workloads use.
     pub fn for_network(name: &str, net: &Network, input: Shape4, knl: KnlModel) -> Self {
-        let mut s = input.with_n(1);
-        let mut layers = Vec::with_capacity(net.layers().len());
-        for l in net.layers() {
-            let lname = l.name().to_string();
-            let fwd = l.forward_flops_per_image(s);
-            let os = l.out_shape(s);
-            let class = if lname.starts_with("conv")
-                || lname.starts_with("enc")
-                || lname.starts_with("head")
-            {
-                RateClass::Conv { cin: s.c }
-            } else if lname.starts_with("dec") && !lname.contains("relu") {
-                RateClass::Conv { cin: os.c }
-            } else if lname.starts_with("fc") {
-                RateClass::DenseSmall
-            } else {
-                // Forward touches input + output activations once.
-                let bytes = 4 * (s.item_len() + os.item_len());
-                RateClass::MemoryBound { bytes_per_image: bytes as u64 }
-            };
-            layers.push(LayerCost { name: lname, train_flops_per_image: fwd, class });
-            s = os;
-        }
-        Self { name: name.into(), layers, knl }
+        Self { name: name.into(), layers: layer_costs(net, input, false), knl }
     }
 
     /// The paper's HEP classifier at its 224×224 input on a default KNL
@@ -283,16 +266,14 @@ pub(crate) struct Queued {
 }
 
 /// What every replica of one run shares: the cost model, the
-/// per-replica configuration, the chaos plan's fired flags, the canary
-/// sample sinks, the trace handle and the outcome being accumulated.
+/// per-replica configuration, the canary sample sinks, the trace handle
+/// and the outcome being accumulated.
 pub(crate) struct SimCore<'a> {
     pub(crate) model: &'a ServiceModel,
     cfg: &'a SimConfig,
     max_delay: f64,
     pub(crate) watermark: usize,
     reroute_budget: u32,
-    /// One flag per `faults.worker_crashes` entry: each fires once.
-    crash_fired: Vec<bool>,
     /// While set, served latencies are sampled into the canary arms.
     pub(crate) canary_window: bool,
     pub(crate) base_lat: Vec<f64>,
@@ -321,7 +302,6 @@ impl<'a> SimCore<'a> {
             max_delay: cfg.policy.max_delay.as_secs_f64(),
             watermark,
             reroute_budget,
-            crash_fired: vec![false; cfg.faults.worker_crashes.len()],
             canary_window: false,
             base_lat: Vec::new(),
             canary_lat: Vec::new(),
@@ -380,24 +360,22 @@ pub(crate) struct Replica {
     pub(crate) retired: Option<f64>,
     pub(crate) queue: Vec<Queued>,
     worker_free: Vec<f64>,
-    /// Successful batches dispatched per slot (the ordinal slow-worker
-    /// windows index, matching the threaded worker).
-    slot_batches: Vec<u64>,
-    /// Batches dispatched by any slot, crashed ones included.
-    dispatched: u64,
+    /// Which dispatch crashes and which batch straggles.
+    schedule: DispatchSchedule,
 }
 
 impl Replica {
-    /// A replica born at `born` whose `workers` accept batches from
-    /// virtual time `ready`.
+    /// Replica `id` of `core`'s run, born at `born`, whose workers
+    /// accept batches from virtual time `ready`.
     pub(crate) fn new(
+        core: &SimCore<'_>,
         id: usize,
-        workers: usize,
         born: f64,
         ready: f64,
         canary: bool,
         factor: f64,
     ) -> Self {
+        let workers = core.cfg.workers;
         Self {
             id,
             canary,
@@ -407,8 +385,7 @@ impl Replica {
             retired: None,
             queue: Vec::new(),
             worker_free: vec![ready; workers],
-            slot_batches: vec![0; workers],
-            dispatched: 0,
+            schedule: DispatchSchedule::new(&core.cfg.faults, id, workers),
         }
     }
 
@@ -510,22 +487,15 @@ impl Replica {
             // The earliest-free slot, lowest index on ties.
             let slot = (self.worker_free.iter().position(|&f| f == free)).expect("a worker pool");
             let worker = self.id * cfg.workers + slot;
-            // Chaos stragglers stretch this slot's service time.
-            let svc = core.model.batch_secs(b)
-                * cfg.faults.slow_worker_factor(worker, self.slot_batches[slot])
-                * self.factor;
-
-            // Chaos crash: the slot dispatching the replica's scheduled
-            // batch dies halfway through it and returns after its respawn
-            // time; the recovery policy disposes of each request it held.
-            let ordinal = self.dispatched;
-            self.dispatched += 1;
-            let crash = cfg.faults.worker_crashes.iter().enumerate().find(|(ci, c)| {
-                c.worker / cfg.workers == self.id && ordinal >= c.after_batches && !core.crash_fired[*ci]
-            });
-            if let Some((ci, c)) = crash {
-                let (t_crash, respawn) = (start + 0.5 * svc, c.respawn_secs);
-                core.crash_fired[ci] = true;
+            // The schedule decides the dispatch: a chaos straggler
+            // stretches this slot's service time; a chaos crash kills the
+            // slot halfway through the batch, the slot returns after its
+            // respawn time, and the recovery policy disposes of each
+            // request it held.
+            let d = self.schedule.dispatch(slot);
+            let svc = core.model.batch_secs(b) * d.slow * self.factor;
+            if let Some(respawn) = d.crash {
+                let t_crash = start + 0.5 * svc;
                 core.out.crashes += 1;
                 self.worker_free[slot] = t_crash + respawn;
                 core.out.makespan = core.out.makespan.max(self.worker_free[slot]);
@@ -591,7 +561,6 @@ impl Replica {
             let end = start + svc;
             core.out.makespan = core.out.makespan.max(end);
             self.worker_free[slot] = end;
-            self.slot_batches[slot] += 1;
             self.queue.drain(..b);
         }
         if let (Some(since), None) = (self.draining, self.retired) {
@@ -611,7 +580,7 @@ pub fn simulate(model: &ServiceModel, arrivals: &[f64], cfg: &SimConfig) -> SimO
     // Reroute budget 0: a single replica has no sibling, so the
     // recovery policy never fills `orphans`.
     let mut core = SimCore::new(model, arrivals, cfg, 0, "serve-sim");
-    let mut replica = Replica::new(0, cfg.workers, 0.0, 0.0, false, 1.0);
+    let mut replica = Replica::new(&core, 0, 0.0, 0.0, false, 1.0);
     let mut orphans = Vec::new();
     for (id, &t) in arrivals.iter().enumerate() {
         // Dispatch everything that happened before this arrival, then

@@ -147,13 +147,6 @@ pub enum EventKind {
         /// `"watermark"`, `"queue_full"`, `"deadline"` or `"closed"`.
         reason: &'static str,
     },
-    /// A client-side retry after a shed or lost worker (instant).
-    Retry {
-        /// 1-based retry attempt number.
-        attempt: u64,
-        /// Backoff the client slept before this attempt (s).
-        backoff_s: f64,
-    },
     /// A serving worker slot respawned by the supervisor after a crash
     /// or hang (instant).
     WorkerRespawn {
@@ -231,7 +224,6 @@ impl EventKind {
             EventKind::BatchDispatch { .. } => "batch_dispatch",
             EventKind::Overlap { .. } => "overlap",
             EventKind::Shed { .. } => "shed",
-            EventKind::Retry { .. } => "retry",
             EventKind::WorkerRespawn { .. } => "worker_respawn",
             EventKind::SwapReject { .. } => "swap_reject",
             EventKind::Breaker { .. } => "breaker",
@@ -257,7 +249,6 @@ impl EventKind {
             EventKind::Checkpoint { .. } => "io",
             EventKind::BatchDispatch { .. }
             | EventKind::Shed { .. }
-            | EventKind::Retry { .. }
             | EventKind::WorkerRespawn { .. }
             | EventKind::SwapReject { .. }
             | EventKind::Breaker { .. }
@@ -312,10 +303,6 @@ impl EventKind {
                 push_kv_u64(out, "count", *count, false);
                 push_kv_u64(out, "depth", *depth, false);
                 push_kv_str(out, "reason", reason, false);
-            }
-            EventKind::Retry { attempt, backoff_s } => {
-                push_kv_u64(out, "attempt", *attempt, true);
-                push_kv_f64(out, "backoff_s", *backoff_s, false);
             }
             EventKind::WorkerRespawn { worker, incarnation, backoff_s, requeued } => {
                 push_kv_u64(out, "worker", *worker, true);
@@ -1076,7 +1063,6 @@ mod tests {
             depth: 64,
             reason: "watermark",
         });
-        sink.event_at(run, 0, 0.2, 0.0, EventKind::Retry { attempt: 2, backoff_s: 0.004 });
         sink.event_at(run, 1, 0.3, 0.0, EventKind::WorkerRespawn {
             worker: 1,
             incarnation: 1,
@@ -1086,7 +1072,7 @@ mod tests {
         sink.event_at(run, 0, 0.4, 0.0, EventKind::SwapReject { reason: "roundtrip", failures: 2 });
         sink.event_at(run, 0, 0.5, 0.0, EventKind::Breaker { open: true, failures: 3 });
         let j = sink.chrome_json();
-        for name in ["shed", "retry", "worker_respawn", "swap_reject", "breaker"] {
+        for name in ["shed", "worker_respawn", "swap_reject", "breaker"] {
             assert!(j.contains(&format!("\"name\":\"{name}\"")), "{name} missing: {j}");
         }
         assert!(j.contains("\"reason\":\"watermark\""));

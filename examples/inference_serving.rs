@@ -24,8 +24,7 @@ use scidl_cluster::faults::FaultPlan;
 use scidl_core::checkpoint::Checkpoint;
 use scidl_core::metrics::Summary;
 use scidl_serve::{
-    check_roundtrip, BatchPolicy, ModelRegistry, RetryPolicy, Server, ServerConfig, ServingModel,
-    SwapError,
+    check_roundtrip, BatchPolicy, ModelRegistry, Server, ServerConfig, ServingModel, SwapError,
 };
 use scidl_tensor::{Shape4, TensorRng};
 use std::sync::Arc;
@@ -69,29 +68,18 @@ fn main() {
     );
     let client = server.client();
 
-    let retry = RetryPolicy { deadline: Some(Duration::from_millis(500)), ..Default::default() };
     let mut xr = TensorRng::new(3);
     let pending: Vec<_> = (0..24)
         .map(|_| {
             let x = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
-            (x.clone(), client.submit(x).expect("queue has room"))
+            client.submit(x).expect("queue has room")
         })
         .collect();
     let mut batched = 0usize;
-    let mut retried = 0usize;
-    for (x, rx) in pending {
+    for rx in pending {
         // The crashed worker's in-flight batch is requeued by the
-        // supervisor, so most requests still resolve `Ok` on the first
-        // reply. Anything that comes back as a retryable error (or a
-        // dropped reply channel) goes through the bounded retry path.
-        let r = match rx.recv().unwrap_or(Err(scidl_serve::ServeError::WorkerLost)) {
-            Ok(r) => r,
-            Err(e) => {
-                assert!(e.is_retryable(), "terminal error under a healthy pool: {e}");
-                retried += 1;
-                client.infer_with_retry(x, &retry).expect("retry absorbs the crash")
-            }
-        };
+        // supervisor, so every request resolves `Ok`.
+        let r = rx.recv().expect("reply channel").expect("the requeue absorbs the crash");
         assert_eq!(r.logits.len(), scidl_nn::arch::HEP_CLASSES);
         assert_eq!(r.model_iteration, 1000);
         if r.batch_size > 1 {
@@ -100,7 +88,7 @@ fn main() {
     }
     println!(
         "served 24 requests through an injected worker crash; \
-         {batched} rode in a coalesced batch, {retried} needed a client retry"
+         {batched} rode in a coalesced batch"
     );
 
     // --- a corrupt snapshot is rejected before publication -------------
