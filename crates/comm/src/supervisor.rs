@@ -63,25 +63,16 @@ pub type UpdateFactory = Box<dyn Fn() -> UpdateFn + Send + Sync>;
 const REPLY_TIMEOUT: Duration = Duration::from_secs(5);
 /// Backoff before retry k is `BACKOFF_BASE * 2^(k-1)`.
 const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Total attempts per operation (first try + retries, each retry
+/// preceded by a respawn when the server is dead).
+const MAX_RETRIES: u32 = 3;
 
 /// Tuning knobs for a [`SupervisedPs`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SupervisorConfig {
-    /// Total attempts per operation (first try + retries, each retry
-    /// preceded by a respawn when the server is dead).
-    pub max_retries: u32,
     /// Fault injection: crash the server after this many successful
     /// operations (once). `None` disables injection.
     pub inject_crash_after: Option<u64>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            inject_crash_after: None,
-        }
-    }
 }
 
 struct Inner {
@@ -247,7 +238,7 @@ impl SupervisedPs {
                     Self::on_success(&mut self.inner.lock(), &self.cfg, &reply);
                     return Ok(reply);
                 }
-                Err((_err, generation)) if attempts < self.cfg.max_retries => {
+                Err((_err, generation)) if attempts < MAX_RETRIES => {
                     self.respawn(generation);
                     let backoff = BACKOFF_BASE * 2u32.saturating_pow(attempts - 1);
                     std::thread::sleep(backoff);
@@ -391,7 +382,7 @@ mod tests {
 
     #[test]
     fn survives_injected_crash() {
-        let cfg = SupervisorConfig { inject_crash_after: Some(5), ..Default::default() };
+        let cfg = SupervisorConfig { inject_crash_after: Some(5) };
         let ps = SupervisedPs::spawn(vec![0.0], sgd_factory(1.0), cfg);
         for _ in 0..20 {
             ps.update(vec![-1.0]).unwrap();
@@ -475,18 +466,17 @@ mod tests {
         // exits before it can answer, every respawn dies the same way,
         // and each update runs out of retries — whatever the scheduler
         // does, since nothing races the update.
-        let cfg = SupervisorConfig { max_retries: 2, ..Default::default() };
         let dying: UpdateFactory =
             Box::new(|| Box::new(|_: &mut [f32], _: &[f32]| panic!("server dies on update")));
-        let ps = SupervisedPs::spawn(vec![0.0], dying, cfg);
+        let ps = SupervisedPs::spawn(vec![0.0], dying, SupervisorConfig::default());
         for op in 1..=3u64 {
             match ps.update(vec![1.0]) {
-                Err(CommError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 2),
+                Err(CommError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, MAX_RETRIES),
                 other => panic!("update {op} should exhaust its retries, got {other:?}"),
             }
-            // Each update finds a dead server and replaces it once
-            // before its second and last attempt.
-            assert_eq!(ps.respawns(), op);
+            // Each update finds a dead server and replaces it before
+            // each of its retries.
+            assert_eq!(ps.respawns(), op * u64::from(MAX_RETRIES - 1));
         }
         // A fetch never runs the update rule: the next incarnation
         // answers, from a snapshot no failed update touched.
@@ -504,7 +494,7 @@ mod tests {
         // lost in-flight update exactly once, so final params, versions
         // AND worker residuals must match exactly.
         let run = |inject: Option<u64>| {
-            let cfg = SupervisorConfig { inject_crash_after: inject, ..Default::default() };
+            let cfg = SupervisorConfig { inject_crash_after: inject };
             let ps = SupervisedPs::spawn(vec![1.0; 16], sgd_factory(0.1), cfg);
             let mut ef = ErrorFeedback::new(Compression::TopK { density: 0.25 });
             for step in 0..24u64 {
@@ -596,10 +586,7 @@ mod tests {
         let bank = Arc::new(SupervisedPsBank::spawn_with(
             (0..shards)
                 .map(|i| {
-                    let cfg = SupervisorConfig {
-                        inject_crash_after: (i == 2).then_some(7),
-                        ..SupervisorConfig::default()
-                    };
+                    let cfg = SupervisorConfig { inject_crash_after: (i == 2).then_some(7) };
                     (vec![0.0], sgd_factory(1.0), cfg)
                 })
                 .collect(),

@@ -141,10 +141,7 @@ proptest! {
         use scidl_comm::{SupervisedPs, SupervisorConfig, UpdateFactory};
         let make: UpdateFactory =
             Box::new(|| Box::new(|p: &mut [f32], g: &[f32]| p[0] -= g[0]) as UpdateFn);
-        let cfg = SupervisorConfig {
-            inject_crash_after: Some(crash_after),
-            ..SupervisorConfig::default()
-        };
+        let cfg = SupervisorConfig { inject_crash_after: Some(crash_after) };
         let ps = SupervisedPs::spawn(vec![0.0f32], make, cfg);
         let mut last = 0.0f32;
         for _ in 0..total {

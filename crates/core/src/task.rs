@@ -60,7 +60,7 @@ where
 
 /// The supervised HEP classification task as a [`GradTask`] with a true
 /// layer-wise overlapped backward: [`GradTask::grad_overlapped`] walks
-/// [`Network::backward_layered`] and ships each layer's blocks as soon
+/// [`Network::backward_params`] and ships each layer's blocks as soon
 /// as that layer's backward completes.
 pub struct HepGradTask {
     ds: Arc<HepDataset>,
@@ -98,7 +98,7 @@ impl GradTask<Network> for HepGradTask {
                 Some(first)
             })
             .collect();
-        model.backward_layered(&dlogits, |li, layer| {
+        model.backward_params(&dlogits, |li, layer| {
             // Within a layer all blocks become final together; pushing
             // them in reverse keeps the global delivery order equal to
             // strict reverse flat order, matching the bucket plan.
@@ -119,7 +119,7 @@ pub fn hep_gradient(model: &mut Network, ds: &HepDataset, indices: &[usize]) -> 
     model.zero_grads();
     let logits = model.forward(&batch);
     let (loss, grad) = SoftmaxCrossEntropy::forward(&logits, &labels);
-    model.backward(&grad);
+    model.backward_params(&grad, |_, _| {});
     (loss, model.flat_grads())
 }
 

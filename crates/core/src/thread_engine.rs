@@ -267,7 +267,6 @@ impl ThreadEngine {
                             .faults
                             .ps_crash_for_shard(shard)
                             .map(|c| c.after_requests),
-                        ..SupervisorConfig::default()
                     };
                     (b.value.data().to_vec(), factory, sup)
                 })

@@ -213,7 +213,8 @@ impl ClimateNet {
 
     /// Combined semi-supervised training step for one batch: forward,
     /// loss (detection on labelled cells + weighted reconstruction) and
-    /// full backward. Pass `targets = None` for unlabelled batches, which
+    /// backward — down to the encoder's first parameter gradients, with no
+    /// gradient for the input ([`Network::backward_params`]). Pass `targets = None` for unlabelled batches, which
     /// train through the autoencoder path alone — the mechanism by which
     /// the paper's architecture can "discover new weather patterns that
     /// might have few/no labeled examples". Returns
@@ -245,7 +246,8 @@ impl ClimateNet {
             DetectionLossParts::default()
         };
 
-        self.encoder.backward(&dfeat);
+        // The input is data: no gradient for it.
+        self.encoder.backward_params(&dfeat, |_, _| {});
         (parts, recon_loss * self.lambda_recon)
     }
 

@@ -2,14 +2,21 @@
 //! never written out.
 //!
 //! Each image is the right operand of a `(cout) x (cin*k*k) x (oh*ow)`
-//! product through [`BSource::Im2col`]: the GEMM's B packing gathers its
-//! panels straight from the NCHW image, in the forward layout for the
-//! output and in the transposed layout for the weight gradient.
-//! Backward-data is [`PackedA::gemm_col2im`], which computes the
-//! col-space gradient one channel group at a time and scatters each group
-//! before the next. Every bit is what lowering through a written-out col
-//! matrix gives; the scratch is pack panels and one slab, not two
-//! `cin·k² x oh·ow` matrices per thread.
+//! product through [`BSource::Im2col`]: the GEMM's B packing copies its
+//! panels from the NCHW image's stride-phase planes, in the forward
+//! layout for the output and in the transposed layout for the weight
+//! gradient. Backward-data is [`PackedA::gemm_col2im`], which computes
+//! the col-space gradient one channel group at a time and scatters each
+//! group before the next. Every bit is what lowering through a
+//! written-out col matrix gives; the scratch is pack panels, planes and
+//! one slab, not two `cin·k² x oh·ow` matrices per thread.
+//!
+//! The first step of a training walk over a network takes no
+//! backward-data: its input is data ([`crate::Network::backward_params`],
+//! Caffe's `propagate_down = false`), so there both the unfused
+//! [`Layer::backward_params`] and the fused backward skip the `Wᵀ · dY`
+//! GEMM and its scatter, and only the weight and bias gradients are
+//! taken.
 //!
 //! Followed by a ReLU and a max pool, the convolution runs the three as
 //! one pass per item (`Conv2d::forward_pooled`, which [`crate::Network`]
@@ -132,9 +139,10 @@ impl Conv2d {
     /// Backward of [`Conv2d::forward_pooled`]: each item's pooled gradient
     /// is expanded through `pool`'s tap records into an item-sized `dY`
     /// (the three layers' `backward` one after another, for that item),
-    /// and the item's weight gradient, bias gradient and data gradient are
-    /// taken from it as [`Layer::backward`] takes them from `grad_out`.
-    pub(crate) fn backward_pooled(&mut self, grad_out: Tensor, pool: &MaxPool2d) -> Tensor {
+    /// and the item's weight gradient, bias gradient and — if `data` —
+    /// data gradient are taken from it as [`Layer::backward`] takes them
+    /// from `grad_out`.
+    pub(crate) fn backward_pooled(&mut self, grad_out: Tensor, pool: &MaxPool2d, data: bool) -> Option<Tensor> {
         let input = self
             .cached_input
             .take()
@@ -146,16 +154,36 @@ impl Conv2d {
         let taps = pool.recorded(grad_out.shape());
         let (window, hw) = (pool.window(), (geo.out_h(), geo.out_w()));
 
-        let mut grad_in = Tensor::zeros(ishape);
-        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.cout, self.weight.value.data());
+        let mut dx = input_grad(data, &geo, self.weight.value.data(), ishape);
         let mut dy = vec![0.0f32; self.cout * geo.col_cols()];
         let pooled = grad_out.shape().item_len();
         for n in 0..ishape.n {
             window.unpool(grad_out.item(n), &taps[n * pooled..][..pooled], hw, &mut dy);
             let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-            backward_item(&geo, &weight_t, input.item(n), &dy, grads, grad_in.item_mut(n));
+            let dx = dx.as_mut().map(|(weight_t, grad_in)| (&*weight_t, grad_in.item_mut(n)));
+            backward_item(&geo, input.item(n), &dy, grads, dx);
         }
-        grad_in
+        dx.map(|(_, grad_in)| grad_in)
+    }
+
+    /// [`Layer::backward`], with the data gradient only if `data`.
+    fn backward_unfused(&mut self, grad_out: Tensor, data: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Conv2d::backward called before forward");
+        let ishape = input.shape();
+        let geo = self.geometry(ishape.h, ishape.w);
+        let oshape = geo.out_shape(ishape.n);
+        assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
+
+        let mut dx = input_grad(data, &geo, self.weight.value.data(), ishape);
+        for n in 0..ishape.n {
+            let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
+            let dx = dx.as_mut().map(|(weight_t, grad_in)| (&*weight_t, grad_in.item_mut(n)));
+            backward_item(&geo, input.item(n), grad_out.item(n), grads, dx);
+        }
+        dx.map(|(_, grad_in)| grad_in)
     }
 
     /// The fused pass behind [`Conv2d::forward_pooled`] and
@@ -242,23 +270,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Conv2d::backward called before forward");
-        let ishape = input.shape();
-        let geo = self.geometry(ishape.h, ishape.w);
-        let oshape = geo.out_shape(ishape.n);
-        assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
+        self.backward_unfused(grad_out, true).expect("data gradient asked for")
+    }
 
-        let mut grad_in = Tensor::zeros(ishape);
-        // Wᵀ is the left operand of every item's data-gradient GEMM.
-        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.cout, self.weight.value.data());
-        for n in 0..ishape.n {
-            let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-            backward_item(&geo, &weight_t, input.item(n), grad_out.item(n), grads, grad_in.item_mut(n));
-        }
-        grad_in
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward_unfused(grad_out, false);
     }
 
     fn part(&self) -> Option<Part<&Conv2d, &crate::Relu, &MaxPool2d>> {
@@ -294,22 +310,31 @@ impl Layer for Conv2d {
     }
 }
 
+/// If `data`, what a backward writes the input gradient with: `Wᵀ`
+/// packed once — the left operand of every item's data-gradient GEMM —
+/// and the zeroed gradient.
+fn input_grad<'w>(data: bool, geo: &ConvGeometry, weight: &'w [f32], ishape: Shape4) -> Option<(PackedA<'w>, Tensor)> {
+    data.then(|| (PackedA::new(Transpose::Yes, geo.col_rows(), geo.cout, weight), Tensor::zeros(ishape)))
+}
+
 /// One item's backward from its output gradient `dy` (`cout x cols`):
-/// `dW += dY · colᵀ`, the bias gradient's per-channel sums of `dY`, and
-/// `dx`, the scatter of `dcol = Wᵀ · dY` (`weight_t` is `Wᵀ` packed).
+/// `dW += dY · colᵀ`, the bias gradient's per-channel sums of `dY`, and,
+/// if `dx` is given, the scatter of `dcol = Wᵀ · dY` into it (with `Wᵀ`
+/// packed).
 fn backward_item(
     geo: &ConvGeometry,
-    weight_t: &PackedA,
     x: &[f32],
     dy: &[f32],
     (dw, db): (&mut [f32], &mut [f32]),
-    dx: &mut [f32],
+    dx: Option<(&PackedA, &mut [f32])>,
 ) {
     let (rows, cols) = (geo.col_rows(), geo.col_cols());
     let col_t = BSource::Im2col(Transpose::Yes, geo, x);
     PackedA::new(Transpose::No, geo.cout, cols, dy).gemm(col_t, rows, 1.0, 1.0, dw);
     add_row_sums(dy, cols, db);
-    weight_t.gemm_col2im(geo, dy, dx);
+    if let Some((weight_t, dx)) = dx {
+        weight_t.gemm_col2im(geo, dy, dx);
+    }
 }
 
 /// `acc[c] += sum(rows[c*cols..(c+1)*cols])`, every row summed left to

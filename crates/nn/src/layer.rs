@@ -113,6 +113,14 @@ pub trait Layer: Send + Sync {
     /// overwrite `grad_out` and return its buffer.
     fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
+    /// [`Layer::backward`]'s parameter gradients without its input
+    /// gradient (Caffe's `propagate_down = false`), for the layer a
+    /// backward walk ends on. The default runs `backward` and drops the
+    /// input gradient; a layer whose input gradient costs a GEMM skips it.
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward(grad_out);
+    }
+
     /// The layer's function, stateless: no activation is cached, no
     /// layer state touched and `input` left as it is, so one model can be
     /// shared read-only across serving workers. Scratch comes from the

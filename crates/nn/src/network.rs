@@ -224,16 +224,38 @@ impl Network {
     /// ReLU and conv in that order. [`Network::backward`] is this loop
     /// with a no-op callback. Like `forward`, it copies `grad_out` once
     /// and hands each step's result to the next.
-    pub fn backward_layered<F>(&mut self, grad_out: &Tensor, mut on_ready: F) -> Tensor
+    pub fn backward_layered<F>(&mut self, grad_out: &Tensor, on_ready: F) -> Tensor
     where
         F: FnMut(usize, &dyn Layer),
     {
-        let mut g = grad_out.clone();
+        self.walk_backward(grad_out, on_ready, true).expect("the input gradient was asked for")
+    }
+
+    /// [`Network::backward_layered`] for a network whose input is data:
+    /// the walk stops at the first step's parameter gradients, and that
+    /// step computes no gradient for the input (Caffe's `propagate_down =
+    /// false` on the data blob) — a convolution there skips its
+    /// data-gradient GEMM and scatter. Every parameter gradient, and the
+    /// order `on_ready` reports the layers in, is `backward_layered`'s.
+    pub fn backward_params<F>(&mut self, grad_out: &Tensor, on_ready: F)
+    where
+        F: FnMut(usize, &dyn Layer),
+    {
+        self.walk_backward(grad_out, on_ready, false);
+    }
+
+    /// The walk behind both: returns the input gradient if `input`.
+    fn walk_backward<F>(&mut self, grad_out: &Tensor, mut on_ready: F, input: bool) -> Option<Tensor>
+    where
+        F: FnMut(usize, &dyn Layer),
+    {
+        let mut g = Some(grad_out.clone());
         let mut at = self.layers.len();
         while at > 0 {
             let step = plan(&self.layers, at, Walk::Backward);
             at = step.start;
-            g = backward_step(&mut self.layers[step.clone()], g);
+            let grad = g.take().expect("only the last step drops the gradient");
+            g = backward_step(&mut self.layers[step.clone()], grad, input || at > 0);
             for i in step.rev() {
                 on_ready(i, &*self.layers[i]);
             }
@@ -354,11 +376,16 @@ pub(crate) fn forward_step(step: &mut [Box<dyn Layer>], x: Tensor) -> Tensor {
     }
 }
 
-/// Backward of one step [`plan`] cut.
-pub(crate) fn backward_step(step: &mut [Box<dyn Layer>], g: Tensor) -> Tensor {
+/// Backward of one step [`plan`] cut: its parameter gradients, and the
+/// gradient for its input if `data`.
+pub(crate) fn backward_step(step: &mut [Box<dyn Layer>], g: Tensor, data: bool) -> Option<Tensor> {
     match fused_mut(step) {
-        Some((conv, pool)) => conv.backward_pooled(g, pool),
-        None => step[0].backward(g),
+        Some((conv, pool)) => conv.backward_pooled(g, pool, data),
+        None if data => Some(step[0].backward(g)),
+        None => {
+            step[0].backward_params(g);
+            None
+        }
     }
 }
 
@@ -472,12 +499,19 @@ mod tests {
 
     #[test]
     fn backward_layered_is_bit_identical_and_deepest_first() {
-        // `tiny_net` has one fused triple, `hep_small` two; each must still
-        // report every layer once, in strict reverse order.
+        // `tiny_net` has one fused triple, `hep_small` two and
+        // `hep_network` four, each starting the network; the climate
+        // encoder has none (its first step is a lone conv, followed by a
+        // ReLU). Each must still report every layer once, in strict
+        // reverse order — through `backward_layered` and through the
+        // parameter-only walk `backward_params`, which must also leave
+        // every parameter gradient bit-identical.
         let mut rng = TensorRng::new(21);
         let nets = [
             (tiny_net(&mut rng), Shape4::new(2, 1, 8, 8)),
             (crate::arch::hep_small(&mut rng), Shape4::new(2, 3, 32, 32)),
+            (crate::arch::hep_network(&mut rng), Shape4::new(2, 3, 32, 32)),
+            (crate::arch::ClimateNet::small(&mut rng).encoder, Shape4::new(2, 4, 16, 16)),
         ];
         for (mut net, shape) in nets {
             let x = rng.uniform_tensor(shape, -1.0, 1.0);
@@ -487,43 +521,49 @@ mod tests {
             let dy = Tensor::filled(y.shape(), 0.5);
             let gin_ref = net.backward(&dy);
             let grads_ref = net.flat_grads();
-
-            // Layered backward must produce bit-identical gradients, visit
-            // every layer exactly once in reverse order, and expose each
-            // layer's *final* parameter gradients at callback time.
-            net.zero_grads();
-            let _ = net.forward(&x);
-            let mut order = Vec::new();
-            let mut seen_grads: Vec<(String, Vec<f32>)> = Vec::new();
-            let gin = net.backward_layered(&dy, |i, layer| {
-                order.push(i);
-                for b in layer.params() {
-                    seen_grads.push((b.name.clone(), b.grad.data().to_vec()));
-                }
-            });
-            let name = net.name().to_string();
-            assert_eq!(gin.data(), gin_ref.data(), "{name}");
-            assert_eq!(net.flat_grads(), grads_ref, "{name}");
             let want_order: Vec<usize> = (0..net.layers().len()).rev().collect();
-            assert_eq!(order, want_order, "{name}: layers must be reported deepest first");
-            // Callback-time gradients equal the post-backward ones (they
-            // were final when reported); blocks arrive in reverse layer
-            // order.
-            let final_blocks: Vec<(String, Vec<f32>)> = net
-                .param_blocks()
-                .iter()
-                .map(|b| (b.name.clone(), b.grad.data().to_vec()))
-                .collect();
-            for (block, g) in &seen_grads {
-                let f = final_blocks.iter().find(|(n, _)| n == block).unwrap();
-                assert_eq!(g, &f.1, "{name}: block {block} changed after its ready callback");
-            }
             let want_blocks: Vec<String> =
                 net.layers().iter().rev().flat_map(|l| l.params().into_iter().map(|b| b.name.clone())).collect();
-            let seen_blocks: Vec<String> = seen_grads.iter().map(|(n, _)| n.clone()).collect();
-            assert_eq!(seen_blocks, want_blocks, "{name}");
-            assert_eq!(seen_grads.first().unwrap().0, "fc.weight");
-            assert_eq!(seen_grads.last().unwrap().0, "conv1.bias");
+
+            for params_only in [false, true] {
+                // Both walks must produce bit-identical gradients, visit
+                // every layer exactly once in reverse order, and expose
+                // each layer's *final* parameter gradients at callback
+                // time.
+                net.zero_grads();
+                let _ = net.forward(&x);
+                let mut order = Vec::new();
+                let mut seen_grads: Vec<(String, Vec<f32>)> = Vec::new();
+                let on_ready = |i: usize, layer: &dyn Layer| {
+                    order.push(i);
+                    for b in layer.params() {
+                        seen_grads.push((b.name.clone(), b.grad.data().to_vec()));
+                    }
+                };
+                let name = format!("{} (params only: {params_only})", net.name());
+                if params_only {
+                    net.backward_params(&dy, on_ready);
+                } else {
+                    let gin = net.backward_layered(&dy, on_ready);
+                    assert_eq!(gin.data(), gin_ref.data(), "{name}");
+                }
+                assert_eq!(net.flat_grads(), grads_ref, "{name}");
+                assert_eq!(order, want_order, "{name}: layers must be reported deepest first");
+                // Callback-time gradients equal the post-backward ones (they
+                // were final when reported); blocks arrive in reverse layer
+                // order.
+                let final_blocks: Vec<(String, Vec<f32>)> = net
+                    .param_blocks()
+                    .iter()
+                    .map(|b| (b.name.clone(), b.grad.data().to_vec()))
+                    .collect();
+                for (block, g) in &seen_grads {
+                    let f = final_blocks.iter().find(|(n, _)| n == block).unwrap();
+                    assert_eq!(g, &f.1, "{name}: block {block} changed after its ready callback");
+                }
+                let seen_blocks: Vec<String> = seen_grads.iter().map(|(n, _)| n.clone()).collect();
+                assert_eq!(seen_blocks, want_blocks, "{name}");
+            }
         }
     }
 

@@ -118,7 +118,7 @@ fn profile(
         let mut g = Tensor::filled(out_shape, 1.0);
         for (i, step) in steps.iter().enumerate().rev() {
             let t0 = Instant::now();
-            g = backward_step(&mut net.layers_mut()[step.clone()], g);
+            g = backward_step(&mut net.layers_mut()[step.clone()], g, true).expect("the input gradient was asked for");
             if timed {
                 bwd[i].push(t0.elapsed().as_secs_f64());
             }

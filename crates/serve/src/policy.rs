@@ -197,12 +197,6 @@ pub(crate) fn lapsed<T: PartialOrd>(deadline: Option<T>, now: T) -> bool {
     deadline.is_some_and(|d| d <= now)
 }
 
-/// `base` doubled `doublings` times, capped at `cap`: the backoff of a
-/// worker slot's respawns.
-pub(crate) fn exp_backoff(base: Duration, cap: Duration, doublings: u32) -> Duration {
-    base.saturating_mul(1 << doublings.min(16)).min(cap)
-}
-
 /// What one batch dispatch meets under its replica's chaos plan.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Dispatch {

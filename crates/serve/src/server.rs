@@ -40,7 +40,7 @@
 //! same schedule a `sim` replica holds: a slow window counts the slot's
 //! served batches across respawns and replacements.
 
-use crate::policy::{effective_watermark, exp_backoff, retry_after, DispatchSchedule, Recovery};
+use crate::policy::{effective_watermark, retry_after, DispatchSchedule, Recovery};
 use crate::queue::{BatchPolicy, BatchQueue, SubmitError};
 use crate::registry::ModelRegistry;
 use scidl_cluster::faults::FaultPlan;
@@ -132,6 +132,12 @@ const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(10);
 const RESPAWN_BACKOFF_BASE: Duration = Duration::from_millis(1);
 /// Upper bound on the exponential respawn backoff.
 const RESPAWN_BACKOFF_CAP: Duration = Duration::from_millis(100);
+
+/// The backoff before a slot's respawn after `doublings` consecutive
+/// ones: the base doubled that many times, capped.
+fn respawn_backoff(doublings: u32) -> Duration {
+    RESPAWN_BACKOFF_BASE.saturating_mul(1 << doublings.min(16)).min(RESPAWN_BACKOFF_CAP)
+}
 
 /// Supervisor tuning: the hang timeout, the respawn budget and the
 /// re-queue budget for in-flight requests recovered from dead workers.
@@ -484,7 +490,7 @@ fn supervisor_loop(
 
                 let n = respawns_per_slot.entry(slot).or_insert(0);
                 if *n < cfg.max_respawns {
-                    let backoff = exp_backoff(RESPAWN_BACKOFF_BASE, RESPAWN_BACKOFF_CAP, *n);
+                    let backoff = respawn_backoff(*n);
                     *n += 1;
                     std::thread::sleep(backoff);
                     let incarnation = next_incarnation;

@@ -14,14 +14,21 @@
 //!   same packed layout.
 //! * **Packing absorbs lowering.** B has a second source besides a dense
 //!   buffer, [`BSource::Im2col`]: a conv's geometry and an NCHW image,
-//!   from which each B panel is gathered straight out of the image, in
-//!   the forward (`col`) and weight-gradient (`colᵀ`) layouts alike. The
-//!   panels hold exactly what packing the written-out col matrix would
-//!   put there, so the arithmetic — and every bit — is the same, without
-//!   the `cin·k² x oh·ow` matrix. The adjoint, backward-data's
-//!   `col2im(op(A) · B)`, is [`PackedA::gemm_col2im`]: one whole-channel
-//!   group of col rows at a time into a slab of one `MC` row block, each
-//!   group scattered before the next is computed.
+//!   from which each B panel is packed straight out of the image, in
+//!   the forward (`col`) and weight-gradient (`colᵀ`) layouts alike.
+//!   Per block of a `KC` slab (`KC` deep, `KC` columns wide), the part
+//!   of the image the block reads — the channels of its col rows over
+//!   the output rows of its pixels — is split once into its
+//!   stride-phase planes (`im2col::Planes`, in the B slab's own scratch
+//!   buffer), where every col-row segment is one contiguous run: a forward panel copies runs, a weight-gradient panel writes
+//!   each run straight down its column. The panels hold exactly what
+//!   packing the written-out col matrix would put there, so the
+//!   arithmetic — and every bit — is the same, without the `cin·k² x
+//!   oh·ow` matrix. The adjoint, backward-data's `col2im(op(A) · B)`,
+//!   is [`PackedA::gemm_col2im`]: one whole-channel group of col rows at
+//!   a time into a slab of one `MC` row block, each group scattered into
+//!   that group's planes (by [`col2im`], in its element order) before the
+//!   next is computed.
 //! * **Register-tiled microkernel, one tile shape per ISA.** `mr x nr` is
 //!   not a crate constant: [`crate::microkernel`] hands out a per-ISA
 //!   kernel descriptor (4×16 portable, 6×16 for AVX2, 8×32 for
@@ -55,7 +62,7 @@
 //! every ISA variant is bit-identical by construction (see that module's
 //! docs), so dispatch never changes results — only throughput.
 
-use crate::im2col::{col2im, im2col, ColView, ConvGeometry};
+use crate::im2col::{col2im, im2col, ConvGeometry, Planes};
 use crate::microkernel::{dot_i8, CPtr, Isa, Kernel};
 use crate::workspace::{Workspace, WsBuf};
 use crate::{par, PAR_CHUNK, PAR_WORK};
@@ -79,8 +86,9 @@ pub enum BSource<'a> {
     /// `Dense` over the col matrix `im2col(geo, image)` (`col_rows x
     /// col_cols`) — a conv forward's operand with [`Transpose::No`], a
     /// weight gradient's with [`Transpose::Yes`] — with the matrix never
-    /// written: each B panel is gathered from the NCHW `image`, the same
-    /// values in the same order, so the product keeps every bit.
+    /// written: each B panel is copied from the phase planes of the NCHW
+    /// `image`, the same values in the same order, so the product keeps
+    /// every bit.
     Im2col(Transpose, &'a ConvGeometry, &'a [f32]),
 }
 
@@ -338,7 +346,7 @@ impl<'a> PackedA<'a> {
         let bpack = (m * n * k >= SMALL_WORK).then(|| {
             let mut bpack = Workspace::take(n_pad * k);
             for (p0, slab) in (0..k).step_by(KC).zip(bpack.chunks_mut(n_pad * KC)) {
-                pack_b(b, n, k, p0, KC.min(k - p0), nr, split, slab);
+                pack_b(b, n, k, p0, KC.min(k - p0), nr, split, slab, &mut []);
             }
             bpack
         });
@@ -431,13 +439,18 @@ fn apply_init(init: Init<'_>, n: usize, c: &mut [f32]) {
 fn packed_accumulate(pa: &PackedA<'_>, b: BSource<'_>, n: usize, alpha: f32, c: &mut [f32]) {
     let (m, k, nr) = (pa.m, pa.k, pa.kernel.nr);
     let split = tiles_in_parallel(m, n, k, pa.kernel.mr);
+    // One scratch buffer for the whole product: the full-width B slab
+    // of one k block, packed once for every tile to read, and the planes
+    // an im2col source's slab is packed from.
+    let n_pad = n.div_ceil(nr) * nr;
+    let planes_len = (0..k).step_by(KC).map(|p0| b.planes_len(n, nr, p0, KC.min(k - p0))).max().unwrap_or(0);
+    let mut scratch = Workspace::take(n_pad * KC.min(k) + planes_len);
+    let (bpack, planes) = scratch.split_at_mut(n_pad * KC.min(k));
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
-        // Pack the full-width B slab for this k block once; every tile
-        // reads from it.
-        let mut bpack = Workspace::take(n.div_ceil(nr) * nr * kc);
-        pack_b(b, n, k, p0, kc, nr, split, &mut bpack);
-        multiply_slab(pa, 0..m, p0, &bpack, n, alpha, c);
+        let bpack = &mut bpack[..n_pad * kc];
+        pack_b(b, n, k, p0, kc, nr, split, bpack, planes);
+        multiply_slab(pa, 0..m, p0, bpack, n, alpha, c);
     }
 }
 
@@ -552,57 +565,151 @@ fn pack_a_panel(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, p0: usi
 /// depth `p`, column `c` lands at `bpack[pj*nr*kc + p*nr + c]`. Columns
 /// past `n` are zero. Packed by the threads that will read it: split
 /// only when the tile grid is (`split`), else the lone multiplying thread
-/// would fetch half of its B slab from another core's cache.
+/// would fetch half of its B slab from another core's cache. An im2col
+/// source is packed one block of `KC` columns at a time, each from the
+/// planes of just the image part it reads, split into `planes`
+/// ([`BSource::planes_len`] floats); a dense source in one block.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(b: BSource<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, split: bool, bpack: &mut [f32]) {
-    let group = if split { PAR_CHUNK.div_ceil(nr * kc) } else { n.div_ceil(nr) };
-    par::for_each_chunk_mut(bpack, group * nr * kc, |g, panels| {
-        for (pj, dst) in panels.chunks_exact_mut(nr * kc).enumerate() {
-            pack_b_panel(b, n, k, p0, kc, nr, g * group + pj, dst);
+fn pack_b(b: BSource<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, split: bool, bpack: &mut [f32], planes: &mut [f32]) {
+    let block = b.block_panels(n, nr);
+    for (bi, panels) in bpack.chunks_mut(block * nr * kc).enumerate() {
+        let j0 = bi * block * nr;
+        let slab = Slab::new(b, p0..p0 + kc, j0..n.min(j0 + block * nr), planes);
+        let group = if split { PAR_CHUNK.div_ceil(nr * kc) } else { block };
+        par::for_each_chunk_mut(panels, group * nr * kc, |g, panels| {
+            for (pj, dst) in panels.chunks_exact_mut(nr * kc).enumerate() {
+                pack_b_panel(&slab, n, k, p0, kc, nr, bi * block + g * group + pj, dst);
+            }
+        });
+    }
+}
+
+impl BSource<'_> {
+    /// Panels per block of [`pack_b`]: `KC` columns' worth for an
+    /// im2col source, all of them for a dense one.
+    fn block_panels(&self, n: usize, nr: usize) -> usize {
+        match self {
+            BSource::Dense(..) => n.div_ceil(nr),
+            BSource::Im2col(..) => (KC / nr).max(1),
         }
-    });
+    }
+
+    /// Floats of scratch the planes of the `kc`-deep slab at depth `p0`
+    /// take, block by block: none for a dense source.
+    fn planes_len(&self, n: usize, nr: usize, p0: usize, kc: usize) -> usize {
+        let BSource::Im2col(tb, geo, _) = *self else { return 0 };
+        let block = self.block_panels(n, nr) * nr;
+        (0..n)
+            .step_by(block)
+            .map(|j0| {
+                let (chans, oys) = image_part(tb, geo, p0..p0 + kc, j0..n.min(j0 + block));
+                Planes::scratch_len(geo, chans.len(), &oys)
+            })
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// The image channels and output rows that the block of `op(B)` over
+/// `depths` and `cols` reads, for an im2col source: col rows map to the
+/// channels of their taps, col columns to the output rows of their
+/// pixels. In the forward layout (`op(B) = col`) depths are col rows and
+/// columns col columns; in the weight-gradient layout the other way
+/// round.
+fn image_part(tb: Transpose, geo: &ConvGeometry, depths: Range<usize>, cols: Range<usize>) -> (Range<usize>, Range<usize>) {
+    let (rows, pixels) = if tb == Transpose::No { (depths, cols) } else { (cols, depths) };
+    let (taps, ow) = (geo.kh * geo.kw, geo.out_w());
+    (rows.start / taps..rows.end.div_ceil(taps), pixels.start / ow..pixels.end.div_ceil(ow))
+}
+
+/// Where one block of a `KC` slab of `op(B)` is packed from: a dense
+/// buffer, or the [`Planes`] of the part of the image the block reads,
+/// split once for all of its panels.
+enum Slab<'a> {
+    Dense(Transpose, &'a [f32]),
+    /// An im2col source's layout, the col row of the planes' first
+    /// channel's first tap, and the planes.
+    Col(Transpose, usize, Planes<'a>),
+}
+
+impl<'a> Slab<'a> {
+    fn new(b: BSource<'a>, depths: Range<usize>, cols: Range<usize>, planes: &'a mut [f32]) -> Self {
+        match b {
+            BSource::Dense(tb, b) => Slab::Dense(tb, b),
+            BSource::Im2col(tb, geo, image) => {
+                let (chans, oys) = image_part(tb, geo, depths, cols);
+                let plane = geo.h * geo.w;
+                let image = &image[chans.start * plane..chans.end * plane];
+                let planes = &mut planes[..Planes::scratch_len(geo, chans.len(), &oys)];
+                Slab::Col(tb, chans.start * geo.kh * geo.kw, Planes::split(geo, image, chans.len(), oys, planes))
+            }
+        }
+    }
 }
 
 /// Panel `pj` (columns `pj*nr..`) of [`pack_b`].
 #[allow(clippy::too_many_arguments)]
-fn pack_b_panel(b: BSource<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, pj: usize, dst: &mut [f32]) {
+fn pack_b_panel(slab: &Slab<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, pj: usize, dst: &mut [f32]) {
     let jbase = pj * nr;
     let cols = nr.min(n - jbase);
-    match b {
-        BSource::Dense(Transpose::No, b) => {
+    match slab {
+        Slab::Dense(Transpose::No, b) => {
             // B stored k x n: contiguous in j — memcpy per depth.
             for (p, d) in dst.chunks_exact_mut(nr).enumerate() {
                 d[..cols].copy_from_slice(&b[(p0 + p) * n + jbase..][..cols]);
             }
         }
-        BSource::Dense(Transpose::Yes, b) => {
+        Slab::Dense(Transpose::Yes, b) => {
             // B stored n x k: op(B)[p, j] = b[j*k + p]; each column
             // is contiguous in the source — the former NT/TT strided
             // inner loops collapse into this pack copy.
             transpose_into_panel(&b[jbase * k + p0..], k, cols, kc, nr, dst);
         }
-        BSource::Im2col(Transpose::No, geo, image) => {
-            // op(B) = col: depth p is col row p0 + p, one tap; the
-            // panel's columns are consecutive output pixels, one gathered
-            // run per depth.
-            let col = ColView::new(geo, image);
-            let pixel = col.pixel(jbase);
-            for (d, tap) in dst.chunks_exact_mut(nr).zip(col.taps(p0)) {
-                col.gather(tap, pixel, &mut d[..cols]);
+        Slab::Col(Transpose::No, row0, planes) => {
+            // op(B) = col: depth p is col row p0 + p; the panel's columns
+            // are consecutive output pixels, one plane run per output row
+            // they touch.
+            let (pixel, values) = (planes.pixel(jbase), planes.values());
+            for (d, row) in dst.chunks_exact_mut(nr).zip(planes.col_rows(p0 - row0)) {
+                let mut at = 0;
+                for (off, n) in planes.segments(pixel, cols) {
+                    d[at..at + n].copy_from_slice(&values[row + off..][..n]);
+                    at += n;
+                }
             }
         }
-        BSource::Im2col(Transpose::Yes, geo, image) => {
-            // op(B) = colᵀ: depth p is output pixel p0 + p, column c the
-            // tap of col row jbase + c. Each column is one gathered run of
-            // kc pixels — the panel's share of one col row — transposed
-            // into the panel as a dense B's columns are.
-            let col = ColView::new(geo, image);
-            let pixel = col.pixel(p0);
-            let mut runs = Workspace::take(cols * kc);
-            for (run, tap) in runs.chunks_exact_mut(kc).zip(col.taps(jbase)) {
-                col.gather(tap, pixel, run);
+        Slab::Col(Transpose::Yes, row0, planes) => {
+            // op(B) = colᵀ: depth p is output pixel p0 + p, column c col
+            // row jbase + c, so column c is that col row's runs over the
+            // slab's pixels, written straight down the panel: `LANES`
+            // columns in lockstep, so that each depth takes them as one
+            // contiguous store, and the rest one at a time.
+            const LANES: usize = 8;
+            let (pixel, values) = (planes.pixel(p0), planes.values());
+            let mut rows = planes.col_rows(jbase - row0);
+            let full = cols / LANES * LANES;
+            for c0 in (0..full).step_by(LANES) {
+                let starts: [usize; LANES] = std::array::from_fn(|_| rows.next().expect("col rows never end"));
+                let mut depths = dst.chunks_exact_mut(nr);
+                for (off, n) in planes.segments(pixel, kc) {
+                    let runs: [&[f32]; LANES] = std::array::from_fn(|t| &values[starts[t] + off..][..n]);
+                    for (i, d) in depths.by_ref().take(n).enumerate() {
+                        let d: &mut [f32; LANES] = (&mut d[c0..c0 + LANES]).try_into().expect("LANES columns");
+                        for (d, run) in d.iter_mut().zip(&runs) {
+                            *d = run[i];
+                        }
+                    }
+                }
             }
-            transpose_into_panel(&runs, kc, cols, kc, nr, dst);
+            for (c, row) in (full..cols).zip(rows) {
+                let mut at = c;
+                for (off, n) in planes.segments(pixel, kc) {
+                    for &v in &values[row + off..][..n] {
+                        dst[at] = v;
+                        at += nr;
+                    }
+                }
+            }
         }
     }
     if cols < nr {
@@ -795,6 +902,7 @@ fn accumulate_unpacked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::im2col::reference::{col2im_ref, im2col_ref};
 
     /// Naive reference implementation with f64 accumulation.
     #[allow(clippy::too_many_arguments)]
@@ -1366,19 +1474,21 @@ mod tests {
         let n_pad = n.div_ceil(nr) * nr;
         let mut bpack = vec![f32::NAN; n_pad * k];
         for (p0, slab) in (0..k).step_by(KC).zip(bpack.chunks_mut(n_pad * KC)) {
-            pack_b(b, n, k, p0, KC.min(k - p0), nr, split, slab);
+            let kc = KC.min(k - p0);
+            let mut planes = vec![f32::NAN; b.planes_len(n, nr, p0, kc)];
+            pack_b(b, n, k, p0, kc, nr, split, slab, &mut planes);
         }
         bpack
     }
 
-    /// The im2col source against the written-out col matrix, in both
-    /// layouts and at every detected ISA's tile width: the packed panels
+    /// The im2col source against the col matrix the element loop writes,
+    /// in both layouts and at every detected ISA's tile width: the packed panels
     /// bit for bit, then a product over each (the lazy one over a
     /// NaN-poisoned pool) bit for bit. Returns the lazy products.
     fn assert_im2col_source_matches_col(geo: &ConvGeometry, image: &[f32]) -> Vec<f32> {
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let mut col = vec![f32::NAN; rows * cols];
-        im2col(geo, image, &mut col);
+        im2col_ref(geo, image, &mut col);
         let mut products = Vec::new();
         for tb in [Transpose::No, Transpose::Yes] {
             let (k, n) = if tb == Transpose::No { (rows, cols) } else { (cols, rows) };
@@ -1410,16 +1520,18 @@ mod tests {
         #[test]
         fn im2col_panels_match_packing_the_col_matrix(
             cin in 1usize..4,
-            h in 1usize..9,
-            w in 1usize..9,
-            k_sel in 0usize..3,
-            stride in 1usize..3,
+            h in 1usize..12,
+            w in 1usize..12,
+            k in 1usize..6,
+            stride in 1usize..4,
             pad_sel in 0usize..5,
             seed in 0u64..1 << 32,
         ) {
             // pad ranges over 0..k, so small images see pad >= w (rows
-            // that are padding end to end) and 1x1 images are included.
-            let k = [1usize, 3, 5][k_sel];
+            // that are padding end to end) and 1x1 images are included;
+            // h and w differ and run odd and even, strides 1 to 3 give
+            // one, four and nine phase planes, and kernels 2 and 4 (the
+            // deconvs' 4x4) phases of unequal depth.
             let pad = pad_sel % k;
             proptest::prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
             let geo = ConvGeometry::new(cin, 1, h, w, k, stride, pad);
@@ -1469,31 +1581,37 @@ mod tests {
     #[test]
     fn gemm_col2im_groups_match_the_whole_dcol_and_col2im() {
         // Backward-data by channel group against the whole dcol = Wᵀ·dY
-        // and one col2im, into a non-zero image: below SMALL_WORK, a ragged
-        // last group (29·9 = 261 rows), B deeper than KC (cout 300), 5x5
-        // stride 2, the deconv's 4x4 stride 2, 1x1 over 300 channels, and
-        // two above PAR_WORK: eight groups (taken whole by the threads
-        // from width 2) and one (its tiles shared). Widths 1 to 3.
-        for (cin, cout, hw, k, stride, pad) in [
-            (2, 3, 5, 3, 1, 1),
-            (29, 16, 9, 3, 1, 1),
-            (40, 300, 6, 3, 2, 1),
-            (11, 8, 12, 5, 2, 2),
-            (17, 24, 7, 4, 2, 1),
-            (300, 4, 3, 1, 1, 0),
-            (64, 32, 24, 3, 1, 1),
-            (3, 64, 64, 3, 1, 1),
+        // and the element-loop col2im, into a non-zero image: below
+        // SMALL_WORK, a ragged last group (29·9 = 261 rows), B deeper than
+        // KC (cout 300), 5x5 stride 2, the deconv's 4x4 stride 2, 1x1 over
+        // 300 channels, stride 3 with 2x2 and 4x4 kernels on odd h ≠ w,
+        // pad k − 1, and two above PAR_WORK: eight groups (taken whole by
+        // the threads from width 2) and one (its tiles shared). Widths 1
+        // to 3.
+        for (cin, cout, h, w, k, stride, pad) in [
+            (2, 3, 5, 5, 3, 1, 1),
+            (29, 16, 9, 9, 3, 1, 1),
+            (40, 300, 6, 6, 3, 2, 1),
+            (11, 8, 12, 12, 5, 2, 2),
+            (17, 24, 7, 7, 4, 2, 1),
+            (300, 4, 3, 3, 1, 1, 0),
+            (9, 12, 11, 7, 2, 3, 1),
+            (13, 20, 9, 14, 4, 3, 3),
+            (6, 10, 13, 10, 4, 2, 3),
+            (5, 7, 7, 9, 5, 3, 4),
+            (64, 32, 24, 24, 3, 1, 1),
+            (3, 64, 64, 64, 3, 1, 1),
         ] {
-            let geo = ConvGeometry::new(cin, cout, hw, hw, k, stride, pad);
+            let geo = ConvGeometry::new(cin, cout, h, w, k, stride, pad);
             let (rows, cols) = (geo.col_rows(), geo.col_cols());
             let weight = fill(cout * rows, 93);
             let dy = fill(cout * cols, 94);
-            let image = fill(cin * hw * hw, 95);
+            let image = fill(cin * h * w, 95);
             for &isa in Isa::detected() {
                 let mut dcol = vec![f32::NAN; rows * cols];
                 gemm_with_isa(isa, Transpose::Yes, Transpose::No, rows, cols, cout, 1.0, &weight, &dy, 0.0, &mut dcol);
                 let mut want = image.clone();
-                col2im(&geo, &dcol, &mut want);
+                col2im_ref(&geo, &dcol, &mut want);
                 for width in 1..=3 {
                     par::set_width(width);
                     poison_pool(rows * cols);

@@ -3,19 +3,37 @@
 //! A convolution over an NCHW image is a GEMM against the image's
 //! receptive fields unrolled into columns: the `(C*KH*KW) x (OH*OW)`
 //! "col" matrix, multiplied by the `(COUT) x (C*KH*KW)` filter matrix.
-//! The layers never write that matrix out: `ColView` reads any run of
-//! one of its rows straight from the image, and the GEMM's B packing
-//! ([`crate::BSource::Im2col`]) gathers its panels through it. [`col2im`]
-//! is the adjoint scatter-add behind backward-data — and, per the paper's
-//! trick (Sec. III-C), behind the *forward* pass of deconvolution layers —
-//! which [`crate::PackedA::gemm_col2im`] runs one channel group at a time.
+//! The layers never write that matrix out. Every reader of it — both
+//! B-packing layouts of [`crate::BSource::Im2col`], the scatter of
+//! [`crate::PackedA::gemm_col2im`], and [`im2col`]/[`col2im`] — sees it
+//! through one view, `Planes`: the image split into its `stride x
+//! stride` *phase planes*, each with its zero border, built once per
+//! block of a product's `KC` slab (per channel group in the scatter).
+//! In a phase plane, output row `oy` of any col row is `out_w`
+//! consecutive values of one plane row, padding included, so each
+//! col-row segment moves as one contiguous run: no per-element stride,
+//! no bounds test per tap and no zero fill around a run. At stride 1
+//! the one plane is the zero-padded image.
 //!
-//! [`im2col`] writes the whole matrix. It is the reference the panel
-//! gather is tested against bit for bit, and what the int8 conv and the
-//! lowering rows of `scidl-bench kernels` still call.
+//! The view only moves values: padding reads `+0.0` and every image value
+//! its own bits, so a product over it is bit for bit a product over the
+//! written-out matrix. The scatter adds into the planes (which start as a
+//! copy of the image), visits col rows in the `(c, ky, kx, oy)` order the
+//! element loop does and writes the image values back, so every image
+//! element receives the same adds onto the same value in the same order.
+//! [`col2im`] is the adjoint scatter-add behind backward-data — and, per
+//! the paper's trick (Sec. III-C), behind the *forward* pass of
+//! deconvolution layers.
+//!
+//! [`im2col`] writes the whole matrix: what the int8 conv, the small-work
+//! GEMM path and the lowering rows of `scidl-bench kernels` call. Both it
+//! and [`col2im`] are tested against the element-at-a-time loops in
+//! `reference`, bit for bit.
 
 use crate::shape::Shape4;
+use crate::workspace::Workspace;
 use crate::{par, PAR_CHUNK};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution: input plane, kernel, stride and padding.
 ///
@@ -99,30 +117,112 @@ impl ConvGeometry {
     }
 }
 
-/// Output columns `lo..hi` of one col-matrix row whose tap `kx` lands
-/// inside the image row (`0 <= ox*stride + kx - pad < w`); the columns on
-/// either side read padding. Depends on `kx` only, not on the output row.
-fn valid_cols(geo: &ConvGeometry, kx: usize, ow: usize) -> (usize, usize) {
-    let lo = geo.pad.saturating_sub(kx).div_ceil(geo.stride).min(ow);
-    let hi = (geo.w + geo.pad).saturating_sub(kx).div_ceil(geo.stride).clamp(lo, ow);
-    (lo, hi)
-}
-
-/// The col matrix of one image read in place: row `r` is the tap `(c, ky,
-/// kx)` (`r = (c * kh + ky) * kw + kx`), column `q` the output pixel `(oy,
-/// ox)` (`q = oy * out_w + ox`), and every element is the image value
-/// [`im2col`] would write there, or `+0.0` for a padding tap.
-#[derive(Clone, Copy)]
-pub(crate) struct ColView<'a> {
-    geo: &'a ConvGeometry,
-    image: &'a [f32],
+/// The col matrix of some channels of one image, read as runs of its
+/// phase planes.
+///
+/// Pad the image with its zero border and split it by the residues of
+/// row and column modulo the stride `s`: phase plane `(ry, rx)` of
+/// channel `c` holds padded pixel `(a·s + ry, b·s + rx)` at `(a, b)`. Col
+/// row `(c, ky, kx)` at output row `oy` then reads plane `(ky % s, kx %
+/// s)`, row `oy + ky / s`, columns `kx / s ..` — `out_w` consecutive
+/// values, padding included — so every col-row segment is one contiguous
+/// run of one plane row. At stride 1 the one plane is the zero-padded
+/// image. Only the phases some tap reads exist (`min(s, k)` per axis),
+/// and only the plane rows of the output rows a caller reads.
+///
+/// The planes are a copy: [`Planes::split`] moves every value there
+/// unchanged (padding as `+0.0`), and [`Planes::merge`] moves the image's
+/// values back, so a scatter-add into the runs between the two gives
+/// every image element the adds it would get in place, in the same order.
+pub(crate) struct Planes<'a> {
+    geo: ConvGeometry,
+    /// First output row served: plane row `oy0 + ky / s` holds row 0 of
+    /// the col rows with tap row `ky`.
+    oy0: usize,
+    /// Output row width, plane rows held and the width of a plane row.
     ow: usize,
+    rows: usize,
+    pw: usize,
+    /// Phases held per axis.
+    py: usize,
+    px: usize,
+    buf: &'a mut [f32],
 }
 
-impl<'a> ColView<'a> {
-    pub(crate) fn new(geo: &'a ConvGeometry, image: &'a [f32]) -> Self {
-        assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
-        Self { geo, image, ow: geo.out_w() }
+impl<'a> Planes<'a> {
+    /// Floats of scratch the planes of `chans` channels for output rows
+    /// `oys` take: the length of the buffer [`Planes::split`] fills.
+    pub(crate) fn scratch_len(geo: &ConvGeometry, chans: usize, oys: &Range<usize>) -> usize {
+        let s = geo.stride;
+        let (rows, pw) = (oys.len() + (geo.kh - 1) / s, geo.out_w() + (geo.kw - 1) / s);
+        chans * s.min(geo.kh) * s.min(geo.kw) * rows * pw
+    }
+
+    /// The planes of the channels `image` holds (whole planes, `chans`
+    /// of them), for output rows `oys`, written into `buf`
+    /// ([`Planes::scratch_len`] floats, stale contents allowed).
+    pub(crate) fn split(geo: &ConvGeometry, image: &[f32], chans: usize, oys: Range<usize>, buf: &'a mut [f32]) -> Self {
+        let (h, w, s, pad) = (geo.h, geo.w, geo.stride, geo.pad);
+        assert_eq!(image.len(), chans * h * w, "image length mismatch");
+        assert_eq!(buf.len(), Self::scratch_len(geo, chans, &oys), "planes scratch length mismatch");
+        let (py, px) = (s.min(geo.kh), s.min(geo.kw));
+        let ow = geo.out_w();
+        let (rows, pw) = (oys.len() + (geo.kh - 1) / s, ow + (geo.kw - 1) / s);
+        // The border first, in one sweep; then each plane row's run of
+        // image values.
+        buf.fill(0.0);
+        for (img, planes) in image.chunks_exact(h * w).zip(buf.chunks_exact_mut(py * px * rows * pw)) {
+            for (phase, dst) in planes.chunks_exact_mut(rows * pw).enumerate() {
+                let (ry, rx) = (phase / px, phase % px);
+                let (lo, hi) = Self::span(geo, rx, pw);
+                if lo == hi {
+                    continue;
+                }
+                for (a, dst) in (oys.start..).zip(dst.chunks_exact_mut(pw)) {
+                    let y = (a * s + ry).wrapping_sub(pad);
+                    if y < h {
+                        copy_from_every(s, &img[y * w + lo * s + rx - pad..(y + 1) * w], &mut dst[lo..hi]);
+                    }
+                }
+            }
+        }
+        Self { geo: *geo, oy0: oys.start, ow, rows, pw, py, px, buf }
+    }
+
+    /// Plane columns `lo..hi` of phase `rx` that hold image columns; the
+    /// others hold padding.
+    fn span(geo: &ConvGeometry, rx: usize, pw: usize) -> (usize, usize) {
+        let lo = geo.pad.saturating_sub(rx).div_ceil(geo.stride).min(pw);
+        let hi = (geo.w + geo.pad).saturating_sub(rx).div_ceil(geo.stride).clamp(lo, pw);
+        (lo, hi)
+    }
+
+    /// Where the col rows `r0, r0 + 1, ...` (`r0` counted from the first
+    /// channel held) start: each one's run at the first output row
+    /// served. One increment per row instead of a division.
+    pub(crate) fn col_rows(&self, r0: usize) -> impl Iterator<Item = usize> {
+        let ConvGeometry { kh, kw, stride: s, .. } = self.geo;
+        let (plane, pw, py, px) = (self.rows * self.pw, self.pw, self.py, self.px);
+        let (c, ky, kx) = (r0 / (kh * kw), r0 % (kh * kw) / kw, r0 % kw);
+        // (ky, kx) as phase and offset: ky = qy·s + ry, kx = qx·s + rx.
+        let (mut c, mut ky, mut kx, mut ry, mut qy, mut rx, mut qx) = (c, ky, kx, ky % s, ky / s, kx % s, kx / s);
+        std::iter::from_fn(move || {
+            let at = ((c * py + ry) * px + rx) * plane + qy * pw + qx;
+            (kx, rx) = (kx + 1, rx + 1);
+            if rx == s {
+                (rx, qx) = (0, qx + 1);
+            }
+            if kx == kw {
+                (kx, rx, qx, ky, ry) = (0, 0, 0, ky + 1, ry + 1);
+                if ry == s {
+                    (ry, qy) = (0, qy + 1);
+                }
+                if ky == kh {
+                    (ky, ry, qy, c) = (0, 0, 0, c + 1);
+                }
+            }
+            Some(at)
+        })
     }
 
     /// The output pixel `(oy, ox)` of col column `q`.
@@ -130,58 +230,80 @@ impl<'a> ColView<'a> {
         (q / self.ow, q % self.ow)
     }
 
-    /// The taps of col rows `r0, r0 + 1, ...` in order, one increment per
-    /// row instead of a division.
-    pub(crate) fn taps(&self, r0: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-        let (kh, kw) = (self.geo.kh, self.geo.kw);
-        let (mut c, mut ky, mut kx) = (r0 / (kh * kw), r0 % (kh * kw) / kw, r0 % kw);
+    /// Output row `oy` of the col row that starts at `row`: `out_w`
+    /// values.
+    pub(crate) fn run(&self, row: usize, oy: usize) -> &[f32] {
+        &self.buf[row + (oy - self.oy0) * self.pw..][..self.ow]
+    }
+
+    /// [`Planes::run`], writable.
+    fn run_mut(&mut self, row: usize, oy: usize) -> &mut [f32] {
+        let at = row + (oy - self.oy0) * self.pw;
+        &mut self.buf[at..][..self.ow]
+    }
+
+    /// The planes' values: a col row's segment is
+    /// `values()[row + offset..][..len]`.
+    pub(crate) fn values(&self) -> &[f32] {
+        self.buf
+    }
+
+    /// The segments of any col row from output pixel `(oy, ox)` on, `len`
+    /// values — one per output row they touch: each its offset from the
+    /// col row's start, and its length.
+    pub(crate) fn segments(&self, (oy, ox): (usize, usize), len: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (ow, pw) = (self.ow, self.pw);
+        let (mut at, mut ox, mut left) = ((oy - self.oy0) * pw, ox, len);
         std::iter::from_fn(move || {
-            let tap = (c, ky, kx);
-            kx += 1;
-            if kx == kw {
-                (kx, ky) = (0, ky + 1);
-                if ky == kh {
-                    (ky, c) = (0, c + 1);
-                }
-            }
-            Some(tap)
+            let n = (ow - ox).min(left);
+            let segment = (n > 0).then_some((at + ox, n));
+            (at, ox, left) = (at + pw, 0, left - n);
+            segment
         })
     }
 
-    /// Writes `out[i] = col[tap][pixel + i]`, running on across output
-    /// rows. Each output row's share is `zeros | a run of one image row |
-    /// zeros`, as in [`im2col`]: a slice copy at stride 1, otherwise a
-    /// gather that reads `+0.0` outside the image row.
-    pub(crate) fn gather(&self, (c, ky, kx): (usize, usize, usize), (mut oy, mut ox): (usize, usize), mut out: &mut [f32]) {
-        let ConvGeometry { h, w, stride, pad, .. } = *self.geo;
-        let plane = &self.image[c * h * w..][..h * w];
-        while !out.is_empty() {
-            let len = (self.ow - ox).min(out.len());
-            let (run, rest) = std::mem::take(&mut out).split_at_mut(len);
-            let iy = (oy * stride + ky).wrapping_sub(pad);
-            if iy >= h {
-                run.fill(0.0);
-            } else {
-                let row = &plane[iy * w..][..w];
-                // `run[i]` reads image column `x0 + i * stride - pad`.
-                let x0 = ox * stride + kx;
-                if stride == 1 {
-                    let lo = pad.saturating_sub(x0).min(run.len());
-                    let hi = (w + pad).saturating_sub(x0).clamp(lo, run.len());
-                    run[..lo].fill(0.0);
-                    if lo < hi {
-                        run[lo..hi].copy_from_slice(&row[x0 + lo - pad..][..hi - lo]);
-                    }
-                    run[hi..].fill(0.0);
-                } else {
-                    for (i, d) in run.iter_mut().enumerate() {
-                        let ix = (x0 + i * stride).wrapping_sub(pad);
-                        *d = if ix < w { row[ix] } else { 0.0 };
+    /// Writes the image values back from the planes: the inverse of
+    /// [`Planes::split`] for every element some plane holds; the rest
+    /// (pixels no tap reads) are left as they are.
+    pub(crate) fn merge(&self, image: &mut [f32]) {
+        let ConvGeometry { h, w, stride: s, pad, .. } = self.geo;
+        let plane = self.rows * self.pw;
+        for (img, planes) in image.chunks_exact_mut(h * w).zip(self.buf.chunks_exact(self.py * self.px * plane)) {
+            for (phase, src) in planes.chunks_exact(plane).enumerate() {
+                let (ry, rx) = (phase / self.px, phase % self.px);
+                let (lo, hi) = Self::span(&self.geo, rx, self.pw);
+                if lo == hi {
+                    continue;
+                }
+                for (a, src) in (self.oy0..).zip(src.chunks_exact(self.pw)) {
+                    let y = (a * s + ry).wrapping_sub(pad);
+                    if y < h {
+                        copy_to_every(s, &src[lo..hi], &mut img[y * w + lo * s + rx - pad..(y + 1) * w]);
                     }
                 }
             }
-            (out, oy, ox) = (rest, oy + 1, 0);
         }
+    }
+}
+
+/// `dst[i] = src[i * s]` for every `i` of `dst`: a plain copy at stride
+/// 1, and the stride-2 case in pairs rather than through a strided
+/// iterator.
+fn copy_from_every(s: usize, src: &[f32], dst: &mut [f32]) {
+    match s {
+        1 => dst.copy_from_slice(&src[..dst.len()]),
+        2 => dst.iter_mut().zip(src.chunks(2)).for_each(|(d, pair)| *d = pair[0]),
+        _ => dst.iter_mut().zip(src.iter().step_by(s)).for_each(|(d, &v)| *d = v),
+    }
+}
+
+/// `dst[i * s] = src[i]` for every `i` of `src`: the inverse of
+/// [`copy_from_every`].
+fn copy_to_every(s: usize, src: &[f32], dst: &mut [f32]) {
+    match s {
+        1 => dst[..src.len()].copy_from_slice(src),
+        2 => dst.chunks_mut(2).zip(src).for_each(|(pair, &v)| pair[0] = v),
+        _ => dst.iter_mut().step_by(s).zip(src).for_each(|(d, &v)| *d = v),
     }
 }
 
@@ -189,44 +311,25 @@ impl<'a> ColView<'a> {
 /// (`col_rows() x col_cols()`, row-major). `col` must be exactly that size.
 /// Out-of-bounds (padding) taps are written as zero.
 ///
-/// Each output row of each tap is `zeros | a run of one image row |
-/// zeros`: at stride 1 the run is contiguous and moves as one slice copy,
-/// otherwise it is a strided gather — either way with no per-element
-/// bounds test. A channel's `kh * kw` col rows depend on that channel's
-/// plane alone, so channels are split across threads.
+/// Every output row of every col row is one slice copy out of the
+/// image's phase planes (`Planes`). A channel's `kh * kw` col rows
+/// depend on that channel's plane alone, so channels are split across
+/// threads, each group with planes of its own.
 pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
-    let (plane_len, per_channel) = (geo.h * w, geo.kh * geo.kw * oh * ow);
+    let (plane_len, per_channel) = (geo.h * geo.w, geo.kh * geo.kw * oh * ow);
 
     let group = PAR_CHUNK.div_ceil(per_channel);
     par::for_each_chunk_mut(col, group * per_channel, |g, col| {
-        let mut rows = col.chunks_exact_mut(ow);
-        for c in g * group..geo.cin.min((g + 1) * group) {
-            let plane = &image[c * plane_len..][..plane_len];
-            for ky in 0..geo.kh {
-                for kx in 0..geo.kw {
-                    let (lo, hi) = valid_cols(geo, kx, ow);
-                    for (oy, dst) in rows.by_ref().take(oh).enumerate() {
-                        let iy = (oy * stride + ky).wrapping_sub(pad);
-                        if iy >= geo.h || lo == hi {
-                            dst.fill(0.0);
-                            continue;
-                        }
-                        let src = &plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
-                        dst[..lo].fill(0.0);
-                        if stride == 1 {
-                            dst[lo..hi].copy_from_slice(&src[..hi - lo]);
-                        } else {
-                            for (d, &v) in dst[lo..hi].iter_mut().zip(src.iter().step_by(stride)) {
-                                *d = v;
-                            }
-                        }
-                        dst[hi..].fill(0.0);
-                    }
-                }
+        let chans = col.len() / per_channel;
+        let image = &image[g * group * plane_len..][..chans * plane_len];
+        let mut scratch = Workspace::take(Planes::scratch_len(geo, chans, &(0..oh)));
+        let planes = Planes::split(geo, image, chans, 0..oh, &mut scratch);
+        for (rows, row) in col.chunks_exact_mut(oh * ow).zip(planes.col_rows(0)) {
+            for (oy, dst) in rows.chunks_exact_mut(ow).enumerate() {
+                dst.copy_from_slice(planes.run(row, oy));
             }
         }
     });
@@ -236,58 +339,48 @@ pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
 /// buffer (`cin * h * w`). The image buffer is *accumulated into*, not
 /// overwritten — callers zero it first when appropriate.
 ///
-/// Rows are visited in the order [`im2col`] writes them, so every image
-/// element receives its contributions in one fixed order; at stride 1
-/// each row is a contiguous slice add. A channel's plane only receives
-/// that channel's col rows, so channels are split across threads without
-/// touching that order.
+/// The image is split into its phase planes (`Planes`), every output
+/// row of every col row is added to its run as one contiguous slice add,
+/// and the planes are merged back. Rows are visited in the order
+/// [`im2col`] writes them, so every image element receives its
+/// contributions in one fixed order, onto its own value. A channel's
+/// plane only receives that channel's col rows, so channels are split
+/// across threads without touching that order.
 pub fn col2im(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
     assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
     assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
     let (oh, ow) = (geo.out_h(), geo.out_w());
-    let (w, stride, pad) = (geo.w, geo.stride, geo.pad);
-    let (plane_len, per_channel) = (geo.h * w, geo.kh * geo.kw * oh * ow);
+    let (plane_len, per_channel) = (geo.h * geo.w, geo.kh * geo.kw * oh * ow);
     if image.is_empty() {
         return;
     }
 
     let group = PAR_CHUNK.div_ceil(per_channel);
     par::for_each_chunk_mut(image, group * plane_len, |g, image| {
-        let mut rows = col[g * group * per_channel..].chunks_exact(ow);
-        for plane in image.chunks_exact_mut(plane_len) {
-            for ky in 0..geo.kh {
-                for kx in 0..geo.kw {
-                    let (lo, hi) = valid_cols(geo, kx, ow);
-                    for (oy, src) in rows.by_ref().take(oh).enumerate() {
-                        let iy = (oy * stride + ky).wrapping_sub(pad);
-                        if iy >= geo.h || lo == hi {
-                            continue;
-                        }
-                        let dst = &mut plane[iy * w + lo * stride + kx - pad..(iy + 1) * w];
-                        if stride == 1 {
-                            for (d, &v) in dst.iter_mut().zip(&src[lo..hi]) {
-                                *d += v;
-                            }
-                        } else {
-                            for (d, &v) in dst.iter_mut().step_by(stride).zip(&src[lo..hi]) {
-                                *d += v;
-                            }
-                        }
-                    }
+        let chans = image.len() / plane_len;
+        let mut scratch = Workspace::take(Planes::scratch_len(geo, chans, &(0..oh)));
+        let mut planes = Planes::split(geo, image, chans, 0..oh, &mut scratch);
+        let col = &col[g * group * per_channel..][..chans * per_channel];
+        for (rows, row) in col.chunks_exact(oh * ow).zip(planes.col_rows(0)) {
+            for (oy, src) in rows.chunks_exact(ow).enumerate() {
+                for (d, &v) in planes.run_mut(row, oy).iter_mut().zip(src) {
+                    *d += v;
                 }
             }
         }
+        planes.merge(image);
     });
 }
 
+/// The element loops [`im2col`] and [`col2im`] are tested against, here
+/// and in the GEMM's tests.
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+pub(crate) mod reference {
+    use super::ConvGeometry;
 
-    /// The element-at-a-time lowering the row copies replaced, kept as
-    /// the reference they must match bit for bit: one bounds test per tap.
-    fn im2col_ref(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
+    /// The element-at-a-time lowering, kept as the reference the plane runs
+    /// must match bit for bit: one bounds test per tap.
+    pub(crate) fn im2col_ref(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
         let (oh, ow) = (geo.out_h(), geo.out_w());
         let (h, w) = (geo.h as isize, geo.w as isize);
         let pad = geo.pad as isize;
@@ -318,8 +411,8 @@ mod tests {
         }
     }
 
-    /// Reference for [`col2im`], same tap order as [`im2col_ref`].
-    fn col2im_ref(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
+    /// Reference for [`super::col2im`], same tap order as [`im2col_ref`].
+    pub(crate) fn col2im_ref(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
         let (oh, ow) = (geo.out_h(), geo.out_w());
         let (h, w) = (geo.h as isize, geo.w as isize);
         let pad = geo.pad as isize;
@@ -347,23 +440,33 @@ mod tests {
             }
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::reference::{col2im_ref, im2col_ref};
+    use super::*;
+    use proptest::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
         fn row_copies_match_elementwise_reference(
             cin in 1usize..3,
-            h in 1usize..9,
-            w in 1usize..9,
-            k_sel in 0usize..3,
-            stride in 1usize..3,
+            h in 1usize..12,
+            w in 1usize..12,
+            k in 1usize..6,
+            stride in 1usize..4,
             pad_sel in 0usize..5,
             seed in any::<u64>(),
         ) {
             // pad ranges over 0..k, so small images see pad >= w (rows
-            // that are padding end to end) and 1x1 images are included.
-            let k = [1usize, 3, 5][k_sel];
+            // that are padding end to end) and 1x1 images are included;
+            // h and w differ and run odd and even; strides 1 to 3 give
+            // one, four and nine phase planes, the even kernels (the
+            // deconvs' 4x4) phases of unequal depth, and a kernel shorter
+            // than the stride phases no tap reads.
             let pad = pad_sel % k;
             prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
             let geo = ConvGeometry::new(cin, 1, h, w, k, stride, pad);

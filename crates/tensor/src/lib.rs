@@ -12,9 +12,10 @@
 //!   tuned for the tall-skinny shapes of convolution, with fused bias
 //!   epilogues ([`gemm_bias`], [`gemm_bias_cols`]), a pack-once left
 //!   operand for batched callers ([`PackedA`]) whose right operand may be
-//!   a conv's col matrix gathered panel by panel from the image
-//!   ([`BSource::Im2col`]) and whose backward-data product scatters one
-//!   channel group at a time ([`PackedA::gemm_col2im`]) — so no layer
+//!   a conv's col matrix packed panel by panel from the image
+//!   ([`BSource::Im2col`], through the image's stride-phase planes) and
+//!   whose backward-data product scatters one channel group at a time
+//!   ([`PackedA::gemm_col2im`]) — so no layer
 //!   writes a col matrix — and the pre-packing kernel retained as a baseline
 //!   ([`gemm_unpacked`]); the microkernel and its register-tile shape
 //!   are selected once per process by runtime CPU-feature detection
@@ -24,7 +25,7 @@
 //! * a thread-local scratch-buffer pool ([`Workspace`]) that keeps the
 //!   heap allocator off the steady-state training path,
 //! * the conv geometry ([`ConvGeometry`]) and [`im2col`]/[`col2im`], the
-//!   written-out lowering the panel gather is tested against.
+//!   written-out lowering and its scatter, over the same phase planes.
 //!
 //! The crate is deliberately free of `unsafe` except for a few
 //! bounds-check-free inner loops in the GEMM micro-kernel; every such use

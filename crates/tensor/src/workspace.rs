@@ -1,11 +1,12 @@
 //! Thread-local scratch-buffer pool (the kernel *workspace*).
 //!
 //! The packed GEMM and the conv layers built on it need `f32` scratch
-//! buffers whose sizes repeat every iteration: A and B pack panels, and
-//! backward-data's one-channel-group slab of the col-space gradient. No
-//! col matrix is among them — B panels are gathered straight from the
-//! image — so what a thread parks is a few panels' worth, not a
-//! `cin·k² x oh·ow` matrix. Allocating them per call puts the heap
+//! buffers whose sizes repeat every iteration: A and B pack panels,
+//! backward-data's one-channel-group slab of the col-space gradient, and
+//! the phase planes of the image part one block of a B slab, or one
+//! channel group, reads. No col matrix is among them — B panels are copied straight
+//! from the planes — so what a thread parks is a few panels' worth, not
+//! a `cin·k² x oh·ow` matrix. Allocating them per call puts the heap
 //! allocator on the steady-state training path — the exact overhead
 //! MKL-class kernels avoid with persistent workspaces. [`Workspace`]
 //! keeps a small per-thread pool of reusable buffers instead: after a
