@@ -13,8 +13,8 @@ struct Shared {
 }
 
 struct State {
-    /// Accumulator for the in-flight reduction.
-    sum: Vec<f32>,
+    /// The in-flight reduction's contributions, one slot per rank.
+    parts: Vec<Vec<f32>>,
     /// Contributions received this round.
     count: usize,
     /// Completed round counter.
@@ -46,7 +46,7 @@ impl CommWorld {
         let shared = Arc::new(Shared {
             n,
             m: Mutex::new(State {
-                sum: Vec::new(),
+                parts: vec![Vec::new(); n],
                 count: 0,
                 generation: 0,
                 results: [Vec::new(), Vec::new()],
@@ -93,28 +93,29 @@ impl Communicator {
 
     /// In-place all-reduce: on return every rank's `data` holds the
     /// elementwise **mean** of all contributions (data-parallel gradient
-    /// averaging). All ranks must pass equal-length buffers.
+    /// averaging), summed in rank order whichever rank arrives first, so
+    /// its bits do not depend on the schedule. All ranks must pass
+    /// equal-length buffers.
     pub fn allreduce_mean(&self, data: &mut [f32]) {
         let sh = &*self.shared;
         if sh.n == 1 {
             return;
         }
         let mut st = sh.m.lock();
-        // Wait for the previous round's writers to drain (sum cleared on
-        // first contribution of each round).
-        if st.count == 0 {
-            st.sum.clear();
-            st.sum.resize(data.len(), 0.0);
-        }
-        assert_eq!(st.sum.len(), data.len(), "allreduce length mismatch across ranks");
-        for (s, &d) in st.sum.iter_mut().zip(data.iter()) {
-            *s += d;
-        }
+        // A rank's slot is free again: the last round completed before it
+        // could return from it.
+        let part = &mut st.parts[self.rank];
+        part.clear();
+        part.extend_from_slice(data);
         st.count += 1;
         let my_gen = st.generation;
         if st.count == sh.n {
             let inv = 1.0 / sh.n as f32;
-            let mut result = std::mem::take(&mut st.sum);
+            let mut result = vec![0.0f32; data.len()];
+            for part in &st.parts {
+                assert_eq!(part.len(), data.len(), "allreduce length mismatch across ranks");
+                result.iter_mut().zip(part).for_each(|(s, &d)| *s += d);
+            }
             result.iter_mut().for_each(|v| *v *= inv);
             let slot = (my_gen & 1) as usize;
             st.results[slot] = result;
@@ -200,6 +201,21 @@ mod tests {
         for r in results {
             assert_eq!(r, vec![1.5, 15.0]); // mean of 0..4 and 0,10,20,30
         }
+    }
+
+    #[test]
+    fn allreduce_sums_in_rank_order_whoever_arrives_first() {
+        // In rank order 1 + 1e8 rounds to 1e8 and the mean is 0; summed
+        // in arrival order with rank 0 last it would be 1/3. The result
+        // must hold under any schedule; the delays make the reverse
+        // arrival the likely one.
+        let results = run_ranks(3, |c| {
+            thread::sleep(std::time::Duration::from_millis(20 * (2 - c.rank()) as u64));
+            let mut data = vec![[1.0f32, 1e8, -1e8][c.rank()]];
+            c.allreduce_mean(&mut data);
+            data
+        });
+        assert!(results.iter().all(|r| r[0].to_bits() == 0.0f32.to_bits()), "{results:?}");
     }
 
     #[test]

@@ -179,10 +179,9 @@ impl WorkerLog {
 }
 
 /// Everything the workers of one run read and never write.
-struct Run<'a, B, G> {
+struct Run<'a, G> {
     cfg: &'a ThreadEngineConfig,
     dataset_len: usize,
-    build: &'a B,
     grad: &'a G,
     bank: &'a SupervisedPsBank,
     /// One bucket plan shared by all ranks (readiness order over the
@@ -213,11 +212,14 @@ impl ThreadEngine {
         )
     }
 
-    /// Generic thread-backed hybrid training. `build` constructs the
-    /// (identical) initial model on every worker from the seed; `grad`
-    /// computes `(loss, flat gradient)` for a batch of sample indices —
-    /// a plain closure works, and a [`GradTask`] overriding
-    /// `grad_overlapped` additionally supports `cfg.overlap_comm`.
+    /// Generic thread-backed hybrid training. `build` is called once,
+    /// on the calling thread, with `cfg.seed`: the model it returns seeds
+    /// the PS bank and is the one starting point of every rank, each of
+    /// which clones it on its own thread; it is dropped as soon as the
+    /// last rank holds its copy. `grad` computes `(loss, flat gradient)`
+    /// for a batch of sample indices — a plain closure works, and a
+    /// [`GradTask`] overriding `grad_overlapped` additionally supports
+    /// `cfg.overlap_comm`.
     pub fn run_with<M, B, G>(
         cfg: &ThreadEngineConfig,
         dataset_len: usize,
@@ -225,8 +227,8 @@ impl ThreadEngine {
         grad: G,
     ) -> ThreadRunSummary
     where
-        M: Model,
-        B: Fn(u64) -> M + Send + Sync,
+        M: Model + Clone + Sync,
+        B: FnOnce(u64) -> M,
         G: GradTask<M>,
     {
         assert!(cfg.groups >= 1 && cfg.nodes_per_group >= 1);
@@ -235,9 +237,8 @@ impl ThreadEngine {
             "each node needs at least one image"
         );
 
-        // A template model defines the block structure and the PS bank's
-        // initial params; it is dropped once the bank holds them, so the
-        // run keeps no copy of the model beyond the ranks' own.
+        // The one initial model: it defines the block structure, the PS
+        // bank's initial params and every rank's starting point.
         let template = build(cfg.seed);
         let block_sizes: Vec<usize> = template.param_blocks().iter().map(|b| b.len()).collect();
         let plan = BucketPlan::new(&block_sizes, cfg.bucket_bytes);
@@ -272,11 +273,9 @@ impl ThreadEngine {
                 })
                 .collect(),
         );
-        drop(template);
         let run = Run {
             cfg,
             dataset_len,
-            build: &build,
             grad: &grad,
             bank: &bank,
             plan: &plan,
@@ -291,19 +290,24 @@ impl ThreadEngine {
         // broadcast) and one gradient ring per group.
         let mut log = WorkerLog::default();
         let mut per_group = vec![LossCurve::new(); cfg.groups];
+        // Each rank holds the template until it has cloned it on its own
+        // thread; the last one to let go drops it, so the run keeps no
+        // copy of the model beyond the ranks' own.
+        let template = Arc::new(template);
         std::thread::scope(|scope| {
             let mut workers = Vec::new();
             for g in 0..cfg.groups {
                 let comms = CommWorld::new(cfg.nodes_per_group);
                 let endpoints = RingFabric::new(cfg.nodes_per_group).into_endpoints();
                 for (r, (comm, endpoint)) in comms.into_iter().zip(endpoints).enumerate() {
-                    let run = &run;
+                    let (run, template) = (&run, Arc::clone(&template));
                     workers.push((g, scope.spawn(move || {
                         scidl_tensor::par::set_width(threads_per_rank);
-                        worker(run, g, r, comm, endpoint)
+                        worker(run, g, r, comm, endpoint, template)
                     })));
                 }
             }
+            drop(template);
             for (g, w) in workers {
                 let l = w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 // Only the group root records updates, in update order.
@@ -341,26 +345,29 @@ impl ThreadEngine {
     }
 }
 
-fn worker<M, B, G>(
-    run: &Run<'_, B, G>,
+fn worker<M, G>(
+    run: &Run<'_, G>,
     group: usize,
     rank: usize,
     comm: Communicator,
     endpoint: RingEndpoint,
+    template: Arc<M>,
 ) -> WorkerLog
 where
-    M: Model,
-    B: Fn(u64) -> M + Send + Sync,
+    M: Model + Clone + Sync,
     G: GradTask<M>,
 {
     let &Run { cfg, bank, plan, trace, .. } = run;
     let tr = &trace.tr;
     let mut log = WorkerLog::default();
-    // Every worker builds the identical initial model. It is the rank's
+    // Every rank starts from a copy of the run's one initial model, made
+    // on this thread: copies cloned on the spawning thread and moved in
+    // ran `climate_train` slower (EXPERIMENTS.md A16). It is the rank's
     // only copy of the parameters and their gradient: PS replies and the
     // group broadcast land in its value blocks, the reduced gradient in
     // its grad blocks.
-    let mut model = (run.build)(cfg.seed);
+    let mut model = M::clone(&template);
+    drop(template);
     // A dedicated comm thread owns this rank's ring endpoint for the
     // whole run (MLSL's endpoint proxy threads), and with it the
     // per-bucket error-feedback accumulators.
@@ -615,6 +622,41 @@ mod tests {
         assert_eq!(run.mean_staleness, 0.0);
         assert_eq!(run.ps_respawns, 0);
         assert_eq!(run.recovered_updates, 0);
+    }
+
+    #[test]
+    fn one_build_per_run_is_every_rank_starting_point() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        // Each call of this build seeds its model differently, so a rank
+        // that built its own model would start from a different one.
+        let ds = dataset();
+        let calls = AtomicU64::new(0);
+        let counted = |seed: u64| {
+            let call = calls.fetch_add(1, Ordering::Relaxed);
+            scidl_nn::arch::hep_small(&mut TensorRng::new(seed + call))
+        };
+        let first = |seed: u64| scidl_nn::arch::hep_small(&mut TensorRng::new(seed));
+        let bits = |run: &ThreadRunSummary| {
+            let params: Vec<u32> = run.final_params.iter().map(|p| p.to_bits()).collect();
+            let losses: Vec<u32> = run.curve.points.iter().map(|&(_, l)| l.to_bits()).collect();
+            (params, losses)
+        };
+
+        let mut cfg = ThreadEngineConfig::new(2, 2, 4);
+        cfg.iterations = 2;
+        let run = ThreadEngine::run_with(&cfg, ds.len(), counted, HepGradTask::new(Arc::clone(&ds)));
+        assert_eq!(run.updates, 2 * 2);
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "build must run once per run");
+
+        let mut cfg = ThreadEngineConfig::new(1, 3, 6);
+        cfg.iterations = 3;
+        cfg.momentum = 0.9;
+        calls.store(0, Ordering::Relaxed);
+        let got = ThreadEngine::run_with(&cfg, ds.len(), counted, HepGradTask::new(Arc::clone(&ds)));
+        let want = ThreadEngine::run_with(&cfg, ds.len(), first, HepGradTask::new(Arc::clone(&ds)));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
+        assert_eq!(got.curve.len(), cfg.iterations);
+        assert!(bits(&got) == bits(&want), "ranks must all start from the one built model");
     }
 
     #[test]

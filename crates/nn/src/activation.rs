@@ -20,6 +20,7 @@ use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 const WORD: usize = u64::BITS as usize;
 
 /// Rectified linear unit, `y = max(0, x)`.
+#[derive(Clone)]
 pub struct Relu {
     name: String,
     /// Bit `i % 64` of word `i / 64` is set iff element `i` of the last

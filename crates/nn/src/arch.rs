@@ -124,6 +124,7 @@ pub struct ClimateOutput {
 /// scoring heads (confidence / class / bounding box) and (b) a
 /// deconvolutional decoder that reconstructs the input. The unlabelled
 /// data path trains the encoder through the reconstruction loss only.
+#[derive(Clone)]
 pub struct ClimateNet {
     /// Shared encoder (9 convolutions).
     pub encoder: Network,

@@ -40,6 +40,7 @@ use std::sync::{Mutex, PoisonError};
 ///
 /// Weights are stored `(cout, cin, k, k)`; each batch item is a
 /// `(cout) x (cin*k*k) x (oh*ow)` GEMM against its col matrix.
+#[derive(Clone)]
 pub struct Conv2d {
     name: String,
     cin: usize,

@@ -19,6 +19,7 @@ use scidl_tensor::{BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Tr
 /// `oh = (h-1)*stride + k - 2*pad` (the inverse of the convolution output
 /// formula). Weights are stored `(cin, cout, k, k)` — the mirror of
 /// [`crate::Conv2d`]'s layout, as in Caffe.
+#[derive(Clone)]
 pub struct Deconv2d {
     name: String,
     cin: usize,

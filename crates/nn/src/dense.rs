@@ -12,6 +12,7 @@ use scidl_tensor::{gemm, gemm_bias_cols, Shape4, Tensor, TensorRng, Transpose};
 ///
 /// Weights are stored `(out, in)` row-major; input items of any NCHW shape
 /// are treated as flat vectors of length `item_len`.
+#[derive(Clone)]
 pub struct Dense {
     name: String,
     input_len: usize,

@@ -95,7 +95,14 @@ pub enum Part<C, R, P> {
 /// reuse its buffer for the result (ReLU rectifies in place), so no
 /// layer copies an activation. `infer` borrows, because serving shares
 /// its inputs, and never writes to them.
-pub trait Layer: Send + Sync {
+///
+/// Every layer is [`Clone`] (through [`LayerClone`], so a
+/// `Box<dyn Layer>` clones too). A clone is a deep copy of everything
+/// the layer owns: its configuration, each [`ParamBlock`]'s value and
+/// gradient, and whatever its last `forward` remembered for `backward`.
+/// Nothing is shared, so writing into the clone leaves the original as
+/// it was.
+pub trait Layer: LayerClone + Send + Sync {
     /// Layer instance name (unique within a network), e.g. `"conv3"`.
     fn name(&self) -> &str;
 
@@ -168,6 +175,26 @@ pub trait Layer: Send + Sync {
     /// stateless layers override to `1x`.
     fn backward_flops_per_image(&self, input: Shape4) -> u64 {
         2 * self.forward_flops_per_image(input)
+    }
+}
+
+/// The object-safe half of cloning a layer: implemented for every
+/// `Layer + Clone`, it lets a `Box<dyn Layer>` (and so a
+/// [`crate::Network`]) clone.
+pub trait LayerClone {
+    /// A boxed deep copy of this layer.
+    fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+impl<T: Layer + Clone + 'static> LayerClone for T {
+    fn clone_box(&self) -> Box<dyn Layer> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Layer> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
     }
 }
 

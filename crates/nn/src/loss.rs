@@ -158,6 +158,7 @@ impl DetectionLossParts {
 
 /// The supervised half of the climate objective, YOLO-style
 /// (Sec. III-B / [36]-[39]).
+#[derive(Clone)]
 pub struct DetectionLoss {
     /// Weight of the object-bearing confidence term (up-weighted because
     /// positive cells are rare on the coarse grid).

@@ -88,6 +88,7 @@ pub trait Model: Send {
 
 /// A plain sequential stack of layers (the HEP network's shape, and the
 /// building block of the climate model's encoder and decoder).
+#[derive(Clone)]
 pub struct Network {
     name: String,
     layers: Vec<Box<dyn Layer>>,
@@ -412,6 +413,55 @@ mod tests {
             .push(MaxPool2d::new("pool1", 2, 2))
             .push(GlobalAvgPool::new("gap"))
             .push(Dense::new("fc", 4, 2, rng))
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn a_clone_trains_like_a_fresh_build_and_shares_nothing() {
+        use crate::arch::{hep_small, ClimateNet, CLIMATE_CLASSES};
+        use crate::loss::{DetectionTargets, SoftmaxCrossEntropy};
+        use crate::solver::{Sgd, Solver};
+
+        // hep_small: one SGD step on the clone and on a fresh build.
+        let build = || hep_small(&mut TensorRng::new(3));
+        let original = build();
+        let x = TensorRng::new(4).uniform_tensor(Shape4::new(2, 3, 32, 32), -1.0, 1.0);
+        let step = |net: &mut Network| {
+            let logits = net.forward(&x);
+            let (loss, dlogits) = SoftmaxCrossEntropy::forward(&logits, &[0, 1]);
+            net.backward_params(&dlogits, |_, _| {});
+            let grads = net.flat_grads();
+            Sgd::new(0.1, 0.9).step_model(net);
+            (loss.to_bits(), bits(&grads), bits(&net.flat_params()))
+        };
+        let mut copy = original.clone();
+        assert!(step(&mut copy) == step(&mut build()), "hep_small clone steps differently");
+        // The step wrote the clone's values and gradients, not the original's.
+        assert_eq!(bits(&original.flat_params()), bits(&build().flat_params()));
+        assert!(original.flat_grads().iter().all(|&g| g == 0.0));
+
+        // ClimateNet::small: one supervised step, the same way.
+        let build = || ClimateNet::small(&mut TensorRng::new(5));
+        let original = build();
+        let x = TensorRng::new(6).uniform_tensor(Shape4::new(1, 4, 64, 64), -1.0, 1.0);
+        let mut t = DetectionTargets::empty(1, 8, 8, CLIMATE_CLASSES);
+        t.add_object(0, 3, 4, 1, 0.5, 0.5, 0.2, 0.2);
+        let step = |net: &mut ClimateNet| {
+            let (parts, recon) = net.forward_backward(&x, Some(&t));
+            let grads = net.flat_grads();
+            Sgd::new(0.1, 0.9).step_model(net);
+            (parts.total().to_bits(), recon.to_bits(), bits(&grads), bits(&net.flat_params()))
+        };
+        let mut copy = original.clone();
+        assert!(step(&mut copy) == step(&mut build()), "ClimateNet clone steps differently");
+        for b in copy.param_blocks_mut() {
+            b.value.data_mut().fill(7.0);
+        }
+        assert_eq!(bits(&original.flat_params()), bits(&build().flat_params()));
+        assert!(original.flat_grads().iter().all(|&g| g == 0.0));
     }
 
     #[test]

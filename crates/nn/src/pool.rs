@@ -22,6 +22,7 @@ const MAX_TAPS: usize = 128;
 /// Relu → MaxPool2d` triple as one pass, the bit is the ReLU's: set iff
 /// the pooled value is `> 0.0`, which is the ReLU mask bit of the tap it
 /// came from (NaN and `±0` fail, `+inf` passes).
+#[derive(Clone)]
 pub struct MaxPool2d {
     name: String,
     window: Window,
@@ -250,6 +251,7 @@ impl Window {
 }
 
 /// Global average pooling: `(n, c, h, w) → (n, c, 1, 1)`.
+#[derive(Clone)]
 pub struct GlobalAvgPool {
     name: String,
     in_shape: Shape4,

@@ -58,10 +58,37 @@ fn thread_and_sim_engines_agree_on_synchronous_sgd() {
 /// bits and the same loss curve whatever thread budget the rank computes
 /// with — 1 (plain loops), 2, 3, 4 or 7 (more than this box has CPUs).
 /// The engine derives the budget itself, so the test overrides it from
-/// the model-building closure, which runs on the rank thread.
+/// the gradient task, which runs on the rank thread.
 #[test]
 fn thread_engine_run_is_bit_identical_at_every_rank_width() {
-    use scidl_core::task::HepGradTask;
+    use scidl_comm::bucket::BucketSink;
+    use scidl_core::task::{GradTask, HepGradTask};
+    use scidl_nn::Network;
+
+    /// `HepGradTask` at a fixed rank width.
+    struct AtWidth {
+        width: usize,
+        task: HepGradTask,
+    }
+
+    impl AtWidth {
+        fn set(&self) {
+            scidl_tensor::par::set_width(self.width);
+            assert_eq!(scidl_tensor::par::width(), self.width, "rank thread runs at another width");
+        }
+    }
+
+    impl GradTask<Network> for AtWidth {
+        fn grad(&self, model: &mut Network, indices: &[usize]) -> (f32, Vec<f32>) {
+            self.set();
+            self.task.grad(model, indices)
+        }
+
+        fn grad_overlapped(&self, model: &mut Network, indices: &[usize], sink: &mut dyn BucketSink) -> f32 {
+            self.set();
+            self.task.grad_overlapped(model, indices, sink)
+        }
+    }
 
     let image_size = 64;
     let cfg_ds = HepConfig { image_size, ..HepConfig::small() };
@@ -76,11 +103,8 @@ fn thread_engine_run_is_bit_identical_at_every_rank_width() {
         let run = ThreadEngine::run_with(
             &cfg,
             ds.len(),
-            move |seed| {
-                scidl_tensor::par::set_width(width);
-                scidl_nn::arch::hep_network(&mut TensorRng::new(seed))
-            },
-            HepGradTask::new(Arc::clone(&ds)),
+            |seed| scidl_nn::arch::hep_network(&mut TensorRng::new(seed)),
+            AtWidth { width, task: HepGradTask::new(Arc::clone(&ds)) },
         );
         let params: Vec<u32> = run.final_params.iter().map(|p| p.to_bits()).collect();
         let losses: Vec<u32> = run.curve.points.iter().map(|&(_, l)| l.to_bits()).collect();
