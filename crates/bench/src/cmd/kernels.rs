@@ -271,7 +271,7 @@ pub fn run(args: &Args) {
         let mut conv = Conv2d::new("c", cin, cout, k, stride, k / 2, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
         // forward + backward ≈ 3× the forward MACs (fwd, wgrad, bwd-data).
-        let flops = 3.0 * batch as f64 * conv.forward_flops_per_image(x.shape().with_n(1)) as f64;
+        let flops = 3.0 * batch as f64 * conv.spec().forward_flops_per_image(x.shape().with_n(1)) as f64;
         let secs = best_secs(reps, || {
             let y = conv.forward(x.clone());
             let _ = conv.backward(y);

@@ -13,8 +13,6 @@ use scidl_core::experiments::{
 };
 use scidl_core::workloads::{climate_workload, hep_workload};
 use scidl_nn::arch::{self, ClimateNet};
-use scidl_nn::network::Model;
-use scidl_tensor::TensorRng;
 
 pub fn run(_: &Args) {
     println!("scidl condensed reproduction (reduced scale; see EXPERIMENTS.md for full runs)\n");
@@ -24,20 +22,17 @@ pub fn run(_: &Args) {
     };
 
     // Table II.
-    let mut rng = TensorRng::new(1);
-    let hep_net = arch::hep_network(&mut rng);
+    let mib = |params: usize| (params * std::mem::size_of::<f32>()) as f64 / (1024.0 * 1024.0);
     row(
         "Table II: HEP model size",
         "2.3 MiB",
-        format!("{} MiB", fnum(hep_net.param_bytes() as f64 / (1024.0 * 1024.0), 2)),
+        format!("{} MiB", fnum(mib(arch::hep_network_spec().num_params()), 2)),
     );
-    let climate_net = ClimateNet::full(&mut rng);
     row(
         "Table II: climate model size",
         "302.1 MiB",
-        format!("{} MiB", fnum(climate_net.param_bytes() as f64 / (1024.0 * 1024.0), 1)),
+        format!("{} MiB", fnum(mib(ClimateNet::full_spec().num_params()), 1)),
     );
-    drop(climate_net);
 
     // Fig. 5 headline rates.
     let knl = KnlModel::default();

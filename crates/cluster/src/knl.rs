@@ -117,15 +117,6 @@ impl KnlModel {
     pub fn compute_time(&self, layers: &[LayerCost], batch: usize) -> f64 {
         layers.iter().map(|l| self.layer_time(l, batch)).sum()
     }
-
-    /// Training FLOPs of one iteration over `layers` (excluding solver).
-    pub fn iteration_flops(layers: &[LayerCost], batch: usize) -> f64 {
-        layers
-            .iter()
-            .map(|l| l.train_flops_per_image as f64)
-            .sum::<f64>()
-            * batch.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -197,11 +188,5 @@ mod tests {
         };
         let t = m.layer_time(&l, 1) - m.layer_overhead;
         assert!((t - 1e8 / m.mem_bw).abs() < 1e-12);
-    }
-
-    #[test]
-    fn iteration_flops_sum_layers_times_batch() {
-        let layers = vec![conv("a", 3, 1.0), conv("b", 128, 2.0)];
-        assert_eq!(KnlModel::iteration_flops(&layers, 4), 4.0 * 3.0e9);
     }
 }

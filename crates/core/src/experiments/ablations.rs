@@ -120,26 +120,30 @@ pub struct ArchRow {
     pub images_per_sec_1024: f64,
 }
 
+/// [`arch_ablation`]'s two HEP heads as workloads: the published one
+/// ([`hep_workload`]) and a flattened dense head on the same conv stack.
+pub fn arch_workloads() -> [(&'static str, Workload); 2] {
+    let (hep, input) = (hep_workload(), scidl_nn::arch::HEP_INPUT);
+    let dense = crate::workloads::workload_for_network(
+        "hep-dense",
+        scidl_nn::arch::hep_dense_variant_spec().walk(input),
+        input,
+        hep.io_bw,
+        hep.solver_flops_per_param,
+        hep.solver_bytes_per_param,
+        hep.solver_bw,
+    );
+    [("paper design (GAP + 128->2 FC)", hep), ("dense head (flatten -> 4096)", dense)]
+}
+
 /// The paper's design rule quantified (Sec. I: "not use layers with
-/// large dense weights"): the published GAP + tiny-FC head versus a
-/// VGG-style flattened dense head on the same conv stack.
+/// large dense weights"): [`arch_workloads`]' two heads weak-scaled.
 pub fn arch_ablation(iterations: usize, seed: u64) -> Vec<ArchRow> {
-    use crate::workloads::workload_for_network;
     use scidl_cluster::AriesModel;
-    use scidl_nn::arch::{hep_dense_variant, hep_network, HEP_INPUT};
 
     let net = AriesModel::default();
     let mut rows = Vec::new();
-    for (label, workload) in [
-        ("paper design (GAP + 128->2 FC)", {
-            let mut rng = TensorRng::new(seed);
-            workload_for_network("hep", &hep_network(&mut rng), HEP_INPUT, 3.6e9, 12, 24.0, 1.6e9)
-        }),
-        ("dense head (flatten -> 4096)", {
-            let mut rng = TensorRng::new(seed);
-            workload_for_network("hep-dense", &hep_dense_variant(&mut rng), HEP_INPUT, 3.6e9, 12, 24.0, 1.6e9)
-        }),
-    ] {
+    for (label, workload) in arch_workloads() {
         let weak = crate::experiments::weak_scaling(&workload, &[1024], &[4], 8, iterations, seed);
         rows.push(ArchRow {
             label,

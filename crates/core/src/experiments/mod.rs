@@ -8,7 +8,7 @@ pub mod scaling;
 pub mod science;
 
 pub use ablations::{
-    arch_ablation, momentum_ablation, placement_ablation, ps_ablation, resilience,
+    arch_ablation, arch_workloads, momentum_ablation, placement_ablation, ps_ablation, resilience,
 };
 pub use convergence::{fig8, fig8_compress, Fig8CompressResult, Fig8Result};
 pub use scaling::{

@@ -220,6 +220,21 @@ impl ThreadEngine {
     /// for a batch of sample indices — a plain closure works, and a
     /// [`GradTask`] overriding `grad_overlapped` additionally supports
     /// `cfg.overlap_comm`.
+    ///
+    /// `build` is [`FnOnce`], so it may move what it captured into the
+    /// model it returns. Such a closure is `FnOnce` only, so this example
+    /// stops compiling if `run_with` ever calls `build` twice:
+    ///
+    /// ```
+    /// use scidl_core::{task::HepGradTask, thread_engine::{ThreadEngine, ThreadEngineConfig}};
+    /// use scidl_data::{HepConfig, HepDataset};
+    ///
+    /// let ds = std::sync::Arc::new(HepDataset::generate(HepConfig::small(), 8, 1));
+    /// let model = scidl_nn::arch::hep_small(&mut scidl_tensor::TensorRng::new(1));
+    /// let cfg = ThreadEngineConfig { iterations: 1, ..ThreadEngineConfig::new(1, 1, 2) };
+    /// let run = ThreadEngine::run_with(&cfg, ds.len(), move |_seed| model, HepGradTask::new(ds));
+    /// assert_eq!(run.updates, 1);
+    /// ```
     pub fn run_with<M, B, G>(
         cfg: &ThreadEngineConfig,
         dataset_len: usize,

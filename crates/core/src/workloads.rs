@@ -1,69 +1,66 @@
-//! Builders turning real `scidl-nn` networks into the cost descriptions
-//! (`scidl-cluster::sim::Workload`) that the cluster simulator consumes —
-//! the single source of truth for layer FLOPs is the network itself.
+//! Cost descriptions (`scidl-cluster::sim::Workload`) for the cluster
+//! simulator, read off `scidl-nn` spec lists ([`scidl_nn::LayerSpec`]):
+//! no cost table builds a model or draws a weight.
 
 use scidl_cluster::knl::{LayerCost, RateClass};
 use scidl_cluster::sim::Workload;
 use scidl_nn::arch::{self, ClimateNet};
-use scidl_nn::network::{Model, Network};
-use scidl_tensor::{Shape4, TensorRng};
+use scidl_nn::LayerSpec;
+use scidl_tensor::Shape4;
 
-/// Builds a per-layer cost table from a network at the given input
-/// shape — the one name-based rate classification of both training
-/// (`backward`: forward plus backward FLOPs, two passes of activation
-/// traffic) and serving (forward-only FLOPs, one pass).
-pub fn layer_costs(net: &Network, input: Shape4, backward: bool) -> Vec<LayerCost> {
+/// A per-layer cost table from what a spec's `walk` yields — the one
+/// name-based rate classification of both training (`backward`: forward
+/// plus backward FLOPs, two passes of activation traffic) and serving.
+pub fn layer_costs<'a>(layers: impl IntoIterator<Item = (&'a str, LayerSpec, Shape4)>, backward: bool) -> Vec<LayerCost> {
     let passes = if backward { 2 } else { 1 };
-    let mut s = input.with_n(1);
-    let mut out = Vec::with_capacity(net.layers().len());
-    for l in net.layers() {
-        let name = l.name().to_string();
-        let bwd = if backward { l.backward_flops_per_image(s) } else { 0 };
-        let flops = l.forward_flops_per_image(s) + bwd;
-        let os = l.out_shape(s);
-        // Classify by name/behaviour: convolutions and deconvolutions are
-        // GEMM-bound; dense layers here are tiny; everything else
-        // (relu/pool) is bandwidth-bound.
-        let class = if name.starts_with("conv") || name.starts_with("enc") || name.starts_with("head") {
-            RateClass::Conv { cin: s.c }
-        } else if name.starts_with("dec") && !name.contains("relu") {
-            // Deconv: the mirror conv's input channels are this layer's
-            // *output* channels.
-            RateClass::Conv { cin: os.c }
-        } else if name.starts_with("fc") {
-            if flops > 100_000_000 {
-                // A large dense layer is GEMM-bound like a deep conv
-                // (only counterfactual architectures hit this arm).
-                RateClass::Conv { cin: 256 }
+    layers
+        .into_iter()
+        .map(|(name, l, s)| {
+            let s = s.with_n(1);
+            let flops = if backward { l.training_flops_per_image(s) } else { l.forward_flops_per_image(s) };
+            let os = l.out_shape(s);
+            // Classify by name/behaviour: convolutions and deconvolutions
+            // are GEMM-bound; dense layers here are tiny; everything else
+            // (relu/pool) is bandwidth-bound.
+            let class = if name.starts_with("conv") || name.starts_with("enc") || name.starts_with("head") {
+                RateClass::Conv { cin: s.c }
+            } else if name.starts_with("dec") && !name.contains("relu") {
+                // Deconv: the mirror conv's input channels are this layer's
+                // *output* channels.
+                RateClass::Conv { cin: os.c }
+            } else if name.starts_with("fc") {
+                if flops > 100_000_000 {
+                    // A large dense layer is GEMM-bound like a deep conv
+                    // (only counterfactual architectures hit this arm).
+                    RateClass::Conv { cin: 256 }
+                } else {
+                    RateClass::DenseSmall
+                }
             } else {
-                RateClass::DenseSmall
-            }
-        } else {
-            // Each pass touches in+out activations once.
-            let bytes = 4 * (s.item_len() + os.item_len()) * passes;
-            RateClass::MemoryBound { bytes_per_image: bytes as u64 }
-        };
-        out.push(LayerCost { name, train_flops_per_image: flops, class });
-        s = os;
-    }
-    out
+                // Each pass touches in+out activations once.
+                let bytes = 4 * (s.item_len() + os.item_len()) * passes;
+                RateClass::MemoryBound { bytes_per_image: bytes as u64 }
+            };
+            LayerCost { name: name.to_string(), train_flops_per_image: flops, class }
+        })
+        .collect()
 }
 
-/// Builds a workload description for an arbitrary network (used by the
-/// architecture-choice ablation to cost counterfactual designs).
-pub fn workload_for_network(
+/// A training workload for any network, given as its spec's
+/// `walk(input)` (Table II's two, and the architecture ablation's).
+pub fn workload_for_network<'a>(
     name: &str,
-    net: &Network,
+    walk: impl Iterator<Item = (&'a str, LayerSpec, Shape4)> + Clone,
     input: Shape4,
     io_bw: f64,
     solver_flops_per_param: u64,
     solver_bytes_per_param: f64,
     solver_bw: f64,
 ) -> Workload {
-    let params = net.num_params() as u64;
+    let params = walk.clone().map(|(_, l, _)| l.num_params() as u64).sum();
     Workload {
         name: name.into(),
-        layers: layer_costs(net, input, true),
+        layers: layer_costs(walk, true),
         params,
         model_bytes: 4 * params,
         image_bytes: (input.item_len() * 4) as u64,
@@ -78,66 +75,63 @@ pub fn workload_for_network(
 /// costs, 594k-parameter model, ADAM solver, fast 3-channel input
 /// pipeline (I/O is ~2% of runtime, Sec. VI-A).
 pub fn hep_workload() -> Workload {
-    let mut rng = TensorRng::new(1);
-    let net = arch::hep_network(&mut rng);
+    // ADAM: 12 FLOPs per parameter. On IntelCaffe its history copies run
+    // in a poorly threaded phase — 12.5% of runtime at batch 8 (Sec. VI-A).
     let input = arch::HEP_INPUT;
-    let params = net.num_params() as u64;
-    Workload {
-        name: "hep".into(),
-        layers: layer_costs(&net, input, true),
-        params,
-        model_bytes: 4 * params,
-        image_bytes: (input.item_len() * 4) as u64,
-        io_bw: 3.6e9,
-        solver_flops_per_param: 12, // ADAM
-        // ADAM on IntelCaffe: history copies in a poorly threaded phase —
-        // 12.5% of runtime at batch 8 (Sec. VI-A).
-        solver_bytes_per_param: 24.0,
-        solver_bw: 1.6e9,
-    }
+    workload_for_network("hep", arch::hep_network_spec().walk(input), input, 3.6e9, 12, 24.0, 1.6e9)
 }
 
 /// The climate workload of Table II: the 768px semi-supervised network,
 /// ≈80M-parameter model, SGD-momentum solver, slow 16-channel hyperslab
 /// input pipeline (I/O is ~13% of runtime, Sec. VI-A).
 pub fn climate_workload() -> Workload {
-    let mut rng = TensorRng::new(2);
-    let net = ClimateNet::full(&mut rng);
+    // Plain momentum-SGD (6 FLOPs per parameter) touches far fewer arrays
+    // and threads well — the update is insignificant (<2%) for climate
+    // (Sec. VI-A). The walk lists the encoder, the scoring heads (small
+    // convs on the 24x24 feature grid), then the decoder.
     let input = arch::CLIMATE_INPUT;
-    let feat = net.encoder.out_shape(input.with_n(1));
-
-    let mut layers = layer_costs(&net.encoder, input, true);
-    // Scoring heads (small convs on the 24x24 feature grid).
-    for (name, cout) in [("head_conf", 1usize), ("head_class", arch::CLIMATE_CLASSES), ("head_bbox", 4)] {
-        let macs = (cout * feat.c * 9 * feat.h * feat.w) as u64;
-        layers.push(LayerCost {
-            name: name.into(),
-            train_flops_per_image: 6 * macs,
-            class: RateClass::Conv { cin: feat.c },
-        });
-    }
-    layers.extend(layer_costs(&net.decoder, feat, true));
-
-    let params = net.num_params() as u64;
-    Workload {
-        name: "climate".into(),
-        layers,
-        params,
-        model_bytes: 4 * params,
-        image_bytes: (input.item_len() * 4) as u64,
-        io_bw: 7.2e8,
-        solver_flops_per_param: 6, // SGD + momentum
-        // Plain momentum-SGD touches far fewer arrays and threads well —
-        // the update is insignificant (<2%) for climate (Sec. VI-A).
-        solver_bytes_per_param: 12.0,
-        solver_bw: 1.2e10,
-    }
+    workload_for_network("climate", ClimateNet::full_spec().walk(input), input, 7.2e8, 6, 12.0, 1.2e10)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scidl_cluster::KnlModel;
+    use scidl_nn::network::Model;
+    use scidl_tensor::TensorRng;
+
+    /// A cost table read off a spec list is the one read off the network
+    /// built from it (`scidl-nn`'s arch tests hold that every built
+    /// architecture, the dense-head variant included, reports the list it
+    /// was built from).
+    #[test]
+    fn cost_tables_from_lists_match_the_built_networks() {
+        let mut rng = TensorRng::new(3);
+        for (spec, input) in [(arch::hep_network_spec(), arch::HEP_INPUT), (arch::hep_small_spec(), Shape4::new(1, 3, 32, 32))] {
+            let net = spec.build(&mut rng);
+            for backward in [true, false] {
+                let (list, built) = (layer_costs(spec.walk(input), backward), layer_costs(net.spec().walk(input), backward));
+                assert_eq!(format!("{list:?}"), format!("{built:?}"), "{}", spec.name);
+            }
+        }
+        let input = Shape4::new(1, 4, 64, 64);
+        let (spec, net) = (ClimateNet::small_spec(), ClimateNet::small(&mut rng));
+        assert_eq!(format!("{:?}", layer_costs(spec.walk(input), true)), format!("{:?}", layer_costs(net.spec().walk(input), true)));
+    }
+
+    /// The climate heads' cost is written once: the built full network's
+    /// training FLOPs are the sum of `climate_workload`'s rows, heads
+    /// included, and its parameters the workload's.
+    #[test]
+    fn climate_training_flops_are_the_workload_rows() {
+        let w = climate_workload();
+        let net = ClimateNet::full(&mut TensorRng::new(2));
+        let rows: u64 = w.layers.iter().map(|l| l.train_flops_per_image).sum();
+        assert_eq!(net.training_flops_per_image(arch::CLIMATE_INPUT), rows);
+        assert_eq!(net.num_params() as u64, w.params);
+        let heads: Vec<_> = w.layers.iter().filter(|l| l.name.starts_with("head")).map(|l| l.name.as_str()).collect();
+        assert_eq!(heads, ["head_conf", "head_class", "head_bbox"]);
+    }
 
     #[test]
     fn hep_single_node_rate_matches_paper() {

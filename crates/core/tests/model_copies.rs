@@ -92,7 +92,7 @@ fn dense(seed: u64) -> Network {
 /// Peak live heap above entry during one run, in units of the model's
 /// parameter bytes.
 fn peak_over_entry(ds: &Arc<HepDataset>, ranks: usize) -> f64 {
-    let p = dense(0).param_bytes();
+    let p = 4 * dense(0).num_params();
     let mut cfg = ThreadEngineConfig::new(1, ranks, 4 * ranks);
     cfg.iterations = 3;
     cfg.lr = 1e-3;

@@ -14,7 +14,8 @@
 //! backward reads.
 
 use crate::layer::{Layer, Part};
-use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
+use crate::spec::LayerSpec;
+use scidl_tensor::{par, Tensor, PAR_CHUNK};
 
 /// Elements behind one word of a [`Relu`] mask.
 const WORD: usize = u64::BITS as usize;
@@ -42,8 +43,8 @@ impl Layer for Relu {
         &self.name
     }
 
-    fn out_shape(&self, input: Shape4) -> Shape4 {
-        input
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Relu
     }
 
     fn forward(&mut self, mut input: Tensor) -> Tensor {
@@ -70,14 +71,6 @@ impl Layer for Relu {
 
     fn part_mut(&mut self) -> Option<Part<&mut crate::Conv2d, &mut Relu, &mut crate::MaxPool2d>> {
         Some(Part::Relu(self))
-    }
-
-    fn forward_flops_per_image(&self, input: Shape4) -> u64 {
-        input.item_len() as u64
-    }
-
-    fn backward_flops_per_image(&self, input: Shape4) -> u64 {
-        input.item_len() as u64
     }
 }
 

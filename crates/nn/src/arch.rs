@@ -1,14 +1,14 @@
 //! The two reference architectures of Table II, plus scaled-down variants
-//! used for fast tests and the simulated-time convergence runs.
+//! used for fast tests and the simulated-time convergence runs. Each is a
+//! list of layer specs first (the `*_spec` functions), which cost tables
+//! read without drawing a weight; its builder draws the weights from that
+//! list, in list order.
 
 use crate::conv::Conv2d;
-use crate::deconv::Deconv2d;
-use crate::dense::Dense;
 use crate::layer::{Layer, ParamBlock};
 use crate::loss::{mse_loss, DetectionLoss, DetectionLossParts, DetectionTargets};
 use crate::network::{Model, Network};
-use crate::pool::{GlobalAvgPool, MaxPool2d};
-use crate::Relu;
+use crate::spec::{ConvSpec, LayerSpec, NetSpec};
 use scidl_tensor::{Shape4, Tensor, TensorRng};
 
 /// HEP input: 224x224 pixels, 3 channels (ECAL energy, HCAL energy, track
@@ -25,25 +25,35 @@ pub const CLIMATE_CLASSES: usize = 3;
 /// Coarse detection grid after five stride-2 encoder convolutions.
 pub const CLIMATE_GRID: usize = 24;
 
-/// Builds the supervised HEP network of Sec. III-A / Table II:
-/// five 3x3/s1 convolutions with 128 filters, ReLU, 2x2/s2 max pooling
-/// after the first four, global average pooling after the fifth, and a
+/// The conv stack of every HEP classifier: 3x3/s1 convolutions from the
+/// input's channels through `channels`, each followed by a ReLU and all
+/// but the last by a 2x2/s2 max pool.
+fn hep_conv_stack(name: &str, channels: &[usize]) -> NetSpec {
+    let (mut net, mut cin) = (NetSpec::new(name), HEP_INPUT.c);
+    for (i, &cout) in (1..).zip(channels) {
+        let conv = LayerSpec::Conv(ConvSpec { cin, cout, k: 3, stride: 1, pad: 1 });
+        net = net.push(format!("conv{i}"), conv).push(format!("relu{i}"), LayerSpec::Relu);
+        if i < channels.len() {
+            net = net.push(format!("pool{i}"), LayerSpec::MaxPool { k: 2, stride: 2 });
+        }
+        cin = cout;
+    }
+    net
+}
+
+/// The supervised HEP network of Sec. III-A / Table II: five 128-filter
+/// conv units, global average pooling after the fifth convolution, and a
 /// single 128→2 dense layer. ≈594k parameters ≈ 2.27 MiB (paper: 2.3 MiB,
 /// "~590 KB model" in Sec. VI-B2).
+pub fn hep_network_spec() -> NetSpec {
+    hep_conv_stack("hep", &[128; 5])
+        .push("gap", LayerSpec::GlobalAvgPool)
+        .push("fc", LayerSpec::Dense { input_len: 128, output_len: HEP_CLASSES })
+}
+
+/// Builds [`hep_network_spec`].
 pub fn hep_network(rng: &mut TensorRng) -> Network {
-    let mut net = Network::new("hep");
-    let mut cin = HEP_INPUT.c;
-    for i in 1..=5 {
-        net.add(Box::new(Conv2d::new(format!("conv{i}"), cin, 128, 3, 1, 1, rng)));
-        net.add(Box::new(Relu::new(format!("relu{i}"))));
-        if i < 5 {
-            net.add(Box::new(MaxPool2d::new(format!("pool{i}"), 2, 2)));
-        }
-        cin = 128;
-    }
-    net.add(Box::new(GlobalAvgPool::new("gap")));
-    net.add(Box::new(Dense::new("fc", 128, HEP_CLASSES, rng)));
-    net
+    hep_network_spec().build(rng)
 }
 
 /// Scaled-down HEP-style classifier for 32x32 inputs — used by fast tests
@@ -51,18 +61,15 @@ pub fn hep_network(rng: &mut TensorRng) -> Network {
 /// training thousands of simulated nodes on full 224px images would be
 /// prohibitive on a laptop-class host. Same topology (conv+pool units,
 /// global pooling, tiny dense head), ≈6k parameters.
+pub fn hep_small_spec() -> NetSpec {
+    hep_conv_stack("hep-small", &[8, 16, 32])
+        .push("gap", LayerSpec::GlobalAvgPool)
+        .push("fc", LayerSpec::Dense { input_len: 32, output_len: HEP_CLASSES })
+}
+
+/// Builds [`hep_small_spec`].
 pub fn hep_small(rng: &mut TensorRng) -> Network {
-    Network::new("hep-small")
-        .push(Conv2d::new("conv1", 3, 8, 3, 1, 1, rng))
-        .push(Relu::new("relu1"))
-        .push(MaxPool2d::new("pool1", 2, 2))
-        .push(Conv2d::new("conv2", 8, 16, 3, 1, 1, rng))
-        .push(Relu::new("relu2"))
-        .push(MaxPool2d::new("pool2", 2, 2))
-        .push(Conv2d::new("conv3", 16, 32, 3, 1, 1, rng))
-        .push(Relu::new("relu3"))
-        .push(GlobalAvgPool::new("gap"))
-        .push(Dense::new("fc", 32, HEP_CLASSES, rng))
+    hep_small_spec().build(rng)
 }
 
 /// Counterfactual HEP network for the paper's design-rule ablation
@@ -72,21 +79,11 @@ pub fn hep_small(rng: &mut TensorRng) -> Network {
 /// global average pooling. ≈103M parameters vs 594k — the model the
 /// all-reduce and parameter servers would have to move at every
 /// iteration had the paper not followed its own rule.
-pub fn hep_dense_variant(rng: &mut TensorRng) -> Network {
-    let mut net = Network::new("hep-dense-variant");
-    let mut cin = HEP_INPUT.c;
-    for i in 1..=5 {
-        net.add(Box::new(Conv2d::new(format!("conv{i}"), cin, 128, 3, 1, 1, rng)));
-        net.add(Box::new(Relu::new(format!("relu{i}"))));
-        if i < 5 {
-            net.add(Box::new(MaxPool2d::new(format!("pool{i}"), 2, 2)));
-        }
-        cin = 128;
-    }
-    net.add(Box::new(Dense::new("fc1", 14 * 14 * 128, 4096, rng)));
-    net.add(Box::new(Relu::new("fc1_relu")));
-    net.add(Box::new(Dense::new("fc2", 4096, HEP_CLASSES, rng)));
-    net
+pub fn hep_dense_variant_spec() -> NetSpec {
+    hep_conv_stack("hep-dense-variant", &[128; 5])
+        .push("fc1", LayerSpec::Dense { input_len: 14 * 14 * 128, output_len: 4096 })
+        .push("fc1_relu", LayerSpec::Relu)
+        .push("fc2", LayerSpec::Dense { input_len: 4096, output_len: HEP_CLASSES })
 }
 
 /// Channel plan of the climate encoder: `(cout, stride)` per 5x5 conv.
@@ -130,68 +127,108 @@ pub struct ClimateNet {
     pub encoder: Network,
     /// Reconstruction decoder (5 deconvolutions).
     pub decoder: Network,
-    conf_head: Conv2d,
-    class_head: Conv2d,
-    bbox_head: Conv2d,
+    /// Scoring heads: confidence, class, bounding box.
+    heads: [Conv2d; 3],
     /// Loss weighting of the reconstruction term.
     pub lambda_recon: f32,
     /// The supervised detection objective.
     pub det_loss: DetectionLoss,
 }
 
+/// [`ClimateNet`] as data: the encoder, the decoder, and the three
+/// scoring heads that each read the encoder's features.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ClimateSpec {
+    /// Shared encoder (strided 5x5 convolutions, each with a ReLU).
+    pub encoder: NetSpec,
+    /// Reconstruction decoder (4x4/s2/p1 deconvolutions).
+    pub decoder: NetSpec,
+    /// `head_conf`, `head_class` and `head_bbox`: 3x3 convolutions from
+    /// the features to 1, `classes` and 4 channels.
+    pub heads: [(String, ConvSpec); 3],
+}
+
+impl ClimateSpec {
+    fn new(cin: usize, encoder_plan: &[(usize, usize)], decoder_plan: &[usize], classes: usize) -> Self {
+        let mut encoder = NetSpec::new("climate-encoder");
+        let mut c = cin;
+        for (i, &(cout, stride)) in encoder_plan.iter().enumerate() {
+            let conv = LayerSpec::Conv(ConvSpec { cin: c, cout, k: 5, stride, pad: 2 });
+            encoder = encoder.push(format!("enc{}", i + 1), conv).push(format!("enc_relu{}", i + 1), LayerSpec::Relu);
+            c = cout;
+        }
+        let head = |name: &str, cout| (name.to_string(), ConvSpec { cin: c, cout, k: 3, stride: 1, pad: 1 });
+        let heads = [head("head_conf", 1), head("head_class", classes), head("head_bbox", 4)];
+
+        let mut decoder = NetSpec::new("climate-decoder");
+        for (i, &cout) in decoder_plan.iter().enumerate() {
+            let deconv = LayerSpec::Deconv(ConvSpec { cin: c, cout, k: 4, stride: 2, pad: 1 });
+            decoder = decoder.push(format!("dec{}", i + 1), deconv);
+            if i + 1 < decoder_plan.len() {
+                decoder = decoder.push(format!("dec_relu{}", i + 1), LayerSpec::Relu);
+            }
+            c = cout;
+        }
+        Self { encoder, decoder, heads }
+    }
+
+    /// Builds the network, drawing the encoder's weights, then the
+    /// decoder's, then the heads'.
+    pub fn build(&self, rng: &mut TensorRng) -> ClimateNet {
+        let (encoder, decoder) = (self.encoder.build(rng), self.decoder.build(rng));
+        let heads = self.heads.clone().map(|(name, c)| Conv2d::new(name, c.cin, c.cout, c.k, c.stride, c.pad, rng));
+        ClimateNet { encoder, decoder, heads, lambda_recon: 1.0, det_loss: DetectionLoss::default() }
+    }
+
+    /// Each layer's name, spec and input shape for a network input of
+    /// shape `input`: the encoder's layers, the heads on its features,
+    /// then the decoder's layers.
+    pub fn walk(&self, input: Shape4) -> impl Iterator<Item = (&str, LayerSpec, Shape4)> + Clone {
+        let feat = self.encoder.out_shape(input);
+        let heads = self.heads.iter().map(move |(name, c)| (name.as_str(), LayerSpec::Conv(*c), feat));
+        self.encoder.walk(input).chain(heads).chain(self.decoder.walk(feat))
+    }
+
+    /// Total scalar parameter count.
+    pub fn num_params(&self) -> usize {
+        let heads: usize = self.heads.iter().map(|(_, c)| LayerSpec::Conv(*c).num_params()).sum();
+        self.encoder.num_params() + heads + self.decoder.num_params()
+    }
+}
+
 impl ClimateNet {
-    /// Builds the full-scale network (Table II: 9 conv + 5 deconv,
-    /// ≈80.3M parameters ≈ 306 MiB; paper reports 302.1 MiB).
+    /// The full-scale network (Table II: 9 conv + 5 deconv, ≈80.3M
+    /// parameters ≈ 306 MiB; paper reports 302.1 MiB).
+    pub fn full_spec() -> ClimateSpec {
+        ClimateSpec::new(CLIMATE_INPUT.c, &CLIMATE_ENCODER_PLAN, &CLIMATE_DECODER_PLAN, CLIMATE_CLASSES)
+    }
+
+    /// Builds [`ClimateNet::full_spec`].
     pub fn full(rng: &mut TensorRng) -> Self {
-        Self::build(CLIMATE_INPUT.c, &CLIMATE_ENCODER_PLAN, &CLIMATE_DECODER_PLAN, CLIMATE_CLASSES, rng)
+        Self::full_spec().build(rng)
     }
 
     /// Scaled-down variant for 64x64, 4-channel inputs (tests and
     /// laptop-scale training): 3 encoder convs to an 8x8 grid, 3 decoder
     /// deconvs, same head structure.
-    pub fn small(rng: &mut TensorRng) -> Self {
-        Self::build(4, &[(8, 2), (16, 2), (32, 2)], &[16, 8, 4], CLIMATE_CLASSES, rng)
+    pub fn small_spec() -> ClimateSpec {
+        ClimateSpec::new(4, &[(8, 2), (16, 2), (32, 2)], &[16, 8, 4], CLIMATE_CLASSES)
     }
 
-    fn build(
-        cin: usize,
-        encoder_plan: &[(usize, usize)],
-        decoder_plan: &[usize],
-        classes: usize,
-        rng: &mut TensorRng,
-    ) -> Self {
-        let mut encoder = Network::new("climate-encoder");
-        let mut c = cin;
-        for (i, &(cout, stride)) in encoder_plan.iter().enumerate() {
-            encoder.add(Box::new(Conv2d::new(format!("enc{}", i + 1), c, cout, 5, stride, 2, rng)));
-            encoder.add(Box::new(Relu::new(format!("enc_relu{}", i + 1))));
-            c = cout;
-        }
-        let feat_c = c;
+    /// Builds [`ClimateNet::small_spec`].
+    pub fn small(rng: &mut TensorRng) -> Self {
+        Self::small_spec().build(rng)
+    }
 
-        let mut decoder = Network::new("climate-decoder");
-        for (i, &cout) in decoder_plan.iter().enumerate() {
-            decoder.add(Box::new(Deconv2d::new(format!("dec{}", i + 1), c, cout, 4, 2, 1, rng)));
-            if i + 1 < decoder_plan.len() {
-                decoder.add(Box::new(Relu::new(format!("dec_relu{}", i + 1))));
-            }
-            c = cout;
-        }
-
-        Self {
-            encoder,
-            decoder,
-            conf_head: Conv2d::new("head_conf", feat_c, 1, 3, 1, 1, rng),
-            class_head: Conv2d::new("head_class", feat_c, classes, 3, 1, 1, rng),
-            bbox_head: Conv2d::new("head_bbox", feat_c, 4, 3, 1, 1, rng),
-            lambda_recon: 1.0,
-            det_loss: DetectionLoss::default(),
-        }
+    /// The network as data.
+    pub fn spec(&self) -> ClimateSpec {
+        let heads = self.heads.each_ref().map(|h| (h.name().to_string(), h.conv));
+        ClimateSpec { encoder: self.encoder.spec(), decoder: self.decoder.spec(), heads }
     }
 
     /// Number of object classes predicted by the class head.
     pub fn classes(&self) -> usize {
-        self.class_head.cout()
+        self.heads[1].conv.cout
     }
 
     /// Detection grid side for a given input size.
@@ -206,9 +243,9 @@ impl ClimateNet {
     pub fn forward(&mut self, input: &Tensor) -> ClimateOutput {
         let features = self.encoder.forward(input);
         let recon = self.decoder.forward(&features);
-        let conf = self.conf_head.forward(features.clone());
-        let class = self.class_head.forward(features.clone());
-        let bbox = self.bbox_head.forward(features);
+        let [conf, class, bbox] = &mut self.heads;
+        let (conf, class) = (conf.forward(features.clone()), class.forward(features.clone()));
+        let bbox = bbox.forward(features);
         ClimateOutput { conf, class, bbox, recon }
     }
 
@@ -233,17 +270,17 @@ impl ClimateNet {
 
         let parts = if let Some(t) = targets {
             let (parts, dconf, dclass, dbbox) = self.det_loss.forward(&out.conf, &out.class, &out.bbox, t);
-            dfeat.add_assign(&self.conf_head.backward(dconf));
-            dfeat.add_assign(&self.class_head.backward(dclass));
-            dfeat.add_assign(&self.bbox_head.backward(dbbox));
+            for (head, d) in self.heads.iter_mut().zip([dconf, dclass, dbbox]) {
+                dfeat.add_assign(&head.backward(d));
+            }
             parts
         } else {
             // Unlabelled batch: heads still cached a forward; drop state
             // by running a zero backward so gradient accumulation stays
             // well-defined without contributing to head gradients.
-            self.conf_head.backward(Tensor::zeros(out.conf.shape()));
-            self.class_head.backward(Tensor::zeros(out.class.shape()));
-            self.bbox_head.backward(Tensor::zeros(out.bbox.shape()));
+            for (head, out) in self.heads.iter_mut().zip([&out.conf, &out.class, &out.bbox]) {
+                head.backward(Tensor::zeros(out.shape()));
+            }
             DetectionLossParts::default()
         };
 
@@ -255,38 +292,21 @@ impl ClimateNet {
     /// Total FLOPs per image for one training iteration (forward +
     /// backward over encoder, heads and decoder).
     pub fn training_flops_per_image(&self, input: Shape4) -> u64 {
-        let feat = self.encoder.out_shape(input.with_n(1));
-        let enc = self.encoder.forward_flops_per_image(input.with_n(1))
-            + self.encoder.backward_flops_per_image(input.with_n(1));
-        let dec = self.decoder.forward_flops_per_image(feat)
-            + self.decoder.backward_flops_per_image(feat);
-        let heads = [
-            &self.conf_head as &dyn Layer,
-            &self.class_head as &dyn Layer,
-            &self.bbox_head as &dyn Layer,
-        ]
-        .iter()
-        .map(|h| h.forward_flops_per_image(feat) + h.backward_flops_per_image(feat))
-        .sum::<u64>();
-        enc + dec + heads
+        self.spec().walk(input.with_n(1)).map(|(_, l, s)| l.training_flops_per_image(s)).sum()
     }
 }
 
 impl Model for ClimateNet {
     fn param_blocks(&self) -> Vec<&ParamBlock> {
         let mut blocks = self.encoder.param_blocks();
-        blocks.extend(self.conf_head.params());
-        blocks.extend(self.class_head.params());
-        blocks.extend(self.bbox_head.params());
+        blocks.extend(self.heads.iter().flat_map(|h| h.params()));
         blocks.extend(self.decoder.param_blocks());
         blocks
     }
 
     fn param_blocks_mut(&mut self) -> Vec<&mut ParamBlock> {
         let mut blocks = self.encoder.param_blocks_mut();
-        blocks.extend(self.conf_head.params_mut());
-        blocks.extend(self.class_head.params_mut());
-        blocks.extend(self.bbox_head.params_mut());
+        blocks.extend(self.heads.iter_mut().flat_map(|h| h.params_mut()));
         blocks.extend(self.decoder.param_blocks_mut());
         blocks
     }
@@ -298,14 +318,13 @@ mod tests {
 
     #[test]
     fn hep_parameter_count_matches_paper() {
-        let mut rng = TensorRng::new(1);
-        let net = hep_network(&mut rng);
+        let net = hep_network_spec();
         // conv1: 3*128*9+128; conv2..5: 128*128*9+128 each; fc: 128*2+2.
         let expect = (3 * 128 * 9 + 128) + 4 * (128 * 128 * 9 + 128) + (128 * 2 + 2);
         assert_eq!(net.num_params(), expect);
         assert_eq!(net.num_params(), 594_178);
         // Table II: 2.3 MiB. Ours: 594178*4 bytes = 2.27 MiB.
-        let mib = net.param_bytes() as f64 / (1024.0 * 1024.0);
+        let mib = (4 * net.num_params()) as f64 / (1024.0 * 1024.0);
         assert!((mib - 2.3).abs() < 0.1, "HEP model is {mib:.2} MiB");
     }
 
@@ -320,9 +339,8 @@ mod tests {
     fn hep_model_is_allreduce_sized() {
         // Sec. VI-B2: "a small model of ~590 KB" is what each all-reduce
         // moves; our parameter count divided by 1024 gives KiB.
-        let mut rng = TensorRng::new(1);
-        let net = hep_network(&mut rng);
-        let kib = net.param_bytes() as f64 / 1024.0;
+        let net = hep_network_spec();
+        let kib = (4 * net.num_params()) as f64 / 1024.0;
         assert!((2200.0..2400.0).contains(&kib));
         // (590 KB in the paper counts one f32 per parameter / 4 bytes
         // ambiguity aside: 594k params * 1B? The paper's number is the
@@ -332,19 +350,62 @@ mod tests {
 
     #[test]
     fn climate_parameter_budget_matches_table2() {
-        let mut rng = TensorRng::new(2);
-        let net = ClimateNet::full(&mut rng);
-        let mib = net.param_bytes() as f64 / (1024.0 * 1024.0);
+        let mib = (4 * ClimateNet::full_spec().num_params()) as f64 / (1024.0 * 1024.0);
         // Paper: 302.1 MiB. Our channel plan lands within 2%.
         assert!((mib - 302.1).abs() < 6.0, "climate model is {mib:.1} MiB");
     }
 
     #[test]
     fn climate_grid_is_24_for_full_input() {
-        let mut rng = TensorRng::new(2);
-        let net = ClimateNet::full(&mut rng);
-        let g = net.grid_for(CLIMATE_INPUT);
+        let g = ClimateNet::full_spec().encoder.out_shape(CLIMATE_INPUT);
         assert_eq!((g.h, g.w), (CLIMATE_GRID, CLIMATE_GRID));
+    }
+
+    /// Every architecture, built, reports the spec list it was built from
+    /// and holds as many parameters as the list counts; the full-scale
+    /// ones are built one at a time and dropped.
+    #[test]
+    fn every_architecture_builds_the_list_it_was_built_from() {
+        let mut rng = TensorRng::new(9);
+        for spec in [hep_network_spec(), hep_small_spec(), hep_dense_variant_spec()] {
+            let net = spec.build(&mut rng);
+            assert_eq!(net.spec(), spec);
+            assert_eq!(net.num_params(), spec.num_params(), "{}", spec.name);
+        }
+        assert_eq!(hep_network(&mut rng).spec(), hep_network_spec());
+        assert_eq!(hep_small(&mut rng).spec(), hep_small_spec());
+        for spec in [ClimateNet::full_spec(), ClimateNet::small_spec()] {
+            let net = spec.build(&mut rng);
+            assert_eq!(net.spec(), spec);
+            assert_eq!(net.num_params(), spec.num_params());
+        }
+        assert_eq!(ClimateNet::small(&mut rng).spec(), ClimateNet::small_spec());
+    }
+
+    /// Building from a list draws each layer's weights in list order —
+    /// climate encoder, decoder, then the heads — so one seed gives the
+    /// same parameters as drawing them layer by layer by hand.
+    #[test]
+    fn building_from_a_list_draws_weights_in_list_order() {
+        let spec = ClimateNet::small_spec();
+        let net = spec.build(&mut TensorRng::new(3));
+        let mut rng = TensorRng::new(3);
+        let mut by_hand: Vec<Box<dyn Layer>> = Vec::new();
+        for (name, l) in spec.encoder.layers.iter().chain(&spec.decoder.layers) {
+            by_hand.push(l.build(name.clone(), &mut rng));
+        }
+        for (name, c) in &spec.heads {
+            by_hand.push(LayerSpec::Conv(*c).build(name.clone(), &mut rng));
+        }
+        let (enc, rest) = by_hand.split_at(spec.encoder.layers.len());
+        let (dec, heads) = rest.split_at(spec.decoder.layers.len());
+        let want: Vec<f32> = enc
+            .iter()
+            .chain(heads)
+            .chain(dec)
+            .flat_map(|l| l.params().into_iter().flat_map(|b| b.value.data().to_vec()).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(net.flat_params(), want);
     }
 
     #[test]
@@ -372,7 +433,7 @@ mod tests {
         let grads = net.flat_grads();
         assert!(grads.iter().any(|&g| g != 0.0));
         // Head gradients must be nonzero in supervised mode.
-        let conf_grad_norm: f32 = net.conf_head.params()[0].grad.data().iter().map(|g| g.abs()).sum();
+        let conf_grad_norm: f32 = net.heads[0].params()[0].grad.data().iter().map(|g| g.abs()).sum();
         assert!(conf_grad_norm > 0.0);
     }
 
@@ -384,7 +445,7 @@ mod tests {
         let (parts, recon) = net.forward_backward(&x, None);
         assert_eq!(parts.total(), 0.0);
         assert!(recon > 0.0);
-        let head_grad: f32 = net.conf_head.params()[0].grad.data().iter().map(|g| g.abs()).sum();
+        let head_grad: f32 = net.heads[0].params()[0].grad.data().iter().map(|g| g.abs()).sum();
         assert_eq!(head_grad, 0.0);
         let enc_grad: f32 = net.encoder.flat_grads().iter().map(|g| g.abs()).sum();
         assert!(enc_grad > 0.0);
@@ -443,12 +504,10 @@ mod tests {
 
     #[test]
     fn climate_flops_dominated_by_encoder() {
-        let mut rng = TensorRng::new(8);
-        let net = ClimateNet::small(&mut rng);
+        let net = ClimateNet::small(&mut TensorRng::new(8));
         let input = Shape4::new(1, 4, 64, 64);
         let total = net.training_flops_per_image(input);
-        let enc = net.encoder.forward_flops_per_image(input)
-            + net.encoder.backward_flops_per_image(input);
+        let enc = net.spec().encoder.training_flops_per_image(input);
         assert!(total > enc);
         assert!(enc as f64 / total as f64 > 0.25);
     }

@@ -29,6 +29,7 @@
 
 use crate::layer::{Layer, ParamBlock, Part};
 use crate::pool::{MaxPool2d, Window};
+use crate::spec::{ConvSpec, LayerSpec};
 use scidl_tensor::{
     par, BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
 };
@@ -43,11 +44,7 @@ use std::sync::{Mutex, PoisonError};
 #[derive(Clone)]
 pub struct Conv2d {
     name: String,
-    cin: usize,
-    cout: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
+    pub(crate) conv: ConvSpec,
     weight: ParamBlock,
     bias: ParamBlock,
     /// Cached input from the last forward (needed for weight gradients).
@@ -66,43 +63,13 @@ impl Conv2d {
         rng: &mut TensorRng,
     ) -> Self {
         let name = name.into();
-        let fan_in = cin * k * k;
-        let weight = ParamBlock::new(
-            format!("{name}.weight"),
-            rng.he_tensor(Shape4::new(cout, cin, k, k), fan_in),
-        );
-        let bias = ParamBlock::new(format!("{name}.bias"), Tensor::zeros(Shape4::flat(cout)));
-        Self {
-            name,
-            cin,
-            cout,
-            k,
-            stride,
-            pad,
-            weight,
-            bias,
-            cached_input: None,
-        }
+        let (weight, bias) = ParamBlock::weight_and_bias(&name, Shape4::new(cout, cin, k, k), cin * k * k, cout, rng);
+        Self { name, conv: ConvSpec { cin, cout, k, stride, pad }, weight, bias, cached_input: None }
     }
 
     /// The geometry induced by an input of the given spatial size.
     pub fn geometry(&self, h: usize, w: usize) -> ConvGeometry {
-        ConvGeometry::new(self.cin, self.cout, h, w, self.k, self.stride, self.pad)
-    }
-
-    /// Kernel size.
-    pub fn kernel(&self) -> usize {
-        self.k
-    }
-
-    /// Output channels.
-    pub fn cout(&self) -> usize {
-        self.cout
-    }
-
-    /// Input channels.
-    pub fn cin(&self) -> usize {
-        self.cin
+        self.conv.geometry(h, w)
     }
 
     /// Whether a batch of `n` items of geometry `geo` goes item-parallel.
@@ -116,7 +83,7 @@ impl Conv2d {
     /// same.
     fn item_parallel(&self, n: usize, geo: &ConvGeometry) -> bool {
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
-        rows * cols <= (1 << 22) && n * self.cout * rows * cols >= PAR_WORK
+        rows * cols <= (1 << 22) && n * self.conv.cout * rows * cols >= PAR_WORK
     }
 
     /// Training forward of this convolution, a ReLU and `pool` as one pass
@@ -156,7 +123,7 @@ impl Conv2d {
         let (window, hw) = (pool.window(), (geo.out_h(), geo.out_w()));
 
         let mut dx = input_grad(data, &geo, self.weight.value.data(), ishape);
-        let mut dy = vec![0.0f32; self.cout * geo.col_cols()];
+        let mut dy = vec![0.0f32; self.conv.cout * geo.col_cols()];
         let pooled = grad_out.shape().item_len();
         for n in 0..ishape.n {
             window.unpool(grad_out.item(n), &taps[n * pooled..][..pooled], hw, &mut dy);
@@ -199,7 +166,7 @@ impl Conv2d {
         let mut out = Tensor::zeros(window.out_shape(geo.out_shape(ishape.n)));
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let hw = (geo.out_h(), geo.out_w());
-        let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
+        let weight = PackedA::new(Transpose::No, self.conv.cout, rows, self.weight.value.data());
         let bias = self.bias.value.data();
 
         let per_unit = if self.item_parallel(ishape.n, &geo) { 1 } else { ishape.n.max(1) };
@@ -209,7 +176,7 @@ impl Conv2d {
         let spare = Mutex::new(Vec::new());
         let unit = |u: usize, out: &mut [f32], mut taps: Option<&mut [u8]>| {
             let popped = spare.lock().unwrap_or_else(PoisonError::into_inner).pop();
-            let mut y = popped.unwrap_or_else(|| vec![0.0f32; self.cout * cols]);
+            let mut y = popped.unwrap_or_else(|| vec![0.0f32; self.conv.cout * cols]);
             for (i, out) in out.chunks_mut(item).enumerate() {
                 let image = BSource::Im2col(Transpose::No, &geo, input.item(u * per_unit + i));
                 weight.gemm_bias(image, cols, bias, &mut y);
@@ -233,9 +200,8 @@ impl Layer for Conv2d {
         &self.name
     }
 
-    fn out_shape(&self, input: Shape4) -> Shape4 {
-        assert_eq!(input.c, self.cin, "{}: expected {} input channels, got {}", self.name, self.cin, input.c);
-        self.geometry(input.h, input.w).out_shape(input.n)
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Conv(self.conv)
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
@@ -253,7 +219,7 @@ impl Layer for Conv2d {
 
         // The weights are the left operand of every item's GEMM: pack
         // them once per call, not once per image.
-        let weight = PackedA::new(Transpose::No, self.cout, rows, self.weight.value.data());
+        let weight = PackedA::new(Transpose::No, self.conv.cout, rows, self.weight.value.data());
         let bias = self.bias.value.data();
 
         let per_unit = if self.item_parallel(ishape.n, &geo) { 1 } else { ishape.n.max(1) };
@@ -287,15 +253,8 @@ impl Layer for Conv2d {
     }
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
-        Some(crate::quant::QuantLayer::Conv2d(crate::quant::QuantConv2d::new(
-            self.cin,
-            self.cout,
-            self.k,
-            self.stride,
-            self.pad,
-            self.weight.value.data(),
-            self.bias.value.data(),
-        )))
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        Some(crate::quant::QuantLayer::Conv2d(crate::quant::QuantConv2d::new(self.conv, weight, bias)))
     }
 
     fn params(&self) -> Vec<&ParamBlock> {
@@ -304,10 +263,6 @@ impl Layer for Conv2d {
 
     fn params_mut(&mut self) -> Vec<&mut ParamBlock> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn forward_flops_per_image(&self, input: Shape4) -> u64 {
-        2 * self.geometry(input.h, input.w).macs_per_image()
     }
 }
 
@@ -522,9 +477,9 @@ mod tests {
     fn flop_count_formula() {
         let mut r = rng();
         let conv = Conv2d::new("c", 3, 128, 3, 1, 1, &mut r);
-        let f = conv.forward_flops_per_image(Shape4::new(1, 3, 224, 224));
+        let f = conv.spec().forward_flops_per_image(Shape4::new(1, 3, 224, 224));
         assert_eq!(f, 2 * 128 * 3 * 9 * 224 * 224);
-        assert_eq!(conv.backward_flops_per_image(Shape4::new(1, 3, 224, 224)), 2 * f);
+        assert_eq!(conv.spec().backward_flops_per_image(Shape4::new(1, 3, 224, 224)), 2 * f);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! their kernels — and, like the conv, never write a col matrix out.
 
 use crate::layer::{Layer, ParamBlock};
-use scidl_tensor::{BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Transpose};
+use crate::spec::{ConvSpec, LayerSpec};
+use scidl_tensor::{BSource, PackedA, Shape4, Tensor, TensorRng, Transpose};
 
 /// A 2-D transposed convolution with square kernel and uniform stride.
 ///
@@ -22,11 +23,7 @@ use scidl_tensor::{BSource, ConvGeometry, PackedA, Shape4, Tensor, TensorRng, Tr
 #[derive(Clone)]
 pub struct Deconv2d {
     name: String,
-    cin: usize,
-    cout: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
+    conv: ConvSpec,
     weight: ParamBlock,
     bias: ParamBlock,
     cached_input: Option<Tensor>,
@@ -44,37 +41,8 @@ impl Deconv2d {
         rng: &mut TensorRng,
     ) -> Self {
         let name = name.into();
-        let fan_in = cin * k * k;
-        let weight = ParamBlock::new(
-            format!("{name}.weight"),
-            rng.he_tensor(Shape4::new(cin, cout, k, k), fan_in),
-        );
-        let bias = ParamBlock::new(format!("{name}.bias"), Tensor::zeros(Shape4::flat(cout)));
-        Self { name, cin, cout, k, stride, pad, weight, bias, cached_input: None }
-    }
-
-    /// Output spatial size for a given input spatial size.
-    pub fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        assert!(
-            (h - 1) * self.stride + self.k >= 2 * self.pad,
-            "{}: degenerate deconv geometry",
-            self.name
-        );
-        (
-            (h - 1) * self.stride + self.k - 2 * self.pad,
-            (w - 1) * self.stride + self.k - 2 * self.pad,
-        )
-    }
-
-    /// The *convolution* geometry whose backward pass is this layer's
-    /// forward pass: a conv from the deconv's output plane back to its
-    /// input plane.
-    fn mirror_geometry(&self, h: usize, w: usize) -> ConvGeometry {
-        let (oh, ow) = self.out_hw(h, w);
-        let geo = ConvGeometry::new(self.cout, self.cin, oh, ow, self.k, self.stride, self.pad);
-        debug_assert_eq!(geo.out_h(), h);
-        debug_assert_eq!(geo.out_w(), w);
-        geo
+        let (weight, bias) = ParamBlock::weight_and_bias(&name, Shape4::new(cin, cout, k, k), cin * k * k, cout, rng);
+        Self { name, conv: ConvSpec { cin, cout, k, stride, pad }, weight, bias, cached_input: None }
     }
 }
 
@@ -83,10 +51,8 @@ impl Layer for Deconv2d {
         &self.name
     }
 
-    fn out_shape(&self, input: Shape4) -> Shape4 {
-        assert_eq!(input.c, self.cin, "{}: expected {} input channels, got {}", self.name, self.cin, input.c);
-        let (oh, ow) = self.out_hw(input.h, input.w);
-        Shape4::new(input.n, self.cout, oh, ow)
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Deconv(self.conv)
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
@@ -97,11 +63,11 @@ impl Layer for Deconv2d {
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let ishape = input.shape();
-        let geo = self.mirror_geometry(ishape.h, ishape.w);
+        let geo = self.conv.mirror_geometry(ishape.h, ishape.w);
         let oshape = self.out_shape(ishape);
         let mut out = Tensor::zeros(oshape);
         // Wᵀ (cout*k*k x cin) is the left operand of every item's product.
-        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.cin, self.weight.value.data());
+        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.conv.cin, self.weight.value.data());
 
         for n in 0..ishape.n {
             // Scatter Wᵀ * x (cin x h*w) into the (zeroed) output plane.
@@ -109,7 +75,7 @@ impl Layer for Deconv2d {
             // Bias per output channel.
             let plane = oshape.plane_len();
             let item = out.item_mut(n);
-            for c in 0..self.cout {
+            for c in 0..self.conv.cout {
                 let b = self.bias.value.data()[c];
                 if b != 0.0 {
                     for v in &mut item[c * plane..(c + 1) * plane] {
@@ -127,14 +93,14 @@ impl Layer for Deconv2d {
             .take()
             .expect("Deconv2d::backward called before forward");
         let ishape = input.shape();
-        let geo = self.mirror_geometry(ishape.h, ishape.w);
+        let geo = self.conv.mirror_geometry(ishape.h, ishape.w);
         let oshape = self.out_shape(ishape);
         assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
 
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let mut grad_in = Tensor::zeros(ishape);
         // W (cin x cout*k*k) is the left operand of every item's dX.
-        let weight = PackedA::new(Transpose::No, self.cin, rows, self.weight.value.data());
+        let weight = PackedA::new(Transpose::No, self.conv.cin, rows, self.weight.value.data());
 
         for n in 0..ishape.n {
             // The backward-data of a deconv is a plain convolution of dY:
@@ -143,11 +109,11 @@ impl Layer for Deconv2d {
             weight.gemm(col, cols, 1.0, 0.0, grad_in.item_mut(n));
             // dW += x (cin x h*w) * colᵀ (h*w x cout*k*k)
             let col_t = BSource::Im2col(Transpose::Yes, &geo, grad_out.item(n));
-            PackedA::new(Transpose::No, self.cin, cols, input.item(n)).gemm(col_t, rows, 1.0, 1.0, self.weight.grad.data_mut());
+            PackedA::new(Transpose::No, self.conv.cin, cols, input.item(n)).gemm(col_t, rows, 1.0, 1.0, self.weight.grad.data_mut());
             // Bias gradient: per-output-channel sum of dY.
             let plane = oshape.plane_len();
             let dy = grad_out.item(n);
-            for c in 0..self.cout {
+            for c in 0..self.conv.cout {
                 let s: f32 = dy[c * plane..(c + 1) * plane].iter().sum();
                 self.bias.grad.data_mut()[c] += s;
             }
@@ -161,11 +127,6 @@ impl Layer for Deconv2d {
 
     fn params_mut(&mut self) -> Vec<&mut ParamBlock> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn forward_flops_per_image(&self, input: Shape4) -> u64 {
-        // Same MAC count as the mirror convolution (the kernels are shared).
-        2 * self.mirror_geometry(input.h, input.w).macs_per_image()
     }
 }
 
@@ -324,7 +285,7 @@ mod tests {
     fn flops_symmetric_with_mirror_conv() {
         let mut r = rng();
         let d = Deconv2d::new("d", 16, 8, 4, 2, 1, &mut r);
-        let f = d.forward_flops_per_image(Shape4::new(1, 16, 12, 12));
+        let f = d.spec().forward_flops_per_image(Shape4::new(1, 16, 12, 12));
         // Mirror conv: 24x24 input, 16 out-ch... macs = cin_mirror(8)*k*k*cout_mirror(16)*12*12
         assert_eq!(f, 2 * (8 * 16 * 16 * 144));
     }

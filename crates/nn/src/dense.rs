@@ -6,6 +6,7 @@
 //! the model stays cheap to all-reduce at scale.
 
 use crate::layer::{Layer, ParamBlock};
+use crate::spec::LayerSpec;
 use scidl_tensor::{gemm, gemm_bias_cols, Shape4, Tensor, TensorRng, Transpose};
 
 /// Dense layer `y = W x + b`, flattening each batch item.
@@ -26,11 +27,8 @@ impl Dense {
     /// Creates a dense layer with He-initialised weights.
     pub fn new(name: impl Into<String>, input_len: usize, output_len: usize, rng: &mut TensorRng) -> Self {
         let name = name.into();
-        let weight = ParamBlock::new(
-            format!("{name}.weight"),
-            rng.he_tensor(Shape4::new(output_len, input_len, 1, 1), input_len),
-        );
-        let bias = ParamBlock::new(format!("{name}.bias"), Tensor::zeros(Shape4::flat(output_len)));
+        let shape = Shape4::new(output_len, input_len, 1, 1);
+        let (weight, bias) = ParamBlock::weight_and_bias(&name, shape, input_len, output_len, rng);
         Self { name, input_len, output_len, weight, bias, cached_input: None }
     }
 }
@@ -40,16 +38,8 @@ impl Layer for Dense {
         &self.name
     }
 
-    fn out_shape(&self, input: Shape4) -> Shape4 {
-        assert_eq!(
-            input.item_len(),
-            self.input_len,
-            "{}: expected item length {}, got {}",
-            self.name,
-            self.input_len,
-            input.item_len()
-        );
-        Shape4::new(input.n, self.output_len, 1, 1)
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::Dense { input_len: self.input_len, output_len: self.output_len }
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
@@ -124,12 +114,8 @@ impl Layer for Dense {
     }
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
-        Some(crate::quant::QuantLayer::Dense(crate::quant::QuantDense::new(
-            self.input_len,
-            self.output_len,
-            self.weight.value.data(),
-            self.bias.value.data(),
-        )))
+        let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
+        Some(crate::quant::QuantLayer::Dense(crate::quant::QuantDense::new(self.input_len, self.output_len, weight, bias)))
     }
 
     fn params(&self) -> Vec<&ParamBlock> {
@@ -138,10 +124,6 @@ impl Layer for Dense {
 
     fn params_mut(&mut self) -> Vec<&mut ParamBlock> {
         vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn forward_flops_per_image(&self, _input: Shape4) -> u64 {
-        2 * (self.input_len as u64) * (self.output_len as u64)
     }
 }
 
@@ -226,6 +208,6 @@ mod tests {
     fn flops_formula() {
         let mut rng = TensorRng::new(2);
         let d = Dense::new("fc", 128, 2, &mut rng);
-        assert_eq!(d.forward_flops_per_image(Shape4::flat(128)), 2 * 128 * 2);
+        assert_eq!(d.spec().forward_flops_per_image(Shape4::flat(128)), 2 * 128 * 2);
     }
 }

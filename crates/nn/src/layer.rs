@@ -1,7 +1,8 @@
 //! The `Layer` trait and trainable-parameter blocks.
 
+use crate::spec::LayerSpec;
 use crate::{Conv2d, MaxPool2d, Relu};
-use scidl_tensor::{Shape4, Tensor};
+use scidl_tensor::{Shape4, Tensor, TensorRng};
 
 /// A named block of trainable parameters together with its accumulated
 /// gradient. Each layer owns zero or more blocks (e.g. a convolution owns
@@ -28,6 +29,13 @@ impl ParamBlock {
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
         Self { name: name.into(), value, grad }
+    }
+
+    /// A layer's weight, He-initialised for `fan_in` inputs per output,
+    /// and its zero bias over `outputs`, named after `layer`.
+    pub(crate) fn weight_and_bias(layer: &str, shape: Shape4, fan_in: usize, outputs: usize, rng: &mut TensorRng) -> (Self, Self) {
+        let weight = Self::new(format!("{layer}.weight"), rng.he_tensor(shape, fan_in));
+        (weight, Self::new(format!("{layer}.bias"), Tensor::zeros(Shape4::flat(outputs))))
     }
 
     /// Number of scalar parameters.
@@ -106,9 +114,15 @@ pub trait Layer: LayerClone + Send + Sync {
     /// Layer instance name (unique within a network), e.g. `"conv3"`.
     fn name(&self) -> &str;
 
-    /// Output shape for a given input shape. Panics if the input shape is
-    /// incompatible with the layer configuration.
-    fn out_shape(&self, input: Shape4) -> Shape4;
+    /// The layer's configuration — kind and sizes, no weights — which
+    /// holds its shape and cost formulas.
+    fn spec(&self) -> LayerSpec;
+
+    /// Output shape for a given input shape; panics if the two are
+    /// incompatible ([`LayerSpec::out_shape`]).
+    fn out_shape(&self, input: Shape4) -> Shape4 {
+        self.spec().out_shape(input)
+    }
 
     /// Training forward pass: [`Layer::infer`]'s output, with what
     /// `backward` needs remembered in the layer. May keep `input`, or
@@ -163,18 +177,6 @@ pub trait Layer: LayerClone + Send + Sync {
     /// Mutable access to the parameter blocks.
     fn params_mut(&mut self) -> Vec<&mut ParamBlock> {
         Vec::new()
-    }
-
-    /// Forward FLOPs per single image for the given input shape (the
-    /// `2*macs` convention the paper's SDE counting reports). Stateless
-    /// cheap layers may return small or zero values.
-    fn forward_flops_per_image(&self, input: Shape4) -> u64;
-
-    /// Backward FLOPs per single image. Defaults to `2x` forward (one
-    /// pass each for data- and weight-gradients), the standard convention;
-    /// stateless layers override to `1x`.
-    fn backward_flops_per_image(&self, input: Shape4) -> u64 {
-        2 * self.forward_flops_per_image(input)
     }
 }
 

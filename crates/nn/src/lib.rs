@@ -12,12 +12,11 @@
 //!   and the semi-supervised detection loss (confidence + class + bounding
 //!   box + autoencoder reconstruction) for the climate network,
 //! * solvers — [`Sgd`] with momentum and [`Adam`] (Sec. III-A/III-B),
-//! * analytic per-layer FLOP accounting
-//!   ([`Layer::forward_flops_per_image`], [`Layer::backward_flops_per_image`])
+//! * analytic per-layer FLOP accounting on each layer's [`LayerSpec`],
 //!   standing in for the Intel SDE instrumentation of Sec. V,
 //! * the two reference architectures of Table II ([`arch::hep_network`],
-//!   [`arch::climate_network`]) with parameter footprints matching the
-//!   paper (≈2.3 MiB and ≈302 MiB),
+//!   [`arch::ClimateNet`]) as spec lists ([`NetSpec`]) with parameter
+//!   footprints matching the paper (≈2.3 MiB and ≈302 MiB),
 //! * a wall-clock layer profiler ([`profile`]) regenerating Fig. 5 from
 //!   the real Rust kernels.
 //!
@@ -61,6 +60,7 @@ pub mod pool;
 pub mod profile;
 pub mod quant;
 pub mod solver;
+pub mod spec;
 
 pub use activation::Relu;
 pub use conv::Conv2d;
@@ -72,3 +72,4 @@ pub use network::Network;
 pub use pool::{GlobalAvgPool, MaxPool2d};
 pub use quant::{QuantLayer, QuantizedNetwork};
 pub use solver::{Adam, Sgd, Solver, SolverKind};
+pub use spec::{ConvSpec, LayerSpec, NetSpec};

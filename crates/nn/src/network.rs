@@ -9,6 +9,7 @@
 //! turns it off, and [`Network::layers`] still lists every layer.
 
 use crate::layer::{InferScratch, Layer, ParamBlock, Part};
+use crate::spec::NetSpec;
 use crate::{Conv2d, MaxPool2d};
 use scidl_tensor::{Shape4, Tensor};
 use std::ops::Range;
@@ -37,12 +38,6 @@ pub trait Model: Send {
     /// Total scalar parameter count.
     fn num_params(&self) -> usize {
         self.param_blocks().iter().map(|b| b.len()).sum()
-    }
-
-    /// Model size in bytes (f32 parameters) — the quantity Table II
-    /// reports per architecture.
-    fn param_bytes(&self) -> usize {
-        self.num_params() * std::mem::size_of::<f32>()
     }
 
     /// Copies all parameter values into one flat vector (block order).
@@ -90,8 +85,8 @@ pub trait Model: Send {
 /// building block of the climate model's encoder and decoder).
 #[derive(Clone)]
 pub struct Network {
-    name: String,
-    layers: Vec<Box<dyn Layer>>,
+    pub(crate) name: String,
+    pub(crate) layers: Vec<Box<dyn Layer>>,
 }
 
 impl Network {
@@ -109,11 +104,6 @@ impl Network {
     pub fn push(mut self, layer: impl Layer + 'static) -> Self {
         self.layers.push(Box::new(layer));
         self
-    }
-
-    /// Appends a boxed layer in place.
-    pub fn add(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
     }
 
     /// The layers, in order.
@@ -264,64 +254,10 @@ impl Network {
         g
     }
 
-    /// Forward FLOPs per image for a given input shape (sum over layers).
-    pub fn forward_flops_per_image(&self, input: Shape4) -> u64 {
-        let mut s = input;
-        let mut total = 0u64;
-        for l in &self.layers {
-            total += l.forward_flops_per_image(s);
-            s = l.out_shape(s);
-        }
-        total
-    }
-
-    /// Backward FLOPs per image.
-    pub fn backward_flops_per_image(&self, input: Shape4) -> u64 {
-        let mut s = input;
-        let mut total = 0u64;
-        for l in &self.layers {
-            total += l.backward_flops_per_image(s);
-            s = l.out_shape(s);
-        }
-        total
-    }
-
-    /// Training FLOPs per image (forward + backward), the quantity the
-    /// paper's throughput numbers are computed from.
-    pub fn training_flops_per_image(&self, input: Shape4) -> u64 {
-        self.forward_flops_per_image(input) + self.backward_flops_per_image(input)
-    }
-
-    /// Human-readable layer-by-layer summary for a given input shape:
-    /// name, output shape, parameter count and training GFLOPs per image.
-    pub fn summary(&self, input: Shape4) -> String {
-        use crate::network::Model;
-        let mut s = input.with_n(1);
-        let mut out = format!("{} (input {s})\n", self.name);
-        out.push_str(&format!(
-            "{:<14} {:>16} {:>12} {:>12}\n",
-            "layer", "output", "params", "GF/img"
-        ));
-        for l in &self.layers {
-            let o = l.out_shape(s);
-            let params: usize = l.params().iter().map(|b| b.len()).sum();
-            let gf = (l.forward_flops_per_image(s) + l.backward_flops_per_image(s)) as f64 / 1e9;
-            out.push_str(&format!(
-                "{:<14} {:>16} {:>12} {:>12.3}\n",
-                l.name(),
-                format!("{o}"),
-                params,
-                gf
-            ));
-            s = o;
-        }
-        out.push_str(&format!(
-            "total: {} params ({:.2} MiB), {:.2} GF/img training\n",
-            self.num_params(),
-            self.param_bytes() as f64 / (1024.0 * 1024.0),
-            self.training_flops_per_image(input) as f64 / 1e9
-        ));
-        out
+    /// The network as data: its name and its layers' names and specs.
+    pub fn spec(&self) -> NetSpec {
+        let layers = self.layers.iter().map(|l| (l.name().to_string(), l.spec())).collect();
+        NetSpec { name: self.name.clone(), layers }
     }
 }
 
@@ -652,7 +588,7 @@ mod tests {
     fn summary_lists_layers_and_totals() {
         let mut rng = TensorRng::new(1);
         let net = tiny_net(&mut rng);
-        let s = net.summary(Shape4::new(1, 1, 8, 8));
+        let s = net.spec().summary(Shape4::new(1, 1, 8, 8));
         assert!(s.contains("conv1"));
         assert!(s.contains("fc"));
         assert!(s.contains("total:"));
@@ -663,16 +599,16 @@ mod tests {
     #[test]
     fn flop_counts_accumulate_over_layers() {
         let mut rng = TensorRng::new(1);
-        let net = tiny_net(&mut rng);
+        let spec = tiny_net(&mut rng).spec();
         let s = Shape4::new(1, 1, 8, 8);
-        let fwd = net.forward_flops_per_image(s);
-        // conv: 2*4*1*9*64 = 4608; relu: 256; pool: 64 (4x4 out,k2) -> 4*4*4*4=... recompute:
-        // conv out 4x8x8=256 relu 256 flops; pool out 4x4x4, 4 taps each = 256; gap 64; fc 2*4*2=16.
+        let walk: Vec<_> = spec.walk(s).collect();
+        let fwd: u64 = walk.iter().map(|&(_, l, s)| l.forward_flops_per_image(s)).sum();
+        let bwd: u64 = walk.iter().map(|&(_, l, s)| l.backward_flops_per_image(s)).sum();
+        // conv out 4x8x8: 2*4*1*9*64 = 4608; relu 256; pool out 4x4x4,
+        // 4 taps each = 256; gap 64; fc 2*4*2 = 16.
         assert_eq!(fwd, 4608 + 256 + 256 + 64 + 16);
-        assert!(net.backward_flops_per_image(s) > fwd);
-        assert_eq!(
-            net.training_flops_per_image(s),
-            fwd + net.backward_flops_per_image(s)
-        );
+        // conv and fc twice forward; relu 256; pool 64; gap 64.
+        assert_eq!(bwd, 2 * 4608 + 256 + 64 + 64 + 2 * 16);
+        assert_eq!(spec.training_flops_per_image(s), fwd + bwd);
     }
 }

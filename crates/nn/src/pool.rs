@@ -7,6 +7,7 @@
 
 use crate::activation::rectify;
 use crate::layer::{Layer, Part};
+use crate::spec::LayerSpec;
 use scidl_tensor::{par, Shape4, Tensor, PAR_CHUNK};
 
 /// Bit 7 of a tap record: the output's gradient passes to its tap.
@@ -66,10 +67,9 @@ impl Layer for MaxPool2d {
         &self.name
     }
 
-    fn out_shape(&self, input: Shape4) -> Shape4 {
-        let Window { k, .. } = self.window;
-        assert!(input.h >= k && input.w >= k, "{}: input smaller than kernel", self.name);
-        self.window.out_shape(input)
+    fn spec(&self) -> LayerSpec {
+        let Window { k, stride } = self.window;
+        LayerSpec::MaxPool { k, stride }
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
@@ -101,17 +101,6 @@ impl Layer for MaxPool2d {
     fn part_mut(&mut self) -> Option<Part<&mut crate::Conv2d, &mut crate::Relu, &mut MaxPool2d>> {
         Some(Part::Pool(self))
     }
-
-    fn forward_flops_per_image(&self, input: Shape4) -> u64 {
-        // One compare per kernel tap per output element.
-        let os = self.out_shape(input.with_n(1));
-        let Window { k, .. } = self.window;
-        (os.len() * k * k) as u64
-    }
-
-    fn backward_flops_per_image(&self, input: Shape4) -> u64 {
-        self.out_shape(input.with_n(1)).len() as u64
-    }
 }
 
 /// A `k x k` max-pool window every `stride` pixels, without padding: the
@@ -119,8 +108,8 @@ impl Layer for MaxPool2d {
 /// `Conv2d → Relu → MaxPool2d` pass.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Window {
-    k: usize,
-    stride: usize,
+    pub(crate) k: usize,
+    pub(crate) stride: usize,
 }
 
 impl Window {
@@ -269,8 +258,8 @@ impl Layer for GlobalAvgPool {
         &self.name
     }
 
-    fn out_shape(&self, input: Shape4) -> Shape4 {
-        Shape4::new(input.n, input.c, 1, 1)
+    fn spec(&self) -> LayerSpec {
+        LayerSpec::GlobalAvgPool
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
@@ -309,14 +298,6 @@ impl Layer for GlobalAvgPool {
             }
         }
         grad_in
-    }
-
-    fn forward_flops_per_image(&self, input: Shape4) -> u64 {
-        input.item_len() as u64
-    }
-
-    fn backward_flops_per_image(&self, input: Shape4) -> u64 {
-        input.item_len() as u64
     }
 }
 

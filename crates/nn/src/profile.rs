@@ -7,7 +7,6 @@
 //! `scidl-cluster` (the two are printed side by side by the Fig. 5
 //! harness).
 
-use crate::layer::Layer;
 use crate::network::{backward_step, forward_step, plan, Network, Walk};
 use scidl_tensor::stats::Summary;
 use scidl_tensor::{Shape4, Tensor, TensorRng};
@@ -56,16 +55,19 @@ impl LayerProfile {
 /// after `warmup` untimed iterations. Input data is random. Each layer
 /// runs its own `forward` and `backward`, so a `Conv2d → Relu →
 /// MaxPool2d` triple is timed as three layers, not as the one pass
-/// [`Network`] runs it in; [`profile_steps`] times that.
+/// [`Network`] runs it in, and the first layer takes the input gradient
+/// training skips; [`profile_steps`] times what training runs.
 pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: usize) -> Vec<LayerProfile> {
     let steps = (0..net.layers().len()).map(|i| i..i + 1).collect();
-    profile(net, steps, input, warmup, reps)
+    profile(net, steps, input, warmup, reps, true)
 }
 
-/// Profiles `net` step by step as [`Network::forward`] and
-/// [`Network::backward`] run it: a fused `Conv2d → Relu → MaxPool2d`
-/// triple is one entry, named `conv1+relu1+pool1` and carrying the three
-/// layers' FLOPs; every other layer is its own. Arguments as
+/// Profiles `net` step by step as training runs it
+/// ([`Network::forward`], then [`Network::backward_params`]): a fused
+/// `Conv2d → Relu → MaxPool2d` triple is one entry, named
+/// `conv1+relu1+pool1` and carrying the three layers' FLOPs; every other
+/// layer is its own. The network's first layer takes no input gradient
+/// and counts its parameter gradients' FLOPs alone. Arguments as
 /// [`profile_network`].
 pub fn profile_steps(net: &mut Network, input: Shape4, warmup: usize, reps: usize) -> Vec<LayerProfile> {
     let mut steps = Vec::new();
@@ -75,17 +77,19 @@ pub fn profile_steps(net: &mut Network, input: Shape4, warmup: usize, reps: usiz
         at = step.end;
         steps.push(step);
     }
-    profile(net, steps, input, warmup, reps)
+    profile(net, steps, input, warmup, reps, false)
 }
 
 /// Times each of `steps` (consecutive ranges covering `net`'s layers),
-/// run through the network's step functions.
+/// run through the network's step functions; the first step's backward
+/// takes the input gradient only if `input_grad`.
 fn profile(
     net: &mut Network,
     steps: Vec<Range<usize>>,
     input: Shape4,
     warmup: usize,
     reps: usize,
+    input_grad: bool,
 ) -> Vec<LayerProfile> {
     assert!(reps > 0, "need at least one timed repetition");
     let mut rng = TensorRng::new(0xF165);
@@ -93,15 +97,15 @@ fn profile(
 
     let mut fwd: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); steps.len()];
     let mut bwd: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); steps.len()];
-    let mut shapes = Vec::with_capacity(net.layers().len());
-    {
-        let mut s = input;
-        for l in net.layers() {
-            shapes.push(s);
-            s = l.out_shape(s);
-        }
-    }
-    let out_shape = net.out_shape(input);
+    // Forward and backward FLOPs per image of each layer.
+    let spec = net.spec();
+    let per_layer: Vec<[u64; 2]> = (spec.walk(input).enumerate())
+        .map(|(i, (_, l, s))| match i == 0 && !input_grad {
+            true => [l.forward_flops_per_image(s), l.param_grad_flops_per_image(s)],
+            false => [l.forward_flops_per_image(s), l.backward_flops_per_image(s)],
+        })
+        .collect();
+    let out_shape = spec.out_shape(input);
 
     for it in 0..warmup + reps {
         let timed = it >= warmup;
@@ -115,10 +119,11 @@ fn profile(
             }
         }
         // Backward with a unit gradient.
-        let mut g = Tensor::filled(out_shape, 1.0);
+        let mut g = Some(Tensor::filled(out_shape, 1.0));
         for (i, step) in steps.iter().enumerate().rev() {
+            let grad = g.take().expect("only the first step drops the gradient");
             let t0 = Instant::now();
-            g = backward_step(&mut net.layers_mut()[step.clone()], g, true).expect("the input gradient was asked for");
+            g = backward_step(&mut net.layers_mut()[step.clone()], grad, input_grad || i > 0);
             if timed {
                 bwd[i].push(t0.elapsed().as_secs_f64());
             }
@@ -136,15 +141,13 @@ fn profile(
         .map(|(i, step)| {
             let forward_stats = Summary::from_samples(&fwd[i]);
             let backward_stats = Summary::from_samples(&bwd[i]);
-            let flops = |f: fn(&dyn Layer, Shape4) -> u64| {
-                batch * step.clone().map(|l| f(&*layers[l], shapes[l])).sum::<u64>()
-            };
+            let flops = |pass: usize| batch * per_layer[step.clone()].iter().map(|f| f[pass]).sum::<u64>();
             LayerProfile {
                 name: layers[step.clone()].iter().map(|l| l.name()).collect::<Vec<_>>().join("+"),
                 forward_secs: forward_stats.mean,
                 backward_secs: backward_stats.mean,
-                forward_flops: flops(|l, s| l.forward_flops_per_image(s)),
-                backward_flops: flops(|l, s| l.backward_flops_per_image(s)),
+                forward_flops: flops(0),
+                backward_flops: flops(1),
                 forward_stats,
                 backward_stats,
             }
@@ -212,10 +215,34 @@ mod tests {
         assert_eq!(names, ["conv1+relu1+pool1", "conv2"]);
         let sum = |p: &[LayerProfile]| -> u64 { p.iter().map(|p| p.forward_flops).sum() };
         assert_eq!(steps[0].forward_flops, sum(&layers[..3]));
-        assert_eq!(steps[0].backward_flops, layers[..3].iter().map(|p| p.backward_flops).sum::<u64>());
+        // The first step takes no input gradient: conv1's data-gradient
+        // GEMM, the size of its forward one, is not run or counted.
+        let unfused: u64 = layers[..3].iter().map(|p| p.backward_flops).sum();
+        assert_eq!(steps[0].backward_flops, unfused - layers[0].forward_flops);
         assert_eq!(sum(&steps), sum(&layers));
         assert_eq!(steps[1].forward_flops, layers[3].forward_flops);
         assert_eq!(steps[0].forward_stats.count, 2);
+    }
+
+    /// `hep_small`'s first step, `conv1+relu1+pool1`, counts conv1's
+    /// weight gradient and the ReLU and pool backward that feed it — its
+    /// weight-gradient FLOPs — and no input gradient; `profile_network`
+    /// still times conv1's full backward, and later steps are unchanged.
+    #[test]
+    fn first_step_counts_its_weight_gradient_alone() {
+        let mut net = crate::arch::hep_small(&mut TensorRng::new(2));
+        let input = Shape4::new(2, 3, 32, 32);
+        let steps = profile_steps(&mut net, input, 0, 1);
+        let layers = profile_network(&mut net, input, 0, 1);
+        let spec = net.spec();
+        let walk: Vec<_> = spec.walk(input).collect();
+        let [(_, conv1, s0), (_, relu1, s1), (_, pool1, s2)] = [walk[0], walk[1], walk[2]];
+        let weight_grad = conv1.param_grad_flops_per_image(s0) + relu1.backward_flops_per_image(s1) + pool1.backward_flops_per_image(s2);
+        assert_eq!(steps[0].name, "conv1+relu1+pool1");
+        assert_eq!(steps[0].backward_flops, 2 * weight_grad);
+        assert_eq!(conv1.param_grad_flops_per_image(s0), conv1.forward_flops_per_image(s0));
+        assert_eq!(layers[0].backward_flops, 2 * layers[0].forward_flops);
+        assert_eq!(steps[1].backward_flops, layers[3..6].iter().map(|p| p.backward_flops).sum::<u64>());
     }
 
     #[test]

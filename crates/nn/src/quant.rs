@@ -24,7 +24,8 @@
 //! surfaces as NaN output — it never silently becomes a finite value.
 
 use crate::layer::InferScratch;
-use scidl_tensor::{gemm_i8, im2col, ConvGeometry, Shape4, Tensor, TensorRng, Workspace};
+use crate::spec::ConvSpec;
+use scidl_tensor::{gemm_i8, im2col, Shape4, Tensor, TensorRng, Workspace};
 
 /// Rounds an `f32` to bfloat16 precision (round-to-nearest-even on the
 /// top 7 mantissa bits), returned as `f32`. Non-finite inputs pass
@@ -204,11 +205,7 @@ impl QuantDense {
 /// buffer — the lowering [`crate::Conv2d`] uses, taken from the same
 /// [`Workspace`] pool.
 pub struct QuantConv2d {
-    cin: usize,
-    cout: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
+    conv: ConvSpec,
     /// `(cout, cin*k*k)` row-major quantized weights.
     w_q: Vec<i8>,
     /// Weight dequantisation scale (NaN when poisoned).
@@ -218,23 +215,23 @@ pub struct QuantConv2d {
 
 impl QuantConv2d {
     /// Quantizes a convolution's parameters.
-    pub fn new(cin: usize, cout: usize, k: usize, stride: usize, pad: usize, weight: &[f32], bias: &[f32]) -> Self {
-        assert_eq!(weight.len(), cout * cin * k * k);
-        assert_eq!(bias.len(), cout);
+    pub fn new(conv: ConvSpec, weight: &[f32], bias: &[f32]) -> Self {
+        assert_eq!(weight.len(), conv.cout * conv.cin * conv.k * conv.k);
+        assert_eq!(bias.len(), conv.cout);
         let (w_q, w_scale) = scidl_tensor::ops::quantize_i8(weight);
-        Self { cin, cout, k, stride, pad, w_q, w_scale, bias: bias.to_vec() }
+        Self { conv, w_q, w_scale, bias: bias.to_vec() }
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
         let ishape = input.shape();
-        assert_eq!(ishape.c, self.cin, "quantized conv: channel mismatch");
-        let geo = ConvGeometry::new(self.cin, self.cout, ishape.h, ishape.w, self.k, self.stride, self.pad);
+        assert_eq!(ishape.c, self.conv.cin, "quantized conv: channel mismatch");
+        let geo = self.conv.geometry(ishape.h, ishape.w);
         let oshape = geo.out_shape(ishape.n);
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let mut out = Tensor::zeros(oshape);
         let mut col = Workspace::take(rows * cols);
         scratch.qcol.resize(rows * cols, 0);
-        scratch.qacc.resize(self.cout * cols, 0);
+        scratch.qacc.resize(self.conv.cout * cols, 0);
         for item in 0..ishape.n {
             im2col(&geo, input.item(item), &mut col);
             // Dynamic per-item activation scale; quantize the (rows x
@@ -256,7 +253,7 @@ impl QuantConv2d {
                 scale
             };
             // C (cout x cols) = W_q (cout x rows) · col_q (rows x cols).
-            gemm_i8(self.cout, cols, rows, &self.w_q, &scratch.qcol, &mut scratch.qacc);
+            gemm_i8(self.conv.cout, cols, rows, &self.w_q, &scratch.qcol, &mut scratch.qacc);
             let scale = x_scale * self.w_scale;
             let plane = out.item_mut(item);
             for ((orow, acc), &b) in plane

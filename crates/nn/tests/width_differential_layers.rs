@@ -149,7 +149,7 @@ fn conv_and_deconv_match_the_col_matrix_lowering() {
             deconv.params_mut()[1].value = rng.uniform_tensor(Shape4::flat(cout), -1.0, 1.0);
             let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
             let dy = rng.uniform_tensor(deconv.out_shape(x.shape()), -1.0, 1.0);
-            let (oh, ow) = deconv.out_hw(hw, hw);
+            let (oh, ow) = (dy.shape().h, dy.shape().w);
             let geo = ConvGeometry::new(cout, cin, oh, ow, k, stride, pad);
             let (w, b) = (deconv.params()[0].value.clone(), deconv.params()[1].value.clone());
             let want = deconv_by_col_matrix(&geo, w.data(), b.data(), &x, &dy);

@@ -60,8 +60,8 @@ use scidl_cluster::knl::{KnlModel, LayerCost};
 use scidl_core::metrics::LatencyRecorder;
 use scidl_core::workloads::layer_costs;
 use scidl_nn::arch;
-use scidl_nn::network::Network;
-use scidl_tensor::{Shape4, TensorRng};
+use scidl_nn::NetSpec;
+use scidl_tensor::Shape4;
 use scidl_trace::{EventKind, TraceHandle};
 
 /// Inference-time cost model of one network on one KNL node: per-layer
@@ -80,16 +80,14 @@ impl ServiceModel {
     /// Builds the forward-only cost table for `net` at `input` with
     /// `scidl_core::workloads::layer_costs`, the rate classification the
     /// training workloads use.
-    pub fn for_network(name: &str, net: &Network, input: Shape4, knl: KnlModel) -> Self {
-        Self { name: name.into(), layers: layer_costs(net, input, false), knl }
+    pub fn for_network(name: &str, net: &NetSpec, input: Shape4, knl: KnlModel) -> Self {
+        Self { name: name.into(), layers: layer_costs(net.walk(input), false), knl }
     }
 
     /// The paper's HEP classifier at its 224×224 input on a default KNL
     /// node — the workload the serving acceptance criterion is stated on.
     pub fn hep() -> Self {
-        let mut rng = TensorRng::new(0);
-        let net = arch::hep_network(&mut rng);
-        Self::for_network("hep", &net, arch::HEP_INPUT, KnlModel::default())
+        Self::for_network("hep", &arch::hep_network_spec(), arch::HEP_INPUT, KnlModel::default())
     }
 
     /// Service time of one forward pass over a batch of `b` requests.
