@@ -5,7 +5,7 @@
 
 use crate::report::{print_collectives, print_speedups};
 use crate::Args;
-use scidl_core::experiments::{strong_scaling, strong_scaling_with, ScalingOptions};
+use scidl_core::experiments::{strong_scaling, ScalingOptions};
 use scidl_core::workloads::{climate_workload, hep_workload};
 
 pub fn run(args: &Args) {
@@ -31,7 +31,7 @@ pub fn run(args: &Args) {
         ),
     ] {
         println!("Fig. 6 ({name}): strong scaling, batch 2048 per synchronous group\n");
-        print_speedups(&strong_scaling(&w, nodes, &groups, 2048, iters, 0xF166), nodes, &groups);
+        print_speedups(&strong_scaling(&w, nodes, &groups, 2048, iters, 0xF166, &ScalingOptions::default()), nodes, &groups);
         println!("{paper}\n");
     }
 
@@ -47,8 +47,8 @@ pub fn run(args: &Args) {
     println!("(306 MiB model: the all-reduce dominates the shrinking per-node compute, so the");
     println!(" inter-group tree's contention savings show directly in throughput)\n");
     let w = climate_workload();
-    let flat = strong_scaling_with(&w, cmp_nodes, &[4], 2048, iters, 0xF166, &ScalingOptions::flat());
-    let hier = strong_scaling_with(&w, cmp_nodes, &[4], 2048, iters, 0xF166, &ScalingOptions::hierarchical());
+    let flat = strong_scaling(&w, cmp_nodes, &[4], 2048, iters, 0xF166, &ScalingOptions::flat());
+    let hier = strong_scaling(&w, cmp_nodes, &[4], 2048, iters, 0xF166, &ScalingOptions::hierarchical());
     let points: Vec<_> = flat.iter().zip(&hier).map(|(f, h)| (f.nodes, f.images_per_sec, h.images_per_sec)).collect();
     print_collectives(&points);
 }

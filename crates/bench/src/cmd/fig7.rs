@@ -6,7 +6,7 @@
 
 use crate::report::{print_collectives, print_speedups};
 use crate::Args;
-use scidl_core::experiments::{collective_comparison, weak_scaling};
+use scidl_core::experiments::{collective_comparison, weak_scaling, ScalingOptions};
 use scidl_core::workloads::{climate_workload, hep_workload};
 
 pub fn run(args: &Args) {
@@ -20,12 +20,12 @@ pub fn run(args: &Args) {
 
     println!("Fig. 7a (HEP): weak scaling, batch 8/node\n");
     let groups = [1usize, 2, 4, 8];
-    print_speedups(&weak_scaling(&hep_workload(), nodes, &groups, 8, iters, 0xF167), nodes, &groups);
+    print_speedups(&weak_scaling(&hep_workload(), nodes, &groups, 8, iters, 0xF167, &ScalingOptions::default()), nodes, &groups);
     println!("paper: sublinear for all; ~1500x sync / ~1150-1250x hybrid at 2048 (jitter on ~12 ms layers)\n");
 
     println!("Fig. 7b (Climate): weak scaling, batch 8/node\n");
     let groups = [1usize, 4, 8];
-    print_speedups(&weak_scaling(&climate_workload(), nodes, &groups, 8, iters.min(8), 0xF167), nodes, &groups);
+    print_speedups(&weak_scaling(&climate_workload(), nodes, &groups, 8, iters.min(8), 0xF167, &ScalingOptions::default()), nodes, &groups);
     println!("paper: near-linear (~1750x sync, ~1850x hybrid at 2048; >300 ms layers hide jitter)\n");
 
     // --- flat-placed ring vs hierarchical collective, same seeds -------

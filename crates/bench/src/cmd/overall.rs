@@ -16,14 +16,14 @@
 
 use crate::report::{fnum, markdown_table};
 use crate::Args;
-use scidl_core::experiments::full_system;
+use scidl_core::experiments::{full_system, ScalingOptions};
 use scidl_core::workloads::{climate_workload, hep_workload};
 
 pub fn run(args: &Args) {
     let iters = if args.fast { 12 } else { 40 };
 
-    let hep = full_system(&hep_workload(), 9594, 9, 1066, iters, 0, 0x0A11);
-    let climate = full_system(&climate_workload(), 9608, 8, 9608, iters.min(20), 10, 0x0A11);
+    let hep = full_system(&hep_workload(), 9594, 9, 1066, iters, 0, 0x0A11, &ScalingOptions::default());
+    let climate = full_system(&climate_workload(), 9608, 8, 9608, iters.min(20), 10, 0x0A11, &ScalingOptions::default());
 
     println!("Sec. VI-B3: full-system throughput\n");
     let rows = vec![

@@ -9,7 +9,7 @@ use scidl_cluster::KnlModel;
 use scidl_core::experiments::convergence::fig8;
 use scidl_core::experiments::science::hep_science;
 use scidl_core::experiments::{
-    architecture_shootout, full_system_with, strong_scaling, weak_scaling, ScalingOptions,
+    architecture_shootout, full_system, strong_scaling, weak_scaling, ScalingOptions,
 };
 use scidl_core::workloads::{climate_workload, hep_workload};
 use scidl_nn::arch::{self, ClimateNet};
@@ -50,7 +50,7 @@ pub fn run(_: &Args) {
     );
 
     // Fig. 6 condensed: sync saturation + hybrid-4 at 1024.
-    let f6 = strong_scaling(&wh, &[512, 1024], &[1, 4], 2048, 10, 0xF166);
+    let f6 = strong_scaling(&wh, &[512, 1024], &[1, 4], 2048, 10, 0xF166, &ScalingOptions::default());
     let get = |n: usize, g: usize| f6.iter().find(|r| r.nodes == n && r.groups == g).unwrap().speedup;
     row(
         "Fig. 6a: HEP sync 512 -> 1024",
@@ -64,8 +64,8 @@ pub fn run(_: &Args) {
     );
 
     // Fig. 7 condensed.
-    let f7h = weak_scaling(&wh, &[2048], &[1, 8], 8, 10, 0xF167);
-    let f7c = weak_scaling(&wc, &[2048], &[1, 8], 8, 6, 0xF167);
+    let f7h = weak_scaling(&wh, &[2048], &[1, 8], 8, 10, 0xF167, &ScalingOptions::default());
+    let f7c = weak_scaling(&wc, &[2048], &[1, 8], 8, 6, 0xF167, &ScalingOptions::default());
     let pick = |rows: &[scidl_core::experiments::ScalingRow], g: usize| {
         rows.iter().find(|r| r.groups == g).unwrap().speedup
     };
@@ -93,13 +93,13 @@ pub fn run(_: &Args) {
     // Sec. VI-B3 headline at full machine scale: the 15PF-class rows,
     // run topology-aware (packed placement + hierarchical collective).
     let opts = ScalingOptions::hierarchical();
-    let fs_hep = full_system_with(&wh, 9594, 9, 1066, 12, 0, 0x0A11, &opts);
+    let fs_hep = full_system(&wh, 9594, 9, 1066, 12, 0, 0x0A11, &opts);
     row(
         "Sec. VI-B3: HEP @9594 (peak/sustained PF)",
         "11.73 / 11.41",
         format!("{} / {}", fnum(fs_hep.peak_pflops, 2), fnum(fs_hep.sustained_pflops, 2)),
     );
-    let fs_climate = full_system_with(&wc, 9608, 8, 9608, 12, 10, 0x0A11, &opts);
+    let fs_climate = full_system(&wc, 9608, 8, 9608, 12, 10, 0x0A11, &opts);
     row(
         "Sec. VI-B3: climate @9608 (peak/sustained PF)",
         "15.07 / 13.27",

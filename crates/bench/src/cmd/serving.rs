@@ -37,16 +37,13 @@
 use crate::report::{csv, fnum, markdown_table, write_result};
 use crate::Args;
 use scidl_cluster::faults::FaultPlan;
-use scidl_cluster::knl::LayerCost;
 use scidl_serve::fleet::{
     simulate_fleet, CanaryGate, DispatchPolicy, FleetSimConfig, ScalingBand, SimAutoscaler,
     SimCanary,
 };
 use scidl_serve::queue::BatchPolicy;
-use scidl_serve::registry::argmax_disagreement;
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig, SimOutcome};
 use scidl_serve::PoissonArrivals;
-use scidl_tensor::{Shape4, TensorRng};
 use std::time::Duration;
 
 const SEED: u64 = 4242;
@@ -111,59 +108,6 @@ fn run_point(
     }
 }
 
-/// Measures the *real* int8 serving path on the HEP toy classifier: wall
-/// clock of batched f32 inference vs the quantized sidecar (same probe
-/// batch, best of 3) and the argmax disagreement between the two — the
-/// accuracy price of the speed. The measured speedup then rescales the
-/// KNL cost table so the frontier's int8 row reflects this machine's
-/// actual int8/f32 kernel ratio, not an assumed one.
-fn measure_int8() -> (f64, f64) {
-    let mut rng = TensorRng::new(77);
-    let net = scidl_nn::arch::hep_small(&mut rng);
-    let q = net.quantize();
-    let x = rng.uniform_tensor(Shape4::new(32, 3, 32, 32), -1.0, 1.0);
-    let y32 = net.infer(&x);
-    let y8 = net.infer_quantized(&q, &x);
-    let delta = argmax_disagreement(&y32, &y8);
-    let best = |f: &dyn Fn()| {
-        f(); // warm-up
-        (0..3)
-            .map(|_| {
-                let t = std::time::Instant::now();
-                f();
-                t.elapsed().as_secs_f64()
-            })
-            .fold(f64::MAX, f64::min)
-    };
-    let t32 = best(&|| {
-        net.infer(&x);
-    });
-    let t8 = best(&|| {
-        net.infer_quantized(&q, &x);
-    });
-    (t32 / t8, delta)
-}
-
-/// The `model`'s cost table with every layer's compute scaled by the
-/// measured int8 speedup (≥1 means int8 is cheaper per image).
-fn int8_model(model: &ServiceModel, speedup: f64) -> ServiceModel {
-    ServiceModel {
-        name: format!("{}-int8", model.name),
-        layers: model
-            .layers
-            .iter()
-            .map(|l| LayerCost {
-                name: l.name.clone(),
-                train_flops_per_image: ((l.train_flops_per_image as f64 / speedup).round()
-                    as u64)
-                    .max(1),
-                class: l.class,
-            })
-            .collect(),
-        knl: model.knl.clone(),
-    }
-}
-
 /// The HEP classifier's cost model and the requests per point or cell.
 fn setup(args: &Args) -> (ServiceModel, usize) {
     (ServiceModel::hep(), if args.fast { 400 } else { 2000 })
@@ -201,35 +145,6 @@ pub fn frontier(args: &Args) {
         }
     }
 
-    // The int8 accuracy-vs-speed row: measured kernel speedup and argmax
-    // delta on the real quantized network, simulated at the saturating
-    // offered load under the same dynamic-32 policy.
-    let (int8_speedup, int8_delta) = measure_int8();
-    let m8 = int8_model(model, int8_speedup);
-    let sat_factor = *load_factors.last().unwrap();
-    let int8_point = run_point(
-        &m8,
-        BatchPolicy::dynamic(32, Duration::from_millis(10)),
-        "dynamic-32-int8",
-        sat_factor * r1,
-        n,
-        SEED + (load_factors.len() - 1) as u64,
-    );
-    println!(
-        "int8 path (measured on hep_small, batch 32): {}x kernel speedup, \
-         {}% argmax disagreement vs f32\n",
-        fnum(int8_speedup, 2),
-        fnum(100.0 * int8_delta, 2)
-    );
-    points.push(int8_point);
-
-    let delta_cell = |p: &Point| {
-        if p.policy == "dynamic-32-int8" {
-            format!("{}%", fnum(100.0 * int8_delta, 2))
-        } else {
-            "-".into()
-        }
-    };
     let rows: Vec<Vec<String>> = points
         .iter()
         .map(|p| {
@@ -245,7 +160,6 @@ pub fn frontier(args: &Args) {
                 format!("{}%", fnum(100.0 * p.shed_rate, 1)),
                 format!("{} ms", fnum(p.chaos_p99_ms, 2)),
                 format!("{}%", fnum(100.0 * p.chaos_shed_rate, 1)),
-                delta_cell(p),
             ]
         })
         .collect();
@@ -264,7 +178,6 @@ pub fn frontier(args: &Args) {
                 "shed rate",
                 "p99 chaos",
                 "shed chaos",
-                "argmax Δ",
             ],
             &rows
         )
@@ -285,7 +198,6 @@ pub fn frontier(args: &Args) {
                 fnum(p.shed_rate, 4),
                 fnum(p.chaos_p99_ms, 4),
                 fnum(p.chaos_shed_rate, 4),
-                if p.policy == "dynamic-32-int8" { fnum(int8_delta, 4) } else { String::new() },
             ]
         })
         .collect();
@@ -302,7 +214,6 @@ pub fn frontier(args: &Args) {
             "shed_rate",
             "chaos_p99_ms",
             "chaos_shed_rate",
-            "int8_argmax_delta",
         ],
         &csv_rows,
     );

@@ -27,7 +27,6 @@ mod cmd {
     pub mod paper;
     pub mod resilience;
     pub mod serving;
-    pub mod sim_scale;
     pub mod table1;
     pub mod table2;
     pub mod timeline;
@@ -90,7 +89,6 @@ const COMMANDS: &[Command] = &[
     Command { name: "serving_chaos", flags: &["--fast"], about: "serving degradation frontier under faults; writes results/serving_chaos.csv", run: cmd::serving::chaos },
     Command { name: "serving_fleet", flags: &["--fast"], about: "fleet frontier, dispatch policy x replicas; writes results/serving_fleet.csv", run: cmd::serving::fleet },
     Command { name: "kernels", flags: &["--fast"], about: "host-measured kernel GFLOP/s per ISA; writes results/kernels.*", run: cmd::kernels::run },
-    Command { name: "sim_scale", flags: &["--fast"], about: "simulator wall-clock at full-machine scale; writes results/sim_scale.*", run: cmd::sim_scale::run },
 ];
 
 fn usage() -> String {

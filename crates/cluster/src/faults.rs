@@ -300,13 +300,6 @@ impl FaultPlan {
         self.corrupt_swaps.iter().any(|c| c.swap == swap)
     }
 
-    /// True when the plan contains any serving-tier event.
-    pub fn has_serving_faults(&self) -> bool {
-        !self.worker_crashes.is_empty()
-            || !self.slow_workers.is_empty()
-            || !self.corrupt_swaps.is_empty()
-    }
-
     /// Slices a fleet-wide serving plan down to one replica's view.
     ///
     /// Fleet plans address serving workers by *global* index: replica
@@ -418,7 +411,6 @@ mod tests {
             .with_corrupt_swap(0)
             .with_corrupt_swap(2);
         assert!(!p.is_empty());
-        assert!(p.has_serving_faults());
         assert_eq!(p.worker_crashes.iter().map(|c| c.after_batches).collect::<Vec<_>>(), [5, 3]);
         assert_eq!(p.slow_worker_factor(0, 1), 1.0);
         assert_eq!(p.slow_worker_factor(0, 5), 4.5, "overlap multiplies");
@@ -427,11 +419,6 @@ mod tests {
         assert!(p.swap_is_corrupt(0));
         assert!(!p.swap_is_corrupt(1));
         assert!(p.swap_is_corrupt(2));
-        assert!(!FaultPlan::none().has_serving_faults());
-        assert!(
-            !FaultPlan::none().with_group_crash(0, 1).has_serving_faults(),
-            "training faults are not serving faults"
-        );
     }
 
     #[test]

@@ -331,7 +331,7 @@ pub struct SimResult {
     /// PS-shard crash/repair cycles that occurred during the run.
     pub ps_respawns: u64,
     /// Discrete events processed by the simulation loop — the numerator
-    /// of the `sim_scale` events/sec throughput benchmark.
+    /// of the ledger's `sim_suite` events/sec (`cluster_events_per_s`).
     pub events_processed: u64,
 }
 
@@ -1352,11 +1352,19 @@ mod tests {
 
     #[test]
     fn events_processed_counts_the_run() {
-        let mut cfg = SimConfig::new(toy_workload(), 16, 4, 64).ideal();
-        cfg.iterations = 10;
-        let r = ClusterSim::new(cfg).run();
-        // Hybrid: one GroupLocalDone + one GroupIterDone per iteration.
-        assert_eq!(r.events_processed, 2 * 4 * 10);
+        // Hybrid: one GroupLocalDone + one GroupIterDone per group
+        // iteration, whatever the node count — O(1) work per group
+        // iteration up to twice the paper's machine, on the packed
+        // hierarchical-collective topology.
+        let grid = [(16, 4, 10), (1024, 4, 1000), (4096, 8, 1000), (9688, 8, 1000), (19_376, 16, 1000)];
+        for (nodes, groups, iterations) in grid {
+            let mut cfg = SimConfig::new(toy_workload(), nodes, groups, 8 * (nodes / groups)).ideal();
+            cfg.iterations = iterations;
+            cfg.seed = 0x51CA1E ^ nodes as u64;
+            cfg.topology = Some(TopologyConfig::packed(CollectiveKind::Hierarchical));
+            let r = ClusterSim::new(cfg).run();
+            assert_eq!(r.events_processed, 2 * (groups * iterations) as u64, "{nodes} nodes");
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! * **Resilience** (Sec. VIII-A): one node failure kills a synchronous
 //!   run; a hybrid run loses only the affected group.
 
+use super::scaling::{weak_scaling, ScalingOptions};
 use crate::sim_engine::{SimEngine, SimEngineConfig, SolverKind};
 use crate::workloads::hep_workload;
 use scidl_cluster::sim::{ClusterSim, SimConfig, Workload};
@@ -144,7 +145,7 @@ pub fn arch_ablation(iterations: usize, seed: u64) -> Vec<ArchRow> {
     let net = AriesModel::default();
     let mut rows = Vec::new();
     for (label, workload) in arch_workloads() {
-        let weak = crate::experiments::weak_scaling(&workload, &[1024], &[4], 8, iterations, seed);
+        let weak = weak_scaling(&workload, &[1024], &[4], 8, iterations, seed, &ScalingOptions::default());
         rows.push(ArchRow {
             label,
             params: workload.params,

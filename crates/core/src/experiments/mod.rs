@@ -12,9 +12,8 @@ pub use ablations::{
 };
 pub use convergence::{fig8, fig8_compress, Fig8CompressResult, Fig8Result};
 pub use scaling::{
-    architecture_shootout, collective_comparison, full_system, full_system_with, strong_scaling,
-    strong_scaling_with, weak_scaling, weak_scaling_with, CollectiveRow, FullSystemResult,
-    ScalingOptions, ScalingRow, ShootoutRow,
+    architecture_shootout, collective_comparison, full_system, strong_scaling, weak_scaling,
+    CollectiveRow, FullSystemResult, ScalingOptions, ScalingRow, ShootoutRow,
 };
 pub use science::{
     climate_distributed, climate_science, hep_science, ClimateDistributedResult,

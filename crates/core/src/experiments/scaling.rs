@@ -44,13 +44,6 @@ pub struct ScalingRow {
     pub staleness: f64,
 }
 
-fn run_config(workload: &Workload, nodes: usize, groups: usize, batch_per_group: usize, iterations: usize, seed: u64) -> f64 {
-    let mut cfg = SimConfig::new(workload.clone(), nodes, groups, batch_per_group);
-    cfg.iterations = iterations;
-    cfg.seed = seed;
-    ClusterSim::new(cfg).run().images_per_sec()
-}
-
 /// Strong scaling (Fig. 6): fixed batch of `batch` per synchronous
 /// group; the hybrid configurations assign each group a complete batch.
 /// Returns one row per `(nodes, groups)` combination, with speedups
@@ -62,43 +55,9 @@ pub fn strong_scaling(
     batch: usize,
     iterations: usize,
     seed: u64,
-) -> Vec<ScalingRow> {
-    strong_scaling_with(workload, node_counts, group_counts, batch, iterations, seed, &ScalingOptions::default())
-}
-
-/// [`strong_scaling`] with explicit topology/gossip options.
-pub fn strong_scaling_with(
-    workload: &Workload,
-    node_counts: &[usize],
-    group_counts: &[usize],
-    batch: usize,
-    iterations: usize,
-    seed: u64,
     opts: &ScalingOptions,
 ) -> Vec<ScalingRow> {
-    let base_ips = run_config(workload, 1, 1, batch, iterations, seed);
-    let mut rows = Vec::new();
-    for &groups in group_counts {
-        for &nodes in node_counts {
-            if nodes < groups {
-                continue;
-            }
-            let mut cfg = SimConfig::new(workload.clone(), nodes, groups, batch);
-            cfg.iterations = iterations;
-            cfg.seed = seed ^ (nodes as u64) << 8 ^ groups as u64;
-            cfg.topology = opts.topology.clone();
-            cfg.gossip = opts.gossip && groups > 1;
-            let r = ClusterSim::new(cfg).run();
-            rows.push(ScalingRow {
-                nodes,
-                groups,
-                images_per_sec: r.images_per_sec(),
-                speedup: r.images_per_sec() / base_ips,
-                staleness: r.mean_staleness,
-            });
-        }
-    }
-    rows
+    sweep(workload, node_counts, group_counts, iterations, seed, opts, |_, _| batch)
 }
 
 /// Weak scaling (Fig. 7): fixed batch per node (8 in the paper).
@@ -109,30 +68,38 @@ pub fn weak_scaling(
     batch_per_node: usize,
     iterations: usize,
     seed: u64,
+    opts: &ScalingOptions,
 ) -> Vec<ScalingRow> {
-    weak_scaling_with(workload, node_counts, group_counts, batch_per_node, iterations, seed, &ScalingOptions::default())
+    sweep(workload, node_counts, group_counts, iterations, seed, opts, |nodes, groups| {
+        batch_per_node * (nodes / groups)
+    })
 }
 
-/// [`weak_scaling`] with explicit topology/gossip options.
-pub fn weak_scaling_with(
+/// The `(groups, nodes)` grid behind both scaling studies, which differ
+/// only in `batch_per_group(nodes, groups)`; speedups are relative to a
+/// single-node run at `batch_per_group(1, 1)`.
+fn sweep(
     workload: &Workload,
     node_counts: &[usize],
     group_counts: &[usize],
-    batch_per_node: usize,
     iterations: usize,
     seed: u64,
     opts: &ScalingOptions,
+    batch_per_group: impl Fn(usize, usize) -> usize,
 ) -> Vec<ScalingRow> {
-    let base_ips = run_config(workload, 1, 1, batch_per_node, iterations, seed);
+    let base_ips = {
+        let mut cfg = SimConfig::new(workload.clone(), 1, 1, batch_per_group(1, 1));
+        cfg.iterations = iterations;
+        cfg.seed = seed;
+        ClusterSim::new(cfg).run().images_per_sec()
+    };
     let mut rows = Vec::new();
     for &groups in group_counts {
         for &nodes in node_counts {
             if nodes < groups {
                 continue;
             }
-            let per_group_nodes = nodes / groups;
-            let batch_per_group = batch_per_node * per_group_nodes;
-            let mut cfg = SimConfig::new(workload.clone(), nodes, groups, batch_per_group);
+            let mut cfg = SimConfig::new(workload.clone(), nodes, groups, batch_per_group(nodes, groups));
             cfg.iterations = iterations;
             cfg.seed = seed ^ (nodes as u64) << 8 ^ groups as u64;
             cfg.topology = opts.topology.clone();
@@ -279,32 +246,10 @@ pub struct FullSystemResult {
 /// Runs the paper's full-system configuration: `nodes` compute nodes in
 /// `groups` groups with `batch_per_group`, checkpointing every
 /// `checkpoint_every` iterations (the climate number includes a snapshot
-/// every 10 iterations).
-pub fn full_system(
-    workload: &Workload,
-    nodes: usize,
-    groups: usize,
-    batch_per_group: usize,
-    iterations: usize,
-    checkpoint_every: usize,
-    seed: u64,
-) -> FullSystemResult {
-    full_system_with(
-        workload,
-        nodes,
-        groups,
-        batch_per_group,
-        iterations,
-        checkpoint_every,
-        seed,
-        &ScalingOptions::default(),
-    )
-}
-
-/// [`full_system`] with explicit topology/gossip options — the
-/// topology-aware path is what the 9,688-node reproduction row uses.
+/// every 10 iterations). The 9,688-node reproduction row passes the
+/// topology-aware options.
 #[allow(clippy::too_many_arguments)]
-pub fn full_system_with(
+pub fn full_system(
     workload: &Workload,
     nodes: usize,
     groups: usize,
@@ -350,7 +295,7 @@ mod tests {
 
     #[test]
     fn strong_scaling_rows_cover_grid() {
-        let rows = strong_scaling(&hep_workload(), &[1, 16, 64], &[1, 2], 256, 6, 3);
+        let rows = strong_scaling(&hep_workload(), &[1, 16, 64], &[1, 2], 256, 6, 3, &ScalingOptions::default());
         // groups=2 is skipped at nodes=1.
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r.speedup > 0.0));
@@ -358,13 +303,13 @@ mod tests {
 
     #[test]
     fn single_node_speedup_is_one() {
-        let rows = strong_scaling(&hep_workload(), &[1], &[1], 64, 6, 3);
+        let rows = strong_scaling(&hep_workload(), &[1], &[1], 64, 6, 3, &ScalingOptions::default());
         assert!((rows[0].speedup - 1.0).abs() < 0.25, "speedup {}", rows[0].speedup);
     }
 
     #[test]
     fn weak_scaling_grows_with_nodes() {
-        let rows = weak_scaling(&hep_workload(), &[1, 16, 64], &[1], 8, 20, 5);
+        let rows = weak_scaling(&hep_workload(), &[1, 16, 64], &[1], 8, 20, 5, &ScalingOptions::default());
         assert!(rows[1].speedup > 8.0, "16 nodes: {}", rows[1].speedup);
         assert!(
             rows[2].speedup > rows[1].speedup * 2.0,
@@ -376,7 +321,7 @@ mod tests {
 
     #[test]
     fn full_system_reports_positive_rates() {
-        let r = full_system(&hep_workload(), 256, 4, 512, 8, 0, 7);
+        let r = full_system(&hep_workload(), 256, 4, 512, 8, 0, 7, &ScalingOptions::default());
         assert!(r.peak_pflops > 0.0);
         assert!(r.sustained_pflops > 0.0);
         assert!(r.peak_pflops >= r.sustained_pflops * 0.8);
@@ -410,9 +355,9 @@ mod tests {
 
     #[test]
     fn topology_options_plumb_through_weak_scaling() {
-        let flat = weak_scaling_with(&hep_workload(), &[2048], &[4], 8, 5, 17, &ScalingOptions::flat());
+        let flat = weak_scaling(&hep_workload(), &[2048], &[4], 8, 5, 17, &ScalingOptions::flat());
         let hier =
-            weak_scaling_with(&hep_workload(), &[2048], &[4], 8, 5, 17, &ScalingOptions::hierarchical());
+            weak_scaling(&hep_workload(), &[2048], &[4], 8, 5, 17, &ScalingOptions::hierarchical());
         assert!(
             hier[0].images_per_sec > flat[0].images_per_sec,
             "hier {} vs flat {}",

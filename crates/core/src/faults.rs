@@ -30,7 +30,6 @@ mod tests {
     #[test]
     fn serving_helpers_build_the_expected_plans() {
         let p = serving_chaos();
-        assert!(p.has_serving_faults());
         assert_eq!(p.worker_crashes.len(), 1);
         assert!(p.slow_worker_factor(1, 3) > 1.0);
         assert!(p.swap_is_corrupt(0) && !p.swap_is_corrupt(1));

@@ -50,27 +50,19 @@ pub trait Solver: Send {
     }
 }
 
-/// Stochastic gradient descent with classical momentum and optional L2
-/// weight decay: `v = mu*v - lr*(g + wd*w); w += v`.
+/// Stochastic gradient descent with classical momentum:
+/// `v = mu*v - lr*g; w += v`.
 pub struct Sgd {
     lr: f32,
     /// Momentum coefficient `mu` (paper tunes over {0.0, 0.4, 0.7, 0.9}).
     pub momentum: f32,
-    /// L2 weight-decay coefficient.
-    pub weight_decay: f32,
     velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     /// Creates an SGD solver.
     pub fn new(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// Builder-style weight decay.
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
+        Self { lr, momentum, velocity: Vec::new() }
     }
 }
 
@@ -85,9 +77,8 @@ impl Solver for Sgd {
             v.clear();
             v.resize(value.len(), 0.0);
         }
-        let (lr, mu, wd) = (self.lr, self.momentum, self.weight_decay);
+        let (lr, mu) = (self.lr, self.momentum);
         for ((w, &g), vel) in value.iter_mut().zip(grad).zip(v.iter_mut()) {
-            let g = g + wd * *w;
             *vel = mu * *vel - lr * g;
             *w += *vel;
         }
@@ -102,8 +93,8 @@ impl Solver for Sgd {
     }
 
     fn flops_per_param(&self) -> u64 {
-        // g+wd*w (2), mu*v (1), -lr*g (2), w+=v (1)
-        6
+        // mu*v (1), -lr*g (2), w+=v (1)
+        4
     }
 }
 
@@ -249,14 +240,6 @@ mod tests {
         let w_plain = quadratic_descent(&mut plain, 0.0, 50);
         let w_mom = quadratic_descent(&mut mom, 0.0, 50);
         assert!((w_mom - 3.0).abs() < (w_plain - 3.0).abs(), "momentum should be closer: {w_mom} vs {w_plain}");
-    }
-
-    #[test]
-    fn sgd_weight_decay_shrinks_solution() {
-        let mut s = Sgd::new(0.1, 0.0).with_weight_decay(0.5);
-        let w = quadratic_descent(&mut s, 0.0, 500);
-        // Minimises 0.5(w-3)^2 + 0.25 w^2 → w* = 3/1.5 = 2.
-        assert!((w - 2.0).abs() < 1e-2, "w = {w}");
     }
 
     #[test]

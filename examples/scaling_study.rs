@@ -6,7 +6,7 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use scidl_core::experiments::{full_system, strong_scaling, weak_scaling};
+use scidl_core::experiments::{full_system, strong_scaling, weak_scaling, ScalingOptions};
 use scidl_core::workloads::hep_workload;
 
 fn main() {
@@ -20,18 +20,18 @@ fn main() {
 
     println!("strong scaling (fixed batch 2048 per synchronous group):");
     println!("{:>8} {:>8} {:>10}", "nodes", "groups", "speedup");
-    for r in strong_scaling(&w, &[64, 256, 1024], &[1, 4], 2048, 10, 3) {
+    for r in strong_scaling(&w, &[64, 256, 1024], &[1, 4], 2048, 10, 3, &ScalingOptions::default()) {
         println!("{:>8} {:>8} {:>10.0}", r.nodes, r.groups, r.speedup);
     }
 
     println!("\nweak scaling (batch 8 per node):");
     println!("{:>8} {:>8} {:>10}", "nodes", "groups", "speedup");
-    for r in weak_scaling(&w, &[64, 512, 2048], &[1, 4], 8, 10, 3) {
+    for r in weak_scaling(&w, &[64, 512, 2048], &[1, 4], 8, 10, 3, &ScalingOptions::default()) {
         println!("{:>8} {:>8} {:>10.0}", r.nodes, r.groups, r.speedup);
     }
 
     println!("\nfull-system estimate (9594 nodes, 9 groups, minibatch 1066/group):");
-    let fs = full_system(&w, 9594, 9, 1066, 20, 0, 3);
+    let fs = full_system(&w, 9594, 9, 1066, 20, 0, 3, &ScalingOptions::default());
     println!(
         "  peak {:.2} PF, sustained {:.2} PF, {:.0}x over one node, {:.0} ms/iteration",
         fs.peak_pflops,
