@@ -29,7 +29,13 @@ pub fn run(args: &Args) {
     println!(
         "{}",
         markdown_table(
-            &["head design", "params", "model size", "all-reduce @1024", "img/s @1024 (hybrid-4, b=8/node)"],
+            &[
+                "head design",
+                "params",
+                "model size",
+                "all-reduce @1024",
+                "img/s @1024 (hybrid-4, b=8/node)"
+            ],
             &table
         )
     );

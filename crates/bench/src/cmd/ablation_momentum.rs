@@ -11,7 +11,11 @@ use scidl_core::experiments::momentum_ablation;
 use scidl_nn::solver::asynchrony_adjusted_momentum;
 
 pub fn run(args: &Args) {
-    let (groups, updates): (&[usize], usize) = if args.fast { (&[1, 8], 80) } else { (&[1, 2, 4, 8], 150) };
+    let (groups, updates): (&[usize], usize) = if args.fast {
+        (&[1, 8], 80)
+    } else {
+        (&[1, 2, 4, 8], 150)
+    };
     let momenta = [0.0f32, 0.7, 0.9, 0.95];
     let (batch, events) = (64, 1024);
 
@@ -39,7 +43,15 @@ pub fn run(args: &Args) {
     println!(
         "{}",
         markdown_table(
-            &["groups", "mu=0.0", "mu=0.7", "mu=0.9", "mu=0.95", "best mu", "theory mu* (target 0.95)"],
+            &[
+                "groups",
+                "mu=0.0",
+                "mu=0.7",
+                "mu=0.9",
+                "mu=0.95",
+                "best mu",
+                "theory mu* (target 0.95)"
+            ],
             &table
         )
     );

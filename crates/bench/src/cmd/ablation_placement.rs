@@ -10,7 +10,10 @@ use scidl_core::experiments::placement_ablation;
 
 pub fn run(_: &Args) {
     println!("Placement ablation (Fig. 3): 1024-node compute group on a 9688-node dragonfly\n");
-    for (name, bytes) in [("HEP (2.3 MiB model)", 2_411_724u64), ("Climate (306 MiB model)", 321_120_352u64)] {
+    for (name, bytes) in [
+        ("HEP (2.3 MiB model)", 2_411_724u64),
+        ("Climate (306 MiB model)", 321_120_352u64),
+    ] {
         let rows = placement_ablation(1024, 9688, bytes, 0xF163);
         let table: Vec<Vec<String>> = rows
             .iter()
@@ -27,7 +30,12 @@ pub fn run(_: &Args) {
         println!(
             "{}",
             markdown_table(
-                &["placement", "electrical groups spanned", "flat ring", "hierarchical"],
+                &[
+                    "placement",
+                    "electrical groups spanned",
+                    "flat ring",
+                    "hierarchical"
+                ],
                 &table
             )
         );

@@ -9,7 +9,11 @@ use scidl_core::experiments::ps_ablation;
 use scidl_core::workloads::{climate_workload, hep_workload};
 
 pub fn run(args: &Args) {
-    let groups: &[usize] = if args.fast { &[2, 8, 32] } else { &[2, 4, 8, 16, 32, 64] };
+    let groups: &[usize] = if args.fast {
+        &[2, 8, 32]
+    } else {
+        &[2, 4, 8, 16, 32, 64]
+    };
     let iters = if args.fast { 8 } else { 15 };
 
     for (name, w, nodes, batch) in [
@@ -20,18 +24,36 @@ pub fn run(args: &Args) {
         let rows = ps_ablation(&w, nodes, groups, batch, iters, 0xAB1);
         let mut table = Vec::new();
         for &g in groups {
-            let single = rows.iter().find(|r| r.groups == g && r.num_ps == 1).unwrap();
+            let single = rows
+                .iter()
+                .find(|r| r.groups == g && r.num_ps == 1)
+                .unwrap();
             let sharded = rows.iter().find(|r| r.groups == g && r.num_ps > 1).unwrap();
             table.push(vec![
                 g.to_string(),
                 fnum(single.images_per_sec, 0),
-                format!("{} ({} PS)", fnum(sharded.images_per_sec, 0), sharded.num_ps),
-                format!("{}x", fnum(sharded.images_per_sec / single.images_per_sec.max(1e-9), 2)),
+                format!(
+                    "{} ({} PS)",
+                    fnum(sharded.images_per_sec, 0),
+                    sharded.num_ps
+                ),
+                format!(
+                    "{}x",
+                    fnum(sharded.images_per_sec / single.images_per_sec.max(1e-9), 2)
+                ),
             ]);
         }
         println!(
             "{}",
-            markdown_table(&["groups", "single PS (img/s)", "per-layer PS (img/s)", "gain"], &table)
+            markdown_table(
+                &[
+                    "groups",
+                    "single PS (img/s)",
+                    "per-layer PS (img/s)",
+                    "gain"
+                ],
+                &table
+            )
         );
         println!();
     }

@@ -40,7 +40,13 @@ pub fn run(args: &Args) {
     println!(
         "{}",
         markdown_table(
-            &["detections", "ground truth", "precision", "recall", "recon loss"],
+            &[
+                "detections",
+                "ground truth",
+                "precision",
+                "recall",
+                "recon loss"
+            ],
             &rows
         )
     );

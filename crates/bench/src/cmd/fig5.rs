@@ -42,7 +42,10 @@ fn print_profile(name: &str, w: &scidl_cluster::sim::Workload, batch: usize) {
             ]
         })
         .collect();
-    println!("{}", markdown_table(&["component", "time/iter", "share", "flop rate"], &rows));
+    println!(
+        "{}",
+        markdown_table(&["component", "time/iter", "share", "flop rate"], &rows)
+    );
     println!(
         "overall: {} ms/iteration, {} TF/s\n",
         fnum(total_secs * 1e3, 1),
@@ -59,13 +62,23 @@ pub fn run(args: &Args) {
     if args.real {
         let mut rng = TensorRng::new(7);
         let (mut net, input) = if args.full {
-            (scidl_nn::arch::hep_network(&mut rng), Shape4::new(8, 3, 224, 224))
+            (
+                scidl_nn::arch::hep_network(&mut rng),
+                Shape4::new(8, 3, 224, 224),
+            )
         } else {
-            (scidl_nn::arch::hep_small(&mut rng), Shape4::new(8, 3, 32, 32))
+            (
+                scidl_nn::arch::hep_small(&mut rng),
+                Shape4::new(8, 3, 32, 32),
+            )
         };
         println!(
             "-- real Rust kernels on this host ({}, batch 8) --\n",
-            if args.full { "full 224px HEP network" } else { "scaled 32px HEP network" }
+            if args.full {
+                "full 224px HEP network"
+            } else {
+                "scaled 32px HEP network"
+            }
         );
         let prof = scidl_nn::profile::profile_steps(&mut net, input, 1, 3);
         let rows: Vec<Vec<String>> = prof
@@ -79,7 +92,10 @@ pub fn run(args: &Args) {
                 ]
             })
             .collect();
-        println!("{}", markdown_table(&["layer", "fwd", "bwd", "rate"], &rows));
+        println!(
+            "{}",
+            markdown_table(&["layer", "fwd", "bwd", "rate"], &rows)
+        );
         println!(
             "aggregate host rate: {} GF/s",
             fnum(scidl_nn::profile::aggregate_flop_rate(&prof) / 1e9, 2)

@@ -47,8 +47,28 @@ pub fn run(args: &Args) {
     println!("(306 MiB model: the all-reduce dominates the shrinking per-node compute, so the");
     println!(" inter-group tree's contention savings show directly in throughput)\n");
     let w = climate_workload();
-    let flat = strong_scaling(&w, cmp_nodes, &[4], 2048, iters, 0xF166, &ScalingOptions::flat());
-    let hier = strong_scaling(&w, cmp_nodes, &[4], 2048, iters, 0xF166, &ScalingOptions::hierarchical());
-    let points: Vec<_> = flat.iter().zip(&hier).map(|(f, h)| (f.nodes, f.images_per_sec, h.images_per_sec)).collect();
+    let flat = strong_scaling(
+        &w,
+        cmp_nodes,
+        &[4],
+        2048,
+        iters,
+        0xF166,
+        &ScalingOptions::flat(),
+    );
+    let hier = strong_scaling(
+        &w,
+        cmp_nodes,
+        &[4],
+        2048,
+        iters,
+        0xF166,
+        &ScalingOptions::hierarchical(),
+    );
+    let points: Vec<_> = flat
+        .iter()
+        .zip(&hier)
+        .map(|(f, h)| (f.nodes, f.images_per_sec, h.images_per_sec))
+        .collect();
     print_collectives(&points);
 }

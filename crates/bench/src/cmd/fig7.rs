@@ -20,13 +20,39 @@ pub fn run(args: &Args) {
 
     println!("Fig. 7a (HEP): weak scaling, batch 8/node\n");
     let groups = [1usize, 2, 4, 8];
-    print_speedups(&weak_scaling(&hep_workload(), nodes, &groups, 8, iters, 0xF167, &ScalingOptions::default()), nodes, &groups);
+    print_speedups(
+        &weak_scaling(
+            &hep_workload(),
+            nodes,
+            &groups,
+            8,
+            iters,
+            0xF167,
+            &ScalingOptions::default(),
+        ),
+        nodes,
+        &groups,
+    );
     println!("paper: sublinear for all; ~1500x sync / ~1150-1250x hybrid at 2048 (jitter on ~12 ms layers)\n");
 
     println!("Fig. 7b (Climate): weak scaling, batch 8/node\n");
     let groups = [1usize, 4, 8];
-    print_speedups(&weak_scaling(&climate_workload(), nodes, &groups, 8, iters.min(8), 0xF167, &ScalingOptions::default()), nodes, &groups);
-    println!("paper: near-linear (~1750x sync, ~1850x hybrid at 2048; >300 ms layers hide jitter)\n");
+    print_speedups(
+        &weak_scaling(
+            &climate_workload(),
+            nodes,
+            &groups,
+            8,
+            iters.min(8),
+            0xF167,
+            &ScalingOptions::default(),
+        ),
+        nodes,
+        &groups,
+    );
+    println!(
+        "paper: near-linear (~1750x sync, ~1850x hybrid at 2048; >300 ms layers hide jitter)\n"
+    );
 
     // --- flat-placed ring vs hierarchical collective, same seeds -------
     let cmp_nodes: &[usize] = if args.fast {
@@ -38,5 +64,9 @@ pub fn run(args: &Args) {
     };
     println!("Fig. 7 extension: flat-placed ring vs hierarchical collective (HEP, hybrid-4, batch 8/node)\n");
     let cmp = collective_comparison(&hep_workload(), cmp_nodes, 4, 8, iters, 0xF167);
-    print_collectives(&cmp.iter().map(|r| (r.nodes, r.flat_ips, r.hier_ips)).collect::<Vec<_>>());
+    print_collectives(
+        &cmp.iter()
+            .map(|r| (r.nodes, r.flat_ips, r.hier_ips))
+            .collect::<Vec<_>>(),
+    );
 }

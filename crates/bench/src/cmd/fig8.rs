@@ -32,7 +32,11 @@ pub fn fast_scale() -> Fig8Scale {
 }
 
 pub fn run(args: &Args) {
-    let mut scale = if args.fast { fast_scale() } else { Fig8Scale::default() };
+    let mut scale = if args.fast {
+        fast_scale()
+    } else {
+        Fig8Scale::default()
+    };
     scale.overlap_comm = args.overlap;
     scale.compression = args.compress;
 
@@ -82,7 +86,10 @@ pub fn run(args: &Args) {
     );
 
     match result.best_hybrid_speedup {
-        Some(s) => println!("best hybrid vs best sync speedup: {}x (paper: ~1.66x)\n", fnum(s, 2)),
+        Some(s) => println!(
+            "best hybrid vs best sync speedup: {}x (paper: ~1.66x)\n",
+            fnum(s, 2)
+        ),
         None => println!("best hybrid vs best sync speedup: n/a (target not reached)\n"),
     }
 
@@ -96,7 +103,13 @@ pub fn run(args: &Args) {
     // Convergence-vs-bytes frontier: the standard policy sweep on the
     // hybrid configuration, written to results/ for the README.
     let frontier = fig8_compress(&scale, 0xF168);
-    let headers = ["policy", "wire bytes", "bytes ratio", "best loss", "sim time (s)"];
+    let headers = [
+        "policy",
+        "wire bytes",
+        "bytes ratio",
+        "best loss",
+        "sim time (s)",
+    ];
     let frows: Vec<Vec<String>> = frontier
         .runs
         .iter()
@@ -135,6 +148,12 @@ pub fn run(args: &Args) {
             ]
         })
         .collect();
-    let csv_headers = ["policy", "wire_bytes", "bytes_ratio", "best_loss", "sim_time_s"];
+    let csv_headers = [
+        "policy",
+        "wire_bytes",
+        "bytes_ratio",
+        "best_loss",
+        "sim_time_s",
+    ];
     write_result("fig8_compress.csv", &csv(&csv_headers, &csv_rows), "wrote");
 }

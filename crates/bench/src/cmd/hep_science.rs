@@ -13,11 +13,21 @@ use scidl_core::experiments::science::{hep_science, HepScienceScale};
 
 /// The reduced `--fast` scale (also what `paper` condenses Sec. VII-A to).
 pub fn fast_scale() -> HepScienceScale {
-    HepScienceScale { train_events: 1200, test_events: 1200, iterations: 150, batch: 32, fpr_budget: 0.02 }
+    HepScienceScale {
+        train_events: 1200,
+        test_events: 1200,
+        iterations: 150,
+        batch: 32,
+        fpr_budget: 0.02,
+    }
 }
 
 pub fn run(args: &Args) {
-    let scale = if args.fast { fast_scale() } else { HepScienceScale::default() };
+    let scale = if args.fast {
+        fast_scale()
+    } else {
+        HepScienceScale::default()
+    };
 
     println!(
         "Sec. VII-A: HEP classification at FPR budget {}% ({} train / {} test events)\n",
@@ -46,7 +56,10 @@ pub fn run(args: &Args) {
             format!("{}%", fnum(r.cnn_tpr * 100.0, 1)),
         ],
     ];
-    println!("{}", markdown_table(&["classifier", "selection", "FPR", "TPR"], &rows));
+    println!(
+        "{}",
+        markdown_table(&["classifier", "selection", "FPR", "TPR"], &rows)
+    );
     println!(
         "improvement: {}x (paper: 1.7x with tuning, 1.3x without)",
         fnum(r.improvement, 2)

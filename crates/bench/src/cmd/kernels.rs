@@ -43,10 +43,38 @@ use std::time::Instant;
 /// `(label, ta, tb, m, n, k)` — conv-lowered GEMM shapes.
 const GEMM_SHAPES: &[(&str, Transpose, Transpose, usize, usize, usize)] = &[
     ("hep_fwd_nn", Transpose::No, Transpose::No, 128, 196, 1152),
-    ("hep_fwd_wide_nn", Transpose::No, Transpose::No, 128, 784, 1152),
-    ("climate_enc_nn", Transpose::No, Transpose::No, 64, 3136, 576),
-    ("hep_wgrad_nt", Transpose::No, Transpose::Yes, 128, 1152, 196),
-    ("hep_bwddata_tn", Transpose::Yes, Transpose::No, 1152, 196, 128),
+    (
+        "hep_fwd_wide_nn",
+        Transpose::No,
+        Transpose::No,
+        128,
+        784,
+        1152,
+    ),
+    (
+        "climate_enc_nn",
+        Transpose::No,
+        Transpose::No,
+        64,
+        3136,
+        576,
+    ),
+    (
+        "hep_wgrad_nt",
+        Transpose::No,
+        Transpose::Yes,
+        128,
+        1152,
+        196,
+    ),
+    (
+        "hep_bwddata_tn",
+        Transpose::Yes,
+        Transpose::No,
+        1152,
+        196,
+        128,
+    ),
     ("square_tt", Transpose::Yes, Transpose::Yes, 256, 256, 256),
 ];
 
@@ -64,8 +92,14 @@ const CONV_LAYERS: &[(&str, usize, usize, usize, usize, usize, usize)] = &[
 /// row copies) and `ClimateNet::small` enc2 (stride 2, strided gather).
 fn lowering_geometries() -> [(&'static str, ConvGeometry); 2] {
     [
-        ("hep_conv2_128c_32px_k3s1", ConvGeometry::new(128, 128, 32, 32, 3, 1, 1)),
-        ("climate_enc2_8c_32px_k5s2", ConvGeometry::new(8, 16, 32, 32, 5, 2, 2)),
+        (
+            "hep_conv2_128c_32px_k3s1",
+            ConvGeometry::new(128, 128, 32, 32, 3, 1, 1),
+        ),
+        (
+            "climate_enc2_8c_32px_k5s2",
+            ConvGeometry::new(8, 16, 32, 32, 5, 2, 2),
+        ),
     ]
 }
 
@@ -96,9 +130,27 @@ mod ceiling {
     /// 12 ymm chains and two operands fill the 16 registers AVX2 has.
     pub const YMM_CHAINS: usize = 12;
     pub const ZMM_CHAINS: usize = 16;
-    register_loop!(ymm_fma, "avx2,fma", YMM_CHAINS, _mm256_set1_ps, |a, b, acc| _mm256_fmadd_ps(a, b, *acc));
-    register_loop!(zmm_fma, "avx512f", ZMM_CHAINS, _mm512_set1_ps, |a, b, acc| _mm512_fmadd_ps(a, b, *acc));
-    register_loop!(zmm_add, "avx512f", ZMM_CHAINS, _mm512_set1_ps, |a, _b, acc| _mm512_add_ps(*acc, a));
+    register_loop!(
+        ymm_fma,
+        "avx2,fma",
+        YMM_CHAINS,
+        _mm256_set1_ps,
+        |a, b, acc| _mm256_fmadd_ps(a, b, *acc)
+    );
+    register_loop!(
+        zmm_fma,
+        "avx512f",
+        ZMM_CHAINS,
+        _mm512_set1_ps,
+        |a, b, acc| _mm512_fmadd_ps(a, b, *acc)
+    );
+    register_loop!(
+        zmm_add,
+        "avx512f",
+        ZMM_CHAINS,
+        _mm512_set1_ps,
+        |a, _b, acc| _mm512_add_ps(*acc, a)
+    );
 }
 
 /// `(label, unit, rate)` of every register-only loop this CPU can run:
@@ -108,17 +160,30 @@ fn ceilings(reps: usize) -> Vec<(&'static str, &'static str, f64)> {
     const ITERS: usize = 2_000_000;
     let mut rows = Vec::new();
     let mut time = |label, unit, ops_per_iter: usize, f: &dyn Fn()| {
-        rows.push((label, unit, (ITERS * ops_per_iter) as f64 / best_secs(reps, f) / 1e9));
+        rows.push((
+            label,
+            unit,
+            (ITERS * ops_per_iter) as f64 / best_secs(reps, f) / 1e9,
+        ));
     };
     if Isa::Avx2.is_available() {
         // SAFETY: `Isa::Avx2` is only available when the CPU reports avx2 and fma.
-        time("ymm_fma", "GF/s", ceiling::YMM_CHAINS * 8 * 2, &|| unsafe { ceiling::ymm_fma(ITERS) });
+        time("ymm_fma", "GF/s", ceiling::YMM_CHAINS * 8 * 2, &|| unsafe {
+            ceiling::ymm_fma(ITERS)
+        });
     }
     if Isa::Avx512.is_available() {
         // SAFETY: `Isa::Avx512` is only available when the CPU reports avx512f.
-        time("zmm_fma", "GF/s", ceiling::ZMM_CHAINS * 16 * 2, &|| unsafe { ceiling::zmm_fma(ITERS) });
+        time(
+            "zmm_fma",
+            "GF/s",
+            ceiling::ZMM_CHAINS * 16 * 2,
+            &|| unsafe { ceiling::zmm_fma(ITERS) },
+        );
         // SAFETY: as above.
-        time("zmm_add", "GOP/s", ceiling::ZMM_CHAINS * 16, &|| unsafe { ceiling::zmm_add(ITERS) });
+        time("zmm_add", "GOP/s", ceiling::ZMM_CHAINS * 16, &|| unsafe {
+            ceiling::zmm_add(ITERS)
+        });
     }
     rows
 }
@@ -158,7 +223,13 @@ pub fn run(args: &Args) {
             String::from("-"),
             String::from("-"),
         ]);
-        csv_rows.push(vec![name, String::from("registers only"), fnum(rate, 3), String::new(), String::new()]);
+        csv_rows.push(vec![
+            name,
+            String::from("registers only"),
+            fnum(rate, 3),
+            String::new(),
+            String::new(),
+        ]);
     }
 
     for &(label, ta, tb, m, n, k) in GEMM_SHAPES {
@@ -166,18 +237,26 @@ pub fn run(args: &Args) {
             continue;
         }
         let mut rng = TensorRng::new(11);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let a: Vec<f32> = (0..m * k)
+            .map(|_| rng.uniform_range(-1.0, 1.0) as f32)
+            .collect();
+        let b: Vec<f32> = (0..k * n)
+            .map(|_| rng.uniform_range(-1.0, 1.0) as f32)
+            .collect();
         let mut out = vec![0.0f32; m * n];
         let flops = 2.0 * (m * n * k) as f64;
-        let seed = flops / best_secs(reps, || {
-            gemm_unpacked(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut out);
-        }) / 1e9;
+        let seed = flops
+            / best_secs(reps, || {
+                gemm_unpacked(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut out);
+            })
+            / 1e9;
         let dims = format!("{m}x{n}x{k}");
         for (&isa, total) in Isa::detected().iter().zip(&mut totals) {
-            let packed = flops / best_secs(reps, || {
-                gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut out);
-            }) / 1e9;
+            let packed = flops
+                / best_secs(reps, || {
+                    gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut out);
+                })
+                / 1e9;
             *total += packed;
             let name = format!("gemm/{label}@{}", isa.name());
             rows.push(vec![
@@ -216,14 +295,16 @@ pub fn run(args: &Args) {
         let b_t: Vec<i8> = (0..n * k).map(|_| next()).collect();
         let mut out = vec![0i32; m * n];
         let ops = 2.0 * (m * n * k) as f64;
-        let scalar = ops / best_secs(reps, || {
-            gemm_i8_with_isa(Isa::Sse2, m, n, k, &a, &b_t, &mut out);
-        }) / 1e9;
+        let scalar =
+            ops / best_secs(reps, || {
+                gemm_i8_with_isa(Isa::Sse2, m, n, k, &a, &b_t, &mut out);
+            }) / 1e9;
         let dims = format!("{m}x{n}x{k}");
         for &isa in Isa::detected() {
-            let rate = ops / best_secs(reps, || {
-                gemm_i8_with_isa(isa, m, n, k, &a, &b_t, &mut out);
-            }) / 1e9;
+            let rate =
+                ops / best_secs(reps, || {
+                    gemm_i8_with_isa(isa, m, n, k, &a, &b_t, &mut out);
+                }) / 1e9;
             let name = format!("gemm_i8/{label}@{}", isa.name());
             rows.push(vec![
                 name.clone(),
@@ -245,8 +326,9 @@ pub fn run(args: &Args) {
     // Conv lowering: bytes read + written per call over best time.
     for (label, geo) in lowering_geometries() {
         let mut rng = TensorRng::new(12);
-        let image: Vec<f32> =
-            (0..geo.cin * geo.h * geo.w).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+        let image: Vec<f32> = (0..geo.cin * geo.h * geo.w)
+            .map(|_| rng.uniform_range(-1.0, 1.0) as f32)
+            .collect();
         let mut col = vec![0.0f32; geo.col_rows() * geo.col_cols()];
         let mut back = vec![0.0f32; image.len()];
         let bytes = 4.0 * (image.len() + col.len()) as f64;
@@ -262,7 +344,13 @@ pub fn run(args: &Args) {
                 String::from("-"),
                 String::from("-"),
             ]);
-            csv_rows.push(vec![name, dims.clone(), fnum(rate, 3), String::new(), String::new()]);
+            csv_rows.push(vec![
+                name,
+                dims.clone(),
+                fnum(rate, 3),
+                String::new(),
+                String::new(),
+            ]);
         }
     }
 
@@ -271,7 +359,8 @@ pub fn run(args: &Args) {
         let mut conv = Conv2d::new("c", cin, cout, k, stride, k / 2, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
         // forward + backward ≈ 3× the forward MACs (fwd, wgrad, bwd-data).
-        let flops = 3.0 * batch as f64 * conv.spec().forward_flops_per_image(x.shape().with_n(1)) as f64;
+        let flops =
+            3.0 * batch as f64 * conv.spec().forward_flops_per_image(x.shape().with_n(1)) as f64;
         let secs = best_secs(reps, || {
             let y = conv.forward(x.clone());
             let _ = conv.backward(y);
@@ -285,7 +374,13 @@ pub fn run(args: &Args) {
             String::from("-"),
             String::from("-"),
         ]);
-        csv_rows.push(vec![format!("conv/{label}"), dims, fnum(rate, 3), String::new(), String::new()]);
+        csv_rows.push(vec![
+            format!("conv/{label}"),
+            dims,
+            fnum(rate, 3),
+            String::new(),
+            String::new(),
+        ]);
     }
 
     let headers = ["kernel", "shape", "packed", "seed", "speedup"];
@@ -323,7 +418,10 @@ pub fn run(args: &Args) {
             names[1],
             names[0]
         );
-        println!("acceptance: {} faster-or-equal to {} — PASS", names[1], names[0]);
+        println!(
+            "acceptance: {} faster-or-equal to {} — PASS",
+            names[1], names[0]
+        );
     }
     for isa in ["avx2", "avx512"] {
         if !isa_names.contains(&isa) {
@@ -331,7 +429,10 @@ pub fn run(args: &Args) {
         }
     }
 
-    let csv_text = csv(&["kernel", "shape", "packed_gflops", "seed_gflops", "speedup"], &csv_rows);
+    let csv_text = csv(
+        &["kernel", "shape", "packed_gflops", "seed_gflops", "speedup"],
+        &csv_rows,
+    );
     write_result("kernels.csv", &csv_text, "written to");
     let txt = format!(
         "Kernel throughput (one container core; paper's KNL nodes: ~2 TFLOP/s/node)\n{host}\n\n{table}"

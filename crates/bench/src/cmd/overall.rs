@@ -22,8 +22,26 @@ use scidl_core::workloads::{climate_workload, hep_workload};
 pub fn run(args: &Args) {
     let iters = if args.fast { 12 } else { 40 };
 
-    let hep = full_system(&hep_workload(), 9594, 9, 1066, iters, 0, 0x0A11, &ScalingOptions::default());
-    let climate = full_system(&climate_workload(), 9608, 8, 9608, iters.min(20), 10, 0x0A11, &ScalingOptions::default());
+    let hep = full_system(
+        &hep_workload(),
+        9594,
+        9,
+        1066,
+        iters,
+        0,
+        0x0A11,
+        &ScalingOptions::default(),
+    );
+    let climate = full_system(
+        &climate_workload(),
+        9608,
+        8,
+        9608,
+        iters.min(20),
+        10,
+        0x0A11,
+        &ScalingOptions::default(),
+    );
 
     println!("Sec. VI-B3: full-system throughput\n");
     let rows = vec![
@@ -44,9 +62,24 @@ pub fn run(args: &Args) {
     ];
     println!(
         "{}",
-        markdown_table(&["configuration", "peak", "sustained", "speedup vs 1 node", "iter time"], &rows)
+        markdown_table(
+            &[
+                "configuration",
+                "peak",
+                "sustained",
+                "speedup vs 1 node",
+                "iter time"
+            ],
+            &rows
+        )
     );
     println!("paper: HEP 11.73 PF peak / 11.41 PF sustained / 6173x / ~106 ms");
-    println!("       Climate 15.07 PF peak / 13.27 PF sustained / 7205x / ~12.16 s (incl. snapshots)");
-    println!("\nmean staleness: HEP {} updates, Climate {} updates", fnum(hep.staleness, 1), fnum(climate.staleness, 1));
+    println!(
+        "       Climate 15.07 PF peak / 13.27 PF sustained / 7205x / ~12.16 s (incl. snapshots)"
+    );
+    println!(
+        "\nmean staleness: HEP {} updates, Climate {} updates",
+        fnum(hep.staleness, 1),
+        fnum(climate.staleness, 1)
+    );
 }

@@ -26,7 +26,10 @@ pub fn run(_: &Args) {
     row(
         "Table II: HEP model size",
         "2.3 MiB",
-        format!("{} MiB", fnum(mib(arch::hep_network_spec().num_params()), 2)),
+        format!(
+            "{} MiB",
+            fnum(mib(arch::hep_network_spec().num_params()), 2)
+        ),
     );
     row(
         "Table II: climate model size",
@@ -50,8 +53,21 @@ pub fn run(_: &Args) {
     );
 
     // Fig. 6 condensed: sync saturation + hybrid-4 at 1024.
-    let f6 = strong_scaling(&wh, &[512, 1024], &[1, 4], 2048, 10, 0xF166, &ScalingOptions::default());
-    let get = |n: usize, g: usize| f6.iter().find(|r| r.nodes == n && r.groups == g).unwrap().speedup;
+    let f6 = strong_scaling(
+        &wh,
+        &[512, 1024],
+        &[1, 4],
+        2048,
+        10,
+        0xF166,
+        &ScalingOptions::default(),
+    );
+    let get = |n: usize, g: usize| {
+        f6.iter()
+            .find(|r| r.nodes == n && r.groups == g)
+            .unwrap()
+            .speedup
+    };
     row(
         "Fig. 6a: HEP sync 512 -> 1024",
         "stops scaling past 256",
@@ -64,8 +80,24 @@ pub fn run(_: &Args) {
     );
 
     // Fig. 7 condensed.
-    let f7h = weak_scaling(&wh, &[2048], &[1, 8], 8, 10, 0xF167, &ScalingOptions::default());
-    let f7c = weak_scaling(&wc, &[2048], &[1, 8], 8, 6, 0xF167, &ScalingOptions::default());
+    let f7h = weak_scaling(
+        &wh,
+        &[2048],
+        &[1, 8],
+        8,
+        10,
+        0xF167,
+        &ScalingOptions::default(),
+    );
+    let f7c = weak_scaling(
+        &wc,
+        &[2048],
+        &[1, 8],
+        8,
+        6,
+        0xF167,
+        &ScalingOptions::default(),
+    );
     let pick = |rows: &[scidl_core::experiments::ScalingRow], g: usize| {
         rows.iter().find(|r| r.groups == g).unwrap().speedup
     };
@@ -97,7 +129,11 @@ pub fn run(_: &Args) {
     row(
         "Sec. VI-B3: HEP @9594 (peak/sustained PF)",
         "11.73 / 11.41",
-        format!("{} / {}", fnum(fs_hep.peak_pflops, 2), fnum(fs_hep.sustained_pflops, 2)),
+        format!(
+            "{} / {}",
+            fnum(fs_hep.peak_pflops, 2),
+            fnum(fs_hep.sustained_pflops, 2)
+        ),
     );
     let fs_climate = full_system(&wc, 9608, 8, 9608, 12, 10, 0x0A11, &opts);
     row(
@@ -123,7 +159,10 @@ pub fn run(_: &Args) {
         ),
     );
 
-    println!("{}", markdown_table(&["experiment", "paper", "ours (fast scale)"], &rows));
+    println!(
+        "{}",
+        markdown_table(&["experiment", "paper", "ours (fast scale)"], &rows)
+    );
 
     // Three-way architecture shoot-out at 1x and 2x the paper's machine:
     // fully-synchronous all-reduce vs the paper's hybrid PS design vs
@@ -146,7 +185,14 @@ pub fn run(_: &Args) {
     println!(
         "{}",
         markdown_table(
-            &["nodes", "contender", "groups", "img/s", "sustained PF", "staleness"],
+            &[
+                "nodes",
+                "contender",
+                "groups",
+                "img/s",
+                "sustained PF",
+                "staleness"
+            ],
             &shootout
         )
     );

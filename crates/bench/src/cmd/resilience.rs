@@ -15,7 +15,11 @@ pub fn run(_: &Args) {
         let r = resilience(&hep_workload(), nodes, groups, 0xF41);
         table.push(vec![
             format!("{nodes} nodes / sync"),
-            if r.sync_failed { "DIED".into() } else { "survived".into() },
+            if r.sync_failed {
+                "DIED".into()
+            } else {
+                "survived".into()
+            },
             r.sync_iterations_done.to_string(),
             "0".into(),
             "-".into(),
@@ -28,7 +32,10 @@ pub fn run(_: &Args) {
             format!(
                 "{}x more work done",
                 if r.sync_iterations_done > 0 {
-                    format!("{:.1}", r.hybrid_iterations_done as f64 / r.sync_iterations_done as f64)
+                    format!(
+                        "{:.1}",
+                        r.hybrid_iterations_done as f64 / r.sync_iterations_done as f64
+                    )
                 } else {
                     "∞".into()
                 }
@@ -45,7 +52,13 @@ pub fn run(_: &Args) {
     println!(
         "{}",
         markdown_table(
-            &["configuration", "outcome", "iterations completed", "recovered iterations", "note"],
+            &[
+                "configuration",
+                "outcome",
+                "iterations completed",
+                "recovered iterations",
+                "note"
+            ],
             &table
         )
     );

@@ -54,7 +54,9 @@ const CHAOS_DEADLINE_S: f64 = 0.25;
 /// columns are measured against: one mid-batch crash early in the run
 /// and a 3× straggler window.
 fn frontier_chaos() -> FaultPlan {
-    FaultPlan::none().with_worker_crash(0, 3, 0.05).with_slow_worker(0, 10, 20, 3.0)
+    FaultPlan::none()
+        .with_worker_crash(0, 3, 0.05)
+        .with_slow_worker(0, 10, 20, 3.0)
 }
 
 struct Point {
@@ -82,7 +84,10 @@ fn run_point(
     let arrivals: Vec<f64> = PoissonArrivals::new(seed, offered, n).collect();
     let cfg = SimConfig::new(1, 128, policy);
     let out = simulate(model, &arrivals, &cfg);
-    let total = out.recorder.total_summary().expect("at least one request served");
+    let total = out
+        .recorder
+        .total_summary()
+        .expect("at least one request served");
 
     // The same schedule under the standard chaos plan, with deadlines so
     // overload degrades into typed sheds instead of unbounded queueing.
@@ -91,7 +96,10 @@ fn run_point(
     chaos_cfg.deadline_secs = Some(CHAOS_DEADLINE_S);
     let chaos = simulate(model, &arrivals, &chaos_cfg);
     assert_eq!(chaos.offered(), n, "chaos run must resolve every request");
-    let chaos_p99_ms = chaos.recorder.total_summary().map_or(f64::NAN, |s| s.p99 * 1e3);
+    let chaos_p99_ms = chaos
+        .recorder
+        .total_summary()
+        .map_or(f64::NAN, |s| s.p99 * 1e3);
 
     Point {
         offered,
@@ -118,7 +126,9 @@ pub fn frontier(args: &Args) {
     let model = &model;
     let r1 = model.saturated_rate(1);
     let r32 = model.saturated_rate(32);
-    println!("serving frontier: HEP classifier on one KNL node (seed {SEED}, {n} requests/point)\n");
+    println!(
+        "serving frontier: HEP classifier on one KNL node (seed {SEED}, {n} requests/point)\n"
+    );
     println!(
         "node capacity: batch-1 {} req/s ({} ms/image), batch-32 {} req/s ({} ms/image)",
         fnum(r1, 1),
@@ -284,8 +294,7 @@ fn fault_level(name: &'static str) -> (FaultPlan, Vec<f64>) {
 fn chaos_cell(model: &ServiceModel, offered: f64, level: &'static str, n: usize) -> SimOutcome {
     let arrivals: Vec<f64> = PoissonArrivals::new(SEED, offered, n).collect();
     let (faults, swap_schedule) = fault_level(level);
-    let mut cfg =
-        SimConfig::new(2, 128, BatchPolicy::dynamic(32, Duration::from_millis(10)));
+    let mut cfg = SimConfig::new(2, 128, BatchPolicy::dynamic(32, Duration::from_millis(10)));
     cfg.deadline_secs = Some(CHAOS_DEADLINE_S);
     cfg.breaker_threshold = 3;
     cfg.faults = faults;
@@ -321,7 +330,10 @@ pub fn chaos(args: &Args) {
                 out.throughput() > 0.0,
                 "goodput must stay positive under {level} @ {offered:.0} req/s"
             );
-            let p99_ms = out.recorder.total_summary().map_or(f64::NAN, |s| s.p99 * 1e3);
+            let p99_ms = out
+                .recorder
+                .total_summary()
+                .map_or(f64::NAN, |s| s.p99 * 1e3);
             rows.push(vec![
                 format!("{} req/s", fnum(offered, 0)),
                 level.to_string(),
@@ -332,7 +344,11 @@ pub fn chaos(args: &Args) {
                 out.lost.to_string(),
                 format!("{} req/s", fnum(out.throughput(), 1)),
                 format!("{} ms", fnum(p99_ms, 2)),
-                if out.breaker_opened { "open".into() } else { "-".into() },
+                if out.breaker_opened {
+                    "open".into()
+                } else {
+                    "-".into()
+                },
             ]);
             csv_rows.push(vec![
                 fnum(offered, 3),
@@ -354,8 +370,16 @@ pub fn chaos(args: &Args) {
         "{}",
         markdown_table(
             &[
-                "offered", "faults", "served", "shed rate", "crashes", "requeued", "lost",
-                "goodput", "p99", "breaker",
+                "offered",
+                "faults",
+                "served",
+                "shed rate",
+                "crashes",
+                "requeued",
+                "lost",
+                "goodput",
+                "p99",
+                "breaker",
             ],
             &rows
         )
@@ -378,16 +402,28 @@ pub fn chaos(args: &Args) {
         ],
         &csv_rows,
     );
-    write_result("serving_chaos.csv", &csv_text, "degradation frontier written to");
+    write_result(
+        "serving_chaos.csv",
+        &csv_text,
+        "degradation frontier written to",
+    );
 
     // --- acceptance: chaos is deterministic and never zeroes goodput ---
     let a = chaos_cell(model, 1.5 * r1, "storm", n);
     let b = chaos_cell(model, 1.5 * r1, "storm", n);
-    assert_eq!(a.served_ids, b.served_ids, "storm cell must replay bit-identically");
+    assert_eq!(
+        a.served_ids, b.served_ids,
+        "storm cell must replay bit-identically"
+    );
     assert_eq!(a.lost_ids, b.lost_ids);
     assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-    assert!(a.breaker_opened, "three corrupt swaps at threshold 3 must open the breaker");
-    println!("\n  acceptance: exactly-once accounting, positive goodput, deterministic storm — PASS");
+    assert!(
+        a.breaker_opened,
+        "three corrupt swaps at threshold 3 must open the breaker"
+    );
+    println!(
+        "\n  acceptance: exactly-once accounting, positive goodput, deterministic storm — PASS"
+    );
 }
 
 /// Per-replica base config of every fleet cell: two workers, a deep
@@ -564,7 +600,10 @@ pub fn fleet(args: &Args) {
         startup_secs: 0.02,
     });
     cfg.canary = Some(SimCanary {
-        gate: CanaryGate { fraction: 0.2, regression_tol: 0.25 },
+        gate: CanaryGate {
+            fraction: 0.2,
+            regression_tol: 0.25,
+        },
         start_secs: burst_end * 0.1,
         decide_secs: burst_end * 0.9,
         service_factor: 1.0,
@@ -578,7 +617,11 @@ pub fn fleet(args: &Args) {
         out.scale_ups,
         out.scale_downs,
         out.final_replicas,
-        if out.canary_promoted { "promoted" } else { "rolled back" },
+        if out.canary_promoted {
+            "promoted"
+        } else {
+            "rolled back"
+        },
         out.final_iteration,
         out.canary_served
     );

@@ -20,7 +20,13 @@ pub fn run(_: &Args) {
             ]
         })
         .collect();
-    println!("{}", markdown_table(&["dataset", "pixels", "channels", "#images", "volume (f32)"], &rows));
+    println!(
+        "{}",
+        markdown_table(
+            &["dataset", "pixels", "channels", "#images", "volume (f32)"],
+            &rows
+        )
+    );
 
     println!("paper reports: HEP 228x228 / 3 ch / 10M / 7.4TB (stored HDF5)");
     println!("               Climate 768x768 / 16 ch / 0.4M / 15TB\n");

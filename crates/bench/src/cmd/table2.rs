@@ -11,7 +11,9 @@ pub fn run(_: &Args) {
     let hep = arch::hep_network_spec();
     let climate = ClimateNet::full_spec();
 
-    let count = |net: &NetSpec, kind: fn(&LayerSpec) -> bool| net.layers.iter().filter(|(_, l)| kind(l)).count();
+    let count = |net: &NetSpec, kind: fn(&LayerSpec) -> bool| {
+        net.layers.iter().filter(|(_, l)| kind(l)).count()
+    };
     let hep_convs = count(&hep, |l| matches!(l, LayerSpec::Conv(_)));
     let hep_fc = count(&hep, |l| matches!(l, LayerSpec::Dense { .. }));
     let enc = count(&climate.encoder, |l| matches!(l, LayerSpec::Conv(_)));
@@ -22,29 +24,60 @@ pub fn run(_: &Args) {
     let rows = vec![
         vec![
             "Supervised HEP".to_string(),
-            format!("{}x{}x{}", arch::HEP_INPUT.h, arch::HEP_INPUT.w, arch::HEP_INPUT.c),
+            format!(
+                "{}x{}x{}",
+                arch::HEP_INPUT.h,
+                arch::HEP_INPUT.w,
+                arch::HEP_INPUT.c
+            ),
             format!("{hep_convs}xconv-pool, {hep_fc}xfully-connected"),
             "class probability".to_string(),
-            format!("{} MiB ({} params)", fnum(mib(hep.num_params()), 2), hep.num_params()),
+            format!(
+                "{} MiB ({} params)",
+                fnum(mib(hep.num_params()), 2),
+                hep.num_params()
+            ),
         ],
         vec![
             "Semi-sup. Climate".to_string(),
-            format!("{}x{}x{}", arch::CLIMATE_INPUT.h, arch::CLIMATE_INPUT.w, arch::CLIMATE_INPUT.c),
+            format!(
+                "{}x{}x{}",
+                arch::CLIMATE_INPUT.h,
+                arch::CLIMATE_INPUT.w,
+                arch::CLIMATE_INPUT.c
+            ),
             format!("{enc}xconv, {dec}xdeconv + 3 score heads"),
             "coordinates, class, confidence".to_string(),
-            format!("{} MiB ({} params)", fnum(mib(climate.num_params()), 1), climate.num_params()),
+            format!(
+                "{} MiB ({} params)",
+                fnum(mib(climate.num_params()), 1),
+                climate.num_params()
+            ),
         ],
     ];
     println!(
         "{}",
-        markdown_table(&["architecture", "input", "layer details", "output", "parameters size"], &rows)
+        markdown_table(
+            &[
+                "architecture",
+                "input",
+                "layer details",
+                "output",
+                "parameters size"
+            ],
+            &rows
+        )
     );
     println!("paper reports: HEP 224x224x3, 5xconv-pool + 1xFC, 2.3 MiB");
     println!("               Climate 768x768x16, 9xconv + 5xdeconv, 302.1 MiB\n");
 
     let print_stack = |net: &NetSpec, input: Shape4, width: usize| {
         for (name, l, s) in net.walk(input) {
-            println!("  {name:width$} {:>14} -> {:>14}", format!("{s}"), format!("{}", l.out_shape(s)));
+            println!(
+                "  {name:width$} {:>14} -> {:>14}",
+                format!("{s}"),
+                format!("{}", l.out_shape(s))
+            );
         }
     };
     println!("HEP layer stack:");

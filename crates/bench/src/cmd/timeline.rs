@@ -28,7 +28,11 @@ fn gantt(timeline: &[(usize, f64, f64)], groups: usize, total: f64) -> String {
         out.extend(row.iter());
         out.push('\n');
     }
-    out.push_str(&format!("         0 {:>width$.2}s\n", total, width = WIDTH - 2));
+    out.push_str(&format!(
+        "         0 {:>width$.2}s\n",
+        total,
+        width = WIDTH - 2
+    ));
     out
 }
 

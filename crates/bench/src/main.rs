@@ -94,9 +94,16 @@ const COMMANDS: &[Command] = &[
 fn usage() -> String {
     let mut out = String::from("usage: scidl-bench <subcommand> [flags]\n\n");
     for c in COMMANDS {
-        out.push_str(&format!("  {:<18} {:<33} {}\n", c.name, c.flags.join(" "), c.about));
+        out.push_str(&format!(
+            "  {:<18} {:<33} {}\n",
+            c.name,
+            c.flags.join(" "),
+            c.about
+        ));
     }
-    out.push_str(&format!("\nevery subcommand also takes {TRACE_FLAG} (Chrome trace JSON + per-iteration CSV)\n"));
+    out.push_str(&format!(
+        "\nevery subcommand also takes {TRACE_FLAG} (Chrome trace JSON + per-iteration CSV)\n"
+    ));
     out
 }
 
@@ -120,7 +127,10 @@ fn parse(argv: &[String]) -> Result<Option<(&'static Command, Args)>, String> {
             .find(|s| s.split(' ').next() == Some(flag.as_str()))
             .ok_or_else(|| format!("`{name}` does not take `{flag}`"))?;
         let value = if spec.contains(' ') {
-            Some(rest.next().ok_or_else(|| format!("`{spec}` is missing its value"))?)
+            Some(
+                rest.next()
+                    .ok_or_else(|| format!("`{spec}` is missing its value"))?,
+            )
         } else {
             None
         };
@@ -164,24 +174,40 @@ fn main() {
 /// <https://ui.perfetto.dev>) plus the per-iteration CSV next to it
 /// (same stem, `.csv` extension). Health alerts, if any, go to stderr.
 fn finish_trace(path: &Path) {
-    let Some(sink) = scidl_trace::uninstall() else { return };
+    let Some(sink) = scidl_trace::uninstall() else {
+        return;
+    };
     match sink.write_chrome_json(path) {
-        Ok(()) => println!("trace: {} events -> {}", sink.events().len(), path.display()),
+        Ok(()) => println!(
+            "trace: {} events -> {}",
+            sink.events().len(),
+            path.display()
+        ),
         Err(e) => println!("(could not write {}: {e})", path.display()),
     }
     let csv_path = path.with_extension("csv");
     match sink.write_iteration_csv(&csv_path) {
-        Ok(()) => println!("trace: {} iteration rows -> {}", sink.rows().len(), csv_path.display()),
+        Ok(()) => println!(
+            "trace: {} iteration rows -> {}",
+            sink.rows().len(),
+            csv_path.display()
+        ),
         Err(e) => println!("(could not write {}: {e})", csv_path.display()),
     }
     if sink.dropped() > 0 {
-        eprintln!("trace: {} events dropped (sink at capacity)", sink.dropped());
+        eprintln!(
+            "trace: {} events dropped (sink at capacity)",
+            sink.dropped()
+        );
     }
     for a in sink.health_alerts() {
         eprintln!(
             "trace: numeric-health alert: {}{}: {} non-finite value(s), first at [{}] = {}",
             a.source,
-            a.layer.as_deref().map(|l| format!(" / layer {l}")).unwrap_or_default(),
+            a.layer
+                .as_deref()
+                .map(|l| format!(" / layer {l}"))
+                .unwrap_or_default(),
             a.count,
             a.first_index,
             a.value
@@ -194,11 +220,19 @@ mod tests {
     use super::*;
 
     fn parse_str(line: &str) -> Result<Option<(&'static Command, Args)>, String> {
-        parse(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+        parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
     }
 
     fn run_args(line: &str) -> Args {
-        parse_str(line).expect("parses").expect("not a help request").1
+        parse_str(line)
+            .expect("parses")
+            .expect("not a help request")
+            .1
     }
 
     #[test]
@@ -208,7 +242,12 @@ mod tests {
             assert_eq!(cmd.name, c.name);
             assert!(!args.fast && !args.full && args.trace.is_none());
             let traced = run_args(&format!("{} --trace t.json", c.name));
-            assert_eq!(traced.trace.as_deref(), Some(Path::new("t.json")), "{}", c.name);
+            assert_eq!(
+                traced.trace.as_deref(),
+                Some(Path::new("t.json")),
+                "{}",
+                c.name
+            );
         }
     }
 
@@ -241,7 +280,9 @@ mod tests {
 
     #[test]
     fn a_flag_another_subcommand_takes_is_refused() {
-        assert!(parse_str("fig6 --overlap").unwrap_err().contains("`fig6` does not take"));
+        assert!(parse_str("fig6 --overlap")
+            .unwrap_err()
+            .contains("`fig6` does not take"));
         assert!(parse_str("table1 --fast").is_err());
     }
 
@@ -255,20 +296,29 @@ mod tests {
 
     #[test]
     fn a_missing_value_is_an_error_not_a_panic() {
-        assert!(parse_str("fig8 --trace").unwrap_err().contains("missing its value"));
+        assert!(parse_str("fig8 --trace")
+            .unwrap_err()
+            .contains("missing its value"));
         assert!(parse_str("fig8 --compress").is_err());
     }
 
     #[test]
     fn compress_spec_is_validated_at_parse_time() {
-        assert!(parse_str("fig8 --compress bogus").unwrap_err().starts_with("--compress"));
-        assert_eq!(run_args("fig8 --compress topk:0.1").compress, Compression::TopK { density: 0.1 });
+        assert!(parse_str("fig8 --compress bogus")
+            .unwrap_err()
+            .starts_with("--compress"));
+        assert_eq!(
+            run_args("fig8 --compress topk:0.1").compress,
+            Compression::TopK { density: 0.1 }
+        );
         assert_eq!(run_args("fig8").compress, Compression::None);
     }
 
     #[test]
     fn unknown_or_missing_subcommand_is_an_error_and_help_is_not() {
-        assert!(parse_str("fig9").unwrap_err().contains("unknown subcommand"));
+        assert!(parse_str("fig9")
+            .unwrap_err()
+            .contains("unknown subcommand"));
         assert!(parse_str("").is_err());
         assert!(parse_str("--help").unwrap().is_none());
         assert!(parse_str("fig6 -h").unwrap().is_none());
@@ -278,7 +328,10 @@ mod tests {
     fn usage_lists_every_subcommand_with_its_flags() {
         let u = usage();
         for c in COMMANDS {
-            let line = u.lines().find(|l| l.split_whitespace().next() == Some(c.name)).unwrap();
+            let line = u
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(c.name))
+                .unwrap();
             assert!(c.flags.iter().all(|f| line.contains(f)), "{line}");
         }
         assert!(u.contains(TRACE_FLAG));

@@ -23,7 +23,10 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
         line.push('\n');
         line
     };
-    out.push_str(&fmt_row(headers.iter().map(|s| s.to_string()).collect(), &widths));
+    out.push_str(&fmt_row(
+        headers.iter().map(|s| s.to_string()).collect(),
+        &widths,
+    ));
     let mut sep = String::from("|");
     for w in &widths {
         sep.push_str(&format!("{:-<width$}|", "", width = w + 2));
@@ -127,7 +130,13 @@ pub fn write_result(name: &str, contents: &str, done: &str) {
 /// point is missing).
 pub fn print_speedups(rows: &[ScalingRow], nodes: &[usize], groups: &[usize]) {
     let mut headers = vec![String::from("nodes")];
-    headers.extend(groups.iter().map(|&g| if g == 1 { "sync".into() } else { format!("hybrid-{g}") }));
+    headers.extend(groups.iter().map(|&g| {
+        if g == 1 {
+            "sync".into()
+        } else {
+            format!("hybrid-{g}")
+        }
+    }));
     let table: Vec<Vec<String>> = nodes
         .iter()
         .map(|&n| {
@@ -151,14 +160,27 @@ pub fn print_speedups(rows: &[ScalingRow], nodes: &[usize], groups: &[usize]) {
 pub fn print_collectives(points: &[(usize, f64, f64)]) {
     let table: Vec<Vec<String>> = points
         .iter()
-        .map(|&(n, flat, hier)| vec![n.to_string(), fnum(flat, 0), fnum(hier, 0), fnum(hier / flat, 3)])
+        .map(|&(n, flat, hier)| {
+            vec![
+                n.to_string(),
+                fnum(flat, 0),
+                fnum(hier, 0),
+                fnum(hier / flat, 3),
+            ]
+        })
         .collect();
     println!(
         "{}",
-        markdown_table(&["nodes", "flat ring (img/s)", "hierarchical (img/s)", "gain"], &table)
+        markdown_table(
+            &["nodes", "flat ring (img/s)", "hierarchical (img/s)", "gain"],
+            &table
+        )
     );
     for &(n, flat, hier) in points {
-        assert!(hier > 0.0 && flat > 0.0, "both collectives must produce throughput at {n} nodes");
+        assert!(
+            hier > 0.0 && flat > 0.0,
+            "both collectives must produce throughput at {n} nodes"
+        );
         assert!(
             n < 2048 || hier >= flat,
             "acceptance: hierarchical ({hier}) must beat the flat ring ({flat}) at {n} nodes"

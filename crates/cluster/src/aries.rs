@@ -98,7 +98,10 @@ mod tests {
         let t1024 = m.allreduce_time(1024, bytes);
         // Ring bandwidth term approaches 2·bytes/bw; only latency grows.
         assert!(t1024 > t64);
-        assert!(t1024 < t64 * 1.2, "allreduce should be nearly node-count independent: {t64} vs {t1024}");
+        assert!(
+            t1024 < t64 * 1.2,
+            "allreduce should be nearly node-count independent: {t64} vs {t1024}"
+        );
     }
 
     #[test]

@@ -56,14 +56,22 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Creates an empty queue at time 0.
     pub fn new() -> Self {
-        Self { heap: BinaryHeap::new(), seq: 0, now: 0.0 }
+        Self {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            now: 0.0,
+        }
     }
 
     /// Creates an empty queue at time 0 with room for `cap` pending
     /// events, so a simulation whose in-flight event count is bounded
     /// (e.g. one per compute group) never reallocates in its hot loop.
     pub fn with_capacity(cap: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(cap), seq: 0, now: 0.0 }
+        Self {
+            heap: BinaryHeap::with_capacity(cap),
+            seq: 0,
+            now: 0.0,
+        }
     }
 
     /// Reserves room for at least `extra` additional pending events.
@@ -91,7 +99,11 @@ impl<T> EventQueue<T> {
             self.now
         );
         assert!(at.is_finite(), "non-finite event time");
-        self.heap.push(Entry { time: at, seq: self.seq, payload });
+        self.heap.push(Entry {
+            time: at,
+            seq: self.seq,
+            payload,
+        });
         self.seq += 1;
     }
 

@@ -178,13 +178,21 @@ impl FaultPlan {
 
     /// Adds a single-rank crash (builder style).
     pub fn with_node_crash(mut self, group: usize, rank: usize, iteration: usize) -> Self {
-        self.node_crashes.push(NodeCrash { group, rank, iteration });
+        self.node_crashes.push(NodeCrash {
+            group,
+            rank,
+            iteration,
+        });
         self
     }
 
     /// Adds a PS-shard crash (builder style).
     pub fn with_ps_crash(mut self, shard: usize, after_requests: u64, repair_secs: f64) -> Self {
-        self.ps_crashes.push(PsCrash { shard, after_requests, repair_secs });
+        self.ps_crashes.push(PsCrash {
+            shard,
+            after_requests,
+            repair_secs,
+        });
         self
     }
 
@@ -198,21 +206,39 @@ impl FaultPlan {
     ) -> Self {
         assert!(factor >= 1.0, "a straggler cannot be faster than healthy");
         assert!(from_iter <= to_iter);
-        self.stragglers.push(Straggler { group, from_iter, to_iter, factor });
+        self.stragglers.push(Straggler {
+            group,
+            from_iter,
+            to_iter,
+            factor,
+        });
         self
     }
 
     /// Adds a one-off message delay (builder style).
     pub fn with_message_delay(mut self, group: usize, iteration: usize, secs: f64) -> Self {
         assert!(secs >= 0.0);
-        self.message_delays.push(MessageDelay { group, iteration, secs });
+        self.message_delays.push(MessageDelay {
+            group,
+            iteration,
+            secs,
+        });
         self
     }
 
     /// Adds a serving-worker crash (builder style).
-    pub fn with_worker_crash(mut self, worker: usize, after_batches: u64, respawn_secs: f64) -> Self {
+    pub fn with_worker_crash(
+        mut self,
+        worker: usize,
+        after_batches: u64,
+        respawn_secs: f64,
+    ) -> Self {
         assert!(respawn_secs >= 0.0);
-        self.worker_crashes.push(WorkerCrash { worker, after_batches, respawn_secs });
+        self.worker_crashes.push(WorkerCrash {
+            worker,
+            after_batches,
+            respawn_secs,
+        });
         self
     }
 
@@ -226,7 +252,12 @@ impl FaultPlan {
     ) -> Self {
         assert!(factor >= 1.0, "a slow worker cannot be faster than healthy");
         assert!(from_batch <= to_batch);
-        self.slow_workers.push(SlowWorker { worker, from_batch, to_batch, factor });
+        self.slow_workers.push(SlowWorker {
+            worker,
+            from_batch,
+            to_batch,
+            factor,
+        });
         self
     }
 
@@ -239,7 +270,10 @@ impl FaultPlan {
 
     /// Enables group recovery with the given mean-time-to-repair.
     pub fn with_recovery(mut self, mttr_iters: u64, mttr_secs: f64) -> Self {
-        self.recovery = Some(Recovery { mttr_iters, mttr_secs });
+        self.recovery = Some(Recovery {
+            mttr_iters,
+            mttr_secs,
+        });
         self
     }
 
@@ -311,7 +345,10 @@ impl FaultPlan {
     /// events (`corrupt_swaps`) and training events stay with the fleet
     /// plan — they are not per-replica — so they are dropped here.
     pub fn for_replica(&self, replica: usize, workers_per_replica: usize) -> FaultPlan {
-        assert!(workers_per_replica >= 1, "a replica needs at least one worker");
+        assert!(
+            workers_per_replica >= 1,
+            "a replica needs at least one worker"
+        );
         let lo = replica * workers_per_replica;
         let hi = lo + workers_per_replica;
         let mut p = FaultPlan::none();
@@ -319,13 +356,19 @@ impl FaultPlan {
             .worker_crashes
             .iter()
             .filter(|c| (lo..hi).contains(&c.worker))
-            .map(|c| WorkerCrash { worker: c.worker - lo, ..*c })
+            .map(|c| WorkerCrash {
+                worker: c.worker - lo,
+                ..*c
+            })
             .collect();
         p.slow_workers = self
             .slow_workers
             .iter()
             .filter(|s| (lo..hi).contains(&s.worker))
-            .map(|s| SlowWorker { worker: s.worker - lo, ..*s })
+            .map(|s| SlowWorker {
+                worker: s.worker - lo,
+                ..*s
+            })
             .collect();
         p
     }
@@ -411,7 +454,13 @@ mod tests {
             .with_corrupt_swap(0)
             .with_corrupt_swap(2);
         assert!(!p.is_empty());
-        assert_eq!(p.worker_crashes.iter().map(|c| c.after_batches).collect::<Vec<_>>(), [5, 3]);
+        assert_eq!(
+            p.worker_crashes
+                .iter()
+                .map(|c| c.after_batches)
+                .collect::<Vec<_>>(),
+            [5, 3]
+        );
         assert_eq!(p.slow_worker_factor(0, 1), 1.0);
         assert_eq!(p.slow_worker_factor(0, 5), 4.5, "overlap multiplies");
         assert_eq!(p.slow_worker_factor(0, 6), 1.5, "to_batch is exclusive");
@@ -431,17 +480,42 @@ mod tests {
             .with_corrupt_swap(0) // registry-level: stays with the fleet
             .with_group_crash(0, 1); // training event: not per-replica
         let r0 = p.for_replica(0, 2);
-        assert_eq!(r0.worker_crashes, vec![WorkerCrash { worker: 0, after_batches: 3, respawn_secs: 0.05 }]);
+        assert_eq!(
+            r0.worker_crashes,
+            vec![WorkerCrash {
+                worker: 0,
+                after_batches: 3,
+                respawn_secs: 0.05
+            }]
+        );
         assert!(r0.slow_workers.is_empty());
         assert!(r0.corrupt_swaps.is_empty(), "swap faults are fleet-level");
         assert!(r0.group_crashes.is_empty(), "training faults dropped");
         let r1 = p.for_replica(1, 2);
-        assert_eq!(r1.worker_crashes, vec![WorkerCrash { worker: 1, after_batches: 1, respawn_secs: 0.10 }]);
-        assert_eq!(r1.slow_workers, vec![SlowWorker { worker: 0, from_batch: 2, to_batch: 6, factor: 3.0 }]);
+        assert_eq!(
+            r1.worker_crashes,
+            vec![WorkerCrash {
+                worker: 1,
+                after_batches: 1,
+                respawn_secs: 0.10
+            }]
+        );
+        assert_eq!(
+            r1.slow_workers,
+            vec![SlowWorker {
+                worker: 0,
+                from_batch: 2,
+                to_batch: 6,
+                factor: 3.0
+            }]
+        );
         let r2 = p.for_replica(2, 2);
         assert_eq!(r2.slow_workers.len(), 1);
         assert_eq!(r2.slow_workers[0].worker, 1);
-        assert!(p.for_replica(3, 2).is_empty(), "replicas past the plan see nothing");
+        assert!(
+            p.for_replica(3, 2).is_empty(),
+            "replicas past the plan see nothing"
+        );
     }
 
     #[test]

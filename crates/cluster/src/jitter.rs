@@ -173,7 +173,12 @@ impl JitterModel {
 
     /// Samples the first failure time (seconds) among `nodes` nodes over
     /// a `horizon_secs` window, if any.
-    pub fn first_failure(&self, rng: &mut TensorRng, nodes: usize, horizon_secs: f64) -> Option<f64> {
+    pub fn first_failure(
+        &self,
+        rng: &mut TensorRng,
+        nodes: usize,
+        horizon_secs: f64,
+    ) -> Option<f64> {
         if self.fail_rate_per_node_hour <= 0.0 || nodes == 0 {
             return None;
         }
@@ -214,7 +219,10 @@ mod tests {
         let m = JitterModel::default();
         let mut rng = TensorRng::new(3);
         let avg = |nodes: usize, rng: &mut TensorRng| {
-            (0..60).map(|_| m.barrier_multiplier(rng, nodes)).sum::<f64>() / 60.0
+            (0..60)
+                .map(|_| m.barrier_multiplier(rng, nodes))
+                .sum::<f64>()
+                / 60.0
         };
         let m8 = avg(8, &mut rng);
         let m2048 = avg(2048, &mut rng);
@@ -254,7 +262,10 @@ mod tests {
         // complement → ~1e-5 on z), which the sampler never hits because
         // it always evaluates through the small-tail side.
         for p in [1e-12, 1e-6, 0.3, 0.9, 1.0 - 1e-9] {
-            assert!((inv_norm_cdf(p) + inv_norm_cdf(1.0 - p)).abs() < 5e-5, "symmetry at {p}");
+            assert!(
+                (inv_norm_cdf(p) + inv_norm_cdf(1.0 - p)).abs() < 5e-5,
+                "symmetry at {p}"
+            );
         }
     }
 
@@ -267,8 +278,10 @@ mod tests {
         let nodes = 64;
         let trials = 4000;
         let mut rng = TensorRng::new(11);
-        let fast: f64 =
-            (0..trials).map(|_| m.barrier_multiplier(&mut rng, nodes)).sum::<f64>() / trials as f64;
+        let fast: f64 = (0..trials)
+            .map(|_| m.barrier_multiplier(&mut rng, nodes))
+            .sum::<f64>()
+            / trials as f64;
         let mut rng2 = TensorRng::new(12);
         let slow: f64 = (0..trials)
             .map(|_| {
@@ -305,7 +318,10 @@ mod tests {
         let delays: Vec<f64> = (0..n).map(|_| m.ps_request_delay(&mut rng)).collect();
         let nonzero = delays.iter().filter(|&&d| d > 0.0).count();
         let frac = nonzero as f64 / n as f64;
-        assert!((frac - m.ps_straggler_prob).abs() < 0.02, "spike rate {frac}");
+        assert!(
+            (frac - m.ps_straggler_prob).abs() < 0.02,
+            "spike rate {frac}"
+        );
         let mean_spike: f64 =
             delays.iter().filter(|&&d| d > 0.0).sum::<f64>() / nonzero.max(1) as f64;
         assert!((mean_spike - m.ps_straggler_mean_delay).abs() < 0.01);
@@ -313,7 +329,10 @@ mod tests {
 
     #[test]
     fn failures_scale_with_nodes_and_horizon() {
-        let m = JitterModel { fail_rate_per_node_hour: 0.01, ..JitterModel::default() };
+        let m = JitterModel {
+            fail_rate_per_node_hour: 0.01,
+            ..JitterModel::default()
+        };
         let mut rng = TensorRng::new(5);
         let p_small = (0..300)
             .filter(|_| m.first_failure(&mut rng, 10, 3600.0).is_some())
@@ -327,7 +346,10 @@ mod tests {
 
     #[test]
     fn failure_times_within_horizon() {
-        let m = JitterModel { fail_rate_per_node_hour: 1.0, ..JitterModel::default() };
+        let m = JitterModel {
+            fail_rate_per_node_hour: 1.0,
+            ..JitterModel::default()
+        };
         let mut rng = TensorRng::new(6);
         for _ in 0..100 {
             if let Some(t) = m.first_failure(&mut rng, 100, 50.0) {

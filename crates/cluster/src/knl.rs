@@ -139,8 +139,14 @@ mod tests {
         // exactly; per-class rates land in a band around the quotes).
         let few = m.conv_rate(3, 8);
         let many = m.conv_rate(128, 8);
-        assert!((0.7e12..1.6e12).contains(&few), "few-channel rate {few:.3e}");
-        assert!((2.7e12..3.9e12).contains(&many), "many-channel rate {many:.3e}");
+        assert!(
+            (0.7e12..1.6e12).contains(&few),
+            "few-channel rate {few:.3e}"
+        );
+        assert!(
+            (2.7e12..3.9e12).contains(&many),
+            "many-channel rate {many:.3e}"
+        );
     }
 
     #[test]
@@ -150,11 +156,17 @@ mod tests {
         // significant efficiency drops to as low as 20-30% [of peak] at
         // minibatch sizes of 4-16".
         let frac_of_peak_b4 = m.conv_rate(128, 4) / m.peak_flops;
-        assert!((0.2..0.45).contains(&frac_of_peak_b4), "b=4 peak fraction {frac_of_peak_b4}");
+        assert!(
+            (0.2..0.45).contains(&frac_of_peak_b4),
+            "b=4 peak fraction {frac_of_peak_b4}"
+        );
         assert!(m.conv_rate(128, 1) < 0.4 * m.conv_rate(128, 64));
         assert!(m.conv_rate(128, 8) > 0.6 * m.conv_rate(128, 64));
         // Monotone in batch.
-        let rates: Vec<f64> = [1, 2, 4, 8, 16, 32].iter().map(|&b| m.conv_rate(64, b)).collect();
+        let rates: Vec<f64> = [1, 2, 4, 8, 16, 32]
+            .iter()
+            .map(|&b| m.conv_rate(64, b))
+            .collect();
         assert!(rates.windows(2).all(|w| w[1] > w[0]));
     }
 
@@ -184,7 +196,9 @@ mod tests {
         let l = LayerCost {
             name: "relu".into(),
             train_flops_per_image: 1_000,
-            class: RateClass::MemoryBound { bytes_per_image: 100_000_000 },
+            class: RateClass::MemoryBound {
+                bytes_per_image: 100_000_000,
+            },
         };
         let t = m.layer_time(&l, 1) - m.layer_overhead;
         assert!((t - 1e8 / m.mem_bw).abs() < 1e-12);

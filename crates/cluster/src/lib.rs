@@ -64,6 +64,4 @@ pub use sim::{
     split_even, ClusterSim, CollectiveKind, IterBreakdown, Observer, PlacementPolicy, SimConfig,
     SimResult, TopologyConfig,
 };
-pub use topology::{
-    allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement,
-};
+pub use topology::{allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement};

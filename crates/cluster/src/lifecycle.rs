@@ -46,7 +46,13 @@ impl GroupLifecycle {
             .min();
         let recovery = plan.recovery.filter(|_| rejoin);
         let crash_at = plan.group_crash_at(group);
-        Self { crash_at, node_lost_at, recovery, recovered: false, version: 0 }
+        Self {
+            crash_at,
+            node_lost_at,
+            recovery,
+            recovered: false,
+            version: 0,
+        }
     }
 
     /// The decision before iteration `iter`. A lost node stops the group
@@ -95,17 +101,26 @@ mod tests {
 
     #[test]
     fn crash_repairs_once_and_only_where_the_group_may_rejoin() {
-        let plan = FaultPlan::none().with_group_crash(1, 3).with_recovery(2, 0.5);
+        let plan = FaultPlan::none()
+            .with_group_crash(1, 3)
+            .with_recovery(2, 0.5);
         let rec = plan.recovery.unwrap();
         let mut life = GroupLifecycle::new(&plan, 1, 0..4, true);
         assert_eq!(life.before(2), Step::Run);
         assert_eq!(life.before(3), Step::Repair(rec));
         life.rejoin(7);
         assert!(life.recovered());
-        assert_eq!(life.before(3), Step::Run, "the same crash does not fire twice");
+        assert_eq!(
+            life.before(3),
+            Step::Run,
+            "the same crash does not fire twice"
+        );
         let sync = GroupLifecycle::new(&plan, 1, 0..4, false);
         assert_eq!(sync.before(3), Step::Stop, "nothing to rejoin");
-        assert_eq!(GroupLifecycle::new(&plan, 0, 0..4, true).before(3), Step::Run);
+        assert_eq!(
+            GroupLifecycle::new(&plan, 0, 0..4, true).before(3),
+            Step::Run
+        );
     }
 
     #[test]
@@ -116,10 +131,17 @@ mod tests {
             .with_recovery(1, 0.1);
         let life = GroupLifecycle::new(&plan, 0, 0..3, true);
         assert_eq!(life.before(3), Step::Run);
-        assert_eq!(life.before(4), Step::Stop, "a node loss wins over the repair");
+        assert_eq!(
+            life.before(4),
+            Step::Stop,
+            "a node loss wins over the repair"
+        );
         assert_eq!(life.before(9), Step::Stop);
         let other_rank = GroupLifecycle::new(&plan, 0, 1..2, true);
-        assert!(matches!(other_rank.before(4), Step::Repair(_)), "rank 2 not watched");
+        assert!(
+            matches!(other_rank.before(4), Step::Repair(_)),
+            "rank 2 not watched"
+        );
     }
 
     #[test]
@@ -128,6 +150,10 @@ mod tests {
         assert_eq!(life.applied(1), 0);
         assert_eq!(life.applied(4), 2, "versions 2 and 3 landed in between");
         life.rejoin(10);
-        assert_eq!(life.applied(12), 1, "counted from the rejoin, not the crash");
+        assert_eq!(
+            life.applied(12),
+            1,
+            "counted from the rejoin, not the crash"
+        );
     }
 }

@@ -33,9 +33,7 @@ use crate::faults::FaultPlan;
 use crate::jitter::JitterModel;
 use crate::knl::{KnlModel, LayerCost};
 use crate::lifecycle::{GroupLifecycle, Step};
-use crate::topology::{
-    allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement,
-};
+use crate::topology::{allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement};
 use scidl_tensor::TensorRng;
 
 /// Splits `total` into `parts` shard sizes whose sum is exactly `total`
@@ -46,7 +44,9 @@ pub fn split_even(total: u64, parts: usize) -> Vec<u64> {
     let parts = parts.max(1);
     let base = total / parts as u64;
     let rem = total % parts as u64;
-    (0..parts as u64).map(|i| base + u64::from(i < rem)).collect()
+    (0..parts as u64)
+        .map(|i| base + u64::from(i < rem))
+        .collect()
 }
 
 /// Static cost description of a training workload (built from a real
@@ -86,7 +86,10 @@ impl Workload {
 
     /// Training FLOPs per image (sum over layers).
     pub fn flops_per_image(&self) -> f64 {
-        self.layers.iter().map(|l| l.train_flops_per_image as f64).sum()
+        self.layers
+            .iter()
+            .map(|l| l.train_flops_per_image as f64)
+            .sum()
     }
 
     /// Input-pipeline seconds for `batch` images on one node.
@@ -136,7 +139,11 @@ pub fn single_node_profile(w: &Workload, knl: &KnlModel, batch: usize) -> Vec<Pr
         secs: w.solver_secs(w.params),
         flops: (w.params * w.solver_flops_per_param) as f64,
     });
-    out.push(ProfileEntry { name: "io".into(), secs: w.io_time(batch), flops: 0.0 });
+    out.push(ProfileEntry {
+        name: "io".into(),
+        secs: w.io_time(batch),
+        flops: 0.0,
+    });
     out
 }
 
@@ -292,7 +299,12 @@ impl SimConfig {
             self.workload
                 .layers
                 .iter()
-                .filter(|l| matches!(l.class, crate::knl::RateClass::Conv { .. } | crate::knl::RateClass::DenseSmall))
+                .filter(|l| {
+                    matches!(
+                        l.class,
+                        crate::knl::RateClass::Conv { .. } | crate::knl::RateClass::DenseSmall
+                    )
+                })
                 .count()
                 .clamp(1, 16)
         }
@@ -403,9 +415,17 @@ impl Observer for () {}
 
 enum Ev {
     /// Group finished compute + intra-group all-reduce.
-    GroupLocalDone { group: usize, iter: usize, start: f64 },
+    GroupLocalDone {
+        group: usize,
+        iter: usize,
+        start: f64,
+    },
     /// Group received all PS responses (or skipped PS when synchronous).
-    GroupIterDone { group: usize, iter: usize, start: f64 },
+    GroupIterDone {
+        group: usize,
+        iter: usize,
+        start: f64,
+    },
     /// A node failure strikes the given group.
     Failure { group: usize },
     /// A crashed group finished its repair and re-enters the run at the
@@ -517,7 +537,10 @@ impl ClusterSim {
         // The extra per-exchange hop gossip pays for crossing between the
         // partner groups' electrical groups (packed groups never share
         // one).
-        let gossip_hop = cfg.topology.as_ref().map_or(0.0, |t| t.fly.global_hop_latency);
+        let gossip_hop = cfg
+            .topology
+            .as_ref()
+            .map_or(0.0, |t| t.fly.global_hop_latency);
 
         // Failure horizon from a *full* iteration estimate — compute plus
         // collective plus the exchange leg. The seed's compute-only
@@ -529,7 +552,9 @@ impl ClusterSim {
             if gossip {
                 est += cfg.net.p2p_time(cfg.workload.model_bytes)
                     + gossip_hop
-                    + cfg.net.broadcast_time(states[0].nodes, cfg.workload.model_bytes);
+                    + cfg
+                        .net
+                        .broadcast_time(states[0].nodes, cfg.workload.model_bytes);
             } else if hybrid {
                 // Every iteration each shard serves all G groups; in
                 // steady state a group waits ~G services on the slowest
@@ -542,7 +567,9 @@ impl ClusterSim {
                     })
                     .fold(0.0, f64::max);
                 est += worst_service * groups as f64
-                    + cfg.net.broadcast_time(states[0].nodes, cfg.workload.model_bytes);
+                    + cfg
+                        .net
+                        .broadcast_time(states[0].nodes, cfg.workload.model_bytes);
             }
             est
         };
@@ -565,8 +592,9 @@ impl ClusterSim {
         // Flat, capacity-reserved result buffers: at most
         // `groups × iterations` iterations complete, so the hot loop
         // never grows a Vec.
-        let mut iter_times: Vec<Vec<f64>> =
-            (0..groups).map(|_| Vec::with_capacity(cfg.iterations)).collect();
+        let mut iter_times: Vec<Vec<f64>> = (0..groups)
+            .map(|_| Vec::with_capacity(cfg.iterations))
+            .collect();
         let mut timeline: Vec<(usize, f64, f64)> = Vec::with_capacity(groups * cfg.iterations);
         let mut staleness_sum = 0u64;
         for (g, gs) in states.iter_mut().enumerate() {
@@ -581,9 +609,8 @@ impl ClusterSim {
         let mut ps_served = vec![0u64; num_ps];
         let mut ps_crashed = vec![false; num_ps];
 
-        let iter_flops_per_group =
-            cfg.workload.flops_per_image() * cfg.batch_per_group as f64
-                + (cfg.workload.params * cfg.workload.solver_flops_per_param) as f64;
+        let iter_flops_per_group = cfg.workload.flops_per_image() * cfg.batch_per_group as f64
+            + (cfg.workload.params * cfg.workload.solver_flops_per_param) as f64;
 
         // Kick off: every group starts its first iteration at t=0
         // (unless the plan kills it before it does anything).
@@ -661,7 +688,10 @@ impl ClusterSim {
                             resume = resume.max(*free);
                         }
                         // Root broadcasts the fresh model to its group.
-                        resume + cfg.net.broadcast_time(states[group].nodes, cfg.workload.model_bytes)
+                        resume
+                            + cfg
+                                .net
+                                .broadcast_time(states[group].nodes, cfg.workload.model_bytes)
                     } else {
                         now
                     };
@@ -677,8 +707,14 @@ impl ClusterSim {
                     global_updates += 1;
                     let staleness = states[group].life.applied(global_updates);
 
-                    let mut t =
-                        IterBreakdown { group, iter, start, end: now, staleness, ..states[group].pending };
+                    let mut t = IterBreakdown {
+                        group,
+                        iter,
+                        start,
+                        end: now,
+                        staleness,
+                        ..states[group].pending
+                    };
                     if cfg.checkpoint_every > 0 && (iter + 1) % cfg.checkpoint_every == 0 {
                         t.checkpoint = cfg.workload.model_bytes as f64 / cfg.fs_bw;
                         t.end += t.checkpoint;
@@ -702,7 +738,11 @@ impl ClusterSim {
         let total_time = timeline.iter().map(|r| r.2).fold(0.0, f64::max);
         let total_flops: f64 = (0..n).map(|_| iter_flops_per_group).sum();
         let (peak, sustained) = rate_windows(&timeline, iter_flops_per_group);
-        let mean_staleness = if n == 0 { 0.0 } else { staleness_sum as f64 / n as f64 };
+        let mean_staleness = if n == 0 {
+            0.0
+        } else {
+            staleness_sum as f64 / n as f64
+        };
 
         SimResult {
             iter_times,
@@ -735,7 +775,14 @@ impl ClusterSim {
             Step::Run => {
                 obs.start(at, g, iter);
                 let dur = self.group_local_time(gs, g, iter);
-                queue.schedule(at + dur, Ev::GroupLocalDone { group: g, iter, start: at });
+                queue.schedule(
+                    at + dur,
+                    Ev::GroupLocalDone {
+                        group: g,
+                        iter,
+                        start: at,
+                    },
+                );
             }
             step => gs.halt(step, g, iter, at, queue),
         }
@@ -837,7 +884,11 @@ fn rate_windows(timeline: &[(usize, f64, f64)], flops: f64) -> (f64, f64) {
         }
     }
     // Drop the ramp-up/ramp-down edge bins from the peak estimate.
-    let interior = if bins.len() > 4 { &bins[1..bins.len() - 2] } else { &bins[..] };
+    let interior = if bins.len() > 4 {
+        &bins[1..bins.len() - 2]
+    } else {
+        &bins[..]
+    };
     let peak = interior.iter().copied().fold(0.0, f64::max) / bin;
     let window = 10.min(interior.len()).max(1);
     let mut sustained = 0.0f64;
@@ -869,7 +920,9 @@ mod tests {
                 LayerCost {
                     name: "relu".into(),
                     train_flops_per_image: 1_000_000,
-                    class: RateClass::MemoryBound { bytes_per_image: 50_000_000 },
+                    class: RateClass::MemoryBound {
+                        bytes_per_image: 50_000_000,
+                    },
                 },
             ],
             params: 600_000,
@@ -926,7 +979,11 @@ mod tests {
         let r = ClusterSim::new(cfg).run();
         // In steady state every group sees ~G-1 other updates between its
         // own (plus start-up transients).
-        assert!(r.mean_staleness > 1.5 && r.mean_staleness < 4.5, "staleness {}", r.mean_staleness);
+        assert!(
+            r.mean_staleness > 1.5 && r.mean_staleness < 4.5,
+            "staleness {}",
+            r.mean_staleness
+        );
     }
 
     #[test]
@@ -956,7 +1013,10 @@ mod tests {
         let t1024 = run(1024);
         let speedup = t1024 / t256;
         // Far from the ideal 4x.
-        assert!(speedup < 3.0, "sync strong scaling should saturate: {speedup}");
+        assert!(
+            speedup < 3.0,
+            "sync strong scaling should saturate: {speedup}"
+        );
     }
 
     #[test]
@@ -969,12 +1029,18 @@ mod tests {
         };
         let sync = run(1);
         let hybrid4 = run(4);
-        assert!(hybrid4 > sync, "hybrid-4 {hybrid4} should beat sync {sync} at 1024 nodes");
+        assert!(
+            hybrid4 > sync,
+            "hybrid-4 {hybrid4} should beat sync {sync} at 1024 nodes"
+        );
     }
 
     #[test]
     fn failure_kills_sync_but_not_hybrid() {
-        let deadly = JitterModel { fail_rate_per_node_hour: 50.0, ..JitterModel::none() };
+        let deadly = JitterModel {
+            fail_rate_per_node_hour: 50.0,
+            ..JitterModel::none()
+        };
         let mut sync_cfg = SimConfig::new(toy_workload(), 64, 1, 512);
         sync_cfg.jitter = deadly.clone();
         sync_cfg.iterations = 2000;
@@ -1049,7 +1115,10 @@ mod tests {
         let r = ClusterSim::new(cfg).run();
         assert_eq!(r.live_groups, 4, "the crashed group must rejoin");
         assert_eq!(r.iter_times[2].len(), 20, "it finishes all its iterations");
-        assert_eq!(r.recovered_iterations, 15, "iterations 5..20 ran post-recovery");
+        assert_eq!(
+            r.recovered_iterations, 15,
+            "iterations 5..20 ran post-recovery"
+        );
         assert!(r.failure_at.is_some());
     }
 
@@ -1076,7 +1145,11 @@ mod tests {
             .with_node_crash(1, 2, 6)
             .with_recovery(2, 0.5);
         let r = ClusterSim::new(cfg).run();
-        assert_eq!(r.iter_times[1].len(), 6, "group 1 completes exactly 6 iterations");
+        assert_eq!(
+            r.iter_times[1].len(),
+            6,
+            "group 1 completes exactly 6 iterations"
+        );
         assert_eq!(r.live_groups, 3);
         assert_eq!(r.recovered_iterations, 0, "a lost node is not repaired");
         assert!(r.failure_at.is_some());
@@ -1101,7 +1174,11 @@ mod tests {
             }
             fn done(&mut self, t: &IterBreakdown) {
                 let (g, iter) = (t.group, t.iter);
-                assert_eq!(t.staleness, self.applied - self.synced[g], "group {g} iteration {iter}");
+                assert_eq!(
+                    t.staleness,
+                    self.applied - self.synced[g],
+                    "group {g} iteration {iter}"
+                );
                 self.applied += 1;
                 self.recovered_updates += usize::from(g == 2 && iter >= 5);
             }
@@ -1111,7 +1188,11 @@ mod tests {
         cfg.faults = crate::faults::FaultPlan::none()
             .with_group_crash(2, 5)
             .with_recovery(2, 0.5);
-        let mut log = Log { applied: 0, synced: vec![0; 4], recovered_updates: 0 };
+        let mut log = Log {
+            applied: 0,
+            synced: vec![0; 4],
+            recovered_updates: 0,
+        };
         let r = ClusterSim::new(cfg).run_with(&mut log);
         assert_eq!(log.applied, 80);
         assert_eq!(log.recovered_updates, 15);
@@ -1157,7 +1238,10 @@ mod tests {
             crashed.images, base.images,
             "all iterations still complete after the PS repair"
         );
-        assert!(crashed.total_time > base.total_time + 4.0, "repair time is visible");
+        assert!(
+            crashed.total_time > base.total_time + 4.0,
+            "repair time is visible"
+        );
     }
 
     #[test]
@@ -1174,7 +1258,13 @@ mod tests {
 
     #[test]
     fn split_even_conserves_totals() {
-        for (total, parts) in [(100u64, 16usize), (2_411_724, 6), (321_120_352, 14), (5, 16), (0, 4)] {
+        for (total, parts) in [
+            (100u64, 16usize),
+            (2_411_724, 6),
+            (321_120_352, 14),
+            (5, 16),
+            (0, 4),
+        ] {
             let shards = split_even(total, parts);
             assert_eq!(shards.len(), parts);
             assert_eq!(shards.iter().sum::<u64>(), total, "{total} over {parts}");
@@ -1192,8 +1282,16 @@ mod tests {
         assert_eq!(cfg.wire_bytes, cfg.workload.model_bytes, "dense by default");
         cfg.wire_bytes = 480_017;
         for num_ps in [1usize, 6, 14, 16] {
-            for total in [cfg.workload.model_bytes, cfg.wire_bytes, cfg.workload.params] {
-                assert_eq!(split_even(total, num_ps).iter().sum::<u64>(), total, "{num_ps}");
+            for total in [
+                cfg.workload.model_bytes,
+                cfg.wire_bytes,
+                cfg.workload.params,
+            ] {
+                assert_eq!(
+                    split_even(total, num_ps).iter().sum::<u64>(),
+                    total,
+                    "{num_ps}"
+                );
             }
         }
         // Setting the dense size explicitly is the default run bit for
@@ -1226,7 +1324,9 @@ mod tests {
         cfg.iterations = 10;
         cfg.overlap_comm = true;
         cfg.checkpoint_every = 3;
-        cfg.faults = FaultPlan::none().with_straggler(1, 2, 5, 3.0).with_message_delay(2, 4, 0.05);
+        cfg.faults = FaultPlan::none()
+            .with_straggler(1, 2, 5, 3.0)
+            .with_message_delay(2, 4, 0.05);
         let window = |t: &IterBreakdown| t.group == 1 && (2..5).contains(&t.iter);
         for cfg in [cfg.clone(), cfg.ideal()] {
             let ideal = cfg.jitter.sigma == 0.0;
@@ -1240,21 +1340,41 @@ mod tests {
             let mut stale_sum = 0;
             for (t, &(tg, start, end)) in log.dones.iter().zip(&plain.timeline) {
                 assert_eq!((t.group, t.start, t.end), (tg, start, end));
-                assert!(log.starts.contains(&(t.group, t.iter, start)), "every completed iteration was started");
+                assert!(
+                    log.starts.contains(&(t.group, t.iter, start)),
+                    "every completed iteration was started"
+                );
                 // The parts tile the iteration, checkpoint stall included.
                 let parts = t.compute + t.straggler + t.allreduce + t.ps + t.checkpoint;
-                assert!((parts - (end - start)).abs() < 1e-9 * end.max(1.0), "{parts} vs {}", end - start);
+                assert!(
+                    (parts - (end - start)).abs() < 1e-9 * end.max(1.0),
+                    "{parts} vs {}",
+                    end - start
+                );
                 assert!(t.hidden >= 0.0 && t.ps > 0.0 && t.straggler >= 0.0);
                 assert_eq!(t.checkpoint > 0.0, (t.iter + 1) % 3 == 0);
                 if ideal {
-                    assert_eq!(t.straggler > 0.0, window(t), "group {} iter {}", t.group, t.iter);
+                    assert_eq!(
+                        t.straggler > 0.0,
+                        window(t),
+                        "group {} iter {}",
+                        t.group,
+                        t.iter
+                    );
                 }
                 stale_sum += t.staleness;
             }
             assert_eq!(stale_sum as f64 / 40.0, plain.mean_staleness);
             // The delay lands in the PS leg of the iteration it precedes.
-            let delayed = log.dones.iter().find(|t| (t.group, t.iter) == (2, 4)).unwrap();
-            assert!(delayed.ps >= 0.05, "the delay is booked under ps: {delayed:?}");
+            let delayed = log
+                .dones
+                .iter()
+                .find(|t| (t.group, t.iter) == (2, 4))
+                .unwrap();
+            assert!(
+                delayed.ps >= 0.05,
+                "the delay is booked under ps: {delayed:?}"
+            );
         }
     }
 
@@ -1276,9 +1396,13 @@ mod tests {
         // down once per group iteration.
         let net = AriesModel::default();
         let charged: f64 = shards.iter().map(|&b| 2.0 * net.p2p_time(b)).sum();
-        let truncated: f64 =
-            (0..num_ps).map(|_| 2.0 * net.p2p_time(w.model_bytes / num_ps as u64)).sum();
-        assert!(charged > truncated, "remainder bytes must show up in the cost");
+        let truncated: f64 = (0..num_ps)
+            .map(|_| 2.0 * net.p2p_time(w.model_bytes / num_ps as u64))
+            .sum();
+        assert!(
+            charged > truncated,
+            "remainder bytes must show up in the cost"
+        );
 
         let mut cfg = SimConfig::new(w, 16, 4, 64).ideal();
         cfg.iterations = 8;
@@ -1301,7 +1425,10 @@ mod tests {
         };
         let plain = run(None);
         let flat = run(Some(TopologyConfig::packed(CollectiveKind::FlatRing)));
-        assert!(flat < plain, "placed flat ring must pay topology costs: {flat} vs {plain}");
+        assert!(
+            flat < plain,
+            "placed flat ring must pay topology costs: {flat} vs {plain}"
+        );
     }
 
     #[test]
@@ -1319,7 +1446,10 @@ mod tests {
         // differs, so hierarchical wins deterministically.
         let flat = run(CollectiveKind::FlatRing);
         let hier = run(CollectiveKind::Hierarchical);
-        assert!(hier > flat, "hierarchical should beat flat at 2048 nodes: {hier} vs {flat}");
+        assert!(
+            hier > flat,
+            "hierarchical should beat flat at 2048 nodes: {hier} vs {flat}"
+        );
     }
 
     #[test]
@@ -1330,7 +1460,10 @@ mod tests {
         let r = ClusterSim::new(cfg).run();
         assert_eq!(r.iter_times.iter().map(Vec::len).sum::<usize>(), 80);
         assert_eq!(r.live_groups, 4);
-        assert!(r.mean_staleness > 0.0, "gossip averaging is still asynchronous");
+        assert!(
+            r.mean_staleness > 0.0,
+            "gossip averaging is still asynchronous"
+        );
 
         // Gossip exchanges a model p2p + broadcast instead of queueing on
         // the PS bank: with many groups hammering few shards, gossip must
@@ -1356,14 +1489,25 @@ mod tests {
         // iteration, whatever the node count — O(1) work per group
         // iteration up to twice the paper's machine, on the packed
         // hierarchical-collective topology.
-        let grid = [(16, 4, 10), (1024, 4, 1000), (4096, 8, 1000), (9688, 8, 1000), (19_376, 16, 1000)];
+        let grid = [
+            (16, 4, 10),
+            (1024, 4, 1000),
+            (4096, 8, 1000),
+            (9688, 8, 1000),
+            (19_376, 16, 1000),
+        ];
         for (nodes, groups, iterations) in grid {
-            let mut cfg = SimConfig::new(toy_workload(), nodes, groups, 8 * (nodes / groups)).ideal();
+            let mut cfg =
+                SimConfig::new(toy_workload(), nodes, groups, 8 * (nodes / groups)).ideal();
             cfg.iterations = iterations;
             cfg.seed = 0x51CA1E ^ nodes as u64;
             cfg.topology = Some(TopologyConfig::packed(CollectiveKind::Hierarchical));
             let r = ClusterSim::new(cfg).run();
-            assert_eq!(r.events_processed, 2 * (groups * iterations) as u64, "{nodes} nodes");
+            assert_eq!(
+                r.events_processed,
+                2 * (groups * iterations) as u64,
+                "{nodes} nodes"
+            );
         }
     }
 
@@ -1387,18 +1531,25 @@ mod tests {
         // MTBF tuned so the expected first failure lands well inside the
         // communication-dominated run but *past* the compute-only
         // horizon the old estimate produced.
-        cfg.jitter = JitterModel { fail_rate_per_node_hour: 7.0e-3, ..JitterModel::default() };
+        cfg.jitter = JitterModel {
+            fail_rate_per_node_hour: 7.0e-3,
+            ..JitterModel::default()
+        };
         let r = ClusterSim::new(cfg.clone()).run();
-        let compute_only_horizon = cfg.workload.node_iteration_time(&cfg.knl, 8)
-            * cfg.iterations as f64
-            * 1.5;
-        let failure = r.failure_at.expect("mid-run MTBF failure must fire at 9688 nodes");
+        let compute_only_horizon =
+            cfg.workload.node_iteration_time(&cfg.knl, 8) * cfg.iterations as f64 * 1.5;
+        let failure = r
+            .failure_at
+            .expect("mid-run MTBF failure must fire at 9688 nodes");
         assert!(
             failure > compute_only_horizon,
             "failure at {failure:.1}s should be beyond the compute-only horizon \
              ({compute_only_horizon:.1}s) the old estimate used"
         );
-        assert!(failure < r.total_time, "failure fires mid-run, not after it");
+        assert!(
+            failure < r.total_time,
+            "failure fires mid-run, not after it"
+        );
         assert_eq!(r.live_groups, 7, "one group lost, seven carry on");
     }
 

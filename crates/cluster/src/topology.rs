@@ -211,7 +211,7 @@ mod tests {
         let fly = Dragonfly::default();
         let p = Placement::contiguous(1000, &fly);
         assert_eq!(p.groups_spanned(), 3); // ceil(1000/384)
-        // Only 2 internal boundaries + the ring wrap cross groups.
+                                           // Only 2 internal boundaries + the ring wrap cross groups.
         assert!(p.boundary_fraction() < 0.01);
     }
 
@@ -323,7 +323,10 @@ mod tests {
         assert_eq!(p.groups_spanned(), 1);
         let hier = hierarchical_allreduce_time(&net, &fly, &p, 1 << 20);
         assert!((hier - net.allreduce_time(256, 1 << 20)).abs() < 1e-12);
-        assert_eq!(hierarchical_allreduce_time(&net, &fly, &Placement::balanced(1, &fly), 1 << 20), 0.0);
+        assert_eq!(
+            hierarchical_allreduce_time(&net, &fly, &Placement::balanced(1, &fly), 1 << 20),
+            0.0
+        );
     }
 
     #[test]

@@ -23,7 +23,9 @@ fn toy_workload(flops_gf: u64) -> Workload {
             LayerCost {
                 name: "relu".into(),
                 train_flops_per_image: 1_000_000,
-                class: RateClass::MemoryBound { bytes_per_image: 10_000_000 },
+                class: RateClass::MemoryBound {
+                    bytes_per_image: 10_000_000,
+                },
             },
         ],
         params: 500_000,

@@ -34,7 +34,10 @@ impl RingFabric {
         }
         // Sender r feeds receiver (r+1) % n: rotate receivers left by one.
         receivers.rotate_left(n - 1);
-        Self { to_next: senders, from_prev: receivers }
+        Self {
+            to_next: senders,
+            from_prev: receivers,
+        }
     }
 
     /// Splits the fabric into per-rank endpoints `(send_next, recv_prev)`.
@@ -138,7 +141,9 @@ pub fn ring_allreduce_mean_scratch(
         scratch.starts.extend((0..=n).map(|c| c * len / n));
         scratch.starts_key = (n, len);
     }
-    let gone = || CommError::ChannelClosed { context: "ring neighbour" };
+    let gone = || CommError::ChannelClosed {
+        context: "ring neighbour",
+    };
 
     // Reduce-scatter: in step s, send chunk (rank - s) and receive+add
     // chunk (rank - s - 1).
@@ -176,7 +181,10 @@ pub fn ring_allreduce_mean_scratch(
     tr.span(
         rank as u64,
         t0,
-        scidl_trace::EventKind::Allreduce { elems: len as u64, bytes: len as u64 * 4 },
+        scidl_trace::EventKind::Allreduce {
+            elems: len as u64,
+            bytes: len as u64 * 4,
+        },
     );
     Ok(())
 }
@@ -193,8 +201,7 @@ mod tests {
             .enumerate()
             .map(|(rank, (tx, rx))| {
                 thread::spawn(move || {
-                    let mut data: Vec<f32> =
-                        (0..len).map(|i| (rank * len + i) as f32).collect();
+                    let mut data: Vec<f32> = (0..len).map(|i| (rank * len + i) as f32).collect();
                     ring_allreduce_mean(rank, n, &mut data, &tx, &rx).unwrap();
                     data
                 })
@@ -205,9 +212,7 @@ mod tests {
 
     fn expected(n: usize, len: usize) -> Vec<f32> {
         (0..len)
-            .map(|i| {
-                (0..n).map(|r| (r * len + i) as f32).sum::<f32>() / n as f32
-            })
+            .map(|i| (0..n).map(|r| (r * len + i) as f32).sum::<f32>() / n as f32)
             .collect()
     }
 
@@ -319,7 +324,10 @@ mod tests {
                 .collect();
             let fresh: Vec<Vec<f32>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
             for rank in 0..n {
-                assert_eq!(scratch_out[rank][round], fresh[rank], "rank {rank} round {round}");
+                assert_eq!(
+                    scratch_out[rank][round], fresh[rank],
+                    "rank {rank} round {round}"
+                );
             }
         }
     }
@@ -337,8 +345,7 @@ mod tests {
             .enumerate()
             .map(|(rank, c)| {
                 thread::spawn(move || {
-                    let mut data: Vec<f32> =
-                        (0..len).map(|i| (rank * len + i) as f32).collect();
+                    let mut data: Vec<f32> = (0..len).map(|i| (rank * len + i) as f32).collect();
                     c.allreduce_mean(&mut data);
                     data
                 })

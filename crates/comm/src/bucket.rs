@@ -94,7 +94,12 @@ impl BucketPlan {
             }
             block_bucket[b] = ranges.len() - 1;
         }
-        Self { block_bucket, block_range, ranges, total }
+        Self {
+            block_bucket,
+            block_range,
+            ranges,
+            total,
+        }
     }
 
     /// Number of buckets.
@@ -222,19 +227,38 @@ impl OverlapContext {
                 let mut poisoned = false;
                 while let Ok((idx, mut data)) = work_rx.recv() {
                     let res = if poisoned {
-                        Err(CommError::ChannelClosed { context: "ring neighbour" })
+                        Err(CommError::ChannelClosed {
+                            context: "ring neighbour",
+                        })
                     } else {
                         let ring = (&send_next, &recv_prev);
-                        reduce_bucket(idx, &mut data, rank, n, policy, &mut efs, &mut scratch, ring)
+                        reduce_bucket(
+                            idx,
+                            &mut data,
+                            rank,
+                            n,
+                            policy,
+                            &mut efs,
+                            &mut scratch,
+                            ring,
+                        )
                     };
                     poisoned |= res.is_err();
-                    if reply_tx.send((idx, res.map(|bytes| (data, bytes)))).is_err() {
+                    if reply_tx
+                        .send((idx, res.map(|bytes| (data, bytes))))
+                        .is_err()
+                    {
                         break; // training thread is gone
                     }
                 }
             })
             .expect("spawn overlap comm thread");
-        Self { rank, to_comm, from_comm, handle: Some(handle) }
+        Self {
+            rank,
+            to_comm,
+            from_comm,
+            handle: Some(handle),
+        }
     }
 
     /// Begins one overlapped training step over `plan`, borrowing the
@@ -314,7 +338,11 @@ impl BucketStream<'_> {
     /// ship → drain, with the backward-concurrent time as `hidden_s`.
     pub fn finish(self, out: &mut [&mut [f32]]) -> CommResult<usize> {
         let out_len: usize = out.iter().map(|b| b.len()).sum();
-        assert_eq!(out_len, self.plan.total_len(), "finish buffer length mismatch");
+        assert_eq!(
+            out_len,
+            self.plan.total_len(),
+            "finish buffer length mismatch"
+        );
         let buckets = self.plan.num_buckets();
         assert_eq!(
             self.next_to_ship, buckets,
@@ -335,8 +363,9 @@ impl BucketStream<'_> {
                     first_err = first_err.or(Some(e));
                 }
                 Err(_) => {
-                    first_err = first_err
-                        .or(Some(CommError::ChannelClosed { context: "overlap comm thread" }));
+                    first_err = first_err.or(Some(CommError::ChannelClosed {
+                        context: "overlap comm thread",
+                    }));
                     break;
                 }
             }
@@ -346,7 +375,10 @@ impl BucketStream<'_> {
         tr.span(
             self.ctx.rank as u64,
             t0,
-            scidl_trace::EventKind::Overlap { buckets: buckets as u64, hidden_s },
+            scidl_trace::EventKind::Overlap {
+                buckets: buckets as u64,
+                hidden_s,
+            },
         );
         match first_err {
             None => Ok(wire_bytes),
@@ -376,7 +408,11 @@ fn scatter(blocks: &mut [&mut [f32]], mut at: usize, mut src: &[f32]) {
 impl BucketSink for BucketStream<'_> {
     fn push_block(&mut self, block: usize, grad: &[f32]) {
         let (blo, bhi) = self.plan.block_flat_range(block);
-        assert_eq!(grad.len(), bhi - blo, "block {block} gradient length mismatch");
+        assert_eq!(
+            grad.len(),
+            bhi - blo,
+            "block {block} gradient length mismatch"
+        );
         let k = self.plan.bucket_of(block);
         let (lo, hi) = self.plan.bucket_range(k);
         let staging = &mut self.staging[k];
@@ -389,7 +425,11 @@ impl BucketSink for BucketStream<'_> {
     }
 
     fn push_flat(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.plan.total_len(), "flat gradient length mismatch");
+        assert_eq!(
+            flat.len(),
+            self.plan.total_len(),
+            "flat gradient length mismatch"
+        );
         for b in (0..self.plan.num_blocks()).rev() {
             let (lo, hi) = self.plan.block_flat_range(b);
             self.push_block(b, &flat[lo..hi]);
@@ -438,7 +478,11 @@ pub fn bucketed_allreduce_mean_compressed(
     send_next: &Sender<Vec<f32>>,
     recv_prev: &Receiver<Vec<f32>>,
 ) -> CommResult<usize> {
-    assert_eq!(data.len(), plan.total_len(), "flat gradient length mismatch");
+    assert_eq!(
+        data.len(),
+        plan.total_len(),
+        "flat gradient length mismatch"
+    );
     let ring = (send_next, recv_prev);
     (0..plan.num_buckets())
         .map(|k| {
@@ -515,7 +559,9 @@ mod tests {
     fn rank_grad(rank: usize, len: usize, seed: u64) -> Vec<f32> {
         (0..len)
             .map(|i| {
-                let x = (i as u64).wrapping_mul(6364136223846793005).wrapping_add(seed)
+                let x = (i as u64)
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(seed)
                     ^ ((rank as u64) << 17);
                 ((x % 2003) as f32 - 1001.0) * 1e-3
             })
@@ -682,7 +728,10 @@ mod tests {
         let per_rank: Vec<Vec<Vec<f32>>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         for (rank, outs) in per_rank.iter().enumerate() {
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert!(outs[0].iter().all(|x| x.is_finite()), "flat finish left a gap");
+            assert!(
+                outs[0].iter().all(|x| x.is_finite()),
+                "flat finish left a gap"
+            );
             for out in &outs[1..] {
                 assert_eq!(
                     bits(out),
@@ -793,7 +842,15 @@ mod tests {
                     for step in 0..steps {
                         let mut data = rank_grad(rank, total, 1000 + step as u64);
                         let bytes = bucketed_allreduce_mean_compressed(
-                            &plan, rank, n, &mut data, policy, &mut efs, &mut scratch, &tx, &rx,
+                            &plan,
+                            rank,
+                            n,
+                            &mut data,
+                            policy,
+                            &mut efs,
+                            &mut scratch,
+                            &tx,
+                            &rx,
                         )
                         .unwrap();
                         outs.push((data, bytes));
@@ -812,7 +869,10 @@ mod tests {
             );
         }
         for rank in 1..n {
-            assert_eq!(overlapped[0], overlapped[rank], "ranks disagree under {policy:?}");
+            assert_eq!(
+                overlapped[0], overlapped[rank],
+                "ranks disagree under {policy:?}"
+            );
         }
     }
 
@@ -944,7 +1004,10 @@ mod tests {
         // Block 2 is bucket 0, which completed; the failed buckets'
         // blocks 0 and 1 are untouched.
         let (lo2, hi2) = plan.block_flat_range(2);
-        assert!(out[lo2..hi2].iter().all(|&x| x != SENTINEL), "block 2 should be applied");
+        assert!(
+            out[lo2..hi2].iter().all(|&x| x != SENTINEL),
+            "block 2 should be applied"
+        );
         for b in 0..2 {
             let (lo, hi) = plan.block_flat_range(b);
             assert!(
@@ -1002,7 +1065,10 @@ mod tests {
         // be untouched sentinels, in whichever destination block they
         // land (block 2 holds the tail of bucket 1 and all of bucket 0).
         let (lo0, hi0) = plan.bucket_range(0);
-        assert!(out[lo0..hi0].iter().all(|&x| x != SENTINEL), "bucket 0 should be applied");
+        assert!(
+            out[lo0..hi0].iter().all(|&x| x != SENTINEL),
+            "bucket 0 should be applied"
+        );
         for k in 1..plan.num_buckets() {
             let (lo, hi) = plan.bucket_range(k);
             assert!(

@@ -85,9 +85,7 @@ impl Compression {
             "int16" => Ok(Compression::Int16),
             _ => {
                 if let Some(d) = s.strip_prefix("topk:") {
-                    let density: f32 = d
-                        .parse()
-                        .map_err(|_| format!("bad top-k density {d:?}"))?;
+                    let density: f32 = d.parse().map_err(|_| format!("bad top-k density {d:?}"))?;
                     if density > 0.0 && density <= 1.0 {
                         Ok(Compression::TopK { density })
                     } else {
@@ -218,7 +216,9 @@ impl CompressedGrad {
         assert_eq!(out.len(), self.len(), "decompress length mismatch");
         match self {
             CompressedGrad::Dense(v) => out.copy_from_slice(v),
-            CompressedGrad::TopK { indices, values, .. } => {
+            CompressedGrad::TopK {
+                indices, values, ..
+            } => {
                 out.fill(0.0);
                 for (&i, &v) in indices.iter().zip(values) {
                     out[i as usize] = v;
@@ -256,7 +256,11 @@ pub struct ErrorFeedback {
 impl ErrorFeedback {
     /// Fresh (zero-residual) state for `policy`.
     pub fn new(policy: Compression) -> Self {
-        Self { policy, residual: Vec::new(), sel: Vec::new() }
+        Self {
+            policy,
+            residual: Vec::new(),
+            sel: Vec::new(),
+        }
     }
 
     /// Current residual (empty before the first round).
@@ -266,7 +270,11 @@ impl ErrorFeedback {
 
     /// Residual magnitude (L2), for diagnostics.
     pub fn residual_norm(&self) -> f64 {
-        self.residual.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt()
+        self.residual
+            .iter()
+            .map(|&x| x as f64 * x as f64)
+            .sum::<f64>()
+            .sqrt()
     }
 
     fn ensure_len(&mut self, len: usize) {
@@ -291,7 +299,9 @@ impl ErrorFeedback {
     /// leaves holding the sent values, so
     /// `msg.decompress_into(..) == data` afterwards.
     pub fn encode(&mut self, data: &mut [f32]) -> CompressedGrad {
-        self.round(data, true).1.expect("encode always builds a message")
+        self.round(data, true)
+            .1
+            .expect("encode always builds a message")
     }
 
     fn round(&mut self, data: &mut [f32], want_msg: bool) -> (usize, Option<CompressedGrad>) {
@@ -344,7 +354,10 @@ impl ErrorFeedback {
             if let Some((first, count, value)) = scidl_trace::scan_nonfinite(data) {
                 scidl_trace::nonfinite_hook("compress.topk", first, count, value);
                 data.fill(f32::NAN);
-                return (bytes, want_msg.then_some(CompressedGrad::Poisoned { len: len as u32 }));
+                return (
+                    bytes,
+                    want_msg.then_some(CompressedGrad::Poisoned { len: len as u32 }),
+                );
             }
             let msg = want_msg.then(|| CompressedGrad::TopK {
                 len: len as u32,
@@ -354,16 +367,18 @@ impl ErrorFeedback {
             return (bytes, msg);
         }
         if !self.compensate(data, "compress.topk") {
-            return (bytes, want_msg.then_some(CompressedGrad::Poisoned { len: len as u32 }));
+            return (
+                bytes,
+                want_msg.then_some(CompressedGrad::Poisoned { len: len as u32 }),
+            );
         }
         // Deterministic selection: order by (|value| desc, index asc) —
         // a total order, so the kept set is a pure function of the data.
         self.sel.clear();
         self.sel.extend(0..len as u32);
         let key = |i: u32| data[i as usize].abs();
-        self.sel.select_nth_unstable_by(k - 1, |&a, &b| {
-            key(b).total_cmp(&key(a)).then(a.cmp(&b))
-        });
+        self.sel
+            .select_nth_unstable_by(k - 1, |&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
         self.sel[..k].sort_unstable();
         // Sweep: kept elements are sent exactly (residual 0); dropped
         // elements are sent as 0 (residual = compensated value). Both
@@ -395,9 +410,16 @@ impl ErrorFeedback {
         let len = data.len();
         let wide = qmax > 255.0;
         let bytes = 4 + len * if wide { 2 } else { 1 };
-        let source = if wide { "compress.int16" } else { "compress.int8" };
+        let source = if wide {
+            "compress.int16"
+        } else {
+            "compress.int8"
+        };
         if !self.compensate(data, source) {
-            return (bytes, want_msg.then_some(CompressedGrad::Poisoned { len: len as u32 }));
+            return (
+                bytes,
+                want_msg.then_some(CompressedGrad::Poisoned { len: len as u32 }),
+            );
         }
         // Same arithmetic as `scidl_tensor::ops::quantize_i8/16`, fused
         // with the residual update so the hot path stays allocation-free:
@@ -477,11 +499,11 @@ mod tests {
         // topk 10% of 1000 = 100 kept × (4B index + 4B value) + count.
         assert_eq!(Compression::TopK { density: 0.1 }.wire_bytes(1000), 804);
         // ≥4× reduction at top-k 10% (the fig8 acceptance criterion).
-        assert!(Compression::None.wire_bytes(1000) >= 4 * Compression::TopK { density: 0.1 }.wire_bytes(1000));
-        assert_eq!(
-            Compression::TopK { density: 0.1 }.wire_bytes_u64(1000),
-            804
+        assert!(
+            Compression::None.wire_bytes(1000)
+                >= 4 * Compression::TopK { density: 0.1 }.wire_bytes(1000)
         );
+        assert_eq!(Compression::TopK { density: 0.1 }.wire_bytes_u64(1000), 804);
     }
 
     fn stream(seed: u64, len: usize) -> Vec<f32> {
@@ -521,7 +543,8 @@ mod tests {
                 for i in 0..orig.len() {
                     let back = sent[i] + ef.residual().get(i).copied().unwrap_or(0.0);
                     assert_eq!(
-                        back, compensated[i],
+                        back,
+                        compensated[i],
                         "{policy:?} round {round} elem {i}: {} + {} != {}",
                         sent[i],
                         ef.residual()[i],
@@ -580,7 +603,9 @@ mod tests {
         let mut data = vec![0.1, -5.0, 0.2, 4.0, -0.3, 0.0, 1.0, -1.0];
         let msg = ef.encode(&mut data);
         match msg {
-            CompressedGrad::TopK { indices, values, .. } => {
+            CompressedGrad::TopK {
+                indices, values, ..
+            } => {
                 assert_eq!(indices, vec![1, 3]);
                 assert_eq!(values, vec![-5.0, 4.0]);
             }
@@ -642,7 +667,11 @@ mod tests {
         scidl_trace::uninstall();
         let alerts = sink.health_alerts();
         assert!(
-            alerts.iter().filter(|a| a.source == "compress.int8").count() >= 3,
+            alerts
+                .iter()
+                .filter(|a| a.source == "compress.int8")
+                .count()
+                >= 3,
             "each poisoned round must report to the sentinel, got {alerts:?}"
         );
     }
@@ -658,11 +687,14 @@ mod tests {
             .map(|(rank, comm)| {
                 thread::spawn(move || {
                     let mut state = ErrorFeedback::new(Compression::Int8);
-                    let mut data: Vec<f32> =
-                        (0..len).map(|i| ((rank * len + i) % 13) as f32 * 0.1 - 0.6).collect();
+                    let mut data: Vec<f32> = (0..len)
+                        .map(|i| ((rank * len + i) % 13) as f32 * 0.1 - 0.6)
+                        .collect();
                     let exact: Vec<f32> = (0..len)
                         .map(|i| {
-                            (0..n).map(|r| ((r * len + i) % 13) as f32 * 0.1 - 0.6).sum::<f32>()
+                            (0..n)
+                                .map(|r| ((r * len + i) % 13) as f32 * 0.1 - 0.6)
+                                .sum::<f32>()
                                 / n as f32
                         })
                         .collect();

@@ -60,11 +60,21 @@ impl fmt::Display for CommError {
             Self::Timeout { context, waited } => {
                 write!(f, "{context}: no reply within {waited:?}")
             }
-            Self::SizeMismatch { context, expected, got } => {
-                write!(f, "{context}: length {got} does not match shard length {expected}")
+            Self::SizeMismatch {
+                context,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "{context}: length {got} does not match shard length {expected}"
+                )
             }
             Self::RetriesExhausted { context, attempts } => {
-                write!(f, "{context}: failed after {attempts} attempts (respawns included)")
+                write!(
+                    f,
+                    "{context}: failed after {attempts} attempts (respawns included)"
+                )
             }
             Self::ServerPanicked { context } => write!(f, "{context}: server thread panicked"),
         }
@@ -79,10 +89,17 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = CommError::SizeMismatch { context: "PS update", expected: 4, got: 3 };
+        let e = CommError::SizeMismatch {
+            context: "PS update",
+            expected: 4,
+            got: 3,
+        };
         assert!(e.to_string().contains("PS update"));
         assert!(e.to_string().contains('3') && e.to_string().contains('4'));
-        let t = CommError::Timeout { context: "PS fetch", waited: Duration::from_millis(5) };
+        let t = CommError::Timeout {
+            context: "PS fetch",
+            waited: Duration::from_millis(5),
+        };
         assert!(t.to_string().contains("PS fetch"));
     }
 }

@@ -64,8 +64,13 @@ impl From<Vec<f32>> for PsUpdate {
 }
 
 enum PsRequest {
-    Update { msg: PsUpdate, reply: Sender<PsReply> },
-    Fetch { reply: Sender<PsReply> },
+    Update {
+        msg: PsUpdate,
+        reply: Sender<PsReply>,
+    },
+    Fetch {
+        reply: Sender<PsReply>,
+    },
     /// Fault injection: the server thread exits abruptly — no drain, no
     /// reply, pending requests lost (models a killed PS node).
     Crash,
@@ -139,14 +144,23 @@ impl PsServer {
                         tr.span(
                             track,
                             t0,
-                            scidl_trace::EventKind::PsService { shard: shard as u64, version },
+                            scidl_trace::EventKind::PsService {
+                                shard: shard as u64,
+                                version,
+                            },
                         );
                         // The requester may have gone away; ignore send
                         // failures (a dead group, Sec. VIII-A).
-                        let _ = reply.send(PsReply { params: params.clone(), version });
+                        let _ = reply.send(PsReply {
+                            params: params.clone(),
+                            version,
+                        });
                     }
                     PsRequest::Fetch { reply } => {
-                        let _ = reply.send(PsReply { params: params.clone(), version });
+                        let _ = reply.send(PsReply {
+                            params: params.clone(),
+                            version,
+                        });
                     }
                     PsRequest::Crash => return version,
                     PsRequest::Shutdown => break,
@@ -154,7 +168,11 @@ impl PsServer {
             }
             version
         });
-        Self { tx, handle: Some(handle), param_len }
+        Self {
+            tx,
+            handle: Some(handle),
+            param_len,
+        }
     }
 
     /// Length of the parameter shard this server owns.
@@ -166,8 +184,9 @@ impl PsServer {
     /// parameters.
     pub fn update(&self, grad: impl Into<PsUpdate>) -> CommResult<PsReply> {
         let rrx = self.update_async(grad)?;
-        rrx.recv()
-            .map_err(|_| CommError::ChannelClosed { context: "PS update reply" })
+        rrx.recv().map_err(|_| CommError::ChannelClosed {
+            context: "PS update reply",
+        })
     }
 
     /// Posts a gradient without blocking; the reply arrives on the
@@ -185,15 +204,18 @@ impl PsServer {
         let (rtx, rrx) = bounded(1);
         self.tx
             .send(PsRequest::Update { msg, reply: rtx })
-            .map_err(|_| CommError::ChannelClosed { context: "PS update" })?;
+            .map_err(|_| CommError::ChannelClosed {
+                context: "PS update",
+            })?;
         Ok(rrx)
     }
 
     /// Fetches the current parameters without updating.
     pub fn fetch(&self) -> CommResult<PsReply> {
         let rrx = self.fetch_async()?;
-        rrx.recv()
-            .map_err(|_| CommError::ChannelClosed { context: "PS fetch reply" })
+        rrx.recv().map_err(|_| CommError::ChannelClosed {
+            context: "PS fetch reply",
+        })
     }
 
     /// Posts a fetch without blocking; the reply arrives on the returned
@@ -202,7 +224,9 @@ impl PsServer {
         let (rtx, rrx) = bounded(1);
         self.tx
             .send(PsRequest::Fetch { reply: rtx })
-            .map_err(|_| CommError::ChannelClosed { context: "PS fetch" })?;
+            .map_err(|_| CommError::ChannelClosed {
+                context: "PS fetch",
+            })?;
         Ok(rrx)
     }
 
@@ -218,16 +242,20 @@ impl PsServer {
         let _ = self.tx.send(PsRequest::Shutdown);
         self.handle
             .take()
-            .ok_or(CommError::ChannelClosed { context: "PS shutdown" })?
+            .ok_or(CommError::ChannelClosed {
+                context: "PS shutdown",
+            })?
             .join()
-            .map_err(|_| CommError::ServerPanicked { context: "PS shutdown" })
+            .map_err(|_| CommError::ServerPanicked {
+                context: "PS shutdown",
+            })
     }
 
     /// Drops the handle without joining — used by the supervisor when it
     /// replaces a hung server whose thread can never be joined.
     pub fn abandon(mut self) {
         self.handle.take(); // detach
-        // Dropping `tx` afterwards closes the request channel.
+                            // Dropping `tx` afterwards closes the request channel.
     }
 }
 
@@ -318,7 +346,10 @@ mod tests {
 
     fn two_block_bank() -> crate::supervisor::SupervisedPsBank {
         crate::supervisor::SupervisedPsBank::spawn(
-            vec![(vec![1.0], sgd_factory(1.0)), (vec![10.0, 20.0], sgd_factory(0.1))],
+            vec![
+                (vec![1.0], sgd_factory(1.0)),
+                (vec![10.0, 20.0], sgd_factory(0.1)),
+            ],
             Default::default(),
         )
     }
@@ -349,7 +380,11 @@ mod tests {
         let err = ps.update(vec![1.0]).unwrap_err();
         assert_eq!(
             err,
-            CommError::SizeMismatch { context: "PS update", expected: 2, got: 1 }
+            CommError::SizeMismatch {
+                context: "PS update",
+                expected: 2,
+                got: 1
+            }
         );
         // The server is still alive and serving.
         assert_eq!(ps.update(vec![1.0, 1.0]).unwrap().version, 1);
@@ -367,7 +402,10 @@ mod tests {
             match ps.update(vec![-1.0]) {
                 Err(CommError::ChannelClosed { .. }) => break,
                 Ok(_) | Err(_) => {
-                    assert!(std::time::Instant::now() < deadline, "crash never took effect");
+                    assert!(
+                        std::time::Instant::now() < deadline,
+                        "crash never took effect"
+                    );
                     std::thread::yield_now();
                 }
             }
@@ -418,7 +456,12 @@ mod tests {
         let bank = two_block_bank();
         let msgs: [PsUpdate; 2] = [
             CompressedGrad::Dense(vec![1.0]).into(),
-            CompressedGrad::TopK { len: 2, indices: vec![0, 1], values: vec![10.0, 10.0] }.into(),
+            CompressedGrad::TopK {
+                len: 2,
+                indices: vec![0, 1],
+                values: vec![10.0, 10.0],
+            }
+            .into(),
         ];
         let replies = bank.update_all(&msgs).unwrap();
         assert_eq!(replies[0].params, vec![0.0]);

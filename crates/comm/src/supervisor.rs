@@ -177,9 +177,17 @@ impl SupervisedPs {
         std::mem::replace(&mut inner.server, fresh).abandon();
         inner.generation += 1;
         inner.respawns += 1;
-        let track = if self.shard == u32::MAX { 0 } else { self.shard as u64 };
-        scidl_trace::TraceHandle::current()
-            .instant(track, scidl_trace::EventKind::PsRespawn { shard: self.shard as u64 });
+        let track = if self.shard == u32::MAX {
+            0
+        } else {
+            self.shard as u64
+        };
+        scidl_trace::TraceHandle::current().instant(
+            track,
+            scidl_trace::EventKind::PsRespawn {
+                shard: self.shard as u64,
+            },
+        );
     }
 
     /// Validates an op's gradient length, so a size mismatch is a
@@ -218,9 +226,9 @@ impl SupervisedPs {
                     context: "supervised PS reply",
                     waited: REPLY_TIMEOUT,
                 },
-                RecvTimeoutError::Disconnected => {
-                    CommError::ChannelClosed { context: "supervised PS reply" }
-                }
+                RecvTimeoutError::Disconnected => CommError::ChannelClosed {
+                    context: "supervised PS reply",
+                },
             };
             (err, generation)
         })
@@ -287,7 +295,12 @@ pub struct SupervisedPsBank {
 impl SupervisedPsBank {
     /// Spawns one supervised server per `(params, update factory)` pair.
     pub fn spawn(blocks: Vec<(Vec<f32>, UpdateFactory)>, cfg: SupervisorConfig) -> Self {
-        Self::spawn_with(blocks.into_iter().map(|(p, f)| (p, f, cfg.clone())).collect())
+        Self::spawn_with(
+            blocks
+                .into_iter()
+                .map(|(p, f)| (p, f, cfg.clone()))
+                .collect(),
+        )
     }
 
     /// Spawns a bank where each shard gets its own supervisor config —
@@ -346,7 +359,13 @@ impl SupervisedPsBank {
                 got: grads.len(),
             });
         }
-        self.fork_join(UPDATE, grads.iter().map(|g| PsOp::Update(g.clone().into())).collect())
+        self.fork_join(
+            UPDATE,
+            grads
+                .iter()
+                .map(|g| PsOp::Update(g.clone().into()))
+                .collect(),
+        )
     }
 
     /// Fetches every shard.
@@ -382,7 +401,9 @@ mod tests {
 
     #[test]
     fn survives_injected_crash() {
-        let cfg = SupervisorConfig { inject_crash_after: Some(5) };
+        let cfg = SupervisorConfig {
+            inject_crash_after: Some(5),
+        };
         let ps = SupervisedPs::spawn(vec![0.0], sgd_factory(1.0), cfg);
         for _ in 0..20 {
             ps.update(vec![-1.0]).unwrap();
@@ -391,7 +412,11 @@ mod tests {
         let f = ps.fetch().unwrap();
         // At most one in-flight update may be lost per crash; with a
         // snapshot on every reply and a single client nothing is lost here.
-        assert!(f.params[0] >= 19.0, "lost more than one update: {}", f.params[0]);
+        assert!(
+            f.params[0] >= 19.0,
+            "lost more than one update: {}",
+            f.params[0]
+        );
     }
 
     #[test]
@@ -454,7 +479,11 @@ mod tests {
         // 100 updates were issued; each crash can drop the handful that
         // were in flight. The run must complete and keep the vast
         // majority — conservation is checked exactly in the proptests.
-        assert!(f.params[0] >= 90.0, "too many updates lost: {}", f.params[0]);
+        assert!(
+            f.params[0] >= 90.0,
+            "too many updates lost: {}",
+            f.params[0]
+        );
         assert!(f.params[0] <= 100.0);
         assert!(ps.respawns() >= 1);
     }
@@ -471,7 +500,9 @@ mod tests {
         let ps = SupervisedPs::spawn(vec![0.0], dying, SupervisorConfig::default());
         for op in 1..=3u64 {
             match ps.update(vec![1.0]) {
-                Err(CommError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, MAX_RETRIES),
+                Err(CommError::RetriesExhausted { attempts, .. }) => {
+                    assert_eq!(attempts, MAX_RETRIES)
+                }
                 other => panic!("update {op} should exhaust its retries, got {other:?}"),
             }
             // Each update finds a dead server and replaces it before
@@ -494,7 +525,9 @@ mod tests {
         // lost in-flight update exactly once, so final params, versions
         // AND worker residuals must match exactly.
         let run = |inject: Option<u64>| {
-            let cfg = SupervisorConfig { inject_crash_after: inject };
+            let cfg = SupervisorConfig {
+                inject_crash_after: inject,
+            };
             let ps = SupervisedPs::spawn(vec![1.0; 16], sgd_factory(0.1), cfg);
             let mut ef = ErrorFeedback::new(Compression::TopK { density: 0.25 });
             for step in 0..24u64 {
@@ -513,7 +546,10 @@ mod tests {
         assert!(crashes >= 1, "crash injection never fired");
         assert_eq!(p_faulty, p_clean, "failover changed the applied updates");
         assert_eq!(v_faulty, v_clean, "an update was dropped or double-applied");
-        assert_eq!(r_faulty, r_clean, "failover perturbed worker-local residuals");
+        assert_eq!(
+            r_faulty, r_clean,
+            "failover perturbed worker-local residuals"
+        );
     }
 
     #[test]
@@ -538,15 +574,32 @@ mod tests {
     #[test]
     fn bank_rejects_wrong_block_count_and_wrong_block_length() {
         let bank = SupervisedPsBank::spawn(
-            vec![(vec![0.0], sgd_factory(1.0)), (vec![0.0, 0.0], sgd_factory(1.0))],
+            vec![
+                (vec![0.0], sgd_factory(1.0)),
+                (vec![0.0, 0.0], sgd_factory(1.0)),
+            ],
             SupervisorConfig::default(),
         );
         let err = bank.update_all(&[vec![1.0]]).unwrap_err();
-        assert!(matches!(err, CommError::SizeMismatch { expected: 2, got: 1, .. }));
+        assert!(matches!(
+            err,
+            CommError::SizeMismatch {
+                expected: 2,
+                got: 1,
+                ..
+            }
+        ));
         // A bad length on the *last* shard is caught before anything is
         // posted: no shard applies a partial exchange, none is respawned.
         let err = bank.update_all(&[vec![1.0], vec![1.0]]).unwrap_err();
-        assert!(matches!(err, CommError::SizeMismatch { expected: 2, got: 1, .. }));
+        assert!(matches!(
+            err,
+            CommError::SizeMismatch {
+                expected: 2,
+                got: 1,
+                ..
+            }
+        ));
         assert_eq!(bank.total_respawns(), 0);
         assert!(bank.fetch_all().unwrap().iter().all(|r| r.version == 0));
     }
@@ -571,7 +624,10 @@ mod tests {
         let replies = bank.update_all(&[vec![-1.0], vec![-2.0]]).unwrap();
         let took = t.elapsed();
         assert_eq!((replies[0].params[0], replies[1].params[0]), (1.0, 2.0));
-        assert!(took < Duration::from_millis(70), "shards were walked one by one: {took:?}");
+        assert!(
+            took < Duration::from_millis(70),
+            "shards were walked one by one: {took:?}"
+        );
     }
 
     #[test]
@@ -586,7 +642,9 @@ mod tests {
         let bank = Arc::new(SupervisedPsBank::spawn_with(
             (0..shards)
                 .map(|i| {
-                    let cfg = SupervisorConfig { inject_crash_after: (i == 2).then_some(7) };
+                    let cfg = SupervisorConfig {
+                        inject_crash_after: (i == 2).then_some(7),
+                    };
                     (vec![0.0], sgd_factory(1.0), cfg)
                 })
                 .collect(),
@@ -616,10 +674,17 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert!(bank.total_respawns() >= 1, "crash injection never fired a failover");
+        assert!(
+            bank.total_respawns() >= 1,
+            "crash injection never fired a failover"
+        );
         let finals = bank.fetch_all().unwrap();
         for i in [0, 1, 3] {
-            assert_eq!(finals[i].version, clients * rounds, "shard {i} lost or repeated an update");
+            assert_eq!(
+                finals[i].version,
+                clients * rounds,
+                "shard {i} lost or repeated an update"
+            );
             assert_eq!(finals[i].params, vec![(clients * rounds) as f32]);
         }
         // The crashed shard keeps its bounded-loss contract: updates in

@@ -57,7 +57,10 @@ impl CommWorld {
             cv: Condvar::new(),
         });
         (0..n)
-            .map(|rank| Communicator { rank, shared: Arc::clone(&shared) })
+            .map(|rank| Communicator {
+                rank,
+                shared: Arc::clone(&shared),
+            })
             .collect()
     }
 
@@ -113,7 +116,11 @@ impl Communicator {
             let inv = 1.0 / sh.n as f32;
             let mut result = vec![0.0f32; data.len()];
             for part in &st.parts {
-                assert_eq!(part.len(), data.len(), "allreduce length mismatch across ranks");
+                assert_eq!(
+                    part.len(),
+                    data.len(),
+                    "allreduce length mismatch across ranks"
+                );
                 result.iter_mut().zip(part).for_each(|(s, &d)| *s += d);
             }
             result.iter_mut().for_each(|v| *v *= inv);
@@ -215,7 +222,10 @@ mod tests {
             c.allreduce_mean(&mut data);
             data
         });
-        assert!(results.iter().all(|r| r[0].to_bits() == 0.0f32.to_bits()), "{results:?}");
+        assert!(
+            results.iter().all(|r| r[0].to_bits() == 0.0f32.to_bits()),
+            "{results:?}"
+        );
     }
 
     #[test]
@@ -250,7 +260,11 @@ mod tests {
     #[test]
     fn broadcast_distributes_root_data() {
         let results = run_ranks(4, |c| {
-            let mut data = if c.rank() == 2 { vec![7.0, 8.0, 9.0] } else { vec![0.0; 3] };
+            let mut data = if c.rank() == 2 {
+                vec![7.0, 8.0, 9.0]
+            } else {
+                vec![0.0; 3]
+            };
             c.broadcast(2, &mut data);
             data
         });
@@ -264,7 +278,11 @@ mod tests {
         let results = run_ranks(3, |c| {
             let mut out = Vec::new();
             for round in 0..10 {
-                let mut data = if c.rank() == 0 { vec![round as f32] } else { vec![-1.0] };
+                let mut data = if c.rank() == 0 {
+                    vec![round as f32]
+                } else {
+                    vec![-1.0]
+                };
                 c.broadcast(0, &mut data);
                 out.push(data[0]);
             }

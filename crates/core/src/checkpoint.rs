@@ -34,7 +34,11 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Captures a model's current parameters.
     pub fn capture(model: &dyn Model, iteration: u64, seed: u64) -> Self {
-        Self { iteration, seed, params: model.flat_params() }
+        Self {
+            iteration,
+            seed,
+            params: model.flat_params(),
+        }
     }
 
     /// Restores the parameters into a model (shapes must match).
@@ -107,7 +111,11 @@ impl Checkpoint {
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        Ok(Self { iteration, seed, params })
+        Ok(Self {
+            iteration,
+            seed,
+            params,
+        })
     }
 }
 
@@ -212,7 +220,10 @@ mod tests {
         assert_eq!(back.iteration, 2);
         let mut tmp_path = path.as_os_str().to_owned();
         tmp_path.push(".tmp");
-        assert!(!std::path::Path::new(&tmp_path).exists(), "tmp file left behind");
+        assert!(
+            !std::path::Path::new(&tmp_path).exists(),
+            "tmp file left behind"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -280,7 +291,9 @@ mod tests {
         cfg_a.seed = 0xF18;
         SimEngine::run(&cfg_a, &mut resumed, &ds);
         let path = tmp("resume");
-        Checkpoint::capture(&resumed, 2, cfg_a.seed).save(&path).unwrap();
+        Checkpoint::capture(&resumed, 2, cfg_a.seed)
+            .save(&path)
+            .unwrap();
 
         // "Restart": fresh model, restore, continue with a sampler that
         // replays the stream past the first 2 batches.
@@ -305,7 +318,14 @@ mod tests {
 
         let a = straight.flat_params();
         let b = fresh.flat_params();
-        let max_err = a.iter().zip(&b).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max);
-        assert!(max_err < 1e-6, "resume must reproduce straight-through training: {max_err}");
+        let max_err = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0f32, f32::max);
+        assert!(
+            max_err < 1e-6,
+            "resume must reproduce straight-through training: {max_err}"
+        );
     }
 }

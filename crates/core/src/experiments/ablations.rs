@@ -47,7 +47,11 @@ pub fn ps_ablation(
             let r = ClusterSim::new(cfg.clone()).run();
             rows.push(PsAblationRow {
                 groups,
-                num_ps: if num_ps == 0 { cfg.workload.layers.len().clamp(1, 16) } else { 1 },
+                num_ps: if num_ps == 0 {
+                    cfg.workload.layers.len().clamp(1, 16)
+                } else {
+                    1
+                },
                 images_per_sec: r.images_per_sec(),
             });
         }
@@ -83,7 +87,8 @@ pub fn momentum_ablation(
     let mut rows = Vec::new();
     for &groups in group_counts {
         for &momentum in momenta {
-            let mut cfg = SimEngineConfig::fig8(64.max(groups), groups, total_batch, timing.clone());
+            let mut cfg =
+                SimEngineConfig::fig8(64.max(groups), groups, total_batch, timing.clone());
             cfg.iterations = updates / groups;
             cfg.solver = SolverKind::Sgd { momentum };
             cfg.lr = 2.5e-2;
@@ -134,7 +139,10 @@ pub fn arch_workloads() -> [(&'static str, Workload); 2] {
         hep.solver_bytes_per_param,
         hep.solver_bw,
     );
-    [("paper design (GAP + 128->2 FC)", hep), ("dense head (flatten -> 4096)", dense)]
+    [
+        ("paper design (GAP + 128->2 FC)", hep),
+        ("dense head (flatten -> 4096)", dense),
+    ]
 }
 
 /// The paper's design rule quantified (Sec. I: "not use layers with
@@ -145,7 +153,15 @@ pub fn arch_ablation(iterations: usize, seed: u64) -> Vec<ArchRow> {
     let net = AriesModel::default();
     let mut rows = Vec::new();
     for (label, workload) in arch_workloads() {
-        let weak = weak_scaling(&workload, &[1024], &[4], 8, iterations, seed, &ScalingOptions::default());
+        let weak = weak_scaling(
+            &workload,
+            &[1024],
+            &[4],
+            8,
+            iterations,
+            seed,
+            &ScalingOptions::default(),
+        );
         rows.push(ArchRow {
             label,
             params: workload.params,
@@ -238,7 +254,12 @@ pub struct PlacementRow {
 /// topology-oblivious scattered placement for a compute group of
 /// `nodes` nodes on a `machine_nodes`-node machine, under both the flat
 /// placed ring and the hierarchical two-level collective.
-pub fn placement_ablation(nodes: usize, machine_nodes: usize, model_bytes: u64, seed: u64) -> Vec<PlacementRow> {
+pub fn placement_ablation(
+    nodes: usize,
+    machine_nodes: usize,
+    model_bytes: u64,
+    seed: u64,
+) -> Vec<PlacementRow> {
     use scidl_cluster::topology::{
         allreduce_time_placed, hierarchical_allreduce_time, Dragonfly, Placement,
     };
@@ -246,15 +267,18 @@ pub fn placement_ablation(nodes: usize, machine_nodes: usize, model_bytes: u64, 
     let net = scidl_cluster::AriesModel::default();
     let contiguous = Placement::contiguous(nodes, &fly);
     let scattered = Placement::scattered(nodes, machine_nodes, &fly, seed);
-    [("contiguous (Fig. 3)", contiguous), ("scattered", scattered)]
-        .into_iter()
-        .map(|(label, p)| PlacementRow {
-            label,
-            groups_spanned: p.groups_spanned(),
-            allreduce_secs: allreduce_time_placed(&net, &fly, &p, model_bytes),
-            hierarchical_secs: hierarchical_allreduce_time(&net, &fly, &p, model_bytes),
-        })
-        .collect()
+    [
+        ("contiguous (Fig. 3)", contiguous),
+        ("scattered", scattered),
+    ]
+    .into_iter()
+    .map(|(label, p)| PlacementRow {
+        label,
+        groups_spanned: p.groups_spanned(),
+        allreduce_secs: allreduce_time_placed(&net, &fly, &p, model_bytes),
+        hierarchical_secs: hierarchical_allreduce_time(&net, &fly, &p, model_bytes),
+    })
+    .collect()
 }
 
 #[cfg(test)]
@@ -284,8 +308,14 @@ mod tests {
     #[test]
     fn resilience_matches_paper_story() {
         let r = resilience(&hep_workload(), 64, 4, 9);
-        assert!(r.sync_failed, "sync run should die under heavy failure rate");
-        assert_eq!(r.hybrid_live_groups, 3, "hybrid should lose exactly one group");
+        assert!(
+            r.sync_failed,
+            "sync run should die under heavy failure rate"
+        );
+        assert_eq!(
+            r.hybrid_live_groups, 3,
+            "hybrid should lose exactly one group"
+        );
         assert!(r.hybrid_iterations_done > r.sync_iterations_done);
         // Recovery recoups the crashed group's remaining iterations.
         assert!(
@@ -307,7 +337,10 @@ mod tests {
         let rows = arch_ablation(6, 3);
         let paper = &rows[0];
         let dense = &rows[1];
-        assert!(dense.params > 100 * paper.params, "dense head should dwarf the model");
+        assert!(
+            dense.params > 100 * paper.params,
+            "dense head should dwarf the model"
+        );
         assert!(dense.allreduce_secs > 10.0 * paper.allreduce_secs);
         assert!(
             dense.images_per_sec_1024 < 0.5 * paper.images_per_sec_1024,
@@ -327,7 +360,11 @@ mod tests {
         // The hierarchical collective never loses to the flat ring, and
         // it claws back most of the scattered-placement penalty.
         for r in &rows {
-            assert!(r.hierarchical_secs <= r.allreduce_secs + 1e-15, "{}", r.label);
+            assert!(
+                r.hierarchical_secs <= r.allreduce_secs + 1e-15,
+                "{}",
+                r.label
+            );
         }
         assert!(
             bad.hierarchical_secs < bad.allreduce_secs,

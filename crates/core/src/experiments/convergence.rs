@@ -195,7 +195,11 @@ pub fn fig8(scale: &Fig8Scale, seed: u64) -> Fig8Result {
         _ => None,
     };
 
-    Fig8Result { runs, target_loss, best_hybrid_speedup }
+    Fig8Result {
+        runs,
+        target_loss,
+        best_hybrid_speedup,
+    }
 }
 
 /// One point on the convergence-vs-bytes frontier.
@@ -274,7 +278,11 @@ pub fn fig8_compress(scale: &Fig8Scale, seed: u64) -> Fig8CompressResult {
 
     let dense_bytes = runs[0].wire_bytes as f64;
     for run in &mut runs {
-        run.bytes_ratio = if run.wire_bytes > 0 { dense_bytes / run.wire_bytes as f64 } else { 0.0 };
+        run.bytes_ratio = if run.wire_bytes > 0 {
+            dense_bytes / run.wire_bytes as f64
+        } else {
+            0.0
+        };
     }
 
     Fig8CompressResult { runs, groups }
@@ -365,7 +373,11 @@ mod tests {
         for run in &r.runs {
             let expect = (scale.sync_iterations / run.groups) * run.groups;
             assert_eq!(run.curve.len(), expect, "{}", run.label);
-            assert!(run.curve.points.iter().all(|p| p.1.is_finite()), "{}", run.label);
+            assert!(
+                run.curve.points.iter().all(|p| p.1.is_finite()),
+                "{}",
+                run.label
+            );
         }
     }
 
@@ -377,7 +389,11 @@ mod tests {
         assert_eq!(dense.label, "none");
         assert!(dense.wire_bytes > 0 && dense.final_loss.is_finite());
 
-        let topk = r.runs.iter().find(|x| x.label == "topk:0.1").expect("topk:0.1 point");
+        let topk = r
+            .runs
+            .iter()
+            .find(|x| x.label == "topk:0.1")
+            .expect("topk:0.1 point");
         // Acceptance: ≥ 4× bytes reduction at top-k 10%, loss within
         // tolerance of the dense run (error feedback keeps it close).
         assert!(

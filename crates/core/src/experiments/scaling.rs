@@ -20,12 +20,18 @@ pub struct ScalingOptions {
 impl ScalingOptions {
     /// Packed placement with the hierarchical two-level collective.
     pub fn hierarchical() -> Self {
-        ScalingOptions { topology: Some(TopologyConfig::packed(CollectiveKind::Hierarchical)), gossip: false }
+        ScalingOptions {
+            topology: Some(TopologyConfig::packed(CollectiveKind::Hierarchical)),
+            gossip: false,
+        }
     }
 
     /// Packed placement with the flat topology-placed ring.
     pub fn flat() -> Self {
-        ScalingOptions { topology: Some(TopologyConfig::packed(CollectiveKind::FlatRing)), gossip: false }
+        ScalingOptions {
+            topology: Some(TopologyConfig::packed(CollectiveKind::FlatRing)),
+            gossip: false,
+        }
     }
 }
 
@@ -57,7 +63,15 @@ pub fn strong_scaling(
     seed: u64,
     opts: &ScalingOptions,
 ) -> Vec<ScalingRow> {
-    sweep(workload, node_counts, group_counts, iterations, seed, opts, |_, _| batch)
+    sweep(
+        workload,
+        node_counts,
+        group_counts,
+        iterations,
+        seed,
+        opts,
+        |_, _| batch,
+    )
 }
 
 /// Weak scaling (Fig. 7): fixed batch per node (8 in the paper).
@@ -70,9 +84,15 @@ pub fn weak_scaling(
     seed: u64,
     opts: &ScalingOptions,
 ) -> Vec<ScalingRow> {
-    sweep(workload, node_counts, group_counts, iterations, seed, opts, |nodes, groups| {
-        batch_per_node * (nodes / groups)
-    })
+    sweep(
+        workload,
+        node_counts,
+        group_counts,
+        iterations,
+        seed,
+        opts,
+        |nodes, groups| batch_per_node * (nodes / groups),
+    )
 }
 
 /// The `(groups, nodes)` grid behind both scaling studies, which differ
@@ -99,7 +119,12 @@ fn sweep(
             if nodes < groups {
                 continue;
             }
-            let mut cfg = SimConfig::new(workload.clone(), nodes, groups, batch_per_group(nodes, groups));
+            let mut cfg = SimConfig::new(
+                workload.clone(),
+                nodes,
+                groups,
+                batch_per_group(nodes, groups),
+            );
             cfg.iterations = iterations;
             cfg.seed = seed ^ (nodes as u64) << 8 ^ groups as u64;
             cfg.topology = opts.topology.clone();
@@ -295,7 +320,15 @@ mod tests {
 
     #[test]
     fn strong_scaling_rows_cover_grid() {
-        let rows = strong_scaling(&hep_workload(), &[1, 16, 64], &[1, 2], 256, 6, 3, &ScalingOptions::default());
+        let rows = strong_scaling(
+            &hep_workload(),
+            &[1, 16, 64],
+            &[1, 2],
+            256,
+            6,
+            3,
+            &ScalingOptions::default(),
+        );
         // groups=2 is skipped at nodes=1.
         assert_eq!(rows.len(), 5);
         assert!(rows.iter().all(|r| r.speedup > 0.0));
@@ -303,13 +336,33 @@ mod tests {
 
     #[test]
     fn single_node_speedup_is_one() {
-        let rows = strong_scaling(&hep_workload(), &[1], &[1], 64, 6, 3, &ScalingOptions::default());
-        assert!((rows[0].speedup - 1.0).abs() < 0.25, "speedup {}", rows[0].speedup);
+        let rows = strong_scaling(
+            &hep_workload(),
+            &[1],
+            &[1],
+            64,
+            6,
+            3,
+            &ScalingOptions::default(),
+        );
+        assert!(
+            (rows[0].speedup - 1.0).abs() < 0.25,
+            "speedup {}",
+            rows[0].speedup
+        );
     }
 
     #[test]
     fn weak_scaling_grows_with_nodes() {
-        let rows = weak_scaling(&hep_workload(), &[1, 16, 64], &[1], 8, 20, 5, &ScalingOptions::default());
+        let rows = weak_scaling(
+            &hep_workload(),
+            &[1, 16, 64],
+            &[1],
+            8,
+            20,
+            5,
+            &ScalingOptions::default(),
+        );
         assert!(rows[1].speedup > 8.0, "16 nodes: {}", rows[1].speedup);
         assert!(
             rows[2].speedup > rows[1].speedup * 2.0,
@@ -321,7 +374,16 @@ mod tests {
 
     #[test]
     fn full_system_reports_positive_rates() {
-        let r = full_system(&hep_workload(), 256, 4, 512, 8, 0, 7, &ScalingOptions::default());
+        let r = full_system(
+            &hep_workload(),
+            256,
+            4,
+            512,
+            8,
+            0,
+            7,
+            &ScalingOptions::default(),
+        );
         assert!(r.peak_pflops > 0.0);
         assert!(r.sustained_pflops > 0.0);
         assert!(r.peak_pflops >= r.sustained_pflops * 0.8);
@@ -333,7 +395,11 @@ mod tests {
         let rows = collective_comparison(&hep_workload(), &[256, 2048], 4, 8, 5, 11);
         assert_eq!(rows.len(), 2);
         // Within one electrical group the two collectives are identical.
-        assert!((rows[0].gain() - 1.0).abs() < 1e-9, "256-node gain {}", rows[0].gain());
+        assert!(
+            (rows[0].gain() - 1.0).abs() < 1e-9,
+            "256-node gain {}",
+            rows[0].gain()
+        );
         // Across many groups the hierarchical tree wins.
         assert!(rows[1].gain() > 1.0, "2048-node gain {}", rows[1].gain());
         assert!(rows[1].hier_secs < rows[1].flat_secs);
@@ -345,7 +411,9 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].groups, 1);
         assert_eq!(rows[0].staleness, 0.0, "fully-sync has no staleness");
-        assert!(rows.iter().all(|r| r.images_per_sec > 0.0 && r.sustained_pflops > 0.0));
+        assert!(rows
+            .iter()
+            .all(|r| r.images_per_sec > 0.0 && r.sustained_pflops > 0.0));
         // Hybrid and gossip split the machine into independent groups,
         // so their updates are stale; they stay in the same throughput
         // class as the synchronous run at this modest scale.
@@ -355,9 +423,24 @@ mod tests {
 
     #[test]
     fn topology_options_plumb_through_weak_scaling() {
-        let flat = weak_scaling(&hep_workload(), &[2048], &[4], 8, 5, 17, &ScalingOptions::flat());
-        let hier =
-            weak_scaling(&hep_workload(), &[2048], &[4], 8, 5, 17, &ScalingOptions::hierarchical());
+        let flat = weak_scaling(
+            &hep_workload(),
+            &[2048],
+            &[4],
+            8,
+            5,
+            17,
+            &ScalingOptions::flat(),
+        );
+        let hier = weak_scaling(
+            &hep_workload(),
+            &[2048],
+            &[4],
+            8,
+            5,
+            17,
+            &ScalingOptions::hierarchical(),
+        );
         assert!(
             hier[0].images_per_sec > flat[0].images_per_sec,
             "hier {} vs flat {}",

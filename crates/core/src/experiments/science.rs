@@ -51,7 +51,13 @@ pub struct HepScienceScale {
 
 impl Default for HepScienceScale {
     fn default() -> Self {
-        Self { train_events: 4000, test_events: 3000, iterations: 300, batch: 32, fpr_budget: 0.02 }
+        Self {
+            train_events: 4000,
+            test_events: 3000,
+            iterations: 300,
+            batch: 32,
+            fpr_budget: 0.02,
+        }
     }
 }
 
@@ -91,7 +97,11 @@ pub fn hep_science(scale: &HepScienceScale, seed: u64) -> HepScienceResult {
         baseline_fpr,
         baseline_tpr,
         cnn_tpr,
-        improvement: if baseline_tpr > 0.0 { cnn_tpr / baseline_tpr } else { f64::INFINITY },
+        improvement: if baseline_tpr > 0.0 {
+            cnn_tpr / baseline_tpr
+        } else {
+            f64::INFINITY
+        },
         fpr_budget: scale.fpr_budget,
         final_loss,
     }
@@ -154,7 +164,10 @@ pub fn climate_science(scale: &ClimateScienceScale, seed: u64) -> ClimateScience
     };
     let train = ClimateDataset::generate(cfg, scale.train_frames, seed);
     let test = ClimateDataset::generate(
-        ClimateConfig { labelled_fraction: 1.0, ..cfg },
+        ClimateConfig {
+            labelled_fraction: 1.0,
+            ..cfg
+        },
         scale.test_frames,
         seed ^ 0xC11,
     );
@@ -236,8 +249,16 @@ pub fn climate_science(scale: &ClimateScienceScale, seed: u64) -> ClimateScience
     }
 
     ClimateScienceResult {
-        precision: if n_det > 0 { tp as f64 / n_det as f64 } else { 0.0 },
-        recall: if n_gt > 0 { tp as f64 / n_gt as f64 } else { 0.0 },
+        precision: if n_det > 0 {
+            tp as f64 / n_det as f64
+        } else {
+            0.0
+        },
+        recall: if n_gt > 0 {
+            tp as f64 / n_gt as f64
+        } else {
+            0.0
+        },
         detections: n_det,
         ground_truth: n_gt,
         final_recon_loss: final_recon,
@@ -274,7 +295,10 @@ pub fn climate_distributed(
     use crate::sim_engine::{SimEngine, SimEngineConfig, SolverKind};
     use crate::workloads::climate_workload;
 
-    let cfg_data = ClimateConfig { labelled_fraction: 0.7, ..ClimateConfig::small() };
+    let cfg_data = ClimateConfig {
+        labelled_fraction: 0.7,
+        ..ClimateConfig::small()
+    };
     let ds = ClimateDataset::generate(cfg_data, frames, seed);
 
     let mut rng = TensorRng::new(seed ^ 0xD157);
@@ -284,7 +308,12 @@ pub fn climate_distributed(
     let grid = net.grid_for(ds.samples[0].image.shape()).h;
     let classes = net.classes();
 
-    let mut ecfg = SimEngineConfig::fig8(64.max(groups), groups, batch_per_group * groups, climate_workload());
+    let mut ecfg = SimEngineConfig::fig8(
+        64.max(groups),
+        groups,
+        batch_per_group * groups,
+        climate_workload(),
+    );
     ecfg.iterations = (updates / groups).max(1);
     ecfg.solver = SolverKind::Sgd { momentum: 0.9 };
     ecfg.auto_momentum = true; // correct for asynchrony per [31]
@@ -390,14 +419,22 @@ mod tests {
         };
         let r = hep_science(&scale, 3);
         assert!(r.baseline_fpr <= 0.08, "cuts fpr {}", r.baseline_fpr);
-        assert!(r.baseline_tpr > 0.02, "cuts should catch some signal: {}", r.baseline_tpr);
+        assert!(
+            r.baseline_tpr > 0.02,
+            "cuts should catch some signal: {}",
+            r.baseline_tpr
+        );
         assert!(
             r.cnn_tpr > r.baseline_tpr,
             "CNN ({}) should beat cuts ({})",
             r.cnn_tpr,
             r.baseline_tpr
         );
-        assert!(r.final_loss < 0.69, "training should improve on chance: {}", r.final_loss);
+        assert!(
+            r.final_loss < 0.69,
+            "training should improve on chance: {}",
+            r.final_loss
+        );
     }
 
     #[test]
@@ -439,7 +476,11 @@ mod tests {
     #[test]
     fn rendering_contains_gt_boxes() {
         let ds = ClimateDataset::generate(
-            ClimateConfig { events_per_frame: 2.0, labelled_fraction: 1.0, ..ClimateConfig::small() },
+            ClimateConfig {
+                events_per_frame: 2.0,
+                labelled_fraction: 1.0,
+                ..ClimateConfig::small()
+            },
             3,
             9,
         );

@@ -10,8 +10,8 @@
 
 use scidl_cluster::IterBreakdown;
 use scidl_nn::network::Model;
-use scidl_trace::{EventKind, IterRow, TraceHandle};
 pub use scidl_tensor::stats::{median, percentile, percentile_sorted, Summary};
+use scidl_trace::{EventKind, IterRow, TraceHandle};
 
 /// Per-request serving latency accounting: each completed request
 /// contributes its queue wait (submit → batch formation) and its compute
@@ -61,8 +61,12 @@ impl LatencyRecorder {
     /// empty.
     pub fn total_summary(&self) -> Option<Summary> {
         (!self.is_empty()).then(|| {
-            let totals: Vec<f64> =
-                self.queue.iter().zip(&self.compute).map(|(q, c)| q + c).collect();
+            let totals: Vec<f64> = self
+                .queue
+                .iter()
+                .zip(&self.compute)
+                .map(|(q, c)| q + c)
+                .collect();
             Summary::from_samples(&totals)
         })
     }
@@ -151,15 +155,21 @@ impl LossCurve {
     pub fn best_smoothed(&self, window: usize) -> Option<f32> {
         let w = window.max(1);
         if self.points.len() < w {
-            return self.points.iter().map(|&(_, l)| l).fold(None, |acc: Option<f32>, l| {
-                Some(acc.map_or(l, |a| a.min(l)))
-            });
+            return self
+                .points
+                .iter()
+                .map(|&(_, l)| l)
+                .fold(None, |acc: Option<f32>, l| {
+                    Some(acc.map_or(l, |a| a.min(l)))
+                });
         }
         let losses: Vec<f32> = self.points.iter().map(|&(_, l)| l).collect();
         losses
             .windows(w)
             .map(|win| win.iter().sum::<f32>() / w as f32)
-            .fold(None, |acc: Option<f32>, v| Some(acc.map_or(v, |a| a.min(v))))
+            .fold(None, |acc: Option<f32>, v| {
+                Some(acc.map_or(v, |a| a.min(v)))
+            })
     }
 }
 
@@ -176,8 +186,17 @@ pub(crate) struct TrainTrace {
 impl TrainTrace {
     /// Begins trace run `label` (a no-op trace when no sink is installed).
     pub(crate) fn begin(label: &'static str, model: &impl Model, elems: u64, batch: usize) -> Self {
-        let names = model.param_blocks().iter().map(|b| b.name.clone()).collect();
-        Self { tr: TraceHandle::begin(label), names, elems, batch: batch as u64 }
+        let names = model
+            .param_blocks()
+            .iter()
+            .map(|b| b.name.clone())
+            .collect();
+        Self {
+            tr: TraceHandle::begin(label),
+            names,
+            elems,
+            batch: batch as u64,
+        }
     }
 
     /// One training iteration's trace, whichever driver ran it: its
@@ -189,18 +208,53 @@ impl TrainTrace {
         if !self.tr.enabled() {
             return;
         }
-        let (group, iter, staleness, hidden_s) = (t.group as u64, t.iter as u64, t.staleness, t.hidden);
+        let (group, iter, staleness, hidden_s) =
+            (t.group as u64, t.iter as u64, t.staleness, t.hidden);
         let computed = t.start + (t.compute + t.straggler);
         let factor = (t.compute + t.straggler) / t.compute;
         let (elems, buckets) = (self.elems, self.names.len() as u64);
         for (at, secs, kind) in [
-            (t.start, t.end - t.start, EventKind::Iteration { group, iter }),
+            (
+                t.start,
+                t.end - t.start,
+                EventKind::Iteration { group, iter },
+            ),
             (t.start, t.compute, EventKind::Compute { group, iter }),
-            (t.start + t.compute, t.straggler, EventKind::Straggler { group, factor }),
-            (computed, t.allreduce, EventKind::Allreduce { elems, bytes: wire[0] }),
-            (computed - t.hidden, t.hidden, EventKind::Overlap { buckets, hidden_s }),
-            (computed + t.allreduce, t.ps, EventKind::PsExchange { group, staleness, bytes: wire[1] }),
-            (t.end - t.checkpoint, t.checkpoint, EventKind::Checkpoint { iter: iter + 1, bytes: 4 * elems }),
+            (
+                t.start + t.compute,
+                t.straggler,
+                EventKind::Straggler { group, factor },
+            ),
+            (
+                computed,
+                t.allreduce,
+                EventKind::Allreduce {
+                    elems,
+                    bytes: wire[0],
+                },
+            ),
+            (
+                computed - t.hidden,
+                t.hidden,
+                EventKind::Overlap { buckets, hidden_s },
+            ),
+            (
+                computed + t.allreduce,
+                t.ps,
+                EventKind::PsExchange {
+                    group,
+                    staleness,
+                    bytes: wire[1],
+                },
+            ),
+            (
+                t.end - t.checkpoint,
+                t.checkpoint,
+                EventKind::Checkpoint {
+                    iter: iter + 1,
+                    bytes: 4 * elems,
+                },
+            ),
         ] {
             if secs > 0.0 {
                 self.tr.event_at(group, at, secs, kind);
@@ -244,7 +298,14 @@ mod tests {
     #[test]
     fn smoothing_ignores_transient_dips() {
         // A single noisy dip at t=1 must not count with window 3.
-        let c = curve(&[(0.0, 1.0), (1.0, 0.01), (2.0, 1.0), (3.0, 0.04), (4.0, 0.04), (5.0, 0.04)]);
+        let c = curve(&[
+            (0.0, 1.0),
+            (1.0, 0.01),
+            (2.0, 1.0),
+            (3.0, 0.04),
+            (4.0, 0.04),
+            (5.0, 0.04),
+        ]);
         assert_eq!(c.time_to_loss(0.05, 3), Some(5.0));
         assert_eq!(c.time_to_loss(0.05, 1), Some(1.0));
     }

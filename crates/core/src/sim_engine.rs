@@ -55,13 +55,22 @@ impl SimEngineConfig {
         sim.iterations = 60;
         sim.seed = 0xF18;
         let compression = Compression::None;
-        Self { sim, lr: 1e-3, solver: SolverKind::Adam, auto_momentum: false, compression }
+        Self {
+            sim,
+            lr: 1e-3,
+            solver: SolverKind::Adam,
+            auto_momentum: false,
+            compression,
+        }
     }
 
     /// The clock of this run over `iterations` per group: `sim` with the
     /// compression policy's wire size.
     fn clock(&self, iterations: usize) -> ClusterSim {
-        assert!(!self.gossip, "gossip averaging is not modelled with real gradients");
+        assert!(
+            !self.gossip,
+            "gossip averaging is not modelled with real gradients"
+        );
         let mut sim = self.sim.clone();
         sim.iterations = iterations;
         if self.compression != Compression::None {
@@ -127,22 +136,35 @@ impl SimEngine {
         grad_fn: impl FnMut(&mut M, &[usize]) -> (f32, Vec<f32>),
     ) -> SimRunSummary {
         let groups = cfg.groups;
-        let kind = if cfg.auto_momentum { cfg.solver.for_groups(groups) } else { cfg.solver };
+        let kind = if cfg.auto_momentum {
+            cfg.solver.for_groups(groups)
+        } else {
+            cfg.solver
+        };
         let block_sizes = model.param_blocks().iter().map(|b| b.len()).collect();
         let central = model.flat_params();
         let mut trainer = Trainer {
             cfg,
             // Virtual timestamps: a seeded run traces bit-identically.
-            trace: TrainTrace::begin("sim-engine", model, cfg.workload.params, cfg.batch_per_group),
+            trace: TrainTrace::begin(
+                "sim-engine",
+                model,
+                cfg.workload.params,
+                cfg.batch_per_group,
+            ),
             snapshots: vec![central.clone(); groups],
             central,
             model,
             grad_fn,
             solver: kind.build(cfg.lr),
             samplers: (0..groups)
-                .map(|g| BatchSampler::for_node(dataset_len, cfg.batch_per_group, cfg.seed, g, groups))
+                .map(|g| {
+                    BatchSampler::for_node(dataset_len, cfg.batch_per_group, cfg.seed, g, groups)
+                })
                 .collect(),
-            efs: (0..groups).map(|_| ErrorFeedback::new(cfg.compression)).collect(),
+            efs: (0..groups)
+                .map(|_| ErrorFeedback::new(cfg.compression))
+                .collect(),
             block_sizes,
             curve: LossCurve::new(),
             per_group: vec![LossCurve::new(); groups],
@@ -203,7 +225,8 @@ impl<M: Model, F: FnMut(&mut M, &[usize]) -> (f32, Vec<f32>)> Observer for Train
         // `grad` now holds the sent values; they ride the PS up-leg too.
         let wire = self.efs[g].apply(&mut grad) as u64;
         self.wire_bytes += if self.cfg.groups > 1 { 2 * wire } else { wire };
-        self.solver.step_flat(&mut self.central, &grad, &self.block_sizes);
+        self.solver
+            .step_flat(&mut self.central, &grad, &self.block_sizes);
         self.curve.push(t.end, loss);
         self.per_group[g].push(t.end, loss);
         if !self.trace.tr.enabled() {
@@ -216,7 +239,9 @@ impl<M: Model, F: FnMut(&mut M, &[usize]) -> (f32, Vec<f32>)> Observer for Train
                 Some(block)
             })
             .collect();
-        self.trace.tr.check_step(t.iter as u64, loss, &blocks, &self.trace.names);
+        self.trace
+            .tr
+            .check_step(t.iter as u64, loss, &blocks, &self.trace.names);
         self.trace.iteration(t, loss, [wire, wire]);
     }
 }
@@ -273,7 +298,11 @@ mod tests {
         cfg.iterations = 40;
         let r = run_seeded(&cfg, &ds, 10);
         let first: f32 = r.curve.points[..5].iter().map(|p| p.1).sum::<f32>() / 5.0;
-        let last: f32 = r.curve.points[r.curve.len() - 5..].iter().map(|p| p.1).sum::<f32>() / 5.0;
+        let last: f32 = r.curve.points[r.curve.len() - 5..]
+            .iter()
+            .map(|p| p.1)
+            .sum::<f32>()
+            / 5.0;
         assert!(last < first, "loss should fall: {first} → {last}");
     }
 
@@ -308,7 +337,10 @@ mod tests {
             .zip(&want)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        assert!(max_err < 1e-5, "engine diverges from SGD reference by {max_err}");
+        assert!(
+            max_err < 1e-5,
+            "engine diverges from SGD reference by {max_err}"
+        );
     }
 
     #[test]
@@ -425,7 +457,11 @@ mod tests {
         cfg.compression = Compression::Int8;
         let r = run_seeded(&cfg, &ds, 35);
         let first: f32 = r.curve.points[..5].iter().map(|p| p.1).sum::<f32>() / 5.0;
-        let last: f32 = r.curve.points[r.curve.len() - 5..].iter().map(|p| p.1).sum::<f32>() / 5.0;
+        let last: f32 = r.curve.points[r.curve.len() - 5..]
+            .iter()
+            .map(|p| p.1)
+            .sum::<f32>()
+            / 5.0;
         assert!(last < first, "int8+EF should still learn: {first} → {last}");
     }
 
@@ -468,7 +504,11 @@ mod tests {
         let explicit = run(adjusted, false);
         assert_eq!(auto.final_params, explicit.final_params);
         assert_eq!(auto.curve.points, explicit.curve.points);
-        assert_ne!(auto.final_params, run(0.9, false).final_params, "the adjustment must bite");
+        assert_ne!(
+            auto.final_params,
+            run(0.9, false).final_params,
+            "the adjustment must bite"
+        );
     }
 
     /// The engine keeps no clock of its own: every simulated second of a
@@ -489,15 +529,26 @@ mod tests {
             let mut sim = cfg.sim.clone();
             sim.wire_bytes = cfg.compression.wire_bytes_u64(sim.workload.params);
             let clock = ClusterSim::new(sim).run();
-            assert_eq!(run.total_time.to_bits(), clock.total_time.to_bits(), "groups {groups}");
+            assert_eq!(
+                run.total_time.to_bits(),
+                clock.total_time.to_bits(),
+                "groups {groups}"
+            );
             assert_eq!(run.mean_staleness.to_bits(), clock.mean_staleness.to_bits());
             assert_eq!(run.updates, clock.timeline.len());
             let ends: Vec<f64> = clock.timeline.iter().map(|e| e.2).collect();
             let times: Vec<f64> = run.curve.points.iter().map(|p| p.0).collect();
-            assert_eq!(times, ends, "groups {groups}: the curve is stamped by the clock");
+            assert_eq!(
+                times, ends,
+                "groups {groups}: the curve is stamped by the clock"
+            );
             for (g, curve) in run.per_group.iter().enumerate() {
-                let ends: Vec<f64> =
-                    clock.timeline.iter().filter(|e| e.0 == g).map(|e| e.2).collect();
+                let ends: Vec<f64> = clock
+                    .timeline
+                    .iter()
+                    .filter(|e| e.0 == g)
+                    .map(|e| e.2)
+                    .collect();
                 let times: Vec<f64> = curve.points.iter().map(|p| p.0).collect();
                 assert_eq!(times, ends, "groups {groups}, group {g}");
             }
@@ -526,19 +577,28 @@ mod tests {
     fn recovered_group_resumes_from_the_model_at_its_restart() {
         let mut cfg = base_cfg(4);
         let mttr = 0.05;
-        cfg.faults = FaultPlan::none().with_group_crash(2, 5).with_recovery(1, mttr);
+        cfg.faults = FaultPlan::none()
+            .with_group_crash(2, 5)
+            .with_recovery(1, mttr);
         let run = counting_run(&cfg);
         let clock = ClusterSim::new(cfg.sim.clone()).run();
         assert_eq!(clock.recovered_iterations, 7);
         assert_eq!(run.updates, clock.timeline.len());
-        assert_eq!(run.updates, 4 * cfg.iterations, "the crashed group finishes its budget");
+        assert_eq!(
+            run.updates,
+            4 * cfg.iterations,
+            "the crashed group finishes its budget"
+        );
 
         // Group 2 dies at the end of its 5th iteration and rejoins MTTR
         // seconds later, holding the model as of that moment.
         let crashed_at = clock.timeline.iter().filter(|e| e.0 == 2).nth(4).unwrap().2;
         let restart = crashed_at + mttr;
         let applied = clock.timeline.iter().filter(|e| e.2 <= restart).count();
-        assert!(applied > 5 * 4 - 4, "other groups kept updating while group 2 was down");
+        assert!(
+            applied > 5 * 4 - 4,
+            "other groups kept updating while group 2 was down"
+        );
         assert_eq!(run.per_group[2].points[5].1, applied as f32);
         assert!(run.final_params.iter().all(|p| p.is_finite()));
         assert_eq!(run.final_params[0], -(run.updates as f32));
@@ -556,7 +616,10 @@ mod tests {
         assert_eq!(crashed.updates, 4 * cfg.iterations);
         assert_eq!(crashed.updates, clock.timeline.len());
         assert_eq!(crashed.total_time, clock.total_time);
-        assert!(crashed.total_time > healthy.total_time + 4.0, "the repair is visible");
+        assert!(
+            crashed.total_time > healthy.total_time + 4.0,
+            "the repair is visible"
+        );
         assert!(crashed.curve.points.iter().all(|p| p.1.is_finite()));
         assert!(crashed.final_params.iter().all(|p| p.is_finite()));
     }
@@ -565,7 +628,9 @@ mod tests {
     fn synchronous_run_stops_with_its_group() {
         let ds = tiny_dataset();
         let mut cfg = base_cfg(1);
-        cfg.faults = FaultPlan::none().with_group_crash(0, 3).with_recovery(1, 0.05);
+        cfg.faults = FaultPlan::none()
+            .with_group_crash(0, 3)
+            .with_recovery(1, 0.05);
         let r = run_seeded(&cfg, &ds, 40);
         assert_eq!(r.updates, 3, "no surviving state to rejoin (Sec. VIII-A)");
         assert!(r.final_params.iter().all(|p| p.is_finite()));

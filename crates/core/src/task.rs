@@ -37,12 +37,7 @@ pub trait GradTask<M: Model>: Send + Sync {
     /// The default computes the full flat gradient first and then
     /// replays its blocks — bit-identical to a true layered backward,
     /// it just hides no communication. Override it to overlap for real.
-    fn grad_overlapped(
-        &self,
-        model: &mut M,
-        indices: &[usize],
-        sink: &mut dyn BucketSink,
-    ) -> f32 {
+    fn grad_overlapped(&self, model: &mut M, indices: &[usize], sink: &mut dyn BucketSink) -> f32 {
         let (loss, grads) = self.grad(model, indices);
         sink.push_flat(&grads);
         loss

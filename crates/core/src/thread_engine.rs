@@ -257,15 +257,21 @@ impl ThreadEngine {
         let template = build(cfg.seed);
         let block_sizes: Vec<usize> = template.param_blocks().iter().map(|b| b.len()).collect();
         let plan = BucketPlan::new(&block_sizes, cfg.bucket_bytes);
-        let trace =
-            TrainTrace::begin("thread-engine", &template, plan.total_len() as u64, cfg.batch_per_group);
+        let trace = TrainTrace::begin(
+            "thread-engine",
+            &template,
+            plan.total_len() as u64,
+            cfg.batch_per_group,
+        );
 
         // Supervised per-layer PS bank: each shard has its own solver
         // state and is respawned from a snapshot if it dies. The factory
         // rebuilds the update rule for a respawned shard (its solver
         // state restarts fresh, like a PS process restarting from a
         // checkpoint).
-        let sgd = SolverKind::Sgd { momentum: cfg.momentum };
+        let sgd = SolverKind::Sgd {
+            momentum: cfg.momentum,
+        };
         let (kind, lr) = (if cfg.adam { SolverKind::Adam } else { sgd }, cfg.lr);
         let bank = SupervisedPsBank::spawn_with(
             template
@@ -316,17 +322,24 @@ impl ThreadEngine {
                 let endpoints = RingFabric::new(cfg.nodes_per_group).into_endpoints();
                 for (r, (comm, endpoint)) in comms.into_iter().zip(endpoints).enumerate() {
                     let (run, template) = (&run, Arc::clone(&template));
-                    workers.push((g, scope.spawn(move || {
-                        scidl_tensor::par::set_width(threads_per_rank);
-                        worker(run, g, r, comm, endpoint, template)
-                    })));
+                    workers.push((
+                        g,
+                        scope.spawn(move || {
+                            scidl_tensor::par::set_width(threads_per_rank);
+                            worker(run, g, r, comm, endpoint, template)
+                        }),
+                    ));
                 }
             }
             drop(template);
             for (g, w) in workers {
-                let l = w.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                let l = w
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 // Only the group root records updates, in update order.
-                l.updates.iter().for_each(|&(t, loss, ..)| per_group[g].push(t, loss));
+                l.updates
+                    .iter()
+                    .for_each(|&(t, loss, ..)| per_group[g].push(t, loss));
                 log.merge(l);
             }
         });
@@ -346,13 +359,20 @@ impl ThreadEngine {
             .flat_map(|r| r.params)
             .collect();
         ThreadRunSummary {
-            curve: LossCurve { points: log.updates.iter().map(|&(t, loss, ..)| (t, loss)).collect() },
+            curve: LossCurve {
+                points: log.updates.iter().map(|&(t, loss, ..)| (t, loss)).collect(),
+            },
             per_group,
             final_params,
-            mean_staleness: log.updates.iter().map(|&(.., s, _)| s as f64).sum::<f64>() / updates.max(1) as f64,
+            mean_staleness: log.updates.iter().map(|&(.., s, _)| s as f64).sum::<f64>()
+                / updates.max(1) as f64,
             staleness_histogram,
             updates,
-            recovered_updates: log.updates.iter().filter(|&&(.., recovered)| recovered).count() as u64,
+            recovered_updates: log
+                .updates
+                .iter()
+                .filter(|&&(.., recovered)| recovered)
+                .count() as u64,
             ps_respawns,
             checkpoints_written: log.checkpoints_written,
             wire_bytes: log.wire_bytes,
@@ -372,7 +392,13 @@ where
     M: Model + Clone + Sync,
     G: GradTask<M>,
 {
-    let &Run { cfg, bank, plan, trace, .. } = run;
+    let &Run {
+        cfg,
+        bank,
+        plan,
+        trace,
+        ..
+    } = run;
     let tr = &trace.tr;
     let mut log = WorkerLog::default();
     // Every rank starts from a copy of the run's one initial model, made
@@ -389,8 +415,9 @@ where
     let mut overlap = OverlapContext::spawn(rank, cfg.nodes_per_group, endpoint, cfg.compression);
     // Root's PS leg: one accumulator per parameter block, worker-local
     // so residuals survive PS failover/rejoin.
-    let mut ef_ps: Vec<ErrorFeedback> =
-        (0..plan.num_blocks()).map(|_| ErrorFeedback::new(cfg.compression)).collect();
+    let mut ef_ps: Vec<ErrorFeedback> = (0..plan.num_blocks())
+        .map(|_| ErrorFeedback::new(cfg.compression))
+        .collect();
     // A dead peer reaches this rank as a ring error, so it watches only
     // its own node; the PS bank outlives every group, so a crashed group
     // may always rejoin.
@@ -419,8 +446,14 @@ where
                 // model at the PS bank — everything the other groups
                 // learned meanwhile is picked up. If the bank itself is
                 // unreachable, the status word stops the group together.
-                std::thread::sleep(Duration::from_secs_f64(rec.mttr_iters as f64 * last_iter_secs));
-                let fetched = if rank == 0 { bank.fetch_all().ok() } else { None };
+                std::thread::sleep(Duration::from_secs_f64(
+                    rec.mttr_iters as f64 * last_iter_secs,
+                ));
+                let fetched = if rank == 0 {
+                    bank.fetch_all().ok()
+                } else {
+                    None
+                };
                 if let Some(replies) = &fetched {
                     load_params(&mut model, replies);
                 }
@@ -435,7 +468,12 @@ where
         let iter_start = Instant::now();
         // The iteration's record on the trace clock: each part is the lap
         // since the previous boundary, so the parts tile the iteration.
-        let mut rec = IterBreakdown { group, iter, start: tr.now(), ..Default::default() };
+        let mut rec = IterBreakdown {
+            group,
+            iter,
+            start: tr.now(),
+            ..Default::default()
+        };
         let mut mark = rec.start;
         let mut lap = || {
             let now = tr.now();
@@ -467,8 +505,11 @@ where
         // Intra-group synchronous step: drain the reduced buckets into the
         // model's grad blocks — what is still on the ring now is the
         // exposed communication — and average the loss.
-        let mut grads: Vec<&mut [f32]> =
-            model.param_blocks_mut().into_iter().map(|b| b.grad.data_mut()).collect();
+        let mut grads: Vec<&mut [f32]> = model
+            .param_blocks_mut()
+            .into_iter()
+            .map(|b| b.grad.data_mut())
+            .collect();
         let Ok(ar_bytes) = stream.finish(&mut grads) else {
             // A ring neighbour died mid-bucket: fatal for the whole
             // synchronous group (Sec. VIII-A). Return before any tree
@@ -526,7 +567,8 @@ where
                     load_params(&mut model, &replies);
                     drop(replies);
                     let secs = run.t0.elapsed().as_secs_f64();
-                    log.updates.push((secs, group_loss, rec.staleness, life.recovered()));
+                    log.updates
+                        .push((secs, group_loss, rec.staleness, life.recovered()));
                     rec.ps = lap();
 
                     // Periodic crash-safe checkpoint from group 0's root.
@@ -613,8 +655,11 @@ mod tests {
         let mut mrng = TensorRng::new(cfg.seed);
         let mut model = scidl_nn::arch::hep_small(&mut mrng);
         let mut sampler = BatchSampler::for_node(ds.len(), 8, cfg.seed, 0, 1);
-        let mut solvers: Vec<Sgd> =
-            model.param_blocks().iter().map(|_| Sgd::new(cfg.lr, 0.9)).collect();
+        let mut solvers: Vec<Sgd> = model
+            .param_blocks()
+            .iter()
+            .map(|_| Sgd::new(cfg.lr, 0.9))
+            .collect();
         for _ in 0..cfg.iterations {
             let idx = sampler.next_batch();
             let (_, grads) = hep_gradient(&mut model, &ds, &idx);
@@ -633,7 +678,10 @@ mod tests {
             .zip(&flat)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
-        assert!(max_err < 1e-6, "thread engine diverges from SGD by {max_err}");
+        assert!(
+            max_err < 1e-6,
+            "thread engine diverges from SGD by {max_err}"
+        );
         assert_eq!(run.mean_staleness, 0.0);
         assert_eq!(run.ps_respawns, 0);
         assert_eq!(run.recovered_updates, 0);
@@ -659,19 +707,28 @@ mod tests {
 
         let mut cfg = ThreadEngineConfig::new(2, 2, 4);
         cfg.iterations = 2;
-        let run = ThreadEngine::run_with(&cfg, ds.len(), counted, HepGradTask::new(Arc::clone(&ds)));
+        let run =
+            ThreadEngine::run_with(&cfg, ds.len(), counted, HepGradTask::new(Arc::clone(&ds)));
         assert_eq!(run.updates, 2 * 2);
-        assert_eq!(calls.load(Ordering::Relaxed), 1, "build must run once per run");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            1,
+            "build must run once per run"
+        );
 
         let mut cfg = ThreadEngineConfig::new(1, 3, 6);
         cfg.iterations = 3;
         cfg.momentum = 0.9;
         calls.store(0, Ordering::Relaxed);
-        let got = ThreadEngine::run_with(&cfg, ds.len(), counted, HepGradTask::new(Arc::clone(&ds)));
+        let got =
+            ThreadEngine::run_with(&cfg, ds.len(), counted, HepGradTask::new(Arc::clone(&ds)));
         let want = ThreadEngine::run_with(&cfg, ds.len(), first, HepGradTask::new(Arc::clone(&ds)));
         assert_eq!(calls.load(Ordering::Relaxed), 1);
         assert_eq!(got.curve.len(), cfg.iterations);
-        assert!(bits(&got) == bits(&want), "ranks must all start from the one built model");
+        assert!(
+            bits(&got) == bits(&want),
+            "ranks must all start from the one built model"
+        );
     }
 
     #[test]
@@ -806,7 +863,9 @@ mod tests {
         let ds = dataset();
         let mut cfg = ThreadEngineConfig::new(3, 2, 6);
         cfg.iterations = 10;
-        cfg.faults = FaultPlan::none().with_group_crash(1, 3).with_recovery(2, 0.0);
+        cfg.faults = FaultPlan::none()
+            .with_group_crash(1, 3)
+            .with_recovery(2, 0.0);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
         // Every group completes all its iterations: the crashed group
         // contributes its 3 pre-crash updates plus 7 recovered ones.
@@ -827,7 +886,11 @@ mod tests {
         // it from its snapshot and the run completes fully.
         cfg.faults = FaultPlan::none().with_ps_crash(0, 5, 0.0);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
-        assert_eq!(run.updates, 2 * 12, "no iteration may be lost to the PS crash");
+        assert_eq!(
+            run.updates,
+            2 * 12,
+            "no iteration may be lost to the PS crash"
+        );
         assert!(run.ps_respawns >= 1, "the supervisor must have failed over");
         assert!(run.final_params.iter().all(|p| p.is_finite()));
     }
@@ -918,7 +981,10 @@ mod tests {
         let pts = &sparse.curve.points;
         let first: f32 = pts[..8].iter().map(|p| p.1).sum::<f32>() / 8.0;
         let last: f32 = pts[pts.len() - 8..].iter().map(|p| p.1).sum::<f32>() / 8.0;
-        assert!(last < first, "compressed run should still learn: {first} → {last}");
+        assert!(
+            last < first,
+            "compressed run should still learn: {first} → {last}"
+        );
         assert!(sparse.final_params.iter().all(|p| p.is_finite()));
     }
 
@@ -934,7 +1000,11 @@ mod tests {
         cfg.compression = Compression::Int8;
         cfg.faults = FaultPlan::none().with_ps_crash(0, 5, 0.0);
         let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
-        assert_eq!(run.updates, 2 * 12, "no compressed update may be lost to the PS crash");
+        assert_eq!(
+            run.updates,
+            2 * 12,
+            "no compressed update may be lost to the PS crash"
+        );
         assert!(run.ps_respawns >= 1, "the supervisor must have failed over");
         assert!(run.final_params.iter().all(|p| p.is_finite()));
     }

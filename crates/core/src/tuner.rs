@@ -74,7 +74,13 @@ pub struct TunerConfig {
 
 impl Default for TunerConfig {
     fn default() -> Self {
-        Self { trials: 12, updates: 40, total_batch: 64, nodes: 64, smooth_window: 5 }
+        Self {
+            trials: 12,
+            updates: 40,
+            total_batch: 64,
+            nodes: 64,
+            smooth_window: 5,
+        }
     }
 }
 
@@ -90,8 +96,8 @@ pub fn random_search(
     let mut rng = TensorRng::new(seed ^ 0x7C7E);
     let mut trials = Vec::with_capacity(cfg.trials);
     for t in 0..cfg.trials {
-        let lr = (space.lr.0 as f64
-            * ((space.lr.1 / space.lr.0) as f64).powf(rng.uniform())) as f32;
+        let lr =
+            (space.lr.0 as f64 * ((space.lr.1 / space.lr.0) as f64).powf(rng.uniform())) as f32;
         let groups = space.groups[rng.below(space.groups.len())];
         let momentum = if space.momentum_prior {
             // Propose around the theory value for this group count.
@@ -101,7 +107,12 @@ pub fn random_search(
             space.momenta[rng.below(space.momenta.len())]
         };
 
-        let mut ecfg = SimEngineConfig::fig8(cfg.nodes.max(groups), groups, cfg.total_batch, timing.clone());
+        let mut ecfg = SimEngineConfig::fig8(
+            cfg.nodes.max(groups),
+            groups,
+            cfg.total_batch,
+            timing.clone(),
+        );
         ecfg.iterations = (cfg.updates / groups).max(1);
         ecfg.lr = lr;
         ecfg.solver = SolverKind::Sgd { momentum };
@@ -110,10 +121,23 @@ pub fn random_search(
         let mut mrng = TensorRng::new(seed ^ 0xB00);
         let mut model = scidl_nn::arch::hep_small(&mut mrng);
         let run = SimEngine::run(&ecfg, &mut model, ds);
-        let score = run.curve.best_smoothed(cfg.smooth_window).unwrap_or(f32::INFINITY);
-        trials.push(Trial { lr, momentum, groups, score, curve: run.curve });
+        let score = run
+            .curve
+            .best_smoothed(cfg.smooth_window)
+            .unwrap_or(f32::INFINITY);
+        trials.push(Trial {
+            lr,
+            momentum,
+            groups,
+            score,
+            curve: run.curve,
+        });
     }
-    trials.sort_by(|a, b| a.score.partial_cmp(&b.score).unwrap_or(std::cmp::Ordering::Equal));
+    trials.sort_by(|a, b| {
+        a.score
+            .partial_cmp(&b.score)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     trials
 }
 
@@ -124,13 +148,22 @@ mod tests {
     use scidl_data::HepConfig;
 
     fn small_setup() -> (Workload, HepDataset) {
-        (hep_workload(), HepDataset::generate(HepConfig::small(), 128, 3))
+        (
+            hep_workload(),
+            HepDataset::generate(HepConfig::small(), 128, 3),
+        )
     }
 
     #[test]
     fn search_returns_sorted_trials() {
         let (w, ds) = small_setup();
-        let cfg = TunerConfig { trials: 4, updates: 8, total_batch: 16, nodes: 8, smooth_window: 3 };
+        let cfg = TunerConfig {
+            trials: 4,
+            updates: 8,
+            total_batch: 16,
+            nodes: 8,
+            smooth_window: 3,
+        };
         let trials = random_search(&SearchSpace::default(), &cfg, &w, &ds, 5);
         assert_eq!(trials.len(), 4);
         for pair in trials.windows(2) {
@@ -142,7 +175,13 @@ mod tests {
     #[test]
     fn search_is_deterministic() {
         let (w, ds) = small_setup();
-        let cfg = TunerConfig { trials: 3, updates: 6, total_batch: 16, nodes: 8, smooth_window: 3 };
+        let cfg = TunerConfig {
+            trials: 3,
+            updates: 6,
+            total_batch: 16,
+            nodes: 8,
+            smooth_window: 3,
+        };
         let a = random_search(&SearchSpace::default(), &cfg, &w, &ds, 9);
         let b = random_search(&SearchSpace::default(), &cfg, &w, &ds, 9);
         for (x, y) in a.iter().zip(&b) {
@@ -160,7 +199,13 @@ mod tests {
             groups: vec![2],
             momentum_prior: false,
         };
-        let cfg = TunerConfig { trials: 5, updates: 4, total_batch: 8, nodes: 4, smooth_window: 2 };
+        let cfg = TunerConfig {
+            trials: 5,
+            updates: 4,
+            total_batch: 8,
+            nodes: 4,
+            smooth_window: 2,
+        };
         for t in random_search(&space, &cfg, &w, &ds, 11) {
             assert!((1e-3..=1e-2).contains(&t.lr), "lr {}", t.lr);
             assert_eq!(t.momentum, 0.5);
@@ -177,9 +222,19 @@ mod tests {
             groups: vec![8],
             momentum_prior: true,
         };
-        let cfg = TunerConfig { trials: 3, updates: 4, total_batch: 16, nodes: 8, smooth_window: 2 };
+        let cfg = TunerConfig {
+            trials: 3,
+            updates: 4,
+            total_batch: 16,
+            nodes: 8,
+            smooth_window: 2,
+        };
         for t in random_search(&space, &cfg, &w, &ds, 13) {
-            assert!(t.momentum < 0.9, "prior should shrink momentum: {}", t.momentum);
+            assert!(
+                t.momentum < 0.9,
+                "prior should shrink momentum: {}",
+                t.momentum
+            );
         }
     }
 }

@@ -11,18 +11,28 @@ use scidl_tensor::Shape4;
 /// A per-layer cost table from what a spec's `walk` yields — the one
 /// name-based rate classification of both training (`backward`: forward
 /// plus backward FLOPs, two passes of activation traffic) and serving.
-pub fn layer_costs<'a>(layers: impl IntoIterator<Item = (&'a str, LayerSpec, Shape4)>, backward: bool) -> Vec<LayerCost> {
+pub fn layer_costs<'a>(
+    layers: impl IntoIterator<Item = (&'a str, LayerSpec, Shape4)>,
+    backward: bool,
+) -> Vec<LayerCost> {
     let passes = if backward { 2 } else { 1 };
     layers
         .into_iter()
         .map(|(name, l, s)| {
             let s = s.with_n(1);
-            let flops = if backward { l.training_flops_per_image(s) } else { l.forward_flops_per_image(s) };
+            let flops = if backward {
+                l.training_flops_per_image(s)
+            } else {
+                l.forward_flops_per_image(s)
+            };
             let os = l.out_shape(s);
             // Classify by name/behaviour: convolutions and deconvolutions
             // are GEMM-bound; dense layers here are tiny; everything else
             // (relu/pool) is bandwidth-bound.
-            let class = if name.starts_with("conv") || name.starts_with("enc") || name.starts_with("head") {
+            let class = if name.starts_with("conv")
+                || name.starts_with("enc")
+                || name.starts_with("head")
+            {
                 RateClass::Conv { cin: s.c }
             } else if name.starts_with("dec") && !name.contains("relu") {
                 // Deconv: the mirror conv's input channels are this layer's
@@ -39,9 +49,15 @@ pub fn layer_costs<'a>(layers: impl IntoIterator<Item = (&'a str, LayerSpec, Sha
             } else {
                 // Each pass touches in+out activations once.
                 let bytes = 4 * (s.item_len() + os.item_len()) * passes;
-                RateClass::MemoryBound { bytes_per_image: bytes as u64 }
+                RateClass::MemoryBound {
+                    bytes_per_image: bytes as u64,
+                }
             };
-            LayerCost { name: name.to_string(), train_flops_per_image: flops, class }
+            LayerCost {
+                name: name.to_string(),
+                train_flops_per_image: flops,
+                class,
+            }
         })
         .collect()
 }
@@ -78,7 +94,15 @@ pub fn hep_workload() -> Workload {
     // ADAM: 12 FLOPs per parameter. On IntelCaffe its history copies run
     // in a poorly threaded phase — 12.5% of runtime at batch 8 (Sec. VI-A).
     let input = arch::HEP_INPUT;
-    workload_for_network("hep", arch::hep_network_spec().walk(input), input, 3.6e9, 12, 24.0, 1.6e9)
+    workload_for_network(
+        "hep",
+        arch::hep_network_spec().walk(input),
+        input,
+        3.6e9,
+        12,
+        24.0,
+        1.6e9,
+    )
 }
 
 /// The climate workload of Table II: the 768px semi-supervised network,
@@ -90,7 +114,15 @@ pub fn climate_workload() -> Workload {
     // (Sec. VI-A). The walk lists the encoder, the scoring heads (small
     // convs on the 24x24 feature grid), then the decoder.
     let input = arch::CLIMATE_INPUT;
-    workload_for_network("climate", ClimateNet::full_spec().walk(input), input, 7.2e8, 6, 12.0, 1.2e10)
+    workload_for_network(
+        "climate",
+        ClimateNet::full_spec().walk(input),
+        input,
+        7.2e8,
+        6,
+        12.0,
+        1.2e10,
+    )
 }
 
 #[cfg(test)]
@@ -107,16 +139,25 @@ mod tests {
     #[test]
     fn cost_tables_from_lists_match_the_built_networks() {
         let mut rng = TensorRng::new(3);
-        for (spec, input) in [(arch::hep_network_spec(), arch::HEP_INPUT), (arch::hep_small_spec(), Shape4::new(1, 3, 32, 32))] {
+        for (spec, input) in [
+            (arch::hep_network_spec(), arch::HEP_INPUT),
+            (arch::hep_small_spec(), Shape4::new(1, 3, 32, 32)),
+        ] {
             let net = spec.build(&mut rng);
             for backward in [true, false] {
-                let (list, built) = (layer_costs(spec.walk(input), backward), layer_costs(net.spec().walk(input), backward));
+                let (list, built) = (
+                    layer_costs(spec.walk(input), backward),
+                    layer_costs(net.spec().walk(input), backward),
+                );
                 assert_eq!(format!("{list:?}"), format!("{built:?}"), "{}", spec.name);
             }
         }
         let input = Shape4::new(1, 4, 64, 64);
         let (spec, net) = (ClimateNet::small_spec(), ClimateNet::small(&mut rng));
-        assert_eq!(format!("{:?}", layer_costs(spec.walk(input), true)), format!("{:?}", layer_costs(net.spec().walk(input), true)));
+        assert_eq!(
+            format!("{:?}", layer_costs(spec.walk(input), true)),
+            format!("{:?}", layer_costs(net.spec().walk(input), true))
+        );
     }
 
     /// The climate heads' cost is written once: the built full network's
@@ -129,7 +170,12 @@ mod tests {
         let rows: u64 = w.layers.iter().map(|l| l.train_flops_per_image).sum();
         assert_eq!(net.training_flops_per_image(arch::CLIMATE_INPUT), rows);
         assert_eq!(net.num_params() as u64, w.params);
-        let heads: Vec<_> = w.layers.iter().filter(|l| l.name.starts_with("head")).map(|l| l.name.as_str()).collect();
+        let heads: Vec<_> = w
+            .layers
+            .iter()
+            .filter(|l| l.name.starts_with("head"))
+            .map(|l| l.name.as_str())
+            .collect();
         assert_eq!(heads, ["head_conf", "head_class", "head_bbox"]);
     }
 
@@ -184,7 +230,10 @@ mod tests {
         let knl = KnlModel::default();
         let wc = climate_workload();
         let c_share = wc.io_time(8) / wc.node_iteration_time(&knl, 8);
-        assert!((0.08..0.20).contains(&c_share), "climate io share {c_share}");
+        assert!(
+            (0.08..0.20).contains(&c_share),
+            "climate io share {c_share}"
+        );
         let wh = hep_workload();
         let h_share = wh.io_time(8) / wh.node_iteration_time(&knl, 8);
         assert!((0.005..0.05).contains(&h_share), "hep io share {h_share}");

@@ -110,12 +110,21 @@ fn peak_over_entry(ds: &Arc<HepDataset>, ranks: usize) -> f64 {
 #[test]
 fn thread_engine_keeps_one_model_copy_per_role() {
     let ds = Arc::new(HepDataset::generate(
-        HepConfig { image_size: IMAGE, ..HepConfig::small() },
+        HepConfig {
+            image_size: IMAGE,
+            ..HepConfig::small()
+        },
         32,
         7,
     ));
     let two = peak_over_entry(&ds, 2);
     let one = peak_over_entry(&ds, 1);
-    assert!(two <= 12.0, "1 × 2 ranks peaked at {two:.2} P above entry (limit 12 P)");
-    assert!(one <= 8.0, "1 × 1 rank peaked at {one:.2} P above entry (limit 8 P)");
+    assert!(
+        two <= 12.0,
+        "1 × 2 ranks peaked at {two:.2} P above entry (limit 12 P)"
+    );
+    assert!(
+        one <= 8.0,
+        "1 × 1 rank peaked at {one:.2} P above entry (limit 8 P)"
+    );
 }

@@ -35,7 +35,10 @@ impl BatchSampler {
     pub fn for_node(n: usize, batch: usize, seed: u64, node: usize, num_nodes: usize) -> Self {
         assert!(num_nodes > 0 && node < num_nodes);
         let shard: Vec<usize> = (0..n).filter(|i| i % num_nodes == node).collect();
-        assert!(!shard.is_empty(), "shard for node {node} is empty (n={n}, nodes={num_nodes})");
+        assert!(
+            !shard.is_empty(),
+            "shard for node {node} is empty (n={n}, nodes={num_nodes})"
+        );
         let mut rng = TensorRng::new(seed ^ 0xBA7C4);
         let mut s = Self {
             indices: shard,

@@ -105,12 +105,22 @@ pub struct ClimateConfig {
 impl ClimateConfig {
     /// Paper-scale configuration: 768x768x16.
     pub fn paper() -> Self {
-        Self { image_size: 768, channels: 16, events_per_frame: 2.5, labelled_fraction: 0.5 }
+        Self {
+            image_size: 768,
+            channels: 16,
+            events_per_frame: 2.5,
+            labelled_fraction: 0.5,
+        }
     }
 
     /// Laptop-scale configuration: 64x64x4 for fast tests/training.
     pub fn small() -> Self {
-        Self { image_size: 64, channels: 4, events_per_frame: 2.0, labelled_fraction: 0.5 }
+        Self {
+            image_size: 64,
+            channels: 4,
+            events_per_frame: 2.0,
+            labelled_fraction: 0.5,
+        }
     }
 }
 
@@ -127,7 +137,9 @@ impl ClimateDataset {
     /// Generates `n` frames deterministically from `seed`.
     pub fn generate(config: ClimateConfig, n: usize, seed: u64) -> Self {
         let mut rng = TensorRng::new(seed ^ 0x434C_494D);
-        let samples = (0..n).map(|i| generate_frame(&config, &mut rng.fork(i as u64))).collect();
+        let samples = (0..n)
+            .map(|i| generate_frame(&config, &mut rng.fork(i as u64)))
+            .collect();
         Self { config, samples }
     }
 
@@ -152,7 +164,11 @@ impl ClimateDataset {
         for (j, &i) in indices.iter().enumerate() {
             let sample = &self.samples[i];
             out.item_mut(j).copy_from_slice(sample.image.data());
-            boxes.push(if sample.labelled { sample.boxes.clone() } else { Vec::new() });
+            boxes.push(if sample.labelled {
+                sample.boxes.clone()
+            } else {
+                Vec::new()
+            });
         }
         (out, boxes)
     }
@@ -177,7 +193,11 @@ fn generate_frame(config: &ClimateConfig, rng: &mut TensorRng) -> ClimateSample 
         boxes.push(render_event(&mut image, class, rng));
     }
 
-    ClimateSample { image, boxes, labelled: rng.bernoulli(config.labelled_fraction) }
+    ClimateSample {
+        image,
+        boxes,
+        labelled: rng.bernoulli(config.labelled_fraction),
+    }
 }
 
 /// Smooth large-scale background: latitudinal gradient plus a few random
@@ -289,7 +309,14 @@ fn render_event(image: &mut Tensor, class: EventClass, rng: &mut TensorRng) -> G
 
 /// Vortex signature: TMQ ring, PSL depression, tangential winds; `power`
 /// scales intensity (TCs are sharper and stronger than ETCs).
-fn render_vortex(image: &mut Tensor, cx: f64, cy: f64, radius: f64, power: f64, rng: &mut TensorRng) {
+fn render_vortex(
+    image: &mut Tensor,
+    cx: f64,
+    cy: f64,
+    radius: f64,
+    power: f64,
+    rng: &mut TensorRng,
+) {
     let shape = image.shape();
     let (c, s) = (shape.c, shape.h);
     let px_cx = cx * s as f64;
@@ -342,7 +369,15 @@ fn render_vortex(image: &mut Tensor, cx: f64, cy: f64, radius: f64, power: f64, 
 }
 
 /// Atmospheric-river filament: elevated TMQ along a line segment.
-fn render_filament(image: &mut Tensor, x0: f64, y0: f64, x1: f64, y1: f64, width: f64, _rng: &mut TensorRng) {
+fn render_filament(
+    image: &mut Tensor,
+    x0: f64,
+    y0: f64,
+    x1: f64,
+    y1: f64,
+    width: f64,
+    _rng: &mut TensorRng,
+) {
     let shape = image.shape();
     let (c, s) = (shape.c, shape.h);
     let (px0, py0) = (x0 * s as f64, y0 * s as f64);
@@ -445,7 +480,10 @@ mod tests {
     #[test]
     fn labelled_fraction_respected() {
         let ds = ClimateDataset::generate(
-            ClimateConfig { labelled_fraction: 0.3, ..ClimateConfig::small() },
+            ClimateConfig {
+                labelled_fraction: 0.3,
+                ..ClimateConfig::small()
+            },
             500,
             11,
         );
@@ -455,7 +493,10 @@ mod tests {
 
     #[test]
     fn tc_produces_local_tmq_maximum_and_psl_minimum() {
-        let cfg = ClimateConfig { events_per_frame: 0.0, ..ClimateConfig::small() };
+        let cfg = ClimateConfig {
+            events_per_frame: 0.0,
+            ..ClimateConfig::small()
+        };
         let mut rng = TensorRng::new(42);
         let mut frame = generate_frame(&cfg, &mut rng);
         let before_tmq = frame.image.clone();
@@ -480,7 +521,11 @@ mod tests {
     #[test]
     fn gather_hides_unlabelled_boxes() {
         let ds = ClimateDataset::generate(
-            ClimateConfig { labelled_fraction: 0.0, events_per_frame: 3.0, ..ClimateConfig::small() },
+            ClimateConfig {
+                labelled_fraction: 0.0,
+                events_per_frame: 3.0,
+                ..ClimateConfig::small()
+            },
             4,
             13,
         );
@@ -493,7 +538,13 @@ mod tests {
 
     #[test]
     fn targets_mark_box_centres() {
-        let boxes = vec![vec![GtBox { class: 2, cx: 0.55, cy: 0.30, w: 0.2, h: 0.1 }]];
+        let boxes = vec![vec![GtBox {
+            class: 2,
+            cx: 0.55,
+            cy: 0.30,
+            w: 0.2,
+            h: 0.1,
+        }]];
         let t = boxes_to_targets(&boxes, 8, 3);
         assert_eq!(t.positives(), 1);
         // cell (gy, gx) = (2, 4): 0.30*8=2.4 → 2; 0.55*8=4.4 → 4.
@@ -508,7 +559,10 @@ mod tests {
     #[test]
     fn event_mix_covers_all_classes() {
         let ds = ClimateDataset::generate(
-            ClimateConfig { events_per_frame: 3.0, ..ClimateConfig::small() },
+            ClimateConfig {
+                events_per_frame: 3.0,
+                ..ClimateConfig::small()
+            },
             60,
             17,
         );
@@ -518,6 +572,9 @@ mod tests {
                 seen[b.class] = true;
             }
         }
-        assert!(seen.iter().all(|&x| x), "all three event classes should appear");
+        assert!(
+            seen.iter().all(|&x| x),
+            "all three event classes should appear"
+        );
     }
 }

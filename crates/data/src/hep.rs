@@ -66,12 +66,20 @@ pub struct HepConfig {
 impl HepConfig {
     /// Paper-scale configuration: 224x224 images.
     pub fn paper() -> Self {
-        Self { image_size: 224, signal_fraction: 0.5, preselect: true }
+        Self {
+            image_size: 224,
+            signal_fraction: 0.5,
+            preselect: true,
+        }
     }
 
     /// Laptop-scale configuration: 32x32 images for fast training runs.
     pub fn small() -> Self {
-        Self { image_size: 32, signal_fraction: 0.5, preselect: true }
+        Self {
+            image_size: 32,
+            signal_fraction: 0.5,
+            preselect: true,
+        }
     }
 }
 
@@ -113,7 +121,12 @@ impl HepDataset {
             labels.push(is_signal as usize);
             features.push(feats);
         }
-        Self { config, images, labels, features }
+        Self {
+            config,
+            images,
+            labels,
+            features,
+        }
     }
 
     /// Number of events.
@@ -190,7 +203,8 @@ fn gen_signal_jets(rng: &mut TensorRng) -> Vec<Jet> {
     let mut jets = Vec::new();
     let parent_phi = rng.uniform_range(-std::f64::consts::PI, std::f64::consts::PI);
     for side in 0..2 {
-        let phi0 = wrap_phi(parent_phi + side as f64 * std::f64::consts::PI + rng.normal_ms(0.0, 0.15));
+        let phi0 =
+            wrap_phi(parent_phi + side as f64 * std::f64::consts::PI + rng.normal_ms(0.0, 0.15));
         let eta0 = rng.normal_ms(0.0, 0.9).clamp(-1.8, 1.8);
         // Parent energy split over the decay jets; with some probability
         // two products merge and are reconstructed as one jet.
@@ -200,7 +214,11 @@ fn gen_signal_jets(rng: &mut TensorRng) -> Vec<Jet> {
             let a = rng.uniform_range(0.35, 0.65);
             vec![a, 1.0 - a]
         } else {
-            let mut f = [rng.uniform() + 0.2, rng.uniform() + 0.2, rng.uniform() + 0.2];
+            let mut f = [
+                rng.uniform() + 0.2,
+                rng.uniform() + 0.2,
+                rng.uniform() + 0.2,
+            ];
             let s: f64 = f.iter().sum();
             f.iter_mut().for_each(|x| *x /= s);
             f.to_vec()
@@ -239,7 +257,13 @@ fn make_jet(rng: &mut TensorRng, pt: f64, eta: f64, phi: f64, signal: bool) -> J
         rng.uniform_range(0.3, 0.75)
     };
     let trk_rate = if signal { pt / 7.5 } else { pt / 9.0 };
-    Jet { pt, eta, phi, em_frac, ntrk: rng.poisson(trk_rate.min(80.0)) }
+    Jet {
+        pt,
+        eta,
+        phi,
+        em_frac,
+        ntrk: rng.poisson(trk_rate.min(80.0)),
+    }
 }
 
 #[inline]
@@ -270,8 +294,22 @@ fn render_event(jets: &[Jet], item: &mut [f32], s: usize, rng: &mut TensorRng) {
         let sigma_em = 0.030 * s as f64;
         let sigma_had = 0.060 * s as f64;
         let amp = (1.0 + jet.pt / 100.0).ln() as f32;
-        deposit_gaussian(&mut item[0..plane], s, cx, cy, sigma_em, amp * jet.em_frac as f32);
-        deposit_gaussian(&mut item[plane..2 * plane], s, cx, cy, sigma_had, amp * (1.0 - jet.em_frac) as f32);
+        deposit_gaussian(
+            &mut item[0..plane],
+            s,
+            cx,
+            cy,
+            sigma_em,
+            amp * jet.em_frac as f32,
+        );
+        deposit_gaussian(
+            &mut item[plane..2 * plane],
+            s,
+            cx,
+            cy,
+            sigma_had,
+            amp * (1.0 - jet.em_frac) as f32,
+        );
         // Discrete track hits scattered around the core.
         let trk_plane = &mut item[2 * plane..3 * plane];
         for _ in 0..jet.ntrk {
@@ -353,7 +391,15 @@ pub fn selection_rates(sel: &CutSelection, ds: &HepDataset) -> (f64, f64) {
 /// This is our re-implementation of tuning the benchmark analysis of [5]
 /// at the working point the paper evaluates (FPR = 0.02%, Sec. VII-A).
 pub fn tune_cuts(ds: &HepDataset, fpr_budget: f64) -> (CutSelection, f64, f64) {
-    let mut best = (CutSelection { ht_min: f32::MAX, njets_min: 99, leading_min: f32::MAX }, 0.0, 0.0);
+    let mut best = (
+        CutSelection {
+            ht_min: f32::MAX,
+            njets_min: 99,
+            leading_min: f32::MAX,
+        },
+        0.0,
+        0.0,
+    );
     for ht in (600..2300).step_by(100) {
         for nj in 3..9 {
             for lead in (100..900).step_by(100) {
@@ -377,7 +423,11 @@ pub fn tune_cuts(ds: &HepDataset, fpr_budget: f64) -> (CutSelection, f64, f64) {
 pub fn tpr_at_fpr(scores: &[f32], labels: &[usize], fpr_budget: f64) -> f64 {
     assert_eq!(scores.len(), labels.len());
     let mut order: Vec<usize> = (0..scores.len()).collect();
-    order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap_or(std::cmp::Ordering::Equal));
+    order.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
     let pos = labels.iter().filter(|&&l| l == 1).count().max(1) as f64;
     let neg = labels.iter().filter(|&&l| l == 0).count().max(1) as f64;
     let mut tp = 0.0;
@@ -459,7 +509,12 @@ mod tests {
                 .collect();
             v.iter().sum::<f64>() / v.len() as f64
         };
-        assert!(mean(1) > mean(0), "signal {} vs background {}", mean(1), mean(0));
+        assert!(
+            mean(1) > mean(0),
+            "signal {} vs background {}",
+            mean(1),
+            mean(0)
+        );
     }
 
     #[test]
@@ -492,8 +547,14 @@ mod tests {
         let ds = small_ds(2000, 23);
         let (sel, fpr, tpr) = tune_cuts(&ds, 0.05);
         assert!(fpr <= 0.05, "fpr {fpr}");
-        assert!(tpr > 0.05, "cuts should do better than nothing: tpr {tpr} sel {sel:?}");
-        assert!(tpr < 0.98, "cuts should not be perfect on the filtered sample: tpr {tpr}");
+        assert!(
+            tpr > 0.05,
+            "cuts should do better than nothing: tpr {tpr} sel {sel:?}"
+        );
+        assert!(
+            tpr < 0.98,
+            "cuts should not be perfect on the filtered sample: tpr {tpr}"
+        );
     }
 
     #[test]
@@ -517,7 +578,10 @@ mod tests {
     #[test]
     fn background_ht_spectrum_falls() {
         let ds = HepDataset::generate(
-            HepConfig { signal_fraction: 0.0, ..HepConfig::small() },
+            HepConfig {
+                signal_fraction: 0.0,
+                ..HepConfig::small()
+            },
             1500,
             41,
         );
@@ -550,7 +614,10 @@ mod tests {
                 near += 1;
             }
         }
-        assert!(far > 3 * near, "dijets should be back-to-back: {far} far vs {near} near");
+        assert!(
+            far > 3 * near,
+            "dijets should be back-to-back: {far} far vs {near} near"
+        );
     }
 
     /// Signal decay jets cluster: the mean φ separation between a signal
@@ -570,8 +637,14 @@ mod tests {
             best
         };
         let n = 400;
-        let sig: f64 = (0..n).map(|_| min_sep(&gen_signal_jets(&mut rng))).sum::<f64>() / n as f64;
-        let bkg: f64 = (0..n).map(|_| min_sep(&gen_background_jets(&mut rng))).sum::<f64>() / n as f64;
+        let sig: f64 = (0..n)
+            .map(|_| min_sep(&gen_signal_jets(&mut rng)))
+            .sum::<f64>()
+            / n as f64;
+        let bkg: f64 = (0..n)
+            .map(|_| min_sep(&gen_background_jets(&mut rng)))
+            .sum::<f64>()
+            / n as f64;
         assert!(
             sig < 0.8 * bkg,
             "signal decay products should be collimated: {sig:.3} vs {bkg:.3}"

@@ -99,7 +99,12 @@ impl DatasetReader {
             file.read_exact(&mut u32buf)?;
             *d = u32::from_le_bytes(u32buf);
         }
-        let header = DatasetHeader { count, channels: dims[0], height: dims[1], width: dims[2] };
+        let header = DatasetHeader {
+            count,
+            channels: dims[0],
+            height: dims[1],
+            width: dims[2],
+        };
         // Validate the file length.
         let expect = DatasetHeader::HEADER_BYTES + count * header.record_bytes();
         let actual = file.get_ref().metadata()?.len();

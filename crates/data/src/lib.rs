@@ -87,8 +87,16 @@ mod tests {
         // and 15.1TB; the HEP gap is storage overhead in the original
         // HDF5 files. We assert the computed volumes are in range.
         let h = hep_stats();
-        assert!((5.5..7.5).contains(&h.volume_tb), "HEP volume {}", h.volume_tb);
+        assert!(
+            (5.5..7.5).contains(&h.volume_tb),
+            "HEP volume {}",
+            h.volume_tb
+        );
         let c = climate_stats();
-        assert!((14.0..16.0).contains(&c.volume_tb), "Climate volume {}", c.volume_tb);
+        assert!(
+            (14.0..16.0).contains(&c.volume_tb),
+            "Climate volume {}",
+            c.volume_tb
+        );
     }
 }

@@ -34,7 +34,11 @@ pub struct Relu {
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), mask: Vec::new(), len: 0 }
+        Self {
+            name: name.into(),
+            mask: Vec::new(),
+            len: 0,
+        }
     }
 }
 
@@ -50,7 +54,9 @@ impl Layer for Relu {
     fn forward(&mut self, mut input: Tensor) -> Tensor {
         self.len = input.len();
         self.mask.resize(self.len.div_ceil(WORD), 0);
-        by_word(input.data_mut(), &mut self.mask, |x, bits| *bits = rectify_word(x));
+        by_word(input.data_mut(), &mut self.mask, |x, bits| {
+            *bits = rectify_word(x)
+        });
         input
     }
 
@@ -60,8 +66,15 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        assert_eq!(grad_out.len(), self.len, "{}: backward before forward", self.name);
-        by_word(grad_out.data_mut(), &mut self.mask, |g, bits| pass_word(g, *bits));
+        assert_eq!(
+            grad_out.len(),
+            self.len,
+            "{}: backward before forward",
+            self.name
+        );
+        by_word(grad_out.data_mut(), &mut self.mask, |g, bits| {
+            pass_word(g, *bits)
+        });
         grad_out
     }
 

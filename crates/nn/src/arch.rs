@@ -31,8 +31,16 @@ pub const CLIMATE_GRID: usize = 24;
 fn hep_conv_stack(name: &str, channels: &[usize]) -> NetSpec {
     let (mut net, mut cin) = (NetSpec::new(name), HEP_INPUT.c);
     for (i, &cout) in (1..).zip(channels) {
-        let conv = LayerSpec::Conv(ConvSpec { cin, cout, k: 3, stride: 1, pad: 1 });
-        net = net.push(format!("conv{i}"), conv).push(format!("relu{i}"), LayerSpec::Relu);
+        let conv = LayerSpec::Conv(ConvSpec {
+            cin,
+            cout,
+            k: 3,
+            stride: 1,
+            pad: 1,
+        });
+        net = net
+            .push(format!("conv{i}"), conv)
+            .push(format!("relu{i}"), LayerSpec::Relu);
         if i < channels.len() {
             net = net.push(format!("pool{i}"), LayerSpec::MaxPool { k: 2, stride: 2 });
         }
@@ -48,7 +56,13 @@ fn hep_conv_stack(name: &str, channels: &[usize]) -> NetSpec {
 pub fn hep_network_spec() -> NetSpec {
     hep_conv_stack("hep", &[128; 5])
         .push("gap", LayerSpec::GlobalAvgPool)
-        .push("fc", LayerSpec::Dense { input_len: 128, output_len: HEP_CLASSES })
+        .push(
+            "fc",
+            LayerSpec::Dense {
+                input_len: 128,
+                output_len: HEP_CLASSES,
+            },
+        )
 }
 
 /// Builds [`hep_network_spec`].
@@ -64,7 +78,13 @@ pub fn hep_network(rng: &mut TensorRng) -> Network {
 pub fn hep_small_spec() -> NetSpec {
     hep_conv_stack("hep-small", &[8, 16, 32])
         .push("gap", LayerSpec::GlobalAvgPool)
-        .push("fc", LayerSpec::Dense { input_len: 32, output_len: HEP_CLASSES })
+        .push(
+            "fc",
+            LayerSpec::Dense {
+                input_len: 32,
+                output_len: HEP_CLASSES,
+            },
+        )
 }
 
 /// Builds [`hep_small_spec`].
@@ -81,9 +101,21 @@ pub fn hep_small(rng: &mut TensorRng) -> Network {
 /// iteration had the paper not followed its own rule.
 pub fn hep_dense_variant_spec() -> NetSpec {
     hep_conv_stack("hep-dense-variant", &[128; 5])
-        .push("fc1", LayerSpec::Dense { input_len: 14 * 14 * 128, output_len: 4096 })
+        .push(
+            "fc1",
+            LayerSpec::Dense {
+                input_len: 14 * 14 * 128,
+                output_len: 4096,
+            },
+        )
         .push("fc1_relu", LayerSpec::Relu)
-        .push("fc2", LayerSpec::Dense { input_len: 4096, output_len: HEP_CLASSES })
+        .push(
+            "fc2",
+            LayerSpec::Dense {
+                input_len: 4096,
+                output_len: HEP_CLASSES,
+            },
+        )
 }
 
 /// Channel plan of the climate encoder: `(cout, stride)` per 5x5 conv.
@@ -149,35 +181,82 @@ pub struct ClimateSpec {
 }
 
 impl ClimateSpec {
-    fn new(cin: usize, encoder_plan: &[(usize, usize)], decoder_plan: &[usize], classes: usize) -> Self {
+    fn new(
+        cin: usize,
+        encoder_plan: &[(usize, usize)],
+        decoder_plan: &[usize],
+        classes: usize,
+    ) -> Self {
         let mut encoder = NetSpec::new("climate-encoder");
         let mut c = cin;
         for (i, &(cout, stride)) in encoder_plan.iter().enumerate() {
-            let conv = LayerSpec::Conv(ConvSpec { cin: c, cout, k: 5, stride, pad: 2 });
-            encoder = encoder.push(format!("enc{}", i + 1), conv).push(format!("enc_relu{}", i + 1), LayerSpec::Relu);
+            let conv = LayerSpec::Conv(ConvSpec {
+                cin: c,
+                cout,
+                k: 5,
+                stride,
+                pad: 2,
+            });
+            encoder = encoder
+                .push(format!("enc{}", i + 1), conv)
+                .push(format!("enc_relu{}", i + 1), LayerSpec::Relu);
             c = cout;
         }
-        let head = |name: &str, cout| (name.to_string(), ConvSpec { cin: c, cout, k: 3, stride: 1, pad: 1 });
-        let heads = [head("head_conf", 1), head("head_class", classes), head("head_bbox", 4)];
+        let head = |name: &str, cout| {
+            (
+                name.to_string(),
+                ConvSpec {
+                    cin: c,
+                    cout,
+                    k: 3,
+                    stride: 1,
+                    pad: 1,
+                },
+            )
+        };
+        let heads = [
+            head("head_conf", 1),
+            head("head_class", classes),
+            head("head_bbox", 4),
+        ];
 
         let mut decoder = NetSpec::new("climate-decoder");
         for (i, &cout) in decoder_plan.iter().enumerate() {
-            let deconv = LayerSpec::Deconv(ConvSpec { cin: c, cout, k: 4, stride: 2, pad: 1 });
+            let deconv = LayerSpec::Deconv(ConvSpec {
+                cin: c,
+                cout,
+                k: 4,
+                stride: 2,
+                pad: 1,
+            });
             decoder = decoder.push(format!("dec{}", i + 1), deconv);
             if i + 1 < decoder_plan.len() {
                 decoder = decoder.push(format!("dec_relu{}", i + 1), LayerSpec::Relu);
             }
             c = cout;
         }
-        Self { encoder, decoder, heads }
+        Self {
+            encoder,
+            decoder,
+            heads,
+        }
     }
 
     /// Builds the network, drawing the encoder's weights, then the
     /// decoder's, then the heads'.
     pub fn build(&self, rng: &mut TensorRng) -> ClimateNet {
         let (encoder, decoder) = (self.encoder.build(rng), self.decoder.build(rng));
-        let heads = self.heads.clone().map(|(name, c)| Conv2d::new(name, c.cin, c.cout, c.k, c.stride, c.pad, rng));
-        ClimateNet { encoder, decoder, heads, lambda_recon: 1.0, det_loss: DetectionLoss::default() }
+        let heads = self
+            .heads
+            .clone()
+            .map(|(name, c)| Conv2d::new(name, c.cin, c.cout, c.k, c.stride, c.pad, rng));
+        ClimateNet {
+            encoder,
+            decoder,
+            heads,
+            lambda_recon: 1.0,
+            det_loss: DetectionLoss::default(),
+        }
     }
 
     /// Each layer's name, spec and input shape for a network input of
@@ -185,13 +264,23 @@ impl ClimateSpec {
     /// then the decoder's layers.
     pub fn walk(&self, input: Shape4) -> impl Iterator<Item = (&str, LayerSpec, Shape4)> + Clone {
         let feat = self.encoder.out_shape(input);
-        let heads = self.heads.iter().map(move |(name, c)| (name.as_str(), LayerSpec::Conv(*c), feat));
-        self.encoder.walk(input).chain(heads).chain(self.decoder.walk(feat))
+        let heads = self
+            .heads
+            .iter()
+            .map(move |(name, c)| (name.as_str(), LayerSpec::Conv(*c), feat));
+        self.encoder
+            .walk(input)
+            .chain(heads)
+            .chain(self.decoder.walk(feat))
     }
 
     /// Total scalar parameter count.
     pub fn num_params(&self) -> usize {
-        let heads: usize = self.heads.iter().map(|(_, c)| LayerSpec::Conv(*c).num_params()).sum();
+        let heads: usize = self
+            .heads
+            .iter()
+            .map(|(_, c)| LayerSpec::Conv(*c).num_params())
+            .sum();
         self.encoder.num_params() + heads + self.decoder.num_params()
     }
 }
@@ -200,7 +289,12 @@ impl ClimateNet {
     /// The full-scale network (Table II: 9 conv + 5 deconv, ≈80.3M
     /// parameters ≈ 306 MiB; paper reports 302.1 MiB).
     pub fn full_spec() -> ClimateSpec {
-        ClimateSpec::new(CLIMATE_INPUT.c, &CLIMATE_ENCODER_PLAN, &CLIMATE_DECODER_PLAN, CLIMATE_CLASSES)
+        ClimateSpec::new(
+            CLIMATE_INPUT.c,
+            &CLIMATE_ENCODER_PLAN,
+            &CLIMATE_DECODER_PLAN,
+            CLIMATE_CLASSES,
+        )
     }
 
     /// Builds [`ClimateNet::full_spec`].
@@ -222,8 +316,15 @@ impl ClimateNet {
 
     /// The network as data.
     pub fn spec(&self) -> ClimateSpec {
-        let heads = self.heads.each_ref().map(|h| (h.name().to_string(), h.conv));
-        ClimateSpec { encoder: self.encoder.spec(), decoder: self.decoder.spec(), heads }
+        let heads = self
+            .heads
+            .each_ref()
+            .map(|h| (h.name().to_string(), h.conv));
+        ClimateSpec {
+            encoder: self.encoder.spec(),
+            decoder: self.decoder.spec(),
+            heads,
+        }
     }
 
     /// Number of object classes predicted by the class head.
@@ -244,9 +345,17 @@ impl ClimateNet {
         let features = self.encoder.forward(input);
         let recon = self.decoder.forward(&features);
         let [conf, class, bbox] = &mut self.heads;
-        let (conf, class) = (conf.forward(features.clone()), class.forward(features.clone()));
+        let (conf, class) = (
+            conf.forward(features.clone()),
+            class.forward(features.clone()),
+        );
         let bbox = bbox.forward(features);
-        ClimateOutput { conf, class, bbox, recon }
+        ClimateOutput {
+            conf,
+            class,
+            bbox,
+            recon,
+        }
     }
 
     /// Combined semi-supervised training step for one batch: forward,
@@ -269,7 +378,8 @@ impl ClimateNet {
         let mut dfeat = self.decoder.backward(&drecon);
 
         let parts = if let Some(t) = targets {
-            let (parts, dconf, dclass, dbbox) = self.det_loss.forward(&out.conf, &out.class, &out.bbox, t);
+            let (parts, dconf, dclass, dbbox) =
+                self.det_loss.forward(&out.conf, &out.class, &out.bbox, t);
             for (head, d) in self.heads.iter_mut().zip([dconf, dclass, dbbox]) {
                 dfeat.add_assign(&head.backward(d));
             }
@@ -278,7 +388,11 @@ impl ClimateNet {
             // Unlabelled batch: heads still cached a forward; drop state
             // by running a zero backward so gradient accumulation stays
             // well-defined without contributing to head gradients.
-            for (head, out) in self.heads.iter_mut().zip([&out.conf, &out.class, &out.bbox]) {
+            for (head, out) in self
+                .heads
+                .iter_mut()
+                .zip([&out.conf, &out.class, &out.bbox])
+            {
                 head.backward(Tensor::zeros(out.shape()));
             }
             DetectionLossParts::default()
@@ -292,7 +406,10 @@ impl ClimateNet {
     /// Total FLOPs per image for one training iteration (forward +
     /// backward over encoder, heads and decoder).
     pub fn training_flops_per_image(&self, input: Shape4) -> u64 {
-        self.spec().walk(input.with_n(1)).map(|(_, l, s)| l.training_flops_per_image(s)).sum()
+        self.spec()
+            .walk(input.with_n(1))
+            .map(|(_, l, s)| l.training_flops_per_image(s))
+            .sum()
     }
 }
 
@@ -367,7 +484,11 @@ mod tests {
     #[test]
     fn every_architecture_builds_the_list_it_was_built_from() {
         let mut rng = TensorRng::new(9);
-        for spec in [hep_network_spec(), hep_small_spec(), hep_dense_variant_spec()] {
+        for spec in [
+            hep_network_spec(),
+            hep_small_spec(),
+            hep_dense_variant_spec(),
+        ] {
             let net = spec.build(&mut rng);
             assert_eq!(net.spec(), spec);
             assert_eq!(net.num_params(), spec.num_params(), "{}", spec.name);
@@ -403,7 +524,12 @@ mod tests {
             .iter()
             .chain(heads)
             .chain(dec)
-            .flat_map(|l| l.params().into_iter().flat_map(|b| b.value.data().to_vec()).collect::<Vec<_>>())
+            .flat_map(|l| {
+                l.params()
+                    .into_iter()
+                    .flat_map(|b| b.value.data().to_vec())
+                    .collect::<Vec<_>>()
+            })
             .collect();
         assert_eq!(net.flat_params(), want);
     }
@@ -433,7 +559,12 @@ mod tests {
         let grads = net.flat_grads();
         assert!(grads.iter().any(|&g| g != 0.0));
         // Head gradients must be nonzero in supervised mode.
-        let conf_grad_norm: f32 = net.heads[0].params()[0].grad.data().iter().map(|g| g.abs()).sum();
+        let conf_grad_norm: f32 = net.heads[0].params()[0]
+            .grad
+            .data()
+            .iter()
+            .map(|g| g.abs())
+            .sum();
         assert!(conf_grad_norm > 0.0);
     }
 
@@ -445,7 +576,12 @@ mod tests {
         let (parts, recon) = net.forward_backward(&x, None);
         assert_eq!(parts.total(), 0.0);
         assert!(recon > 0.0);
-        let head_grad: f32 = net.heads[0].params()[0].grad.data().iter().map(|g| g.abs()).sum();
+        let head_grad: f32 = net.heads[0].params()[0]
+            .grad
+            .data()
+            .iter()
+            .map(|g| g.abs())
+            .sum();
         assert_eq!(head_grad, 0.0);
         let enc_grad: f32 = net.encoder.flat_grads().iter().map(|g| g.abs()).sum();
         assert!(enc_grad > 0.0);
@@ -469,7 +605,10 @@ mod tests {
             net.zero_grads();
             last = l;
         }
-        assert!(last < first, "reconstruction loss should fall: {first} → {last}");
+        assert!(
+            last < first,
+            "reconstruction loss should fall: {first} → {last}"
+        );
     }
 
     #[test]
@@ -499,7 +638,10 @@ mod tests {
             first_loss.get_or_insert(loss);
             last_loss = loss;
         }
-        assert!(last_loss < first_loss.unwrap() * 0.5, "{first_loss:?} → {last_loss}");
+        assert!(
+            last_loss < first_loss.unwrap() * 0.5,
+            "{first_loss:?} → {last_loss}"
+        );
     }
 
     #[test]

@@ -63,8 +63,26 @@ impl Conv2d {
         rng: &mut TensorRng,
     ) -> Self {
         let name = name.into();
-        let (weight, bias) = ParamBlock::weight_and_bias(&name, Shape4::new(cout, cin, k, k), cin * k * k, cout, rng);
-        Self { name, conv: ConvSpec { cin, cout, k, stride, pad }, weight, bias, cached_input: None }
+        let (weight, bias) = ParamBlock::weight_and_bias(
+            &name,
+            Shape4::new(cout, cin, k, k),
+            cin * k * k,
+            cout,
+            rng,
+        );
+        Self {
+            name,
+            conv: ConvSpec {
+                cin,
+                cout,
+                k,
+                stride,
+                pad,
+            },
+            weight,
+            bias,
+            cached_input: None,
+        }
     }
 
     /// The geometry induced by an input of the given spatial size.
@@ -91,7 +109,11 @@ impl Conv2d {
     /// and `pool`'s tap records written for [`Conv2d::backward_pooled`].
     pub(crate) fn forward_pooled(&mut self, input: Tensor, pool: &mut MaxPool2d) -> Tensor {
         let window = pool.window();
-        let out = self.pooled(&input, window, Some(pool.record(self.out_shape(input.shape()))));
+        let out = self.pooled(
+            &input,
+            window,
+            Some(pool.record(self.out_shape(input.shape()))),
+        );
         self.cached_input = Some(input);
         out
     }
@@ -110,7 +132,12 @@ impl Conv2d {
     /// and the item's weight gradient, bias gradient and — if `data` —
     /// data gradient are taken from it as [`Layer::backward`] takes them
     /// from `grad_out`.
-    pub(crate) fn backward_pooled(&mut self, grad_out: Tensor, pool: &MaxPool2d, data: bool) -> Option<Tensor> {
+    pub(crate) fn backward_pooled(
+        &mut self,
+        grad_out: Tensor,
+        pool: &MaxPool2d,
+        data: bool,
+    ) -> Option<Tensor> {
         let input = self
             .cached_input
             .take()
@@ -118,7 +145,12 @@ impl Conv2d {
         let ishape = input.shape();
         let geo = self.geometry(ishape.h, ishape.w);
         let oshape = pool.out_shape(geo.out_shape(ishape.n));
-        assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
+        assert_eq!(
+            grad_out.shape(),
+            oshape,
+            "{}: grad_out shape mismatch",
+            self.name
+        );
         let taps = pool.recorded(grad_out.shape());
         let (window, hw) = (pool.window(), (geo.out_h(), geo.out_w()));
 
@@ -128,7 +160,9 @@ impl Conv2d {
         for n in 0..ishape.n {
             window.unpool(grad_out.item(n), &taps[n * pooled..][..pooled], hw, &mut dy);
             let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-            let dx = dx.as_mut().map(|(weight_t, grad_in)| (&*weight_t, grad_in.item_mut(n)));
+            let dx = dx
+                .as_mut()
+                .map(|(weight_t, grad_in)| (&*weight_t, grad_in.item_mut(n)));
             backward_item(&geo, input.item(n), &dy, grads, dx);
         }
         dx.map(|(_, grad_in)| grad_in)
@@ -143,12 +177,19 @@ impl Conv2d {
         let ishape = input.shape();
         let geo = self.geometry(ishape.h, ishape.w);
         let oshape = geo.out_shape(ishape.n);
-        assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
+        assert_eq!(
+            grad_out.shape(),
+            oshape,
+            "{}: grad_out shape mismatch",
+            self.name
+        );
 
         let mut dx = input_grad(data, &geo, self.weight.value.data(), ishape);
         for n in 0..ishape.n {
             let grads = (self.weight.grad.data_mut(), self.bias.grad.data_mut());
-            let dx = dx.as_mut().map(|(weight_t, grad_in)| (&*weight_t, grad_in.item_mut(n)));
+            let dx = dx
+                .as_mut()
+                .map(|(weight_t, grad_in)| (&*weight_t, grad_in.item_mut(n)));
             backward_item(&geo, input.item(n), grad_out.item(n), grads, dx);
         }
         dx.map(|(_, grad_in)| grad_in)
@@ -166,10 +207,19 @@ impl Conv2d {
         let mut out = Tensor::zeros(window.out_shape(geo.out_shape(ishape.n)));
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let hw = (geo.out_h(), geo.out_w());
-        let weight = PackedA::new(Transpose::No, self.conv.cout, rows, self.weight.value.data());
+        let weight = PackedA::new(
+            Transpose::No,
+            self.conv.cout,
+            rows,
+            self.weight.value.data(),
+        );
         let bias = self.bias.value.data();
 
-        let per_unit = if self.item_parallel(ishape.n, &geo) { 1 } else { ishape.n.max(1) };
+        let per_unit = if self.item_parallel(ishape.n, &geo) {
+            1
+        } else {
+            ishape.n.max(1)
+        };
         let item = out.shape().item_len().max(1);
         // A push or a pop leaves the list whole, so a unit that panicked
         // holding the lock left nothing to repair.
@@ -186,10 +236,15 @@ impl Conv2d {
             spare.lock().unwrap_or_else(PoisonError::into_inner).push(y);
         };
         match taps {
-            Some(taps) => {
-                par::for_each_chunk_pair_mut(out.data_mut(), taps, per_unit * item, |u, out, taps| unit(u, out, Some(taps)))
-            }
-            None => par::for_each_chunk_mut(out.data_mut(), per_unit * item, |u, out| unit(u, out, None)),
+            Some(taps) => par::for_each_chunk_pair_mut(
+                out.data_mut(),
+                taps,
+                per_unit * item,
+                |u, out, taps| unit(u, out, Some(taps)),
+            ),
+            None => par::for_each_chunk_mut(out.data_mut(), per_unit * item, |u, out| {
+                unit(u, out, None)
+            }),
         }
         out
     }
@@ -219,10 +274,19 @@ impl Layer for Conv2d {
 
         // The weights are the left operand of every item's GEMM: pack
         // them once per call, not once per image.
-        let weight = PackedA::new(Transpose::No, self.conv.cout, rows, self.weight.value.data());
+        let weight = PackedA::new(
+            Transpose::No,
+            self.conv.cout,
+            rows,
+            self.weight.value.data(),
+        );
         let bias = self.bias.value.data();
 
-        let per_unit = if self.item_parallel(ishape.n, &geo) { 1 } else { ishape.n.max(1) };
+        let per_unit = if self.item_parallel(ishape.n, &geo) {
+            1
+        } else {
+            ishape.n.max(1)
+        };
         let item_out = oshape.item_len().max(1);
         par::for_each_chunk_mut(out.data_mut(), per_unit * item_out, |unit, items| {
             for (n, item) in items.chunks_mut(item_out).enumerate() {
@@ -237,7 +301,8 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        self.backward_unfused(grad_out, true).expect("data gradient asked for")
+        self.backward_unfused(grad_out, true)
+            .expect("data gradient asked for")
     }
 
     fn backward_params(&mut self, grad_out: Tensor) {
@@ -254,7 +319,9 @@ impl Layer for Conv2d {
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
         let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
-        Some(crate::quant::QuantLayer::Conv2d(crate::quant::QuantConv2d::new(self.conv, weight, bias)))
+        Some(crate::quant::QuantLayer::Conv2d(
+            crate::quant::QuantConv2d::new(self.conv, weight, bias),
+        ))
     }
 
     fn params(&self) -> Vec<&ParamBlock> {
@@ -269,8 +336,18 @@ impl Layer for Conv2d {
 /// If `data`, what a backward writes the input gradient with: `Wᵀ`
 /// packed once — the left operand of every item's data-gradient GEMM —
 /// and the zeroed gradient.
-fn input_grad<'w>(data: bool, geo: &ConvGeometry, weight: &'w [f32], ishape: Shape4) -> Option<(PackedA<'w>, Tensor)> {
-    data.then(|| (PackedA::new(Transpose::Yes, geo.col_rows(), geo.cout, weight), Tensor::zeros(ishape)))
+fn input_grad<'w>(
+    data: bool,
+    geo: &ConvGeometry,
+    weight: &'w [f32],
+    ishape: Shape4,
+) -> Option<(PackedA<'w>, Tensor)> {
+    data.then(|| {
+        (
+            PackedA::new(Transpose::Yes, geo.col_rows(), geo.cout, weight),
+            Tensor::zeros(ishape),
+        )
+    })
 }
 
 /// One item's backward from its output gradient `dy` (`cout x cols`):
@@ -357,7 +434,11 @@ mod tests {
                                 for kx in 0..k {
                                     let iy = (oy * stride + ky) as isize - pad as isize;
                                     let ix = (ox * stride + kx) as isize - pad as isize;
-                                    if iy >= 0 && ix >= 0 && (iy as usize) < is.h && (ix as usize) < is.w {
+                                    if iy >= 0
+                                        && ix >= 0
+                                        && (iy as usize) < is.h
+                                        && (ix as usize) < is.w
+                                    {
                                         acc += input.at(n, ci, iy as usize, ix as usize)
                                             * w.at(co, ci, ky, kx);
                                     }
@@ -375,9 +456,12 @@ mod tests {
     #[test]
     fn forward_matches_direct_reference() {
         let mut r = rng();
-        for &(cin, cout, h, w, k, s, p) in
-            &[(1, 1, 5, 5, 3, 1, 0), (2, 3, 6, 7, 3, 1, 1), (3, 4, 8, 8, 5, 2, 2), (2, 2, 4, 4, 1, 1, 0)]
-        {
+        for &(cin, cout, h, w, k, s, p) in &[
+            (1, 1, 5, 5, 3, 1, 0),
+            (2, 3, 6, 7, 3, 1, 1),
+            (3, 4, 8, 8, 5, 2, 2),
+            (2, 2, 4, 4, 1, 1, 0),
+        ] {
             let mut conv = Conv2d::new("c", cin, cout, k, s, p, &mut r);
             let x = r.uniform_tensor(Shape4::new(2, cin, h, w), -1.0, 1.0);
             let y = conv.forward(x.clone());
@@ -477,9 +561,15 @@ mod tests {
     fn flop_count_formula() {
         let mut r = rng();
         let conv = Conv2d::new("c", 3, 128, 3, 1, 1, &mut r);
-        let f = conv.spec().forward_flops_per_image(Shape4::new(1, 3, 224, 224));
+        let f = conv
+            .spec()
+            .forward_flops_per_image(Shape4::new(1, 3, 224, 224));
         assert_eq!(f, 2 * 128 * 3 * 9 * 224 * 224);
-        assert_eq!(conv.spec().backward_flops_per_image(Shape4::new(1, 3, 224, 224)), 2 * f);
+        assert_eq!(
+            conv.spec()
+                .backward_flops_per_image(Shape4::new(1, 3, 224, 224)),
+            2 * f
+        );
     }
 
     #[test]

@@ -41,8 +41,26 @@ impl Deconv2d {
         rng: &mut TensorRng,
     ) -> Self {
         let name = name.into();
-        let (weight, bias) = ParamBlock::weight_and_bias(&name, Shape4::new(cin, cout, k, k), cin * k * k, cout, rng);
-        Self { name, conv: ConvSpec { cin, cout, k, stride, pad }, weight, bias, cached_input: None }
+        let (weight, bias) = ParamBlock::weight_and_bias(
+            &name,
+            Shape4::new(cin, cout, k, k),
+            cin * k * k,
+            cout,
+            rng,
+        );
+        Self {
+            name,
+            conv: ConvSpec {
+                cin,
+                cout,
+                k,
+                stride,
+                pad,
+            },
+            weight,
+            bias,
+            cached_input: None,
+        }
     }
 }
 
@@ -67,7 +85,12 @@ impl Layer for Deconv2d {
         let oshape = self.out_shape(ishape);
         let mut out = Tensor::zeros(oshape);
         // Wᵀ (cout*k*k x cin) is the left operand of every item's product.
-        let weight_t = PackedA::new(Transpose::Yes, geo.col_rows(), self.conv.cin, self.weight.value.data());
+        let weight_t = PackedA::new(
+            Transpose::Yes,
+            geo.col_rows(),
+            self.conv.cin,
+            self.weight.value.data(),
+        );
 
         for n in 0..ishape.n {
             // Scatter Wᵀ * x (cin x h*w) into the (zeroed) output plane.
@@ -95,7 +118,12 @@ impl Layer for Deconv2d {
         let ishape = input.shape();
         let geo = self.conv.mirror_geometry(ishape.h, ishape.w);
         let oshape = self.out_shape(ishape);
-        assert_eq!(grad_out.shape(), oshape, "{}: grad_out shape mismatch", self.name);
+        assert_eq!(
+            grad_out.shape(),
+            oshape,
+            "{}: grad_out shape mismatch",
+            self.name
+        );
 
         let (rows, cols) = (geo.col_rows(), geo.col_cols());
         let mut grad_in = Tensor::zeros(ishape);
@@ -109,7 +137,13 @@ impl Layer for Deconv2d {
             weight.gemm(col, cols, 1.0, 0.0, grad_in.item_mut(n));
             // dW += x (cin x h*w) * colᵀ (h*w x cout*k*k)
             let col_t = BSource::Im2col(Transpose::Yes, &geo, grad_out.item(n));
-            PackedA::new(Transpose::No, self.conv.cin, cols, input.item(n)).gemm(col_t, rows, 1.0, 1.0, self.weight.grad.data_mut());
+            PackedA::new(Transpose::No, self.conv.cin, cols, input.item(n)).gemm(
+                col_t,
+                rows,
+                1.0,
+                1.0,
+                self.weight.grad.data_mut(),
+            );
             // Bias gradient: per-output-channel sum of dY.
             let plane = oshape.plane_len();
             let dy = grad_out.item(n);
@@ -139,7 +173,14 @@ mod tests {
     }
 
     /// Direct (scatter) transposed-convolution reference.
-    fn deconv_ref(input: &Tensor, w: &Tensor, b: &[f32], k: usize, stride: usize, pad: usize) -> Tensor {
+    fn deconv_ref(
+        input: &Tensor,
+        w: &Tensor,
+        b: &[f32],
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Tensor {
         let is = input.shape();
         let cout = w.shape().c; // weight stored (cin, cout, k, k)
         let oh = (is.h - 1) * stride + k - 2 * pad;
@@ -162,7 +203,11 @@ mod tests {
                                 for kx in 0..k {
                                     let oy = (iy * stride + ky) as isize - pad as isize;
                                     let ox = (ix * stride + kx) as isize - pad as isize;
-                                    if oy >= 0 && ox >= 0 && (oy as usize) < oh && (ox as usize) < ow {
+                                    if oy >= 0
+                                        && ox >= 0
+                                        && (oy as usize) < oh
+                                        && (ox as usize) < ow
+                                    {
                                         *out.at_mut(n, co, oy as usize, ox as usize) +=
                                             v * w.at(ci, co, ky, kx);
                                     }
@@ -179,9 +224,11 @@ mod tests {
     #[test]
     fn forward_matches_direct_reference() {
         let mut r = rng();
-        for &(cin, cout, h, w, k, s, p) in
-            &[(1, 1, 3, 3, 2, 2, 0), (2, 3, 4, 5, 4, 2, 1), (3, 2, 3, 3, 3, 1, 1)]
-        {
+        for &(cin, cout, h, w, k, s, p) in &[
+            (1, 1, 3, 3, 2, 2, 0),
+            (2, 3, 4, 5, 4, 2, 1),
+            (3, 2, 3, 3, 3, 1, 1),
+        ] {
             let mut d = Deconv2d::new("d", cin, cout, k, s, p, &mut r);
             let x = r.uniform_tensor(Shape4::new(2, cin, h, w), -1.0, 1.0);
             let y = d.forward(x.clone());
@@ -198,7 +245,10 @@ mod tests {
     fn stride2_doubles_resolution_with_k4_p1() {
         let mut r = rng();
         let d = Deconv2d::new("d", 8, 4, 4, 2, 1, &mut r);
-        assert_eq!(d.out_shape(Shape4::new(1, 8, 24, 24)), Shape4::new(1, 4, 48, 48));
+        assert_eq!(
+            d.out_shape(Shape4::new(1, 8, 24, 24)),
+            Shape4::new(1, 4, 48, 48)
+        );
     }
 
     #[test]
@@ -259,16 +309,32 @@ mod tests {
         let mut dec = Deconv2d::new("d", cout, cin, k, s, p, &mut r);
         // Share weights: conv weight (cout, cin, k, k) == deconv weight
         // layout (cin_dec=cout, cout_dec=cin, k, k) — identical buffers.
-        dec.weight.value = Tensor::from_vec(dec.weight.value.shape(), conv.params()[0].value.data().to_vec());
+        dec.weight.value = Tensor::from_vec(
+            dec.weight.value.shape(),
+            conv.params()[0].value.data().to_vec(),
+        );
 
         let x = r.uniform_tensor(Shape4::new(1, cin, 7, 7), -1.0, 1.0);
         let cx = conv.forward(x.clone());
         let y = r.uniform_tensor(cx.shape(), -1.0, 1.0);
         let dy = dec.forward(y.clone());
 
-        let lhs: f64 = cx.data().iter().zip(y.data()).map(|(a, b)| *a as f64 * *b as f64).sum();
-        let rhs: f64 = x.data().iter().zip(dy.data()).map(|(a, b)| *a as f64 * *b as f64).sum();
-        assert!((lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
+        let lhs: f64 = cx
+            .data()
+            .iter()
+            .zip(y.data())
+            .map(|(a, b)| *a as f64 * *b as f64)
+            .sum();
+        let rhs: f64 = x
+            .data()
+            .iter()
+            .zip(dy.data())
+            .map(|(a, b)| *a as f64 * *b as f64)
+            .sum();
+        assert!(
+            (lhs - rhs).abs() < 1e-3 * (1.0 + lhs.abs()),
+            "{lhs} vs {rhs}"
+        );
     }
 
     #[test]

@@ -25,11 +25,23 @@ pub struct Dense {
 
 impl Dense {
     /// Creates a dense layer with He-initialised weights.
-    pub fn new(name: impl Into<String>, input_len: usize, output_len: usize, rng: &mut TensorRng) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        input_len: usize,
+        output_len: usize,
+        rng: &mut TensorRng,
+    ) -> Self {
         let name = name.into();
         let shape = Shape4::new(output_len, input_len, 1, 1);
         let (weight, bias) = ParamBlock::weight_and_bias(&name, shape, input_len, output_len, rng);
-        Self { name, input_len, output_len, weight, bias, cached_input: None }
+        Self {
+            name,
+            input_len,
+            output_len,
+            weight,
+            bias,
+            cached_input: None,
+        }
     }
 }
 
@@ -39,7 +51,10 @@ impl Layer for Dense {
     }
 
     fn spec(&self) -> LayerSpec {
-        LayerSpec::Dense { input_len: self.input_len, output_len: self.output_len }
+        LayerSpec::Dense {
+            input_len: self.input_len,
+            output_len: self.output_len,
+        }
     }
 
     fn forward(&mut self, input: Tensor) -> Tensor {
@@ -115,7 +130,9 @@ impl Layer for Dense {
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
         let (weight, bias) = (self.weight.value.data(), self.bias.value.data());
-        Some(crate::quant::QuantLayer::Dense(crate::quant::QuantDense::new(self.input_len, self.output_len, weight, bias)))
+        Some(crate::quant::QuantLayer::Dense(
+            crate::quant::QuantDense::new(self.input_len, self.output_len, weight, bias),
+        ))
     }
 
     fn params(&self) -> Vec<&ParamBlock> {
@@ -136,10 +153,8 @@ mod tests {
         let mut rng = TensorRng::new(5);
         let mut d = Dense::new("fc", 3, 2, &mut rng);
         // Overwrite with known weights.
-        d.weight.value = Tensor::from_vec(
-            Shape4::new(2, 3, 1, 1),
-            vec![1.0, 0.0, -1.0, 2.0, 1.0, 0.5],
-        );
+        d.weight.value =
+            Tensor::from_vec(Shape4::new(2, 3, 1, 1), vec![1.0, 0.0, -1.0, 2.0, 1.0, 0.5]);
         d.bias.value = Tensor::from_flat(vec![0.5, -0.5]);
         let x = Tensor::from_vec(Shape4::new(2, 3, 1, 1), vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0]);
         let y = d.forward(x.clone());
@@ -208,6 +223,9 @@ mod tests {
     fn flops_formula() {
         let mut rng = TensorRng::new(2);
         let d = Dense::new("fc", 128, 2, &mut rng);
-        assert_eq!(d.spec().forward_flops_per_image(Shape4::flat(128)), 2 * 128 * 2);
+        assert_eq!(
+            d.spec().forward_flops_per_image(Shape4::flat(128)),
+            2 * 128 * 2
+        );
     }
 }

@@ -28,14 +28,30 @@ impl ParamBlock {
     /// Creates a block with the given initial values and a zero gradient.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape());
-        Self { name: name.into(), value, grad }
+        Self {
+            name: name.into(),
+            value,
+            grad,
+        }
     }
 
     /// A layer's weight, He-initialised for `fan_in` inputs per output,
     /// and its zero bias over `outputs`, named after `layer`.
-    pub(crate) fn weight_and_bias(layer: &str, shape: Shape4, fan_in: usize, outputs: usize, rng: &mut TensorRng) -> (Self, Self) {
+    pub(crate) fn weight_and_bias(
+        layer: &str,
+        shape: Shape4,
+        fan_in: usize,
+        outputs: usize,
+        rng: &mut TensorRng,
+    ) -> (Self, Self) {
         let weight = Self::new(format!("{layer}.weight"), rng.he_tensor(shape, fan_in));
-        (weight, Self::new(format!("{layer}.bias"), Tensor::zeros(Shape4::flat(outputs))))
+        (
+            weight,
+            Self::new(
+                format!("{layer}.bias"),
+                Tensor::zeros(Shape4::flat(outputs)),
+            ),
+        )
     }
 
     /// Number of scalar parameters.

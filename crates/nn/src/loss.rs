@@ -63,7 +63,12 @@ pub fn mse_loss(pred: &Tensor, target: &Tensor) -> (f32, Tensor) {
     let n = pred.len().max(1) as f32;
     let mut grad = Tensor::zeros(pred.shape());
     let mut loss = 0.0f64;
-    for ((g, &p), &t) in grad.data_mut().iter_mut().zip(pred.data()).zip(target.data()) {
+    for ((g, &p), &t) in grad
+        .data_mut()
+        .iter_mut()
+        .zip(pred.data())
+        .zip(target.data())
+    {
         let d = p - t;
         loss += (d as f64) * (d as f64);
         *g = 2.0 * d / n;
@@ -118,8 +123,21 @@ impl DetectionTargets {
     /// `(ox, oy)` are the centre offsets within the cell in `[0,1]`;
     /// `(w, h)` the box size normalised to the image.
     #[allow(clippy::too_many_arguments)]
-    pub fn add_object(&mut self, i: usize, gy: usize, gx: usize, class: usize, ox: f32, oy: f32, w: f32, h: f32) {
-        assert!(i < self.n && gy < self.grid_h && gx < self.grid_w, "cell out of range");
+    pub fn add_object(
+        &mut self,
+        i: usize,
+        gy: usize,
+        gx: usize,
+        class: usize,
+        ox: f32,
+        oy: f32,
+        w: f32,
+        h: f32,
+    ) {
+        assert!(
+            i < self.n && gy < self.grid_h && gx < self.grid_w,
+            "cell out of range"
+        );
         assert!(class < self.classes, "class out of range");
         let cells = self.grid_h * self.grid_w;
         let cell = gy * self.grid_w + gx;
@@ -172,7 +190,11 @@ pub struct DetectionLoss {
 
 impl Default for DetectionLoss {
     fn default() -> Self {
-        Self { lambda_obj: 1.0, lambda_noobj: 0.5, lambda_bbox: 5.0 }
+        Self {
+            lambda_obj: 1.0,
+            lambda_noobj: 0.5,
+            lambda_bbox: 5.0,
+        }
     }
 }
 
@@ -191,9 +213,21 @@ impl DetectionLoss {
         targets: &DetectionTargets,
     ) -> (DetectionLossParts, Tensor, Tensor, Tensor) {
         let (n, gh, gw, k) = (targets.n, targets.grid_h, targets.grid_w, targets.classes);
-        assert_eq!(conf_map.shape(), Shape4::new(n, 1, gh, gw), "conf map shape");
-        assert_eq!(class_map.shape(), Shape4::new(n, k, gh, gw), "class map shape");
-        assert_eq!(bbox_map.shape(), Shape4::new(n, 4, gh, gw), "bbox map shape");
+        assert_eq!(
+            conf_map.shape(),
+            Shape4::new(n, 1, gh, gw),
+            "conf map shape"
+        );
+        assert_eq!(
+            class_map.shape(),
+            Shape4::new(n, k, gh, gw),
+            "class map shape"
+        );
+        assert_eq!(
+            bbox_map.shape(),
+            Shape4::new(n, 4, gh, gw),
+            "bbox map shape"
+        );
 
         let cells = gh * gw;
         let total_cells = (n * cells) as f32;
@@ -211,8 +245,13 @@ impl DetectionLoss {
             let t = targets.conf[idx];
             let logit = conf_map.data()[idx];
             let p = sigmoid(logit).clamp(1e-7, 1.0 - 1e-7);
-            let w = if t > 0.5 { self.lambda_obj } else { self.lambda_noobj };
-            conf_loss -= w as f64 * (t as f64 * (p as f64).ln() + (1.0 - t as f64) * (1.0 - p as f64).ln());
+            let w = if t > 0.5 {
+                self.lambda_obj
+            } else {
+                self.lambda_noobj
+            };
+            conf_loss -=
+                w as f64 * (t as f64 * (p as f64).ln() + (1.0 - t as f64) * (1.0 - p as f64).ln());
             dconf.data_mut()[idx] = w * (p - t) / total_cells;
         }
         parts.conf = (conf_loss / total_cells as f64) as f32;
@@ -264,8 +303,7 @@ impl DetectionLoss {
                     };
                     let d = pred - t;
                     bbox_loss += (d as f64) * (d as f64);
-                    dbbox.data_mut()[pidx] =
-                        self.lambda_bbox * 2.0 * d * dpred_draw / positives;
+                    dbbox.data_mut()[pidx] = self.lambda_bbox * 2.0 * d * dpred_draw / positives;
                 }
             }
         }
@@ -512,7 +550,10 @@ mod tests {
         let conf = rng.uniform_tensor(Shape4::new(2, 1, 3, 3), -1.0, 1.0);
         let class = rng.uniform_tensor(Shape4::new(2, 2, 3, 3), -1.0, 1.0);
         let bbox = rng.uniform_tensor(Shape4::new(2, 4, 3, 3), -1.5, 1.5);
-        let loss = DetectionLoss { lambda_bbox: 2.5, ..DetectionLoss::default() };
+        let loss = DetectionLoss {
+            lambda_bbox: 2.5,
+            ..DetectionLoss::default()
+        };
         let (_, _, _, dbbox) = loss.forward(&conf, &class, &bbox, &targets);
 
         let bbox_term = |b: &Tensor| loss.forward(&conf, &class, b, &targets).0.bbox;
@@ -534,7 +575,11 @@ mod tests {
             let i = idx / (4 * cells);
             let cell = idx % cells;
             if targets.conf[i * cells + cell] <= 0.5 {
-                assert_eq!(dbbox.data()[idx], 0.0, "negative cell {idx} must not regress");
+                assert_eq!(
+                    dbbox.data()[idx],
+                    0.0,
+                    "negative cell {idx} must not regress"
+                );
             } else if dbbox.data()[idx] != 0.0 {
                 nonzero += 1;
             }
@@ -555,7 +600,7 @@ mod tests {
         class.data_mut()[5] = -30.0;
         let mut bbox = Tensor::zeros(Shape4::new(1, 4, 3, 3));
         bbox.data_mut()[5] = 0.0; // sigmoid(0)=0.5 == target x
-        // target y 0.25 → logit ln(0.25/0.75)
+                                  // target y 0.25 → logit ln(0.25/0.75)
         bbox.data_mut()[9 + 5] = (0.25f32 / 0.75).ln();
         bbox.data_mut()[18 + 5] = 0.3;
         bbox.data_mut()[27 + 5] = 0.4;
@@ -588,15 +633,35 @@ mod tests {
 
     #[test]
     fn iou_identity_and_disjoint() {
-        let a = Detection { item: 0, class: 0, confidence: 1.0, cx: 0.5, cy: 0.5, w: 0.2, h: 0.2 };
+        let a = Detection {
+            item: 0,
+            class: 0,
+            confidence: 1.0,
+            cx: 0.5,
+            cy: 0.5,
+            w: 0.2,
+            h: 0.2,
+        };
         assert!((iou(&a, &a) - 1.0).abs() < 1e-6);
-        let b = Detection { cx: 0.1, cy: 0.1, ..a };
+        let b = Detection {
+            cx: 0.1,
+            cy: 0.1,
+            ..a
+        };
         assert_eq!(iou(&a, &b), 0.0);
     }
 
     #[test]
     fn iou_half_overlap() {
-        let a = Detection { item: 0, class: 0, confidence: 1.0, cx: 0.5, cy: 0.5, w: 0.2, h: 0.2 };
+        let a = Detection {
+            item: 0,
+            class: 0,
+            confidence: 1.0,
+            cx: 0.5,
+            cy: 0.5,
+            w: 0.2,
+            h: 0.2,
+        };
         let b = Detection { cx: 0.6, ..a };
         // Overlap is 0.1x0.2, union is 2*0.04 - 0.02 = 0.06 → IoU = 1/3.
         assert!((iou(&a, &b) - 1.0 / 3.0).abs() < 1e-5);

@@ -92,7 +92,10 @@ pub struct Network {
 impl Network {
     /// Creates an empty network.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), layers: Vec::new() }
+        Self {
+            name: name.into(),
+            layers: Vec::new(),
+        }
     }
 
     /// Network name.
@@ -161,7 +164,9 @@ impl Network {
     /// positional — run it with [`Network::infer_quantized_with`] against
     /// the *same* network it was built from.
     pub fn quantize(&self) -> crate::quant::QuantizedNetwork {
-        crate::quant::QuantizedNetwork { layers: self.layers.iter().map(|l| l.quantize()).collect() }
+        crate::quant::QuantizedNetwork {
+            layers: self.layers.iter().map(|l| l.quantize()).collect(),
+        }
     }
 
     /// Quantized inference with a fresh scratch pad — see
@@ -219,7 +224,8 @@ impl Network {
     where
         F: FnMut(usize, &dyn Layer),
     {
-        self.walk_backward(grad_out, on_ready, true).expect("the input gradient was asked for")
+        self.walk_backward(grad_out, on_ready, true)
+            .expect("the input gradient was asked for")
     }
 
     /// [`Network::backward_layered`] for a network whose input is data:
@@ -236,7 +242,12 @@ impl Network {
     }
 
     /// The walk behind both: returns the input gradient if `input`.
-    fn walk_backward<F>(&mut self, grad_out: &Tensor, mut on_ready: F, input: bool) -> Option<Tensor>
+    fn walk_backward<F>(
+        &mut self,
+        grad_out: &Tensor,
+        mut on_ready: F,
+        input: bool,
+    ) -> Option<Tensor>
     where
         F: FnMut(usize, &dyn Layer),
     {
@@ -256,8 +267,15 @@ impl Network {
 
     /// The network as data: its name and its layers' names and specs.
     pub fn spec(&self) -> NetSpec {
-        let layers = self.layers.iter().map(|l| (l.name().to_string(), l.spec())).collect();
-        NetSpec { name: self.name.clone(), layers }
+        let layers = self
+            .layers
+            .iter()
+            .map(|l| (l.name().to_string(), l.spec()))
+            .collect();
+        NetSpec {
+            name: self.name.clone(),
+            layers,
+        }
     }
 }
 
@@ -289,7 +307,9 @@ pub(crate) fn plan(layers: &[Box<dyn Layer>], at: usize, walk: Walk) -> Range<us
 /// The conv and pool of `step` if it is a `Conv2d → Relu → MaxPool2d`
 /// triple.
 fn fused(step: &[Box<dyn Layer>]) -> Option<(&Conv2d, &MaxPool2d)> {
-    let [conv, relu, pool] = step else { return None };
+    let [conv, relu, pool] = step else {
+        return None;
+    };
     match (conv.part(), relu.part(), pool.part()) {
         (Some(Part::Conv(conv)), Some(Part::Relu(_)), Some(Part::Pool(pool))) => Some((conv, pool)),
         _ => None,
@@ -298,7 +318,9 @@ fn fused(step: &[Box<dyn Layer>]) -> Option<(&Conv2d, &MaxPool2d)> {
 
 /// [`fused`], borrowed exclusively.
 fn fused_mut(step: &mut [Box<dyn Layer>]) -> Option<(&mut Conv2d, &mut MaxPool2d)> {
-    let [conv, relu, pool] = step else { return None };
+    let [conv, relu, pool] = step else {
+        return None;
+    };
     match (conv.part_mut(), relu.part(), pool.part_mut()) {
         (Some(Part::Conv(conv)), Some(Part::Relu(_)), Some(Part::Pool(pool))) => Some((conv, pool)),
         _ => None,
@@ -332,7 +354,10 @@ impl Model for Network {
     }
 
     fn param_blocks_mut(&mut self) -> Vec<&mut ParamBlock> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
     }
 }
 
@@ -374,7 +399,10 @@ mod tests {
             (loss.to_bits(), bits(&grads), bits(&net.flat_params()))
         };
         let mut copy = original.clone();
-        assert!(step(&mut copy) == step(&mut build()), "hep_small clone steps differently");
+        assert!(
+            step(&mut copy) == step(&mut build()),
+            "hep_small clone steps differently"
+        );
         // The step wrote the clone's values and gradients, not the original's.
         assert_eq!(bits(&original.flat_params()), bits(&build().flat_params()));
         assert!(original.flat_grads().iter().all(|&g| g == 0.0));
@@ -389,10 +417,18 @@ mod tests {
             let (parts, recon) = net.forward_backward(&x, Some(&t));
             let grads = net.flat_grads();
             Sgd::new(0.1, 0.9).step_model(net);
-            (parts.total().to_bits(), recon.to_bits(), bits(&grads), bits(&net.flat_params()))
+            (
+                parts.total().to_bits(),
+                recon.to_bits(),
+                bits(&grads),
+                bits(&net.flat_params()),
+            )
         };
         let mut copy = original.clone();
-        assert!(step(&mut copy) == step(&mut build()), "ClimateNet clone steps differently");
+        assert!(
+            step(&mut copy) == step(&mut build()),
+            "ClimateNet clone steps differently"
+        );
         for b in copy.param_blocks_mut() {
             b.value.data_mut().fill(7.0);
         }
@@ -404,7 +440,10 @@ mod tests {
     fn out_shape_chains_layers() {
         let mut rng = TensorRng::new(1);
         let net = tiny_net(&mut rng);
-        assert_eq!(net.out_shape(Shape4::new(5, 1, 8, 8)), Shape4::new(5, 2, 1, 1));
+        assert_eq!(
+            net.out_shape(Shape4::new(5, 1, 8, 8)),
+            Shape4::new(5, 2, 1, 1)
+        );
     }
 
     #[test]
@@ -448,7 +487,10 @@ mod tests {
         let mut rng = TensorRng::new(1);
         let net = tiny_net(&mut rng);
         let names: Vec<_> = net.param_blocks().iter().map(|b| b.name.clone()).collect();
-        assert_eq!(names, vec!["conv1.weight", "conv1.bias", "fc.weight", "fc.bias"]);
+        assert_eq!(
+            names,
+            vec!["conv1.weight", "conv1.bias", "fc.weight", "fc.bias"]
+        );
     }
 
     #[test]
@@ -496,8 +538,14 @@ mod tests {
         let nets = [
             (tiny_net(&mut rng), Shape4::new(2, 1, 8, 8)),
             (crate::arch::hep_small(&mut rng), Shape4::new(2, 3, 32, 32)),
-            (crate::arch::hep_network(&mut rng), Shape4::new(2, 3, 32, 32)),
-            (crate::arch::ClimateNet::small(&mut rng).encoder, Shape4::new(2, 4, 16, 16)),
+            (
+                crate::arch::hep_network(&mut rng),
+                Shape4::new(2, 3, 32, 32),
+            ),
+            (
+                crate::arch::ClimateNet::small(&mut rng).encoder,
+                Shape4::new(2, 4, 16, 16),
+            ),
         ];
         for (mut net, shape) in nets {
             let x = rng.uniform_tensor(shape, -1.0, 1.0);
@@ -508,8 +556,12 @@ mod tests {
             let gin_ref = net.backward(&dy);
             let grads_ref = net.flat_grads();
             let want_order: Vec<usize> = (0..net.layers().len()).rev().collect();
-            let want_blocks: Vec<String> =
-                net.layers().iter().rev().flat_map(|l| l.params().into_iter().map(|b| b.name.clone())).collect();
+            let want_blocks: Vec<String> = net
+                .layers()
+                .iter()
+                .rev()
+                .flat_map(|l| l.params().into_iter().map(|b| b.name.clone()))
+                .collect();
 
             for params_only in [false, true] {
                 // Both walks must produce bit-identical gradients, visit
@@ -534,7 +586,10 @@ mod tests {
                     assert_eq!(gin.data(), gin_ref.data(), "{name}");
                 }
                 assert_eq!(net.flat_grads(), grads_ref, "{name}");
-                assert_eq!(order, want_order, "{name}: layers must be reported deepest first");
+                assert_eq!(
+                    order, want_order,
+                    "{name}: layers must be reported deepest first"
+                );
                 // Callback-time gradients equal the post-backward ones (they
                 // were final when reported); blocks arrive in reverse layer
                 // order.
@@ -545,7 +600,10 @@ mod tests {
                     .collect();
                 for (block, g) in &seen_grads {
                     let f = final_blocks.iter().find(|(n, _)| n == block).unwrap();
-                    assert_eq!(g, &f.1, "{name}: block {block} changed after its ready callback");
+                    assert_eq!(
+                        g, &f.1,
+                        "{name}: block {block} changed after its ready callback"
+                    );
                 }
                 let seen_blocks: Vec<String> = seen_grads.iter().map(|(n, _)| n.clone()).collect();
                 assert_eq!(seen_blocks, want_blocks, "{name}");
@@ -602,8 +660,14 @@ mod tests {
         let spec = tiny_net(&mut rng).spec();
         let s = Shape4::new(1, 1, 8, 8);
         let walk: Vec<_> = spec.walk(s).collect();
-        let fwd: u64 = walk.iter().map(|&(_, l, s)| l.forward_flops_per_image(s)).sum();
-        let bwd: u64 = walk.iter().map(|&(_, l, s)| l.backward_flops_per_image(s)).sum();
+        let fwd: u64 = walk
+            .iter()
+            .map(|&(_, l, s)| l.forward_flops_per_image(s))
+            .sum();
+        let bwd: u64 = walk
+            .iter()
+            .map(|&(_, l, s)| l.backward_flops_per_image(s))
+            .sum();
         // conv out 4x8x8: 2*4*1*9*64 = 4608; relu 256; pool out 4x4x4,
         // 4 taps each = 256; gap 64; fc 2*4*2 = 16.
         assert_eq!(fwd, 4608 + 256 + 256 + 64 + 16);

@@ -36,8 +36,16 @@ impl MaxPool2d {
     /// Creates a max-pool layer; the paper uses `k = stride = 2`.
     pub fn new(name: impl Into<String>, k: usize, stride: usize) -> Self {
         assert!(k > 0 && stride > 0);
-        assert!(k * k <= MAX_TAPS, "a {k}x{k} window has more taps than a tap record holds");
-        Self { name: name.into(), window: Window { k, stride }, taps: Vec::new(), in_shape: Shape4::new(0, 0, 0, 0) }
+        assert!(
+            k * k <= MAX_TAPS,
+            "a {k}x{k} window has more taps than a tap record holds"
+        );
+        Self {
+            name: name.into(),
+            window: Window { k, stride },
+            taps: Vec::new(),
+            in_shape: Shape4::new(0, 0, 0, 0),
+        }
     }
 
     /// The pooling window.
@@ -57,7 +65,12 @@ impl MaxPool2d {
     /// The last forward's tap records, for a backward handed an output
     /// gradient of shape `grad_out`.
     pub(crate) fn recorded(&self, grad_out: Shape4) -> &[u8] {
-        assert_eq!(grad_out.len(), self.taps.len(), "{}: backward before forward", self.name);
+        assert_eq!(
+            grad_out.len(),
+            self.taps.len(),
+            "{}: backward before forward",
+            self.name
+        );
         &self.taps
     }
 }
@@ -76,21 +89,32 @@ impl Layer for MaxPool2d {
         let is = input.shape();
         let mut out = Tensor::zeros(self.out_shape(is));
         let window = self.window;
-        window.pool::<false>(input.data(), (is.h, is.w), out.data_mut(), Some(self.record(is)));
+        window.pool::<false>(
+            input.data(),
+            (is.h, is.w),
+            out.data_mut(),
+            Some(self.record(is)),
+        );
         out
     }
 
     fn infer(&self, input: &Tensor) -> Tensor {
         let is = input.shape();
         let mut out = Tensor::zeros(self.out_shape(is));
-        self.window.pool::<false>(input.data(), (is.h, is.w), out.data_mut(), None);
+        self.window
+            .pool::<false>(input.data(), (is.h, is.w), out.data_mut(), None);
         out
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let is = self.in_shape;
         let mut grad_in = Tensor::zeros(is);
-        self.window.unpool(grad_out.data(), self.recorded(grad_out.shape()), (is.h, is.w), grad_in.data_mut());
+        self.window.unpool(
+            grad_out.data(),
+            self.recorded(grad_out.shape()),
+            (is.h, is.w),
+            grad_in.data_mut(),
+        );
         grad_in
     }
 
@@ -115,8 +139,15 @@ pub(crate) struct Window {
 impl Window {
     /// Output height and width for an `h x w` input plane.
     fn out_hw(self, h: usize, w: usize) -> (usize, usize) {
-        assert!(h >= self.k && w >= self.k, "a {h}x{w} plane is smaller than a {k}x{k} window", k = self.k);
-        ((h - self.k) / self.stride + 1, (w - self.k) / self.stride + 1)
+        assert!(
+            h >= self.k && w >= self.k,
+            "a {h}x{w} plane is smaller than a {k}x{k} window",
+            k = self.k
+        );
+        (
+            (h - self.k) / self.stride + 1,
+            (w - self.k) / self.stride + 1,
+        )
     }
 
     /// Output shape for an input of shape `input`.
@@ -144,7 +175,9 @@ impl Window {
             Some(taps) => par::for_each_chunk_pair_mut(out, taps, unit, |g, out, taps| {
                 self.scan::<RELU>(input(g), (h, w), out, |o, tap| taps[o] = tap);
             }),
-            None => par::for_each_chunk_mut(out, unit, |g, out| self.scan::<RELU>(input(g), (h, w), out, |_, _| {})),
+            None => par::for_each_chunk_mut(out, unit, |g, out| {
+                self.scan::<RELU>(input(g), (h, w), out, |_, _| {})
+            }),
         }
     }
 
@@ -188,7 +221,9 @@ impl Window {
                     // stands. `rectify` keeps a NaN's bits, so the raw tap
                     // is the rectified one.
                     if sum.is_nan() {
-                        if let Some(t) = (0..k * k).find(|t| data[corner + t / k * w + t % k].is_nan()) {
+                        if let Some(t) =
+                            (0..k * k).find(|t| data[corner + t / k * w + t % k].is_nan())
+                        {
                             (best, best_tap) = (data[corner + t / k * w + t % k], t);
                         }
                     }
@@ -209,7 +244,13 @@ impl Window {
     /// a read of untouched `calloc` memory maps the shared zero page, so
     /// every first write would then be a copy-on-write fault with a TLB
     /// shootdown to the other threads' CPUs (3× slower at width 2).
-    pub(crate) fn unpool(self, g: &[f32], taps: &[u8], (h, w): (usize, usize), grad_in: &mut [f32]) {
+    pub(crate) fn unpool(
+        self,
+        g: &[f32],
+        taps: &[u8],
+        (h, w): (usize, usize),
+        grad_in: &mut [f32],
+    ) {
         let Window { k, stride } = self;
         let (oh, ow) = self.out_hw(h, w);
         let (iplane, oplane) = (h * w, oh * ow);
@@ -222,14 +263,17 @@ impl Window {
         par::for_each_chunk_mut(grad_in, group * iplane, |b, gi| {
             let outputs = b * group * oplane..;
             gi.fill(0.0);
-            let planes = g[outputs.clone()].chunks(oplane).zip(taps[outputs].chunks(oplane));
+            let planes = g[outputs.clone()]
+                .chunks(oplane)
+                .zip(taps[outputs].chunks(oplane));
             for (gi, (g, taps)) in gi.chunks_exact_mut(iplane).zip(planes) {
                 let mut o = 0;
                 for oy in 0..oh {
                     for ox in 0..ow {
                         let tap = taps[o];
                         if tap & PASS != 0 {
-                            gi[oy * stride * w + ox * stride + offset[usize::from(tap & !PASS)]] += g[o];
+                            gi[oy * stride * w + ox * stride + offset[usize::from(tap & !PASS)]] +=
+                                g[o];
                         }
                         o += 1;
                     }
@@ -249,7 +293,10 @@ pub struct GlobalAvgPool {
 impl GlobalAvgPool {
     /// Creates a global-average-pool layer.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), in_shape: Shape4::new(0, 0, 0, 0) }
+        Self {
+            name: name.into(),
+            in_shape: Shape4::new(0, 0, 0, 0),
+        }
     }
 }
 
@@ -284,7 +331,12 @@ impl Layer for GlobalAvgPool {
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let is = self.in_shape;
-        assert_eq!(grad_out.shape(), self.out_shape(is), "{}: grad shape mismatch", self.name);
+        assert_eq!(
+            grad_out.shape(),
+            self.out_shape(is),
+            "{}: grad shape mismatch",
+            self.name
+        );
         let mut grad_in = Tensor::zeros(is);
         let plane = is.plane_len();
         let inv = 1.0 / plane as f32;
@@ -326,10 +378,7 @@ mod tests {
     #[test]
     fn maxpool_backward_routes_to_argmax() {
         let mut p = MaxPool2d::new("p", 2, 2);
-        let x = Tensor::from_vec(
-            Shape4::new(1, 1, 2, 2),
-            vec![1.0, 9.0, 3.0, 4.0],
-        );
+        let x = Tensor::from_vec(Shape4::new(1, 1, 2, 2), vec![1.0, 9.0, 3.0, 4.0]);
         p.forward(x);
         let g = Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![5.0]);
         let gx = p.backward(g);
@@ -354,7 +403,10 @@ mod tests {
         // 121 taps, the widest square window a 7-bit tap number holds;
         // the maximum sits on the last tap.
         let mut p = MaxPool2d::new("p", 11, 11);
-        let x = Tensor::from_vec(Shape4::new(1, 1, 11, 11), (0..121).map(|i| i as f32).collect());
+        let x = Tensor::from_vec(
+            Shape4::new(1, 1, 11, 11),
+            (0..121).map(|i| i as f32).collect(),
+        );
         assert_eq!(p.forward(x).data(), &[120.0]);
         let gx = p.backward(Tensor::from_vec(Shape4::new(1, 1, 1, 1), vec![2.0]));
         assert_eq!((gx.data()[120], gx.sum()), (2.0, 2.0));
@@ -369,7 +421,10 @@ mod tests {
     #[test]
     fn maxpool_odd_input_truncates() {
         let p = MaxPool2d::new("p", 2, 2);
-        assert_eq!(p.out_shape(Shape4::new(1, 1, 5, 5)), Shape4::new(1, 1, 2, 2));
+        assert_eq!(
+            p.out_shape(Shape4::new(1, 1, 5, 5)),
+            Shape4::new(1, 1, 2, 2)
+        );
     }
 
     #[test]

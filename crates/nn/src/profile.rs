@@ -57,7 +57,12 @@ impl LayerProfile {
 /// MaxPool2d` triple is timed as three layers, not as the one pass
 /// [`Network`] runs it in, and the first layer takes the input gradient
 /// training skips; [`profile_steps`] times what training runs.
-pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: usize) -> Vec<LayerProfile> {
+pub fn profile_network(
+    net: &mut Network,
+    input: Shape4,
+    warmup: usize,
+    reps: usize,
+) -> Vec<LayerProfile> {
     let steps = (0..net.layers().len()).map(|i| i..i + 1).collect();
     profile(net, steps, input, warmup, reps, true)
 }
@@ -69,7 +74,12 @@ pub fn profile_network(net: &mut Network, input: Shape4, warmup: usize, reps: us
 /// layer is its own. The network's first layer takes no input gradient
 /// and counts its parameter gradients' FLOPs alone. Arguments as
 /// [`profile_network`].
-pub fn profile_steps(net: &mut Network, input: Shape4, warmup: usize, reps: usize) -> Vec<LayerProfile> {
+pub fn profile_steps(
+    net: &mut Network,
+    input: Shape4,
+    warmup: usize,
+    reps: usize,
+) -> Vec<LayerProfile> {
     let mut steps = Vec::new();
     let mut at = 0;
     while at < net.layers().len() {
@@ -101,7 +111,10 @@ fn profile(
     let spec = net.spec();
     let per_layer: Vec<[u64; 2]> = (spec.walk(input).enumerate())
         .map(|(i, (_, l, s))| match i == 0 && !input_grad {
-            true => [l.forward_flops_per_image(s), l.param_grad_flops_per_image(s)],
+            true => [
+                l.forward_flops_per_image(s),
+                l.param_grad_flops_per_image(s),
+            ],
             false => [l.forward_flops_per_image(s), l.backward_flops_per_image(s)],
         })
         .collect();
@@ -123,7 +136,11 @@ fn profile(
         for (i, step) in steps.iter().enumerate().rev() {
             let grad = g.take().expect("only the first step drops the gradient");
             let t0 = Instant::now();
-            g = backward_step(&mut net.layers_mut()[step.clone()], grad, input_grad || i > 0);
+            g = backward_step(
+                &mut net.layers_mut()[step.clone()],
+                grad,
+                input_grad || i > 0,
+            );
             if timed {
                 bwd[i].push(t0.elapsed().as_secs_f64());
             }
@@ -141,9 +158,14 @@ fn profile(
         .map(|(i, step)| {
             let forward_stats = Summary::from_samples(&fwd[i]);
             let backward_stats = Summary::from_samples(&bwd[i]);
-            let flops = |pass: usize| batch * per_layer[step.clone()].iter().map(|f| f[pass]).sum::<u64>();
+            let flops =
+                |pass: usize| batch * per_layer[step.clone()].iter().map(|f| f[pass]).sum::<u64>();
             LayerProfile {
-                name: layers[step.clone()].iter().map(|l| l.name()).collect::<Vec<_>>().join("+"),
+                name: layers[step.clone()]
+                    .iter()
+                    .map(|l| l.name())
+                    .collect::<Vec<_>>()
+                    .join("+"),
                 forward_secs: forward_stats.mean,
                 backward_secs: backward_stats.mean,
                 forward_flops: flops(0),
@@ -157,7 +179,10 @@ fn profile(
 
 /// Aggregate throughput over a profile: total FLOPs / total seconds.
 pub fn aggregate_flop_rate(profiles: &[LayerProfile]) -> f64 {
-    let flops: u64 = profiles.iter().map(|p| p.forward_flops + p.backward_flops).sum();
+    let flops: u64 = profiles
+        .iter()
+        .map(|p| p.forward_flops + p.backward_flops)
+        .sum();
     let secs: f64 = profiles.iter().map(|p| p.total_secs()).sum();
     if secs <= 0.0 {
         0.0
@@ -189,7 +214,9 @@ mod tests {
             assert!(lp.forward_secs >= 0.0);
             assert!(lp.backward_secs >= 0.0);
             assert_eq!(lp.forward_stats.count, 2);
-            assert!(lp.forward_stats.min <= lp.forward_secs && lp.forward_secs <= lp.forward_stats.max);
+            assert!(
+                lp.forward_stats.min <= lp.forward_secs && lp.forward_secs <= lp.forward_stats.max
+            );
         }
         // Convolutions dominate FLOPs.
         assert!(p[0].forward_flops > p[1].forward_flops);
@@ -237,12 +264,20 @@ mod tests {
         let spec = net.spec();
         let walk: Vec<_> = spec.walk(input).collect();
         let [(_, conv1, s0), (_, relu1, s1), (_, pool1, s2)] = [walk[0], walk[1], walk[2]];
-        let weight_grad = conv1.param_grad_flops_per_image(s0) + relu1.backward_flops_per_image(s1) + pool1.backward_flops_per_image(s2);
+        let weight_grad = conv1.param_grad_flops_per_image(s0)
+            + relu1.backward_flops_per_image(s1)
+            + pool1.backward_flops_per_image(s2);
         assert_eq!(steps[0].name, "conv1+relu1+pool1");
         assert_eq!(steps[0].backward_flops, 2 * weight_grad);
-        assert_eq!(conv1.param_grad_flops_per_image(s0), conv1.forward_flops_per_image(s0));
+        assert_eq!(
+            conv1.param_grad_flops_per_image(s0),
+            conv1.forward_flops_per_image(s0)
+        );
         assert_eq!(layers[0].backward_flops, 2 * layers[0].forward_flops);
-        assert_eq!(steps[1].backward_flops, layers[3..6].iter().map(|p| p.backward_flops).sum::<u64>());
+        assert_eq!(
+            steps[1].backward_flops,
+            layers[3..6].iter().map(|p| p.backward_flops).sum::<u64>()
+        );
     }
 
     #[test]

@@ -96,7 +96,10 @@ impl QuantizedBuffer {
     pub fn quantize_stochastic(data: &[f32], rng: &mut TensorRng) -> Self {
         if let Some((first, count, value)) = scidl_trace::scan_nonfinite(data) {
             scidl_trace::nonfinite_hook("quantize_stochastic", first, count, value);
-            return Self { values: vec![0; data.len()], scale: f32::NAN };
+            return Self {
+                values: vec![0; data.len()],
+                scale: f32::NAN,
+            };
         }
         let max = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
         let scale = if max > 0.0 { max / 127.0 } else { 1.0 };
@@ -171,12 +174,22 @@ impl QuantDense {
         assert_eq!(weight.len(), input_len * output_len);
         assert_eq!(bias.len(), output_len);
         let (w_q, w_scale) = scidl_tensor::ops::quantize_i8(weight);
-        Self { input_len, output_len, w_q, w_scale, bias: bias.to_vec() }
+        Self {
+            input_len,
+            output_len,
+            w_q,
+            w_scale,
+            bias: bias.to_vec(),
+        }
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
         let ishape = input.shape();
-        assert_eq!(ishape.item_len(), self.input_len, "quantized dense: item length mismatch");
+        assert_eq!(
+            ishape.item_len(),
+            self.input_len,
+            "quantized dense: item length mismatch"
+        );
         let n = ishape.n;
         let (input_len, output_len) = (self.input_len, self.output_len);
         // Dynamic per-batch activation quantization (one scale per call,
@@ -185,13 +198,24 @@ impl QuantDense {
         let x_scale = quantize_into("quant.dense.act", input.data(), &mut scratch.qcol);
         // C (n x out) = X_q (n x in) · W_q^T, exact i32.
         scratch.qacc.resize(n * output_len, 0);
-        gemm_i8(n, output_len, input_len, &scratch.qcol, &self.w_q, &mut scratch.qacc);
+        gemm_i8(
+            n,
+            output_len,
+            input_len,
+            &scratch.qcol,
+            &self.w_q,
+            &mut scratch.qacc,
+        );
         // Dequantise: y = c * (x_scale * w_scale) + bias. A NaN scale
         // (poisoned input or weights) multiplies the zeroed accumulator
         // into NaN — poison propagates, never launders.
         let scale = x_scale * self.w_scale;
         let mut out = Tensor::zeros(Shape4::new(n, output_len, 1, 1));
-        for (row, acc) in out.data_mut().chunks_mut(output_len).zip(scratch.qacc.chunks(output_len)) {
+        for (row, acc) in out
+            .data_mut()
+            .chunks_mut(output_len)
+            .zip(scratch.qacc.chunks(output_len))
+        {
             for ((y, &c), &b) in row.iter_mut().zip(acc).zip(&self.bias) {
                 *y = c as f32 * scale + b;
             }
@@ -219,7 +243,12 @@ impl QuantConv2d {
         assert_eq!(weight.len(), conv.cout * conv.cin * conv.k * conv.k);
         assert_eq!(bias.len(), conv.cout);
         let (w_q, w_scale) = scidl_tensor::ops::quantize_i8(weight);
-        Self { conv, w_q, w_scale, bias: bias.to_vec() }
+        Self {
+            conv,
+            w_q,
+            w_scale,
+            bias: bias.to_vec(),
+        }
     }
 
     fn infer(&self, input: &Tensor, scratch: &mut InferScratch) -> Tensor {
@@ -253,7 +282,14 @@ impl QuantConv2d {
                 scale
             };
             // C (cout x cols) = W_q (cout x rows) · col_q (rows x cols).
-            gemm_i8(self.conv.cout, cols, rows, &self.w_q, &scratch.qcol, &mut scratch.qacc);
+            gemm_i8(
+                self.conv.cout,
+                cols,
+                rows,
+                &self.w_q,
+                &scratch.qcol,
+                &mut scratch.qacc,
+            );
             let scale = x_scale * self.w_scale;
             let plane = out.item_mut(item);
             for ((orow, acc), &b) in plane
@@ -334,7 +370,10 @@ impl QuantizedNetwork {
     /// model was built from poisoned f32 weights and every request
     /// through that layer will return NaN.
     pub fn is_poisoned(&self) -> bool {
-        self.layers.iter().flatten().any(|q| !q.weight_scale().is_finite())
+        self.layers
+            .iter()
+            .flatten()
+            .any(|q| !q.weight_scale().is_finite())
     }
 }
 
@@ -389,7 +428,9 @@ mod tests {
     #[test]
     fn quantize_roundtrip_error_bounded() {
         let mut rng = TensorRng::new(7);
-        let data: Vec<f32> = (0..1000).map(|_| rng.uniform_range(-2.0, 2.0) as f32).collect();
+        let data: Vec<f32> = (0..1000)
+            .map(|_| rng.uniform_range(-2.0, 2.0) as f32)
+            .collect();
         let q = QuantizedBuffer::quantize(&data);
         let back = q.dequantize();
         let max = data.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
@@ -477,9 +518,20 @@ mod tests {
         assert!(worst.is_nan());
         assert!(bf16_round(worst).is_nan(), "all-ones NaN must stay NaN");
         let neg_worst = f32::from_bits(0xFFFF_FFFF);
-        assert!(bf16_round(neg_worst).is_nan(), "negative all-ones NaN must stay NaN");
-        for nan in [f32::NAN, f32::from_bits(0x7FC0_0001), f32::from_bits(0x7F80_0001)] {
-            assert!(bf16_round(nan).is_nan(), "{:#010X} laundered", nan.to_bits());
+        assert!(
+            bf16_round(neg_worst).is_nan(),
+            "negative all-ones NaN must stay NaN"
+        );
+        for nan in [
+            f32::NAN,
+            f32::from_bits(0x7FC0_0001),
+            f32::from_bits(0x7F80_0001),
+        ] {
+            assert!(
+                bf16_round(nan).is_nan(),
+                "{:#010X} laundered",
+                nan.to_bits()
+            );
         }
         assert_eq!(bf16_round(f32::INFINITY), f32::INFINITY);
         assert_eq!(bf16_round(f32::NEG_INFINITY), f32::NEG_INFINITY);
@@ -505,7 +557,10 @@ mod tests {
             let sto = QuantizedBuffer::quantize_stochastic(&data, &mut rng);
             assert!(det.scale.is_nan(), "deterministic scale for {poison}");
             assert!(sto.scale.is_nan(), "stochastic scale for {poison}");
-            assert_eq!(det.values, sto.values, "both must zero the payload for {poison}");
+            assert_eq!(
+                det.values, sto.values,
+                "both must zero the payload for {poison}"
+            );
             assert!(sto.values.iter().all(|&v| v == 0));
             // Dequantisation propagates NaN instead of finite garbage.
             assert!(sto.dequantize().iter().all(|x| x.is_nan()));
@@ -548,7 +603,11 @@ mod tests {
         assert_eq!(want.shape(), got.shape());
         // Two int8 roundings (weights + activations) bound the error by
         // roughly (|x|max/127)·‖w‖ per output; generous envelope here.
-        let max_abs = want.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1.0);
+        let max_abs = want
+            .data()
+            .iter()
+            .fold(0.0f32, |m, &v| m.max(v.abs()))
+            .max(1.0);
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.05 * max_abs + 0.05, "{a} vs {b}");
         }
@@ -564,7 +623,11 @@ mod tests {
         let want = c.infer(&x);
         let got = q.infer(&x, &mut InferScratch::new());
         assert_eq!(want.shape(), got.shape());
-        let max_abs = want.data().iter().fold(0.0f32, |m, &v| m.max(v.abs())).max(1.0);
+        let max_abs = want
+            .data()
+            .iter()
+            .fold(0.0f32, |m, &v| m.max(v.abs()))
+            .max(1.0);
         for (a, b) in want.data().iter().zip(got.data()) {
             assert!((a - b).abs() < 0.05 * max_abs + 0.05, "{a} vs {b}");
         }
@@ -586,7 +649,11 @@ mod tests {
             .filter(|b| b.name.ends_with(".weight"))
             .map(|b| b.len() * 4)
             .sum();
-        assert!(q.weight_bytes() * 3 < f32_weight_bytes, "{} vs {f32_weight_bytes}", q.weight_bytes());
+        assert!(
+            q.weight_bytes() * 3 < f32_weight_bytes,
+            "{} vs {f32_weight_bytes}",
+            q.weight_bytes()
+        );
         // Argmax agreement on smooth, well-separated inputs.
         let n = 6;
         let mut x = scidl_tensor::Tensor::zeros(Shape4::new(n, 3, 32, 32));
@@ -600,7 +667,10 @@ mod tests {
         let classes = yf.shape().item_len();
         for i in 0..n {
             let amax = |d: &[f32]| {
-                d.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(j, _)| j)
+                d.iter()
+                    .enumerate()
+                    .max_by(|a, b| a.1.total_cmp(b.1))
+                    .map(|(j, _)| j)
             };
             assert_eq!(
                 amax(&yf.data()[i * classes..(i + 1) * classes]),
@@ -630,8 +700,14 @@ mod tests {
             let y = qc.infer(&x, &mut scratch);
             // Per-item scales: the clean item must stay finite, every
             // output of the poisoned item must be NaN.
-            assert!(y.item(0).iter().all(|v| v.is_nan()), "conv {poison}: poisoned item must be all-NaN");
-            assert!(y.item(1).iter().all(|v| v.is_finite()), "conv {poison}: clean item must stay finite");
+            assert!(
+                y.item(0).iter().all(|v| v.is_nan()),
+                "conv {poison}: poisoned item must be all-NaN"
+            );
+            assert!(
+                y.item(1).iter().all(|v| v.is_finite()),
+                "conv {poison}: clean item must stay finite"
+            );
         }
 
         let dense = crate::Dense::new("fc", 16, 4, &mut rng);
@@ -639,7 +715,10 @@ mod tests {
         let mut x = rng.uniform_tensor(Shape4::new(1, 16, 1, 1), -1.0, 1.0);
         x.data_mut()[3] = f32::NAN;
         let y = qd.infer(&x, &mut scratch);
-        assert!(y.data().iter().all(|v| v.is_nan()), "dense: poison must reach every output");
+        assert!(
+            y.data().iter().all(|v| v.is_nan()),
+            "dense: poison must reach every output"
+        );
     }
 
     #[test]
@@ -651,7 +730,10 @@ mod tests {
         flat[3] = f32::NAN;
         net.set_flat_params(&flat);
         let q = net.quantize();
-        assert!(q.is_poisoned(), "NaN weights must surface as a poisoned sidecar");
+        assert!(
+            q.is_poisoned(),
+            "NaN weights must surface as a poisoned sidecar"
+        );
     }
 
     #[test]
@@ -663,6 +745,10 @@ mod tests {
         let mut scratch = InferScratch::new();
         let first = net.infer_quantized_with(&q, &x, &mut scratch);
         let second = net.infer_quantized_with(&q, &x, &mut scratch);
-        assert_eq!(first.data(), second.data(), "dirty scratch must not change results");
+        assert_eq!(
+            first.data(),
+            second.data(),
+            "dirty scratch must not change results"
+        );
     }
 }

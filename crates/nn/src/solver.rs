@@ -62,7 +62,11 @@ pub struct Sgd {
 impl Sgd {
     /// Creates an SGD solver.
     pub fn new(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum, velocity: Vec::new() }
+        Self {
+            lr,
+            momentum,
+            velocity: Vec::new(),
+        }
     }
 }
 
@@ -116,7 +120,15 @@ pub struct Adam {
 impl Adam {
     /// Creates an ADAM solver with the standard betas.
     pub fn new(lr: f32) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: Vec::new(), m: Vec::new(), v: Vec::new() }
+        Self {
+            lr,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            t: Vec::new(),
+            m: Vec::new(),
+            v: Vec::new(),
+        }
     }
 }
 
@@ -143,7 +155,11 @@ impl Solver for Adam {
         let lr = self.lr;
         let eps = self.eps;
         let (m, v) = (&mut self.m[idx], &mut self.v[idx]);
-        for ((w, &g), (mi, vi)) in value.iter_mut().zip(grad).zip(m.iter_mut().zip(v.iter_mut())) {
+        for ((w, &g), (mi, vi)) in value
+            .iter_mut()
+            .zip(grad)
+            .zip(m.iter_mut().zip(v.iter_mut()))
+        {
             *mi = b1 * *mi + (1.0 - b1) * g;
             *vi = b2 * *vi + (1.0 - b2) * g * g;
             let mhat = *mi / bc1;
@@ -184,9 +200,9 @@ impl SolverKind {
     /// unchanged.
     pub fn for_groups(self, groups: usize) -> Self {
         match self {
-            SolverKind::Sgd { momentum } => {
-                SolverKind::Sgd { momentum: asynchrony_adjusted_momentum(momentum, groups) }
-            }
+            SolverKind::Sgd { momentum } => SolverKind::Sgd {
+                momentum: asynchrony_adjusted_momentum(momentum, groups),
+            },
             SolverKind::Adam => SolverKind::Adam,
         }
     }
@@ -239,7 +255,10 @@ mod tests {
         let mut mom = Sgd::new(0.01, 0.9);
         let w_plain = quadratic_descent(&mut plain, 0.0, 50);
         let w_mom = quadratic_descent(&mut mom, 0.0, 50);
-        assert!((w_mom - 3.0).abs() < (w_plain - 3.0).abs(), "momentum should be closer: {w_mom} vs {w_plain}");
+        assert!(
+            (w_mom - 3.0).abs() < (w_plain - 3.0).abs(),
+            "momentum should be closer: {w_mom} vs {w_plain}"
+        );
     }
 
     #[test]

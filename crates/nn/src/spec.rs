@@ -33,9 +33,20 @@ impl ConvSpec {
     /// back to its input plane.
     pub fn mirror_geometry(self, h: usize, w: usize) -> ConvGeometry {
         let ConvSpec { k, stride, pad, .. } = self;
-        assert!((h - 1) * stride + k >= 2 * pad, "deconv: degenerate geometry");
-        let (oh, ow) = ((h - 1) * stride + k - 2 * pad, (w - 1) * stride + k - 2 * pad);
-        ConvSpec { cin: self.cout, cout: self.cin, ..self }.geometry(oh, ow)
+        assert!(
+            (h - 1) * stride + k >= 2 * pad,
+            "deconv: degenerate geometry"
+        );
+        let (oh, ow) = (
+            (h - 1) * stride + k - 2 * pad,
+            (w - 1) * stride + k - 2 * pad,
+        );
+        ConvSpec {
+            cin: self.cout,
+            cout: self.cin,
+            ..self
+        }
+        .geometry(oh, ow)
     }
 }
 
@@ -64,7 +75,11 @@ impl LayerSpec {
     /// incompatible with the configuration.
     pub fn out_shape(self, input: Shape4) -> Shape4 {
         if let LayerSpec::Conv(c) | LayerSpec::Deconv(c) = self {
-            assert_eq!(input.c, c.cin, "{self:?}: expected {} input channels, got {}", c.cin, input.c);
+            assert_eq!(
+                input.c, c.cin,
+                "{self:?}: expected {} input channels, got {}",
+                c.cin, input.c
+            );
         }
         match self {
             LayerSpec::Conv(c) => c.geometry(input.h, input.w).out_shape(input.n),
@@ -72,8 +87,15 @@ impl LayerSpec {
                 let geo = c.mirror_geometry(input.h, input.w);
                 Shape4::new(input.n, c.cout, geo.h, geo.w)
             }
-            LayerSpec::Dense { input_len, output_len } => {
-                assert_eq!(input.item_len(), input_len, "dense: expected item length {input_len}, got {input}");
+            LayerSpec::Dense {
+                input_len,
+                output_len,
+            } => {
+                assert_eq!(
+                    input.item_len(),
+                    input_len,
+                    "dense: expected item length {input_len}, got {input}"
+                );
                 Shape4::new(input.n, output_len, 1, 1)
             }
             LayerSpec::Relu => input,
@@ -90,7 +112,10 @@ impl LayerSpec {
         match self {
             LayerSpec::Conv(c) => 2 * c.geometry(one.h, one.w).macs_per_image(),
             LayerSpec::Deconv(c) => 2 * c.mirror_geometry(one.h, one.w).macs_per_image(),
-            LayerSpec::Dense { input_len, output_len } => 2 * (input_len as u64) * (output_len as u64),
+            LayerSpec::Dense {
+                input_len,
+                output_len,
+            } => 2 * (input_len as u64) * (output_len as u64),
             LayerSpec::Relu | LayerSpec::GlobalAvgPool => one.item_len() as u64,
             LayerSpec::MaxPool { k, .. } => (self.out_shape(one).len() * k * k) as u64,
         }
@@ -117,7 +142,9 @@ impl LayerSpec {
     /// layer with weights, nothing for a stateless one.
     pub fn param_grad_flops_per_image(self, input: Shape4) -> u64 {
         match self {
-            LayerSpec::Conv(_) | LayerSpec::Deconv(_) | LayerSpec::Dense { .. } => self.forward_flops_per_image(input),
+            LayerSpec::Conv(_) | LayerSpec::Deconv(_) | LayerSpec::Dense { .. } => {
+                self.forward_flops_per_image(input)
+            }
             LayerSpec::Relu | LayerSpec::MaxPool { .. } | LayerSpec::GlobalAvgPool => 0,
         }
     }
@@ -126,7 +153,10 @@ impl LayerSpec {
     pub fn num_params(self) -> usize {
         match self {
             LayerSpec::Conv(c) | LayerSpec::Deconv(c) => c.cout * c.cin * c.k * c.k + c.cout,
-            LayerSpec::Dense { input_len, output_len } => output_len * input_len + output_len,
+            LayerSpec::Dense {
+                input_len,
+                output_len,
+            } => output_len * input_len + output_len,
             LayerSpec::Relu | LayerSpec::MaxPool { .. } | LayerSpec::GlobalAvgPool => 0,
         }
     }
@@ -134,9 +164,16 @@ impl LayerSpec {
     /// Builds the layer, drawing its weights (if any) from `rng`.
     pub fn build(self, name: impl Into<String>, rng: &mut TensorRng) -> Box<dyn Layer> {
         match self {
-            LayerSpec::Conv(c) => Box::new(Conv2d::new(name, c.cin, c.cout, c.k, c.stride, c.pad, rng)),
-            LayerSpec::Deconv(c) => Box::new(Deconv2d::new(name, c.cin, c.cout, c.k, c.stride, c.pad, rng)),
-            LayerSpec::Dense { input_len, output_len } => Box::new(Dense::new(name, input_len, output_len, rng)),
+            LayerSpec::Conv(c) => {
+                Box::new(Conv2d::new(name, c.cin, c.cout, c.k, c.stride, c.pad, rng))
+            }
+            LayerSpec::Deconv(c) => Box::new(Deconv2d::new(
+                name, c.cin, c.cout, c.k, c.stride, c.pad, rng,
+            )),
+            LayerSpec::Dense {
+                input_len,
+                output_len,
+            } => Box::new(Dense::new(name, input_len, output_len, rng)),
             LayerSpec::Relu => Box::new(Relu::new(name)),
             LayerSpec::MaxPool { k, stride } => Box::new(MaxPool2d::new(name, k, stride)),
             LayerSpec::GlobalAvgPool => Box::new(GlobalAvgPool::new(name)),
@@ -157,7 +194,10 @@ pub struct NetSpec {
 impl NetSpec {
     /// An empty architecture.
     pub fn new(name: impl Into<String>) -> Self {
-        Self { name: name.into(), layers: Vec::new() }
+        Self {
+            name: name.into(),
+            layers: Vec::new(),
+        }
     }
 
     /// Appends a layer (builder style).
@@ -169,8 +209,15 @@ impl NetSpec {
     /// Builds the network, drawing every layer's weights from `rng` in
     /// list order.
     pub fn build(&self, rng: &mut TensorRng) -> Network {
-        let layers = self.layers.iter().map(|(name, spec)| spec.build(name.clone(), rng)).collect();
-        Network { name: self.name.clone(), layers }
+        let layers = self
+            .layers
+            .iter()
+            .map(|(name, spec)| spec.build(name.clone(), rng))
+            .collect();
+        Network {
+            name: self.name.clone(),
+            layers,
+        }
     }
 
     /// Each layer's name, spec and input shape for a network input of
@@ -185,7 +232,9 @@ impl NetSpec {
     /// Shape produced by running an input of shape `input` through every
     /// layer.
     pub fn out_shape(&self, input: Shape4) -> Shape4 {
-        self.layers.iter().fold(input, |s, (_, spec)| spec.out_shape(s))
+        self.layers
+            .iter()
+            .fold(input, |s, (_, spec)| spec.out_shape(s))
     }
 
     /// Total scalar parameter count.
@@ -196,19 +245,30 @@ impl NetSpec {
     /// Training FLOPs per image (forward + backward over every layer),
     /// the quantity the paper's throughput numbers are computed from.
     pub fn training_flops_per_image(&self, input: Shape4) -> u64 {
-        self.walk(input.with_n(1)).map(|(_, l, s)| l.training_flops_per_image(s)).sum()
+        self.walk(input.with_n(1))
+            .map(|(_, l, s)| l.training_flops_per_image(s))
+            .sum()
     }
 
     /// Human-readable layer-by-layer summary for a given input shape:
     /// name, output shape, parameter count and training GFLOPs per image.
     pub fn summary(&self, input: Shape4) -> String {
         let (input, params) = (input.with_n(1), self.num_params());
-        let mut out = format!("{} (input {input})\n{:<14} {:>16} {:>12} {:>12}\n", self.name, "layer", "output", "params", "GF/img");
+        let mut out = format!(
+            "{} (input {input})\n{:<14} {:>16} {:>12} {:>12}\n",
+            self.name, "layer", "output", "params", "GF/img"
+        );
         for (name, l, s) in self.walk(input) {
-            let (o, gf) = (format!("{}", l.out_shape(s)), l.training_flops_per_image(s) as f64 / 1e9);
+            let (o, gf) = (
+                format!("{}", l.out_shape(s)),
+                l.training_flops_per_image(s) as f64 / 1e9,
+            );
             out += &format!("{name:<14} {o:>16} {:>12} {gf:>12.3}\n", l.num_params());
         }
-        let (mib, gf) = ((4 * params) as f64 / (1024.0 * 1024.0), self.training_flops_per_image(input) as f64 / 1e9);
+        let (mib, gf) = (
+            (4 * params) as f64 / (1024.0 * 1024.0),
+            self.training_flops_per_image(input) as f64 / 1e9,
+        );
         out + &format!("total: {params} params ({mib:.2} MiB), {gf:.2} GF/img training\n")
     }
 }

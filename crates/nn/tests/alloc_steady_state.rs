@@ -91,7 +91,11 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (usize, usize, R) {
     ARMED.store(true, Ordering::SeqCst);
     let r = f();
     ARMED.store(false, Ordering::SeqCst);
-    (ALLOCS.load(Ordering::SeqCst), BYTES.load(Ordering::SeqCst), r)
+    (
+        ALLOCS.load(Ordering::SeqCst),
+        BYTES.load(Ordering::SeqCst),
+        r,
+    )
 }
 
 /// Runs `f` on two threads of the pool at once — the caller and, for
@@ -117,15 +121,41 @@ fn second_iteration_allocates_nothing_on_the_gemm_path() {
     // full pack machinery (B slab + per-tile A panels) runs.
     let (m, n, k) = (64, 300, 288);
     let mut rng = TensorRng::new(42);
-    let a: Vec<f32> = (0..m * k).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
-    let b: Vec<f32> = (0..k * n).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect();
+    let a: Vec<f32> = (0..m * k)
+        .map(|_| rng.uniform_range(-1.0, 1.0) as f32)
+        .collect();
+    let b: Vec<f32> = (0..k * n)
+        .map(|_| rng.uniform_range(-1.0, 1.0) as f32)
+        .collect();
     let mut c = vec![0.0f32; m * n];
 
     Workspace::clear();
     // Warm-up: populates the thread-local pool with the pack panels.
-    gemm(Transpose::No, Transpose::No, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+    gemm(
+        Transpose::No,
+        Transpose::No,
+        m,
+        n,
+        k,
+        1.0,
+        &a,
+        &b,
+        0.0,
+        &mut c,
+    );
     let (gemm_allocs, _, _) = count_allocs(|| {
-        gemm(Transpose::No, Transpose::No, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            &b,
+            0.0,
+            &mut c,
+        );
     });
     assert_eq!(
         gemm_allocs, 0,

@@ -44,7 +44,10 @@ fn nonfinite_in_means_nonfinite_out_for_every_layer() {
             assert!(!served.all_finite(), "{name}: infer laundered {poison}");
             assert!(!trained.all_finite(), "{name}: forward laundered {poison}");
             // Item 1 is clean: poison must not leak across batch items.
-            assert!(served.item(1).iter().all(|v| v.is_finite()), "{name}: {poison} crossed items");
+            assert!(
+                served.item(1).iter().all(|v| v.is_finite()),
+                "{name}: {poison} crossed items"
+            );
         }
     }
 }
@@ -71,8 +74,14 @@ fn relu_and_maxpool_pass_nan_through_exactly() {
     let x = Tensor::from_vec(
         Shape4::new(1, 1, 2, 4),
         vec![
-            1.0, f32::NAN, f32::NAN, f32::NAN, //
-            2.0, 0.5, f32::NAN, f32::NAN,
+            1.0,
+            f32::NAN,
+            f32::NAN,
+            f32::NAN, //
+            2.0,
+            0.5,
+            f32::NAN,
+            f32::NAN,
         ],
     );
     let mut pool = MaxPool2d::new("p", 2, 2);
@@ -80,7 +89,10 @@ fn relu_and_maxpool_pass_nan_through_exactly() {
     assert!(y.data().iter().all(|v| v.is_nan()), "{:?}", y.data());
     assert!(pool.infer(&x).data().iter().all(|v| v.is_nan()));
     let gx = pool.backward(Tensor::from_vec(y.shape(), vec![5.0, 7.0]));
-    assert_eq!([gx.data()[0], gx.data()[1], gx.data()[4], gx.data()[5]], [0.0, 5.0, 0.0, 0.0]);
+    assert_eq!(
+        [gx.data()[0], gx.data()[1], gx.data()[4], gx.data()[5]],
+        [0.0, 5.0, 0.0, 0.0]
+    );
     assert_eq!([2, 3, 6, 7].map(|i| gx.data()[i]).iter().sum::<f32>(), 7.0);
 }
 
@@ -91,7 +103,10 @@ fn copy_relu_pool() -> Network {
     let mut conv = Conv2d::new("copy", 1, 1, 1, 1, 0, &mut TensorRng::new(1));
     conv.params_mut()[0].value = Tensor::filled(Shape4::new(1, 1, 1, 1), 1.0);
     conv.params_mut()[1].value = Tensor::filled(Shape4::flat(1), -0.0);
-    Network::new("copy-relu-pool").push(conv).push(Relu::new("relu")).push(MaxPool2d::new("pool", 2, 2))
+    Network::new("copy-relu-pool")
+        .push(conv)
+        .push(Relu::new("relu"))
+        .push(MaxPool2d::new("pool", 2, 2))
 }
 
 #[test]
@@ -120,17 +135,31 @@ fn fused_triple_treats_poison_zeros_and_ties_as_its_layers_do() {
         9.0,  9.0,  9.0,  9.0,  9.0,
     ]);
     // Non-finite gradients on windows that pass nothing must vanish.
-    let g = Tensor::from_vec(Shape4::new(2, 1, 2, 2), vec![NAN, 5.0, INF, 3.0, -INF, NAN, 2.0, 0.75]);
+    let g = Tensor::from_vec(
+        Shape4::new(2, 1, 2, 2),
+        vec![NAN, 5.0, INF, 3.0, -INF, NAN, 2.0, 0.75],
+    );
 
     let mut net = copy_relu_pool();
     for width in [1, 2] {
         par::set_width(width);
         net.zero_grads();
         let by_layers_infer = net.layers().iter().fold(x.clone(), |x, l| l.infer(&x));
-        let by_layers_y = net.layers_mut().iter_mut().fold(x.clone(), |x, l| l.forward(x));
-        let by_layers_dx = net.layers_mut().iter_mut().rev().fold(g.clone(), |g, l| l.backward(g));
+        let by_layers_y = net
+            .layers_mut()
+            .iter_mut()
+            .fold(x.clone(), |x, l| l.forward(x));
+        let by_layers_dx = net
+            .layers_mut()
+            .iter_mut()
+            .rev()
+            .fold(g.clone(), |g, l| l.backward(g));
         let by_layers_grads = net.flat_grads();
-        assert_eq!(bits(&net.layers()[0].infer(&x)), bits(&x), "the 1x1 conv must copy its input exactly");
+        assert_eq!(
+            bits(&net.layers()[0].infer(&x)),
+            bits(&x),
+            "the 1x1 conv must copy its input exactly"
+        );
 
         net.zero_grads();
         let inferred = net.infer(&x);
@@ -141,7 +170,11 @@ fn fused_triple_treats_poison_zeros_and_ties_as_its_layers_do() {
         assert_eq!(bits(&inferred), bits(&by_layers_infer), "{what}: infer");
         assert_eq!(bits(&dx), bits(&by_layers_dx), "{what}: input gradient");
         let grad_bits = |g: &[f32]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(grad_bits(&net.flat_grads()), grad_bits(&by_layers_grads), "{what}: weight and bias gradients");
+        assert_eq!(
+            grad_bits(&net.flat_grads()),
+            grad_bits(&by_layers_grads),
+            "{what}: weight and bias gradients"
+        );
 
         // Spelled out. A NaN wins its window and passes no gradient; +inf
         // passes; an all-negative or all-zero window pools to +0.0 and
@@ -149,14 +182,26 @@ fn fused_triple_treats_poison_zeros_and_ties_as_its_layers_do() {
         // no window reads get +0.0.
         let y = y.data();
         assert!(y[0].is_nan() && y[5].is_nan(), "{what}: {y:?}");
-        assert_eq!([y[1], y[2], y[3]].map(f32::to_bits), [INF, 0.0, 7.0].map(f32::to_bits), "{what}");
-        assert_eq!([y[4], y[6], y[7]].map(f32::to_bits), [0.0, 1e-40, 6.0].map(f32::to_bits), "{what}");
+        assert_eq!(
+            [y[1], y[2], y[3]].map(f32::to_bits),
+            [INF, 0.0, 7.0].map(f32::to_bits),
+            "{what}"
+        );
+        assert_eq!(
+            [y[4], y[6], y[7]].map(f32::to_bits),
+            [0.0, 1e-40, 6.0].map(f32::to_bits),
+            "{what}"
+        );
         let mut want = [0.0f32; 50];
         want[3] = 5.0; // +inf, item 0
         want[13] = 3.0; // first of the tied 7.0s, item 0
         want[35] = 2.0; // the subnormal, item 1
         want[37] = 0.75; // first of four 6.0s, item 1
-        assert_eq!(bits(&dx), want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), "{what}: input gradient");
+        assert_eq!(
+            bits(&dx),
+            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{what}: input gradient"
+        );
     }
 }
 

@@ -14,7 +14,8 @@
 use scidl_nn::network::Model;
 use scidl_nn::{arch, Conv2d, Deconv2d, Layer, MaxPool2d, Network, Relu, SoftmaxCrossEntropy};
 use scidl_tensor::{
-    col2im, gemm, gemm_bias, im2col, par, ConvGeometry, Shape4, Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
+    col2im, gemm, gemm_bias, im2col, par, ConvGeometry, Shape4, Tensor, TensorRng, Transpose,
+    PAR_CHUNK, PAR_WORK,
 };
 
 const WIDER: [usize; 4] = [2, 3, 4, 7];
@@ -59,23 +60,33 @@ fn conv_forward_and_backward() {
     // (cin, cout, hw, k, stride, pad, batch): a 3x3 layer whose per-image
     // GEMMs split on their own, a strided 5x5 one (the climate encoder's
     // kind), and a first-layer shape (3 channels, one B panel).
-    for (cin, cout, hw, k, stride, pad, batch) in
-        [(32, 64, 32, 3, 1, 1, 3), (8, 24, 48, 5, 2, 2, 4), (3, 128, 64, 3, 1, 1, 2), (16, 32, 24, 3, 1, 1, 8)]
-    {
+    for (cin, cout, hw, k, stride, pad, batch) in [
+        (32, 64, 32, 3, 1, 1, 3),
+        (8, 24, 48, 5, 2, 2, 4),
+        (3, 128, 64, 3, 1, 1, 2),
+        (16, 32, 24, 3, 1, 1, 8),
+    ] {
         let mut rng = TensorRng::new(7);
         let mut conv = Conv2d::new("c", cin, cout, k, stride, pad, &mut rng);
         let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
         let dy = rng.uniform_tensor(conv.out_shape(x.shape()), -1.0, 1.0);
         assert!(batch * conv.geometry(hw, hw).macs_per_image() as usize >= PAR_WORK);
-        same_at_every_width(&format!("conv {cin}->{cout} {hw}px k{k} s{stride} n{batch}"), || {
-            step(&mut conv, &x, &dy)
-        });
+        same_at_every_width(
+            &format!("conv {cin}->{cout} {hw}px k{k} s{stride} n{batch}"),
+            || step(&mut conv, &x, &dy),
+        );
     }
 }
 
 /// The conv step as `im2col` + GEMM, with backward-data the whole
 /// `dcol = Wᵀ · dY` scattered by one `col2im`.
-fn conv_by_col_matrix(geo: &ConvGeometry, w: &[f32], b: &[f32], x: &Tensor, dy: &Tensor) -> Vec<Vec<f32>> {
+fn conv_by_col_matrix(
+    geo: &ConvGeometry,
+    w: &[f32],
+    b: &[f32],
+    x: &Tensor,
+    dy: &Tensor,
+) -> Vec<Vec<f32>> {
     let (rows, cols, cout) = (geo.col_rows(), geo.col_cols(), geo.cout);
     let (mut col, mut dcol) = (vec![0.0; rows * cols], vec![0.0; rows * cols]);
     let (mut y, mut dx) = (Tensor::zeros(dy.shape()), Tensor::zeros(x.shape()));
@@ -83,12 +94,44 @@ fn conv_by_col_matrix(geo: &ConvGeometry, w: &[f32], b: &[f32], x: &Tensor, dy: 
     for n in 0..x.shape().n {
         let g = dy.item(n);
         im2col(geo, x.item(n), &mut col);
-        gemm_bias(Transpose::No, Transpose::No, cout, cols, rows, w, &col, b, y.item_mut(n));
-        gemm(Transpose::No, Transpose::Yes, cout, rows, cols, 1.0, g, &col, 1.0, &mut dw);
+        gemm_bias(
+            Transpose::No,
+            Transpose::No,
+            cout,
+            cols,
+            rows,
+            w,
+            &col,
+            b,
+            y.item_mut(n),
+        );
+        gemm(
+            Transpose::No,
+            Transpose::Yes,
+            cout,
+            rows,
+            cols,
+            1.0,
+            g,
+            &col,
+            1.0,
+            &mut dw,
+        );
         for (db, g) in db.iter_mut().zip(g.chunks(cols)) {
             *db += g.iter().sum::<f32>();
         }
-        gemm(Transpose::Yes, Transpose::No, rows, cols, cout, 1.0, w, g, 0.0, &mut dcol);
+        gemm(
+            Transpose::Yes,
+            Transpose::No,
+            rows,
+            cols,
+            cout,
+            1.0,
+            w,
+            g,
+            0.0,
+            &mut dcol,
+        );
         col2im(geo, &dcol, dx.item_mut(n));
     }
     vec![y.data().to_vec(), dx.data().to_vec(), dw, db]
@@ -97,22 +140,66 @@ fn conv_by_col_matrix(geo: &ConvGeometry, w: &[f32], b: &[f32], x: &Tensor, dy: 
 /// The deconv step the same way: forward the whole `Wᵀ · x` scattered by
 /// `col2im` (then the bias), backward-data and weight gradient against
 /// `im2col(dY)` of the mirror conv `geo`.
-fn deconv_by_col_matrix(geo: &ConvGeometry, w: &[f32], b: &[f32], x: &Tensor, dy: &Tensor) -> Vec<Vec<f32>> {
+fn deconv_by_col_matrix(
+    geo: &ConvGeometry,
+    w: &[f32],
+    b: &[f32],
+    x: &Tensor,
+    dy: &Tensor,
+) -> Vec<Vec<f32>> {
     let (rows, cols, cin) = (geo.col_rows(), geo.col_cols(), geo.cout);
     let mut col = vec![0.0; rows * cols];
     let (mut y, mut dx) = (Tensor::zeros(dy.shape()), Tensor::zeros(x.shape()));
     let (mut dw, mut db) = (vec![0.0; w.len()], vec![0.0f32; geo.cin]);
     let plane = geo.h * geo.w;
     for n in 0..x.shape().n {
-        gemm(Transpose::Yes, Transpose::No, rows, cols, cin, 1.0, w, x.item(n), 0.0, &mut col);
+        gemm(
+            Transpose::Yes,
+            Transpose::No,
+            rows,
+            cols,
+            cin,
+            1.0,
+            w,
+            x.item(n),
+            0.0,
+            &mut col,
+        );
         col2im(geo, &col, y.item_mut(n));
-        for (out, &b) in y.item_mut(n).chunks_mut(plane).zip(b).filter(|(_, &b)| b != 0.0) {
+        for (out, &b) in y
+            .item_mut(n)
+            .chunks_mut(plane)
+            .zip(b)
+            .filter(|(_, &b)| b != 0.0)
+        {
             out.iter_mut().for_each(|v| *v += b);
         }
         let g = dy.item(n);
         im2col(geo, g, &mut col);
-        gemm(Transpose::No, Transpose::No, cin, cols, rows, 1.0, w, &col, 0.0, dx.item_mut(n));
-        gemm(Transpose::No, Transpose::Yes, cin, rows, cols, 1.0, x.item(n), &col, 1.0, &mut dw);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            cin,
+            cols,
+            rows,
+            1.0,
+            w,
+            &col,
+            0.0,
+            dx.item_mut(n),
+        );
+        gemm(
+            Transpose::No,
+            Transpose::Yes,
+            cin,
+            rows,
+            cols,
+            1.0,
+            x.item(n),
+            &col,
+            1.0,
+            &mut dw,
+        );
         for (db, g) in db.iter_mut().zip(g.chunks(plane)) {
             *db += g.iter().sum::<f32>();
         }
@@ -127,8 +214,17 @@ fn conv_and_deconv_match_the_col_matrix_lowering() {
     // group (29·9 = 261 col rows), the climate encoder's strided 5x5,
     // one 3-channel first layer; deconv: the climate decoder's 4x4/s2, a
     // 3x3/s1 and a 5x5/s2. Non-zero biases, so every bias path runs.
-    let convs = [(64, 64, 24, 3, 1, 1, 2), (29, 16, 17, 3, 1, 1, 2), (8, 24, 48, 5, 2, 2, 2), (3, 32, 40, 3, 1, 1, 2)];
-    let deconvs = [(64, 32, 12, 4, 2, 1, 2), (8, 29, 9, 3, 1, 1, 3), (24, 12, 10, 5, 2, 2, 2)];
+    let convs = [
+        (64, 64, 24, 3, 1, 1, 2),
+        (29, 16, 17, 3, 1, 1, 2),
+        (8, 24, 48, 5, 2, 2, 2),
+        (3, 32, 40, 3, 1, 1, 2),
+    ];
+    let deconvs = [
+        (64, 32, 12, 4, 2, 1, 2),
+        (8, 29, 9, 3, 1, 1, 3),
+        (24, 12, 10, 5, 2, 2, 2),
+    ];
     for width in [1, 2] {
         par::set_width(width);
         for (cin, cout, hw, k, stride, pad, batch) in convs {
@@ -137,10 +233,17 @@ fn conv_and_deconv_match_the_col_matrix_lowering() {
             conv.params_mut()[1].value = rng.uniform_tensor(Shape4::flat(cout), -1.0, 1.0);
             let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
             let dy = rng.uniform_tensor(conv.out_shape(x.shape()), -1.0, 1.0);
-            let (w, b) = (conv.params()[0].value.clone(), conv.params()[1].value.clone());
+            let (w, b) = (
+                conv.params()[0].value.clone(),
+                conv.params()[1].value.clone(),
+            );
             let want = conv_by_col_matrix(&conv.geometry(hw, hw), w.data(), b.data(), &x, &dy);
             for (i, (g, w)) in step(&mut conv, &x, &dy).iter().zip(&want).enumerate() {
-                assert_same_bits(g, w, &format!("conv {cin}->{cout} {hw}px k{k} s{stride}, width {width}, buffer {i}"));
+                assert_same_bits(
+                    g,
+                    w,
+                    &format!("conv {cin}->{cout} {hw}px k{k} s{stride}, width {width}, buffer {i}"),
+                );
             }
         }
         for (cin, cout, hw, k, stride, pad, batch) in deconvs {
@@ -151,10 +254,19 @@ fn conv_and_deconv_match_the_col_matrix_lowering() {
             let dy = rng.uniform_tensor(deconv.out_shape(x.shape()), -1.0, 1.0);
             let (oh, ow) = (dy.shape().h, dy.shape().w);
             let geo = ConvGeometry::new(cout, cin, oh, ow, k, stride, pad);
-            let (w, b) = (deconv.params()[0].value.clone(), deconv.params()[1].value.clone());
+            let (w, b) = (
+                deconv.params()[0].value.clone(),
+                deconv.params()[1].value.clone(),
+            );
             let want = deconv_by_col_matrix(&geo, w.data(), b.data(), &x, &dy);
             for (i, (g, w)) in step(&mut deconv, &x, &dy).iter().zip(&want).enumerate() {
-                assert_same_bits(g, w, &format!("deconv {cin}->{cout} {hw}px k{k} s{stride}, width {width}, buffer {i}"));
+                assert_same_bits(
+                    g,
+                    w,
+                    &format!(
+                        "deconv {cin}->{cout} {hw}px k{k} s{stride}, width {width}, buffer {i}"
+                    ),
+                );
             }
         }
     }
@@ -176,7 +288,12 @@ fn relu_and_max_pool() {
             let y = pool.forward(a.clone());
             let da = pool.backward(dy.clone());
             let dx = relu.backward(da.clone());
-            vec![a.data().to_vec(), y.data().to_vec(), da.data().to_vec(), dx.data().to_vec()]
+            vec![
+                a.data().to_vec(),
+                y.data().to_vec(),
+                da.data().to_vec(),
+                dx.data().to_vec(),
+            ]
         });
     }
 }
@@ -187,8 +304,15 @@ fn relu_and_max_pool() {
 fn triple_by_layers(net: &mut Network, x: &Tensor, g: &Tensor) -> Vec<Vec<f32>> {
     net.zero_grads();
     let inferred = net.layers().iter().fold(x.clone(), |x, l| l.infer(&x));
-    let y = net.layers_mut().iter_mut().fold(x.clone(), |x, l| l.forward(x));
-    let dx = net.layers_mut().iter_mut().rev().fold(g.clone(), |g, l| l.backward(g));
+    let y = net
+        .layers_mut()
+        .iter_mut()
+        .fold(x.clone(), |x, l| l.forward(x));
+    let dx = net
+        .layers_mut()
+        .iter_mut()
+        .rev()
+        .fold(g.clone(), |g, l| l.backward(g));
     triple_buffers(net, [y, inferred, dx])
 }
 
@@ -202,8 +326,15 @@ fn triple_fused(net: &mut Network, x: &Tensor, g: &Tensor) -> Vec<Vec<f32>> {
 }
 
 fn triple_buffers(net: &Network, tensors: [Tensor; 3]) -> Vec<Vec<f32>> {
-    let grads = net.param_blocks().into_iter().map(|b| b.grad.data().to_vec());
-    tensors.iter().map(|t| t.data().to_vec()).chain(grads).collect()
+    let grads = net
+        .param_blocks()
+        .into_iter()
+        .map(|b| b.grad.data().to_vec());
+    tensors
+        .iter()
+        .map(|t| t.data().to_vec())
+        .chain(grads)
+        .collect()
 }
 
 #[test]
@@ -227,7 +358,10 @@ fn fused_conv_relu_pool_matches_its_three_layers() {
         let mut rng = TensorRng::new(23);
         let mut conv = Conv2d::new("conv", cin, cout, 3, 1, 1, &mut rng);
         conv.params_mut()[1].value = rng.uniform_tensor(Shape4::flat(cout), -0.5, 0.5);
-        let mut net = Network::new("triple").push(conv).push(Relu::new("relu")).push(MaxPool2d::new("pool", k, stride));
+        let mut net = Network::new("triple")
+            .push(conv)
+            .push(Relu::new("relu"))
+            .push(MaxPool2d::new("pool", k, stride));
         let x = rng.uniform_tensor(Shape4::new(batch, cin, hw, hw), -1.0, 1.0);
         let g = rng.uniform_tensor(net.out_shape(x.shape()), -1.0, 1.0);
         for width in [1, 2] {
@@ -236,8 +370,15 @@ fn fused_conv_relu_pool_matches_its_three_layers() {
             let got = triple_fused(&mut net, &x, &g);
             assert_eq!(got.len(), 5);
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                let what = ["forward", "infer", "input gradient", "weight gradient", "bias gradient"][i];
-                let case = format!("{cin}->{cout} {hw}px pool {k}/{stride} n{batch}, width {width}");
+                let what = [
+                    "forward",
+                    "infer",
+                    "input gradient",
+                    "weight gradient",
+                    "bias gradient",
+                ][i];
+                let case =
+                    format!("{cin}->{cout} {hw}px pool {k}/{stride} n{batch}, width {width}");
                 assert_same_bits(g, w, &format!("{case}: {what}"));
             }
         }
@@ -247,14 +388,34 @@ fn fused_conv_relu_pool_matches_its_three_layers() {
 /// What the in-place ReLU must treat exactly as `infer` and the masked
 /// gradient do: NaN, both infinities and zeros, subnormals of both signs,
 /// and ordinary values.
-const PALETTE: [f32; 10] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, 0.75, -2.5];
+const PALETTE: [f32; 10] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    0.0,
+    -0.0,
+    1e-40,
+    -1e-40,
+    f32::MIN_POSITIVE,
+    0.75,
+    -2.5,
+];
 
 #[test]
 fn relu_in_place_matches_infer_and_the_masked_gradient() {
     // Lengths around one mask word and one thread unit, and a ragged
     // multiple of both. One layer throughout, so a forward also runs on
     // a longer one's mask.
-    let lengths = [1, 63, 64, 65, PAR_CHUNK - 1, PAR_CHUNK, PAR_CHUNK + 1, 3 * PAR_CHUNK + 17];
+    let lengths = [
+        1,
+        63,
+        64,
+        65,
+        PAR_CHUNK - 1,
+        PAR_CHUNK,
+        PAR_CHUNK + 1,
+        3 * PAR_CHUNK + 17,
+    ];
     let mut relu = Relu::new("r");
     for width in [1, 2] {
         par::set_width(width);
@@ -274,13 +435,31 @@ fn relu_in_place_matches_infer_and_the_masked_gradient() {
             let what = format!("relu, {len} elements, width {width}");
 
             let y = relu.forward(x.clone());
-            assert_same_bits(y.data(), relu.infer(&x).data(), &format!("{what}: forward vs infer"));
+            assert_same_bits(
+                y.data(),
+                relu.infer(&x).data(),
+                &format!("{what}: forward vs infer"),
+            );
             let dx = relu.backward(g.clone());
-            let masked: Vec<f32> = x.data().iter().zip(g.data()).map(|(&x, &g)| if x > 0.0 { g } else { 0.0 }).collect();
-            assert_same_bits(dx.data(), &masked, &format!("{what}: backward vs the masked gradient"));
+            let masked: Vec<f32> = x
+                .data()
+                .iter()
+                .zip(g.data())
+                .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
+                .collect();
+            assert_same_bits(
+                dx.data(),
+                &masked,
+                &format!("{what}: backward vs the masked gradient"),
+            );
             // Spelled out: a NaN or infinite gradient where the input was
             // not positive comes out as +0.0.
-            for (i, (&x, (&g, &d))) in x.data().iter().zip(g.data().iter().zip(dx.data())).enumerate() {
+            for (i, (&x, (&g, &d))) in x
+                .data()
+                .iter()
+                .zip(g.data().iter().zip(dx.data()))
+                .enumerate()
+            {
                 if (x.is_nan() || x <= 0.0) && !g.is_finite() {
                     assert_eq!(d.to_bits(), 0, "{what} [{i}]: x {x}, g {g} gave {d}");
                 }
@@ -317,5 +496,9 @@ fn hep_network_gradient() {
             net.infer(&x)
         })
         .collect();
-    assert_same_bits(inferred[1].data(), inferred[0].data(), "hep_network infer, width 7 vs 1");
+    assert_same_bits(
+        inferred[1].data(),
+        inferred[0].data(),
+        "hep_network infer, width 7 vs 1",
+    );
 }

@@ -93,5 +93,9 @@ fn reuse_never_changes_results_across_layers() {
     let d2 = dec.forward(y1.clone());
 
     assert_eq!(y1.data(), y2.data(), "conv output changed on pooled reuse");
-    assert_eq!(d1.data(), d2.data(), "deconv output changed on pooled reuse");
+    assert_eq!(
+        d1.data(),
+        d2.data(),
+        "deconv output changed on pooled reuse"
+    );
 }

@@ -44,11 +44,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-pub use crate::policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};
 use crate::policy::{
     canary_draw, effective_watermark, priority_draw, retry_after, scale_down_victim, Breaker,
     Recovery, ScaleStep,
 };
+pub use crate::policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};
 use crate::registry::ModelRegistry;
 use crate::server::{Client, InferResult, ServeError, Server, ServerConfig, ServerReport};
 use crate::sim::{Replica, ServiceModel, SimConfig, SimCore, SimOutcome};
@@ -172,7 +172,11 @@ impl Router {
                 let mut rc = cfg.replica.clone();
                 rc.faults = cfg.faults.for_replica(id, cfg.replica.workers);
                 let server = Server::start(Arc::clone(&registry), rc);
-                Slot { id, client: server.client(), server }
+                Slot {
+                    id,
+                    client: server.client(),
+                    server,
+                }
             })
             .collect();
         Self {
@@ -196,7 +200,12 @@ impl Router {
 
     /// Aggregate queued requests across live replicas.
     pub fn fleet_depth(&self) -> usize {
-        self.slots.read().unwrap().iter().map(|s| s.server.queue_depth()).sum()
+        self.slots
+            .read()
+            .unwrap()
+            .iter()
+            .map(|s| s.server.queue_depth())
+            .sum()
     }
 
     /// [`Router::infer_with_priority`] at [`Priority::Standard`] with no
@@ -224,7 +233,10 @@ impl Router {
         if self.cfg.admission.sheds(p, backlog, live, watermark) {
             self.fleet_shed[p].fetch_add(1, Ordering::Relaxed);
             let retry_after = retry_after(&replica.policy, backlog);
-            return Err(ServeError::Shed { depth: backlog, retry_after });
+            return Err(ServeError::Shed {
+                depth: backlog,
+                retry_after,
+            });
         }
         let start = Instant::now();
         let mut avoid: Option<usize> = None;
@@ -244,11 +256,14 @@ impl Router {
                 return Err(ServeError::Closed);
             };
             if self.tr.enabled() {
-                self.tr.instant(rid as u64, EventKind::Route {
-                    replica: rid as u64,
-                    depth: depth as u64,
-                    policy: self.cfg.dispatch.name(),
-                });
+                self.tr.instant(
+                    rid as u64,
+                    EventKind::Route {
+                        replica: rid as u64,
+                        depth: depth as u64,
+                        policy: self.cfg.dispatch.name(),
+                    },
+                );
             }
             match client.infer_with_deadline(input.clone(), remaining) {
                 Ok(r) => {
@@ -298,9 +313,12 @@ impl Router {
         // Slots are created with ascending ids and only ever removed,
         // so `live` is in the id order `DispatchPolicy::pick` expects.
         let turn = self.rr.fetch_add(1, Ordering::Relaxed);
-        let s = live[self.cfg.dispatch.pick(self.cfg.seed, ordinal, turn, live.len(), |i| {
-            live[i].server.queue_depth()
-        })];
+        let s = live[self
+            .cfg
+            .dispatch
+            .pick(self.cfg.seed, ordinal, turn, live.len(), |i| {
+                live[i].server.queue_depth()
+            })];
         Some((s.id, s.server.queue_depth(), s.client.clone()))
     }
 
@@ -317,10 +335,13 @@ impl Router {
         if lost {
             self.replicas_lost.fetch_add(1, Ordering::Relaxed);
             if self.tr.enabled() {
-                self.tr.instant(id as u64, EventKind::ScaleDown {
-                    replicas: self.live_replicas() as u64,
-                    backlog: self.fleet_depth() as u64,
-                });
+                self.tr.instant(
+                    id as u64,
+                    EventKind::ScaleDown {
+                        replicas: self.live_replicas() as u64,
+                        backlog: self.fleet_depth() as u64,
+                    },
+                );
             }
         }
         let (rec, rep) = slot.server.shutdown_with_report();
@@ -361,7 +382,10 @@ impl Router {
         for id in ids {
             self.retire_slot(id, false);
         }
-        let report = FleetReport { final_replicas, ..self.report() };
+        let report = FleetReport {
+            final_replicas,
+            ..self.report()
+        };
         (self.retired.into_inner().unwrap().recorder, report)
     }
 }
@@ -386,7 +410,11 @@ pub struct SimAutoscaler {
 
 impl Default for SimAutoscaler {
     fn default() -> Self {
-        Self { band: ScalingBand::default(), tick_secs: 0.25, startup_secs: 0.05 }
+        Self {
+            band: ScalingBand::default(),
+            tick_secs: 0.25,
+            startup_secs: 0.05,
+        }
     }
 }
 
@@ -497,14 +525,16 @@ struct FleetSim<'a> {
 impl FleetSim<'_> {
     fn spawn(&mut self, born: f64, ready: f64, canary: bool, factor: f64) -> usize {
         let id = self.reps.len();
-        self.reps.push(Replica::new(&self.core, id, born, ready, canary, factor));
+        self.reps
+            .push(Replica::new(&self.core, id, born, ready, canary, factor));
         id
     }
 
     /// `(live replicas, their aggregate backlog)`.
     fn load(&self) -> (usize, usize) {
-        (self.reps.iter().filter(|r| routable(r)))
-            .fold((0, 0), |(live, backlog), r| (live + 1, backlog + r.queue.len()))
+        (self.reps.iter().filter(|r| routable(r))).fold((0, 0), |(live, backlog), r| {
+            (live + 1, backlog + r.queue.len())
+        })
     }
 
     /// Drains every replica up to `t`, rerouting crash-orphaned work to
@@ -533,11 +563,16 @@ impl FleetSim<'_> {
                     continue;
                 };
                 self.core.out.rerouted += 1;
-                self.core.tr.event_at(ti as u64, q.arrived, 0.0, EventKind::Route {
-                    replica: ti as u64,
-                    depth: self.reps[ti].queue.len() as u64,
-                    policy: "reroute",
-                });
+                self.core.tr.event_at(
+                    ti as u64,
+                    q.arrived,
+                    0.0,
+                    EventKind::Route {
+                        replica: ti as u64,
+                        depth: self.reps[ti].queue.len() as u64,
+                        policy: "reroute",
+                    },
+                );
                 self.reps[ti].adopt(q);
             }
         }
@@ -550,24 +585,37 @@ impl FleetSim<'_> {
         self.arrivals_since_tick += 1;
         let class = priority_draw(cfg.seed, ordinal, cfg.priority_mix);
         self.routable.clear();
-        self.routable.extend((0..self.reps.len()).filter(|&i| routable(&self.reps[i])));
+        self.routable
+            .extend((0..self.reps.len()).filter(|&i| routable(&self.reps[i])));
         let live = self.routable.len();
         if live == 0 {
             self.core.out.rejected += 1;
             self.core.out.rejected_ids.push(id);
             return;
         }
-        let backlog: usize = self.routable.iter().map(|&i| self.reps[i].queue.len()).sum();
-        if cfg.admission.sheds(class, backlog, live, self.core.watermark) {
+        let backlog: usize = self
+            .routable
+            .iter()
+            .map(|&i| self.reps[i].queue.len())
+            .sum();
+        if cfg
+            .admission
+            .sheds(class, backlog, live, self.core.watermark)
+        {
             self.core.out.fleet_shed[class] += 1;
             self.core.out.rejected_ids.push(id);
             if self.core.tr.enabled() {
-                self.core.tr.event_at(u64::MAX, t, 0.0, EventKind::Shed {
-                    worker: u64::MAX,
-                    count: 1,
-                    depth: backlog as u64,
-                    reason: "fleet",
-                });
+                self.core.tr.event_at(
+                    u64::MAX,
+                    t,
+                    0.0,
+                    EventKind::Shed {
+                        worker: u64::MAX,
+                        count: 1,
+                        depth: backlog as u64,
+                        reason: "fleet",
+                    },
+                );
             }
             return;
         }
@@ -587,7 +635,16 @@ impl FleetSim<'_> {
         let depth = self.reps[ri].queue.len() as u64;
         if self.reps[ri].admit(&mut self.core, id, t) && self.core.tr.enabled() {
             let replica = ri as u64;
-            self.core.tr.event_at(replica, t, 0.0, EventKind::Route { replica, depth, policy });
+            self.core.tr.event_at(
+                replica,
+                t,
+                0.0,
+                EventKind::Route {
+                    replica,
+                    depth,
+                    policy,
+                },
+            );
         }
     }
 
@@ -598,11 +655,16 @@ impl FleetSim<'_> {
                 let c = self.cfg.canary.expect("canary event without config");
                 let id = self.spawn(et, et, true, c.service_factor) as u64;
                 self.core.canary_window = true;
-                self.core.tr.event_at(id, et, 0.0, EventKind::Canary {
-                    action: "begin",
-                    replica: id,
-                    fraction: c.gate.fraction,
-                });
+                self.core.tr.event_at(
+                    id,
+                    et,
+                    0.0,
+                    EventKind::Canary {
+                        action: "begin",
+                        replica: id,
+                        fraction: c.gate.fraction,
+                    },
+                );
             }
             FleetEvent::CanaryDecide => self.decide_canary(et),
         }
@@ -620,10 +682,15 @@ impl FleetSim<'_> {
             ScaleStep::Up => {
                 let id = self.spawn(et, et + a.startup_secs, false, 1.0);
                 self.core.out.scale_ups += 1;
-                self.core.tr.event_at(id as u64, et, a.startup_secs, EventKind::ScaleUp {
-                    replicas: (live + 1) as u64,
-                    backlog: backlog as u64,
-                });
+                self.core.tr.event_at(
+                    id as u64,
+                    et,
+                    a.startup_secs,
+                    EventKind::ScaleUp {
+                        replicas: (live + 1) as u64,
+                        backlog: backlog as u64,
+                    },
+                );
             }
             ScaleStep::Down => {
                 let candidates = self.reps.iter().filter(|r| routable(r));
@@ -631,10 +698,15 @@ impl FleetSim<'_> {
                     .expect("a live replica above the floor");
                 self.reps[victim].draining = Some(et);
                 self.core.out.scale_downs += 1;
-                self.core.tr.event_at(victim as u64, et, 0.0, EventKind::ScaleDown {
-                    replicas: (live - 1) as u64,
-                    backlog: backlog as u64,
-                });
+                self.core.tr.event_at(
+                    victim as u64,
+                    et,
+                    0.0,
+                    EventKind::ScaleDown {
+                        replicas: (live - 1) as u64,
+                        backlog: backlog as u64,
+                    },
+                );
             }
             ScaleStep::Hold => {}
         }
@@ -643,7 +715,9 @@ impl FleetSim<'_> {
     fn decide_canary(&mut self, et: f64) {
         let c = self.cfg.canary.expect("canary decision without config");
         self.core.canary_window = false;
-        let Some(ci) = self.reps.iter().position(|r| r.canary) else { return };
+        let Some(ci) = self.reps.iter().position(|r| r.canary) else {
+            return;
+        };
         let pass = c.gate.verdict(&self.core.base_lat, &self.core.canary_lat);
         if pass {
             // Promote: the candidate serves everywhere from here on.
@@ -660,17 +734,27 @@ impl FleetSim<'_> {
             self.core.out.canary_rolled_back = true;
             if self.breaker.fail(self.cfg.base.breaker_threshold) {
                 self.core.out.breaker_opened = true;
-                self.core.tr.event_at(u64::MAX, et, 0.0, EventKind::Breaker {
-                    open: true,
-                    failures: self.breaker.failures as u64,
-                });
+                self.core.tr.event_at(
+                    u64::MAX,
+                    et,
+                    0.0,
+                    EventKind::Breaker {
+                        open: true,
+                        failures: self.breaker.failures as u64,
+                    },
+                );
             }
         }
-        self.core.tr.event_at(ci as u64, et, 0.0, EventKind::Canary {
-            action: if pass { "promote" } else { "rollback" },
-            replica: ci as u64,
-            fraction: c.gate.fraction,
-        });
+        self.core.tr.event_at(
+            ci as u64,
+            et,
+            0.0,
+            EventKind::Canary {
+                action: if pass { "promote" } else { "rollback" },
+                replica: ci as u64,
+                fraction: c.gate.fraction,
+            },
+        );
     }
 }
 
@@ -684,7 +768,10 @@ pub fn simulate_fleet(
     cfg: &FleetSimConfig,
 ) -> FleetSimOutcome {
     assert!(cfg.replicas >= 1, "fleet needs at least one replica");
-    assert!(cfg.priority_mix.iter().sum::<f64>() > 0.0, "priority mix must have positive mass");
+    assert!(
+        cfg.priority_mix.iter().sum::<f64>() > 0.0,
+        "priority mix must have positive mass"
+    );
 
     // Scheduled events: autoscaler ticks while arrivals flow, plus the
     // canary start/decide pair. Ties process in (tick, start, decide)
@@ -693,11 +780,16 @@ pub fn simulate_fleet(
     if let Some(a) = &cfg.autoscaler {
         assert!(a.tick_secs > 0.0, "autoscaler tick must be positive");
         let last = arrivals.last().copied().unwrap_or(0.0);
-        let ticks = (1u64..).map(|k| k as f64 * a.tick_secs).take_while(|&t| t <= last);
+        let ticks = (1u64..)
+            .map(|k| k as f64 * a.tick_secs)
+            .take_while(|&t| t <= last);
         events.extend(ticks.map(|t| (t, FleetEvent::AutoscaleTick)));
     }
     if let Some(c) = &cfg.canary {
-        assert!(c.decide_secs > c.start_secs, "canary must decide after it starts");
+        assert!(
+            c.decide_secs > c.start_secs,
+            "canary must decide after it starts"
+        );
         events.push((c.start_secs, FleetEvent::CanaryStart));
         events.push((c.decide_secs, FleetEvent::CanaryDecide));
     }
@@ -730,8 +822,11 @@ pub fn simulate_fleet(
     }
     st.drain_all(f64::INFINITY);
     let mut out = st.core.out;
-    out.replica_seconds =
-        st.reps.iter().map(|r| r.retired.unwrap_or(out.makespan).max(r.born) - r.born).sum();
+    out.replica_seconds = st
+        .reps
+        .iter()
+        .map(|r| r.retired.unwrap_or(out.makespan).max(r.born) - r.born)
+        .sum();
     out.final_replicas = st.reps.iter().filter(|r| routable(r)).count();
     out
 }
@@ -747,7 +842,11 @@ mod tests {
 
     fn registry(seed: u64, iteration: u64) -> Arc<ModelRegistry> {
         let mut rng = TensorRng::new(seed);
-        Arc::new(ModelRegistry::new(ServingModel::new(hep_small(&mut rng), iteration, seed)))
+        Arc::new(ModelRegistry::new(ServingModel::new(
+            hep_small(&mut rng),
+            iteration,
+            seed,
+        )))
     }
 
     fn probe(seed: u64) -> Tensor {
@@ -756,7 +855,11 @@ mod tests {
     }
 
     fn base_cfg() -> SimConfig {
-        SimConfig::new(2, 64, BatchPolicy::dynamic(8, std::time::Duration::from_millis(5)))
+        SimConfig::new(
+            2,
+            64,
+            BatchPolicy::dynamic(8, std::time::Duration::from_millis(5)),
+        )
     }
 
     #[test]
@@ -781,8 +884,11 @@ mod tests {
         // round-robin keeps feeding the hot replica, p2c's depth probes
         // steer around it once its queue grows. A deep queue keeps the
         // watermark from truncating round-robin's tail.
-        let mut base =
-            SimConfig::new(2, 512, BatchPolicy::dynamic(8, std::time::Duration::from_millis(5)));
+        let mut base = SimConfig::new(
+            2,
+            512,
+            BatchPolicy::dynamic(8, std::time::Duration::from_millis(5)),
+        );
         for w in 0..base.workers {
             base.faults = base.faults.clone().with_slow_worker(w, 0, u64::MAX, 4.0);
         }
@@ -796,7 +902,9 @@ mod tests {
             cfg.seed = 4242;
             // Single class: isolate dispatch from priority admission.
             cfg.priority_mix = [0.0, 1.0, 0.0];
-            cfg.admission = PriorityAdmission { shed_frac: [1.0, 1.0, 1.0] };
+            cfg.admission = PriorityAdmission {
+                shed_frac: [1.0, 1.0, 1.0],
+            };
             simulate_fleet(&m, &arrivals, &cfg).p99()
         };
         let rr = p99(DispatchPolicy::RoundRobin);
@@ -831,8 +939,16 @@ mod tests {
             startup_secs: 0.02,
         });
         let out = simulate_fleet(&m, &arrivals, &cfg);
-        assert!(out.scale_ups >= 2, "burst must trigger scale-ups, got {}", out.scale_ups);
-        assert!(out.scale_downs >= 1, "quiet tail must shrink, got {}", out.scale_downs);
+        assert!(
+            out.scale_ups >= 2,
+            "burst must trigger scale-ups, got {}",
+            out.scale_ups
+        );
+        assert!(
+            out.scale_downs >= 1,
+            "quiet tail must shrink, got {}",
+            out.scale_downs
+        );
         let a = cfg.autoscaler.unwrap().band;
         assert!(
             (a.min_replicas..=a.max_replicas).contains(&out.final_replicas),
@@ -854,7 +970,10 @@ mod tests {
             cfg.canary = Some(SimCanary {
                 start_secs: 0.1,
                 decide_secs: *arrivals.last().unwrap() * 0.9,
-                gate: CanaryGate { fraction: 0.25, regression_tol: 0.25 },
+                gate: CanaryGate {
+                    fraction: 0.25,
+                    regression_tol: 0.25,
+                },
                 service_factor: factor,
                 candidate_iteration: 9000,
             });
@@ -862,12 +981,21 @@ mod tests {
         };
         let good = mk(1.0);
         assert!(good.canary_promoted && !good.canary_rolled_back);
-        assert_eq!(good.final_iteration, 9000, "promotion must publish the candidate");
+        assert_eq!(
+            good.final_iteration, 9000,
+            "promotion must publish the candidate"
+        );
         assert!(good.canary_served > 0, "the canary must have taken traffic");
         let bad = mk(8.0);
         assert!(bad.canary_rolled_back && !bad.canary_promoted);
-        assert_eq!(bad.final_iteration, 0, "rollback must leave the old model serving");
-        assert!(bad.breaker_opened, "rollout failure must charge the breaker");
+        assert_eq!(
+            bad.final_iteration, 0,
+            "rollback must leave the old model serving"
+        );
+        assert!(
+            bad.breaker_opened,
+            "rollout failure must charge the breaker"
+        );
     }
 
     #[test]
@@ -888,7 +1016,11 @@ mod tests {
         cfg.seed = 99;
         cfg.reroute_budget = 2;
         let out = simulate_fleet(&m, &arrivals, &cfg);
-        assert!(out.crashes >= 2, "both crash events must fire, got {}", out.crashes);
+        assert!(
+            out.crashes >= 2,
+            "both crash events must fire, got {}",
+            out.crashes
+        );
         assert!(out.rerouted > 0, "orphans must reroute to the sibling");
         // Exactly-once: every arrival id lands in exactly one terminal
         // category.
@@ -909,7 +1041,11 @@ mod tests {
     #[test]
     fn threaded_router_routes_across_replicas() {
         let reg = registry(50, 1);
-        let rc = ServerConfig { workers: 1, queue_capacity: 32, ..Default::default() };
+        let rc = ServerConfig {
+            workers: 1,
+            queue_capacity: 32,
+            ..Default::default()
+        };
         let cfg = FleetConfig::new(2, rc, DispatchPolicy::RoundRobin);
         let router = Router::start(reg, cfg);
         for i in 0..8 {

@@ -84,7 +84,12 @@ fn batch_trace(
     compute_s: f64,
     batch: u64,
 ) -> (scidl_trace::EventKind, scidl_trace::IterRow) {
-    let span = scidl_trace::EventKind::BatchDispatch { worker, batch, queue_s, compute_s };
+    let span = scidl_trace::EventKind::BatchDispatch {
+        worker,
+        batch,
+        queue_s,
+        compute_s,
+    };
     let row = scidl_trace::IterRow {
         kind: "serve",
         track: worker,

@@ -25,8 +25,16 @@ pub struct PoissonArrivals {
 impl PoissonArrivals {
     /// Arrivals at `rate` requests/second; yields exactly `n` timestamps.
     pub fn new(seed: u64, rate: f64, n: usize) -> Self {
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive, got {rate}");
-        Self { rng: TensorRng::new(seed), rate, clock: 0.0, remaining: n }
+        assert!(
+            rate > 0.0 && rate.is_finite(),
+            "rate must be positive, got {rate}"
+        );
+        Self {
+            rng: TensorRng::new(seed),
+            rate,
+            clock: 0.0,
+            remaining: n,
+        }
     }
 }
 
@@ -58,7 +66,10 @@ impl HepRequestSource {
     /// order uses an independent stream of the same seed.
     pub fn new(config: HepConfig, n: usize, seed: u64) -> Self {
         let mut rng = TensorRng::new(seed);
-        Self { dataset: HepDataset::generate(config, n, seed), rng: rng.fork(1) }
+        Self {
+            dataset: HepDataset::generate(config, n, seed),
+            rng: rng.fork(1),
+        }
     }
 
     /// The next request input: one dataset sample as a `(1, c, h, w)`

@@ -102,7 +102,11 @@ impl DispatchPolicy {
             DispatchPolicy::LeastLoaded => (0..n).min_by_key(|&i| depth(i)).expect("n >= 1"),
             DispatchPolicy::PowerOfTwoChoices => {
                 let (a, b) = (probe(SALT_P2C_A), probe(SALT_P2C_B));
-                if depth(b) < depth(a) { b } else { a }
+                if depth(b) < depth(a) {
+                    b
+                } else {
+                    a
+                }
             }
         }
     }
@@ -147,7 +151,9 @@ pub struct PriorityAdmission {
 
 impl Default for PriorityAdmission {
     fn default() -> Self {
-        Self { shed_frac: [1.0, 0.7, 0.45] }
+        Self {
+            shed_frac: [1.0, 0.7, 0.45],
+        }
     }
 }
 
@@ -171,7 +177,10 @@ pub(crate) fn effective_watermark(shed_watermark: Option<usize>, capacity: usize
 /// batches at the configured deadline cadence.
 pub(crate) fn retry_after(policy: &BatchPolicy, depth: usize) -> Duration {
     let batches = depth.div_ceil(policy.max_batch.max(1)).max(1) as u32;
-    policy.max_delay.max(Duration::from_millis(1)).saturating_mul(batches)
+    policy
+        .max_delay
+        .max(Duration::from_millis(1))
+        .saturating_mul(batches)
 }
 
 /// The batch former's trigger, for either clock: a queue of `len ≥ 1`
@@ -238,7 +247,12 @@ impl DispatchSchedule {
     pub(crate) fn new(plan: &FaultPlan, replica: usize, workers: usize) -> Self {
         let plan = plan.for_replica(replica, workers);
         let fired = vec![false; plan.worker_crashes.len()];
-        Self { plan, dispatched: 0, fired, served: vec![0; workers] }
+        Self {
+            plan,
+            dispatched: 0,
+            fired,
+            served: vec![0; workers],
+        }
     }
 
     /// Decides the replica's next dispatch, by `slot`: the slow factor of
@@ -345,7 +359,12 @@ pub struct ScalingBand {
 
 impl Default for ScalingBand {
     fn default() -> Self {
-        Self { min_replicas: 1, max_replicas: 8, target_util: 0.7, scale_down_backlog: 2 }
+        Self {
+            min_replicas: 1,
+            max_replicas: 8,
+            target_util: 0.7,
+            scale_down_backlog: 2,
+        }
     }
 }
 
@@ -387,7 +406,9 @@ impl ScalingBand {
 /// The replica a scale-down drains, from `(queue depth, replica id)`
 /// pairs: the shallowest queue, ties toward the youngest replica.
 pub(crate) fn scale_down_victim(replicas: impl Iterator<Item = (usize, usize)>) -> Option<usize> {
-    replicas.min_by_key(|&(depth, id)| (depth, std::cmp::Reverse(id))).map(|(_, id)| id)
+    replicas
+        .min_by_key(|&(depth, id)| (depth, std::cmp::Reverse(id)))
+        .map(|(_, id)| id)
 }
 
 /// Canary rollout policy of the virtual-time fleet
@@ -402,7 +423,10 @@ pub struct CanaryGate {
 
 impl Default for CanaryGate {
     fn default() -> Self {
-        Self { fraction: 0.2, regression_tol: 0.25 }
+        Self {
+            fraction: 0.2,
+            regression_tol: 0.25,
+        }
     }
 }
 
@@ -428,7 +452,11 @@ mod tests {
         for turn in 0..9 {
             assert_eq!(RoundRobin.pick(1, 0, turn, 4, d), turn % 4);
         }
-        assert_eq!(LeastLoaded.pick(1, 0, 0, 4, d), 1, "ties break toward the lowest id");
+        assert_eq!(
+            LeastLoaded.pick(1, 0, 0, 4, d),
+            1,
+            "ties break toward the lowest id"
+        );
         assert_eq!(LeastLoaded.pick(1, 0, 0, 1, d), 0);
         // p2c: both probes are in range, the pick is one of them and
         // never the deeper, and the draw is a pure function of
@@ -481,25 +509,48 @@ mod tests {
             (2, 8, false),
             (2, 9, true),
         ] {
-            assert_eq!(a.sheds(class, backlog, 2, 10), shed, "class {class} backlog {backlog}");
+            assert_eq!(
+                a.sheds(class, backlog, 2, 10),
+                shed,
+                "class {class} backlog {backlog}"
+            );
         }
         assert_eq!(effective_watermark(None, 64), 64);
         assert_eq!(effective_watermark(Some(8), 64), 8);
         assert_eq!(effective_watermark(Some(99), 64), 64);
         let p = BatchPolicy::dynamic(8, Duration::from_millis(10));
         for (depth, ms) in [(0, 10), (1, 10), (8, 10), (9, 20), (64, 80)] {
-            assert_eq!(retry_after(&p, depth), Duration::from_millis(ms), "depth {depth}");
+            assert_eq!(
+                retry_after(&p, depth),
+                Duration::from_millis(ms),
+                "depth {depth}"
+            );
         }
-        assert_eq!(retry_after(&BatchPolicy::batch1(), 3), Duration::from_millis(3));
+        assert_eq!(
+            retry_after(&BatchPolicy::batch1(), 3),
+            Duration::from_millis(3)
+        );
     }
 
     #[test]
     fn batch_former_table() {
         let arrived = [0.0, 1.0, 2.0, 3.0];
         let at = |i: usize| arrived[i];
-        assert_eq!(batch_trigger(4, 3, 10.0, at), 2.0, "full: the max_batch-th arrival");
-        assert_eq!(batch_trigger(2, 3, 10.0, at), 10.0, "partial: head + max_delay");
-        assert_eq!(batch_trigger(1, 1, 10.0, at), 0.0, "max_batch 1 never waits");
+        assert_eq!(
+            batch_trigger(4, 3, 10.0, at),
+            2.0,
+            "full: the max_batch-th arrival"
+        );
+        assert_eq!(
+            batch_trigger(2, 3, 10.0, at),
+            10.0,
+            "partial: head + max_delay"
+        );
+        assert_eq!(
+            batch_trigger(1, 1, 10.0, at),
+            0.0,
+            "max_batch 1 never waits"
+        );
         assert!(lapsed(Some(5.0), 5.0), "a deadline at now has lapsed");
         assert!(!lapsed(Some(5.0), 4.9));
         assert!(!lapsed(None, f64::INFINITY), "no deadline never lapses");
@@ -529,36 +580,44 @@ mod tests {
     fn dispatch_schedule_table() {
         let d = |batch, slow, crash| Dispatch { batch, slow, crash };
         let run = |mut s: DispatchSchedule, slots: &[usize]| {
-            slots.iter().map(|&slot| s.dispatch(slot)).collect::<Vec<_>>()
+            slots
+                .iter()
+                .map(|&slot| s.dispatch(slot))
+                .collect::<Vec<_>>()
         };
         // Crash at replica ordinal 2, slot 0 slow over its served batches
         // [2, 3): the crashed dispatch does not count, so the respawned
         // slot's first batch is still slot batch 2, the 3rd served.
-        let plan = FaultPlan::none().with_worker_crash(0, 2, 0.5).with_slow_worker(0, 2, 3, 40.0);
-        assert_eq!(run(DispatchSchedule::new(&plan, 0, 1), &[0; 5]), [
-            d(0, 1.0, None),
-            d(1, 1.0, None),
-            d(2, 40.0, Some(0.5)),
-            d(2, 40.0, None),
-            d(3, 1.0, None),
-        ]);
+        let plan = FaultPlan::none()
+            .with_worker_crash(0, 2, 0.5)
+            .with_slow_worker(0, 2, 3, 40.0);
+        assert_eq!(
+            run(DispatchSchedule::new(&plan, 0, 1), &[0; 5]),
+            [
+                d(0, 1.0, None),
+                d(1, 1.0, None),
+                d(2, 40.0, Some(0.5)),
+                d(2, 40.0, None),
+                d(3, 1.0, None),
+            ]
+        );
         // A heartbeat replacement dispatches on the stuck batch's slot and
         // continues its count: the stuck batch is slot batch 1, the
         // replacement's first is slot batch 2 and healthy.
         let plan = FaultPlan::none().with_slow_worker(0, 1, 2, 3000.0);
-        assert_eq!(run(DispatchSchedule::new(&plan, 0, 1), &[0; 3]), [
-            d(0, 1.0, None),
-            d(1, 3000.0, None),
-            d(2, 1.0, None),
-        ]);
+        assert_eq!(
+            run(DispatchSchedule::new(&plan, 0, 1), &[0; 3]),
+            [d(0, 1.0, None), d(1, 3000.0, None), d(2, 1.0, None),]
+        );
         // Two crashes due at ordinal 0 fire on consecutive dispatches, in
         // plan order, each once.
-        let plan = FaultPlan::none().with_worker_crash(0, 0, 0.1).with_worker_crash(0, 0, 0.2);
-        assert_eq!(run(DispatchSchedule::new(&plan, 0, 1), &[0; 3]), [
-            d(0, 1.0, Some(0.1)),
-            d(0, 1.0, Some(0.2)),
-            d(0, 1.0, None),
-        ]);
+        let plan = FaultPlan::none()
+            .with_worker_crash(0, 0, 0.1)
+            .with_worker_crash(0, 0, 0.2);
+        assert_eq!(
+            run(DispatchSchedule::new(&plan, 0, 1), &[0; 3]),
+            [d(0, 1.0, Some(0.1)), d(0, 1.0, Some(0.2)), d(0, 1.0, None),]
+        );
         // Global worker indices: replica 1 of 2 slots owns workers 2 and 3;
         // the crash counts the replica's dispatches, the slow window the
         // slot's, and worker 0's window belongs to replica 0.
@@ -566,13 +625,16 @@ mod tests {
             .with_worker_crash(3, 1, 0.0)
             .with_slow_worker(2, 0, 2, 3.0)
             .with_slow_worker(0, 0, 9, 7.0);
-        assert_eq!(run(DispatchSchedule::new(&plan, 1, 2), &[0, 1, 0, 1, 0]), [
-            d(0, 3.0, None),
-            d(0, 1.0, Some(0.0)),
-            d(1, 3.0, None),
-            d(0, 1.0, None),
-            d(2, 1.0, None),
-        ]);
+        assert_eq!(
+            run(DispatchSchedule::new(&plan, 1, 2), &[0, 1, 0, 1, 0]),
+            [
+                d(0, 3.0, None),
+                d(0, 1.0, Some(0.0)),
+                d(1, 3.0, None),
+                d(0, 1.0, None),
+                d(2, 1.0, None),
+            ]
+        );
     }
 
     #[test]
@@ -594,17 +656,28 @@ mod tests {
         // Success clears the streak but never closes an open breaker.
         b.succeed();
         assert!(b.open && b.failures == 0);
-        assert!(Breaker::default().fail(1), "threshold 1 opens on the first failure");
+        assert!(
+            Breaker::default().fail(1),
+            "threshold 1 opens on the first failure"
+        );
     }
 
     #[test]
     fn autoscaler_table() {
-        let band = ScalingBand { min_replicas: 1, max_replicas: 4, target_util: 0.5, scale_down_backlog: 2 };
+        let band = ScalingBand {
+            min_replicas: 1,
+            max_replicas: 4,
+            target_util: 0.5,
+            scale_down_backlog: 2,
+        };
         // replica_rate 100 at 50 % target: 50 req/s per replica.
         for (rate, want) in [(0.0, 1), (50.0, 1), (50.1, 2), (149.0, 3), (1e6, 4)] {
             assert_eq!(band.desired_replicas(rate, 100.0), want, "rate {rate}");
         }
-        let floor = ScalingBand { min_replicas: 2, ..band };
+        let floor = ScalingBand {
+            min_replicas: 2,
+            ..band
+        };
         assert_eq!(floor.desired_replicas(0.0, 100.0), 2);
         for (desired, live, backlog, want) in [
             (3, 2, 0, ScaleStep::Up),
@@ -613,17 +686,31 @@ mod tests {
             (1, 2, 5, ScaleStep::Hold),
             (1, 1, 0, ScaleStep::Hold),
         ] {
-            assert_eq!(band.step(desired, live, backlog), want, "{desired} {live} {backlog}");
+            assert_eq!(
+                band.step(desired, live, backlog),
+                want,
+                "{desired} {live} {backlog}"
+            );
         }
-        assert_eq!(floor.step(2, 2, 0), ScaleStep::Hold, "never below the floor");
-        assert_eq!(scale_down_victim([(3, 0), (1, 1), (1, 2)].into_iter()), Some(2));
+        assert_eq!(
+            floor.step(2, 2, 0),
+            ScaleStep::Hold,
+            "never below the floor"
+        );
+        assert_eq!(
+            scale_down_victim([(3, 0), (1, 1), (1, 2)].into_iter()),
+            Some(2)
+        );
         assert_eq!(scale_down_victim([(0, 0), (1, 5)].into_iter()), Some(0));
         assert_eq!(scale_down_victim(std::iter::empty()), None);
     }
 
     #[test]
     fn canary_verdict_table() {
-        let gate = CanaryGate { fraction: 0.2, regression_tol: 0.25 };
+        let gate = CanaryGate {
+            fraction: 0.2,
+            regression_tol: 0.25,
+        };
         let base = [1.0; 10];
         assert!(gate.verdict(&base, &[1.25; 10]));
         assert!(!gate.verdict(&base, &[1.26; 10]));

@@ -57,12 +57,18 @@ impl BatchPolicy {
     /// Dynamic batching: up to `max_batch`, deadline `max_delay`.
     pub fn dynamic(max_batch: usize, max_delay: Duration) -> Self {
         assert!(max_batch >= 1, "max_batch must be at least 1");
-        Self { max_batch, max_delay }
+        Self {
+            max_batch,
+            max_delay,
+        }
     }
 
     /// The baseline policy: every request is its own batch.
     pub fn batch1() -> Self {
-        Self { max_batch: 1, max_delay: Duration::ZERO }
+        Self {
+            max_batch: 1,
+            max_delay: Duration::ZERO,
+        }
     }
 }
 
@@ -145,7 +151,10 @@ impl<T> BatchQueue<T> {
             "watermark must be in 1..=capacity, got {watermark} with capacity {capacity}"
         );
         Self {
-            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
+            inner: Mutex::new(Inner {
+                items: VecDeque::new(),
+                closed: false,
+            }),
             notify: Condvar::new(),
             capacity,
             watermark,
@@ -182,7 +191,11 @@ impl<T> BatchQueue<T> {
             let depth = g.items.len();
             return Err(SubmitError::Full { item, depth });
         }
-        g.items.push_back(Pending { item, arrived: Instant::now(), deadline });
+        g.items.push_back(Pending {
+            item,
+            arrived: Instant::now(),
+            deadline,
+        });
         drop(g);
         // One item can satisfy one consumer: `notify_one` avoids a
         // thundering herd of the whole worker pool per submit. Waiters
@@ -208,7 +221,11 @@ impl<T> BatchQueue<T> {
         let now = Instant::now();
         let mut g = self.inner.lock().unwrap();
         for (item, deadline) in items.into_iter().rev() {
-            g.items.push_front(Pending { item, arrived: now, deadline });
+            g.items.push_front(Pending {
+                item,
+                arrived: now,
+                deadline,
+            });
         }
         drop(g);
         // Several consumers may be parked and several items arrived.
@@ -260,7 +277,9 @@ impl<T> BatchQueue<T> {
     /// answers them before any compute.
     pub fn pop_expiring(&self, policy: &BatchPolicy) -> Option<Popped<T>> {
         let trigger = |g: &Inner<T>| {
-            batch_trigger(g.items.len(), policy.max_batch, policy.max_delay, |i| g.items[i].arrived)
+            batch_trigger(g.items.len(), policy.max_batch, policy.max_delay, |i| {
+                g.items[i].arrived
+            })
         };
         let mut g = self.inner.lock().unwrap();
         loop {
@@ -273,12 +292,18 @@ impl<T> BatchQueue<T> {
             let expired = Self::extract_expired(&mut g, now);
             let batch_ready = !g.items.is_empty() && (g.closed || now >= trigger(&g));
             if batch_ready {
-                return Some(Popped { batch: Self::drain(&mut g, policy.max_batch, now), expired });
+                return Some(Popped {
+                    batch: Self::drain(&mut g, policy.max_batch, now),
+                    expired,
+                });
             }
             if !expired.is_empty() {
                 // Shed promptly: don't hold the expired requests' typed
                 // answers hostage to batch formation.
-                return Some(Popped { batch: Vec::new(), expired });
+                return Some(Popped {
+                    batch: Vec::new(),
+                    expired,
+                });
             }
             if g.items.is_empty() {
                 if g.closed {
@@ -359,7 +384,10 @@ mod tests {
         let t0 = Instant::now();
         let batch = q.pop_batch(&policy).unwrap();
         assert_eq!(batch.len(), 4);
-        assert!(t0.elapsed() < Duration::from_secs(1), "must not wait for the deadline");
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "must not wait for the deadline"
+        );
         let ids: Vec<i32> = batch.into_iter().map(|(i, _)| i).collect();
         assert_eq!(ids, vec![0, 1, 2, 3], "FIFO order");
     }
@@ -372,7 +400,10 @@ mod tests {
         let t0 = Instant::now();
         let batch = q.pop_batch(&policy).unwrap();
         assert_eq!(batch.len(), 1);
-        assert!(t0.elapsed() >= Duration::from_millis(15), "should wait out the deadline");
+        assert!(
+            t0.elapsed() >= Duration::from_millis(15),
+            "should wait out the deadline"
+        );
     }
 
     #[test]
@@ -405,7 +436,10 @@ mod tests {
         let q = BatchQueue::with_watermark(8, 2);
         q.submit(1).unwrap();
         q.submit(2).unwrap();
-        assert!(matches!(q.submit(3), Err(SubmitError::Full { depth: 2, .. })));
+        assert!(matches!(
+            q.submit(3),
+            Err(SubmitError::Full { depth: 2, .. })
+        ));
         // Requeue is watermark-exempt: recovered in-flight work still fits.
         q.requeue_front(vec![(9, None)]);
         assert_eq!(q.len(), 3);
@@ -443,20 +477,27 @@ mod tests {
         let policy = BatchPolicy::dynamic(8, Duration::from_secs(3600));
         // Close flushes immediately even though the batch is partial.
         assert_eq!(q.pop_batch(&policy).unwrap().len(), 2);
-        assert!(q.pop_batch(&policy).is_none(), "drained + closed = end of stream");
+        assert!(
+            q.pop_batch(&policy).is_none(),
+            "drained + closed = end of stream"
+        );
     }
 
     #[test]
     fn expired_requests_are_shed_before_compute() {
         let q = BatchQueue::new(8);
         let now = Instant::now();
-        q.submit_with_deadline(1, Some(now + Duration::from_millis(5))).unwrap();
-        q.submit_with_deadline(2, Some(now + Duration::from_secs(3600))).unwrap();
+        q.submit_with_deadline(1, Some(now + Duration::from_millis(5)))
+            .unwrap();
+        q.submit_with_deadline(2, Some(now + Duration::from_secs(3600)))
+            .unwrap();
         q.submit(3).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         // Request 1 expired while queued: it must come back via
         // `expired`, never inside the batch formed from the survivors.
-        let popped = q.pop_expiring(&BatchPolicy::dynamic(2, Duration::from_secs(3600))).unwrap();
+        let popped = q
+            .pop_expiring(&BatchPolicy::dynamic(2, Duration::from_secs(3600)))
+            .unwrap();
         assert_eq!(popped.expired, vec![1]);
         let ids: Vec<i32> = popped.batch.into_iter().map(|(i, _)| i).collect();
         assert_eq!(ids, vec![2, 3]);
@@ -465,11 +506,14 @@ mod tests {
     #[test]
     fn expiry_wakes_a_parked_consumer_promptly() {
         let q = Arc::new(BatchQueue::new(8));
-        q.submit_with_deadline(7, Some(Instant::now() + Duration::from_millis(20))).unwrap();
+        q.submit_with_deadline(7, Some(Instant::now() + Duration::from_millis(20)))
+            .unwrap();
         // Batch former alone would park for the full hour-long max_delay;
         // the request's own deadline must wake it in ~20 ms.
         let t0 = Instant::now();
-        let popped = q.pop_expiring(&BatchPolicy::dynamic(8, Duration::from_secs(3600))).unwrap();
+        let popped = q
+            .pop_expiring(&BatchPolicy::dynamic(8, Duration::from_secs(3600)))
+            .unwrap();
         assert!(popped.batch.is_empty());
         assert_eq!(popped.expired, vec![7]);
         assert!(
@@ -485,9 +529,17 @@ mod tests {
         q.submit(10).unwrap();
         q.requeue_front(vec![(1, None), (2, None)]);
         let policy = BatchPolicy::dynamic(3, Duration::ZERO);
-        let ids: Vec<i32> =
-            q.pop_batch(&policy).unwrap().into_iter().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![1, 2, 10], "requeued requests are served first, in order");
+        let ids: Vec<i32> = q
+            .pop_batch(&policy)
+            .unwrap()
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(
+            ids,
+            vec![1, 2, 10],
+            "requeued requests are served first, in order"
+        );
     }
 
     #[test]
@@ -505,7 +557,8 @@ mod tests {
     fn drain_all_empties_the_queue() {
         let q = BatchQueue::new(8);
         q.submit(1).unwrap();
-        q.submit_with_deadline(2, Some(Instant::now() + Duration::from_secs(1))).unwrap();
+        q.submit_with_deadline(2, Some(Instant::now() + Duration::from_secs(1)))
+            .unwrap();
         assert_eq!(q.drain_all(), vec![1, 2]);
         assert!(q.is_empty());
         assert_eq!(q.drain_all(), Vec::<i32>::new());
@@ -566,7 +619,10 @@ mod tests {
         }
         all.sort_unstable();
         let expect: Vec<usize> = (0..N).collect();
-        assert_eq!(all, expect, "every request exactly once, none lost to a missed wakeup");
+        assert_eq!(
+            all, expect,
+            "every request exactly once, none lost to a missed wakeup"
+        );
     }
 
     /// Regression (fleet satellite): the batch former takes exactly one
@@ -605,6 +661,10 @@ mod tests {
         q.submit(1).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         let batch = q.pop_batch(&BatchPolicy::batch1()).unwrap();
-        assert!(batch[0].1 >= Duration::from_millis(5), "wait {:?}", batch[0].1);
+        assert!(
+            batch[0].1 >= Duration::from_millis(5),
+            "wait {:?}",
+            batch[0].1
+        );
     }
 }

@@ -70,7 +70,12 @@ impl std::fmt::Debug for ServingModel {
 impl ServingModel {
     /// Wraps an in-memory network as a servable snapshot.
     pub fn new(network: Network, iteration: u64, seed: u64) -> Self {
-        Self { network, quant: None, iteration, seed }
+        Self {
+            network,
+            quant: None,
+            iteration,
+            seed,
+        }
     }
 
     /// Builds the int8 sidecar for this snapshot (builder style): workers
@@ -287,9 +292,18 @@ impl ModelRegistry {
         drop(b);
         let tr = scidl_trace::TraceHandle::current();
         let failures = after.failures as u64;
-        tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject { reason, failures });
+        tr.instant(
+            u64::MAX,
+            scidl_trace::EventKind::SwapReject { reason, failures },
+        );
         if opened {
-            tr.instant(u64::MAX, scidl_trace::EventKind::Breaker { open: true, failures });
+            tr.instant(
+                u64::MAX,
+                scidl_trace::EventKind::Breaker {
+                    open: true,
+                    failures,
+                },
+            );
         }
         after.open
     }
@@ -350,11 +364,16 @@ impl ModelRegistry {
         let tr = scidl_trace::TraceHandle::current();
         let b = *self.breaker.lock().unwrap();
         if b.open {
-            tr.instant(u64::MAX, scidl_trace::EventKind::SwapReject {
-                reason: "breaker_open",
-                failures: b.failures as u64,
+            tr.instant(
+                u64::MAX,
+                scidl_trace::EventKind::SwapReject {
+                    reason: "breaker_open",
+                    failures: b.failures as u64,
+                },
+            );
+            return Err(SwapError::BreakerOpen {
+                failures: b.failures,
             });
-            return Err(SwapError::BreakerOpen { failures: b.failures });
         }
         let attempt = self.swap_attempts.fetch_add(1, Ordering::SeqCst);
         let candidate = if self.faults.swap_is_corrupt(attempt) {
@@ -379,7 +398,9 @@ impl ModelRegistry {
                     .unwrap_or_else(|| "non-finite logit".into());
                 return Err(SwapError::NonFinite(bad));
             }
-            let Some(threshold) = quant_threshold else { return Ok(model) };
+            let Some(threshold) = quant_threshold else {
+                return Ok(model);
+            };
             // int8 gate: quantize, probe, and require argmax agreement.
             let model = model.with_quantized();
             let yq = model
@@ -392,7 +413,10 @@ impl ModelRegistry {
             }
             let disagreement = argmax_disagreement(&y, &yq);
             if disagreement > threshold {
-                return Err(SwapError::QuantizedAccuracy { disagreement, threshold });
+                return Err(SwapError::QuantizedAccuracy {
+                    disagreement,
+                    threshold,
+                });
             }
             Ok(model)
         });
@@ -436,7 +460,13 @@ impl ModelRegistry {
     pub fn reset_breaker(&self) {
         self.breaker.lock().unwrap().reset();
         let tr = scidl_trace::TraceHandle::current();
-        tr.instant(u64::MAX, scidl_trace::EventKind::Breaker { open: false, failures: 0 });
+        tr.instant(
+            u64::MAX,
+            scidl_trace::EventKind::Breaker {
+                open: false,
+                failures: 0,
+            },
+        );
     }
 }
 
@@ -542,7 +572,8 @@ mod tests {
 
         // Against the true source it succeeds.
         let mut rng5 = TensorRng::new(21);
-        reg.load_and_swap_guarded(&path, hep_small(&mut rng5), &probe, Some(&source)).unwrap();
+        reg.load_and_swap_guarded(&path, hep_small(&mut rng5), &probe, Some(&source))
+            .unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(reg.current().iteration, 3);
     }
@@ -624,12 +655,17 @@ mod tests {
             // No round-trip source: the checkpoint is internally consistent
             // (it really holds NaN weights), so only the probe catches it.
             let mut rng2 = TensorRng::new(61);
-            let err =
-                reg.load_and_swap_guarded(&path, hep_small(&mut rng2), &probe, None).unwrap_err();
+            let err = reg
+                .load_and_swap_guarded(&path, hep_small(&mut rng2), &probe, None)
+                .unwrap_err();
             std::fs::remove_file(&path).ok();
             assert!(matches!(err, SwapError::NonFinite(_)), "{poisoned}: {err}");
             assert_eq!(reg.current().iteration, 7);
-            assert_eq!(reg.consecutive_failures(), 1, "{poisoned}: the refusal charges the breaker");
+            assert_eq!(
+                reg.consecutive_failures(),
+                1,
+                "{poisoned}: the refusal charges the breaker"
+            );
         }
     }
 
@@ -663,14 +699,18 @@ mod tests {
         let err = reg
             .load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source))
             .unwrap_err();
-        assert!(matches!(err, SwapError::BreakerOpen { failures: 2 }), "{err}");
+        assert!(
+            matches!(err, SwapError::BreakerOpen { failures: 2 }),
+            "{err}"
+        );
         assert_eq!(reg.swap_attempts(), attempts_before);
         assert_eq!(reg.current().iteration, 7, "nothing published while open");
 
         // Reset: the (healthy) checkpoint now goes through.
         reg.reset_breaker();
         let mut rng4 = TensorRng::new(67);
-        reg.load_and_swap_guarded(&path, hep_small(&mut rng4), &probe, Some(&source)).unwrap();
+        reg.load_and_swap_guarded(&path, hep_small(&mut rng4), &probe, Some(&source))
+            .unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(reg.current().iteration, 9);
         assert!(!reg.breaker_open());
@@ -715,7 +755,10 @@ mod tests {
         let mut rng3 = TensorRng::new(74);
         reg.load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source))
             .unwrap_err();
-        assert!(!reg.breaker_open(), "one post-reset failure is below threshold");
+        assert!(
+            !reg.breaker_open(),
+            "one post-reset failure is below threshold"
+        );
         assert_eq!(reg.consecutive_failures(), 1);
 
         // Second failure of the new streak: reopens.
@@ -744,7 +787,10 @@ mod tests {
         let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0))
             .with_breaker_threshold(3)
             .with_faults(
-                FaultPlan::none().with_corrupt_swap(0).with_corrupt_swap(1).with_corrupt_swap(3),
+                FaultPlan::none()
+                    .with_corrupt_swap(0)
+                    .with_corrupt_swap(1)
+                    .with_corrupt_swap(3),
             );
         let mut xr = TensorRng::new(78);
         let probe = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
@@ -756,8 +802,13 @@ mod tests {
         }
         assert_eq!(reg.consecutive_failures(), 2);
         let mut rng3 = TensorRng::new(80);
-        reg.load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source)).unwrap();
-        assert_eq!(reg.consecutive_failures(), 0, "success fully clears the streak");
+        reg.load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source))
+            .unwrap();
+        assert_eq!(
+            reg.consecutive_failures(),
+            0,
+            "success fully clears the streak"
+        );
         assert_eq!(reg.current().iteration, 9);
 
         let mut rng4 = TensorRng::new(81);
@@ -765,8 +816,15 @@ mod tests {
             .unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(reg.consecutive_failures(), 1, "new streak starts from zero");
-        assert!(!reg.breaker_open(), "isolated post-success failure must not open");
-        assert_eq!(reg.current().iteration, 9, "the promoted model keeps serving");
+        assert!(
+            !reg.breaker_open(),
+            "isolated post-success failure must not open"
+        );
+        assert_eq!(
+            reg.current().iteration,
+            9,
+            "the promoted model keeps serving"
+        );
     }
 
     /// A probe batch of constant, well-separated items (the shape the
@@ -794,7 +852,13 @@ mod tests {
 
         let mut rng2 = TensorRng::new(86);
         let old = reg
-            .load_and_swap_quantized_guarded(&path, hep_small(&mut rng2), &probe, Some(&source), 0.34)
+            .load_and_swap_quantized_guarded(
+                &path,
+                hep_small(&mut rng2),
+                &probe,
+                Some(&source),
+                0.34,
+            )
             .unwrap();
         std::fs::remove_file(&path).ok();
         assert!(!old.is_quantized());
@@ -852,10 +916,20 @@ mod tests {
         // Sanity: the f32 candidate itself passes every non-quant gate.
         let mut rng2 = TensorRng::new(89);
         let err = reg
-            .load_and_swap_quantized_guarded(&path, hep_small(&mut rng2), &probe, Some(&source), 0.1)
+            .load_and_swap_quantized_guarded(
+                &path,
+                hep_small(&mut rng2),
+                &probe,
+                Some(&source),
+                0.1,
+            )
             .unwrap_err();
         std::fs::remove_file(&path).ok();
-        let SwapError::QuantizedAccuracy { disagreement, threshold } = err else {
+        let SwapError::QuantizedAccuracy {
+            disagreement,
+            threshold,
+        } = err
+        else {
             panic!("expected QuantizedAccuracy, got {err}");
         };
         assert!(disagreement > threshold, "{disagreement} vs {threshold}");
@@ -881,9 +955,15 @@ mod tests {
         let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rng), 1, 0))
             .with_breaker_threshold(2);
 
-        assert!(!reg.record_rollout_failure("canary_slo"), "first failure stays closed");
+        assert!(
+            !reg.record_rollout_failure("canary_slo"),
+            "first failure stays closed"
+        );
         assert_eq!(reg.consecutive_failures(), 1);
-        assert!(reg.record_rollout_failure("canary_slo"), "threshold reached: opens");
+        assert!(
+            reg.record_rollout_failure("canary_slo"),
+            "threshold reached: opens"
+        );
         assert!(reg.breaker_open());
         reg.reset_breaker();
         assert!(!reg.breaker_open());

@@ -136,7 +136,9 @@ const RESPAWN_BACKOFF_CAP: Duration = Duration::from_millis(100);
 /// The backoff before a slot's respawn after `doublings` consecutive
 /// ones: the base doubled that many times, capped.
 fn respawn_backoff(doublings: u32) -> Duration {
-    RESPAWN_BACKOFF_BASE.saturating_mul(1 << doublings.min(16)).min(RESPAWN_BACKOFF_CAP)
+    RESPAWN_BACKOFF_BASE
+        .saturating_mul(1 << doublings.min(16))
+        .min(RESPAWN_BACKOFF_CAP)
 }
 
 /// Supervisor tuning: the hang timeout, the respawn budget and the
@@ -310,19 +312,27 @@ impl Client {
         }
         let deadline = deadline.map(|d| Instant::now() + d);
         let (reply, rx) = sync_channel(1);
-        let req = ServeRequest { input, deadline, attempts: 0, reply };
+        let req = ServeRequest {
+            input,
+            deadline,
+            attempts: 0,
+            reply,
+        };
         match self.shared.queue.submit_with_deadline(req, deadline) {
             Ok(()) => Ok(rx),
             Err(SubmitError::Full { depth, .. }) => {
                 self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
                 let tr = scidl_trace::TraceHandle::current();
                 if tr.enabled() {
-                    tr.instant(u64::MAX, scidl_trace::EventKind::Shed {
-                        worker: u64::MAX,
-                        count: 1,
-                        depth: depth as u64,
-                        reason: "watermark",
-                    });
+                    tr.instant(
+                        u64::MAX,
+                        scidl_trace::EventKind::Shed {
+                            worker: u64::MAX,
+                            count: 1,
+                            depth: depth as u64,
+                            reason: "watermark",
+                        },
+                    );
                 }
                 let retry_after = retry_after(&self.shared.policy, depth);
                 Err(ServeError::Shed { depth, retry_after })
@@ -347,7 +357,6 @@ impl Client {
         let rx = self.submit_with_deadline(input, deadline)?;
         rx.recv().map_err(|_| ServeError::WorkerLost)?
     }
-
 }
 
 /// A running supervised worker pool bound to a [`ModelRegistry`].
@@ -393,12 +402,17 @@ impl Server {
                 supervisor_loop(sup_shared, sup_cfg, rx, tx, live, next_incarnation)
             })
             .expect("spawn supervisor");
-        Self { shared, supervisor: Some(supervisor) }
+        Self {
+            shared,
+            supervisor: Some(supervisor),
+        }
     }
 
     /// A handle for submitting requests.
     pub fn client(&self) -> Client {
-        Client { shared: Arc::clone(&self.shared) }
+        Client {
+            shared: Arc::clone(&self.shared),
+        }
     }
 
     /// Number of requests currently queued (not yet batched).
@@ -467,7 +481,12 @@ fn supervisor_loop(
                 // request either goes back to the head of the queue or,
                 // once its re-queue budget is spent, is abandoned (its
                 // client observes WorkerLost via the dropped reply).
-                let body = shared.inflight.lock().unwrap().remove(&incarnation).unwrap_or_default();
+                let body = shared
+                    .inflight
+                    .lock()
+                    .unwrap()
+                    .remove(&incarnation)
+                    .unwrap_or_default();
                 let mut requeue = Vec::new();
                 for mut req in body {
                     req.attempts += 1;
@@ -502,12 +521,15 @@ fn supervisor_loop(
                     let handle = spawn_worker(&shared, slot, incarnation, tx.clone());
                     live.insert(incarnation, (slot, handle));
                     if tr.enabled() {
-                        tr.instant(slot as u64, scidl_trace::EventKind::WorkerRespawn {
-                            worker: slot as u64,
-                            incarnation,
-                            backoff_s: backoff.as_secs_f64(),
-                            requeued: recovered,
-                        });
+                        tr.instant(
+                            slot as u64,
+                            scidl_trace::EventKind::WorkerRespawn {
+                                worker: slot as u64,
+                                incarnation,
+                                backoff_s: backoff.as_secs_f64(),
+                                requeued: recovered,
+                            },
+                        );
                     }
                 } else if live.is_empty() {
                     // The whole pool is gone and no respawn remains:
@@ -541,9 +563,9 @@ fn supervisor_loop(
                     live.iter()
                         .filter(|(inc, _)| {
                             inflight.contains_key(inc)
-                                && hb.get(inc).is_some_and(|t| {
-                                    now.duration_since(*t) > cfg.heartbeat_timeout
-                                })
+                                && hb
+                                    .get(inc)
+                                    .is_some_and(|t| now.duration_since(*t) > cfg.heartbeat_timeout)
                         })
                         .map(|(inc, (slot, _))| (*inc, *slot))
                         .collect()
@@ -558,12 +580,15 @@ fn supervisor_loop(
                     let handle = spawn_worker(&shared, slot, incarnation, tx.clone());
                     live.insert(incarnation, (slot, handle));
                     if tr.enabled() {
-                        tr.instant(slot as u64, scidl_trace::EventKind::WorkerRespawn {
-                            worker: slot as u64,
-                            incarnation,
-                            backoff_s: 0.0,
-                            requeued: 0,
-                        });
+                        tr.instant(
+                            slot as u64,
+                            scidl_trace::EventKind::WorkerRespawn {
+                                worker: slot as u64,
+                                incarnation,
+                                backoff_s: 0.0,
+                                requeued: 0,
+                            },
+                        );
                     }
                 }
             }
@@ -589,9 +614,12 @@ fn spawn_worker(
         .spawn(move || {
             scidl_tensor::par::set_width(shared.threads_per_worker);
             QUIET_PANIC.with(|q| q.set(true));
-            shared.heartbeats.lock().unwrap().insert(incarnation, Instant::now());
-            let result =
-                catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, slot, incarnation)));
+            shared
+                .heartbeats
+                .lock()
+                .unwrap()
+                .insert(incarnation, Instant::now());
+            let result = catch_unwind(AssertUnwindSafe(|| worker_loop(&shared, slot, incarnation)));
             match result {
                 Ok(()) => {
                     let _ = tx.send(WorkerEvent::Exited { incarnation });
@@ -610,18 +638,25 @@ fn worker_loop(shared: &Shared, slot: usize, incarnation: u64) {
     // worker slot gets its own lane, each dispatched batch one span + row.
     let tr = scidl_trace::TraceHandle::current();
     while let Some(popped) = shared.queue.pop_expiring(&shared.policy) {
-        shared.heartbeats.lock().unwrap().insert(incarnation, Instant::now());
+        shared
+            .heartbeats
+            .lock()
+            .unwrap()
+            .insert(incarnation, Instant::now());
         if !popped.expired.is_empty() {
             // Deadline shed: answer before any compute is spent.
             let n = popped.expired.len() as u64;
             shared.counters.expired.fetch_add(n, Ordering::Relaxed);
             if tr.enabled() {
-                tr.instant(slot as u64, scidl_trace::EventKind::Shed {
-                    worker: slot as u64,
-                    count: n,
-                    depth: shared.queue.len() as u64,
-                    reason: "deadline",
-                });
+                tr.instant(
+                    slot as u64,
+                    scidl_trace::EventKind::Shed {
+                        worker: slot as u64,
+                        count: n,
+                        depth: shared.queue.len() as u64,
+                        reason: "deadline",
+                    },
+                );
             }
             for req in popped.expired {
                 let _ = req.reply.send(Err(ServeError::DeadlineExceeded));
@@ -674,12 +709,14 @@ fn worker_loop(shared: &Shared, slot: usize, incarnation: u64) {
             // batch's queue component.
             let queue_s = waits.iter().map(|w| w.as_secs_f64()).fold(0.0f64, f64::max);
             let (wu, compute_s) = (slot as u64, compute.as_secs_f64());
-            let (span, row) =
-                crate::batch_trace(wu, d.batch, span_t, queue_s, compute_s, b as u64);
+            let (span, row) = crate::batch_trace(wu, d.batch, span_t, queue_s, compute_s, b as u64);
             tr.span(wu, span_t, span);
             tr.row(row);
         }
-        shared.counters.served.fetch_add(b as u64, Ordering::Relaxed);
+        shared
+            .counters
+            .served
+            .fetch_add(b as u64, Ordering::Relaxed);
         {
             let mut rec = shared.recorder.lock().unwrap();
             for w in &waits {
@@ -732,7 +769,11 @@ mod tests {
 
     fn registry(seed: u64, iteration: u64) -> Arc<ModelRegistry> {
         let mut rng = TensorRng::new(seed);
-        Arc::new(ModelRegistry::new(ServingModel::new(hep_small(&mut rng), iteration, seed)))
+        Arc::new(ModelRegistry::new(ServingModel::new(
+            hep_small(&mut rng),
+            iteration,
+            seed,
+        )))
     }
 
     fn probe(seed: u64) -> Tensor {
@@ -748,7 +789,11 @@ mod tests {
         let x = probe(1);
         let want = reg.current().network.infer(&x);
         let got = client.infer(x).unwrap();
-        assert_eq!(got.logits, want.item(0), "served logits must be bit-identical");
+        assert_eq!(
+            got.logits,
+            want.item(0),
+            "served logits must be bit-identical"
+        );
         assert_eq!(got.model_iteration, 5);
         let rec = server.shutdown();
         assert_eq!(rec.len(), 1);
@@ -764,7 +809,10 @@ mod tests {
         let server = Server::start(Arc::clone(&reg), cfg);
         let client = server.client();
         let inputs: Vec<Tensor> = (0..4).map(|i| probe(100 + i)).collect();
-        let rxs: Vec<_> = inputs.iter().map(|x| client.submit(x.clone()).unwrap()).collect();
+        let rxs: Vec<_> = inputs
+            .iter()
+            .map(|x| client.submit(x.clone()).unwrap())
+            .collect();
         for (x, rx) in inputs.iter().zip(rxs) {
             let got = rx.recv().unwrap().unwrap();
             let want = reg.current().network.infer(x);
@@ -800,10 +848,16 @@ mod tests {
     #[test]
     fn shutdown_merges_latency_accounts_across_workers() {
         let reg = registry(36, 0);
-        let cfg = ServerConfig { workers: 2, policy: BatchPolicy::batch1(), ..Default::default() };
+        let cfg = ServerConfig {
+            workers: 2,
+            policy: BatchPolicy::batch1(),
+            ..Default::default()
+        };
         let server = Server::start(reg, cfg);
         let client = server.client();
-        let rxs: Vec<_> = (0..6).map(|i| client.submit(probe(200 + i)).unwrap()).collect();
+        let rxs: Vec<_> = (0..6)
+            .map(|i| client.submit(probe(200 + i)).unwrap())
+            .collect();
         for rx in rxs {
             rx.recv().unwrap().unwrap();
         }
@@ -849,7 +903,9 @@ mod tests {
             policy: BatchPolicy::batch1(),
             // Crash on every batch; one respawn allowed, no re-queues:
             // after two crashes the pool is gone for good.
-            faults: FaultPlan::none().with_worker_crash(0, 0, 0.0).with_worker_crash(0, 0, 0.0),
+            faults: FaultPlan::none()
+                .with_worker_crash(0, 0, 0.0)
+                .with_worker_crash(0, 0, 0.0),
             supervisor: SupervisorConfig {
                 max_respawns: 1,
                 max_requeues: 0,
@@ -872,7 +928,9 @@ mod tests {
             Err(ServeError::WorkerLost) | Err(ServeError::Closed) | Ok(_)
         )));
         assert!(
-            outcomes.iter().any(|o| matches!(o, Err(ServeError::WorkerLost))),
+            outcomes
+                .iter()
+                .any(|o| matches!(o, Err(ServeError::WorkerLost))),
             "{outcomes:?}"
         );
         let (_, report) = server.shutdown_with_report();
@@ -936,7 +994,9 @@ mod tests {
     /// 40× factor. Asserts the decision; reads no clock.
     #[test]
     fn slow_worker_fault_stretches_compute() {
-        let plan = FaultPlan::none().with_worker_crash(0, 2, 0.0).with_slow_worker(0, 2, 3, 40.0);
+        let plan = FaultPlan::none()
+            .with_worker_crash(0, 2, 0.0)
+            .with_slow_worker(0, 2, 3, 40.0);
         let cfg = ServerConfig {
             workers: 1,
             policy: BatchPolicy::batch1(),
@@ -949,9 +1009,16 @@ mod tests {
             client.infer(probe(i)).unwrap();
         }
         let mut want = DispatchSchedule::new(&plan, 0, 1);
-        let served: Vec<f64> =
-            (0..7).map(|_| want.dispatch(0)).filter(|d| d.crash.is_none()).map(|d| d.slow).collect();
-        assert_eq!(served, [1.0, 1.0, 40.0, 1.0, 1.0, 1.0], "the 3rd served batch straggles");
+        let served: Vec<f64> = (0..7)
+            .map(|_| want.dispatch(0))
+            .filter(|d| d.crash.is_none())
+            .map(|d| d.slow)
+            .collect();
+        assert_eq!(
+            served,
+            [1.0, 1.0, 40.0, 1.0, 1.0, 1.0],
+            "the 3rd served batch straggles"
+        );
         assert_eq!(*server.shared.schedule.lock().unwrap(), want);
         let (rec, report) = server.shutdown_with_report();
         assert_eq!((rec.len(), report.panics, report.requeued), (6, 1, 1));
@@ -979,12 +1046,17 @@ mod tests {
         let server = Server::start(reg, cfg);
         let client = server.client();
         std::thread::sleep(Duration::from_millis(200));
-        let rxs: Vec<_> = (0..4).map(|i| client.submit(probe(500 + i)).unwrap()).collect();
+        let rxs: Vec<_> = (0..4)
+            .map(|i| client.submit(probe(500 + i)).unwrap())
+            .collect();
         for rx in rxs {
             rx.recv().unwrap().unwrap();
         }
         let report = server.report();
-        assert_eq!(report.replacements, 0, "an idle worker is healthy: {report:?}");
+        assert_eq!(
+            report.replacements, 0,
+            "an idle worker is healthy: {report:?}"
+        );
         assert_eq!(server.shutdown_with_report().1.served, 4);
     }
 
@@ -1015,12 +1087,21 @@ mod tests {
         while server.queue_depth() > 0 {
             std::thread::yield_now();
         }
-        let waiting: Vec<_> = (0..3).map(|i| client.submit(probe(601 + i)).unwrap()).collect();
+        let waiting: Vec<_> = (0..3)
+            .map(|i| client.submit(probe(601 + i)).unwrap())
+            .collect();
         for rx in waiting {
             rx.recv().unwrap().unwrap();
         }
-        assert!(stuck.try_recv().is_err(), "the stuck batch must outlast the work behind it");
-        assert_eq!(server.report().replacements, 1, "one hung incarnation, one replacement");
+        assert!(
+            stuck.try_recv().is_err(),
+            "the stuck batch must outlast the work behind it"
+        );
+        assert_eq!(
+            server.report().replacements,
+            1,
+            "one hung incarnation, one replacement"
+        );
         stuck.recv().unwrap().unwrap();
         let (rec, report) = server.shutdown_with_report();
         assert_eq!((rec.len(), report.served, report.replacements), (5, 5, 1));

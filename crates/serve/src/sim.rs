@@ -81,13 +81,22 @@ impl ServiceModel {
     /// `scidl_core::workloads::layer_costs`, the rate classification the
     /// training workloads use.
     pub fn for_network(name: &str, net: &NetSpec, input: Shape4, knl: KnlModel) -> Self {
-        Self { name: name.into(), layers: layer_costs(net.walk(input), false), knl }
+        Self {
+            name: name.into(),
+            layers: layer_costs(net.walk(input), false),
+            knl,
+        }
     }
 
     /// The paper's HEP classifier at its 224×224 input on a default KNL
     /// node — the workload the serving acceptance criterion is stated on.
     pub fn hep() -> Self {
-        Self::for_network("hep", &arch::hep_network_spec(), arch::HEP_INPUT, KnlModel::default())
+        Self::for_network(
+            "hep",
+            &arch::hep_network_spec(),
+            arch::HEP_INPUT,
+            KnlModel::default(),
+        )
     }
 
     /// Service time of one forward pass over a batch of `b` requests.
@@ -290,10 +299,16 @@ impl<'a> SimCore<'a> {
         label: &'static str,
     ) -> Self {
         assert!(cfg.workers >= 1 && cfg.queue_capacity >= 1);
-        assert!(arrivals.windows(2).all(|w| w[1] >= w[0]), "arrival schedule must be sorted");
+        assert!(
+            arrivals.windows(2).all(|w| w[1] >= w[0]),
+            "arrival schedule must be sorted"
+        );
         let watermark = effective_watermark(cfg.shed_watermark, cfg.queue_capacity);
         assert!(watermark >= 1, "shed watermark must be at least 1");
-        assert!(cfg.deadline_secs.is_none_or(|d| d > 0.0), "deadline must be positive");
+        assert!(
+            cfg.deadline_secs.is_none_or(|d| d > 0.0),
+            "deadline must be positive"
+        );
         Self {
             model,
             cfg,
@@ -335,9 +350,18 @@ impl<'a> SimCore<'a> {
             self.out.swap_rejects += 1;
             self.out.breaker_opened |= opened;
             let failures = breaker.failures as u64;
-            self.tr.event_at(u64::MAX, t, 0.0, EventKind::SwapReject { reason, failures });
+            self.tr
+                .event_at(u64::MAX, t, 0.0, EventKind::SwapReject { reason, failures });
             if opened {
-                self.tr.event_at(u64::MAX, t, 0.0, EventKind::Breaker { open: true, failures });
+                self.tr.event_at(
+                    u64::MAX,
+                    t,
+                    0.0,
+                    EventKind::Breaker {
+                        open: true,
+                        failures,
+                    },
+                );
             }
         }
     }
@@ -403,17 +427,28 @@ impl Replica {
             core.out.rejected += 1;
             core.out.rejected_ids.push(id);
             if core.tr.enabled() {
-                core.tr.event_at(self.id as u64, t, 0.0, EventKind::Shed {
-                    worker: u64::MAX,
-                    count: 1,
-                    depth: depth as u64,
-                    reason: "watermark",
-                });
+                core.tr.event_at(
+                    self.id as u64,
+                    t,
+                    0.0,
+                    EventKind::Shed {
+                        worker: u64::MAX,
+                        count: 1,
+                        depth: depth as u64,
+                        reason: "watermark",
+                    },
+                );
             }
             return false;
         }
         let deadline = core.cfg.deadline_secs.map(|d| t + d);
-        self.queue.push(Queued { id, arrived: t, deadline, attempts: 0, reroutes: 0 });
+        self.queue.push(Queued {
+            id,
+            arrived: t,
+            deadline,
+            attempts: 0,
+            reroutes: 0,
+        });
         true
     }
 
@@ -438,12 +473,17 @@ impl Replica {
         });
         let n = before - self.queue.len();
         if n > 0 && core.tr.enabled() {
-            core.tr.event_at(self.id as u64, cut, 0.0, EventKind::Shed {
-                worker: u64::MAX,
-                count: n as u64,
-                depth: self.queue.len() as u64,
-                reason: "deadline",
-            });
+            core.tr.event_at(
+                self.id as u64,
+                cut,
+                0.0,
+                EventKind::Shed {
+                    worker: u64::MAX,
+                    count: n as u64,
+                    depth: self.queue.len() as u64,
+                    reason: "deadline",
+                },
+            );
         }
         n > 0
     }
@@ -465,7 +505,11 @@ impl Replica {
                 self.queue[i].arrived
             });
             // The batch actually starts when a worker is also free.
-            let free = self.worker_free.iter().copied().fold(f64::INFINITY, f64::min);
+            let free = self
+                .worker_free
+                .iter()
+                .copied()
+                .fold(f64::INFINITY, f64::min);
             let start = trigger.max(free).max(self.queue[0].arrived);
             // Expired requests never enter a batch: shed everything that
             // lapsed by the would-be start (bounded by `t_limit` so
@@ -525,12 +569,17 @@ impl Replica {
                     }
                 }
                 self.queue.drain(kept..b);
-                core.tr.event_at(worker as u64, t_crash, respawn, EventKind::WorkerRespawn {
-                    worker: worker as u64,
-                    incarnation: core.out.crashes as u64,
-                    backoff_s: respawn,
-                    requeued: kept as u64,
-                });
+                core.tr.event_at(
+                    worker as u64,
+                    t_crash,
+                    respawn,
+                    EventKind::WorkerRespawn {
+                        worker: worker as u64,
+                        incarnation: core.out.crashes as u64,
+                        backoff_s: respawn,
+                        requeued: kept as u64,
+                    },
+                );
                 continue;
             }
 
@@ -548,7 +597,11 @@ impl Replica {
                 core.out.served_ids.push(q.id);
             }
             if core.canary_window {
-                let arm = if self.canary { &mut core.canary_lat } else { &mut core.base_lat };
+                let arm = if self.canary {
+                    &mut core.canary_lat
+                } else {
+                    &mut core.base_lat
+                };
                 arm.extend(self.queue[..b].iter().map(|q| start - q.arrived + svc));
             }
             if self.canary {
@@ -598,7 +651,11 @@ mod tests {
     use std::time::Duration;
 
     fn dyn_cfg(max_batch: usize, delay_ms: u64) -> SimConfig {
-        SimConfig::new(1, 256, BatchPolicy::dynamic(max_batch, Duration::from_millis(delay_ms)))
+        SimConfig::new(
+            1,
+            256,
+            BatchPolicy::dynamic(max_batch, Duration::from_millis(delay_ms)),
+        )
     }
 
     #[test]
@@ -638,7 +695,11 @@ mod tests {
         assert_eq!(out.rejected, 0);
         assert!(out.batch_sizes.iter().all(|&b| b == 1));
         let q = out.recorder.queue_summary().unwrap();
-        assert!(q.max < 1e-12, "idle server should start batches instantly, got {}", q.max);
+        assert!(
+            q.max < 1e-12,
+            "idle server should start batches instantly, got {}",
+            q.max
+        );
     }
 
     #[test]
@@ -687,8 +748,12 @@ mod tests {
         let mut cfg = dyn_cfg(8, 2);
         cfg.queue_capacity = 16;
         let out = simulate(&m, &arrivals, &cfg);
-        let mut all: Vec<usize> =
-            out.served_ids.iter().chain(&out.rejected_ids).copied().collect();
+        let mut all: Vec<usize> = out
+            .served_ids
+            .iter()
+            .chain(&out.rejected_ids)
+            .copied()
+            .collect();
         all.sort_unstable();
         assert_eq!(all, (0..arrivals.len()).collect::<Vec<_>>());
         assert_eq!(out.completed + out.rejected, arrivals.len());
@@ -734,8 +799,9 @@ mod tests {
         cfg.max_requeues = 1;
         // Two crashes on slot 0 with an instant respawn: the same batch
         // dies twice, exceeding the single-re-queue budget.
-        cfg.faults =
-            FaultPlan::none().with_worker_crash(0, 0, 0.0).with_worker_crash(0, 0, 0.0);
+        cfg.faults = FaultPlan::none()
+            .with_worker_crash(0, 0, 0.0)
+            .with_worker_crash(0, 0, 0.0);
         let out = simulate(&m, &arrivals, &cfg);
         assert_eq!(out.crashes, 2);
         assert_eq!(out.lost, 4, "the twice-crashed batch is abandoned");
@@ -788,7 +854,10 @@ mod tests {
         let a = simulate(&m, &arrivals, &deep);
         let b = simulate(&m, &arrivals, &shallow);
         assert_eq!(a.rejected, 0);
-        assert_eq!(b.rejected, 6, "watermark 4 admits only the first 4 of the burst");
+        assert_eq!(
+            b.rejected, 6,
+            "watermark 4 admits only the first 4 of the burst"
+        );
     }
 
     #[test]
@@ -806,7 +875,10 @@ mod tests {
         assert_eq!(out.swap_rejects, 4);
         assert_eq!(out.swap_published, 0);
         assert!(out.breaker_opened);
-        assert_eq!(out.completed, 4, "serving continues on the old model throughout");
+        assert_eq!(
+            out.completed, 4,
+            "serving continues on the old model throughout"
+        );
     }
 
     /// The replay wires a published swap to the breaker's success path:

@@ -96,12 +96,28 @@ impl BSource<'_> {
     /// Panics unless `op(B)` can be read as `k x n`.
     fn check(&self, k: usize, n: usize) {
         match *self {
-            BSource::Dense(_, b) => assert!(b.len() >= k * n, "B buffer too small: {} < {}", b.len(), k * n),
+            BSource::Dense(_, b) => assert!(
+                b.len() >= k * n,
+                "B buffer too small: {} < {}",
+                b.len(),
+                k * n
+            ),
             BSource::Im2col(tb, geo, image) => {
-                assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
+                assert_eq!(
+                    image.len(),
+                    geo.cin * geo.h * geo.w,
+                    "image length mismatch"
+                );
                 let (rows, cols) = (geo.col_rows(), geo.col_cols());
-                let (bk, bn) = if tb == Transpose::No { (rows, cols) } else { (cols, rows) };
-                assert!((bk, bn) == (k, n), "op(B) of {geo:?} is {bk}x{bn}, not {k}x{n}");
+                let (bk, bn) = if tb == Transpose::No {
+                    (rows, cols)
+                } else {
+                    (cols, rows)
+                };
+                assert!(
+                    (bk, bn) == (k, n),
+                    "op(B) of {geo:?} is {bk}x{bn}, not {k}x{n}"
+                );
             }
         }
     }
@@ -186,7 +202,19 @@ pub fn gemm_with_isa(
     if m == 0 || n == 0 {
         return;
     }
-    gemm_init(isa, ta, tb, m, n, k, alpha, a, b, Init::Beta(beta), &mut c[..m * n]);
+    gemm_init(
+        isa,
+        ta,
+        tb,
+        m,
+        n,
+        k,
+        alpha,
+        a,
+        b,
+        Init::Beta(beta),
+        &mut c[..m * n],
+    );
 }
 
 /// `C = op(A) * op(B)` with a per-row bias fused into the epilogue:
@@ -210,7 +238,19 @@ pub fn gemm_bias(
     if m == 0 || n == 0 {
         return;
     }
-    gemm_init(Isa::active(), ta, tb, m, n, k, 1.0, a, b, Init::RowBias(bias), &mut c[..m * n]);
+    gemm_init(
+        Isa::active(),
+        ta,
+        tb,
+        m,
+        n,
+        k,
+        1.0,
+        a,
+        b,
+        Init::RowBias(bias),
+        &mut c[..m * n],
+    );
 }
 
 /// `C = op(A) * op(B)` with a per-column bias fused into the epilogue:
@@ -233,13 +273,40 @@ pub fn gemm_bias_cols(
     if m == 0 || n == 0 {
         return;
     }
-    gemm_init(Isa::active(), ta, tb, m, n, k, 1.0, a, b, Init::ColBias(bias), &mut c[..m * n]);
+    gemm_init(
+        Isa::active(),
+        ta,
+        tb,
+        m,
+        n,
+        k,
+        1.0,
+        a,
+        b,
+        Init::ColBias(bias),
+        &mut c[..m * n],
+    );
 }
 
 fn check_dims(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &[f32]) {
-    assert!(a.len() >= m * k, "A buffer too small: {} < {}", a.len(), m * k);
-    assert!(b.len() >= k * n, "B buffer too small: {} < {}", b.len(), k * n);
-    assert!(c.len() >= m * n, "C buffer too small: {} < {}", c.len(), m * n);
+    assert!(
+        a.len() >= m * k,
+        "A buffer too small: {} < {}",
+        a.len(),
+        m * k
+    );
+    assert!(
+        b.len() >= k * n,
+        "B buffer too small: {} < {}",
+        b.len(),
+        k * n
+    );
+    assert!(
+        c.len() >= m * n,
+        "C buffer too small: {} < {}",
+        c.len(),
+        m * n
+    );
 }
 
 /// Shared driver: applies the accumulator initialisation, then adds
@@ -262,7 +329,13 @@ fn gemm_init(
     if m * n * k < SMALL_WORK {
         accumulate_unpacked(ta, tb, 0, m, m, n, k, alpha, a, b, c);
     } else {
-        packed_accumulate(&PackedA::with_isa(isa, ta, m, k, a), BSource::Dense(tb, b), n, alpha, c);
+        packed_accumulate(
+            &PackedA::with_isa(isa, ta, m, k, a),
+            BSource::Dense(tb, b),
+            n,
+            alpha,
+            c,
+        );
     }
 }
 
@@ -290,11 +363,23 @@ impl<'a> PackedA<'a> {
     }
 
     fn with_isa(isa: Isa, ta: Transpose, m: usize, k: usize, a: &'a [f32]) -> Self {
-        assert!(a.len() >= m * k, "A buffer too small: {} < {}", a.len(), m * k);
+        assert!(
+            a.len() >= m * k,
+            "A buffer too small: {} < {}",
+            a.len(),
+            m * k
+        );
         let kernel = isa.kernel();
         let mut panels = Workspace::take(m.div_ceil(kernel.mr) * kernel.mr * k);
         pack_a(ta, a, m, k, kernel.mr, &mut panels);
-        Self { kernel, ta, a, m, k, panels }
+        Self {
+            kernel,
+            ta,
+            a,
+            m,
+            k,
+            panels,
+        }
     }
 
     /// `C = alpha * op(A) * op(B) + beta * C` with `C` `m x n`; see [`gemm`].
@@ -325,9 +410,22 @@ impl<'a> PackedA<'a> {
     /// adds of [`col2im`] over the whole matrix, in the same order.
     pub fn gemm_col2im(&self, geo: &ConvGeometry, b: &[f32], image: &mut [f32]) {
         let (m, n, k) = (self.m, geo.col_cols(), self.k);
-        assert_eq!(m, geo.col_rows(), "op(A) rows must equal the col rows of {geo:?}");
-        assert!(b.len() >= k * n, "B buffer too small: {} < {}", b.len(), k * n);
-        assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
+        assert_eq!(
+            m,
+            geo.col_rows(),
+            "op(A) rows must equal the col rows of {geo:?}"
+        );
+        assert!(
+            b.len() >= k * n,
+            "B buffer too small: {} < {}",
+            b.len(),
+            k * n
+        );
+        assert_eq!(
+            image.len(),
+            geo.cin * geo.h * geo.w,
+            "image length mismatch"
+        );
         if m == 0 || n == 0 || image.is_empty() {
             return;
         }
@@ -335,10 +433,16 @@ impl<'a> PackedA<'a> {
         let (taps, plane) = (geo.kh * geo.kw, geo.h * geo.w);
         // The fewest channels whose rows fill whole panels, so every group
         // starts on a panel boundary; then as many of those as fit in MC.
-        let unit = (1..=mr).find(|u| (u * taps).is_multiple_of(mr)).expect("mr channels fill mr panels");
+        let unit = (1..=mr)
+            .find(|u| (u * taps).is_multiple_of(mr))
+            .expect("mr channels fill mr panels");
         let chans = unit * (MC / (unit * taps)).max(1);
         let split = m * n * k >= PAR_WORK;
-        let per_thread = if split && geo.cin.div_ceil(chans) >= 2 * par::width() { chans } else { geo.cin };
+        let per_thread = if split && geo.cin.div_ceil(chans) >= 2 * par::width() {
+            chans
+        } else {
+            geo.cin
+        };
         let b = BSource::Dense(Transpose::No, b);
 
         // B is packed once, all its KC blocks, and read by every group.
@@ -366,7 +470,14 @@ impl<'a> PackedA<'a> {
                         }
                     }
                 }
-                col2im(&ConvGeometry { cin: planes.len() / plane, ..*geo }, dcol, planes);
+                col2im(
+                    &ConvGeometry {
+                        cin: planes.len() / plane,
+                        ..*geo
+                    },
+                    dcol,
+                    planes,
+                );
             }
         });
     }
@@ -374,7 +485,12 @@ impl<'a> PackedA<'a> {
     fn product(&self, b: BSource<'_>, n: usize, alpha: f32, init: Init<'_>, c: &mut [f32]) {
         let (m, k) = (self.m, self.k);
         b.check(k, n);
-        assert!(c.len() >= m * n, "C buffer too small: {} < {}", c.len(), m * n);
+        assert!(
+            c.len() >= m * n,
+            "C buffer too small: {} < {}",
+            c.len(),
+            m * n
+        );
         if m == 0 || n == 0 {
             return;
         }
@@ -391,10 +507,29 @@ impl<'a> PackedA<'a> {
 /// [`accumulate_unpacked`] over rows `rows` of `op(A) * op(B)` (`c` holds
 /// those rows). A col matrix source is written out for it: below
 /// `SMALL_WORK` the whole matrix is under `SMALL_WORK` floats.
-fn accumulate_small(pa: &PackedA<'_>, b: BSource<'_>, rows: Range<usize>, n: usize, alpha: f32, c: &mut [f32]) {
+fn accumulate_small(
+    pa: &PackedA<'_>,
+    b: BSource<'_>,
+    rows: Range<usize>,
+    n: usize,
+    alpha: f32,
+    c: &mut [f32],
+) {
     let (m, k) = (pa.m, pa.k);
     match b {
-        BSource::Dense(tb, b) => accumulate_unpacked(pa.ta, tb, rows.start, rows.len(), m, n, k, alpha, pa.a, b, c),
+        BSource::Dense(tb, b) => accumulate_unpacked(
+            pa.ta,
+            tb,
+            rows.start,
+            rows.len(),
+            m,
+            n,
+            k,
+            alpha,
+            pa.a,
+            b,
+            c,
+        ),
         BSource::Im2col(tb, geo, image) => {
             let mut col = Workspace::take(k * n);
             im2col(geo, image, &mut col);
@@ -443,7 +578,11 @@ fn packed_accumulate(pa: &PackedA<'_>, b: BSource<'_>, n: usize, alpha: f32, c: 
     // of one k block, packed once for every tile to read, and the planes
     // an im2col source's slab is packed from.
     let n_pad = n.div_ceil(nr) * nr;
-    let planes_len = (0..k).step_by(KC).map(|p0| b.planes_len(n, nr, p0, KC.min(k - p0))).max().unwrap_or(0);
+    let planes_len = (0..k)
+        .step_by(KC)
+        .map(|p0| b.planes_len(n, nr, p0, KC.min(k - p0)))
+        .max()
+        .unwrap_or(0);
     let mut scratch = Workspace::take(n_pad * KC.min(k) + planes_len);
     let (bpack, planes) = scratch.split_at_mut(n_pad * KC.min(k));
     for p0 in (0..k).step_by(KC) {
@@ -462,12 +601,28 @@ fn tiles_in_parallel(m: usize, n: usize, k: usize, mr: usize) -> bool {
 /// `C += alpha * op(A)[rows, p0..p0 + kc] * op(B)[p0..p0 + kc, :]` from
 /// the packed B slab of the `KC` block at depth `p0`. `c` holds rows
 /// `rows` of the product; `rows.start` is on a panel boundary.
-fn multiply_slab(pa: &PackedA<'_>, rows: Range<usize>, p0: usize, bpack: &[f32], n: usize, alpha: f32, c: &mut [f32]) {
+fn multiply_slab(
+    pa: &PackedA<'_>,
+    rows: Range<usize>,
+    p0: usize,
+    bpack: &[f32],
+    n: usize,
+    alpha: f32,
+    c: &mut [f32],
+) {
     let Kernel { mr, nr, run } = pa.kernel;
-    assert!(rows.start.is_multiple_of(mr) && rows.end <= pa.m, "rows {rows:?} are not whole panels of op(A)");
+    assert!(
+        rows.start.is_multiple_of(mr) && rows.end <= pa.m,
+        "rows {rows:?} are not whole panels of op(A)"
+    );
     let m = rows.len();
     // The microkernel writes through a raw pointer.
-    assert!(c.len() >= m * n, "C buffer too small: {} < {}", c.len(), m * n);
+    assert!(
+        c.len() >= m * n,
+        "C buffer too small: {} < {}",
+        c.len(),
+        m * n
+    );
     // Cache tiles start on panel boundaries.
     let mc_rows = MC / mr * mr;
     debug_assert!(NC.is_multiple_of(nr));
@@ -530,7 +685,17 @@ fn pack_a(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, apack: &mut [
 
 /// Panel `pi` (rows `pi*mr..`) of the `KC` block at depth `p0`.
 #[allow(clippy::too_many_arguments)]
-fn pack_a_panel(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, p0: usize, kc: usize, pi: usize, dst: &mut [f32]) {
+fn pack_a_panel(
+    ta: Transpose,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    mr: usize,
+    p0: usize,
+    kc: usize,
+    pi: usize,
+    dst: &mut [f32],
+) {
     let rbase = pi * mr;
     let rows = mr.min(m - rbase);
     match ta {
@@ -570,12 +735,26 @@ fn pack_a_panel(ta: Transpose, a: &[f32], m: usize, k: usize, mr: usize, p0: usi
 /// planes of just the image part it reads, split into `planes`
 /// ([`BSource::planes_len`] floats); a dense source in one block.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(b: BSource<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, split: bool, bpack: &mut [f32], planes: &mut [f32]) {
+fn pack_b(
+    b: BSource<'_>,
+    n: usize,
+    k: usize,
+    p0: usize,
+    kc: usize,
+    nr: usize,
+    split: bool,
+    bpack: &mut [f32],
+    planes: &mut [f32],
+) {
     let block = b.block_panels(n, nr);
     for (bi, panels) in bpack.chunks_mut(block * nr * kc).enumerate() {
         let j0 = bi * block * nr;
         let slab = Slab::new(b, p0..p0 + kc, j0..n.min(j0 + block * nr), planes);
-        let group = if split { PAR_CHUNK.div_ceil(nr * kc) } else { block };
+        let group = if split {
+            PAR_CHUNK.div_ceil(nr * kc)
+        } else {
+            block
+        };
         par::for_each_chunk_mut(panels, group * nr * kc, |g, panels| {
             for (pj, dst) in panels.chunks_exact_mut(nr * kc).enumerate() {
                 pack_b_panel(&slab, n, k, p0, kc, nr, bi * block + g * group + pj, dst);
@@ -597,7 +776,9 @@ impl BSource<'_> {
     /// Floats of scratch the planes of the `kc`-deep slab at depth `p0`
     /// take, block by block: none for a dense source.
     fn planes_len(&self, n: usize, nr: usize, p0: usize, kc: usize) -> usize {
-        let BSource::Im2col(tb, geo, _) = *self else { return 0 };
+        let BSource::Im2col(tb, geo, _) = *self else {
+            return 0;
+        };
         let block = self.block_panels(n, nr) * nr;
         (0..n)
             .step_by(block)
@@ -616,10 +797,22 @@ impl BSource<'_> {
 /// pixels. In the forward layout (`op(B) = col`) depths are col rows and
 /// columns col columns; in the weight-gradient layout the other way
 /// round.
-fn image_part(tb: Transpose, geo: &ConvGeometry, depths: Range<usize>, cols: Range<usize>) -> (Range<usize>, Range<usize>) {
-    let (rows, pixels) = if tb == Transpose::No { (depths, cols) } else { (cols, depths) };
+fn image_part(
+    tb: Transpose,
+    geo: &ConvGeometry,
+    depths: Range<usize>,
+    cols: Range<usize>,
+) -> (Range<usize>, Range<usize>) {
+    let (rows, pixels) = if tb == Transpose::No {
+        (depths, cols)
+    } else {
+        (cols, depths)
+    };
     let (taps, ow) = (geo.kh * geo.kw, geo.out_w());
-    (rows.start / taps..rows.end.div_ceil(taps), pixels.start / ow..pixels.end.div_ceil(ow))
+    (
+        rows.start / taps..rows.end.div_ceil(taps),
+        pixels.start / ow..pixels.end.div_ceil(ow),
+    )
 }
 
 /// Where one block of a `KC` slab of `op(B)` is packed from: a dense
@@ -633,7 +826,12 @@ enum Slab<'a> {
 }
 
 impl<'a> Slab<'a> {
-    fn new(b: BSource<'a>, depths: Range<usize>, cols: Range<usize>, planes: &'a mut [f32]) -> Self {
+    fn new(
+        b: BSource<'a>,
+        depths: Range<usize>,
+        cols: Range<usize>,
+        planes: &'a mut [f32],
+    ) -> Self {
         match b {
             BSource::Dense(tb, b) => Slab::Dense(tb, b),
             BSource::Im2col(tb, geo, image) => {
@@ -641,7 +839,11 @@ impl<'a> Slab<'a> {
                 let plane = geo.h * geo.w;
                 let image = &image[chans.start * plane..chans.end * plane];
                 let planes = &mut planes[..Planes::scratch_len(geo, chans.len(), &oys)];
-                Slab::Col(tb, chans.start * geo.kh * geo.kw, Planes::split(geo, image, chans.len(), oys, planes))
+                Slab::Col(
+                    tb,
+                    chans.start * geo.kh * geo.kw,
+                    Planes::split(geo, image, chans.len(), oys, planes),
+                )
             }
         }
     }
@@ -649,7 +851,16 @@ impl<'a> Slab<'a> {
 
 /// Panel `pj` (columns `pj*nr..`) of [`pack_b`].
 #[allow(clippy::too_many_arguments)]
-fn pack_b_panel(slab: &Slab<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: usize, pj: usize, dst: &mut [f32]) {
+fn pack_b_panel(
+    slab: &Slab<'_>,
+    n: usize,
+    k: usize,
+    p0: usize,
+    kc: usize,
+    nr: usize,
+    pj: usize,
+    dst: &mut [f32],
+) {
     let jbase = pj * nr;
     let cols = nr.min(n - jbase);
     match slab {
@@ -689,12 +900,15 @@ fn pack_b_panel(slab: &Slab<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: u
             let mut rows = planes.col_rows(jbase - row0);
             let full = cols / LANES * LANES;
             for c0 in (0..full).step_by(LANES) {
-                let starts: [usize; LANES] = std::array::from_fn(|_| rows.next().expect("col rows never end"));
+                let starts: [usize; LANES] =
+                    std::array::from_fn(|_| rows.next().expect("col rows never end"));
                 let mut depths = dst.chunks_exact_mut(nr);
                 for (off, n) in planes.segments(pixel, kc) {
-                    let runs: [&[f32]; LANES] = std::array::from_fn(|t| &values[starts[t] + off..][..n]);
+                    let runs: [&[f32]; LANES] =
+                        std::array::from_fn(|t| &values[starts[t] + off..][..n]);
                     for (i, d) in depths.by_ref().take(n).enumerate() {
-                        let d: &mut [f32; LANES] = (&mut d[c0..c0 + LANES]).try_into().expect("LANES columns");
+                        let d: &mut [f32; LANES] =
+                            (&mut d[c0..c0 + LANES]).try_into().expect("LANES columns");
                         for (d, run) in d.iter_mut().zip(&runs) {
                             *d = run[i];
                         }
@@ -722,7 +936,14 @@ fn pack_b_panel(slab: &Slab<'_>, n: usize, k: usize, p0: usize, kc: usize, nr: u
 /// `dst[p*nr + c] = src[c*ld + p]` for columns `c < cols` and depths
 /// `p < kc`: 16 depths at a time, so each source cache line is read once
 /// while its 16 destination rows stay in L1.
-fn transpose_into_panel(src: &[f32], ld: usize, cols: usize, kc: usize, nr: usize, dst: &mut [f32]) {
+fn transpose_into_panel(
+    src: &[f32],
+    ld: usize,
+    cols: usize,
+    kc: usize,
+    nr: usize,
+    dst: &mut [f32],
+) {
     for pb in (0..kc).step_by(16) {
         let pl = 16.min(kc - pb);
         for cidx in 0..cols {
@@ -753,11 +974,38 @@ pub fn gemm_i8(m: usize, n: usize, k: usize, a: &[i8], b_t: &[i8], c: &mut [i32]
 
 /// [`gemm_i8`] with an explicitly chosen ISA (differential battery and
 /// per-ISA benchmark rows). Panics if `isa` is unavailable on this CPU.
-pub fn gemm_i8_with_isa(isa: Isa, m: usize, n: usize, k: usize, a: &[i8], b_t: &[i8], c: &mut [i32]) {
-    assert!(isa.is_available(), "ISA {} not available on this CPU", isa.name());
-    assert!(a.len() >= m * k, "A buffer too small: {} < {}", a.len(), m * k);
-    assert!(b_t.len() >= n * k, "B^T buffer too small: {} < {}", b_t.len(), n * k);
-    assert!(c.len() >= m * n, "C buffer too small: {} < {}", c.len(), m * n);
+pub fn gemm_i8_with_isa(
+    isa: Isa,
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[i8],
+    b_t: &[i8],
+    c: &mut [i32],
+) {
+    assert!(
+        isa.is_available(),
+        "ISA {} not available on this CPU",
+        isa.name()
+    );
+    assert!(
+        a.len() >= m * k,
+        "A buffer too small: {} < {}",
+        a.len(),
+        m * k
+    );
+    assert!(
+        b_t.len() >= n * k,
+        "B^T buffer too small: {} < {}",
+        b_t.len(),
+        n * k
+    );
+    assert!(
+        c.len() >= m * n,
+        "C buffer too small: {} < {}",
+        c.len(),
+        m * n
+    );
     let c = &mut c[..m * n];
     if m == 0 || n == 0 {
         return;
@@ -1060,17 +1308,51 @@ mod tests {
     #[test]
     fn k_zero_scales_c() {
         let mut c = vec![2.0f32; 6];
-        gemm(Transpose::No, Transpose::No, 2, 3, 0, 1.0, &[], &[], 0.5, &mut c);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            2,
+            3,
+            0,
+            1.0,
+            &[],
+            &[],
+            0.5,
+            &mut c,
+        );
         assert!(c.iter().all(|&x| x == 1.0));
     }
 
     #[test]
     fn m_zero_is_noop() {
         let mut c: Vec<f32> = vec![];
-        gemm(Transpose::No, Transpose::No, 0, 0, 5, 1.0, &[], &[], 0.0, &mut c);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            0,
+            0,
+            5,
+            1.0,
+            &[],
+            &[],
+            0.0,
+            &mut c,
+        );
         // An empty left operand packs to nothing and multiplies to nothing.
-        PackedA::new(Transpose::No, 0, 5, &[]).gemm(BSource::Dense(Transpose::No, &[0.0; 15]), 3, 1.0, 0.0, &mut c);
-        PackedA::new(Transpose::Yes, 4, 0, &[]).gemm(BSource::Dense(Transpose::No, &[]), 0, 1.0, 0.0, &mut c);
+        PackedA::new(Transpose::No, 0, 5, &[]).gemm(
+            BSource::Dense(Transpose::No, &[0.0; 15]),
+            3,
+            1.0,
+            0.0,
+            &mut c,
+        );
+        PackedA::new(Transpose::Yes, 4, 0, &[]).gemm(
+            BSource::Dense(Transpose::No, &[]),
+            0,
+            1.0,
+            0.0,
+            &mut c,
+        );
     }
 
     #[test]
@@ -1106,12 +1388,33 @@ mod tests {
         let b = fill(k * n, 22);
         let bias = fill(m, 23);
         let mut fused = vec![0.0f32; m * n];
-        gemm_bias(Transpose::No, Transpose::No, m, n, k, &a, &b, &bias, &mut fused);
+        gemm_bias(
+            Transpose::No,
+            Transpose::No,
+            m,
+            n,
+            k,
+            &a,
+            &b,
+            &bias,
+            &mut fused,
+        );
         let mut two_pass = vec![0.0f32; m * n];
         for (row, &bv) in two_pass.chunks_mut(n).zip(&bias) {
             row.fill(bv);
         }
-        gemm(Transpose::No, Transpose::No, m, n, k, 1.0, &a, &b, 1.0, &mut two_pass);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            &b,
+            1.0,
+            &mut two_pass,
+        );
         assert_eq!(fused, two_pass);
     }
 
@@ -1119,13 +1422,32 @@ mod tests {
     #[should_panic(expected = "A buffer too small")]
     fn rejects_short_a() {
         let mut c = vec![0.0; 4];
-        gemm(Transpose::No, Transpose::No, 2, 2, 2, 1.0, &[1.0; 3], &[1.0; 4], 0.0, &mut c);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            2,
+            2,
+            2,
+            1.0,
+            &[1.0; 3],
+            &[1.0; 4],
+            0.0,
+            &mut c,
+        );
     }
 
     /// NaN-aware comparison against the reference: got must be NaN iff
     /// the reference is NaN, match the sign of infinities, and be close
     /// otherwise.
-    fn check_nonfinite(ta: Transpose, tb: Transpose, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) {
+    fn check_nonfinite(
+        ta: Transpose,
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+    ) {
         let mut c = vec![0.0f32; m * n];
         let mut c_ref = vec![0.0f32; m * n];
         gemm(ta, tb, m, n, k, 1.0, a, b, 0.0, &mut c);
@@ -1152,8 +1474,8 @@ mod tests {
                 let mut a = fill(m * k, 4);
                 let mut b = fill(k * n, 5);
                 match ta {
-                    Transpose::No => a[1] = 0.0,          // op(A)[0, 1]
-                    Transpose::Yes => a[m] = 0.0,         // A[1, 0] → op(A)[0, 1]
+                    Transpose::No => a[1] = 0.0,  // op(A)[0, 1]
+                    Transpose::Yes => a[m] = 0.0, // A[1, 0] → op(A)[0, 1]
                 }
                 match tb {
                     Transpose::No => b[n + 2] = f32::NAN, // B[1, 2] → op(B)[1, 2]
@@ -1161,7 +1483,11 @@ mod tests {
                 }
                 let mut c = vec![0.0f32; m * n];
                 gemm(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c);
-                assert!(c[2].is_nan(), "{ta:?}{tb:?}: 0·NaN was masked, c[0,2] = {}", c[2]);
+                assert!(
+                    c[2].is_nan(),
+                    "{ta:?}{tb:?}: 0·NaN was masked, c[0,2] = {}",
+                    c[2]
+                );
                 check_nonfinite(ta, tb, m, n, k, &a, &b);
             }
         }
@@ -1198,7 +1524,18 @@ mod tests {
         a[129 * k + 20] = 0.0; // op(A)[129, 20] (last ragged block)
         b[20 * n + 69] = f32::NAN; // op(B)[20, 69]
         let mut c = vec![0.0f32; m * n];
-        gemm(Transpose::No, Transpose::No, m, n, k, 1.0, &a, &b, 0.0, &mut c);
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            m,
+            n,
+            k,
+            1.0,
+            &a,
+            &b,
+            0.0,
+            &mut c,
+        );
         assert!(c[129 * n + 69].is_nan());
         check_nonfinite(Transpose::No, Transpose::No, m, n, k, &a, &b);
     }
@@ -1259,14 +1596,32 @@ mod tests {
                         for beta in betas {
                             let what = format!("{ta:?}{tb:?} m={m} n={n} k={k} beta={beta}");
                             let mut base = init.clone();
-                            gemm_with_isa(Isa::Sse2, ta, tb, m, n, k, -1.5, &a, &b, beta, &mut base);
+                            gemm_with_isa(
+                                Isa::Sse2,
+                                ta,
+                                tb,
+                                m,
+                                n,
+                                k,
+                                -1.5,
+                                &a,
+                                &b,
+                                beta,
+                                &mut base,
+                            );
                             for &isa in Isa::detected() {
                                 let mut c = init.clone();
                                 gemm_with_isa(isa, ta, tb, m, n, k, -1.5, &a, &b, beta, &mut c);
                                 assert_same_bits(&c, &base, &format!("{what} isa={}", isa.name()));
                             }
                             let mut c = init.clone();
-                            PackedA::new(ta, m, k, &a).gemm(BSource::Dense(tb, &b), n, -1.5, beta, &mut c);
+                            PackedA::new(ta, m, k, &a).gemm(
+                                BSource::Dense(tb, &b),
+                                n,
+                                -1.5,
+                                beta,
+                                &mut c,
+                            );
                             assert_same_bits(&c, &base, &format!("{what} PackedA"));
                         }
                         if t == 0 {
@@ -1274,7 +1629,12 @@ mod tests {
                             let mut want = vec![0.0f32; m * n];
                             gemm_bias(ta, tb, m, n, k, &a, &b, &bias, &mut want);
                             let mut c = vec![0.0f32; m * n];
-                            PackedA::new(ta, m, k, &a).gemm_bias(BSource::Dense(tb, &b), n, &bias, &mut c);
+                            PackedA::new(ta, m, k, &a).gemm_bias(
+                                BSource::Dense(tb, &b),
+                                n,
+                                &bias,
+                                &mut c,
+                            );
                             assert_same_bits(&c, &want, &format!("m={m} n={n} k={k} PackedA bias"));
                         }
                     }
@@ -1301,15 +1661,31 @@ mod tests {
     /// block one `mul_add` chain from `+0.0`, `p` ascending — one
     /// rounding per multiply-add. Returns the chains' results block by
     /// block (`k.div_ceil(KC)` slabs of `m * n`).
-    fn contract_blocks(ta: Transpose, tb: Transpose, m: usize, n: usize, k: usize, a: &[f32], b: &[f32]) -> Vec<f32> {
+    fn contract_blocks(
+        ta: Transpose,
+        tb: Transpose,
+        m: usize,
+        n: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+    ) -> Vec<f32> {
         let mut blocks = Vec::with_capacity(k.div_ceil(KC) * m * n);
         for p0 in (0..k).step_by(KC) {
             for i in 0..m {
                 for j in 0..n {
                     let mut acc = 0.0f32;
                     for p in p0..(p0 + KC).min(k) {
-                        let av = if ta == Transpose::No { a[i * k + p] } else { a[p * m + i] };
-                        let bv = if tb == Transpose::No { b[p * n + j] } else { b[j * k + p] };
+                        let av = if ta == Transpose::No {
+                            a[i * k + p]
+                        } else {
+                            a[p * m + i]
+                        };
+                        let bv = if tb == Transpose::No {
+                            b[p * n + j]
+                        } else {
+                            b[j * k + p]
+                        };
                         acc = av.mul_add(bv, acc);
                     }
                     blocks.push(acc);
@@ -1360,10 +1736,20 @@ mod tests {
                                 for &isa in Isa::detected() {
                                     let mut c = init.clone();
                                     gemm_with_isa(isa, ta, tb, m, n, k, -1.5, &a, &b, beta, &mut c);
-                                    assert_same_bits(&c, &want, &format!("{what} isa={}", isa.name()));
+                                    assert_same_bits(
+                                        &c,
+                                        &want,
+                                        &format!("{what} isa={}", isa.name()),
+                                    );
                                 }
                                 let mut c = init.clone();
-                                PackedA::new(ta, m, k, &a).gemm(BSource::Dense(tb, &b), n, -1.5, beta, &mut c);
+                                PackedA::new(ta, m, k, &a).gemm(
+                                    BSource::Dense(tb, &b),
+                                    n,
+                                    -1.5,
+                                    beta,
+                                    &mut c,
+                                );
                                 assert_same_bits(&c, &want, &format!("{what} PackedA"));
                             }
                         }
@@ -1386,8 +1772,20 @@ mod tests {
         let (m, n, k) = (65, 36, 257);
         for ta in [Transpose::No, Transpose::Yes] {
             for tb in [Transpose::No, Transpose::Yes] {
-                let at = |i: usize, p: usize| if ta == Transpose::No { i * k + p } else { p * m + i };
-                let bt = |p: usize, j: usize| if tb == Transpose::No { p * n + j } else { j * k + p };
+                let at = |i: usize, p: usize| {
+                    if ta == Transpose::No {
+                        i * k + p
+                    } else {
+                        p * m + i
+                    }
+                };
+                let bt = |p: usize, j: usize| {
+                    if tb == Transpose::No {
+                        p * n + j
+                    } else {
+                        j * k + p
+                    }
+                };
                 let mut a = fill(m * k, 81);
                 let mut b = fill(k * n, 82);
                 for p in 0..k {
@@ -1401,22 +1799,46 @@ mod tests {
                 b[bt(100, 34)] = f32::INFINITY;
                 b[bt(256, 35)] = f32::NEG_INFINITY;
                 let mut want = vec![0.0f32; m * n];
-                contract_apply(&contract_blocks(ta, tb, m, n, k, &a, &b), 1.0, 0.0, &mut want);
+                contract_apply(
+                    &contract_blocks(ta, tb, m, n, k, &a, &b),
+                    1.0,
+                    0.0,
+                    &mut want,
+                );
                 for &isa in Isa::detected() {
                     poison_pool((m + 8) * k);
                     let mut c = vec![0.0f32; m * n];
                     gemm_with_isa(isa, ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c);
                     let what = format!("{ta:?}{tb:?} isa={}", isa.name());
                     for (i, row) in c.chunks(n).enumerate() {
-                        assert!(row[..32].iter().all(|x| x.is_finite()), "{what}: poison leaked into row {i}");
-                        assert_eq!(row[32].to_bits(), 0, "{what}: fma(x, +0, +0.0) in row {i} is {}", row[32]);
+                        assert!(
+                            row[..32].iter().all(|x| x.is_finite()),
+                            "{what}: poison leaked into row {i}"
+                        );
+                        assert_eq!(
+                            row[32].to_bits(),
+                            0,
+                            "{what}: fma(x, +0, +0.0) in row {i} is {}",
+                            row[32]
+                        );
                     }
                     let last = &c[(m - 1) * n..];
                     assert!(last[33].is_nan(), "{what}: fma(0, NaN, acc) = {}", last[33]);
-                    assert!(last[34].is_nan(), "{what}: fma(0, +inf, acc) = {}", last[34]);
-                    assert!(last[35].is_nan(), "{what}: fma(-0, -inf, acc) = {}", last[35]);
+                    assert!(
+                        last[34].is_nan(),
+                        "{what}: fma(0, +inf, acc) = {}",
+                        last[34]
+                    );
+                    assert!(
+                        last[35].is_nan(),
+                        "{what}: fma(-0, -inf, acc) = {}",
+                        last[35]
+                    );
                     for (idx, (x, y)) in c.iter().zip(&want).enumerate() {
-                        assert!(x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()), "{what} c[{idx}]: {x} vs {y}");
+                        assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "{what} c[{idx}]: {x} vs {y}"
+                        );
                     }
                 }
             }
@@ -1431,15 +1853,31 @@ mod tests {
         // turn it into a number. Leak: padding is stale pool memory until
         // the pack zeroes it, so park NaN-filled buffers in the pool first
         // and demand every reference-finite element stays finite.
-        let palette = [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0, -2.0];
+        let palette = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.0,
+            -2.0,
+        ];
         let (m, n, k) = (65, 33, 257);
         for ta in [Transpose::No, Transpose::Yes] {
             for tb in [Transpose::No, Transpose::Yes] {
                 let mut a = fill(m * k, 61);
                 let mut b = fill(k * n, 62);
                 for p in 0..k {
-                    let ai = if ta == Transpose::No { (m - 1) * k + p } else { p * m + m - 1 };
-                    let bi = if tb == Transpose::No { p * n + n - 1 } else { (n - 1) * k + p };
+                    let ai = if ta == Transpose::No {
+                        (m - 1) * k + p
+                    } else {
+                        p * m + m - 1
+                    };
+                    let bi = if tb == Transpose::No {
+                        p * n + n - 1
+                    } else {
+                        (n - 1) * k + p
+                    };
                     a[ai] = palette[p % palette.len()];
                     b[bi] = palette[(p / 3) % palette.len()];
                 }
@@ -1491,7 +1929,11 @@ mod tests {
         im2col_ref(geo, image, &mut col);
         let mut products = Vec::new();
         for tb in [Transpose::No, Transpose::Yes] {
-            let (k, n) = if tb == Transpose::No { (rows, cols) } else { (cols, rows) };
+            let (k, n) = if tb == Transpose::No {
+                (rows, cols)
+            } else {
+                (cols, rows)
+            };
             let (lazy, dense) = (BSource::Im2col(tb, geo, image), BSource::Dense(tb, &col));
             let a = fill(7 * k, 91);
             for &isa in Isa::detected() {
@@ -1499,7 +1941,11 @@ mod tests {
                 let nr = isa.kernel().nr;
                 for split in [false, true] {
                     let want = pack_all(dense, n, k, nr, split);
-                    assert_same_bits(&pack_all(lazy, n, k, nr, split), &want, &format!("{what} split={split} panels"));
+                    assert_same_bits(
+                        &pack_all(lazy, n, k, nr, split),
+                        &want,
+                        &format!("{what} split={split} panels"),
+                    );
                 }
                 let pa = PackedA::with_isa(isa, Transpose::No, 7, k, &a);
                 let mut want = vec![0.0f32; 7 * n];
@@ -1545,7 +1991,15 @@ mod tests {
         // ISA's nr), at stride 1 and 2; col rows (cin·k²) one below, on
         // and one above KC = 256, and 5x5's 250 / 275.
         for ow in [15usize, 16, 17, 31, 32, 33] {
-            for (cin, k, stride) in [(2, 3, 1), (3, 3, 2), (255, 1, 1), (256, 1, 2), (257, 1, 1), (10, 5, 1), (11, 5, 2)] {
+            for (cin, k, stride) in [
+                (2, 3, 1),
+                (3, 3, 2),
+                (255, 1, 1),
+                (256, 1, 2),
+                (257, 1, 1),
+                (10, 5, 1),
+                (11, 5, 2),
+            ] {
                 let pad = k / 2;
                 let w = (ow - 1) * stride + k - 2 * pad;
                 let geo = ConvGeometry::new(cin, 1, 3, w, k, stride, pad);
@@ -1573,8 +2027,14 @@ mod tests {
                 plane[h * w - 1] = -0.0;
             }
             let products = assert_im2col_source_matches_col(&geo, &image);
-            assert!(products.iter().any(|v| v.is_nan()), "stride {stride}: no NaN reached a product");
-            assert!(products.iter().any(|v| v.is_finite()), "stride {stride}: padding poisoned every product");
+            assert!(
+                products.iter().any(|v| v.is_nan()),
+                "stride {stride}: no NaN reached a product"
+            );
+            assert!(
+                products.iter().any(|v| v.is_finite()),
+                "stride {stride}: padding poisoned every product"
+            );
         }
     }
 
@@ -1609,15 +2069,32 @@ mod tests {
             let image = fill(cin * h * w, 95);
             for &isa in Isa::detected() {
                 let mut dcol = vec![f32::NAN; rows * cols];
-                gemm_with_isa(isa, Transpose::Yes, Transpose::No, rows, cols, cout, 1.0, &weight, &dy, 0.0, &mut dcol);
+                gemm_with_isa(
+                    isa,
+                    Transpose::Yes,
+                    Transpose::No,
+                    rows,
+                    cols,
+                    cout,
+                    1.0,
+                    &weight,
+                    &dy,
+                    0.0,
+                    &mut dcol,
+                );
                 let mut want = image.clone();
                 col2im_ref(&geo, &dcol, &mut want);
                 for width in 1..=3 {
                     par::set_width(width);
                     poison_pool(rows * cols);
                     let mut got = image.clone();
-                    PackedA::with_isa(isa, Transpose::Yes, rows, cout, &weight).gemm_col2im(&geo, &dy, &mut got);
-                    assert_same_bits(&got, &want, &format!("{geo:?} isa={} width {width}", isa.name()));
+                    PackedA::with_isa(isa, Transpose::Yes, rows, cout, &weight)
+                        .gemm_col2im(&geo, &dy, &mut got);
+                    assert_same_bits(
+                        &got,
+                        &want,
+                        &format!("{geo:?} isa={} width {width}", isa.name()),
+                    );
                 }
             }
         }
@@ -1654,7 +2131,13 @@ mod tests {
     fn gemm_i8_matches_reference_every_isa() {
         // Shapes cover the sequential path, the parallel row split, ragged
         // k (AVX2 tail lanes) and the deep hep_fwd reduction depth.
-        for (m, n, k) in [(1, 1, 1), (3, 5, 7), (8, 10, 33), (16, 32, 1152), (128, 64, 100)] {
+        for (m, n, k) in [
+            (1, 1, 1),
+            (3, 5, 7),
+            (8, 10, 33),
+            (16, 32, 1152),
+            (128, 64, 100),
+        ] {
             let a = fill_i8(m * k, 41);
             let b_t = fill_i8(n * k, 42);
             let want = gemm_i8_ref(m, n, k, &a, &b_t);
@@ -1719,7 +2202,10 @@ mod tests {
                 }
                 let mut c = vec![0.0f32; m * n];
                 gemm(ta, tb, m, n, k, 1.0, &a, &b, 0.0, &mut c);
-                assert!(c[3 * n + 7].is_nan(), "{ta:?}{tb:?}: NaN laundered across KC blocks");
+                assert!(
+                    c[3 * n + 7].is_nan(),
+                    "{ta:?}{tb:?}: NaN laundered across KC blocks"
+                );
                 check_nonfinite(ta, tb, m, n, k, &a, &b);
             }
         }

@@ -61,9 +61,26 @@ pub struct ConvGeometry {
 
 impl ConvGeometry {
     /// Creates a square-kernel geometry.
-    pub fn new(cin: usize, cout: usize, h: usize, w: usize, k: usize, stride: usize, pad: usize) -> Self {
+    pub fn new(
+        cin: usize,
+        cout: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self {
         assert!(k > 0 && stride > 0, "kernel and stride must be positive");
-        Self { cin, cout, h, w, kh: k, kw: k, stride, pad }
+        Self {
+            cin,
+            cout,
+            h,
+            w,
+            kh: k,
+            kw: k,
+            stride,
+            pad,
+        }
     }
 
     /// Output height: `(h + 2*pad - kh) / stride + 1`.
@@ -161,17 +178,30 @@ impl<'a> Planes<'a> {
     /// The planes of the channels `image` holds (whole planes, `chans`
     /// of them), for output rows `oys`, written into `buf`
     /// ([`Planes::scratch_len`] floats, stale contents allowed).
-    pub(crate) fn split(geo: &ConvGeometry, image: &[f32], chans: usize, oys: Range<usize>, buf: &'a mut [f32]) -> Self {
+    pub(crate) fn split(
+        geo: &ConvGeometry,
+        image: &[f32],
+        chans: usize,
+        oys: Range<usize>,
+        buf: &'a mut [f32],
+    ) -> Self {
         let (h, w, s, pad) = (geo.h, geo.w, geo.stride, geo.pad);
         assert_eq!(image.len(), chans * h * w, "image length mismatch");
-        assert_eq!(buf.len(), Self::scratch_len(geo, chans, &oys), "planes scratch length mismatch");
+        assert_eq!(
+            buf.len(),
+            Self::scratch_len(geo, chans, &oys),
+            "planes scratch length mismatch"
+        );
         let (py, px) = (s.min(geo.kh), s.min(geo.kw));
         let ow = geo.out_w();
         let (rows, pw) = (oys.len() + (geo.kh - 1) / s, ow + (geo.kw - 1) / s);
         // The border first, in one sweep; then each plane row's run of
         // image values.
         buf.fill(0.0);
-        for (img, planes) in image.chunks_exact(h * w).zip(buf.chunks_exact_mut(py * px * rows * pw)) {
+        for (img, planes) in image
+            .chunks_exact(h * w)
+            .zip(buf.chunks_exact_mut(py * px * rows * pw))
+        {
             for (phase, dst) in planes.chunks_exact_mut(rows * pw).enumerate() {
                 let (ry, rx) = (phase / px, phase % px);
                 let (lo, hi) = Self::span(geo, rx, pw);
@@ -181,19 +211,35 @@ impl<'a> Planes<'a> {
                 for (a, dst) in (oys.start..).zip(dst.chunks_exact_mut(pw)) {
                     let y = (a * s + ry).wrapping_sub(pad);
                     if y < h {
-                        copy_from_every(s, &img[y * w + lo * s + rx - pad..(y + 1) * w], &mut dst[lo..hi]);
+                        copy_from_every(
+                            s,
+                            &img[y * w + lo * s + rx - pad..(y + 1) * w],
+                            &mut dst[lo..hi],
+                        );
                     }
                 }
             }
         }
-        Self { geo: *geo, oy0: oys.start, ow, rows, pw, py, px, buf }
+        Self {
+            geo: *geo,
+            oy0: oys.start,
+            ow,
+            rows,
+            pw,
+            py,
+            px,
+            buf,
+        }
     }
 
     /// Plane columns `lo..hi` of phase `rx` that hold image columns; the
     /// others hold padding.
     fn span(geo: &ConvGeometry, rx: usize, pw: usize) -> (usize, usize) {
         let lo = geo.pad.saturating_sub(rx).div_ceil(geo.stride).min(pw);
-        let hi = (geo.w + geo.pad).saturating_sub(rx).div_ceil(geo.stride).clamp(lo, pw);
+        let hi = (geo.w + geo.pad)
+            .saturating_sub(rx)
+            .div_ceil(geo.stride)
+            .clamp(lo, pw);
         (lo, hi)
     }
 
@@ -201,11 +247,14 @@ impl<'a> Planes<'a> {
     /// channel held) start: each one's run at the first output row
     /// served. One increment per row instead of a division.
     pub(crate) fn col_rows(&self, r0: usize) -> impl Iterator<Item = usize> {
-        let ConvGeometry { kh, kw, stride: s, .. } = self.geo;
+        let ConvGeometry {
+            kh, kw, stride: s, ..
+        } = self.geo;
         let (plane, pw, py, px) = (self.rows * self.pw, self.pw, self.py, self.px);
         let (c, ky, kx) = (r0 / (kh * kw), r0 % (kh * kw) / kw, r0 % kw);
         // (ky, kx) as phase and offset: ky = qy·s + ry, kx = qx·s + rx.
-        let (mut c, mut ky, mut kx, mut ry, mut qy, mut rx, mut qx) = (c, ky, kx, ky % s, ky / s, kx % s, kx / s);
+        let (mut c, mut ky, mut kx, mut ry, mut qy, mut rx, mut qx) =
+            (c, ky, kx, ky % s, ky / s, kx % s, kx / s);
         std::iter::from_fn(move || {
             let at = ((c * py + ry) * px + rx) * plane + qy * pw + qx;
             (kx, rx) = (kx + 1, rx + 1);
@@ -251,7 +300,11 @@ impl<'a> Planes<'a> {
     /// The segments of any col row from output pixel `(oy, ox)` on, `len`
     /// values — one per output row they touch: each its offset from the
     /// col row's start, and its length.
-    pub(crate) fn segments(&self, (oy, ox): (usize, usize), len: usize) -> impl Iterator<Item = (usize, usize)> {
+    pub(crate) fn segments(
+        &self,
+        (oy, ox): (usize, usize),
+        len: usize,
+    ) -> impl Iterator<Item = (usize, usize)> {
         let (ow, pw) = (self.ow, self.pw);
         let (mut at, mut ox, mut left) = ((oy - self.oy0) * pw, ox, len);
         std::iter::from_fn(move || {
@@ -266,9 +319,18 @@ impl<'a> Planes<'a> {
     /// [`Planes::split`] for every element some plane holds; the rest
     /// (pixels no tap reads) are left as they are.
     pub(crate) fn merge(&self, image: &mut [f32]) {
-        let ConvGeometry { h, w, stride: s, pad, .. } = self.geo;
+        let ConvGeometry {
+            h,
+            w,
+            stride: s,
+            pad,
+            ..
+        } = self.geo;
         let plane = self.rows * self.pw;
-        for (img, planes) in image.chunks_exact_mut(h * w).zip(self.buf.chunks_exact(self.py * self.px * plane)) {
+        for (img, planes) in image
+            .chunks_exact_mut(h * w)
+            .zip(self.buf.chunks_exact(self.py * self.px * plane))
+        {
             for (phase, src) in planes.chunks_exact(plane).enumerate() {
                 let (ry, rx) = (phase / self.px, phase % self.px);
                 let (lo, hi) = Self::span(&self.geo, rx, self.pw);
@@ -278,7 +340,11 @@ impl<'a> Planes<'a> {
                 for (a, src) in (self.oy0..).zip(src.chunks_exact(self.pw)) {
                     let y = (a * s + ry).wrapping_sub(pad);
                     if y < h {
-                        copy_to_every(s, &src[lo..hi], &mut img[y * w + lo * s + rx - pad..(y + 1) * w]);
+                        copy_to_every(
+                            s,
+                            &src[lo..hi],
+                            &mut img[y * w + lo * s + rx - pad..(y + 1) * w],
+                        );
                     }
                 }
             }
@@ -292,8 +358,14 @@ impl<'a> Planes<'a> {
 fn copy_from_every(s: usize, src: &[f32], dst: &mut [f32]) {
     match s {
         1 => dst.copy_from_slice(&src[..dst.len()]),
-        2 => dst.iter_mut().zip(src.chunks(2)).for_each(|(d, pair)| *d = pair[0]),
-        _ => dst.iter_mut().zip(src.iter().step_by(s)).for_each(|(d, &v)| *d = v),
+        2 => dst
+            .iter_mut()
+            .zip(src.chunks(2))
+            .for_each(|(d, pair)| *d = pair[0]),
+        _ => dst
+            .iter_mut()
+            .zip(src.iter().step_by(s))
+            .for_each(|(d, &v)| *d = v),
     }
 }
 
@@ -302,8 +374,15 @@ fn copy_from_every(s: usize, src: &[f32], dst: &mut [f32]) {
 fn copy_to_every(s: usize, src: &[f32], dst: &mut [f32]) {
     match s {
         1 => dst[..src.len()].copy_from_slice(src),
-        2 => dst.chunks_mut(2).zip(src).for_each(|(pair, &v)| pair[0] = v),
-        _ => dst.iter_mut().step_by(s).zip(src).for_each(|(d, &v)| *d = v),
+        2 => dst
+            .chunks_mut(2)
+            .zip(src)
+            .for_each(|(pair, &v)| pair[0] = v),
+        _ => dst
+            .iter_mut()
+            .step_by(s)
+            .zip(src)
+            .for_each(|(d, &v)| *d = v),
     }
 }
 
@@ -316,8 +395,16 @@ fn copy_to_every(s: usize, src: &[f32], dst: &mut [f32]) {
 /// depend on that channel's plane alone, so channels are split across
 /// threads, each group with planes of its own.
 pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
-    assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
-    assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
+    assert_eq!(
+        image.len(),
+        geo.cin * geo.h * geo.w,
+        "image length mismatch"
+    );
+    assert_eq!(
+        col.len(),
+        geo.col_rows() * geo.col_cols(),
+        "col length mismatch"
+    );
     let (oh, ow) = (geo.out_h(), geo.out_w());
     let (plane_len, per_channel) = (geo.h * geo.w, geo.kh * geo.kw * oh * ow);
 
@@ -347,8 +434,16 @@ pub fn im2col(geo: &ConvGeometry, image: &[f32], col: &mut [f32]) {
 /// plane only receives that channel's col rows, so channels are split
 /// across threads without touching that order.
 pub fn col2im(geo: &ConvGeometry, col: &[f32], image: &mut [f32]) {
-    assert_eq!(image.len(), geo.cin * geo.h * geo.w, "image length mismatch");
-    assert_eq!(col.len(), geo.col_rows() * geo.col_cols(), "col length mismatch");
+    assert_eq!(
+        image.len(),
+        geo.cin * geo.h * geo.w,
+        "image length mismatch"
+    );
+    assert_eq!(
+        col.len(),
+        geo.col_rows() * geo.col_cols(),
+        "col length mismatch"
+    );
     let (oh, ow) = (geo.out_h(), geo.out_w());
     let (plane_len, per_channel) = (geo.h * geo.w, geo.kh * geo.kw * oh * ow);
     if image.is_empty() {
@@ -581,16 +676,28 @@ mod tests {
         let g = ConvGeometry::new(2, 3, 5, 6, 3, 2, 1);
         let ilen = g.cin * g.h * g.w;
         let clen = g.col_rows() * g.col_cols();
-        let x: Vec<f32> = (0..ilen).map(|i| ((i * 37 + 11) % 17) as f32 - 8.0).collect();
-        let y: Vec<f32> = (0..clen).map(|i| ((i * 53 + 3) % 13) as f32 - 6.0).collect();
+        let x: Vec<f32> = (0..ilen)
+            .map(|i| ((i * 37 + 11) % 17) as f32 - 8.0)
+            .collect();
+        let y: Vec<f32> = (0..clen)
+            .map(|i| ((i * 53 + 3) % 13) as f32 - 6.0)
+            .collect();
 
         let mut cx = vec![0.0; clen];
         im2col(&g, &x, &mut cx);
-        let lhs: f64 = cx.iter().zip(&y).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
+        let lhs: f64 = cx
+            .iter()
+            .zip(&y)
+            .map(|(a, b)| (*a as f64) * (*b as f64))
+            .sum();
 
         let mut xy = vec![0.0; ilen];
         col2im(&g, &y, &mut xy);
-        let rhs: f64 = x.iter().zip(&xy).map(|(a, b)| (*a as f64) * (*b as f64)).sum();
+        let rhs: f64 = x
+            .iter()
+            .zip(&xy)
+            .map(|(a, b)| (*a as f64) * (*b as f64))
+            .sum();
 
         assert!((lhs - rhs).abs() < 1e-6, "adjoint violated: {lhs} vs {rhs}");
     }

@@ -57,12 +57,12 @@ pub use gemm::{
     gemm, gemm_bias, gemm_bias_cols, gemm_i8, gemm_i8_with_isa, gemm_unpacked, gemm_with_isa,
     BSource, PackedA, Transpose,
 };
-pub use microkernel::Isa;
-pub use workspace::{Workspace, WsBuf};
 pub use im2col::{col2im, im2col, ConvGeometry};
+pub use microkernel::Isa;
 pub use rng::TensorRng;
 pub use shape::Shape4;
 pub use tensor::Tensor;
+pub use workspace::{Workspace, WsBuf};
 
 /// The deterministic in-tree thread pool (`vendor/rayon`): crates that
 /// only hand thread budgets to the threads they spawn reach it here and

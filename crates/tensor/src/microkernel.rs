@@ -141,13 +141,17 @@ impl Isa {
             let Ok(name) = std::env::var("SCIDL_GEMM_ISA") else {
                 return best;
             };
-            detected.iter().copied().find(|isa| isa.name() == name).unwrap_or_else(|| {
-                eprintln!(
+            detected
+                .iter()
+                .copied()
+                .find(|isa| isa.name() == name)
+                .unwrap_or_else(|| {
+                    eprintln!(
                     "scidl-tensor: SCIDL_GEMM_ISA={name} is not an ISA this CPU reports; using {}",
                     best.name()
                 );
-                best
-            })
+                    best
+                })
         })
     }
 
@@ -160,13 +164,29 @@ impl Isa {
     /// available on the running CPU (the dispatch table never hands out
     /// an unavailable variant; only explicit test/bench forcing can).
     pub(crate) fn kernel(self) -> Kernel {
-        assert!(self.is_available(), "ISA {} not available on this CPU", self.name());
+        assert!(
+            self.is_available(),
+            "ISA {} not available on this CPU",
+            self.name()
+        );
         match self {
-            Isa::Sse2 => Kernel { mr: MR, nr: NR, run: portable_kernel() },
+            Isa::Sse2 => Kernel {
+                mr: MR,
+                nr: NR,
+                run: portable_kernel(),
+            },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => Kernel { mr: MR256, nr: NR, run: microkernel_avx2 },
+            Isa::Avx2 => Kernel {
+                mr: MR256,
+                nr: NR,
+                run: microkernel_avx2,
+            },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => Kernel { mr: MR512, nr: NR512, run: microkernel_avx512 },
+            Isa::Avx512 => Kernel {
+                mr: MR512,
+                nr: NR512,
+                run: microkernel_avx512,
+            },
             #[cfg(not(target_arch = "x86_64"))]
             Isa::Avx2 | Isa::Avx512 => unreachable!("only detected on x86-64"),
         }
@@ -177,8 +197,18 @@ impl Isa {
 /// `alpha * sum_p ap[p, :] ⊗ bp[p, :]` into the `mr_eff × nr_eff` block
 /// of `C` whose top-left corner is `(row0, col0)`. `ap` and `bp` are
 /// `kc`-deep panels packed to the variant's own [`Kernel`] tile.
-pub(crate) type MicrokernelFn =
-    fn(kc: usize, ap: &[f32], bp: &[f32], alpha: f32, c: CPtr, ldc: usize, row0: usize, col0: usize, mr_eff: usize, nr_eff: usize);
+pub(crate) type MicrokernelFn = fn(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    alpha: f32,
+    c: CPtr,
+    ldc: usize,
+    row0: usize,
+    col0: usize,
+    mr_eff: usize,
+    nr_eff: usize,
+);
 
 /// The portable `MR x NR` register-tile microkernel: an unrolled 4×16
 /// accumulator block held in registers, updated with `kc` broadcast
@@ -302,7 +332,8 @@ fn writeback<const R: usize, const N: usize>(
         // panels partition tiles, so exactly one microkernel call writes
         // each element; `row0 + i < m` and `col0 + nr_eff <= n` by
         // construction, keeping the slice in bounds.
-        let dst = unsafe { std::slice::from_raw_parts_mut(c.0.add((row0 + i) * ldc + col0), nr_eff) };
+        let dst =
+            unsafe { std::slice::from_raw_parts_mut(c.0.add((row0 + i) * ldc + col0), nr_eff) };
         for (d, &v) in dst.iter_mut().zip(accr.iter()) {
             *d += alpha * v;
         }
@@ -545,10 +576,36 @@ mod tests {
             let init: Vec<f32> = (0..MR * NR).map(|_| next()).collect();
             for (mr_eff, nr_eff) in [(MR, NR), (1, NR), (MR, 1), (3, 9)] {
                 let (mut soft, mut hard) = (init.clone(), init.clone());
-                microkernel_portable(kc, &ap, &bp, -1.5, CPtr(soft.as_mut_ptr()), NR, 0, 0, mr_eff, nr_eff);
-                microkernel_portable_fma(kc, &ap, &bp, -1.5, CPtr(hard.as_mut_ptr()), NR, 0, 0, mr_eff, nr_eff);
+                microkernel_portable(
+                    kc,
+                    &ap,
+                    &bp,
+                    -1.5,
+                    CPtr(soft.as_mut_ptr()),
+                    NR,
+                    0,
+                    0,
+                    mr_eff,
+                    nr_eff,
+                );
+                microkernel_portable_fma(
+                    kc,
+                    &ap,
+                    &bp,
+                    -1.5,
+                    CPtr(hard.as_mut_ptr()),
+                    NR,
+                    0,
+                    0,
+                    mr_eff,
+                    nr_eff,
+                );
                 for (idx, (x, y)) in soft.iter().zip(&hard).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "kc={kc} {mr_eff}x{nr_eff} c[{idx}]: {x} vs {y}");
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "kc={kc} {mr_eff}x{nr_eff} c[{idx}]: {x} vs {y}"
+                    );
                 }
                 assert!(soft != init, "kc={kc} {mr_eff}x{nr_eff}: nothing written");
             }

@@ -121,8 +121,7 @@ pub fn dequantize_i16(values: &[i16], scale: f32, out: &mut [f32]) {
 pub fn clip_norm(g: &mut [f32], max_norm: f64) -> f64 {
     let norm: f64 = g.iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt();
     if !norm.is_finite() {
-        let (first, count, value) =
-            scidl_trace::scan_nonfinite(g).unwrap_or((0, 0, norm as f32));
+        let (first, count, value) = scidl_trace::scan_nonfinite(g).unwrap_or((0, 0, norm as f32));
         scidl_trace::nonfinite_hook("clip_norm", first, count, value);
         return norm;
     }

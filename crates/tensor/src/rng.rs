@@ -29,7 +29,9 @@ impl TensorRng {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
             z ^ (z >> 31)
         };
-        Self { s: [next(), next(), next(), next()] }
+        Self {
+            s: [next(), next(), next(), next()],
+        }
     }
 
     /// Derives an independent child generator; used to give each simulated

@@ -108,7 +108,10 @@ mod tests {
     #[test]
     fn single_sample_summary_is_degenerate() {
         let s = Summary::from_samples(&[7.0]);
-        assert_eq!((s.count, s.mean, s.min, s.max, s.p50, s.p95, s.p99), (1, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0));
+        assert_eq!(
+            (s.count, s.mean, s.min, s.max, s.p50, s.p95, s.p99),
+            (1, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0)
+        );
     }
 
     #[test]

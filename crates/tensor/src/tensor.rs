@@ -21,12 +21,18 @@ pub struct Tensor {
 impl Tensor {
     /// Creates a zero-filled tensor.
     pub fn zeros(shape: Shape4) -> Self {
-        Self { shape, data: vec![0.0; shape.len()] }
+        Self {
+            shape,
+            data: vec![0.0; shape.len()],
+        }
     }
 
     /// Creates a tensor filled with `value`.
     pub fn filled(shape: Shape4, value: f32) -> Self {
-        Self { shape, data: vec![value; shape.len()] }
+        Self {
+            shape,
+            data: vec![value; shape.len()],
+        }
     }
 
     /// Wraps an existing buffer. Panics if the buffer length does not match
@@ -53,14 +59,18 @@ impl Tensor {
     ) -> Self {
         let len = shape.len();
         let mut data: Vec<f32> = Vec::with_capacity(len);
-        par::for_each_chunk_mut(&mut data.spare_capacity_mut()[..len], PAR_CHUNK, |i, out| {
-            let range = i * PAR_CHUNK..i * PAR_CHUNK + out.len();
-            let written = out.iter_mut().zip(values(range)).fold(0, |n, (o, v)| {
-                o.write(v);
-                n + 1
-            });
-            assert_eq!(written, out.len(), "chunk iterator ended early");
-        });
+        par::for_each_chunk_mut(
+            &mut data.spare_capacity_mut()[..len],
+            PAR_CHUNK,
+            |i, out| {
+                let range = i * PAR_CHUNK..i * PAR_CHUNK + out.len();
+                let written = out.iter_mut().zip(values(range)).fold(0, |n, (o, v)| {
+                    o.write(v);
+                    n + 1
+                });
+                assert_eq!(written, out.len(), "chunk iterator ended early");
+            },
+        );
         // SAFETY: the capacity is `len`, and every chunk of the first `len`
         // elements was written in full above — a chunk that was not
         // panics, and the panic leaves the region before this line.
@@ -206,7 +216,9 @@ impl Tensor {
     /// Squared L2 norm, accumulated in f64 for stability.
     pub fn norm_sq(&self) -> f64 {
         if self.data.len() >= CHUNKED_REDUCE_FROM {
-            chunk_partials(&self.data, |c| c.iter().map(|&x| x as f64 * x as f64).sum::<f64>())
+            chunk_partials(&self.data, |c| {
+                c.iter().map(|&x| x as f64 * x as f64).sum::<f64>()
+            })
         } else {
             self.data.iter().map(|&x| x as f64 * x as f64).sum()
         }
@@ -263,7 +275,9 @@ fn chunk_partials(data: &[f32], part: impl Fn(&[f32]) -> f64 + Sync) -> f64 {
 /// In-place unary elementwise op, split across threads [`PAR_CHUNK`]
 /// elements at a time.
 pub(crate) fn unary_inplace(data: &mut [f32], f: impl Fn(f32) -> f32 + Sync) {
-    par::for_each_chunk_mut(data, PAR_CHUNK, |_, d| d.iter_mut().for_each(|x| *x = f(*x)));
+    par::for_each_chunk_mut(data, PAR_CHUNK, |_, d| {
+        d.iter_mut().for_each(|x| *x = f(*x))
+    });
 }
 
 /// In-place binary elementwise op, split like [`unary_inplace`].
@@ -278,7 +292,12 @@ pub(crate) fn binary_inplace(dst: &mut [f32], src: &[f32], f: impl Fn(f32, f32) 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{:?}(", self.shape)?;
-        let preview: Vec<String> = self.data.iter().take(6).map(|x| format!("{x:.4}")).collect();
+        let preview: Vec<String> = self
+            .data
+            .iter()
+            .take(6)
+            .map(|x| format!("{x:.4}"))
+            .collect();
         write!(f, "{}", preview.join(", "))?;
         if self.data.len() > 6 {
             write!(f, ", …")?;
@@ -340,7 +359,13 @@ mod tests {
         for len in [0usize, 5, PAR_CHUNK, 3 * PAR_CHUNK + 17] {
             let t = Tensor::from_chunks(Shape4::flat(len), |r| r.map(|i| i as f32 * 0.5));
             assert_eq!(t.len(), len);
-            assert!(t.data().iter().enumerate().all(|(i, &v)| v == i as f32 * 0.5), "len {len}");
+            assert!(
+                t.data()
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &v)| v == i as f32 * 0.5),
+                "len {len}"
+            );
         }
     }
 

@@ -24,7 +24,10 @@ fn rendezvous(arrived: &AtomicUsize, n: usize) {
     arrived.fetch_add(1, Ordering::SeqCst);
     let start = Instant::now();
     while arrived.load(Ordering::SeqCst) < n {
-        assert!(start.elapsed() < Duration::from_secs(30), "helper never picked its unit up");
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "helper never picked its unit up"
+        );
         std::thread::yield_now();
     }
 }
@@ -38,7 +41,10 @@ fn every_unit_runs_exactly_once_at_every_width() {
             par::for_each_index(n, |i| {
                 runs[i].fetch_add(1, Ordering::Relaxed);
             });
-            assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1), "width {width}, {n} units");
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "width {width}, {n} units"
+            );
         }
         // Many short regions back to back: helpers picking a region up
         // race the owner taking it back.
@@ -56,20 +62,36 @@ fn every_unit_runs_exactly_once_at_every_width() {
 fn chunks_cover_the_slice_without_overlap() {
     for width in WIDTHS {
         par::set_width(width);
-        for (len, chunk) in [(0usize, 3usize), (1, 1), (10, 3), (4096, 64), (1000, 7), (5, 100)] {
+        for (len, chunk) in [
+            (0usize, 3usize),
+            (1, 1),
+            (10, 3),
+            (4096, 64),
+            (1000, 7),
+            (5, 100),
+        ] {
             let mut data = vec![0u32; len];
             let mut tags = vec![0u32; len];
             par::for_each_chunk_mut(&mut data, chunk, |i, part| {
-                assert!(part.len() == chunk || i == len / chunk, "only the last chunk is short");
+                assert!(
+                    part.len() == chunk || i == len / chunk,
+                    "only the last chunk is short"
+                );
                 part.iter_mut().for_each(|v| *v += 1 + i as u32);
             });
             par::for_each_chunk_pair_mut(&mut data, &mut tags, chunk, |i, a, b| {
                 assert_eq!(a.len(), b.len());
-                a.iter_mut().zip(b).for_each(|(a, b)| *b = *a * 10 + i as u32);
+                a.iter_mut()
+                    .zip(b)
+                    .for_each(|(a, b)| *b = *a * 10 + i as u32);
             });
             for (j, (&d, &t)) in data.iter().zip(&tags).enumerate() {
                 let i = (j / chunk) as u32;
-                assert_eq!((d, t), (1 + i, (1 + i) * 10 + i), "width {width} len {len} chunk {chunk} [{j}]");
+                assert_eq!(
+                    (d, t),
+                    (1 + i, (1 + i) * 10 + i),
+                    "width {width} len {len} chunk {chunk} [{j}]"
+                );
             }
         }
     }
@@ -85,8 +107,14 @@ fn a_region_is_shared_with_a_helper_thread() {
         ids.lock().unwrap().push(std::thread::current().id());
     });
     let ids = ids.into_inner().unwrap();
-    assert_ne!(ids[0], ids[1], "two units that wait for each other need two threads");
-    assert!(ids.contains(&std::thread::current().id()), "the caller always takes part");
+    assert_ne!(
+        ids[0], ids[1],
+        "two units that wait for each other need two threads"
+    );
+    assert!(
+        ids.contains(&std::thread::current().id()),
+        "the caller always takes part"
+    );
 }
 
 #[test]
@@ -99,7 +127,11 @@ fn nested_regions_run_inline_on_the_thread_that_reached_them() {
         rendezvous(&arrived, 2);
         let outer: ThreadId = std::thread::current().id();
         par::for_each_index(16, |_| {
-            assert_eq!(std::thread::current().id(), outer, "nested unit left its thread");
+            assert_eq!(
+                std::thread::current().id(),
+                outer,
+                "nested unit left its thread"
+            );
             inner_runs.fetch_add(1, Ordering::Relaxed);
         });
     });
@@ -128,7 +160,11 @@ fn a_panicking_unit_reaches_its_caller_and_leaves_the_pool_usable() {
         par::for_each_index(100, |_| {
             runs.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(runs.load(Ordering::Relaxed), 100, "pool unusable after a panic (on_caller = {on_caller})");
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            100,
+            "pool unusable after a panic (on_caller = {on_caller})"
+        );
     }
 }
 
@@ -159,7 +195,9 @@ fn eight_callers_hammering_nested_regions_neither_deadlock_nor_lose_units() {
         .collect();
     // Σ over i<6, j<5 of 1 + (i + j + s) % 2 is 45 for either parity of s.
     for _ in 0..CALLERS {
-        let total = done_rx.recv_timeout(Duration::from_secs(120)).expect("a caller is stuck: deadlock");
+        let total = done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a caller is stuck: deadlock");
         assert_eq!(total, ROUNDS * 45);
     }
     for h in handles {
@@ -192,7 +230,10 @@ mod affinity {
         let mut set: CpuSet = [0; 16];
         // SAFETY: a writable buffer of exactly the size passed; pid 0 is
         // the calling thread.
-        assert_eq!(unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), set.as_mut_ptr()) }, 0);
+        assert_eq!(
+            unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), set.as_mut_ptr()) },
+            0
+        );
         set
     }
 
@@ -200,11 +241,16 @@ mod affinity {
     /// `taskset -c` or the benchmark's `Pin` do) and returns that mask.
     fn pin_to_first_cpu() -> CpuSet {
         let allowed = mask();
-        let cpu = (0..1024).find(|c| allowed[c / 64] >> (c % 64) & 1 == 1).expect("no CPU allowed");
+        let cpu = (0..1024)
+            .find(|c| allowed[c / 64] >> (c % 64) & 1 == 1)
+            .expect("no CPU allowed");
         let mut one: CpuSet = [0; 16];
         one[cpu / 64] = 1 << (cpu % 64);
         // SAFETY: a readable buffer of exactly the size passed.
-        assert_eq!(unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), one.as_ptr()) }, 0);
+        assert_eq!(
+            unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), one.as_ptr()) },
+            0
+        );
         one
     }
 
@@ -237,7 +283,9 @@ mod affinity {
                     let arrived = AtomicUsize::new(0);
                     par::for_each_index(2, |_| {
                         rendezvous(&arrived, 2);
-                        if let Some(expected) = expected.filter(|_| std::thread::current().id() != caller) {
+                        if let Some(expected) =
+                            expected.filter(|_| std::thread::current().id() != caller)
+                        {
                             assert_eq!(mask(), expected, "helper left its owner's affinity mask");
                         }
                     });

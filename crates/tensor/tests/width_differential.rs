@@ -9,8 +9,8 @@
 //! that PR 13's battery walks at one width.
 
 use scidl_tensor::{
-    col2im, gemm, gemm_bias, gemm_bias_cols, gemm_i8, im2col, par, BSource, ConvGeometry, PackedA, Tensor,
-    TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
+    col2im, gemm, gemm_bias, gemm_bias_cols, gemm_i8, im2col, par, BSource, ConvGeometry, PackedA,
+    Tensor, TensorRng, Transpose, PAR_CHUNK, PAR_WORK,
 };
 
 const WIDER: [usize; 4] = [2, 3, 4, 7];
@@ -23,7 +23,9 @@ const TRANSPOSES: [(Transpose, Transpose); 4] = [
 
 fn fill(len: usize, seed: u64) -> Vec<f32> {
     let mut rng = TensorRng::new(seed);
-    (0..len).map(|_| rng.uniform_range(-1.0, 1.0) as f32).collect()
+    (0..len)
+        .map(|_| rng.uniform_range(-1.0, 1.0) as f32)
+        .collect()
 }
 
 /// Runs `f` at width 1, then at every wider width, and demands identical
@@ -36,7 +38,11 @@ fn same_at_every_width(what: &str, f: impl Fn() -> Vec<f32>) {
         let got = f();
         assert_eq!(got.len(), want.len(), "{what} width {width}");
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "{what} width {width} [{i}]: {g} vs {w}");
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what} width {width} [{i}]: {g} vs {w}"
+            );
         }
     }
 }
@@ -58,17 +64,23 @@ fn ragged_gemm_battery_and_packed_a() {
         (130, 300, 288),
     ];
     for (m, n, k) in shapes {
-        assert!(m * n * k >= PAR_WORK, "shape below the fan-out threshold tests nothing");
+        assert!(
+            m * n * k >= PAR_WORK,
+            "shape below the fan-out threshold tests nothing"
+        );
         let a = fill(m * k, 51);
         let b = fill(k * n, 52);
         let init = fill(m * n, 53);
         for (ta, tb) in TRANSPOSES {
             for beta in [0.0f32, 1.0, 0.5] {
-                same_at_every_width(&format!("gemm {ta:?}{tb:?} {m}x{n}x{k} beta {beta}"), || {
-                    let mut c = init.clone();
-                    gemm(ta, tb, m, n, k, -1.5, &a, &b, beta, &mut c);
-                    c
-                });
+                same_at_every_width(
+                    &format!("gemm {ta:?}{tb:?} {m}x{n}x{k} beta {beta}"),
+                    || {
+                        let mut c = init.clone();
+                        gemm(ta, tb, m, n, k, -1.5, &a, &b, beta, &mut c);
+                        c
+                    },
+                );
             }
             same_at_every_width(&format!("PackedA {ta:?}{tb:?} {m}x{n}x{k}"), || {
                 let mut c = init.clone();
@@ -84,11 +96,36 @@ fn ragged_gemm_battery_and_packed_a() {
         let (row_bias, col_bias) = (fill(m, 54), fill(n, 55));
         same_at_every_width(&format!("fused bias {m}x{n}x{k}"), || {
             let mut c = vec![f32::NAN; m * n];
-            gemm_bias(Transpose::No, Transpose::No, m, n, k, &a, &b, &row_bias, &mut c);
+            gemm_bias(
+                Transpose::No,
+                Transpose::No,
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                &row_bias,
+                &mut c,
+            );
             let mut c2 = vec![f32::NAN; m * n];
-            gemm_bias_cols(Transpose::No, Transpose::Yes, m, n, k, &a, &b, &col_bias, &mut c2);
+            gemm_bias_cols(
+                Transpose::No,
+                Transpose::Yes,
+                m,
+                n,
+                k,
+                &a,
+                &b,
+                &col_bias,
+                &mut c2,
+            );
             let mut c3 = vec![f32::NAN; m * n];
-            PackedA::new(Transpose::No, m, k, &a).gemm_bias(BSource::Dense(Transpose::No, &b), n, &row_bias, &mut c3);
+            PackedA::new(Transpose::No, m, k, &a).gemm_bias(
+                BSource::Dense(Transpose::No, &b),
+                n,
+                &row_bias,
+                &mut c3,
+            );
             c.extend(c2);
             c.extend(c3);
             c
@@ -132,9 +169,13 @@ fn int8_gemm() {
 fn im2col_and_col2im_including_stride_two() {
     // (cin, h, w, k, stride, pad): each col matrix spans several
     // PAR_CHUNK units, one with fewer channels than a unit holds.
-    for (cin, h, w, k, stride, pad) in
-        [(8, 40, 40, 3, 1, 1), (6, 64, 64, 5, 2, 2), (3, 96, 96, 3, 1, 0), (40, 33, 31, 3, 2, 1), (2, 128, 128, 5, 1, 2)]
-    {
+    for (cin, h, w, k, stride, pad) in [
+        (8, 40, 40, 3, 1, 1),
+        (6, 64, 64, 5, 2, 2),
+        (3, 96, 96, 3, 1, 0),
+        (40, 33, 31, 3, 2, 1),
+        (2, 128, 128, 5, 1, 2),
+    ] {
         let geo = ConvGeometry::new(cin, 1, h, w, k, stride, pad);
         let clen = geo.col_rows() * geo.col_cols();
         assert!(clen >= 2 * PAR_CHUNK, "{geo:?} fits one unit");
@@ -170,12 +211,21 @@ fn elementwise_ops_and_chunked_reductions() {
     });
     // Forty binades of magnitude, so that the order in which the chunk
     // partials are folded shows in the low bits of the result.
-    let wide: Vec<f32> = fill(len, 93).iter().enumerate().map(|(i, v)| v * 2f32.powi((i % 41) as i32 - 20)).collect();
+    let wide: Vec<f32> = fill(len, 93)
+        .iter()
+        .enumerate()
+        .map(|(i, v)| v * 2f32.powi((i % 41) as i32 - 20))
+        .collect();
     let wide = Tensor::from_flat(wide);
     same_at_every_width("sum/norm_sq", || {
         // All 64 bits of the f64 norm, as two bit patterns.
         let n = wide.norm_sq().to_bits();
-        vec![wide.sum(), x.sum(), f32::from_bits((n >> 32) as u32), f32::from_bits(n as u32)]
+        vec![
+            wide.sum(),
+            x.sum(),
+            f32::from_bits((n >> 32) as u32),
+            f32::from_bits(n as u32),
+        ]
     });
     same_at_every_width("slice_add/slice_scale", || {
         let mut d = x.data().to_vec();

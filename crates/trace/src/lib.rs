@@ -238,9 +238,9 @@ impl EventKind {
     /// Chrome trace-event `cat` (category) for this kind.
     pub fn category(&self) -> &'static str {
         match self {
-            EventKind::Iteration { .. } | EventKind::Compute { .. } | EventKind::Straggler { .. } => {
-                "engine"
-            }
+            EventKind::Iteration { .. }
+            | EventKind::Compute { .. }
+            | EventKind::Straggler { .. } => "engine",
             EventKind::Allreduce { .. }
             | EventKind::Overlap { .. }
             | EventKind::PsExchange { .. }
@@ -270,7 +270,11 @@ impl EventKind {
                 push_kv_u64(out, "elems", *elems, true);
                 push_kv_u64(out, "bytes", *bytes, false);
             }
-            EventKind::PsExchange { group, staleness, bytes } => {
+            EventKind::PsExchange {
+                group,
+                staleness,
+                bytes,
+            } => {
                 push_kv_u64(out, "group", *group, true);
                 push_kv_u64(out, "staleness", *staleness, false);
                 push_kv_u64(out, "bytes", *bytes, false);
@@ -288,7 +292,12 @@ impl EventKind {
                 push_kv_u64(out, "iter", *iter, true);
                 push_kv_u64(out, "bytes", *bytes, false);
             }
-            EventKind::BatchDispatch { worker, batch, queue_s, compute_s } => {
+            EventKind::BatchDispatch {
+                worker,
+                batch,
+                queue_s,
+                compute_s,
+            } => {
                 push_kv_u64(out, "worker", *worker, true);
                 push_kv_u64(out, "batch", *batch, false);
                 push_kv_f64(out, "queue_s", *queue_s, false);
@@ -298,13 +307,23 @@ impl EventKind {
                 push_kv_u64(out, "buckets", *buckets, true);
                 push_kv_f64(out, "hidden_s", *hidden_s, false);
             }
-            EventKind::Shed { worker, count, depth, reason } => {
+            EventKind::Shed {
+                worker,
+                count,
+                depth,
+                reason,
+            } => {
                 push_kv_u64(out, "worker", *worker, true);
                 push_kv_u64(out, "count", *count, false);
                 push_kv_u64(out, "depth", *depth, false);
                 push_kv_str(out, "reason", reason, false);
             }
-            EventKind::WorkerRespawn { worker, incarnation, backoff_s, requeued } => {
+            EventKind::WorkerRespawn {
+                worker,
+                incarnation,
+                backoff_s,
+                requeued,
+            } => {
                 push_kv_u64(out, "worker", *worker, true);
                 push_kv_u64(out, "incarnation", *incarnation, false);
                 push_kv_f64(out, "backoff_s", *backoff_s, false);
@@ -315,19 +334,32 @@ impl EventKind {
                 push_kv_u64(out, "failures", *failures, false);
             }
             EventKind::Breaker { open, failures } => {
-                out.push_str(if *open { "\"open\":true" } else { "\"open\":false" });
+                out.push_str(if *open {
+                    "\"open\":true"
+                } else {
+                    "\"open\":false"
+                });
                 push_kv_u64(out, "failures", *failures, false);
             }
-            EventKind::Route { replica, depth, policy } => {
+            EventKind::Route {
+                replica,
+                depth,
+                policy,
+            } => {
                 push_kv_u64(out, "replica", *replica, true);
                 push_kv_u64(out, "depth", *depth, false);
                 push_kv_str(out, "policy", policy, false);
             }
-            EventKind::ScaleUp { replicas, backlog } | EventKind::ScaleDown { replicas, backlog } => {
+            EventKind::ScaleUp { replicas, backlog }
+            | EventKind::ScaleDown { replicas, backlog } => {
                 push_kv_u64(out, "replicas", *replicas, true);
                 push_kv_u64(out, "backlog", *backlog, false);
             }
-            EventKind::Canary { action, replica, fraction } => {
+            EventKind::Canary {
+                action,
+                replica,
+                fraction,
+            } => {
                 push_kv_str(out, "action", action, true);
                 push_kv_u64(out, "replica", *replica, false);
                 push_kv_f64(out, "fraction", *fraction, false);
@@ -521,7 +553,13 @@ impl TraceSink {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        st.events.push(TraceEvent { run, track, ts_s, dur_s, kind });
+        st.events.push(TraceEvent {
+            run,
+            track,
+            ts_s,
+            dur_s,
+            kind,
+        });
     }
 
     /// Records a wall-clock span that started at `start_s` (a value
@@ -634,7 +672,10 @@ impl TraceSink {
             } else {
                 out.push_str("\"s\":\"g\",");
             }
-            out.push_str(&format!("\"pid\":{},\"tid\":{},\"args\":{{", e.run, e.track));
+            out.push_str(&format!(
+                "\"pid\":{},\"tid\":{},\"args\":{{",
+                e.run, e.track
+            ));
             e.kind.write_args(&mut out);
             out.push_str("}}");
         }
@@ -804,7 +845,12 @@ impl TraceHandle {
     /// one — for context-free producers (the comm layer) whose events
     /// belong to whichever run is in flight.
     pub fn current() -> Self {
-        TraceHandle { inner: active().map(|s| { let run = s.current_run(); (s, run) }) }
+        TraceHandle {
+            inner: active().map(|s| {
+                let run = s.current_run();
+                (s, run)
+            }),
+        }
     }
 
     /// A handle that records nothing.
@@ -929,7 +975,14 @@ pub fn scan_blocks(
         offset += block.len();
     }
     let (first_index, value, layer) = first?;
-    Some(HealthAlert { source, layer, first_index, count, value, iter })
+    Some(HealthAlert {
+        source,
+        layer,
+        first_index,
+        count,
+        value,
+        iter,
+    })
 }
 
 /// Low-level sentinel hook for kernels (`quantize_i8`, `clip_norm`):
@@ -940,7 +993,14 @@ pub fn nonfinite_hook(source: &'static str, first_index: usize, count: u64, valu
         return;
     }
     if let Some(s) = active() {
-        s.health(HealthAlert { source, layer: None, first_index, count, value, iter: None });
+        s.health(HealthAlert {
+            source,
+            layer: None,
+            first_index,
+            count,
+            value,
+            iter: None,
+        });
     }
 }
 
@@ -960,11 +1020,25 @@ mod tests {
         let sink = TraceSink::new();
         let run = sink.begin_run("test");
         let t0 = sink.now();
-        sink.span_since(run, 3, t0, EventKind::Allreduce { elems: 128, bytes: 512 });
+        sink.span_since(
+            run,
+            3,
+            t0,
+            EventKind::Allreduce {
+                elems: 128,
+                bytes: 512,
+            },
+        );
         sink.instant(run, 3, EventKind::PsRespawn { shard: 1 });
         let ev = sink.events();
         assert_eq!(ev.len(), 2);
-        assert_eq!(ev[0].kind, EventKind::Allreduce { elems: 128, bytes: 512 });
+        assert_eq!(
+            ev[0].kind,
+            EventKind::Allreduce {
+                elems: 128,
+                bytes: 512
+            }
+        );
         assert!(ev[0].dur_s >= 0.0);
         assert_eq!(ev[1].dur_s, 0.0);
         assert_eq!(ev[1].track, 3);
@@ -974,7 +1048,13 @@ mod tests {
     fn chrome_json_shape_and_determinism() {
         let sink = TraceSink::new();
         let run = sink.begin_run("sim");
-        sink.event_at(run, 0, 0.5, 0.25, EventKind::Iteration { group: 0, iter: 1 });
+        sink.event_at(
+            run,
+            0,
+            0.5,
+            0.25,
+            EventKind::Iteration { group: 0, iter: 1 },
+        );
         sink.event_at(run, 0, 0.5, 0.1, EventKind::Compute { group: 0, iter: 1 });
         sink.event_at(run, 1, 0.2, 0.0, EventKind::PsRespawn { shard: 7 });
         let j1 = sink.chrome_json();
@@ -1050,30 +1130,66 @@ mod tests {
             iter: Some(0),
         });
         let j = sink.chrome_json();
-        assert!(j.contains("\"value\":\"NaN\""), "non-finite args must be quoted: {j}");
+        assert!(
+            j.contains("\"value\":\"NaN\""),
+            "non-finite args must be quoted: {j}"
+        );
     }
 
     #[test]
     fn serving_resilience_kinds_render_as_valid_trace_json() {
         let sink = TraceSink::new();
         let run = sink.begin_run("chaos");
-        sink.event_at(run, 0, 0.1, 0.0, EventKind::Shed {
-            worker: 0,
-            count: 3,
-            depth: 64,
-            reason: "watermark",
-        });
-        sink.event_at(run, 1, 0.3, 0.0, EventKind::WorkerRespawn {
-            worker: 1,
-            incarnation: 1,
-            backoff_s: 0.001,
-            requeued: 4,
-        });
-        sink.event_at(run, 0, 0.4, 0.0, EventKind::SwapReject { reason: "roundtrip", failures: 2 });
-        sink.event_at(run, 0, 0.5, 0.0, EventKind::Breaker { open: true, failures: 3 });
+        sink.event_at(
+            run,
+            0,
+            0.1,
+            0.0,
+            EventKind::Shed {
+                worker: 0,
+                count: 3,
+                depth: 64,
+                reason: "watermark",
+            },
+        );
+        sink.event_at(
+            run,
+            1,
+            0.3,
+            0.0,
+            EventKind::WorkerRespawn {
+                worker: 1,
+                incarnation: 1,
+                backoff_s: 0.001,
+                requeued: 4,
+            },
+        );
+        sink.event_at(
+            run,
+            0,
+            0.4,
+            0.0,
+            EventKind::SwapReject {
+                reason: "roundtrip",
+                failures: 2,
+            },
+        );
+        sink.event_at(
+            run,
+            0,
+            0.5,
+            0.0,
+            EventKind::Breaker {
+                open: true,
+                failures: 3,
+            },
+        );
         let j = sink.chrome_json();
         for name in ["shed", "worker_respawn", "swap_reject", "breaker"] {
-            assert!(j.contains(&format!("\"name\":\"{name}\"")), "{name} missing: {j}");
+            assert!(
+                j.contains(&format!("\"name\":\"{name}\"")),
+                "{name} missing: {j}"
+            );
         }
         assert!(j.contains("\"reason\":\"watermark\""));
         assert!(j.contains("\"open\":true"));
@@ -1099,7 +1215,11 @@ mod tests {
         flat[9] = f32::INFINITY;
         let (a, rest) = flat.split_at(3);
         let (b, c) = rest.split_at(4);
-        let names = vec!["conv1.weight".to_string(), "fc1.weight".to_string(), "fc1.bias".to_string()];
+        let names = vec![
+            "conv1.weight".to_string(),
+            "fc1.weight".to_string(),
+            "fc1.bias".to_string(),
+        ];
         let alert = scan_blocks("gradient", &[a, b, c], &names, Some(7)).unwrap();
         assert_eq!(alert.layer.as_deref(), Some("fc1.weight"));
         assert_eq!(alert.first_index, 4);
@@ -1109,11 +1229,19 @@ mod tests {
         assert!(scan_blocks("gradient", &[&[1.0, 2.0]], &names, None).is_none());
         // Empty blocks before the offender shift nothing; an offender in
         // the last block names it with its flat offset.
-        let alert = scan_blocks("gradient", &[&[], a, &[], &c[..2], &[f32::NEG_INFINITY]], &[], None);
+        let alert = scan_blocks(
+            "gradient",
+            &[&[], a, &[], &c[..2], &[f32::NEG_INFINITY]],
+            &[],
+            None,
+        );
         let alert = alert.unwrap();
         assert_eq!((alert.layer, alert.first_index, alert.count), (None, 5, 1));
         let alert = scan_blocks("gradient", &[a, &b[2..], &[1.0, f32::NAN]], &names, None).unwrap();
-        assert_eq!((alert.layer.as_deref(), alert.first_index, alert.count), (Some("fc1.bias"), 6, 1));
+        assert_eq!(
+            (alert.layer.as_deref(), alert.first_index, alert.count),
+            (Some("fc1.bias"), 6, 1)
+        );
     }
 
     #[test]
@@ -1127,7 +1255,14 @@ mod tests {
             let h = TraceHandle::begin("run");
             assert!(h.enabled());
             let t = h.now();
-            h.span(0, t, EventKind::Allreduce { elems: 4, bytes: 16 });
+            h.span(
+                0,
+                t,
+                EventKind::Allreduce {
+                    elems: 4,
+                    bytes: 16,
+                },
+            );
             nonfinite_hook("clip_norm", 2, 1, f32::INFINITY);
             let back = uninstall().expect("sink was installed");
             assert!(!is_enabled());
@@ -1171,7 +1306,10 @@ mod tests {
             let alerts = sink.health_alerts();
             assert_eq!(alerts.len(), 2, "a healthy step raises nothing");
             assert_eq!((alerts[0].source, alerts[0].iter), ("loss", Some(4)));
-            assert_eq!((alerts[1].source, alerts[1].layer.as_deref()), ("gradient", Some("b")));
+            assert_eq!(
+                (alerts[1].source, alerts[1].layer.as_deref()),
+                ("gradient", Some("b"))
+            );
         })
     }
 

@@ -31,7 +31,10 @@ fn main() {
     println!("  ground truth: {}", r.ground_truth);
     println!("  precision:    {:.1}%", r.precision * 100.0);
     println!("  recall:       {:.1}%", r.recall * 100.0);
-    println!("  recon loss:   {:.4} (unsupervised path)", r.final_recon_loss);
+    println!(
+        "  recon loss:   {:.4} (unsupervised path)",
+        r.final_recon_loss
+    );
 
     println!("\nTMQ channel of a test frame ('#' ground truth, '+' predicted):\n");
     println!("{}", r.rendering);

@@ -50,7 +50,9 @@ fn main() {
     let mut ckpt = std::env::temp_dir();
     ckpt.push("scidl_fault_tolerance_demo.ckpt");
     let mut cfg = base.clone();
-    cfg.faults = FaultPlan::none().with_group_crash(2, 5).with_recovery(3, 0.0);
+    cfg.faults = FaultPlan::none()
+        .with_group_crash(2, 5)
+        .with_recovery(3, 0.0);
     cfg.checkpoint_every = 5;
     cfg.checkpoint_path = Some(ckpt.clone());
     let recovered = ThreadEngine::run(&cfg, Arc::clone(&ds));

@@ -45,7 +45,10 @@ fn main() {
         policy: BatchPolicy::dynamic(8, Duration::from_millis(3)),
         // One worker per replica and no respawns: the injected crash below
         // is a whole-replica loss, not a blip the supervisor absorbs.
-        supervisor: SupervisorConfig { max_respawns: 0, ..Default::default() },
+        supervisor: SupervisorConfig {
+            max_respawns: 0,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let mut cfg = FleetConfig::new(3, template, DispatchPolicy::PowerOfTwoChoices);
@@ -81,8 +84,15 @@ fn main() {
         report.routed, report.rerouted, report.replicas_lost
     );
     let p99 = recorder.total_summary().expect("requests served").p99;
-    println!("fleet p99: {:.2} ms over {} served requests", p99 * 1e3, recorder.len());
-    assert!(report.servers.panics >= 1, "the injected replica loss fired");
+    println!(
+        "fleet p99: {:.2} ms over {} served requests",
+        p99 * 1e3,
+        recorder.len()
+    );
+    assert!(
+        report.servers.panics >= 1,
+        "the injected replica loss fired"
+    );
 
     // --- virtual time: autoscaler and canary on the KNL cost model ------
     let model = ServiceModel::hep();
@@ -92,14 +102,26 @@ fn main() {
     let mut arrivals: Vec<f64> = PoissonArrivals::new(7, 3.0 * per_rep, 2000).collect();
     let burst_end = *arrivals.last().unwrap();
     arrivals.extend((0..40).map(|i| burst_end + 0.5 + i as f64 * 0.5));
-    let band = ScalingBand { min_replicas: 1, max_replicas: 6, scale_down_backlog: 4, ..Default::default() };
+    let band = ScalingBand {
+        min_replicas: 1,
+        max_replicas: 6,
+        scale_down_backlog: 4,
+        ..Default::default()
+    };
     let run = |service_factor: f64| {
         let mut cfg = FleetSimConfig::new(1, base.clone(), DispatchPolicy::LeastLoaded);
         cfg.seed = 4242;
         cfg.base.breaker_threshold = 1;
-        cfg.autoscaler = Some(SimAutoscaler { band, tick_secs: 0.2, startup_secs: 0.02 });
+        cfg.autoscaler = Some(SimAutoscaler {
+            band,
+            tick_secs: 0.2,
+            startup_secs: 0.02,
+        });
         cfg.canary = Some(SimCanary {
-            gate: CanaryGate { fraction: 0.2, regression_tol: 0.25 },
+            gate: CanaryGate {
+                fraction: 0.2,
+                regression_tol: 0.25,
+            },
             start_secs: burst_end * 0.1,
             decide_secs: burst_end * 0.9,
             service_factor,
@@ -117,7 +139,10 @@ fn main() {
     assert!(good.scale_downs >= 1, "the quiet tail shrinks it");
     assert!((band.min_replicas..=band.max_replicas).contains(&good.final_replicas));
     assert!(good.canary_promoted && good.canary_served > 0);
-    assert_eq!(good.final_iteration, 2000, "promotion publishes the candidate");
+    assert_eq!(
+        good.final_iteration, 2000,
+        "promotion publishes the candidate"
+    );
     println!(
         "canary: healthy candidate served {} requests, promoted; fleet serves iteration {}",
         good.canary_served, good.final_iteration

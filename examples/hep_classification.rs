@@ -41,5 +41,8 @@ fn main() {
         r.cnn_tpr * 100.0,
         r.fpr_budget * 100.0
     );
-    println!("\nimprovement: {:.2}x  (paper: 1.7x at FPR 0.02% on 10M events)", r.improvement);
+    println!(
+        "\nimprovement: {:.2}x  (paper: 1.7x at FPR 0.02% on 10M events)",
+        r.improvement
+    );
 }

@@ -68,7 +68,8 @@ fn main() {
         let sink = trace::uninstall().expect("sink was installed above");
         sink.write_chrome_json(&path).expect("write trace json");
         let csv_path = path.with_extension("csv");
-        sink.write_iteration_csv(&csv_path).expect("write trace csv");
+        sink.write_iteration_csv(&csv_path)
+            .expect("write trace csv");
         println!(
             "\ntrace: {} events -> {}, {} rows -> {}",
             sink.events().len(),

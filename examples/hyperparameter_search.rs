@@ -30,7 +30,10 @@ fn main() {
     );
     let trials = random_search(&space, &cfg, &hep_workload(), &ds, 7);
 
-    println!("{:>4} {:>10} {:>9} {:>7} {:>10}", "rank", "lr", "momentum", "groups", "best loss");
+    println!(
+        "{:>4} {:>10} {:>9} {:>7} {:>10}",
+        "rank", "lr", "momentum", "groups", "best loss"
+    );
     for (i, t) in trials.iter().enumerate() {
         println!(
             "{:>4} {:>10.2e} {:>9.2} {:>7} {:>10.4}",

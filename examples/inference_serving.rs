@@ -36,7 +36,9 @@ fn main() {
     let trained = scidl_nn::arch::hep_small(&mut rng);
     let mut path = std::env::temp_dir();
     path.push("scidl_inference_serving_demo.ckpt");
-    Checkpoint::capture(&trained, 1000, 42).save(&path).expect("checkpoint write");
+    Checkpoint::capture(&trained, 1000, 42)
+        .save(&path)
+        .expect("checkpoint write");
 
     // --- load it back under the round-trip guarantee -------------------
     let mut arch_rng = TensorRng::new(0);
@@ -79,7 +81,10 @@ fn main() {
     for rx in pending {
         // The crashed worker's in-flight batch is requeued by the
         // supervisor, so every request resolves `Ok`.
-        let r = rx.recv().expect("reply channel").expect("the requeue absorbs the crash");
+        let r = rx
+            .recv()
+            .expect("reply channel")
+            .expect("the requeue absorbs the crash");
         assert_eq!(r.logits.len(), scidl_nn::arch::HEP_CLASSES);
         assert_eq!(r.model_iteration, 1000);
         if r.batch_size > 1 {
@@ -94,7 +99,9 @@ fn main() {
     // --- a corrupt snapshot is rejected before publication -------------
     let mut rng2 = TensorRng::new(43);
     let newer = scidl_nn::arch::hep_small(&mut rng2);
-    Checkpoint::capture(&newer, 2000, 43).save(&path).expect("checkpoint write");
+    Checkpoint::capture(&newer, 2000, 43)
+        .save(&path)
+        .expect("checkpoint write");
     let mut corrupt = std::fs::read(&path).expect("read checkpoint");
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0xFF;
@@ -163,13 +170,20 @@ fn main() {
 
     // --- the latency account and the incident report -------------------
     let (recorder, report) = server.shutdown_with_report();
-    let fmt = |s: &Summary| {
-        format!("p50 {:6.2} ms  p99 {:6.2} ms", s.p50 * 1e3, s.p99 * 1e3)
-    };
+    let fmt = |s: &Summary| format!("p50 {:6.2} ms  p99 {:6.2} ms", s.p50 * 1e3, s.p99 * 1e3);
     println!("requests served: {}", recorder.len());
-    println!("  total   latency: {}", fmt(&recorder.total_summary().unwrap()));
-    println!("  queue   wait:    {}", fmt(&recorder.queue_summary().unwrap()));
-    println!("  compute:         {}", fmt(&recorder.compute_summary().unwrap()));
+    println!(
+        "  total   latency: {}",
+        fmt(&recorder.total_summary().unwrap())
+    );
+    println!(
+        "  queue   wait:    {}",
+        fmt(&recorder.queue_summary().unwrap())
+    );
+    println!(
+        "  compute:         {}",
+        fmt(&recorder.compute_summary().unwrap())
+    );
     println!(
         "  queue share of total: {:.0}%",
         recorder.queue_share().unwrap() * 100.0
@@ -179,5 +193,8 @@ fn main() {
         report.panics, report.respawns, report.requeued, report.worker_lost
     );
     assert!(report.panics >= 1, "the injected crash fired");
-    assert_eq!(report.worker_lost, 0, "requeue recovered every in-flight request");
+    assert_eq!(
+        report.worker_lost, 0,
+        "requeue recovered every in-flight request"
+    );
 }

@@ -26,11 +26,18 @@ fn main() {
     let mut rng = TensorRng::new(1);
     let x = 0.3f32;
     let n = 100_000;
-    let mean: f64 = (0..n).map(|_| stochastic_round(x, 1.0, &mut rng) as f64).sum::<f64>() / n as f64;
-    println!("\nstochastic rounding of {x} to integers: mean over {n} draws = {mean:.4} (unbiased)");
+    let mean: f64 = (0..n)
+        .map(|_| stochastic_round(x, 1.0, &mut rng) as f64)
+        .sum::<f64>()
+        / n as f64;
+    println!(
+        "\nstochastic rounding of {x} to integers: mean over {n} draws = {mean:.4} (unbiased)"
+    );
 
     // 3. 8-bit gradient compression: wire size.
-    let grads: Vec<f32> = (0..594_178).map(|i| ((i % 997) as f32 - 500.0) * 1e-4).collect();
+    let grads: Vec<f32> = (0..594_178)
+        .map(|i| ((i % 997) as f32 - 500.0) * 1e-4)
+        .collect();
     let q = QuantizedBuffer::quantize(&grads);
     println!(
         "\nHEP-sized gradient: {} B as f32, {} B quantised ({}x smaller)",
@@ -57,7 +64,10 @@ fn main() {
         })
         .collect();
     let means: Vec<f32> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    println!("\ncompressed all-reduce of ranks 0..4: every rank sees mean ≈ {:.3}", means[0]);
+    println!(
+        "\ncompressed all-reduce of ranks 0..4: every rank sees mean ≈ {:.3}",
+        means[0]
+    );
 
     // 5. End-to-end: does compression hurt convergence? (Sec. VIII-B's
     //    open question, answered by the error-feedback mechanism.) The

@@ -20,13 +20,29 @@ fn main() {
 
     println!("strong scaling (fixed batch 2048 per synchronous group):");
     println!("{:>8} {:>8} {:>10}", "nodes", "groups", "speedup");
-    for r in strong_scaling(&w, &[64, 256, 1024], &[1, 4], 2048, 10, 3, &ScalingOptions::default()) {
+    for r in strong_scaling(
+        &w,
+        &[64, 256, 1024],
+        &[1, 4],
+        2048,
+        10,
+        3,
+        &ScalingOptions::default(),
+    ) {
         println!("{:>8} {:>8} {:>10.0}", r.nodes, r.groups, r.speedup);
     }
 
     println!("\nweak scaling (batch 8 per node):");
     println!("{:>8} {:>8} {:>10}", "nodes", "groups", "speedup");
-    for r in weak_scaling(&w, &[64, 512, 2048], &[1, 4], 8, 10, 3, &ScalingOptions::default()) {
+    for r in weak_scaling(
+        &w,
+        &[64, 512, 2048],
+        &[1, 4],
+        8,
+        10,
+        3,
+        &ScalingOptions::default(),
+    ) {
         println!("{:>8} {:>8} {:>10.0}", r.nodes, r.groups, r.speedup);
     }
 

@@ -50,9 +50,17 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn cost_tables_allocate_under_one_mib() {
     let before = ASKED.load(Ordering::Relaxed);
-    let (hep, climate, service, pair) = (hep_workload(), climate_workload(), ServiceModel::hep(), arch_workloads());
+    let (hep, climate, service, pair) = (
+        hep_workload(),
+        climate_workload(),
+        ServiceModel::hep(),
+        arch_workloads(),
+    );
     let asked = ASKED.load(Ordering::Relaxed) - before;
-    assert!(asked < 1 << 20, "cost tables asked the heap for {asked} bytes");
+    assert!(
+        asked < 1 << 20,
+        "cost tables asked the heap for {asked} bytes"
+    );
     // What they describe is the full-size models.
     assert_eq!(hep.params, 594_178);
     assert!(climate.params > 80_000_000, "{}", climate.params);

@@ -45,7 +45,10 @@ fn ring_and_tree_allreduce_agree_on_real_gradients() {
             })
         })
         .collect();
-    let tree: Vec<Vec<f32>> = tree_handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let tree: Vec<Vec<f32>> = tree_handles
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .collect();
 
     // Ring.
     let endpoints = RingFabric::new(n).into_endpoints();
@@ -60,7 +63,10 @@ fn ring_and_tree_allreduce_agree_on_real_gradients() {
             })
         })
         .collect();
-    let ring: Vec<Vec<f32>> = ring_handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let ring: Vec<Vec<f32>> = ring_handles
+        .into_iter()
+        .map(|h| h.join().unwrap())
+        .collect();
 
     for (t, r) in tree[0].iter().zip(&ring[0]) {
         assert!((t - r).abs() < 1e-5, "{t} vs {r}");
@@ -182,11 +188,21 @@ fn compressed_ps_exchange_identity_exact_lossy_convergent() {
 
     let dense = run(None);
     let identity = run(Some(Compression::TopK { density: 1.0 }));
-    assert_eq!(dense, identity, "identity codec must be bit-identical to the dense PS path");
+    assert_eq!(
+        dense, identity,
+        "identity codec must be bit-identical to the dense PS path"
+    );
 
     let int8 = run(Some(Compression::Int8));
-    let max_err = int8.iter().zip(&dense).map(|(a, b)| (a - b).abs()).fold(0.0f32, f32::max);
-    assert!(max_err.is_finite() && max_err < 1e-2, "int8 PS trajectory drifted by {max_err}");
+    let max_err = int8
+        .iter()
+        .zip(&dense)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0f32, f32::max);
+    assert!(
+        max_err.is_finite() && max_err < 1e-2,
+        "int8 PS trajectory drifted by {max_err}"
+    );
     assert!(max_err > 0.0, "int8 should actually quantise something");
 }
 
@@ -215,7 +231,10 @@ fn engines_identity_compression_exact_lossy_convergent() {
         .zip(&dense.final_params)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f32, f32::max);
-    assert!(max_err.is_finite() && max_err < 5e-2, "thread-engine int8 drifted by {max_err}");
+    assert!(
+        max_err.is_finite() && max_err < 5e-2,
+        "thread-engine int8 drifted by {max_err}"
+    );
     assert!(int8.wire_bytes < dense.wire_bytes);
 
     // Sim engine: same differential, simulated clock.

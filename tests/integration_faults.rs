@@ -36,7 +36,8 @@ fn ps_kill_mid_run_completes_training() {
     let faulted = ThreadEngine::run(&cfg, ds);
 
     assert_eq!(
-        faulted.updates, 3 * 8,
+        faulted.updates,
+        3 * 8,
         "the PS crash must not cost any group any iteration"
     );
     assert!(
@@ -70,7 +71,9 @@ fn combined_group_and_ps_faults_compose() {
     let mut cfg = ThreadEngineConfig::new(3, 2, 12);
     cfg.iterations = 8;
     cfg.seed = 0xFA18;
-    cfg.faults = FaultPlan::none().with_group_crash(2, 3).with_recovery(2, 0.0)
+    cfg.faults = FaultPlan::none()
+        .with_group_crash(2, 3)
+        .with_recovery(2, 0.0)
         .with_ps_crash(0, 9, 0.0);
 
     let run = ThreadEngine::run(&cfg, ds);
@@ -107,9 +110,16 @@ fn one_fault_plan_gives_threads_and_the_clock_the_same_group_fates() {
     let clock = ClusterSim::new(sim.sim.clone()).run();
 
     let counts = |curves: &[LossCurve]| curves.iter().map(LossCurve::len).collect::<Vec<_>>();
-    assert_eq!(counts(&threads.per_group), [6, 3, 6], "group 1 dies with its node at 3");
+    assert_eq!(
+        counts(&threads.per_group),
+        [6, 3, 6],
+        "group 1 dies with its node at 3"
+    );
     assert_eq!(counts(&engine.per_group), counts(&threads.per_group));
-    assert_eq!(threads.recovered_updates, 4, "group 0 rejoins for iterations 2..6");
+    assert_eq!(
+        threads.recovered_updates, 4,
+        "group 0 rejoins for iterations 2..6"
+    );
     assert_eq!(clock.recovered_iterations, 4);
     assert_eq!(clock.live_groups, 2, "only group 1 stays dead");
     assert!(threads.ps_respawns >= 1 && clock.ps_respawns == 1);

@@ -126,9 +126,15 @@ fn group_recovery_composes_with_overlap_mode() {
     cfg.iterations = 8;
     cfg.overlap_comm = true;
     cfg.bucket_bytes = 1024;
-    cfg.faults = FaultPlan::none().with_group_crash(0, 3).with_recovery(1, 0.0);
+    cfg.faults = FaultPlan::none()
+        .with_group_crash(0, 3)
+        .with_recovery(1, 0.0);
     let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
-    assert_eq!(run.updates, 2 * 8, "the crashed group must rejoin and finish");
+    assert_eq!(
+        run.updates,
+        2 * 8,
+        "the crashed group must rejoin and finish"
+    );
     assert_eq!(run.recovered_updates, 5);
     assert!(run.final_params.iter().all(|p| p.is_finite()));
 }

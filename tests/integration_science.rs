@@ -18,15 +18,27 @@ fn cnn_beats_cut_benchmark_at_fixed_fpr() {
         fpr_budget: 0.03,
     };
     let r = hep_science(&scale, 17);
-    assert!(r.baseline_tpr > 0.05, "cuts should catch signal: {}", r.baseline_tpr);
-    assert!(r.baseline_tpr < 0.95, "cuts should be imperfect: {}", r.baseline_tpr);
+    assert!(
+        r.baseline_tpr > 0.05,
+        "cuts should catch signal: {}",
+        r.baseline_tpr
+    );
+    assert!(
+        r.baseline_tpr < 0.95,
+        "cuts should be imperfect: {}",
+        r.baseline_tpr
+    );
     assert!(
         r.cnn_tpr > r.baseline_tpr,
         "CNN ({}) must beat cuts ({}) — paper reports 1.7x",
         r.cnn_tpr,
         r.baseline_tpr
     );
-    assert!(r.improvement > 1.0 && r.improvement < 20.0, "improvement {}", r.improvement);
+    assert!(
+        r.improvement > 1.0 && r.improvement < 20.0,
+        "improvement {}",
+        r.improvement
+    );
 }
 
 /// Sec. VII-B shape: the semi-supervised detector learns to localise

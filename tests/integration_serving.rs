@@ -7,7 +7,9 @@ use proptest::prelude::*;
 use scidl_core::checkpoint::Checkpoint;
 use scidl_serve::queue::{BatchPolicy, BatchQueue};
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig};
-use scidl_serve::{HepRequestSource, ModelRegistry, PoissonArrivals, Server, ServerConfig, ServingModel};
+use scidl_serve::{
+    HepRequestSource, ModelRegistry, PoissonArrivals, Server, ServerConfig, ServingModel,
+};
 use scidl_tensor::TensorRng;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -41,11 +43,21 @@ fn checkpoint_to_client_end_to_end() {
 
     let mut source = HepRequestSource::new(scidl_data::HepConfig::small(), 16, 9);
     let inputs: Vec<_> = (0..12).map(|_| source.next_request()).collect();
-    let rxs: Vec<_> = inputs.iter().map(|x| client.submit(x.clone()).unwrap()).collect();
+    let rxs: Vec<_> = inputs
+        .iter()
+        .map(|x| client.submit(x.clone()).unwrap())
+        .collect();
     for (x, rx) in inputs.iter().zip(rxs) {
-        let got = rx.recv().unwrap().expect("healthy pool answers every request");
+        let got = rx
+            .recv()
+            .unwrap()
+            .expect("healthy pool answers every request");
         let want = registry.current().network.infer(x);
-        assert_eq!(got.logits, want.item(0), "served logits must be bit-identical");
+        assert_eq!(
+            got.logits,
+            want.item(0),
+            "served logits must be bit-identical"
+        );
         assert_eq!(got.model_iteration, 500);
     }
     let recorder = server.shutdown();

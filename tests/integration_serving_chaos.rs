@@ -62,9 +62,13 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
 
     let mut rng0 = TensorRng::new(72);
     let registry = Arc::new(
-        ModelRegistry::new(ServingModel::new(scidl_nn::arch::hep_small(&mut rng0), 1, 0))
-            .with_breaker_threshold(1)
-            .with_faults(plan.clone()),
+        ModelRegistry::new(ServingModel::new(
+            scidl_nn::arch::hep_small(&mut rng0),
+            1,
+            0,
+        ))
+        .with_breaker_threshold(1)
+        .with_faults(plan.clone()),
     );
     let server = Server::start(
         Arc::clone(&registry),
@@ -86,9 +90,10 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
         producers.push(std::thread::spawn(move || {
             let mut outcomes = Vec::new();
             for i in 0..12u64 {
-                outcomes.push(
-                    client.infer_with_deadline(probe(100 + p * 64 + i), Some(Duration::from_millis(500))),
-                );
+                outcomes.push(client.infer_with_deadline(
+                    probe(100 + p * 64 + i),
+                    Some(Duration::from_millis(500)),
+                ));
             }
             outcomes
         }));
@@ -105,8 +110,15 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
             Some(&trained),
         )
         .unwrap_err();
-    assert!(matches!(err, SwapError::Load(_)), "corrupt checkpoint must be rejected: {err}");
-    assert_eq!(registry.current().iteration, 1, "previous model keeps serving");
+    assert!(
+        matches!(err, SwapError::Load(_)),
+        "corrupt checkpoint must be rejected: {err}"
+    );
+    assert_eq!(
+        registry.current().iteration,
+        1,
+        "previous model keeps serving"
+    );
     assert!(registry.breaker_open());
 
     // Operator resets; the (healthy) checkpoint then publishes.
@@ -151,8 +163,14 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     scidl_trace::uninstall();
     assert_eq!(report.served, ok, "every served request reached its client");
     assert_eq!(recorder.len() as u64, ok);
-    assert!(report.panics >= 1, "the injected crash must fire: {report:?}");
-    assert!(report.respawns >= 1, "the crashed slot must respawn: {report:?}");
+    assert!(
+        report.panics >= 1,
+        "the injected crash must fire: {report:?}"
+    );
+    assert!(
+        report.respawns >= 1,
+        "the crashed slot must respawn: {report:?}"
+    );
     // Bounded p99: the 500 ms deadline caps queue wait, compute is a few
     // ms even under the 3× straggler.
     let p99 = recorder.total_summary().expect("some requests served").p99;
@@ -182,11 +200,21 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     // virtual time the open breaker fail-fasts the second scheduled swap
     // without consuming an ordinal: nothing publishes.
     assert_eq!(out.swap_rejects, 2);
-    assert_eq!(out.swap_attempts, 1, "fail-fast must not consume a swap ordinal");
+    assert_eq!(
+        out.swap_attempts, 1,
+        "fail-fast must not consume a swap ordinal"
+    );
     assert_eq!(out.swap_published, 0);
-    let p99 = out.recorder.total_summary().expect("sim served requests").p99;
+    let p99 = out
+        .recorder
+        .total_summary()
+        .expect("sim served requests")
+        .p99;
     let bound = 0.5 + 3.0 * model.batch_secs(8) + 1e-9;
-    assert!(p99 <= bound, "sim p99 {p99}s must stay under deadline+straggler bound {bound}s");
+    assert!(
+        p99 <= bound,
+        "sim p99 {p99}s must stay under deadline+straggler bound {bound}s"
+    );
 }
 
 /// The schedule that once skipped the acceptance run's crash: worker 0
@@ -197,8 +225,11 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
 fn serving_chaos_crash_fires_when_worker_0_serves_one_batch() {
     let plan = serving_chaos().with_slow_worker(0, 0, 1, 30.0);
     let mut rng = TensorRng::new(75);
-    let registry =
-        Arc::new(ModelRegistry::new(ServingModel::new(scidl_nn::arch::hep_small(&mut rng), 1, 0)));
+    let registry = Arc::new(ModelRegistry::new(ServingModel::new(
+        scidl_nn::arch::hep_small(&mut rng),
+        1,
+        0,
+    )));
     let server = Server::start(
         registry,
         ServerConfig {
@@ -213,14 +244,22 @@ fn serving_chaos_crash_fires_when_worker_0_serves_one_batch() {
         .map(|p| {
             let client = server.client();
             std::thread::spawn(move || {
-                (0..6u64).filter(|i| client.infer(probe(500 + p * 8 + i)).is_ok()).count()
+                (0..6u64)
+                    .filter(|i| client.infer(probe(500 + p * 8 + i)).is_ok())
+                    .count()
             })
         })
         .collect();
-    let ok: usize = producers.into_iter().map(|h| h.join().expect("producer panicked")).sum();
+    let ok: usize = producers
+        .into_iter()
+        .map(|h| h.join().expect("producer panicked"))
+        .sum();
     let (_, report) = server.shutdown_with_report();
     assert_eq!(ok, 24, "every request is served: {report:?}");
-    assert!(report.panics >= 1, "the injected crash must fire: {report:?}");
+    assert!(
+        report.panics >= 1,
+        "the injected crash must fire: {report:?}"
+    );
 }
 
 proptest! {

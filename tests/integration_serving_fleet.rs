@@ -64,7 +64,10 @@ fn threaded_router_survives_replica_loss_with_exactly_once_outcomes() {
         queue_capacity: 64,
         policy: BatchPolicy::dynamic(4, Duration::from_millis(2)),
         // No respawns: the crashed worker's death is the replica's death.
-        supervisor: SupervisorConfig { max_respawns: 0, ..Default::default() },
+        supervisor: SupervisorConfig {
+            max_respawns: 0,
+            ..Default::default()
+        },
         ..Default::default()
     };
     let mut cfg = FleetConfig::new(2, template, DispatchPolicy::RoundRobin);
@@ -115,8 +118,15 @@ fn threaded_router_survives_replica_loss_with_exactly_once_outcomes() {
 
     let router = Arc::try_unwrap(router).ok().expect("producers joined");
     let (recorder, report) = router.shutdown_with_report();
-    assert_eq!(report.routed, ok, "router routed-counter == delivered replies");
-    assert_eq!(recorder.len() as u64, ok, "one latency sample per served request");
+    assert_eq!(
+        report.routed, ok,
+        "router routed-counter == delivered replies"
+    );
+    assert_eq!(
+        recorder.len() as u64,
+        ok,
+        "one latency sample per served request"
+    );
     assert!(
         report.servers.panics >= 1,
         "the injected crash must fire: {report:?}"
@@ -145,9 +155,18 @@ fn fleet_sim_same_plan_reroutes_and_replays_bit_identically() {
     let arrivals: Vec<f64> = PoissonArrivals::new(SEED, 400.0, 300).collect();
 
     let out = simulate_fleet(&model, &arrivals, &cfg);
-    assert_eq!(out.crashes, 1, "the shared plan's crash fires in virtual time");
-    assert!(out.rerouted >= 1, "orphans must cross to the surviving replica");
-    assert_eq!(out.final_replicas, 2, "the sim replica keeps its (dead) slot");
+    assert_eq!(
+        out.crashes, 1,
+        "the shared plan's crash fires in virtual time"
+    );
+    assert!(
+        out.rerouted >= 1,
+        "orphans must cross to the surviving replica"
+    );
+    assert_eq!(
+        out.final_replicas, 2,
+        "the sim replica keeps its (dead) slot"
+    );
     let mut all: Vec<usize> = out
         .served_ids
         .iter()
@@ -165,12 +184,18 @@ fn fleet_sim_same_plan_reroutes_and_replays_bit_identically() {
     assert_eq!(out.offered(), arrivals.len());
 
     let again = simulate_fleet(&model, &arrivals, &cfg);
-    assert_eq!(out.served_ids, again.served_ids, "seeded replay must be bit-identical");
+    assert_eq!(
+        out.served_ids, again.served_ids,
+        "seeded replay must be bit-identical"
+    );
     assert_eq!(out.lost_ids, again.lost_ids);
     assert_eq!(out.batch_sizes, again.batch_sizes);
     assert_eq!(out.makespan.to_bits(), again.makespan.to_bits());
     assert_eq!(out.p99().to_bits(), again.p99().to_bits());
-    assert_eq!(out.replica_seconds.to_bits(), again.replica_seconds.to_bits());
+    assert_eq!(
+        out.replica_seconds.to_bits(),
+        again.replica_seconds.to_bits()
+    );
 }
 
 /// Canary rollback and autoscaler band in virtual time, both active in
@@ -188,12 +213,19 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     cfg.seed = SEED;
     cfg.base.breaker_threshold = 1;
     cfg.autoscaler = Some(SimAutoscaler {
-        band: ScalingBand { min_replicas: 1, max_replicas: 4, ..Default::default() },
+        band: ScalingBand {
+            min_replicas: 1,
+            max_replicas: 4,
+            ..Default::default()
+        },
         tick_secs: 0.1,
         startup_secs: 0.02,
     });
     cfg.canary = Some(SimCanary {
-        gate: CanaryGate { fraction: 0.25, regression_tol: 0.25 },
+        gate: CanaryGate {
+            fraction: 0.25,
+            regression_tol: 0.25,
+        },
         start_secs: end * 0.2,
         decide_secs: end * 0.8,
         service_factor: 8.0, // the injected SLO regression
@@ -201,10 +233,19 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     });
 
     let out = simulate_fleet(&model, &arrivals, &cfg);
-    assert!(out.canary_rolled_back, "the 8x-slower candidate must roll back");
+    assert!(
+        out.canary_rolled_back,
+        "the 8x-slower candidate must roll back"
+    );
     assert!(!out.canary_promoted);
-    assert_eq!(out.final_iteration, 0, "the old model must still be serving");
-    assert!(out.breaker_opened, "threshold 1: the rollout failure opens the breaker");
+    assert_eq!(
+        out.final_iteration, 0,
+        "the old model must still be serving"
+    );
+    assert!(
+        out.breaker_opened,
+        "threshold 1: the rollout failure opens the breaker"
+    );
     assert!(out.scale_ups >= 1, "the overload must grow the fleet");
     let a = cfg.autoscaler.unwrap().band;
     assert!(
@@ -216,7 +257,10 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     );
 
     let again = simulate_fleet(&model, &arrivals, &cfg);
-    assert_eq!(out.served_ids, again.served_ids, "composite run must replay bit-identically");
+    assert_eq!(
+        out.served_ids, again.served_ids,
+        "composite run must replay bit-identically"
+    );
     assert_eq!(out.makespan.to_bits(), again.makespan.to_bits());
     assert_eq!(out.p99().to_bits(), again.p99().to_bits());
     assert_eq!(out.canary_served, again.canary_served);
@@ -232,24 +276,35 @@ fn assert_single_matches_one_replica_fleet(base: SimConfig, arrivals: &[f64]) {
     let model = ServiceModel::hep();
     let single = simulate(&model, arrivals, &base);
     let mut cfg = FleetSimConfig::new(1, base, DispatchPolicy::RoundRobin);
-    cfg.admission = PriorityAdmission { shed_frac: [1.0; 3] };
+    cfg.admission = PriorityAdmission {
+        shed_frac: [1.0; 3],
+    };
     cfg.reroute_budget = 0;
     let fleet = simulate_fleet(&model, arrivals, &cfg);
-    assert_eq!(format!("{:?}", single.recorder), format!("{:?}", fleet.recorder));
+    assert_eq!(
+        format!("{:?}", single.recorder),
+        format!("{:?}", fleet.recorder)
+    );
     assert_eq!(single.served_ids, fleet.served_ids);
     assert_eq!(single.rejected_ids, fleet.rejected_ids);
     assert_eq!(single.expired_ids, fleet.expired_ids);
     assert_eq!(single.lost_ids, fleet.lost_ids);
     assert_eq!(single.batch_sizes, fleet.batch_sizes);
     assert_eq!(single.completed, fleet.completed);
-    assert_eq!(single.rejected, fleet.rejected + fleet.fleet_shed.iter().sum::<usize>());
+    assert_eq!(
+        single.rejected,
+        fleet.rejected + fleet.fleet_shed.iter().sum::<usize>()
+    );
     assert_eq!(single.expired, fleet.expired);
     assert_eq!(single.lost, fleet.lost);
     assert_eq!(single.requeued, fleet.requeued);
     assert_eq!(single.crashes, fleet.crashes);
     assert_eq!(single.makespan.to_bits(), fleet.makespan.to_bits());
     assert_eq!(fleet.rerouted, 0);
-    assert!(single.completed > 0 && single.requeued > 0, "the config must exercise a crash");
+    assert!(
+        single.completed > 0 && single.requeued > 0,
+        "the config must exercise a crash"
+    );
 }
 
 #[test]
@@ -274,9 +329,19 @@ fn one_replica_fleet_sim_and_single_sim_agree_field_for_field() {
 /// FNV-1a over every field of a virtual-time outcome, by bit pattern.
 fn digest(o: &SimOutcome) -> u64 {
     let fnv = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    let mut h = format!("{:?}", o.recorder).bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(h, b as u64));
-    for ids in [&o.served_ids, &o.rejected_ids, &o.expired_ids, &o.lost_ids, &o.batch_sizes] {
-        h = ids.iter().fold(fnv(h, ids.len() as u64), |h, &i| fnv(h, i as u64));
+    let mut h = format!("{:?}", o.recorder)
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| fnv(h, b as u64));
+    for ids in [
+        &o.served_ids,
+        &o.rejected_ids,
+        &o.expired_ids,
+        &o.lost_ids,
+        &o.batch_sizes,
+    ] {
+        h = ids
+            .iter()
+            .fold(fnv(h, ids.len() as u64), |h, &i| fnv(h, i as u64));
     }
     for x in [
         o.completed,
@@ -334,7 +399,10 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
         .with_corrupt_swap(2);
     cfg.swap_schedule = vec![0.05, 0.1, 0.15, 0.2, 0.25];
     let storm = simulate(&model, &arrivals, &cfg);
-    assert_eq!((storm.completed, storm.requeued, storm.swap_rejects), (2000, 9, 5));
+    assert_eq!(
+        (storm.completed, storm.requeued, storm.swap_rejects),
+        (2000, 9, 5)
+    );
     assert_eq!(digest(&storm), 0x7da7_f6b0_bd75_5314, "storm cell drifted");
 
     // `scidl-bench serving_fleet`, the autoscaler + canary demo.
@@ -356,14 +424,20 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
         startup_secs: 0.02,
     });
     cfg.canary = Some(SimCanary {
-        gate: CanaryGate { fraction: 0.2, regression_tol: 0.25 },
+        gate: CanaryGate {
+            fraction: 0.2,
+            regression_tol: 0.25,
+        },
         start_secs: burst_end * 0.1,
         decide_secs: burst_end * 0.9,
         service_factor: 1.0,
         candidate_iteration: 9000,
     });
     let demo = simulate_fleet(&model, &arrivals, &cfg);
-    assert_eq!((demo.scale_ups, demo.scale_downs, demo.canary_served), (3, 4, 318));
+    assert_eq!(
+        (demo.scale_ups, demo.scale_downs, demo.canary_served),
+        (3, 4, 318)
+    );
     assert_eq!(digest(&demo), 0x84e7_b493_c694_10bb, "fleet demo drifted");
 
     // Three replicas losing one to crashes, with deadlines, p2c and a
@@ -384,14 +458,20 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     cfg.seed = SEED;
     cfg.reroute_budget = 2;
     cfg.canary = Some(SimCanary {
-        gate: CanaryGate { fraction: 0.25, regression_tol: 0.25 },
+        gate: CanaryGate {
+            fraction: 0.25,
+            regression_tol: 0.25,
+        },
         start_secs: end * 0.2,
         decide_secs: end * 0.7,
         service_factor: 8.0,
         candidate_iteration: 777,
     });
     let chaos = simulate_fleet(&model, &arrivals, &cfg);
-    assert_eq!((chaos.crashes, chaos.rerouted, chaos.expired, chaos.rejected), (3, 19, 222, 52));
+    assert_eq!(
+        (chaos.crashes, chaos.rerouted, chaos.expired, chaos.rejected),
+        (3, 19, 222, 52)
+    );
     assert_eq!(chaos.fleet_shed, [0, 15, 172]);
     assert!(chaos.canary_rolled_back && chaos.breaker_opened);
     assert_eq!(digest(&chaos), 0x3222_af88_b6ed_d03b, "chaos fleet drifted");

@@ -97,7 +97,9 @@ fn sim_engine_trace_is_deterministic_and_attributes_time() {
     // Hybrid (2 groups): every iteration pays compute, all-reduce AND a
     // PS exchange; some update must observe staleness from the other
     // group.
-    assert!(rows.iter().all(|r| r.compute_s > 0.0 && r.comm_s > 0.0 && r.ps_s > 0.0));
+    assert!(rows
+        .iter()
+        .all(|r| r.compute_s > 0.0 && r.comm_s > 0.0 && r.ps_s > 0.0));
     assert!(rows.iter().any(|r| r.staleness > 0));
     assert!(artifacts[0].0.contains("\"ps_exchange\""));
 }
@@ -158,7 +160,9 @@ fn iteration_parts(sink: &scidl_trace::TraceSink, params: u64) -> Parts {
 fn thread_and_sim_engines_trace_one_fault_plan_alike() {
     let _g = trace_lock();
     let (groups, iterations, delay) = (2usize, 4usize, 0.02);
-    let plan = FaultPlan::none().with_straggler(1, 1, 3, 2.0).with_message_delay(0, 2, delay);
+    let plan = FaultPlan::none()
+        .with_straggler(1, 1, 3, 2.0)
+        .with_message_delay(0, 2, delay);
     let in_window = |&(g, i): &(u64, u64)| g == 1 && (1..3).contains(&i);
     let ds = Arc::new(HepDataset::generate(HepConfig::small(), 64, 5));
 
@@ -172,7 +176,11 @@ fn thread_and_sim_engines_trace_one_fault_plan_alike() {
     let mut scfg = SimEngineConfig::fig8(2 * groups, groups, 8, hep_workload());
     scfg.sim = scfg.sim.clone().ideal();
     (scfg.iterations, scfg.faults) = (iterations, plan);
-    SimEngine::run(&scfg, &mut scidl_nn::arch::hep_small(&mut TensorRng::new(1)), &ds);
+    SimEngine::run(
+        &scfg,
+        &mut scidl_nn::arch::hep_small(&mut TensorRng::new(1)),
+        &ds,
+    );
     scidl_trace::uninstall();
 
     use scidl_nn::network::Model;
@@ -181,9 +189,17 @@ fn thread_and_sim_engines_trace_one_fault_plan_alike() {
     let sim = iteration_parts(&sim_sink, scfg.workload.params);
     assert_eq!(threads.len(), groups * iterations);
     let names = |p: &Parts| p.iter().map(|(k, v)| (*k, v.0.clone())).collect::<Vec<_>>();
-    assert_eq!(names(&threads), names(&sim), "the same spans per group-iteration");
+    assert_eq!(
+        names(&threads),
+        names(&sim),
+        "the same spans per group-iteration"
+    );
     for (key, (names, ..)) in &sim {
-        assert_eq!(names.contains("straggler"), in_window(key), "{key:?}: {names:?}");
+        assert_eq!(
+            names.contains("straggler"),
+            in_window(key),
+            "{key:?}: {names:?}"
+        );
     }
     for (sink, parts) in [(&thread_sink, &threads), (&sim_sink, &sim)] {
         let rows = sink.rows();
@@ -193,7 +209,10 @@ fn thread_and_sim_engines_trace_one_fault_plan_alike() {
             assert_eq!(r.comm_s, allreduce, "comm_s is the exposed all-reduce");
             assert_eq!(r.ps_s, ps, "ps_s is the PS leg");
             if (r.track, r.iter) == (0, 2) {
-                assert!(r.ps_s >= delay, "the message delay is booked under ps_s: {r:?}");
+                assert!(
+                    r.ps_s >= delay,
+                    "the message delay is booked under ps_s: {r:?}"
+                );
             }
         }
     }
@@ -204,8 +223,7 @@ fn serving_sim_emits_batch_dispatch_rows_with_queue_compute_split() {
     let _g = trace_lock();
     let model = ServiceModel::hep();
     // Offer ~2× the batch-8 saturated rate so batches queue up.
-    let arrivals: Vec<f64> =
-        PoissonArrivals::new(7, 2.0 * model.saturated_rate(8), 120).collect();
+    let arrivals: Vec<f64> = PoissonArrivals::new(7, 2.0 * model.saturated_rate(8), 120).collect();
     let cfg = SimConfig::new(2, 256, BatchPolicy::dynamic(8, Duration::from_millis(2)));
 
     let mut jsons = Vec::new();
@@ -218,14 +236,20 @@ fn serving_sim_emits_batch_dispatch_rows_with_queue_compute_split() {
         jsons.push(sink.chrome_json());
         rows = sink.rows();
     }
-    assert_eq!(jsons[0], jsons[1], "seeded serving trace must be bit-identical");
+    assert_eq!(
+        jsons[0], jsons[1],
+        "seeded serving trace must be bit-identical"
+    );
 
     assert!(rows.iter().all(|r| r.kind == "serve" && r.compute_s > 0.0));
     assert!(
         rows.iter().any(|r| r.queue_s > 0.0),
         "overloaded pool must show queue wait"
     );
-    assert!(rows.iter().any(|r| r.batch > 1), "load must form multi-request batches");
+    assert!(
+        rows.iter().any(|r| r.batch > 1),
+        "load must form multi-request batches"
+    );
     assert!(jsons[0].contains("\"batch_dispatch\""));
 }
 
@@ -236,8 +260,7 @@ fn fleet_sim_emits_one_serve_row_per_dispatched_batch() {
     use scidl_serve::fleet::{simulate_fleet, DispatchPolicy, FleetSimConfig};
     let _g = trace_lock();
     let model = ServiceModel::hep();
-    let arrivals: Vec<f64> =
-        PoissonArrivals::new(7, 4.0 * model.saturated_rate(8), 200).collect();
+    let arrivals: Vec<f64> = PoissonArrivals::new(7, 4.0 * model.saturated_rate(8), 200).collect();
     let base = SimConfig::new(2, 256, BatchPolicy::dynamic(8, Duration::from_millis(2)));
     let cfg = FleetSimConfig::new(2, base, DispatchPolicy::RoundRobin);
 
@@ -248,10 +271,15 @@ fn fleet_sim_emits_one_serve_row_per_dispatched_batch() {
     assert_eq!(rows.len(), out.batch_sizes.len());
     assert!(rows.iter().all(|r| r.kind == "serve" && r.compute_s > 0.0));
     assert!(
-        rows.iter().zip(&out.batch_sizes).all(|(r, &b)| r.batch == b as u64),
+        rows.iter()
+            .zip(&out.batch_sizes)
+            .all(|(r, &b)| r.batch == b as u64),
         "rows follow dispatch order"
     );
-    assert!(rows.iter().any(|r| r.track >= 2), "replica 1 owns global workers 2 and 3");
+    assert!(
+        rows.iter().any(|r| r.track >= 2),
+        "replica 1 owns global workers 2 and 3"
+    );
 }
 
 #[test]
@@ -262,7 +290,10 @@ fn poisoned_gradient_is_caught_and_attributed_to_layer() {
     let probe = scidl_nn::arch::hep_small(&mut TensorRng::new(0x99));
     use scidl_nn::network::Model;
     let blocks = probe.param_blocks();
-    assert!(blocks.len() >= 3, "need a few blocks to make attribution meaningful");
+    assert!(
+        blocks.len() >= 3,
+        "need a few blocks to make attribution meaningful"
+    );
     let target = 2usize;
     let target_name = blocks[target].name.clone();
     let poison_at: usize =

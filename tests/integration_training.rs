@@ -74,7 +74,11 @@ fn thread_engine_run_is_bit_identical_at_every_rank_width() {
     impl AtWidth {
         fn set(&self) {
             scidl_tensor::par::set_width(self.width);
-            assert_eq!(scidl_tensor::par::width(), self.width, "rank thread runs at another width");
+            assert_eq!(
+                scidl_tensor::par::width(),
+                self.width,
+                "rank thread runs at another width"
+            );
         }
     }
 
@@ -84,14 +88,22 @@ fn thread_engine_run_is_bit_identical_at_every_rank_width() {
             self.task.grad(model, indices)
         }
 
-        fn grad_overlapped(&self, model: &mut Network, indices: &[usize], sink: &mut dyn BucketSink) -> f32 {
+        fn grad_overlapped(
+            &self,
+            model: &mut Network,
+            indices: &[usize],
+            sink: &mut dyn BucketSink,
+        ) -> f32 {
             self.set();
             self.task.grad_overlapped(model, indices, sink)
         }
     }
 
     let image_size = 64;
-    let cfg_ds = HepConfig { image_size, ..HepConfig::small() };
+    let cfg_ds = HepConfig {
+        image_size,
+        ..HepConfig::small()
+    };
     let ds = Arc::new(HepDataset::generate(cfg_ds, 32, 77));
     let mut cfg = ThreadEngineConfig::new(1, 1, 4);
     cfg.iterations = 6;
@@ -104,7 +116,10 @@ fn thread_engine_run_is_bit_identical_at_every_rank_width() {
             &cfg,
             ds.len(),
             |seed| scidl_nn::arch::hep_network(&mut TensorRng::new(seed)),
-            AtWidth { width, task: HepGradTask::new(Arc::clone(&ds)) },
+            AtWidth {
+                width,
+                task: HepGradTask::new(Arc::clone(&ds)),
+            },
         );
         let params: Vec<u32> = run.final_params.iter().map(|p| p.to_bits()).collect();
         let losses: Vec<u32> = run.curve.points.iter().map(|&(_, l)| l.to_bits()).collect();
@@ -114,9 +129,17 @@ fn thread_engine_run_is_bit_identical_at_every_rank_width() {
     let want = run_at(1);
     for width in [2, 3, 4, 7] {
         let got = run_at(width);
-        assert!(got.1 == want.1, "loss curve differs at width {width}: {:?} vs {:?}", got.1, want.1);
+        assert!(
+            got.1 == want.1,
+            "loss curve differs at width {width}: {:?} vs {:?}",
+            got.1,
+            want.1
+        );
         let first = got.0.iter().zip(&want.0).position(|(a, b)| a != b);
-        assert_eq!(first, None, "parameters differ at width {width}, first at index {first:?}");
+        assert_eq!(
+            first, None,
+            "parameters differ at width {width}, first at index {first:?}"
+        );
     }
 }
 
@@ -161,7 +184,10 @@ fn training_is_bit_identical_to_sequential_bucketed_reference(overlap: bool) {
     let mut samplers: Vec<BatchSampler> = (0..nodes)
         .map(|r| BatchSampler::for_node(ds.len(), per_node, cfg.seed, r, nodes))
         .collect();
-    let mut solvers: Vec<Sgd> = block_sizes.iter().map(|_| Sgd::new(cfg.lr, cfg.momentum)).collect();
+    let mut solvers: Vec<Sgd> = block_sizes
+        .iter()
+        .map(|_| Sgd::new(cfg.lr, cfg.momentum))
+        .collect();
     let mut flat = model.flat_params();
     for _ in 0..iterations {
         let mut grads: Vec<Vec<f32>> = Vec::with_capacity(nodes);
@@ -180,8 +206,16 @@ fn training_is_bit_identical_to_sequential_bucketed_reference(overlap: bool) {
                     let plan = &plan;
                     scope.spawn(move || {
                         let mut scratch = RingScratch::new();
-                        bucketed_allreduce_mean(plan, rank, nodes, &mut data, &mut scratch, &tx, &rx)
-                            .unwrap();
+                        bucketed_allreduce_mean(
+                            plan,
+                            rank,
+                            nodes,
+                            &mut data,
+                            &mut scratch,
+                            &tx,
+                            &rx,
+                        )
+                        .unwrap();
                         data
                     })
                 })
@@ -224,7 +258,10 @@ fn end_to_end_training_learns() {
     cfg.momentum = 0.7;
     let run = ThreadEngine::run(&cfg, Arc::clone(&ds));
 
-    assert_eq!(run.updates, 40, "every group iteration must reach the PS once");
+    assert_eq!(
+        run.updates, 40,
+        "every group iteration must reach the PS once"
+    );
     let all: Vec<usize> = (0..ds.len()).collect();
     let mut model = scidl_nn::arch::hep_small(&mut TensorRng::new(cfg.seed));
     let (first, _) = scidl_core::task::hep_gradient(&mut model, &ds, &all);
