@@ -3,6 +3,7 @@
 //! forming disjoint compute groups.
 
 use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 
 /// State shared by all ranks of one communicator.
@@ -22,8 +23,10 @@ struct State {
     /// Double-buffered results, indexed by `generation & 1` of the round
     /// that produced them.
     results: [Vec<f32>; 2],
-    /// Broadcast buffer (root writes, others copy).
-    bcast: Vec<f32>,
+    /// Where the current broadcast's root holds its block, and the
+    /// block's length: the root's own buffer, read by the others between
+    /// the broadcast's two barriers (stale, and never read, outside them).
+    bcast: (AtomicPtr<f32>, usize),
     /// Barrier arrival count and generation.
     barrier_count: usize,
     barrier_gen: u64,
@@ -50,7 +53,7 @@ impl CommWorld {
                 count: 0,
                 generation: 0,
                 results: [Vec::new(), Vec::new()],
-                bcast: Vec::new(),
+                bcast: (AtomicPtr::new(std::ptr::null_mut()), 0),
                 barrier_count: 0,
                 barrier_gen: 0,
             }),
@@ -137,7 +140,10 @@ impl Communicator {
     }
 
     /// Broadcast from `root`: after return every rank's `data` equals the
-    /// root's (root publishes, barrier, the others copy, barrier).
+    /// root's. The root publishes where its `data` lies, all meet at a
+    /// barrier, each other rank copies straight out of the root's buffer,
+    /// and a second barrier holds the root — and so its buffer — until
+    /// the last copy is done: one copy per non-root, no staging buffer.
     pub fn broadcast(&self, root: usize, data: &mut [f32]) {
         let sh = &*self.shared;
         if sh.n == 1 {
@@ -145,20 +151,28 @@ impl Communicator {
         }
         assert!(root < sh.n, "broadcast root out of range");
         if self.rank == root {
-            let mut st = sh.m.lock();
-            st.bcast.clear();
-            st.bcast.extend_from_slice(data);
-            drop(st);
+            sh.m.lock().bcast = (AtomicPtr::new(data.as_mut_ptr()), data.len());
         }
-        // Everyone synchronises; then non-roots copy.
         self.barrier();
         if self.rank != root {
-            let st = sh.m.lock();
-            assert_eq!(st.bcast.len(), data.len(), "broadcast length mismatch");
-            data.copy_from_slice(&st.bcast);
+            let (src, len) = {
+                let st = sh.m.lock();
+                (st.bcast.0.load(Ordering::Relaxed), st.bcast.1)
+            };
+            assert_eq!(len, data.len(), "broadcast length mismatch");
+            // SAFETY: `src` and `len` are the root's `data`, published
+            // before the first barrier by a root that holds that borrow
+            // until it returns and neither reads nor writes it until it
+            // passes the second barrier below — which waits for this rank,
+            // so the slice is live and unchanged for the whole copy. The
+            // previous round's pointer cannot be read here: its root left
+            // only after every rank passed that round's second barrier,
+            // and this round's root overwrote it before the first. The
+            // mutex both barriers take orders the root's writes to `data`
+            // before this read.
+            let src = unsafe { std::slice::from_raw_parts(src, len) };
+            data.copy_from_slice(src);
         }
-        // Second barrier so the root cannot start the next broadcast
-        // while laggards are still copying.
         self.barrier();
     }
 
@@ -290,6 +304,40 @@ mod tests {
         });
         for r in results {
             assert_eq!(r, (0..10).map(|x| x as f32).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn broadcast_soak_root_reuses_its_buffer_at_once() {
+        // The non-roots read the root's own buffer, so a root that
+        // returned before the last copy finished would leak the value it
+        // writes next. Every root overwrites its buffer the moment
+        // `broadcast` returns; no other rank may ever see that value.
+        const ROUNDS: usize = 1500;
+        const MAX_LEN: usize = 4096;
+        fn soak(c: Communicator) -> Vec<f32> {
+            let n = c.size();
+            let mut buf = vec![f32::NAN; MAX_LEN];
+            for round in 0..ROUNDS {
+                let root = (round + round / n) % n;
+                let len = 1 + round * 2_654_435_761 % MAX_LEN;
+                let data = &mut buf[..len];
+                let want = |i: usize| (round * MAX_LEN + i) as f32;
+                if c.rank() == root {
+                    data.iter_mut().enumerate().for_each(|(i, x)| *x = want(i));
+                }
+                c.broadcast(root, data);
+                if c.rank() == root {
+                    data.fill(-1.0 - round as f32);
+                } else {
+                    let bad = (0..len).find(|&i| data[i].to_bits() != want(i).to_bits());
+                    assert_eq!(bad, None, "rank {} round {round} root {root}", c.rank());
+                }
+            }
+            buf
+        }
+        for n in [3, 4] {
+            run_ranks(n, soak);
         }
     }
 

@@ -45,7 +45,7 @@ use scidl_comm::{CommWorld, Communicator, RingEndpoint, RingFabric};
 use scidl_data::{BatchSampler, HepDataset};
 use scidl_nn::network::Model;
 use scidl_nn::solver::SolverKind;
-use scidl_tensor::TensorRng;
+use scidl_tensor::{Tensor, TensorRng};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -454,14 +454,15 @@ where
                 } else {
                     None
                 };
-                if let Some(replies) = &fetched {
+                // Only the root applies updates, so only its cursor is read.
+                let cursor = fetched.as_ref().map(|replies| replies[0].version);
+                if let Some(replies) = fetched {
                     load_params(&mut model, replies);
                 }
-                if !group_agrees(&comm, fetched.is_some()) {
+                if !group_agrees(&comm, cursor.is_some()) {
                     return log;
                 }
-                // Only the root applies updates, so only its cursor is read.
-                life.rejoin(fetched.map_or(0, |replies| replies[0].version));
+                life.rejoin(cursor.unwrap_or(0));
                 broadcast_params(&comm, &mut model);
             }
         }
@@ -557,15 +558,15 @@ where
                 .collect();
             log.wire_bytes += ps_wire;
             let exchange = bank.update_all(&msgs);
-            // The messages and the replies are the step's transient model
-            // copies: both go before a checkpoint adds its own.
+            // The messages are the step's transient model copy: they go
+            // before a checkpoint adds its own, and the replies become the
+            // model's values.
             drop(msgs);
             match exchange {
                 Ok(replies) => {
                     // Staleness from the first block's version stream.
                     rec.staleness = life.applied(replies[0].version);
-                    load_params(&mut model, &replies);
-                    drop(replies);
+                    load_params(&mut model, replies);
                     let secs = run.t0.elapsed().as_secs_f64();
                     log.updates
                         .push((secs, group_loss, rec.staleness, life.recovered()));
@@ -608,11 +609,12 @@ where
     log
 }
 
-/// Copies a bank exchange's replies (one per shard, in block order) into
-/// the model's parameter blocks.
-fn load_params<M: Model>(model: &mut M, replies: &[PsReply]) {
+/// Moves a bank exchange's replies (one per shard, in block order) into
+/// the model's parameter blocks: each reply's buffer becomes the block's
+/// value, no copy made.
+fn load_params<M: Model>(model: &mut M, replies: Vec<PsReply>) {
     for (b, r) in model.param_blocks_mut().into_iter().zip(replies) {
-        b.value.data_mut().copy_from_slice(&r.params);
+        b.value = Tensor::from_vec(b.value.shape(), r.params);
     }
 }
 
@@ -625,7 +627,7 @@ fn group_agrees(comm: &Communicator, ok: bool) -> bool {
 }
 
 /// The group root's parameters to every rank of its group, block by
-/// block, so the communicator stages one block at a time, not the model.
+/// block: each non-root copies each block once, out of the root's model.
 fn broadcast_params<M: Model>(comm: &Communicator, model: &mut M) {
     for b in model.param_blocks_mut() {
         comm.broadcast(0, b.value.data_mut());

@@ -3,18 +3,22 @@
 //! A hybrid step needs, per rank, the model's values and its gradient,
 //! and at the parameter servers the values, the solver's momentum and the
 //! supervisor's failover snapshot. Everything else parameter-sized is
-//! transient — the root's encoded PS message and the replies, the bucket
-//! being reduced, the broadcast's one-block staging buffer. A counting
+//! transient — the root's encoded PS message, each reply until it
+//! replaces its block's value, the bucket being reduced; the group
+//! broadcast copies straight between the ranks' models. A counting
 //! `#[global_allocator]` reads the high-water mark of live heap bytes
 //! over a whole run of a dense model of P bytes, above what was live when
-//! the run started (the dataset), and holds it to a multiple of P:
+//! the run started (the dataset), and holds it to a multiple of P. Both
+//! limits sit less than `fc1.weight` (0.75 P) above the measured peak, so
+//! one more buffer of the largest block fails them:
 //!
-//! * 1 group × 2 ranks, overlapped bucketed reduction: ≤ 12 P (4 P of
-//!   rank models + 3 P at the servers + the transients). A rank mirror of
-//!   the model, a per-step flat gradient or a kept template each add
-//!   1–2 P and push it over.
-//! * 1 group × 1 rank: ≤ 8 P (2 P + 3 P + the transients). A template
-//!   model kept for the run adds 2 P and fails it.
+//! * 1 group × 2 ranks, overlapped bucketed reduction: ≤ 11 P (4 P of
+//!   rank models + 3 P at the servers + the transients; measured
+//!   10.38 P). A staging copy of the largest block in the broadcast
+//!   (11.13 P) fails it; a rank mirror of the model, a per-step flat
+//!   gradient or a kept template each add 1–2 P.
+//! * 1 group × 1 rank: ≤ 8 P (2 P + 3 P + the transients; measured
+//!   7.31 P). A template model kept for the run adds 2 P and fails it.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a second test running on a sibling thread would
@@ -119,9 +123,10 @@ fn thread_engine_keeps_one_model_copy_per_role() {
     ));
     let two = peak_over_entry(&ds, 2);
     let one = peak_over_entry(&ds, 1);
+    eprintln!("peak above entry: 1 × 2 ranks {two:.2} P, 1 × 1 rank {one:.2} P");
     assert!(
-        two <= 12.0,
-        "1 × 2 ranks peaked at {two:.2} P above entry (limit 12 P)"
+        two <= 11.0,
+        "1 × 2 ranks peaked at {two:.2} P above entry (limit 11 P)"
     );
     assert!(
         one <= 8.0,

@@ -43,6 +43,55 @@ impl Dense {
             cached_input: None,
         }
     }
+
+    /// [`Layer::backward`], with the data gradient only if `data`.
+    fn backward_with(&mut self, grad_out: Tensor, data: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Dense::backward called before forward");
+        let n = input.shape().n;
+        assert_eq!(grad_out.shape(), Shape4::new(n, self.output_len, 1, 1));
+
+        // dW (out x in) += dY^T (out x n) * X (n x in)
+        gemm(
+            Transpose::Yes,
+            Transpose::No,
+            self.output_len,
+            self.input_len,
+            n,
+            1.0,
+            grad_out.data(),
+            input.data(),
+            1.0,
+            self.weight.grad.data_mut(),
+        );
+        // db += column sums of dY.
+        for i in 0..n {
+            let row = &grad_out.data()[i * self.output_len..(i + 1) * self.output_len];
+            for (g, &d) in self.bias.grad.data_mut().iter_mut().zip(row) {
+                *g += d;
+            }
+        }
+        if !data {
+            return None;
+        }
+        // dX (n x in) = dY (n x out) * W (out x in)
+        let mut grad_in = Tensor::zeros(input.shape());
+        gemm(
+            Transpose::No,
+            Transpose::No,
+            n,
+            self.input_len,
+            self.output_len,
+            1.0,
+            grad_out.data(),
+            self.weight.value.data(),
+            0.0,
+            grad_in.data_mut(),
+        );
+        Some(grad_in)
+    }
 }
 
 impl Layer for Dense {
@@ -84,48 +133,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Dense::backward called before forward");
-        let n = input.shape().n;
-        assert_eq!(grad_out.shape(), Shape4::new(n, self.output_len, 1, 1));
+        self.backward_with(grad_out, true)
+            .expect("data gradient asked for")
+    }
 
-        // dW (out x in) += dY^T (out x n) * X (n x in)
-        gemm(
-            Transpose::Yes,
-            Transpose::No,
-            self.output_len,
-            self.input_len,
-            n,
-            1.0,
-            grad_out.data(),
-            input.data(),
-            1.0,
-            self.weight.grad.data_mut(),
-        );
-        // db += column sums of dY.
-        for i in 0..n {
-            let row = &grad_out.data()[i * self.output_len..(i + 1) * self.output_len];
-            for (g, &d) in self.bias.grad.data_mut().iter_mut().zip(row) {
-                *g += d;
-            }
-        }
-        // dX (n x in) = dY (n x out) * W (out x in)
-        let mut grad_in = Tensor::zeros(input.shape());
-        gemm(
-            Transpose::No,
-            Transpose::No,
-            n,
-            self.input_len,
-            self.output_len,
-            1.0,
-            grad_out.data(),
-            self.weight.value.data(),
-            0.0,
-            grad_in.data_mut(),
-        );
-        grad_in
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward_with(grad_out, false);
     }
 
     fn quantize(&self) -> Option<crate::quant::QuantLayer> {
@@ -200,6 +213,24 @@ mod tests {
         }
         // Bias grad with loss=sum over 2 items is 2 per output.
         assert!(d.bias.grad.data().iter().all(|&g| (g - 2.0).abs() < 1e-4));
+    }
+
+    #[test]
+    fn backward_params_matches_backward_bit_for_bit() {
+        let mut rng = TensorRng::new(9);
+        let x = rng.uniform_tensor(Shape4::new(3, 2, 4, 4), -1.0, 1.0);
+        let dy = rng.uniform_tensor(Shape4::new(3, 5, 1, 1), -1.0, 1.0);
+        let full = &mut Dense::new("fc", 32, 5, &mut TensorRng::new(4));
+        let params_only = &mut full.clone();
+        full.forward(x.clone());
+        full.backward(dy.clone());
+        params_only.forward(x);
+        params_only.backward_params(dy);
+        let bits =
+            |b: &ParamBlock| -> Vec<u32> { b.grad.data().iter().map(|g| g.to_bits()).collect() };
+        assert_eq!(bits(&params_only.weight), bits(&full.weight));
+        assert_eq!(bits(&params_only.bias), bits(&full.bias));
+        assert!(params_only.cached_input.is_none());
     }
 
     #[test]

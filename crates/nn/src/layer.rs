@@ -153,7 +153,8 @@ pub trait Layer: LayerClone + Send + Sync {
     /// [`Layer::backward`]'s parameter gradients without its input
     /// gradient (Caffe's `propagate_down = false`), for the layer a
     /// backward walk ends on. The default runs `backward` and drops the
-    /// input gradient; a layer whose input gradient costs a GEMM skips it.
+    /// input gradient; the layers whose input gradient costs a GEMM,
+    /// [`Conv2d`] and [`crate::Dense`], skip it.
     fn backward_params(&mut self, grad_out: Tensor) {
         self.backward(grad_out);
     }

@@ -530,7 +530,9 @@ mod tests {
         // `tiny_net` has one fused triple, `hep_small` two and
         // `hep_network` four, each starting the network; the climate
         // encoder has none (its first step is a lone conv, followed by a
-        // ReLU). Each must still report every layer once, in strict
+        // ReLU); the dense stack starts with a `Dense`, whose
+        // parameter-only backward skips its input-gradient GEMM as a
+        // conv's does. Each must still report every layer once, in strict
         // reverse order — through `backward_layered` and through the
         // parameter-only walk `backward_params`, which must also leave
         // every parameter gradient bit-identical.
@@ -545,6 +547,13 @@ mod tests {
             (
                 crate::arch::ClimateNet::small(&mut rng).encoder,
                 Shape4::new(2, 4, 16, 16),
+            ),
+            (
+                Network::new("dense")
+                    .push(Dense::new("fc1", 3 * 4 * 4, 16, &mut rng))
+                    .push(Relu::new("relu1"))
+                    .push(Dense::new("fc2", 16, 2, &mut rng)),
+                Shape4::new(2, 3, 4, 4),
             ),
         ];
         for (mut net, shape) in nets {

@@ -24,12 +24,6 @@ pub trait Solver: Send {
     /// Sets the learning rate (schedules, hyper-parameter sweeps).
     fn set_learning_rate(&mut self, lr: f32);
 
-    /// FLOPs consumed per scalar parameter per update — used by the
-    /// single-node profile (Fig. 5 shows the HEP solver costing ~12.5% of
-    /// runtime, dominated by history copies that contribute no FLOPs; we
-    /// report the arithmetic part).
-    fn flops_per_param(&self) -> u64;
-
     /// Steps every block of a flattened model in order: block `i` is the
     /// next `sizes[i]` elements of `flat` and `grad`.
     fn step_flat(&mut self, flat: &mut [f32], grad: &[f32], sizes: &[usize]) {
@@ -94,11 +88,6 @@ impl Solver for Sgd {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
-    }
-
-    fn flops_per_param(&self) -> u64 {
-        // mu*v (1), -lr*g (2), w+=v (1)
-        4
     }
 }
 
@@ -174,11 +163,6 @@ impl Solver for Adam {
 
     fn set_learning_rate(&mut self, lr: f32) {
         self.lr = lr;
-    }
-
-    fn flops_per_param(&self) -> u64 {
-        // Two EMAs (6), bias corrections (2), sqrt+div+update (4).
-        12
     }
 }
 
@@ -306,11 +290,5 @@ mod tests {
         assert!((asynchrony_adjusted_momentum(0.9, 2) - 0.8).abs() < 1e-6);
         // Many groups: implicit exceeds target → clamp at 0.
         assert_eq!(asynchrony_adjusted_momentum(0.9, 100), 0.0);
-    }
-
-    #[test]
-    fn solver_flop_estimates_nonzero() {
-        assert!(Sgd::new(0.1, 0.9).flops_per_param() > 0);
-        assert!(Adam::new(0.1).flops_per_param() > Sgd::new(0.1, 0.9).flops_per_param() / 2);
     }
 }
