@@ -296,7 +296,6 @@ fn chaos_cell(model: &ServiceModel, offered: f64, level: &'static str, n: usize)
     let (faults, swap_schedule) = fault_level(level);
     let mut cfg = SimConfig::new(2, 128, BatchPolicy::dynamic(32, Duration::from_millis(10)));
     cfg.deadline_secs = Some(CHAOS_DEADLINE_S);
-    cfg.breaker_threshold = 3;
     cfg.faults = faults;
     cfg.swap_schedule = swap_schedule;
     simulate(model, &arrivals, &cfg)
@@ -427,7 +426,7 @@ pub fn chaos(args: &Args) {
 }
 
 /// Per-replica base config of every fleet cell: two workers, a deep
-/// queue (so the watermark does not truncate round-robin's tail under
+/// queue (so the queue bound does not truncate round-robin's tail under
 /// skew), dynamic-8 batching.
 fn fleet_base() -> SimConfig {
     SimConfig::new(2, 512, BatchPolicy::dynamic(8, Duration::from_millis(5)))
@@ -594,7 +593,6 @@ pub fn fleet(args: &Args) {
             min_replicas: 1,
             max_replicas: 6,
             scale_down_backlog: 4,
-            ..Default::default()
         },
         tick_secs: 0.2,
         startup_secs: 0.02,

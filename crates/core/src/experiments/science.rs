@@ -7,7 +7,7 @@ use scidl_data::climate::{boxes_to_targets, ClimateConfig, ClimateDataset};
 use scidl_data::hep::{tpr_at_fpr, tune_cuts, CutSelection};
 use scidl_data::{BatchSampler, HepConfig, HepDataset};
 use scidl_nn::arch::ClimateNet;
-use scidl_nn::loss::{decode_detections, iou, Detection};
+use scidl_nn::loss::{decode_detections, iou, Detection, DetectionLossParts};
 use scidl_nn::network::Model;
 use scidl_nn::{Adam, Sgd, Solver};
 use scidl_tensor::TensorRng;
@@ -155,6 +155,34 @@ impl Default for ClimateScienceScale {
     }
 }
 
+/// One semi-supervised climate gradient step on the frames at `indices`
+/// of `ds` (detection grid `grid` cells a side): gather, zero the
+/// gradients, forward and backward — with box targets when any frame is
+/// labelled, reconstruction only otherwise — then clip each block's
+/// gradient norm to 1, which keeps momentum SGD stable on the mixed
+/// detection + reconstruction objective. Returns the detection loss
+/// parts and the reconstruction loss.
+fn climate_grad_step(
+    net: &mut ClimateNet,
+    ds: &ClimateDataset,
+    indices: &[usize],
+    grid: usize,
+) -> (DetectionLossParts, f32) {
+    let (batch, boxes) = ds.gather(indices);
+    let labelled = boxes.iter().any(|b| !b.is_empty());
+    net.zero_grads();
+    let out = if labelled {
+        let targets = boxes_to_targets(&boxes, grid, net.classes());
+        net.forward_backward(&batch, Some(&targets))
+    } else {
+        net.forward_backward(&batch, None)
+    };
+    for b in net.param_blocks_mut() {
+        scidl_tensor::ops::clip_norm(b.grad.data_mut(), 1.0);
+    }
+    out
+}
+
 /// Trains the semi-supervised detector and evaluates box quality on
 /// held-out frames.
 pub fn climate_science(scale: &ClimateScienceScale, seed: u64) -> ClimateScienceResult {
@@ -180,7 +208,6 @@ pub fn climate_science(scale: &ClimateScienceScale, seed: u64) -> ClimateScience
     net.det_loss.lambda_obj = 8.0;
     let mut solver = Sgd::new(0.008, 0.9);
     let grid = net.grid_for(train.samples[0].image.shape()).h;
-    let classes = net.classes();
 
     let mut final_recon = f32::NAN;
     let mut order: Vec<usize> = (0..train.len()).collect();
@@ -192,21 +219,7 @@ pub fn climate_science(scale: &ClimateScienceScale, seed: u64) -> ClimateScience
             order.swap(i, j);
         }
         for chunk in order.chunks(scale.batch) {
-            let (batch, boxes) = train.gather(chunk);
-            let labelled = boxes.iter().any(|b| !b.is_empty());
-            net.zero_grads();
-            let (_, recon) = if labelled {
-                let targets = boxes_to_targets(&boxes, grid, classes);
-                net.forward_backward(&batch, Some(&targets))
-            } else {
-                net.forward_backward(&batch, None)
-            };
-            final_recon = recon;
-            // Per-block gradient-norm clipping keeps the momentum-SGD
-            // stable on the mixed detection + reconstruction objective.
-            for b in net.param_blocks_mut() {
-                scidl_tensor::ops::clip_norm(b.grad.data_mut(), 1.0);
-            }
+            (_, final_recon) = climate_grad_step(&mut net, &train, chunk, grid);
             solver.step_model(&mut net);
         }
     }
@@ -306,7 +319,6 @@ pub fn climate_distributed(
     net.det_loss.lambda_obj = 8.0;
     net.lambda_recon = 0.5;
     let grid = net.grid_for(ds.samples[0].image.shape()).h;
-    let classes = net.classes();
 
     let mut ecfg = SimEngineConfig::fig8(
         64.max(groups),
@@ -321,18 +333,7 @@ pub fn climate_distributed(
     ecfg.seed = seed;
 
     let summary = SimEngine::run_with(&ecfg, &mut net, ds.len(), |net, indices| {
-        let (batch, boxes) = ds.gather(indices);
-        let labelled = boxes.iter().any(|b| !b.is_empty());
-        net.zero_grads();
-        let (parts, recon) = if labelled {
-            let targets = boxes_to_targets(&boxes, grid, classes);
-            net.forward_backward(&batch, Some(&targets))
-        } else {
-            net.forward_backward(&batch, None)
-        };
-        for b in net.param_blocks_mut() {
-            scidl_tensor::ops::clip_norm(b.grad.data_mut(), 1.0);
-        }
+        let (parts, recon) = climate_grad_step(net, &ds, indices, grid);
         (parts.total() + recon, net.flat_grads())
     });
 

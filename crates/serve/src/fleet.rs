@@ -12,15 +12,15 @@
 //!   replica) p2c avoids the hot replica with two cheap depth probes,
 //!   beating round-robin's p99 — the property the `scidl-bench
 //!   serving_fleet` acceptance check pins.
-//! * **Admission** — [`PriorityAdmission`] layers fleet-wide priority
-//!   classes on top of each replica's shed watermark: lower-priority
-//!   classes shed at a smaller fraction of aggregate fleet headroom, so
-//!   interactive traffic survives overload that drops batch traffic.
+//! * **Admission** — fleet-wide [`Priority`] classes on top of each
+//!   replica's queue bound: lower-priority classes shed at a smaller
+//!   fraction of aggregate fleet headroom (the policy core's
+//!   `[1.0, 0.7, 0.45]`), so interactive traffic survives overload that
+//!   drops batch traffic.
 //! * **Fault routing** — a [`FaultPlan`] with *global* worker indices is
 //!   sliced per replica ([`FaultPlan::for_replica`]); when a replica
 //!   loses its whole pool the router reroutes in-flight work to a
-//!   sibling instead of losing it (budgeted by
-//!   [`FleetConfig::reroute_budget`]).
+//!   sibling, once, instead of losing it.
 //!
 //! [`simulate_fleet`] runs the same dispatch, admission and rerouting
 //! over a `Vec` of the one [`crate::sim`] replica in virtual time, and
@@ -45,10 +45,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::policy::{
-    canary_draw, effective_watermark, priority_draw, retry_after, scale_down_victim, Breaker,
-    Recovery, ScaleStep,
+    canary_draw, fleet_sheds, priority_draw, retry_after, scale_down_victim, Breaker, Recovery,
+    ScaleStep, BREAKER_THRESHOLD, PRIORITY_MIX, REROUTE_BUDGET,
 };
-pub use crate::policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};
+pub use crate::policy::{CanaryGate, DispatchPolicy, Priority, ScalingBand};
 use crate::registry::ModelRegistry;
 use crate::server::{Client, InferResult, ServeError, Server, ServerConfig, ServerReport};
 use crate::sim::{Replica, ServiceModel, SimConfig, SimCore, SimOutcome};
@@ -58,12 +58,12 @@ use scidl_tensor::Tensor;
 use scidl_trace::{EventKind, TraceHandle};
 
 /// Fleet configuration: a per-replica [`ServerConfig`] template plus
-/// fleet-level routing, admission and chaos knobs.
+/// fleet-level routing and chaos knobs.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Initial replica count.
     pub replicas: usize,
-    /// Template for every replica. Its `faults` field is ignored: the
+    /// Template for every replica. Its `faults` must be empty: the
     /// fleet-level [`FleetConfig::faults`] plan (global worker indices)
     /// is sliced per replica instead.
     pub replica: ServerConfig,
@@ -71,27 +71,19 @@ pub struct FleetConfig {
     pub dispatch: DispatchPolicy,
     /// Seed for the routing RNG (p2c probes).
     pub seed: u64,
-    /// Fleet-level priority admission thresholds.
-    pub admission: PriorityAdmission,
-    /// How many times a request that lost its replica (pool death) is
-    /// rerouted to a sibling before the error surfaces to the caller.
-    pub reroute_budget: u32,
     /// Chaos plan with *global* worker indices: replica `r` owns workers
     /// `[r·w, (r+1)·w)` where `w` is the template worker count.
     pub faults: FaultPlan,
 }
 
 impl FleetConfig {
-    /// A fleet of `replicas` copies of `replica` with default admission
-    /// and no chaos.
+    /// A fleet of `replicas` copies of `replica` with no chaos.
     pub fn new(replicas: usize, replica: ServerConfig, dispatch: DispatchPolicy) -> Self {
         Self {
             replicas,
             replica,
             dispatch,
             seed: 0,
-            admission: PriorityAdmission::default(),
-            reroute_budget: 1,
             faults: FaultPlan::none(),
         }
     }
@@ -164,8 +156,9 @@ impl Router {
     pub fn start(registry: Arc<ModelRegistry>, cfg: FleetConfig) -> Self {
         assert!(cfg.replicas >= 1, "fleet needs at least one replica");
         assert!(
-            cfg.admission.shed_frac.iter().all(|&f| f > 0.0 && f <= 1.0),
-            "admission shed fractions must be in (0, 1]"
+            cfg.replica.faults.is_empty(),
+            "a fleet's chaos plan goes in FleetConfig::faults (global worker indices), \
+             not in the replica template's faults"
         );
         let slots: Vec<Slot> = (0..cfg.replicas)
             .map(|id| {
@@ -216,7 +209,7 @@ impl Router {
 
     /// Routes one request through fleet admission and the dispatch
     /// policy; a replica that dies holding the request is retired and
-    /// the request rerouted within [`FleetConfig::reroute_budget`].
+    /// the request rerouted to a sibling, once.
     pub fn infer_with_priority(
         &self,
         input: Tensor,
@@ -229,8 +222,7 @@ impl Router {
         let backlog = self.fleet_depth();
         let live = self.live_replicas().max(1);
         let replica = &self.cfg.replica;
-        let watermark = effective_watermark(replica.shed_watermark, replica.queue_capacity);
-        if self.cfg.admission.sheds(p, backlog, live, watermark) {
+        if fleet_sheds(p, backlog, live, replica.queue_capacity) {
             self.fleet_shed[p].fetch_add(1, Ordering::Relaxed);
             let retry_after = retry_after(&replica.policy, backlog);
             return Err(ServeError::Shed {
@@ -279,9 +271,7 @@ impl Router {
                     // The replica already spent the request's re-queue
                     // budget (that is what these errors mean): only the
                     // reroute half of the disposition is left to take.
-                    if Recovery::after_crash(1, 0, attempt, self.cfg.reroute_budget)
-                        == Recovery::Lost
-                    {
+                    if Recovery::after_crash(1, 0, attempt, REROUTE_BUDGET) == Recovery::Lost {
                         return Err(e);
                     }
                     attempt += 1;
@@ -441,15 +431,17 @@ pub struct SimCanary {
 /// [`SimConfig`].
 ///
 /// `base` supplies the per-replica semantics (workers per replica,
-/// queue, policy, watermark, deadlines, breaker threshold, re-queue
-/// budget). Two `base` fields are reinterpreted at fleet scope:
+/// queue, policy, deadlines). Two `base` fields are read at fleet scope:
 ///
 /// * `base.faults` worker indices are **global**: replica `r` owns
 ///   workers `[r·w, (r+1)·w)` for `w = base.workers`, exactly like the
 ///   threaded [`FleetConfig::faults`] plan.
-/// * `base.swap_schedule` is **ignored** — fleet rollouts happen
-///   through the [`SimCanary`] machinery, whose rollbacks charge the
-///   same breaker (`base.breaker_threshold`).
+/// * `base.swap_schedule` must be empty — fleet rollouts happen through
+///   [`FleetSimConfig::canary`], whose rollbacks charge the same
+///   breaker.
+///
+/// Arrivals draw their [`Priority`] class from the policy core's fixed
+/// mix (20 % interactive, 50 % standard, 30 % batch).
 #[derive(Clone, Debug)]
 pub struct FleetSimConfig {
     /// Per-replica serving semantics (see the type-level docs for the
@@ -461,13 +453,6 @@ pub struct FleetSimConfig {
     pub dispatch: DispatchPolicy,
     /// Seed for the routing RNG (priority draw, canary split, p2c).
     pub seed: u64,
-    /// Fleet-level priority admission thresholds.
-    pub admission: PriorityAdmission,
-    /// Relative weights of the three priority classes assigned to
-    /// arrivals by the seeded draw (need not sum to 1).
-    pub priority_mix: [f64; 3],
-    /// Reroutes a request survives after its replica dies holding it.
-    pub reroute_budget: u32,
     /// Optional SLO autoscaler.
     pub autoscaler: Option<SimAutoscaler>,
     /// Optional canary rollout.
@@ -475,17 +460,14 @@ pub struct FleetSimConfig {
 }
 
 impl FleetSimConfig {
-    /// A fleet of `replicas` identical replicas with default admission,
-    /// a standard-heavy priority mix, and neither autoscaler nor canary.
+    /// A fleet of `replicas` identical replicas with neither autoscaler
+    /// nor canary.
     pub fn new(replicas: usize, base: SimConfig, dispatch: DispatchPolicy) -> Self {
         Self {
             base,
             replicas,
             dispatch,
             seed: 0,
-            admission: PriorityAdmission::default(),
-            priority_mix: [0.2, 0.5, 0.3],
-            reroute_budget: 1,
             autoscaler: None,
             canary: None,
         }
@@ -579,11 +561,11 @@ impl FleetSim<'_> {
     }
 
     /// Routes one arrival: priority draw, fleet admission, canary
-    /// split, dispatch policy, replica watermark.
+    /// split, dispatch policy, replica queue bound.
     fn arrival(&mut self, id: usize, t: f64) {
         let (cfg, ordinal) = (self.cfg, id as u64);
         self.arrivals_since_tick += 1;
-        let class = priority_draw(cfg.seed, ordinal, cfg.priority_mix);
+        let class = priority_draw(cfg.seed, ordinal, PRIORITY_MIX);
         self.routable.clear();
         self.routable
             .extend((0..self.reps.len()).filter(|&i| routable(&self.reps[i])));
@@ -598,10 +580,7 @@ impl FleetSim<'_> {
             .iter()
             .map(|&i| self.reps[i].queue.len())
             .sum();
-        if cfg
-            .admission
-            .sheds(class, backlog, live, self.core.watermark)
-        {
+        if fleet_sheds(class, backlog, live, cfg.base.queue_capacity) {
             self.core.out.fleet_shed[class] += 1;
             self.core.out.rejected_ids.push(id);
             if self.core.tr.enabled() {
@@ -732,7 +711,7 @@ impl FleetSim<'_> {
             // rollout failure charged to the breaker.
             self.reps[ci].draining = Some(et);
             self.core.out.canary_rolled_back = true;
-            if self.breaker.fail(self.cfg.base.breaker_threshold) {
+            if self.breaker.fail(BREAKER_THRESHOLD) {
                 self.core.out.breaker_opened = true;
                 self.core.tr.event_at(
                     u64::MAX,
@@ -769,8 +748,9 @@ pub fn simulate_fleet(
 ) -> FleetSimOutcome {
     assert!(cfg.replicas >= 1, "fleet needs at least one replica");
     assert!(
-        cfg.priority_mix.iter().sum::<f64>() > 0.0,
-        "priority mix must have positive mass"
+        cfg.base.swap_schedule.is_empty(),
+        "a fleet rolls models out through FleetSimConfig::canary, \
+         not through base.swap_schedule"
     );
 
     // Scheduled events: autoscaler ticks while arrivals flow, plus the
@@ -796,7 +776,7 @@ pub fn simulate_fleet(
     events.sort_by(|a, b| f64::total_cmp(&a.0, &b.0).then(a.1.cmp(&b.1)));
 
     let mut st = FleetSim {
-        core: SimCore::new(model, arrivals, &cfg.base, cfg.reroute_budget, "fleet-sim"),
+        core: SimCore::new(model, arrivals, &cfg.base, REROUTE_BUDGET, "fleet-sim"),
         cfg,
         reps: Vec::new(),
         routable: Vec::new(),
@@ -883,7 +863,8 @@ mod tests {
         // Replica 0's workers are 4x stragglers for their whole life:
         // round-robin keeps feeding the hot replica, p2c's depth probes
         // steer around it once its queue grows. A deep queue keeps the
-        // watermark from truncating round-robin's tail.
+        // queue bound from truncating round-robin's tail. Admission is
+        // the policy core's, as in the `serving_fleet` table.
         let mut base = SimConfig::new(
             2,
             512,
@@ -900,11 +881,6 @@ mod tests {
         let p99 = |d: DispatchPolicy| {
             let mut cfg = FleetSimConfig::new(3, base.clone(), d);
             cfg.seed = 4242;
-            // Single class: isolate dispatch from priority admission.
-            cfg.priority_mix = [0.0, 1.0, 0.0];
-            cfg.admission = PriorityAdmission {
-                shed_frac: [1.0, 1.0, 1.0],
-            };
             simulate_fleet(&m, &arrivals, &cfg).p99()
         };
         let rr = p99(DispatchPolicy::RoundRobin);
@@ -932,7 +908,6 @@ mod tests {
             band: ScalingBand {
                 min_replicas: 1,
                 max_replicas: 6,
-                target_util: 0.7,
                 scale_down_backlog: 4,
             },
             tick_secs: 0.2,
@@ -966,7 +941,6 @@ mod tests {
         let mk = |factor: f64| {
             let mut cfg = FleetSimConfig::new(2, base_cfg(), DispatchPolicy::LeastLoaded);
             cfg.seed = 7;
-            cfg.base.breaker_threshold = 1;
             cfg.canary = Some(SimCanary {
                 start_secs: 0.1,
                 decide_secs: *arrivals.last().unwrap() * 0.9,
@@ -993,34 +967,32 @@ mod tests {
             "rollback must leave the old model serving"
         );
         assert!(
-            bad.breaker_opened,
-            "rollout failure must charge the breaker"
+            !bad.breaker_opened,
+            "one rollback is below the breaker threshold of 3"
         );
     }
 
     #[test]
     fn replica_crash_reroutes_without_losing_or_duplicating_requests() {
         let m = ServiceModel::hep();
-        // Both workers of replica 0 crash early and respawn very late —
-        // effectively a replica loss. With zero same-replica re-queues
-        // every orphan must cross to replica 1 (or be counted lost).
+        // Replica 0 crashes on four dispatches in a row: the first
+        // batch dies three times, one more than its two re-queues, and
+        // must cross to replica 1; the last two crashes respawn very
+        // late, taking both of replica 0's workers — effectively a
+        // replica loss.
         let mut base = base_cfg();
-        base.max_requeues = 0;
         base.faults = base
             .faults
             .clone()
+            .with_worker_crash(0, 1, 0.0)
+            .with_worker_crash(0, 1, 0.0)
             .with_worker_crash(0, 1, 1e6)
             .with_worker_crash(1, 1, 1e6);
         let arrivals: Vec<f64> = PoissonArrivals::new(13, 500.0, 600).collect();
         let mut cfg = FleetSimConfig::new(2, base, DispatchPolicy::RoundRobin);
         cfg.seed = 99;
-        cfg.reroute_budget = 2;
         let out = simulate_fleet(&m, &arrivals, &cfg);
-        assert!(
-            out.crashes >= 2,
-            "both crash events must fire, got {}",
-            out.crashes
-        );
+        assert_eq!(out.crashes, 4, "every crash event must fire");
         assert!(out.rerouted > 0, "orphans must reroute to the sibling");
         // Exactly-once: every arrival id lands in exactly one terminal
         // category.
@@ -1036,6 +1008,30 @@ mod tests {
         let expect: Vec<usize> = (0..arrivals.len()).collect();
         assert_eq!(all, expect, "terminal outcomes must partition the arrivals");
         assert_eq!(out.offered(), arrivals.len());
+    }
+
+    /// `Router::start` slices `FleetConfig::faults` per replica, so a
+    /// plan in the replica template would be dropped without a word.
+    #[test]
+    #[should_panic(expected = "FleetConfig::faults")]
+    fn router_rejects_a_chaos_plan_in_the_replica_template() {
+        let rc = ServerConfig {
+            faults: FaultPlan::none().with_worker_crash(0, 1, 0.0),
+            ..Default::default()
+        };
+        let cfg = FleetConfig::new(2, rc, DispatchPolicy::RoundRobin);
+        Router::start(registry(51, 1), cfg);
+    }
+
+    /// `simulate_fleet` never replays `base.swap_schedule`: a fleet
+    /// rolls models out through its canary.
+    #[test]
+    #[should_panic(expected = "FleetSimConfig::canary")]
+    fn fleet_sim_rejects_a_swap_schedule() {
+        let mut base = base_cfg();
+        base.swap_schedule = vec![0.1];
+        let cfg = FleetSimConfig::new(2, base, DispatchPolicy::RoundRobin);
+        simulate_fleet(&ServiceModel::hep(), &[0.0, 0.2], &cfg);
     }
 
     #[test]

@@ -21,17 +21,21 @@
 //! drivable by the same declarative [`FaultPlan`](scidl_cluster::faults::FaultPlan)
 //! chaos schedule in both the threaded server and the virtual-time sim,
 //! which take every crash and straggler decision from one per-replica
-//! dispatch schedule in [`policy`].
+//! dispatch schedule in [`policy`]. The budgets that stack applies
+//! (re-queues per request, reroutes per request, the breaker threshold,
+//! the priority shed fractions and mix, the autoscaler's utilisation
+//! target) are constants of [`policy`], read by both drivers.
 //!
 //! Modules:
 //!
 //! * [`policy`] — the policy core: every serving decision (dispatch,
 //!   admission, retry hint, which dispatch crashes and which batch
 //!   straggles, crash recovery, breaker, autoscaler sizing, canary
-//!   verdict) as a pure function or a clock-free state machine, called
-//!   by the drivers below,
+//!   verdict) as a pure function or a clock-free state machine, and
+//!   every budget those decisions apply as a constant, called by the
+//!   drivers below,
 //! * [`queue`] — bounded MPMC request queue + deadline batch former with
-//!   watermark shedding and expiry ([`BatchPolicy`], [`BatchQueue`]),
+//!   shedding at capacity and expiry ([`BatchPolicy`], [`BatchQueue`]),
 //! * [`registry`] — checkpoint loading with the bit-identical round-trip
 //!   guarantee, atomic hot-swap, and the swap circuit breaker
 //!   ([`ModelRegistry`]),
@@ -64,7 +68,7 @@ pub use fleet::{
     SimAutoscaler, SimCanary,
 };
 pub use loadgen::{HepRequestSource, PoissonArrivals};
-pub use policy::{CanaryGate, DispatchPolicy, Priority, PriorityAdmission, ScalingBand};
+pub use policy::{CanaryGate, DispatchPolicy, Priority, ScalingBand};
 pub use queue::{BatchPolicy, BatchQueue, Popped, SubmitError};
 pub use registry::{check_roundtrip, ModelRegistry, ServingModel, SwapError};
 pub use server::{

@@ -113,7 +113,7 @@ impl DispatchPolicy {
 }
 
 /// Fleet-level request priority class. Lower classes shed earlier under
-/// overload (see [`PriorityAdmission`]).
+/// overload, at a smaller fraction of the fleet's queue headroom.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Priority {
     /// User-facing traffic: sheds only when the whole fleet is full.
@@ -135,41 +135,38 @@ impl Priority {
     }
 }
 
-/// Fleet-wide admission thresholds by priority class.
-///
-/// A class-`p` request is shed when the aggregate fleet backlog has
-/// reached `shed_frac[p]` of the fleet's total shed headroom
-/// (`live_replicas × per-replica watermark`). `shed_frac[0] = 1.0`
-/// means interactive traffic only sheds when every replica is at its
-/// own watermark.
-#[derive(Clone, Copy, Debug)]
-pub struct PriorityAdmission {
-    /// Backlog fraction, per [`Priority::index`], at which the class
-    /// sheds. Each entry must be in `(0, 1]`.
-    pub shed_frac: [f64; 3],
-}
+/// Times a request may be re-queued on its replica after losing its
+/// worker before the replica gives it up (to a sibling, or as lost).
+pub(crate) const MAX_REQUEUES: u32 = 2;
 
-impl Default for PriorityAdmission {
-    fn default() -> Self {
-        Self {
-            shed_frac: [1.0, 0.7, 0.45],
-        }
-    }
-}
+/// Times a fleet reroutes a request whose replica gave it up. A lone
+/// replica has no sibling and passes 0 instead.
+pub(crate) const REROUTE_BUDGET: u32 = 1;
 
-impl PriorityAdmission {
-    /// Whether a request of priority `class` (a [`Priority::index`]) is
-    /// shed at fleet `backlog` over `live` replicas of per-replica
-    /// `watermark`.
-    pub fn sheds(&self, class: usize, backlog: usize, live: usize, watermark: usize) -> bool {
-        backlog as f64 >= self.shed_frac[class] * (live * watermark) as f64
-    }
-}
+/// Consecutive rollout failures (rejected swaps, rolled-back canaries)
+/// that open the [`Breaker`].
+pub(crate) const BREAKER_THRESHOLD: u32 = 3;
 
-/// The queue depth at which a replica sheds: the configured watermark,
-/// never above the physical capacity.
-pub(crate) fn effective_watermark(shed_watermark: Option<usize>, capacity: usize) -> usize {
-    shed_watermark.unwrap_or(capacity).min(capacity)
+/// Backlog fraction, per [`Priority::index`], of the fleet's shed
+/// headroom at which the class sheds (see [`fleet_sheds`]).
+pub(crate) const SHED_FRAC: [f64; 3] = [1.0, 0.7, 0.45];
+
+/// Relative weights of the three priority classes the virtual-time
+/// fleet draws for its arrivals with [`priority_draw`].
+pub(crate) const PRIORITY_MIX: [f64; 3] = [0.2, 0.5, 0.3];
+
+/// Target utilisation of the per-replica sustainable rate the
+/// autoscaler sizes for ([`ScalingBand::desired_replicas`]).
+pub(crate) const TARGET_UTIL: f64 = 0.7;
+
+/// Fleet-wide priority admission: whether a request of priority `class`
+/// (a [`Priority::index`]) is shed at fleet `backlog` over `live`
+/// replicas whose queues each hold `capacity`. The class sheds once the
+/// backlog reaches its [`SHED_FRAC`] of the fleet's headroom
+/// (`live × capacity`), so interactive traffic (fraction 1.0) sheds only
+/// when every replica's queue is full.
+pub(crate) fn fleet_sheds(class: usize, backlog: usize, live: usize, capacity: usize) -> bool {
+    backlog as f64 >= SHED_FRAC[class] * (live * capacity) as f64
 }
 
 /// Retry-after hint for a request shed at queue `depth`: the time that
@@ -308,8 +305,8 @@ impl Recovery {
 }
 
 /// Consecutive-failure circuit breaker over model rollouts (guarded
-/// swaps and canary verdicts). The owner supplies the threshold and any
-/// locking.
+/// swaps and canary verdicts). Both drivers charge it at
+/// [`BREAKER_THRESHOLD`]; the owner supplies any locking.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Breaker {
     /// Consecutive failures since the last success or reset.
@@ -341,17 +338,14 @@ impl Breaker {
 }
 
 /// Fleet-sizing policy of the virtual-time autoscaler
-/// ([`crate::fleet::SimAutoscaler`]): a replica band, a utilisation
-/// target and the backlog guard on shrinking.
+/// ([`crate::fleet::SimAutoscaler`]): a replica band and the backlog
+/// guard on shrinking; the utilisation target is the policy core's 0.7.
 #[derive(Clone, Copy, Debug)]
 pub struct ScalingBand {
     /// Lower bound on live replicas.
     pub min_replicas: usize,
     /// Upper bound on live replicas.
     pub max_replicas: usize,
-    /// Target utilisation of the per-replica sustainable rate; desired
-    /// size is `ceil(rate / (replica_rate × target_util))`.
-    pub target_util: f64,
     /// Scale-down only when the fleet backlog is at most this many
     /// requests per live replica (don't shrink into a backlog).
     pub scale_down_backlog: usize,
@@ -362,7 +356,6 @@ impl Default for ScalingBand {
         Self {
             min_replicas: 1,
             max_replicas: 8,
-            target_util: 0.7,
             scale_down_backlog: 2,
         }
     }
@@ -381,9 +374,10 @@ pub(crate) enum ScaleStep {
 
 impl ScalingBand {
     /// Band-clamped fleet size for arrival `rate` (req/s) against
-    /// `replica_rate` (req/s one replica sustains).
+    /// `replica_rate` (req/s one replica sustains):
+    /// `ceil(rate / (replica_rate × TARGET_UTIL))`.
     pub(crate) fn desired_replicas(&self, rate: f64, replica_rate: f64) -> usize {
-        let desired = ((rate / (replica_rate * self.target_util)).ceil() as usize).max(1);
+        let desired = ((rate / (replica_rate * TARGET_UTIL)).ceil() as usize).max(1);
         desired.clamp(self.min_replicas, self.max_replicas)
     }
 
@@ -488,9 +482,9 @@ mod tests {
         assert!((hits - 0.25).abs() < 0.03, "canary share {hits}");
         let mut classes = [0usize; 3];
         for o in 0..n {
-            classes[priority_draw(11, o, [0.2, 0.5, 0.3])] += 1;
+            classes[priority_draw(11, o, PRIORITY_MIX)] += 1;
         }
-        for (c, want) in classes.iter().zip([0.2, 0.5, 0.3]) {
+        for (c, want) in classes.iter().zip(PRIORITY_MIX) {
             assert!((*c as f64 / n as f64 - want).abs() < 0.03, "{classes:?}");
         }
         assert_eq!(priority_draw(11, 5, [0.0, 1.0, 0.0]), 1);
@@ -499,8 +493,7 @@ mod tests {
 
     #[test]
     fn admission_table() {
-        let a = PriorityAdmission::default();
-        // 2 live replicas × watermark 10 = headroom 20.
+        // 2 live replicas × capacity 10 = headroom 20.
         for (class, backlog, shed) in [
             (0, 19, false),
             (0, 20, true),
@@ -510,14 +503,11 @@ mod tests {
             (2, 9, true),
         ] {
             assert_eq!(
-                a.sheds(class, backlog, 2, 10),
+                fleet_sheds(class, backlog, 2, 10),
                 shed,
                 "class {class} backlog {backlog}"
             );
         }
-        assert_eq!(effective_watermark(None, 64), 64);
-        assert_eq!(effective_watermark(Some(8), 64), 8);
-        assert_eq!(effective_watermark(Some(99), 64), 64);
         let p = BatchPolicy::dynamic(8, Duration::from_millis(10));
         for (depth, ms) in [(0, 10), (1, 10), (8, 10), (9, 20), (64, 80)] {
             assert_eq!(
@@ -667,11 +657,10 @@ mod tests {
         let band = ScalingBand {
             min_replicas: 1,
             max_replicas: 4,
-            target_util: 0.5,
             scale_down_backlog: 2,
         };
-        // replica_rate 100 at 50 % target: 50 req/s per replica.
-        for (rate, want) in [(0.0, 1), (50.0, 1), (50.1, 2), (149.0, 3), (1e6, 4)] {
+        // replica_rate 100 at the 70 % target: 70 req/s per replica.
+        for (rate, want) in [(0.0, 1), (70.0, 1), (70.1, 2), (209.0, 3), (1e6, 4)] {
             assert_eq!(band.desired_replicas(rate, 100.0), want, "rate {rate}");
         }
         let floor = ScalingBand {

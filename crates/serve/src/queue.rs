@@ -14,8 +14,8 @@
 //! is rejected with a typed [`SubmitError`] in two cases, and the
 //! request is handed back to the caller either way:
 //!
-//! * [`SubmitError::Full`] — the queue depth reached the *shed
-//!   watermark* (≤ capacity). Shedding early keeps the tail latency of
+//! * [`SubmitError::Full`] — the queue depth reached its capacity, the
+//!   one bound on waiting requests, which keeps the tail latency of
 //!   accepted work bounded; the error carries the depth so callers can
 //!   derive a retry-after hint.
 //! * [`SubmitError::Closed`] — the queue was closed; nothing submitted
@@ -76,7 +76,7 @@ impl BatchPolicy {
 /// handed back in either variant.
 #[derive(Debug)]
 pub enum SubmitError<T> {
-    /// The queue depth reached the shed watermark (or capacity). `depth`
+    /// The queue depth reached the capacity. `depth`
     /// is the number of requests that were waiting at rejection time —
     /// the raw material for a retry-after hint.
     Full {
@@ -124,32 +124,18 @@ struct Inner<T> {
     closed: bool,
 }
 
-/// Bounded MPMC request queue with batch-forming consumers, watermark
-/// load shedding and deadline expiry.
+/// Bounded MPMC request queue with batch-forming consumers, load
+/// shedding at capacity and deadline expiry.
 pub struct BatchQueue<T> {
     inner: Mutex<Inner<T>>,
     notify: Condvar,
     capacity: usize,
-    watermark: usize,
 }
 
 impl<T> BatchQueue<T> {
-    /// Creates a queue admitting at most `capacity` waiting requests
-    /// (the shed watermark equals the capacity).
+    /// Creates a queue admitting at most `capacity` waiting requests.
     pub fn new(capacity: usize) -> Self {
-        Self::with_watermark(capacity, capacity)
-    }
-
-    /// Creates a queue that physically holds up to `capacity` requests
-    /// but starts shedding new submissions once `watermark` are waiting.
-    /// A watermark below capacity leaves headroom for re-queued
-    /// in-flight requests recovered from dead workers.
-    pub fn with_watermark(capacity: usize, watermark: usize) -> Self {
         assert!(capacity >= 1, "capacity must be at least 1");
-        assert!(
-            (1..=capacity).contains(&watermark),
-            "watermark must be in 1..=capacity, got {watermark} with capacity {capacity}"
-        );
         Self {
             inner: Mutex::new(Inner {
                 items: VecDeque::new(),
@@ -157,12 +143,10 @@ impl<T> BatchQueue<T> {
             }),
             notify: Condvar::new(),
             capacity,
-            watermark,
         }
     }
 
-    /// Physical bound on waiting requests (re-queues may exceed the
-    /// watermark up to roughly this).
+    /// Bound on submitted waiting requests (re-queues may exceed it).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -175,7 +159,7 @@ impl<T> BatchQueue<T> {
 
     /// Enqueues a request without blocking. Rejects with
     /// [`SubmitError::Closed`] after `close()` and with
-    /// [`SubmitError::Full`] once the shed watermark is reached. A
+    /// [`SubmitError::Full`] once the capacity is reached. A
     /// request with a `deadline` that passes while queued is shed by the
     /// batch former before compute (see [`Popped::expired`]).
     pub fn submit_with_deadline(
@@ -187,7 +171,7 @@ impl<T> BatchQueue<T> {
         if g.closed {
             return Err(SubmitError::Closed(item));
         }
-        if g.items.len() >= self.watermark {
+        if g.items.len() >= self.capacity {
             let depth = g.items.len();
             return Err(SubmitError::Full { item, depth });
         }
@@ -209,7 +193,7 @@ impl<T> BatchQueue<T> {
 
     /// Puts recovered in-flight requests back at the *head* of the line,
     /// in order (`items[0]` will be popped first). Exempt from both the
-    /// watermark and the closed flag: these requests were admitted once
+    /// capacity and the closed flag: these requests were admitted once
     /// already, and after `close()` consumers still drain what remains.
     /// Each item carries its (possibly already expired) deadline so the
     /// expiry path still applies; arrival is reset to now, so the queue
@@ -429,18 +413,7 @@ mod tests {
             e => panic!("expected Full, got {e:?}"),
         }
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn watermark_sheds_below_capacity() {
-        let q = BatchQueue::with_watermark(8, 2);
-        q.submit(1).unwrap();
-        q.submit(2).unwrap();
-        assert!(matches!(
-            q.submit(3),
-            Err(SubmitError::Full { depth: 2, .. })
-        ));
-        // Requeue is watermark-exempt: recovered in-flight work still fits.
+        // Requeue is capacity-exempt: recovered in-flight work still fits.
         q.requeue_front(vec![(9, None)]);
         assert_eq!(q.len(), 3);
     }

@@ -29,7 +29,7 @@
 //! through repeated load/verify cycles. Every rejection and breaker
 //! transition is emitted as a `scidl-trace` event.
 
-use crate::policy::Breaker;
+use crate::policy::{Breaker, BREAKER_THRESHOLD};
 use scidl_cluster::faults::FaultPlan;
 use scidl_core::checkpoint::Checkpoint;
 use scidl_nn::network::Model;
@@ -234,29 +234,20 @@ impl std::error::Error for SwapError {}
 pub struct ModelRegistry {
     active: RwLock<Arc<ServingModel>>,
     breaker: Mutex<Breaker>,
-    breaker_threshold: u32,
     faults: FaultPlan,
     swap_attempts: AtomicU64,
 }
 
 impl ModelRegistry {
-    /// Creates a registry serving `model` with a breaker threshold of 3.
+    /// Creates a registry serving `model`; its breaker opens after
+    /// three consecutive failures (the policy core's threshold).
     pub fn new(model: ServingModel) -> Self {
         Self {
             active: RwLock::new(Arc::new(model)),
             breaker: Mutex::new(Breaker::default()),
-            breaker_threshold: 3,
             faults: FaultPlan::none(),
             swap_attempts: AtomicU64::new(0),
         }
-    }
-
-    /// Sets how many *consecutive* guarded-swap failures open the
-    /// breaker. Must be ≥ 1.
-    pub fn with_breaker_threshold(mut self, threshold: u32) -> Self {
-        assert!(threshold >= 1, "breaker threshold must be at least 1");
-        self.breaker_threshold = threshold;
-        self
     }
 
     /// Attaches a chaos plan: guarded swap attempt `k` fails as a
@@ -287,7 +278,7 @@ impl ModelRegistry {
     /// loaded.
     pub fn record_rollout_failure(&self, reason: &'static str) -> bool {
         let mut b = self.breaker.lock().unwrap();
-        let opened = b.fail(self.breaker_threshold);
+        let opened = b.fail(BREAKER_THRESHOLD);
         let after = *b;
         drop(b);
         let tr = scidl_trace::TraceHandle::current();
@@ -677,15 +668,18 @@ mod tests {
         Checkpoint::capture(&source, 9, 1).save(&path).unwrap();
 
         let mut rngr = TensorRng::new(63);
-        // Chaos plan corrupts attempts 0 and 1; threshold 2 opens on the
-        // second failure.
-        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0))
-            .with_breaker_threshold(2)
-            .with_faults(FaultPlan::none().with_corrupt_swap(0).with_corrupt_swap(1));
+        // Chaos plan corrupts attempts 0, 1 and 2; threshold 3 opens on
+        // the third failure.
+        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0)).with_faults(
+            FaultPlan::none()
+                .with_corrupt_swap(0)
+                .with_corrupt_swap(1)
+                .with_corrupt_swap(2),
+        );
         let mut xr = TensorRng::new(64);
         let probe = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
 
-        for want_open in [false, true] {
+        for want_open in [false, false, true] {
             let mut rng2 = TensorRng::new(65);
             let err = reg
                 .load_and_swap_guarded(&path, hep_small(&mut rng2), &probe, Some(&source))
@@ -700,7 +694,7 @@ mod tests {
             .load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source))
             .unwrap_err();
         assert!(
-            matches!(err, SwapError::BreakerOpen { failures: 2 }),
+            matches!(err, SwapError::BreakerOpen { failures: 3 }),
             "{err}"
         );
         assert_eq!(reg.swap_attempts(), attempts_before);
@@ -727,21 +721,14 @@ mod tests {
         Checkpoint::capture(&source, 9, 1).save(&path).unwrap();
 
         let mut rngr = TensorRng::new(71);
-        // Attempts 0,1 corrupt (first streak) and 2,3 corrupt (second
+        // Attempts 0-2 corrupt (first streak) and 3-5 corrupt (second
         // streak after the reset).
         let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0))
-            .with_breaker_threshold(2)
-            .with_faults(
-                FaultPlan::none()
-                    .with_corrupt_swap(0)
-                    .with_corrupt_swap(1)
-                    .with_corrupt_swap(2)
-                    .with_corrupt_swap(3),
-            );
+            .with_faults((0..6).fold(FaultPlan::none(), FaultPlan::with_corrupt_swap));
         let mut xr = TensorRng::new(72);
         let probe = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
 
-        for _ in 0..2 {
+        for _ in 0..3 {
             let mut rng2 = TensorRng::new(73);
             reg.load_and_swap_guarded(&path, hep_small(&mut rng2), &probe, Some(&source))
                 .unwrap_err();
@@ -751,17 +738,19 @@ mod tests {
         assert!(!reg.breaker_open());
         assert_eq!(reg.consecutive_failures(), 0, "reset zeroes the streak");
 
-        // One failure after reset: still closed (streak restarted at 0).
-        let mut rng3 = TensorRng::new(74);
-        reg.load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source))
-            .unwrap_err();
+        // Two failures after reset: still closed (streak restarted at 0).
+        for _ in 0..2 {
+            let mut rng3 = TensorRng::new(74);
+            reg.load_and_swap_guarded(&path, hep_small(&mut rng3), &probe, Some(&source))
+                .unwrap_err();
+        }
         assert!(
             !reg.breaker_open(),
-            "one post-reset failure is below threshold"
+            "two post-reset failures are below threshold"
         );
-        assert_eq!(reg.consecutive_failures(), 1);
+        assert_eq!(reg.consecutive_failures(), 2);
 
-        // Second failure of the new streak: reopens.
+        // Third failure of the new streak: reopens.
         let mut rng4 = TensorRng::new(75);
         reg.load_and_swap_guarded(&path, hep_small(&mut rng4), &probe, Some(&source))
             .unwrap_err();
@@ -784,14 +773,12 @@ mod tests {
         // Attempts 0,1 corrupt; attempt 2 healthy; attempt 3 corrupt.
         // Threshold 3: without the clear-on-success, attempt 3 would be
         // the third cumulative failure and would wrongly open the breaker.
-        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0))
-            .with_breaker_threshold(3)
-            .with_faults(
-                FaultPlan::none()
-                    .with_corrupt_swap(0)
-                    .with_corrupt_swap(1)
-                    .with_corrupt_swap(3),
-            );
+        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rngr), 7, 0)).with_faults(
+            FaultPlan::none()
+                .with_corrupt_swap(0)
+                .with_corrupt_swap(1)
+                .with_corrupt_swap(3),
+        );
         let mut xr = TensorRng::new(78);
         let probe = xr.uniform_tensor(Shape4::new(1, 3, 32, 32), -1.0, 1.0);
 
@@ -952,14 +939,15 @@ mod tests {
     #[test]
     fn publish_and_rollout_hooks_drive_the_breaker() {
         let mut rng = TensorRng::new(82);
-        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rng), 1, 0))
-            .with_breaker_threshold(2);
+        let reg = ModelRegistry::new(ServingModel::new(hep_small(&mut rng), 1, 0));
 
-        assert!(
-            !reg.record_rollout_failure("canary_slo"),
-            "first failure stays closed"
-        );
-        assert_eq!(reg.consecutive_failures(), 1);
+        for _ in 0..2 {
+            assert!(
+                !reg.record_rollout_failure("canary_slo"),
+                "failures below the threshold stay closed"
+            );
+        }
+        assert_eq!(reg.consecutive_failures(), 2);
         assert!(
             reg.record_rollout_failure("canary_slo"),
             "threshold reached: opens"

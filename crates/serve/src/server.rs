@@ -10,8 +10,8 @@
 //!   panicking worker reports to the supervisor instead of silently
 //!   shrinking the pool. Its in-flight batch is recovered from the
 //!   shared in-flight table and re-queued at the head of the line (up to
-//!   [`SupervisorConfig::max_requeues`] attempts per request, so a
-//!   poison request cannot crash-loop the pool forever), and the slot is
+//!   the policy core's re-queue budget of 2 per request, so a poison
+//!   request cannot crash-loop the pool forever), and the slot is
 //!   respawned with exponential backoff.
 //! * **Hangs are detected.** Workers stamp a heartbeat per batch; a
 //!   worker that has held its batch past
@@ -40,7 +40,7 @@
 //! same schedule a `sim` replica holds: a slow window counts the slot's
 //! served batches across respawns and replacements.
 
-use crate::policy::{effective_watermark, retry_after, DispatchSchedule, Recovery};
+use crate::policy::{retry_after, DispatchSchedule, Recovery, MAX_REQUEUES};
 use crate::queue::{BatchPolicy, BatchQueue, SubmitError};
 use crate::registry::ModelRegistry;
 use scidl_cluster::faults::FaultPlan;
@@ -87,8 +87,9 @@ pub struct InferResult {
 /// exactly one terminal outcome: an [`InferResult`] or one of these.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServeError {
-    /// Admission control shed the request: the queue depth crossed the
-    /// shed watermark. `retry_after` is the server's backoff hint.
+    /// Admission control shed the request: the queue (or, through a
+    /// router, the request's priority class's share of the fleet's
+    /// queues) was full. `retry_after` is the server's backoff hint.
     Shed {
         /// Queue depth observed at rejection.
         depth: usize,
@@ -114,7 +115,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Shed { depth, retry_after } => write!(
                 f,
-                "request shed: queue depth {depth} crossed the watermark (retry after {retry_after:?})"
+                "request shed: queue depth {depth} reached the admission bound (retry after {retry_after:?})"
             ),
             ServeError::Closed => write!(f, "server closed: request rejected at admission"),
             ServeError::DeadlineExceeded => write!(f, "deadline expired while queued"),
@@ -141,8 +142,9 @@ fn respawn_backoff(doublings: u32) -> Duration {
         .min(RESPAWN_BACKOFF_CAP)
 }
 
-/// Supervisor tuning: the hang timeout, the respawn budget and the
-/// re-queue budget for in-flight requests recovered from dead workers.
+/// Supervisor tuning: the hang timeout and the respawn budget. (The
+/// re-queue budget of a request recovered from a dead worker is the
+/// policy core's, shared with the virtual-time replica.)
 #[derive(Clone, Copy, Debug)]
 pub struct SupervisorConfig {
     /// A worker holding one batch this long while requests wait is
@@ -150,9 +152,6 @@ pub struct SupervisorConfig {
     pub heartbeat_timeout: Duration,
     /// Respawns allowed per worker slot before it is abandoned.
     pub max_respawns: u32,
-    /// Times a single request may be re-queued after losing its worker
-    /// before it is abandoned (its client sees [`ServeError::WorkerLost`]).
-    pub max_requeues: u32,
 }
 
 impl Default for SupervisorConfig {
@@ -160,7 +159,6 @@ impl Default for SupervisorConfig {
         Self {
             heartbeat_timeout: Duration::from_millis(500),
             max_respawns: 8,
-            max_requeues: 2,
         }
     }
 }
@@ -172,10 +170,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound on the request queue; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// Queue depth at which admission starts shedding; `None` means the
-    /// full capacity. Setting it below capacity leaves headroom for
-    /// requests re-queued from dead workers.
-    pub shed_watermark: Option<usize>,
     /// Batch-formation policy.
     pub policy: BatchPolicy,
     /// Deterministic chaos: serving events of this plan (worker
@@ -190,7 +184,6 @@ impl Default for ServerConfig {
         Self {
             workers: 1,
             queue_capacity: 64,
-            shed_watermark: None,
             policy: BatchPolicy::dynamic(8, Duration::from_millis(10)),
             faults: FaultPlan::none(),
             supervisor: SupervisorConfig::default(),
@@ -203,7 +196,7 @@ impl Default for ServerConfig {
 pub struct ServerReport {
     /// Requests answered with logits.
     pub served: u64,
-    /// Requests shed at admission (watermark / queue full).
+    /// Requests shed at admission (queue full).
     pub shed: u64,
     /// Requests shed in the queue because their deadline expired.
     pub expired: u64,
@@ -291,7 +284,7 @@ pub type ReplyReceiver = Receiver<Result<InferResult, ServeError>>;
 impl Client {
     /// Submits `input` (shape `(1, c, h, w)`) without waiting for the
     /// answer and with no deadline. Sheds with [`ServeError::Shed`] when
-    /// the queue is over its watermark.
+    /// the queue is full.
     pub fn submit(&self, input: Tensor) -> Result<ReplyReceiver, ServeError> {
         self.submit_with_deadline(input, None)
     }
@@ -373,9 +366,8 @@ impl Server {
     pub fn start(registry: Arc<ModelRegistry>, cfg: ServerConfig) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         install_quiet_panic_hook();
-        let watermark = effective_watermark(cfg.shed_watermark, cfg.queue_capacity);
         let shared = Arc::new(Shared {
-            queue: BatchQueue::with_watermark(cfg.queue_capacity, watermark),
+            queue: BatchQueue::new(cfg.queue_capacity),
             registry,
             policy: cfg.policy,
             schedule: Mutex::new(DispatchSchedule::new(&cfg.faults, 0, cfg.workers)),
@@ -492,7 +484,7 @@ fn supervisor_loop(
                     req.attempts += 1;
                     // A pool has no sibling to reroute to (the router
                     // does that, a level up): reroute budget 0.
-                    match Recovery::after_crash(req.attempts, cfg.max_requeues, 0, 0) {
+                    match Recovery::after_crash(req.attempts, MAX_REQUEUES, 0, 0) {
                         Recovery::Requeue => {
                             shared.counters.requeued.fetch_add(1, Ordering::Relaxed);
                             let deadline = req.deadline;
@@ -901,14 +893,15 @@ mod tests {
         let cfg = ServerConfig {
             workers: 1,
             policy: BatchPolicy::batch1(),
-            // Crash on every batch; one respawn allowed, no re-queues:
-            // after two crashes the pool is gone for good.
+            // Crash on every batch; two respawns allowed: the first request
+            // dies three times, one more than its two re-queues, and after
+            // the third crash the pool is gone for good.
             faults: FaultPlan::none()
+                .with_worker_crash(0, 0, 0.0)
                 .with_worker_crash(0, 0, 0.0)
                 .with_worker_crash(0, 0, 0.0),
             supervisor: SupervisorConfig {
-                max_respawns: 1,
-                max_requeues: 0,
+                max_respawns: 2,
                 ..Default::default()
             },
             ..Default::default()
@@ -921,7 +914,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Every request terminated (this test completing proves no
-        // hang); with zero re-queues the crashed ones see WorkerLost and
+        // hang); the thrice-crashed one sees WorkerLost and
         // post-exhaustion submissions are rejected at admission.
         assert!(outcomes.iter().all(|o| matches!(
             o,
@@ -934,7 +927,7 @@ mod tests {
             "{outcomes:?}"
         );
         let (_, report) = server.shutdown_with_report();
-        assert_eq!(report.panics, 2);
+        assert_eq!((report.panics, report.requeued), (3, 2));
         assert!(report.worker_lost >= 1);
     }
 
@@ -965,8 +958,7 @@ mod tests {
         let reg = registry(43, 0);
         let cfg = ServerConfig {
             workers: 1,
-            queue_capacity: 64,
-            shed_watermark: Some(2),
+            queue_capacity: 2,
             // Huge batch window: nothing dispatches while we overfill.
             policy: BatchPolicy::dynamic(64, Duration::from_secs(30)),
             ..Default::default()

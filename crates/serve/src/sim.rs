@@ -18,8 +18,7 @@
 //! admission); [`crate::fleet::simulate_fleet`] routes over a `Vec` of
 //! them. Its semantics:
 //!
-//! * bounded queue, arrivals shed once `shed_watermark` (default: the
-//!   capacity) are waiting,
+//! * bounded queue, arrivals shed once `queue_capacity` are waiting,
 //! * batch forms when `max_batch` requests wait or the oldest has waited
 //!   `max_delay`, whichever comes first,
 //! * a batch starts when a worker is free (the trigger can be delayed by
@@ -40,19 +39,20 @@
 //!   dispatching the scheduled batch, halfway through it; each of the
 //!   batch's requests is re-queued at the head of the line, handed to
 //!   the caller for rerouting, or counted *lost*, as
-//!   `policy::Recovery` decides, and the slot returns `respawn_secs`
-//!   later,
+//!   `policy::Recovery` decides at the policy core's budgets (2
+//!   re-queues, 1 reroute in a fleet), and the slot returns
+//!   `respawn_secs` later,
 //! * a [`SlowWorker`](scidl_cluster::faults::SlowWorker) stretches the
 //!   slot's service times by its factor over its window of the slot's
 //!   served batches,
 //! * scheduled hot-swap attempts ([`SimConfig::swap_schedule`]) replay
 //!   the registry's validate-before-publish circuit breaker
 //!   (`policy::Breaker`): attempts the plan marks corrupt are
-//!   rejected, consecutive rejections open the breaker, and an open
-//!   breaker fails attempts fast.
+//!   rejected, three consecutive rejections open the breaker, and an
+//!   open breaker fails attempts fast.
 
 use crate::policy::{
-    batch_trigger, effective_watermark, lapsed, Breaker, DispatchSchedule, Recovery,
+    batch_trigger, lapsed, Breaker, DispatchSchedule, Recovery, BREAKER_THRESHOLD, MAX_REQUEUES,
 };
 use crate::queue::BatchPolicy;
 use scidl_cluster::faults::FaultPlan;
@@ -117,12 +117,10 @@ impl ServiceModel {
 pub struct SimConfig {
     /// Number of parallel workers (KNL nodes) pulling batches.
     pub workers: usize,
-    /// Bounded queue capacity.
+    /// Bounded queue capacity; arrivals beyond it are shed.
     pub queue_capacity: usize,
     /// Batch-formation policy.
     pub policy: BatchPolicy,
-    /// Queue depth at which admission sheds; `None` means the capacity.
-    pub shed_watermark: Option<usize>,
     /// Relative deadline attached to every arrival; requests still
     /// queued when it lapses are shed before compute.
     pub deadline_secs: Option<f64>,
@@ -131,28 +129,18 @@ pub struct SimConfig {
     /// Virtual times of hot-swap attempts (replayed through the breaker
     /// model; corruption comes from `faults.swap_is_corrupt`).
     pub swap_schedule: Vec<f64>,
-    /// Consecutive bad swaps that open the breaker.
-    pub breaker_threshold: u32,
-    /// Re-queues a request survives after losing its worker before it
-    /// counts as lost.
-    pub max_requeues: u32,
 }
 
 impl SimConfig {
-    /// A fault-free configuration with the default resilience knobs
-    /// (watermark = capacity, no deadlines, breaker threshold 3, two
-    /// re-queues).
+    /// A fault-free configuration with no deadlines and no swaps.
     pub fn new(workers: usize, queue_capacity: usize, policy: BatchPolicy) -> Self {
         Self {
             workers,
             queue_capacity,
             policy,
-            shed_watermark: None,
             deadline_secs: None,
             faults: FaultPlan::none(),
             swap_schedule: Vec::new(),
-            breaker_threshold: 3,
-            max_requeues: 2,
         }
     }
 }
@@ -167,7 +155,7 @@ pub struct SimOutcome {
     pub recorder: LatencyRecorder,
     /// Requests served to completion (any replica).
     pub completed: usize,
-    /// Requests shed at a replica's watermark / full queue.
+    /// Requests shed at a replica's full queue.
     pub rejected: usize,
     /// Requests shed by fleet-level priority admission, per class.
     pub fleet_shed: [usize; 3],
@@ -213,7 +201,7 @@ pub struct SimOutcome {
     pub makespan: f64,
     /// Ids of served requests, in dispatch order.
     pub served_ids: Vec<usize>,
-    /// Ids of requests shed at admission (fleet or watermark), in
+    /// Ids of requests shed at admission (fleet or full queue), in
     /// arrival order.
     pub rejected_ids: Vec<usize>,
     /// Ids of deadline-expired requests, in expiry order.
@@ -279,7 +267,6 @@ pub(crate) struct SimCore<'a> {
     pub(crate) model: &'a ServiceModel,
     cfg: &'a SimConfig,
     max_delay: f64,
-    pub(crate) watermark: usize,
     reroute_budget: u32,
     /// While set, served latencies are sampled into the canary arms.
     pub(crate) canary_window: bool,
@@ -303,8 +290,6 @@ impl<'a> SimCore<'a> {
             arrivals.windows(2).all(|w| w[1] >= w[0]),
             "arrival schedule must be sorted"
         );
-        let watermark = effective_watermark(cfg.shed_watermark, cfg.queue_capacity);
-        assert!(watermark >= 1, "shed watermark must be at least 1");
         assert!(
             cfg.deadline_secs.is_none_or(|d| d > 0.0),
             "deadline must be positive"
@@ -313,7 +298,6 @@ impl<'a> SimCore<'a> {
             model,
             cfg,
             max_delay: cfg.policy.max_delay.as_secs_f64(),
-            watermark,
             reroute_budget,
             canary_window: false,
             base_lat: Vec::new(),
@@ -344,7 +328,7 @@ impl<'a> SimCore<'a> {
                     self.out.swap_published += 1;
                     continue;
                 }
-                opened = breaker.fail(self.cfg.breaker_threshold);
+                opened = breaker.fail(BREAKER_THRESHOLD);
                 "checksum"
             };
             self.out.swap_rejects += 1;
@@ -416,14 +400,14 @@ impl Replica {
         self.draining.is_none() && self.retired.is_none()
     }
 
-    /// Admits request `id` arriving at `t`, or sheds it at the
-    /// watermark. Returns whether it was admitted. Once per request in
+    /// Admits request `id` arriving at `t`, or sheds it at a full
+    /// queue. Returns whether it was admitted. Once per request in
     /// both drivers' loops, hence `#[inline]` (≈ 2 ns of `simulate`'s
     /// ≈ 30 ns per request otherwise).
     #[inline]
     pub(crate) fn admit(&mut self, core: &mut SimCore<'_>, id: usize, t: f64) -> bool {
         let depth = self.queue.len();
-        if depth >= core.watermark {
+        if depth >= core.cfg.queue_capacity {
             core.out.rejected += 1;
             core.out.rejected_ids.push(id);
             if core.tr.enabled() {
@@ -548,7 +532,7 @@ impl Replica {
                     q.arrived = t_crash;
                     match Recovery::after_crash(
                         q.attempts,
-                        cfg.max_requeues,
+                        MAX_REQUEUES,
                         q.reroutes,
                         core.reroute_budget,
                     ) {
@@ -796,15 +780,15 @@ mod tests {
         let m = ServiceModel::hep();
         let arrivals: Vec<f64> = (0..4).map(|i| i as f64 * 1e-4).collect();
         let mut cfg = dyn_cfg(4, 1);
-        cfg.max_requeues = 1;
-        // Two crashes on slot 0 with an instant respawn: the same batch
-        // dies twice, exceeding the single-re-queue budget.
+        // Three crashes on slot 0 with an instant respawn: the same batch
+        // dies three times, exceeding the two-re-queue budget.
         cfg.faults = FaultPlan::none()
+            .with_worker_crash(0, 0, 0.0)
             .with_worker_crash(0, 0, 0.0)
             .with_worker_crash(0, 0, 0.0);
         let out = simulate(&m, &arrivals, &cfg);
-        assert_eq!(out.crashes, 2);
-        assert_eq!(out.lost, 4, "the twice-crashed batch is abandoned");
+        assert_eq!((out.crashes, out.requeued), (3, 8));
+        assert_eq!(out.lost, 4, "the thrice-crashed batch is abandoned");
         assert_eq!(out.completed, 0);
         assert_eq!(out.offered(), arrivals.len());
     }
@@ -844,35 +828,17 @@ mod tests {
     }
 
     #[test]
-    fn watermark_sheds_earlier_than_capacity() {
-        let m = ServiceModel::hep();
-        let arrivals = vec![0.0; 10];
-        let mut deep = dyn_cfg(32, 50);
-        deep.queue_capacity = 16;
-        let mut shallow = deep.clone();
-        shallow.shed_watermark = Some(4);
-        let a = simulate(&m, &arrivals, &deep);
-        let b = simulate(&m, &arrivals, &shallow);
-        assert_eq!(a.rejected, 0);
-        assert_eq!(
-            b.rejected, 6,
-            "watermark 4 admits only the first 4 of the burst"
-        );
-    }
-
-    #[test]
     fn corrupt_swap_schedule_trips_the_breaker() {
         let m = ServiceModel::hep();
         let arrivals: Vec<f64> = (0..4).map(|i| i as f64 * 0.01).collect();
         let mut cfg = dyn_cfg(4, 1);
-        cfg.breaker_threshold = 2;
-        cfg.swap_schedule = vec![0.01, 0.02, 0.03, 0.04];
-        cfg.faults = FaultPlan::none().with_corrupt_swap(0).with_corrupt_swap(1);
+        cfg.swap_schedule = vec![0.01, 0.02, 0.03, 0.04, 0.05];
+        cfg.faults = (0..3).fold(FaultPlan::none(), FaultPlan::with_corrupt_swap);
         let out = simulate(&m, &arrivals, &cfg);
-        // Attempts 0 and 1 are corrupt → breaker opens; attempts at
-        // 0.03/0.04 fail fast without consuming an ordinal.
-        assert_eq!(out.swap_attempts, 2);
-        assert_eq!(out.swap_rejects, 4);
+        // Attempts 0, 1 and 2 are corrupt → breaker opens; attempts at
+        // 0.04/0.05 fail fast without consuming an ordinal.
+        assert_eq!(out.swap_attempts, 3);
+        assert_eq!(out.swap_rejects, 5);
         assert_eq!(out.swap_published, 0);
         assert!(out.breaker_opened);
         assert_eq!(
@@ -882,21 +848,22 @@ mod tests {
     }
 
     /// The replay wires a published swap to the breaker's success path:
-    /// corrupt attempts 0 and 2 with a healthy one between them never
-    /// reach a streak of 2. (The breaker's own threshold/reset table is
-    /// pinned once, in `policy`.)
+    /// corrupt attempts 0, 1, 3 and 4 with a healthy one between them
+    /// never reach a streak of 3. (The breaker's own threshold/reset
+    /// table is pinned once, in `policy`.)
     #[test]
     fn published_swap_clears_the_failure_streak_in_virtual_time() {
         let m = ServiceModel::hep();
         let arrivals: Vec<f64> = (0..4).map(|i| i as f64 * 0.01).collect();
         let mut cfg = dyn_cfg(4, 1);
-        cfg.breaker_threshold = 2;
-        cfg.swap_schedule = vec![0.01, 0.02, 0.03];
-        cfg.faults = FaultPlan::none().with_corrupt_swap(0).with_corrupt_swap(2);
+        cfg.swap_schedule = vec![0.01, 0.02, 0.03, 0.04, 0.05];
+        cfg.faults = [0, 1, 3, 4]
+            .into_iter()
+            .fold(FaultPlan::none(), FaultPlan::with_corrupt_swap);
         let out = simulate(&m, &arrivals, &cfg);
-        assert_eq!(out.swap_attempts, 3);
+        assert_eq!(out.swap_attempts, 5);
         assert_eq!(out.swap_published, 1);
-        assert_eq!(out.swap_rejects, 2);
+        assert_eq!(out.swap_rejects, 4);
         assert!(!out.breaker_opened, "the published swap resets the streak");
     }
 
@@ -908,7 +875,7 @@ mod tests {
         let mut cfg = dyn_cfg(8, 5);
         cfg.workers = 2;
         cfg.deadline_secs = Some(0.5);
-        cfg.shed_watermark = Some(128);
+        cfg.queue_capacity = 128;
         cfg.swap_schedule = vec![0.1, 0.2];
         cfg.faults = scidl_core::faults::serving_chaos();
         let a = simulate(&m, &arrivals, &cfg);

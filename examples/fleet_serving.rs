@@ -53,7 +53,6 @@ fn main() {
     };
     let mut cfg = FleetConfig::new(3, template, DispatchPolicy::PowerOfTwoChoices);
     cfg.seed = 4242;
-    cfg.reroute_budget = 2;
     // Global worker indices: worker 0 IS replica 0 (one worker each).
     cfg.faults = FaultPlan::none().with_worker_crash(0, 1, 1e6);
     let router = Router::start(registry, cfg);
@@ -106,12 +105,10 @@ fn main() {
         min_replicas: 1,
         max_replicas: 6,
         scale_down_backlog: 4,
-        ..Default::default()
     };
     let run = |service_factor: f64| {
         let mut cfg = FleetSimConfig::new(1, base.clone(), DispatchPolicy::LeastLoaded);
         cfg.seed = 4242;
-        cfg.base.breaker_threshold = 1;
         cfg.autoscaler = Some(SimAutoscaler {
             band,
             tick_secs: 0.2,
@@ -150,10 +147,9 @@ fn main() {
 
     let bad = run(8.0);
     assert!(bad.canary_rolled_back && !bad.canary_promoted);
-    assert!(bad.breaker_opened, "the rollback charges the breaker");
     assert_eq!(bad.final_iteration, 0, "the old model keeps serving");
     println!(
-        "canary: 8x-slower candidate rolled back after {} requests; breaker open, old model serving",
+        "canary: 8x-slower candidate rolled back after {} requests; old model serving",
         bad.canary_served
     );
 }

@@ -1,6 +1,6 @@
 //! Serving-tier resilience under chaos — the acceptance criterion of the
 //! serving resilience work: one declarative `FaultPlan` (worker crash +
-//! straggling worker + corrupt hot-swap) drives BOTH the threaded server
+//! straggling worker + corrupt hot-swaps) drives BOTH the threaded server
 //! and the virtual-time simulator, and in both the run completes with no
 //! deadlock, no lost reply channels (every request gets exactly one
 //! terminal outcome), the corrupt checkpoint rejected while the previous
@@ -16,8 +16,7 @@ use scidl_core::faults::serving_chaos;
 use scidl_serve::queue::BatchPolicy;
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig};
 use scidl_serve::{
-    ModelRegistry, PoissonArrivals, ServeError, Server, ServerConfig, ServingModel,
-    SupervisorConfig, SwapError,
+    ModelRegistry, PoissonArrivals, ServeError, Server, ServerConfig, ServingModel, SwapError,
 };
 use scidl_tensor::{Shape4, Tensor, TensorRng};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -45,12 +44,13 @@ fn probe(seed: u64) -> Tensor {
 
 /// The acceptance run: `scidl_core::faults::serving_chaos()` — crash
 /// the slot dispatching the fourth batch mid-batch, 3× straggler window
-/// on worker 1, corrupt swap attempt 0 — against real threads, then the
-/// virtual-time sim.
+/// on worker 1, corrupt swap attempt 0 — plus corrupt swap attempts 1
+/// and 2, so three rejections in a row open the breaker, against real
+/// threads, then the virtual-time sim.
 #[test]
 fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     let _g = trace_lock();
-    let plan = serving_chaos();
+    let plan = serving_chaos().with_corrupt_swap(1).with_corrupt_swap(2);
 
     // ---------------- threaded half ----------------
     let sink = fresh_sink();
@@ -67,7 +67,6 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
             1,
             0,
         ))
-        .with_breaker_threshold(1)
         .with_faults(plan.clone()),
     );
     let server = Server::start(
@@ -99,27 +98,30 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
         }));
     }
 
-    // Mid-run hot-swap: attempt 0 is corrupt per the plan — rejected,
-    // previous model keeps serving; with threshold 1 the breaker opens.
-    let mut arch_rng = TensorRng::new(73);
-    let err = registry
-        .load_and_swap_guarded(
-            &ckpt,
-            scidl_nn::arch::hep_small(&mut arch_rng),
-            &probe(7),
-            Some(&trained),
-        )
-        .unwrap_err();
-    assert!(
-        matches!(err, SwapError::Load(_)),
-        "corrupt checkpoint must be rejected: {err}"
-    );
-    assert_eq!(
-        registry.current().iteration,
-        1,
-        "previous model keeps serving"
-    );
-    assert!(registry.breaker_open());
+    // Mid-run hot-swaps: attempts 0-2 are corrupt per the plan —
+    // rejected, previous model keeps serving; the third consecutive
+    // rejection opens the breaker.
+    for want_open in [false, false, true] {
+        let mut arch_rng = TensorRng::new(73);
+        let err = registry
+            .load_and_swap_guarded(
+                &ckpt,
+                scidl_nn::arch::hep_small(&mut arch_rng),
+                &probe(7),
+                Some(&trained),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, SwapError::Load(_)),
+            "corrupt checkpoint must be rejected: {err}"
+        );
+        assert_eq!(
+            registry.current().iteration,
+            1,
+            "previous model keeps serving"
+        );
+        assert_eq!(registry.breaker_open(), want_open);
+    }
 
     // Operator resets; the (healthy) checkpoint then publishes.
     registry.reset_breaker();
@@ -189,19 +191,18 @@ fn one_fault_plan_drives_threaded_server_and_sim_through_chaos() {
     let mut cfg = SimConfig::new(2, 64, BatchPolicy::dynamic(8, Duration::from_millis(5)));
     cfg.faults = plan.clone();
     cfg.deadline_secs = Some(0.5);
-    cfg.swap_schedule = vec![0.05, 0.1];
-    cfg.breaker_threshold = 1;
+    cfg.swap_schedule = vec![0.05, 0.1, 0.15, 0.2];
     let out = simulate(&model, &arrivals, &cfg);
     assert_eq!(out.crashes, 1, "the same crash event fires in virtual time");
     assert_eq!(out.offered(), 400, "exactly-once accounting under chaos");
     assert_eq!(out.recorder.len(), out.completed);
-    assert!(out.breaker_opened, "threshold 1 opens the sim breaker");
-    // Attempt 0 is corrupt (rejected), and with no operator reset in
-    // virtual time the open breaker fail-fasts the second scheduled swap
+    assert!(out.breaker_opened, "three rejections open the sim breaker");
+    // Attempts 0-2 are corrupt (rejected), and with no operator reset in
+    // virtual time the open breaker fail-fasts the fourth scheduled swap
     // without consuming an ordinal: nothing publishes.
-    assert_eq!(out.swap_rejects, 2);
+    assert_eq!(out.swap_rejects, 4);
     assert_eq!(
-        out.swap_attempts, 1,
+        out.swap_attempts, 3,
         "fail-fast must not consume a swap ordinal"
     );
     assert_eq!(out.swap_published, 0);
@@ -266,8 +267,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Exactly-once under chaos, real threads: concurrent producers,
-    /// random crash/straggler plans, deadlines, watermark shedding and a
-    /// racing shutdown — every submitted request gets exactly one
+    /// random crash/straggler plans, deadlines, shedding at a small queue
+    /// capacity and a racing shutdown — every submitted request gets exactly one
     /// terminal outcome (reply, typed shed, or worker-lost), and the
     /// test completing at all proves no reply channel was stranded.
     #[test]
@@ -277,7 +278,7 @@ proptest! {
         crash_after in 0u64..4,
         max_batch in 1usize..5,
         deadline_ms in 5u64..80,
-        watermark in 2usize..16,
+        capacity in 2usize..16,
         shutdown_early in any::<bool>(),
     ) {
         let plan = FaultPlan::none()
@@ -289,11 +290,10 @@ proptest! {
         )));
         let server = Server::start(registry, ServerConfig {
             workers: 2,
-            queue_capacity: 32,
-            shed_watermark: Some(watermark),
+            queue_capacity: capacity,
             policy: BatchPolicy::dynamic(max_batch, Duration::from_millis(1)),
             faults: plan,
-            supervisor: SupervisorConfig { max_requeues: 1, ..Default::default() },
+            ..Default::default()
         });
 
         let total = producers * per_producer;
@@ -350,10 +350,11 @@ proptest! {
         prop_assert_eq!(recorder.len() as u64, ok);
     }
 
-    /// Exactly-once under chaos, virtual time: across random plans,
-    /// loads, deadlines and watermarks, served + rejected + expired +
-    /// lost ids partition the arrivals exactly, and the outcome is
-    /// bit-reproducible.
+    /// Exactly-once under chaos, virtual time: across random plans (one
+    /// to three crashes at one point, so a batch may outlive its two
+    /// re-queues and be lost), loads, deadlines and queue capacities,
+    /// served + rejected + expired + lost ids partition the arrivals
+    /// exactly, and the outcome is bit-reproducible.
     #[test]
     fn sim_chaos_partitions_arrivals_exactly_once(
         seed in 0u64..500,
@@ -368,7 +369,7 @@ proptest! {
         respawn_ms in 0u64..100,
         slow_factor in 1.0f64..8.0,
         deadline_ms in 1u64..200,
-        max_requeues in 0u32..3,
+        crashes in 1usize..4,
     ) {
         let model = ServiceModel::hep();
         let arrivals: Vec<f64> = PoissonArrivals::new(seed, rate, n).collect();
@@ -377,12 +378,13 @@ proptest! {
             capacity,
             BatchPolicy::dynamic(max_batch, Duration::from_millis(delay_ms)),
         );
-        cfg.faults = FaultPlan::none()
-            .with_worker_crash(crash_slot % workers, crash_after, respawn_ms as f64 * 1e-3)
-            .with_slow_worker(crash_slot % workers, 1, 4, slow_factor);
+        let slot = crash_slot % workers;
+        cfg.faults = (0..crashes)
+            .fold(FaultPlan::none(), |p, _| {
+                p.with_worker_crash(slot, crash_after, respawn_ms as f64 * 1e-3)
+            })
+            .with_slow_worker(slot, 1, 4, slow_factor);
         cfg.deadline_secs = Some(deadline_ms as f64 * 1e-3);
-        cfg.shed_watermark = Some(capacity.div_ceil(2));
-        cfg.max_requeues = max_requeues;
         let out = simulate(&model, &arrivals, &cfg);
 
         let mut all: Vec<usize> = out

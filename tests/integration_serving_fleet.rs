@@ -10,14 +10,14 @@
 //!   autoscaler keeps the replica count within its configured band,
 //! * a seeded fleet simulation replays bit-identically,
 //! * a one-replica fleet simulation and `simulate` are the same replica
-//!   (field-for-field equal outcomes), and both reproduce the outcome
-//!   digests captured before the two replica implementations were
-//!   merged.
+//!   (field-for-field equal outcomes where the fleet layer cannot bite),
+//!   and both reproduce the outcome digests captured before the two
+//!   replica implementations were merged.
 
 use scidl_cluster::faults::FaultPlan;
 use scidl_serve::fleet::{
-    simulate_fleet, CanaryGate, DispatchPolicy, FleetConfig, FleetSimConfig, PriorityAdmission,
-    ScalingBand, SimAutoscaler, SimCanary,
+    simulate_fleet, CanaryGate, DispatchPolicy, FleetConfig, FleetSimConfig, ScalingBand,
+    SimAutoscaler, SimCanary,
 };
 use scidl_serve::queue::BatchPolicy;
 use scidl_serve::sim::{simulate, ServiceModel, SimConfig, SimOutcome};
@@ -45,10 +45,16 @@ fn registry(seed: u64, iteration: u64) -> Arc<ModelRegistry> {
 }
 
 /// The shared chaos plan: replica 0's only worker (global worker 0)
-/// crashes after its first batch and effectively never respawns — a
-/// replica loss.
+/// crashes on its second dispatch and the two after it, the third time
+/// for good — a replica loss. Under threads with no respawns the first
+/// crash already ends the pool; in virtual time, where a slot always
+/// respawns, the batch it held dies three times, one more than its two
+/// re-queues, and is rerouted.
 fn replica_loss_plan() -> FaultPlan {
-    FaultPlan::none().with_worker_crash(0, 1, 1e6)
+    FaultPlan::none()
+        .with_worker_crash(0, 1, 0.0)
+        .with_worker_crash(0, 1, 0.0)
+        .with_worker_crash(0, 1, 1e6)
 }
 
 /// Replica-crash chaos against real threads: one-worker replicas with a
@@ -72,7 +78,6 @@ fn threaded_router_survives_replica_loss_with_exactly_once_outcomes() {
     };
     let mut cfg = FleetConfig::new(2, template, DispatchPolicy::RoundRobin);
     cfg.seed = SEED;
-    cfg.reroute_budget = 2;
     cfg.faults = plan;
     let router = Arc::new(scidl_serve::Router::start(Arc::clone(&reg), cfg));
 
@@ -147,17 +152,15 @@ fn fleet_sim_same_plan_reroutes_and_replays_bit_identically() {
     let model = ServiceModel::hep();
     let mut base = SimConfig::new(1, 64, BatchPolicy::dynamic(4, Duration::from_millis(2)));
     base.faults = replica_loss_plan();
-    base.max_requeues = 0;
     base.deadline_secs = Some(0.5);
     let mut cfg = FleetSimConfig::new(2, base, DispatchPolicy::RoundRobin);
     cfg.seed = SEED;
-    cfg.reroute_budget = 2;
     let arrivals: Vec<f64> = PoissonArrivals::new(SEED, 400.0, 300).collect();
 
     let out = simulate_fleet(&model, &arrivals, &cfg);
     assert_eq!(
-        out.crashes, 1,
-        "the shared plan's crash fires in virtual time"
+        out.crashes, 3,
+        "the shared plan's crashes fire in virtual time"
     );
     assert!(
         out.rerouted >= 1,
@@ -211,7 +214,6 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
 
     let mut cfg = FleetSimConfig::new(1, base, DispatchPolicy::PowerOfTwoChoices);
     cfg.seed = SEED;
-    cfg.base.breaker_threshold = 1;
     cfg.autoscaler = Some(SimAutoscaler {
         band: ScalingBand {
             min_replicas: 1,
@@ -243,8 +245,8 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
         "the old model must still be serving"
     );
     assert!(
-        out.breaker_opened,
-        "threshold 1: the rollout failure opens the breaker"
+        !out.breaker_opened,
+        "one rollback is below the breaker threshold of 3"
     );
     assert!(out.scale_ups >= 1, "the overload must grow the fleet");
     let a = cfg.autoscaler.unwrap().band;
@@ -268,19 +270,22 @@ fn fleet_sim_canary_rollback_and_autoscaler_band_replay_deterministically() {
     assert_eq!(out.scale_downs, again.scale_downs);
 }
 
-/// `simulate` against a one-replica `simulate_fleet` whose fleet layer
-/// is inert (every class sheds only at the full watermark, no reroute,
-/// no autoscaler, no canary): the outcomes must agree field for field,
-/// the fleet merely booking watermark sheds as fleet sheds.
-fn assert_single_matches_one_replica_fleet(base: SimConfig, arrivals: &[f64]) {
+/// `simulate` against a one-replica `simulate_fleet` on a configuration
+/// where the fleet layer cannot bite: the backlog never reaches the
+/// smallest priority shed fraction (0.45) of the queue, so no class is
+/// shed, and no request exhausts its two re-queues, so none is rerouted
+/// (there is no autoscaler and no canary either). The outcomes must then
+/// agree field for field. Returns the single-replica outcome.
+fn assert_single_matches_one_replica_fleet(base: SimConfig, arrivals: &[f64]) -> SimOutcome {
     let model = ServiceModel::hep();
     let single = simulate(&model, arrivals, &base);
-    let mut cfg = FleetSimConfig::new(1, base, DispatchPolicy::RoundRobin);
-    cfg.admission = PriorityAdmission {
-        shed_frac: [1.0; 3],
-    };
-    cfg.reroute_budget = 0;
+    let cfg = FleetSimConfig::new(1, base, DispatchPolicy::RoundRobin);
     let fleet = simulate_fleet(&model, arrivals, &cfg);
+    assert_eq!(
+        fleet.fleet_shed, [0; 3],
+        "no class may reach its shed fraction"
+    );
+    assert_eq!(fleet.rerouted, 0, "no request may exhaust its re-queues");
     assert_eq!(
         format!("{:?}", single.recorder),
         format!("{:?}", fleet.recorder)
@@ -291,20 +296,17 @@ fn assert_single_matches_one_replica_fleet(base: SimConfig, arrivals: &[f64]) {
     assert_eq!(single.lost_ids, fleet.lost_ids);
     assert_eq!(single.batch_sizes, fleet.batch_sizes);
     assert_eq!(single.completed, fleet.completed);
-    assert_eq!(
-        single.rejected,
-        fleet.rejected + fleet.fleet_shed.iter().sum::<usize>()
-    );
+    assert_eq!(single.rejected, fleet.rejected);
     assert_eq!(single.expired, fleet.expired);
     assert_eq!(single.lost, fleet.lost);
     assert_eq!(single.requeued, fleet.requeued);
     assert_eq!(single.crashes, fleet.crashes);
     assert_eq!(single.makespan.to_bits(), fleet.makespan.to_bits());
-    assert_eq!(fleet.rerouted, 0);
     assert!(
         single.completed > 0 && single.requeued > 0,
         "the config must exercise a crash"
     );
+    single
 }
 
 #[test]
@@ -316,14 +318,16 @@ fn one_replica_fleet_sim_and_single_sim_agree_field_for_field() {
         PoissonArrivals::new(SEED, 1.5 * model.saturated_rate(8), 600).collect();
     assert_single_matches_one_replica_fleet(base, &arrivals);
 
-    // Deadlines and a watermark both biting (181 expiries, 406 sheds).
-    let mut base = SimConfig::new(2, 64, BatchPolicy::dynamic(8, Duration::from_millis(5)));
+    // Deadlines biting under 8x overload (584 expiries); the 30 ms
+    // deadline keeps the backlog below 0.45 of the deep queue, so
+    // nothing is shed.
+    let mut base = SimConfig::new(2, 256, BatchPolicy::dynamic(8, Duration::from_millis(5)));
     base.deadline_secs = Some(0.03);
-    base.shed_watermark = Some(40);
     base.faults = FaultPlan::none().with_worker_crash(1, 4, 0.02);
     let arrivals: Vec<f64> =
         PoissonArrivals::new(SEED + 1, 8.0 * model.saturated_rate(8), 800).collect();
-    assert_single_matches_one_replica_fleet(base, &arrivals);
+    let out = assert_single_matches_one_replica_fleet(base, &arrivals);
+    assert_eq!(out.expired, 584, "the deadline must bite");
 }
 
 /// FNV-1a over every field of a virtual-time outcome, by bit pattern.
@@ -375,10 +379,16 @@ fn digest(o: &SimOutcome) -> u64 {
 /// `simulate_fleet` shared one replica (PR 12's parent), on the
 /// committed `results/serving_chaos` storm cell, the `results/
 /// serving_fleet` autoscaler + canary demo, and a fleet run that
-/// crosses every recovery path (crash, reroute, expiry, both sheds,
-/// canary rollback, breaker). The storm cell and the crash fleet were
-/// captured again, once, when a `WorkerCrash` came to strike its
-/// replica's n-th dispatched batch instead of one slot's n-th batch.
+/// crosses every recovery path (crash, re-queue, reroute, expiry, both
+/// sheds, canary rollback charged to the breaker). The storm cell and
+/// the crash fleet were captured again, once, when a `WorkerCrash` came
+/// to strike its replica's n-th dispatched batch instead of one slot's
+/// n-th batch. The crash fleet was restated once more when the serving
+/// budgets became constants of the policy core: it used to set zero
+/// re-queues, two reroutes and a breaker threshold of 1, and now
+/// schedules extra crashes to reach a reroute at the fixed budgets; its
+/// digest was captured on the last commit that still had the settings,
+/// with them at the values the constants took.
 #[test]
 fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     let model = ServiceModel::hep();
@@ -418,7 +428,6 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
             min_replicas: 1,
             max_replicas: 6,
             scale_down_backlog: 4,
-            ..Default::default()
         },
         tick_secs: 0.2,
         startup_secs: 0.02,
@@ -441,12 +450,14 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     assert_eq!(digest(&demo), 0x84e7_b493_c694_10bb, "fleet demo drifted");
 
     // Three replicas losing one to crashes, with deadlines, p2c and a
-    // rolled-back canary.
+    // rolled-back canary. Replica 0's first crashed batch dies three
+    // times (two instant respawns), one more than its re-queues, and is
+    // rerouted; its next two crashes take both workers for good.
     let mut base = SimConfig::new(2, 64, BatchPolicy::dynamic(8, Duration::from_millis(5)));
-    base.max_requeues = 0;
     base.deadline_secs = Some(0.2);
-    base.breaker_threshold = 1;
     base.faults = FaultPlan::none()
+        .with_worker_crash(0, 1, 0.0)
+        .with_worker_crash(0, 1, 0.0)
         .with_worker_crash(0, 1, 1e6)
         .with_worker_crash(1, 1, 1e6)
         .with_worker_crash(3, 5, 0.05)
@@ -456,7 +467,6 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     let end = *arrivals.last().unwrap();
     let mut cfg = FleetSimConfig::new(3, base, DispatchPolicy::PowerOfTwoChoices);
     cfg.seed = SEED;
-    cfg.reroute_budget = 2;
     cfg.canary = Some(SimCanary {
         gate: CanaryGate {
             fraction: 0.25,
@@ -470,9 +480,9 @@ fn outcomes_reproduce_the_digests_captured_before_the_replicas_merged() {
     let chaos = simulate_fleet(&model, &arrivals, &cfg);
     assert_eq!(
         (chaos.crashes, chaos.rerouted, chaos.expired, chaos.rejected),
-        (3, 19, 222, 52)
+        (5, 8, 213, 51)
     );
-    assert_eq!(chaos.fleet_shed, [0, 15, 172]);
-    assert!(chaos.canary_rolled_back && chaos.breaker_opened);
-    assert_eq!(digest(&chaos), 0x3222_af88_b6ed_d03b, "chaos fleet drifted");
+    assert_eq!(chaos.fleet_shed, [0, 16, 178]);
+    assert!(chaos.canary_rolled_back && !chaos.breaker_opened);
+    assert_eq!(digest(&chaos), 0xd321_713f_dc76_9fed, "chaos fleet drifted");
 }
